@@ -14,44 +14,13 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    run_graph_program, ActivityPolicy, EdgeDirection, Graph, GraphBuildOptions, GraphProgram,
-    GraphView, RunOptions, Session, Topology, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId,
+    VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
 
 /// Distance value meaning "not reached yet".
 pub const UNREACHED: u32 = u32::MAX;
-
-/// BFS parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct BfsConfig {
-    /// The root vertex the search starts from.
-    pub root: VertexId,
-    /// Symmetrize the input graph first (the paper always does for BFS).
-    pub symmetrize: bool,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
-}
-
-impl Default for BfsConfig {
-    fn default() -> Self {
-        BfsConfig {
-            root: 0,
-            symmetrize: true,
-            build: GraphBuildOptions::default().with_in_edges(false),
-        }
-    }
-}
-
-impl BfsConfig {
-    /// BFS from the given root with default settings.
-    pub fn from_root(root: VertexId) -> Self {
-        BfsConfig {
-            root,
-            ..Default::default()
-        }
-    }
-}
 
 /// The BFS vertex program. The vertex property is the current distance from
 /// the root (`UNREACHED` if not discovered yet). Generic over the (ignored)
@@ -99,118 +68,56 @@ impl<E: Clone + Send + Sync> GraphProgram for BfsProgram<E> {
     }
 }
 
-/// Run BFS and return the per-vertex hop distance from the root
-/// ([`UNREACHED`] for vertices in other components).
+/// Run BFS over a pre-built graph through a [`Session`] and return the
+/// per-vertex hop distance from the root ([`UNREACHED`] for vertices in
+/// other components): [`bfs_into`] on a fresh state.
 ///
-/// Accepts any edge value type — weights are ignored. Pass an
-/// `EdgeList<()>` (from [`EdgeList::from_pairs`] or
-/// [`EdgeList::topology`]) for the unweighted fast path.
-pub fn bfs<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &BfsConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<u32> {
-    assert!(
-        config.root < edges.num_vertices(),
-        "BFS root {} out of range ({} vertices)",
-        config.root,
-        edges.num_vertices()
-    );
-    let symmetric;
-    let edges = if config.symmetrize {
-        symmetric = edges.symmetrized();
-        &symmetric
-    } else {
-        edges
-    };
-
-    let mut graph: Graph<u32, E> = Graph::from_edge_list(edges, config.build);
-    graph.set_all_properties(UNREACHED);
-    graph.set_property(config.root, 0);
-    graph.set_active(config.root);
-
-    let result = run_graph_program(&BfsProgram::<E>::default(), &mut graph, options);
-    AlgorithmOutput {
-        values: graph.properties().to_vec(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
-/// Run BFS over a pre-built shared topology through a [`Session`] and
-/// return the per-vertex hop distance from the root.
-///
-/// The serving-shape entry point: build the topology once
-/// (`session.build_graph(&edges.symmetrized()).in_edges(false).finish()?`),
-/// share it via `Arc`, and call this from any number of threads
-/// concurrently. Unlike [`bfs`], no preprocessing happens here — symmetrize
-/// the edge list before building if the search should ignore direction.
+/// Accepts any edge value type — weights are ignored; build the topology
+/// from an `EdgeList<()>` for the unweighted fast path. No preprocessing
+/// happens here: the paper runs BFS on the symmetrized graph, so build from
+/// `edges.symmetrized()` if the search should ignore direction
+/// (`session.build_graph(&edges.symmetrized()).in_edges(false).finish()?`).
+/// Over a view with pending edits the search traverses the **edited**
+/// graph, bit-for-bit identical to a run against a rebuilt topology.
 ///
 /// # Errors
 ///
 /// [`graphmat_core::GraphMatError::VertexOutOfRange`] if `root` is not a
-/// vertex of the topology.
-pub fn bfs_on<E: Clone + Send + Sync>(
+/// vertex of the graph.
+pub fn bfs_on<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     root: VertexId,
 ) -> Result<AlgorithmOutput<u32>> {
-    bfs_view(session, GraphView::base(topology), root)
+    let view = view.into();
+    crate::run_fresh(
+        view,
+        |state| bfs_into(session, view, root, None, state),
+        |distance| distance,
+    )
 }
 
-/// [`bfs_on`] over a `(base ⊕ delta)` [`GraphView`] — typically
-/// `snapshot.view()` from a [`graphmat_core::store::GraphStore`] snapshot.
-/// The search traverses the **edited** graph, bit-for-bit identical to a
-/// run against a topology rebuilt from the edited edge list.
-pub fn bfs_view<E: Clone + Send + Sync>(
+/// Run BFS into a caller-owned (pooled) state — the serving hot path.
+///
+/// Zero per-query allocation in the steady state: the hop distances are
+/// left in `state` instead of a fresh `Vec`, and the engine workspace cached
+/// inside the state is recycled. Use one [`graphmat_core::StatePool`] per
+/// program type (see its docs); pass a `deadline` to bound wall-clock time
+/// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
+pub fn bfs_into<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: GraphView<'_, E>,
+    view: impl Into<GraphView<'a, E>>,
     root: VertexId,
-) -> Result<AlgorithmOutput<u32>> {
+    deadline: Option<std::time::Instant>,
+    state: &mut VertexState<u32>,
+) -> Result<RunResult> {
     session
-        .run_view(view, BfsProgram::<E>::default())
+        .run(view, BfsProgram::<E>::default())
         .init_all(UNREACHED)
         .seed_with(root, 0)
         // BFS semantics are fixed: frontier-driven, run to convergence —
         // session-wide run defaults must not silently truncate or
         // over-activate the search.
-        .activity(ActivityPolicy::Changed)
-        .until_convergence()
-        .execute()
-        .map(AlgorithmOutput::from)
-}
-
-/// Run BFS into a caller-owned (pooled) state — the serving hot path.
-///
-/// Like [`bfs_on`] but with zero per-query allocation in the steady state:
-/// the hop distances are left in `state` instead of a fresh `Vec`, and the
-/// engine workspace cached inside the state is recycled. Use one
-/// [`graphmat_core::StatePool`] per program type (see its docs); pass a
-/// `deadline` to bound wall-clock time
-/// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
-pub fn bfs_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    topology: &Topology<E>,
-    root: VertexId,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u32>,
-) -> Result<graphmat_core::RunResult> {
-    bfs_view_into(session, GraphView::base(topology), root, deadline, state)
-}
-
-/// [`bfs_into`] over a `(base ⊕ delta)` [`GraphView`] — the serving hot path
-/// when the store has pending deltas. Identical pooling/allocation behaviour.
-pub fn bfs_view_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    view: GraphView<'_, E>,
-    root: VertexId,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u32>,
-) -> Result<graphmat_core::RunResult> {
-    session
-        .run_view(view, BfsProgram::<E>::default())
-        .init_all(UNREACHED)
-        .seed_with(root, 0)
         .activity(ActivityPolicy::Changed)
         .until_convergence()
         .deadline(deadline)
@@ -255,10 +162,21 @@ mod tests {
         EdgeList::from_pairs(6, vec![(0, 1), (1, 2), (2, 3), (1, 4)])
     }
 
+    /// BFS over a freshly built out-edge topology of `el` as given.
+    fn distances<E: Clone + Send + Sync + 'static>(
+        el: &EdgeList<E>,
+        root: VertexId,
+        threads: usize,
+    ) -> AlgorithmOutput<u32> {
+        let session = Session::with_threads(threads).unwrap();
+        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        bfs_on(&session, &topo, root).unwrap()
+    }
+
     #[test]
     fn distances_match_reference() {
         let el = chain_with_branch();
-        let out = bfs(&el, &BfsConfig::from_root(0), &RunOptions::sequential());
+        let out = distances(&el.symmetrized(), 0, 1);
         assert_eq!(out.values, bfs_reference(&el, 0, true));
         assert_eq!(out.values, vec![0, 1, 2, 3, 2, UNREACHED]);
         assert!(out.converged);
@@ -268,54 +186,25 @@ mod tests {
     fn symmetrization_makes_directed_edges_traversable_backwards() {
         let el = EdgeList::from_pairs(3, vec![(1, 0), (1, 2)]);
         // rooted at 0: without symmetrization nothing is reachable
-        let no_sym = bfs(
-            &el,
-            &BfsConfig {
-                root: 0,
-                symmetrize: false,
-                ..Default::default()
-            },
-            &RunOptions::sequential(),
-        );
-        assert_eq!(no_sym.values, vec![0, UNREACHED, UNREACHED]);
-        let sym = bfs(&el, &BfsConfig::from_root(0), &RunOptions::sequential());
-        assert_eq!(sym.values, vec![0, 1, 2]);
+        assert_eq!(distances(&el, 0, 1).values, vec![0, UNREACHED, UNREACHED]);
+        assert_eq!(distances(&el.symmetrized(), 0, 1).values, vec![0, 1, 2]);
     }
 
     #[test]
     fn number_of_supersteps_equals_eccentricity() {
-        let el = chain_with_branch();
-        let out = bfs(&el, &BfsConfig::from_root(0), &RunOptions::sequential());
+        let out = distances(&chain_with_branch().symmetrized(), 0, 1);
         // frontier advances one hop per superstep; final superstep discovers
         // nothing new, so iterations = max distance + 1
         assert_eq!(out.stats.iterations, 4);
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_range_root_panics() {
-        let el = chain_with_branch();
-        let _ = bfs(&el, &BfsConfig::from_root(99), &RunOptions::sequential());
-    }
-
-    #[test]
-    fn session_driver_matches_facade() {
+    fn out_of_range_root_is_an_error_not_a_panic() {
         let el = chain_with_branch();
         let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let on = bfs_on(&session, &topo, 0).unwrap();
-        let facade = bfs(&el, &BfsConfig::from_root(0), &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
-        assert!(on.converged);
-
-        // Misuse is an error, not a panic.
-        let err = bfs_on(&session, &topo, 99).unwrap_err();
+        let topo = session.build_graph(&el).finish().unwrap();
         assert_eq!(
-            err,
+            bfs_on(&session, &topo, 99).unwrap_err(),
             graphmat_core::GraphMatError::VertexOutOfRange {
                 vertex: 99,
                 num_vertices: 6
@@ -332,7 +221,7 @@ mod tests {
         let session = Session::new(
             SessionOptions::default()
                 .with_threads(1)
-                .with_run_defaults(RunOptions::sequential().with_max_iterations(1)),
+                .with_run_defaults(RunOptions::default().with_max_iterations(1)),
         )
         .unwrap();
         let el = chain_with_branch();
@@ -378,9 +267,9 @@ mod tests {
     fn parallel_matches_sequential_on_rmat() {
         let el =
             graphmat_io::rmat::generate(&graphmat_io::rmat::RmatConfig::graph500(9).with_seed(21));
-        let cfg = BfsConfig::from_root(1);
-        let seq = bfs(&el, &cfg, &RunOptions::sequential());
-        let par = bfs(&el, &cfg, &RunOptions::default().with_threads(4));
+        let sym = el.symmetrized();
+        let seq = distances(&sym, 1, 1);
+        let par = distances(&sym, 1, 4);
         assert_eq!(seq.values, par.values);
         assert_eq!(seq.values, bfs_reference(&el, 1, true));
     }

@@ -24,11 +24,7 @@
 
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
-use graphmat_core::{
-    run_graph_program, ActivityPolicy, EdgeDirection, Graph, GraphBuildOptions, GraphProgram,
-    RunOptions, Session, Topology, VertexId,
-};
-use graphmat_io::bipartite::RatingsGraph;
+use graphmat_core::{ActivityPolicy, EdgeDirection, GraphProgram, GraphView, Session, VertexId};
 use graphmat_io::edgelist::{EdgeList, EdgeWeight};
 
 /// Collaborative filtering parameters.
@@ -45,8 +41,6 @@ pub struct CfConfig {
     pub iterations: usize,
     /// Seed for the deterministic initialisation of the latent vectors.
     pub seed: u64,
-    /// Graph construction options (must keep in-edges enabled).
-    pub build: GraphBuildOptions,
 }
 
 impl Default for CfConfig {
@@ -57,7 +51,6 @@ impl Default for CfConfig {
             gamma: 0.002,
             iterations: 10,
             seed: 7,
-            build: GraphBuildOptions::default(),
         }
     }
 }
@@ -126,74 +119,19 @@ impl<E: EdgeWeight> GraphProgram for CfProgram<E> {
     }
 }
 
-/// Run collaborative filtering on a bipartite ratings graph and return the
-/// per-vertex latent vectors (users first, then items, in vertex-id order).
-pub fn collaborative_filtering(
-    ratings: &RatingsGraph,
-    config: &CfConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<Vec<f64>> {
-    collaborative_filtering_edges(&ratings.edges, config, options)
-}
-
-/// Run collaborative filtering on a raw bipartite edge list (edges must run
-/// from user vertices to item vertices; weights are ratings).
-pub fn collaborative_filtering_edges<E: EdgeWeight>(
-    edges: &EdgeList<E>,
-    config: &CfConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<Vec<f64>> {
-    assert!(config.latent_dims > 0, "latent_dims must be positive");
-    assert!(
-        config.build.build_in_edges,
-        "collaborative filtering scatters along both directions; \
-         build_in_edges must stay enabled"
-    );
-    let mut graph: Graph<CfVertex, E> = Graph::from_edge_list(edges, config.build);
-    let k = config.latent_dims;
-    let seed = config.seed;
-    graph.init_properties(|v| CfVertex {
-        features: (0..k).map(|i| init_feature(seed, v, i, k)).collect(),
-    });
-    graph.set_all_active();
-
-    let program = CfProgram::<E> {
-        lambda: config.lambda,
-        gamma: config.gamma,
-        _edge: std::marker::PhantomData,
-    };
-    let run_opts = RunOptions {
-        max_iterations: Some(options.max_iterations.unwrap_or(config.iterations)),
-        // gradient descent updates every user and item each iteration
-        activity: ActivityPolicy::AlwaysAll,
-        ..*options
-    };
-    let result = run_graph_program(&program, &mut graph, &run_opts);
-
-    AlgorithmOutput {
-        values: graph
-            .properties()
-            .iter()
-            .map(|p| p.features.clone())
-            .collect(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
-/// Run collaborative filtering over a pre-built shared topology through a
-/// [`Session`].
+/// Run collaborative filtering over a pre-built graph through a
+/// [`Session`] and return the per-vertex latent vectors (users first, then
+/// items, in vertex-id order).
 ///
-/// The serving-shape variant of [`collaborative_filtering_edges`]. The
-/// topology must be built from the bipartite ratings edge list **with
+/// The topology must be built from the bipartite ratings edge list (edges
+/// run from user vertices to item vertices; weights are ratings) **with
 /// in-edges enabled** (the default) — the program scatters in both
 /// directions, and a topology without the `G` matrix yields
-/// [`graphmat_core::GraphMatError::MissingInMatrix`]. `config.build` is
-/// ignored. A `config.iterations` of `0` returns the deterministic initial
-/// latent vectors without running.
-pub fn collaborative_filtering_on<E: EdgeWeight>(
+/// [`graphmat_core::GraphMatError::MissingInMatrix`]. A `config.iterations`
+/// of `0` returns the deterministic initial latent vectors without running.
+pub fn collaborative_filtering_on<'a, E: EdgeWeight + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     config: &CfConfig,
 ) -> Result<AlgorithmOutput<Vec<f64>>> {
     if config.latent_dims == 0 {
@@ -201,37 +139,33 @@ pub fn collaborative_filtering_on<E: EdgeWeight>(
             "collaborative filtering needs at least one latent dimension",
         ));
     }
+    let view = view.into();
     let k = config.latent_dims;
     let seed = config.seed;
-    let initial = move |v: VertexId| CfVertex {
-        features: (0..k).map(|i| init_feature(seed, v, i, k)).collect(),
-    };
-    if config.iterations == 0 {
-        let n = topology.num_vertices();
-        return Ok(AlgorithmOutput {
-            values: (0..n).map(|v| initial(v).features).collect(),
-            stats: crate::zero_superstep_stats(topology, session),
-            converged: false,
-        });
-    }
-
-    let program = CfProgram::<E> {
-        lambda: config.lambda,
-        gamma: config.gamma,
-        _edge: std::marker::PhantomData,
-    };
-    let outcome = session
-        .run(topology, program)
-        .init_with(initial)
-        .activate_all()
-        .activity(ActivityPolicy::AlwaysAll)
-        .max_iterations(config.iterations)
-        .execute()?;
-    Ok(AlgorithmOutput {
-        values: outcome.values.into_iter().map(|p| p.features).collect(),
-        stats: outcome.stats,
-        converged: outcome.converged,
-    })
+    crate::run_fresh(
+        view,
+        |state| {
+            state.init_properties(|v| CfVertex {
+                features: (0..k).map(|i| init_feature(seed, v, i, k)).collect(),
+            });
+            if config.iterations == 0 {
+                return Ok(crate::zero_superstep_result(view, session));
+            }
+            let program = CfProgram::<E> {
+                lambda: config.lambda,
+                gamma: config.gamma,
+                _edge: std::marker::PhantomData,
+            };
+            session
+                .run(view, program)
+                .activate_all()
+                // gradient descent updates every user and item each iteration
+                .activity(ActivityPolicy::AlwaysAll)
+                .max_iterations(config.iterations)
+                .execute_with(state)
+        },
+        |p| p.features,
+    )
 }
 
 /// Deterministic pseudo-random initial feature value in `[0, 1/√K)`.
@@ -267,7 +201,7 @@ pub fn rmse<E: EdgeWeight>(edges: &EdgeList<E>, features: &[Vec<f64>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphmat_io::bipartite::{self, BipartiteConfig};
+    use graphmat_io::bipartite::{self, BipartiteConfig, RatingsGraph};
 
     fn small_ratings() -> RatingsGraph {
         bipartite::generate(&BipartiteConfig {
@@ -276,6 +210,17 @@ mod tests {
             num_ratings: 500,
             ..Default::default()
         })
+    }
+
+    /// CF over a freshly built (in-edges on) topology with `threads` lanes.
+    fn factorize(
+        ratings: &RatingsGraph,
+        config: &CfConfig,
+        threads: usize,
+    ) -> AlgorithmOutput<Vec<f64>> {
+        let session = Session::with_threads(threads).unwrap();
+        let topo = session.build_graph(&ratings.edges).finish().unwrap();
+        collaborative_filtering_on(&session, &topo, config).unwrap()
     }
 
     #[test]
@@ -290,8 +235,8 @@ mod tests {
             iterations: 30,
             ..base
         };
-        let initial = collaborative_filtering(&ratings, &base, &RunOptions::sequential());
-        let trained = collaborative_filtering(&ratings, &trained_cfg, &RunOptions::sequential());
+        let initial = factorize(&ratings, &base, 1);
+        let trained = factorize(&ratings, &trained_cfg, 1);
         let rmse_initial = rmse(&ratings.edges, &initial.values);
         let rmse_trained = rmse(&ratings.edges, &trained.values);
         assert!(
@@ -308,7 +253,7 @@ mod tests {
             iterations: 2,
             ..Default::default()
         };
-        let out = collaborative_filtering(&ratings, &cfg, &RunOptions::sequential());
+        let out = factorize(&ratings, &cfg, 1);
         assert_eq!(out.values.len(), ratings.edges.num_vertices() as usize);
         assert!(out.values.iter().all(|f| f.len() == 5));
     }
@@ -321,8 +266,7 @@ mod tests {
             iterations: 6,
             ..Default::default()
         };
-        let out = collaborative_filtering(&ratings, &cfg, &RunOptions::sequential());
-        assert_eq!(out.stats.iterations, 6);
+        assert_eq!(factorize(&ratings, &cfg, 1).stats.iterations, 6);
     }
 
     #[test]
@@ -333,8 +277,8 @@ mod tests {
             iterations: 5,
             ..Default::default()
         };
-        let seq = collaborative_filtering(&ratings, &cfg, &RunOptions::sequential());
-        let par = collaborative_filtering(&ratings, &cfg, &RunOptions::default().with_threads(4));
+        let seq = factorize(&ratings, &cfg, 1);
+        let par = factorize(&ratings, &cfg, 4);
         for (a, b) in seq.values.iter().zip(par.values.iter()) {
             for (x, y) in a.iter().zip(b.iter()) {
                 assert!((x - y).abs() < 1e-9);
@@ -343,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn session_driver_matches_facade_and_needs_in_edges() {
+    fn needs_in_edges_and_a_latent_dimension() {
         let ratings = small_ratings();
         let cfg = CfConfig {
             latent_dims: 4,
@@ -351,11 +295,6 @@ mod tests {
             ..Default::default()
         };
         let session = Session::sequential();
-        let topo = session.build_graph(&ratings.edges).finish().unwrap();
-        let on = collaborative_filtering_on(&session, &topo, &cfg).unwrap();
-        let facade = collaborative_filtering(&ratings, &cfg, &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
-
         let out_only = session
             .build_graph(&ratings.edges)
             .in_edges(false)
@@ -366,7 +305,8 @@ mod tests {
             graphmat_core::GraphMatError::MissingInMatrix
         );
 
-        // Invalid config is an error on the session path, never a panic.
+        // Invalid config is an error, never a panic.
+        let topo = session.build_graph(&ratings.edges).finish().unwrap();
         let bad = CfConfig {
             latent_dims: 0,
             ..cfg
@@ -395,16 +335,5 @@ mod tests {
         let el = EdgeList::from_tuples(2, vec![(0, 1, 2.0)]);
         let features = vec![vec![1.0, 1.0], vec![1.0, 1.0]];
         assert!(rmse(&el, &features) < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_latent_dims_panics() {
-        let ratings = small_ratings();
-        let cfg = CfConfig {
-            latent_dims: 0,
-            ..Default::default()
-        };
-        let _ = collaborative_filtering(&ratings, &cfg, &RunOptions::sequential());
     }
 }

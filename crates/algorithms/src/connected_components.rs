@@ -11,29 +11,10 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    run_graph_program, ActivityPolicy, EdgeDirection, Graph, GraphBuildOptions, GraphProgram,
-    GraphView, RunOptions, Session, Topology, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId,
+    VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
-
-/// Connected-components parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct CcConfig {
-    /// Symmetrize the input first (connected components are defined on the
-    /// undirected graph).
-    pub symmetrize: bool,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
-}
-
-impl Default for CcConfig {
-    fn default() -> Self {
-        CcConfig {
-            symmetrize: true,
-            build: GraphBuildOptions::default().with_in_edges(false),
-        }
-    }
-}
 
 /// The label-propagation vertex program. Generic over the (ignored) edge
 /// type; `CcProgram<()>` is the unweighted fast path.
@@ -80,97 +61,48 @@ impl<E: Clone + Send + Sync> GraphProgram for CcProgram<E> {
     }
 }
 
-/// Compute connected components; the result maps every vertex to the minimum
-/// vertex id in its component.
-pub fn connected_components<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &CcConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<u32> {
-    let symmetric;
-    let edges = if config.symmetrize {
-        symmetric = edges.symmetrized();
-        &symmetric
-    } else {
-        edges
-    };
-    let mut graph: Graph<u32, E> = Graph::from_edge_list(edges, config.build);
-    graph.init_properties(|v| v);
-    graph.set_all_active();
-    let result = run_graph_program(&CcProgram::<E>::default(), &mut graph, options);
-    AlgorithmOutput {
-        values: graph.properties().to_vec(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
-/// Compute connected components over a pre-built shared topology through a
-/// [`Session`].
+/// Compute connected components over a pre-built graph through a
+/// [`Session`]; the result maps every vertex to the minimum vertex id in its
+/// component: [`connected_components_into`] on a fresh state.
 ///
-/// The serving-shape entry point. Connected components are defined on the
-/// undirected graph, so build the topology from a **symmetrized** edge list
+/// Connected components are defined on the undirected graph, so build the
+/// topology from a **symmetrized** edge list
 /// (`session.build_graph(&edges.symmetrized()).in_edges(false).finish()?`);
-/// no preprocessing happens here.
-pub fn connected_components_on<E: Clone + Send + Sync>(
+/// no preprocessing happens here. Over a view with pending edits labels
+/// propagate over the **edited** graph, bit-for-bit identical to a run
+/// against a rebuilt topology.
+pub fn connected_components_on<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
 ) -> Result<AlgorithmOutput<u32>> {
-    connected_components_view(session, GraphView::base(topology))
-}
-
-/// [`connected_components_on`] over a `(base ⊕ delta)` [`GraphView`] —
-/// typically `snapshot.view()` from a
-/// [`graphmat_core::store::GraphStore`] snapshot. Labels propagate over the
-/// **edited** graph, bit-for-bit identical to a run against a topology
-/// rebuilt from the edited edge list.
-pub fn connected_components_view<E: Clone + Send + Sync>(
-    session: &Session,
-    view: GraphView<'_, E>,
-) -> Result<AlgorithmOutput<u32>> {
-    session
-        .run_view(view, CcProgram::<E>::default())
-        .init_with(|v| v)
-        .activate_all()
-        // Label propagation must run until no label changes; don't let
-        // session run defaults truncate or over-activate it.
-        .activity(ActivityPolicy::Changed)
-        .until_convergence()
-        .execute()
-        .map(AlgorithmOutput::from)
+    let view = view.into();
+    crate::run_fresh(
+        view,
+        |state| connected_components_into(session, view, None, state),
+        |label| label,
+    )
 }
 
 /// Run connected components into a caller-owned (pooled) state — the
 /// serving hot path.
 ///
-/// Like [`connected_components_on`] but with zero per-query allocation in
-/// the steady state: the labels are left in `state` instead of a fresh
-/// `Vec`, and the engine workspace cached inside the state is recycled. Use
-/// one [`graphmat_core::StatePool`] per program type (see its docs); pass a
-/// `deadline` to bound wall-clock time
+/// Zero per-query allocation in the steady state: the labels are left in
+/// `state` instead of a fresh `Vec`, and the engine workspace cached inside
+/// the state is recycled. Use one [`graphmat_core::StatePool`] per program
+/// type (see its docs); pass a `deadline` to bound wall-clock time
 /// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
-pub fn connected_components_into<E: Clone + Send + Sync + 'static>(
+pub fn connected_components_into<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u32>,
-) -> Result<graphmat_core::RunResult> {
-    connected_components_view_into(session, GraphView::base(topology), deadline, state)
-}
-
-/// [`connected_components_into`] over a `(base ⊕ delta)` [`GraphView`] —
-/// the serving hot path when the store has pending deltas. Identical
-/// pooling/allocation behaviour.
-pub fn connected_components_view_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    view: GraphView<'_, E>,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<u32>,
-) -> Result<graphmat_core::RunResult> {
+    state: &mut VertexState<u32>,
+) -> Result<RunResult> {
     session
-        .run_view(view, CcProgram::<E>::default())
+        .run(view, CcProgram::<E>::default())
         .init_with(|v| v)
         .activate_all()
+        // Label propagation must run until no label changes; don't let
+        // session run defaults truncate or over-activate it.
         .activity(ActivityPolicy::Changed)
         .until_convergence()
         .deadline(deadline)
@@ -220,10 +152,24 @@ pub fn connected_components_reference<E>(edges: &EdgeList<E>) -> Vec<u32> {
 mod tests {
     use super::*;
 
+    /// Components of the symmetrized `el`, on `threads` lanes.
+    fn components<E: Clone + Send + Sync + 'static>(
+        el: &EdgeList<E>,
+        threads: usize,
+    ) -> AlgorithmOutput<u32> {
+        let session = Session::with_threads(threads).unwrap();
+        let topo = session
+            .build_graph(&el.symmetrized())
+            .in_edges(false)
+            .finish()
+            .unwrap();
+        connected_components_on(&session, &topo).unwrap()
+    }
+
     #[test]
     fn two_components() {
         let el = EdgeList::from_pairs(6, vec![(0, 1), (1, 2), (3, 4)]);
-        let out = connected_components(&el, &CcConfig::default(), &RunOptions::sequential());
+        let out = components(&el, 1);
         assert_eq!(out.values, vec![0, 0, 0, 3, 3, 5]);
         assert_eq!(component_count(&out.values), 3);
         assert!(out.converged);
@@ -234,27 +180,9 @@ mod tests {
         let el = graphmat_io::uniform::generate(
             &graphmat_io::uniform::UniformConfig::new(300, 400).with_seed(13),
         );
-        let out = connected_components(
-            &el,
-            &CcConfig::default(),
-            &RunOptions::default().with_threads(4),
-        );
+        let out = components(&el, 4);
         let reference = connected_components_reference(&el);
         assert_eq!(out.values, reference);
-    }
-
-    #[test]
-    fn session_driver_matches_facade() {
-        let el = EdgeList::from_pairs(6, vec![(0, 1), (1, 2), (3, 4)]);
-        let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let on = connected_components_on(&session, &topo).unwrap();
-        let facade = connected_components(&el, &CcConfig::default(), &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
     }
 
     #[test]
@@ -287,7 +215,7 @@ mod tests {
             removal_fraction: 0.0,
             ..graphmat_io::grid::GridConfig::square(12)
         });
-        let out = connected_components(&el, &CcConfig::default(), &RunOptions::sequential());
+        let out = components(&el, 1);
         assert_eq!(component_count(&out.values), 1);
         assert!(out.values.iter().all(|&l| l == 0));
     }
@@ -296,7 +224,6 @@ mod tests {
     fn directionality_is_ignored_via_symmetrization() {
         // directed chain 2 -> 1 -> 0: still one component
         let el = EdgeList::from_pairs(3, vec![(2, 1), (1, 0)]);
-        let out = connected_components(&el, &CcConfig::default(), &RunOptions::sequential());
-        assert_eq!(component_count(&out.values), 1);
+        assert_eq!(component_count(&components(&el, 1).values), 1);
     }
 }

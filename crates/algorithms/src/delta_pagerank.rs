@@ -29,11 +29,9 @@ use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::store::{GraphSnapshot, GraphStore};
 use graphmat_core::{
-    run_graph_program, EdgeDirection, Graph, GraphBuildOptions, GraphProgram, GraphView,
-    RunOptions, Session, Topology, VertexId,
+    EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId, VertexState,
 };
 use graphmat_delta::DeltaBatch;
-use graphmat_io::edgelist::EdgeList;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -47,8 +45,6 @@ pub struct DeltaPageRankConfig {
     pub tolerance: f64,
     /// Hard iteration cap (safety net).
     pub max_iterations: usize,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
 }
 
 impl Default for DeltaPageRankConfig {
@@ -57,7 +53,6 @@ impl Default for DeltaPageRankConfig {
             random_surf: 0.15,
             tolerance: 1e-7,
             max_iterations: 500,
-            build: GraphBuildOptions::default().with_in_edges(false),
         }
     }
 }
@@ -117,122 +112,52 @@ impl<E: Clone + Send + Sync> GraphProgram for DeltaPageRankProgram<E> {
     }
 }
 
-/// Run PageRank until every vertex's rank increment falls below the
-/// tolerance. The returned ranks satisfy the same fixed-point equation as
-/// [`crate::pagerank::pagerank`]; they differ from a truncated
-/// fixed-iteration run only by the tolerance.
-pub fn delta_pagerank<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &DeltaPageRankConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<f64> {
-    assert!(config.tolerance > 0.0, "tolerance must be positive");
-    let mut graph: Graph<DeltaPrVertex, E> = Graph::from_edge_list(edges, config.build);
-    let degrees: Vec<u32> = graph.out_degrees().to_vec();
-    let r = config.random_surf;
-    graph.init_properties(|v| DeltaPrVertex {
-        rank: r,
-        delta: r,
-        degree: degrees[v as usize],
-    });
-    graph.set_all_active();
-
-    let program = DeltaPageRankProgram::<E> {
-        random_surf: config.random_surf,
-        tolerance: config.tolerance,
-        _edge: std::marker::PhantomData,
-    };
-    let run_opts = RunOptions {
-        max_iterations: Some(config.max_iterations),
-        ..*options
-    };
-    let result = run_graph_program(&program, &mut graph, &run_opts);
-
-    AlgorithmOutput {
-        values: graph.properties().iter().map(|p| p.rank).collect(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
-/// Run delta-PageRank over a pre-built shared topology through a
-/// [`Session`] (serving-shape variant of [`delta_pagerank`]; `config.build`
-/// is ignored).
-pub fn delta_pagerank_on<E: Clone + Send + Sync>(
+/// Run PageRank over a pre-built graph through a [`Session`] until every
+/// vertex's rank increment falls below the tolerance:
+/// [`delta_pagerank_into`] on a fresh state.
+///
+/// The returned ranks satisfy the same fixed-point equation as
+/// [`crate::pagerank::pagerank_on`]; they differ from a truncated
+/// fixed-iteration run only by the tolerance. Over a view with pending
+/// edits — typically `snapshot.view()` from a [`GraphStore`] snapshot — the
+/// out-degrees the program divides by are the **edited** graph's, so
+/// results are bit-for-bit identical to a run against a topology rebuilt
+/// from the edited edge list. A `config.max_iterations` of `0` returns the
+/// initial ranks without running.
+pub fn delta_pagerank_on<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     config: &DeltaPageRankConfig,
 ) -> Result<AlgorithmOutput<f64>> {
-    delta_pagerank_view(session, GraphView::base(topology), config)
-}
-
-/// [`delta_pagerank_on`] over a `(base ⊕ delta)` [`GraphView`] — typically
-/// `snapshot.view()` from a [`GraphStore`] snapshot. The out-degrees the
-/// program divides by are the **edited** graph's, so results are
-/// bit-for-bit identical to a run against a topology rebuilt from the
-/// edited edge list.
-pub fn delta_pagerank_view<E: Clone + Send + Sync>(
-    session: &Session,
-    view: GraphView<'_, E>,
-    config: &DeltaPageRankConfig,
-) -> Result<AlgorithmOutput<f64>> {
-    validate_tolerance(config.tolerance)?;
-    // Zero iterations returns the initial state without running, matching
-    // the facade and the other fixed-iteration session drivers.
-    if config.max_iterations == 0 {
-        return Ok(AlgorithmOutput {
-            values: vec![config.random_surf; view.num_vertices() as usize],
-            stats: crate::zero_superstep_stats(view.topology(), session),
-            converged: false,
-        });
-    }
-    let degrees = view.out_degrees();
-    let r = config.random_surf;
-    let program = DeltaPageRankProgram::<E> {
-        random_surf: config.random_surf,
-        tolerance: config.tolerance,
-        _edge: std::marker::PhantomData,
-    };
-    let outcome = session
-        .run_view(view, program)
-        .init_with(|v| DeltaPrVertex {
-            rank: r,
-            delta: r,
-            degree: degrees[v as usize],
-        })
-        .activate_all()
-        // The whole point of the delta formulation is a shrinking
-        // changed-only frontier; pin it against session defaults.
-        .activity(graphmat_core::ActivityPolicy::Changed)
-        .max_iterations(config.max_iterations)
-        .execute()?;
-    Ok(AlgorithmOutput {
-        values: outcome.values.iter().map(|p| p.rank).collect(),
-        stats: outcome.stats,
-        converged: outcome.converged,
-    })
+    let view = view.into();
+    crate::run_fresh(
+        view,
+        |state| delta_pagerank_into(session, view, config, None, state),
+        |p| p.rank,
+    )
 }
 
 /// Run delta-PageRank into a caller-owned (pooled) state — the serving hot
 /// path.
 ///
-/// Like [`delta_pagerank_on`] but with zero per-query allocation in the
-/// steady state: the final [`DeltaPrVertex`] properties are left in `state`
-/// (read ranks with `state.properties()[v].rank`) and the engine workspace
-/// cached inside the state is recycled. All parameter validation is typed —
-/// a bad tolerance is [`graphmat_core::GraphMatError::InvalidParameter`],
-/// never a panic. `deadline`, when given, bounds wall-clock time.
-pub fn delta_pagerank_into<E: Clone + Send + Sync + 'static>(
+/// Zero per-query allocation in the steady state: the final
+/// [`DeltaPrVertex`] properties are left in `state` (read ranks with
+/// `state.properties()[v].rank`) and the engine workspace cached inside the
+/// state is recycled. All parameter validation is typed — a bad tolerance is
+/// [`graphmat_core::GraphMatError::InvalidParameter`], never a panic.
+/// `deadline`, when given, bounds wall-clock time.
+pub fn delta_pagerank_into<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     config: &DeltaPageRankConfig,
     deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<DeltaPrVertex>,
-) -> Result<graphmat_core::RunResult> {
+    state: &mut VertexState<DeltaPrVertex>,
+) -> Result<RunResult> {
     validate_tolerance(config.tolerance)?;
-    let degrees = topology.out_degrees();
+    let view = view.into();
+    let degrees = view.out_degrees();
     let r = config.random_surf;
-    state.check_matches(topology)?;
+    state.check_matches(view.topology())?;
     // Initialise the pooled state directly instead of through
     // `RunBuilder::init_with`: the builder boxes its init closure, and this
     // one captures the degree slice — a small per-query heap allocation the
@@ -243,10 +168,7 @@ pub fn delta_pagerank_into<E: Clone + Send + Sync + 'static>(
         degree: degrees[v as usize],
     });
     if config.max_iterations == 0 {
-        return Ok(graphmat_core::RunResult {
-            stats: crate::zero_superstep_stats(topology, session),
-            converged: false,
-        });
+        return Ok(crate::zero_superstep_result(view, session));
     }
     let program = DeltaPageRankProgram::<E> {
         random_surf: config.random_surf,
@@ -254,8 +176,10 @@ pub fn delta_pagerank_into<E: Clone + Send + Sync + 'static>(
         _edge: std::marker::PhantomData,
     };
     session
-        .run(topology, program)
+        .run(view, program)
         .activate_all()
+        // The whole point of the delta formulation is a shrinking
+        // changed-only frontier; pin it against session defaults.
         .activity(graphmat_core::ActivityPolicy::Changed)
         .max_iterations(config.max_iterations)
         .deadline(deadline)
@@ -348,14 +272,14 @@ impl<E: Clone + Send + Sync> GraphProgram for StreamingRestartProgram<E> {
 /// mutates" workload, built on [`GraphStore`] snapshots.
 ///
 /// The first [`StreamingPageRank::refresh`] runs full delta-PageRank
-/// ([`delta_pagerank_view`]). Each later refresh **repairs** the previous
+/// ([`delta_pagerank_on`]). Each later refresh **repairs** the previous
 /// ranks instead of recomputing: one restart superstep re-evaluates every
 /// vertex under the new snapshot and seeds the delta recurrence with the
 /// per-vertex residual, so only the region the edits perturbed (above
 /// `tolerance`) re-converges — the shrinking-frontier property that makes
 /// delta-PageRank cheap carries over to topology changes.
 ///
-/// Ranks agree with a from-scratch [`delta_pagerank_view`] run on the same
+/// Ranks agree with a from-scratch [`delta_pagerank_on`] run on the same
 /// snapshot to within tolerance-scale differences (both satisfy the same
 /// fixed-point equation; iteration *paths* differ). Vertices whose last
 /// in-edge was deleted are reset to `r`, matching the from-scratch
@@ -412,7 +336,7 @@ impl StreamingPageRank {
 
     /// Bring the ranks up to date with `snapshot`: a full run the first
     /// time, an incremental residual-restart repair afterwards.
-    pub fn refresh<E: Clone + Send + Sync>(
+    pub fn refresh<E: Clone + Send + Sync + 'static>(
         &mut self,
         session: &Session,
         snapshot: &GraphSnapshot<E>,
@@ -420,7 +344,7 @@ impl StreamingPageRank {
         let view = snapshot.view();
         let n = view.num_vertices() as usize;
         if !self.initialized {
-            let out = delta_pagerank_view(session, view, &self.config)?;
+            let out = delta_pagerank_on(session, view, &self.config)?;
             self.ranks = out.values;
             self.version = snapshot.version();
             self.initialized = true;
@@ -443,7 +367,7 @@ impl StreamingPageRank {
             _edge: std::marker::PhantomData,
         };
         let outcome = session
-            .run_view(view, program)
+            .run(view, program)
             .init_with(|v| DeltaPrVertex {
                 rank: ranks[v as usize],
                 delta: 0.0,
@@ -489,20 +413,23 @@ impl StreamingPageRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::{pagerank, PageRankConfig};
+    use crate::pagerank::{pagerank_on, PageRankConfig};
+    use graphmat_io::edgelist::EdgeList;
 
     fn test_graph() -> EdgeList {
         graphmat_io::rmat::generate(&graphmat_io::rmat::RmatConfig::graph500(8).with_seed(3))
     }
 
+    /// Delta-PageRank over a freshly built out-edge topology.
+    fn ranks(el: &EdgeList, cfg: &DeltaPageRankConfig, threads: usize) -> AlgorithmOutput<f64> {
+        let session = Session::with_threads(threads).unwrap();
+        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        delta_pagerank_on(&session, &topo, cfg).unwrap()
+    }
+
     #[test]
     fn converges_before_the_iteration_cap() {
-        let el = test_graph();
-        let out = delta_pagerank(
-            &el,
-            &DeltaPageRankConfig::default(),
-            &RunOptions::sequential(),
-        );
+        let out = ranks(&test_graph(), &DeltaPageRankConfig::default(), 1);
         assert!(out.converged);
         assert!(out.stats.iterations < 500);
     }
@@ -519,25 +446,29 @@ mod tests {
         for v in 0..n {
             edges.push((v, (v + 1) % n, 1.0));
         }
-        let el = graphmat_io::edgelist::EdgeList::from_tuples(n, edges);
+        let el = EdgeList::from_tuples(n, edges);
+        let session = Session::sequential();
+        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
 
-        let delta = delta_pagerank(
-            &el,
+        let delta = delta_pagerank_on(
+            &session,
+            &topo,
             &DeltaPageRankConfig {
                 tolerance: 1e-12,
                 max_iterations: 1000,
                 ..Default::default()
             },
-            &RunOptions::sequential(),
-        );
-        let fixed = pagerank(
-            &el,
+        )
+        .unwrap();
+        let fixed = pagerank_on(
+            &session,
+            &topo,
             &PageRankConfig {
                 iterations: 200,
                 ..Default::default()
             },
-            &RunOptions::sequential(),
-        );
+        )
+        .unwrap();
         for (v, (a, b)) in delta.values.iter().zip(fixed.values.iter()).enumerate() {
             assert!((a - b).abs() < 1e-4, "vertex {v}: {a} vs {b}");
         }
@@ -545,14 +476,13 @@ mod tests {
 
     #[test]
     fn active_set_shrinks_over_time() {
-        let el = test_graph();
-        let out = delta_pagerank(
-            &el,
+        let out = ranks(
+            &test_graph(),
             &DeltaPageRankConfig {
                 tolerance: 1e-6,
                 ..Default::default()
             },
-            &RunOptions::sequential(),
+            1,
         );
         let first = out.stats.supersteps.first().unwrap().active_vertices;
         let last = out.stats.supersteps.last().unwrap().active_vertices;
@@ -560,46 +490,29 @@ mod tests {
     }
 
     #[test]
-    fn session_driver_matches_facade_bit_for_bit() {
-        let el = test_graph();
-        let cfg = DeltaPageRankConfig::default();
-        let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
-        let on = delta_pagerank_on(&session, &topo, &cfg).unwrap();
-        let facade = delta_pagerank(&el, &cfg, &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
-        assert_eq!(on.converged, facade.converged);
-    }
-
-    #[test]
     fn parallel_matches_sequential() {
         let el = test_graph();
         let cfg = DeltaPageRankConfig::default();
-        let seq = delta_pagerank(&el, &cfg, &RunOptions::sequential());
-        let par = delta_pagerank(&el, &cfg, &RunOptions::default().with_threads(4));
+        let seq = ranks(&el, &cfg, 1);
+        let par = ranks(&el, &cfg, 4);
         for (a, b) in seq.values.iter().zip(par.values.iter()) {
             assert!((a - b).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn zero_iterations_returns_initial_ranks_like_the_facade() {
-        let el = test_graph();
+    fn zero_iterations_returns_initial_ranks() {
         let cfg = DeltaPageRankConfig {
             max_iterations: 0,
             ..Default::default()
         };
-        let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
-        let on = delta_pagerank_on(&session, &topo, &cfg).unwrap();
-        let facade = delta_pagerank(&el, &cfg, &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
-        assert!(on.values.iter().all(|&r| r == cfg.random_surf));
-        assert!(!on.converged);
+        let out = ranks(&test_graph(), &cfg, 1);
+        assert!(out.values.iter().all(|&r| r == cfg.random_surf));
+        assert!(!out.converged);
     }
 
     #[test]
-    fn zero_tolerance_is_an_error_on_the_session_path() {
+    fn bad_tolerance_is_a_typed_error() {
         let el = test_graph();
         let session = Session::sequential();
         let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
@@ -619,21 +532,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn zero_tolerance_is_rejected() {
-        let el = test_graph();
-        let _ = delta_pagerank(
-            &el,
-            &DeltaPageRankConfig {
-                tolerance: 0.0,
-                ..Default::default()
-            },
-            &RunOptions::sequential(),
-        );
-    }
-
-    #[test]
-    fn pooled_driver_matches_session_driver_and_validates_typed() {
+    fn pooled_driver_matches_and_reruns_identically() {
         let el = test_graph();
         let cfg = DeltaPageRankConfig::default();
         let session = Session::sequential();
@@ -641,33 +540,19 @@ mod tests {
         let on = delta_pagerank_on(&session, &topo, &cfg).unwrap();
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);
-        let mut state = pool.acquire();
-        delta_pagerank_into(&session, &topo, &cfg, None, &mut state).unwrap();
-        let ranks: Vec<f64> = state.properties().iter().map(|p| p.rank).collect();
-        assert_eq!(ranks, on.values);
-        pool.release(state);
-
-        // Rerun through the pool: identical, workspace recycled.
-        let mut state = pool.acquire();
-        delta_pagerank_into(&session, &topo, &cfg, None, &mut state).unwrap();
-        let ranks: Vec<f64> = state.properties().iter().map(|p| p.rank).collect();
-        assert_eq!(ranks, on.values);
-        assert!(state.has_cached_workspace());
-
-        // Parameter validation is typed on the pooled path too — no panic.
-        let bad = DeltaPageRankConfig {
-            tolerance: f64::NAN,
-            ..Default::default()
-        };
-        assert!(matches!(
-            delta_pagerank_into(&session, &topo, &bad, None, &mut state).unwrap_err(),
-            graphmat_core::GraphMatError::InvalidParameter(_)
-        ));
-        pool.release(state);
+        for _ in 0..2 {
+            let mut state = pool.acquire();
+            delta_pagerank_into(&session, &topo, &cfg, None, &mut state).unwrap();
+            let ranks: Vec<f64> = state.properties().iter().map(|p| p.rank).collect();
+            assert_eq!(ranks, on.values);
+            assert!(state.has_cached_workspace());
+            pool.release(state);
+        }
+        assert_eq!((pool.created(), pool.reused()), (1, 1));
     }
 
     #[test]
-    fn view_driver_over_pending_deltas_matches_rebuild_bit_for_bit() {
+    fn run_over_pending_deltas_matches_rebuild_bit_for_bit() {
         use graphmat_core::store::{GraphStore, StoreOptions};
 
         let el = test_graph();
@@ -690,12 +575,12 @@ mod tests {
         assert!(snapshot.overlay().is_some());
 
         let cfg = DeltaPageRankConfig::default();
-        let overlaid = delta_pagerank_view(&session, snapshot.view(), &cfg).unwrap();
+        let overlaid = delta_pagerank_on(&session, snapshot.view(), &cfg).unwrap();
 
         store.compact_now();
         let rebuilt = store.snapshot();
         assert!(rebuilt.overlay().is_none());
-        let from_scratch = delta_pagerank_view(&session, rebuilt.view(), &cfg).unwrap();
+        let from_scratch = delta_pagerank_on(&session, rebuilt.view(), &cfg).unwrap();
         for (v, (a, b)) in overlaid.values.iter().zip(&from_scratch.values).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: {a} vs {b}");
         }
@@ -748,7 +633,7 @@ mod tests {
 
         // The repaired ranks agree with a from-scratch run on the final
         // snapshot (same fixed point; iteration paths differ).
-        let from_scratch = delta_pagerank_view(&session, store.snapshot().view(), &cfg).unwrap();
+        let from_scratch = delta_pagerank_on(&session, store.snapshot().view(), &cfg).unwrap();
         for (v, (a, b)) in pr.ranks().iter().zip(&from_scratch.values).enumerate() {
             assert!((a - b).abs() < 1e-6, "vertex {v}: {a} vs {b}");
         }

@@ -18,32 +18,35 @@
 //! changes.
 //!
 //! Every algorithm follows the same pattern as the paper's appendix listing:
-//! a `*Config` struct, a `Program` implementing
-//! [`graphmat_core::GraphProgram`], and **two** drivers:
+//! a `Program` implementing [`graphmat_core::GraphProgram`] (plus a `*Config`
+//! struct where there are parameters to set), and at most **two** drivers,
+//! both taking `&`[`graphmat_core::Session`] and a
+//! [`graphmat_core::GraphView`] — `&Topology`, `&Arc<Topology>` or
+//! `snapshot.view()` of a [`graphmat_core::GraphStore`] snapshot all convert
+//! into one, so the same function serves a resident topology and a
+//! streaming snapshot with pending edits:
 //!
-//! * a legacy one-shot driver (`bfs`, `pagerank`, …) that takes an edge
-//!   list, builds a private fused [`graphmat_core::Graph`] and runs once —
-//!   convenient for scripts, but every call rebuilds the matrix;
-//! * a session driver (`bfs_on`, `pagerank_on`, …) taking
-//!   `&`[`graphmat_core::Session`] `+ &`[`graphmat_core::Topology`] — the
-//!   serving shape: the topology is built once (see
-//!   [`graphmat_core::Session::build_graph`]), shared via `Arc`, and any
-//!   number of these drivers can run against it **concurrently** from
-//!   different threads through one session. Session drivers return
-//!   `Result<AlgorithmOutput<_>, GraphMatError>` instead of panicking, and
-//!   they do *not* preprocess the graph — symmetrize / DAG-reduce the edge
-//!   list before building the topology (each driver documents what it
-//!   expects).
+//! * the **pooled** driver `x_into(session, view, …, deadline, &mut state)`
+//!   (`pagerank_into`, `bfs_into`, `sssp_into`, `connected_components_into`,
+//!   `in_degrees_into` / `out_degrees_into`, `delta_pagerank_into`): the run
+//!   writes into a caller-owned [`graphmat_core::VertexState`] (typically
+//!   recycled through a [`graphmat_core::StatePool`]) and takes an optional
+//!   deadline. A long-running server that keeps one pool per worker per
+//!   algorithm allocates nothing per query in the steady state — the state
+//!   vector and the engine workspace cached inside it are both reused;
+//! * the **allocating** driver `x_on(session, view, cfg)`: a fresh state,
+//!   the pooled driver, the per-vertex values projected out into an
+//!   [`AlgorithmOutput`].
 //!
-//! The most frequently served algorithms add a third, **pooled** driver
-//! (`pagerank_into`, `bfs_into`, `sssp_into`, `connected_components_into`,
-//! `in_degrees_into` / `out_degrees_into`): same semantics as the session
-//! driver, but the run writes into a caller-owned
-//! [`graphmat_core::VertexState`] (typically recycled through a
-//! [`graphmat_core::StatePool`]) and takes an optional deadline. A
-//! long-running server that keeps one pool per worker per algorithm
-//! allocates nothing per query in the steady state — the state vector and
-//! the engine workspace cached inside it are both reused.
+//! The topology is built once (see [`graphmat_core::Session::build_graph`]),
+//! shared via `Arc`, and any number of drivers can run against it
+//! **concurrently** from different threads through one session. Drivers
+//! return `Result<_, GraphMatError>` instead of panicking, and they do *not*
+//! preprocess the graph — symmetrize / DAG-reduce the edge list before
+//! building the topology (each driver documents what it expects). Backend,
+//! dispatch and iteration-recording choices come from the session's run
+//! defaults; each driver pins only what its semantics require (activity
+//! policy, termination).
 //!
 //! All drivers are **generic over the edge value type**. Structure-only
 //! algorithms (BFS, connected components, degree, triangle counting,
@@ -63,6 +66,8 @@ pub mod pagerank;
 pub mod sssp;
 pub mod triangle_count;
 
+use graphmat_core::error::Result;
+
 /// Result of an algorithm run: the per-vertex output plus the engine
 /// statistics (used by the benchmark harness).
 #[derive(Clone, Debug)]
@@ -75,26 +80,35 @@ pub struct AlgorithmOutput<T> {
     pub converged: bool,
 }
 
-impl<T> From<graphmat_core::RunOutcome<T>> for AlgorithmOutput<T> {
-    fn from(outcome: graphmat_core::RunOutcome<T>) -> Self {
-        AlgorithmOutput {
-            values: outcome.values,
-            stats: outcome.stats,
-            converged: outcome.converged,
-        }
-    }
+/// What every allocating `x_on` driver is: a fresh state for the view, the
+/// pooled run into it, and the per-vertex values projected out.
+pub(crate) fn run_fresh<E, V: Clone + Default, T>(
+    view: graphmat_core::GraphView<'_, E>,
+    run_into: impl FnOnce(&mut graphmat_core::VertexState<V>) -> Result<graphmat_core::RunResult>,
+    project: impl FnMut(V) -> T,
+) -> Result<AlgorithmOutput<T>> {
+    let mut state = graphmat_core::VertexState::for_topology(view.topology());
+    let result = run_into(&mut state)?;
+    Ok(AlgorithmOutput {
+        values: state.into_properties().into_iter().map(project).collect(),
+        stats: result.stats,
+        converged: result.converged,
+    })
 }
 
-/// Stats for a session driver's zero-iteration short-circuit: no supersteps
-/// ran, but the environment facts (matrix footprint, lane count) are still
-/// reported, matching what the legacy facade's zero-superstep run records.
-pub(crate) fn zero_superstep_stats<E>(
-    topology: &graphmat_core::Topology<E>,
+/// The result of a pooled driver's zero-iteration short-circuit: no
+/// supersteps ran, but the environment facts (matrix footprint, lane count)
+/// are still reported.
+pub(crate) fn zero_superstep_result<E>(
+    view: graphmat_core::GraphView<'_, E>,
     session: &graphmat_core::Session,
-) -> graphmat_core::RunStats {
-    graphmat_core::RunStats {
-        matrix_bytes: topology.matrix_bytes(),
-        nthreads: session.nthreads(),
-        ..Default::default()
+) -> graphmat_core::RunResult {
+    graphmat_core::RunResult {
+        stats: graphmat_core::RunStats {
+            matrix_bytes: view.topology().matrix_bytes(),
+            nthreads: session.nthreads(),
+            ..Default::default()
+        },
+        converged: false,
     }
 }

@@ -15,8 +15,8 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    run_graph_program, ActivityPolicy, EdgeDirection, Graph, GraphBuildOptions, GraphProgram,
-    GraphView, RunOptions, Session, Topology, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId,
+    VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
 
@@ -30,8 +30,6 @@ pub struct PageRankConfig {
     /// the iteration count is fixed rather than convergence-driven; see
     /// [`crate::delta_pagerank`] for the convergence-driven variant).
     pub iterations: usize,
-    /// Graph construction options (partitioning etc.).
-    pub build: GraphBuildOptions,
 }
 
 impl Default for PageRankConfig {
@@ -39,7 +37,6 @@ impl Default for PageRankConfig {
         PageRankConfig {
             random_surf: 0.15,
             iterations: 20,
-            build: GraphBuildOptions::default().with_in_edges(false),
         }
     }
 }
@@ -94,153 +91,55 @@ impl<E: Clone + Send + Sync> GraphProgram for PageRankProgram<E> {
     }
 }
 
-/// Run PageRank and return the per-vertex ranks. Accepts any edge value
-/// type — ranks depend only on the graph structure.
-pub fn pagerank<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &PageRankConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<f64> {
-    let mut graph: Graph<PageRankVertex, E> = Graph::from_edge_list(edges, config.build);
-    let degrees: Vec<u32> = graph.out_degrees().to_vec();
-    graph.init_properties(|v| PageRankVertex {
-        rank: 1.0,
-        degree: degrees[v as usize],
-    });
-    graph.set_all_active();
-
-    let program = PageRankProgram::<E> {
-        random_surf: config.random_surf,
-        _edge: std::marker::PhantomData,
-    };
-    let run_opts = RunOptions {
-        max_iterations: Some(options.max_iterations.unwrap_or(config.iterations)),
-        // every vertex rebroadcasts each iteration, as in the paper's
-        // fixed-iteration PageRank runs
-        activity: ActivityPolicy::AlwaysAll,
-        ..*options
-    };
-    let result = run_graph_program(&program, &mut graph, &run_opts);
-
-    AlgorithmOutput {
-        values: graph.properties().iter().map(|p| p.rank).collect(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
-/// Run PageRank over a pre-built shared topology through a [`Session`].
+/// Run PageRank over a pre-built graph through a [`Session`] and return the
+/// per-vertex ranks: [`pagerank_into`] on a fresh state.
 ///
-/// The serving-shape variant of [`pagerank`]: ranks depend only on the
-/// structure, so one `Arc<Topology>` serves this and any other session
-/// driver concurrently. `config.build` is ignored (the topology is already
-/// built). A `config.iterations` of `0` returns the initial ranks (1.0
-/// everywhere) without running.
-pub fn pagerank_on<E: Clone + Send + Sync>(
+/// Ranks depend only on the structure, so any edge value type works and one
+/// `Arc<Topology>` serves this and any other driver concurrently. Over a
+/// view with pending edits the out-degrees each vertex divides its rank by
+/// are the **edited** graph's, so the result is bit-for-bit identical to a
+/// run against a topology rebuilt from the edited edge list. A
+/// `config.iterations` of `0` returns the initial ranks (1.0 everywhere)
+/// without running.
+pub fn pagerank_on<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     config: &PageRankConfig,
 ) -> Result<AlgorithmOutput<f64>> {
-    pagerank_view(session, GraphView::base(topology), config)
-}
-
-/// [`pagerank_on`] over a `(base ⊕ delta)` [`GraphView`] — typically
-/// `snapshot.view()` from a [`graphmat_core::store::GraphStore`] snapshot.
-/// The out-degrees each vertex divides its rank by are the **edited**
-/// graph's, so the result is bit-for-bit identical to a run against a
-/// topology rebuilt from the edited edge list.
-pub fn pagerank_view<E: Clone + Send + Sync>(
-    session: &Session,
-    view: GraphView<'_, E>,
-    config: &PageRankConfig,
-) -> Result<AlgorithmOutput<f64>> {
-    /// Every vertex starts at rank 1.0 (the paper's initialisation).
-    const INITIAL_RANK: f64 = 1.0;
-    let n = view.num_vertices() as usize;
-    if config.iterations == 0 {
-        return Ok(AlgorithmOutput {
-            values: vec![INITIAL_RANK; n],
-            stats: crate::zero_superstep_stats(view.topology(), session),
-            converged: false,
-        });
-    }
-    // Borrowed, not cloned: the init closure lives only as long as the
-    // builder, so the view's degree array is read in place per query.
-    let degrees = view.out_degrees();
-    let program = PageRankProgram::<E> {
-        random_surf: config.random_surf,
-        _edge: std::marker::PhantomData,
-    };
-    let outcome = session
-        .run_view(view, program)
-        .init_with(|v| PageRankVertex {
-            rank: INITIAL_RANK,
-            degree: degrees[v as usize],
-        })
-        .activate_all()
-        .activity(ActivityPolicy::AlwaysAll)
-        .max_iterations(config.iterations)
-        .execute()?;
-    Ok(AlgorithmOutput {
-        values: outcome.values.iter().map(|p| p.rank).collect(),
-        stats: outcome.stats,
-        converged: outcome.converged,
-    })
+    let view = view.into();
+    crate::run_fresh(
+        view,
+        |state| pagerank_into(session, view, config, None, state),
+        |p| p.rank,
+    )
 }
 
 /// Run PageRank into a caller-owned (pooled) state — the serving hot path.
 ///
-/// Like [`pagerank_on`] but with zero per-query allocation in the steady
-/// state: the final [`PageRankVertex`] properties are left in `state`
-/// (read ranks with `state.properties()[v].rank`) instead of being
-/// collected into a fresh `Vec`, and the engine workspace cached inside the
-/// state is recycled. Acquire/release the state through a
-/// [`graphmat_core::StatePool`] dedicated to PageRank — the cached
-/// workspace is typed by the program, so sharing one pool across programs
-/// would re-allocate it every query.
+/// Zero per-query allocation in the steady state: the final
+/// [`PageRankVertex`] properties are left in `state` (read ranks with
+/// `state.properties()[v].rank`) instead of being collected into a fresh
+/// `Vec`, and the engine workspace cached inside the state is recycled.
+/// Acquire/release the state through a [`graphmat_core::StatePool`]
+/// dedicated to PageRank — the cached workspace is typed by the program, so
+/// sharing one pool across programs would re-allocate it every query.
 ///
 /// `deadline`, when given, bounds the run's wall-clock time
 /// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it; the state
 /// keeps the completed supersteps' partial ranks and stays safely
 /// reusable). A `config.iterations` of `0` just writes the initial ranks.
-pub fn pagerank_into<E: Clone + Send + Sync + 'static>(
+pub fn pagerank_into<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     config: &PageRankConfig,
     deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<PageRankVertex>,
-) -> Result<graphmat_core::RunResult> {
-    pagerank_view_into(session, GraphView::base(topology), config, deadline, state)
-}
-
-/// [`pagerank_into`] over a `(base ⊕ delta)` [`GraphView`] — the serving hot
-/// path when the store has pending deltas. Identical pooling/allocation
-/// behaviour; degrees come from the merged view so ranks match a run
-/// against the rebuilt topology bit-for-bit.
-pub fn pagerank_view_into<E: Clone + Send + Sync + 'static>(
-    session: &Session,
-    view: GraphView<'_, E>,
-    config: &PageRankConfig,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<PageRankVertex>,
-) -> Result<graphmat_core::RunResult> {
+    state: &mut VertexState<PageRankVertex>,
+) -> Result<RunResult> {
+    /// Every vertex starts at rank 1.0 (the paper's initialisation).
     const INITIAL_RANK: f64 = 1.0;
+    let view = view.into();
+    // Borrowed, not cloned: the view's degree array is read in place.
     let degrees = view.out_degrees();
-    if config.iterations == 0 {
-        state.check_matches(view.topology())?;
-        state.init_properties(|v| PageRankVertex {
-            rank: INITIAL_RANK,
-            degree: degrees[v as usize],
-        });
-        return Ok(graphmat_core::RunResult {
-            stats: crate::zero_superstep_stats(view.topology(), session),
-            converged: false,
-        });
-    }
-    let program = PageRankProgram::<E> {
-        random_surf: config.random_surf,
-        _edge: std::marker::PhantomData,
-    };
     // Initialise the pooled state directly instead of through
     // `RunBuilder::init_with`: the builder boxes its init closure, and this
     // one captures the degree slice — a small per-query heap allocation the
@@ -250,9 +149,18 @@ pub fn pagerank_view_into<E: Clone + Send + Sync + 'static>(
         rank: INITIAL_RANK,
         degree: degrees[v as usize],
     });
+    if config.iterations == 0 {
+        return Ok(crate::zero_superstep_result(view, session));
+    }
+    let program = PageRankProgram::<E> {
+        random_surf: config.random_surf,
+        _edge: std::marker::PhantomData,
+    };
     session
-        .run_view(view, program)
+        .run(view, program)
         .activate_all()
+        // every vertex rebroadcasts each iteration, as in the paper's
+        // fixed-iteration PageRank runs
         .activity(ActivityPolicy::AlwaysAll)
         .max_iterations(config.iterations)
         .deadline(deadline)
@@ -295,14 +203,25 @@ mod tests {
         EdgeList::from_pairs(3, vec![(0, 1), (1, 2), (2, 0), (0, 2)])
     }
 
+    /// PageRank on a freshly built out-edge topology with `threads` lanes.
+    fn ranks<E: Clone + Send + Sync + 'static>(
+        el: &EdgeList<E>,
+        iterations: usize,
+        threads: usize,
+    ) -> AlgorithmOutput<f64> {
+        let session = Session::with_threads(threads).unwrap();
+        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        let cfg = PageRankConfig {
+            iterations,
+            ..Default::default()
+        };
+        pagerank_on(&session, &topo, &cfg).unwrap()
+    }
+
     #[test]
     fn matches_reference_on_small_graph() {
         let el = triangle_graph();
-        let cfg = PageRankConfig {
-            iterations: 15,
-            ..Default::default()
-        };
-        let out = pagerank(&el, &cfg, &RunOptions::sequential());
+        let out = ranks(&el, 15, 1);
         let reference = pagerank_reference(&el, 0.15, 15);
         for (a, b) in out.values.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -312,34 +231,31 @@ mod tests {
     #[test]
     fn ranks_reflect_link_structure() {
         // vertex 2 has two in-edges, vertices 0 and 1 have one each
-        let el = triangle_graph();
-        let out = pagerank(&el, &PageRankConfig::default(), &RunOptions::sequential());
+        let out = ranks(&triangle_graph(), 20, 1);
         assert!(out.values[2] > out.values[1]);
         assert!(out.values[2] > out.values[0]);
     }
 
     #[test]
     fn runs_requested_number_of_iterations() {
-        let el = triangle_graph();
-        let cfg = PageRankConfig {
-            iterations: 7,
-            ..Default::default()
-        };
-        let out = pagerank(&el, &cfg, &RunOptions::sequential());
+        let out = ranks(&triangle_graph(), 7, 1);
         assert_eq!(out.stats.iterations, 7);
         assert!(!out.converged);
+    }
+
+    #[test]
+    fn zero_iterations_returns_the_initial_ranks() {
+        let out = ranks(&triangle_graph(), 0, 1);
+        assert_eq!(out.values, vec![1.0; 3]);
+        assert_eq!(out.stats.iterations, 0);
+        assert!(out.stats.matrix_bytes > 0);
     }
 
     #[test]
     fn ranks_sum_stays_close_to_vertex_count() {
         // PageRank conserves total rank mass up to the dangling-vertex leak;
         // with no dangling vertices the sum stays ≈ n.
-        let el = triangle_graph();
-        let cfg = PageRankConfig {
-            iterations: 30,
-            ..Default::default()
-        };
-        let out = pagerank(&el, &cfg, &RunOptions::sequential());
+        let out = ranks(&triangle_graph(), 30, 1);
         let total: f64 = out.values.iter().sum();
         assert!((total - 3.0).abs() < 1e-6, "total rank {total}");
     }
@@ -348,23 +264,9 @@ mod tests {
     fn dangling_vertices_do_not_poison_ranks() {
         // vertex 3 has no out-edges
         let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0), (0, 3)]);
-        let out = pagerank(&el, &PageRankConfig::default(), &RunOptions::sequential());
+        let out = ranks(&el, 20, 1);
         assert!(out.values.iter().all(|r| r.is_finite()));
         assert!(out.values[3] > 0.0);
-    }
-
-    #[test]
-    fn session_driver_matches_facade_bit_for_bit() {
-        let el = triangle_graph();
-        let cfg = PageRankConfig {
-            iterations: 15,
-            ..Default::default()
-        };
-        let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
-        let on = pagerank_on(&session, &topo, &cfg).unwrap();
-        let facade = pagerank(&el, &cfg, &RunOptions::sequential());
-        assert_eq!(on.values, facade.values);
     }
 
     #[test]
@@ -397,12 +299,8 @@ mod tests {
     fn parallel_matches_sequential() {
         let el =
             graphmat_io::rmat::generate(&graphmat_io::rmat::RmatConfig::graph500(9).with_seed(77));
-        let cfg = PageRankConfig {
-            iterations: 5,
-            ..Default::default()
-        };
-        let seq = pagerank(&el, &cfg, &RunOptions::sequential());
-        let par = pagerank(&el, &cfg, &RunOptions::default().with_threads(4));
+        let seq = ranks(&el, 5, 1);
+        let par = ranks(&el, 5, 4);
         for (a, b) in seq.values.iter().zip(par.values.iter()) {
             assert!((a - b).abs() < 1e-9);
         }

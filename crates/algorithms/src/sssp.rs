@@ -10,41 +10,13 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    run_graph_program, ActivityPolicy, EdgeDirection, Graph, GraphBuildOptions, GraphProgram,
-    GraphView, RunOptions, Session, Topology, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId,
+    VertexState,
 };
 use graphmat_io::edgelist::{EdgeList, EdgeWeight};
 
 /// Distance value meaning "unreachable".
 pub const UNREACHABLE: f32 = f32::MAX;
-
-/// SSSP parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SsspConfig {
-    /// The source vertex.
-    pub source: VertexId,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
-}
-
-impl Default for SsspConfig {
-    fn default() -> Self {
-        SsspConfig {
-            source: 0,
-            build: GraphBuildOptions::default().with_in_edges(false),
-        }
-    }
-}
-
-impl SsspConfig {
-    /// Shortest paths from the given source.
-    pub fn from_source(source: VertexId) -> Self {
-        SsspConfig {
-            source,
-            ..Default::default()
-        }
-    }
-}
 
 /// The SSSP vertex program (the paper's appendix `class SSSP`). Generic
 /// over any scalar-readable edge type: `f32` weights, integer weights
@@ -92,95 +64,51 @@ impl<E: EdgeWeight> GraphProgram for SsspProgram<E> {
     }
 }
 
-/// Run SSSP and return the per-vertex distance from the source
-/// ([`UNREACHABLE`] for vertices with no path).
+/// Run SSSP over a pre-built graph through a [`Session`] and return the
+/// per-vertex distance from `source` ([`UNREACHABLE`] where no path
+/// exists): [`sssp_into`] on a fresh state.
 ///
 /// Accepts any [`EdgeWeight`] edge type: `f32`, integer weights such as
-/// `u32`, or `()` for hop counts.
-pub fn sssp<E: EdgeWeight>(
-    edges: &EdgeList<E>,
-    config: &SsspConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<f32> {
-    assert!(
-        config.source < edges.num_vertices(),
-        "SSSP source {} out of range ({} vertices)",
-        config.source,
-        edges.num_vertices()
-    );
-    let mut graph: Graph<f32, E> = Graph::from_edge_list(edges, config.build);
-    graph.set_all_properties(UNREACHABLE);
-    graph.set_property(config.source, 0.0);
-    graph.set_active(config.source);
-
-    let result = run_graph_program(&SsspProgram::<E>::default(), &mut graph, options);
-    AlgorithmOutput {
-        values: graph.properties().to_vec(),
-        stats: result.stats,
-        converged: result.converged,
-    }
-}
-
-/// Run SSSP over a pre-built shared topology through a [`Session`] and
-/// return the per-vertex distance from `source` ([`UNREACHABLE`] where no
-/// path exists).
-///
-/// The serving-shape entry point: one `Arc<Topology>` can serve this and
-/// other session drivers concurrently from many threads.
+/// `u32`, or `()` for hop counts. One `Arc<Topology>` can serve this and
+/// other drivers concurrently from many threads.
 ///
 /// # Errors
 ///
 /// [`graphmat_core::GraphMatError::VertexOutOfRange`] if `source` is not a
-/// vertex of the topology.
-pub fn sssp_on<E: EdgeWeight>(
+/// vertex of the graph.
+pub fn sssp_on<'a, E: EdgeWeight + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     source: VertexId,
 ) -> Result<AlgorithmOutput<f32>> {
-    session
-        .run(topology, SsspProgram::<E>::default())
-        .init_all(UNREACHABLE)
-        .seed_with(source, 0.0)
-        // Bellman-Ford must relax until quiescent with a changed-only
-        // frontier; don't let session run defaults truncate it.
-        .activity(ActivityPolicy::Changed)
-        .until_convergence()
-        .execute()
-        .map(AlgorithmOutput::from)
+    let view = view.into();
+    crate::run_fresh(
+        view,
+        |state| sssp_into(session, view, source, None, state),
+        |distance| distance,
+    )
 }
 
 /// Run SSSP into a caller-owned (pooled) state — the serving hot path.
 ///
-/// Like [`sssp_on`] but with zero per-query allocation in the steady state:
-/// the distances are left in `state` instead of a fresh `Vec`, and the
-/// engine workspace cached inside the state is recycled. Use one
-/// [`graphmat_core::StatePool`] per program type (see its docs); pass a
-/// `deadline` to bound wall-clock time
+/// Zero per-query allocation in the steady state: the distances are left in
+/// `state` instead of a fresh `Vec`, and the engine workspace cached inside
+/// the state is recycled. Use one [`graphmat_core::StatePool`] per program
+/// type (see its docs); pass a `deadline` to bound wall-clock time
 /// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
-pub fn sssp_into<E: EdgeWeight + 'static>(
+pub fn sssp_into<'a, E: EdgeWeight + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
     source: VertexId,
     deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<f32>,
-) -> Result<graphmat_core::RunResult> {
-    sssp_view_into(session, GraphView::base(topology), source, deadline, state)
-}
-
-/// [`sssp_into`] over a `(base ⊕ delta)` [`GraphView`] — the serving hot
-/// path when the store has pending deltas. Identical pooling/allocation
-/// behaviour.
-pub fn sssp_view_into<E: EdgeWeight + 'static>(
-    session: &Session,
-    view: GraphView<'_, E>,
-    source: VertexId,
-    deadline: Option<std::time::Instant>,
-    state: &mut graphmat_core::VertexState<f32>,
-) -> Result<graphmat_core::RunResult> {
+    state: &mut VertexState<f32>,
+) -> Result<RunResult> {
     session
-        .run_view(view, SsspProgram::<E>::default())
+        .run(view, SsspProgram::<E>::default())
         .init_all(UNREACHABLE)
         .seed_with(source, 0.0)
+        // Bellman-Ford must relax until quiescent with a changed-only
+        // frontier; don't let session run defaults truncate it.
         .activity(ActivityPolicy::Changed)
         .until_convergence()
         .deadline(deadline)
@@ -240,13 +168,16 @@ mod tests {
         )
     }
 
+    /// SSSP over a freshly built out-edge topology with `threads` lanes.
+    fn distances(el: &EdgeList, source: VertexId, threads: usize) -> AlgorithmOutput<f32> {
+        let session = Session::with_threads(threads).unwrap();
+        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        sssp_on(&session, &topo, source).unwrap()
+    }
+
     #[test]
     fn figure3_distances() {
-        let out = sssp(
-            &figure3(),
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential(),
-        );
+        let out = distances(&figure3(), 0, 1);
         assert_eq!(out.values, vec![0.0, 1.0, 2.0, 2.0, 4.0]);
         assert!(out.converged);
     }
@@ -258,11 +189,7 @@ mod tests {
                 .with_weights(1, 20)
                 .with_seed(4),
         );
-        let out = sssp(
-            &el,
-            &SsspConfig::from_source(7),
-            &RunOptions::default().with_threads(4),
-        );
+        let out = distances(&el, 7, 4);
         let reference = sssp_reference(&el, 7);
         for (i, (a, b)) in out.values.iter().zip(reference.iter()).enumerate() {
             assert!((a - b).abs() < 1e-4, "vertex {i}: {a} vs {b}");
@@ -272,7 +199,7 @@ mod tests {
     #[test]
     fn unreachable_vertices_stay_at_infinity() {
         let el = EdgeList::from_tuples(4, vec![(0, 1, 1.0), (2, 3, 1.0)]);
-        let out = sssp(&el, &SsspConfig::from_source(0), &RunOptions::sequential());
+        let out = distances(&el, 0, 1);
         assert_eq!(out.values[0], 0.0);
         assert_eq!(out.values[1], 1.0);
         assert_eq!(out.values[2], UNREACHABLE);
@@ -283,15 +210,14 @@ mod tests {
     fn takes_shorter_indirect_path() {
         // direct edge 0->2 weight 10, indirect 0->1->2 weight 3
         let el = EdgeList::from_tuples(3, vec![(0, 2, 10.0), (0, 1, 1.0), (1, 2, 2.0)]);
-        let out = sssp(&el, &SsspConfig::from_source(0), &RunOptions::sequential());
-        assert_eq!(out.values[2], 3.0);
+        assert_eq!(distances(&el, 0, 1).values[2], 3.0);
     }
 
     #[test]
     fn frontier_driven_work_decreases() {
         // grid road network: most supersteps touch only the frontier
         let el = graphmat_io::grid::generate(&graphmat_io::grid::GridConfig::square(20));
-        let out = sssp(&el, &SsspConfig::from_source(0), &RunOptions::sequential());
+        let out = distances(&el, 0, 1);
         let reference = sssp_reference(&el, 0);
         for (a, b) in out.values.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-3);
@@ -306,12 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn session_driver_matches_facade_and_rejects_bad_sources() {
+    fn out_of_range_source_is_an_error_not_a_panic() {
         let el = figure3();
         let session = Session::sequential();
         let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
-        let on = sssp_on(&session, &topo, 0).unwrap();
-        assert_eq!(on.values, vec![0.0, 1.0, 2.0, 2.0, 4.0]);
         let err = sssp_on(&session, &topo, 9).unwrap_err();
         assert_eq!(
             err,
@@ -340,15 +264,5 @@ mod tests {
         assert_eq!(state.properties(), fresh.values.as_slice());
         assert!(state.has_cached_workspace());
         assert_eq!((pool.created(), pool.reused()), (1, 1));
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_source_panics() {
-        let _ = sssp(
-            &figure3(),
-            &SsspConfig::from_source(9),
-            &RunOptions::sequential(),
-        );
     }
 }

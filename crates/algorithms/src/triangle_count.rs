@@ -21,30 +21,9 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    run_graph_program, EdgeDirection, Graph, GraphBuildOptions, GraphProgram, RunOptions, Session,
-    Topology, VertexId, VertexState,
+    EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId, VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
-
-/// Triangle counting parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct TriangleCountConfig {
-    /// If `true` (default) the input is symmetrized and reduced to its upper
-    /// triangle first, as the paper prescribes. Set to `false` only if the
-    /// input is already a DAG with `dst > src` for every edge.
-    pub preprocess: bool,
-    /// Graph construction options.
-    pub build: GraphBuildOptions,
-}
-
-impl Default for TriangleCountConfig {
-    fn default() -> Self {
-        TriangleCountConfig {
-            preprocess: true,
-            build: GraphBuildOptions::default().with_in_edges(false),
-        }
-    }
-}
 
 /// Per-vertex triangle-counting state.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -161,78 +140,46 @@ fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
     count
 }
 
-/// Count triangles. Returns the total count and the per-vertex counts.
+/// Count triangles over a pre-built graph through a [`Session`]; returns the
+/// per-vertex counts ([`total_triangles`] sums them).
+///
 /// Accepts any edge value type — triangles depend only on the structure.
-pub fn triangle_count<E: Clone + Send + Sync>(
-    edges: &EdgeList<E>,
-    config: &TriangleCountConfig,
-    options: &RunOptions,
-) -> AlgorithmOutput<u64> {
-    let dag;
-    let edges = if config.preprocess {
-        dag = edges.to_dag();
-        &dag
-    } else {
-        edges
-    };
-
-    let mut graph: Graph<TriangleVertex, E> = Graph::from_edge_list(edges, config.build);
-
-    // Phase 1: one superstep building the in-neighbour lists.
-    graph.set_all_active();
-    let phase1_opts = RunOptions {
-        max_iterations: Some(1),
-        ..*options
-    };
-    let phase1 = run_graph_program(&CollectNeighbors::<E>::default(), &mut graph, &phase1_opts);
-
-    // Phase 2: one superstep intersecting the lists.
-    graph.set_all_active();
-    let phase2 = run_graph_program(&CountTriangles::<E>::default(), &mut graph, &phase1_opts);
-
-    let stats = merge_phase_stats(phase1.stats, &phase2.stats);
-
-    AlgorithmOutput {
-        values: graph.properties().iter().map(|p| p.triangles).collect(),
-        stats,
-        converged: true,
-    }
-}
-
-/// Count triangles over a pre-built shared topology through a [`Session`].
+/// The topology must already be the strict upper-triangle DAG the algorithm
+/// expects — build it from `edges.to_dag()`
+/// (`session.build_graph(&edges.to_dag()).in_edges(false).finish()?`); no
+/// preprocessing happens here.
 ///
-/// The serving-shape entry point. The topology must already be the strict
-/// upper-triangle DAG the algorithm expects — build it from
-/// `edges.to_dag()` (`session.build_graph(&edges.to_dag()).in_edges(false)`
-/// `.finish()?`); no preprocessing happens here.
-///
-/// Both vertex programs run through one pooled [`VertexState`]: phase 2
-/// intersects the neighbour lists phase 1 stored in the same state — the
-/// two-phase shape is exactly what per-run state (as opposed to
-/// graph-owned state) makes natural.
-pub fn triangle_count_on<E: Clone + Send + Sync + 'static>(
+/// Both vertex programs run through one [`VertexState`]: phase 2 intersects
+/// the neighbour lists phase 1 stored in the same state — the two-phase
+/// shape is exactly what per-run state (as opposed to graph-owned state)
+/// makes natural.
+pub fn triangle_count_on<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
-    topology: &Topology<E>,
+    view: impl Into<GraphView<'a, E>>,
 ) -> Result<AlgorithmOutput<u64>> {
-    let mut state: VertexState<TriangleVertex> = VertexState::for_topology(topology);
-
-    let phase1 = session
-        .run(topology, CollectNeighbors::<E>::default())
-        .activate_all()
-        .max_iterations(1)
-        .execute_with(&mut state)?;
-    let phase2 = session
-        .run(topology, CountTriangles::<E>::default())
-        .activate_all()
-        .max_iterations(1)
-        .execute_with(&mut state)?;
-
-    let stats = merge_phase_stats(phase1.stats, &phase2.stats);
-    Ok(AlgorithmOutput {
-        values: state.properties().iter().map(|p| p.triangles).collect(),
-        stats,
-        converged: true,
-    })
+    let view = view.into();
+    crate::run_fresh(
+        view,
+        |state: &mut VertexState<TriangleVertex>| {
+            // Phase 1: one superstep building the in-neighbour lists.
+            let phase1 = session
+                .run(view, CollectNeighbors::<E>::default())
+                .activate_all()
+                .max_iterations(1)
+                .execute_with(state)?;
+            // Phase 2: one superstep intersecting the lists.
+            let phase2 = session
+                .run(view, CountTriangles::<E>::default())
+                .activate_all()
+                .max_iterations(1)
+                .execute_with(state)?;
+            Ok(RunResult {
+                stats: merge_phase_stats(phase1.stats, &phase2.stats),
+                converged: true,
+            })
+        },
+        |p| p.triangles,
+    )
 }
 
 /// Fold phase 2's run statistics into phase 1's. Works from the aggregate
@@ -243,12 +190,14 @@ fn merge_phase_stats(
     phase2: &graphmat_core::RunStats,
 ) -> graphmat_core::RunStats {
     stats.iterations += phase2.iterations;
+    stats.pull_supersteps += phase2.pull_supersteps;
     stats.total_time += phase2.total_time;
     stats.send_time += phase2.send_time;
     stats.spmv_time += phase2.spmv_time;
     stats.apply_time += phase2.apply_time;
     stats.edges_processed += phase2.edges_processed;
     stats.messages_sent += phase2.messages_sent;
+    stats.vertices_updated += phase2.vertices_updated;
     stats.supersteps.extend(phase2.supersteps.iter().copied());
     stats
 }
@@ -281,28 +230,45 @@ pub fn triangle_count_reference<E: Clone>(edges: &EdgeList<E>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphmat_core::{RunOptions, SessionOptions};
+
+    /// Triangle counts of `el`, DAG-reduced first, through a session with
+    /// the given run defaults.
+    fn triangles<E: Clone + Send + Sync + 'static>(
+        el: &EdgeList<E>,
+        threads: usize,
+        run_defaults: RunOptions,
+    ) -> AlgorithmOutput<u64> {
+        let session = Session::new(
+            SessionOptions::default()
+                .with_threads(threads)
+                .with_run_defaults(run_defaults),
+        )
+        .unwrap();
+        let topo = session
+            .build_graph(&el.to_dag())
+            .in_edges(false)
+            .finish()
+            .unwrap();
+        triangle_count_on(&session, &topo).unwrap()
+    }
+
+    fn total(pairs: Vec<(u32, u32)>, n: u32) -> u64 {
+        let el = EdgeList::from_pairs(n, pairs);
+        total_triangles(&triangles(&el, 1, RunOptions::default()))
+    }
 
     #[test]
     fn single_triangle() {
-        let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(total_triangles(&out), 1);
+        assert_eq!(total(vec![(0, 1), (1, 2), (2, 0), (2, 3)], 4), 1);
     }
 
     #[test]
     fn two_triangles_sharing_an_edge() {
-        let el = EdgeList::from_pairs(4, vec![(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(total_triangles(&out), 2);
-        assert_eq!(total_triangles(&out), triangle_count_reference(&el));
+        let pairs = vec![(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)];
+        let el = EdgeList::from_pairs(4, pairs.clone());
+        assert_eq!(total(pairs, 4), 2);
+        assert_eq!(triangle_count_reference(&el), 2);
     }
 
     #[test]
@@ -313,35 +279,20 @@ mod tests {
                 pairs.push((i, j));
             }
         }
-        let el = EdgeList::from_pairs(5, pairs);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(total_triangles(&out), 10); // C(5,3)
+        assert_eq!(total(pairs, 5), 10); // C(5,3)
     }
 
     #[test]
     fn triangle_free_graph() {
         // a star has no triangles
-        let el = EdgeList::from_pairs(5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(total_triangles(&out), 0);
+        assert_eq!(total(vec![(0, 1), (0, 2), (0, 3), (0, 4)], 5), 0);
     }
 
     #[test]
     fn direction_of_input_edges_does_not_matter() {
-        let a = EdgeList::from_pairs(3, vec![(0, 1), (1, 2), (2, 0)]);
-        let b = EdgeList::from_pairs(3, vec![(1, 0), (2, 1), (0, 2)]);
-        let cfg = TriangleCountConfig::default();
         assert_eq!(
-            total_triangles(&triangle_count(&a, &cfg, &RunOptions::sequential())),
-            total_triangles(&triangle_count(&b, &cfg, &RunOptions::sequential())),
+            total(vec![(0, 1), (1, 2), (2, 0)], 3),
+            total(vec![(1, 0), (2, 1), (0, 2)], 3),
         );
     }
 
@@ -350,11 +301,7 @@ mod tests {
         let el = graphmat_io::rmat::generate(
             &graphmat_io::rmat::RmatConfig::triangle_counting(8).with_seed(31),
         );
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::default().with_threads(4),
-        );
+        let out = triangles(&el, 4, RunOptions::default());
         assert_eq!(total_triangles(&out), triangle_count_reference(&el));
         assert!(
             total_triangles(&out) > 0,
@@ -363,37 +310,16 @@ mod tests {
     }
 
     #[test]
-    fn session_driver_matches_facade_on_rmat() {
-        let el = graphmat_io::rmat::generate(
-            &graphmat_io::rmat::RmatConfig::triangle_counting(7).with_seed(5),
-        );
-        let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.to_dag())
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let on = triangle_count_on(&session, &topo).unwrap();
-        let facade = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
-        assert_eq!(on.values, facade.values);
-        assert_eq!(total_triangles(&on), triangle_count_reference(&el));
-    }
-
-    #[test]
     fn phase_stats_survive_suppressed_superstep_detail() {
         // With record_supersteps off the per-superstep log is empty; the
         // merged stats must still account for both phases' totals.
         let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0)]);
-        let out = triangle_count(
+        let out = triangles(
             &el,
-            &TriangleCountConfig::default(),
-            &RunOptions {
+            1,
+            RunOptions {
                 record_supersteps: false,
-                ..RunOptions::sequential()
+                ..RunOptions::default()
             },
         );
         assert_eq!(total_triangles(&out), 1);
@@ -405,11 +331,8 @@ mod tests {
     #[test]
     fn exactly_two_supersteps_of_work() {
         let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0)]);
-        let out = triangle_count(
-            &el,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
+        let out = triangles(&el, 1, RunOptions::default());
         assert_eq!(out.stats.iterations, 2);
+        assert_eq!(out.stats.supersteps.len(), 2);
     }
 }

@@ -55,7 +55,7 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             kernel_prefixes: vec!["crates/sparse/src/".into()],
-            bin_crate_prefixes: vec!["crates/bench/".into()],
+            bin_crate_prefixes: vec!["crates/bench/".into(), "benchmark/".into()],
         }
     }
 }

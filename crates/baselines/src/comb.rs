@@ -16,6 +16,8 @@
 //!    paper, Figure 4c); collaborative filtering needs an extra gather pass
 //!    to bring the partner vectors over before the gradient can be formed.
 
+use crate::semiring::PlusTimes;
+use crate::spmm::{spgemm, spgemm_masked, sum_values};
 use crate::BaselineRun;
 use graphmat_io::bipartite::RatingsGraph;
 use graphmat_io::edgelist::{EdgeList, EdgeWeight};
@@ -23,8 +25,6 @@ use graphmat_perf::CostCounters;
 use graphmat_sparse::csr::Csr;
 use graphmat_sparse::parallel::Executor;
 use graphmat_sparse::partition::PartitionedDcsc;
-use graphmat_sparse::semiring::PlusTimes;
-use graphmat_sparse::spmm::{spgemm, spgemm_masked, sum_values};
 use graphmat_sparse::spmv::gspmv;
 use graphmat_sparse::spvec::{MessageVector, SparseVector};
 use graphmat_sparse::Index;

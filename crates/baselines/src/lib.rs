@@ -18,6 +18,8 @@
 
 pub mod comb;
 pub mod native;
+mod semiring;
+mod spmm;
 pub mod vertexpull;
 pub mod worklist;
 

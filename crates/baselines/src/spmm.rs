@@ -13,10 +13,10 @@
 //! matrix framework would implement the triangle count; the plain variant is
 //! what a naive one does (and what overflows memory on large graphs).
 
-use crate::coo::Coo;
-use crate::csr::Csr;
 use crate::semiring::Semiring;
-use crate::{ix, Index};
+use graphmat_sparse::coo::Coo;
+use graphmat_sparse::csr::Csr;
+use graphmat_sparse::{ix, Index};
 
 /// Plain SpGEMM: `C = A ⊗ B` over the given semiring, with `A: m×k`, `B: k×n`.
 ///

@@ -32,7 +32,7 @@ pub struct AdjacencyGraph<E = f32> {
 
 impl<E: Clone> AdjacencyGraph<E> {
     /// Build the adjacency lists from an edge list.
-    pub fn from_edge_list(edges: &EdgeList<E>) -> Self {
+    pub fn from_edges(edges: &EdgeList<E>) -> Self {
         let n = edges.num_vertices() as usize;
         let mut in_edges: Vec<Vec<(Index, E)>> = vec![Vec::new(); n];
         let mut out_edges: Vec<Vec<(Index, E)>> = vec![Vec::new(); n];
@@ -220,7 +220,7 @@ pub fn pagerank<E: Clone + Send + Sync>(
         }
     }
 
-    let graph = AdjacencyGraph::from_edge_list(edges);
+    let graph = AdjacencyGraph::from_edges(edges);
     let degrees = edges.out_degrees();
     let states: Vec<State> = (0..graph.num_vertices())
         .map(|v| State {
@@ -280,7 +280,7 @@ pub fn bfs<E: Clone + Send + Sync>(
     }
 
     let sym = edges.symmetrized();
-    let graph = AdjacencyGraph::from_edge_list(&sym);
+    let graph = AdjacencyGraph::from_edges(&sym);
     let mut states = vec![u32::MAX; graph.num_vertices()];
     states[root as usize] = 0;
     let mut active = vec![false; graph.num_vertices()];
@@ -337,7 +337,7 @@ pub fn sssp<E: EdgeWeight>(
         }
     }
 
-    let graph = AdjacencyGraph::from_edge_list(edges);
+    let graph = AdjacencyGraph::from_edges(edges);
     let mut states = vec![f32::MAX; graph.num_vertices()];
     states[source as usize] = 0.0;
     let mut active = vec![false; graph.num_vertices()];
@@ -369,7 +369,7 @@ pub fn triangle_count<E: Clone + Send + Sync>(
     nthreads: usize,
 ) -> BaselineRun<u64> {
     let dag = edges.to_dag();
-    let graph = AdjacencyGraph::from_edge_list(&dag);
+    let graph = AdjacencyGraph::from_edges(&dag);
     let n = graph.num_vertices();
     let executor = Executor::new(nthreads.max(1));
     let mut counters = CostCounters::new();
@@ -491,7 +491,7 @@ pub fn collaborative_filtering(
     // gathering over in-edges of the symmetrized graph = messages from both
     // users and items, as the GraphMat Both-direction program does
     let sym = ratings.edges.symmetrized();
-    let graph = AdjacencyGraph::from_edge_list(&sym);
+    let graph = AdjacencyGraph::from_edges(&sym);
     let states: Vec<State> = (0..graph.num_vertices() as u32)
         .map(|v| State {
             features: (0..latent_dims)

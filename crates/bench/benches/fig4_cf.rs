@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphmat_baselines::Framework;
-use graphmat_bench::harness::run_cf;
+use graphmat_bench::harness::cf_run;
 use graphmat_io::datasets::{load_ratings, DatasetId, DatasetScale};
 
 fn bench(c: &mut Criterion) {
@@ -10,11 +10,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4d_cf");
     group.sample_size(10);
     for &fw in Framework::figure4() {
-        group.bench_with_input(
-            BenchmarkId::new(fw.name(), "netflix-like"),
-            &fw,
-            |b, &fw| b.iter(|| run_cf(fw, "netflix-like", &ratings, 0)),
-        );
+        let run = cf_run(fw, &ratings, 0);
+        group.bench_function(BenchmarkId::new(fw.name(), "netflix-like"), |b| {
+            b.iter(&run)
+        });
     }
     group.finish();
 }

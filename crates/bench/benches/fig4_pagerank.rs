@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphmat_baselines::Framework;
-use graphmat_bench::harness::{run_graph_algorithm, Algorithm};
+use graphmat_bench::harness::{graph_run, Algorithm};
 use graphmat_io::datasets::{load, DatasetId, DatasetScale};
 
 fn bench(c: &mut Criterion) {
@@ -10,13 +10,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4a_pagerank");
     group.sample_size(10);
     for &fw in Framework::figure4() {
-        group.bench_with_input(
-            BenchmarkId::new(fw.name(), "facebook-like"),
-            &fw,
-            |b, &fw| {
-                b.iter(|| run_graph_algorithm(fw, Algorithm::PageRank, "facebook-like", &edges, 0))
-            },
-        );
+        let run = graph_run(fw, Algorithm::PageRank, &edges, 0);
+        group.bench_function(BenchmarkId::new(fw.name(), "facebook-like"), |b| {
+            b.iter(&run)
+        });
     }
     group.finish();
 }

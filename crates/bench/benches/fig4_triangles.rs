@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphmat_baselines::Framework;
-use graphmat_bench::harness::{run_graph_algorithm, Algorithm};
+use graphmat_bench::harness::{graph_run, Algorithm};
 use graphmat_io::datasets::{load, DatasetId, DatasetScale};
 
 fn bench(c: &mut Criterion) {
@@ -11,9 +11,8 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4c_triangles");
     group.sample_size(10);
     for &fw in Framework::figure4() {
-        group.bench_with_input(BenchmarkId::new(fw.name(), "rmat-tc"), &fw, |b, &fw| {
-            b.iter(|| run_graph_algorithm(fw, Algorithm::TriangleCount, "rmat-tc", &edges, 0))
-        });
+        let run = graph_run(fw, Algorithm::TriangleCount, &edges, 0);
+        group.bench_function(BenchmarkId::new(fw.name(), "rmat-tc"), |b| b.iter(&run));
     }
     group.finish();
 }

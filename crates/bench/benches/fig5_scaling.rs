@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphmat_baselines::Framework;
-use graphmat_bench::harness::{run_graph_algorithm, Algorithm};
+use graphmat_bench::harness::{graph_run, Algorithm};
 use graphmat_io::datasets::{load, DatasetId, DatasetScale};
 use graphmat_sparse::parallel::available_threads;
 
@@ -20,15 +20,10 @@ fn bench(c: &mut Criterion) {
     }
     for &fw in &[Framework::GraphMat, Framework::GraphLabLike] {
         for &t in &threads {
-            group.bench_with_input(
-                BenchmarkId::new(fw.name(), format!("{t}threads")),
-                &(fw, t),
-                |b, &(fw, t)| {
-                    b.iter(|| {
-                        run_graph_algorithm(fw, Algorithm::PageRank, "facebook-like", &edges, t)
-                    })
-                },
-            );
+            let run = graph_run(fw, Algorithm::PageRank, &edges, t);
+            group.bench_function(BenchmarkId::new(fw.name(), format!("{t}threads")), |b| {
+                b.iter(&run)
+            });
         }
     }
     group.finish();

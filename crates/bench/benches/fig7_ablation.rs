@@ -4,9 +4,7 @@
 //! ablation covers the dense-pull backend and the per-superstep selector.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphmat_algorithms::pagerank::{pagerank, PageRankConfig};
-use graphmat_bench::harness::{figure7_configs, figure7_needs_pull};
-use graphmat_core::{GraphBuildOptions, RunOptions};
+use graphmat_bench::harness::{figure7_configs, figure7_run, Algorithm};
 use graphmat_io::datasets::{load, DatasetId, DatasetScale};
 use graphmat_sparse::parallel::available_threads;
 
@@ -15,25 +13,9 @@ fn bench(c: &mut Criterion) {
     let max = available_threads();
     let mut group = c.benchmark_group("fig7_ablation_pagerank");
     group.sample_size(10);
-    for (label, threads, dispatch, vector, ppt, balanced) in figure7_configs(max) {
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                let cfg = PageRankConfig {
-                    iterations: 3,
-                    build: GraphBuildOptions::default()
-                        .with_partitions(ppt * threads)
-                        .with_balancing(balanced)
-                        .with_in_edges(false)
-                        .with_pull_mirrors(figure7_needs_pull(vector)),
-                    ..Default::default()
-                };
-                let opts = RunOptions::default()
-                    .with_threads(threads)
-                    .with_dispatch(dispatch)
-                    .with_vector(vector);
-                pagerank(&edges, &cfg, &opts)
-            })
-        });
+    for config in figure7_configs(max) {
+        let run = figure7_run(Algorithm::PageRank, &edges, config);
+        group.bench_function(BenchmarkId::from_parameter(config.0), |b| b.iter(&run));
     }
     group.finish();
 }

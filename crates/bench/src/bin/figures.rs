@@ -141,7 +141,7 @@ fn main() {
     }
     if let Some(path) = &opts.json_path {
         // Alongside the paper-faithful push measurements, record the
-        // direction-optimized engine (the Session default) on the
+        // direction-optimized engine (the default) on the
         // direction-sensitive workloads — its superstep trajectories are
         // where push→pull backend flips show up.
         for alg in [Algorithm::PageRank, Algorithm::Bfs, Algorithm::Sssp] {

@@ -1,16 +1,21 @@
 //! Shared machinery for the figure/table reproductions.
 
-use graphmat_algorithms::bfs::{bfs, BfsConfig};
-use graphmat_algorithms::collaborative_filtering::{collaborative_filtering, CfConfig};
-use graphmat_algorithms::pagerank::{pagerank, PageRankConfig};
-use graphmat_algorithms::sssp::{sssp, SsspConfig};
-use graphmat_algorithms::triangle_count::{triangle_count, TriangleCountConfig};
+use graphmat_algorithms::bfs::bfs_on;
+use graphmat_algorithms::collaborative_filtering::{collaborative_filtering_on, CfConfig};
+use graphmat_algorithms::pagerank::{pagerank_on, PageRankConfig};
+use graphmat_algorithms::sssp::sssp_on;
+use graphmat_algorithms::triangle_count::triangle_count_on;
 use graphmat_baselines::{comb, native, vertexpull, worklist, Framework};
-use graphmat_core::{GraphBuildOptions, RunOptions, SuperstepStats};
+use graphmat_core::{
+    Backend, GraphBuildOptions, RunOptions, RunStats, Session, SessionOptions, SuperstepStats,
+    Topology, VectorKind,
+};
 use graphmat_io::bipartite::RatingsGraph;
 use graphmat_io::datasets::{self, DatasetId, DatasetScale};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_perf::{CostCounters, PerfReport};
+use graphmat_sparse::parallel::available_threads;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The five algorithms of the paper's evaluation.
@@ -81,6 +86,23 @@ pub struct Measurement {
 }
 
 impl Measurement {
+    fn new(
+        framework: Framework,
+        algorithm: Algorithm,
+        dataset: String,
+        (seconds, counters, total, supersteps): Timing,
+    ) -> Measurement {
+        Measurement {
+            framework,
+            algorithm,
+            dataset,
+            seconds,
+            counters,
+            total,
+            supersteps,
+        }
+    }
+
     /// Derived Figure 6 report for this measurement.
     pub fn perf_report(&self) -> PerfReport {
         PerfReport::from_counters(&self.counters, self.total)
@@ -115,6 +137,174 @@ pub fn figure4_datasets(algorithm: Algorithm) -> Vec<DatasetId> {
     }
 }
 
+/// What one timed run reports: seconds (per iteration for PR/CF, total
+/// otherwise), cost counters, total engine time, per-superstep detail.
+pub type Timing = (f64, CostCounters, Duration, Vec<SuperstepStats>);
+
+/// A run set up once and timed many times: whatever the framework builds
+/// per graph sits outside the closure where the framework's API allows it.
+pub type TimedRun<'a> = Box<dyn Fn() -> Timing + 'a>;
+
+/// The paper's engine configuration for the cross-framework figures:
+/// always-push (it had no pull backend), so no pull mirrors to build — and
+/// no in-edge matrix, which none of PR/BFS/TC/SSSP traverses. The
+/// direction-optimized engine is measured by the Figure 7 rows and by
+/// [`run_graphmat_auto`].
+fn paper_faithful() -> (GraphBuildOptions, RunOptions) {
+    (
+        GraphBuildOptions::default()
+            .with_in_edges(false)
+            .with_pull_mirrors(false),
+        RunOptions::default().with_vector(VectorKind::Bitvector),
+    )
+}
+
+/// A session of `nthreads` lanes (`0` = all available hardware threads)
+/// whose runs start from `run_defaults`.
+fn session(nthreads: usize, run_defaults: RunOptions) -> Session {
+    let threads = if nthreads == 0 {
+        available_threads()
+    } else {
+        nthreads
+    };
+    Session::new(
+        SessionOptions::default()
+            .with_threads(threads)
+            .with_run_defaults(run_defaults),
+    )
+    .expect("harness run defaults are valid")
+}
+
+/// Build `edges` once for `session`, with an automatic partition count
+/// resolved against the session's pool size.
+fn build<E: Clone>(
+    session: &Session,
+    edges: &EdgeList<E>,
+    options: GraphBuildOptions,
+) -> Arc<Topology<E>> {
+    session
+        .build_graph(edges)
+        .build_options(options)
+        .finish()
+        .expect("harness datasets have edges")
+}
+
+fn timing(stats: RunStats, vertex_prop_bytes: usize, per_iteration: bool) -> Timing {
+    let total = stats.total_time;
+    (
+        per_iteration_seconds(total, stats.iterations, per_iteration),
+        stats.to_cost_counters(vertex_prop_bytes),
+        total,
+        stats.supersteps,
+    )
+}
+
+fn baseline_timing<T>(run: graphmat_baselines::BaselineRun<T>, per_iteration: bool) -> Timing {
+    (
+        per_iteration_seconds(run.elapsed, run.iterations, per_iteration),
+        run.counters,
+        run.elapsed,
+        Vec::new(),
+    )
+}
+
+/// One timed run of a graph algorithm under the baseline engine in module
+/// `$framework` (the four modules export the same four entry points).
+macro_rules! baseline_run {
+    ($framework:ident, $algorithm:expr, $edges:expr, $nthreads:expr) => {
+        match $algorithm {
+            Algorithm::PageRank => baseline_timing(
+                $framework::pagerank($edges, 0.15, PR_ITERATIONS, $nthreads),
+                true,
+            ),
+            Algorithm::Bfs => baseline_timing($framework::bfs($edges, 0, $nthreads), false),
+            Algorithm::TriangleCount => {
+                baseline_timing($framework::triangle_count($edges, $nthreads), false)
+            }
+            Algorithm::Sssp => baseline_timing($framework::sssp($edges, 0, $nthreads), false),
+            Algorithm::CollaborativeFiltering => unreachable!("handled by cf_run"),
+        }
+    };
+}
+
+/// GraphMat set up for `algorithm` on `edges`: the session and the topology
+/// (symmetrized for BFS, DAG-reduced for triangle counting, as the paper
+/// prescribes) are built here, once; the returned closure only queries.
+fn graphmat_run<'a>(
+    algorithm: Algorithm,
+    edges: &EdgeList,
+    nthreads: usize,
+    build_options: GraphBuildOptions,
+    run_defaults: RunOptions,
+) -> TimedRun<'a> {
+    let session = session(nthreads, run_defaults);
+    let per_iteration = algorithm.per_iteration();
+    match algorithm {
+        Algorithm::PageRank => {
+            let topology = build(&session, edges, build_options);
+            let cfg = PageRankConfig {
+                iterations: PR_ITERATIONS,
+                ..Default::default()
+            };
+            Box::new(move || {
+                let out = pagerank_on(&session, &topology, &cfg).expect("pagerank");
+                timing(out.stats, 12, per_iteration)
+            })
+        }
+        Algorithm::Bfs => {
+            let topology = build(&session, &edges.symmetrized(), build_options);
+            Box::new(move || {
+                let out = bfs_on(&session, &topology, 0).expect("bfs");
+                timing(out.stats, 4, per_iteration)
+            })
+        }
+        Algorithm::TriangleCount => {
+            let topology = build(&session, &edges.to_dag(), build_options);
+            Box::new(move || {
+                let out = triangle_count_on(&session, &topology).expect("triangle count");
+                timing(out.stats, 24, per_iteration)
+            })
+        }
+        Algorithm::Sssp => {
+            let topology = build(&session, edges, build_options);
+            Box::new(move || {
+                let out = sssp_on(&session, &topology, 0).expect("sssp");
+                timing(out.stats, 4, per_iteration)
+            })
+        }
+        Algorithm::CollaborativeFiltering => unreachable!("handled by cf_run"),
+    }
+}
+
+/// Set up one algorithm under one framework on an already-loaded graph.
+pub fn graph_run<'a>(
+    framework: Framework,
+    algorithm: Algorithm,
+    edges: &'a EdgeList,
+    nthreads: usize,
+) -> TimedRun<'a> {
+    assert!(
+        algorithm != Algorithm::CollaborativeFiltering,
+        "use cf_run for collaborative filtering"
+    );
+    match framework {
+        Framework::GraphMat => {
+            let (build_options, run_defaults) = paper_faithful();
+            graphmat_run(algorithm, edges, nthreads, build_options, run_defaults)
+        }
+        Framework::Native => Box::new(move || baseline_run!(native, algorithm, edges, nthreads)),
+        Framework::CombBlasLike => {
+            Box::new(move || baseline_run!(comb, algorithm, edges, nthreads))
+        }
+        Framework::GraphLabLike => {
+            Box::new(move || baseline_run!(vertexpull, algorithm, edges, nthreads))
+        }
+        Framework::GaloisLike => {
+            Box::new(move || baseline_run!(worklist, algorithm, edges, nthreads))
+        }
+    }
+}
+
 /// Run one algorithm under one framework on an already-loaded graph.
 pub fn run_graph_algorithm(
     framework: Framework,
@@ -123,38 +313,51 @@ pub fn run_graph_algorithm(
     edges: &EdgeList,
     nthreads: usize,
 ) -> Measurement {
-    assert!(
-        algorithm != Algorithm::CollaborativeFiltering,
-        "use run_cf for collaborative filtering"
-    );
-    let (seconds, counters, total, supersteps) = match framework {
+    let timing = graph_run(framework, algorithm, edges, nthreads)();
+    Measurement::new(framework, algorithm, dataset_name.to_string(), timing)
+}
+
+/// Set up collaborative filtering under one framework.
+pub fn cf_run<'a>(
+    framework: Framework,
+    ratings: &'a RatingsGraph,
+    nthreads: usize,
+) -> TimedRun<'a> {
+    type CfBaseline = fn(
+        &RatingsGraph,
+        usize,
+        f64,
+        f64,
+        usize,
+        u64,
+        usize,
+    ) -> graphmat_baselines::BaselineRun<Vec<f64>>;
+    let baseline: CfBaseline = match framework {
         Framework::GraphMat => {
-            // Paper-faithful configuration for the cross-framework figures:
-            // always-push (the paper's engine had no pull backend) over the
-            // legacy build defaults, which carry no pull mirrors. The
-            // direction-optimized engine is measured by the Figure 7 rows
-            // and by `run_graphmat_auto`.
-            run_graphmat(
-                algorithm,
-                edges,
-                GraphBuildOptions::default(),
-                RunOptions::default().with_threads(nthreads),
-            )
+            let cfg = CfConfig {
+                latent_dims: CF_DIMS,
+                iterations: CF_ITERATIONS,
+                ..Default::default()
+            };
+            // CF scatters along both directions: in-edges stay on.
+            let (build_options, run_defaults) = paper_faithful();
+            let session = session(nthreads, run_defaults);
+            let topology = build(&session, &ratings.edges, build_options.with_in_edges(true));
+            return Box::new(move || {
+                let out = collaborative_filtering_on(&session, &topology, &cfg)
+                    .expect("collaborative filtering");
+                timing(out.stats, CF_DIMS * 8, true)
+            });
         }
-        Framework::Native => run_native(algorithm, edges, nthreads),
-        Framework::CombBlasLike => run_comb(algorithm, edges, nthreads),
-        Framework::GraphLabLike => run_vertexpull(algorithm, edges, nthreads),
-        Framework::GaloisLike => run_worklist(algorithm, edges, nthreads),
+        Framework::Native => native::collaborative_filtering,
+        Framework::CombBlasLike => comb::collaborative_filtering,
+        Framework::GraphLabLike => vertexpull::collaborative_filtering,
+        Framework::GaloisLike => worklist::collaborative_filtering,
     };
-    Measurement {
-        framework,
-        algorithm,
-        dataset: dataset_name.to_string(),
-        seconds,
-        counters,
-        total,
-        supersteps,
-    }
+    Box::new(move || {
+        let run = baseline(ratings, CF_DIMS, 0.05, 0.002, CF_ITERATIONS, 7, nthreads);
+        baseline_timing(run, true)
+    })
 }
 
 /// Run collaborative filtering under one framework.
@@ -164,88 +367,18 @@ pub fn run_cf(
     ratings: &RatingsGraph,
     nthreads: usize,
 ) -> Measurement {
-    let (counters, total, iterations, supersteps) = match framework {
-        Framework::GraphMat => {
-            let cfg = CfConfig {
-                latent_dims: CF_DIMS,
-                iterations: CF_ITERATIONS,
-                ..Default::default()
-            };
-            let out = collaborative_filtering(
-                ratings,
-                &cfg,
-                &RunOptions::default().with_threads(nthreads),
-            );
-            (
-                out.stats.to_cost_counters(CF_DIMS * 8),
-                out.stats.total_time,
-                out.stats.iterations.max(1),
-                out.stats.supersteps,
-            )
-        }
-        Framework::Native => {
-            let run = native::collaborative_filtering(
-                ratings,
-                CF_DIMS,
-                0.05,
-                0.002,
-                CF_ITERATIONS,
-                7,
-                nthreads,
-            );
-            (run.counters, run.elapsed, run.iterations.max(1), Vec::new())
-        }
-        Framework::CombBlasLike => {
-            let run = comb::collaborative_filtering(
-                ratings,
-                CF_DIMS,
-                0.05,
-                0.002,
-                CF_ITERATIONS,
-                7,
-                nthreads,
-            );
-            (run.counters, run.elapsed, run.iterations.max(1), Vec::new())
-        }
-        Framework::GraphLabLike => {
-            let run = vertexpull::collaborative_filtering(
-                ratings,
-                CF_DIMS,
-                0.05,
-                0.002,
-                CF_ITERATIONS,
-                7,
-                nthreads,
-            );
-            (run.counters, run.elapsed, run.iterations.max(1), Vec::new())
-        }
-        Framework::GaloisLike => {
-            let run = worklist::collaborative_filtering(
-                ratings,
-                CF_DIMS,
-                0.05,
-                0.002,
-                CF_ITERATIONS,
-                7,
-                nthreads,
-            );
-            (run.counters, run.elapsed, run.iterations.max(1), Vec::new())
-        }
-    };
-    Measurement {
+    let timing = cf_run(framework, ratings, nthreads)();
+    Measurement::new(
         framework,
-        algorithm: Algorithm::CollaborativeFiltering,
-        dataset: dataset_name.to_string(),
-        seconds: total.as_secs_f64() / iterations as f64,
-        counters,
-        total,
-        supersteps,
-    }
+        Algorithm::CollaborativeFiltering,
+        dataset_name.to_string(),
+        timing,
+    )
 }
 
 /// Run the direction-optimized engine configuration — `VectorKind::Auto`
-/// over a pull-enabled topology, the `Session` default — and label the
-/// dataset `"<name>+auto"` so JSON consumers can tell it apart from the
+/// over a pull-enabled topology, the defaults — and label the dataset
+/// `"<name>+auto"` so JSON consumers can tell it apart from the
 /// paper-faithful push run of [`run_graph_algorithm`]. Its superstep
 /// trajectory is where push→pull direction flips show up.
 pub fn run_graphmat_auto(
@@ -254,96 +387,20 @@ pub fn run_graphmat_auto(
     edges: &EdgeList,
     nthreads: usize,
 ) -> Measurement {
-    use graphmat_core::VectorKind;
-    let (seconds, counters, total, supersteps) = run_graphmat(
+    let timing = graphmat_run(
         algorithm,
         edges,
-        // Out-direction workloads only (PR/BFS/SSSP): no in-edge matrix,
-        // and the pull mirror of G^T the Auto selector switches to.
-        GraphBuildOptions::default()
-            .with_in_edges(false)
-            .with_pull_mirrors(true),
-        RunOptions::default()
-            .with_threads(nthreads)
-            .with_vector(VectorKind::Auto),
-    );
-    Measurement {
-        framework: Framework::GraphMat,
+        nthreads,
+        // Out-direction workloads only (PR/BFS/SSSP): no in-edge matrix.
+        GraphBuildOptions::default().with_in_edges(false),
+        RunOptions::default(),
+    )();
+    Measurement::new(
+        Framework::GraphMat,
         algorithm,
-        dataset: format!("{dataset_name}+auto"),
-        seconds,
-        counters,
-        total,
-        supersteps,
-    }
-}
-
-fn run_graphmat(
-    algorithm: Algorithm,
-    edges: &EdgeList,
-    build: GraphBuildOptions,
-    options: RunOptions,
-) -> (f64, CostCounters, Duration, Vec<SuperstepStats>) {
-    match algorithm {
-        Algorithm::PageRank => {
-            let cfg = PageRankConfig {
-                iterations: PR_ITERATIONS,
-                build,
-                ..Default::default()
-            };
-            let out = pagerank(edges, &cfg, &options);
-            let total = out.stats.total_time;
-            (
-                total.as_secs_f64() / out.stats.iterations.max(1) as f64,
-                out.stats.to_cost_counters(12),
-                total,
-                out.stats.supersteps,
-            )
-        }
-        Algorithm::Bfs => {
-            let cfg = BfsConfig {
-                build,
-                ..BfsConfig::from_root(0)
-            };
-            let out = bfs(edges, &cfg, &options);
-            let total = out.stats.total_time;
-            (
-                total.as_secs_f64(),
-                out.stats.to_cost_counters(4),
-                total,
-                out.stats.supersteps,
-            )
-        }
-        Algorithm::TriangleCount => {
-            let cfg = TriangleCountConfig {
-                build,
-                ..Default::default()
-            };
-            let out = triangle_count(edges, &cfg, &options);
-            let total = out.stats.total_time;
-            (
-                total.as_secs_f64(),
-                out.stats.to_cost_counters(24),
-                total,
-                out.stats.supersteps,
-            )
-        }
-        Algorithm::Sssp => {
-            let cfg = SsspConfig {
-                build,
-                ..SsspConfig::from_source(0)
-            };
-            let out = sssp(edges, &cfg, &options);
-            let total = out.stats.total_time;
-            (
-                total.as_secs_f64(),
-                out.stats.to_cost_counters(4),
-                total,
-                out.stats.supersteps,
-            )
-        }
-        Algorithm::CollaborativeFiltering => unreachable!("handled by run_cf"),
-    }
+        format!("{dataset_name}+auto"),
+        timing,
+    )
 }
 
 fn per_iteration_seconds(elapsed: Duration, iterations: usize, per_iter: bool) -> f64 {
@@ -351,190 +408,6 @@ fn per_iteration_seconds(elapsed: Duration, iterations: usize, per_iter: bool) -
         elapsed.as_secs_f64() / iterations.max(1) as f64
     } else {
         elapsed.as_secs_f64()
-    }
-}
-
-fn run_native(
-    algorithm: Algorithm,
-    edges: &EdgeList,
-    nthreads: usize,
-) -> (f64, CostCounters, Duration, Vec<SuperstepStats>) {
-    match algorithm {
-        Algorithm::PageRank => {
-            let run = native::pagerank(edges, 0.15, PR_ITERATIONS, nthreads);
-            (
-                per_iteration_seconds(run.elapsed, run.iterations, true),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::Bfs => {
-            let run = native::bfs(edges, 0, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::TriangleCount => {
-            let run = native::triangle_count(edges, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::Sssp => {
-            let run = native::sssp(edges, 0, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::CollaborativeFiltering => unreachable!(),
-    }
-}
-
-fn run_comb(
-    algorithm: Algorithm,
-    edges: &EdgeList,
-    nthreads: usize,
-) -> (f64, CostCounters, Duration, Vec<SuperstepStats>) {
-    match algorithm {
-        Algorithm::PageRank => {
-            let run = comb::pagerank(edges, 0.15, PR_ITERATIONS, nthreads);
-            (
-                per_iteration_seconds(run.elapsed, run.iterations, true),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::Bfs => {
-            let run = comb::bfs(edges, 0, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::TriangleCount => {
-            let run = comb::triangle_count(edges, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::Sssp => {
-            let run = comb::sssp(edges, 0, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::CollaborativeFiltering => unreachable!(),
-    }
-}
-
-fn run_vertexpull(
-    algorithm: Algorithm,
-    edges: &EdgeList,
-    nthreads: usize,
-) -> (f64, CostCounters, Duration, Vec<SuperstepStats>) {
-    match algorithm {
-        Algorithm::PageRank => {
-            let run = vertexpull::pagerank(edges, 0.15, PR_ITERATIONS, nthreads);
-            (
-                per_iteration_seconds(run.elapsed, run.iterations, true),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::Bfs => {
-            let run = vertexpull::bfs(edges, 0, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::TriangleCount => {
-            let run = vertexpull::triangle_count(edges, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::Sssp => {
-            let run = vertexpull::sssp(edges, 0, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::CollaborativeFiltering => unreachable!(),
-    }
-}
-
-fn run_worklist(
-    algorithm: Algorithm,
-    edges: &EdgeList,
-    nthreads: usize,
-) -> (f64, CostCounters, Duration, Vec<SuperstepStats>) {
-    match algorithm {
-        Algorithm::PageRank => {
-            let run = worklist::pagerank(edges, 0.15, PR_ITERATIONS, nthreads);
-            (
-                per_iteration_seconds(run.elapsed, run.iterations, true),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::Bfs => {
-            let run = worklist::bfs(edges, 0, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::TriangleCount => {
-            let run = worklist::triangle_count(edges, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::Sssp => {
-            let run = worklist::sssp(edges, 0, nthreads);
-            (
-                run.elapsed.as_secs_f64(),
-                run.counters,
-                run.elapsed,
-                Vec::new(),
-            )
-        }
-        Algorithm::CollaborativeFiltering => unreachable!(),
     }
 }
 
@@ -649,26 +522,23 @@ pub struct AblationStep {
     pub iterations: usize,
 }
 
+/// One Figure 7 row: `(label, threads, dispatch, vector, partitions per
+/// thread, balanced)`.
+pub type Figure7Config = (
+    &'static str,
+    usize,
+    graphmat_core::DispatchMode,
+    VectorKind,
+    usize,
+    bool,
+);
+
 /// The Figure 7 configurations: the paper's five cumulative optimization
 /// steps plus this reproduction's direction-optimization comparison rows
 /// (push-only, pull-only, auto). Shared by the harness and the
 /// `fig7_ablation` criterion bench so the two cannot drift apart.
-///
-/// Fields: `(label, threads, dispatch, vector, partitions per thread,
-/// balanced)`. Pull mirrors are built exactly for the configurations whose
-/// vector kind can pull, so the paper-faithful push rows carry no extra
-/// build cost or memory.
-pub fn figure7_configs(
-    nthreads: usize,
-) -> Vec<(
-    &'static str,
-    usize,
-    graphmat_core::DispatchMode,
-    graphmat_core::VectorKind,
-    usize,
-    bool,
-)> {
-    use graphmat_core::{DispatchMode, VectorKind};
+pub fn figure7_configs(nthreads: usize) -> Vec<Figure7Config> {
+    use graphmat_core::DispatchMode;
     vec![
         (
             "naive (scalar)",
@@ -733,10 +603,24 @@ pub fn figure7_configs(
     ]
 }
 
-/// Whether a Figure 7 configuration needs the pull mirrors built.
-pub fn figure7_needs_pull(vector: graphmat_core::VectorKind) -> bool {
-    use graphmat_core::VectorKind;
-    matches!(vector, VectorKind::Dense | VectorKind::Auto)
+/// Set up one Figure 7 row. Pull mirrors are built exactly for the
+/// configurations whose vector kind can pull, so the paper-faithful push
+/// rows carry no extra build cost or memory.
+pub fn figure7_run<'a>(
+    algorithm: Algorithm,
+    edges: &EdgeList,
+    (_, threads, dispatch, vector, partitions_per_thread, balanced): Figure7Config,
+) -> TimedRun<'a> {
+    assert!(matches!(algorithm, Algorithm::PageRank | Algorithm::Sssp));
+    let build = GraphBuildOptions::default()
+        .with_partitions(partitions_per_thread * threads)
+        .with_balancing(balanced)
+        .with_in_edges(false)
+        .with_pull_mirrors(matches!(vector, VectorKind::Dense | VectorKind::Auto));
+    let options = RunOptions::default()
+        .with_dispatch(dispatch)
+        .with_vector(vector);
+    graphmat_run(algorithm, edges, threads, build, options)
 }
 
 /// Figure 7: cumulative effect of the paper's optimizations — plus the
@@ -749,49 +633,20 @@ pub fn figure7_ablation(
     edges: &EdgeList,
     nthreads: usize,
 ) -> Vec<AblationStep> {
-    assert!(matches!(algorithm, Algorithm::PageRank | Algorithm::Sssp));
     let mut out = Vec::new();
     let mut naive_seconds = None;
-    for (label, threads, dispatch, vector, ppt, balanced) in figure7_configs(nthreads) {
-        let build = GraphBuildOptions::default()
-            .with_partitions(ppt * threads)
-            .with_balancing(balanced)
-            .with_in_edges(false)
-            .with_pull_mirrors(figure7_needs_pull(vector));
-        let options = RunOptions::default()
-            .with_threads(threads)
-            .with_dispatch(dispatch)
-            .with_vector(vector);
-        let (seconds, stats) = match algorithm {
-            Algorithm::PageRank => {
-                let cfg = PageRankConfig {
-                    iterations: PR_ITERATIONS,
-                    build,
-                    ..Default::default()
-                };
-                let run = pagerank(edges, &cfg, &options);
-                (
-                    run.stats.total_time.as_secs_f64() / run.stats.iterations.max(1) as f64,
-                    run.stats,
-                )
-            }
-            Algorithm::Sssp => {
-                let cfg = SsspConfig {
-                    build,
-                    ..SsspConfig::from_source(0)
-                };
-                let run = sssp(edges, &cfg, &options);
-                (run.stats.total_time.as_secs_f64(), run.stats)
-            }
-            _ => unreachable!(),
-        };
+    for config in figure7_configs(nthreads) {
+        let (seconds, _, _, supersteps) = figure7_run(algorithm, edges, config)();
         let naive = *naive_seconds.get_or_insert(seconds);
         out.push(AblationStep {
-            label,
+            label: config.0,
             seconds,
             speedup: naive / seconds.max(1e-12),
-            pull_supersteps: stats.pull_supersteps,
-            iterations: stats.iterations,
+            pull_supersteps: supersteps
+                .iter()
+                .filter(|s| s.backend == Backend::Pull)
+                .count(),
+            iterations: supersteps.len(),
         });
     }
     out

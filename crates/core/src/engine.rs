@@ -15,11 +15,18 @@
 //!
 //! # Topology / state split
 //!
-//! A superstep **reads** the immutable [`Topology`] (matrices + degrees) and
-//! the current [`VertexState`] (properties + active set), and **writes** only
-//! into the [`Workspace`]. Nothing here mutates the topology, which is what
-//! makes one `Arc<Topology>` safe to share between concurrent runs — each
-//! run brings its own state and workspace.
+//! A superstep **reads** the immutable topology behind its [`GraphView`]
+//! (matrices + degrees, plus any pending overlay) and the current
+//! [`VertexState`] (properties + active set), and **writes** only into the
+//! [`Workspace`]. Nothing here mutates the topology, which is what makes one
+//! `Arc<Topology>` safe to share between concurrent runs — each run brings
+//! its own state and workspace.
+//!
+//! What a run reads from its view is resolved once, by `Traversal::resolve`
+//! in the runner's prologue: the matrices, overlays, pull mirrors and degree
+//! arrays of the program's scatter direction. That resolution is also the
+//! run's pre-flight check — a missing in-edge matrix or pull mirror is a
+//! typed error there, before the first superstep.
 //!
 //! # The workspace: zero allocation per superstep
 //!
@@ -28,11 +35,8 @@
 //! the reduced-output vector, the optional second output for
 //! [`EdgeDirection::Both`], the APPLY `updated` list and the next-active bit
 //! vector — live in a [`Workspace`] owned by the runner and are **cleared
-//! and reused** every iteration, never reallocated. [`superstep_into`] runs
-//! SEND + SpMV into that workspace and returns only scalar
-//! [`SuperstepMetrics`]; [`superstep`] is the convenience wrapper that
-//! allocates a one-shot workspace and hands back an owned
-//! [`SuperstepOutput`].
+//! and reused** every iteration, never reallocated. A superstep runs SEND +
+//! SpMV into that workspace and returns only scalar measurements.
 //!
 //! # Parallel SEND
 //!
@@ -58,7 +62,7 @@
 //! the topology's CSR mirror, gathering messages by index — no sharded
 //! writers, no atomics, perfect write locality.
 //!
-//! [`VectorKind::Auto`] (the `Session` default) makes the choice per
+//! [`VectorKind::Auto`] (the default) makes the choice per
 //! superstep with [`choose_backend`], Beamer's rule: pull when the
 //! frontier's out-edges exceed `unexplored_edges / α` and the frontier is
 //! not tiny. Forced kinds pin the backend (`Bitvector`/`Sorted` → push,
@@ -73,7 +77,6 @@ use crate::options::{DispatchMode, RunOptions, VectorKind};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::state::VertexState;
 use crate::stats::Backend;
-use crate::topology::Topology;
 use crate::view::GraphView;
 use graphmat_sparse::bitvec::AtomicBitVec;
 use graphmat_sparse::overlay::{gspmv_overlay_into, Overlay};
@@ -132,27 +135,9 @@ pub fn choose_backend(
     }
 }
 
-/// The output of one superstep's SEND + SpMV phases (owned variant, produced
-/// by [`superstep`]; the runner's hot loop uses [`superstep_into`] instead).
-#[derive(Debug)]
-pub struct SuperstepOutput<R> {
-    /// Reduced values per destination vertex (the `y` of Algorithm 1).
-    pub reduced: SparseVector<R>,
-    /// Number of messages generated by SEND_MESSAGE.
-    pub messages_sent: usize,
-    /// Number of edges traversed by the SpMV.
-    pub edges_processed: u64,
-    /// Which SpMV backend ran (push, or pull when the frontier was dense).
-    pub backend: Backend,
-    /// Time spent building the message vector.
-    pub send_time: Duration,
-    /// Time spent in the SpMV.
-    pub spmv_time: Duration,
-}
-
 /// Scalar measurements of one superstep's SEND + SpMV phases; the reduced
 /// values themselves land in the [`Workspace`].
-pub struct SuperstepMetrics {
+pub(crate) struct SuperstepMetrics {
     /// Number of messages generated by SEND_MESSAGE.
     pub messages_sent: usize,
     /// Number of edges traversed by the SpMV.
@@ -244,43 +229,168 @@ impl<P: GraphProgram> Workspace<P> {
     }
 }
 
-/// Execute the SEND_MESSAGE and SpMV phases of one superstep into a fresh,
-/// one-shot workspace and return the owned output. Convenience API for tests
-/// and single-superstep callers; the runner's loop uses [`superstep_into`]
-/// with a persistent [`Workspace`].
-///
-/// # Errors
-///
-/// [`GraphMatError::MissingInMatrix`] /
-/// [`GraphMatError::MissingPullMirror`] when the topology lacks a matrix the
-/// program's direction or the selected backend needs (see
-/// [`superstep_into`]).
-pub fn superstep<P: GraphProgram>(
-    topology: &Topology<P::Edge>,
-    state: &VertexState<P::VertexProp>,
-    program: &P,
-    options: &RunOptions,
-    executor: &Executor,
-) -> Result<SuperstepOutput<P::Reduced>> {
-    let mut ws = Workspace::<P>::new(topology.num_vertices() as usize, options);
-    let metrics = superstep_into(
-        topology,
-        state,
-        program,
-        options,
-        executor,
-        state.active_count(),
-        0,
-        &mut ws,
-    )?;
-    Ok(SuperstepOutput {
-        reduced: ws.reduced,
-        messages_sent: metrics.messages_sent,
-        edges_processed: metrics.edges_processed,
-        backend: metrics.backend,
-        send_time: metrics.send_time,
-        spmv_time: metrics.spmv_time,
-    })
+/// One scatter direction's share of a traversal: the DCSC the push kernel
+/// sweeps, the pending edits aligned to it, and the degree array SEND
+/// charges a message's edges against.
+struct Leg<'a, E> {
+    matrix: &'a PartitionedDcsc<E>,
+    overlay: Option<&'a Overlay<E>>,
+    degrees: &'a [u32],
+}
+
+impl<E: Sync> Leg<'_, E> {
+    /// The push SpMV over this leg; with edits pending, the merged
+    /// `base ⊕ overlay` kernel — same multiply/add closures, same
+    /// per-destination reduction order.
+    fn push<X, Y, MV, M, A>(
+        &self,
+        messages: &MV,
+        multiply: &M,
+        add: &A,
+        executor: &Executor,
+        y: &mut SparseVector<Y>,
+    ) where
+        MV: MessageVector<X> + Sync,
+        X: Sync,
+        Y: Clone + Default + Send,
+        M: Fn(&X, &E, Index) -> Y + Sync,
+        A: Fn(&mut Y, Y) + Sync,
+    {
+        match self.overlay {
+            None => gspmv_into(self.matrix, messages, multiply, add, executor, y),
+            Some(overlay) => {
+                gspmv_overlay_into(self.matrix, overlay, messages, multiply, add, executor, y)
+            }
+        }
+    }
+}
+
+/// The pull mirrors of a traversal's legs, first then (for `Both`) second.
+type Mirrors<'a, E> = (&'a CsrMirror<E>, Option<&'a CsrMirror<E>>);
+
+/// Everything one run reads from its [`GraphView`], resolved for the
+/// program's scatter direction. `Out` and `In` traverse one leg; `Both`
+/// traverses the out leg, then the in leg, and merges the second's output
+/// into the first's — on the push and the pull backend alike, so reduction
+/// order (and therefore bits) never depends on the backend.
+pub(crate) struct Traversal<'a, E> {
+    view: GraphView<'a, E>,
+    first: Leg<'a, E>,
+    second: Option<Leg<'a, E>>,
+    /// The legs' pull mirrors. `None` unless every leg has one **and** no
+    /// edits are pending: the mirrors describe the unedited base and are
+    /// only refreshed by compaction.
+    mirrors: Option<Mirrors<'a, E>>,
+}
+
+impl<'a, E> Traversal<'a, E> {
+    /// Resolve `view` for a program scattering along `direction` under the
+    /// message representation `vector` — the pre-flight check of a run.
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphMatError::MissingInMatrix`] if `direction` is `In`/`Both`
+    ///   but the topology was built with `build_in_edges = false` (or a
+    ///   hand-assembled overlay was not compiled against the in matrix — the
+    ///   store always compiles against every matrix the base built);
+    /// * [`GraphMatError::InvalidParameter`] if `vector` forces the pull
+    ///   backend ([`VectorKind::Dense`]) while edits are pending;
+    /// * [`GraphMatError::MissingPullMirror`] if it does so on a topology
+    ///   built with `build_pull_mirrors = false`. (`Auto` pushes instead.)
+    pub(crate) fn resolve(
+        view: GraphView<'a, E>,
+        direction: EdgeDirection,
+        vector: VectorKind,
+    ) -> Result<Self> {
+        let topology = view.topology();
+        let out = || {
+            let leg = Leg {
+                matrix: topology.out_matrix(),
+                overlay: view.out_kernel_overlay(),
+                degrees: view.out_degrees(),
+            };
+            (leg, topology.out_pull_mirror())
+        };
+        let inward = || {
+            let matrix = topology.in_matrix().ok_or(GraphMatError::MissingInMatrix)?;
+            let overlay = view.in_kernel_overlay();
+            if view.has_overlay() && overlay.is_none() {
+                return Err(GraphMatError::MissingInMatrix);
+            }
+            let leg = Leg {
+                matrix,
+                overlay,
+                degrees: view.in_degrees(),
+            };
+            Ok((leg, topology.in_pull_mirror()))
+        };
+        let ((first, first_mirror), second) = match direction {
+            EdgeDirection::Out => (out(), None),
+            EdgeDirection::In => (inward()?, None),
+            EdgeDirection::Both => (out(), Some(inward()?)),
+        };
+        let (second, second_mirror) = second.unzip();
+        let mirrors = match (first_mirror, second_mirror) {
+            (Some(first), None) => Some((first, None)),
+            (Some(first), Some(Some(second))) => Some((first, Some(second))),
+            _ => None,
+        }
+        .filter(|_| !view.has_overlay());
+
+        if vector == VectorKind::Dense {
+            if view.has_overlay() {
+                return Err(GraphMatError::InvalidParameter(
+                    "VectorKind::Dense forces the pull backend, which cannot traverse a \
+                     snapshot with pending deltas; use Auto (or a push kind) until the \
+                     store compacts",
+                ));
+            }
+            if mirrors.is_none() {
+                return Err(GraphMatError::MissingPullMirror);
+            }
+        }
+        Ok(Traversal {
+            view,
+            first,
+            second,
+            mirrors,
+        })
+    }
+
+    /// The view this traversal was resolved from.
+    pub(crate) fn view(&self) -> GraphView<'a, E> {
+        self.view
+    }
+
+    /// Total edges the program could ever traverse — the denominator of the
+    /// selector's unexplored-edge estimate. The view's merged edge count per
+    /// leg, so pending deltas are counted.
+    fn edge_total(&self) -> u64 {
+        let legs = if self.second.is_some() { 2 } else { 1 };
+        legs * self.view.num_edges() as u64
+    }
+
+    /// How many edges a message from `v` will traverse: SEND reads only the
+    /// degree array(s) of the legs the program scatters along. The view
+    /// resolves to the merged degrees when deltas are pending, so
+    /// `edges_processed` metrics always describe the edited graph.
+    #[inline(always)]
+    fn edges_for(&self, v: VertexId) -> u64 {
+        let second = self
+            .second
+            .as_ref()
+            .map_or(0, |leg| leg.degrees[v as usize]);
+        self.first.degrees[v as usize] as u64 + second as u64
+    }
+}
+
+/// The message vector one superstep fills and multiplies: which of the
+/// workspace's representations, and — for the pull backend — the mirrors it
+/// is gathered through.
+enum Filled<'w, 'a, M, E> {
+    Push(&'w mut SparseVector<M>),
+    PushSorted(&'w mut SortedSparseVector<M>),
+    Pull(&'w mut DenseVector<M>, Mirrors<'a, E>),
 }
 
 /// Execute the SEND_MESSAGE and SpMV phases of one superstep, reusing the
@@ -295,25 +405,21 @@ pub fn superstep<P: GraphProgram>(
 /// `explored_edges` is the number of edges already traversed by earlier
 /// supersteps of this run (the runner's cumulative
 /// `RunStats::edges_processed`); the [`VectorKind::Auto`] selector uses it
-/// to estimate the unexplored remainder. Callers not running `Auto` can pass
-/// `0` — the value is read by nothing else.
+/// to estimate the unexplored remainder.
+///
+/// With a pending overlay the push SpMV runs the merged
+/// [`gspmv_overlay_into`] column walk and SEND accounts the **merged**
+/// degree arrays, so metrics describe the edited graph; `Auto` then always
+/// pushes (see [`Traversal`]).
 ///
 /// # Errors
 ///
-/// * [`GraphMatError::MissingInMatrix`] if the program scatters along
-///   in-edges (`In`/`Both`) but the topology was built with
-///   `build_in_edges = false`;
-/// * [`GraphMatError::MissingPullMirror`] if the workspace forces the pull
-///   backend (`VectorKind::Dense`) but the topology was built with
-///   `build_pull_mirrors = false`. (`Auto` silently pushes instead.)
-///
-/// Both are checked **before** any phase runs, so an error leaves the
-/// workspace's previous contents intact. The deprecated
-/// [`crate::graph::Graph`] facade is the only place these still surface as
-/// panics.
+/// [`GraphMatError::MissingPullMirror`] if `ws` was allocated for
+/// [`VectorKind::Dense`] but `traversal` was resolved for another kind on a
+/// mirror-less topology — which the runner's prologue rules out.
 #[allow(clippy::too_many_arguments)]
-pub fn superstep_into<P: GraphProgram>(
-    topology: &Topology<P::Edge>,
+pub(crate) fn superstep<P: GraphProgram>(
+    traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
     options: &RunOptions,
@@ -322,161 +428,77 @@ pub fn superstep_into<P: GraphProgram>(
     explored_edges: u64,
     ws: &mut Workspace<P>,
 ) -> Result<SuperstepMetrics> {
-    superstep_view_into(
-        GraphView::base(topology),
-        state,
-        program,
-        options,
-        executor,
-        active_count,
-        explored_edges,
-        ws,
-    )
-}
-
-/// [`superstep_into`] over a `(base ⊕ delta)` [`GraphView`] — the core every
-/// superstep entry point reduces to. With no overlay the behaviour (and the
-/// machine code path) is identical to the plain topology superstep; with a
-/// pending overlay the push SpMV runs the merged
-/// [`gspmv_overlay_into`] column walk and SEND accounts the **merged**
-/// degree arrays, so metrics describe the edited graph.
-///
-/// Overlay-specific semantics:
-///
-/// * [`VectorKind::Auto`] always selects the push backend while edits are
-///   pending — the pull mirrors describe the unedited base and are only
-///   refreshed by compaction;
-/// * a forced [`VectorKind::Dense`] run over a pending overlay is rejected
-///   with [`GraphMatError::InvalidParameter`] (checked before any phase
-///   runs);
-/// * an `In`/`Both` program additionally requires the overlay to have been
-///   compiled against the in matrix (the store always does this when the
-///   base has one).
-#[allow(clippy::too_many_arguments)]
-pub fn superstep_view_into<P: GraphProgram>(
-    view: GraphView<'_, P::Edge>,
-    state: &VertexState<P::VertexProp>,
-    program: &P,
-    options: &RunOptions,
-    executor: &Executor,
-    active_count: usize,
-    explored_edges: u64,
-    ws: &mut Workspace<P>,
-) -> Result<SuperstepMetrics> {
-    // Release-mode checks, not debug_asserts: the Topology/VertexState
-    // split makes a mismatched pairing expressible, and without this the
-    // failure is a bare slice-index panic deep in SEND/SpMV. Two usize
-    // compares per superstep is free next to the SpMV.
-    let topology = view.topology();
-    let n = topology.num_vertices() as usize;
-    assert_eq!(
-        state.num_vertices(),
-        n,
-        "vertex state sized for {} vertices used with a topology of {} vertices",
-        state.num_vertices(),
-        n
-    );
-    assert_eq!(
-        ws.reduced.len(),
-        n,
-        "workspace sized for {} vertices used with a topology of {} vertices",
-        ws.reduced.len(),
-        n
-    );
-    let direction = program.direction();
-    if direction != EdgeDirection::Out {
-        if !topology.has_in_edges() {
-            return Err(GraphMatError::MissingInMatrix);
-        }
-        if view.has_overlay() && view.in_kernel_overlay().is_none() {
-            // The store compiles overlays against every matrix the base
-            // built, so this only trips on a hand-assembled mismatch.
-            return Err(GraphMatError::MissingInMatrix);
-        }
-    }
-
-    // --- Backend selection (before SEND: the two backends fill different
-    // message representations). Pending overlays pin the push backend: the
-    // pull mirrors describe the unedited base.
-    let overlay_pending = view.has_overlay();
-    let backend = match &ws.messages {
-        MessageStore::Bitvector(_) | MessageStore::Sorted(_) => Backend::Push,
-        MessageStore::Dense(_) => {
-            if overlay_pending {
-                return Err(GraphMatError::InvalidParameter(
-                    "VectorKind::Dense forces the pull backend, which cannot traverse a \
-                     snapshot with pending deltas; use Auto (or a push kind) until the \
-                     store compacts",
-                ));
-            }
-            if !topology.has_pull_mirrors() {
-                return Err(GraphMatError::MissingPullMirror);
-            }
-            Backend::Pull
-        }
-        MessageStore::Auto { .. } => {
-            if !overlay_pending && topology.has_pull_mirrors() {
-                let frontier_edges =
-                    frontier_out_edges(view, state, direction, active_count, executor);
-                let unexplored =
-                    direction_edge_total(view, direction).saturating_sub(explored_edges);
-                choose_backend(
-                    frontier_edges,
-                    unexplored,
-                    active_count,
-                    n,
-                    options.pull_alpha,
-                )
-            } else {
-                Backend::Push
-            }
-        }
-    };
-
-    // --- SEND_MESSAGE: build the message vector from active vertices, in
-    // the representation the chosen backend reads.
-    let send_start = Instant::now();
-    let (messages_sent, edges_processed) = match (&mut ws.messages, backend) {
-        (MessageStore::Bitvector(mv), _) => {
-            send_frontier(view, state, program, direction, executor, active_count, mv)
-        }
-        (MessageStore::Sorted(sv), _) => {
-            sv.clear();
-            send_sequential(view, state, program, direction, sv)
-        }
-        (MessageStore::Dense(dv), _) | (MessageStore::Auto { pull: dv, .. }, Backend::Pull) => {
-            send_frontier(view, state, program, direction, executor, active_count, dv)
-        }
-        (MessageStore::Auto { push: mv, .. }, Backend::Push) => {
-            send_frontier(view, state, program, direction, executor, active_count, mv)
-        }
-    };
-    let send_time = send_start.elapsed();
-
-    // --- Generalized SpMV (Algorithm 1): sparse push or dense pull.
-    let spmv_start = Instant::now();
     let Workspace {
         messages,
         reduced,
         scratch,
         ..
     } = ws;
-    match (&*messages, backend) {
-        (MessageStore::Bitvector(mv), _) => spmv_phase(
-            view, state, program, options, executor, mv, reduced, scratch,
-        )?,
-        (MessageStore::Sorted(sv), _) => spmv_phase(
-            view, state, program, options, executor, sv, reduced, scratch,
-        )?,
-        (MessageStore::Dense(dv), _) | (MessageStore::Auto { pull: dv, .. }, Backend::Pull) => {
-            pull_spmv_phase(
-                topology, state, program, options, executor, dv, reduced, scratch,
-            )?
+
+    // --- Backend selection (before SEND: the two backends fill different
+    // message representations).
+    let mut filled = match messages {
+        MessageStore::Bitvector(mv) => Filled::Push(mv),
+        MessageStore::Sorted(sv) => Filled::PushSorted(sv),
+        MessageStore::Dense(dv) => Filled::Pull(
+            dv,
+            traversal.mirrors.ok_or(GraphMatError::MissingPullMirror)?,
+        ),
+        MessageStore::Auto { push, pull } => {
+            let pull_mirrors = traversal.mirrors.filter(|_| {
+                let frontier_edges = frontier_out_edges(traversal, state, active_count, executor);
+                let unexplored = traversal.edge_total().saturating_sub(explored_edges);
+                let n = traversal.view.num_vertices() as usize;
+                let chosen = choose_backend(
+                    frontier_edges,
+                    unexplored,
+                    active_count,
+                    n,
+                    options.pull_alpha,
+                );
+                chosen == Backend::Pull
+            });
+            match pull_mirrors {
+                Some(mirrors) => Filled::Pull(pull, mirrors),
+                None => Filled::Push(push),
+            }
         }
-        (MessageStore::Auto { push: mv, .. }, Backend::Push) => spmv_phase(
-            view, state, program, options, executor, mv, reduced, scratch,
-        )?,
-    }
+    };
+    let backend = match filled {
+        Filled::Pull(..) => Backend::Pull,
+        Filled::Push(_) | Filled::PushSorted(_) => Backend::Push,
+    };
+
+    // --- SEND_MESSAGE: build the message vector from active vertices, in
+    // the representation the chosen backend reads.
+    let send_start = Instant::now();
+    let (messages_sent, edges_processed) = match &mut filled {
+        Filled::Push(mv) => {
+            send_frontier(traversal, state, program, executor, active_count, &mut **mv)
+        }
+        // Sorted insertion cannot be sharded, so this SEND stays sequential.
+        Filled::PushSorted(sv) => {
+            sv.clear();
+            send_sequential(traversal, state, program, &mut **sv)
+        }
+        Filled::Pull(dv, _) => {
+            send_frontier(traversal, state, program, executor, active_count, &mut **dv)
+        }
+    };
+    let send_time = send_start.elapsed();
+
+    // --- Generalized SpMV (Algorithm 1): sparse push or dense pull.
+    let spmv_start = Instant::now();
+    spmv_phase(
+        traversal,
+        &filled,
+        state.properties(),
+        program,
+        options.dispatch,
+        executor,
+        reduced,
+        scratch,
+    );
     let spmv_time = spmv_start.elapsed();
 
     Ok(SuperstepMetrics {
@@ -488,16 +510,6 @@ pub fn superstep_view_into<P: GraphProgram>(
     })
 }
 
-/// Total edges a program of the given direction could ever traverse — the
-/// denominator of the selector's unexplored-edge estimate. Reads the view's
-/// merged edge count, so pending deltas are counted.
-fn direction_edge_total<E>(view: GraphView<'_, E>, direction: EdgeDirection) -> u64 {
-    match direction {
-        EdgeDirection::Out | EdgeDirection::In => view.num_edges() as u64,
-        EdgeDirection::Both => 2 * view.num_edges() as u64,
-    }
-}
-
 /// Out-edge count of the current active set in the scatter direction —
 /// Beamer's `m_f`. One degree-array read per active vertex; skipped entirely
 /// when every vertex is active (then it is just the direction's edge total,
@@ -505,20 +517,19 @@ fn direction_edge_total<E>(view: GraphView<'_, E>, direction: EdgeDirection) -> 
 /// parallel over active-bitvector words with the same cutoff SEND uses, so
 /// the selector's pre-scan can never dominate the phase it is sizing.
 fn frontier_out_edges<E: Sync, V: Sync>(
-    view: GraphView<'_, E>,
+    traversal: &Traversal<'_, E>,
     state: &VertexState<V>,
-    direction: EdgeDirection,
     active_count: usize,
     executor: &Executor,
 ) -> u64 {
-    if active_count == view.num_vertices() as usize {
-        return direction_edge_total(view, direction);
+    if active_count == traversal.view.num_vertices() as usize {
+        return traversal.edge_total();
     }
     let active = state.active_bits();
     if executor.nthreads() == 1 || active_count < PARALLEL_PHASE_MIN_WORK {
         return active
             .iter_ones()
-            .map(|v| edges_for(view, direction, v as VertexId))
+            .map(|v| traversal.edges_for(v as VertexId))
             .sum();
     }
     let ch = chunks(active.words().len(), executor.nthreads() * 4);
@@ -527,26 +538,11 @@ fn frontier_out_edges<E: Sync, V: Sync>(
         let (word_start, word_end) = ch.bounds(chunk_idx);
         let mut local = 0u64;
         for v in active.iter_ones_in_words(word_start, word_end) {
-            local += edges_for(view, direction, v as VertexId);
+            local += traversal.edges_for(v as VertexId);
         }
         total.fetch_add(local, Ordering::Relaxed);
     });
     total.load(Ordering::Relaxed)
-}
-
-/// How many edges a message from `v` will traverse, given the scatter
-/// direction — the SEND loop reads only the degree array(s) the direction
-/// requires. The view resolves to the merged degrees when deltas are
-/// pending, so `edges_processed` metrics always describe the edited graph.
-#[inline(always)]
-fn edges_for<E>(view: GraphView<'_, E>, direction: EdgeDirection, v: VertexId) -> u64 {
-    match direction {
-        EdgeDirection::Out => view.out_degrees()[v as usize] as u64,
-        EdgeDirection::In => view.in_degrees()[v as usize] as u64,
-        EdgeDirection::Both => {
-            view.out_degrees()[v as usize] as u64 + view.in_degrees()[v as usize] as u64
-        }
-    }
 }
 
 /// A sparse vector the engine can build messages into sequentially.
@@ -614,10 +610,9 @@ impl<T: Clone + Default + Sync> FrontierVector<T> for DenseVector<T> {
 
 /// Sequential SEND over the active set (already-cleared message vector).
 fn send_sequential<P: GraphProgram, MV: BuildableVector<P::Message>>(
-    view: GraphView<'_, P::Edge>,
+    traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
-    direction: EdgeDirection,
     messages: &mut MV,
 ) -> (usize, u64) {
     let props = state.properties();
@@ -628,7 +623,7 @@ fn send_sequential<P: GraphProgram, MV: BuildableVector<P::Message>>(
         if let Some(msg) = program.send_message(v, &props[v as usize]) {
             messages.insert(v, msg);
             sent += 1;
-            edges += edges_for(view, direction, v);
+            edges += traversal.edges_for(v);
         }
     }
     (sent, edges)
@@ -638,17 +633,16 @@ fn send_sequential<P: GraphProgram, MV: BuildableVector<P::Message>>(
 /// pull store): sequential for small frontiers, otherwise chunked over
 /// active-bitvector words across the executor's lanes.
 fn send_frontier<P: GraphProgram, MV: FrontierVector<P::Message>>(
-    view: GraphView<'_, P::Edge>,
+    traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
-    direction: EdgeDirection,
     executor: &Executor,
     active_count: usize,
     messages: &mut MV,
 ) -> (usize, u64) {
     messages.clear();
     if executor.nthreads() == 1 || active_count < PARALLEL_PHASE_MIN_WORK {
-        return send_sequential(view, state, program, direction, messages);
+        return send_sequential(traversal, state, program, messages);
     }
 
     let props = state.properties();
@@ -664,7 +658,7 @@ fn send_frontier<P: GraphProgram, MV: FrontierVector<P::Message>>(
             if let Some(msg) = program.send_message(v, &props[v as usize]) {
                 writer.set(v, msg);
                 local_sent += 1;
-                local_edges += edges_for(view, direction, v);
+                local_edges += traversal.edges_for(v);
             }
         }
         sent.fetch_add(local_sent, Ordering::Relaxed);
@@ -673,210 +667,33 @@ fn send_frontier<P: GraphProgram, MV: FrontierVector<P::Message>>(
     (sent.load(Ordering::Relaxed), edges.load(Ordering::Relaxed))
 }
 
-/// Run the push SpMV for the program's direction into the workspace buffers.
-/// When the view carries a pending overlay, each direction's sweep runs the
-/// merged `base ⊕ overlay` kernel against the overlay compiled for that
-/// matrix — the `Both`-direction out-then-in merge through the scratch
-/// vector is unchanged, so reduction order (and therefore bits) match a
-/// from-scratch rebuild.
+/// Run the generalized SpMV over every leg of the traversal into the
+/// workspace buffers, with either static (monomorphised, inlinable) dispatch
+/// of the user callbacks or dynamic (`dyn Fn`) dispatch, the latter
+/// modelling the paper's "without -ipo" configuration for Figure 7.
 #[allow(clippy::too_many_arguments)]
-fn spmv_phase<P, MV>(
-    view: GraphView<'_, P::Edge>,
-    state: &VertexState<P::VertexProp>,
-    program: &P,
-    options: &RunOptions,
-    executor: &Executor,
-    messages: &MV,
-    reduced: &mut SparseVector<P::Reduced>,
-    scratch: &mut Option<SparseVector<P::Reduced>>,
-) -> Result<()>
-where
-    P: GraphProgram,
-    MV: MessageVector<P::Message> + Sync,
-{
-    let topology = view.topology();
-    let props = state.properties();
-    match program.direction() {
-        EdgeDirection::Out => run_spmv_into(
-            topology.out_matrix(),
-            view.out_kernel_overlay(),
-            messages,
-            program,
-            props,
-            options.dispatch,
-            executor,
-            reduced,
-        ),
-        EdgeDirection::In => run_spmv_into(
-            in_matrix(topology)?,
-            view.in_kernel_overlay(),
-            messages,
-            program,
-            props,
-            options.dispatch,
-            executor,
-            reduced,
-        ),
-        EdgeDirection::Both => {
-            run_spmv_into(
-                topology.out_matrix(),
-                view.out_kernel_overlay(),
-                messages,
-                program,
-                props,
-                options.dispatch,
-                executor,
-                reduced,
-            );
-            let scratch =
-                scratch.get_or_insert_with(|| SparseVector::new(topology.num_vertices() as usize));
-            run_spmv_into(
-                in_matrix(topology)?,
-                view.in_kernel_overlay(),
-                messages,
-                program,
-                props,
-                options.dispatch,
-                executor,
-                scratch,
-            );
-            merge_scratch(program, scratch, reduced);
-        }
-    }
-    Ok(())
-}
-
-/// Run the dense-pull SpMV for the program's direction into the workspace
-/// buffers. Phase structure (and therefore reduction order) matches
-/// [`spmv_phase`] exactly — including the `Both`-direction out-then-in merge
-/// through the scratch vector — so push and pull stay bit-for-bit identical.
-#[allow(clippy::too_many_arguments)]
-fn pull_spmv_phase<P>(
-    topology: &Topology<P::Edge>,
-    state: &VertexState<P::VertexProp>,
-    program: &P,
-    options: &RunOptions,
-    executor: &Executor,
-    messages: &DenseVector<P::Message>,
-    reduced: &mut SparseVector<P::Reduced>,
-    scratch: &mut Option<SparseVector<P::Reduced>>,
-) -> Result<()>
-where
-    P: GraphProgram,
-{
-    let props = state.properties();
-    match program.direction() {
-        EdgeDirection::Out => run_pull_into(
-            out_pull_mirror(topology)?,
-            messages,
-            program,
-            props,
-            options.dispatch,
-            executor,
-            reduced,
-        ),
-        EdgeDirection::In => run_pull_into(
-            in_pull_mirror(topology)?,
-            messages,
-            program,
-            props,
-            options.dispatch,
-            executor,
-            reduced,
-        ),
-        EdgeDirection::Both => {
-            run_pull_into(
-                out_pull_mirror(topology)?,
-                messages,
-                program,
-                props,
-                options.dispatch,
-                executor,
-                reduced,
-            );
-            let scratch =
-                scratch.get_or_insert_with(|| SparseVector::new(topology.num_vertices() as usize));
-            run_pull_into(
-                in_pull_mirror(topology)?,
-                messages,
-                program,
-                props,
-                options.dispatch,
-                executor,
-                scratch,
-            );
-            merge_scratch(program, scratch, reduced);
-        }
-    }
-    Ok(())
-}
-
-/// Fold the `Both`-direction second output (in-edge traversal) into the
-/// primary reduced vector with the program's REDUCE.
-fn merge_scratch<P: GraphProgram>(
-    program: &P,
-    scratch: &SparseVector<P::Reduced>,
-    reduced: &mut SparseVector<P::Reduced>,
-) {
-    for (k, v) in scratch.iter() {
-        reduced.merge(k, v.clone(), |acc, value| program.reduce(acc, value));
-    }
-}
-
-fn in_matrix<E>(topology: &Topology<E>) -> Result<&PartitionedDcsc<E>> {
-    topology.in_matrix().ok_or(GraphMatError::MissingInMatrix)
-}
-
-fn out_pull_mirror<E>(topology: &Topology<E>) -> Result<&CsrMirror<E>> {
-    topology
-        .out_pull_mirror()
-        .ok_or(GraphMatError::MissingPullMirror)
-}
-
-fn in_pull_mirror<E>(topology: &Topology<E>) -> Result<&CsrMirror<E>> {
-    // An In/Both program needs the in-edge matrix before a mirror of it can
-    // even exist; report the more fundamental problem first.
-    if topology.in_matrix().is_none() {
-        return Err(GraphMatError::MissingInMatrix);
-    }
-    topology
-        .in_pull_mirror()
-        .ok_or(GraphMatError::MissingPullMirror)
-}
-
-/// Run the generalized SpMV with either static (monomorphised, inlinable)
-/// dispatch of the user callbacks or dynamic (`dyn Fn`) dispatch, the latter
-/// modelling the paper's "without -ipo" configuration for Figure 7. With an
-/// overlay present the merged `base ⊕ overlay` kernel runs instead of the
-/// plain one — same multiply/add closures, same per-destination reduction
-/// order.
-#[allow(clippy::too_many_arguments)]
-fn run_spmv_into<P, MV>(
-    matrix: &PartitionedDcsc<P::Edge>,
-    overlay: Option<&Overlay<P::Edge>>,
-    messages: &MV,
-    program: &P,
+fn spmv_phase<P: GraphProgram>(
+    traversal: &Traversal<'_, P::Edge>,
+    filled: &Filled<'_, '_, P::Message, P::Edge>,
     props: &[P::VertexProp],
+    program: &P,
     dispatch: DispatchMode,
     executor: &Executor,
     reduced: &mut SparseVector<P::Reduced>,
-) where
-    P: GraphProgram,
-    MV: MessageVector<P::Message> + Sync,
-{
+    scratch: &mut Option<SparseVector<P::Reduced>>,
+) {
     match dispatch {
-        DispatchMode::Static => {
-            let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
+        DispatchMode::Static => sweep_legs(
+            traversal,
+            filled,
+            &|msg: &P::Message, edge: &P::Edge, dst: Index| {
                 program.process_message(msg, edge, &props[dst as usize])
-            };
-            let add = |acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value);
-            match overlay {
-                None => gspmv_into(matrix, messages, &multiply, &add, executor, reduced),
-                Some(ov) => {
-                    gspmv_overlay_into(matrix, ov, messages, &multiply, &add, executor, reduced)
-                }
-            }
-        }
+            },
+            &|acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value),
+            executor,
+            reduced,
+            scratch,
+        ),
         DispatchMode::Dynamic => {
             // Route every callback invocation through a trait object so the
             // optimiser cannot inline the user code into the SpMV kernel.
@@ -885,60 +702,71 @@ fn run_spmv_into<P, MV>(
                   + Sync) = &|m, e, d| program.process_message(m, e, d);
             let reduce: &(dyn Fn(&mut P::Reduced, P::Reduced) + Sync) =
                 &|acc, v| program.reduce(acc, v);
-            let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
-                process(msg, edge, &props[dst as usize])
-            };
-            let add = |acc: &mut P::Reduced, value: P::Reduced| reduce(acc, value);
-            match overlay {
-                None => gspmv_into(matrix, messages, &multiply, &add, executor, reduced),
-                Some(ov) => {
-                    gspmv_overlay_into(matrix, ov, messages, &multiply, &add, executor, reduced)
-                }
-            }
-        }
-    }
-}
-
-/// Run the dense-pull SpMV with static or dynamic dispatch of the user
-/// callbacks (same Figure 7 ablation semantics as [`run_spmv_into`]).
-fn run_pull_into<P>(
-    mirror: &CsrMirror<P::Edge>,
-    messages: &DenseVector<P::Message>,
-    program: &P,
-    props: &[P::VertexProp],
-    dispatch: DispatchMode,
-    executor: &Executor,
-    reduced: &mut SparseVector<P::Reduced>,
-) where
-    P: GraphProgram,
-{
-    match dispatch {
-        DispatchMode::Static => gspmv_csr_pull_into(
-            mirror,
-            messages,
-            &|msg: &P::Message, edge: &P::Edge, dst: Index| {
-                program.process_message(msg, edge, &props[dst as usize])
-            },
-            &|acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value),
-            executor,
-            reduced,
-        ),
-        DispatchMode::Dynamic => {
-            #[allow(clippy::type_complexity)]
-            let process: &(dyn Fn(&P::Message, &P::Edge, &P::VertexProp) -> P::Reduced
-                  + Sync) = &|m, e, d| program.process_message(m, e, d);
-            let reduce: &(dyn Fn(&mut P::Reduced, P::Reduced) + Sync) =
-                &|acc, v| program.reduce(acc, v);
-            gspmv_csr_pull_into(
-                mirror,
-                messages,
+            sweep_legs(
+                traversal,
+                filled,
                 &|msg: &P::Message, edge: &P::Edge, dst: Index| {
                     process(msg, edge, &props[dst as usize])
                 },
                 &|acc: &mut P::Reduced, value: P::Reduced| reduce(acc, value),
                 executor,
                 reduced,
+                scratch,
             )
+        }
+    }
+}
+
+/// One SpMV per leg with the kernel the filled message vector selects:
+/// sparse push over the leg's DCSC, or dense pull over its mirror.
+fn sweep_legs<X, E, Y, M, A>(
+    traversal: &Traversal<'_, E>,
+    filled: &Filled<'_, '_, X, E>,
+    multiply: &M,
+    add: &A,
+    executor: &Executor,
+    reduced: &mut SparseVector<Y>,
+    scratch: &mut Option<SparseVector<Y>>,
+) where
+    X: Sync,
+    E: Sync,
+    Y: Clone + Default + Send,
+    M: Fn(&X, &E, Index) -> Y + Sync,
+    A: Fn(&mut Y, Y) + Sync,
+{
+    let legs = (&traversal.first, traversal.second.as_ref());
+    match filled {
+        Filled::Push(mv) => first_then_second(legs, add, reduced, scratch, |leg, y| {
+            leg.push(&**mv, multiply, add, executor, y)
+        }),
+        Filled::PushSorted(sv) => first_then_second(legs, add, reduced, scratch, |leg, y| {
+            leg.push(&**sv, multiply, add, executor, y)
+        }),
+        Filled::Pull(dv, mirrors) => first_then_second(*mirrors, add, reduced, scratch, |m, y| {
+            gspmv_csr_pull_into(m, dv, multiply, add, executor, y)
+        }),
+    }
+}
+
+/// The leg fan-out: the first leg multiplies into `reduced`; a `Both`
+/// traversal's second leg multiplies into the scratch vector (built lazily on
+/// first use) and is folded into `reduced` with the program's REDUCE.
+fn first_then_second<L, Y, A>(
+    (first, second): (L, Option<L>),
+    add: &A,
+    reduced: &mut SparseVector<Y>,
+    scratch: &mut Option<SparseVector<Y>>,
+    multiply_leg: impl Fn(L, &mut SparseVector<Y>),
+) where
+    Y: Clone + Default,
+    A: Fn(&mut Y, Y),
+{
+    multiply_leg(first, reduced);
+    if let Some(second) = second {
+        let scratch = scratch.get_or_insert_with(|| SparseVector::new(reduced.len()));
+        multiply_leg(second, scratch);
+        for (k, v) in scratch.iter() {
+            reduced.merge(k, v.clone(), |acc, value| add(acc, value));
         }
     }
 }
@@ -946,7 +774,7 @@ fn run_pull_into<P>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{Graph, GraphBuildOptions};
+    use crate::topology::{GraphBuildOptions, Topology};
     use graphmat_io::edgelist::EdgeList;
 
     /// SSSP as in the paper's Figure 3 / appendix.
@@ -979,9 +807,8 @@ mod tests {
         }
     }
 
-    fn figure3_graph() -> Graph<f32> {
-        // Figure 3(a): A=0,B=1,C=2,D=3,E=4. Pull mirrors on, so the same
-        // graph serves the push and pull backend tests.
+    fn figure3_topology() -> Topology<f32> {
+        // Figure 3(a): A=0,B=1,C=2,D=3,E=4.
         let el = EdgeList::from_tuples(
             5,
             vec![
@@ -994,156 +821,145 @@ mod tests {
                 (4, 0, 4.0),
             ],
         );
-        Graph::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_partitions(2)
-                .with_pull_mirrors(true),
-        )
+        Topology::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2))
+    }
+
+    /// Distance 0 at the source, infinity elsewhere; `all_active` picks
+    /// between "only the source sends" and "everyone sends".
+    fn sssp_state(topology: &Topology<f32>, all_active: bool) -> VertexState<f32> {
+        let mut state = VertexState::for_topology(topology);
+        state.set_all_properties(f32::MAX);
+        state.set_property(0, 0.0);
+        if all_active {
+            state.set_all_active();
+        } else {
+            state.set_active(0);
+        }
+        state
+    }
+
+    /// One superstep into a fresh workspace.
+    fn step<P: GraphProgram>(
+        topology: &Topology<P::Edge>,
+        state: &VertexState<P::VertexProp>,
+        program: &P,
+        options: &RunOptions,
+        executor: &Executor,
+    ) -> Result<(SuperstepMetrics, Workspace<P>)> {
+        let traversal = Traversal::resolve(topology.into(), program.direction(), options.vector)?;
+        let mut ws = Workspace::<P>::new(topology.num_vertices() as usize, options);
+        let active = state.active_count();
+        let metrics = superstep(
+            &traversal, state, program, options, executor, active, 0, &mut ws,
+        )?;
+        Ok((metrics, ws))
+    }
+
+    fn push_options() -> RunOptions {
+        RunOptions::default().with_vector(VectorKind::Bitvector)
     }
 
     #[test]
     fn figure3_first_superstep() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        let out = superstep(
-            g.topology(),
-            g.state(),
+        let topology = figure3_topology();
+        let state = sssp_state(&topology, false);
+        let (out, ws) = step(
+            &topology,
+            &state,
             &Sssp,
-            &RunOptions::sequential(),
+            &push_options(),
             &Executor::sequential(),
         )
         .unwrap();
         assert_eq!(out.messages_sent, 1);
         assert_eq!(out.edges_processed, 3);
         assert_eq!(out.backend, Backend::Push);
-        assert_eq!(out.reduced.to_entries(), vec![(1, 1.0), (2, 3.0), (3, 2.0)]);
+        assert_eq!(
+            ws.reduced().to_entries(),
+            vec![(1, 1.0), (2, 3.0), (3, 2.0)]
+        );
     }
 
     #[test]
     fn dispatch_modes_agree() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_all_active();
+        let topology = figure3_topology();
+        let state = sssp_state(&topology, true);
         let executor = Executor::new(2);
-        let fast = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::default().with_dispatch(DispatchMode::Static),
-            &executor,
-        )
-        .unwrap();
-        let slow = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::default().with_dispatch(DispatchMode::Dynamic),
-            &executor,
-        )
-        .unwrap();
-        assert_eq!(fast.reduced.to_entries(), slow.reduced.to_entries());
+        let run = |vector: VectorKind, dispatch: DispatchMode| {
+            let options = RunOptions::default()
+                .with_vector(vector)
+                .with_dispatch(dispatch);
+            let (out, ws) = step(&topology, &state, &Sssp, &options, &executor).unwrap();
+            (out.backend, ws.reduced().to_entries())
+        };
+        let (_, fast) = run(VectorKind::Bitvector, DispatchMode::Static);
+        let (_, slow) = run(VectorKind::Bitvector, DispatchMode::Dynamic);
+        assert_eq!(fast, slow);
 
         // The same ablation must hold on the pull backend.
-        let pull_fast = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::default()
-                .with_vector(VectorKind::Dense)
-                .with_dispatch(DispatchMode::Static),
-            &executor,
-        )
-        .unwrap();
-        let pull_slow = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::default()
-                .with_vector(VectorKind::Dense)
-                .with_dispatch(DispatchMode::Dynamic),
-            &executor,
-        )
-        .unwrap();
-        assert_eq!(pull_fast.backend, Backend::Pull);
-        assert_eq!(pull_fast.reduced.to_entries(), fast.reduced.to_entries());
-        assert_eq!(pull_slow.reduced.to_entries(), fast.reduced.to_entries());
+        let (backend, pull_fast) = run(VectorKind::Dense, DispatchMode::Static);
+        let (_, pull_slow) = run(VectorKind::Dense, DispatchMode::Dynamic);
+        assert_eq!(backend, Backend::Pull);
+        assert_eq!(pull_fast, fast);
+        assert_eq!(pull_slow, fast);
     }
 
     #[test]
     fn vector_kinds_agree() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_all_active();
+        let topology = figure3_topology();
+        let state = sssp_state(&topology, true);
         let executor = Executor::sequential();
         let run = |kind: VectorKind| {
-            superstep(
-                g.topology(),
-                g.state(),
-                &Sssp,
-                &RunOptions::default().with_vector(kind),
-                &executor,
-            )
-            .unwrap()
+            let options = RunOptions::default().with_vector(kind);
+            let (out, ws) = step(&topology, &state, &Sssp, &options, &executor).unwrap();
+            (out.backend, ws.reduced().to_entries())
         };
-        let bitvec = run(VectorKind::Bitvector);
-        let sorted = run(VectorKind::Sorted);
-        let dense = run(VectorKind::Dense);
-        let auto = run(VectorKind::Auto);
-        assert_eq!(bitvec.reduced.to_entries(), sorted.reduced.to_entries());
-        assert_eq!(bitvec.reduced.to_entries(), dense.reduced.to_entries());
-        assert_eq!(bitvec.reduced.to_entries(), auto.reduced.to_entries());
-        assert_eq!(dense.backend, Backend::Pull);
+        let (_, bitvec) = run(VectorKind::Bitvector);
+        let (_, sorted) = run(VectorKind::Sorted);
+        let (dense_backend, dense) = run(VectorKind::Dense);
+        let (_, auto) = run(VectorKind::Auto);
+        assert_eq!(bitvec, sorted);
+        assert_eq!(bitvec, dense);
+        assert_eq!(bitvec, auto);
+        assert_eq!(dense_backend, Backend::Pull);
+    }
+
+    fn mirrorless_chain() -> Topology<f32> {
+        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
+        Topology::from_edge_list(
+            &el,
+            GraphBuildOptions::default()
+                .with_pull_mirrors(false)
+                .with_partitions(1),
+        )
     }
 
     #[test]
     fn forced_dense_without_mirrors_is_an_error() {
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let mut g: Graph<f32> = Graph::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_pull_mirrors(false)
-                .with_partitions(1),
-        );
-        g.set_all_active();
-        let err = superstep(
-            g.topology(),
-            g.state(),
-            &Sssp,
-            &RunOptions::sequential().with_vector(VectorKind::Dense),
-            &Executor::sequential(),
-        )
-        .unwrap_err();
-        assert_eq!(err, crate::error::GraphMatError::MissingPullMirror);
+        let topology = mirrorless_chain();
+        let err = Traversal::resolve((&topology).into(), EdgeDirection::Out, VectorKind::Dense)
+            .err()
+            .unwrap();
+        assert_eq!(err, GraphMatError::MissingPullMirror);
     }
 
     #[test]
     fn auto_without_mirrors_degrades_to_push() {
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let mut g: Graph<f32> = Graph::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_pull_mirrors(false)
-                .with_partitions(1),
-        );
-        g.set_all_properties(0.0);
-        g.set_all_active();
-        let out = superstep(
-            g.topology(),
-            g.state(),
+        let topology = mirrorless_chain();
+        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
+        state.set_all_active();
+        let (out, ws) = step(
+            &topology,
+            &state,
             &Sssp,
-            &RunOptions::sequential().with_vector(VectorKind::Auto),
+            &RunOptions::default(),
             &Executor::sequential(),
         )
         .unwrap();
         // A fully-dense frontier would normally pull; without mirrors the
         // selector must settle for push and still produce the right answer.
         assert_eq!(out.backend, Backend::Push);
-        assert_eq!(out.reduced.to_entries(), vec![(1, 1.0), (2, 1.0)]);
+        assert_eq!(ws.reduced().to_entries(), vec![(1, 1.0), (2, 1.0)]);
     }
 
     #[test]
@@ -1162,35 +978,35 @@ mod tests {
 
     #[test]
     fn workspace_reuse_across_supersteps_matches_fresh_outputs() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_all_active();
-        let options = RunOptions::default();
+        let topology = figure3_topology();
+        let state = sssp_state(&topology, true);
+        let options = push_options();
         let executor = Executor::new(2);
-        let mut ws = Workspace::<Sssp>::new(g.num_vertices() as usize, &options);
+        let traversal =
+            Traversal::resolve((&topology).into(), EdgeDirection::Out, options.vector).unwrap();
+        let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize, &options);
         for _ in 0..3 {
-            let fresh = superstep(g.topology(), g.state(), &Sssp, &options, &executor).unwrap();
-            let metrics = superstep_into(
-                g.topology(),
-                g.state(),
+            let (fresh, fresh_ws) = step(&topology, &state, &Sssp, &options, &executor).unwrap();
+            let metrics = superstep(
+                &traversal,
+                &state,
                 &Sssp,
                 &options,
                 &executor,
-                g.active_count(),
+                state.active_count(),
                 0,
                 &mut ws,
             )
             .unwrap();
             assert_eq!(metrics.messages_sent, fresh.messages_sent);
             assert_eq!(metrics.edges_processed, fresh.edges_processed);
-            assert_eq!(ws.reduced().to_entries(), fresh.reduced.to_entries());
+            assert_eq!(ws.reduced().to_entries(), fresh_ws.reduced().to_entries());
         }
     }
 
     #[test]
     fn workspace_compatibility_checks_length_and_kind() {
-        let bitvec_opts = RunOptions::default();
+        let bitvec_opts = push_options();
         let sorted_opts = RunOptions::default().with_vector(VectorKind::Sorted);
         let dense_opts = RunOptions::default().with_vector(VectorKind::Dense);
         let auto_opts = RunOptions::default().with_vector(VectorKind::Auto);
@@ -1241,47 +1057,48 @@ mod tests {
         }
     }
 
+    fn all_active_step(
+        tuples: Vec<(u32, u32, f32)>,
+        n: u32,
+        options: GraphBuildOptions,
+    ) -> Result<(SuperstepMetrics, Workspace<InDegreeLike>)> {
+        let topology = Topology::from_edge_list(&EdgeList::from_tuples(n, tuples), options);
+        let mut state: VertexState<u32> = VertexState::for_topology(&topology);
+        state.set_all_active();
+        step(
+            &topology,
+            &state,
+            &InDegreeLike,
+            &push_options(),
+            &Executor::sequential(),
+        )
+    }
+
     #[test]
     fn in_direction_counts_out_degrees() {
         // Scattering along in-edges delivers, to each vertex, one message per
         // out-edge it has (y = G·x with x = all ones).
-        let mut g: Graph<u32> = {
-            let el =
-                EdgeList::from_tuples(4, vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-            Graph::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2))
-        };
-        g.set_all_active();
-        let out = superstep(
-            g.topology(),
-            g.state(),
-            &InDegreeLike,
-            &RunOptions::sequential(),
-            &Executor::sequential(),
+        let (_, ws) = all_active_step(
+            vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
+            4,
+            GraphBuildOptions::default().with_partitions(2),
         )
         .unwrap();
-        assert_eq!(out.reduced.get(0), Some(&2)); // vertex 0 has 2 out-edges
-        assert_eq!(out.reduced.get(1), Some(&1));
-        assert_eq!(out.reduced.get(2), Some(&1));
-        assert_eq!(out.reduced.get(3), None); // no out-edges
+        assert_eq!(ws.reduced().get(0), Some(&2)); // vertex 0 has 2 out-edges
+        assert_eq!(ws.reduced().get(1), Some(&1));
+        assert_eq!(ws.reduced().get(2), Some(&1));
+        assert_eq!(ws.reduced().get(3), None); // no out-edges
     }
 
     #[test]
     fn in_direction_counts_only_in_degrees_for_edges_processed() {
-        // Satellite bugfix: SEND must account only the degree array the
-        // direction requires. Vertex 0 here has 2 out-edges and 0 in-edges;
-        // an In-direction program sending from {0} therefore processes 0
-        // edges (the old code read both arrays and, for Out, still did two
-        // degree lookups per sender).
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]);
-        let mut g: Graph<u32> =
-            Graph::from_edge_list(&el, GraphBuildOptions::default().with_partitions(1));
-        g.set_all_active();
-        let out = superstep(
-            g.topology(),
-            g.state(),
-            &InDegreeLike,
-            &RunOptions::sequential(),
-            &Executor::sequential(),
+        // SEND must account only the degree array the direction requires.
+        // Vertex 0 here has 2 out-edges and 0 in-edges; an In-direction
+        // program sending from {0} therefore processes 0 edges.
+        let (out, _) = all_active_step(
+            vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)],
+            3,
+            GraphBuildOptions::default().with_partitions(1),
         )
         .unwrap();
         // in-degrees: v0=0, v1=1, v2=2 → total 3 edges for an In program
@@ -1290,59 +1107,32 @@ mod tests {
 
     #[test]
     fn in_direction_without_in_matrix_is_an_error_not_a_panic() {
-        // Satellite bugfix: the engine used to hit an `expect` here even
-        // though the runner's entry point returns Result — the missing
-        // matrix is now a typed error on every core path, before SEND does
-        // any work (only the deprecated Graph facade still panics).
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0)]);
-        let mut g: Graph<u32> = Graph::from_edge_list(
-            &el,
+        let err = all_active_step(
+            vec![(0, 1, 1.0)],
+            3,
             GraphBuildOptions::default()
                 .with_in_edges(false)
                 .with_partitions(1),
-        );
-        g.set_all_active();
-        let err = superstep(
-            g.topology(),
-            g.state(),
-            &InDegreeLike,
-            &RunOptions::sequential(),
-            &Executor::sequential(),
         )
-        .unwrap_err();
-        assert_eq!(err, crate::error::GraphMatError::MissingInMatrix);
-    }
-
-    #[test]
-    #[should_panic(expected = "used with a topology of")]
-    fn mismatched_state_is_rejected_with_diagnostics_in_release_too() {
-        // A plain assert (not debug_assert): the split API makes this
-        // pairing expressible, and it must not surface as a bare
-        // slice-index panic inside SEND.
-        let g = figure3_graph();
-        let wrong: crate::state::VertexState<f32> = crate::state::VertexState::new(3);
-        let _ = superstep(
-            g.topology(),
-            &wrong,
-            &Sssp,
-            &RunOptions::sequential(),
-            &Executor::sequential(),
-        );
+        .err()
+        .unwrap();
+        assert_eq!(err, GraphMatError::MissingInMatrix);
     }
 
     #[test]
     fn inactive_graph_produces_no_work() {
-        let g = figure3_graph();
-        let out = superstep(
-            g.topology(),
-            g.state(),
+        let topology = figure3_topology();
+        let state: VertexState<f32> = VertexState::for_topology(&topology);
+        let (out, ws) = step(
+            &topology,
+            &state,
             &Sssp,
-            &RunOptions::sequential(),
+            &push_options(),
             &Executor::sequential(),
         )
         .unwrap();
         assert_eq!(out.messages_sent, 0);
         assert_eq!(out.edges_processed, 0);
-        assert_eq!(out.reduced.nnz(), 0);
+        assert_eq!(ws.reduced().nnz(), 0);
     }
 }

@@ -5,9 +5,9 @@
 //! `expect`. The redesigned frontend returns [`GraphMatError`] from every
 //! fallible path instead, so a serving layer embedding the engine can turn
 //! bad queries into error responses rather than crashed workers. The
-//! deprecated [`crate::graph::Graph`] facade keeps the panicking behaviour
-//! for compatibility, but its panic messages now carry the same diagnostic
-//! payload (vertex id and vertex count) as the typed errors.
+//! documented panicking accessors that remain (`Topology::out_degree`,
+//! `VertexState::property`, …) carry the same diagnostic payload (vertex id
+//! and vertex count) as the typed errors, and each has a `try_*` twin.
 
 use crate::program::VertexId;
 

@@ -59,31 +59,22 @@
 //! session — the matrix is never cloned. That separation is what a serving
 //! frontend (many independent queries over one resident graph) needs.
 //!
-//! # Migrating from the fused `Graph` API
+//! # The run surface
 //!
-//! [`graph::Graph<V, E>`] (one topology fused with one state) remains as a
-//! thin delegating facade, but new code should use the session frontend:
+//! One engine path, three altitudes — each reduces to the one below:
 //!
-//! | old (fused `Graph`) | new (`Session`/`Topology`/`VertexState`) |
-//! |---|---|
-//! | `Graph::from_edge_list(&edges, opts)` | `session.build_graph(&edges).partitions(16).finish()?` |
-//! | `GraphBuildOptions::default().with_in_edges(false)` | `.in_edges(false)` on the graph builder |
-//! | `graph.set_all_properties(v)` | `.init_all(v)` on the run builder |
-//! | `graph.init_properties(f)` | `.init_with(f)` on the run builder |
-//! | `graph.set_property(src, 0.0); graph.set_active(src)` | `.seed_with(src, 0.0)` on the run builder |
-//! | `graph.set_all_active()` | `.activate_all()` on the run builder |
-//! | `RunOptions::default().with_max_iterations(50)` | `.max_iterations(50)` on the run builder |
-//! | `run_graph_program(&prog, &mut graph, &opts)` | `session.run(&topo, prog)…execute()?` |
-//! | `graph.properties()` after the run | `outcome.values` (moved, not cloned) |
-//! | clone the whole `Graph` per concurrent run | share one `Arc<Topology>`, one `VertexState` per run |
-//! | panics on misuse | typed [`error::GraphMatError`]s |
-//! | always-push SpMV (`RunOptions::default()`, still `VectorKind::Bitvector`) | direction-optimized [`options::VectorKind::Auto`] — the session default; force with `.vector(Bitvector \| Sorted \| Dense)` |
-//! | *(no equivalent)* | `.pull_alpha(α)` tunes when `Auto` switches to the pull backend |
-//! | *(no equivalent)* | `.pull_enabled(false)` on the graph builder skips the CSR mirrors (≈ halves matrix memory, pins `Auto` to push) |
+//! | entry point | takes | use it for |
+//! |---|---|---|
+//! | `x_on(session, view, cfg)` / `x_into(session, view, …, deadline, &mut state)` in `graphmat-algorithms` | a packaged algorithm | `x_on` allocates a fresh state and returns the values; `x_into` writes into a pooled [`state::VertexState`] (the serving hot path) |
+//! | [`session::Session::run`]`(view, program)` → [`session::RunBuilder`] | any [`program::GraphProgram`] | `.init_all` / `.seed_with` / `.activate_all`, per-run option overrides, then `.execute()` (fresh state) or `.execute_with(&mut state)` (pooled) |
+//! | [`runner::run_program`]`(program, view, state, options, executor, ws)` | explicit state + executor + workspace | embedding the superstep loop without a session |
 //!
-//! Lower-level entry points remain for advanced embedding:
-//! [`runner::run_program`] (explicit topology + state + executor +
-//! workspace) is what both the session and the facades reduce to.
+//! `view` is always a [`view::GraphView`]: `&Topology`, `&Arc<Topology>` and
+//! `snapshot.view()` (a [`store::GraphStore`] snapshot, possibly with pending
+//! edits) all convert into it, so a resident topology and a streaming
+//! snapshot go through the same functions. [`options::RunOptions`] and
+//! [`topology::GraphBuildOptions`] have one set of defaults (`Auto` backend,
+//! pull mirrors built); a [`session::Session`] adds only its pool size.
 //!
 //! # Direction optimization (PR-4)
 //!
@@ -91,7 +82,7 @@
 //! traversal, perfect for sparse frontiers, wasteful when most vertices are
 //! active. This reproduction adds the *dense pull* backend (row-parallel
 //! SpMV over a row-major CSR mirror of the partitioned matrix) and, with
-//! [`options::VectorKind::Auto`] — the session default — picks push or pull
+//! [`options::VectorKind::Auto`] — the default — picks push or pull
 //! **per superstep** using Beamer's direction-switching rule
 //! ([`engine::choose_backend`]): pull when the frontier's out-edges exceed
 //! `unexplored_edges / α` and the frontier is not tiny. All backends reduce
@@ -128,17 +119,18 @@
 //!   growth counters, the allocation-free steady state for serving layers.
 //! * [`session`] — the session frontend: executor pool + builders.
 //! * [`error`] — [`error::GraphMatError`].
-//! * [`graph`] — the legacy fused facade ([`graph::Graph`]).
+//! * [`view`] — [`view::GraphView`], the one graph argument the engine takes.
+//! * [`store`] — [`store::GraphStore`]: streaming updates as published
+//!   snapshots over an immutable base.
 //! * [`engine`] — one superstep: SEND + generalized SpMV into a reusable
 //!   workspace.
-//! * [`runner`] — the iteration loop with convergence detection and the
-//!   APPLY phase (Algorithm 2).
+//! * [`runner`] — the run prologue, the iteration loop with convergence
+//!   detection and the APPLY phase (Algorithm 2).
 //! * [`options`] — run-time knobs including the Figure 7 ablation toggles.
 //! * [`stats`] — per-superstep and whole-run statistics.
 
 pub mod engine;
 pub mod error;
-pub mod graph;
 pub mod options;
 pub mod pool;
 pub mod program;
@@ -152,16 +144,13 @@ pub mod view;
 
 pub use engine::{choose_backend, PULL_BETA};
 pub use error::GraphMatError;
-pub use graph::{Graph, GraphBuildOptions};
 pub use options::{ActivityPolicy, DispatchMode, RunOptions, VectorKind, DEFAULT_PULL_ALPHA};
 pub use pool::StatePool;
 pub use program::{EdgeDirection, GraphProgram, VertexId};
-pub use runner::{
-    run_graph_program, run_graph_program_with, run_program, run_program_view, RunResult,
-};
+pub use runner::{run_program, RunResult};
 pub use session::{GraphBuilder, RunBuilder, RunOutcome, Session, SessionOptions};
 pub use state::VertexState;
 pub use stats::{Backend, RunStats, SuperstepStats};
 pub use store::{GraphSnapshot, GraphStore, StoreOptions, StoreStats};
-pub use topology::Topology;
+pub use topology::{GraphBuildOptions, Topology};
 pub use view::GraphView;

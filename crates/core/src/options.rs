@@ -2,28 +2,19 @@
 //!
 //! The paper stresses that GraphMat leaves almost no tuning to the user: "the
 //! only tunable ones are number of threads and number of desired matrix
-//! partitions" (§5.4). [`RunOptions`] exposes exactly those two knobs plus
-//! the iteration limit — and, additionally, the two *ablation* switches that
-//! the Figure 7 experiment needs to reconstruct the naive baselines
+//! partitions" (§5.4). Those two belong to the [`crate::session::Session`]
+//! (its pool size) and the graph builder; [`RunOptions`] holds what one run
+//! can vary: the iteration limit, the two *ablation* switches that the
+//! Figure 7 experiment needs to reconstruct the naive baselines
 //! (sorted-tuple sparse vectors instead of bitvector-backed ones, and dynamic
 //! dispatch of the user callbacks instead of monomorphised/inlined calls,
-//! standing in for compiling without `-ipo`) — plus the direction-
+//! standing in for compiling without `-ipo`), and the direction-
 //! optimization knobs this reproduction adds beyond the paper:
 //! [`VectorKind`] grew `Dense` (force the row-wise pull backend) and `Auto`
-//! (per-superstep push/pull selection, the `Session` default), with
+//! (per-superstep push/pull selection, the default), with
 //! [`RunOptions::pull_alpha`] tuning when `Auto` switches.
-//!
-//! # Thread-count resolution
-//!
-//! `nthreads == 0` means "use every available hardware thread" and is
-//! resolved in exactly one place: [`RunOptions::effective_threads`]. The
-//! resolved value (always ≥ 1) is what gets passed to
-//! [`Executor::new`], which since the `Session` redesign *asserts* on zero
-//! instead of silently clamping — the old code clamped in both places, and
-//! the two clamps could disagree about what `0` meant.
 
 use crate::error::{GraphMatError, Result};
-use graphmat_sparse::parallel::{available_threads, Executor};
 use std::time::Instant;
 
 /// How the user's `process_message`/`reduce` callbacks are dispatched inside
@@ -64,42 +55,33 @@ pub enum ActivityPolicy {
 /// dense-pull per superstep based on frontier density. All four produce
 /// **bit-for-bit identical results** — push and pull both reduce each
 /// destination's incoming products in ascending source order — so the choice
-/// is purely about performance.
-///
-/// `Auto` is the default of [`crate::session::SessionOptions`] (and of
-/// [`crate::session::Session::sequential`]); `RunOptions::default()` keeps
-/// `Bitvector`, the paper's original always-push configuration, so the
-/// legacy facades and the Figure 4/5/7 baselines reproduce the paper
-/// unchanged.
+/// is purely about performance. `Auto` is the default; the paper's original
+/// always-push configuration is `Bitvector`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum VectorKind {
     /// Bit vector + dense value array, always pushed (the paper's choice,
     /// §4.4.2).
-    #[default]
     Bitvector,
     /// Sorted `(index, value)` tuples, always pushed (the rejected
     /// alternative, kept for the Figure 7 "+bitvector" ablation step).
     Sorted,
     /// Dense value array + validity bitmap, always **pulled** through the
     /// row-major CSR mirror. Requires a topology built with pull mirrors
-    /// (the session graph builder's default; legacy
-    /// `GraphBuildOptions::default()` leaves them off) — forcing `Dense` on
-    /// a mirror-less topology is [`GraphMatError::MissingPullMirror`].
+    /// (the build default) — forcing `Dense` on a mirror-less topology is
+    /// [`GraphMatError::MissingPullMirror`].
     Dense,
     /// Direction-optimized: per superstep, pick push (bitvector) or pull
     /// (dense) with the Beamer-style rule — pull when the frontier's
     /// out-edges outnumber `unexplored_edges / α` **and** the frontier
     /// itself is not tiny (see [`RunOptions::pull_alpha`]). On a topology
     /// without pull mirrors, `Auto` always pushes.
+    #[default]
     Auto,
 }
 
 /// Options controlling one run of a vertex program.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
-    /// Number of worker threads; `0` means use all available hardware
-    /// threads (resolved once, by [`RunOptions::effective_threads`]).
-    pub nthreads: usize,
     /// Maximum number of supersteps; `None` runs until no vertex changes
     /// state (the paper's `-1` argument). `Some(0)` is rejected by
     /// [`RunOptions::validate`] — a zero-superstep "run" is a no-op the
@@ -139,10 +121,9 @@ pub const DEFAULT_PULL_ALPHA: f64 = 14.0;
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            nthreads: 0,
             max_iterations: None,
             dispatch: DispatchMode::Static,
-            vector: VectorKind::Bitvector,
+            vector: VectorKind::Auto,
             pull_alpha: DEFAULT_PULL_ALPHA,
             activity: ActivityPolicy::Changed,
             record_supersteps: true,
@@ -152,20 +133,6 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Options for a sequential (single-threaded) run.
-    pub fn sequential() -> Self {
-        RunOptions {
-            nthreads: 1,
-            ..Default::default()
-        }
-    }
-
-    /// Set the thread count (`0` = all available).
-    pub fn with_threads(mut self, nthreads: usize) -> Self {
-        self.nthreads = nthreads;
-        self
-    }
-
     /// Set the maximum number of supersteps.
     pub fn with_max_iterations(mut self, max: usize) -> Self {
         self.max_iterations = Some(max);
@@ -209,8 +176,7 @@ impl RunOptions {
     /// a non-positive or non-finite [`RunOptions::pull_alpha`] yields
     /// [`GraphMatError::InvalidParameter`].
     /// Called by the `Session` frontend at construction and before every
-    /// builder-driven run; the legacy facades keep their permissive
-    /// behaviour (a `Some(0)` run simply executes zero supersteps).
+    /// builder-driven run.
     pub fn validate(&self) -> Result<()> {
         if self.max_iterations == Some(0) {
             return Err(GraphMatError::ZeroIterations);
@@ -222,26 +188,6 @@ impl RunOptions {
         }
         Ok(())
     }
-
-    /// The effective number of threads this configuration will use — the
-    /// **single** place where `nthreads == 0` is resolved (to all available
-    /// hardware threads). Always returns at least 1.
-    pub fn effective_threads(&self) -> usize {
-        if self.nthreads == 0 {
-            available_threads()
-        } else {
-            self.nthreads
-        }
-    }
-
-    /// Build the executor for this configuration. For more than one thread
-    /// this spawns the persistent worker pool, so build it once per run (as
-    /// `run_graph_program` does) or once per process and share it across
-    /// runs via a [`crate::session::Session`] or
-    /// [`crate::runner::run_graph_program_with`] — never per superstep.
-    pub fn executor(&self) -> Executor {
-        Executor::new(self.effective_threads())
-    }
 }
 
 #[cfg(test)]
@@ -249,35 +195,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_match_paper_recommendations() {
+    fn defaults_are_static_dispatch_and_direction_optimized() {
         let o = RunOptions::default();
         assert_eq!(o.dispatch, DispatchMode::Static);
-        assert_eq!(o.vector, VectorKind::Bitvector);
+        assert_eq!(o.vector, VectorKind::Auto);
         assert!(o.max_iterations.is_none());
-        assert!(o.effective_threads() >= 1);
         assert!(o.validate().is_ok());
     }
 
     #[test]
     fn builder_methods_compose() {
         let o = RunOptions::default()
-            .with_threads(3)
             .with_max_iterations(7)
             .with_dispatch(DispatchMode::Dynamic)
             .with_vector(VectorKind::Sorted);
-        assert_eq!(o.nthreads, 3);
-        assert_eq!(o.effective_threads(), 3);
         assert_eq!(o.max_iterations, Some(7));
         assert_eq!(o.dispatch, DispatchMode::Dynamic);
         assert_eq!(o.vector, VectorKind::Sorted);
         assert!(o.validate().is_ok());
-    }
-
-    #[test]
-    fn sequential_uses_one_thread() {
-        let o = RunOptions::sequential();
-        assert_eq!(o.effective_threads(), 1);
-        assert_eq!(o.executor().nthreads(), 1);
     }
 
     #[test]
@@ -306,15 +241,5 @@ mod tests {
             .with_max_iterations(1)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn effective_threads_is_the_single_resolution_point() {
-        // 0 resolves to available parallelism here — Executor::new never
-        // sees a zero (it asserts instead of clamping).
-        let o = RunOptions::default().with_threads(0);
-        let resolved = o.effective_threads();
-        assert!(resolved >= 1);
-        assert_eq!(o.executor().nthreads(), resolved);
     }
 }

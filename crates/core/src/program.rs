@@ -25,8 +25,8 @@
 //! # The `Edge` associated type
 //!
 //! [`GraphProgram::Edge`] selects the edge value type the program traverses:
-//! the graph passed to [`crate::runner::run_graph_program`] must be a
-//! `Graph<VertexProp, Edge>`, and its DCSC matrices store exactly that type.
+//! the graph the program runs over must be a `Topology<Edge>` (or a view of
+//! one), and its DCSC matrices store exactly that type.
 //! Two cases matter in practice:
 //!
 //! * **weighted programs** (`Edge = f32`, `u32`, …) read the value in

@@ -8,11 +8,19 @@
 //!
 //! # Topology / state split
 //!
-//! The loop reads an immutable [`Topology`] and mutates a caller-owned
-//! [`VertexState`] — nothing about the matrices changes during a run, so one
-//! `Arc<Topology>` can serve any number of concurrent [`run_program`] calls,
-//! each with its own state. Mismatched state lengths and missing in-edge
-//! matrices are reported as [`GraphMatError`]s before the first superstep.
+//! The loop reads an immutable [`GraphView`] — a base
+//! [`Topology`](crate::topology::Topology) plus any pending overlay — and
+//! mutates a caller-owned [`VertexState`]. Nothing about the matrices
+//! changes during a run, so one `Arc<Topology>` can serve any number of
+//! concurrent [`run_program`] calls, each with its own state.
+//!
+//! # The prologue
+//!
+//! Everything that can reject a run is checked once, by `admit`, before
+//! the first superstep and before anything is mutated: the state's length,
+//! and — through `Traversal::resolve` — the in-edge matrix and pull mirrors
+//! the program's direction and the options' backend need. The supersteps
+//! then run over the resolved `Traversal` with no further checks.
 //!
 //! # Execution resources
 //!
@@ -20,17 +28,14 @@
 //! [`Workspace`] (message/output/work-list buffers) serve every superstep —
 //! the loop itself spawns no threads and allocates nothing in the steady
 //! state. The [`crate::session::Session`] frontend owns a process-lifetime
-//! executor and recycles workspaces through pooled states; the legacy
-//! [`run_graph_program`] facade builds both per call.
+//! executor and recycles workspaces through pooled states.
 
-use crate::engine::{superstep_view_into, Workspace, PARALLEL_PHASE_MIN_WORK};
+use crate::engine::{superstep, Traversal, Workspace, PARALLEL_PHASE_MIN_WORK};
 use crate::error::{GraphMatError, Result};
-use crate::graph::Graph;
-use crate::options::{ActivityPolicy, RunOptions, VectorKind};
-use crate::program::{EdgeDirection, GraphProgram};
+use crate::options::{ActivityPolicy, RunOptions};
+use crate::program::GraphProgram;
 use crate::state::VertexState;
 use crate::stats::{RunStats, SuperstepStats};
-use crate::topology::Topology;
 use crate::view::GraphView;
 use graphmat_sparse::parallel::{chunks, Executor};
 use graphmat_sparse::spvec::MessageVector;
@@ -47,86 +52,81 @@ pub struct RunResult {
     pub converged: bool,
 }
 
-/// Run a vertex program over an immutable topology and a caller-owned
-/// mutable state, reusing a caller-owned workspace.
+/// Run a vertex program over a graph view and a caller-owned mutable state,
+/// reusing a caller-owned workspace.
 ///
-/// This is the core entry point the `Session` frontend and the legacy
-/// facades both reduce to. The state's current vertex properties and active
-/// set are the program's initial state; on return the state holds the final
-/// properties.
+/// This is the one entry point the `Session` frontend and every algorithm
+/// driver reduce to. `view` is anything that converts into a [`GraphView`]:
+/// `&Topology`, `&Arc<Topology>`, or `snapshot.view()` from a
+/// [`crate::store::GraphStore`] snapshot. A view with pending edits runs
+/// every superstep through the overlay-aware push SpMV, with results
+/// bit-for-bit identical to a run over a topology rebuilt from the edited
+/// edge list. The state's current vertex properties and active set are the
+/// program's initial state; on return the state holds the final properties.
 ///
 /// # Errors
 ///
 /// * [`GraphMatError::StateLengthMismatch`] if `state` was allocated for a
-///   different vertex count than `topology`;
+///   different vertex count than the view's topology;
 /// * [`GraphMatError::MissingInMatrix`] if the program scatters along
 ///   in-edges (`In`/`Both`) but the topology was built with
 ///   `build_in_edges = false`;
+/// * [`GraphMatError::InvalidParameter`] if the options force the pull
+///   backend (`VectorKind::Dense`) while edits are pending — the pull
+///   mirrors describe the unedited base (`VectorKind::Auto` pushes
+///   instead) — or if `ws` was allocated for a different vertex count or
+///   vector kind than this run's;
 /// * [`GraphMatError::MissingPullMirror`] if the options force the pull
-///   backend (`VectorKind::Dense`) but the topology was built with
-///   `build_pull_mirrors = false` (`VectorKind::Auto` instead degrades to
-///   always-push on such a topology).
+///   backend but the topology was built with `build_pull_mirrors = false`
+///   (`VectorKind::Auto` instead degrades to always-push).
 ///
-/// All three are reported **before** the first superstep.
-pub fn run_program<P: GraphProgram>(
+/// All of them are reported **before** the first superstep, in that order,
+/// with `state` untouched.
+pub fn run_program<'a, P: GraphProgram>(
     program: &P,
-    topology: &Topology<P::Edge>,
+    view: impl Into<GraphView<'a, P::Edge>>,
     state: &mut VertexState<P::VertexProp>,
     options: &RunOptions,
     executor: &Executor,
     ws: &mut Workspace<P>,
-) -> Result<RunResult> {
-    run_program_view(
-        program,
-        GraphView::base(topology),
-        state,
-        options,
-        executor,
-        ws,
-    )
+) -> Result<RunResult>
+where
+    P::Edge: 'a,
+{
+    let traversal = admit(program, view.into(), state, options)?;
+    if !ws.is_compatible(state.num_vertices(), options) {
+        return Err(GraphMatError::InvalidParameter(
+            "workspace was allocated for a different vertex count or vector kind",
+        ));
+    }
+    run_admitted(program, &traversal, state, options, executor, ws)
 }
 
-/// [`run_program`] over a `(base ⊕ delta)` [`GraphView`] — what snapshot
-/// queries against a [`crate::store::GraphStore`] reduce to. A view without
-/// an overlay behaves exactly like [`run_program`]; a view with pending
-/// edits runs every superstep through the overlay-aware push SpMV, with
-/// results bit-for-bit identical to a run over a topology rebuilt from the
-/// edited edge list.
-///
-/// # Errors
-///
-/// Everything [`run_program`] reports, plus
-/// [`GraphMatError::InvalidParameter`] when the options force the pull
-/// backend (`VectorKind::Dense`) while edits are pending — the pull mirrors
-/// describe the unedited base, so that combination cannot run
-/// (`VectorKind::Auto` pushes instead). Reported **before** the first
-/// superstep.
-pub fn run_program_view<P: GraphProgram>(
+/// The run prologue: every check that can reject a run, made once. Callers
+/// that initialise the state themselves (the session's run builder) admit
+/// first, so a rejected run leaves a pooled state's contents intact.
+pub(crate) fn admit<'a, P: GraphProgram>(
     program: &P,
-    view: GraphView<'_, P::Edge>,
+    view: GraphView<'a, P::Edge>,
+    state: &VertexState<P::VertexProp>,
+    options: &RunOptions,
+) -> Result<Traversal<'a, P::Edge>> {
+    state.check_matches(view.topology())?;
+    Traversal::resolve(view, program.direction(), options.vector)
+}
+
+/// The superstep loop over an admitted traversal. `ws` must be compatible
+/// with the state's vertex count and `options` (see
+/// [`Workspace::is_compatible`]).
+pub(crate) fn run_admitted<P: GraphProgram>(
+    program: &P,
+    traversal: &Traversal<'_, P::Edge>,
     state: &mut VertexState<P::VertexProp>,
     options: &RunOptions,
     executor: &Executor,
     ws: &mut Workspace<P>,
 ) -> Result<RunResult> {
-    let topology = view.topology();
-    state.check_matches(topology)?;
-    if program.direction() != EdgeDirection::Out && !topology.has_in_edges() {
-        return Err(GraphMatError::MissingInMatrix);
-    }
-    if options.vector == VectorKind::Dense {
-        if view.has_overlay() {
-            return Err(GraphMatError::InvalidParameter(
-                "VectorKind::Dense forces the pull backend, which cannot traverse a \
-                 snapshot with pending deltas; use Auto (or a push kind) until the \
-                 store compacts",
-            ));
-        }
-        if !topology.has_pull_mirrors() {
-            return Err(GraphMatError::MissingPullMirror);
-        }
-    }
-
+    let topology = traversal.view().topology();
     let mut stats = RunStats {
         matrix_bytes: topology.matrix_bytes(),
         nthreads: executor.nthreads(),
@@ -156,8 +156,8 @@ pub fn run_program_view<P: GraphProgram>(
             break;
         }
 
-        let output = superstep_view_into(
-            view,
+        let output = superstep(
+            traversal,
             state,
             program,
             options,
@@ -197,51 +197,6 @@ pub fn run_program_view<P: GraphProgram>(
     }
 
     Ok(RunResult { stats, converged })
-}
-
-/// Run a vertex program on a fused [`Graph`] until convergence or the
-/// iteration limit (legacy facade over [`run_program`]).
-///
-/// The graph's current vertex properties and active set are the program's
-/// initial state; algorithms are expected to set both before calling this
-/// (see the paper's appendix: set the source distance to 0 and mark it
-/// active). On return the graph holds the final vertex properties.
-///
-/// Builds one worker pool from `options` for the whole run; to reuse a pool
-/// across several runs, use [`run_graph_program_with`] or a
-/// [`crate::session::Session`]. Panics (with the [`GraphMatError`] message)
-/// where the session frontend would return an error. Note that the
-/// in-edge-matrix requirement is validated **eagerly**: an `In`/`Both`
-/// program on an out-only graph panics even if the empty active set or a
-/// zero iteration cap means no superstep would have touched the matrix
-/// (the pre-redesign loop only failed lazily, inside the first SpMV).
-pub fn run_graph_program<P: GraphProgram>(
-    program: &P,
-    graph: &mut Graph<P::VertexProp, P::Edge>,
-    options: &RunOptions,
-) -> RunResult {
-    let executor = options.executor();
-    run_graph_program_with(program, graph, options, &executor)
-}
-
-/// Like [`run_graph_program`], but on a caller-provided executor, so the
-/// worker pool can be shared across runs. `options.nthreads` is ignored in
-/// favour of the executor's lane count.
-pub fn run_graph_program_with<P: GraphProgram>(
-    program: &P,
-    graph: &mut Graph<P::VertexProp, P::Edge>,
-    options: &RunOptions,
-    executor: &Executor,
-) -> RunResult {
-    let (topology, state) = graph.parts_mut();
-    let mut ws = Workspace::<P>::new(topology.num_vertices() as usize, options);
-    match run_program(program, topology, state, options, executor, &mut ws) {
-        Ok(result) => result,
-        // audit:allow(no-unwrap): documented behaviour of this legacy facade
-        // (see the eager-validation note above); the fallible API is
-        // `run_program`.
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// APPLY the reduced values in the workspace, update the state's active set,
@@ -370,8 +325,9 @@ impl<V> SharedProps<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphBuildOptions;
+    use crate::options::VectorKind;
     use crate::program::{EdgeDirection, VertexId};
+    use crate::topology::{GraphBuildOptions, Topology};
     use graphmat_io::edgelist::EdgeList;
 
     /// SSSP, as in the paper's appendix listing.
@@ -408,7 +364,7 @@ mod tests {
         }
     }
 
-    fn figure3_graph() -> Graph<f32> {
+    fn figure3_topology() -> Topology<f32> {
         let el = EdgeList::from_tuples(
             5,
             vec![
@@ -421,76 +377,73 @@ mod tests {
                 (4, 0, 4.0),
             ],
         );
-        Graph::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2))
+        Topology::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2))
+    }
+
+    /// SSSP from `source` over the Figure 3 graph with a fresh state and
+    /// workspace: the final distances plus the run's result.
+    fn sssp_from(
+        source: Option<VertexId>,
+        options: &RunOptions,
+        executor: &Executor,
+    ) -> (Vec<f32>, RunResult) {
+        let topology = figure3_topology();
+        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
+        state.set_all_properties(f32::MAX);
+        if let Some(source) = source {
+            state.set_property(source, 0.0);
+            state.set_active(source);
+        }
+        let mut ws = Workspace::<Sssp>::new(state.num_vertices(), options);
+        let result = run_program(&Sssp, &topology, &mut state, options, executor, &mut ws).unwrap();
+        (state.into_properties(), result)
     }
 
     #[test]
     fn sssp_converges_to_figure3_distances() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        let result = run_graph_program(&Sssp, &mut g, &RunOptions::sequential());
+        let (distances, result) =
+            sssp_from(Some(0), &RunOptions::default(), &Executor::sequential());
         assert!(result.converged);
         // Final distances from A (paper Figure 3(d)): A=0, B=1, C=2, D=2, E=4
-        assert_eq!(*g.property(0), 0.0);
-        assert_eq!(*g.property(1), 1.0);
-        assert_eq!(*g.property(2), 2.0);
-        assert_eq!(*g.property(3), 2.0);
-        assert_eq!(*g.property(4), 4.0);
+        assert_eq!(distances, vec![0.0, 1.0, 2.0, 2.0, 4.0]);
         assert!(result.stats.iterations >= 3);
     }
 
     #[test]
     fn iteration_limit_is_respected() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        let result = run_graph_program(
-            &Sssp,
-            &mut g,
-            &RunOptions::sequential().with_max_iterations(1),
+        let (distances, result) = sssp_from(
+            Some(0),
+            &RunOptions::default().with_max_iterations(1),
+            &Executor::sequential(),
         );
         assert!(!result.converged);
         assert_eq!(result.stats.iterations, 1);
         // only A's direct neighbours have been relaxed
-        assert_eq!(*g.property(4), f32::MAX);
+        assert_eq!(distances[4], f32::MAX);
     }
 
     #[test]
     fn empty_active_set_converges_immediately() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        let result = run_graph_program(&Sssp, &mut g, &RunOptions::default());
+        let (_, result) = sssp_from(None, &RunOptions::default(), &Executor::sequential());
         assert!(result.converged);
         assert_eq!(result.stats.iterations, 0);
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
-        let mut g1 = figure3_graph();
-        g1.set_all_properties(f32::MAX);
-        g1.set_property(0, 0.0);
-        g1.set_active(0);
-        run_graph_program(&Sssp, &mut g1, &RunOptions::sequential());
-
-        let mut g2 = figure3_graph();
-        g2.set_all_properties(f32::MAX);
-        g2.set_property(0, 0.0);
-        g2.set_active(0);
-        run_graph_program(&Sssp, &mut g2, &RunOptions::default().with_threads(4));
-
-        assert_eq!(g1.properties(), g2.properties());
+    fn parallel_and_sequential_agree_and_one_executor_serves_many_runs() {
+        let options = RunOptions::default();
+        let (sequential, _) = sssp_from(Some(0), &options, &Executor::sequential());
+        let executor = Executor::new(4);
+        let (first, result) = sssp_from(Some(0), &options, &executor);
+        let (second, _) = sssp_from(Some(0), &options, &executor);
+        assert_eq!(result.stats.nthreads, 4);
+        assert_eq!(sequential, first);
+        assert_eq!(first, second);
     }
 
     #[test]
     fn stats_capture_superstep_detail() {
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        let result = run_graph_program(&Sssp, &mut g, &RunOptions::sequential());
+        let (_, result) = sssp_from(Some(0), &RunOptions::default(), &Executor::sequential());
         assert_eq!(result.stats.supersteps.len(), result.stats.iterations);
         assert_eq!(result.stats.nthreads, 1);
         let first = &result.stats.supersteps[0];
@@ -502,36 +455,28 @@ mod tests {
     }
 
     #[test]
-    fn run_with_shared_executor_matches_run_with_owned_pool() {
-        let executor = Executor::new(4);
-        let options = RunOptions::default().with_threads(4);
-        let run_shared = |ex: &Executor| {
-            let mut g = figure3_graph();
-            g.set_all_properties(f32::MAX);
-            g.set_property(0, 0.0);
-            g.set_active(0);
-            run_graph_program_with(&Sssp, &mut g, &options, ex);
-            g.properties().to_vec()
+    fn cost_counters_do_not_depend_on_record_supersteps() {
+        let executor = Executor::sequential();
+        let (_, detailed) = sssp_from(Some(0), &RunOptions::default(), &executor);
+        let quiet_options = RunOptions {
+            record_supersteps: false,
+            ..RunOptions::default()
         };
-        // The same executor serves several runs.
-        let first = run_shared(&executor);
-        let second = run_shared(&executor);
-        assert_eq!(first, second);
-
-        let mut g = figure3_graph();
-        g.set_all_properties(f32::MAX);
-        g.set_property(0, 0.0);
-        g.set_active(0);
-        run_graph_program(&Sssp, &mut g, &options);
-        assert_eq!(first, g.properties().to_vec());
+        let (_, quiet) = sssp_from(Some(0), &quiet_options, &executor);
+        assert!(quiet.stats.supersteps.is_empty());
+        assert!(!detailed.stats.supersteps.is_empty());
+        assert!(detailed.stats.vertices_updated > detailed.stats.iterations as u64);
+        assert_eq!(
+            detailed.stats.to_cost_counters(4),
+            quiet.stats.to_cost_counters(4)
+        );
     }
 
     #[test]
     fn run_program_rejects_mismatched_state() {
-        let g = figure3_graph();
-        let (topology, _) = g.into_parts();
+        let topology = figure3_topology();
         let mut wrong: VertexState<f32> = VertexState::new(3);
-        let options = RunOptions::sequential();
+        let options = RunOptions::default();
         let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize, &options);
         let err = run_program(
             &Sssp,
@@ -549,6 +494,28 @@ mod tests {
                 topology_vertices: 5
             }
         );
+    }
+
+    #[test]
+    fn run_program_rejects_a_workspace_of_another_kind_or_size() {
+        let topology = figure3_topology();
+        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
+        let options = RunOptions::default();
+        for mut ws in [
+            Workspace::<Sssp>::new(5, &options.with_vector(VectorKind::Sorted)),
+            Workspace::<Sssp>::new(4, &options),
+        ] {
+            let err = run_program(
+                &Sssp,
+                &topology,
+                &mut state,
+                &options,
+                &Executor::sequential(),
+                &mut ws,
+            )
+            .unwrap_err();
+            assert!(matches!(err, GraphMatError::InvalidParameter(_)), "{err}");
+        }
     }
 
     #[test]
@@ -579,7 +546,7 @@ mod tests {
         let topology =
             Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
         let mut state: VertexState<f32> = VertexState::for_topology(&topology);
-        let options = RunOptions::sequential();
+        let options = RunOptions::default();
         let mut ws = Workspace::<Inward>::new(3, &options);
         let err = run_program(
             &Inward,
@@ -624,20 +591,25 @@ mod tests {
     fn parallel_apply_matches_sequential_on_larger_graph() {
         use graphmat_io::rmat::{self, RmatConfig};
         let el = rmat::generate(&RmatConfig::graph500(10).with_seed(11));
-        let opts = GraphBuildOptions::default().with_partitions(16);
+        let topology =
+            Topology::from_edge_list(&el, GraphBuildOptions::default().with_partitions(16));
+        let options = RunOptions::default().with_max_iterations(3);
 
         let run = |threads: usize| {
-            let mut g: Graph<f64> = Graph::from_edge_list(&el, opts);
-            g.set_all_properties(1.0);
-            g.set_all_active();
-            run_graph_program(
+            let mut state: VertexState<f64> = VertexState::for_topology(&topology);
+            state.set_all_properties(1.0);
+            state.set_all_active();
+            let mut ws = Workspace::<Rank>::new(state.num_vertices(), &options);
+            run_program(
                 &Rank,
-                &mut g,
-                &RunOptions::default()
-                    .with_threads(threads)
-                    .with_max_iterations(3),
-            );
-            g.properties().to_vec()
+                &topology,
+                &mut state,
+                &options,
+                &Executor::new(threads),
+                &mut ws,
+            )
+            .unwrap();
+            state.into_properties()
         };
 
         let seq = run(1);
@@ -650,10 +622,8 @@ mod tests {
     #[test]
     fn shared_topology_serves_two_states_without_cloning() {
         use std::sync::Arc;
-        let g = figure3_graph();
-        let (topology, _) = g.into_parts();
-        let topology = Arc::new(topology);
-        let options = RunOptions::sequential();
+        let topology = Arc::new(figure3_topology());
+        let options = RunOptions::default();
         let executor = Executor::sequential();
 
         let run_from = |source: VertexId| {

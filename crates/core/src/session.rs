@@ -20,7 +20,7 @@
 //!   the engine workspace cached inside the state — reruns allocate
 //!   nothing).
 //!
-//! Sessions run **direction-optimized** by default: the run defaults select
+//! Runs are **direction-optimized** by default: [`RunOptions::default`] selects
 //! [`VectorKind::Auto`], which picks the sparse push or dense pull SpMV
 //! backend per superstep by frontier density (bit-for-bit identical results
 //! either way; see [`crate::engine::choose_backend`]). Force a backend with
@@ -68,7 +68,7 @@ use crate::engine::Workspace;
 use crate::error::{GraphMatError, Result};
 use crate::options::{ActivityPolicy, DispatchMode, RunOptions, VectorKind};
 use crate::program::{GraphProgram, VertexId};
-use crate::runner::{run_program_view, RunResult};
+use crate::runner::{admit, run_admitted, RunResult};
 use crate::state::VertexState;
 use crate::stats::RunStats;
 use crate::topology::{GraphBuildOptions, Topology};
@@ -81,12 +81,11 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug)]
 pub struct SessionOptions {
     /// Number of executor lanes (worker pool size). Must be at least 1 —
-    /// unlike [`RunOptions::nthreads`] there is no "0 = auto" here; use
-    /// [`SessionOptions::default`] for all available hardware threads.
+    /// there is no "0 = auto" here; use [`SessionOptions::default`] for all
+    /// available hardware threads.
     pub threads: usize,
     /// Default run options applied to every [`RunBuilder`] (each builder can
-    /// override them per run). The `nthreads` field is ignored: the
-    /// session's pool decides the lane count.
+    /// override them per run).
     pub run_defaults: RunOptions,
 }
 
@@ -94,12 +93,7 @@ impl Default for SessionOptions {
     fn default() -> Self {
         SessionOptions {
             threads: available_threads(),
-            // Sessions default to the direction-optimized backend: push or
-            // pull is chosen per superstep, with results bit-for-bit
-            // identical to forced push. (`RunOptions::default()` itself
-            // stays `Bitvector` so the legacy facades keep reproducing the
-            // paper's always-push configuration.)
-            run_defaults: RunOptions::default().with_vector(VectorKind::Auto),
+            run_defaults: RunOptions::default(),
         }
     }
 }
@@ -140,12 +134,9 @@ impl Session {
             return Err(GraphMatError::ZeroThreads);
         }
         options.run_defaults.validate()?;
-        let mut defaults = options.run_defaults;
-        // The pool decides the lane count; keep the stored defaults honest.
-        defaults.nthreads = options.threads;
         Ok(Session {
             executor: Executor::new(options.threads),
-            defaults,
+            defaults: options.run_defaults,
         })
     }
 
@@ -160,12 +151,11 @@ impl Session {
     }
 
     /// A single-threaded session (no worker pool; everything runs inline on
-    /// the calling thread). Cannot fail. Like every session, defaults to
-    /// [`VectorKind::Auto`].
+    /// the calling thread). Cannot fail.
     pub fn sequential() -> Session {
         Session {
             executor: Executor::sequential(),
-            defaults: RunOptions::sequential().with_vector(VectorKind::Auto),
+            defaults: RunOptions::default(),
         }
     }
 
@@ -192,39 +182,29 @@ impl Session {
     pub fn build_graph<'e, E: Clone>(&self, edges: &'e EdgeList<E>) -> GraphBuilder<'e, E> {
         GraphBuilder {
             edges,
-            // Session runs default to VectorKind::Auto, so session-built
-            // topologies carry the pull mirrors Auto switches to (the
-            // legacy GraphBuildOptions::default() leaves them off, to match
-            // the legacy facades' always-push RunOptions::default()).
-            options: GraphBuildOptions::default().with_pull_mirrors(true),
+            options: GraphBuildOptions::default(),
             threads: self.nthreads(),
         }
     }
 
-    /// Start building a run of `program` over `topology`. The builder
-    /// starts from the session's run defaults.
+    /// Start building a run of `program` over `view` — `&Topology`,
+    /// `&Arc<Topology>`, or `snapshot.view()` from a
+    /// [`crate::store::GraphStore`] snapshot (see [`GraphView`]). The
+    /// builder starts from the session's run defaults. With pending edits
+    /// the run uses the overlay-aware push backend (forcing
+    /// [`VectorKind::Dense`] is rejected at execute time, see
+    /// [`crate::runner::run_program`]).
     pub fn run<'s, 't, P: GraphProgram>(
         &'s self,
-        topology: &'t Topology<P::Edge>,
+        view: impl Into<GraphView<'t, P::Edge>>,
         program: P,
-    ) -> RunBuilder<'s, 't, P> {
-        self.run_view(GraphView::base(topology), program)
-    }
-
-    /// Start building a run of `program` over a `(base ⊕ delta)`
-    /// [`GraphView`] — typically `snapshot.view()` from a
-    /// [`crate::store::GraphStore`] snapshot. Identical to [`Session::run`]
-    /// when the view carries no overlay; with pending edits the run uses the
-    /// overlay-aware push backend (forcing [`VectorKind::Dense`] is rejected
-    /// at execute time, see [`crate::runner::run_program_view`]).
-    pub fn run_view<'s, 't, P: GraphProgram>(
-        &'s self,
-        view: GraphView<'t, P::Edge>,
-        program: P,
-    ) -> RunBuilder<'s, 't, P> {
+    ) -> RunBuilder<'s, 't, P>
+    where
+        P::Edge: 't,
+    {
         RunBuilder {
             session: self,
-            view,
+            view: view.into(),
             program,
             options: self.defaults,
             init: InitSpec::None,
@@ -283,11 +263,7 @@ impl<'e, E: Clone> GraphBuilder<'e, E> {
         self
     }
 
-    /// Override every construction option at once. Note this replaces the
-    /// builder's pull-mirror default too: `GraphBuildOptions::default()`
-    /// leaves the mirrors **off**, so follow up with
-    /// [`GraphBuilder::pull_enabled`]`(true)` if the direction-optimized
-    /// backend should stay available.
+    /// Override every construction option at once.
     pub fn build_options(mut self, options: GraphBuildOptions) -> Self {
         self.options = options;
         self
@@ -341,8 +317,7 @@ pub struct RunOutcome<V> {
     pub converged: bool,
 }
 
-/// Fluent builder for one vertex-program run (from [`Session::run`] or
-/// [`Session::run_view`]).
+/// Fluent builder for one vertex-program run (from [`Session::run`]).
 pub struct RunBuilder<'s, 't, P: GraphProgram> {
     session: &'s Session,
     view: GraphView<'t, P::Edge>,
@@ -407,7 +382,7 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     }
 
     /// Select the message-vector representation / SpMV backend:
-    /// [`VectorKind::Auto`] (the session default) picks push or pull per
+    /// [`VectorKind::Auto`] (the default) picks push or pull per
     /// superstep; `Bitvector`/`Sorted` force push; `Dense` forces pull
     /// (rejected at execute time with [`GraphMatError::MissingPullMirror`]
     /// if the topology was built with `pull_enabled(false)`). All kinds
@@ -458,10 +433,10 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
         self
     }
 
-    /// Everything about this run that can be rejected without touching any
-    /// state: option validity, seed ranges, and the in-edge matrix the
-    /// program's direction requires. Runs **before** the first mutation so
-    /// a rejected run leaves a pooled state's previous contents intact.
+    /// What the builder itself can get wrong: option validity and seed
+    /// ranges. Together with the runner's prologue (`admit`), this runs
+    /// **before** the first mutation so a rejected run leaves a pooled
+    /// state's previous contents intact.
     fn validate(&self) -> Result<()> {
         self.options.validate()?;
         for (v, _) in &self.seeds {
@@ -470,23 +445,6 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
                     vertex: *v,
                     num_vertices: self.view.num_vertices(),
                 });
-            }
-        }
-        if self.program.direction() != crate::program::EdgeDirection::Out
-            && !self.view.has_in_edges()
-        {
-            return Err(GraphMatError::MissingInMatrix);
-        }
-        if self.options.vector == VectorKind::Dense {
-            if self.view.has_overlay() {
-                return Err(GraphMatError::InvalidParameter(
-                    "VectorKind::Dense forces the pull backend, which cannot traverse a \
-                     snapshot with pending deltas; use Auto (or a push kind) until the \
-                     store compacts",
-                ));
-            }
-            if !self.view.topology().has_pull_mirrors() {
-                return Err(GraphMatError::MissingPullMirror);
             }
         }
         Ok(())
@@ -520,8 +478,8 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     ///
     /// [`GraphMatError::ZeroIterations`] for a `max_iterations(0)` request,
     /// [`GraphMatError::VertexOutOfRange`] for a seed outside the topology,
-    /// [`GraphMatError::MissingInMatrix`] if the program needs in-edges the
-    /// topology does not have.
+    /// then everything [`crate::runner::run_program`] reports (a missing
+    /// in-edge matrix or pull mirror, `Dense` over pending edits).
     pub fn execute(self) -> Result<RunOutcome<P::VertexProp>>
     where
         P::VertexProp: Default,
@@ -529,11 +487,12 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
         self.validate()?;
         let n = self.view.num_vertices() as usize;
         let mut state: VertexState<P::VertexProp> = VertexState::new(n);
+        let traversal = admit(&self.program, self.view, &state, &self.options)?;
         self.prepare(&mut state);
         let mut ws = Workspace::<P>::new(n, &self.options);
-        let result = run_program_view(
+        let result = run_admitted(
             &self.program,
-            self.view,
+            &traversal,
             &mut state,
             &self.options,
             &self.session.executor,
@@ -567,16 +526,16 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
         P: 'static,
     {
         self.validate()?;
-        state.check_matches(self.view.topology())?;
+        let traversal = admit(&self.program, self.view, state, &self.options)?;
         self.prepare(state);
         let n = self.view.num_vertices() as usize;
         let mut ws = state
             .take_cached_workspace::<Workspace<P>>()
             .filter(|ws| ws.is_compatible(n, &self.options))
             .unwrap_or_else(|| Box::new(Workspace::<P>::new(n, &self.options)));
-        let result = run_program_view(
+        let result = run_admitted(
             &self.program,
-            self.view,
+            &traversal,
             state,
             &self.options,
             &self.session.executor,
@@ -590,7 +549,6 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::EdgeDirection;
 
     /// SSSP over f32 weights (the paper's appendix program).
     struct Sssp;
@@ -644,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn sessions_default_to_direction_optimization() {
+    fn sessions_run_and_build_with_the_plain_defaults() {
         assert_eq!(
             SessionOptions::default().run_defaults.vector,
             VectorKind::Auto
@@ -657,8 +615,13 @@ mod tests {
             Session::with_threads(2).unwrap().run_defaults().vector,
             VectorKind::Auto
         );
-        // The legacy RunOptions default stays on the paper's always-push.
-        assert_eq!(RunOptions::default().vector, VectorKind::Bitvector);
+        // One altitude of defaults: what the session uses is what
+        // `RunOptions::default()` / `GraphBuildOptions::default()` say.
+        assert_eq!(RunOptions::default().vector, VectorKind::Auto);
+        let edges = figure3_edges();
+        let built = Session::sequential().build_graph(&edges).finish().unwrap();
+        assert!(GraphBuildOptions::default().build_pull_mirrors);
+        assert!(built.has_pull_mirrors());
     }
 
     #[test]
@@ -911,56 +874,6 @@ mod tests {
         );
     }
 
-    /// An `EdgeDirection::In` program, shared by the missing-in-matrix
-    /// tests below.
-    struct Inward;
-    impl GraphProgram for Inward {
-        type VertexProp = f32;
-        type Message = f32;
-        type Reduced = f32;
-        type Edge = f32;
-        fn direction(&self) -> EdgeDirection {
-            EdgeDirection::In
-        }
-        fn send_message(&self, _v: VertexId, d: &f32) -> Option<f32> {
-            Some(*d)
-        }
-        fn process_message(&self, m: &f32, _e: &f32, _d: &f32) -> f32 {
-            *m
-        }
-        fn reduce(&self, acc: &mut f32, v: f32) {
-            *acc += v;
-        }
-        fn apply(&self, r: &f32, p: &mut f32) {
-            *p = *r;
-        }
-    }
-
-    #[test]
-    fn rejected_in_direction_run_leaves_a_pooled_state_untouched() {
-        let session = Session::sequential();
-        let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let mut state: VertexState<f32> = VertexState::for_topology(&topo);
-        state.set_all_properties(42.0);
-        state.set_active(2);
-        let err = session
-            .run(&*topo, Inward)
-            .init_all(0.0)
-            .activate_all()
-            .execute_with(&mut state)
-            .unwrap_err();
-        assert_eq!(err, GraphMatError::MissingInMatrix);
-        // The rejection happened before the first mutation.
-        assert!(state.properties().iter().all(|&p| p == 42.0));
-        assert_eq!(state.active_count(), 1);
-        assert!(state.is_active(2));
-    }
-
     #[test]
     fn rejected_seed_leaves_a_pooled_state_untouched() {
         // A rejected run must not wipe the warm contents of a pooled state:
@@ -1006,23 +919,6 @@ mod tests {
             .execute()
             .unwrap_err();
         assert_eq!(err, GraphMatError::ZeroIterations);
-    }
-
-    #[test]
-    fn in_direction_program_without_in_matrix_is_an_error() {
-        let session = Session::sequential();
-        let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        let err = session
-            .run(&topo, Inward)
-            .activate_all()
-            .execute()
-            .unwrap_err();
-        assert_eq!(err, GraphMatError::MissingInMatrix);
     }
 
     #[test]
@@ -1088,7 +984,7 @@ mod tests {
     }
 
     #[test]
-    fn run_view_with_overlay_matches_a_rebuilt_topology() {
+    fn run_over_a_pending_overlay_matches_a_rebuilt_topology() {
         use crate::store::{GraphStore, StoreOptions};
         use graphmat_delta::{DeltaBatch, UpdateOp};
 
@@ -1116,7 +1012,7 @@ mod tests {
         assert!(snapshot.overlay().is_some());
 
         let overlaid = session
-            .run_view(snapshot.view(), Sssp)
+            .run(snapshot.view(), Sssp)
             .init_all(f32::MAX)
             .seed_with(0, 0.0)
             .execute()
@@ -1127,7 +1023,7 @@ mod tests {
         let compacted = store.snapshot();
         assert!(compacted.overlay().is_none());
         let rebuilt = session
-            .run_view(compacted.view(), Sssp)
+            .run(compacted.view(), Sssp)
             .init_all(f32::MAX)
             .seed_with(0, 0.0)
             .execute()
@@ -1135,19 +1031,6 @@ mod tests {
         for (a, b) in overlaid.values.iter().zip(&rebuilt.values) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-
-        // Forcing the pull backend against pending deltas is a typed error.
-        let snapshot = store
-            .apply(DeltaBatch::from_ops(5, vec![(1, 4, UpdateOp::Insert(1.0))]).unwrap())
-            .unwrap();
-        let err = session
-            .run_view(snapshot.view(), Sssp)
-            .init_all(f32::MAX)
-            .seed_with(0, 0.0)
-            .vector(VectorKind::Dense)
-            .execute()
-            .unwrap_err();
-        assert!(matches!(err, GraphMatError::InvalidParameter(_)));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::Duration;
 /// Which SpMV backend executed a superstep's PROCESS/REDUCE phases.
 ///
 /// The direction-optimized engine picks one per superstep when
-/// [`crate::options::VectorKind::Auto`] is selected (the `Session` default);
+/// [`crate::options::VectorKind::Auto`] is selected (the default);
 /// forced vector kinds pin it ([`crate::options::VectorKind::Bitvector`] /
 /// `Sorted` → always `Push`, `Dense` → always `Pull`). Recorded in
 /// [`SuperstepStats::backend`] so direction flips are visible in the perf
@@ -83,7 +83,7 @@ impl SuperstepStats {
     }
 }
 
-/// Statistics for a whole `run_graph_program` invocation.
+/// Statistics for one whole run of a vertex program.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Number of supersteps executed.
@@ -106,9 +106,13 @@ pub struct RunStats {
     pub edges_processed: u64,
     /// Total messages generated.
     pub messages_sent: u64,
+    /// Total vertices that received at least one message, summed over
+    /// supersteps. Tracked in the totals, like
+    /// [`RunStats::pull_supersteps`], so [`RunStats::to_cost_counters`] does
+    /// not depend on `record_supersteps`.
+    pub vertices_updated: u64,
     /// Number of executor lanes the run used (the Figure 5 x-axis). The
-    /// lanes belong to a persistent worker pool created once per run — or
-    /// shared across runs via `run_graph_program_with` — never spawned
+    /// lanes belong to the session's persistent worker pool — never spawned
     /// inside the superstep loop.
     pub nthreads: usize,
     /// In-memory footprint of the graph's adjacency matrices in bytes,
@@ -132,6 +136,7 @@ impl RunStats {
         self.total_time += step.total_time();
         self.edges_processed += step.edges_processed;
         self.messages_sent += step.messages_sent as u64;
+        self.vertices_updated += step.vertices_updated as u64;
         if keep_detail {
             self.supersteps.push(step);
         }
@@ -154,12 +159,7 @@ impl RunStats {
         let mut c = CostCounters::new();
         c.add_edge_ops(self.edges_processed);
         c.add_messages(self.messages_sent);
-        let vertex_updates: u64 = self
-            .supersteps
-            .iter()
-            .map(|s| s.vertices_updated as u64)
-            .sum();
-        c.add_vertex_ops(vertex_updates.max(self.iterations as u64));
+        c.add_vertex_ops(self.vertices_updated.max(self.iterations as u64));
         // Each edge traversal reads one matrix entry (index + weight) plus
         // the destination vertex property; each message reads/writes one
         // property-sized value.

@@ -161,7 +161,8 @@ impl<E> GraphSnapshot<E> {
     }
 
     /// The `(base ⊕ delta)` view the engine traverses; pass it to
-    /// [`crate::runner::run_program_view`] or a session run's `.view(…)`.
+    /// [`crate::session::Session::run`], [`crate::runner::run_program`] or
+    /// any algorithm driver.
     pub fn view(&self) -> GraphView<'_, E> {
         GraphView::new(&self.base, self.overlay.as_deref())
     }

@@ -12,10 +12,9 @@
 //!   out-edges;
 //! * optionally the non-transposed `G` for in-edge scattering;
 //! * optionally row-major CSR **pull mirrors** of those matrices
-//!   (`build_pull_mirrors` — on by default when building through the
-//!   session's graph builder, off for the legacy facades), which the
-//!   direction-optimized engine traverses when a superstep's frontier is
-//!   dense enough to pull — they cost roughly the matrices' memory again
+//!   (`build_pull_mirrors`, on by default), which the direction-optimized
+//!   engine traverses when a superstep's frontier is dense enough to pull —
+//!   they cost roughly the matrices' memory again
 //!   ([`Topology::pull_bytes`]);
 //! * the out-/in-degree arrays.
 //!
@@ -54,14 +53,9 @@ pub struct GraphBuildOptions {
     /// Also materialize row-major CSR mirrors of the DCSC matrices so the
     /// engine can run the **dense pull** backend (direction optimization).
     /// Costs roughly the same memory again per mirrored matrix
-    /// ([`Topology::pull_bytes`] reports exactly how much). The default
-    /// matches the run defaults at each altitude: **off** here — the legacy
-    /// facades pair `GraphBuildOptions::default()` with the always-push
-    /// `RunOptions::default()`, which never reads a mirror — and **on** in
-    /// the session's graph builder, whose runs default to the
-    /// direction-optimized `VectorKind::Auto`
-    /// ([`crate::session::GraphBuilder::pull_enabled`]). Without mirrors,
-    /// `Auto` degrades gracefully to always-push.
+    /// ([`Topology::pull_bytes`] reports exactly how much). **On** by
+    /// default, to match the run default `VectorKind::Auto`; without
+    /// mirrors, `Auto` degrades gracefully to always-push.
     pub build_pull_mirrors: bool,
 }
 
@@ -72,7 +66,7 @@ impl Default for GraphBuildOptions {
             partition_factor: 8,
             balance_partitions: true,
             build_in_edges: true,
-            build_pull_mirrors: false,
+            build_pull_mirrors: true,
         }
     }
 }
@@ -97,8 +91,7 @@ impl GraphBuildOptions {
     }
 
     /// Enable or disable construction of the row-major CSR mirrors the pull
-    /// backend traverses (off by default here; the session's graph builder
-    /// turns them on — see [`GraphBuildOptions::build_pull_mirrors`]).
+    /// backend traverses (see [`GraphBuildOptions::build_pull_mirrors`]).
     pub fn with_pull_mirrors(mut self, build: bool) -> Self {
         self.build_pull_mirrors = build;
         self
@@ -396,6 +389,42 @@ mod tests {
     }
 
     #[test]
+    fn transpose_orientation_is_correct() {
+        let t = small_topology();
+        // edge 0 -> 1 must appear in Gᵀ as (row=1, col=0)
+        assert!(t.out_matrix().iter().any(|(r, c, _)| r == 1 && c == 0));
+        // and in G as (row=0, col=1)
+        assert!(t
+            .in_matrix()
+            .unwrap()
+            .iter()
+            .any(|(r, c, _)| r == 0 && c == 1));
+    }
+
+    #[test]
+    fn default_partition_count_scales_with_threads() {
+        // a graph with plenty of rows so the balanced partitioner can hit the
+        // requested 8 × threads partition count
+        let n = 4096u32;
+        let el = EdgeList::from_pairs(n, (0..n - 1).map(|v| (v, v + 1)));
+        let t = Topology::from_edge_list(&el, GraphBuildOptions::default());
+        assert_eq!(t.num_partitions(), 8 * available_threads());
+    }
+
+    #[test]
+    fn unbalanced_partitioning_is_supported() {
+        let el = EdgeList::from_tuples(4, vec![(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]);
+        let t = Topology::from_edge_list(
+            &el,
+            GraphBuildOptions::default()
+                .with_partitions(4)
+                .with_balancing(false),
+        );
+        assert_eq!(t.num_partitions(), 4);
+        assert_eq!(t.out_matrix().nnz(), 3);
+    }
+
+    #[test]
     fn topology_is_send_sync_and_arc_shareable() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Topology<f32>>();
@@ -442,12 +471,7 @@ mod tests {
     #[test]
     fn pull_mirrors_mirror_only_the_matrices_built() {
         let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let t = Topology::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_in_edges(false)
-                .with_pull_mirrors(true),
-        );
+        let t = Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
         assert!(t.has_pull_mirrors());
         assert!(t.out_pull_mirror().is_some());
         assert!(t.in_pull_mirror().is_none());
@@ -465,12 +489,7 @@ mod tests {
                 (3, 0, 5.0),
             ],
         );
-        let t = Topology::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_partitions(2)
-                .with_pull_mirrors(true),
-        );
+        let t = Topology::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2));
         let out_mirror = t.out_pull_mirror().unwrap();
         let in_mirror = t.in_pull_mirror().unwrap();
         assert_eq!(out_mirror.nnz(), t.out_matrix().nnz());
@@ -512,11 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn pull_mirrors_are_off_in_the_legacy_default() {
-        // GraphBuildOptions::default() pairs with the always-push
-        // RunOptions::default(); mirrors it could never read are not built.
+    fn pull_mirrors_can_be_skipped() {
         let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let t = Topology::from_edge_list(&el, GraphBuildOptions::default());
+        assert!(Topology::from_edge_list(&el, GraphBuildOptions::default()).has_pull_mirrors());
+        let t =
+            Topology::from_edge_list(&el, GraphBuildOptions::default().with_pull_mirrors(false));
         assert!(!t.has_pull_mirrors());
         assert!(t.out_pull_mirror().is_none());
         assert!(t.in_pull_mirror().is_none());

@@ -32,11 +32,16 @@ use crate::program::VertexId;
 use crate::topology::Topology;
 use graphmat_delta::DeltaOverlay;
 use graphmat_sparse::overlay::Overlay;
+use std::sync::Arc;
 
 /// A borrowed view of a graph as the engine traverses it: an immutable base
 /// [`Topology`] plus an optional [`DeltaOverlay`] of pending (uncompacted)
-/// edge edits. `Copy`, two pointers wide — build one per superstep or per
-/// run for free.
+/// edge edits. `Copy`, two pointers wide — build one per run for free.
+///
+/// This is the one graph argument the engine and every algorithm driver
+/// take. `&Topology<E>` and `&Arc<Topology<E>>` convert into it (the bare
+/// topology, no pending edits), so a resident topology and a
+/// [`crate::store::GraphSnapshot::view`] go through the same function.
 #[derive(Debug)]
 pub struct GraphView<'a, E> {
     topology: &'a Topology<E>,
@@ -51,9 +56,20 @@ impl<'a, E> Clone for GraphView<'a, E> {
 
 impl<'a, E> Copy for GraphView<'a, E> {}
 
+impl<'a, E> From<&'a Topology<E>> for GraphView<'a, E> {
+    fn from(topology: &'a Topology<E>) -> Self {
+        GraphView::base(topology)
+    }
+}
+
+impl<'a, E> From<&'a Arc<Topology<E>>> for GraphView<'a, E> {
+    fn from(topology: &'a Arc<Topology<E>>) -> Self {
+        GraphView::base(topology)
+    }
+}
+
 impl<'a, E> GraphView<'a, E> {
-    /// A view of the bare topology (no pending edits). Identical behaviour
-    /// to every pre-streaming engine entry point.
+    /// A view of the bare topology (no pending edits).
     pub fn base(topology: &'a Topology<E>) -> Self {
         GraphView {
             topology,
@@ -137,6 +153,17 @@ mod tests {
     fn topo() -> Topology<f32> {
         let el = EdgeList::from_tuples(4, vec![(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0), (2, 3, 4.0)]);
         Topology::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2))
+    }
+
+    #[test]
+    fn topology_references_convert_to_the_base_view() {
+        let t = Arc::new(topo());
+        let from_arc: GraphView<'_, f32> = (&t).into();
+        let from_ref: GraphView<'_, f32> = (&*t).into();
+        for v in [from_arc, from_ref] {
+            assert!(!v.has_overlay());
+            assert!(std::ptr::eq(v.topology(), &*t));
+        }
     }
 
     fn overlay_for(t: &Topology<f32>, resolved: &[(u32, u32, UpdateOp<f32>)]) -> DeltaOverlay<f32> {

@@ -11,11 +11,11 @@
 //! response is encoded into the connection's reused buffer.
 
 use crate::protocol::{self, Fnv64, RunOkHeader, RunRequest, Status, UpdateRequest, ValueKind};
-use graphmat_algorithms::bfs::bfs_view_into;
-use graphmat_algorithms::connected_components::connected_components_view_into;
-use graphmat_algorithms::degree::in_degrees_view_into;
-use graphmat_algorithms::pagerank::{pagerank_view_into, PageRankConfig, PageRankVertex};
-use graphmat_algorithms::sssp::sssp_view_into;
+use graphmat_algorithms::bfs::bfs_into;
+use graphmat_algorithms::connected_components::connected_components_into;
+use graphmat_algorithms::degree::in_degrees_into;
+use graphmat_algorithms::pagerank::{pagerank_into, PageRankConfig, PageRankVertex};
+use graphmat_algorithms::sssp::sssp_into;
 use graphmat_core::{
     GraphMatError, GraphSnapshot, GraphStore, Session, StatePool, StoreOptions, StoreStats,
     Topology, VertexState,
@@ -362,32 +362,28 @@ pub fn execute_run(
                 },
                 ..Default::default()
             };
-            guarded(
-                &mut states.pagerank,
-                buf,
-                |state, buf| match pagerank_view_into(
-                    &service.session,
-                    view,
-                    &config,
-                    deadline,
-                    state,
-                ) {
-                    Ok(result) => ok_reply(
-                        buf,
-                        request,
-                        version,
-                        start,
-                        result.stats.iterations,
-                        ValueKind::F64,
-                        state.num_vertices(),
-                        state.properties().iter().map(|p| p.rank.to_le_bytes()),
-                    ),
-                    Err(err) => error_reply(buf, &err),
-                },
-            )
+            guarded(&mut states.pagerank, buf, |state, buf| match pagerank_into(
+                &service.session,
+                view,
+                &config,
+                deadline,
+                state,
+            ) {
+                Ok(result) => ok_reply(
+                    buf,
+                    request,
+                    version,
+                    start,
+                    result.stats.iterations,
+                    ValueKind::F64,
+                    state.num_vertices(),
+                    state.properties().iter().map(|p| p.rank.to_le_bytes()),
+                ),
+                Err(err) => error_reply(buf, &err),
+            })
         }
         Algorithm::Bfs => guarded(&mut states.bfs, buf, |state, buf| {
-            match bfs_view_into(&service.session, view, request.seed as u32, deadline, state) {
+            match bfs_into(&service.session, view, request.seed as u32, deadline, state) {
                 Ok(result) => ok_reply(
                     buf,
                     request,
@@ -402,7 +398,7 @@ pub fn execute_run(
             }
         }),
         Algorithm::Sssp => guarded(&mut states.sssp, buf, |state, buf| {
-            match sssp_view_into(&service.session, view, request.seed as u32, deadline, state) {
+            match sssp_into(&service.session, view, request.seed as u32, deadline, state) {
                 Ok(result) => ok_reply(
                     buf,
                     request,
@@ -420,7 +416,7 @@ pub fn execute_run(
             guarded(
                 &mut states.components,
                 buf,
-                |state, buf| match connected_components_view_into(
+                |state, buf| match connected_components_into(
                     &service.session,
                     view,
                     deadline,
@@ -444,7 +440,7 @@ pub fn execute_run(
             guarded(
                 &mut states.in_degrees,
                 buf,
-                |state, buf| match in_degrees_view_into(&service.session, view, deadline, state) {
+                |state, buf| match in_degrees_into(&service.session, view, deadline, state) {
                     Ok(result) => ok_reply(
                         buf,
                         request,

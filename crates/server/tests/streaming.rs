@@ -274,7 +274,7 @@ fn ingest_while_serving_queries_match_their_admitted_snapshot() {
     let check = Session::sequential();
     let mut rebuilt_cache: HashMap<u64, Arc<Topology<f32>>> = HashMap::new();
     for (algorithm, seed, version, checksum) in queries {
-        let rebuilt = rebuilt_cache
+        let rebuilt: &Arc<Topology<f32>> = rebuilt_cache
             .entry(version)
             .or_insert_with(|| rebuild_at_version(&topology, &batches, version));
         let expect = match algorithm {

@@ -2,7 +2,8 @@
 //!
 //! CSR is the format the paper's *native, hand-optimized* baselines use
 //! (§5.2.2): a row-pointer array, a column-index array and a value array.
-//! It is also the substrate for the SpGEMM kernel in [`crate::spmm`].
+//! It is also the substrate for the SpGEMM kernel of the CombBLAS-style
+//! baseline (`graphmat-baselines`).
 //!
 //! A CSC matrix is simply the CSR of the transpose, so a single type serves
 //! both; [`Csr::transposed`] produces the other orientation.

@@ -5,7 +5,8 @@
 //!
 //! * [`coo`] — coordinate-format triple builder used while assembling graphs.
 //! * [`csr`] — immutable Compressed Sparse Row / Column matrices (used by the
-//!   hand-optimized native baselines and by SpGEMM).
+//!   hand-optimized native baselines and by the CombBLAS-style baseline's
+//!   SpGEMM).
 //! * [`dcsc`] — the Doubly Compressed Sparse Column format of Buluç & Gilbert
 //!   that GraphMat stores its (transposed) adjacency matrix in (paper §4.4.1).
 //! * [`bitvec`] — packed bit vectors, including an atomically updatable variant,
@@ -13,8 +14,6 @@
 //! * [`spvec`] — sparse vectors: the bitvector-backed representation the paper
 //!   selects, and the sorted-tuple representation it rejects (kept for the
 //!   Figure 7 ablation).
-//! * [`semiring`] — generalized multiply/add pairs; graph traversals are SpMV
-//!   over a user-chosen semiring (paper §2, §4.2).
 //! * [`partition`] — 1-D row partitioning of the matrix into many more
 //!   partitions than threads, enabling dynamic load balancing (paper §4.5).
 //! * [`parallel`] — a small scoped-thread executor with an atomic work queue,
@@ -25,8 +24,6 @@
 //! * [`spmv`] — sequential and partition-parallel *generalized* sparse
 //!   matrix–sparse vector multiplication (paper Algorithm 1), plus the
 //!   row-parallel dense-pull kernel.
-//! * [`spmm`] — (masked) sparse matrix–matrix multiplication, needed by the
-//!   CombBLAS-style triangle-counting baseline.
 //! * [`overlay`] — sorted delta overlays (pending edge edits) and the merged
 //!   `base ⊕ overlay` SpMV used by the streaming-update layer; reduction
 //!   order matches a from-scratch rebuild bit for bit.
@@ -50,10 +47,8 @@ pub mod overlay;
 pub mod parallel;
 pub mod partition;
 pub mod pull;
-pub mod semiring;
 #[cfg(feature = "shard-check")]
 pub mod shard_check;
-pub mod spmm;
 pub mod spmv;
 pub mod spvec;
 

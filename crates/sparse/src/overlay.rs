@@ -17,12 +17,13 @@
 //! from-scratch rebuild (for bases without duplicate coordinates; an op on
 //! a duplicated coordinate masks *all* stored copies).
 //!
-//! The overlay mirrors the base's row partitioning one-to-one, so the
-//! parallel path reuses the disjoint-row-range writer of
-//! [`crate::spmv::gspmv_into`] unchanged.
+//! The overlay mirrors the base's row partitioning one-to-one, so both
+//! kernels run through one partition shell and the parallel path reuses the
+//! disjoint-row-range writer of [`crate::spmv::gspmv_into`] unchanged.
 
 use crate::parallel::Executor;
 use crate::partition::{PartitionedDcsc, RowRange};
+use crate::spmv::{emit_column, push_into, walk_columns};
 use crate::spvec::{MessageVector, SparseVector};
 use crate::Index;
 
@@ -37,7 +38,7 @@ pub enum OverlayOp<T> {
 
 /// The edits owned by one row partition, in DCSC-shaped column-major order.
 #[derive(Clone, Debug)]
-struct OverlayPartition<T> {
+pub(crate) struct OverlayPartition<T> {
     /// Non-empty column ids, ascending.
     cols: Vec<Index>,
     /// `col_ptr[i]..col_ptr[i+1]` indexes the entries of `cols[i]`.
@@ -189,6 +190,11 @@ impl<T> Overlay<T> {
         &self.ranges
     }
 
+    /// The edits owned by row partition `p`.
+    pub(crate) fn partition(&self, p: usize) -> &OverlayPartition<T> {
+        &self.partitions[p]
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn bytes(&self) -> usize {
         self.partitions
@@ -206,7 +212,7 @@ impl<T> Overlay<T> {
     /// Assert that this overlay is aligned with `base`: same shape and the
     /// exact same row partitioning (the soundness condition for the shared
     /// disjoint-row-range output writer).
-    fn check_aligned<E>(&self, base: &PartitionedDcsc<E>) {
+    pub(crate) fn check_aligned<E>(&self, base: &PartitionedDcsc<E>) {
         assert_eq!(self.nrows, base.nrows(), "overlay/base row count mismatch");
         assert_eq!(self.ncols, base.ncols(), "overlay/base col count mismatch");
         assert_eq!(
@@ -253,57 +259,14 @@ pub fn gspmv_overlay_into<X, E, Y, V, M, A>(
     M: Fn(&X, &E, Index) -> Y + Sync,
     A: Fn(&mut Y, Y) + Sync,
 {
-    assert_eq!(
-        y.len(),
-        base.nrows() as usize,
-        "output vector length must match the matrix row count"
-    );
-    overlay.check_aligned(base);
-    y.clear();
-    if x.nnz() == 0 {
-        return;
-    }
-    let nparts = base.n_partitions();
-    if executor.nthreads() == 1 || nparts == 1 {
-        for p in 0..nparts {
-            walk_columns_overlay(
-                &base.partition(p).matrix,
-                &overlay.partitions[p],
-                x,
-                multiply,
-                |k, product| y.merge(k, product, |acc, v| add(acc, v)),
-            );
-        }
-        return;
-    }
-
-    let shards = y.sharded();
-    executor.for_each_dynamic(nparts, |p| {
-        let part = base.partition(p);
-        let mut newly_set = 0usize;
-        walk_columns_overlay(
-            &part.matrix,
-            &overlay.partitions[p],
-            x,
-            multiply,
-            |k, product| {
-                // SAFETY: the overlay partitioning equals the base's
-                // (checked above), so partitions own disjoint row ranges and
-                // row `k` is merged by this task only — the same argument
-                // that makes `gspmv_into` sound.
-                unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
-            },
-        );
-        shards.commit(newly_set);
-    });
-    drop(shards); // folds the per-task counts into y's nnz
+    push_into(base, Some(overlay), x, multiply, add, executor, y);
 }
 
 /// The merged Algorithm-1 column walk: two-pointer sweep over the base
 /// partition's non-empty columns and the overlay's, emitting `(row, product)`
 /// pairs in exactly the order a rebuilt matrix would.
 #[inline(always)]
-fn walk_columns_overlay<X, E, Y, V, M>(
+pub(crate) fn walk_columns_overlay<X, E, Y, V, M>(
     base: &crate::dcsc::Dcsc<E>,
     overlay: &OverlayPartition<E>,
     x: &V,
@@ -318,14 +281,7 @@ fn walk_columns_overlay<X, E, Y, V, M>(
     if no == 0 {
         // Empty overlay: fall through to the plain column walk — the
         // steady-state serving path pays only this one comparison.
-        for (j, rows, edges) in base.iter_cols() {
-            if let Some(xj) = x.get(j) {
-                for (k, e) in rows.iter().zip(edges) {
-                    sink(*k, multiply(xj, e, *k));
-                }
-            }
-        }
-        return;
+        return walk_columns(base, x, multiply, sink);
     }
 
     let mut bi = 0usize;
@@ -345,11 +301,7 @@ fn walk_columns_overlay<X, E, Y, V, M>(
             (Some(bj), oj) if oj.is_none() || bj < oj.unwrap_or(Index::MAX) => {
                 // Base-only column: emit its entries unchanged.
                 let (j, rows, edges) = base.nonempty_col(bi);
-                if let Some(xj) = x.get(j) {
-                    for (k, e) in rows.iter().zip(edges) {
-                        sink(*k, multiply(xj, e, *k));
-                    }
-                }
+                emit_column(x, j, rows, edges, multiply, &mut sink);
                 bi += 1;
             }
             (bj, Some(oj)) if bj.is_none() || oj < bj.unwrap_or(Index::MAX) => {

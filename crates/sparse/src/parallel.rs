@@ -312,11 +312,9 @@ impl Executor {
     /// # Panics
     ///
     /// Panics if `nthreads == 0`. A zero thread count is a configuration
-    /// bug; callers that support "0 = auto" must resolve it first (there is
-    /// exactly one such resolution point,
-    /// `graphmat_core::RunOptions::effective_threads` — this used to be
-    /// clamped here *and* mapped there, and the two disagreed about what
-    /// zero meant).
+    /// bug; callers that support "0 = auto" must resolve it first (with
+    /// [`available_threads`]) — clamping here as well would let the two
+    /// places disagree about what zero meant.
     pub fn new(nthreads: usize) -> Self {
         assert!(
             nthreads >= 1,

@@ -5,7 +5,7 @@
 //! combine `x[j]` with every stored entry `(k, j)` using the generalized
 //! multiply, and fold the results into `y[k]` with the generalized add.
 //!
-//! Three entry points are provided:
+//! The entry points:
 //!
 //! * [`gspmv_dcsc`] — sequential kernel over a single DCSC, generic over the
 //!   multiply/add closures (the multiply also receives the destination row
@@ -17,20 +17,19 @@
 //!   partition owns a disjoint row range, so all partitions write directly
 //!   into **one** shared output vector through a disjoint-row-range writer —
 //!   no per-partition partial vectors, no stitch pass, zero allocation in
-//!   `gspmv_into` (see its "Allocation contract" section).
-//! * [`gspmv_semiring`] — convenience wrapper taking a [`Semiring`] instead
-//!   of closures (used by the plain linear-algebra benches and the
-//!   CombBLAS-style baseline).
+//!   `gspmv_into` (see its "Allocation contract" section). The
+//!   overlay-aware [`crate::overlay::gspmv_overlay_into`] runs through the
+//!   same partition shell (`push_into`).
 //! * [`gspmv_csr_pull_into`] — the row-parallel **dense pull** kernel over a
 //!   [`CsrMirror`], used by the direction-optimized engine when the frontier
 //!   is dense (reads a [`DenseVector`] by index; writes each output row
 //!   exactly once, with no sharded scatter).
 
 use crate::dcsc::Dcsc;
+use crate::overlay::{walk_columns_overlay, Overlay};
 use crate::parallel::Executor;
 use crate::partition::PartitionedDcsc;
 use crate::pull::CsrMirror;
-use crate::semiring::Semiring;
 use crate::spvec::{DenseVector, MessageVector, SparseVector};
 use crate::Index;
 
@@ -84,7 +83,7 @@ pub fn gspmv_dcsc_into<X, E, Y, V, M, A>(
 /// `(row, product)` pair to `sink` — which reduces into either a plain
 /// [`SparseVector`] or a shard of one.
 #[inline(always)]
-fn walk_columns<X, E, Y, V, M>(
+pub(crate) fn walk_columns<X, E, Y, V, M>(
     matrix: &Dcsc<E>,
     x: &V,
     multiply: &M,
@@ -94,10 +93,28 @@ fn walk_columns<X, E, Y, V, M>(
     M: Fn(&X, &E, Index) -> Y,
 {
     for (j, rows, edges) in matrix.iter_cols() {
-        if let Some(xj) = x.get(j) {
-            for (k, e) in rows.iter().zip(edges) {
-                sink(*k, multiply(xj, e, *k));
-            }
+        emit_column(x, j, rows, edges, multiply, &mut sink);
+    }
+}
+
+/// One column of the walk: if `x[j]` is present, multiply it against the
+/// column's stored entries in ascending row order. Also what the overlay
+/// walk emits for a column no pending edit touches.
+#[inline(always)]
+pub(crate) fn emit_column<X, E, Y, V, M>(
+    x: &V,
+    j: Index,
+    rows: &[Index],
+    edges: &[E],
+    multiply: &M,
+    sink: &mut impl FnMut(Index, Y),
+) where
+    V: MessageVector<X>,
+    M: Fn(&X, &E, Index) -> Y,
+{
+    if let Some(xj) = x.get(j) {
+        for (k, e) in rows.iter().zip(edges) {
+            sink(*k, multiply(xj, e, *k));
         }
     }
 }
@@ -135,36 +152,86 @@ pub fn gspmv_into<X, E, Y, V, M, A>(
     M: Fn(&X, &E, Index) -> Y + Sync,
     A: Fn(&mut Y, Y) + Sync,
 {
+    push_into(matrix, None, x, multiply, add, executor, y);
+}
+
+/// The shell both push kernels run through: check and clear `y`, then walk
+/// every partition's columns — merged with `overlay`'s pending edits when
+/// one rides along — sequentially, or sharded over the executor's lanes.
+/// Inlined into its two public callers so each keeps only its own walk.
+#[inline(always)]
+pub(crate) fn push_into<X, E, Y, V, M, A>(
+    base: &PartitionedDcsc<E>,
+    overlay: Option<&Overlay<E>>,
+    x: &V,
+    multiply: &M,
+    add: &A,
+    executor: &Executor,
+    y: &mut SparseVector<Y>,
+) where
+    V: MessageVector<X> + Sync,
+    X: Sync,
+    E: Sync,
+    Y: Clone + Default + Send,
+    M: Fn(&X, &E, Index) -> Y + Sync,
+    A: Fn(&mut Y, Y) + Sync,
+{
     assert_eq!(
         y.len(),
-        matrix.nrows() as usize,
+        base.nrows() as usize,
         "output vector length must match the matrix row count"
     );
+    if let Some(overlay) = overlay {
+        overlay.check_aligned(base);
+    }
     y.clear();
     if x.nnz() == 0 {
         return;
     }
-    let nparts = matrix.n_partitions();
+    let nparts = base.n_partitions();
     if executor.nthreads() == 1 || nparts == 1 {
-        for part in matrix.partitions() {
-            gspmv_dcsc_into(&part.matrix, x, multiply, add, y);
+        for p in 0..nparts {
+            walk_partition(base, overlay, p, x, multiply, |k, product| {
+                y.merge(k, product, |acc, v| add(acc, v))
+            });
         }
         return;
     }
 
     let shards = y.sharded();
     executor.for_each_dynamic(nparts, |p| {
-        let part = matrix.partition(p);
         let mut newly_set = 0usize;
-        walk_columns(&part.matrix, x, multiply, |k, product| {
-            // SAFETY: partitions own disjoint row ranges, so row `k` is
-            // merged by this task only (the same argument that makes the
-            // runner's parallel APPLY sound).
+        walk_partition(base, overlay, p, x, multiply, |k, product| {
+            // SAFETY: partitions own disjoint row ranges — an overlay's
+            // partitioning was checked equal to the base's above — so row
+            // `k` is merged by this task only (the same argument that makes
+            // the runner's parallel APPLY sound).
             unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
         });
         shards.commit(newly_set);
     });
     drop(shards); // folds the per-task counts into y's nnz
+}
+
+/// Partition `p`'s column walk: the plain one, or the merged
+/// `base ⊕ overlay` one when edits are pending.
+#[inline(always)]
+fn walk_partition<X, E, Y, V, M>(
+    base: &PartitionedDcsc<E>,
+    overlay: Option<&Overlay<E>>,
+    p: usize,
+    x: &V,
+    multiply: &M,
+    sink: impl FnMut(Index, Y),
+) where
+    V: MessageVector<X>,
+    M: Fn(&X, &E, Index) -> Y,
+{
+    let matrix = &base.partition(p).matrix;
+    match overlay {
+        None => walk_columns(matrix, x, multiply, sink),
+        Some(overlay) => walk_columns_overlay(matrix, overlay.partition(p), x, multiply, sink),
+    }
 }
 
 /// Row-parallel generalized SpMV over a row-major [`CsrMirror`] — the
@@ -299,34 +366,25 @@ where
     y
 }
 
-/// Generalized SpMV where the multiply/add come from a [`Semiring`].
-pub fn gspmv_semiring<S, V>(
-    matrix: &PartitionedDcsc<S::E>,
-    x: &V,
-    semiring: &S,
-    executor: &Executor,
-) -> SparseVector<S::Y>
-where
-    S: Semiring,
-    S::X: Sync,
-    S::E: Sync,
-    S::Y: Clone + Default + Send,
-    V: MessageVector<S::X> + Sync,
-{
-    gspmv(
-        matrix,
-        x,
-        &|x: &S::X, e: &S::E, _k: Index| semiring.multiply(x, e),
-        &|acc: &mut S::Y, v: S::Y| semiring.add(acc, v),
-        executor,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::Coo;
-    use crate::semiring::{MinPlus, PlusTimes};
+
+    /// Ordinary `(+, ×)` arithmetic over `f64`.
+    fn plus_times(
+        matrix: &PartitionedDcsc<f64>,
+        x: &SparseVector<f64>,
+        executor: &Executor,
+    ) -> SparseVector<f64> {
+        gspmv(
+            matrix,
+            x,
+            &|x: &f64, e: &f64, _| x * e,
+            &|acc: &mut f64, v| *acc += v,
+            executor,
+        )
+    }
 
     /// The 5-vertex weighted graph of the paper's Figure 3 (SSSP example).
     /// Vertices A..E = 0..4; edges (src, dst, weight).
@@ -394,7 +452,7 @@ mod tests {
         }
         let pd = PartitionedDcsc::from_coo_even(&gt, 3);
         let ones = SparseVector::full(4, 1.0f64);
-        let y = gspmv_semiring(&pd, &ones, &PlusTimes, &Executor::sequential());
+        let y = plus_times(&pd, &ones, &Executor::sequential());
         // in-degrees: A=0 (unset), B=1, C=2, D=1
         assert_eq!(y.get(0), None);
         assert_eq!(y.get(1), Some(&1.0));
@@ -421,8 +479,8 @@ mod tests {
         for i in (0..64).step_by(3) {
             x.set(i, (i + 1) as f64);
         }
-        let seq = gspmv_semiring(&pd_seq, &x, &PlusTimes, &Executor::sequential());
-        let par = gspmv_semiring(&pd_par, &x, &PlusTimes, &Executor::new(4));
+        let seq = plus_times(&pd_seq, &x, &Executor::sequential());
+        let par = plus_times(&pd_par, &x, &Executor::new(4));
         assert_eq!(seq.to_entries(), par.to_entries());
     }
 
@@ -536,7 +594,7 @@ mod tests {
         for (i, v) in x_dense.iter().enumerate() {
             x.set(i as u32, *v);
         }
-        let y = gspmv_semiring(&pd, &x, &PlusTimes, &Executor::new(2));
+        let y = plus_times(&pd, &x, &Executor::new(2));
         for (r, row) in dense.iter().enumerate() {
             let expect: f64 = (0..10).map(|c| row[c] * x_dense[c]).sum();
             let got = y.get(r as u32).copied().unwrap_or(0.0);
@@ -545,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn min_plus_semiring_runs() {
+    fn min_plus_runs() {
         let mut gt: Coo<f32> = Coo::new(3, 3);
         gt.push(1, 0, 5.0);
         gt.push(2, 1, 2.0);
@@ -553,7 +611,13 @@ mod tests {
         let mut x: SparseVector<f32> = SparseVector::new(3);
         x.set(0, 0.0);
         x.set(1, 100.0);
-        let y = gspmv_semiring(&pd, &x, &MinPlus, &Executor::sequential());
+        let y = gspmv(
+            &pd,
+            &x,
+            &|m: &f32, e: &f32, _| m + e,
+            &|acc: &mut f32, v| *acc = acc.min(v),
+            &Executor::sequential(),
+        );
         assert_eq!(y.get(1), Some(&5.0));
         assert_eq!(y.get(2), Some(&102.0));
     }

@@ -29,14 +29,16 @@
 //! // Build once; Arc<Topology> is shared by every run that follows.
 //! let topo = session.build_graph(&edges).in_edges(false).finish()?;
 //!
-//! // Packaged algorithms take &Session + &Topology…
+//! // Packaged algorithms take &Session + a graph view (&Topology,
+//! // &Arc<Topology> or a store snapshot's view)…
 //! let ranks = pagerank_on(&session, &topo, &PageRankConfig::default())?;
 //! assert!(ranks.values[2] > ranks.values[0]);
-//!
-//! // …and hand-written programs go through the run builder (seed the
-//! // source, cap iterations, execute into a fresh per-run state).
 //! let sssp = sssp_on(&session, &topo, 0)?;
 //! assert_eq!(sssp.values[1], 1.0);
+//!
+//! // …and hand-written programs go through the run builder
+//! // (`session.run(&topo, program).seed_with(..).execute()?`, see
+//! // `examples/quickstart.rs`).
 //! # Ok::<(), GraphMatError>(())
 //! ```
 //!
@@ -45,28 +47,21 @@
 //! and every fallible path (bad vertex id, empty edge list, missing in-edge
 //! matrix, zero threads) returns a typed [`core::error::GraphMatError`].
 //!
-//! ## Migrating from the fused `Graph` API
+//! ## The run surface
 //!
-//! The pre-session API (`Graph<V, E>` + `run_graph_program`) still works —
-//! `Graph` is now a thin facade over a `Topology` + one `VertexState` — but
-//! new code should use the builders:
-//!
-//! | old | new |
-//! |---|---|
-//! | `Graph::from_edge_list(&edges, opts)` | `session.build_graph(&edges).partitions(16).finish()?` |
-//! | `graph.set_all_properties(v)` | `.init_all(v)` on the run builder |
-//! | `graph.set_property(s, 0.0); graph.set_active(s)` | `.seed_with(s, 0.0)` |
-//! | `graph.set_all_active()` | `.activate_all()` |
-//! | `run_graph_program(&prog, &mut graph, &opts)` | `session.run(&topo, prog)…execute()?` |
-//! | `bfs(&edges, &cfg, &opts)` (rebuilds the matrix) | `bfs_on(&session, &topo, root)?` |
-//! | clone the `Graph` per concurrent run | share one `Arc<Topology>` |
-//!
-//! See [`core`] for the full migration table and
-//! `examples/quickstart.rs` for a complete session-based program.
+//! There is one engine path, at three altitudes: the packaged drivers
+//! `x_on(session, view, cfg)` (fresh state, returns the values) and
+//! `x_into(session, view, …, deadline, &mut state)` (pooled state, the
+//! serving hot path) in [`algorithms`]; the run builder
+//! [`core::session::Session::run`] for any vertex program; and
+//! [`core::runner::run_program`] underneath both. Every one of them takes a
+//! [`core::view::GraphView`], which `&Topology`, `&Arc<Topology>` and a
+//! [`core::store::GraphStore`] snapshot's `view()` all convert into. See
+//! [`core`] for the table.
 //!
 //! ## Direction optimization (PR-4)
 //!
-//! Sessions run **direction-optimized** by default
+//! Runs are **direction-optimized** by default
 //! (`VectorKind::Auto`): each superstep executes either the paper's sparse
 //! *push* SpMV (column-wise over the DCSC) or the dense *pull* SpMV
 //! (row-parallel over a CSR mirror), chosen by Beamer's frontier-density
@@ -116,31 +111,24 @@ pub use graphmat_sparse as sparse;
 
 /// Commonly used types for writing and running vertex programs.
 pub mod prelude {
-    pub use graphmat_algorithms::bfs::{bfs, bfs_on, bfs_view, BfsConfig};
+    pub use graphmat_algorithms::bfs::bfs_on;
     pub use graphmat_algorithms::collaborative_filtering::{
-        collaborative_filtering, collaborative_filtering_on, rmse, CfConfig,
+        collaborative_filtering_on, rmse, CfConfig,
     };
-    pub use graphmat_algorithms::connected_components::{
-        component_count, connected_components, connected_components_on, connected_components_view,
-        CcConfig,
-    };
-    pub use graphmat_algorithms::degree::{in_degrees, in_degrees_on, out_degrees, out_degrees_on};
+    pub use graphmat_algorithms::connected_components::{component_count, connected_components_on};
+    pub use graphmat_algorithms::degree::{in_degrees_on, out_degrees_on};
     pub use graphmat_algorithms::delta_pagerank::{
-        delta_pagerank, delta_pagerank_into, delta_pagerank_on, delta_pagerank_view,
-        DeltaPageRankConfig, StreamingPageRank,
+        delta_pagerank_into, delta_pagerank_on, DeltaPageRankConfig, StreamingPageRank,
     };
-    pub use graphmat_algorithms::pagerank::{pagerank, pagerank_on, pagerank_view, PageRankConfig};
-    pub use graphmat_algorithms::sssp::{sssp, sssp_on, SsspConfig};
-    pub use graphmat_algorithms::triangle_count::{
-        total_triangles, triangle_count, triangle_count_on, TriangleCountConfig,
-    };
+    pub use graphmat_algorithms::pagerank::{pagerank_on, PageRankConfig};
+    pub use graphmat_algorithms::sssp::sssp_on;
+    pub use graphmat_algorithms::triangle_count::{total_triangles, triangle_count_on};
     pub use graphmat_algorithms::AlgorithmOutput;
     pub use graphmat_core::{
-        run_graph_program, run_program, run_program_view, ActivityPolicy, Backend, DispatchMode,
-        EdgeDirection, Graph, GraphBuildOptions, GraphMatError, GraphProgram, GraphSnapshot,
-        GraphStore, GraphView, RunOptions, RunOutcome, RunResult, RunStats, Session,
-        SessionOptions, StoreOptions, StoreStats, SuperstepStats, Topology, VectorKind, VertexId,
-        VertexState, DEFAULT_PULL_ALPHA,
+        run_program, ActivityPolicy, Backend, DispatchMode, EdgeDirection, GraphBuildOptions,
+        GraphMatError, GraphProgram, GraphSnapshot, GraphStore, GraphView, RunOptions, RunOutcome,
+        RunResult, RunStats, Session, SessionOptions, StoreOptions, StoreStats, SuperstepStats,
+        Topology, VectorKind, VertexId, VertexState, DEFAULT_PULL_ALPHA,
     };
     pub use graphmat_delta::{DeltaBatch, DeltaError, UpdateOp};
     pub use graphmat_io::bipartite::BipartiteConfig;

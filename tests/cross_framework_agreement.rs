@@ -13,6 +13,13 @@ fn social_graph() -> EdgeList {
     load(DatasetId::FacebookLike, DatasetScale::Tiny)
 }
 
+/// A session of `threads` lanes plus `edges` built for out-edge traversal.
+fn built<E: Clone>(edges: &EdgeList<E>, threads: usize) -> (Session, std::sync::Arc<Topology<E>>) {
+    let session = Session::with_threads(threads).unwrap();
+    let topology = session.build_graph(edges).in_edges(false).finish().unwrap();
+    (session, topology)
+}
+
 fn road_graph() -> EdgeList {
     grid::generate(&GridConfig {
         removal_fraction: 0.05,
@@ -24,14 +31,16 @@ fn road_graph() -> EdgeList {
 fn pagerank_all_engines_agree() {
     let edges = social_graph();
     let iterations = 8;
-    let gm = pagerank(
-        &edges,
+    let (session, topology) = built(&edges, 2);
+    let gm = pagerank_on(
+        &session,
+        &topology,
         &PageRankConfig {
             iterations,
             ..Default::default()
         },
-        &RunOptions::default(),
-    );
+    )
+    .unwrap();
     let nat = native::pagerank(&edges, 0.15, iterations, 0);
     let cb = comb::pagerank(&edges, 0.15, iterations, 0);
     let wl = worklist::pagerank(&edges, 0.15, iterations, 0);
@@ -70,7 +79,8 @@ fn pagerank_all_engines_agree() {
 fn bfs_all_engines_agree() {
     let edges = social_graph();
     let root = 3;
-    let gm = bfs(&edges, &BfsConfig::from_root(root), &RunOptions::default());
+    let (session, topology) = built(&edges.symmetrized(), 2);
+    let gm = bfs_on(&session, &topology, root).unwrap();
     let nat = native::bfs(&edges, root, 0);
     let cb = comb::bfs(&edges, root, 0);
     let gl = vertexpull::bfs(&edges, root, 0);
@@ -85,11 +95,8 @@ fn bfs_all_engines_agree() {
 fn sssp_all_engines_agree_on_road_network() {
     let edges = road_graph();
     let source = 0;
-    let gm = sssp(
-        &edges,
-        &SsspConfig::from_source(source),
-        &RunOptions::default(),
-    );
+    let (session, topology) = built(&edges, 2);
+    let gm = sssp_on(&session, &topology, source).unwrap();
     let nat = native::sssp(&edges, source, 0);
     let cb = comb::sssp(&edges, source, 0);
     let gl = vertexpull::sssp(&edges, source, 0);
@@ -114,11 +121,8 @@ fn sssp_all_engines_agree_on_road_network() {
 #[test]
 fn triangle_counts_agree_across_engines() {
     let edges = load(DatasetId::RmatTriangle, DatasetScale::Tiny);
-    let gm = triangle_count(
-        &edges,
-        &TriangleCountConfig::default(),
-        &RunOptions::default(),
-    );
+    let (session, topology) = built(&edges.to_dag(), 2);
+    let gm = triangle_count_on(&session, &topology).unwrap();
     let expected = native::triangle_count(&edges, 0).values.iter().sum::<u64>();
     assert_eq!(total_triangles(&gm), expected);
     assert_eq!(
@@ -155,7 +159,9 @@ fn collaborative_filtering_engines_agree() {
         iterations: 5,
         ..Default::default()
     };
-    let gm = collaborative_filtering(&ratings, &cfg, &RunOptions::default());
+    let session = Session::with_threads(2).unwrap();
+    let topology = session.build_graph(&ratings.edges).finish().unwrap();
+    let gm = collaborative_filtering_on(&session, &topology, &cfg).unwrap();
     let nat = native::collaborative_filtering(&ratings, 6, cfg.lambda, cfg.gamma, 5, cfg.seed, 0);
     let cb = comb::collaborative_filtering(&ratings, 6, cfg.lambda, cfg.gamma, 5, cfg.seed, 0);
     let gl =
@@ -181,13 +187,11 @@ fn unweighted_bfs_agrees_across_every_baseline() {
     let weighted = social_graph();
     let edges: EdgeList<()> = weighted.topology();
     let root = 3;
-    let reference = bfs(
-        &weighted,
-        &BfsConfig::from_root(root),
-        &RunOptions::default(),
-    );
+    let (session, weighted_topology) = built(&weighted.symmetrized(), 2);
+    let reference = bfs_on(&session, &weighted_topology, root).unwrap();
 
-    let gm = bfs(&edges, &BfsConfig::from_root(root), &RunOptions::default());
+    let (session, topology) = built(&edges.symmetrized(), 2);
+    let gm = bfs_on(&session, &topology, root).unwrap();
     let nat = native::bfs(&edges, root, 0);
     let cb = comb::bfs(&edges, root, 0);
     let gl = vertexpull::bfs(&edges, root, 0);
@@ -203,22 +207,14 @@ fn unweighted_bfs_agrees_across_every_baseline() {
 fn graphmat_is_deterministic_across_thread_counts() {
     let edges = social_graph();
     let run = |threads: usize| {
+        let (session, topology) = built(&edges, threads);
+        let cfg = PageRankConfig {
+            iterations: 5,
+            ..Default::default()
+        };
         (
-            pagerank(
-                &edges,
-                &PageRankConfig {
-                    iterations: 5,
-                    ..Default::default()
-                },
-                &RunOptions::default().with_threads(threads),
-            )
-            .values,
-            sssp(
-                &edges,
-                &SsspConfig::from_source(1),
-                &RunOptions::default().with_threads(threads),
-            )
-            .values,
+            pagerank_on(&session, &topology, &cfg).unwrap().values,
+            sssp_on(&session, &topology, 1).unwrap().values,
         )
     };
     let (pr1, ss1) = run(1);

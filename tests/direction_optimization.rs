@@ -158,6 +158,17 @@ fn selector_flips_direction_across_bfs_supersteps() {
     }
 }
 
+/// A 2-lane session whose runs default to the paper's always-push
+/// configuration (`VectorKind::Bitvector`).
+fn push_session() -> Session {
+    Session::new(
+        SessionOptions::default()
+            .with_threads(2)
+            .with_run_defaults(RunOptions::default().with_vector(VectorKind::Bitvector)),
+    )
+    .unwrap()
+}
+
 /// PageRank activates every vertex every superstep — the canonical
 /// dense-frontier workload. Under `Auto` it must settle on the pull backend
 /// while producing exactly the push ranks.
@@ -181,90 +192,78 @@ fn pagerank_selects_pull_on_every_superstep() {
         assert_eq!(s.frontier_density, 1.0);
     }
 
-    // Bit-for-bit against the legacy always-push facade on an identically
-    // built graph.
-    let push = pagerank(
-        &edges,
-        &cfg,
-        &RunOptions::default()
-            .with_threads(2)
-            .with_vector(VectorKind::Bitvector),
-    );
+    // Bit-for-bit against the paper's always-push configuration on the
+    // same topology.
+    let push = pagerank_on(&push_session(), &topo, &cfg).unwrap();
     assert_eq!(auto.values, push.values);
     assert_eq!(push.stats.pull_supersteps, 0);
 }
 
-/// All eight packaged algorithms, run through session drivers (Auto) and
-/// compared bit-for-bit against their forced-push legacy facades — the
-/// acceptance bar of the direction-optimization PR.
+/// All eight packaged algorithms, run through a default (Auto) session and
+/// through a forced-push session over the same topologies, compared
+/// bit-for-bit — the acceptance bar of the direction-optimization PR.
 #[test]
 fn all_algorithms_agree_between_auto_and_forced_push() {
     let edges = rmat::generate(&RmatConfig::graph500(8).with_seed(33));
-    let push_opts = RunOptions::default()
-        .with_threads(2)
-        .with_vector(VectorKind::Bitvector);
-    let session = Session::with_threads(2).unwrap();
+    let auto = Session::with_threads(2).unwrap();
+    let push = push_session();
 
-    // BFS / CC run on the symmetrized graph, like their facades do.
-    let sym_topo = session
+    // BFS / CC run on the symmetrized graph.
+    let sym_topo = auto
         .build_graph(&edges.symmetrized().topology())
         .finish()
         .unwrap();
+    let bfs = bfs_on(&auto, &sym_topo, 0).unwrap();
+    assert!(bfs.stats.pull_supersteps > 0, "Auto must actually pull");
     assert_eq!(
-        bfs_on(&session, &sym_topo, 0).unwrap().values,
-        bfs(&edges.topology(), &BfsConfig::from_root(0), &push_opts).values,
+        bfs.values,
+        bfs_on(&push, &sym_topo, 0).unwrap().values,
         "bfs"
     );
     assert_eq!(
-        connected_components_on(&session, &sym_topo).unwrap().values,
-        connected_components(&edges.topology(), &CcConfig::default(), &push_opts).values,
+        connected_components_on(&auto, &sym_topo).unwrap().values,
+        connected_components_on(&push, &sym_topo).unwrap().values,
         "connected components"
     );
 
-    let topo = session.build_graph(&edges).finish().unwrap();
+    let topo = auto.build_graph(&edges).finish().unwrap();
     assert_eq!(
-        sssp_on(&session, &topo, 0).unwrap().values,
-        sssp(&edges, &SsspConfig::from_source(0), &push_opts).values,
+        sssp_on(&auto, &topo, 0).unwrap().values,
+        sssp_on(&push, &topo, 0).unwrap().values,
         "sssp"
     );
+    let pr_cfg = PageRankConfig::default();
     assert_eq!(
-        pagerank_on(&session, &topo, &PageRankConfig::default())
-            .unwrap()
-            .values,
-        pagerank(&edges, &PageRankConfig::default(), &push_opts).values,
+        pagerank_on(&auto, &topo, &pr_cfg).unwrap().values,
+        pagerank_on(&push, &topo, &pr_cfg).unwrap().values,
         "pagerank"
     );
+    let dpr_cfg = DeltaPageRankConfig::default();
     assert_eq!(
-        delta_pagerank_on(&session, &topo, &DeltaPageRankConfig::default())
-            .unwrap()
-            .values,
-        delta_pagerank(&edges, &DeltaPageRankConfig::default(), &push_opts).values,
+        delta_pagerank_on(&auto, &topo, &dpr_cfg).unwrap().values,
+        delta_pagerank_on(&push, &topo, &dpr_cfg).unwrap().values,
         "delta pagerank"
     );
     assert_eq!(
-        in_degrees_on(&session, &topo).unwrap().values,
-        in_degrees(&edges, &push_opts).values,
+        in_degrees_on(&auto, &topo).unwrap().values,
+        in_degrees_on(&push, &topo).unwrap().values,
         "in-degrees"
     );
     assert_eq!(
-        out_degrees_on(&session, &topo).unwrap().values,
-        out_degrees(&edges, &push_opts).values,
+        out_degrees_on(&auto, &topo).unwrap().values,
+        out_degrees_on(&push, &topo).unwrap().values,
         "out-degrees"
     );
 
     let tc_edges = rmat::generate(&RmatConfig::triangle_counting(7).with_seed(3));
-    let tc_topo = session
+    let tc_topo = auto
         .build_graph(&tc_edges.to_dag())
         .in_edges(false)
         .finish()
         .unwrap();
     assert_eq!(
-        total_triangles(&triangle_count_on(&session, &tc_topo).unwrap()),
-        total_triangles(&triangle_count(
-            &tc_edges,
-            &TriangleCountConfig::default(),
-            &push_opts
-        )),
+        triangle_count_on(&auto, &tc_topo).unwrap().values,
+        triangle_count_on(&push, &tc_topo).unwrap().values,
         "triangle count"
     );
 
@@ -275,10 +274,16 @@ fn all_algorithms_agree_between_auto_and_forced_push() {
         iterations: 3,
         ..Default::default()
     };
-    let cf_topo = session.build_graph(&ratings.edges).finish().unwrap();
-    let auto_cf = collaborative_filtering_on(&session, &cf_topo, &cf_cfg).unwrap();
-    let push_cf = collaborative_filtering(&ratings, &cf_cfg, &push_opts);
-    assert_eq!(auto_cf.values, push_cf.values, "collaborative filtering");
+    let cf_topo = auto.build_graph(&ratings.edges).finish().unwrap();
+    assert_eq!(
+        collaborative_filtering_on(&auto, &cf_topo, &cf_cfg)
+            .unwrap()
+            .values,
+        collaborative_filtering_on(&push, &cf_topo, &cf_cfg)
+            .unwrap()
+            .values,
+        "collaborative filtering"
+    );
 }
 
 /// Pooled states + workspace recycling across backend switches: rerunning

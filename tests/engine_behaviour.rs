@@ -5,6 +5,33 @@
 use graphmat::io::{datasets, mtx};
 use graphmat::prelude::*;
 use graphmat_io::datasets::{DatasetId, DatasetScale};
+use std::sync::Arc;
+
+/// A default session plus `edges` built for out-edge traversal.
+fn built<E: Clone>(edges: &EdgeList<E>) -> (Session, Arc<Topology<E>>) {
+    let session = Session::with_defaults().unwrap();
+    let topology = session.build_graph(edges).in_edges(false).finish().unwrap();
+    (session, topology)
+}
+
+fn pagerank_for(edges: &EdgeList, iterations: usize) -> AlgorithmOutput<f64> {
+    let (session, topology) = built(edges);
+    let cfg = PageRankConfig {
+        iterations,
+        ..Default::default()
+    };
+    pagerank_on(&session, &topology, &cfg).unwrap()
+}
+
+fn sssp_from_zero(edges: &EdgeList) -> AlgorithmOutput<f32> {
+    let (session, topology) = built(edges);
+    sssp_on(&session, &topology, 0).unwrap()
+}
+
+fn bfs_from(edges: &EdgeList, root: VertexId) -> AlgorithmOutput<u32> {
+    let (session, topology) = built(&edges.symmetrized());
+    bfs_on(&session, &topology, root).unwrap()
+}
 
 #[test]
 fn spmv_dominates_pagerank_runtime() {
@@ -12,14 +39,7 @@ fn spmv_dominates_pagerank_runtime() {
     // At tiny scales the constant overheads weigh more, so require a majority
     // rather than the full 80%.
     let edges = datasets::load(DatasetId::RmatGraph500, DatasetScale::Tiny);
-    let out = pagerank(
-        &edges,
-        &PageRankConfig {
-            iterations: 10,
-            ..Default::default()
-        },
-        &RunOptions::default(),
-    );
+    let out = pagerank_for(&edges, 10);
     assert!(
         out.stats.spmv_fraction() > 0.5,
         "SpMV fraction was only {:.1}%",
@@ -37,7 +57,7 @@ fn sssp_on_road_network_takes_many_cheap_iterations() {
         num_shortcuts: 0,
         ..graphmat::io::grid::GridConfig::square(40)
     });
-    let out = sssp(&edges, &SsspConfig::from_source(0), &RunOptions::default());
+    let out = sssp_from_zero(&edges);
     assert!(out.converged);
     assert!(
         out.stats.iterations > 20,
@@ -61,7 +81,7 @@ fn sssp_on_road_network_takes_many_cheap_iterations() {
 fn bfs_on_social_graph_finishes_in_few_supersteps() {
     // Small-world graphs have tiny diameters, the opposite regime.
     let edges = datasets::load(DatasetId::FacebookLike, DatasetScale::Tiny);
-    let out = bfs(&edges, &BfsConfig::from_root(0), &RunOptions::default());
+    let out = bfs_from(&edges, 0);
     assert!(out.converged);
     assert!(
         out.stats.iterations <= 12,
@@ -80,19 +100,16 @@ fn mtx_roundtrip_feeds_the_engine() {
     let reloaded = mtx::read(buffer.as_slice()).unwrap();
     assert_eq!(reloaded.num_edges(), edges.num_edges());
 
-    let a = sssp(&edges, &SsspConfig::from_source(0), &RunOptions::default());
-    let b = sssp(
-        &reloaded,
-        &SsspConfig::from_source(0),
-        &RunOptions::default(),
+    assert_eq!(
+        sssp_from_zero(&edges).values,
+        sssp_from_zero(&reloaded).values
     );
-    assert_eq!(a.values, b.values);
 }
 
 #[test]
 fn run_stats_account_for_all_supersteps() {
     let edges = datasets::load(DatasetId::WikipediaLike, DatasetScale::Tiny);
-    let out = bfs(&edges, &BfsConfig::from_root(2), &RunOptions::default());
+    let out = bfs_from(&edges, 2);
     assert_eq!(out.stats.supersteps.len(), out.stats.iterations);
     let edge_sum: u64 = out.stats.supersteps.iter().map(|s| s.edges_processed).sum();
     assert_eq!(edge_sum, out.stats.edges_processed);
@@ -109,37 +126,25 @@ fn run_stats_account_for_all_supersteps() {
 fn delta_pagerank_touches_fewer_edges_than_fixed_iteration() {
     // The extension's point: convergence-driven activity saves work.
     let edges = datasets::load(DatasetId::LiveJournalLike, DatasetScale::Tiny);
-    let fixed = pagerank(
-        &edges,
-        &PageRankConfig {
-            iterations: 50,
-            ..Default::default()
-        },
-        &RunOptions::default(),
-    );
-    let delta = delta_pagerank(
-        &edges,
+    let fixed = pagerank_for(&edges, 50);
+    let (session, topology) = built(&edges);
+    let delta = delta_pagerank_on(
+        &session,
+        &topology,
         &DeltaPageRankConfig {
             tolerance: 1e-6,
             max_iterations: 50,
             ..Default::default()
         },
-        &RunOptions::default(),
-    );
+    )
+    .unwrap();
     assert!(delta.stats.edges_processed < fixed.stats.edges_processed);
 }
 
 #[test]
 fn cost_counters_scale_with_graph_size() {
     let small = datasets::load(DatasetId::FacebookLike, DatasetScale::Tiny);
-    let out = pagerank(
-        &small,
-        &PageRankConfig {
-            iterations: 3,
-            ..Default::default()
-        },
-        &RunOptions::default(),
-    );
+    let out = pagerank_for(&small, 3);
     let counters = out.stats.to_cost_counters(12);
     assert!(counters.edge_ops >= small.num_edges() as u64);
     assert!(counters.bytes_read > counters.edge_ops);

@@ -4,7 +4,7 @@
 //! parallel SEND and APPLY paths (> 2048 active vertices).
 
 use graphmat_core::program::{EdgeDirection, GraphProgram, VertexId};
-use graphmat_core::{Graph, GraphBuildOptions, RunOptions, VectorKind};
+use graphmat_core::{ActivityPolicy, Session, VectorKind};
 use graphmat_io::rmat::{self, RmatConfig};
 
 /// A direction-configurable program over integer state. `reduce` is
@@ -50,21 +50,21 @@ fn run(direction: EdgeDirection, vector: VectorKind, threads: usize) -> Vec<u64>
     // Scale 12 → 4096 vertices, comfortably above the 2048-vertex thresholds
     // that gate the parallel SEND and APPLY paths.
     let el = rmat::generate(&RmatConfig::graph500(12).with_seed(42));
-    let mut g: Graph<u64> = Graph::from_edge_list(&el, GraphBuildOptions::default());
-    g.init_properties(|v| v as u64 + 1);
-    g.set_all_active();
-    let result = graphmat_core::run_graph_program(
-        &Mixer { direction },
-        &mut g,
-        &RunOptions::default()
-            .with_threads(threads)
-            .with_vector(vector)
-            .with_activity(graphmat_core::ActivityPolicy::AlwaysAll)
-            .with_max_iterations(4),
-    );
-    assert_eq!(result.stats.iterations, 4);
-    assert_eq!(result.stats.nthreads, threads);
-    g.properties().to_vec()
+    let session = Session::with_threads(threads).unwrap();
+    // The same partitioning at every thread count, so only the schedule varies.
+    let topo = session.build_graph(&el).partitions(16).finish().unwrap();
+    let outcome = session
+        .run(&topo, Mixer { direction })
+        .init_with(|v| v as u64 + 1)
+        .activate_all()
+        .vector(vector)
+        .activity(ActivityPolicy::AlwaysAll)
+        .max_iterations(4)
+        .execute()
+        .unwrap();
+    assert_eq!(outcome.stats.iterations, 4);
+    assert_eq!(outcome.stats.nthreads, threads);
+    outcome.values
 }
 
 #[test]

@@ -6,52 +6,73 @@
 use graphmat::prelude::*;
 use graphmat_io::datasets::{load, DatasetId, DatasetScale};
 use graphmat_io::uniform::{self, UniformConfig};
+use std::sync::Arc;
 
 fn weighted_graph() -> EdgeList {
     load(DatasetId::FacebookLike, DatasetScale::Tiny)
 }
 
+/// A default session plus `edges` built for out-edge traversal.
+fn built<E: Clone>(edges: &EdgeList<E>) -> (Session, Arc<Topology<E>>) {
+    let session = Session::with_defaults().unwrap();
+    let topology = session.build_graph(edges).in_edges(false).finish().unwrap();
+    (session, topology)
+}
+
+/// BFS from vertex 0 over `edges` as given.
+fn bfs_from_zero<E: Clone + Send + Sync + 'static>(edges: &EdgeList<E>) -> AlgorithmOutput<u32> {
+    let (session, topology) = built(edges);
+    bfs_on(&session, &topology, 0).unwrap()
+}
+
+fn sssp_from<E: EdgeWeight + 'static>(edges: &EdgeList<E>, source: VertexId) -> Vec<f32> {
+    let (session, topology) = built(edges);
+    sssp_on(&session, &topology, source).unwrap().values
+}
+
 #[test]
 fn unweighted_bfs_matches_weighted_topology() {
-    let weighted = weighted_graph();
+    let weighted = weighted_graph().symmetrized();
     let unweighted: EdgeList<()> = weighted.topology();
-    let cfg = BfsConfig::from_root(0);
-    let a = bfs(&weighted, &cfg, &RunOptions::default());
-    let b = bfs(&unweighted, &cfg, &RunOptions::default());
+    let a = bfs_from_zero(&weighted);
+    let b = bfs_from_zero(&unweighted);
     assert_eq!(a.values, b.values);
     assert_eq!(a.stats.iterations, b.stats.iterations);
 }
 
 #[test]
 fn unweighted_connected_components_match_weighted_topology() {
-    let weighted = weighted_graph();
-    let unweighted = weighted.topology();
-    let a = connected_components(&weighted, &CcConfig::default(), &RunOptions::default());
-    let b = connected_components(&unweighted, &CcConfig::default(), &RunOptions::default());
+    let weighted = weighted_graph().symmetrized();
+    let (session, topology) = built(&weighted);
+    let a = connected_components_on(&session, &topology).unwrap();
+    let (session, topology) = built(&weighted.topology());
+    let b = connected_components_on(&session, &topology).unwrap();
     assert_eq!(a.values, b.values);
 }
 
 #[test]
 fn unweighted_degrees_match_weighted_topology() {
     let weighted = weighted_graph();
-    let unweighted = weighted.topology();
+    let session = Session::sequential();
+    let w = session.build_graph(&weighted).finish().unwrap();
+    let u = session.build_graph(&weighted.topology()).finish().unwrap();
     assert_eq!(
-        in_degrees(&weighted, &RunOptions::sequential()).values,
-        in_degrees(&unweighted, &RunOptions::sequential()).values,
+        in_degrees_on(&session, &w).unwrap().values,
+        in_degrees_on(&session, &u).unwrap().values,
     );
     assert_eq!(
-        out_degrees(&weighted, &RunOptions::sequential()).values,
-        out_degrees(&unweighted, &RunOptions::sequential()).values,
+        out_degrees_on(&session, &w).unwrap().values,
+        out_degrees_on(&session, &u).unwrap().values,
     );
 }
 
 #[test]
 fn unweighted_triangle_count_matches_weighted_topology() {
-    let weighted = load(DatasetId::RmatTriangle, DatasetScale::Tiny);
-    let unweighted = weighted.topology();
-    let cfg = TriangleCountConfig::default();
-    let a = triangle_count(&weighted, &cfg, &RunOptions::default());
-    let b = triangle_count(&unweighted, &cfg, &RunOptions::default());
+    let weighted = load(DatasetId::RmatTriangle, DatasetScale::Tiny).to_dag();
+    let (session, topology) = built(&weighted);
+    let a = triangle_count_on(&session, &topology).unwrap();
+    let (session, topology) = built(&weighted.topology());
+    let b = triangle_count_on(&session, &topology).unwrap();
     assert_eq!(a.values, b.values);
     assert!(total_triangles(&a) > 0);
 }
@@ -66,12 +87,11 @@ fn integer_weight_sssp_matches_f32() {
             .with_seed(4),
     );
     let u32_edges: EdgeList<u32> = f32_edges.map_values(|_, _, w| *w as u32);
-    let cfg = SsspConfig::from_source(7);
-    let from_f32 = sssp(&f32_edges, &cfg, &RunOptions::default().with_threads(4));
-    let from_u32 = sssp(&u32_edges, &cfg, &RunOptions::default().with_threads(4));
-    assert_eq!(from_f32.values, from_u32.values);
+    let from_f32 = sssp_from(&f32_edges, 7);
+    let from_u32 = sssp_from(&u32_edges, 7);
+    assert_eq!(from_f32, from_u32);
     let reference = graphmat_algorithms::sssp::sssp_reference(&u32_edges, 7);
-    for (v, (a, b)) in from_u32.values.iter().zip(reference.iter()).enumerate() {
+    for (v, (a, b)) in from_u32.iter().zip(reference.iter()).enumerate() {
         assert!((a - b).abs() < 1e-4, "vertex {v}: {a} vs {b}");
     }
 }
@@ -79,22 +99,10 @@ fn integer_weight_sssp_matches_f32() {
 #[test]
 fn unweighted_sssp_counts_hops() {
     // () edges read as weight 1, so SSSP on EdgeList<()> is BFS hop counting.
-    let edges = weighted_graph().symmetrized();
-    let hops = sssp(
-        &edges.topology(),
-        &SsspConfig::from_source(0),
-        &RunOptions::default(),
-    );
-    let levels = bfs(
-        &edges.topology(),
-        &BfsConfig {
-            root: 0,
-            symmetrize: false,
-            ..Default::default()
-        },
-        &RunOptions::default(),
-    );
-    for (v, (d, l)) in hops.values.iter().zip(levels.values.iter()).enumerate() {
+    let edges = weighted_graph().symmetrized().topology();
+    let hops = sssp_from(&edges, 0);
+    let levels = bfs_from_zero(&edges);
+    for (v, (d, l)) in hops.iter().zip(levels.values.iter()).enumerate() {
         if *l == u32::MAX {
             assert_eq!(*d, f32::MAX, "vertex {v}");
         } else {
@@ -107,9 +115,19 @@ fn unweighted_sssp_counts_hops() {
 fn unweighted_matrices_store_no_value_bytes() {
     let weighted = weighted_graph();
     let unweighted = weighted.topology();
-    let build = GraphBuildOptions::default().with_in_edges(false);
-    let gw: Graph<u32, f32> = Graph::from_edge_list(&weighted, build);
-    let gu: Graph<u32, ()> = Graph::from_edge_list(&unweighted, build);
+    let session = Session::sequential();
+    let gw = session
+        .build_graph(&weighted)
+        .in_edges(false)
+        .pull_enabled(false)
+        .finish()
+        .unwrap();
+    let gu = session
+        .build_graph(&unweighted)
+        .in_edges(false)
+        .pull_enabled(false)
+        .finish()
+        .unwrap();
     assert_eq!(gw.num_edges(), gu.num_edges());
     assert_eq!(
         gw.matrix_bytes() - gu.matrix_bytes(),
@@ -121,10 +139,8 @@ fn unweighted_matrices_store_no_value_bytes() {
 #[test]
 fn run_stats_surface_the_memory_saving() {
     let weighted = weighted_graph();
-    let unweighted = weighted.topology();
-    let cfg = BfsConfig::from_root(0);
-    let a = bfs(&weighted, &cfg, &RunOptions::default());
-    let b = bfs(&unweighted, &cfg, &RunOptions::default());
+    let a = bfs_from_zero(&weighted);
+    let b = bfs_from_zero(&weighted.topology());
     assert!(a.stats.matrix_bytes > b.stats.matrix_bytes);
     assert!(b.stats.matrix_bytes > 0);
 }
@@ -199,13 +215,15 @@ fn struct_valued_edges_flow_through_the_engine() {
             ), // effective 0.5
         ],
     );
-    let mut graph: Graph<f32, Road> =
-        Graph::from_edge_list(&edges, GraphBuildOptions::default().with_partitions(2));
-    graph.set_all_properties(f32::MAX);
-    graph.set_property(0, 0.0);
-    graph.set_active(0);
-    let result = run_graph_program(&RoadSssp, &mut graph, &RunOptions::sequential());
-    assert!(result.converged);
-    assert_eq!(*graph.property(1), 2.0);
-    assert_eq!(*graph.property(2), 2.5); // 0->1->2 beats the direct wide road
+    let session = Session::sequential();
+    let topology = session.build_graph(&edges).partitions(2).finish().unwrap();
+    let outcome = session
+        .run(&topology, RoadSssp)
+        .init_all(f32::MAX)
+        .seed_with(0, 0.0)
+        .execute()
+        .unwrap();
+    assert!(outcome.converged);
+    assert_eq!(outcome.values[1], 2.0);
+    assert_eq!(outcome.values[2], 2.5); // 0->1->2 beats the direct wide road
 }

@@ -33,18 +33,49 @@ fn arb_graph(seed: u64, max_vertices: u32, max_edges: usize) -> EdgeList {
     EdgeList::from_tuples(n, tuples)
 }
 
+/// `edges` built for out-edge traversal through `session`.
+fn built<E: Clone>(session: &Session, edges: &EdgeList<E>) -> std::sync::Arc<Topology<E>> {
+    session.build_graph(edges).in_edges(false).finish().unwrap()
+}
+
+/// SSSP from vertex 0 through `session`.
+fn sssp_from_zero(session: &Session, edges: &EdgeList) -> Vec<f32> {
+    sssp_on(session, &built(session, edges), 0).unwrap().values
+}
+
+/// BFS from vertex 0 over the symmetrized `edges`.
+fn bfs_from_zero<E: Clone + Send + Sync + 'static>(edges: &EdgeList<E>) -> Vec<u32> {
+    let session = Session::sequential();
+    bfs_on(&session, &built(&session, &edges.symmetrized()), 0)
+        .unwrap()
+        .values
+}
+
+/// Connected components of the symmetrized `edges`.
+fn components<E: Clone + Send + Sync + 'static>(edges: &EdgeList<E>) -> Vec<u32> {
+    let session = Session::sequential();
+    connected_components_on(&session, &built(&session, &edges.symmetrized()))
+        .unwrap()
+        .values
+}
+
+/// A sequential session whose runs start from `run_defaults`.
+fn session_with(run_defaults: RunOptions) -> Session {
+    Session::new(
+        SessionOptions::default()
+            .with_threads(1)
+            .with_run_defaults(run_defaults),
+    )
+    .unwrap()
+}
+
 #[test]
 fn sssp_matches_dijkstra_on_random_graphs() {
     for case in 0..CASES {
         let edges = arb_graph(1000 + case, 60, 300);
-        let source = 0;
-        let gm = sssp(
-            &edges,
-            &SsspConfig::from_source(source),
-            &RunOptions::sequential(),
-        );
-        let reference = graphmat_algorithms::sssp::sssp_reference(&edges, source);
-        for (v, (a, b)) in gm.values.iter().zip(reference.iter()).enumerate() {
+        let gm = sssp_from_zero(&Session::sequential(), &edges);
+        let reference = graphmat_algorithms::sssp::sssp_reference(&edges, 0);
+        for (v, (a, b)) in gm.iter().zip(reference.iter()).enumerate() {
             if *b == f32::MAX {
                 assert_eq!(*a, f32::MAX, "case {case} vertex {v}");
             } else {
@@ -58,11 +89,11 @@ fn sssp_matches_dijkstra_on_random_graphs() {
 fn bfs_distances_are_consistent_with_edges() {
     for case in 0..CASES {
         let edges = arb_graph(2000 + case, 60, 300);
-        let out = bfs(&edges, &BfsConfig::from_root(0), &RunOptions::sequential());
+        let out = bfs_from_zero(&edges);
         let sym = edges.symmetrized();
         // triangle inequality over every (undirected) edge: |d(u) - d(v)| <= 1
         for &(u, v, _) in sym.edges() {
-            let (du, dv) = (out.values[u as usize], out.values[v as usize]);
+            let (du, dv) = (out[u as usize], out[v as usize]);
             if du != u32::MAX && dv != u32::MAX {
                 assert!(
                     du.abs_diff(dv) <= 1,
@@ -73,7 +104,7 @@ fn bfs_distances_are_consistent_with_edges() {
                 assert_eq!(du, dv, "case {case} edge ({u},{v})");
             }
         }
-        assert_eq!(out.values[0], 0, "case {case}");
+        assert_eq!(out[0], 0, "case {case}");
     }
 }
 
@@ -81,11 +112,8 @@ fn bfs_distances_are_consistent_with_edges() {
 fn triangle_count_matches_bruteforce() {
     for case in 0..CASES {
         let edges = arb_graph(3000 + case, 40, 200);
-        let out = triangle_count(
-            &edges,
-            &TriangleCountConfig::default(),
-            &RunOptions::sequential(),
-        );
+        let session = Session::sequential();
+        let out = triangle_count_on(&session, &built(&session, &edges.to_dag())).unwrap();
         let expected = graphmat_algorithms::triangle_count::triangle_count_reference(&edges);
         assert_eq!(total_triangles(&out), expected, "case {case}");
     }
@@ -95,10 +123,9 @@ fn triangle_count_matches_bruteforce() {
 fn connected_components_match_union_find() {
     for case in 0..CASES {
         let edges = arb_graph(4000 + case, 60, 200);
-        let out = connected_components(&edges, &CcConfig::default(), &RunOptions::sequential());
         let expected =
             graphmat_algorithms::connected_components::connected_components_reference(&edges);
-        assert_eq!(out.values, expected, "case {case}");
+        assert_eq!(components(&edges), expected, "case {case}");
     }
 }
 
@@ -107,14 +134,16 @@ fn pagerank_matches_native_and_preserves_positivity() {
     for case in 0..CASES {
         let edges = arb_graph(5000 + case, 50, 250);
         let iterations = 6;
-        let gm = pagerank(
-            &edges,
+        let session = Session::sequential();
+        let gm = pagerank_on(
+            &session,
+            &built(&session, &edges),
             &PageRankConfig {
                 iterations,
                 ..Default::default()
             },
-            &RunOptions::sequential(),
-        );
+        )
+        .unwrap();
         let nat = native::pagerank(&edges, 0.15, iterations, 1);
         for v in 0..edges.num_vertices() as usize {
             assert!(gm.values[v] > 0.0, "case {case} vertex {v}");
@@ -133,8 +162,10 @@ fn pagerank_matches_native_and_preserves_positivity() {
 fn degree_programs_match_edge_list() {
     for case in 0..CASES {
         let edges = arb_graph(6000 + case, 50, 250);
-        let ins = in_degrees(&edges, &RunOptions::sequential());
-        let outs = out_degrees(&edges, &RunOptions::sequential());
+        let session = Session::sequential();
+        let topology = session.build_graph(&edges).finish().unwrap();
+        let ins = in_degrees_on(&session, &topology).unwrap();
+        let outs = out_degrees_on(&session, &topology).unwrap();
         let expect_in: Vec<u64> = edges.in_degrees().iter().map(|&d| d as u64).collect();
         let expect_out: Vec<u64> = edges.out_degrees().iter().map(|&d| d as u64).collect();
         assert_eq!(ins.values, expect_in, "case {case}");
@@ -146,17 +177,9 @@ fn degree_programs_match_edge_list() {
 fn parallel_run_equals_sequential_run() {
     for case in 0..CASES {
         let edges = arb_graph(7000 + case, 50, 250);
-        let seq = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential(),
-        );
-        let par = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::default().with_threads(4),
-        );
-        assert_eq!(seq.values, par.values, "case {case}");
+        let seq = sssp_from_zero(&Session::sequential(), &edges);
+        let par = sssp_from_zero(&Session::with_threads(4).unwrap(), &edges);
+        assert_eq!(seq, par, "case {case}");
     }
 }
 
@@ -164,44 +187,21 @@ fn parallel_run_equals_sequential_run() {
 fn dispatch_and_vector_ablations_do_not_change_results() {
     for case in 0..CASES {
         let edges = arb_graph(8000 + case, 40, 200);
-        let base = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential(),
-        );
-        let dynamic = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential().with_dispatch(DispatchMode::Dynamic),
-        );
-        let sorted = sssp(
-            &edges,
-            &SsspConfig::from_source(0),
-            &RunOptions::sequential().with_vector(VectorKind::Sorted),
-        );
-        // The pull/auto backends need the CSR mirrors, which the legacy
-        // build defaults leave off.
-        let pull_cfg = SsspConfig {
-            build: GraphBuildOptions::default().with_pull_mirrors(true),
-            ..SsspConfig::from_source(0)
-        };
-        let dense = sssp(
-            &edges,
-            &pull_cfg,
-            &RunOptions::sequential().with_vector(VectorKind::Dense),
-        );
-        let auto = sssp(
-            &edges,
-            &pull_cfg,
-            &RunOptions::sequential().with_vector(VectorKind::Auto),
-        );
-        assert_eq!(&base.values, &dynamic.values, "case {case}");
-        assert_eq!(&base.values, &sorted.values, "case {case}");
-        assert_eq!(&base.values, &dense.values, "case {case} (forced pull)");
+        let run = |options: RunOptions| sssp_from_zero(&session_with(options), &edges);
+        let push = RunOptions::default().with_vector(VectorKind::Bitvector);
+        let base = run(push);
         assert_eq!(
-            &base.values, &auto.values,
-            "case {case} (direction-optimized)"
+            base,
+            run(push.with_dispatch(DispatchMode::Dynamic)),
+            "case {case} (dynamic dispatch)"
         );
+        for kind in [VectorKind::Sorted, VectorKind::Dense, VectorKind::Auto] {
+            assert_eq!(
+                base,
+                run(RunOptions::default().with_vector(kind)),
+                "case {case} ({kind:?})"
+            );
+        }
     }
 }
 
@@ -298,7 +298,7 @@ fn streaming_overlay_matches_rebuild_from_final_edge_list() {
             iterations: 6,
             ..Default::default()
         };
-        let pr_overlay = pagerank_view(&session, view, &pr_cfg).unwrap();
+        let pr_overlay = pagerank_on(&session, view, &pr_cfg).unwrap();
         let pr_scratch = pagerank_on(&session, &rebuilt, &pr_cfg).unwrap();
         for (v, (a, b)) in pr_overlay.values.iter().zip(&pr_scratch.values).enumerate() {
             assert_eq!(
@@ -308,12 +308,12 @@ fn streaming_overlay_matches_rebuild_from_final_edge_list() {
             );
         }
         assert_eq!(
-            bfs_view(&session, view, 0).unwrap().values,
+            bfs_on(&session, view, 0).unwrap().values,
             bfs_on(&session, &rebuilt, 0).unwrap().values,
             "case {case} bfs"
         );
         assert_eq!(
-            connected_components_view(&session, view).unwrap().values,
+            connected_components_on(&session, view).unwrap().values,
             connected_components_on(&session, &rebuilt).unwrap().values,
             "case {case} components"
         );
@@ -328,14 +328,10 @@ fn unweighted_runs_agree_with_weighted_topology() {
         let edges = arb_graph(9000 + case, 50, 250);
         let topo = edges.topology();
         assert_eq!(
-            bfs(&edges, &BfsConfig::from_root(0), &RunOptions::sequential()).values,
-            bfs(&topo, &BfsConfig::from_root(0), &RunOptions::sequential()).values,
+            bfs_from_zero(&edges),
+            bfs_from_zero(&topo),
             "case {case} bfs"
         );
-        assert_eq!(
-            connected_components(&edges, &CcConfig::default(), &RunOptions::sequential()).values,
-            connected_components(&topo, &CcConfig::default(), &RunOptions::sequential()).values,
-            "case {case} cc"
-        );
+        assert_eq!(components(&edges), components(&topo), "case {case} cc");
     }
 }

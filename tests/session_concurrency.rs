@@ -4,9 +4,9 @@
 //! and every result matches the corresponding single-threaded-in-main run
 //! **bit for bit**.
 //!
-//! Before the split this was impossible: `run_graph_program` took
-//! `&mut Graph`, so two concurrent runs — even two read-only queries —
-//! needed two copies of the adjacency matrices.
+//! The split is what makes this possible: a run mutates only its own
+//! `VertexState`, so concurrent runs — read-only queries included — need no
+//! second copy of the adjacency matrices.
 
 use graphmat::prelude::*;
 use std::sync::Arc;

@@ -1,8 +1,8 @@
 //! Direct proof of the allocation-budget claim: a warmed superstep loop and
 //! a warmed server round perform **zero** heap allocation.
 //!
-//! The engine's design doc (and `tests/pool_reuse.rs`) argue this indirectly
-//! through pool counters; here the claim is enforced at the allocator
+//! The engine's design doc argues this indirectly through pool counters;
+//! here the claim is enforced at the allocator
 //! boundary. `graphmat_audit::alloc_track::CountingAllocator` is installed
 //! as this binary's global allocator, and the steady-state regions are
 //! measured with `AllocGuard` — any alloc / dealloc / realloc anywhere in

@@ -99,7 +99,7 @@ pub fn connected_components_into<'a, E: Clone + Send + Sync + 'static>(
 ) -> Result<RunResult> {
     session
         .run(view, CcProgram::<E>::default())
-        .init_with(|v| v)
+        .init_with(&|v| v)
         .activate_all()
         // Label propagation must run until no label changes; don't let
         // session run defaults truncate or over-activate it.

@@ -157,17 +157,14 @@ pub fn delta_pagerank_into<'a, E: Clone + Send + Sync + 'static>(
     let view = view.into();
     let degrees = view.out_degrees();
     let r = config.random_surf;
-    state.check_matches(view.topology())?;
-    // Initialise the pooled state directly instead of through
-    // `RunBuilder::init_with`: the builder boxes its init closure, and this
-    // one captures the degree slice — a small per-query heap allocation the
-    // serving hot path must not make (`tests/zero_alloc.rs`).
-    state.init_properties(|v| DeltaPrVertex {
+    let initial = |v: VertexId| DeltaPrVertex {
         rank: r,
         delta: r,
         degree: degrees[v as usize],
-    });
+    };
     if config.max_iterations == 0 {
+        state.check_matches(view.topology())?;
+        state.init_properties(initial);
         return Ok(crate::zero_superstep_result(view, session));
     }
     let program = DeltaPageRankProgram::<E> {
@@ -177,6 +174,7 @@ pub fn delta_pagerank_into<'a, E: Clone + Send + Sync + 'static>(
     };
     session
         .run(view, program)
+        .init_with(&initial)
         .activate_all()
         // The whole point of the delta formulation is a shrinking
         // changed-only frontier; pin it against session defaults.
@@ -368,7 +366,7 @@ impl StreamingPageRank {
         };
         let outcome = session
             .run(view, program)
-            .init_with(|v| DeltaPrVertex {
+            .init_with(&|v| DeltaPrVertex {
                 rank: ranks[v as usize],
                 delta: 0.0,
                 degree: degrees[v as usize],

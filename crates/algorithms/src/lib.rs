@@ -43,8 +43,8 @@
 //! **concurrently** from different threads through one session. Drivers
 //! return `Result<_, GraphMatError>` instead of panicking, and they do *not*
 //! preprocess the graph — symmetrize / DAG-reduce the edge list before
-//! building the topology (each driver documents what it expects). Backend,
-//! dispatch and iteration-recording choices come from the session's run
+//! building the topology (each driver documents what it expects). Backend
+//! and iteration-recording choices come from the session's run
 //! defaults; each driver pins only what its semantics require (activity
 //! policy, termination).
 //!

@@ -60,6 +60,16 @@ pub struct PageRankProgram<E = f32> {
     _edge: std::marker::PhantomData<E>,
 }
 
+impl<E> PageRankProgram<E> {
+    /// The program with random-surf probability `random_surf`.
+    pub fn new(random_surf: f64) -> Self {
+        PageRankProgram {
+            random_surf,
+            _edge: std::marker::PhantomData,
+        }
+    }
+}
+
 impl<E: Clone + Send + Sync> GraphProgram for PageRankProgram<E> {
     type VertexProp = PageRankVertex;
     type Message = f64;
@@ -140,24 +150,18 @@ pub fn pagerank_into<'a, E: Clone + Send + Sync + 'static>(
     let view = view.into();
     // Borrowed, not cloned: the view's degree array is read in place.
     let degrees = view.out_degrees();
-    // Initialise the pooled state directly instead of through
-    // `RunBuilder::init_with`: the builder boxes its init closure, and this
-    // one captures the degree slice — a small per-query heap allocation the
-    // serving hot path must not make (`tests/zero_alloc.rs`).
-    state.check_matches(view.topology())?;
-    state.init_properties(|v| PageRankVertex {
+    let initial = |v: VertexId| PageRankVertex {
         rank: INITIAL_RANK,
         degree: degrees[v as usize],
-    });
+    };
     if config.iterations == 0 {
+        state.check_matches(view.topology())?;
+        state.init_properties(initial);
         return Ok(crate::zero_superstep_result(view, session));
     }
-    let program = PageRankProgram::<E> {
-        random_surf: config.random_surf,
-        _edge: std::marker::PhantomData,
-    };
     session
-        .run(view, program)
+        .run(view, PageRankProgram::<E>::new(config.random_surf))
+        .init_with(&initial)
         .activate_all()
         // every vertex rebroadcasts each iteration, as in the paper's
         // fixed-iteration PageRank runs

@@ -1,5 +1,5 @@
-//! Figure 7: cumulative effect of the backend optimizations (bitvector,
-//! inlining, parallelism, load balancing) on PageRank — extended with the
+//! Figure 7: cumulative effect of the backend optimizations (inlining,
+//! parallelism, load balancing) on PageRank — extended with the
 //! direction-optimization rows: push-only vs pull-only vs auto, so the
 //! ablation covers the dense-pull backend and the per-superstep selector.
 

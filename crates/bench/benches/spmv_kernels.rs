@@ -1,5 +1,6 @@
 //! Microbenchmarks of the sparse backend itself: generalized SpMV throughput
-//! for the bitvector vs sorted sparse-vector representations, for different
+//! for the bitvector vs sorted sparse-vector representations (the paper's
+//! Figure 7 "+bitvector" step, measured at the kernel), for different
 //! partition counts, and — the generic-edge payoff — for weighted (`f32`)
 //! versus unweighted (`()`) matrices of the same topology, and for the
 //! sparse-push versus dense-pull kernels at different frontier densities
@@ -7,12 +8,13 @@
 //! optimization discussion rather than a specific figure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use graphmat_bench::ablation::SortedSparseVector;
 use graphmat_io::rmat::{self, RmatConfig};
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::spmv::{gspmv, gspmv_csr_pull_into, gspmv_into};
-use graphmat_sparse::spvec::{DenseVector, SortedSparseVector, SparseVector};
+use graphmat_sparse::spvec::SparseVector;
 use graphmat_sparse::Index;
 
 fn bench(c: &mut Criterion) {
@@ -113,17 +115,15 @@ fn bench(c: &mut Criterion) {
 
     // Push vs pull at different frontier densities: the pull kernel reads
     // every stored edge, so it should win only on dense frontiers — exactly
-    // the regime the Auto selector sends it.
+    // the regime the selector sends it.
     let mirror = CsrMirror::from_partitioned(&matrix);
     for (label, stride) in [("dense_1_of_2", 2usize), ("sparse_1_of_64", 64)] {
-        let mut push_x: SparseVector<f32> = SparseVector::new(n);
-        let mut pull_x: DenseVector<f32> = DenseVector::new(n);
+        let mut x: SparseVector<f32> = SparseVector::new(n);
         for v in (0..n as u32).step_by(stride) {
-            push_x.set(v, 1.0);
-            pull_x.set(v, 1.0);
+            x.set(v, 1.0);
         }
         let mut y: SparseVector<f32> = SparseVector::new(n);
-        group.bench_with_input(BenchmarkId::new("push", label), &push_x, |b, x| {
+        group.bench_with_input(BenchmarkId::new("push", label), &x, |b, x| {
             b.iter(|| {
                 gspmv_into(
                     &matrix,
@@ -136,7 +136,7 @@ fn bench(c: &mut Criterion) {
                 y.nnz()
             })
         });
-        group.bench_with_input(BenchmarkId::new("pull", label), &pull_x, |b, x| {
+        group.bench_with_input(BenchmarkId::new("pull", label), &x, |b, x| {
             b.iter(|| {
                 gspmv_csr_pull_into(
                     &mirror,

@@ -137,7 +137,7 @@ fn main() {
         figure6(&all_measurements);
     }
     if wants(&opts, "fig7") {
-        figure7(&opts);
+        all_measurements.extend(figure7(&opts));
     }
     if let Some(path) = &opts.json_path {
         // Alongside the paper-faithful push measurements, record the
@@ -391,8 +391,11 @@ fn figure6(measurements: &[Measurement]) {
     }
 }
 
-fn figure7(opts: &Options) {
+/// Prints the ablation tables and returns the rows' measurements (dataset
+/// `"fig7/<row label>"`) for the `--json` dump.
+fn figure7(opts: &Options) -> Vec<harness::Measurement> {
     println!("Figure 7: cumulative effect of the backend optimizations\n");
+    let mut measurements = Vec::new();
     for (title, alg, dataset) in [
         (
             "PageRank / facebook-like",
@@ -410,17 +413,20 @@ fn figure7(opts: &Options) {
             "cumulative speedup".to_string(),
             "pull supersteps".to_string(),
         ];
+        let naive_seconds = steps[0].seconds;
         let rows: Vec<Vec<String>> = steps
             .iter()
             .map(|s| {
                 vec![
-                    s.label.to_string(),
+                    s.dataset.trim_start_matches("fig7/").to_string(),
                     format!("{:.4}", s.seconds),
-                    format!("{:.1}x", s.speedup),
-                    format!("{}/{}", s.pull_supersteps, s.iterations),
+                    format!("{:.1}x", naive_seconds / s.seconds.max(1e-12)),
+                    format!("{}/{}", s.pull_supersteps(), s.supersteps.len()),
                 ]
             })
             .collect();
         println!("{}", harness::render_table(&headers, &rows));
+        measurements.extend(steps);
     }
+    measurements
 }

@@ -1,5 +1,6 @@
 //! Shared machinery for the figure/table reproductions.
 
+use crate::ablation::{pagerank_no_inline, sssp_no_inline};
 use graphmat_algorithms::bfs::bfs_on;
 use graphmat_algorithms::collaborative_filtering::{collaborative_filtering_on, CfConfig};
 use graphmat_algorithms::pagerank::{pagerank_on, PageRankConfig};
@@ -8,7 +9,7 @@ use graphmat_algorithms::triangle_count::triangle_count_on;
 use graphmat_baselines::{comb, native, vertexpull, worklist, Framework};
 use graphmat_core::{
     Backend, GraphBuildOptions, RunOptions, RunStats, Session, SessionOptions, SuperstepStats,
-    Topology, VectorKind,
+    Topology,
 };
 use graphmat_io::bipartite::RatingsGraph;
 use graphmat_io::datasets::{self, DatasetId, DatasetScale};
@@ -103,6 +104,14 @@ impl Measurement {
         }
     }
 
+    /// How many of the recorded supersteps ran on the pull backend.
+    pub fn pull_supersteps(&self) -> usize {
+        self.supersteps
+            .iter()
+            .filter(|s| s.backend == Backend::Pull)
+            .count()
+    }
+
     /// Derived Figure 6 report for this measurement.
     pub fn perf_report(&self) -> PerfReport {
         PerfReport::from_counters(&self.counters, self.total)
@@ -155,7 +164,7 @@ fn paper_faithful() -> (GraphBuildOptions, RunOptions) {
         GraphBuildOptions::default()
             .with_in_edges(false)
             .with_pull_mirrors(false),
-        RunOptions::default().with_vector(VectorKind::Bitvector),
+        RunOptions::default().with_backend(Backend::Push),
     )
 }
 
@@ -376,8 +385,8 @@ pub fn run_cf(
     )
 }
 
-/// Run the direction-optimized engine configuration — `VectorKind::Auto`
-/// over a pull-enabled topology, the defaults — and label the dataset
+/// Run the direction-optimized engine configuration — backend chosen per
+/// superstep over a pull-enabled topology, the defaults — and label the dataset
 /// `"<name>+auto"` so JSON consumers can tell it apart from the
 /// paper-faithful push run of [`run_graph_algorithm`]. Its superstep
 /// trajectory is where push→pull direction flips show up.
@@ -506,150 +515,87 @@ pub fn table3_slowdowns(scale: DatasetScale, nthreads: usize) -> Vec<(Algorithm,
     rows
 }
 
-/// One row of the Figure 7 ablation.
-#[derive(Clone, Debug)]
-pub struct AblationStep {
-    /// Configuration label ("naive", "+bitvector", ...).
-    pub label: &'static str,
-    /// Measured time in seconds.
-    pub seconds: f64,
-    /// Cumulative speedup over the naive configuration.
-    pub speedup: f64,
-    /// Supersteps that ran on the pull backend (0 for the push-only rows;
-    /// equals `iterations` for the forced-pull row).
-    pub pull_supersteps: usize,
-    /// Total supersteps of the run.
-    pub iterations: usize,
-}
+/// One Figure 7 row: `(label, threads, callbacks inlined, forced backend,
+/// partitions per thread, balanced)`.
+pub type Figure7Config = (&'static str, usize, bool, Option<Backend>, usize, bool);
 
-/// One Figure 7 row: `(label, threads, dispatch, vector, partitions per
-/// thread, balanced)`.
-pub type Figure7Config = (
-    &'static str,
-    usize,
-    graphmat_core::DispatchMode,
-    VectorKind,
-    usize,
-    bool,
-);
-
-/// The Figure 7 configurations: the paper's five cumulative optimization
-/// steps plus this reproduction's direction-optimization comparison rows
-/// (push-only, pull-only, auto). Shared by the harness and the
-/// `fig7_ablation` criterion bench so the two cannot drift apart.
+/// The Figure 7 configurations: the paper's cumulative optimization steps
+/// that live in the engine's configuration space, plus this reproduction's
+/// direction-optimization comparison rows (push-only, pull-only, auto).
+/// The paper's "+bitvector" step is not a row: the engine has no sorted-tuple
+/// message vector to fall back to, so that step is measured at the kernel by
+/// `benches/spmv_kernels.rs` (`sorted_frontier` vs `bitvector_frontier`).
+/// Shared by the harness and the `fig7_ablation` criterion bench so the two
+/// cannot drift apart.
 pub fn figure7_configs(nthreads: usize) -> Vec<Figure7Config> {
-    use graphmat_core::DispatchMode;
+    const PUSH: Option<Backend> = Some(Backend::Push);
     vec![
-        (
-            "naive (scalar)",
-            1,
-            DispatchMode::Dynamic,
-            VectorKind::Sorted,
-            1,
-            false,
-        ),
-        (
-            "+bitvector",
-            1,
-            DispatchMode::Dynamic,
-            VectorKind::Bitvector,
-            1,
-            false,
-        ),
-        (
-            "+ipo (inlined)",
-            1,
-            DispatchMode::Static,
-            VectorKind::Bitvector,
-            1,
-            false,
-        ),
-        (
-            "+parallel",
-            nthreads,
-            DispatchMode::Static,
-            VectorKind::Bitvector,
-            1,
-            false,
-        ),
-        (
-            "+load balance (push only)",
-            nthreads,
-            DispatchMode::Static,
-            VectorKind::Bitvector,
-            8,
-            true,
-        ),
+        ("naive (no-inline, 1 thread)", 1, false, PUSH, 1, false),
+        ("+ipo", 1, true, PUSH, 1, false),
+        ("+parallel", nthreads, true, PUSH, 1, false),
+        ("+load balance (push only)", nthreads, true, PUSH, 8, true),
         // Direction-optimization rows: same fully-optimized configuration,
         // varying only the backend. "pull only" is expected to *lose* on
         // sparse-frontier workloads (SSSP) and win on dense ones
         // (PageRank); "auto" should track the better of the two.
-        (
-            "pull only (dense)",
-            nthreads,
-            DispatchMode::Static,
-            VectorKind::Dense,
-            8,
-            true,
-        ),
-        (
-            "auto (direction-opt)",
-            nthreads,
-            DispatchMode::Static,
-            VectorKind::Auto,
-            8,
-            true,
-        ),
+        ("pull only", nthreads, true, Some(Backend::Pull), 8, true),
+        ("auto", nthreads, true, None, 8, true),
     ]
 }
 
 /// Set up one Figure 7 row. Pull mirrors are built exactly for the
-/// configurations whose vector kind can pull, so the paper-faithful push
-/// rows carry no extra build cost or memory.
+/// configurations that can pull, so the paper-faithful push rows carry no
+/// extra build cost or memory. The not-inlined row runs the same programs
+/// through [`crate::ablation::NoInline`].
 pub fn figure7_run<'a>(
     algorithm: Algorithm,
     edges: &EdgeList,
-    (_, threads, dispatch, vector, partitions_per_thread, balanced): Figure7Config,
+    (_, threads, inlined, backend, partitions_per_thread, balanced): Figure7Config,
 ) -> TimedRun<'a> {
     assert!(matches!(algorithm, Algorithm::PageRank | Algorithm::Sssp));
-    let build = GraphBuildOptions::default()
+    let build_options = GraphBuildOptions::default()
         .with_partitions(partitions_per_thread * threads)
         .with_balancing(balanced)
         .with_in_edges(false)
-        .with_pull_mirrors(matches!(vector, VectorKind::Dense | VectorKind::Auto));
-    let options = RunOptions::default()
-        .with_dispatch(dispatch)
-        .with_vector(vector);
-    graphmat_run(algorithm, edges, threads, build, options)
+        .with_pull_mirrors(backend != Some(Backend::Push));
+    let options = RunOptions::default().with_backend(backend);
+    if inlined {
+        return graphmat_run(algorithm, edges, threads, build_options, options);
+    }
+    let session = session(threads, options);
+    let topology = build(&session, edges, build_options);
+    let cfg = PageRankConfig {
+        iterations: PR_ITERATIONS,
+        ..Default::default()
+    };
+    Box::new(move || match algorithm {
+        Algorithm::PageRank => timing(
+            pagerank_no_inline(&session, &topology, &cfg).stats,
+            12,
+            true,
+        ),
+        _ => timing(sssp_no_inline(&session, &topology, 0).stats, 4, false),
+    })
 }
 
 /// Figure 7: cumulative effect of the paper's optimizations — plus the
 /// push-only / pull-only / auto direction-optimization comparison — on
-/// PageRank and SSSP. Returns the per-step results for the given
-/// algorithm/dataset; each step also reports how many of its supersteps ran
-/// on the pull backend.
+/// PageRank and SSSP. One measurement per [`figure7_configs`] row, its
+/// dataset labelled `"fig7/<row label>"`; the superstep detail says how
+/// many supersteps each row pulled.
 pub fn figure7_ablation(
     algorithm: Algorithm,
     edges: &EdgeList,
     nthreads: usize,
-) -> Vec<AblationStep> {
-    let mut out = Vec::new();
-    let mut naive_seconds = None;
-    for config in figure7_configs(nthreads) {
-        let (seconds, _, _, supersteps) = figure7_run(algorithm, edges, config)();
-        let naive = *naive_seconds.get_or_insert(seconds);
-        out.push(AblationStep {
-            label: config.0,
-            seconds,
-            speedup: naive / seconds.max(1e-12),
-            pull_supersteps: supersteps
-                .iter()
-                .filter(|s| s.backend == Backend::Pull)
-                .count(),
-            iterations: supersteps.len(),
-        });
-    }
-    out
+) -> Vec<Measurement> {
+    figure7_configs(nthreads)
+        .into_iter()
+        .map(|config| {
+            let timing = figure7_run(algorithm, edges, config)();
+            let dataset = format!("fig7/{}", config.0);
+            Measurement::new(Framework::GraphMat, algorithm, dataset, timing)
+        })
+        .collect()
 }
 
 /// Figure 5: thread-scaling sweep for one framework/algorithm/dataset.
@@ -816,42 +762,51 @@ mod tests {
     }
 
     #[test]
-    fn ablation_has_direction_rows_and_naive_is_baseline() {
+    fn ablation_rows_pin_their_backends() {
         let edges = datasets::load(DatasetId::FacebookLike, DatasetScale::Tiny);
         let steps = figure7_ablation(Algorithm::PageRank, &edges, 2);
-        assert_eq!(steps.len(), 7);
-        assert!((steps[0].speedup - 1.0).abs() < 1e-9);
+        let labels: Vec<&str> = steps.iter().map(|m| m.dataset.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "fig7/naive (no-inline, 1 thread)",
+                "fig7/+ipo",
+                "fig7/+parallel",
+                "fig7/+load balance (push only)",
+                "fig7/pull only",
+                "fig7/auto",
+            ]
+        );
         // The push-only rows never pull; the forced-pull row always pulls;
         // auto on PageRank (every vertex active every superstep) pulls every
         // superstep — the acceptance criterion of the direction PR.
-        for push_row in &steps[..5] {
-            assert_eq!(push_row.pull_supersteps, 0, "{}", push_row.label);
+        for push_row in &steps[..4] {
+            assert_eq!(push_row.pull_supersteps(), 0, "{}", push_row.dataset);
+            assert_eq!(push_row.supersteps.len(), PR_ITERATIONS);
         }
-        let pull_only = &steps[5];
-        assert_eq!(pull_only.label, "pull only (dense)");
-        assert_eq!(pull_only.pull_supersteps, pull_only.iterations);
-        let auto = &steps[6];
-        assert_eq!(auto.label, "auto (direction-opt)");
-        assert_eq!(
-            auto.pull_supersteps, auto.iterations,
-            "dense-frontier PageRank supersteps must select the pull backend"
-        );
+        for pull_row in &steps[4..] {
+            assert_eq!(
+                pull_row.pull_supersteps(),
+                PR_ITERATIONS,
+                "dense-frontier PageRank supersteps must run on the pull backend ({})",
+                pull_row.dataset
+            );
+        }
     }
 
     #[test]
     fn sssp_ablation_auto_tracks_the_sparse_frontier() {
         // SSSP's frontier starts from one source: auto must not pull every
-        // superstep (most are sparse), while forced dense always pulls.
+        // superstep (most are sparse), while forced pull always does.
         let edges = datasets::load(DatasetId::FlickrLike, DatasetScale::Tiny);
         let steps = figure7_ablation(Algorithm::Sssp, &edges, 2);
-        let pull_only = &steps[5];
-        assert_eq!(pull_only.pull_supersteps, pull_only.iterations);
-        let auto = &steps[6];
+        let (pull_only, auto) = (&steps[4], &steps[5]);
+        assert_eq!(pull_only.pull_supersteps(), pull_only.supersteps.len());
         assert!(
-            auto.pull_supersteps < auto.iterations,
+            auto.pull_supersteps() < auto.supersteps.len(),
             "auto pulled {}/{} supersteps on a frontier-driven SSSP",
-            auto.pull_supersteps,
-            auto.iterations
+            auto.pull_supersteps(),
+            auto.supersteps.len()
         );
     }
 

@@ -7,6 +7,9 @@
 //! `figures` binary (`cargo run -p graphmat-bench --bin figures --release`)
 //! drives it to print text versions of Table 1–3 and Figures 4–7; the
 //! Criterion benches under `benches/` time the same workloads with
-//! statistical rigour.
+//! statistical rigour. The [`ablation`] module holds the two losing
+//! alternatives of the paper's ablations that the engine itself no longer
+//! carries (sorted-tuple message vectors, not-inlined callbacks).
 
+pub mod ablation;
 pub mod harness;

@@ -57,26 +57,27 @@
 //! active, wasteful when most are (PageRank every superstep, the middle of
 //! a BFS). This reproduction adds the dense *pull* backend
 //! direction-optimized frameworks (Beamer's bottom-up BFS, GraphBLAST) get
-//! their biggest win from: SEND fills a [`DenseVector`] instead, and the
-//! row-parallel [`gspmv_csr_pull_into`] kernel walks destination rows of
-//! the topology's CSR mirror, gathering messages by index — no sharded
-//! writers, no atomics, perfect write locality.
+//! their biggest win from: the row-parallel [`gspmv_csr_pull_into`] kernel
+//! walks destination rows of the topology's CSR mirror, gathering messages
+//! by index — no sharded writers, no atomics, perfect write locality.
 //!
-//! [`VectorKind::Auto`] (the default) makes the choice per
-//! superstep with [`choose_backend`], Beamer's rule: pull when the
-//! frontier's out-edges exceed `unexplored_edges / α` and the frontier is
-//! not tiny. Forced kinds pin the backend (`Bitvector`/`Sorted` → push,
-//! `Dense` → pull). Every representation reduces each destination's
-//! incoming products in ascending source order, so **all four produce
-//! bit-for-bit identical results** — the selector can never change an
-//! answer, only its speed. The superstep records the chosen
-//! [`Backend`] in its metrics so runs expose their push/pull trajectory.
+//! Direction is a per-superstep decision over **one** message vector, not a
+//! second vector type: SEND always fills the workspace's bit-vector-backed
+//! [`SparseVector`] (§4.4.2's winning representation), and the chosen kernel
+//! either probes it per non-empty column (push) or per stored source index
+//! (pull). By default [`choose_backend`] decides, Beamer's rule: pull when
+//! the frontier's out-edges exceed `unexplored_edges / α` and the frontier
+//! is not tiny. [`RunOptions::backend`](crate::options::RunOptions::backend)
+//! pins it instead. Both kernels reduce each destination's incoming products
+//! in ascending source order, so **push, pull and the selector produce
+//! bit-for-bit identical results** — the choice can never change an answer,
+//! only its speed. Each superstep records its [`Backend`] so runs expose
+//! their push/pull trajectory.
 
 use crate::error::{GraphMatError, Result};
-use crate::options::{DispatchMode, RunOptions, VectorKind};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::state::VertexState;
-use crate::stats::Backend;
+use crate::stats::{Backend, SuperstepStats};
 use crate::view::GraphView;
 use graphmat_sparse::bitvec::AtomicBitVec;
 use graphmat_sparse::overlay::{gspmv_overlay_into, Overlay};
@@ -84,12 +85,10 @@ use graphmat_sparse::parallel::{chunks, Executor};
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_into};
-use graphmat_sparse::spvec::{
-    DenseVector, MessageVector, SortedSparseVector, SparseVector, WordRangeWriter,
-};
+use graphmat_sparse::spvec::SparseVector;
 use graphmat_sparse::Index;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Work lists smaller than this run a phase sequentially: waking the pool
 /// costs more than scanning a short list on one lane — exactly the "small
@@ -97,6 +96,11 @@ use std::time::{Duration, Instant};
 /// advantage (§5.2.1). Shared by SEND (here) and APPLY (the runner) so the
 /// two cutoffs cannot drift apart.
 pub(crate) const PARALLEL_PHASE_MIN_WORK: usize = 2048;
+
+/// The α threshold of the direction selector: pull once the frontier's
+/// out-edges exceed `unexplored_edges / 14` (the value Beamer et al. tune on
+/// scale-free graphs).
+pub const PULL_ALPHA: f64 = 14.0;
 
 /// The β guard of the direction selector: never pull while fewer than
 /// `1/β` of all vertices are active, no matter how few edges remain
@@ -106,12 +110,11 @@ pub(crate) const PARALLEL_PHASE_MIN_WORK: usize = 2048;
 /// messages.
 pub const PULL_BETA: f64 = 24.0;
 
-/// The Beamer-style direction rule used by [`VectorKind::Auto`]: pull when
-/// the frontier's outgoing edges outnumber `unexplored_edges / alpha`
-/// (the frontier is about to touch a large share of what is left, so a
-/// row-major sweep that reads each destination's sources beats scattering)
-/// **and** at least `num_vertices / β` vertices are active (see
-/// [`PULL_BETA`]).
+/// The Beamer-style direction rule: pull when the frontier's outgoing edges
+/// outnumber `unexplored_edges / α` ([`PULL_ALPHA`] — the frontier is about
+/// to touch a large share of what is left, so a row-major sweep that reads
+/// each destination's sources beats scattering) **and** at least
+/// `num_vertices / β` vertices are active (see [`PULL_BETA`]).
 ///
 /// `frontier_edges` is the out-edge count of the current active set in the
 /// program's scatter direction; `unexplored_edges` is the direction's total
@@ -124,9 +127,8 @@ pub fn choose_backend(
     unexplored_edges: u64,
     active_count: usize,
     num_vertices: usize,
-    alpha: f64,
 ) -> Backend {
-    let frontier_is_heavy = frontier_edges as f64 > unexplored_edges as f64 / alpha;
+    let frontier_is_heavy = frontier_edges as f64 > unexplored_edges as f64 / PULL_ALPHA;
     let frontier_is_broad = active_count as f64 * PULL_BETA >= num_vertices as f64;
     if frontier_is_heavy && frontier_is_broad {
         Backend::Pull
@@ -135,49 +137,15 @@ pub fn choose_backend(
     }
 }
 
-/// Scalar measurements of one superstep's SEND + SpMV phases; the reduced
-/// values themselves land in the [`Workspace`].
-pub(crate) struct SuperstepMetrics {
-    /// Number of messages generated by SEND_MESSAGE.
-    pub messages_sent: usize,
-    /// Number of edges traversed by the SpMV.
-    pub edges_processed: u64,
-    /// Which SpMV backend ran (push, or pull when the frontier was dense).
-    pub backend: Backend,
-    /// Time spent building the message vector.
-    pub send_time: Duration,
-    /// Time spent in the SpMV.
-    pub spmv_time: Duration,
-}
-
-/// The message vector in the representation [`RunOptions::vector`] selected.
-enum MessageStore<M> {
-    /// Bit vector + dense value array, always pushed (the paper's choice,
-    /// §4.4.2).
-    Bitvector(SparseVector<M>),
-    /// Sorted tuples (the Figure 7 ablation baseline; SEND stays sequential
-    /// here because sorted insertion cannot be sharded).
-    Sorted(SortedSparseVector<M>),
-    /// Dense value array + validity bitmap, always pulled through the CSR
-    /// mirror.
-    Dense(DenseVector<M>),
-    /// Direction-optimized: both representations live in the workspace and
-    /// the selector fills exactly one per superstep. Costs one extra O(n)
-    /// value array over the forced kinds — the price of switching without
-    /// per-superstep allocation.
-    Auto {
-        push: SparseVector<M>,
-        pull: DenseVector<M>,
-    },
-}
-
 /// Reusable per-run scratch state: every buffer a superstep needs, allocated
 /// once in [`Workspace::new`] and recycled (cleared, never freed) across all
 /// supersteps of a run — or across **runs**, when the workspace rides in a
 /// pooled [`VertexState`] via
 /// [`crate::session::RunBuilder::execute_with`].
 pub struct Workspace<P: GraphProgram> {
-    messages: MessageStore<P::Message>,
+    /// The one message vector: SEND fills it, the push or the pull kernel
+    /// reads it.
+    messages: SparseVector<P::Message>,
     pub(crate) reduced: SparseVector<P::Reduced>,
     /// Second SpMV target for [`EdgeDirection::Both`]; built lazily on first
     /// use so unidirectional programs never pay for it.
@@ -190,18 +158,9 @@ pub struct Workspace<P: GraphProgram> {
 
 impl<P: GraphProgram> Workspace<P> {
     /// Allocate a workspace for a graph of `n` vertices.
-    pub fn new(n: usize, options: &RunOptions) -> Self {
-        let messages = match options.vector {
-            VectorKind::Bitvector => MessageStore::Bitvector(SparseVector::new(n)),
-            VectorKind::Sorted => MessageStore::Sorted(SortedSparseVector::new(n)),
-            VectorKind::Dense => MessageStore::Dense(DenseVector::new(n)),
-            VectorKind::Auto => MessageStore::Auto {
-                push: SparseVector::new(n),
-                pull: DenseVector::new(n),
-            },
-        };
+    pub fn new(n: usize) -> Self {
         Workspace {
-            messages,
+            messages: SparseVector::new(n),
             reduced: SparseVector::new(n),
             scratch: None,
             updated: Vec::new(),
@@ -214,18 +173,11 @@ impl<P: GraphProgram> Workspace<P> {
         &self.reduced
     }
 
-    /// Whether this workspace can serve a run over `n` vertices with the
-    /// given options (used when recycling a cached workspace from a pooled
-    /// [`VertexState`] — a mismatch means "allocate fresh", never an error).
-    pub fn is_compatible(&self, n: usize, options: &RunOptions) -> bool {
-        let kind_matches = matches!(
-            (&self.messages, options.vector),
-            (MessageStore::Bitvector(_), VectorKind::Bitvector)
-                | (MessageStore::Sorted(_), VectorKind::Sorted)
-                | (MessageStore::Dense(_), VectorKind::Dense)
-                | (MessageStore::Auto { .. }, VectorKind::Auto)
-        );
-        kind_matches && self.reduced.len() == n
+    /// Whether this workspace can serve a run over `n` vertices (used when
+    /// recycling a cached workspace from a pooled [`VertexState`] — a
+    /// mismatch means "allocate fresh", never an error).
+    pub fn is_compatible(&self, n: usize) -> bool {
+        self.reduced.len() == n
     }
 }
 
@@ -242,15 +194,14 @@ impl<E: Sync> Leg<'_, E> {
     /// The push SpMV over this leg; with edits pending, the merged
     /// `base ⊕ overlay` kernel — same multiply/add closures, same
     /// per-destination reduction order.
-    fn push<X, Y, MV, M, A>(
+    fn push<X, Y, M, A>(
         &self,
-        messages: &MV,
+        messages: &SparseVector<X>,
         multiply: &M,
         add: &A,
         executor: &Executor,
         y: &mut SparseVector<Y>,
     ) where
-        MV: MessageVector<X> + Sync,
         X: Sync,
         Y: Clone + Default + Send,
         M: Fn(&X, &E, Index) -> Y + Sync,
@@ -281,11 +232,14 @@ pub(crate) struct Traversal<'a, E> {
     /// edits are pending: the mirrors describe the unedited base and are
     /// only refreshed by compaction.
     mirrors: Option<Mirrors<'a, E>>,
+    /// The backend every superstep must use; `None` lets
+    /// [`choose_backend`] decide per superstep.
+    forced: Option<Backend>,
 }
 
 impl<'a, E> Traversal<'a, E> {
-    /// Resolve `view` for a program scattering along `direction` under the
-    /// message representation `vector` — the pre-flight check of a run.
+    /// Resolve `view` for a program scattering along `direction` with the
+    /// backend override `forced` — the pre-flight check of a run.
     ///
     /// # Errors
     ///
@@ -293,14 +247,14 @@ impl<'a, E> Traversal<'a, E> {
     ///   but the topology was built with `build_in_edges = false` (or a
     ///   hand-assembled overlay was not compiled against the in matrix — the
     ///   store always compiles against every matrix the base built);
-    /// * [`GraphMatError::InvalidParameter`] if `vector` forces the pull
-    ///   backend ([`VectorKind::Dense`]) while edits are pending;
-    /// * [`GraphMatError::MissingPullMirror`] if it does so on a topology
-    ///   built with `build_pull_mirrors = false`. (`Auto` pushes instead.)
+    /// * [`GraphMatError::InvalidParameter`] if `forced` is
+    ///   [`Backend::Pull`] while edits are pending;
+    /// * [`GraphMatError::MissingPullMirror`] if it is on a topology built
+    ///   with `build_pull_mirrors = false`. (The selector pushes instead.)
     pub(crate) fn resolve(
         view: GraphView<'a, E>,
         direction: EdgeDirection,
-        vector: VectorKind,
+        forced: Option<Backend>,
     ) -> Result<Self> {
         let topology = view.topology();
         let out = || {
@@ -337,12 +291,11 @@ impl<'a, E> Traversal<'a, E> {
         }
         .filter(|_| !view.has_overlay());
 
-        if vector == VectorKind::Dense {
+        if forced == Some(Backend::Pull) {
             if view.has_overlay() {
                 return Err(GraphMatError::InvalidParameter(
-                    "VectorKind::Dense forces the pull backend, which cannot traverse a \
-                     snapshot with pending deltas; use Auto (or a push kind) until the \
-                     store compacts",
+                    "Backend::Pull cannot traverse a snapshot with pending deltas; leave the \
+                     backend unforced (or force Push) until the store compacts",
                 ));
             }
             if mirrors.is_none() {
@@ -354,6 +307,7 @@ impl<'a, E> Traversal<'a, E> {
             first,
             second,
             mirrors,
+            forced,
         })
     }
 
@@ -384,17 +338,10 @@ impl<'a, E> Traversal<'a, E> {
     }
 }
 
-/// The message vector one superstep fills and multiplies: which of the
-/// workspace's representations, and — for the pull backend — the mirrors it
-/// is gathered through.
-enum Filled<'w, 'a, M, E> {
-    Push(&'w mut SparseVector<M>),
-    PushSorted(&'w mut SortedSparseVector<M>),
-    Pull(&'w mut DenseVector<M>, Mirrors<'a, E>),
-}
-
 /// Execute the SEND_MESSAGE and SpMV phases of one superstep, reusing the
-/// buffers in `ws`. Allocation-free in the steady state.
+/// buffers in `ws`. Allocation-free in the steady state. Returns the
+/// superstep's SEND/SpMV measurements; the reduced values land in `ws` and
+/// the runner fills in the APPLY fields.
 ///
 /// `active_count` is the current number of active vertices — the caller (the
 /// runner's convergence check) already has it in hand, and passing it in
@@ -404,110 +351,84 @@ enum Filled<'w, 'a, M, E> {
 ///
 /// `explored_edges` is the number of edges already traversed by earlier
 /// supersteps of this run (the runner's cumulative
-/// `RunStats::edges_processed`); the [`VectorKind::Auto`] selector uses it
-/// to estimate the unexplored remainder.
+/// `RunStats::edges_processed`); the selector uses it to estimate the
+/// unexplored remainder.
 ///
 /// With a pending overlay the push SpMV runs the merged
 /// [`gspmv_overlay_into`] column walk and SEND accounts the **merged**
-/// degree arrays, so metrics describe the edited graph; `Auto` then always
-/// pushes (see [`Traversal`]).
-///
-/// # Errors
-///
-/// [`GraphMatError::MissingPullMirror`] if `ws` was allocated for
-/// [`VectorKind::Dense`] but `traversal` was resolved for another kind on a
-/// mirror-less topology — which the runner's prologue rules out.
-#[allow(clippy::too_many_arguments)]
+/// degree arrays, so metrics describe the edited graph; the selector then
+/// always pushes (see [`Traversal`]).
 pub(crate) fn superstep<P: GraphProgram>(
     traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
-    options: &RunOptions,
     executor: &Executor,
     active_count: usize,
     explored_edges: u64,
     ws: &mut Workspace<P>,
-) -> Result<SuperstepMetrics> {
+) -> SuperstepStats {
     let Workspace {
         messages,
         reduced,
         scratch,
         ..
     } = ws;
+    let n = traversal.view.num_vertices() as usize;
 
-    // --- Backend selection (before SEND: the two backends fill different
-    // message representations).
-    let mut filled = match messages {
-        MessageStore::Bitvector(mv) => Filled::Push(mv),
-        MessageStore::Sorted(sv) => Filled::PushSorted(sv),
-        MessageStore::Dense(dv) => Filled::Pull(
-            dv,
-            traversal.mirrors.ok_or(GraphMatError::MissingPullMirror)?,
-        ),
-        MessageStore::Auto { push, pull } => {
-            let pull_mirrors = traversal.mirrors.filter(|_| {
-                let frontier_edges = frontier_out_edges(traversal, state, active_count, executor);
-                let unexplored = traversal.edge_total().saturating_sub(explored_edges);
-                let n = traversal.view.num_vertices() as usize;
-                let chosen = choose_backend(
-                    frontier_edges,
-                    unexplored,
-                    active_count,
-                    n,
-                    options.pull_alpha,
-                );
-                chosen == Backend::Pull
-            });
-            match pull_mirrors {
-                Some(mirrors) => Filled::Pull(pull, mirrors),
-                None => Filled::Push(push),
-            }
-        }
-    };
-    let backend = match filled {
-        Filled::Pull(..) => Backend::Pull,
-        Filled::Push(_) | Filled::PushSorted(_) => Backend::Push,
-    };
+    // --- Backend selection: pull needs mirrors (which `resolve` guarantees
+    // for a forced pull) and either the override or the selector's say-so.
+    let pull_mirrors = traversal.mirrors.filter(|_| {
+        let chosen = traversal.forced.unwrap_or_else(|| {
+            let frontier_edges = frontier_out_edges(traversal, state, active_count, executor);
+            let unexplored = traversal.edge_total().saturating_sub(explored_edges);
+            choose_backend(frontier_edges, unexplored, active_count, n)
+        });
+        chosen == Backend::Pull
+    });
 
-    // --- SEND_MESSAGE: build the message vector from active vertices, in
-    // the representation the chosen backend reads.
+    // --- SEND_MESSAGE: build the message vector from active vertices.
     let send_start = Instant::now();
-    let (messages_sent, edges_processed) = match &mut filled {
-        Filled::Push(mv) => {
-            send_frontier(traversal, state, program, executor, active_count, &mut **mv)
-        }
-        // Sorted insertion cannot be sharded, so this SEND stays sequential.
-        Filled::PushSorted(sv) => {
-            sv.clear();
-            send_sequential(traversal, state, program, &mut **sv)
-        }
-        Filled::Pull(dv, _) => {
-            send_frontier(traversal, state, program, executor, active_count, &mut **dv)
-        }
-    };
+    let (messages_sent, edges_processed) =
+        send(traversal, state, program, executor, active_count, messages);
     let send_time = send_start.elapsed();
 
-    // --- Generalized SpMV (Algorithm 1): sparse push or dense pull.
+    // --- Generalized SpMV (Algorithm 1): one kernel call per leg, sparse
+    // push over the leg's DCSC or dense pull over its mirror. The program's
+    // callbacks are monomorphised into the kernel (the paper's `-ipo`).
     let spmv_start = Instant::now();
-    spmv_phase(
-        traversal,
-        &filled,
-        state.properties(),
-        program,
-        options.dispatch,
-        executor,
-        reduced,
-        scratch,
-    );
+    let props = state.properties();
+    let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
+        program.process_message(msg, edge, &props[dst as usize])
+    };
+    let add = |acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value);
+    let messages = &*messages;
+    match pull_mirrors {
+        None => {
+            let legs = (&traversal.first, traversal.second.as_ref());
+            first_then_second(legs, &add, reduced, scratch, |leg, y| {
+                leg.push(messages, &multiply, &add, executor, y)
+            })
+        }
+        Some(mirrors) => first_then_second(mirrors, &add, reduced, scratch, |mirror, y| {
+            gspmv_csr_pull_into(mirror, messages, &multiply, &add, executor, y)
+        }),
+    }
     let spmv_time = spmv_start.elapsed();
 
-    Ok(SuperstepMetrics {
+    SuperstepStats {
+        backend: if pull_mirrors.is_some() {
+            Backend::Pull
+        } else {
+            Backend::Push
+        },
+        frontier_density: active_count as f64 / (n as f64).max(1.0),
+        active_vertices: active_count,
         messages_sent,
         edges_processed,
-        backend,
         send_time,
         spmv_time,
-    })
+        ..SuperstepStats::default()
+    }
 }
 
 /// Out-edge count of the current active set in the scatter direction —
@@ -545,108 +466,35 @@ fn frontier_out_edges<E: Sync, V: Sync>(
     total.load(Ordering::Relaxed)
 }
 
-/// A sparse vector the engine can build messages into sequentially.
-trait BuildableVector<T>: MessageVector<T> + Sync {
-    fn insert(&mut self, i: Index, value: T);
-}
-
-impl<T: Clone + Default + Sync> BuildableVector<T> for SparseVector<T> {
-    fn insert(&mut self, i: Index, value: T) {
-        self.set(i, value);
-    }
-}
-
-impl<T: Clone + Sync> BuildableVector<T> for SortedSparseVector<T> {
-    fn insert(&mut self, i: Index, value: T) {
-        self.set(i, value);
-    }
-}
-
-impl<T: Clone + Default + Sync> BuildableVector<T> for DenseVector<T> {
-    fn insert(&mut self, i: Index, value: T) {
-        self.set(i, value);
-    }
-}
-
-/// A message vector SEND can additionally populate in parallel over
-/// word-aligned chunks of the active bit vector — the bitvector-backed push
-/// store and the dense pull store share this shape, so one SEND
-/// implementation serves both backends.
-trait FrontierVector<T>: BuildableVector<T> {
-    fn clear(&mut self);
-    fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
-    where
-        T: Send,
-        F: Fn(&mut WordRangeWriter<'_, T>) + Sync;
-}
-
-impl<T: Clone + Default + Sync> FrontierVector<T> for SparseVector<T> {
-    fn clear(&mut self) {
-        SparseVector::clear(self);
-    }
-
-    fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
-    where
-        T: Send,
-        F: Fn(&mut WordRangeWriter<'_, T>) + Sync,
-    {
-        SparseVector::fill_words_parallel(self, executor, f)
-    }
-}
-
-impl<T: Clone + Default + Sync> FrontierVector<T> for DenseVector<T> {
-    fn clear(&mut self) {
-        DenseVector::clear(self);
-    }
-
-    fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
-    where
-        T: Send,
-        F: Fn(&mut WordRangeWriter<'_, T>) + Sync,
-    {
-        DenseVector::fill_words_parallel(self, executor, f)
-    }
-}
-
-/// Sequential SEND over the active set (already-cleared message vector).
-fn send_sequential<P: GraphProgram, MV: BuildableVector<P::Message>>(
-    traversal: &Traversal<'_, P::Edge>,
-    state: &VertexState<P::VertexProp>,
-    program: &P,
-    messages: &mut MV,
-) -> (usize, u64) {
-    let props = state.properties();
-    let mut sent = 0usize;
-    let mut edges = 0u64;
-    for v in state.active_bits().iter_ones() {
-        let v = v as VertexId;
-        if let Some(msg) = program.send_message(v, &props[v as usize]) {
-            messages.insert(v, msg);
-            sent += 1;
-            edges += traversal.edges_for(v);
-        }
-    }
-    (sent, edges)
-}
-
-/// SEND into a word-fillable message vector (bitvector push store or dense
-/// pull store): sequential for small frontiers, otherwise chunked over
-/// active-bitvector words across the executor's lanes.
-fn send_frontier<P: GraphProgram, MV: FrontierVector<P::Message>>(
+/// SEND: clear `messages` and insert one message per sending active vertex —
+/// sequentially for small frontiers, otherwise chunked over
+/// active-bitvector words across the executor's lanes. Returns
+/// `(messages sent, edges they will traverse)`.
+fn send<P: GraphProgram>(
     traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
     executor: &Executor,
     active_count: usize,
-    messages: &mut MV,
+    messages: &mut SparseVector<P::Message>,
 ) -> (usize, u64) {
     messages.clear();
-    if executor.nthreads() == 1 || active_count < PARALLEL_PHASE_MIN_WORK {
-        return send_sequential(traversal, state, program, messages);
-    }
-
     let props = state.properties();
     let active = state.active_bits();
+    if executor.nthreads() == 1 || active_count < PARALLEL_PHASE_MIN_WORK {
+        let mut sent = 0usize;
+        let mut edges = 0u64;
+        for v in active.iter_ones() {
+            let v = v as VertexId;
+            if let Some(msg) = program.send_message(v, &props[v as usize]) {
+                messages.set(v, msg);
+                sent += 1;
+                edges += traversal.edges_for(v);
+            }
+        }
+        return (sent, edges);
+    }
+
     let sent = AtomicUsize::new(0);
     let edges = AtomicU64::new(0);
     messages.fill_words_parallel(executor, |writer| {
@@ -665,87 +513,6 @@ fn send_frontier<P: GraphProgram, MV: FrontierVector<P::Message>>(
         edges.fetch_add(local_edges, Ordering::Relaxed);
     });
     (sent.load(Ordering::Relaxed), edges.load(Ordering::Relaxed))
-}
-
-/// Run the generalized SpMV over every leg of the traversal into the
-/// workspace buffers, with either static (monomorphised, inlinable) dispatch
-/// of the user callbacks or dynamic (`dyn Fn`) dispatch, the latter
-/// modelling the paper's "without -ipo" configuration for Figure 7.
-#[allow(clippy::too_many_arguments)]
-fn spmv_phase<P: GraphProgram>(
-    traversal: &Traversal<'_, P::Edge>,
-    filled: &Filled<'_, '_, P::Message, P::Edge>,
-    props: &[P::VertexProp],
-    program: &P,
-    dispatch: DispatchMode,
-    executor: &Executor,
-    reduced: &mut SparseVector<P::Reduced>,
-    scratch: &mut Option<SparseVector<P::Reduced>>,
-) {
-    match dispatch {
-        DispatchMode::Static => sweep_legs(
-            traversal,
-            filled,
-            &|msg: &P::Message, edge: &P::Edge, dst: Index| {
-                program.process_message(msg, edge, &props[dst as usize])
-            },
-            &|acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value),
-            executor,
-            reduced,
-            scratch,
-        ),
-        DispatchMode::Dynamic => {
-            // Route every callback invocation through a trait object so the
-            // optimiser cannot inline the user code into the SpMV kernel.
-            #[allow(clippy::type_complexity)]
-            let process: &(dyn Fn(&P::Message, &P::Edge, &P::VertexProp) -> P::Reduced
-                  + Sync) = &|m, e, d| program.process_message(m, e, d);
-            let reduce: &(dyn Fn(&mut P::Reduced, P::Reduced) + Sync) =
-                &|acc, v| program.reduce(acc, v);
-            sweep_legs(
-                traversal,
-                filled,
-                &|msg: &P::Message, edge: &P::Edge, dst: Index| {
-                    process(msg, edge, &props[dst as usize])
-                },
-                &|acc: &mut P::Reduced, value: P::Reduced| reduce(acc, value),
-                executor,
-                reduced,
-                scratch,
-            )
-        }
-    }
-}
-
-/// One SpMV per leg with the kernel the filled message vector selects:
-/// sparse push over the leg's DCSC, or dense pull over its mirror.
-fn sweep_legs<X, E, Y, M, A>(
-    traversal: &Traversal<'_, E>,
-    filled: &Filled<'_, '_, X, E>,
-    multiply: &M,
-    add: &A,
-    executor: &Executor,
-    reduced: &mut SparseVector<Y>,
-    scratch: &mut Option<SparseVector<Y>>,
-) where
-    X: Sync,
-    E: Sync,
-    Y: Clone + Default + Send,
-    M: Fn(&X, &E, Index) -> Y + Sync,
-    A: Fn(&mut Y, Y) + Sync,
-{
-    let legs = (&traversal.first, traversal.second.as_ref());
-    match filled {
-        Filled::Push(mv) => first_then_second(legs, add, reduced, scratch, |leg, y| {
-            leg.push(&**mv, multiply, add, executor, y)
-        }),
-        Filled::PushSorted(sv) => first_then_second(legs, add, reduced, scratch, |leg, y| {
-            leg.push(&**sv, multiply, add, executor, y)
-        }),
-        Filled::Pull(dv, mirrors) => first_then_second(*mirrors, add, reduced, scratch, |m, y| {
-            gspmv_csr_pull_into(m, dv, multiply, add, executor, y)
-        }),
-    }
 }
 
 /// The leg fan-out: the first leg multiplies into `reduced`; a `Both`
@@ -776,6 +543,7 @@ mod tests {
     use super::*;
     use crate::topology::{GraphBuildOptions, Topology};
     use graphmat_io::edgelist::EdgeList;
+    use graphmat_sparse::spvec::MessageVector;
 
     /// SSSP as in the paper's Figure 3 / appendix.
     struct Sssp;
@@ -843,34 +611,23 @@ mod tests {
         topology: &Topology<P::Edge>,
         state: &VertexState<P::VertexProp>,
         program: &P,
-        options: &RunOptions,
+        backend: Option<Backend>,
         executor: &Executor,
-    ) -> Result<(SuperstepMetrics, Workspace<P>)> {
-        let traversal = Traversal::resolve(topology.into(), program.direction(), options.vector)?;
-        let mut ws = Workspace::<P>::new(topology.num_vertices() as usize, options);
+    ) -> Result<(SuperstepStats, Workspace<P>)> {
+        let traversal = Traversal::resolve(topology.into(), program.direction(), backend)?;
+        let mut ws = Workspace::<P>::new(topology.num_vertices() as usize);
         let active = state.active_count();
-        let metrics = superstep(
-            &traversal, state, program, options, executor, active, 0, &mut ws,
-        )?;
-        Ok((metrics, ws))
+        let stats = superstep(&traversal, state, program, executor, active, 0, &mut ws);
+        Ok((stats, ws))
     }
 
-    fn push_options() -> RunOptions {
-        RunOptions::default().with_vector(VectorKind::Bitvector)
-    }
+    const PUSH: Option<Backend> = Some(Backend::Push);
 
     #[test]
     fn figure3_first_superstep() {
         let topology = figure3_topology();
         let state = sssp_state(&topology, false);
-        let (out, ws) = step(
-            &topology,
-            &state,
-            &Sssp,
-            &push_options(),
-            &Executor::sequential(),
-        )
-        .unwrap();
+        let (out, ws) = step(&topology, &state, &Sssp, PUSH, &Executor::sequential()).unwrap();
         assert_eq!(out.messages_sent, 1);
         assert_eq!(out.edges_processed, 3);
         assert_eq!(out.backend, Backend::Push);
@@ -881,47 +638,23 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_modes_agree() {
+    fn backends_agree() {
         let topology = figure3_topology();
         let state = sssp_state(&topology, true);
-        let executor = Executor::new(2);
-        let run = |vector: VectorKind, dispatch: DispatchMode| {
-            let options = RunOptions::default()
-                .with_vector(vector)
-                .with_dispatch(dispatch);
-            let (out, ws) = step(&topology, &state, &Sssp, &options, &executor).unwrap();
+        let run = |backend: Option<Backend>, threads: usize| {
+            let executor = Executor::new(threads);
+            let (out, ws) = step(&topology, &state, &Sssp, backend, &executor).unwrap();
             (out.backend, ws.reduced().to_entries())
         };
-        let (_, fast) = run(VectorKind::Bitvector, DispatchMode::Static);
-        let (_, slow) = run(VectorKind::Bitvector, DispatchMode::Dynamic);
-        assert_eq!(fast, slow);
-
-        // The same ablation must hold on the pull backend.
-        let (backend, pull_fast) = run(VectorKind::Dense, DispatchMode::Static);
-        let (_, pull_slow) = run(VectorKind::Dense, DispatchMode::Dynamic);
-        assert_eq!(backend, Backend::Pull);
-        assert_eq!(pull_fast, fast);
-        assert_eq!(pull_slow, fast);
-    }
-
-    #[test]
-    fn vector_kinds_agree() {
-        let topology = figure3_topology();
-        let state = sssp_state(&topology, true);
-        let executor = Executor::sequential();
-        let run = |kind: VectorKind| {
-            let options = RunOptions::default().with_vector(kind);
-            let (out, ws) = step(&topology, &state, &Sssp, &options, &executor).unwrap();
-            (out.backend, ws.reduced().to_entries())
-        };
-        let (_, bitvec) = run(VectorKind::Bitvector);
-        let (_, sorted) = run(VectorKind::Sorted);
-        let (dense_backend, dense) = run(VectorKind::Dense);
-        let (_, auto) = run(VectorKind::Auto);
-        assert_eq!(bitvec, sorted);
-        assert_eq!(bitvec, dense);
-        assert_eq!(bitvec, auto);
-        assert_eq!(dense_backend, Backend::Pull);
+        let (_, push) = run(PUSH, 1);
+        for threads in [1, 2] {
+            assert_eq!(run(PUSH, threads), (Backend::Push, push.clone()));
+            assert_eq!(
+                run(Some(Backend::Pull), threads),
+                (Backend::Pull, push.clone())
+            );
+            assert_eq!(run(None, threads).1, push);
+        }
     }
 
     fn mirrorless_chain() -> Topology<f32> {
@@ -935,9 +668,9 @@ mod tests {
     }
 
     #[test]
-    fn forced_dense_without_mirrors_is_an_error() {
+    fn forced_pull_without_mirrors_is_an_error() {
         let topology = mirrorless_chain();
-        let err = Traversal::resolve((&topology).into(), EdgeDirection::Out, VectorKind::Dense)
+        let err = Traversal::resolve((&topology).into(), EdgeDirection::Out, Some(Backend::Pull))
             .err()
             .unwrap();
         assert_eq!(err, GraphMatError::MissingPullMirror);
@@ -948,14 +681,7 @@ mod tests {
         let topology = mirrorless_chain();
         let mut state: VertexState<f32> = VertexState::for_topology(&topology);
         state.set_all_active();
-        let (out, ws) = step(
-            &topology,
-            &state,
-            &Sssp,
-            &RunOptions::default(),
-            &Executor::sequential(),
-        )
-        .unwrap();
+        let (out, ws) = step(&topology, &state, &Sssp, None, &Executor::sequential()).unwrap();
         // A fully-dense frontier would normally pull; without mirrors the
         // selector must settle for push and still produce the right answer.
         assert_eq!(out.backend, Backend::Push);
@@ -965,39 +691,37 @@ mod tests {
     #[test]
     fn selector_follows_the_beamer_rule() {
         // Heavy frontier + broad frontier → pull.
-        assert_eq!(choose_backend(1000, 1000, 500, 1000, 14.0), Backend::Pull);
+        assert_eq!(choose_backend(1000, 1000, 500, 1000), Backend::Pull);
         // Heavy frontier but tiny active set (BFS tail) → push (β guard).
-        assert_eq!(choose_backend(1000, 0, 10, 1000, 14.0), Backend::Push);
+        assert_eq!(choose_backend(1000, 0, 10, 1000), Backend::Push);
         // Light frontier (BFS start) → push.
-        assert_eq!(choose_backend(3, 10_000, 500, 1000, 14.0), Backend::Push);
-        // α tunes the switch point: the same frontier pulls with a large α
-        // and pushes with a small one.
-        assert_eq!(choose_backend(100, 10_000, 500, 1000, 200.0), Backend::Pull);
-        assert_eq!(choose_backend(100, 10_000, 500, 1000, 2.0), Backend::Push);
+        assert_eq!(choose_backend(3, 10_000, 500, 1000), Backend::Push);
+        // The switch point sits at unexplored / α.
+        assert_eq!(choose_backend(1001, 14_000, 500, 1000), Backend::Pull);
+        assert_eq!(choose_backend(1000, 14_000, 500, 1000), Backend::Push);
     }
 
     #[test]
     fn workspace_reuse_across_supersteps_matches_fresh_outputs() {
         let topology = figure3_topology();
         let state = sssp_state(&topology, true);
-        let options = push_options();
         let executor = Executor::new(2);
-        let traversal =
-            Traversal::resolve((&topology).into(), EdgeDirection::Out, options.vector).unwrap();
-        let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize, &options);
-        for _ in 0..3 {
-            let (fresh, fresh_ws) = step(&topology, &state, &Sssp, &options, &executor).unwrap();
+        let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize);
+        // One workspace serves push, pull and push again.
+        for backend in [PUSH, Some(Backend::Pull), PUSH] {
+            let traversal =
+                Traversal::resolve((&topology).into(), EdgeDirection::Out, backend).unwrap();
+            let (fresh, fresh_ws) = step(&topology, &state, &Sssp, backend, &executor).unwrap();
             let metrics = superstep(
                 &traversal,
                 &state,
                 &Sssp,
-                &options,
                 &executor,
                 state.active_count(),
                 0,
                 &mut ws,
-            )
-            .unwrap();
+            );
+            assert_eq!(metrics.backend, backend.unwrap());
             assert_eq!(metrics.messages_sent, fresh.messages_sent);
             assert_eq!(metrics.edges_processed, fresh.edges_processed);
             assert_eq!(ws.reduced().to_entries(), fresh_ws.reduced().to_entries());
@@ -1005,25 +729,10 @@ mod tests {
     }
 
     #[test]
-    fn workspace_compatibility_checks_length_and_kind() {
-        let bitvec_opts = push_options();
-        let sorted_opts = RunOptions::default().with_vector(VectorKind::Sorted);
-        let dense_opts = RunOptions::default().with_vector(VectorKind::Dense);
-        let auto_opts = RunOptions::default().with_vector(VectorKind::Auto);
-        let ws = Workspace::<Sssp>::new(16, &bitvec_opts);
-        assert!(ws.is_compatible(16, &bitvec_opts));
-        assert!(!ws.is_compatible(17, &bitvec_opts));
-        assert!(!ws.is_compatible(16, &sorted_opts));
-        assert!(!ws.is_compatible(16, &dense_opts));
-        assert!(!ws.is_compatible(16, &auto_opts));
-        let ws2 = Workspace::<Sssp>::new(16, &sorted_opts);
-        assert!(ws2.is_compatible(16, &sorted_opts));
-        let ws3 = Workspace::<Sssp>::new(16, &dense_opts);
-        assert!(ws3.is_compatible(16, &dense_opts));
-        assert!(!ws3.is_compatible(16, &auto_opts));
-        let ws4 = Workspace::<Sssp>::new(16, &auto_opts);
-        assert!(ws4.is_compatible(16, &auto_opts));
-        assert!(!ws4.is_compatible(16, &bitvec_opts));
+    fn workspace_compatibility_checks_length() {
+        let ws = Workspace::<Sssp>::new(16);
+        assert!(ws.is_compatible(16));
+        assert!(!ws.is_compatible(17));
     }
 
     /// A program that scatters along in-edges: each vertex tells its
@@ -1061,7 +770,7 @@ mod tests {
         tuples: Vec<(u32, u32, f32)>,
         n: u32,
         options: GraphBuildOptions,
-    ) -> Result<(SuperstepMetrics, Workspace<InDegreeLike>)> {
+    ) -> Result<(SuperstepStats, Workspace<InDegreeLike>)> {
         let topology = Topology::from_edge_list(&EdgeList::from_tuples(n, tuples), options);
         let mut state: VertexState<u32> = VertexState::for_topology(&topology);
         state.set_all_active();
@@ -1069,7 +778,7 @@ mod tests {
             &topology,
             &state,
             &InDegreeLike,
-            &push_options(),
+            PUSH,
             &Executor::sequential(),
         )
     }
@@ -1123,14 +832,7 @@ mod tests {
     fn inactive_graph_produces_no_work() {
         let topology = figure3_topology();
         let state: VertexState<f32> = VertexState::for_topology(&topology);
-        let (out, ws) = step(
-            &topology,
-            &state,
-            &Sssp,
-            &push_options(),
-            &Executor::sequential(),
-        )
-        .unwrap();
+        let (out, ws) = step(&topology, &state, &Sssp, PUSH, &Executor::sequential()).unwrap();
         assert_eq!(out.messages_sent, 0);
         assert_eq!(out.edges_processed, 0);
         assert_eq!(ws.reduced().nnz(), 0);

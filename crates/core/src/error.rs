@@ -44,9 +44,9 @@ pub enum GraphMatError {
     /// The program scatters along in-edges but the topology was built with
     /// `build_in_edges = false`, so there is no `G` matrix to traverse.
     MissingInMatrix,
-    /// A run forced the pull backend (`VectorKind::Dense`) but the topology
+    /// A run forced the pull backend (`Backend::Pull`) but the topology
     /// was built with `build_pull_mirrors = false`, so there is no row-major
-    /// CSR mirror to traverse. (`VectorKind::Auto` never reports this — it
+    /// CSR mirror to traverse. (An unforced run never reports this — it
     /// degrades to push when the mirrors are absent.)
     MissingPullMirror,
     /// An algorithm configuration value cannot drive a run (e.g. zero
@@ -117,9 +117,9 @@ impl std::fmt::Display for GraphMatError {
             ),
             GraphMatError::MissingPullMirror => write!(
                 f,
-                "run forces the pull backend (VectorKind::Dense) but the topology was \
-                 built with build_pull_mirrors = false (use VectorKind::Auto to fall \
-                 back to push, or rebuild the topology with pull mirrors)"
+                "run forces the pull backend (Backend::Pull) but the topology was \
+                 built with build_pull_mirrors = false (leave the backend unforced to \
+                 fall back to push, or rebuild the topology with pull mirrors)"
             ),
             GraphMatError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
             GraphMatError::Overloaded { pending, watermark } => write!(

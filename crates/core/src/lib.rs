@@ -73,29 +73,29 @@
 //! `snapshot.view()` (a [`store::GraphStore`] snapshot, possibly with pending
 //! edits) all convert into it, so a resident topology and a streaming
 //! snapshot go through the same functions. [`options::RunOptions`] and
-//! [`topology::GraphBuildOptions`] have one set of defaults (`Auto` backend,
-//! pull mirrors built); a [`session::Session`] adds only its pool size.
+//! [`topology::GraphBuildOptions`] have one set of defaults (backend chosen
+//! per superstep, pull mirrors built); a [`session::Session`] adds only its pool size.
 //!
 //! # Direction optimization (PR-4)
 //!
 //! The paper's engine always runs column-wise sparse SpMV — a *push*
 //! traversal, perfect for sparse frontiers, wasteful when most vertices are
 //! active. This reproduction adds the *dense pull* backend (row-parallel
-//! SpMV over a row-major CSR mirror of the partitioned matrix) and, with
-//! [`options::VectorKind::Auto`] — the default — picks push or pull
-//! **per superstep** using Beamer's direction-switching rule
+//! SpMV over a row-major CSR mirror of the partitioned matrix) and picks
+//! push or pull **per superstep** using Beamer's direction-switching rule
 //! ([`engine::choose_backend`]): pull when the frontier's out-edges exceed
-//! `unexplored_edges / α` and the frontier is not tiny. All backends reduce
-//! each destination's messages in ascending source order, so results are
-//! **bit-for-bit identical** — only speed changes. Costs and knobs:
+//! `unexplored_edges / α` ([`engine::PULL_ALPHA`] = 14) and the frontier is
+//! not tiny. Direction is a decision over one message vector — SEND always
+//! fills the same bit-vector-backed buffer — and both kernels reduce each
+//! destination's messages in ascending source order, so results are
+//! **bit-for-bit identical** — only speed changes. Costs and the one knob:
 //!
 //! * the CSR mirrors roughly double adjacency-matrix memory
 //!   ([`topology::Topology::pull_bytes`]; skip them with
 //!   `.pull_enabled(false)` on the graph builder);
-//! * `.vector(…)` on the run builder forces a backend
-//!   (`Bitvector`/`Sorted` → push, `Dense` → pull, `Auto` → per-superstep);
-//! * `.pull_alpha(α)` tunes the switch point
-//!   ([`options::DEFAULT_PULL_ALPHA`] = 14);
+//! * `.backend(…)` on the run builder pins every superstep to
+//!   [`stats::Backend::Push`] or [`stats::Backend::Pull`] (tests and the
+//!   Figure 7 comparison rows; nothing else needs it);
 //! * each superstep records the chosen [`stats::Backend`] and its frontier
 //!   density in [`stats::SuperstepStats`].
 //!
@@ -126,7 +126,8 @@
 //!   workspace.
 //! * [`runner`] — the run prologue, the iteration loop with convergence
 //!   detection and the APPLY phase (Algorithm 2).
-//! * [`options`] — run-time knobs including the Figure 7 ablation toggles.
+//! * [`options`] — what one run can vary (§5.4 leaves threads and
+//!   partitions to the session and the graph builder).
 //! * [`stats`] — per-superstep and whole-run statistics.
 
 pub mod engine;
@@ -142,9 +143,9 @@ pub mod store;
 pub mod topology;
 pub mod view;
 
-pub use engine::{choose_backend, PULL_BETA};
+pub use engine::{choose_backend, PULL_ALPHA, PULL_BETA};
 pub use error::GraphMatError;
-pub use options::{ActivityPolicy, DispatchMode, RunOptions, VectorKind, DEFAULT_PULL_ALPHA};
+pub use options::{ActivityPolicy, RunOptions};
 pub use pool::StatePool;
 pub use program::{EdgeDirection, GraphProgram, VertexId};
 pub use runner::{run_program, RunResult};

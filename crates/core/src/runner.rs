@@ -35,7 +35,7 @@ use crate::error::{GraphMatError, Result};
 use crate::options::{ActivityPolicy, RunOptions};
 use crate::program::GraphProgram;
 use crate::state::VertexState;
-use crate::stats::{RunStats, SuperstepStats};
+use crate::stats::RunStats;
 use crate::view::GraphView;
 use graphmat_sparse::parallel::{chunks, Executor};
 use graphmat_sparse::spvec::MessageVector;
@@ -71,14 +71,13 @@ pub struct RunResult {
 /// * [`GraphMatError::MissingInMatrix`] if the program scatters along
 ///   in-edges (`In`/`Both`) but the topology was built with
 ///   `build_in_edges = false`;
-/// * [`GraphMatError::InvalidParameter`] if the options force the pull
-///   backend (`VectorKind::Dense`) while edits are pending — the pull
-///   mirrors describe the unedited base (`VectorKind::Auto` pushes
-///   instead) — or if `ws` was allocated for a different vertex count or
-///   vector kind than this run's;
-/// * [`GraphMatError::MissingPullMirror`] if the options force the pull
-///   backend but the topology was built with `build_pull_mirrors = false`
-///   (`VectorKind::Auto` instead degrades to always-push).
+/// * [`GraphMatError::InvalidParameter`] if the options force
+///   `Backend::Pull` while edits are pending — the pull mirrors describe the
+///   unedited base (an unforced run pushes instead) — or if `ws` was
+///   allocated for a different vertex count than this run's;
+/// * [`GraphMatError::MissingPullMirror`] if the options force
+///   `Backend::Pull` but the topology was built with
+///   `build_pull_mirrors = false` (an unforced run degrades to always-push).
 ///
 /// All of them are reported **before** the first superstep, in that order,
 /// with `state` untouched.
@@ -94,9 +93,9 @@ where
     P::Edge: 'a,
 {
     let traversal = admit(program, view.into(), state, options)?;
-    if !ws.is_compatible(state.num_vertices(), options) {
+    if !ws.is_compatible(state.num_vertices()) {
         return Err(GraphMatError::InvalidParameter(
-            "workspace was allocated for a different vertex count or vector kind",
+            "workspace was allocated for a different vertex count",
         ));
     }
     run_admitted(program, &traversal, state, options, executor, ws)
@@ -112,12 +111,11 @@ pub(crate) fn admit<'a, P: GraphProgram>(
     options: &RunOptions,
 ) -> Result<Traversal<'a, P::Edge>> {
     state.check_matches(view.topology())?;
-    Traversal::resolve(view, program.direction(), options.vector)
+    Traversal::resolve(view, program.direction(), options.backend)
 }
 
 /// The superstep loop over an admitted traversal. `ws` must be compatible
-/// with the state's vertex count and `options` (see
-/// [`Workspace::is_compatible`]).
+/// with the state's vertex count (see [`Workspace::is_compatible`]).
 pub(crate) fn run_admitted<P: GraphProgram>(
     program: &P,
     traversal: &Traversal<'_, P::Edge>,
@@ -126,9 +124,8 @@ pub(crate) fn run_admitted<P: GraphProgram>(
     executor: &Executor,
     ws: &mut Workspace<P>,
 ) -> Result<RunResult> {
-    let topology = traversal.view().topology();
     let mut stats = RunStats {
-        matrix_bytes: topology.matrix_bytes(),
+        matrix_bytes: traversal.view().topology().matrix_bytes(),
         nthreads: executor.nthreads(),
         ..RunStats::default()
     };
@@ -156,43 +153,30 @@ pub(crate) fn run_admitted<P: GraphProgram>(
             break;
         }
 
-        let output = superstep(
+        let mut step = superstep(
             traversal,
             state,
             program,
-            options,
             executor,
             active_before,
             // The selector's explored-edge estimate: everything earlier
             // supersteps of this run already traversed.
             stats.edges_processed,
             ws,
-        )?;
-        let vertices_updated = ws.reduced().nnz();
-        let (apply_time, vertices_changed) = apply_phase(program, state, ws, executor);
+        );
+        step.iteration = iteration;
+        step.vertices_updated = ws.reduced().nnz();
+        (step.apply_time, step.vertices_changed) = apply_phase(program, state, ws, executor);
 
         // Fixed-iteration algorithms (PageRank, gradient-descent CF) need
         // every vertex to rebroadcast each superstep even when its own state
         // did not change; frontier algorithms activate only changed vertices.
-        if options.activity == ActivityPolicy::AlwaysAll && vertices_changed > 0 {
+        if options.activity == ActivityPolicy::AlwaysAll && step.vertices_changed > 0 {
             state.set_all_active();
         }
 
-        let step = SuperstepStats {
-            iteration,
-            backend: output.backend,
-            frontier_density: active_before as f64 / (topology.num_vertices() as f64).max(1.0),
-            active_vertices: active_before,
-            messages_sent: output.messages_sent,
-            edges_processed: output.edges_processed,
-            vertices_updated,
-            vertices_changed,
-            send_time: output.send_time,
-            spmv_time: output.spmv_time,
-            apply_time,
-        };
         stats.record(step, options.record_supersteps);
-        program.on_superstep_end(iteration, vertices_changed);
+        program.on_superstep_end(iteration, step.vertices_changed);
         iteration += 1;
     }
 
@@ -325,7 +309,6 @@ impl<V> SharedProps<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::VectorKind;
     use crate::program::{EdgeDirection, VertexId};
     use crate::topology::{GraphBuildOptions, Topology};
     use graphmat_io::edgelist::EdgeList;
@@ -394,7 +377,7 @@ mod tests {
             state.set_property(source, 0.0);
             state.set_active(source);
         }
-        let mut ws = Workspace::<Sssp>::new(state.num_vertices(), options);
+        let mut ws = Workspace::<Sssp>::new(state.num_vertices());
         let result = run_program(&Sssp, &topology, &mut state, options, executor, &mut ws).unwrap();
         (state.into_properties(), result)
     }
@@ -477,7 +460,7 @@ mod tests {
         let topology = figure3_topology();
         let mut wrong: VertexState<f32> = VertexState::new(3);
         let options = RunOptions::default();
-        let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize, &options);
+        let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize);
         let err = run_program(
             &Sssp,
             &topology,
@@ -497,25 +480,19 @@ mod tests {
     }
 
     #[test]
-    fn run_program_rejects_a_workspace_of_another_kind_or_size() {
+    fn run_program_rejects_a_workspace_of_another_size() {
         let topology = figure3_topology();
         let mut state: VertexState<f32> = VertexState::for_topology(&topology);
-        let options = RunOptions::default();
-        for mut ws in [
-            Workspace::<Sssp>::new(5, &options.with_vector(VectorKind::Sorted)),
-            Workspace::<Sssp>::new(4, &options),
-        ] {
-            let err = run_program(
-                &Sssp,
-                &topology,
-                &mut state,
-                &options,
-                &Executor::sequential(),
-                &mut ws,
-            )
-            .unwrap_err();
-            assert!(matches!(err, GraphMatError::InvalidParameter(_)), "{err}");
-        }
+        let err = run_program(
+            &Sssp,
+            &topology,
+            &mut state,
+            &RunOptions::default(),
+            &Executor::sequential(),
+            &mut Workspace::<Sssp>::new(4),
+        )
+        .unwrap_err();
+        assert!(matches!(err, GraphMatError::InvalidParameter(_)), "{err}");
     }
 
     #[test]
@@ -547,7 +524,7 @@ mod tests {
             Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
         let mut state: VertexState<f32> = VertexState::for_topology(&topology);
         let options = RunOptions::default();
-        let mut ws = Workspace::<Inward>::new(3, &options);
+        let mut ws = Workspace::<Inward>::new(3);
         let err = run_program(
             &Inward,
             &topology,
@@ -599,7 +576,7 @@ mod tests {
             let mut state: VertexState<f64> = VertexState::for_topology(&topology);
             state.set_all_properties(1.0);
             state.set_all_active();
-            let mut ws = Workspace::<Rank>::new(state.num_vertices(), &options);
+            let mut ws = Workspace::<Rank>::new(state.num_vertices());
             run_program(
                 &Rank,
                 &topology,
@@ -631,7 +608,7 @@ mod tests {
             state.set_all_properties(f32::MAX);
             state.set_property(source, 0.0);
             state.set_active(source);
-            let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize, &options);
+            let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize);
             run_program(&Sssp, &topology, &mut state, &options, &executor, &mut ws).unwrap();
             state.into_properties()
         };

@@ -14,20 +14,17 @@
 //!   `Arc<Topology<E>>` — the immutable, `Sync` half that any number of
 //!   runs can share without cloning;
 //! * [`Session::run`] is a fluent run builder: seed vertices, initialise
-//!   properties, cap iterations, pick the ablation toggles, then
-//!   [`RunBuilder::execute`] into a fresh [`VertexState`] or
+//!   properties, cap iterations, then [`RunBuilder::execute`] into a fresh [`VertexState`] or
 //!   [`RunBuilder::execute_with`] into a pooled one (which also recycles
 //!   the engine workspace cached inside the state — reruns allocate
 //!   nothing).
 //!
-//! Runs are **direction-optimized** by default: [`RunOptions::default`] selects
-//! [`VectorKind::Auto`], which picks the sparse push or dense pull SpMV
-//! backend per superstep by frontier density (bit-for-bit identical results
-//! either way; see [`crate::engine::choose_backend`]). Force a backend with
-//! [`RunBuilder::vector`], tune the switch point with
-//! [`RunBuilder::pull_alpha`], or skip building the pull mirrors entirely
-//! with [`GraphBuilder::pull_enabled`]`(false)` (the mirrors cost roughly
-//! the adjacency matrices' memory again).
+//! Runs are **direction-optimized** by default: each superstep picks the
+//! sparse push or dense pull SpMV backend by frontier density (bit-for-bit
+//! identical results either way; see [`crate::engine::choose_backend`]).
+//! Force one with [`RunBuilder::backend`], or skip building the pull mirrors
+//! entirely with [`GraphBuilder::pull_enabled`]`(false)` (the mirrors cost
+//! roughly the adjacency matrices' memory again).
 //!
 //! Every fallible step returns a [`GraphMatError`] instead of panicking:
 //! out-of-range seed vertices, zero threads, empty edge lists, mismatched
@@ -66,11 +63,11 @@
 
 use crate::engine::Workspace;
 use crate::error::{GraphMatError, Result};
-use crate::options::{ActivityPolicy, DispatchMode, RunOptions, VectorKind};
+use crate::options::{ActivityPolicy, RunOptions};
 use crate::program::{GraphProgram, VertexId};
 use crate::runner::{admit, run_admitted, RunResult};
 use crate::state::VertexState;
-use crate::stats::RunStats;
+use crate::stats::{Backend, RunStats};
 use crate::topology::{GraphBuildOptions, Topology};
 use crate::view::GraphView;
 use graphmat_io::edgelist::EdgeList;
@@ -176,9 +173,9 @@ impl Session {
     }
 
     /// Start building a shared topology from an edge list. When the
-    /// partition count is left automatic, it defaults to
-    /// `partition_factor ×` **this session's pool size** (the paper's
-    /// `nthreads * 8` rule) — not the machine's hardware thread count.
+    /// partition count is left automatic, it defaults to 8 × **this
+    /// session's pool size** (the paper's `nthreads * 8` rule) — not the
+    /// machine's hardware thread count.
     pub fn build_graph<'e, E: Clone>(&self, edges: &'e EdgeList<E>) -> GraphBuilder<'e, E> {
         GraphBuilder {
             edges,
@@ -192,7 +189,7 @@ impl Session {
     /// [`crate::store::GraphStore`] snapshot (see [`GraphView`]). The
     /// builder starts from the session's run defaults. With pending edits
     /// the run uses the overlay-aware push backend (forcing
-    /// [`VectorKind::Dense`] is rejected at execute time, see
+    /// [`Backend::Pull`] is rejected at execute time, see
     /// [`crate::runner::run_program`]).
     pub fn run<'s, 't, P: GraphProgram>(
         &'s self,
@@ -218,23 +215,16 @@ impl Session {
 pub struct GraphBuilder<'e, E> {
     edges: &'e EdgeList<E>,
     options: GraphBuildOptions,
-    /// The session's pool size — what an automatic partition count
-    /// multiplies `partition_factor` by.
+    /// The session's pool size — what an automatic partition count is a
+    /// multiple of.
     threads: usize,
 }
 
 impl<'e, E: Clone> GraphBuilder<'e, E> {
     /// Explicitly set the number of matrix partitions (`0` = the default
-    /// `partition_factor ×` the session's pool size).
+    /// 8 × the session's pool size).
     pub fn partitions(mut self, n: usize) -> Self {
         self.options.num_partitions = n;
-        self
-    }
-
-    /// Set the partition multiplier used when the partition count is
-    /// automatic (the paper uses 8).
-    pub fn partition_factor(mut self, factor: usize) -> Self {
-        self.options.partition_factor = factor;
         self
     }
 
@@ -255,8 +245,8 @@ impl<'e, E: Clone> GraphBuilder<'e, E> {
     /// backend traverses (default `true`). The mirrors cost roughly the
     /// DCSC matrices' memory again — [`Topology::pull_bytes`] reports the
     /// exact figure, and [`Topology::matrix_bytes`] includes it. With
-    /// `pull_enabled(false)` the default [`VectorKind::Auto`] runs
-    /// always-push and a forced [`VectorKind::Dense`] run is rejected with
+    /// `pull_enabled(false)` an unforced run always pushes and a forced
+    /// [`Backend::Pull`] run is rejected with
     /// [`GraphMatError::MissingPullMirror`].
     pub fn pull_enabled(mut self, build: bool) -> Self {
         self.options.build_pull_mirrors = build;
@@ -291,8 +281,9 @@ impl<'e, E: Clone> GraphBuilder<'e, E> {
 }
 
 /// How a run builder initialises vertex properties before seeding. The
-/// lifetime lets the init closure borrow from the topology (e.g. its
-/// degree arrays) without cloning them per query.
+/// init closure is borrowed, not boxed, so a pooled driver whose closure
+/// captures per-query data (e.g. the view's degree array) stays
+/// allocation-free.
 enum InitSpec<'t, V> {
     /// Leave the state's current properties (warm start on pooled states;
     /// `V::default()` on fresh ones).
@@ -300,7 +291,7 @@ enum InitSpec<'t, V> {
     /// Set every property to one value.
     All(V),
     /// Compute every property from the vertex id.
-    Fn(Box<dyn Fn(VertexId) -> V + 't>),
+    Fn(&'t dyn Fn(VertexId) -> V),
 }
 
 /// The outcome of a builder-driven run: the final vertex properties plus
@@ -351,12 +342,12 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     }
 
     /// Compute every vertex's property from its id before seeding. The
-    /// closure may borrow from the topology (it only needs to live as long
-    /// as this builder), so per-vertex data such as
-    /// [`Topology::out_degrees`] can be read in place, without a per-query
-    /// clone.
-    pub fn init_with(mut self, f: impl Fn(VertexId) -> P::VertexProp + 't) -> Self {
-        self.init = InitSpec::Fn(Box::new(f));
+    /// closure is borrowed for the builder's lifetime and may itself borrow
+    /// from the topology, so per-vertex data such as
+    /// [`Topology::out_degrees`] is read in place — no per-query clone, no
+    /// boxed closure.
+    pub fn init_with(mut self, f: &'t dyn Fn(VertexId) -> P::VertexProp) -> Self {
+        self.init = InitSpec::Fn(f);
         self
     }
 
@@ -381,24 +372,14 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
         self
     }
 
-    /// Select the message-vector representation / SpMV backend:
-    /// [`VectorKind::Auto`] (the default) picks push or pull per
-    /// superstep; `Bitvector`/`Sorted` force push; `Dense` forces pull
-    /// (rejected at execute time with [`GraphMatError::MissingPullMirror`]
-    /// if the topology was built with `pull_enabled(false)`). All kinds
-    /// produce bit-for-bit identical results.
-    pub fn vector(mut self, vector: VectorKind) -> Self {
-        self.options.vector = vector;
-        self
-    }
-
-    /// Tune the α threshold of the [`VectorKind::Auto`] direction selector:
-    /// a superstep pulls when the frontier's out-edges exceed
-    /// `unexplored_edges / α` (and the frontier is not tiny). Larger α
-    /// switches to pull earlier; non-positive or non-finite values are
-    /// rejected at execute time.
-    pub fn pull_alpha(mut self, alpha: f64) -> Self {
-        self.options.pull_alpha = alpha;
+    /// Force every superstep onto one SpMV backend, or (`None`, the
+    /// default) let the engine pick push or pull per superstep.
+    /// [`Backend::Pull`] is rejected at execute time with
+    /// [`GraphMatError::MissingPullMirror`] if the topology was built with
+    /// `pull_enabled(false)`. All three produce bit-for-bit identical
+    /// results.
+    pub fn backend(mut self, backend: impl Into<Option<Backend>>) -> Self {
+        self.options.backend = backend.into();
         self
     }
 
@@ -412,12 +393,6 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     /// [`RunBuilder::init_all`]/[`RunBuilder::init_with`] on the next run).
     pub fn deadline(mut self, deadline: impl Into<Option<std::time::Instant>>) -> Self {
         self.options.deadline = deadline.into();
-        self
-    }
-
-    /// Select the callback dispatch mode.
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.options.dispatch = dispatch;
         self
     }
 
@@ -479,7 +454,7 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     /// [`GraphMatError::ZeroIterations`] for a `max_iterations(0)` request,
     /// [`GraphMatError::VertexOutOfRange`] for a seed outside the topology,
     /// then everything [`crate::runner::run_program`] reports (a missing
-    /// in-edge matrix or pull mirror, `Dense` over pending edits).
+    /// in-edge matrix or pull mirror, a forced pull over pending edits).
     pub fn execute(self) -> Result<RunOutcome<P::VertexProp>>
     where
         P::VertexProp: Default,
@@ -489,7 +464,7 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
         let mut state: VertexState<P::VertexProp> = VertexState::new(n);
         let traversal = admit(&self.program, self.view, &state, &self.options)?;
         self.prepare(&mut state);
-        let mut ws = Workspace::<P>::new(n, &self.options);
+        let mut ws = Workspace::<P>::new(n);
         let result = run_admitted(
             &self.program,
             &traversal,
@@ -531,8 +506,8 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
         let n = self.view.num_vertices() as usize;
         let mut ws = state
             .take_cached_workspace::<Workspace<P>>()
-            .filter(|ws| ws.is_compatible(n, &self.options))
-            .unwrap_or_else(|| Box::new(Workspace::<P>::new(n, &self.options)));
+            .filter(|ws| ws.is_compatible(n))
+            .unwrap_or_else(|| Box::new(Workspace::<P>::new(n)));
         let result = run_admitted(
             &self.program,
             &traversal,
@@ -603,21 +578,15 @@ mod tests {
 
     #[test]
     fn sessions_run_and_build_with_the_plain_defaults() {
+        assert_eq!(SessionOptions::default().run_defaults.backend, None);
+        assert_eq!(Session::sequential().run_defaults().backend, None);
         assert_eq!(
-            SessionOptions::default().run_defaults.vector,
-            VectorKind::Auto
-        );
-        assert_eq!(
-            Session::sequential().run_defaults().vector,
-            VectorKind::Auto
-        );
-        assert_eq!(
-            Session::with_threads(2).unwrap().run_defaults().vector,
-            VectorKind::Auto
+            Session::with_threads(2).unwrap().run_defaults().backend,
+            None
         );
         // One altitude of defaults: what the session uses is what
         // `RunOptions::default()` / `GraphBuildOptions::default()` say.
-        assert_eq!(RunOptions::default().vector, VectorKind::Auto);
+        assert_eq!(RunOptions::default().backend, None);
         let edges = figure3_edges();
         let built = Session::sequential().build_graph(&edges).finish().unwrap();
         assert!(GraphBuildOptions::default().build_pull_mirrors);
@@ -625,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_dense_on_a_pull_disabled_topology_is_an_error() {
+    fn forced_pull_on_a_pull_disabled_topology_is_an_error() {
         let session = Session::sequential();
         let edges = figure3_edges();
         let topo = session
@@ -639,11 +608,11 @@ mod tests {
             .run(&topo, Sssp)
             .init_all(f32::MAX)
             .seed_with(0, 0.0)
-            .vector(VectorKind::Dense)
+            .backend(Backend::Pull)
             .execute()
             .unwrap_err();
         assert_eq!(err, GraphMatError::MissingPullMirror);
-        // Auto degrades gracefully on the same topology.
+        // The selector degrades gracefully on the same topology.
         let outcome = session
             .run(&topo, Sssp)
             .init_all(f32::MAX)
@@ -655,45 +624,23 @@ mod tests {
     }
 
     #[test]
-    fn all_vector_kinds_agree_through_the_builder() {
+    fn all_backends_agree_through_the_builder() {
         let session = Session::with_threads(2).unwrap();
         let edges = figure3_edges();
         let topo = session.build_graph(&edges).partitions(2).finish().unwrap();
-        let run = |kind: VectorKind| {
+        let run = |backend: Option<Backend>| {
             session
                 .run(&*topo, Sssp)
                 .init_all(f32::MAX)
                 .seed_with(0, 0.0)
-                .vector(kind)
+                .backend(backend)
                 .execute()
                 .unwrap()
                 .values
         };
-        let push = run(VectorKind::Bitvector);
-        assert_eq!(push, run(VectorKind::Sorted));
-        assert_eq!(push, run(VectorKind::Dense));
-        assert_eq!(push, run(VectorKind::Auto));
-    }
-
-    #[test]
-    fn invalid_pull_alpha_is_rejected_before_mutation() {
-        let session = Session::sequential();
-        let edges = figure3_edges();
-        let topo = session.build_graph(&edges).finish().unwrap();
-        let mut state: VertexState<f32> = VertexState::for_topology(&topo);
-        state.set_all_properties(9.0);
-        let err = session
-            .run(&*topo, Sssp)
-            .init_all(f32::MAX)
-            .seed_with(0, 0.0)
-            .pull_alpha(-3.0)
-            .execute_with(&mut state)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            GraphMatError::InvalidParameter("pull_alpha must be positive and finite")
-        );
-        assert!(state.properties().iter().all(|&p| p == 9.0));
+        let push = run(Some(Backend::Push));
+        assert_eq!(push, run(Some(Backend::Pull)));
+        assert_eq!(push, run(None));
     }
 
     #[test]
@@ -847,7 +794,7 @@ mod tests {
             .init_all(f32::MAX)
             .seed_with(0, 0.0)
             .max_iterations(50)
-            .vector(VectorKind::Bitvector)
+            .backend(Backend::Push)
             .execute()
             .unwrap();
         assert!(outcome.converged);

@@ -13,10 +13,8 @@ use std::time::Duration;
 
 /// Which SpMV backend executed a superstep's PROCESS/REDUCE phases.
 ///
-/// The direction-optimized engine picks one per superstep when
-/// [`crate::options::VectorKind::Auto`] is selected (the default);
-/// forced vector kinds pin it ([`crate::options::VectorKind::Bitvector`] /
-/// `Sorted` → always `Push`, `Dense` → always `Pull`). Recorded in
+/// The direction-optimized engine picks one per superstep unless
+/// [`crate::options::RunOptions::backend`] pins it. Recorded in
 /// [`SuperstepStats::backend`] so direction flips are visible in the perf
 /// trajectory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -41,7 +39,8 @@ impl Backend {
     }
 }
 
-/// Statistics for one superstep (one SEND → SpMV → APPLY cycle).
+/// Statistics for one superstep (one SEND → SpMV → APPLY cycle). The engine
+/// fills the SEND/SpMV fields, the runner the iteration and APPLY fields.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SuperstepStats {
     /// Superstep index, starting at 0.
@@ -89,7 +88,7 @@ pub struct RunStats {
     /// Number of supersteps executed.
     pub iterations: usize,
     /// How many of those supersteps the direction selector (or a forced
-    /// `VectorKind::Dense`) ran on the pull backend. Tracked in the totals —
+    /// `Backend::Pull`) ran on the pull backend. Tracked in the totals —
     /// not derived from [`RunStats::supersteps`] — so it survives
     /// `record_supersteps: false`.
     pub pull_supersteps: usize,

@@ -35,14 +35,17 @@ use graphmat_sparse::parallel::available_threads;
 use graphmat_sparse::partition::{PartitionedDcsc, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
 
+/// Matrix partitions per thread when the partition count is automatic —
+/// the `nthreads * 8` of the paper's appendix listing: enough over-splitting
+/// for dynamic scheduling to even out skewed partitions.
+pub const PARTITIONS_PER_THREAD: usize = 8;
+
 /// Options controlling topology construction.
 #[derive(Clone, Copy, Debug)]
 pub struct GraphBuildOptions {
-    /// Number of matrix partitions; `0` picks `partition_factor × threads`.
+    /// Number of matrix partitions; `0` picks
+    /// [`PARTITIONS_PER_THREAD`]` × threads`.
     pub num_partitions: usize,
-    /// Multiplier applied to the thread count when `num_partitions == 0`
-    /// (the paper uses 8).
-    pub partition_factor: usize,
     /// Balance partitions by edge count (`true`, the paper's load-balancing
     /// optimization) or split rows evenly (`false`, the naive layout used as
     /// the Figure 7 baseline).
@@ -54,8 +57,8 @@ pub struct GraphBuildOptions {
     /// engine can run the **dense pull** backend (direction optimization).
     /// Costs roughly the same memory again per mirrored matrix
     /// ([`Topology::pull_bytes`] reports exactly how much). **On** by
-    /// default, to match the run default `VectorKind::Auto`; without
-    /// mirrors, `Auto` degrades gracefully to always-push.
+    /// default, to match the direction-optimized run default; without
+    /// mirrors, the selector degrades gracefully to always-push.
     pub build_pull_mirrors: bool,
 }
 
@@ -63,7 +66,6 @@ impl Default for GraphBuildOptions {
     fn default() -> Self {
         GraphBuildOptions {
             num_partitions: 0,
-            partition_factor: 8,
             balance_partitions: true,
             build_in_edges: true,
             build_pull_mirrors: true,
@@ -106,7 +108,7 @@ impl GraphBuildOptions {
     /// machine does not build an over-partitioned matrix).
     pub(crate) fn effective_partitions_for(&self, threads: usize) -> usize {
         if self.num_partitions == 0 {
-            (self.partition_factor.max(1)) * threads.max(1)
+            PARTITIONS_PER_THREAD * threads.max(1)
         } else {
             self.num_partitions
         }

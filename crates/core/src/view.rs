@@ -17,16 +17,14 @@
 //!
 //! Only the **push** backend is overlay-aware: the dense pull mirrors are
 //! rebuilt at compaction, not per batch, so a superstep over a pending
-//! overlay always pushes ([`VectorKind::Auto`] selects push; forcing
-//! [`VectorKind::Dense`] is a typed error). Results stay bit-for-bit
+//! overlay always pushes (the selector picks push; forcing
+//! [`Backend::Pull`](crate::stats::Backend::Pull) is a typed error).
+//! Results stay bit-for-bit
 //! identical to a run over a topology rebuilt from the edited edge list —
 //! the merged column walk of
 //! [`graphmat_sparse::overlay::gspmv_overlay_into`] folds each
 //! destination's products in the same ascending-source order a rebuild
 //! would.
-//!
-//! [`VectorKind::Auto`]: crate::options::VectorKind::Auto
-//! [`VectorKind::Dense`]: crate::options::VectorKind::Dense
 
 use crate::program::VertexId;
 use crate::topology::Topology;

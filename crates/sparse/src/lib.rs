@@ -11,9 +11,9 @@
 //!   that GraphMat stores its (transposed) adjacency matrix in (paper §4.4.1).
 //! * [`bitvec`] — packed bit vectors, including an atomically updatable variant,
 //!   used for the active-vertex set and the sparse-vector index (paper §4.4.2).
-//! * [`spvec`] — sparse vectors: the bitvector-backed representation the paper
-//!   selects, and the sorted-tuple representation it rejects (kept for the
-//!   Figure 7 ablation).
+//! * [`spvec`] — the sparse message vector: the bitvector-backed
+//!   representation the paper selects, read by the push and the pull kernel
+//!   alike.
 //! * [`partition`] — 1-D row partitioning of the matrix into many more
 //!   partitions than threads, enabling dynamic load balancing (paper §4.5).
 //! * [`parallel`] — a small scoped-thread executor with an atomic work queue,
@@ -21,9 +21,9 @@
 //! * [`pull`] — row-major CSR mirrors of the partitioned DCSC, the structure
 //!   the dense-pull backend traverses (direction optimization à la Beamer /
 //!   GraphBLAST).
-//! * [`spmv`] — sequential and partition-parallel *generalized* sparse
-//!   matrix–sparse vector multiplication (paper Algorithm 1), plus the
-//!   row-parallel dense-pull kernel.
+//! * [`spmv`] — partition-parallel *generalized* sparse matrix–sparse vector
+//!   multiplication (paper Algorithm 1), plus the row-parallel dense-pull
+//!   kernel.
 //! * [`overlay`] — sorted delta overlays (pending edge edits) and the merged
 //!   `base ⊕ overlay` SpMV used by the streaming-update layer; reduction
 //!   order matches a from-scratch rebuild bit for bit.

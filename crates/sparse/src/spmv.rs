@@ -5,13 +5,11 @@
 //! combine `x[j]` with every stored entry `(k, j)` using the generalized
 //! multiply, and fold the results into `y[k]` with the generalized add.
 //!
-//! The entry points:
+//! The entry points, all generic over the multiply/add closures (the
+//! multiply also receives the destination row index `k`, which is how
+//! `graphmat-core` gives `PROCESS_MESSAGE` access to the destination vertex's
+//! property — GraphMat's key frontend extension over CombBLAS, §4.2):
 //!
-//! * [`gspmv_dcsc`] — sequential kernel over a single DCSC, generic over the
-//!   multiply/add closures (the multiply also receives the destination row
-//!   index `k`, which is how `graphmat-core` gives `PROCESS_MESSAGE` access
-//!   to the destination vertex's property — GraphMat's key frontend
-//!   extension over CombBLAS, §4.2).
 //! * [`gspmv_into`] / [`gspmv`] — partition-parallel kernel over a
 //!   [`PartitionedDcsc`], using an [`Executor`] for dynamic scheduling. Each
 //!   partition owns a disjoint row range, so all partitions write directly
@@ -22,60 +20,16 @@
 //!   same partition shell (`push_into`).
 //! * [`gspmv_csr_pull_into`] — the row-parallel **dense pull** kernel over a
 //!   [`CsrMirror`], used by the direction-optimized engine when the frontier
-//!   is dense (reads a [`DenseVector`] by index; writes each output row
-//!   exactly once, with no sharded scatter).
+//!   is dense (reads the same [`SparseVector`] by index; writes each output
+//!   row exactly once, with no sharded scatter).
 
 use crate::dcsc::Dcsc;
 use crate::overlay::{walk_columns_overlay, Overlay};
 use crate::parallel::Executor;
 use crate::partition::PartitionedDcsc;
 use crate::pull::CsrMirror;
-use crate::spvec::{DenseVector, MessageVector, SparseVector};
+use crate::spvec::{MessageVector, SparseVector};
 use crate::Index;
-
-/// Sequential generalized SpMV over a single DCSC matrix.
-///
-/// * `multiply(x_j, edge, k)` — combine the input-vector entry at column `j`
-///   with the matrix entry at `(k, j)`; `k` is the destination row.
-/// * `add(acc, value)` — fold a product into the accumulator for row `k`.
-///
-/// Returns a sparse vector whose set entries are exactly the rows that
-/// received at least one product.
-pub fn gspmv_dcsc<X, E, Y, V, M, A>(
-    matrix: &Dcsc<E>,
-    x: &V,
-    multiply: &M,
-    add: &A,
-) -> SparseVector<Y>
-where
-    V: MessageVector<X>,
-    Y: Clone + Default,
-    M: Fn(&X, &E, Index) -> Y,
-    A: Fn(&mut Y, Y),
-{
-    let mut y: SparseVector<Y> = SparseVector::new(matrix.nrows() as usize);
-    gspmv_dcsc_into(matrix, x, multiply, add, &mut y);
-    y
-}
-
-/// Like [`gspmv_dcsc`] but accumulating into an existing output vector
-/// (entries already present are folded into with `add`).
-pub fn gspmv_dcsc_into<X, E, Y, V, M, A>(
-    matrix: &Dcsc<E>,
-    x: &V,
-    multiply: &M,
-    add: &A,
-    y: &mut SparseVector<Y>,
-) where
-    V: MessageVector<X>,
-    Y: Clone + Default,
-    M: Fn(&X, &E, Index) -> Y,
-    A: Fn(&mut Y, Y),
-{
-    walk_columns(matrix, x, multiply, |k, product| {
-        y.merge(k, product, |acc, v| add(acc, v))
-    });
-}
 
 /// The Algorithm-1 column walk shared by the sequential and parallel kernels:
 /// for each non-empty column `j` of (a partition of) `Gᵀ` present in `x`,
@@ -240,7 +194,7 @@ fn walk_partition<X, E, Y, V, M>(
 /// Where [`gspmv_into`] *pushes* (walk the non-empty columns present in the
 /// sparse input, scatter into output rows), this kernel *pulls*: each task
 /// owns one partition of destination rows and, for every row `k`, gathers
-/// the row's source entries, probes the dense input vector's validity bitmap
+/// the row's source entries, probes the input vector's validity bitmap
 /// per source, multiplies the hits and folds them into a register-resident
 /// accumulator — then writes `y[k]` exactly once. No sharded scatter, no
 /// atomics anywhere on the write path, perfect write locality; the cost is
@@ -257,7 +211,7 @@ fn walk_partition<X, E, Y, V, M>(
 /// function never allocates.
 pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     mirror: &CsrMirror<E>,
-    x: &DenseVector<X>,
+    x: &SparseVector<X>,
     multiply: &M,
     add: &A,
     executor: &Executor,
@@ -315,11 +269,11 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     drop(shards);
 }
 
-/// Gather one destination row: probe the dense input per source (ascending),
+/// Gather one destination row: probe the input per source (ascending),
 /// multiply hits and fold them into a local accumulator.
 #[inline(always)]
 fn pull_row<X, E, Y, M, A>(
-    x: &DenseVector<X>,
+    x: &SparseVector<X>,
     cols: &[Index],
     edges: &[E],
     k: Index,
@@ -523,17 +477,15 @@ mod tests {
             x.set(i, i as i64 + 1);
         }
 
-        // Old stitch-path semantics: sequential partial per partition, then set.
-        let mut stitched: SparseVector<i64> = SparseVector::new(n as usize);
-        for part in pd.partitions() {
-            let partial: SparseVector<i64> =
-                gspmv_dcsc(&part.matrix, &x, &|m, e, _| m * e, &|a: &mut i64, v| {
-                    *a += v
-                });
-            for (k, v) in partial.iter() {
-                stitched.set(k, *v);
-            }
-        }
+        // What the stitch path produced: every row reduced by one
+        // sequential column walk — a 1-partition matrix on one lane.
+        let stitched = gspmv(
+            &PartitionedDcsc::from_coo_even(&coo, 1),
+            &x,
+            &|m: &i64, e: &i64, _| m * e,
+            &|a: &mut i64, v| *a += v,
+            &Executor::sequential(),
+        );
 
         let shared = gspmv(
             &pd,
@@ -642,17 +594,15 @@ mod tests {
         let mirror = CsrMirror::from_partitioned(&gt);
         let ex = Executor::new(2);
         // frontier after iteration 0: B=1, C=3, D=2
-        let mut push_x: SparseVector<f32> = SparseVector::new(5);
-        let mut pull_x: DenseVector<f32> = DenseVector::new(5);
+        let mut x: SparseVector<f32> = SparseVector::new(5);
         for (i, v) in [(1u32, 1.0f32), (2, 3.0), (3, 2.0)] {
-            push_x.set(i, v);
-            pull_x.set(i, v);
+            x.set(i, v);
         }
         let multiply = |m: &f32, e: &f32, _: Index| m + e;
         let add = |acc: &mut f32, v: f32| *acc = acc.min(v);
-        let push: SparseVector<f32> = gspmv(&gt, &push_x, &multiply, &add, &ex);
+        let push: SparseVector<f32> = gspmv(&gt, &x, &multiply, &add, &ex);
         let mut pull: SparseVector<f32> = SparseVector::new(5);
-        gspmv_csr_pull_into(&mirror, &pull_x, &multiply, &add, &ex, &mut pull);
+        gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut pull);
         assert_eq!(pull.to_entries(), push.to_entries());
         assert_eq!(pull.to_entries(), vec![(2, 2.0), (3, 5.0), (4, 4.0)]);
     }
@@ -673,17 +623,15 @@ mod tests {
         let multiply = |m: &i64, e: &i64, k: Index| m * e + k as i64;
         let add = |acc: &mut i64, v: i64| *acc += v;
         for stride in [1usize, 2, 17, 149] {
-            let mut push_x: SparseVector<i64> = SparseVector::new(150);
-            let mut pull_x: DenseVector<i64> = DenseVector::new(150);
+            let mut x: SparseVector<i64> = SparseVector::new(150);
             for i in (0..150).step_by(stride) {
-                push_x.set(i as Index, i as i64 + 1);
-                pull_x.set(i as Index, i as i64 + 1);
+                x.set(i as Index, i as i64 + 1);
             }
             for threads in [1usize, 4] {
                 let ex = Executor::new(threads);
-                let push: SparseVector<i64> = gspmv(&pd, &push_x, &multiply, &add, &ex);
+                let push: SparseVector<i64> = gspmv(&pd, &x, &multiply, &add, &ex);
                 let mut pull: SparseVector<i64> = SparseVector::new(150);
-                gspmv_csr_pull_into(&mirror, &pull_x, &multiply, &add, &ex, &mut pull);
+                gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut pull);
                 assert_eq!(
                     pull.to_entries(),
                     push.to_entries(),
@@ -701,7 +649,7 @@ mod tests {
         let multiply = |m: &f32, e: &f32, _: Index| m + e;
         let add = |acc: &mut f32, v: f32| *acc = acc.min(v);
         let mut y: SparseVector<f32> = SparseVector::new(5);
-        let mut x: DenseVector<f32> = DenseVector::new(5);
+        let mut x: SparseVector<f32> = SparseVector::new(5);
         x.set(0, 0.0);
         gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut y);
         assert_eq!(y.to_entries(), vec![(1, 1.0), (2, 3.0), (3, 2.0)]);
@@ -715,7 +663,7 @@ mod tests {
     fn pull_empty_frontier_produces_empty_output() {
         let gt = PartitionedDcsc::from_coo_even(&figure3_graph_transpose(), 2);
         let mirror = CsrMirror::from_partitioned(&gt);
-        let x: DenseVector<f32> = DenseVector::new(5);
+        let x: SparseVector<f32> = SparseVector::new(5);
         let mut y: SparseVector<f32> = SparseVector::new(5);
         gspmv_csr_pull_into(
             &mirror,

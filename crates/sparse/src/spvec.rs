@@ -9,16 +9,14 @@
 //! Option 2 wins across all algorithms and graphs — membership tests inside
 //! the SpMV inner loop become a single bit probe, and the bit vector is small
 //! enough to be shared and cached by all threads — so [`SparseVector`] is the
-//! default used throughout the engine. [`SortedSparseVector`] implements
-//! option 1 and exists so the Figure 7 "+bitvector" ablation can quantify the
-//! difference.
+//! one message vector of the engine, for both execution directions: the push
+//! kernel probes it per non-empty matrix column, the pull kernel
+//! ([`crate::spmv::gspmv_csr_pull_into`]) per stored source index — either
+//! way an O(1) bit probe plus array read.
 //!
-//! Both implement [`MessageVector`], the minimal interface the generalized
-//! SpMV needs from its input vector. A third representation, [`DenseVector`],
-//! exists for the **pull** execution path (direction optimization): same
-//! values-plus-bitmap layout as option 2, but consumed by O(1) indexed reads
-//! inside the row-parallel pull kernel instead of driving column iteration —
-//! see [`crate::spmv::gspmv_csr_pull_into`].
+//! [`MessageVector`] is the minimal read interface the push SpMV needs from
+//! its input vector; `graphmat-bench` implements it for option 1 (sorted
+//! tuples) to measure the §4.4.2 difference at the kernel.
 //!
 //! # Concurrent writers
 //!
@@ -469,203 +467,9 @@ impl<T> MessageVector<T> for SparseVector<T> {
     }
 }
 
-/// Dense message vector for the **pull** execution path: a constant-size
-/// value array plus a validity bitmap, exactly like [`SparseVector`], but
-/// consumed by *indexed reads* rather than by driving iteration.
-///
-/// The distinction is semantic, not representational. The push kernel
-/// ([`crate::spmv::gspmv_into`]) walks the non-empty columns of a DCSC and
-/// probes the input vector per column — any [`MessageVector`] works,
-/// including the `O(log nnz)` [`SortedSparseVector`]. The pull kernel
-/// ([`crate::spmv::gspmv_csr_pull_into`]) instead iterates destination rows
-/// and looks up **every** source index it encounters; it is only correct to
-/// run when those lookups are O(1) bit-probe + array-read. `DenseVector` is
-/// the type that encodes that guarantee: the pull kernel accepts it and
-/// nothing else.
-///
-/// Like the engine's other per-superstep buffers, a `DenseVector` is
-/// allocated once (in the engine `Workspace`) and recycled across
-/// supersteps: [`DenseVector::clear`] resets the bitmap without touching the
-/// value array.
-#[derive(Clone, Debug)]
-pub struct DenseVector<T> {
-    inner: SparseVector<T>,
-}
-
-impl<T: Clone + Default> DenseVector<T> {
-    /// Create an empty dense vector of logical length `n`.
-    pub fn new(n: usize) -> Self {
-        DenseVector {
-            inner: SparseVector::new(n),
-        }
-    }
-}
-
-impl<T> DenseVector<T> {
-    /// Set index `i` to `value`, overwriting any previous value.
-    #[inline(always)]
-    pub fn set(&mut self, i: Index, value: T) {
-        self.inner.set(i, value);
-    }
-
-    /// Clear all entries without deallocating (value slots keep their last
-    /// contents; only the validity bitmap is reset).
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-
-    /// Logical length (number of vertices).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` if no entries are set.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of set entries.
-    pub fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    /// The validity bitmap (the pull kernel probes this per source index).
-    #[inline(always)]
-    pub fn valid_bits(&self) -> &BitVec {
-        self.inner.valid_bits()
-    }
-
-    /// Raw dense value storage (values at unset indices are unspecified; the
-    /// pull kernel reads a slot only after its validity bit tested set).
-    #[inline(always)]
-    pub fn raw_values(&self) -> &[T] {
-        self.inner.raw_values()
-    }
-
-    /// Iterate over `(index, &value)` pairs in increasing index order.
-    pub fn iter(&self) -> impl Iterator<Item = (Index, &T)> + '_ {
-        self.inner.iter()
-    }
-
-    /// Collect into a `Vec<(Index, T)>` (for tests / display).
-    pub fn to_entries(&self) -> Vec<(Index, T)>
-    where
-        T: Clone,
-    {
-        self.inner.to_entries()
-    }
-
-    /// Populate the vector in parallel from word-aligned chunks of its index
-    /// space — identical contract to [`SparseVector::fill_words_parallel`].
-    /// This is how the engine's SEND phase builds the pull-mode message
-    /// vector without locks or allocation.
-    pub fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
-    where
-        T: Send,
-        F: Fn(&mut WordRangeWriter<'_, T>) + Sync,
-    {
-        self.inner.fill_words_parallel(executor, f)
-    }
-}
-
-impl<T> MessageVector<T> for DenseVector<T> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        MessageVector::len(&self.inner)
-    }
-
-    #[inline(always)]
-    fn nnz(&self) -> usize {
-        MessageVector::nnz(&self.inner)
-    }
-
-    #[inline(always)]
-    fn contains(&self, i: Index) -> bool {
-        self.inner.contains(i)
-    }
-
-    #[inline(always)]
-    fn get(&self, i: Index) -> Option<&T> {
-        self.inner.get(i)
-    }
-}
-
-/// Sorted `(index, value)` tuple sparse vector (the paper's option 1).
-///
-/// Membership tests are `O(log nnz)` binary searches; kept only for the
-/// Figure 7 ablation that shows why the bit-vector representation wins.
-///
-/// There is deliberately no `Default` impl: a defaulted vector would have
-/// logical length 0 yet silently accept out-of-range writes, making
-/// [`MessageVector::len`] lie about the domain. Construct with
-/// [`SortedSparseVector::new`]; writes are bounds-checked in debug builds,
-/// matching [`SparseVector`].
-#[derive(Clone, Debug)]
-pub struct SortedSparseVector<T> {
-    len: usize,
-    entries: Vec<(Index, T)>,
-}
-
-impl<T> SortedSparseVector<T> {
-    /// Create an empty vector of logical length `n`.
-    pub fn new(n: usize) -> Self {
-        SortedSparseVector {
-            len: n,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Set index `i` to `value`, keeping entries sorted.
-    pub fn set(&mut self, i: Index, value: T) {
-        debug_assert!(ix(i) < self.len, "index {i} out of range {}", self.len);
-        match self.entries.binary_search_by_key(&i, |e| e.0) {
-            Ok(pos) => self.entries[pos].1 = value,
-            Err(pos) => self.entries.insert(pos, (i, value)),
-        }
-    }
-
-    /// Insert-or-update, mirroring [`SparseVector::merge`].
-    pub fn merge(&mut self, i: Index, value: T, merge: impl FnOnce(&mut T, T)) {
-        debug_assert!(ix(i) < self.len, "index {i} out of range {}", self.len);
-        match self.entries.binary_search_by_key(&i, |e| e.0) {
-            Ok(pos) => merge(&mut self.entries[pos].1, value),
-            Err(pos) => self.entries.insert(pos, (i, value)),
-        }
-    }
-
-    /// Iterate over `(index, &value)` pairs in increasing index order.
-    pub fn iter(&self) -> impl Iterator<Item = (Index, &T)> + '_ {
-        self.entries.iter().map(|(i, v)| (*i, v))
-    }
-
-    /// Clear all entries.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-impl<T> MessageVector<T> for SortedSparseVector<T> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    #[inline]
-    fn contains(&self, i: Index) -> bool {
-        self.entries.binary_search_by_key(&i, |e| e.0).is_ok()
-    }
-
-    #[inline]
-    fn get(&self, i: Index) -> Option<&T> {
-        self.entries
-            .binary_search_by_key(&i, |e| e.0)
-            .ok()
-            .map(|pos| &self.entries[pos].1)
-    }
-}
+/// The name the pull kernel's callers know the message vector by: the same
+/// bit vector + value array, read by index instead of driving iteration.
+pub type DenseVector<T> = SparseVector<T>;
 
 #[cfg(test)]
 mod tests {
@@ -744,47 +548,6 @@ mod tests {
         *v.get_mut(1).unwrap() = 4;
         assert_eq!(v.get(1), Some(&4));
         assert!(v.get_mut(0).is_none());
-    }
-
-    #[test]
-    fn sorted_vector_basics() {
-        let mut v: SortedSparseVector<i32> = SortedSparseVector::new(50);
-        v.set(20, 1);
-        v.set(10, 2);
-        v.set(20, 3);
-        assert_eq!(v.nnz(), 2);
-        assert!(v.contains(10));
-        assert!(!v.contains(11));
-        assert_eq!(v.get(20), Some(&3));
-        assert_eq!(MessageVector::len(&v), 50);
-        let collected: Vec<(u32, i32)> = v.iter().map(|(i, x)| (i, *x)).collect();
-        assert_eq!(collected, vec![(10, 2), (20, 3)]);
-    }
-
-    #[test]
-    fn sorted_vector_merge() {
-        let mut v: SortedSparseVector<i32> = SortedSparseVector::new(10);
-        v.merge(3, 5, |a, b| *a += b);
-        v.merge(3, 6, |a, b| *a += b);
-        assert_eq!(v.get(3), Some(&11));
-        v.clear();
-        assert_eq!(v.nnz(), 0);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "out of range")]
-    fn sorted_vector_out_of_bounds_set_panics_in_debug() {
-        let mut v: SortedSparseVector<i32> = SortedSparseVector::new(5);
-        v.set(5, 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "out of range")]
-    fn sorted_vector_out_of_bounds_merge_panics_in_debug() {
-        let mut v: SortedSparseVector<i32> = SortedSparseVector::new(3);
-        v.merge(7, 1, |a, b| *a += b);
     }
 
     #[test]
@@ -933,20 +696,5 @@ mod tests {
                 w.set(255, 1); // outside chunk 0 (4 words split across lanes)
             }
         });
-    }
-
-    #[test]
-    fn both_representations_agree() {
-        let mut bv: SparseVector<i64> = SparseVector::new(64);
-        let mut sv: SortedSparseVector<i64> = SortedSparseVector::new(64);
-        for (i, val) in [(5u32, 1i64), (63, 2), (0, 3), (31, 4), (5, 9)] {
-            bv.set(i, val);
-            sv.set(i, val);
-        }
-        for i in 0..64u32 {
-            assert_eq!(bv.contains(i), sv.contains(i), "index {i}");
-            assert_eq!(bv.get(i), sv.get(i), "index {i}");
-        }
-        assert_eq!(bv.nnz(), sv.nnz());
     }
 }

@@ -61,15 +61,16 @@
 //!
 //! ## Direction optimization (PR-4)
 //!
-//! Runs are **direction-optimized** by default
-//! (`VectorKind::Auto`): each superstep executes either the paper's sparse
-//! *push* SpMV (column-wise over the DCSC) or the dense *pull* SpMV
-//! (row-parallel over a CSR mirror), chosen by Beamer's frontier-density
-//! rule — pull when the frontier's out-edges exceed `unexplored / α`.
+//! Runs are **direction-optimized** by default: each superstep executes
+//! either the paper's sparse *push* SpMV (column-wise over the DCSC) or the
+//! dense *pull* SpMV (row-parallel over a CSR mirror) over the same
+//! bit-vector-backed message vector, chosen by Beamer's frontier-density
+//! rule — pull when the frontier's out-edges exceed `unexplored / 14`.
 //! Results are bit-for-bit identical across backends; the per-superstep
-//! choice is recorded in `SuperstepStats::backend`. Force a backend with
-//! `.vector(…)`, tune α with `.pull_alpha(…)`, and skip the mirrors'
-//! ~2× matrix memory with `.pull_enabled(false)` on the graph builder.
+//! choice is recorded in `SuperstepStats::backend`. Pin a backend with
+//! `.backend(Backend::Push | Backend::Pull)` on the run builder, and skip
+//! the mirrors' ~2× matrix memory with `.pull_enabled(false)` on the graph
+//! builder.
 //!
 //! ## Edge-type genericity (PR-1)
 //!
@@ -125,10 +126,10 @@ pub mod prelude {
     pub use graphmat_algorithms::triangle_count::{total_triangles, triangle_count_on};
     pub use graphmat_algorithms::AlgorithmOutput;
     pub use graphmat_core::{
-        run_program, ActivityPolicy, Backend, DispatchMode, EdgeDirection, GraphBuildOptions,
-        GraphMatError, GraphProgram, GraphSnapshot, GraphStore, GraphView, RunOptions, RunOutcome,
-        RunResult, RunStats, Session, SessionOptions, StoreOptions, StoreStats, SuperstepStats,
-        Topology, VectorKind, VertexId, VertexState, DEFAULT_PULL_ALPHA,
+        run_program, ActivityPolicy, Backend, EdgeDirection, GraphBuildOptions, GraphMatError,
+        GraphProgram, GraphSnapshot, GraphStore, GraphView, RunOptions, RunOutcome, RunResult,
+        RunStats, Session, SessionOptions, StoreOptions, StoreStats, SuperstepStats, Topology,
+        VertexId, VertexState,
     };
     pub use graphmat_delta::{DeltaBatch, DeltaError, UpdateOp};
     pub use graphmat_io::bipartite::BipartiteConfig;

@@ -1,12 +1,12 @@
-//! End-to-end tests of the direction-optimized engine: the `VectorKind`
-//! backends must be **bit-for-bit interchangeable** (push and pull reduce
-//! each destination's messages in the same ascending-source order), and the
-//! `Auto` selector must actually flip between them where the workload's
-//! frontier density says it should.
+//! End-to-end tests of the direction-optimized engine: the push and pull
+//! backends must be **bit-for-bit interchangeable** (both reduce each
+//! destination's messages in the same ascending-source order), and the
+//! per-superstep selector must actually flip between them where the
+//! workload's frontier density says it should.
 //!
 //! Property-style coverage follows the repo's offline convention: instead of
 //! `proptest`, deterministic RMAT and grid graphs are swept across every
-//! edge direction, vector kind and thread count, so failures reproduce
+//! edge direction, backend and thread count, so failures reproduce
 //! exactly from the case labels in the assertion messages.
 
 use graphmat::prelude::*;
@@ -72,10 +72,10 @@ fn test_graphs() -> Vec<(&'static str, EdgeList)> {
     ]
 }
 
-/// The satellite property test: `Auto` is bit-identical to every forced
-/// kind across RMAT + grid graphs, all three `EdgeDirection`s, 1 and 4
-/// threads. f32 comparisons are exact (`==` via `Vec<f32>` equality): the
-/// backends must agree to the last ulp, not approximately.
+/// The satellite property test: the selector is bit-identical to both
+/// forced backends across RMAT + grid graphs, all three `EdgeDirection`s, 1
+/// and 4 threads. f32 comparisons are exact (`to_bits`): the backends must
+/// agree to the last ulp, not approximately.
 #[test]
 fn auto_is_bit_identical_to_every_forced_backend() {
     for (graph_name, edges) in test_graphs() {
@@ -83,33 +83,34 @@ fn auto_is_bit_identical_to_every_forced_backend() {
             let session = Session::with_threads(threads).unwrap();
             let topo = session.build_graph(&edges).partitions(8).finish().unwrap();
             for direction in [EdgeDirection::Out, EdgeDirection::In, EdgeDirection::Both] {
-                let run = |kind: VectorKind| {
+                let run = |backend: Option<Backend>| {
                     session
                         .run(&*topo, DirectedRelax { direction })
                         .init_all(f32::MAX)
                         .seed_with(0, 0.0)
                         .seed_with(1, 0.5)
-                        .vector(kind)
+                        .backend(backend)
                         .max_iterations(64)
                         .execute()
                         .unwrap()
                 };
-                let auto = run(VectorKind::Auto);
-                for forced in [VectorKind::Bitvector, VectorKind::Sorted, VectorKind::Dense] {
-                    let out = run(forced);
+                let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let auto = run(None);
+                let (push, pull) = (run(Some(Backend::Push)), run(Some(Backend::Pull)));
+                for (forced, out) in [("push", &push), ("pull", &pull)] {
                     assert_eq!(
-                        auto.values, out.values,
-                        "{graph_name}, {threads} threads, {direction:?}, Auto vs {forced:?}"
+                        bits(&auto.values),
+                        bits(&out.values),
+                        "{graph_name}, {threads} threads, {direction:?}, auto vs {forced}"
                     );
                 }
-                // The forced-dense run must actually have pulled every
+                // The forced-pull run must actually have pulled every
                 // superstep, and forced-push runs never pull.
                 assert_eq!(
-                    run(VectorKind::Dense).stats.pull_supersteps,
-                    run(VectorKind::Dense).stats.iterations,
+                    pull.stats.pull_supersteps, pull.stats.iterations,
                     "{graph_name} {direction:?}"
                 );
-                assert_eq!(run(VectorKind::Bitvector).stats.pull_supersteps, 0);
+                assert_eq!(push.stats.pull_supersteps, 0);
             }
         }
     }
@@ -159,18 +160,18 @@ fn selector_flips_direction_across_bfs_supersteps() {
 }
 
 /// A 2-lane session whose runs default to the paper's always-push
-/// configuration (`VectorKind::Bitvector`).
+/// configuration (`Backend::Push`).
 fn push_session() -> Session {
     Session::new(
         SessionOptions::default()
             .with_threads(2)
-            .with_run_defaults(RunOptions::default().with_vector(VectorKind::Bitvector)),
+            .with_run_defaults(RunOptions::default().with_backend(Backend::Push)),
     )
     .unwrap()
 }
 
 /// PageRank activates every vertex every superstep — the canonical
-/// dense-frontier workload. Under `Auto` it must settle on the pull backend
+/// dense-frontier workload. Unforced it must settle on the pull backend
 /// while producing exactly the push ranks.
 #[test]
 fn pagerank_selects_pull_on_every_superstep() {
@@ -199,7 +200,7 @@ fn pagerank_selects_pull_on_every_superstep() {
     assert_eq!(push.stats.pull_supersteps, 0);
 }
 
-/// All eight packaged algorithms, run through a default (Auto) session and
+/// All eight packaged algorithms, run through a default (unforced) session and
 /// through a forced-push session over the same topologies, compared
 /// bit-for-bit — the acceptance bar of the direction-optimization PR.
 #[test]
@@ -214,7 +215,10 @@ fn all_algorithms_agree_between_auto_and_forced_push() {
         .finish()
         .unwrap();
     let bfs = bfs_on(&auto, &sym_topo, 0).unwrap();
-    assert!(bfs.stats.pull_supersteps > 0, "Auto must actually pull");
+    assert!(
+        bfs.stats.pull_supersteps > 0,
+        "the selector must actually pull"
+    );
     assert_eq!(
         bfs.values,
         bfs_on(&push, &sym_topo, 0).unwrap().values,
@@ -287,8 +291,8 @@ fn all_algorithms_agree_between_auto_and_forced_push() {
 }
 
 /// Pooled states + workspace recycling across backend switches: rerunning
-/// through one state with different forced kinds must keep results identical
-/// and never corrupt the cached workspace.
+/// through one state with different forced backends must keep results
+/// identical and never corrupt the one cached workspace they all share.
 #[test]
 fn pooled_state_survives_backend_switches() {
     let edges = rmat::generate(&RmatConfig::graph500(8).with_seed(11));
@@ -297,13 +301,7 @@ fn pooled_state_survives_backend_switches() {
     let mut state: VertexState<f32> = VertexState::for_topology(&topo);
 
     let mut results: Vec<Vec<f32>> = Vec::new();
-    for kind in [
-        VectorKind::Auto,
-        VectorKind::Dense,
-        VectorKind::Bitvector,
-        VectorKind::Auto,
-        VectorKind::Sorted,
-    ] {
+    for backend in [None, Some(Backend::Pull), Some(Backend::Push), None] {
         session
             .run(
                 &*topo,
@@ -313,7 +311,7 @@ fn pooled_state_survives_backend_switches() {
             )
             .init_all(f32::MAX)
             .seed_with(0, 0.0)
-            .vector(kind)
+            .backend(backend)
             .max_iterations(64)
             .execute_with(&mut state)
             .unwrap();

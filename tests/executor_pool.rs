@@ -1,10 +1,9 @@
 //! Pool-executor correctness: final vertex properties must be invariant to
-//! the thread count for every scatter direction and message-vector
-//! representation, on a skewed RMAT graph large enough to trigger the
+//! the thread count for every scatter direction and SpMV backend, on a skewed RMAT graph large enough to trigger the
 //! parallel SEND and APPLY paths (> 2048 active vertices).
 
 use graphmat_core::program::{EdgeDirection, GraphProgram, VertexId};
-use graphmat_core::{ActivityPolicy, Session, VectorKind};
+use graphmat_core::{ActivityPolicy, Backend, Session};
 use graphmat_io::rmat::{self, RmatConfig};
 
 /// A direction-configurable program over integer state. `reduce` is
@@ -46,7 +45,7 @@ impl GraphProgram for Mixer {
     }
 }
 
-fn run(direction: EdgeDirection, vector: VectorKind, threads: usize) -> Vec<u64> {
+fn run(direction: EdgeDirection, backend: Option<Backend>, threads: usize) -> Vec<u64> {
     // Scale 12 → 4096 vertices, comfortably above the 2048-vertex thresholds
     // that gate the parallel SEND and APPLY paths.
     let el = rmat::generate(&RmatConfig::graph500(12).with_seed(42));
@@ -55,9 +54,9 @@ fn run(direction: EdgeDirection, vector: VectorKind, threads: usize) -> Vec<u64>
     let topo = session.build_graph(&el).partitions(16).finish().unwrap();
     let outcome = session
         .run(&topo, Mixer { direction })
-        .init_with(|v| v as u64 + 1)
+        .init_with(&|v| v as u64 + 1)
         .activate_all()
-        .vector(vector)
+        .backend(backend)
         .activity(ActivityPolicy::AlwaysAll)
         .max_iterations(4)
         .execute()
@@ -68,15 +67,15 @@ fn run(direction: EdgeDirection, vector: VectorKind, threads: usize) -> Vec<u64>
 }
 
 #[test]
-fn thread_count_invariance_across_directions_and_vector_kinds() {
+fn thread_count_invariance_across_directions_and_backends() {
     for direction in [EdgeDirection::Out, EdgeDirection::In, EdgeDirection::Both] {
-        for vector in [VectorKind::Bitvector, VectorKind::Sorted] {
-            let sequential = run(direction, vector, 1);
-            for threads in [2, 4, 7] {
-                let parallel = run(direction, vector, threads);
+        let sequential = run(direction, Some(Backend::Push), 1);
+        for backend in [Some(Backend::Push), Some(Backend::Pull), None] {
+            for threads in [1, 2, 4, 7] {
+                let parallel = run(direction, backend, threads);
                 assert_eq!(
                     sequential, parallel,
-                    "results diverged for {direction:?}/{vector:?} at {threads} threads"
+                    "results diverged for {direction:?}/{backend:?} at {threads} threads"
                 );
             }
         }

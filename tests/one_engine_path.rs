@@ -7,7 +7,8 @@
 use graphmat::algorithms::bfs::bfs_into;
 use graphmat::algorithms::connected_components::connected_components_into;
 use graphmat::algorithms::degree::{in_degrees_into, out_degrees_into};
-use graphmat::algorithms::pagerank::pagerank_into;
+use graphmat::algorithms::delta_pagerank::DeltaPrVertex;
+use graphmat::algorithms::pagerank::{pagerank_into, PageRankVertex};
 use graphmat::algorithms::sssp::sssp_into;
 use graphmat::prelude::*;
 use std::sync::Arc;
@@ -224,6 +225,29 @@ impl GraphProgram for Count {
     }
 }
 
+/// `run` must fail the way `expected` says and leave a state of `state_len`
+/// sentinel-filled vertices exactly as it found it.
+fn assert_rejected_untouched<V: Clone + PartialEq + Default + Send + Sync + 'static>(
+    label: &str,
+    state_len: usize,
+    sentinel: V,
+    run: &dyn Fn(&mut VertexState<V>) -> Result<RunResult, GraphMatError>,
+    expected: &dyn Fn(&GraphMatError) -> bool,
+) {
+    let mut state: VertexState<V> = VertexState::new(state_len);
+    state.set_all_properties(sentinel.clone());
+    state.set_active(2);
+    let err = run(&mut state).unwrap_err();
+    assert!(expected(&err), "{label}: got {err}");
+    assert!(
+        state.properties().iter().all(|p| *p == sentinel),
+        "{label}: properties touched"
+    );
+    assert_eq!(state.active_count(), 1, "{label}");
+    assert!(state.is_active(2), "{label}");
+    assert!(!state.has_cached_workspace(), "{label}");
+}
+
 #[test]
 fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
     const SENTINEL: u64 = 7;
@@ -232,7 +256,7 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
     let session = Session::new(
         SessionOptions::default()
             .with_threads(1)
-            .with_run_defaults(RunOptions::default().with_vector(VectorKind::Dense)),
+            .with_run_defaults(RunOptions::default().with_backend(Backend::Pull)),
     )
     .unwrap();
     // A topology with every fault at once: no in-edge matrix, no mirrors.
@@ -250,7 +274,7 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
 
     // Each case carries its own fault plus every later one, so the error it
     // reports pins the order the prologue checks in.
-    let dense_over_overlay = |e: &GraphMatError| matches!(e, GraphMatError::InvalidParameter(_));
+    let pull_over_overlay = |e: &GraphMatError| matches!(e, GraphMatError::InvalidParameter(_));
     type Expect<'a> = &'a dyn Fn(&GraphMatError) -> bool;
     let cases: [(&str, GraphView<'_, f32>, usize, EdgeDirection, Expect<'_>); 4] = [
         (
@@ -273,11 +297,11 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
             &|e| *e == GraphMatError::MissingInMatrix,
         ),
         (
-            "dense over overlay, then mirrors",
+            "pull over overlay, then mirrors",
             pending.view(),
             4,
             EdgeDirection::Out,
-            &dense_over_overlay,
+            &pull_over_overlay,
         ),
         (
             "mirrors",
@@ -307,18 +331,42 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
             ("x_into", &through_a_driver),
         ];
         for (route, run) in routes {
-            let mut state: VertexState<u64> = VertexState::new(state_len);
-            state.set_all_properties(SENTINEL);
-            state.set_active(2);
-            let err = run(&mut state).unwrap_err();
-            assert!(expected(&err), "{name} via {route}: got {err}");
-            assert!(
-                state.properties().iter().all(|&p| p == SENTINEL),
-                "{name} via {route}: properties touched"
+            let label = format!("{name} via {route}");
+            assert_rejected_untouched(&label, state_len, SENTINEL, run, expected);
+        }
+        // The two drivers whose init closure captures the view's degrees
+        // initialise through the builder too, after the prologue. Both
+        // scatter along out-edges, so the in-matrix case is not theirs.
+        if direction != EdgeDirection::In {
+            assert_rejected_untouched(
+                &format!("{name} via pagerank_into"),
+                state_len,
+                PageRankVertex {
+                    rank: 7.0,
+                    degree: 7,
+                },
+                &|state| pagerank_into(&session, view, &PageRankConfig::default(), None, state),
+                expected,
             );
-            assert_eq!(state.active_count(), 1, "{name} via {route}");
-            assert!(state.is_active(2), "{name} via {route}");
-            assert!(!state.has_cached_workspace(), "{name} via {route}");
+            assert_rejected_untouched(
+                &format!("{name} via delta_pagerank_into"),
+                state_len,
+                DeltaPrVertex {
+                    rank: 7.0,
+                    delta: 7.0,
+                    degree: 7,
+                },
+                &|state| {
+                    delta_pagerank_into(
+                        &session,
+                        view,
+                        &DeltaPageRankConfig::default(),
+                        None,
+                        state,
+                    )
+                },
+                expected,
+            );
         }
     }
 

@@ -184,23 +184,17 @@ fn parallel_run_equals_sequential_run() {
 }
 
 #[test]
-fn dispatch_and_vector_ablations_do_not_change_results() {
+fn backend_choice_does_not_change_results() {
     for case in 0..CASES {
         let edges = arb_graph(8000 + case, 40, 200);
-        let run = |options: RunOptions| sssp_from_zero(&session_with(options), &edges);
-        let push = RunOptions::default().with_vector(VectorKind::Bitvector);
-        let base = run(push);
-        assert_eq!(
-            base,
-            run(push.with_dispatch(DispatchMode::Dynamic)),
-            "case {case} (dynamic dispatch)"
-        );
-        for kind in [VectorKind::Sorted, VectorKind::Dense, VectorKind::Auto] {
-            assert_eq!(
-                base,
-                run(RunOptions::default().with_vector(kind)),
-                "case {case} ({kind:?})"
-            );
+        let run = |backend: Option<Backend>| {
+            let session = session_with(RunOptions::default().with_backend(backend));
+            let distances = sssp_from_zero(&session, &edges);
+            distances.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+        };
+        let push = run(Some(Backend::Push));
+        for backend in [Some(Backend::Pull), None] {
+            assert_eq!(push, run(backend), "case {case} ({backend:?})");
         }
     }
 }

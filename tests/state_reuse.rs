@@ -167,7 +167,7 @@ fn workspace_cache_is_dropped_when_the_program_type_changes() {
     // Different program, same pooled state: must still be correct.
     session
         .run(&*topo, MaxLabel)
-        .init_with(|v| v)
+        .init_with(&|v| v)
         .activate_all()
         .execute_with(&mut state)
         .unwrap();
@@ -177,7 +177,7 @@ fn workspace_cache_is_dropped_when_the_program_type_changes() {
     // can reach. Compare against a fresh-state run of the same program.
     let fresh = session
         .run(&*topo, MaxLabel)
-        .init_with(|v| v)
+        .init_with(&|v| v)
         .activate_all()
         .execute()
         .unwrap();

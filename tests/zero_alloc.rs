@@ -20,7 +20,7 @@
 
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
-use graphmat_core::{ActivityPolicy, RunOptions, Session, SessionOptions, VertexState};
+use graphmat_core::{ActivityPolicy, Backend, RunOptions, Session, SessionOptions, VertexState};
 use graphmat_io::rmat::{self, RmatConfig};
 use graphmat_server::protocol::{Algorithm, RunRequest, Status};
 use graphmat_server::service::{self, GraphService, WorkerStates};
@@ -80,29 +80,40 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
 
     // ---- Part 1: 100 pooled supersteps through the engine front-end. ----
     let mut state: VertexState<f64> = VertexState::for_topology(&topo);
-    let run = |state: &mut VertexState<f64>| {
+    let run = |state: &mut VertexState<f64>, backend: Option<Backend>| {
         session
             .run(&topo, Rank)
             .init_all(1.0)
             .activate_all()
             .activity(ActivityPolicy::AlwaysAll)
+            .backend(backend)
             .max_iterations(100)
             .execute_with(state)
     };
     // Warm-up run allocates the cached workspace inside the state.
-    match run(&mut state) {
+    match run(&mut state, None) {
         Ok(r) => assert_eq!(r.stats.iterations, 100),
         Err(e) => panic!("warm-up run: {e}"),
     }
-    let (outcome, stats) = AllocGuard::measure(|| run(&mut state));
-    match outcome {
-        Ok(r) => assert_eq!(r.stats.iterations, 100),
-        Err(e) => panic!("measured run: {e}"),
+    // The one cached workspace serves every backend: switching between
+    // forced push, forced pull and the per-superstep selector reallocates
+    // nothing.
+    const PUSH: Option<Backend> = Some(Backend::Push);
+    for backend in [None, PUSH, Some(Backend::Pull), None, PUSH] {
+        let (outcome, stats) = AllocGuard::measure(|| run(&mut state, backend));
+        match outcome {
+            Ok(r) => {
+                assert_eq!(r.stats.iterations, 100);
+                let pulls = if backend == PUSH { 0 } else { 100 };
+                assert_eq!(r.stats.pull_supersteps, pulls, "{backend:?}");
+            }
+            Err(e) => panic!("measured run ({backend:?}): {e}"),
+        }
+        assert!(
+            !stats.any(),
+            "100 warmed supersteps ({backend:?}) must not touch the heap, got {stats:?}"
+        );
     }
-    assert!(
-        !stats.any(),
-        "100 warmed supersteps must not touch the heap, got {stats:?}"
-    );
 
     // ---- Part 2: steady-state server rounds, in-process. ----
     let service = GraphService::new(session, topo);

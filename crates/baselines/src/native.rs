@@ -12,7 +12,7 @@ use graphmat_io::edgelist::{EdgeList, EdgeWeight};
 use graphmat_perf::CostCounters;
 use graphmat_sparse::coo::Coo;
 use graphmat_sparse::csr::Csr;
-use graphmat_sparse::parallel::Executor;
+use graphmat_sparse::parallel::{chunks, DisjointSlice, Executor};
 use graphmat_sparse::Index;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
@@ -49,13 +49,14 @@ pub fn pagerank<E: Clone + Send + Sync>(
             .zip(degrees.iter())
             .map(|(r, &d)| if d > 0 { r / d as f64 } else { 0.0 })
             .collect();
-        let next_ptr = SharedSlice::new(&mut next);
+        let next_out = DisjointSlice::new(&mut next, "native pagerank next rank");
         let ranks_ref = &ranks;
-        // indexing by the chunk range is the point here: disjoint ranges of
-        // `next` are written through the shared pointer
-        #[allow(clippy::needless_range_loop)]
-        executor.run_chunked(n, |_, lo, hi| {
-            for v in lo..hi {
+        let ch = chunks(n, executor.nthreads());
+        executor.for_each_dynamic(ch.count(), |c| {
+            let (lo, hi) = ch.bounds(c);
+            // SAFETY: each task carves only its own chunk's vertex range.
+            let out = unsafe { next_out.range(lo, hi) };
+            for (v, slot) in (lo..hi).zip(out) {
                 let (srcs, _) = gt.row(v as Index);
                 let mut sum = 0.0;
                 for &u in srcs {
@@ -64,13 +65,11 @@ pub fn pagerank<E: Clone + Send + Sync>(
                 // Vertices that receive no contribution keep their rank —
                 // the same semantics as the message-driven engines, where
                 // APPLY only runs for vertices that received a message.
-                let new_rank = if sum > 0.0 {
+                *slot = if sum > 0.0 {
                     random_surf + (1.0 - random_surf) * sum
                 } else {
                     ranks_ref[v]
                 };
-                // SAFETY: chunks are disjoint vertex ranges.
-                unsafe { *next_ptr.get_mut(v) = new_rank };
             }
         });
         std::mem::swap(&mut ranks, &mut next);
@@ -193,7 +192,9 @@ pub fn triangle_count<E: Clone + Send + Sync>(
 
     let start = Instant::now();
     let per_vertex: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    executor.run_chunked(n, |_, lo, hi| {
+    let ch = chunks(n, executor.nthreads());
+    executor.for_each_dynamic(ch.count(), |c| {
+        let (lo, hi) = ch.bounds(c);
         for u in lo..hi {
             let (nu, _) = adj.row(u as Index);
             for &v in nu {
@@ -312,52 +313,6 @@ pub fn deterministic_init(seed: u64, v: u32, i: usize, k: usize) -> f64 {
     h = h.wrapping_mul(0xFF51AFD7ED558CCD);
     h ^= h >> 33;
     (h >> 11) as f64 / (1u64 << 53) as f64 / (k as f64).sqrt()
-}
-
-/// Raw shared mutable slice for disjoint chunked writes.
-struct SharedSlice<T> {
-    ptr: *mut T,
-    len: usize,
-    /// Write-once shadow: a handle lives for one chunked region in which
-    /// every element is written at most once (see
-    /// `graphmat_sparse::shard_check`).
-    #[cfg(feature = "shard-check")]
-    claims: graphmat_sparse::shard_check::ClaimMap,
-}
-
-// SAFETY: the pointer crosses threads only inside `run_chunked` parallel
-// regions whose chunk bounds partition the index space, so every element is
-// written through `get_mut` by exactly one lane under its `i < len` /
-// no-concurrent-access contract; `T: Send`, and the dispatching caller
-// blocks until every lane finishes, keeping the borrowed slice alive for
-// the whole region.
-unsafe impl<T: Send> Send for SharedSlice<T> {}
-unsafe impl<T: Send> Sync for SharedSlice<T> {}
-
-impl<T> SharedSlice<T> {
-    fn new(slice: &mut [T]) -> Self {
-        SharedSlice {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            #[cfg(feature = "shard-check")]
-            claims: graphmat_sparse::shard_check::ClaimMap::new(
-                slice.len(),
-                "native baseline chunk slot",
-            ),
-        }
-    }
-
-    /// # Safety
-    /// `i < len` and no concurrent access to the same element.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        // Claim before the aliasable &mut: overlapping chunk bounds panic
-        // here instead of racing on the slice.
-        #[cfg(feature = "shard-check")]
-        self.claims.claim_exclusive(i);
-        &mut *self.ptr.add(i)
-    }
 }
 
 /// Atomic f32 minimum via compare-exchange on the bit pattern; shared by the

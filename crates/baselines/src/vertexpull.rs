@@ -15,7 +15,7 @@ use crate::BaselineRun;
 use graphmat_io::bipartite::RatingsGraph;
 use graphmat_io::edgelist::{EdgeList, EdgeWeight};
 use graphmat_perf::CostCounters;
-use graphmat_sparse::parallel::Executor;
+use graphmat_sparse::parallel::{chunks, Executor};
 use graphmat_sparse::Index;
 use std::marker::PhantomData;
 use std::sync::Mutex;
@@ -132,7 +132,9 @@ pub fn run_gas<P: GasProgram>(
         let combine_dyn: &(dyn Fn(&mut P::Gather, P::Gather) + Sync) =
             &|acc, v| program.combine(acc, v);
 
-        executor.run_chunked(to_run.len(), |_, lo, hi| {
+        let ch = chunks(to_run.len(), executor.nthreads());
+        executor.for_each_dynamic(ch.count(), |c| {
+            let (lo, hi) = ch.bounds(c);
             let mut local = Vec::with_capacity(hi - lo);
             for &v in &to_run[lo..hi] {
                 let mut acc = program.gather_init();
@@ -390,7 +392,9 @@ pub fn triangle_count<E: Clone + Send + Sync>(
         .map(|_| std::sync::atomic::AtomicU64::new(0))
         .collect();
     let edge_ops = std::sync::atomic::AtomicU64::new(0);
-    executor.run_chunked(n, |_, lo, hi| {
+    let ch = chunks(n, executor.nthreads());
+    executor.for_each_dynamic(ch.count(), |c| {
+        let (lo, hi) = ch.bounds(c);
         for u in lo..hi {
             for (v, _) in &graph.out_edges[u] {
                 let v = *v;

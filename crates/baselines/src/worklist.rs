@@ -50,7 +50,7 @@ pub fn sssp<E: EdgeWeight>(
         rounds += 1;
         let chunks: Vec<&[Index]> = worklist.chunks(CHUNK).collect();
         let next = Mutex::new(Vec::<Index>::new());
-        executor.run_dynamic(chunks.len(), |c| {
+        executor.for_each_dynamic(chunks.len(), |c| {
             let mut local_next = Vec::new();
             for &u in chunks[c] {
                 task_ops.fetch_add(1, Ordering::Relaxed);
@@ -117,7 +117,7 @@ pub fn bfs<E: Clone + Send + Sync>(
         level += 1;
         let chunks: Vec<&[Index]> = frontier.chunks(CHUNK).collect();
         let next = Mutex::new(Vec::<Index>::new());
-        executor.run_dynamic(chunks.len(), |c| {
+        executor.for_each_dynamic(chunks.len(), |c| {
             let mut local = Vec::new();
             for &u in chunks[c] {
                 task_ops.fetch_add(1, Ordering::Relaxed);

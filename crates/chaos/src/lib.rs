@@ -16,7 +16,7 @@
 //! `shard-check` race detector: with the feature off (the default),
 //! [`fire`] is an empty `#[inline(always)]` function returning `None` and
 //! the registry does not exist — default builds compile the failpoints out
-//! to nothing, which the per-PR `BENCH_<n>.json` A/B run confirms.
+//! to nothing.
 //!
 //! # Arming a failpoint
 //!

@@ -31,24 +31,29 @@
 //! # The workspace: zero allocation per superstep
 //!
 //! GraphMat's SSSP/BFS advantage comes from tiny per-iteration overheads
-//! (§5.2.1). To honour that, all per-superstep buffers — the message vector,
-//! the reduced-output vector, the optional second output for
-//! [`EdgeDirection::Both`], the APPLY `updated` list and the next-active bit
-//! vector — live in a [`Workspace`] owned by the runner and are **cleared
-//! and reused** every iteration, never reallocated. A superstep runs SEND +
-//! SpMV into that workspace and returns only scalar measurements.
+//! (§5.2.1). To honour that, the three per-superstep buffers — the message
+//! vector, the reduced-output vector and the optional second output for
+//! [`EdgeDirection::Both`] — live in a [`Workspace`] owned by the runner and
+//! are **cleared and reused** every iteration, never reallocated. A superstep
+//! runs SEND + SpMV into that workspace and returns only scalar
+//! measurements; APPLY then reads the reduced vector's validity bits and
+//! writes the next active set directly into the state, so there is no work
+//! list and no second active-set buffer to carry.
 //!
-//! # Parallel SEND
+//! # SEND: one scan of the active set
 //!
-//! With a multi-lane executor and a large enough frontier, SEND is chunked
-//! over the **words** of the active-vertex bit vector
-//! ([`graphmat_sparse::spvec::SparseVector::fill_words_parallel`]): each lane
-//! scans its word range and inserts messages for its own vertices. Chunks
-//! never share a 64-bit validity word, so all writes are plain stores — no
-//! locks, no atomics on the value path, no allocation. Per
-//! [`GraphProgram::direction`], SEND reads only the degree array the
-//! direction actually needs (out-degrees for `Out`, in-degrees for `In`,
-//! both for `Both`) when accounting the edges a superstep will traverse.
+//! SEND is one loop body over word-aligned chunks of the active-vertex bit
+//! vector ([`graphmat_sparse::spvec::SparseVector::fill_words`]): each chunk
+//! scans its words and inserts messages for its own vertices, counting the
+//! messages and the edges they will traverse as it goes. Chunks never share a
+//! 64-bit validity word, so all writes are plain stores — no locks, no
+//! atomics on the value path, no allocation. How many chunks there are is
+//! decided in one place
+//! ([`phase_chunks`](graphmat_sparse::parallel::phase_chunks)): a small
+//! frontier is a single chunk run inline on the caller, a large one is
+//! spread over the executor's lanes. Per [`GraphProgram::direction`], SEND
+//! reads only the degree array the direction actually needs (out-degrees for
+//! `Out`, in-degrees for `In`, both for `Both`) when accounting those edges.
 //!
 //! # Direction optimization: push vs pull
 //!
@@ -59,16 +64,21 @@
 //! direction-optimized frameworks (Beamer's bottom-up BFS, GraphBLAST) get
 //! their biggest win from: the row-parallel [`gspmv_csr_pull_into`] kernel
 //! walks destination rows of the topology's CSR mirror, gathering messages
-//! by index — no sharded writers, no atomics, perfect write locality.
+//! by index — no scatter, perfect write locality.
 //!
 //! Direction is a per-superstep decision over **one** message vector, not a
 //! second vector type: SEND always fills the workspace's bit-vector-backed
 //! [`SparseVector`] (§4.4.2's winning representation), and the chosen kernel
 //! either probes it per non-empty column (push) or per stored source index
-//! (pull). By default [`choose_backend`] decides, Beamer's rule: pull when
-//! the frontier's out-edges exceed `unexplored_edges / α` and the frontier
-//! is not tiny. [`RunOptions::backend`](crate::options::RunOptions::backend)
-//! pins it instead. Both kernels reduce each destination's incoming products
+//! (pull). The decision is made **after** SEND, from the vector SEND just
+//! built (GraphBLAST's rule): [`choose_backend`] sees the number of messages
+//! and the out-edges they will traverse — both already counted — so the
+//! active set is never scanned a second time to size the frontier, and a
+//! vertex that is active but sends nothing does not count towards pulling.
+//! Beamer's rule decides: pull when the messages' out-edges exceed
+//! `unexplored_edges / α` and the senders are not too few.
+//! [`RunOptions::backend`](crate::options::RunOptions::backend) pins the
+//! backend instead. Both kernels reduce each destination's incoming products
 //! in ascending source order, so **push, pull and the selector produce
 //! bit-for-bit identical results** — the choice can never change an answer,
 //! only its speed. Each superstep records its [`Backend`] so runs expose
@@ -79,23 +89,15 @@ use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::state::VertexState;
 use crate::stats::{Backend, SuperstepStats};
 use crate::view::GraphView;
-use graphmat_sparse::bitvec::AtomicBitVec;
 use graphmat_sparse::overlay::{gspmv_overlay_into, Overlay};
-use graphmat_sparse::parallel::{chunks, Executor};
+use graphmat_sparse::parallel::Executor;
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_into};
 use graphmat_sparse::spvec::SparseVector;
 use graphmat_sparse::Index;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Work lists smaller than this run a phase sequentially: waking the pool
-/// costs more than scanning a short list on one lane — exactly the "small
-/// per-iteration overhead" property the paper credits for GraphMat's SSSP
-/// advantage (§5.2.1). Shared by SEND (here) and APPLY (the runner) so the
-/// two cutoffs cannot drift apart.
-pub(crate) const PARALLEL_PHASE_MIN_WORK: usize = 2048;
 
 /// The α threshold of the direction selector: pull once the frontier's
 /// out-edges exceed `unexplored_edges / 14` (the value Beamer et al. tune on
@@ -103,7 +105,7 @@ pub(crate) const PARALLEL_PHASE_MIN_WORK: usize = 2048;
 pub const PULL_ALPHA: f64 = 14.0;
 
 /// The β guard of the direction selector: never pull while fewer than
-/// `1/β` of all vertices are active, no matter how few edges remain
+/// `1/β` of all vertices send a message, no matter how few edges remain
 /// unexplored. This is Beamer's bottom-up→top-down switch-back condition —
 /// without it a BFS tail (tiny frontier, everything already explored) would
 /// stay on the pull backend and pay a full row sweep to deliver a handful of
@@ -114,10 +116,11 @@ pub const PULL_BETA: f64 = 24.0;
 /// outnumber `unexplored_edges / α` ([`PULL_ALPHA`] — the frontier is about
 /// to touch a large share of what is left, so a row-major sweep that reads
 /// each destination's sources beats scattering) **and** at least
-/// `num_vertices / β` vertices are active (see [`PULL_BETA`]).
+/// `num_vertices / β` vertices send (see [`PULL_BETA`]).
 ///
-/// `frontier_edges` is the out-edge count of the current active set in the
-/// program's scatter direction; `unexplored_edges` is the direction's total
+/// `frontier_edges` is the out-edge count, in the program's scatter
+/// direction, of the `senders` vertices that put a message into this
+/// superstep's vector; `unexplored_edges` is the direction's total
 /// edge count minus everything already traversed this run (saturating at
 /// zero — fixed-iteration algorithms like PageRank re-traverse every edge
 /// each superstep, exhaust the estimate after one superstep and settle on
@@ -125,11 +128,11 @@ pub const PULL_BETA: f64 = 24.0;
 pub fn choose_backend(
     frontier_edges: u64,
     unexplored_edges: u64,
-    active_count: usize,
+    senders: usize,
     num_vertices: usize,
 ) -> Backend {
     let frontier_is_heavy = frontier_edges as f64 > unexplored_edges as f64 / PULL_ALPHA;
-    let frontier_is_broad = active_count as f64 * PULL_BETA >= num_vertices as f64;
+    let frontier_is_broad = senders as f64 * PULL_BETA >= num_vertices as f64;
     if frontier_is_heavy && frontier_is_broad {
         Backend::Pull
     } else {
@@ -146,14 +149,10 @@ pub struct Workspace<P: GraphProgram> {
     /// The one message vector: SEND fills it, the push or the pull kernel
     /// reads it.
     messages: SparseVector<P::Message>,
-    pub(crate) reduced: SparseVector<P::Reduced>,
+    reduced: SparseVector<P::Reduced>,
     /// Second SpMV target for [`EdgeDirection::Both`]; built lazily on first
     /// use so unidirectional programs never pay for it.
     scratch: Option<SparseVector<P::Reduced>>,
-    /// Vertex ids with a reduced value this superstep (APPLY's work list).
-    pub(crate) updated: Vec<Index>,
-    /// Active set being built for the next superstep.
-    pub(crate) next_active: AtomicBitVec,
 }
 
 impl<P: GraphProgram> Workspace<P> {
@@ -163,8 +162,6 @@ impl<P: GraphProgram> Workspace<P> {
             messages: SparseVector::new(n),
             reduced: SparseVector::new(n),
             scratch: None,
-            updated: Vec::new(),
-            next_active: AtomicBitVec::new(n),
         }
     }
 
@@ -343,11 +340,10 @@ impl<'a, E> Traversal<'a, E> {
 /// superstep's SEND/SpMV measurements; the reduced values land in `ws` and
 /// the runner fills in the APPLY fields.
 ///
-/// `active_count` is the current number of active vertices — the caller (the
-/// runner's convergence check) already has it in hand, and passing it in
-/// spares SEND a second full popcount of the active bit vector per
-/// superstep. It gates the sequential-vs-parallel SEND choice and feeds the
-/// direction selector's β guard.
+/// `active_count` is the current number of active vertices — the runner
+/// carries it from one superstep's APPLY to the next, so nothing here
+/// popcounts the active bit vector. It sizes SEND's chunking and is reported
+/// as the superstep's frontier density.
 ///
 /// `explored_edges` is the number of edges already traversed by earlier
 /// supersteps of this run (the runner's cumulative
@@ -371,26 +367,26 @@ pub(crate) fn superstep<P: GraphProgram>(
         messages,
         reduced,
         scratch,
-        ..
     } = ws;
     let n = traversal.view.num_vertices() as usize;
 
-    // --- Backend selection: pull needs mirrors (which `resolve` guarantees
-    // for a forced pull) and either the override or the selector's say-so.
+    // --- SEND_MESSAGE: build the message vector from active vertices.
+    let send_start = Instant::now();
+    let edges_processed = send(traversal, state, program, executor, active_count, messages);
+    let messages = &*messages;
+    let messages_sent = messages.nnz();
+    let send_time = send_start.elapsed();
+
+    // --- Backend selection, from what SEND just counted: pull needs mirrors
+    // (which `resolve` guarantees for a forced pull) and either the override
+    // or the selector's say-so.
     let pull_mirrors = traversal.mirrors.filter(|_| {
         let chosen = traversal.forced.unwrap_or_else(|| {
-            let frontier_edges = frontier_out_edges(traversal, state, active_count, executor);
             let unexplored = traversal.edge_total().saturating_sub(explored_edges);
-            choose_backend(frontier_edges, unexplored, active_count, n)
+            choose_backend(edges_processed, unexplored, messages_sent, n)
         });
         chosen == Backend::Pull
     });
-
-    // --- SEND_MESSAGE: build the message vector from active vertices.
-    let send_start = Instant::now();
-    let (messages_sent, edges_processed) =
-        send(traversal, state, program, executor, active_count, messages);
-    let send_time = send_start.elapsed();
 
     // --- Generalized SpMV (Algorithm 1): one kernel call per leg, sparse
     // push over the leg's DCSC or dense pull over its mirror. The program's
@@ -401,7 +397,6 @@ pub(crate) fn superstep<P: GraphProgram>(
         program.process_message(msg, edge, &props[dst as usize])
     };
     let add = |acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value);
-    let messages = &*messages;
     match pull_mirrors {
         None => {
             let legs = (&traversal.first, traversal.second.as_ref());
@@ -431,45 +426,11 @@ pub(crate) fn superstep<P: GraphProgram>(
     }
 }
 
-/// Out-edge count of the current active set in the scatter direction —
-/// Beamer's `m_f`. One degree-array read per active vertex; skipped entirely
-/// when every vertex is active (then it is just the direction's edge total,
-/// the PageRank-every-superstep case). Large frontiers are scanned in
-/// parallel over active-bitvector words with the same cutoff SEND uses, so
-/// the selector's pre-scan can never dominate the phase it is sizing.
-fn frontier_out_edges<E: Sync, V: Sync>(
-    traversal: &Traversal<'_, E>,
-    state: &VertexState<V>,
-    active_count: usize,
-    executor: &Executor,
-) -> u64 {
-    if active_count == traversal.view.num_vertices() as usize {
-        return traversal.edge_total();
-    }
-    let active = state.active_bits();
-    if executor.nthreads() == 1 || active_count < PARALLEL_PHASE_MIN_WORK {
-        return active
-            .iter_ones()
-            .map(|v| traversal.edges_for(v as VertexId))
-            .sum();
-    }
-    let ch = chunks(active.words().len(), executor.nthreads() * 4);
-    let total = AtomicU64::new(0);
-    executor.for_each_dynamic(ch.count(), |chunk_idx| {
-        let (word_start, word_end) = ch.bounds(chunk_idx);
-        let mut local = 0u64;
-        for v in active.iter_ones_in_words(word_start, word_end) {
-            local += traversal.edges_for(v as VertexId);
-        }
-        total.fetch_add(local, Ordering::Relaxed);
-    });
-    total.load(Ordering::Relaxed)
-}
-
-/// SEND: clear `messages` and insert one message per sending active vertex —
-/// sequentially for small frontiers, otherwise chunked over
-/// active-bitvector words across the executor's lanes. Returns
-/// `(messages sent, edges they will traverse)`.
+/// SEND: clear `messages` and insert one message per sending active vertex,
+/// scanning the active bit vector in word-aligned chunks (one inline chunk
+/// for a small frontier, otherwise spread over the executor's lanes).
+/// Returns the number of edges the messages will traverse; the number of
+/// messages is the vector's `nnz`.
 fn send<P: GraphProgram>(
     traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
@@ -477,42 +438,24 @@ fn send<P: GraphProgram>(
     executor: &Executor,
     active_count: usize,
     messages: &mut SparseVector<P::Message>,
-) -> (usize, u64) {
+) -> u64 {
     messages.clear();
     let props = state.properties();
     let active = state.active_bits();
-    if executor.nthreads() == 1 || active_count < PARALLEL_PHASE_MIN_WORK {
-        let mut sent = 0usize;
-        let mut edges = 0u64;
-        for v in active.iter_ones() {
-            let v = v as VertexId;
-            if let Some(msg) = program.send_message(v, &props[v as usize]) {
-                messages.set(v, msg);
-                sent += 1;
-                edges += traversal.edges_for(v);
-            }
-        }
-        return (sent, edges);
-    }
-
-    let sent = AtomicUsize::new(0);
     let edges = AtomicU64::new(0);
-    messages.fill_words_parallel(executor, |writer| {
+    messages.fill_words(executor, active_count, |writer| {
         let (word_start, word_end) = writer.word_range();
-        let mut local_sent = 0usize;
         let mut local_edges = 0u64;
         for v in active.iter_ones_in_words(word_start, word_end) {
             let v = v as VertexId;
             if let Some(msg) = program.send_message(v, &props[v as usize]) {
                 writer.set(v, msg);
-                local_sent += 1;
                 local_edges += traversal.edges_for(v);
             }
         }
-        sent.fetch_add(local_sent, Ordering::Relaxed);
         edges.fetch_add(local_edges, Ordering::Relaxed);
     });
-    (sent.load(Ordering::Relaxed), edges.load(Ordering::Relaxed))
+    edges.load(Ordering::Relaxed)
 }
 
 /// The leg fan-out: the first leg multiplies into `reduced`; a `Both`
@@ -699,6 +642,59 @@ mod tests {
         // The switch point sits at unexplored / α.
         assert_eq!(choose_backend(1001, 14_000, 500, 1000), Backend::Pull);
         assert_eq!(choose_backend(1000, 14_000, 500, 1000), Backend::Push);
+    }
+
+    /// SSSP in which only vertex 0 ever has something to say.
+    struct OnlyZeroSends;
+
+    impl GraphProgram for OnlyZeroSends {
+        type VertexProp = f32;
+        type Message = f32;
+        type Reduced = f32;
+        type Edge = f32;
+
+        fn send_message(&self, v: VertexId, dist: &f32) -> Option<f32> {
+            (v == 0).then_some(*dist)
+        }
+
+        fn process_message(&self, msg: &f32, edge: &f32, _dst: &f32) -> f32 {
+            msg + edge
+        }
+
+        fn reduce(&self, acc: &mut f32, value: f32) {
+            Sssp.reduce(acc, value)
+        }
+
+        fn apply(&self, reduced: &f32, dist: &mut f32) {
+            Sssp.apply(reduced, dist)
+        }
+    }
+
+    #[test]
+    fn selector_counts_senders_not_active_vertices() {
+        // A 64-ring with every vertex active. When all of them send, the
+        // frontier is heavy and broad: pull. When only vertex 0 sends, the
+        // message vector holds one entry with one out-edge — sizing the
+        // frontier by the active set used to pull here; sizing it by what
+        // SEND built pushes.
+        let ring = (0..64).map(|v| (v, (v + 1) % 64, 1.0)).collect();
+        let topology = Topology::from_edge_list(
+            &EdgeList::from_tuples(64, ring),
+            GraphBuildOptions::default().with_partitions(2),
+        );
+        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
+        state.set_all_active();
+        let executor = Executor::sequential();
+
+        let (everyone, _) = step(&topology, &state, &Sssp, None, &executor).unwrap();
+        assert_eq!((everyone.active_vertices, everyone.messages_sent), (64, 64));
+        assert_eq!(everyone.backend, Backend::Pull);
+
+        let (one, ws) = step(&topology, &state, &OnlyZeroSends, None, &executor).unwrap();
+        assert_eq!((one.active_vertices, one.messages_sent), (64, 1));
+        assert_eq!(one.edges_processed, 1);
+        assert_eq!(one.backend, Backend::Push);
+        assert_eq!(ws.reduced().to_entries(), vec![(1, 1.0)]);
     }
 
     #[test]

@@ -6,6 +6,20 @@
 //! superstep (§4.1). After APPLY, exactly the vertices whose property changed
 //! are active for the next superstep (Algorithm 2 lines 12–13).
 //!
+//! # APPLY: one scan of the reduced vector, written in place
+//!
+//! APPLY has the same shape as SEND: one loop body over word-aligned chunks
+//! of a bit vector — here the reduced vector's validity bits. A chunk that
+//! owns words `[ws, we)` owns vertex properties `[64·ws, 64·we)` and the
+//! same words of the state's active set, so it applies each reduced value to
+//! its vertex, collects the "changed" bits of a word in a register and
+//! stores that word straight into the active set: plain stores, no atomics,
+//! no work list unpacked from the bitmap and no second bit vector copied
+//! back afterwards. The number of changed vertices it returns *is* the next
+//! superstep's active count, so the loop never popcounts the active set
+//! either. Whether the chunks run inline or across the executor's lanes is
+//! [`phase_chunks`]' decision, as for SEND.
+//!
 //! # Topology / state split
 //!
 //! The loop reads an immutable [`GraphView`] — a base
@@ -25,22 +39,23 @@
 //! # Execution resources
 //!
 //! One [`Executor`] (a persistent pool of parked worker threads) and one
-//! [`Workspace`] (message/output/work-list buffers) serve every superstep —
+//! [`Workspace`] (message and output buffers) serve every superstep —
 //! the loop itself spawns no threads and allocates nothing in the steady
 //! state. The [`crate::session::Session`] frontend owns a process-lifetime
 //! executor and recycles workspaces through pooled states.
 
-use crate::engine::{superstep, Traversal, Workspace, PARALLEL_PHASE_MIN_WORK};
+use crate::engine::{superstep, Traversal, Workspace};
 use crate::error::{GraphMatError, Result};
 use crate::options::{ActivityPolicy, RunOptions};
 use crate::program::GraphProgram;
 use crate::state::VertexState;
 use crate::stats::RunStats;
 use crate::view::GraphView;
-use graphmat_sparse::parallel::{chunks, Executor};
-use graphmat_sparse::spvec::MessageVector;
+use graphmat_sparse::bitvec::WORD_BITS;
+use graphmat_sparse::parallel::{phase_chunks, DisjointSlice, Executor};
+use graphmat_sparse::spvec::SparseVector;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The outcome of a runner invocation.
 #[derive(Clone, Debug)]
@@ -131,6 +146,8 @@ pub(crate) fn run_admitted<P: GraphProgram>(
     };
     let mut converged = false;
     let mut iteration = 0usize;
+    // Counted once here; afterwards every APPLY hands the next count over.
+    let mut active = state.active_count();
 
     loop {
         if let Some(max) = options.max_iterations {
@@ -147,8 +164,7 @@ pub(crate) fn run_admitted<P: GraphProgram>(
                 return Err(GraphMatError::DeadlineExceeded);
             }
         }
-        let active_before = state.active_count();
-        if active_before == 0 {
+        if active == 0 {
             converged = true;
             break;
         }
@@ -158,7 +174,7 @@ pub(crate) fn run_admitted<P: GraphProgram>(
             state,
             program,
             executor,
-            active_before,
+            active,
             // The selector's explored-edge estimate: everything earlier
             // supersteps of this run already traversed.
             stats.edges_processed,
@@ -166,13 +182,16 @@ pub(crate) fn run_admitted<P: GraphProgram>(
         );
         step.iteration = iteration;
         step.vertices_updated = ws.reduced().nnz();
-        (step.apply_time, step.vertices_changed) = apply_phase(program, state, ws, executor);
+        (step.apply_time, step.vertices_changed) =
+            apply_phase(program, state, ws.reduced(), executor);
 
         // Fixed-iteration algorithms (PageRank, gradient-descent CF) need
         // every vertex to rebroadcast each superstep even when its own state
         // did not change; frontier algorithms activate only changed vertices.
-        if options.activity == ActivityPolicy::AlwaysAll && step.vertices_changed > 0 {
+        active = step.vertices_changed;
+        if options.activity == ActivityPolicy::AlwaysAll && active > 0 {
             state.set_all_active();
+            active = state.num_vertices();
         }
 
         stats.record(step, options.record_supersteps);
@@ -183,127 +202,58 @@ pub(crate) fn run_admitted<P: GraphProgram>(
     Ok(RunResult { stats, converged })
 }
 
-/// APPLY the reduced values in the workspace, update the state's active set,
-/// and return `(apply_time, vertices_changed)`. Reuses the workspace's
-/// `updated` list and `next_active` bit vector — no per-superstep
-/// allocation.
+/// APPLY the reduced values to their vertices and store the next active set
+/// — exactly the vertices whose property changed — into the state, word by
+/// word. Returns `(apply_time, vertices_changed)`.
 fn apply_phase<P: GraphProgram>(
     program: &P,
     state: &mut VertexState<P::VertexProp>,
-    ws: &mut Workspace<P>,
+    reduced: &SparseVector<P::Reduced>,
     executor: &Executor,
-) -> (std::time::Duration, usize) {
+) -> (Duration, usize) {
     let apply_start = Instant::now();
-    let Workspace {
-        reduced,
-        updated,
-        next_active,
-        ..
-    } = ws;
-    updated.clear();
-    updated.extend(reduced.iter().map(|(k, _)| k));
-    next_active.clear_all();
-
-    let changed_total = if executor.nthreads() == 1 || updated.len() < PARALLEL_PHASE_MIN_WORK {
-        // Sequential APPLY for small work lists (see the threshold's doc).
-        let mut changed = 0usize;
-        let props = state.properties_mut();
-        for &v in updated.iter() {
-            let reduced = reduced
-                .get(v)
-                // audit:allow(no-unwrap): `updated` is exactly the key set of
-                // `reduced`, rebuilt from it a few lines above.
-                .expect("updated vertex must have a reduced value");
-            let slot = &mut props[v as usize];
-            let old = slot.clone();
-            program.apply(reduced, slot);
-            if *slot != old {
-                next_active.set(v as usize);
-                changed += 1;
-            }
-        }
-        changed
-    } else {
-        // Parallel APPLY over disjoint chunks of the updated-vertex list.
-        // Each vertex id appears exactly once, so the unsafe shared-slice
-        // writes never alias.
-        let props_ptr = SharedProps::new(state.properties_mut());
-        let reduced = &*reduced;
-        let updated = &updated[..];
-        let next_active = &*next_active;
-        let ch = chunks(updated.len(), executor.nthreads() * 4);
-        let changed = AtomicUsize::new(0);
-        executor.for_each_dynamic(ch.count(), |chunk_idx| {
-            let (start, end) = ch.bounds(chunk_idx);
-            let mut local_changed = 0usize;
-            for &v in &updated[start..end] {
-                let reduced = reduced
-                    .get(v)
-                    // audit:allow(no-unwrap): `updated` is exactly the key
-                    // set of `reduced`, rebuilt from it before the dispatch.
-                    .expect("updated vertex must have a reduced value");
-                // SAFETY: vertex ids in `updated` are unique, so each
-                // property slot is written by exactly one chunk.
-                let slot = unsafe { props_ptr.get_mut(v as usize) };
+    let valid = reduced.valid_bits().words();
+    let values = reduced.raw_values();
+    let (props, active) = state.apply_parts();
+    let n = props.len();
+    let props = DisjointSlice::new(props, "APPLY property");
+    let active = DisjointSlice::new(active, "APPLY active word");
+    let changed = AtomicUsize::new(0);
+    let ch = phase_chunks(valid.len(), reduced.nnz(), executor);
+    executor.for_each_dynamic(ch.count(), |chunk_idx| {
+        let (word_start, word_end) = ch.bounds(chunk_idx);
+        let base = word_start * WORD_BITS;
+        // SAFETY: each chunk is handed out exactly once and chunks partition
+        // the word index space, so this task alone carves active words
+        // `[word_start, word_end)` and the properties they cover.
+        let (next_active, props) = unsafe {
+            (
+                active.range(word_start, word_end),
+                props.range(base, (word_end * WORD_BITS).min(n)),
+            )
+        };
+        let values = &values[base..base + props.len()];
+        let mut local_changed = 0usize;
+        for (w, next_word) in next_active.iter_mut().enumerate() {
+            // `reduced`'s bits past the last vertex are clear, so the word
+            // stored into the active set keeps its tail clear too.
+            let mut pending = valid[word_start + w];
+            let mut changed_bits = 0u64;
+            while pending != 0 {
+                let bit = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let i = w * WORD_BITS + bit;
+                let slot = &mut props[i];
                 let old = slot.clone();
-                program.apply(reduced, slot);
-                if *slot != old {
-                    next_active.set(v as usize);
-                    local_changed += 1;
-                }
+                program.apply(&values[i], slot);
+                changed_bits |= u64::from(*slot != old) << bit;
             }
-            changed.fetch_add(local_changed, Ordering::Relaxed);
-        });
-        changed.load(Ordering::Relaxed)
-    };
-
-    state.load_active_from(next_active);
-    (apply_start.elapsed(), changed_total)
-}
-
-/// A raw pointer to the vertex-property slice that can be shared across the
-/// APPLY worker threads. Safe to use only because every updated vertex id is
-/// unique, so no two threads ever touch the same element.
-struct SharedProps<V> {
-    ptr: *mut V,
-    len: usize,
-    /// Write-once shadow of the "each updated id is unique" invariant: a
-    /// handle lives for one APPLY region, so every slot may be claimed at
-    /// most once (see `graphmat_sparse::shard_check`).
-    #[cfg(feature = "shard-check")]
-    claims: graphmat_sparse::shard_check::ClaimMap,
-}
-
-// SAFETY: the pointer crosses threads only inside `apply_phase`'s parallel
-// region, where each element index appears in the `updated` work list once
-// and is therefore written through `get_mut` by exactly one lane; the
-// element type is `V: Send`, and the caller blocks until every lane
-// finishes, keeping the borrowed slice alive for the whole region.
-unsafe impl<V: Send> Send for SharedProps<V> {}
-unsafe impl<V: Send> Sync for SharedProps<V> {}
-
-impl<V> SharedProps<V> {
-    fn new(slice: &mut [V]) -> Self {
-        SharedProps {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            #[cfg(feature = "shard-check")]
-            claims: graphmat_sparse::shard_check::ClaimMap::new(slice.len(), "APPLY property slot"),
+            *next_word = changed_bits;
+            local_changed += changed_bits.count_ones() as usize;
         }
-    }
-
-    /// # Safety
-    /// Callers must guarantee `i < len` and that no other thread accesses
-    /// element `i` concurrently.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut V {
-        debug_assert!(i < self.len);
-        // Claim before handing out the aliasable &mut so a duplicated id in
-        // the updated work list panics instead of aliasing the property.
-        #[cfg(feature = "shard-check")]
-        self.claims.claim_exclusive(i);
-        &mut *self.ptr.add(i)
-    }
+        changed.fetch_add(local_changed, Ordering::Relaxed);
+    });
+    (apply_start.elapsed(), changed.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]

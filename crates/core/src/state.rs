@@ -8,6 +8,13 @@
 //! the state, so many states can run against one `Arc<Topology>`
 //! concurrently.
 //!
+//! The active set is one [`BitVec`] that each superstep reads once and
+//! writes once: SEND scans it word chunk by word chunk to build the message
+//! vector, and APPLY stores the next superstep's active words straight into
+//! it, each chunk owning words `[ws, we)` and therefore properties
+//! `[64·ws, 64·we)` — there is no second "next active" buffer and no copy
+//! between supersteps.
+//!
 //! A `VertexState` can be created fresh per query or **pooled**: keep one
 //! per worker and reuse it across runs through
 //! [`crate::session::RunBuilder::execute_with`], which also recycles the
@@ -21,7 +28,7 @@
 use crate::error::{GraphMatError, Result};
 use crate::program::VertexId;
 use crate::topology::Topology;
-use graphmat_sparse::bitvec::{AtomicBitVec, BitVec};
+use graphmat_sparse::bitvec::BitVec;
 use std::any::Any;
 
 /// Per-run mutable vertex state: properties + the active set, plus an
@@ -245,11 +252,11 @@ impl<V> VertexState<V> {
         &self.active
     }
 
-    /// Overwrite the active set from the concurrently-built next-superstep
-    /// bit vector, reusing the existing storage (used by the runner between
-    /// supersteps; no allocation).
-    pub(crate) fn load_active_from(&mut self, src: &AtomicBitVec) {
-        self.active.load_from(src);
+    /// What APPLY writes, borrowed together: every property and the words of
+    /// the active set (word `w` covers vertices `64·w .. 64·w + 64`). Whoever
+    /// stores a word must leave the bits past the last vertex clear.
+    pub(crate) fn apply_parts(&mut self) -> (&mut [V], &mut [u64]) {
+        (&mut self.properties, self.active.words_mut())
     }
 
     // ---- workspace cache ----------------------------------------------------

@@ -427,7 +427,8 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
         apply_resolved_to_edges(&mut edges, &resolved);
         let pair_index = PairIndex::from_edges(&edges);
 
-        let el = EdgeList::from_tuples(current.base.num_vertices(), edges.clone());
+        // The one copy above is lent to the build and taken back afterwards.
+        let el = EdgeList::from_tuples(current.base.num_vertices(), edges);
         let options = GraphBuildOptions::default()
             .with_partitions(current.base.num_partitions())
             .with_in_edges(current.base.has_in_edges())
@@ -435,7 +436,7 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
         let base = Arc::new(Topology::from_edge_list(&el, options));
 
         // Commit point: plain moves and an atomic pointer swap.
-        writer.base_edges = Some(edges);
+        writer.base_edges = Some(el.into_tuples());
         writer.pair_index = Some(pair_index);
         writer.log.clear();
         // Same version: compaction changes the representation, not the graph.

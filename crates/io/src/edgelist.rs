@@ -122,6 +122,12 @@ impl<E> EdgeList<E> {
         }
     }
 
+    /// Take the `(src, dst, value)` tuples back out — the inverse of
+    /// [`EdgeList::from_tuples`], for callers that lend a vector to a build.
+    pub fn into_tuples(self) -> Vec<(Index, Index, E)> {
+        self.edges
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> Index {
         self.num_vertices

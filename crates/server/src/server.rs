@@ -602,10 +602,12 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) {
                 }
             }
             Request::Shutdown => {
+                // Close the admission queue before acknowledging: a client
+                // that has seen the ack must never get a later RUN admitted.
+                shared.begin_shutdown();
                 resp.clear();
                 protocol::encode_ok_empty(&mut resp);
                 let _ = protocol::write_frame(&mut stream, &resp);
-                shared.begin_shutdown();
                 return;
             }
             Request::Run(run) => {

@@ -278,23 +278,33 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
 #[test]
 fn late_requests_during_shutdown_are_refused_not_hung() {
-    let (server, _topology) = start_server(ServerConfig::default());
-    let addr = server.local_addr();
-    let mut straggler = Client::connect(addr).unwrap();
-    straggler.ping().unwrap();
+    // Looped: the window between the SHUTDOWN ack and the queue closing used
+    // to admit the straggler's run about one time in eight.
+    for round in 0..50 {
+        let (server, _topology) = start_server(ServerConfig::default());
+        let addr = server.local_addr();
+        let mut straggler = Client::connect(addr).unwrap();
+        straggler.ping().unwrap();
 
-    // Ask for shutdown over the wire; the server must acknowledge first.
-    let mut client = Client::connect(addr).unwrap();
-    client.shutdown_server().unwrap();
+        // Ask for shutdown over the wire; once the server has acknowledged,
+        // its admission queue is closed.
+        let mut client = Client::connect(addr).unwrap();
+        client.shutdown_server().unwrap();
 
-    // A run on a pre-existing connection now either gets a typed
-    // ShuttingDown reply (if it races ahead of the connection teardown) or
-    // a closed connection — never a hang, never success.
-    match straggler.run(&RunRequest::new(Algorithm::Bfs).seed(0)) {
-        Ok(reply) => assert_eq!(reply.status, Status::ShuttingDown, "{}", reply.message),
-        Err(_closed) => {}
+        // A run on a pre-existing connection now either gets a typed
+        // ShuttingDown reply (if it races ahead of the connection teardown)
+        // or a closed connection — never a hang, never success.
+        match straggler.run(&RunRequest::new(Algorithm::Bfs).seed(0)) {
+            Ok(reply) => assert_eq!(
+                reply.status,
+                Status::ShuttingDown,
+                "round {round}: {}",
+                reply.message
+            ),
+            Err(_closed) => {}
+        }
+        server.wait();
     }
-    server.wait();
 }
 
 #[test]

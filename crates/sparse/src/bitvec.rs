@@ -6,16 +6,13 @@
 //! the bit array is small enough to stay cache resident, and it can be shared
 //! read-only between all threads during the SpMV.
 //!
-//! Two variants are provided:
-//!
-//! * [`BitVec`] — single-owner bit vector with cheap word-level iteration.
-//! * [`AtomicBitVec`] — concurrently writable bit vector used when multiple
-//!   partitions may mark the same output vertex (e.g. the active set for the
-//!   next superstep).
+//! [`BitVec`] is the one representation. Parallel phases never set bits one
+//! at a time through a shared handle: they own word-aligned chunks of
+//! [`BitVec::words_mut`] and store whole words (SEND into the message
+//! vector's validity bits, APPLY into the next active set).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-const WORD_BITS: usize = 64;
+/// Bits per storage word: word `w` holds bits `64·w .. 64·w + 64`.
+pub const WORD_BITS: usize = 64;
 
 #[inline(always)]
 fn word_index(bit: usize) -> (usize, u64) {
@@ -79,16 +76,6 @@ impl BitVec {
         self.words[w] &= !mask;
     }
 
-    /// Set bit `i` to `value`.
-    #[inline(always)]
-    pub fn assign(&mut self, i: usize, value: bool) {
-        if value {
-            self.set(i);
-        } else {
-            self.clear(i);
-        }
-    }
-
     /// Clear every bit without reallocating.
     pub fn clear_all(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -105,16 +92,6 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `true` if no bit is set.
-    pub fn none(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// `true` if any bit is set.
-    pub fn any(&self) -> bool {
-        !self.none()
-    }
-
     /// Iterate over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> OnesIter<'_> {
         OnesIter {
@@ -127,8 +104,8 @@ impl BitVec {
     }
 
     /// Iterate over the set bits whose word index lies in
-    /// `word_start..word_end` — the unit the parallel SEND phase chunks the
-    /// active set by, so that concurrent chunks never share a 64-bit word.
+    /// `word_start..word_end` — the unit the SEND phase chunks the active set
+    /// by, so that concurrent chunks never share a 64-bit word.
     pub fn iter_ones_in_words(&self, word_start: usize, word_end: usize) -> OnesIter<'_> {
         let end = word_end.min(self.words.len());
         let start = word_start.min(end);
@@ -142,39 +119,16 @@ impl BitVec {
         }
     }
 
-    /// Overwrite this bit vector's contents from an [`AtomicBitVec`] of the
-    /// same length, without allocating. This is how the runner recycles the
-    /// active set between supersteps.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn load_from(&mut self, src: &AtomicBitVec) {
-        assert_eq!(self.len, src.len, "BitVec length mismatch in load_from");
-        for (dst, src) in self.words.iter_mut().zip(src.words.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Bitwise OR another bit vector of the same length into `self`.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn union_with(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "BitVec length mismatch in union_with");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= *b;
-        }
-    }
-
     /// Access the raw words (read-only). Mostly useful for tests and for the
     /// word-at-a-time fast paths in the SpMV kernel.
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
-    /// Mutable access to the raw words, for the sparse-vector writers that
-    /// hand disjoint word ranges to different threads.
-    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+    /// Mutable access to the raw words, for the chunked writers that hand
+    /// disjoint word ranges to different threads. Bits past `len()` in the
+    /// last word must stay clear — `count_ones` and iteration rely on it.
+    pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }
 
@@ -225,92 +179,6 @@ impl Iterator for OnesIter<'_> {
     }
 }
 
-/// A bit vector whose bits can be set concurrently from multiple threads.
-///
-/// Only `set` needs to be concurrent in GraphMat (threads mark vertices active
-/// for the next superstep); reads happen after a synchronisation point, so a
-/// relaxed ordering is sufficient.
-#[derive(Debug)]
-pub struct AtomicBitVec {
-    words: Vec<AtomicU64>,
-    len: usize,
-}
-
-impl AtomicBitVec {
-    /// Create an atomic bit vector of `len` bits, all cleared.
-    pub fn new(len: usize) -> Self {
-        AtomicBitVec {
-            words: (0..len.div_ceil(WORD_BITS))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            len,
-        }
-    }
-
-    /// Number of bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the vector has zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Atomically set bit `i`.
-    #[inline(always)]
-    pub fn set(&self, i: usize) {
-        debug_assert!(i < self.len);
-        let (w, mask) = word_index(i);
-        self.words[w].fetch_or(mask, Ordering::Relaxed);
-    }
-
-    /// Test bit `i` (relaxed load — callers must synchronise externally).
-    #[inline(always)]
-    pub fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        let (w, mask) = word_index(i);
-        self.words[w].load(Ordering::Relaxed) & mask != 0
-    }
-
-    /// Convert into a plain [`BitVec`] (consumes the atomic storage).
-    pub fn into_bitvec(self) -> BitVec {
-        BitVec {
-            words: self.words.into_iter().map(|w| w.into_inner()).collect(),
-            len: self.len,
-        }
-    }
-
-    /// Snapshot the current contents into a plain [`BitVec`].
-    pub fn to_bitvec(&self) -> BitVec {
-        BitVec {
-            words: self
-                .words
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
-            len: self.len,
-        }
-    }
-
-    /// Clear all bits (not thread-safe with concurrent setters).
-    pub fn clear_all(&mut self) {
-        for w in &mut self.words {
-            *w.get_mut() = 0;
-        }
-    }
-
-    /// Number of set bits (relaxed snapshot).
-    pub fn count_ones(&self) -> usize {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,8 +188,6 @@ mod tests {
         let bv = BitVec::new(130);
         assert_eq!(bv.len(), 130);
         assert_eq!(bv.count_ones(), 0);
-        assert!(bv.none());
-        assert!(!bv.any());
         for i in 0..130 {
             assert!(!bv.get(i));
         }
@@ -341,15 +207,6 @@ mod tests {
         bv.clear(0);
         assert!(!bv.get(0));
         assert_eq!(bv.count_ones(), (0..200).step_by(7).count() - 1);
-    }
-
-    #[test]
-    fn assign_sets_and_clears() {
-        let mut bv = BitVec::new(10);
-        bv.assign(3, true);
-        assert!(bv.get(3));
-        bv.assign(3, false);
-        assert!(!bv.get(3));
     }
 
     #[test]
@@ -374,47 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn union_with_merges() {
-        let mut a = BitVec::new(100);
-        let mut b = BitVec::new(100);
-        a.set(1);
-        a.set(50);
-        b.set(50);
-        b.set(99);
-        a.union_with(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 50, 99]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn union_with_length_mismatch_panics() {
-        let mut a = BitVec::new(10);
-        let b = BitVec::new(11);
-        a.union_with(&b);
-    }
-
-    #[test]
     fn empty_bitvec() {
         let bv = BitVec::new(0);
         assert!(bv.is_empty());
         assert_eq!(bv.iter_ones().count(), 0);
-        assert!(bv.none());
-    }
-
-    #[test]
-    fn atomic_bitvec_set_and_snapshot() {
-        let abv = AtomicBitVec::new(128);
-        abv.set(0);
-        abv.set(64);
-        abv.set(127);
-        assert!(abv.get(0));
-        assert!(abv.get(64));
-        assert!(!abv.get(1));
-        assert_eq!(abv.count_ones(), 3);
-        let bv = abv.to_bitvec();
-        assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![0, 64, 127]);
-        let bv2 = abv.into_bitvec();
-        assert_eq!(bv, bv2);
+        assert_eq!(bv.count_ones(), 0);
     }
 
     #[test]
@@ -434,45 +255,5 @@ mod tests {
         }
         // Out-of-range word bounds are clamped, not panicking.
         assert_eq!(bv.iter_ones_in_words(90, 100).count(), 0);
-    }
-
-    #[test]
-    fn load_from_atomic_reuses_storage() {
-        let mut bv = BitVec::new(130);
-        bv.set(5);
-        let abv = AtomicBitVec::new(130);
-        abv.set(0);
-        abv.set(64);
-        abv.set(129);
-        bv.load_from(&abv);
-        assert_eq!(bv.iter_ones().collect::<Vec<_>>(), vec![0, 64, 129]);
-        assert!(!bv.get(5), "old contents must be overwritten");
-    }
-
-    #[test]
-    #[should_panic]
-    fn load_from_length_mismatch_panics() {
-        let mut bv = BitVec::new(10);
-        let abv = AtomicBitVec::new(11);
-        bv.load_from(&abv);
-    }
-
-    #[test]
-    fn atomic_bitvec_concurrent_sets() {
-        use std::sync::Arc;
-        let abv = Arc::new(AtomicBitVec::new(10_000));
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let abv = Arc::clone(&abv);
-            handles.push(std::thread::spawn(move || {
-                for i in (t..10_000).step_by(4) {
-                    abv.set(i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(abv.count_ones(), 10_000);
     }
 }

@@ -100,11 +100,6 @@ impl<T> Coo<T> {
         self.entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
     }
 
-    /// Sort entries by `(col, row)` — the order CSC/DCSC construction wants.
-    pub fn sort_col_major(&mut self) {
-        self.entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
-    }
-
     /// Remove diagonal entries (graph self-loops).
     pub fn remove_self_loops(&mut self) {
         self.entries.retain(|&(r, c, _)| r != c);
@@ -179,22 +174,6 @@ impl<T: Clone> Coo<T> {
         };
         out.dedup_by(|a, _| a.clone());
         out
-    }
-
-    /// Keep only strictly upper-triangular entries (`col > row`), producing a
-    /// DAG. This is the paper's Triangle Counting pre-processing step
-    /// ("discard the edges in the lower triangle", §5.1).
-    pub fn upper_triangle(&self) -> Coo<T> {
-        Coo {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            entries: self
-                .entries
-                .iter()
-                .filter(|&&(r, c, _)| c > r)
-                .cloned()
-                .collect(),
-        }
     }
 }
 
@@ -291,13 +270,6 @@ mod tests {
         coords.sort();
         coords.dedup();
         assert_eq!(before, coords.len());
-    }
-
-    #[test]
-    fn upper_triangle_is_dag() {
-        let m = sample().symmetrized();
-        let u = m.upper_triangle();
-        assert!(u.entries().iter().all(|&(r, c, _)| c > r));
     }
 
     #[test]

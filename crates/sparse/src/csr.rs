@@ -6,7 +6,7 @@
 //! baseline (`graphmat-baselines`).
 //!
 //! A CSC matrix is simply the CSR of the transpose, so a single type serves
-//! both; [`Csr::transposed`] produces the other orientation.
+//! both.
 
 use crate::coo::Coo;
 use crate::{ix, Index};
@@ -79,18 +79,6 @@ impl<T: Clone> Csr<T> {
                 self.values[start + i] = v;
             }
         }
-    }
-
-    /// Build the transpose (i.e. the CSC view of this matrix, stored as CSR).
-    pub fn transposed(&self) -> Csr<T> {
-        let mut coo = Coo::with_capacity(self.ncols, self.nrows, self.nnz());
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                coo.push(*c, r, v.clone());
-            }
-        }
-        Csr::from_coo(&coo)
     }
 }
 
@@ -215,17 +203,6 @@ mod tests {
         assert_eq!(csr.row_nnz(0), 2);
         assert_eq!(csr.row_nnz(3), 0);
         assert_eq!(csr.degrees(), vec![2, 1, 2, 0]);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let csr = Csr::from_coo(&sample_coo());
-        let t = csr.transposed();
-        assert_eq!(t.nrows(), 4);
-        assert_eq!(t.get(3, 0), Some(&2.0));
-        assert_eq!(t.get(1, 0), Some(&1.0));
-        let back = t.transposed();
-        assert_eq!(back, csr);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! the non-empty columns in order, exactly as the paper notes.
 
 use crate::coo::Coo;
-use crate::csr::Csr;
 use crate::Index;
 
 /// A sparse matrix in Doubly Compressed Sparse Column format.
@@ -81,23 +80,6 @@ impl<T: Clone> Dcsc<T> {
             ir,
             values,
         }
-    }
-
-    /// Build the DCSC of a CSR matrix's transpose — i.e. store `Aᵀ` while
-    /// reading `A`. Handy because graphs are naturally edge lists (row = src).
-    pub fn transpose_of_csr(csr: &Csr<T>) -> Self {
-        // The transpose's column j is A's row j, already sorted by column
-        // (= transpose's row) because Csr keeps rows sorted.
-        let mut entries: Vec<(Index, Index, T)> = Vec::with_capacity(csr.nnz());
-        for r in 0..csr.nrows() {
-            let (cols, vals) = csr.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                // entry (r, c) of A becomes (c, r) of Aᵀ: row = c, col = r
-                entries.push((*c, r, v.clone()));
-            }
-        }
-        entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
-        Self::from_col_sorted(csr.ncols(), csr.nrows(), &entries)
     }
 }
 
@@ -246,22 +228,6 @@ mod tests {
         assert_eq!(d.n_nonempty_cols(), 0);
         assert_eq!(d.iter_cols().count(), 0);
         assert!(d.col(5).is_none());
-    }
-
-    #[test]
-    fn transpose_of_csr_matches_manual_transpose() {
-        let coo = sample_coo();
-        let csr = Csr::from_coo(&coo);
-        let dt = Dcsc::transpose_of_csr(&csr);
-        // Aᵀ has entry (c, r) for every A entry (r, c)
-        let mut expect: Vec<(u32, u32, i32)> =
-            coo.entries().iter().map(|&(r, c, v)| (c, r, v)).collect();
-        expect.sort();
-        let mut got: Vec<(u32, u32, i32)> = dt.iter().map(|(r, c, v)| (r, c, *v)).collect();
-        got.sort();
-        assert_eq!(got, expect);
-        assert_eq!(dt.nrows(), 5);
-        assert_eq!(dt.ncols(), 5);
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! The paper parallelizes the generalized SpMV by giving each thread matrix
 //! partitions to process, using OpenMP dynamic scheduling so that threads that
 //! finish light partitions steal the remaining heavy ones (§4.5, optimizations
-//! 3 and 4). [`Executor::run_dynamic`] reproduces that: a shared atomic
+//! 3 and 4). [`Executor::for_each_dynamic`] reproduces that: a shared atomic
 //! counter hands out task (partition) indices to a fixed set of worker lanes
-//! until the queue is exhausted.
+//! until the queue is exhausted. It is the executor's only dispatch entry;
+//! ranges are split by [`chunks`] / [`phase_chunks`] and handed out as tasks.
 //!
 //! Unlike an OpenMP parallel region — and unlike the first version of this
 //! module, which spawned and joined fresh OS threads on every call — the
 //! [`Executor`] owns a **persistent pool** of parked worker threads:
 //!
 //! * the pool is created once (in [`Executor::new`]) and reused by every
-//!   `run_dynamic` / `run_chunked` / `for_each_dynamic` call, so a superstep
-//!   costs a condvar wake instead of a `thread::spawn` + `join` round trip.
+//!   [`Executor::for_each_dynamic`] call, so a superstep costs a condvar wake
+//!   instead of a `thread::spawn` + `join` round trip.
 //!   This matters most exactly where the paper says it does (§5.2.1):
 //!   algorithms like road-network SSSP run thousands of supersteps that each
 //!   do microseconds of work;
@@ -39,12 +40,15 @@
 //! closure — that would deadlock. Nested parallelism is not something
 //! GraphMat's flat partition-parallel loops need.
 //!
-//! [`chunks`] is the shared range-splitting helper used by [`Executor::run_chunked`]
-//! and by the chunk-parallel phases in `graphmat-core` (APPLY, SEND). It
-//! yields only non-empty ranges — the previous per-call-site chunk math could
-//! emit empty trailing chunks that were still scheduled as tasks.
+//! [`chunks`] is the shared range-splitting helper; it yields only non-empty
+//! ranges. [`phase_chunks`] sits on top of it for the vertex phases of
+//! `graphmat-core` (SEND, APPLY): it owns the inline-vs-parallel decision, so
+//! a phase is one loop body run over however many chunks it is handed — a
+//! single chunk runs inline on the caller. [`DisjointSlice`] is the write
+//! handle those chunked loops share: each task carves out the sub-range its
+//! chunk owns.
 
-use std::mem::MaybeUninit;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -135,10 +139,94 @@ impl Chunks {
         let start = i * self.chunk;
         (start, (start + self.chunk).min(self.len))
     }
+}
 
-    /// Iterate over all `(start, end)` bounds.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.count).map(|i| self.bounds(i))
+/// Phases with less work than this run as one chunk, inline on the caller:
+/// waking the pool costs more than scanning a short list on one lane —
+/// exactly the "small per-iteration overhead" property the paper credits for
+/// GraphMat's SSSP advantage (§5.2.1).
+pub const PARALLEL_PHASE_MIN_WORK: usize = 2048;
+
+/// The chunking of a vertex phase that scans `len` units (bit-vector words)
+/// holding `work` items (set bits): one chunk — which
+/// [`Executor::for_each_dynamic`] runs inline — below
+/// [`PARALLEL_PHASE_MIN_WORK`], otherwise several chunks per lane so a
+/// frontier clustered in one id range does not serialize on a single lane.
+/// This is the one place the inline-vs-parallel decision of SEND and APPLY
+/// is made; the phases themselves have a single loop body.
+pub fn phase_chunks(len: usize, work: usize, executor: &Executor) -> Chunks {
+    let max_chunks = if work < PARALLEL_PHASE_MIN_WORK {
+        1
+    } else {
+        executor.nthreads() * 4
+    };
+    chunks(len, max_chunks)
+}
+
+/// A mutable slice that the tasks of one parallel region carve into disjoint
+/// sub-ranges — the write side of every chunked loop (the SEND writer's
+/// value and validity-word ranges, APPLY's property and active-word ranges,
+/// the baselines' per-vertex outputs). All writes through the carved ranges
+/// are plain stores on ordinary `&mut [T]`s.
+///
+/// Under `--features shard-check` every element of a carved range is claimed
+/// write-once, so overlapping ranges panic before they alias.
+pub struct DisjointSlice<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    #[cfg(feature = "shard-check")]
+    claims: crate::shard_check::ClaimMap,
+    _marker: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: the handle only hands out sub-slices under `range`'s contract that
+// no two live ranges overlap, so every element is reachable from at most one
+// thread at a time; elements move between threads (`T: Send`); the exclusive
+// borrow held in `_marker` keeps the slice alive and otherwise untouched for
+// the handle's lifetime.
+unsafe impl<T: Send> Send for DisjointSlice<'_, T> {}
+unsafe impl<T: Send> Sync for DisjointSlice<'_, T> {}
+
+impl<'a, T> DisjointSlice<'a, T> {
+    /// Wrap `slice` for one parallel region; `label` names it in
+    /// shard-check diagnostics.
+    pub fn new(slice: &'a mut [T], label: &'static str) -> Self {
+        #[cfg(not(feature = "shard-check"))]
+        let _ = label;
+        DisjointSlice {
+            ptr: slice.as_mut_ptr(),
+            len: slice.len(),
+            #[cfg(feature = "shard-check")]
+            claims: crate::shard_check::ClaimMap::new(slice.len(), label),
+            _marker: PhantomData,
+        }
+    }
+
+    /// The sub-slice `start..end`.
+    ///
+    /// # Safety
+    /// No other range carved from this handle may overlap `start..end` while
+    /// either is alive — e.g. each task of a [`Chunks`] split carves only its
+    /// own chunk's bounds.
+    ///
+    /// # Panics
+    /// Panics if `start..end` is not within the slice.
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn range(&self, start: usize, end: usize) -> &mut [T] {
+        assert!(
+            start <= end && end <= self.len,
+            "range {start}..{end} outside a slice of {}",
+            self.len
+        );
+        // Claim before handing out the aliasable &mut, so overlapping chunk
+        // bounds panic here instead of racing on the slice.
+        #[cfg(feature = "shard-check")]
+        for i in start..end {
+            self.claims.claim_exclusive(i);
+        }
+        // In bounds by the assert above; exclusive by the caller's no-overlap
+        // guarantee and the `&'a mut` borrow the handle holds.
+        std::slice::from_raw_parts_mut(self.ptr.add(start), end - start)
     }
 }
 
@@ -293,17 +381,6 @@ impl std::fmt::Debug for Executor {
     }
 }
 
-/// Shared pointer to the `run_dynamic` result slots; each task index is
-/// written by exactly one lane.
-struct ResultSlots<T>(*mut MaybeUninit<T>);
-// SAFETY: lanes only ever *write* through the pointer, each to the slot
-// whose index it uniquely claimed from the dispatch counter, so no slot is
-// aliased concurrently; the values moved across threads are `T: Send`; and
-// the dispatching caller keeps the backing `Vec` alive (and does not read
-// it) until every lane has finished the broadcast.
-unsafe impl<T: Send> Send for ResultSlots<T> {}
-unsafe impl<T: Send> Sync for ResultSlots<T> {}
-
 impl Executor {
     /// Create an executor with `nthreads` lanes. For `nthreads > 1` this
     /// spawns the worker pool — create the executor once and reuse it; see
@@ -394,66 +471,10 @@ impl Executor {
     }
 
     /// Run `f(task)` for every task index in `0..ntasks`, dynamically
-    /// scheduled across the executor's lanes, and return the results in task
-    /// order.
-    ///
-    /// With one lane (or one task) everything runs inline on the caller's
-    /// thread. The only allocation is the result vector itself; prefer
-    /// [`Executor::for_each_dynamic`] on hot paths that do not need collected
-    /// results.
-    pub fn run_dynamic<T, F>(&self, ntasks: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if ntasks == 0 {
-            return Vec::new();
-        }
-        if self.pool.is_none() || ntasks == 1 {
-            return (0..ntasks).map(&f).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let mut results: Vec<MaybeUninit<T>> = (0..ntasks).map(|_| MaybeUninit::uninit()).collect();
-        let slots = ResultSlots(results.as_mut_ptr());
-        let slots = &slots; // capture the Sync wrapper, not the raw pointer
-        #[cfg(feature = "shard-check")]
-        let slot_claims = crate::shard_check::ClaimMap::new(ntasks, "run_dynamic result slot");
-        #[cfg(feature = "shard-check")]
-        let slot_claims = &slot_claims;
-        self.broadcast(&|_lane| loop {
-            let task = next.fetch_add(1, Ordering::Relaxed);
-            if task >= ntasks {
-                break;
-            }
-            let value = f(task);
-            // Each slot is write-once: claim before the raw write so a
-            // dispatch-counter bug panics instead of aliasing the slot.
-            #[cfg(feature = "shard-check")]
-            slot_claims.claim_exclusive(task);
-            // SAFETY: `task` was claimed from the counter by exactly one
-            // lane, so this slot is written exactly once, and `slots`
-            // outlives the broadcast (the caller blocks until completion).
-            unsafe { (*slots.0.add(task)).write(value) };
-        });
-        // If any lane panicked, `broadcast` has already re-raised and we never
-        // get here (the MaybeUninit vec then drops without dropping elements —
-        // a leak of the completed results, never a double free or UB).
-
-        // SAFETY: the counter handed out every index in 0..ntasks and
-        // broadcast returned normally, so every slot is initialized.
-        unsafe {
-            let ptr = results.as_mut_ptr() as *mut T;
-            let len = results.len();
-            let cap = results.capacity();
-            std::mem::forget(results);
-            Vec::from_raw_parts(ptr, len, cap)
-        }
-    }
-
-    /// Run `f(task)` for side effects only. Unlike [`Executor::run_dynamic`]
-    /// this allocates nothing — it is the scheduling primitive of the
-    /// allocation-free superstep hot path.
+    /// scheduled across the executor's lanes: a shared counter hands out
+    /// indices until the queue is exhausted. With one lane (or one task)
+    /// everything runs inline on the caller's thread. Allocates nothing — it
+    /// is the scheduling primitive of the allocation-free superstep hot path.
     pub fn for_each_dynamic<F>(&self, ntasks: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -476,32 +497,6 @@ impl Executor {
             f(task);
         });
     }
-
-    /// Split the half-open range `0..n` into one contiguous chunk per lane
-    /// (via [`chunks`]) and run `f(chunk_idx, start, end)` on each. Used for
-    /// embarrassingly parallel loops over vertices or bit-vector words
-    /// (e.g. the SEND and APPLY phases). Allocation-free.
-    pub fn run_chunked<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize, usize, usize) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        let ch = chunks(n, self.nthreads);
-        if self.pool.is_none() || ch.count() == 1 {
-            for (i, (start, end)) in ch.iter().enumerate() {
-                f(i, start, end);
-            }
-            return;
-        }
-        self.broadcast(&|lane| {
-            if lane < ch.count() {
-                let (start, end) = ch.bounds(lane);
-                f(lane, start, end);
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -509,64 +504,94 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    #[test]
-    fn sequential_runs_in_order() {
-        let ex = Executor::sequential();
-        let out = ex.run_dynamic(5, |i| i * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40]);
+    /// Per-index hit counts of one `for_each_dynamic(ntasks)` dispatch.
+    fn hits(ex: &Executor, ntasks: usize) -> Vec<u64> {
+        let hits: Vec<AtomicU64> = (0..ntasks).map(|_| AtomicU64::new(0)).collect();
+        ex.for_each_dynamic(ntasks, |task| {
+            hits[task].fetch_add(1, Ordering::Relaxed);
+        });
+        hits.into_iter().map(AtomicU64::into_inner).collect()
     }
 
     #[test]
-    fn parallel_results_in_task_order() {
-        let ex = Executor::new(4);
-        let out = ex.run_dynamic(100, |i| i as u64 * 2);
-        assert_eq!(out.len(), 100);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as u64 * 2);
+    fn sequential_runs_in_order() {
+        let ex = Executor::sequential();
+        let order = Mutex::new(Vec::new());
+        ex.for_each_dynamic(5, |i| lock(&order).push(i));
+        assert_eq!(*lock(&order), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn every_task_index_runs_exactly_once() {
+        // More tasks than lanes, more lanes than tasks, one task (inline).
+        for (lanes, ntasks) in [(4, 1000), (16, 3), (4, 1)] {
+            assert_eq!(hits(&Executor::new(lanes), ntasks), vec![1; ntasks]);
         }
     }
 
     #[test]
-    fn zero_tasks_is_empty() {
-        let ex = Executor::new(4);
-        let out: Vec<u32> = ex.run_dynamic(0, |_| unreachable!());
-        assert!(out.is_empty());
+    fn zero_tasks_is_a_no_op() {
+        Executor::new(4).for_each_dynamic(0, |_| unreachable!());
     }
 
     #[test]
-    fn more_threads_than_tasks() {
-        let ex = Executor::new(16);
-        let out = ex.run_dynamic(3, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn for_each_visits_every_task_once() {
-        let ex = Executor::new(4);
-        let counter = AtomicU64::new(0);
-        ex.for_each_dynamic(1000, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn run_chunked_covers_range_exactly_once() {
+    fn disjoint_slice_chunks_cover_the_range_exactly_once() {
         let ex = Executor::new(3);
-        let n = 1000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        ex.run_chunked(n, |_, start, end| {
-            for hit in &hits[start..end] {
-                hit.fetch_add(1, Ordering::Relaxed);
+        let mut out = vec![0usize; 1000];
+        let ch = chunks(out.len(), ex.nthreads());
+        let slots = DisjointSlice::new(&mut out, "test slot");
+        ex.for_each_dynamic(ch.count(), |c| {
+            let (start, end) = ch.bounds(c);
+            // SAFETY: each task carves only its own chunk's bounds.
+            for (i, slot) in unsafe { slots.range(start, end) }.iter_mut().enumerate() {
+                *slot += start + i + 1;
             }
         });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert!(out.iter().enumerate().all(|(i, &v)| v == i + 1));
     }
 
     #[test]
-    fn run_chunked_empty() {
-        let ex = Executor::new(3);
-        ex.run_chunked(0, |_, _, _| panic!("should not be called"));
+    #[should_panic(expected = "outside a slice of 4")]
+    fn disjoint_slice_rejects_out_of_bounds_ranges() {
+        let mut out = [0u8; 4];
+        let slots = DisjointSlice::new(&mut out, "test slot");
+        // SAFETY: a single range; the bounds assert fires before any access.
+        let _ = unsafe { slots.range(2, 5) };
+    }
+
+    /// The detector's acceptance test for the chunk handle: two tasks carve
+    /// ranges that share element 9, and shard-check must turn the second
+    /// claim into a panic before the aliasing `&mut` exists.
+    #[test]
+    #[cfg(feature = "shard-check")]
+    fn shard_check_catches_overlapping_chunk_ranges() {
+        let mut out = [0u8; 16];
+        let slots = DisjointSlice::new(&mut out, "test slot");
+        // SAFETY: the first range is dropped before the second is carved, so
+        // nothing aliases; the overlap is only in what was claimed.
+        let _ = unsafe { slots.range(0, 10) };
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            // SAFETY: deliberately overlaps 9..10; the claim map panics
+            // before the slice is formed.
+            let _ = unsafe { slots.range(9, 16) };
+        }));
+        let msg = caught
+            .err()
+            .and_then(|p| p.downcast::<String>().ok())
+            .unwrap_or_else(|| panic!("overlapping ranges must panic with a String"));
+        assert!(msg.contains("shard-check"), "{msg}");
+        assert!(msg.contains("test slot[9]"), "{msg}");
+    }
+
+    #[test]
+    fn phase_chunks_run_small_phases_as_one_inline_chunk() {
+        let ex = Executor::new(4);
+        assert_eq!(
+            phase_chunks(160, PARALLEL_PHASE_MIN_WORK - 1, &ex).count(),
+            1
+        );
+        assert_eq!(phase_chunks(160, PARALLEL_PHASE_MIN_WORK, &ex).count(), 16);
+        assert_eq!(phase_chunks(0, 0, &ex).count(), 0);
     }
 
     #[test]
@@ -590,12 +615,9 @@ mod tests {
         // isolated integration binary `tests/pool_reuse.rs`.
         let ex = Executor::new(4);
         assert_eq!(ex.threads_spawned(), 3);
-        // Many dispatches across all entry points: no further spawns.
-        for round in 0..200 {
-            let out = ex.run_dynamic(8, |i| i + round);
-            assert_eq!(out.len(), 8);
+        // Many dispatches: no further spawns.
+        for _ in 0..200 {
             ex.for_each_dynamic(8, |_| {});
-            ex.run_chunked(100, |_, _, _| {});
         }
         assert_eq!(ex.threads_spawned(), 3);
     }
@@ -612,8 +634,7 @@ mod tests {
         }));
         assert!(caught.is_err());
         // The pool is still alive and schedules correctly afterwards.
-        let out = ex.run_dynamic(10, |i| i * 3);
-        assert_eq!(out, (0..10).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(hits(&ex, 10), vec![1; 10]);
     }
 
     #[test]
@@ -629,7 +650,7 @@ mod tests {
         // to 8 chunks used to emit (8,9) followed by three empty chunks.
         let ch = chunks(9, 8);
         assert_eq!(ch.count(), 5);
-        let collected: Vec<(usize, usize)> = ch.iter().collect();
+        let collected: Vec<(usize, usize)> = (0..ch.count()).map(|i| ch.bounds(i)).collect();
         assert_eq!(collected, vec![(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]);
         assert!(collected.iter().all(|&(s, e)| e > s));
     }
@@ -640,7 +661,7 @@ mod tests {
             let ch = chunks(len, max);
             assert!(ch.count() <= max.max(1));
             let mut next = 0;
-            for (s, e) in ch.iter() {
+            for (s, e) in (0..ch.count()).map(|i| ch.bounds(i)) {
                 assert_eq!(s, next, "len={len} max={max}");
                 assert!(e > s, "empty chunk for len={len} max={max}");
                 next = e;

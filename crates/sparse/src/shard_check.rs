@@ -18,17 +18,18 @@
 //!   (`Sharded::merge` merges into the same row many times from one lane).
 //!   A claim by any second lane panics.
 //! * [`ClaimMap::claim_exclusive`] — *write-once*: every claim must find the
-//!   cell unclaimed (`run_dynamic` result slots, APPLY property slots,
-//!   word-range chunks). Even a same-lane double claim panics, because a
-//!   second write is a protocol violation regardless of which lane does it.
+//!   cell unclaimed (each element of a range carved from a
+//!   [`DisjointSlice`](crate::parallel::DisjointSlice): SEND's word chunks,
+//!   APPLY's property and active-word chunks). Even a same-lane double claim
+//!   panics, because a second write is a protocol violation regardless of
+//!   which lane does it.
 //!
 //! Claims happen **before** the shadowed write, so the panic fires before
 //! any undefined behaviour — the detector turns a silent race into a
 //! deterministic panic naming the structure, the index, and both lane ids.
 //!
 //! Release builds never see any of this: the feature is off by default and
-//! `BENCH_<n>.json` A/B runs confirm the instrumented types compile back to
-//! their unchecked shapes (see `crates/bench/README.md`).
+//! the instrumented types compile back to their unchecked shapes.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 

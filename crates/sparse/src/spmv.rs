@@ -111,8 +111,10 @@ pub fn gspmv_into<X, E, Y, V, M, A>(
 
 /// The shell both push kernels run through: check and clear `y`, then walk
 /// every partition's columns — merged with `overlay`'s pending edits when
-/// one rides along — sequentially, or sharded over the executor's lanes.
-/// Inlined into its two public callers so each keeps only its own walk.
+/// one rides along — as one task per partition, sharded over the executor's
+/// lanes (a single lane or partition runs the same tasks inline on the
+/// caller). Inlined into its two public callers so each keeps only its own
+/// walk.
 #[inline(always)]
 pub(crate) fn push_into<X, E, Y, V, M, A>(
     base: &PartitionedDcsc<E>,
@@ -142,24 +144,13 @@ pub(crate) fn push_into<X, E, Y, V, M, A>(
     if x.nnz() == 0 {
         return;
     }
-    let nparts = base.n_partitions();
-    if executor.nthreads() == 1 || nparts == 1 {
-        for p in 0..nparts {
-            walk_partition(base, overlay, p, x, multiply, |k, product| {
-                y.merge(k, product, |acc, v| add(acc, v))
-            });
-        }
-        return;
-    }
-
     let shards = y.sharded();
-    executor.for_each_dynamic(nparts, |p| {
+    executor.for_each_dynamic(base.n_partitions(), |p| {
         let mut newly_set = 0usize;
         walk_partition(base, overlay, p, x, multiply, |k, product| {
             // SAFETY: partitions own disjoint row ranges — an overlay's
             // partitioning was checked equal to the base's above — so row
-            // `k` is merged by this task only (the same argument that makes
-            // the runner's parallel APPLY sound).
+            // `k` is merged by this task only.
             unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
         });
         shards.commit(newly_set);
@@ -237,24 +228,12 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     if x.nnz() == 0 {
         return;
     }
-    let nparts = mirror.n_partitions();
-    if executor.nthreads() == 1 || nparts == 1 {
-        for part in mirror.partitions() {
-            for (k, cols, edges) in part.iter_rows() {
-                if let Some(acc) = pull_row(x, cols, edges, k, multiply, add) {
-                    y.set(k, acc);
-                }
-            }
-        }
-        return;
-    }
-
     // Partitions own disjoint row ranges and every row is written at most
     // once, so the sharded handle's insert path is all that runs — the
     // atomics it uses are only for validity words straddling a range
     // boundary.
     let shards = y.sharded();
-    executor.for_each_dynamic(nparts, |p| {
+    executor.for_each_dynamic(mirror.n_partitions(), |p| {
         let part = mirror.partition(p);
         let mut newly_set = 0usize;
         for (k, cols, edges) in part.iter_rows() {

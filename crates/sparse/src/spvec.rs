@@ -28,18 +28,18 @@
 //!   row partitions of the generalized SpMV. Validity bits are published
 //!   with atomic `fetch_or` because neighbouring shards can share a 64-bit
 //!   word at a range boundary.
-//! * [`WordRangeWriter`] (inside [`SparseVector::fill_words_parallel`]) —
-//!   for writers chunked on *word boundaries*, e.g. the SEND phase scanning
-//!   the active-vertex bit vector. No atomics needed: chunks never share a
-//!   word.
+//! * [`WordRangeWriter`] (inside [`SparseVector::fill_words`]) — for writers
+//!   chunked on *word boundaries*, e.g. the SEND phase scanning the
+//!   active-vertex bit vector. A chunk that owns validity words `[ws, we)`
+//!   owns values `[64·ws, 64·we)`, carved out of the vector as two plain
+//!   `&mut` slices ([`DisjointSlice`]): no atomics, and nothing unsafe in
+//!   the writer itself.
 
-use crate::bitvec::BitVec;
-use crate::parallel::{chunks, Executor};
+use crate::bitvec::{BitVec, WORD_BITS};
+use crate::parallel::{phase_chunks, DisjointSlice, Executor};
 use crate::{ix, Index};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-const WORD_BITS: usize = 64;
 
 /// The read interface the generalized SpMV requires from its input vector.
 pub trait MessageVector<T> {
@@ -67,36 +67,26 @@ pub struct SparseVector<T> {
     valid: BitVec,
     values: Vec<T>,
     nnz: usize,
-    /// shard-check shadow state: one sticky-ownership claim per index
-    /// (sharded merges) and one write-once claim per validity word
-    /// (word-range fills). Reset at the start of each parallel region.
+    /// shard-check shadow state: one sticky-ownership claim per index for
+    /// sharded merges, reset at the start of each parallel region.
     #[cfg(feature = "shard-check")]
     row_claims: crate::shard_check::ClaimMap,
-    #[cfg(feature = "shard-check")]
-    word_claims: crate::shard_check::ClaimMap,
 }
 
 #[cfg(feature = "shard-check")]
-fn claim_maps(n: usize) -> (crate::shard_check::ClaimMap, crate::shard_check::ClaimMap) {
-    (
-        crate::shard_check::ClaimMap::new(n, "SparseVector row"),
-        crate::shard_check::ClaimMap::new(n.div_ceil(WORD_BITS), "SparseVector word"),
-    )
+fn row_claims(n: usize) -> crate::shard_check::ClaimMap {
+    crate::shard_check::ClaimMap::new(n, "SparseVector row")
 }
 
 impl<T: Clone + Default> SparseVector<T> {
     /// Create an empty sparse vector of logical length `n`.
     pub fn new(n: usize) -> Self {
-        #[cfg(feature = "shard-check")]
-        let (row_claims, word_claims) = claim_maps(n);
         SparseVector {
             valid: BitVec::new(n),
             values: vec![T::default(); n],
             nnz: 0,
             #[cfg(feature = "shard-check")]
-            row_claims,
-            #[cfg(feature = "shard-check")]
-            word_claims,
+            row_claims: row_claims(n),
         }
     }
 
@@ -105,16 +95,12 @@ impl<T: Clone + Default> SparseVector<T> {
     pub fn full(n: usize, value: T) -> Self {
         let mut valid = BitVec::new(n);
         valid.set_all();
-        #[cfg(feature = "shard-check")]
-        let (row_claims, word_claims) = claim_maps(n);
         SparseVector {
             valid,
             values: vec![value; n],
             nnz: n,
             #[cfg(feature = "shard-check")]
-            row_claims,
-            #[cfg(feature = "shard-check")]
-            word_claims,
+            row_claims: row_claims(n),
         }
     }
 }
@@ -127,14 +113,6 @@ impl<T> SparseVector<T> {
             self.nnz += 1;
         }
         self.values[ix(i)] = value;
-    }
-
-    /// Remove index `i` (the stored value slot keeps its last contents).
-    pub fn unset(&mut self, i: Index) {
-        if self.valid.get(ix(i)) {
-            self.valid.clear(ix(i));
-            self.nnz -= 1;
-        }
     }
 
     /// Mutable access to the value at `i`, if present.
@@ -229,55 +207,50 @@ impl<T> SparseVector<T> {
         }
     }
 
-    /// Populate the vector in parallel from **word-aligned chunks** of its
-    /// index space. `f` is invoked once per chunk with a [`WordRangeWriter`]
-    /// restricted to that chunk's word range `[word_start, word_end)`; since
-    /// the executor hands each chunk to exactly one lane and no two chunks
-    /// share a 64-bit validity word, all writes are plain (non-atomic) and
-    /// race-free. `nnz` is updated once at the end.
+    /// Populate the vector from **word-aligned chunks** of its index space.
+    /// `f` is invoked once per chunk with a [`WordRangeWriter`] restricted to
+    /// that chunk's word range `[word_start, word_end)`; since the executor
+    /// hands each chunk to exactly one lane and no two chunks share a 64-bit
+    /// validity word, all writes are plain (non-atomic) and race-free. `nnz`
+    /// is updated once at the end.
     ///
-    /// The index space is over-split into several word chunks per lane and
-    /// dynamically scheduled, so a frontier clustered in one contiguous id
+    /// `work` is the caller's estimate of how many entries will be set;
+    /// [`phase_chunks`] turns it into the chunking — one chunk run inline on
+    /// the caller for a small fill, otherwise several dynamically scheduled
+    /// word chunks per lane, so a frontier clustered in one contiguous id
     /// range (e.g. a BFS wavefront on a locality-ordered graph) does not
     /// serialize on a single lane.
     ///
     /// This is the SEND-phase primitive: the engine scans the active-vertex
     /// bit vector word range and inserts one message per sending vertex,
     /// with no allocation and no locks.
-    pub fn fill_words_parallel<F>(&mut self, executor: &Executor, f: F)
+    pub fn fill_words<F>(&mut self, executor: &Executor, work: usize, f: F)
     where
         T: Send,
         F: Fn(&mut WordRangeWriter<'_, T>) + Sync,
     {
-        let nwords = self.valid.words().len();
-        if nwords == 0 {
-            return;
-        }
+        let len = self.values.len();
         let added = AtomicUsize::new(0);
-        #[cfg(feature = "shard-check")]
-        self.word_claims.reset();
-        #[cfg(feature = "shard-check")]
-        let word_claims = &self.word_claims;
-        let parts = RawParts {
-            values: self.values.as_mut_ptr(),
-            words: self.valid.words_mut().as_mut_ptr(),
-            len: self.values.len(),
-        };
-        let ch = chunks(nwords, executor.nthreads() * 4);
+        let values = DisjointSlice::new(&mut self.values, "SparseVector value");
+        let words = DisjointSlice::new(self.valid.words_mut(), "SparseVector word");
+        let ch = phase_chunks(len.div_ceil(WORD_BITS), work, executor);
         executor.for_each_dynamic(ch.count(), |chunk_idx| {
             let (word_start, word_end) = ch.bounds(chunk_idx);
-            // Each word chunk is handed out exactly once: claim its words
-            // write-once before constructing the writer that stores to them.
-            #[cfg(feature = "shard-check")]
-            for w in word_start..word_end {
-                word_claims.claim_exclusive(w);
-            }
+            let base = word_start * WORD_BITS;
+            // SAFETY: each chunk is handed out exactly once and chunks
+            // partition the word index space, so this task alone carves
+            // words `[word_start, word_end)` and the values they cover.
+            let (words, values) = unsafe {
+                (
+                    words.range(word_start, word_end),
+                    values.range(base, (word_end * WORD_BITS).min(len)),
+                )
+            };
             let mut writer = WordRangeWriter {
-                parts,
-                word_start,
-                word_end,
+                words,
+                values,
+                base,
                 added: 0,
-                _marker: PhantomData,
             };
             f(&mut writer);
             added.fetch_add(writer.added, Ordering::Relaxed);
@@ -285,28 +258,6 @@ impl<T> SparseVector<T> {
         self.nnz += added.load(Ordering::Relaxed);
     }
 }
-
-/// Raw storage pointers of a [`SparseVector`], shared across the lanes of a
-/// parallel fill. Disjointness of the written regions is enforced by the
-/// writer types built on top.
-struct RawParts<T> {
-    values: *mut T,
-    words: *mut u64,
-    len: usize,
-}
-
-impl<T> Clone for RawParts<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for RawParts<T> {}
-
-// SAFETY: the pointers come from an exclusive (&mut) borrow of the vector
-// that outlives the parallel region, and the writer types only touch
-// disjoint regions from different threads.
-unsafe impl<T: Send> Send for RawParts<T> {}
-unsafe impl<T: Send> Sync for RawParts<T> {}
 
 /// Concurrent merge handle for writers owning disjoint index sets (e.g. the
 /// disjoint row ranges of SpMV partitions). Created by
@@ -328,7 +279,9 @@ pub struct Sharded<'a, T> {
     _marker: PhantomData<&'a mut SparseVector<T>>,
 }
 
-// SAFETY: see `RawParts`; additionally `added` is atomic and `nnz` is only
+// SAFETY: the pointers come from an exclusive (&mut) borrow of the vector
+// that outlives the parallel region, and `merge` only touches disjoint
+// indices from different threads; `added` is atomic and `nnz` is only
 // dereferenced in Drop, after all threads are done (the borrow rules force
 // the parallel region to end before the handle can be dropped by its owner).
 unsafe impl<T: Send> Send for Sharded<'_, T> {}
@@ -387,29 +340,26 @@ impl<T> Drop for Sharded<'_, T> {
 }
 
 /// Write handle restricted to one word-aligned chunk of a [`SparseVector`],
-/// handed out by [`SparseVector::fill_words_parallel`]. All writes are plain
-/// stores; the containment check in [`WordRangeWriter::set`] is what makes
-/// the shared-nothing claim sound, so it is a hard assert.
+/// handed out by [`SparseVector::fill_words`]: the chunk's validity words and
+/// the values they cover, as exclusive slices. All writes are plain stores.
 pub struct WordRangeWriter<'a, T> {
-    parts: RawParts<T>,
-    word_start: usize,
-    word_end: usize,
+    words: &'a mut [u64],
+    values: &'a mut [T],
+    /// Index of `values[0]` (= 64 × the first word's index).
+    base: usize,
     added: usize,
-    _marker: PhantomData<&'a mut SparseVector<T>>,
 }
 
 impl<T> WordRangeWriter<'_, T> {
     /// The word range `[start, end)` this writer may touch.
     pub fn word_range(&self) -> (usize, usize) {
-        (self.word_start, self.word_end)
+        let start = self.base / WORD_BITS;
+        (start, start + self.words.len())
     }
 
     /// The index range `[start, end)` this writer may set.
     pub fn index_range(&self) -> (usize, usize) {
-        (
-            self.word_start * WORD_BITS,
-            (self.word_end * WORD_BITS).min(self.parts.len),
-        )
+        (self.base, self.base + self.values.len())
     }
 
     /// Set index `i` to `value`, overwriting any previous value (same
@@ -419,25 +369,18 @@ impl<T> WordRangeWriter<'_, T> {
     /// Panics if `i` falls outside this writer's word range.
     #[inline(always)]
     pub fn set(&mut self, i: Index, value: T) {
-        let i = ix(i);
-        let w = i / WORD_BITS;
+        // Below-range indices wrap to huge offsets and fail the same check.
+        let local = ix(i).wrapping_sub(self.base);
         assert!(
-            w >= self.word_start && w < self.word_end && i < self.parts.len,
-            "index {i} outside this writer's word range [{}, {})",
-            self.word_start,
-            self.word_end
+            local < self.values.len(),
+            "index {i} outside this writer's word range {:?}",
+            self.word_range()
         );
-        // SAFETY: the assert above confines `i` to this chunk's words, and
-        // chunks are disjoint across threads.
-        unsafe {
-            *self.parts.values.add(i) = value;
-            let word = self.parts.words.add(w);
-            let mask = 1u64 << (i % WORD_BITS);
-            if *word & mask == 0 {
-                *word |= mask;
-                self.added += 1;
-            }
-        }
+        self.values[local] = value;
+        let word = &mut self.words[local / WORD_BITS];
+        let mask = 1u64 << (local % WORD_BITS);
+        self.added += usize::from(*word & mask == 0);
+        *word |= mask;
     }
 }
 
@@ -497,17 +440,6 @@ mod tests {
         v.set(2, 9);
         assert_eq!(v.nnz(), 1);
         assert_eq!(v.get(2), Some(&9));
-    }
-
-    #[test]
-    fn sparse_vector_unset() {
-        let mut v: SparseVector<i32> = SparseVector::new(5);
-        v.set(2, 1);
-        v.unset(2);
-        assert_eq!(v.nnz(), 0);
-        assert!(!v.contains(2));
-        v.unset(2); // idempotent
-        assert_eq!(v.nnz(), 0);
     }
 
     #[test]
@@ -642,10 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn fill_words_parallel_matches_sequential_set() {
+    fn fill_words_matches_sequential_set() {
         let ex = Executor::new(4);
         let mut par: SparseVector<u32> = SparseVector::new(1000);
-        par.fill_words_parallel(&ex, |w| {
+        par.fill_words(&ex, usize::MAX, |w| {
             let (lo, hi) = w.index_range();
             for i in (lo..hi).filter(|i| i % 7 == 0) {
                 w.set(i as Index, i as u32 * 2);
@@ -660,10 +592,10 @@ mod tests {
     }
 
     #[test]
-    fn fill_words_parallel_accumulates_nnz_across_calls() {
+    fn fill_words_accumulates_nnz_across_calls() {
         let ex = Executor::sequential();
         let mut v: SparseVector<u8> = SparseVector::new(128);
-        v.fill_words_parallel(&ex, |w| {
+        v.fill_words(&ex, 10, |w| {
             let (lo, hi) = w.index_range();
             for i in lo..hi.min(10) {
                 w.set(i as Index, 1);
@@ -671,7 +603,7 @@ mod tests {
         });
         assert_eq!(v.nnz(), 10);
         // Second fill over the same indices must not double-count.
-        v.fill_words_parallel(&ex, |w| {
+        v.fill_words(&ex, 10, |w| {
             let (lo, hi) = w.index_range();
             for i in lo..hi.min(10) {
                 w.set(i as Index, 2);
@@ -685,10 +617,10 @@ mod tests {
     #[should_panic(expected = "word range")]
     fn word_range_writer_rejects_out_of_chunk_index() {
         let mut v: SparseVector<u8> = SparseVector::new(256);
-        // Sequential executor → a single chunk covering everything, so build
-        // a writer over a sub-range via a 4-lane executor and write outside.
+        // A small fill is a single chunk covering everything, so ask for a
+        // large one on a 4-lane executor and write outside a sub-range.
         let ex = Executor::new(4);
-        v.fill_words_parallel(&ex, |w| {
+        v.fill_words(&ex, usize::MAX, |w| {
             let (lo, _) = w.word_range();
             if lo > 0 {
                 w.set(0, 1); // outside this chunk

@@ -329,3 +329,102 @@ fn unweighted_runs_agree_with_weighted_topology() {
         assert_eq!(components(&edges), components(&topo), "case {case} cc");
     }
 }
+
+#[test]
+fn apply_writes_exactly_the_changed_vertices_into_the_active_set() {
+    // APPLY stores the next active set straight into the state, a word-aligned
+    // chunk at a time. Stepping SSSP one superstep per `run_program` call
+    // exposes the state after every APPLY: the active set must be exactly the
+    // vertices whose distance changed (everyone, under `AlwaysAll`), with no
+    // bit past the last vertex — across word-boundary vertex counts, lane
+    // counts, both activity policies and every backend choice.
+    use graphmat::core::engine::Workspace;
+    use graphmat::sparse::parallel::Executor;
+    use graphmat_algorithms::sssp::{sssp_reference, SsspProgram, UNREACHABLE};
+
+    let executors = [1, 2, 4, 7].map(Executor::new);
+    // 4500 is past the cutoff below which SEND and APPLY run as one chunk.
+    for (case, n) in [1u32, 63, 64, 65, 1000, 4500].into_iter().enumerate() {
+        let seed = 11_000 + case as u64;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tuples = Vec::new();
+        for _ in 0..4 * (n as usize - 1) {
+            let (s, d) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if s != d {
+                tuples.push((s, d, rng.gen_range(1u32..10) as f32));
+            }
+        }
+        let edges = EdgeList::from_tuples(n, tuples);
+        let topology =
+            Topology::from_edge_list(&edges, GraphBuildOptions::default().with_partitions(5));
+        let reference: Vec<u32> = sssp_reference(&edges, 0)
+            .iter()
+            .map(|d| d.to_bits())
+            .collect();
+        let program = SsspProgram::<f32>::default();
+
+        for executor in &executors {
+            for activity in [ActivityPolicy::Changed, ActivityPolicy::AlwaysAll] {
+                for backend in [None, Some(Backend::Push), Some(Backend::Pull)] {
+                    let ctx = format!(
+                        "seed {seed}, n {n}, {} lanes, {activity:?}, {backend:?}",
+                        executor.nthreads()
+                    );
+                    let one_superstep = RunOptions::default()
+                        .with_max_iterations(1)
+                        .with_activity(activity)
+                        .with_backend(backend);
+                    let mut state: VertexState<f32> = VertexState::for_topology(&topology);
+                    state.set_all_properties(UNREACHABLE);
+                    state.set_property(0, 0.0);
+                    state.set_active(0);
+                    let mut ws = Workspace::new(n as usize);
+
+                    let bits = |state: &VertexState<f32>| -> Vec<u32> {
+                        state.properties().iter().map(|d| d.to_bits()).collect()
+                    };
+                    for superstep in 0.. {
+                        assert!(superstep <= n, "{ctx}: SSSP must converge");
+                        let before = bits(&state);
+                        let result = run_program(
+                            &program,
+                            &topology,
+                            &mut state,
+                            &one_superstep,
+                            executor,
+                            &mut ws,
+                        )
+                        .unwrap();
+                        if result.converged {
+                            break;
+                        }
+                        let after = bits(&state);
+                        let changed: Vec<usize> =
+                            (0..n as usize).filter(|&v| before[v] != after[v]).collect();
+                        let expected =
+                            if activity == ActivityPolicy::AlwaysAll && !changed.is_empty() {
+                                (0..n as usize).collect()
+                            } else {
+                                changed.clone()
+                            };
+                        let active = state.active_bits();
+                        let ctx = format!("{ctx}, superstep {superstep}");
+                        assert_eq!(active.iter_ones().collect::<Vec<_>>(), expected, "{ctx}");
+                        assert_eq!(state.active_count(), expected.len(), "{ctx}");
+                        assert_eq!(
+                            result.stats.supersteps[0].vertices_changed,
+                            changed.len(),
+                            "{ctx}"
+                        );
+                        let tail = n as usize % 64;
+                        if tail != 0 {
+                            let last = active.words()[active.words().len() - 1];
+                            assert_eq!(last >> tail, 0, "{ctx}: bits past the last vertex");
+                        }
+                    }
+                    assert_eq!(bits(&state), reference, "{ctx}");
+                }
+            }
+        }
+    }
+}

@@ -76,7 +76,7 @@ impl<E: Clone + Send + Sync> GraphProgram for BfsProgram<E> {
 /// from an `EdgeList<()>` for the unweighted fast path. No preprocessing
 /// happens here: the paper runs BFS on the symmetrized graph, so build from
 /// `edges.symmetrized()` if the search should ignore direction
-/// (`session.build_graph(&edges.symmetrized()).in_edges(false).finish()?`).
+/// (`session.build_graph(&edges.symmetrized()).finish()?`).
 /// Over a view with pending edits the search traverses the **edited**
 /// graph, bit-for-bit identical to a run against a rebuilt topology.
 ///
@@ -169,7 +169,7 @@ mod tests {
         threads: usize,
     ) -> AlgorithmOutput<u32> {
         let session = Session::with_threads(threads).unwrap();
-        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(el).finish().unwrap();
         bfs_on(&session, &topo, root).unwrap()
     }
 
@@ -225,11 +225,7 @@ mod tests {
         )
         .unwrap();
         let el = chain_with_branch();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&el.symmetrized()).finish().unwrap();
         let out = bfs_on(&session, &topo, 0).unwrap();
         assert!(out.converged);
         assert_eq!(out.values, vec![0, 1, 2, 3, 2, UNREACHED]);
@@ -239,11 +235,7 @@ mod tests {
     fn pooled_driver_matches_and_reruns_identically() {
         let el = chain_with_branch();
         let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&el.symmetrized()).finish().unwrap();
         let on = bfs_on(&session, &topo, 0).unwrap();
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);

@@ -124,11 +124,10 @@ impl<E: EdgeWeight> GraphProgram for CfProgram<E> {
 /// items, in vertex-id order).
 ///
 /// The topology must be built from the bipartite ratings edge list (edges
-/// run from user vertices to item vertices; weights are ratings) **with
-/// in-edges enabled** (the default) — the program scatters in both
-/// directions, and a topology without the `G` matrix yields
-/// [`graphmat_core::GraphMatError::MissingInMatrix`]. A `config.iterations`
-/// of `0` returns the deterministic initial latent vectors without running.
+/// run from user vertices to item vertices; weights are ratings). The
+/// program scatters in both directions, so its first run on a topology
+/// derives the `G` matrix from the stored `Gᵀ`. A `config.iterations` of
+/// `0` returns the deterministic initial latent vectors without running.
 pub fn collaborative_filtering_on<'a, E: EdgeWeight + 'static>(
     session: &Session,
     view: impl Into<GraphView<'a, E>>,
@@ -287,29 +286,15 @@ mod tests {
     }
 
     #[test]
-    fn needs_in_edges_and_a_latent_dimension() {
+    fn needs_a_latent_dimension() {
         let ratings = small_ratings();
-        let cfg = CfConfig {
-            latent_dims: 4,
-            iterations: 5,
-            ..Default::default()
-        };
         let session = Session::sequential();
-        let out_only = session
-            .build_graph(&ratings.edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
-        assert_eq!(
-            collaborative_filtering_on(&session, &out_only, &cfg).unwrap_err(),
-            graphmat_core::GraphMatError::MissingInMatrix
-        );
-
         // Invalid config is an error, never a panic.
         let topo = session.build_graph(&ratings.edges).finish().unwrap();
         let bad = CfConfig {
             latent_dims: 0,
-            ..cfg
+            iterations: 5,
+            ..Default::default()
         };
         assert!(matches!(
             collaborative_filtering_on(&session, &topo, &bad).unwrap_err(),

@@ -67,7 +67,7 @@ impl<E: Clone + Send + Sync> GraphProgram for CcProgram<E> {
 ///
 /// Connected components are defined on the undirected graph, so build the
 /// topology from a **symmetrized** edge list
-/// (`session.build_graph(&edges.symmetrized()).in_edges(false).finish()?`);
+/// (`session.build_graph(&edges.symmetrized()).finish()?`);
 /// no preprocessing happens here. Over a view with pending edits labels
 /// propagate over the **edited** graph, bit-for-bit identical to a run
 /// against a rebuilt topology.
@@ -158,11 +158,7 @@ mod tests {
         threads: usize,
     ) -> AlgorithmOutput<u32> {
         let session = Session::with_threads(threads).unwrap();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&el.symmetrized()).finish().unwrap();
         connected_components_on(&session, &topo).unwrap()
     }
 
@@ -189,11 +185,7 @@ mod tests {
     fn pooled_driver_matches_and_reruns_identically() {
         let el = EdgeList::from_pairs(6, vec![(0, 1), (1, 2), (3, 4)]);
         let session = Session::sequential();
-        let topo = session
-            .build_graph(&el.symmetrized())
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&el.symmetrized()).finish().unwrap();
         let on = connected_components_on(&session, &topo).unwrap();
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);

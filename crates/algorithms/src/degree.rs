@@ -102,12 +102,8 @@ pub fn in_degrees_on<'a, E: Clone + Send + Sync + 'static>(
 }
 
 /// Out-degree of every vertex, computed as `G · 1`, over a pre-built graph
-/// through a [`Session`].
-///
-/// # Errors
-///
-/// [`graphmat_core::GraphMatError::MissingInMatrix`] if the topology was
-/// built with `in_edges(false)` — the out-degree SpMV traverses `G`.
+/// through a [`Session`]. The out-degree SpMV traverses `G`, which the
+/// topology derives from its stored `Gᵀ` the first time it is asked for.
 pub fn out_degrees_on<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
     view: impl Into<GraphView<'a, E>>,
@@ -129,8 +125,8 @@ pub fn in_degrees_into<'a, E: Clone + Send + Sync + 'static>(
 
 /// Out-degrees into a caller-owned (pooled) state — the serving hot path
 /// (zero per-query allocation in the steady state; see
-/// [`graphmat_core::StatePool`]). Needs a topology built with in-edges,
-/// like [`out_degrees_on`].
+/// [`graphmat_core::StatePool`]; the first call on a topology is the one
+/// that derives `G`, like [`out_degrees_on`]).
 pub fn out_degrees_into<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
     view: impl Into<GraphView<'a, E>>,
@@ -176,18 +172,6 @@ mod tests {
         let expect_out: Vec<u64> = el.out_degrees().iter().map(|&d| d as u64).collect();
         assert_eq!(ins.values, expect_in);
         assert_eq!(outs.values, expect_out);
-    }
-
-    #[test]
-    fn out_degrees_surface_a_missing_in_matrix() {
-        let el = figure1_graph();
-        let session = Session::sequential();
-        let out_only = session.build_graph(&el).in_edges(false).finish().unwrap();
-        assert!(in_degrees_on(&session, &out_only).is_ok());
-        assert_eq!(
-            out_degrees_on(&session, &out_only).unwrap_err(),
-            graphmat_core::GraphMatError::MissingInMatrix
-        );
     }
 
     #[test]

@@ -421,7 +421,7 @@ mod tests {
     /// Delta-PageRank over a freshly built out-edge topology.
     fn ranks(el: &EdgeList, cfg: &DeltaPageRankConfig, threads: usize) -> AlgorithmOutput<f64> {
         let session = Session::with_threads(threads).unwrap();
-        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(el).finish().unwrap();
         delta_pagerank_on(&session, &topo, cfg).unwrap()
     }
 
@@ -446,7 +446,7 @@ mod tests {
         }
         let el = EdgeList::from_tuples(n, edges);
         let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
 
         let delta = delta_pagerank_on(
             &session,
@@ -513,7 +513,7 @@ mod tests {
     fn bad_tolerance_is_a_typed_error() {
         let el = test_graph();
         let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
         for tolerance in [0.0, -1.0, f64::NAN] {
             let bad = DeltaPageRankConfig {
                 tolerance,
@@ -534,7 +534,7 @@ mod tests {
         let el = test_graph();
         let cfg = DeltaPageRankConfig::default();
         let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
         let on = delta_pagerank_on(&session, &topo, &cfg).unwrap();
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);
@@ -555,7 +555,7 @@ mod tests {
 
         let el = test_graph();
         let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
         let store = GraphStore::new(
             std::sync::Arc::clone(&topo),
             StoreOptions {
@@ -591,7 +591,7 @@ mod tests {
         let el = test_graph();
         let n = el.num_vertices();
         let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
         let store = GraphStore::new(
             std::sync::Arc::clone(&topo),
             StoreOptions {
@@ -643,13 +643,9 @@ mod tests {
 
         let session = Session::sequential();
         let el = test_graph();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
         let small = EdgeList::from_tuples(3, vec![(0u32, 1u32, 1.0f32), (1, 2, 1.0)]);
-        let small_topo = session
-            .build_graph(&small)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let small_topo = session.build_graph(&small).finish().unwrap();
 
         let mut pr = StreamingPageRank::new(DeltaPageRankConfig::default()).unwrap();
         pr.refresh(&session, &GraphStore::with_defaults(topo).snapshot())

@@ -214,7 +214,7 @@ mod tests {
         threads: usize,
     ) -> AlgorithmOutput<f64> {
         let session = Session::with_threads(threads).unwrap();
-        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(el).finish().unwrap();
         let cfg = PageRankConfig {
             iterations,
             ..Default::default()
@@ -281,7 +281,7 @@ mod tests {
             ..Default::default()
         };
         let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
         let on = pagerank_on(&session, &topo, &cfg).unwrap();
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);

@@ -171,7 +171,7 @@ mod tests {
     /// SSSP over a freshly built out-edge topology with `threads` lanes.
     fn distances(el: &EdgeList, source: VertexId, threads: usize) -> AlgorithmOutput<f32> {
         let session = Session::with_threads(threads).unwrap();
-        let topo = session.build_graph(el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(el).finish().unwrap();
         sssp_on(&session, &topo, source).unwrap()
     }
 
@@ -235,7 +235,7 @@ mod tests {
     fn out_of_range_source_is_an_error_not_a_panic() {
         let el = figure3();
         let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
         let err = sssp_on(&session, &topo, 9).unwrap_err();
         assert_eq!(
             err,
@@ -250,7 +250,7 @@ mod tests {
     fn pooled_driver_matches_and_reruns_identically() {
         let el = figure3();
         let session = Session::sequential();
-        let topo = session.build_graph(&el).in_edges(false).finish().unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
 
         let mut pool = graphmat_core::StatePool::for_topology(&topo);
         let mut state = pool.acquire();

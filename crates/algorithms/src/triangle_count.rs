@@ -146,7 +146,7 @@ fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
 /// Accepts any edge value type — triangles depend only on the structure.
 /// The topology must already be the strict upper-triangle DAG the algorithm
 /// expects — build it from `edges.to_dag()`
-/// (`session.build_graph(&edges.to_dag()).in_edges(false).finish()?`); no
+/// (`session.build_graph(&edges.to_dag()).finish()?`); no
 /// preprocessing happens here.
 ///
 /// Both vertex programs run through one [`VertexState`]: phase 2 intersects
@@ -245,11 +245,7 @@ mod tests {
                 .with_run_defaults(run_defaults),
         )
         .unwrap();
-        let topo = session
-            .build_graph(&el.to_dag())
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&el.to_dag()).finish().unwrap();
         triangle_count_on(&session, &topo).unwrap()
     }
 

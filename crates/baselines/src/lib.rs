@@ -13,8 +13,8 @@
 //! | [`worklist`] | Galois v2.2.0 | asynchronous worklist execution with atomic per-vertex updates — fewer instructions on SSSP/BFS (reads fresh state mid-round), no benefit on PageRank/CF |
 //!
 //! Every entry point returns a [`BaselineRun`]: the algorithm result, the
-//! wall-clock time, and the abstract cost counters consumed by the Figure 6
-//! benchmark.
+//! wall-clock time, and abstract cost counters in the units the engine's
+//! own runs report.
 
 pub mod comb;
 pub mod native;
@@ -34,7 +34,7 @@ pub struct BaselineRun<T> {
     /// Wall-clock time of the algorithm proper (graph loading excluded, as in
     /// the paper's methodology, §5.2.1).
     pub elapsed: Duration,
-    /// Abstract operation counts for the Figure 6 cost model.
+    /// Abstract operation counts.
     pub counters: CostCounters,
     /// Number of iterations / rounds executed (1 for non-iterative runs).
     pub iterations: usize,

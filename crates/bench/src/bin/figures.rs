@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Flags: `--table1 --fig4a --fig4b --fig4c --fig4d --fig4e --table2 --table3
-//! --fig5 --fig6 --fig7 --all`, `--scale tiny|small|medium`, `--threads N`,
+//! --fig5 --fig7 --all`, `--scale tiny|small|medium`, `--threads N`,
 //! `--json PATH` (dump every Figure 4/Table 2 measurement as JSON, with
 //! per-superstep `backend` + `frontier_density` fields so push/pull
 //! direction flips are visible in the perf trajectory).
@@ -112,11 +112,7 @@ fn main() {
         ("fig4e", Algorithm::Sssp, "Figure 4e: SSSP (total seconds)"),
     ];
     for (flag, alg, title) in fig4 {
-        if wants(&opts, flag)
-            || wants(&opts, "table2")
-            || wants(&opts, "fig6")
-            || opts.json_path.is_some()
-        {
+        if wants(&opts, flag) || wants(&opts, "table2") || opts.json_path.is_some() {
             let measurements = harness::figure4(alg, opts.scale, opts.threads);
             if wants(&opts, flag) {
                 print_figure4(title, &measurements);
@@ -132,9 +128,6 @@ fn main() {
     }
     if wants(&opts, "fig5") {
         figure5(&opts);
-    }
-    if wants(&opts, "fig6") {
-        figure6(&all_measurements);
     }
     if wants(&opts, "fig7") {
         all_measurements.extend(figure7(&opts));
@@ -334,58 +327,6 @@ fn figure5(opts: &Options) {
                 row.push(format!("{:.2}x", base / seconds.max(1e-12)));
             }
             rows.push(row);
-        }
-        println!("{}", harness::render_table(&headers, &rows));
-    }
-}
-
-fn figure6(measurements: &[Measurement]) {
-    println!("Figure 6: cost-model counters normalized to GraphMat (instructions / stalls lower is better; bandwidth / IPC higher is better)\n");
-    for alg in [
-        Algorithm::PageRank,
-        Algorithm::TriangleCount,
-        Algorithm::CollaborativeFiltering,
-        Algorithm::Sssp,
-    ] {
-        let subset: Vec<&Measurement> =
-            measurements.iter().filter(|m| m.algorithm == alg).collect();
-        if subset.is_empty() {
-            continue;
-        }
-        println!("Figure 6 ({})", alg.name());
-        let headers = vec![
-            "framework".to_string(),
-            "instructions".to_string(),
-            "stall cycles".to_string(),
-            "read bandwidth".to_string(),
-            "IPC".to_string(),
-        ];
-        let mut rows = Vec::new();
-        for &fw in Framework::figure4() {
-            // average the normalized values over datasets
-            let mut inst = Vec::new();
-            let mut stall = Vec::new();
-            let mut bw = Vec::new();
-            let mut ipc = Vec::new();
-            for m in subset.iter().filter(|m| m.framework == fw) {
-                if let Some(gm) = subset
-                    .iter()
-                    .find(|g| g.framework == Framework::GraphMat && g.dataset == m.dataset)
-                {
-                    let n = m.perf_report().normalized_to(&gm.perf_report());
-                    inst.push(n.instructions);
-                    stall.push(n.stall_cycles);
-                    bw.push(n.read_bandwidth);
-                    ipc.push(n.ipc);
-                }
-            }
-            rows.push(vec![
-                fw.name().to_string(),
-                format!("{:.2}", harness::geomean(&inst)),
-                format!("{:.2}", harness::geomean(&stall)),
-                format!("{:.2}", harness::geomean(&bw)),
-                format!("{:.2}", harness::geomean(&ipc)),
-            ]);
         }
         println!("{}", harness::render_table(&headers, &rows));
     }

@@ -14,7 +14,7 @@ use graphmat_core::{
 use graphmat_io::bipartite::RatingsGraph;
 use graphmat_io::datasets::{self, DatasetId, DatasetScale};
 use graphmat_io::edgelist::EdgeList;
-use graphmat_perf::{CostCounters, PerfReport};
+use graphmat_perf::CostCounters;
 use graphmat_sparse::parallel::available_threads;
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,7 +74,7 @@ pub struct Measurement {
     pub dataset: String,
     /// Reported time in seconds — per iteration for PR/CF, total otherwise.
     pub seconds: f64,
-    /// Abstract cost counters for the Figure 6 model.
+    /// Abstract cost counters (edge/vertex/overhead operations, bytes).
     pub counters: CostCounters,
     /// Wall-clock time of the whole run (not divided by iterations).
     pub total: Duration,
@@ -110,11 +110,6 @@ impl Measurement {
             .iter()
             .filter(|s| s.backend == Backend::Pull)
             .count()
-    }
-
-    /// Derived Figure 6 report for this measurement.
-    pub fn perf_report(&self) -> PerfReport {
-        PerfReport::from_counters(&self.counters, self.total)
     }
 }
 
@@ -155,15 +150,12 @@ pub type Timing = (f64, CostCounters, Duration, Vec<SuperstepStats>);
 pub type TimedRun<'a> = Box<dyn Fn() -> Timing + 'a>;
 
 /// The paper's engine configuration for the cross-framework figures:
-/// always-push (it had no pull backend), so no pull mirrors to build — and
-/// no in-edge matrix, which none of PR/BFS/TC/SSSP traverses. The
+/// always-push (it had no pull backend), so no pull mirrors to build. The
 /// direction-optimized engine is measured by the Figure 7 rows and by
 /// [`run_graphmat_auto`].
 fn paper_faithful() -> (GraphBuildOptions, RunOptions) {
     (
-        GraphBuildOptions::default()
-            .with_in_edges(false)
-            .with_pull_mirrors(false),
+        GraphBuildOptions::default().with_pull_mirrors(false),
         RunOptions::default().with_backend(Backend::Push),
     )
 }
@@ -348,10 +340,12 @@ pub fn cf_run<'a>(
                 iterations: CF_ITERATIONS,
                 ..Default::default()
             };
-            // CF scatters along both directions: in-edges stay on.
             let (build_options, run_defaults) = paper_faithful();
             let session = session(nthreads, run_defaults);
-            let topology = build(&session, &ratings.edges, build_options.with_in_edges(true));
+            let topology = build(&session, &ratings.edges, build_options);
+            // CF scatters along both directions: derive `G` here, outside
+            // the timed closure, as the eager build used to.
+            topology.in_matrix();
             return Box::new(move || {
                 let out = collaborative_filtering_on(&session, &topology, &cfg)
                     .expect("collaborative filtering");
@@ -400,8 +394,7 @@ pub fn run_graphmat_auto(
         algorithm,
         edges,
         nthreads,
-        // Out-direction workloads only (PR/BFS/SSSP): no in-edge matrix.
-        GraphBuildOptions::default().with_in_edges(false),
+        GraphBuildOptions::default(),
         RunOptions::default(),
     )();
     Measurement::new(
@@ -525,8 +518,6 @@ pub type Figure7Config = (&'static str, usize, bool, Option<Backend>, usize, boo
 /// The paper's "+bitvector" step is not a row: the engine has no sorted-tuple
 /// message vector to fall back to, so that step is measured at the kernel by
 /// `benches/spmv_kernels.rs` (`sorted_frontier` vs `bitvector_frontier`).
-/// Shared by the harness and the `fig7_ablation` criterion bench so the two
-/// cannot drift apart.
 pub fn figure7_configs(nthreads: usize) -> Vec<Figure7Config> {
     const PUSH: Option<Backend> = Some(Backend::Push);
     vec![
@@ -556,7 +547,6 @@ pub fn figure7_run<'a>(
     let build_options = GraphBuildOptions::default()
         .with_partitions(partitions_per_thread * threads)
         .with_balancing(balanced)
-        .with_in_edges(false)
         .with_pull_mirrors(backend != Some(Backend::Push));
     let options = RunOptions::default().with_backend(backend);
     if inlined {

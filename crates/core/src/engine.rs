@@ -24,9 +24,12 @@
 //!
 //! What a run reads from its view is resolved once, by `Traversal::resolve`
 //! in the runner's prologue: the matrices, overlays, pull mirrors and degree
-//! arrays of the program's scatter direction. That resolution is also the
-//! run's pre-flight check — a missing in-edge matrix or pull mirror is a
-//! typed error there, before the first superstep.
+//! arrays of the program's scatter direction. It is the single place that
+//! asks the topology for its in-edge orientation, so the first `In`/`Both`
+//! run is what derives `G` from the stored `Gᵀ`
+//! ([`Topology::in_matrix`](crate::topology::Topology::in_matrix)); `Out`
+//! runs never do. That resolution is also the run's pre-flight check — a
+//! missing pull mirror is a typed error there, before the first superstep.
 //!
 //! # The workspace: zero allocation per superstep
 //!
@@ -88,6 +91,7 @@ use crate::error::{GraphMatError, Result};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::state::VertexState;
 use crate::stats::{Backend, SuperstepStats};
+use crate::topology::Orientation;
 use crate::view::GraphView;
 use graphmat_sparse::overlay::{gspmv_overlay_into, Overlay};
 use graphmat_sparse::parallel::Executor;
@@ -213,6 +217,20 @@ impl<E: Sync> Leg<'_, E> {
     }
 }
 
+/// One leg over `orientation`, paired with the orientation's pull mirror.
+fn leg<'a, E>(
+    orientation: &'a Orientation<E>,
+    overlay: Option<&'a Overlay<E>>,
+    degrees: &'a [u32],
+) -> (Leg<'a, E>, Option<&'a CsrMirror<E>>) {
+    let leg = Leg {
+        matrix: &orientation.matrix,
+        overlay,
+        degrees,
+    };
+    (leg, orientation.mirror.as_ref())
+}
+
 /// The pull mirrors of a traversal's legs, first then (for `Both`) second.
 type Mirrors<'a, E> = (&'a CsrMirror<E>, Option<&'a CsrMirror<E>>);
 
@@ -234,16 +252,17 @@ pub(crate) struct Traversal<'a, E> {
     forced: Option<Backend>,
 }
 
-impl<'a, E> Traversal<'a, E> {
+impl<'a, E: Clone> Traversal<'a, E> {
     /// Resolve `view` for a program scattering along `direction` with the
-    /// backend override `forced` — the pre-flight check of a run.
+    /// backend override `forced` — the pre-flight check of a run. An
+    /// `In`/`Both` direction derives the topology's in-edge orientation here
+    /// if no earlier run has.
     ///
     /// # Errors
     ///
     /// * [`GraphMatError::MissingInMatrix`] if `direction` is `In`/`Both`
-    ///   but the topology was built with `build_in_edges = false` (or a
-    ///   hand-assembled overlay was not compiled against the in matrix — the
-    ///   store always compiles against every matrix the base built);
+    ///   and the view's overlay was hand-assembled without an in side (the
+    ///   store always compiles both);
     /// * [`GraphMatError::InvalidParameter`] if `forced` is
     ///   [`Backend::Pull`] while edits are pending;
     /// * [`GraphMatError::MissingPullMirror`] if it is on a topology built
@@ -254,31 +273,17 @@ impl<'a, E> Traversal<'a, E> {
         forced: Option<Backend>,
     ) -> Result<Self> {
         let topology = view.topology();
-        let out = || {
-            let leg = Leg {
-                matrix: topology.out_matrix(),
-                overlay: view.out_kernel_overlay(),
-                degrees: view.out_degrees(),
-            };
-            (leg, topology.out_pull_mirror())
-        };
-        let inward = || {
-            let matrix = topology.in_matrix().ok_or(GraphMatError::MissingInMatrix)?;
-            let overlay = view.in_kernel_overlay();
-            if view.has_overlay() && overlay.is_none() {
-                return Err(GraphMatError::MissingInMatrix);
-            }
-            let leg = Leg {
-                matrix,
-                overlay,
-                degrees: view.in_degrees(),
-            };
-            Ok((leg, topology.in_pull_mirror()))
-        };
+        let (out_overlay, in_overlay) = (view.out_kernel_overlay(), view.in_kernel_overlay());
+        if direction != EdgeDirection::Out && view.has_overlay() && in_overlay.is_none() {
+            return Err(GraphMatError::MissingInMatrix);
+        }
+        let out = leg(topology.out(), out_overlay, view.out_degrees());
+        // Lazy: the first call on a topology is what derives its `G`.
+        let inward = || leg(topology.inward(), in_overlay, view.in_degrees());
         let ((first, first_mirror), second) = match direction {
-            EdgeDirection::Out => (out(), None),
-            EdgeDirection::In => (inward()?, None),
-            EdgeDirection::Both => (out(), Some(inward()?)),
+            EdgeDirection::Out => (out, None),
+            EdgeDirection::In => (inward(), None),
+            EdgeDirection::Both => (out, Some(inward())),
         };
         let (second, second_mirror) = second.unzip();
         let mirrors = match (first_mirror, second_mirror) {
@@ -811,17 +816,30 @@ mod tests {
     }
 
     #[test]
-    fn in_direction_without_in_matrix_is_an_error_not_a_panic() {
-        let err = all_active_step(
-            vec![(0, 1, 1.0)],
-            3,
-            GraphBuildOptions::default()
-                .with_in_edges(false)
-                .with_partitions(1),
-        )
-        .err()
-        .unwrap();
-        assert_eq!(err, GraphMatError::MissingInMatrix);
+    fn in_direction_over_an_overlay_without_an_in_side_is_an_error_not_a_panic() {
+        use graphmat_delta::{BaseFacts, DeltaOverlay, PairIndex, UpdateOp};
+        let topology = figure3_topology();
+        let out_ranges = topology.out_partition_ranges();
+        // Hand-assembled: the store always passes `in_partition_ranges()`.
+        let facts = BaseFacts {
+            num_vertices: topology.num_vertices(),
+            num_edges: topology.num_edges(),
+            out_ranges: &out_ranges,
+            in_ranges: None,
+            out_degrees: topology.out_degrees(),
+            in_degrees: topology.in_degrees(),
+        };
+        let index = PairIndex::from_edges(topology.to_edge_list().edges());
+        let overlay = DeltaOverlay::build(&facts, &index, &[(4, 1, UpdateOp::Insert(1.0))]);
+        let view = GraphView::new(&topology, Some(&overlay));
+        let bytes = topology.matrix_bytes();
+        for direction in [EdgeDirection::In, EdgeDirection::Both] {
+            let err = Traversal::resolve(view, direction, None).err().unwrap();
+            assert_eq!(err, GraphMatError::MissingInMatrix);
+        }
+        assert!(Traversal::resolve(view, EdgeDirection::Out, None).is_ok());
+        // Rejected before anything was derived for the run.
+        assert_eq!(topology.matrix_bytes(), bytes);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Error type for the fallible `Session`/`Topology`/`VertexState` frontend.
 //!
 //! The original seed API panicked on misuse — an out-of-range vertex id died
-//! deep inside `Vec` indexing, an in-edge program on an out-only graph hit an
-//! `expect`. The redesigned frontend returns [`GraphMatError`] from every
-//! fallible path instead, so a serving layer embedding the engine can turn
-//! bad queries into error responses rather than crashed workers. The
+//! deep inside `Vec` indexing. The redesigned frontend returns
+//! [`GraphMatError`] from every fallible path instead, so a serving layer
+//! embedding the engine can turn bad queries into error responses rather
+//! than crashed workers. The
 //! documented panicking accessors that remain (`Topology::out_degree`,
 //! `VertexState::property`, …) carry the same diagnostic payload (vertex id
 //! and vertex count) as the typed errors, and each has a `try_*` twin.
@@ -41,8 +41,12 @@ pub enum GraphMatError {
         /// Vertices in the topology it was paired with.
         topology_vertices: usize,
     },
-    /// The program scatters along in-edges but the topology was built with
-    /// `build_in_edges = false`, so there is no `G` matrix to traverse.
+    /// The program scatters along in-edges over a view whose
+    /// `DeltaOverlay` was hand-assembled without an in side
+    /// (`BaseFacts::in_ranges: None`), so the pending edits cannot be merged
+    /// into `G`. Nothing built through [`crate::store::GraphStore`] reports
+    /// this: the store compiles both overlay sides, and a topology derives
+    /// `G` itself on the first `In`/`Both` run.
     MissingInMatrix,
     /// A run forced the pull backend (`Backend::Pull`) but the topology
     /// was built with `build_pull_mirrors = false`, so there is no row-major
@@ -112,8 +116,8 @@ impl std::fmt::Display for GraphMatError {
             ),
             GraphMatError::MissingInMatrix => write!(
                 f,
-                "program scatters along in-edges but the topology was built with \
-                 build_in_edges = false"
+                "program scatters along in-edges but the view's overlay was compiled \
+                 without an in side (BaseFacts::in_ranges was None)"
             ),
             GraphMatError::MissingPullMirror => write!(
                 f,

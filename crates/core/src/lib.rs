@@ -75,6 +75,9 @@
 //! snapshot go through the same functions. [`options::RunOptions`] and
 //! [`topology::GraphBuildOptions`] have one set of defaults (backend chosen
 //! per superstep, pull mirrors built); a [`session::Session`] adds only its pool size.
+//! Which orientations of the graph exist is not an option: a
+//! [`topology::Topology`] stores `Gᵀ` and derives `G` from it when the first
+//! [`program::EdgeDirection::In`]/`Both` program runs.
 //!
 //! # Direction optimization (PR-4)
 //!

@@ -170,11 +170,7 @@ mod tests {
 
         let session = Session::sequential();
         let edges = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 3)]);
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).finish().unwrap();
         let mut pool: StatePool<u32> = StatePool::for_topology(&topo);
 
         for round in 0..3 {

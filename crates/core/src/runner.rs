@@ -32,8 +32,10 @@
 //!
 //! Everything that can reject a run is checked once, by `admit`, before
 //! the first superstep and before anything is mutated: the state's length,
-//! and — through `Traversal::resolve` — the in-edge matrix and pull mirrors
-//! the program's direction and the options' backend need. The supersteps
+//! and — through `Traversal::resolve` — the overlay side and pull mirrors
+//! the program's direction and the options' backend need (the in-edge
+//! matrix itself is never missing: the first run that needs it derives it
+//! there). The supersteps
 //! then run over the resolved `Traversal` with no further checks.
 //!
 //! # Execution resources
@@ -84,8 +86,8 @@ pub struct RunResult {
 /// * [`GraphMatError::StateLengthMismatch`] if `state` was allocated for a
 ///   different vertex count than the view's topology;
 /// * [`GraphMatError::MissingInMatrix`] if the program scatters along
-///   in-edges (`In`/`Both`) but the topology was built with
-///   `build_in_edges = false`;
+///   in-edges (`In`/`Both`) over a hand-assembled overlay that has no in
+///   side;
 /// * [`GraphMatError::InvalidParameter`] if the options force
 ///   `Backend::Pull` while edits are pending — the pull mirrors describe the
 ///   unedited base (an unforced run pushes instead) — or if `ws` was
@@ -443,48 +445,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, GraphMatError::InvalidParameter(_)), "{err}");
-    }
-
-    #[test]
-    fn run_program_rejects_missing_in_matrix_before_running() {
-        struct Inward;
-        impl GraphProgram for Inward {
-            type VertexProp = f32;
-            type Message = f32;
-            type Reduced = f32;
-            type Edge = f32;
-            fn direction(&self) -> EdgeDirection {
-                EdgeDirection::In
-            }
-            fn send_message(&self, _v: VertexId, d: &f32) -> Option<f32> {
-                Some(*d)
-            }
-            fn process_message(&self, m: &f32, _e: &f32, _d: &f32) -> f32 {
-                *m
-            }
-            fn reduce(&self, acc: &mut f32, v: f32) {
-                *acc += v;
-            }
-            fn apply(&self, r: &f32, p: &mut f32) {
-                *p = *r;
-            }
-        }
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0)]);
-        let topology =
-            Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
-        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
-        let options = RunOptions::default();
-        let mut ws = Workspace::<Inward>::new(3);
-        let err = run_program(
-            &Inward,
-            &topology,
-            &mut state,
-            &options,
-            &Executor::sequential(),
-            &mut ws,
-        )
-        .unwrap_err();
-        assert_eq!(err, GraphMatError::MissingInMatrix);
     }
 
     /// PageRank-style program where every vertex is active every iteration;

@@ -28,8 +28,8 @@
 //!
 //! Every fallible step returns a [`GraphMatError`] instead of panicking:
 //! out-of-range seed vertices, zero threads, empty edge lists, mismatched
-//! state lengths, missing in-edge matrices and zero iteration limits are
-//! all error responses a serving layer can hand back to a client.
+//! state lengths and zero iteration limits are all error responses a
+//! serving layer can hand back to a client.
 //!
 //! ```
 //! use graphmat_core::session::Session;
@@ -50,7 +50,7 @@
 //!
 //! let session = Session::sequential();
 //! let edges = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 3)]);
-//! let topo = session.build_graph(&edges).in_edges(false).finish().unwrap();
+//! let topo = session.build_graph(&edges).finish().unwrap();
 //! let outcome = session
 //!     .run(&topo, Hops)
 //!     .init_all(u32::MAX)
@@ -231,13 +231,6 @@ impl<'e, E: Clone> GraphBuilder<'e, E> {
     /// Balance partitions by edge count (default `true`).
     pub fn balanced(mut self, balance: bool) -> Self {
         self.options.balance_partitions = balance;
-        self
-    }
-
-    /// Also build the non-transposed matrix for in-edge scattering
-    /// (default `true`; `In`/`Both`-direction programs need it).
-    pub fn in_edges(mut self, build: bool) -> Self {
-        self.options.build_in_edges = build;
         self
     }
 
@@ -454,7 +447,7 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     /// [`GraphMatError::ZeroIterations`] for a `max_iterations(0)` request,
     /// [`GraphMatError::VertexOutOfRange`] for a seed outside the topology,
     /// then everything [`crate::runner::run_program`] reports (a missing
-    /// in-edge matrix or pull mirror, a forced pull over pending edits).
+    /// pull mirror, a forced pull over pending edits).
     pub fn execute(self) -> Result<RunOutcome<P::VertexProp>>
     where
         P::VertexProp: Default,
@@ -600,7 +593,6 @@ mod tests {
         let topo = session
             .build_graph(&edges)
             .pull_enabled(false)
-            .in_edges(false)
             .finish()
             .unwrap();
         assert!(!topo.has_pull_mirrors());
@@ -647,11 +639,7 @@ mod tests {
     fn expired_deadline_stops_the_run_with_a_typed_error() {
         let session = Session::sequential();
         let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).finish().unwrap();
         // A deadline already in the past trips before the first superstep.
         let err = session
             .run(&topo, Sssp)
@@ -707,11 +695,7 @@ mod tests {
         }
         let session = Session::sequential();
         let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).finish().unwrap();
         let mut state: VertexState<u64> = VertexState::for_topology(&topo);
         let err = session
             .run(&topo, Count)
@@ -753,21 +737,12 @@ mod tests {
         let edges = EdgeList::from_pairs(n, (0..n - 1).map(|v| (v, v + 1)));
         for threads in [1usize, 2] {
             let session = Session::with_threads(threads).unwrap();
-            let topo = session
-                .build_graph(&edges)
-                .in_edges(false)
-                .finish()
-                .unwrap();
+            let topo = session.build_graph(&edges).finish().unwrap();
             assert_eq!(topo.num_partitions(), 8 * threads);
         }
         // An explicit partition count still wins.
         let session = Session::with_threads(2).unwrap();
-        let topo = session
-            .build_graph(&edges)
-            .partitions(5)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).partitions(5).finish().unwrap();
         assert_eq!(topo.num_partitions(), 5);
     }
 
@@ -783,12 +758,7 @@ mod tests {
     fn builder_runs_figure3_sssp() {
         let session = Session::with_threads(2).unwrap();
         let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .partitions(2)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).partitions(2).finish().unwrap();
         let outcome = session
             .run(&topo, Sssp)
             .init_all(f32::MAX)
@@ -827,11 +797,7 @@ mod tests {
         // validation happens before the first mutation.
         let session = Session::sequential();
         let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).finish().unwrap();
         let mut state: VertexState<f32> = VertexState::for_topology(&topo);
         state.set_all_properties(42.0);
         state.set_active(3);
@@ -872,11 +838,7 @@ mod tests {
     fn execute_with_reuses_the_cached_workspace() {
         let session = Session::sequential();
         let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).finish().unwrap();
         let mut state: VertexState<f32> = VertexState::for_topology(&topo);
 
         let run = |state: &mut VertexState<f32>| {
@@ -908,11 +870,7 @@ mod tests {
     fn stale_active_bits_do_not_leak_into_the_next_run() {
         let session = Session::sequential();
         let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).finish().unwrap();
         let mut state: VertexState<f32> = VertexState::for_topology(&topo);
         // Poison the state: everything active, garbage properties.
         state.set_all_active();
@@ -984,11 +942,7 @@ mod tests {
     fn concurrent_runs_share_one_topology_through_one_session() {
         let session = Session::with_threads(2).unwrap();
         let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .in_edges(false)
-            .finish()
-            .unwrap();
+        let topo = session.build_graph(&edges).finish().unwrap();
 
         let run_from = |source: VertexId| {
             session

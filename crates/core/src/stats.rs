@@ -4,8 +4,8 @@
 //!
 //! * the benchmark harness, which needs wall-clock timings per phase to
 //!   regenerate Figures 4, 5 and 7;
-//! * the cost model in `graphmat-perf`, which needs operation counts to
-//!   regenerate Figure 6;
+//! * the abstract cost counters of `graphmat-perf`, which count operations
+//!   and bytes in the units the baseline engines report too;
 //! * users debugging convergence of their own vertex programs.
 
 use graphmat_perf::CostCounters;
@@ -150,7 +150,7 @@ impl RunStats {
         }
     }
 
-    /// Translate the run into abstract cost-model counters (Figure 6 input).
+    /// Translate the run into abstract cost counters.
     ///
     /// `vertex_prop_bytes` is the in-memory size of one vertex property,
     /// used for the byte-traffic estimate.

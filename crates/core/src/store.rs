@@ -31,8 +31,10 @@
 //! backend, see [`crate::view::GraphView`]). When the log exceeds
 //! [`StoreOptions::compaction_threshold`] effective ops, the store folds
 //! the resolved log into the base edge list, rebuilds a fresh base
-//! [`Topology`] (same partition count, in-edge matrix, and pull mirrors as
-//! the original), and republishes with an empty overlay. With
+//! [`Topology`] with the original's own
+//! [`build_options`](Topology::build_options) — `Gᵀ` only: a later
+//! `In`/`Both` run derives `G` from the new base, as it would from any
+//! other — and republishes with an empty overlay. With
 //! [`StoreOptions::background`] set, a dedicated worker thread does this
 //! off the write path — `apply` just signals it; otherwise compaction runs
 //! inline in the triggering `apply`. [`GraphStore::compact_now`] forces one
@@ -58,7 +60,7 @@ use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::Index;
 
 use crate::error::{GraphMatError, Result};
-use crate::topology::{GraphBuildOptions, Topology};
+use crate::topology::Topology;
 use crate::view::GraphView;
 
 /// Default pending-op count above which the store compacts the delta into a
@@ -429,11 +431,7 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
 
         // The one copy above is lent to the build and taken back afterwards.
         let el = EdgeList::from_tuples(current.base.num_vertices(), edges);
-        let options = GraphBuildOptions::default()
-            .with_partitions(current.base.num_partitions())
-            .with_in_edges(current.base.has_in_edges())
-            .with_pull_mirrors(current.base.has_pull_mirrors());
-        let base = Arc::new(Topology::from_edge_list(&el, options));
+        let base = Arc::new(Topology::from_edge_list(&el, current.base.build_options()));
 
         // Commit point: plain moves and an atomic pointer swap.
         writer.base_edges = Some(el.into_tuples());
@@ -598,7 +596,9 @@ fn compaction_worker<E: Clone + Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::GraphBuildOptions;
     use graphmat_delta::UpdateOp;
+    use graphmat_sparse::partition::RowPartitioner;
 
     fn base() -> Arc<Topology<f32>> {
         let el = EdgeList::from_tuples(
@@ -700,9 +700,37 @@ mod tests {
         assert_eq!(snap.num_edges(), 8);
         // The rebuilt base keeps the original build shape.
         assert_eq!(snap.base().num_partitions(), 2);
-        assert!(snap.base().has_in_edges());
         assert!(snap.base().has_pull_mirrors());
         assert_eq!(snap.base().out_degrees(), &[2, 2, 2, 1, 1]);
+    }
+
+    #[test]
+    fn compaction_rebuilds_with_the_bases_own_build_options() {
+        // Every edge lands on vertex 0, so nnz-balanced ranges would close
+        // after row 0 and stop at two partitions; even rows give four.
+        let el = EdgeList::from_tuples(5, (1..5).map(|v| (v, 0, 1.0)).collect());
+        let even = RowPartitioner::even_rows(5, 4);
+        assert_ne!(even, RowPartitioner::balanced_nnz(&el.in_degrees(), 4));
+        let options = GraphBuildOptions::default()
+            .with_partitions(4)
+            .with_balancing(false)
+            .with_pull_mirrors(false);
+        let store = GraphStore::new(
+            Arc::new(Topology::from_edge_list(&el, options)),
+            StoreOptions {
+                background: false,
+                ..StoreOptions::default()
+            },
+        );
+        store
+            .apply(batch(vec![(0, 1, UpdateOp::Insert(1.0))]))
+            .unwrap();
+        assert!(store.compact_now());
+        let snap = store.snapshot();
+        assert!(snap.overlay().is_none());
+        assert_eq!(snap.base().out_partition_ranges(), even);
+        assert_eq!(snap.base().in_partition_ranges().unwrap(), even);
+        assert!(!snap.base().has_pull_mirrors());
     }
 
     #[test]

@@ -4,21 +4,30 @@
 //! GraphMat's serving story (and the RedisGraph deployment of the same idea)
 //! rests on one separation: the adjacency matrix is built **once** and then
 //! answers many independent queries, while everything a query mutates lives
-//! somewhere else. `Topology<E>` is the immutable half:
+//! somewhere else. `Topology<E>` is the immutable half, and it stores **one
+//! orientation** of the graph:
 //!
 //! * `Gᵀ` split into 1-D row partitions of DCSC (paper §4.4.1) — what
 //!   out-edge message scattering multiplies against, because `y = Gᵀ·x`
 //!   delivers each source's message to the rows (destinations) of its
 //!   out-edges;
-//! * optionally the non-transposed `G` for in-edge scattering;
-//! * optionally row-major CSR **pull mirrors** of those matrices
+//! * optionally a row-major CSR **pull mirror** of it
 //!   (`build_pull_mirrors`, on by default), which the direction-optimized
 //!   engine traverses when a superstep's frontier is dense enough to pull —
-//!   they cost roughly the matrices' memory again
-//!   ([`Topology::pull_bytes`]);
+//!   it costs roughly the matrix's memory again ([`Topology::pull_bytes`]);
 //! * the out-/in-degree arrays.
 //!
-//! A `Topology` has no interior mutability and is `Sync`, so wrap it in an
+//! The non-transposed `G` — what scattering along in-edges multiplies
+//! against (§4.2's exception) — is not a build option: it is **derived from
+//! the stored `Gᵀ`** the first time an
+//! [`EdgeDirection::In`](crate::program::EdgeDirection::In) / `Both` program
+//! runs (or [`Topology::in_matrix`] is called), with the same partition
+//! count, balancing and mirror choice, and kept from then on. A graph that
+//! only ever serves `Out` programs never pays for it.
+//!
+//! That derived orientation is the topology's only interior mutability: one
+//! write-once cell, derived from data already held, so its content does not
+//! depend on which run got there first. The type stays `Sync`: wrap it in an
 //! [`std::sync::Arc`] and run any number of concurrent vertex programs
 //! against the same matrices — no cloning, no locks. The mutable per-run
 //! half (vertex properties + active set) is [`crate::state::VertexState`].
@@ -31,9 +40,11 @@
 use crate::error::{GraphMatError, Result};
 use crate::program::VertexId;
 use graphmat_io::edgelist::EdgeList;
+use graphmat_sparse::coo::Coo;
 use graphmat_sparse::parallel::available_threads;
 use graphmat_sparse::partition::{PartitionedDcsc, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
+use std::sync::OnceLock;
 
 /// Matrix partitions per thread when the partition count is automatic —
 /// the `nthreads * 8` of the paper's appendix listing: enough over-splitting
@@ -50,10 +61,7 @@ pub struct GraphBuildOptions {
     /// optimization) or split rows evenly (`false`, the naive layout used as
     /// the Figure 7 baseline).
     pub balance_partitions: bool,
-    /// Also build the non-transposed matrix so programs can scatter along
-    /// in-edges ([`crate::program::EdgeDirection::In`] / `Both`).
-    pub build_in_edges: bool,
-    /// Also materialize row-major CSR mirrors of the DCSC matrices so the
+    /// Also materialize a row-major CSR mirror of each DCSC matrix so the
     /// engine can run the **dense pull** backend (direction optimization).
     /// Costs roughly the same memory again per mirrored matrix
     /// ([`Topology::pull_bytes`] reports exactly how much). **On** by
@@ -67,7 +75,6 @@ impl Default for GraphBuildOptions {
         GraphBuildOptions {
             num_partitions: 0,
             balance_partitions: true,
-            build_in_edges: true,
             build_pull_mirrors: true,
         }
     }
@@ -86,21 +93,11 @@ impl GraphBuildOptions {
         self
     }
 
-    /// Enable or disable construction of the in-edge matrix.
-    pub fn with_in_edges(mut self, build: bool) -> Self {
-        self.build_in_edges = build;
-        self
-    }
-
     /// Enable or disable construction of the row-major CSR mirrors the pull
     /// backend traverses (see [`GraphBuildOptions::build_pull_mirrors`]).
     pub fn with_pull_mirrors(mut self, build: bool) -> Self {
         self.build_pull_mirrors = build;
         self
-    }
-
-    pub(crate) fn effective_partitions(&self) -> usize {
-        self.effective_partitions_for(available_threads())
     }
 
     /// Resolve the partition count against an explicit thread count (the
@@ -113,29 +110,57 @@ impl GraphBuildOptions {
             self.num_partitions
         }
     }
+
+    /// The row ranges these options split a matrix into, given its per-row
+    /// entry counts (`num_partitions` already resolved).
+    fn row_ranges(&self, row_nnz: &[usize]) -> Vec<RowRange> {
+        if self.balance_partitions {
+            RowPartitioner::balanced_nnz(row_nnz, self.num_partitions)
+        } else {
+            RowPartitioner::even_rows(row_nnz.len() as VertexId, self.num_partitions)
+        }
+    }
 }
 
-/// The immutable structural half of a graph: partitioned DCSC adjacency
-/// matrices plus degree arrays, generic over the edge value type `E` (`()`
+/// One orientation of the adjacency matrix as the engine traverses it: the
+/// partitioned DCSC the push kernel sweeps and, when pull mirrors are
+/// enabled, its row-major mirror for the pull kernel.
+#[derive(Clone, Debug)]
+pub(crate) struct Orientation<E> {
+    pub(crate) matrix: PartitionedDcsc<E>,
+    pub(crate) mirror: Option<CsrMirror<E>>,
+}
+
+impl<E: Clone> Orientation<E> {
+    fn build(coo: &Coo<E>, ranges: &[RowRange], mirror: bool) -> Self {
+        let matrix = PartitionedDcsc::from_coo(coo, ranges);
+        let mirror = mirror.then(|| CsrMirror::from_partitioned(&matrix));
+        Orientation { matrix, mirror }
+    }
+}
+
+/// The immutable structural half of a graph: the partitioned DCSC adjacency
+/// matrix plus degree arrays, generic over the edge value type `E` (`()`
 /// matrices store no edge value bytes at all).
 ///
 /// Build one with [`Topology::from_edge_list`] or through
 /// [`crate::session::Session::build_graph`], wrap it in an `Arc`, and share
-/// it between any number of concurrent runs — every method takes `&self` and
-/// nothing here is ever mutated after construction.
+/// it between any number of concurrent runs — every method takes `&self`,
+/// and the only thing ever written after construction is the derived
+/// in-edge orientation, once (see the [module docs](self)).
 #[derive(Clone, Debug)]
 pub struct Topology<E> {
     nvertices: VertexId,
     nedges: usize,
+    /// The options this topology was built with, partition count resolved.
+    options: GraphBuildOptions,
     /// `Gᵀ`: row = destination, column = source. Used for out-edge scatter.
-    out_matrix: PartitionedDcsc<E>,
-    /// `G`: row = source, column = destination. Used for in-edge scatter.
-    in_matrix: Option<PartitionedDcsc<E>>,
-    /// Row-major mirror of `out_matrix`, traversed by the dense-pull
-    /// backend for `Out`-direction programs.
-    out_pull: Option<CsrMirror<E>>,
-    /// Row-major mirror of `in_matrix`, for `In`/`Both`-direction pulls.
-    in_pull: Option<CsrMirror<E>>,
+    out: Orientation<E>,
+    /// `G`: row = source, column = destination. Used for in-edge scatter;
+    /// derived from `out` on first use.
+    inward: OnceLock<Orientation<E>>,
+    /// The row ranges `inward` is (or will be) partitioned by.
+    in_ranges: Vec<RowRange>,
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
 }
@@ -144,50 +169,26 @@ impl<E: Clone> Topology<E> {
     /// Build a topology from an edge list. The edge value type of the edge
     /// list carries over into the DCSC matrices unchanged.
     pub fn from_edge_list(edges: &EdgeList<E>, options: GraphBuildOptions) -> Self {
-        let n = edges.num_vertices();
-        let nparts = options.effective_partitions().max(1);
-
-        let transpose_coo = edges.to_transpose_coo();
-        let out_matrix = if options.balance_partitions {
-            let ranges = RowPartitioner::balanced_nnz(&transpose_coo.row_counts(), nparts);
-            PartitionedDcsc::from_coo(&transpose_coo, &ranges)
-        } else {
-            PartitionedDcsc::from_coo_even(&transpose_coo, nparts)
-        };
-
-        let in_matrix = if options.build_in_edges {
-            let adj_coo = edges.to_adjacency_coo();
-            Some(if options.balance_partitions {
-                let ranges = RowPartitioner::balanced_nnz(&adj_coo.row_counts(), nparts);
-                PartitionedDcsc::from_coo(&adj_coo, &ranges)
-            } else {
-                PartitionedDcsc::from_coo_even(&adj_coo, nparts)
-            })
-        } else {
-            None
-        };
-
-        let out_degrees: Vec<u32> = edges.out_degrees().into_iter().map(|d| d as u32).collect();
-        let in_degrees: Vec<u32> = edges.in_degrees().into_iter().map(|d| d as u32).collect();
-
-        let (out_pull, in_pull) = if options.build_pull_mirrors {
-            (
-                Some(CsrMirror::from_partitioned(&out_matrix)),
-                in_matrix.as_ref().map(CsrMirror::from_partitioned),
-            )
-        } else {
-            (None, None)
-        };
-
+        let nparts = options.effective_partitions_for(available_threads());
+        let options = options.with_partitions(nparts.max(1));
+        let out_degrees = edges.out_degrees();
+        let in_degrees = edges.in_degrees();
+        // Rows of Gᵀ are destinations, rows of G are sources.
+        let out = Orientation::build(
+            &edges.to_transpose_coo(),
+            &options.row_ranges(&in_degrees),
+            options.build_pull_mirrors,
+        );
+        let as_u32 = |degrees: Vec<usize>| degrees.into_iter().map(|d| d as u32).collect();
         Topology {
-            nvertices: n,
+            nvertices: edges.num_vertices(),
             nedges: edges.num_edges(),
-            out_matrix,
-            in_matrix,
-            out_pull,
-            in_pull,
-            out_degrees,
-            in_degrees,
+            options,
+            out,
+            inward: OnceLock::new(),
+            in_ranges: options.row_ranges(&out_degrees),
+            out_degrees: as_u32(out_degrees),
+            in_degrees: as_u32(in_degrees),
         }
     }
 
@@ -200,7 +201,7 @@ impl<E: Clone> Topology<E> {
     pub fn to_edge_list(&self) -> EdgeList<E> {
         let mut el = EdgeList::new(self.nvertices);
         // Out matrix is Gᵀ: row = destination, column = source.
-        for part in self.out_matrix.partitions() {
+        for part in self.out.matrix.partitions() {
             for (src, dsts, weights) in part.matrix.iter_cols() {
                 for (dst, w) in dsts.iter().zip(weights) {
                     el.push(src, *dst, w.clone());
@@ -209,27 +210,64 @@ impl<E: Clone> Topology<E> {
         }
         el
     }
+
+    /// The in-edge orientation, derived from the stored `Gᵀ` on first use
+    /// (concurrent first users block on one derivation) and kept. It is the
+    /// matrix a build from the original edge list's adjacency COO would be:
+    /// same ranges, same `(row, col, value)` sequence. Only parallel edges of
+    /// one `(src, dst)` pair that carry *different* values may sit in another
+    /// order among themselves — the partition sort is unstable, so that
+    /// order was never a property of the edge list.
+    pub(crate) fn inward(&self) -> &Orientation<E> {
+        self.inward.get_or_init(|| {
+            // `(src, dst, value)` is already `G`'s `(row, col, value)`.
+            let (n, edges) = (self.nvertices, self.to_edge_list().into_tuples());
+            let adjacency = Coo::from_entries(n, n, edges);
+            Orientation::build(&adjacency, &self.in_ranges, self.options.build_pull_mirrors)
+        })
+    }
+
+    /// The partitioned `G` used for in-edge traversal. The first call — from
+    /// here or from the first `In`/`Both` run — derives it from the stored
+    /// `Gᵀ`; call it ahead of time to keep that cost out of a timed region.
+    pub fn in_matrix(&self) -> &PartitionedDcsc<E> {
+        &self.inward().matrix
+    }
+
+    /// The row-major pull mirror of `G` (in-edge traversal), if pull mirrors
+    /// are enabled. Derives `G` like [`Topology::in_matrix`].
+    pub fn in_pull_mirror(&self) -> Option<&CsrMirror<E>> {
+        self.inward().mirror.as_ref()
+    }
 }
 
 impl<E> Topology<E> {
+    /// The options this topology was built with, the partition count
+    /// resolved to the number that was asked of the partitioner — what a
+    /// rebuild of the same graph (compaction) passes back in.
+    pub fn build_options(&self) -> GraphBuildOptions {
+        self.options
+    }
+
     /// The row ranges of the out matrix's partitions (`Gᵀ`: row =
     /// destination) — what a delta overlay must be bucketed by to align with
     /// the push kernel's partition sweep.
     pub fn out_partition_ranges(&self) -> Vec<RowRange> {
-        self.out_matrix
+        self.out
+            .matrix
             .partitions()
             .iter()
             .map(|p| p.rows)
             .collect()
     }
 
-    /// The row ranges of the in matrix's partitions (`G`: row = source), if
-    /// the in-edge matrix was built.
+    /// The row ranges of the in matrix's partitions (`G`: row = source).
+    /// Fixed at build, so always `Some`, whether or not the matrix has been
+    /// derived yet.
     pub fn in_partition_ranges(&self) -> Option<Vec<RowRange>> {
-        self.in_matrix
-            .as_ref()
-            .map(|m| m.partitions().iter().map(|p| p.rows).collect())
+        Some(self.in_ranges.clone())
     }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> VertexId {
         self.nvertices
@@ -288,67 +326,59 @@ impl<E> Topology<E> {
         &self.in_degrees
     }
 
+    /// The out-edge orientation (`Gᵀ` and its mirror).
+    pub(crate) fn out(&self) -> &Orientation<E> {
+        &self.out
+    }
+
     /// The partitioned `Gᵀ` used for out-edge traversal.
     pub fn out_matrix(&self) -> &PartitionedDcsc<E> {
-        &self.out_matrix
-    }
-
-    /// The partitioned `G` used for in-edge traversal, if it was built.
-    pub fn in_matrix(&self) -> Option<&PartitionedDcsc<E>> {
-        self.in_matrix.as_ref()
-    }
-
-    /// Whether the in-edge matrix was built (`In`/`Both`-direction programs
-    /// need it).
-    pub fn has_in_edges(&self) -> bool {
-        self.in_matrix.is_some()
+        &self.out.matrix
     }
 
     /// The row-major pull mirror of `Gᵀ` (out-edge traversal), if it was
     /// built.
     pub fn out_pull_mirror(&self) -> Option<&CsrMirror<E>> {
-        self.out_pull.as_ref()
+        self.out.mirror.as_ref()
     }
 
-    /// The row-major pull mirror of `G` (in-edge traversal), if it was
-    /// built. Present exactly when pull mirrors are enabled *and* the
-    /// in-edge matrix was built.
-    pub fn in_pull_mirror(&self) -> Option<&CsrMirror<E>> {
-        self.in_pull.as_ref()
-    }
-
-    /// Whether the pull mirrors were built. They mirror exactly the DCSC
-    /// matrices present (out always; in iff `build_in_edges`), so one flag
-    /// answers for every direction: a `Dense`-forced or `Auto`-selected pull
-    /// can run iff this is `true` (and, for `In`/`Both`, iff
-    /// [`Topology::has_in_edges`] — which those directions require anyway).
+    /// Whether this topology builds pull mirrors — one flag for every
+    /// orientation, so a `Backend::Pull`-forced or selector-chosen pull can
+    /// run iff this is `true`.
     pub fn has_pull_mirrors(&self) -> bool {
-        self.out_pull.is_some()
+        self.options.build_pull_mirrors
     }
 
     /// Number of matrix partitions.
     pub fn num_partitions(&self) -> usize {
-        self.out_matrix.n_partitions()
+        self.out.matrix.n_partitions()
     }
 
-    /// Total in-memory footprint of the adjacency matrices in bytes,
-    /// including stored edge values **and the pull mirrors** (see
-    /// [`Topology::pull_bytes`] for the mirrors' share alone). For `E = ()`
-    /// this is pure index cost — the visible payoff of the unweighted fast
-    /// path.
+    /// The orientations resident right now: `Gᵀ` always, `G` once derived.
+    fn resident(&self) -> impl Iterator<Item = &Orientation<E>> {
+        std::iter::once(&self.out).chain(self.inward.get())
+    }
+
+    /// Total in-memory footprint of the adjacency matrices **resident right
+    /// now**, in bytes, including stored edge values and the pull mirrors
+    /// (see [`Topology::pull_bytes`] for the mirrors' share alone): `Gᵀ` and
+    /// its mirror, plus `G` and its mirror once an `In`/`Both` program has
+    /// derived them. For `E = ()` this is pure index cost — the visible
+    /// payoff of the unweighted fast path.
     pub fn matrix_bytes(&self) -> usize {
-        self.out_matrix.bytes()
-            + self.in_matrix.as_ref().map_or(0, |m| m.bytes())
-            + self.pull_bytes()
+        let dcsc: usize = self.resident().map(|o| o.matrix.bytes()).sum();
+        dcsc + self.pull_bytes()
     }
 
-    /// The extra memory the row-major pull mirrors cost, in bytes — zero
+    /// The memory the resident row-major pull mirrors cost, in bytes — zero
     /// when the topology was built with `build_pull_mirrors = false`,
-    /// otherwise roughly one more copy of each DCSC matrix (row pointers +
-    /// column ids + edge values; zero value bytes for `E = ()`).
+    /// otherwise roughly one more copy of each resident DCSC matrix (row
+    /// pointers + column ids + edge values; zero value bytes for `E = ()`).
     pub fn pull_bytes(&self) -> usize {
-        self.out_pull.as_ref().map_or(0, |m| m.bytes())
-            + self.in_pull.as_ref().map_or(0, |m| m.bytes())
+        self.resident()
+            .filter_map(|o| o.mirror.as_ref())
+            .map(|m| m.bytes())
+            .sum()
     }
 
     /// The error for using vertex id `v` against this topology.
@@ -386,8 +416,7 @@ mod tests {
         assert_eq!(t.num_edges(), 5);
         assert_eq!(t.num_partitions(), 2);
         assert_eq!(t.out_matrix().nnz(), 5);
-        assert_eq!(t.in_matrix().unwrap().nnz(), 5);
-        assert!(t.has_in_edges());
+        assert_eq!(t.in_matrix().nnz(), 5);
     }
 
     #[test]
@@ -396,11 +425,7 @@ mod tests {
         // edge 0 -> 1 must appear in Gᵀ as (row=1, col=0)
         assert!(t.out_matrix().iter().any(|(r, c, _)| r == 1 && c == 0));
         // and in G as (row=0, col=1)
-        assert!(t
-            .in_matrix()
-            .unwrap()
-            .iter()
-            .any(|(r, c, _)| r == 0 && c == 1));
+        assert!(t.in_matrix().iter().any(|(r, c, _)| r == 0 && c == 1));
     }
 
     #[test]
@@ -463,23 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn in_edges_can_be_skipped() {
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let t = Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
-        assert!(t.in_matrix().is_none());
-        assert!(!t.has_in_edges());
-    }
-
-    #[test]
-    fn pull_mirrors_mirror_only_the_matrices_built() {
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let t = Topology::from_edge_list(&el, GraphBuildOptions::default().with_in_edges(false));
-        assert!(t.has_pull_mirrors());
-        assert!(t.out_pull_mirror().is_some());
-        assert!(t.in_pull_mirror().is_none());
-    }
-
-    #[test]
     fn pull_mirrors_match_their_matrices_and_report_bytes() {
         let el = EdgeList::from_tuples(
             4,
@@ -495,10 +503,98 @@ mod tests {
         let out_mirror = t.out_pull_mirror().unwrap();
         let in_mirror = t.in_pull_mirror().unwrap();
         assert_eq!(out_mirror.nnz(), t.out_matrix().nnz());
-        assert_eq!(in_mirror.nnz(), t.in_matrix().unwrap().nnz());
+        assert_eq!(in_mirror.nnz(), t.in_matrix().nnz());
         assert_eq!(out_mirror.n_partitions(), t.num_partitions());
         assert_eq!(t.pull_bytes(), out_mirror.bytes() + in_mirror.bytes());
         assert!(t.matrix_bytes() > t.pull_bytes());
+    }
+
+    /// RMAT and grid inputs salted with what the generators leave out: an
+    /// isolated vertex (an empty row *and* column), a max-id vertex that is
+    /// only reachable through the salt, and self-loops. RMAT keeps parallel
+    /// edges; a weight is a function of its `(src, dst)` pair, because the
+    /// partition sort is unstable and so leaves the order *among* parallel
+    /// edges of different values to the order its input arrived in.
+    fn salted_inputs(seed: u64) -> Vec<(&'static str, EdgeList<f32>)> {
+        use graphmat_io::grid::{self, GridConfig};
+        use graphmat_io::rmat::{self, RmatConfig};
+        use graphmat_io::rng::StdRng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rmat = rmat::generate(&RmatConfig::graph500(7).with_seed(seed));
+        let grid = grid::generate(&GridConfig::square(9).with_seed(seed));
+        [("rmat", rmat), ("grid", grid)]
+            .into_iter()
+            .map(|(name, el)| {
+                let n = el.num_vertices();
+                let (isolated, max_id) = (n, n + 1);
+                let mut tuples = el.into_tuples();
+                tuples.push((max_id, max_id, 0.0));
+                tuples.push((rng.gen_range(0..n), max_id, 0.0));
+                tuples.push((max_id, rng.gen_range(0..n), 0.0));
+                for _ in 0..4 {
+                    let v = rng.gen_range(0..n);
+                    tuples.push((v, v, 0.0));
+                }
+                assert!(tuples
+                    .iter()
+                    .all(|&(s, d, _)| s != isolated && d != isolated));
+                let mut salted = EdgeList::from_tuples(n + 2, tuples);
+                salted.map_weights(|s, d, _| ((s * 31 + d * 7) % 10) as f32 + 0.5);
+                (name, salted)
+            })
+            .collect()
+    }
+
+    /// The derived `G` of `el` under every build shape against an
+    /// [`Orientation`] built the way the eager build used to: straight from
+    /// the adjacency COO, with ranges from that COO's own row counts.
+    fn assert_derived_matches_direct<E>(el: &EdgeList<E>, label: &str)
+    where
+        E: Clone + PartialEq + std::fmt::Debug,
+    {
+        let adjacency = el.to_adjacency_coo();
+        for partitions in [1, 5, 16] {
+            for balanced in [true, false] {
+                let label = format!("{label}, {partitions} partitions, balanced {balanced}");
+                let ranges = if balanced {
+                    RowPartitioner::balanced_nnz(&adjacency.row_counts(), partitions)
+                } else {
+                    RowPartitioner::even_rows(el.num_vertices(), partitions)
+                };
+                let direct = Orientation::build(&adjacency, &ranges, true);
+                let options = GraphBuildOptions::default()
+                    .with_partitions(partitions)
+                    .with_balancing(balanced);
+                let topology = Topology::from_edge_list(el, options);
+                assert_eq!(topology.in_partition_ranges().unwrap(), ranges, "{label}");
+
+                let derived = topology.in_matrix();
+                let rows: Vec<RowRange> = derived.partitions().iter().map(|p| p.rows).collect();
+                assert_eq!(rows, ranges, "{label}");
+                assert!(derived.iter().eq(direct.matrix.iter()), "{label}: DCSC");
+
+                let mirror = topology.in_pull_mirror().unwrap();
+                let direct_mirror = direct.mirror.as_ref().unwrap();
+                assert_eq!(
+                    mirror.n_partitions(),
+                    direct_mirror.n_partitions(),
+                    "{label}"
+                );
+                for (got, want) in mirror.partitions().iter().zip(direct_mirror.partitions()) {
+                    assert_eq!(got.rows, want.rows, "{label}");
+                    assert!(got.iter_rows().eq(want.iter_rows()), "{label}: mirror rows");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derived_in_orientation_equals_one_built_from_the_adjacency_list() {
+        const SEED: u64 = 0x5EED;
+        for (name, el) in salted_inputs(SEED) {
+            assert_derived_matches_direct(&el, &format!("seed {SEED:#x}, {name}, f32"));
+            assert_derived_matches_direct(&el.topology(), &format!("seed {SEED:#x}, {name}, ()"));
+        }
     }
 
     #[test]
@@ -526,10 +622,6 @@ mod tests {
         // Partition-range accessors mirror the matrices built.
         assert_eq!(t.out_partition_ranges().len(), 2);
         assert_eq!(t.in_partition_ranges().unwrap().len(), 2);
-        let el2 = EdgeList::from_tuples(3, vec![(0, 1, 1.0)]);
-        let no_in =
-            Topology::from_edge_list(&el2, GraphBuildOptions::default().with_in_edges(false));
-        assert!(no_in.in_partition_ranges().is_none());
     }
 
     #[test]
@@ -540,12 +632,14 @@ mod tests {
             Topology::from_edge_list(&el, GraphBuildOptions::default().with_pull_mirrors(false));
         assert!(!t.has_pull_mirrors());
         assert!(t.out_pull_mirror().is_none());
+        // Without mirrors, matrix_bytes is the pure DCSC footprint of what
+        // is resident: Gᵀ alone until something asks for G.
+        assert_eq!(t.matrix_bytes(), t.out_matrix().bytes());
         assert!(t.in_pull_mirror().is_none());
         assert_eq!(t.pull_bytes(), 0);
-        // Without mirrors, matrix_bytes is the pure DCSC footprint.
         assert_eq!(
             t.matrix_bytes(),
-            t.out_matrix().bytes() + t.in_matrix().unwrap().bytes()
+            t.out_matrix().bytes() + t.in_matrix().bytes()
         );
     }
 }

@@ -123,11 +123,6 @@ impl<'a, E> GraphView<'a, E> {
             .map_or(self.topology.in_degrees(), |o| o.in_degrees())
     }
 
-    /// Whether the base built its in-edge matrix (`In`/`Both` programs).
-    pub fn has_in_edges(&self) -> bool {
-        self.topology.has_in_edges()
-    }
-
     /// The kernel overlay aligned to the out matrix (`Gᵀ`), if edits are
     /// pending.
     pub(crate) fn out_kernel_overlay(&self) -> Option<&'a Overlay<E>> {
@@ -135,7 +130,9 @@ impl<'a, E> GraphView<'a, E> {
     }
 
     /// The kernel overlay aligned to the in matrix (`G`), if edits are
-    /// pending **and** the overlay was compiled against an in matrix.
+    /// pending **and** the overlay was compiled with an in side (the store's
+    /// always are; the base's in ranges are fixed at build, whether or not
+    /// `G` itself has been derived yet).
     pub(crate) fn in_kernel_overlay(&self) -> Option<&'a Overlay<E>> {
         self.overlay.and_then(|o| o.in_overlay())
     }
@@ -189,7 +186,6 @@ mod tests {
         assert_eq!(v.num_edges(), 4);
         assert_eq!(v.out_degrees(), t.out_degrees());
         assert_eq!(v.in_degrees(), t.in_degrees());
-        assert!(v.has_in_edges());
         assert!(v.out_kernel_overlay().is_none());
         let copy = v; // Copy without E: Clone
         assert_eq!(copy.num_edges(), v.num_edges());

@@ -61,7 +61,10 @@ pub struct BaseFacts<'a> {
     pub num_edges: usize,
     /// Row ranges of the base's out matrix (`Gᵀ`: row = destination).
     pub out_ranges: &'a [RowRange],
-    /// Row ranges of the base's in matrix (`G`: row = source), if built.
+    /// Row ranges of the base's in matrix (`G`: row = source). A topology
+    /// fixes them at build whether or not it has derived `G` yet, so the
+    /// store always passes `Some`; `None` compiles an overlay with no in
+    /// side, which `In`/`Both` runs then reject (`MissingInMatrix`).
     pub in_ranges: Option<&'a [RowRange]>,
     /// Base out-degrees, indexed by vertex.
     pub out_degrees: &'a [u32],
@@ -150,7 +153,7 @@ impl<E> DeltaOverlay<E> {
     }
 
     /// The kernel overlay for in-edge traversal (aligned to `G`), if the
-    /// base built its in matrix.
+    /// overlay was compiled with [`BaseFacts::in_ranges`].
     pub fn in_overlay(&self) -> Option<&Overlay<E>> {
         self.in_.as_ref()
     }

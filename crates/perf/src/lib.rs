@@ -1,10 +1,8 @@
-//! Software cost model standing in for hardware performance counters.
+//! Abstract cost counters every engine in the workspace reports into.
 //!
 //! The paper explains *why* GraphMat beats the other frameworks with Intel
-//! PMU counters (Figure 6): instructions executed, stall cycles, read
-//! bandwidth and IPC. Those counters are not portable (and not available in a
-//! pure-Rust, laptop-scale reproduction), so this crate provides an abstract
-//! cost model that every engine in the workspace reports into:
+//! PMU counters (Figure 6). Those counters are not portable, so each engine
+//! here counts, in the same units:
 //!
 //! * **work operations** — per-edge and per-vertex useful work
 //!   ([`CostCounters::edge_ops`], [`CostCounters::vertex_ops`]);
@@ -13,16 +11,13 @@
 //!   buffer packing in the CombBLAS-like baseline);
 //! * **bytes touched** — an estimate of memory traffic.
 //!
-//! [`PerfReport::from_counters`] then derives the Figure 6 proxies:
-//! an *instruction proxy* (work + overhead), a *stall proxy* (bytes touched
-//! that miss in a modelled cache), *read bandwidth* (bytes / second) and an
-//! *IPC proxy* (useful work per unit time). The absolute numbers are
-//! meaningless; what the benchmark reproduces is the *ordering and rough
-//! ratios between frameworks*, which is all Figure 6 is used for in the
-//! paper's argument (§5.3).
+//! The counts are what remains of a larger cost model: the proxies once
+//! derived from them (instruction, stall, bandwidth and IPC estimates, and
+//! the Figure 6 table built on those) were deleted after the repository's
+//! benchmark measured the byte estimate at 0.69×, 0.095× and 0.024× of the
+//! bytes a run's time accounts for on its three in-process workloads
+//! (`perf.model.pred_ratio`) — a model that far off explains nothing.
 
 pub mod counters;
-pub mod model;
 
 pub use counters::CostCounters;
-pub use model::PerfReport;

@@ -15,8 +15,8 @@
 //! a compact CSR whose row pointers cover only the partition's own row range
 //! and whose column ids stay global. It is a *mirror*: built from, and fully
 //! redundant with, the DCSC it shadows, costing roughly the same memory
-//! again ([`CsrMirror::bytes`]; graph builds can skip it when pull will
-//! never run).
+//! again ([`CsrMirror::bytes`]). A graph keeps one per orientation it holds,
+//! or none at all (`build_pull_mirrors = false`, every superstep pushes).
 
 use crate::dcsc::Dcsc;
 use crate::partition::{PartitionedDcsc, RowRange};

@@ -410,8 +410,11 @@ impl<T> MessageVector<T> for SparseVector<T> {
     }
 }
 
-/// The name the pull kernel's callers know the message vector by: the same
+/// The name the pull kernel's callers knew the message vector by: the same
 /// bit vector + value array, read by index instead of driving iteration.
+/// The alias exists only for the frozen `benchmark/src/adapter.rs`, which
+/// imports it; nothing in the workspace uses it, and it stays out of the
+/// prelude.
 pub type DenseVector<T> = SparseVector<T>;
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ fn main() -> Result<(), GraphMatError> {
     // GraphMat engine: build the resident matrix once, then query it.
     let session = Session::with_defaults()?;
     let t0 = Instant::now();
-    let topo = session.build_graph(&edges).in_edges(false).finish()?;
+    let topo = session.build_graph(&edges).finish()?;
     let build_wall = t0.elapsed();
     let t1 = Instant::now();
     let graphmat_run = pagerank_on(&session, &topo, &config)?;

@@ -79,7 +79,7 @@ fn main() -> Result<(), GraphMatError> {
 
     // Build the topology ONCE. The Arc<Topology> is immutable and Sync —
     // every query from here on (from any thread) reads the same matrices.
-    let topology = session.build_graph(&edges).in_edges(false).finish()?;
+    let topology = session.build_graph(&edges).finish()?;
 
     // Run the program: infinity everywhere, source A = 0 seeded active.
     let outcome = session

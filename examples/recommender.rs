@@ -2,8 +2,8 @@
 //! Netflix-like ratings graph (the paper's Figure 4d workload), then use the
 //! learned latent factors to produce recommendations for one user.
 //!
-//! Collaborative filtering scatters along **both** edge directions, so the
-//! shared topology keeps its in-edge matrix (the graph builder's default).
+//! Collaborative filtering scatters along **both** edge directions, so its
+//! first run derives the in-edge matrix `G` from the topology's stored `Gᵀ`.
 //!
 //! ```text
 //! cargo run --release --example recommender

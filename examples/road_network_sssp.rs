@@ -34,7 +34,7 @@ fn main() -> Result<(), GraphMatError> {
 
     // GraphMat: matrix built once, SSSP queried through the session.
     let session = Session::with_defaults()?;
-    let topo = session.build_graph(&edges).in_edges(false).finish()?;
+    let topo = session.build_graph(&edges).finish()?;
     let gm = sssp_on(&session, &topo, source)?;
     println!(
         "GraphMat      : {:>8.1} ms, {:>4} supersteps",

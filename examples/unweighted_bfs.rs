@@ -67,7 +67,7 @@ fn main() -> Result<(), GraphMatError> {
     );
 
     let session = Session::with_defaults()?;
-    let topo = session.build_graph(&edges).in_edges(false).finish()?;
+    let topo = session.build_graph(&edges).finish()?;
 
     // Hand-rolled program through the run builder.
     let outcome = session
@@ -88,7 +88,6 @@ fn main() -> Result<(), GraphMatError> {
     // What the same topology costs with f32 weights the algorithm ignores:
     let weighted_topo = session
         .build_graph(&edges.with_weights(|_, _| 1.0f32))
-        .in_edges(false)
         .finish()?;
     let unweighted_bytes = topo.matrix_bytes();
     let weighted_bytes = weighted_topo.matrix_bytes();

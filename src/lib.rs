@@ -27,7 +27,7 @@
 //! let session = Session::with_defaults()?;
 //! let edges = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 2, 1.0)]);
 //! // Build once; Arc<Topology> is shared by every run that follows.
-//! let topo = session.build_graph(&edges).in_edges(false).finish()?;
+//! let topo = session.build_graph(&edges).finish()?;
 //!
 //! // Packaged algorithms take &Session + a graph view (&Topology,
 //! // &Arc<Topology> or a store snapshot's view)…
@@ -44,8 +44,11 @@
 //!
 //! Runs issued from different threads against the same `Arc<Topology>`
 //! through one `Session` execute concurrently — the matrix is never cloned,
-//! and every fallible path (bad vertex id, empty edge list, missing in-edge
-//! matrix, zero threads) returns a typed [`core::error::GraphMatError`].
+//! and every fallible path (bad vertex id, empty edge list, zero threads)
+//! returns a typed [`core::error::GraphMatError`]. The topology stores one
+//! orientation, `Gᵀ`; the first program that scatters along in-edges
+//! (`EdgeDirection::In`/`Both`) derives `G` from it, once, for every later
+//! run.
 //!
 //! ## The run surface
 //!

@@ -16,7 +16,7 @@ fn social_graph() -> EdgeList {
 /// A session of `threads` lanes plus `edges` built for out-edge traversal.
 fn built<E: Clone>(edges: &EdgeList<E>, threads: usize) -> (Session, std::sync::Arc<Topology<E>>) {
     let session = Session::with_threads(threads).unwrap();
-    let topology = session.build_graph(edges).in_edges(false).finish().unwrap();
+    let topology = session.build_graph(edges).finish().unwrap();
     (session, topology)
 }
 

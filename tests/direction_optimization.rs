@@ -124,11 +124,7 @@ fn auto_is_bit_identical_to_every_forced_backend() {
 fn selector_flips_direction_across_bfs_supersteps() {
     let edges = rmat::generate(&RmatConfig::graph500(10).with_seed(21));
     let session = Session::with_threads(2).unwrap();
-    let topo = session
-        .build_graph(&edges.symmetrized())
-        .in_edges(false)
-        .finish()
-        .unwrap();
+    let topo = session.build_graph(&edges.symmetrized()).finish().unwrap();
     let out = bfs_on(&session, &topo, 1).unwrap();
     assert_eq!(
         out.values,
@@ -177,11 +173,7 @@ fn push_session() -> Session {
 fn pagerank_selects_pull_on_every_superstep() {
     let edges = rmat::generate(&RmatConfig::graph500(9).with_seed(5));
     let session = Session::with_threads(2).unwrap();
-    let topo = session
-        .build_graph(&edges)
-        .in_edges(false)
-        .finish()
-        .unwrap();
+    let topo = session.build_graph(&edges).finish().unwrap();
     let cfg = PageRankConfig::default();
     let auto = pagerank_on(&session, &topo, &cfg).unwrap();
     assert_eq!(
@@ -260,11 +252,7 @@ fn all_algorithms_agree_between_auto_and_forced_push() {
     );
 
     let tc_edges = rmat::generate(&RmatConfig::triangle_counting(7).with_seed(3));
-    let tc_topo = auto
-        .build_graph(&tc_edges.to_dag())
-        .in_edges(false)
-        .finish()
-        .unwrap();
+    let tc_topo = auto.build_graph(&tc_edges.to_dag()).finish().unwrap();
     assert_eq!(
         triangle_count_on(&auto, &tc_topo).unwrap().values,
         triangle_count_on(&push, &tc_topo).unwrap().values,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// A default session plus `edges` built for out-edge traversal.
 fn built<E: Clone>(edges: &EdgeList<E>) -> (Session, Arc<Topology<E>>) {
     let session = Session::with_defaults().unwrap();
-    let topology = session.build_graph(edges).in_edges(false).finish().unwrap();
+    let topology = session.build_graph(edges).finish().unwrap();
     (session, topology)
 }
 

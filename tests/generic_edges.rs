@@ -15,7 +15,7 @@ fn weighted_graph() -> EdgeList {
 /// A default session plus `edges` built for out-edge traversal.
 fn built<E: Clone>(edges: &EdgeList<E>) -> (Session, Arc<Topology<E>>) {
     let session = Session::with_defaults().unwrap();
-    let topology = session.build_graph(edges).in_edges(false).finish().unwrap();
+    let topology = session.build_graph(edges).finish().unwrap();
     (session, topology)
 }
 
@@ -118,13 +118,11 @@ fn unweighted_matrices_store_no_value_bytes() {
     let session = Session::sequential();
     let gw = session
         .build_graph(&weighted)
-        .in_edges(false)
         .pull_enabled(false)
         .finish()
         .unwrap();
     let gu = session
         .build_graph(&unweighted)
-        .in_edges(false)
         .pull_enabled(false)
         .finish()
         .unwrap();

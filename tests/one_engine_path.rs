@@ -114,6 +114,26 @@ fn in_degrees(session: &Session, graph: Graph<'_>) -> Run {
     finish(result.unwrap(), state.properties().iter().copied())
 }
 
+fn out_degrees(session: &Session, graph: Graph<'_>) -> Run {
+    let mut state = fresh(graph);
+    let result = with_graph!(graph, |g| out_degrees_into(session, g, None, &mut state));
+    finish(result.unwrap(), state.properties().iter().copied())
+}
+
+fn collaborative_filtering(session: &Session, graph: Graph<'_>) -> Run {
+    let cfg = CfConfig {
+        latent_dims: 4,
+        iterations: 3,
+        ..Default::default()
+    };
+    let out = with_graph!(graph, |g| collaborative_filtering_on(session, g, &cfg)).unwrap();
+    let result = RunResult {
+        stats: out.stats,
+        converged: out.converged,
+    };
+    finish(result, out.values.iter().flatten().map(|f| f.to_bits()))
+}
+
 type Served = fn(&Session, Graph<'_>) -> Run;
 
 /// The five served algorithms.
@@ -123,6 +143,13 @@ const SERVED: [(&str, Served); 5] = [
     ("sssp", sssp),
     ("components", components),
     ("in_degrees", in_degrees),
+];
+
+/// The two drivers that scatter along in-edges (`In`, `Both`): the first of
+/// them to run on a topology is what derives its `G`.
+const INWARD: [(&str, Served); 2] = [
+    ("out_degrees", out_degrees),
+    ("collaborative_filtering", collaborative_filtering),
 ];
 
 fn manual_store(base: &Arc<Topology<f32>>) -> Arc<GraphStore<f32>> {
@@ -151,7 +178,8 @@ fn one_driver_serves_every_way_of_holding_a_graph() {
         .delete(edges.edges()[0].0, edges.edges()[0].1)
         .unwrap();
 
-    for (name, run) in SERVED {
+    let drivers = || SERVED.iter().chain(&INWARD);
+    for (name, run) in drivers() {
         // Version 0: the bare topology, however it is handed over.
         let unedited = store.snapshot();
         assert!(unedited.overlay().is_none());
@@ -170,14 +198,15 @@ fn one_driver_serves_every_way_of_holding_a_graph() {
     // overlay pins the push backend.
     let pending = store.apply(batch).unwrap();
     assert!(pending.overlay().is_some());
-    let overlaid: Vec<Run> = SERVED
-        .iter()
+    let overlaid: Vec<Run> = drivers()
         .map(|(_, run)| run(&session, Graph::View(pending.view())))
         .collect();
     assert!(store.compact_now());
     let rebuilt = store.snapshot();
     assert!(rebuilt.overlay().is_none());
-    for ((name, run), overlaid) in SERVED.iter().zip(overlaid) {
+    // Compaction rebuilt Gᵀ alone; the In/Both drivers derive the new G.
+    let out_only = rebuilt.base().matrix_bytes();
+    for ((name, run), overlaid) in drivers().zip(overlaid) {
         assert_eq!(overlaid.pull_supersteps, 0, "{name}");
         let rebuilt = run(&session, Graph::Shared(rebuilt.base()));
         assert_eq!(
@@ -189,6 +218,7 @@ fn one_driver_serves_every_way_of_holding_a_graph() {
             "{name} over a pending overlay"
         );
     }
+    assert!(rebuilt.base().matrix_bytes() > out_only);
 }
 
 /// Counts messages per vertex along a configurable direction — the degree
@@ -259,10 +289,10 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
             .with_run_defaults(RunOptions::default().with_backend(Backend::Pull)),
     )
     .unwrap();
-    // A topology with every fault at once: no in-edge matrix, no mirrors.
+    // A topology without mirrors, so that every fault below can be present
+    // at once.
     let bare = session
         .build_graph(&edges)
-        .in_edges(false)
         .pull_enabled(false)
         .finish()
         .unwrap();
@@ -276,9 +306,9 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
     // reports pins the order the prologue checks in.
     let pull_over_overlay = |e: &GraphMatError| matches!(e, GraphMatError::InvalidParameter(_));
     type Expect<'a> = &'a dyn Fn(&GraphMatError) -> bool;
-    let cases: [(&str, GraphView<'_, f32>, usize, EdgeDirection, Expect<'_>); 4] = [
+    let cases: [(&str, GraphView<'_, f32>, usize, EdgeDirection, Expect<'_>); 3] = [
         (
-            "state length, then in matrix, overlay, mirrors",
+            "state length, then overlay, mirrors",
             pending.view(),
             3,
             EdgeDirection::In,
@@ -288,13 +318,6 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
                     topology_vertices: 4,
                 }
             },
-        ),
-        (
-            "in matrix, then overlay, mirrors",
-            pending.view(),
-            4,
-            EdgeDirection::In,
-            &|e| *e == GraphMatError::MissingInMatrix,
         ),
         (
             "pull over overlay, then mirrors",
@@ -336,7 +359,7 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
         }
         // The two drivers whose init closure captures the view's degrees
         // initialise through the builder too, after the prologue. Both
-        // scatter along out-edges, so the in-matrix case is not theirs.
+        // scatter along out-edges, so the `In` case is not theirs.
         if direction != EdgeDirection::In {
             assert_rejected_untouched(
                 &format!("{name} via pagerank_into"),

@@ -35,7 +35,7 @@ fn arb_graph(seed: u64, max_vertices: u32, max_edges: usize) -> EdgeList {
 
 /// `edges` built for out-edge traversal through `session`.
 fn built<E: Clone>(session: &Session, edges: &EdgeList<E>) -> std::sync::Arc<Topology<E>> {
-    session.build_graph(edges).in_edges(false).finish().unwrap()
+    session.build_graph(edges).finish().unwrap()
 }
 
 /// SSSP from vertex 0 through `session`.

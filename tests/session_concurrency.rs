@@ -27,7 +27,6 @@ fn six_programs_run_concurrently_over_one_shared_topology() {
     let topo: Arc<Topology<()>> = session.build_graph(&sym_edges).finish().expect("topology");
     let dag: Arc<Topology<()>> = session
         .build_graph(&dag_edges)
-        .in_edges(false)
         .finish()
         .expect("dag topology");
 
@@ -158,11 +157,7 @@ fn concurrent_hand_written_programs_share_a_topology() {
     // user threads below are still genuinely concurrent over one topology.
     let (sym_edges, _) = test_edges();
     let session = Session::sequential();
-    let topo = session
-        .build_graph(&sym_edges)
-        .in_edges(false)
-        .finish()
-        .unwrap();
+    let topo = session.build_graph(&sym_edges).finish().unwrap();
 
     let run_from = |root: VertexId| {
         session
@@ -181,4 +176,85 @@ fn concurrent_hand_written_programs_share_a_topology() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert_eq!(expected, concurrent);
+}
+
+/// The in-edge orientation is derived on first use, so the first use can be
+/// a race: eight threads released together on one fresh topology, half
+/// through the `In` driver and half through a `Both` program. Every one of
+/// them must read the same, complete `G`.
+#[test]
+fn first_in_edge_runs_race_to_one_derived_orientation() {
+    /// Counts the messages a vertex receives along both directions: its
+    /// in-degree plus its out-degree.
+    struct Touches;
+
+    impl GraphProgram for Touches {
+        type VertexProp = u64;
+        type Message = u64;
+        type Reduced = u64;
+        type Edge = ();
+        fn direction(&self) -> EdgeDirection {
+            EdgeDirection::Both
+        }
+        fn send_message(&self, _v: VertexId, _count: &u64) -> Option<u64> {
+            Some(1)
+        }
+        fn process_message(&self, m: &u64, _e: &(), _d: &u64) -> u64 {
+            *m
+        }
+        fn reduce(&self, acc: &mut u64, v: u64) {
+            *acc += v;
+        }
+        fn apply(&self, r: &u64, count: &mut u64) {
+            *count = *r;
+        }
+    }
+
+    const SEED: u64 = 0xD1CE;
+    let edges =
+        graphmat::io::rmat::generate(&graphmat::io::rmat::RmatConfig::graph500(9).with_seed(SEED))
+            .topology();
+    // Sequential session, for the spawn-counter reason given above.
+    let session = Session::sequential();
+    let topo = session.build_graph(&edges).partitions(5).finish().unwrap();
+    let out: Vec<u64> = edges.out_degrees().iter().map(|&d| d as u64).collect();
+    let both: Vec<u64> = edges
+        .in_degrees()
+        .iter()
+        .zip(&out)
+        .map(|(&i, &o)| i as u64 + o)
+        .collect();
+    let out_only_bytes = topo.matrix_bytes();
+
+    let start = std::sync::Barrier::new(8);
+    let seen: Vec<usize> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                let (session, topo, start, out, both) = (&session, &topo, &start, &out, &both);
+                s.spawn(move || {
+                    start.wait();
+                    if i % 2 == 0 {
+                        let got = out_degrees_on(session, topo).unwrap().values;
+                        assert_eq!(&got, out, "seed {SEED:#x}, thread {i}, In");
+                    } else {
+                        let got = session
+                            .run(topo, Touches)
+                            .init_all(0)
+                            .activate_all()
+                            .max_iterations(1)
+                            .execute()
+                            .unwrap()
+                            .values;
+                        assert_eq!(&got, both, "seed {SEED:#x}, thread {i}, Both");
+                    }
+                    topo.in_matrix().partitions().as_ptr() as usize
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    // Built once: every thread, and every later call, sees the same matrix.
+    let now = topo.in_matrix().partitions().as_ptr() as usize;
+    assert!(seen.iter().all(|&p| p == now), "seed {SEED:#x}: {seen:?}");
+    assert!(topo.matrix_bytes() > out_only_bytes);
 }

@@ -21,11 +21,7 @@ fn road_edges() -> EdgeList<f32> {
 fn sssp_rerun_through_one_pooled_state_matches_fresh_state_runs() {
     let edges = road_edges();
     let session = Session::with_threads(2).expect("session");
-    let topo = session
-        .build_graph(&edges)
-        .in_edges(false)
-        .finish()
-        .expect("topology");
+    let topo = session.build_graph(&edges).finish().expect("topology");
 
     struct SsspLike;
     impl GraphProgram for SsspLike {
@@ -105,11 +101,7 @@ fn sssp_rerun_through_one_pooled_state_matches_fresh_state_runs() {
 fn workspace_cache_is_dropped_when_the_program_type_changes() {
     let edges = road_edges().topology();
     let session = Session::sequential();
-    let topo = session
-        .build_graph(&edges)
-        .in_edges(false)
-        .finish()
-        .unwrap();
+    let topo = session.build_graph(&edges).finish().unwrap();
 
     struct MinHops;
     impl GraphProgram for MinHops {

@@ -18,6 +18,7 @@
 
 #![cfg(not(feature = "shard-check"))]
 
+use graphmat_algorithms::degree::out_degrees_into;
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
 use graphmat_core::{ActivityPolicy, Backend, RunOptions, Session, SessionOptions, VertexState};
@@ -77,6 +78,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Ok(t) => t,
         Err(e) => panic!("build: {e}"),
     };
+    let out_only_bytes = topo.matrix_bytes();
 
     // ---- Part 1: 100 pooled supersteps through the engine front-end. ----
     let mut state: VertexState<f64> = VertexState::for_topology(&topo);
@@ -114,6 +116,32 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
             "100 warmed supersteps ({backend:?}) must not touch the heap, got {stats:?}"
         );
     }
+
+    // ---- Part 1b: the derived in-edge orientation. ----
+    // Everything so far scattered along out-edges: G was never materialized.
+    assert_eq!(topo.matrix_bytes(), out_only_bytes);
+    let mut degrees: VertexState<u64> = VertexState::for_topology(&topo);
+    // The first `In` run derives G (and allocates the cached workspace)...
+    if let Err(e) = out_degrees_into(&session, &topo, None, &mut degrees) {
+        panic!("first out_degrees_into: {e}");
+    }
+    assert!(topo.matrix_bytes() > out_only_bytes);
+    // ...the second finds it there.
+    let (outcome, stats) =
+        AllocGuard::measure(|| out_degrees_into(&session, &topo, None, &mut degrees));
+    if let Err(e) = outcome {
+        panic!("second out_degrees_into: {e}");
+    }
+    assert!(
+        !stats.any(),
+        "a warmed In-direction run must not touch the heap, got {stats:?}"
+    );
+    let expected = el.out_degrees();
+    assert!(degrees
+        .properties()
+        .iter()
+        .zip(&expected)
+        .all(|(got, want)| *got == *want as u64));
 
     // ---- Part 2: steady-state server rounds, in-process. ----
     let service = GraphService::new(session, topo);

@@ -4,11 +4,14 @@
 //! partition counts, and — the generic-edge payoff — for weighted (`f32`)
 //! versus unweighted (`()`) matrices of the same topology, and for the
 //! sparse-push versus dense-pull kernels at different frontier densities
-//! (the direction-optimization tradeoff). These support the §4.5
-//! optimization discussion rather than a specific figure.
+//! (the direction-optimization tradeoff), plus a push-only density sweep on
+//! a skewed and a banded matrix, where the kernel's frontier-walk /
+//! column-walk crossover shows. These support the §4.5 optimization
+//! discussion rather than a specific figure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphmat_bench::ablation::SortedSparseVector;
+use graphmat_io::grid::{self, GridConfig};
 use graphmat_io::rmat::{self, RmatConfig};
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::PartitionedDcsc;
@@ -149,6 +152,38 @@ fn bench(c: &mut Criterion) {
                 y.nnz()
             })
         });
+    }
+
+    // Push across frontier densities, on the skewed RMAT matrix and on a
+    // banded road grid: below `nnz(x) < non-empty columns`
+    // a partition is walked from the frontier, above it from the columns,
+    // so time per call should fall with the frontier instead of flattening
+    // at the cost of a full column walk.
+    let grid_coo = grid::generate(&GridConfig::square(256).with_seed(5)).to_transpose_coo();
+    let grid_matrix = PartitionedDcsc::from_coo_balanced(&grid_coo, threads * 8);
+    for (graph, matrix) in [("rmat", &matrix), ("grid", &grid_matrix)] {
+        let n = matrix.ncols() as usize;
+        let mut y: SparseVector<f32> = SparseVector::new(n);
+        for stride in [4096usize, 256, 64, 4, 1] {
+            let mut x: SparseVector<f32> = SparseVector::new(n);
+            for v in (0..n as u32).step_by(stride) {
+                x.set(v, 1.0);
+            }
+            let id = BenchmarkId::new(format!("push_density_{graph}"), format!("1_of_{stride}"));
+            group.bench_with_input(id, &x, |b, x| {
+                b.iter(|| {
+                    gspmv_into(
+                        matrix,
+                        x,
+                        &|m: &f32, e: &f32, _k: Index| m + e,
+                        &|acc: &mut f32, v: f32| *acc = acc.min(v),
+                        &executor,
+                        &mut y,
+                    );
+                    y.nnz()
+                })
+            });
+        }
     }
 
     // partition-count sweep (load balancing)

@@ -70,6 +70,19 @@ impl<T> MessageVector<T> for SortedSparseVector<T> {
             .ok()
             .map(|pos| &self.entries[pos].1)
     }
+
+    /// Two binary searches cut the range out of the sorted tuples.
+    #[inline]
+    fn iter_range<'a>(&'a self, lo: Index, hi: Index) -> impl Iterator<Item = (Index, &'a T)>
+    where
+        T: 'a,
+    {
+        let start = self.entries.partition_point(|e| e.0 < lo);
+        let end = self.entries.partition_point(|e| e.0 < hi);
+        self.entries[start..end.max(start)]
+            .iter()
+            .map(|e| (e.0, &e.1))
+    }
 }
 
 /// `P` with its per-edge callbacks kept out of line, so the SpMV inner loop
@@ -183,6 +196,30 @@ mod tests {
                 y.iter().map(|(k, v)| (k, v.to_bits())).collect()
             };
             assert_eq!(bits(&from_sorted), bits(&from_bitvec));
+        }
+    }
+
+    #[test]
+    fn sorted_vector_ranges_match_the_bit_vector() {
+        let mut bitvec: SparseVector<u32> = SparseVector::new(200);
+        let mut sorted: SortedSparseVector<u32> = SortedSparseVector::new(200);
+        for i in [0u32, 5, 63, 64, 70, 127, 128, 199] {
+            bitvec.set(i, i * 2);
+            sorted.set(i, i * 2);
+        }
+        // `lo == hi`, mid-word `lo` and `hi`, `hi == len`.
+        for (lo, hi) in [
+            (70, 70),
+            (0, 0),
+            (5, 70),
+            (6, 71),
+            (64, 128),
+            (100, 200),
+            (0, 200),
+        ] {
+            let from_sorted: Vec<(Index, &u32)> = sorted.iter_range(lo, hi).collect();
+            let from_bitvec: Vec<(Index, &u32)> = bitvec.iter_range(lo, hi).collect();
+            assert_eq!(from_sorted, from_bitvec, "range {lo}..{hi}");
         }
     }
 

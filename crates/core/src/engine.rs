@@ -72,14 +72,18 @@
 //! Direction is a per-superstep decision over **one** message vector, not a
 //! second vector type: SEND always fills the workspace's bit-vector-backed
 //! [`SparseVector`] (§4.4.2's winning representation), and the chosen kernel
-//! either probes it per non-empty column (push) or per stored source index
-//! (pull). The decision is made **after** SEND, from the vector SEND just
-//! built (GraphBLAST's rule): [`choose_backend`] sees the number of messages
-//! and the out-edges they will traverse — both already counted — so the
-//! active set is never scanned a second time to size the frontier, and a
-//! vertex that is active but sends nothing does not count towards pulling.
-//! Beamer's rule decides: pull when the messages' out-edges exceed
-//! `unexplored_edges / α` and the senders are not too few.
+//! either intersects it with each partition's non-empty columns (push) or
+//! probes it per stored source index (pull). The decision is made **after**
+//! SEND, from the vector SEND just built (GraphBLAST's rule):
+//! [`choose_backend`] sees the out-edges the messages will traverse —
+//! already counted — so the active set is never scanned a second time to
+//! size the frontier, and a vertex that is active but sends nothing does not
+//! count towards pulling.
+//! The rule is a cost comparison: the pull kernel streams every stored
+//! edge whatever the frontier holds, the push kernel pays (about twice as
+//! much) per edge the messages traverse, so a superstep pulls when the
+//! messages' out-edges exceed half of the stored edges
+//! ([`PUSH_PULL_COST_RATIO`]).
 //! [`RunOptions::backend`](crate::options::RunOptions::backend) pins the
 //! backend instead. Both kernels reduce each destination's incoming products
 //! in ascending source order, so **push, pull and the selector produce
@@ -103,41 +107,35 @@ use graphmat_sparse::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// The α threshold of the direction selector: pull once the frontier's
-/// out-edges exceed `unexplored_edges / 14` (the value Beamer et al. tune on
-/// scale-free graphs).
-pub const PULL_ALPHA: f64 = 14.0;
+/// What a traversed edge costs the push kernel, in edges the pull kernel
+/// could have streamed instead — the one number of the direction rule.
+///
+/// Measured with the repo benchmark's kernel probes (`sparse.push.*`,
+/// `sparse.pull.dense`, 2-core host), push and pull timed on the same graph:
+/// with every vertex sending, push costs 1.7–2.3 ns per traversed edge
+/// against pull's 1.1–1.6 ns per stored edge on RMAT (a ratio of 1.4–1.5;
+/// about 1 on a road grid, 3.4–3.9 against 3.6). That is push at its best:
+/// with one vertex in 64 sending it costs 2.7–4.0 ns per traversed edge,
+/// 2.4–2.5 times pull. A superstep on the fence sits between the two, hence
+/// 2 — which end to end (`bfs_frontier`) beats 3 by 12–17 %.
+pub const PUSH_PULL_COST_RATIO: u64 = 2;
 
-/// The β guard of the direction selector: never pull while fewer than
-/// `1/β` of all vertices send a message, no matter how few edges remain
-/// unexplored. This is Beamer's bottom-up→top-down switch-back condition —
-/// without it a BFS tail (tiny frontier, everything already explored) would
-/// stay on the pull backend and pay a full row sweep to deliver a handful of
-/// messages.
-pub const PULL_BETA: f64 = 24.0;
-
-/// The Beamer-style direction rule: pull when the frontier's outgoing edges
-/// outnumber `unexplored_edges / α` ([`PULL_ALPHA`] — the frontier is about
-/// to touch a large share of what is left, so a row-major sweep that reads
-/// each destination's sources beats scattering) **and** at least
-/// `num_vertices / β` vertices send (see [`PULL_BETA`]).
+/// The direction rule, as a cost comparison. The pull kernel has no early
+/// exit: it streams every stored edge whatever the frontier holds, so a
+/// pull superstep costs `total_edges × c_pull`; a push superstep costs
+/// `frontier_edges × c_push`. Pull when that is the cheaper of the two —
+/// `frontier_edges > total_edges / PUSH_PULL_COST_RATIO` (see
+/// [`PUSH_PULL_COST_RATIO`] = `c_push / c_pull`).
 ///
 /// `frontier_edges` is the out-edge count, in the program's scatter
-/// direction, of the `senders` vertices that put a message into this
-/// superstep's vector; `unexplored_edges` is the direction's total
-/// edge count minus everything already traversed this run (saturating at
-/// zero — fixed-iteration algorithms like PageRank re-traverse every edge
-/// each superstep, exhaust the estimate after one superstep and settle on
-/// pull, which is exactly the desired behaviour).
-pub fn choose_backend(
-    frontier_edges: u64,
-    unexplored_edges: u64,
-    senders: usize,
-    num_vertices: usize,
-) -> Backend {
-    let frontier_is_heavy = frontier_edges as f64 > unexplored_edges as f64 / PULL_ALPHA;
-    let frontier_is_broad = senders as f64 * PULL_BETA >= num_vertices as f64;
-    if frontier_is_heavy && frontier_is_broad {
+/// direction, of the vertices that put a message into this superstep's
+/// vector; `total_edges` is the direction's stored edge count. What earlier
+/// supersteps explored does not enter: it changes neither kernel's cost, so
+/// a program that re-traverses edges (SSSP, delta PageRank) is judged like
+/// one that does not. All-active PageRank (`frontier_edges == total_edges`)
+/// pulls every superstep; a graph without edges pushes.
+pub fn choose_backend(frontier_edges: u64, total_edges: u64) -> Backend {
+    if frontier_edges > total_edges / PUSH_PULL_COST_RATIO {
         Backend::Pull
     } else {
         Backend::Push
@@ -318,9 +316,8 @@ impl<'a, E: Clone> Traversal<'a, E> {
         self.view
     }
 
-    /// Total edges the program could ever traverse — the denominator of the
-    /// selector's unexplored-edge estimate. The view's merged edge count per
-    /// leg, so pending deltas are counted.
+    /// The edges a pull superstep streams — the selector's fixed cost side.
+    /// The view's merged edge count per leg, so pending deltas are counted.
     fn edge_total(&self) -> u64 {
         let legs = if self.second.is_some() { 2 } else { 1 };
         legs * self.view.num_edges() as u64
@@ -350,11 +347,6 @@ impl<'a, E: Clone> Traversal<'a, E> {
 /// popcounts the active bit vector. It sizes SEND's chunking and is reported
 /// as the superstep's frontier density.
 ///
-/// `explored_edges` is the number of edges already traversed by earlier
-/// supersteps of this run (the runner's cumulative
-/// `RunStats::edges_processed`); the selector uses it to estimate the
-/// unexplored remainder.
-///
 /// With a pending overlay the push SpMV runs the merged
 /// [`gspmv_overlay_into`] column walk and SEND accounts the **merged**
 /// degree arrays, so metrics describe the edited graph; the selector then
@@ -365,7 +357,6 @@ pub(crate) fn superstep<P: GraphProgram>(
     program: &P,
     executor: &Executor,
     active_count: usize,
-    explored_edges: u64,
     ws: &mut Workspace<P>,
 ) -> SuperstepStats {
     let Workspace {
@@ -386,10 +377,9 @@ pub(crate) fn superstep<P: GraphProgram>(
     // (which `resolve` guarantees for a forced pull) and either the override
     // or the selector's say-so.
     let pull_mirrors = traversal.mirrors.filter(|_| {
-        let chosen = traversal.forced.unwrap_or_else(|| {
-            let unexplored = traversal.edge_total().saturating_sub(explored_edges);
-            choose_backend(edges_processed, unexplored, messages_sent, n)
-        });
+        let chosen = traversal
+            .forced
+            .unwrap_or_else(|| choose_backend(edges_processed, traversal.edge_total()));
         chosen == Backend::Pull
     });
 
@@ -565,7 +555,7 @@ mod tests {
         let traversal = Traversal::resolve(topology.into(), program.direction(), backend)?;
         let mut ws = Workspace::<P>::new(topology.num_vertices() as usize);
         let active = state.active_count();
-        let stats = superstep(&traversal, state, program, executor, active, 0, &mut ws);
+        let stats = superstep(&traversal, state, program, executor, active, &mut ws);
         Ok((stats, ws))
     }
 
@@ -637,16 +627,22 @@ mod tests {
     }
 
     #[test]
-    fn selector_follows_the_beamer_rule() {
-        // Heavy frontier + broad frontier → pull.
-        assert_eq!(choose_backend(1000, 1000, 500, 1000), Backend::Pull);
-        // Heavy frontier but tiny active set (BFS tail) → push (β guard).
-        assert_eq!(choose_backend(1000, 0, 10, 1000), Backend::Push);
-        // Light frontier (BFS start) → push.
-        assert_eq!(choose_backend(3, 10_000, 500, 1000), Backend::Push);
-        // The switch point sits at unexplored / α.
-        assert_eq!(choose_backend(1001, 14_000, 500, 1000), Backend::Pull);
-        assert_eq!(choose_backend(1000, 14_000, 500, 1000), Backend::Push);
+    fn selector_pulls_when_the_frontier_holds_over_half_of_the_edges() {
+        for (frontier_edges, total_edges, expect, case) in [
+            (3000, 3000, Backend::Pull, "all-active"),
+            (1501, 3000, Backend::Pull, "just above half"),
+            (1500, 3000, Backend::Push, "exactly half"),
+            (1499, 3000, Backend::Push, "just below half"),
+            (3, 3000, Backend::Push, "a BFS start or tail"),
+            (0, 0, Backend::Push, "a graph without edges"),
+            (u64::MAX, u64::MAX, Backend::Pull, "no overflow"),
+        ] {
+            assert_eq!(
+                choose_backend(frontier_edges, total_edges),
+                expect,
+                "{case}"
+            );
+        }
     }
 
     /// SSSP in which only vertex 0 ever has something to say.
@@ -719,7 +715,6 @@ mod tests {
                 &Sssp,
                 &executor,
                 state.active_count(),
-                0,
                 &mut ws,
             );
             assert_eq!(metrics.backend, backend.unwrap());

@@ -85,11 +85,13 @@
 //! traversal, perfect for sparse frontiers, wasteful when most vertices are
 //! active. This reproduction adds the *dense pull* backend (row-parallel
 //! SpMV over a row-major CSR mirror of the partitioned matrix) and picks
-//! push or pull **per superstep** using Beamer's direction-switching rule
-//! ([`engine::choose_backend`]): pull when the frontier's out-edges exceed
-//! `unexplored_edges / α` ([`engine::PULL_ALPHA`] = 14) and the frontier is
-//! not tiny. Direction is a decision over one message vector — SEND always
-//! fills the same bit-vector-backed buffer — and both kernels reduce each
+//! push or pull **per superstep** by comparing what each would cost
+//! ([`engine::choose_backend`]): pull streams every stored edge whatever the
+//! frontier holds, push pays about twice as much per edge it actually
+//! traverses ([`engine::PUSH_PULL_COST_RATIO`]), so a superstep pulls when
+//! the frontier's out-edges exceed half of the stored edges. Direction is a
+//! decision over one message vector — SEND always fills the same
+//! bit-vector-backed buffer — and both kernels reduce each
 //! destination's messages in ascending source order, so results are
 //! **bit-for-bit identical** — only speed changes. Costs and the one knob:
 //!
@@ -146,7 +148,7 @@ pub mod store;
 pub mod topology;
 pub mod view;
 
-pub use engine::{choose_backend, PULL_ALPHA, PULL_BETA};
+pub use engine::choose_backend;
 pub use error::GraphMatError;
 pub use options::{ActivityPolicy, RunOptions};
 pub use pool::StatePool;

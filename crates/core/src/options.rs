@@ -44,8 +44,8 @@ pub struct RunOptions {
     /// caller should skip instead of requesting.
     pub max_iterations: Option<usize>,
     /// SpMV backend override. `None` (the default) is direction-optimized:
-    /// each superstep picks sparse push or dense pull with the Beamer-style
-    /// rule of [`crate::engine::choose_backend`], and always pushes on a
+    /// each superstep picks sparse push or dense pull with the cost rule of
+    /// [`crate::engine::choose_backend`], and always pushes on a
     /// topology without pull mirrors or a snapshot with pending edits.
     /// `Some(Backend::Push)` is the paper's original always-push engine.
     /// `Some(Backend::Pull)` always pulls through the row-major CSR mirrors;

@@ -171,17 +171,7 @@ pub(crate) fn run_admitted<P: GraphProgram>(
             break;
         }
 
-        let mut step = superstep(
-            traversal,
-            state,
-            program,
-            executor,
-            active,
-            // The selector's explored-edge estimate: everything earlier
-            // supersteps of this run already traversed.
-            stats.edges_processed,
-            ws,
-        );
+        let mut step = superstep(traversal, state, program, executor, active, ws);
         step.iteration = iteration;
         step.vertices_updated = ws.reduced().nnz();
         (step.apply_time, step.vertices_changed) =

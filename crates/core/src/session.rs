@@ -20,8 +20,9 @@
 //!   nothing).
 //!
 //! Runs are **direction-optimized** by default: each superstep picks the
-//! sparse push or dense pull SpMV backend by frontier density (bit-for-bit
-//! identical results either way; see [`crate::engine::choose_backend`]).
+//! sparse push or dense pull SpMV backend by the share of the graph's edges
+//! its frontier will traverse (bit-for-bit identical results either way; see
+//! [`crate::engine::choose_backend`]).
 //! Force one with [`RunBuilder::backend`], or skip building the pull mirrors
 //! entirely with [`GraphBuilder::pull_enabled`]`(false)` (the mirrors cost
 //! roughly the adjacency matrices' memory again).

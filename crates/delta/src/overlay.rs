@@ -3,7 +3,7 @@
 //!
 //! A published `(base ⊕ delta)` snapshot needs more than the kernel
 //! [`Overlay`]s: the engine also reads per-vertex degrees (PageRank's
-//! rank/degree normalization, the Beamer backend selector's edge counts)
+//! rank/degree normalization, the backend selector's edge counts)
 //! and the total edge count. This module computes all of it from three
 //! inputs — the base's structural facts ([`BaseFacts`]), a sorted index of
 //! the base's `(src, dst)` pairs ([`PairIndex`]), and the latest-wins

@@ -119,6 +119,26 @@ impl BitVec {
         }
     }
 
+    /// Iterate over the set bits in `lo..hi`, ascending — the unit the push
+    /// kernel's frontier walk scans a partition's column span by. Whole
+    /// words in between, the first word masked below `lo`, and the scan
+    /// stops at the first bit at or past `hi`. Bounds past `len()` are
+    /// clamped.
+    pub fn iter_ones_in_range(&self, lo: usize, hi: usize) -> OnesIter<'_> {
+        let hi = hi.min(self.len);
+        let lo = lo.min(hi);
+        let words = &self.words[lo / WORD_BITS..hi.div_ceil(WORD_BITS)];
+        OnesIter {
+            words,
+            base: lo / WORD_BITS * WORD_BITS,
+            len: hi,
+            word_idx: 0,
+            current: words
+                .first()
+                .map_or(0, |word| word & (!0u64 << (lo % WORD_BITS))),
+        }
+    }
+
     /// Access the raw words (read-only). Mostly useful for tests and for the
     /// word-at-a-time fast paths in the SpMV kernel.
     pub fn words(&self) -> &[u64] {
@@ -145,7 +165,8 @@ impl BitVec {
 }
 
 /// Iterator over set-bit indices of a [`BitVec`] (optionally restricted to a
-/// word range, in which case `base` is the bit index of the first word).
+/// word or bit range, in which case `base` is the bit index of the first
+/// word and `len` the bit index the scan stops at).
 pub struct OnesIter<'a> {
     words: &'a [u64],
     base: usize,
@@ -255,5 +276,33 @@ mod tests {
         }
         // Out-of-range word bounds are clamped, not panicking.
         assert_eq!(bv.iter_ones_in_words(90, 100).count(), 0);
+    }
+
+    #[test]
+    fn iter_ones_in_range_matches_a_filtered_full_iteration() {
+        let mut bv = BitVec::new(300);
+        let targets = [0usize, 1, 63, 64, 65, 127, 128, 255, 299];
+        for &t in &targets {
+            bv.set(t);
+        }
+        // Empty, mid-word, word-aligned, straddling and clamped bounds.
+        for (lo, hi) in [
+            (0, 0),
+            (64, 64),
+            (70, 70),
+            (0, 1),
+            (1, 64),
+            (63, 65),
+            (64, 128),
+            (65, 256),
+            (100, 299),
+            (0, 300),
+            (299, 1000),
+            (400, 500),
+        ] {
+            let got: Vec<usize> = bv.iter_ones_in_range(lo, hi).collect();
+            let expect: Vec<usize> = bv.iter_ones().filter(|&i| lo <= i && i < hi).collect();
+            assert_eq!(got, expect, "range {lo}..{hi}");
+        }
     }
 }

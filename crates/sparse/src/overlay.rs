@@ -23,7 +23,7 @@
 
 use crate::parallel::Executor;
 use crate::partition::{PartitionedDcsc, RowRange};
-use crate::spmv::{emit_column, push_into, walk_columns};
+use crate::spmv::{emit_column, push_into, walk_matrix};
 use crate::spvec::{MessageVector, SparseVector};
 use crate::Index;
 
@@ -237,8 +237,8 @@ impl<T> Overlay<T> {
 /// order with deleted entries skipped and upserted entries multiplied in
 /// their sorted position — bit-for-bit what [`crate::spmv::gspmv_into`]
 /// produces on a matrix rebuilt from the edited edge list. Like the plain
-/// kernel this never allocates, and an empty overlay adds only one pointer
-/// comparison per non-empty base column.
+/// kernel this never allocates, and a partition without pending edits takes
+/// the plain kernel's walk after one length comparison.
 ///
 /// # Panics
 /// Panics if `overlay` is not aligned with `base` (shape and row
@@ -279,9 +279,10 @@ pub(crate) fn walk_columns_overlay<X, E, Y, V, M>(
     let nb = base.n_nonempty_cols();
     let no = overlay.cols.len();
     if no == 0 {
-        // Empty overlay: fall through to the plain column walk — the
+        // No edits pending on this partition: fall through to the plain
+        // walk, frontier- or column-driven like any unedited partition — the
         // steady-state serving path pays only this one comparison.
-        return walk_columns(base, x, multiply, sink);
+        return walk_matrix(base, x, multiply, sink);
     }
 
     let mut bi = 0usize;

@@ -1,14 +1,41 @@
 //! Generalized sparse matrix – sparse vector multiplication.
 //!
-//! This is Algorithm 1 of the paper: walk the non-empty columns `j` of (a
-//! partition of) `Gᵀ`; if `j` is present in the sparse input vector `x`,
-//! combine `x[j]` with every stored entry `(k, j)` using the generalized
-//! multiply, and fold the results into `y[k]` with the generalized add.
+//! This is Algorithm 1 of the paper: for every non-empty column `j` of (a
+//! partition of) `Gᵀ` that is present in the sparse input vector `x`, combine
+//! `x[j]` with every stored entry `(k, j)` using the generalized multiply,
+//! and fold the results into `y[k]` with the generalized add.
 //!
-//! The entry points, all generic over the multiply/add closures (the
-//! multiply also receives the destination row index `k`, which is how
-//! `graphmat-core` gives `PROCESS_MESSAGE` access to the destination vertex's
-//! property — GraphMat's key frontend extension over CombBLAS, §4.2):
+//! # Two walks, one order
+//!
+//! "Every column that is both non-empty and present" is an intersection, and
+//! a partition is walked from whichever side is smaller (`walk_matrix`):
+//!
+//! * the **column walk** (`walk_columns`, the paper's loop) visits every
+//!   non-empty column and probes `x` for it — O(non-empty columns), the right
+//!   cost when most of them are present;
+//! * the **frontier walk** (`walk_frontier`) scans the set entries of `x`
+//!   inside the partition's column span `jc[0]..=jc[last]` (validity words,
+//!   `trailing_zeros`) and finds each in `jc` by one probe or a forward
+//!   gallop from the previous hit — O(frontier entries in the span), so a
+//!   superstep with a handful of messages stops paying for the columns it
+//!   does not visit, and on a banded (road) matrix the span bound keeps the
+//!   total over all partitions at O(frontier) instead of
+//!   O(frontier × partitions).
+//!
+//! The crossover is `x.nnz() < n_nonempty_cols()`, per partition: no tuned
+//! factor. (Taking the frontier walk always was measured and costs a dense
+//! push 1.75 → 3.18 ns per edge on RMAT, which is why the column walk stays.)
+//! Both walks emit columns in **ascending order**, so each destination row
+//! folds its products in ascending source order either way — the walk can
+//! change a superstep's time, never a bit of its result — and the order also
+//! matches the pull kernel's.
+//!
+//! # Entry points
+//!
+//! All generic over the multiply/add closures (the multiply also receives
+//! the destination row index `k`, which is how `graphmat-core` gives
+//! `PROCESS_MESSAGE` access to the destination vertex's property —
+//! GraphMat's key frontend extension over CombBLAS, §4.2):
 //!
 //! * [`gspmv_into`] / [`gspmv`] — partition-parallel kernel over a
 //!   [`PartitionedDcsc`], using an [`Executor`] for dynamic scheduling. Each
@@ -25,19 +52,39 @@
 
 use crate::dcsc::Dcsc;
 use crate::overlay::{walk_columns_overlay, Overlay};
-use crate::parallel::Executor;
+use crate::parallel::{chunks, phase_chunks, Executor};
 use crate::partition::PartitionedDcsc;
 use crate::pull::CsrMirror;
 use crate::spvec::{MessageVector, SparseVector};
 use crate::Index;
 
-/// The Algorithm-1 column walk shared by the sequential and parallel kernels:
-/// for each non-empty column `j` of (a partition of) `Gᵀ` present in `x`,
-/// multiply `x[j]` against every stored entry `(k, j)` and hand the
-/// `(row, product)` pair to `sink` — which reduces into either a plain
-/// [`SparseVector`] or a shard of one.
+/// One partition's Algorithm-1 walk, shared by the plain kernel and the
+/// overlay kernel's partitions without pending edits: hand the
+/// `(row, product)` pair of every stored entry whose column is present in
+/// `x` to `sink` — which reduces into either a plain [`SparseVector`] or a
+/// shard of one — in ascending column order. Driven by the frontier when it
+/// has fewer entries than the partition has non-empty columns, by the
+/// columns otherwise (see the module docs).
 #[inline(always)]
-pub(crate) fn walk_columns<X, E, Y, V, M>(
+pub(crate) fn walk_matrix<X, E, Y, V, M>(
+    matrix: &Dcsc<E>,
+    x: &V,
+    multiply: &M,
+    sink: impl FnMut(Index, Y),
+) where
+    V: MessageVector<X>,
+    M: Fn(&X, &E, Index) -> Y,
+{
+    if x.nnz() < matrix.n_nonempty_cols() {
+        walk_frontier(matrix, x, multiply, sink);
+    } else {
+        walk_columns(matrix, x, multiply, sink);
+    }
+}
+
+/// The column walk: probe `x` for each non-empty column.
+#[inline(always)]
+fn walk_columns<X, E, Y, V, M>(
     matrix: &Dcsc<E>,
     x: &V,
     multiply: &M,
@@ -51,8 +98,56 @@ pub(crate) fn walk_columns<X, E, Y, V, M>(
     }
 }
 
-/// One column of the walk: if `x[j]` is present, multiply it against the
-/// column's stored entries in ascending row order. Also what the overlay
+/// The frontier walk: look each entry of `x` inside the partition's column
+/// span up in `jc`. Entries ascend, so each lookup starts from the previous
+/// one and needs no stored index: `jc` ascends strictly, so column `j` sits
+/// at most `j - jc[pos]` places past `pos` — exactly there when no column in
+/// between is empty, which one probe settles (the usual case on a road
+/// grid); otherwise a forward gallop — double a bracket until it holds the
+/// column, then bisect it — finds it in O(log gap).
+#[inline(always)]
+fn walk_frontier<X, E, Y, V, M>(
+    matrix: &Dcsc<E>,
+    x: &V,
+    multiply: &M,
+    mut sink: impl FnMut(Index, Y),
+) where
+    V: MessageVector<X>,
+    M: Fn(&X, &E, Index) -> Y,
+{
+    let jc = matrix.col_indices();
+    let (Some(&first), Some(&last)) = (jc.first(), jc.last()) else {
+        return;
+    };
+    // `jc[..pos]` are all below the entry being looked up, and every entry is
+    // at most `last`: `pos` stays inside `jc`, and so does the bracket.
+    let mut pos = 0usize;
+    for (j, xj) in x.iter_range(first, last + 1) {
+        let dense = pos + j.saturating_sub(jc[pos]) as usize;
+        if jc.get(dense) == Some(&j) {
+            pos = dense;
+        } else {
+            let mut step = 1usize;
+            let mut end = pos + 1;
+            while jc[end - 1] < j {
+                pos = end;
+                step *= 2;
+                end = (end + step).min(jc.len());
+            }
+            pos += jc[pos..end].partition_point(|&c| c < j);
+        }
+        if jc[pos] == j {
+            let (_, rows, edges) = matrix.nonempty_col(pos);
+            for (k, e) in rows.iter().zip(edges) {
+                sink(*k, multiply(xj, e, *k));
+            }
+            pos += 1;
+        }
+    }
+}
+
+/// One column of the column walk: if `x[j]` is present, multiply it against
+/// the column's stored entries in ascending row order. Also what the overlay
 /// walk emits for a column no pending edit touches.
 #[inline(always)]
 pub(crate) fn emit_column<X, E, Y, V, M>(
@@ -110,11 +205,18 @@ pub fn gspmv_into<X, E, Y, V, M, A>(
 }
 
 /// The shell both push kernels run through: check and clear `y`, then walk
-/// every partition's columns — merged with `overlay`'s pending edits when
-/// one rides along — as one task per partition, sharded over the executor's
-/// lanes (a single lane or partition runs the same tasks inline on the
-/// caller). Inlined into its two public callers so each keeps only its own
-/// walk.
+/// every partition — merged with `overlay`'s pending edits when one rides
+/// along — sharded over the executor's lanes. Inlined into its two public
+/// callers so each keeps only its own walk.
+///
+/// How the partitions become tasks follows the work, like SEND and APPLY
+/// ([`phase_chunks`]): a frontier of fewer than
+/// [`PARALLEL_PHASE_MIN_WORK`](crate::parallel::PARALLEL_PHASE_MIN_WORK)
+/// messages is one task that walks the partitions in order, which the
+/// executor runs inline on the caller — waking the pool costs more than the
+/// walk; a larger one is one dynamically scheduled task per partition (the
+/// partitioning is already the load-balancing grain, §4.5). Rows belong to
+/// partitions, not to tasks, so the grouping cannot change a result.
 #[inline(always)]
 pub(crate) fn push_into<X, E, Y, V, M, A>(
     base: &PartitionedDcsc<E>,
@@ -144,22 +246,29 @@ pub(crate) fn push_into<X, E, Y, V, M, A>(
     if x.nnz() == 0 {
         return;
     }
+    let nparts = base.n_partitions();
+    let inline = phase_chunks(nparts, x.nnz(), executor).count() == 1;
+    let tasks = chunks(nparts, if inline { 1 } else { nparts });
     let shards = y.sharded();
-    executor.for_each_dynamic(base.n_partitions(), |p| {
+    executor.for_each_dynamic(tasks.count(), |task| {
+        let (first, end) = tasks.bounds(task);
         let mut newly_set = 0usize;
-        walk_partition(base, overlay, p, x, multiply, |k, product| {
-            // SAFETY: partitions own disjoint row ranges — an overlay's
-            // partitioning was checked equal to the base's above — so row
-            // `k` is merged by this task only.
-            unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
-        });
+        for p in first..end {
+            walk_partition(base, overlay, p, x, multiply, |k, product| {
+                // SAFETY: partitions own disjoint row ranges — an overlay's
+                // partitioning was checked equal to the base's above — and
+                // tasks own disjoint partitions, so row `k` is merged by
+                // this task only.
+                unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
+            });
+        }
         shards.commit(newly_set);
     });
     drop(shards); // folds the per-task counts into y's nnz
 }
 
-/// Partition `p`'s column walk: the plain one, or the merged
-/// `base ⊕ overlay` one when edits are pending.
+/// Partition `p`'s walk: the plain one, or the merged `base ⊕ overlay` one
+/// when edits are pending.
 #[inline(always)]
 fn walk_partition<X, E, Y, V, M>(
     base: &PartitionedDcsc<E>,
@@ -174,7 +283,7 @@ fn walk_partition<X, E, Y, V, M>(
 {
     let matrix = &base.partition(p).matrix;
     match overlay {
-        None => walk_columns(matrix, x, multiply, sink),
+        None => walk_matrix(matrix, x, multiply, sink),
         Some(overlay) => walk_columns_overlay(matrix, overlay.partition(p), x, multiply, sink),
     }
 }
@@ -189,13 +298,14 @@ fn walk_partition<X, E, Y, V, M>(
 /// per source, multiplies the hits and folds them into a register-resident
 /// accumulator — then writes `y[k]` exactly once. No sharded scatter, no
 /// atomics anywhere on the write path, perfect write locality; the cost is
-/// touching every stored edge of the matrix, which is why the engine only
-/// selects this kernel when the frontier is dense enough (Beamer's
-/// direction-switching rule).
+/// touching every stored edge of the matrix whatever the frontier holds —
+/// there is no early exit — which is why the engine only selects this kernel
+/// when the frontier's edges are a large enough share of the stored ones
+/// (`graphmat_core::engine::choose_backend`).
 ///
 /// Per-destination reduction order is **ascending source id** — the same
-/// order the push kernel produces (it walks DCSC columns in ascending
-/// order) — so push and pull are bit-for-bit identical even for
+/// order the push kernel produces (both of its walks emit DCSC columns in
+/// ascending order) — so push and pull are bit-for-bit identical even for
 /// non-associative floating-point `add`s.
 ///
 /// `y` is cleared and then filled in place; like [`gspmv_into`] this
@@ -618,6 +728,164 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// SplitMix64, as in `graphmat_io::rng` (this crate sits below it).
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u32) -> u32 {
+            (self.next() % n as u64) as u32
+        }
+
+        /// Magnitudes spread over six decades, so an `f32` sum depends on
+        /// the order of its terms.
+        fn value(&mut self) -> f32 {
+            (1 + self.below(999)) as f32 * [1e-3, 1.0, 1e3][self.below(3) as usize]
+        }
+    }
+
+    /// A skewed (RMAT-style quadrant recursion) or banded (grid) `n × n`
+    /// matrix, salted: rows `n/2 .. n/2 + n/8` hold nothing (an empty
+    /// partition at 16 even partitions), every 7th column and the first and
+    /// last three hold nothing (bits 0 and n−1 of `x` lie outside every
+    /// partition's column span).
+    fn salted_matrix(shape: &str, n: u32, rng: &mut SplitMix) -> Coo<f32> {
+        let mut coo: Coo<f32> = Coo::new(n, n);
+        match shape {
+            "rmat" => {
+                for _ in 0..8 * n {
+                    let (mut r, mut c) = (0u32, 0u32);
+                    for _ in 0..n.next_power_of_two().trailing_zeros() {
+                        let quadrant = match rng.below(100) {
+                            0..=56 => (0, 0),
+                            57..=75 => (0, 1),
+                            76..=94 => (1, 0),
+                            _ => (1, 1),
+                        };
+                        (r, c) = (2 * r + quadrant.0, 2 * c + quadrant.1);
+                    }
+                    if r < n && c < n {
+                        coo.push(r, c, 0.0);
+                    }
+                }
+            }
+            _ => {
+                let side = (n as f64).sqrt() as u32;
+                for v in 0..side * side {
+                    for u in [v.wrapping_sub(side), v.wrapping_sub(1), v + 1, v + side] {
+                        let same_row_or_col = u / side == v / side || u % side == v % side;
+                        if u < side * side && same_row_or_col && rng.below(10) > 0 {
+                            coo.push(u, v, 0.0);
+                        }
+                    }
+                }
+            }
+        }
+        coo.dedup_by(|a, _| *a);
+        let empty_rows = n / 2..n / 2 + n / 8;
+        let entries = coo
+            .into_entries()
+            .into_iter()
+            .filter(|(r, c, _)| !empty_rows.contains(r) && c % 7 != 3 && (3..n - 3).contains(c))
+            .map(|(r, c, _)| (r, c, rng.value()))
+            .collect();
+        Coo::from_entries(n, n, entries)
+    }
+
+    /// `nnz` entries of a length-`n` vector: the word-boundary bits first
+    /// (63, 64, then 0 and n−1, which no partition's span contains), the
+    /// rest drawn from the seed.
+    fn salted_frontier(n: u32, nnz: usize, rng: &mut SplitMix) -> SparseVector<f32> {
+        let mut x: SparseVector<f32> = SparseVector::new(n as usize);
+        for i in [63, 64, 0, n - 1].into_iter().take(nnz) {
+            x.set(i, rng.value());
+        }
+        while x.nnz() < nnz {
+            x.set(rng.below(n), rng.value());
+        }
+        x
+    }
+
+    fn bits(y: &SparseVector<f32>) -> Vec<(Index, u32)> {
+        y.iter().map(|(k, v)| (k, v.to_bits())).collect()
+    }
+
+    /// One forced walk over every partition, `+`-reduced sequentially.
+    fn reduce_with(
+        pd: &PartitionedDcsc<f32>,
+        walk: impl Fn(&Dcsc<f32>, &mut dyn FnMut(Index, f32)),
+    ) -> Vec<(Index, u32)> {
+        let mut y: SparseVector<f32> = SparseVector::new(pd.nrows() as usize);
+        for part in pd.partitions() {
+            walk(&part.matrix, &mut |k, product| {
+                y.merge(k, product, |acc, v| *acc += v)
+            });
+        }
+        bits(&y)
+    }
+
+    #[test]
+    fn frontier_walk_column_walk_and_pull_agree_bit_for_bit() {
+        let multiply = |m: &f32, e: &f32, _: Index| m * e;
+        let add = |acc: &mut f32, v: f32| *acc += v;
+        let mut saw_empty_partition = false;
+        for seed in [1u64, 2] {
+            // n % 64 != 0, and n above the inline threshold so a full
+            // frontier takes the parallel dispatch.
+            for (shape, n) in [("rmat", 2500u32), ("grid", 2504)] {
+                let rng = &mut SplitMix(seed);
+                let coo = salted_matrix(shape, n, rng);
+                assert!(n % 64 != 0 && n as usize > crate::parallel::PARALLEL_PHASE_MIN_WORK);
+                for (parts, balanced) in
+                    [(1, false), (5, false), (5, true), (16, false), (16, true)]
+                {
+                    let pd = if balanced {
+                        PartitionedDcsc::from_coo_balanced(&coo, parts)
+                    } else {
+                        PartitionedDcsc::from_coo_even(&coo, parts)
+                    };
+                    let mirror = CsrMirror::from_partitioned(&pd);
+                    let nzcs = pd.partitions().iter().map(|p| p.matrix.n_nonempty_cols());
+                    saw_empty_partition |= nzcs.clone().any(|nzc| nzc == 0);
+                    // Both sides of the walk crossover of the widest partition.
+                    let nzc = nzcs.max().unwrap_or(0);
+                    for nnz in [1, 2, nzc - 1, nzc, nzc + 1, n as usize] {
+                        let x = salted_frontier(n, nnz, rng);
+                        let case = format!(
+                            "seed {seed}, {shape}, {parts} partitions (balanced: {balanced}), \
+                             nnz(x) {nnz} around {nzc} columns"
+                        );
+                        let by_columns =
+                            reduce_with(&pd, |m, sink| walk_columns(m, &x, &multiply, sink));
+                        let by_frontier =
+                            reduce_with(&pd, |m, sink| walk_frontier(m, &x, &multiply, sink));
+                        assert!(!by_columns.is_empty(), "{case}");
+                        assert_eq!(by_frontier, by_columns, "frontier walk, {case}");
+                        for lanes in [1usize, 4] {
+                            let ex = Executor::new(lanes);
+                            let mut y: SparseVector<f32> = SparseVector::new(n as usize);
+                            gspmv_into(&pd, &x, &multiply, &add, &ex, &mut y);
+                            assert_eq!(bits(&y), by_columns, "push, {lanes} lanes, {case}");
+                            gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut y);
+                            assert_eq!(bits(&y), by_columns, "pull, {lanes} lanes, {case}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            saw_empty_partition,
+            "the salt must leave some partition empty"
+        );
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! the SpMV inner loop become a single bit probe, and the bit vector is small
 //! enough to be shared and cached by all threads — so [`SparseVector`] is the
 //! one message vector of the engine, for both execution directions: the push
-//! kernel probes it per non-empty matrix column, the pull kernel
-//! ([`crate::spmv::gspmv_csr_pull_into`]) per stored source index — either
-//! way an O(1) bit probe plus array read.
+//! kernel probes it per non-empty matrix column — or, when the vector holds
+//! fewer entries than the partition has columns, scans its validity words
+//! and looks the set entries up in the matrix instead — and the pull kernel
+//! ([`crate::spmv::gspmv_csr_pull_into`]) probes it per stored source index.
+//! A probe is an O(1) bit test plus array read; the scan is word operations
+//! (`trailing_zeros`), not per-bit probes.
 //!
 //! [`MessageVector`] is the minimal read interface the push SpMV needs from
 //! its input vector; `graphmat-bench` implements it for option 1 (sorted
@@ -55,6 +58,11 @@ pub trait MessageVector<T> {
     fn contains(&self, i: Index) -> bool;
     /// Borrow the value at `i`, if present.
     fn get(&self, i: Index) -> Option<&T>;
+    /// The set entries with index in `lo..hi`, ascending — what the push
+    /// kernel's frontier walk drives a partition's column lookups with.
+    fn iter_range<'a>(&'a self, lo: Index, hi: Index) -> impl Iterator<Item = (Index, &'a T)>
+    where
+        T: 'a;
 }
 
 /// Bit-vector backed sparse vector (the paper's option 2).
@@ -408,6 +416,17 @@ impl<T> MessageVector<T> for SparseVector<T> {
             None
         }
     }
+
+    /// A word scan of the validity bits, masked at both ends of the range.
+    #[inline(always)]
+    fn iter_range<'a>(&'a self, lo: Index, hi: Index) -> impl Iterator<Item = (Index, &'a T)>
+    where
+        T: 'a,
+    {
+        self.valid
+            .iter_ones_in_range(ix(lo), ix(hi))
+            .map(move |i| (i as Index, &self.values[i]))
+    }
 }
 
 /// The name the pull kernel's callers knew the message vector by: the same
@@ -474,6 +493,32 @@ mod tests {
         }
         let entries = v.to_entries();
         assert_eq!(entries, vec![(5, 10), (7, 14), (40, 80), (90, 180)]);
+    }
+
+    #[test]
+    fn iter_range_yields_the_set_entries_inside_the_bounds() {
+        let mut v: SparseVector<u32> = SparseVector::new(200);
+        for i in [0u32, 5, 63, 64, 70, 127, 128, 199] {
+            v.set(i, i * 2);
+        }
+        // `lo == hi`, mid-word `lo` and `hi`, `hi == len`.
+        for (lo, hi) in [
+            (70, 70),
+            (0, 0),
+            (5, 70),
+            (6, 71),
+            (64, 128),
+            (100, 200),
+            (0, 200),
+        ] {
+            let got: Vec<(Index, u32)> = v.iter_range(lo, hi).map(|(i, x)| (i, *x)).collect();
+            let expect: Vec<(Index, u32)> = v
+                .to_entries()
+                .into_iter()
+                .filter(|&(i, _)| lo <= i && i < hi)
+                .collect();
+            assert_eq!(got, expect, "range {lo}..{hi}");
+        }
     }
 
     #[test]

@@ -67,8 +67,9 @@
 //! Runs are **direction-optimized** by default: each superstep executes
 //! either the paper's sparse *push* SpMV (column-wise over the DCSC) or the
 //! dense *pull* SpMV (row-parallel over a CSR mirror) over the same
-//! bit-vector-backed message vector, chosen by Beamer's frontier-density
-//! rule — pull when the frontier's out-edges exceed `unexplored / 14`.
+//! bit-vector-backed message vector, chosen by comparing the two kernels'
+//! costs — pull, which streams every stored edge, when the frontier's
+//! out-edges exceed half of them.
 //! Results are bit-for-bit identical across backends; the per-superstep
 //! choice is recorded in `SuperstepStats::backend`. Pin a backend with
 //! `.backend(Backend::Push | Backend::Pull)` on the run builder, and skip

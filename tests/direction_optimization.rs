@@ -155,6 +155,34 @@ fn selector_flips_direction_across_bfs_supersteps() {
     }
 }
 
+/// Road-network SSSP re-traverses edges for hundreds of supersteps with a
+/// frontier that never holds more than a sliver of them. The pull kernel
+/// would stream the whole matrix each time, so the selector must never pick
+/// it — a rule that discounts explored edges (Beamer's) runs out of
+/// unexplored ones part-way and pulls from there on.
+#[test]
+fn road_sssp_never_pulls() {
+    let edges = grid::generate(&GridConfig::square(96).with_seed(3));
+    let session = Session::with_threads(2).unwrap();
+    let topo = session.build_graph(&edges).finish().unwrap();
+    let out = sssp_on(&session, &topo, 0).unwrap();
+    let pulls: Vec<usize> = out
+        .stats
+        .supersteps
+        .iter()
+        .filter(|s| s.backend == Backend::Pull)
+        .map(|s| s.iteration)
+        .collect();
+    assert_eq!(
+        out.stats.pull_supersteps, 0,
+        "pulled at supersteps {pulls:?}"
+    );
+    assert!(out.stats.iterations > 96, "{}", out.stats.iterations);
+    let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let reference = graphmat_algorithms::sssp::sssp_reference(&edges, 0);
+    assert_eq!(bits(&out.values), bits(&reference));
+}
+
 /// A 2-lane session whose runs default to the paper's always-push
 /// configuration (`Backend::Push`).
 fn push_session() -> Session {

@@ -40,8 +40,9 @@
 //!
 //! # Execution resources
 //!
-//! One [`Executor`] (a persistent pool of parked worker threads) and one
-//! [`Workspace`] (message and output buffers) serve every superstep —
+//! One [`Executor`] (a persistent pool of worker threads that spin between
+//! the phases of this loop and park once it ends) and one [`Workspace`]
+//! (message and output buffers) serve every superstep —
 //! the loop itself spawns no threads and allocates nothing in the steady
 //! state. The [`crate::session::Session`] frontend owns a process-lifetime
 //! executor and recycles workspaces through pooled states.

@@ -5,11 +5,11 @@
 //! keep it resident, and answer many independent queries against it. The
 //! session is the owning handle for that pattern:
 //!
-//! * it owns one [`Executor`] — a pool of parked worker threads created at
-//!   [`Session::new`] and reused by every run; concurrent runs share the
-//!   pool safely (parallel regions are serialized inside the executor, and
-//!   phases below the parallel-work threshold run inline on the calling
-//!   thread);
+//! * it owns one [`Executor`] — a pool of worker threads created at
+//!   [`Session::new`] and reused by every run (spinning between the
+//!   supersteps of a run, parked when idle); concurrent runs share the pool
+//!   safely (one parallel region owns it at a time and a run that finds it
+//!   busy helps that region; small phases run inline on the calling thread);
 //! * [`Session::build_graph`] is a fluent builder producing an
 //!   `Arc<Topology<E>>` — the immutable, `Sync` half that any number of
 //!   runs can share without cloning;
@@ -206,7 +206,8 @@ impl Session {
             program,
             options: self.defaults,
             init: InitSpec::None,
-            seeds: Vec::new(),
+            first_seed: None,
+            more_seeds: Vec::new(),
             activate_all: false,
         }
     }
@@ -309,24 +310,36 @@ pub struct RunBuilder<'s, 't, P: GraphProgram> {
     program: P,
     options: RunOptions,
     init: InitSpec<'t, P::VertexProp>,
-    seeds: Vec<(VertexId, Option<P::VertexProp>)>,
+    /// Held inline: `sssp_into`/`bfs_into` promise zero per-query allocation.
+    first_seed: Option<(VertexId, Option<P::VertexProp>)>,
+    more_seeds: Vec<(VertexId, Option<P::VertexProp>)>,
     activate_all: bool,
 }
 
 impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     /// Mark vertex `v` active for the first superstep (validated against
     /// the topology's vertex count at execute time).
-    pub fn seed(mut self, v: VertexId) -> Self {
-        self.seeds.push((v, None));
-        self
+    pub fn seed(self, v: VertexId) -> Self {
+        self.push_seed((v, None))
     }
 
     /// Set vertex `v`'s property to `value` *and* mark it active — the
     /// "source distance 0, source active" idiom of the paper's appendix in
     /// one call.
-    pub fn seed_with(mut self, v: VertexId, value: P::VertexProp) -> Self {
-        self.seeds.push((v, Some(value)));
+    pub fn seed_with(self, v: VertexId, value: P::VertexProp) -> Self {
+        self.push_seed((v, Some(value)))
+    }
+
+    fn push_seed(mut self, seed: (VertexId, Option<P::VertexProp>)) -> Self {
+        match self.first_seed {
+            None => self.first_seed = Some(seed),
+            Some(_) => self.more_seeds.push(seed),
+        }
         self
+    }
+
+    fn seeds(&self) -> impl Iterator<Item = &(VertexId, Option<P::VertexProp>)> {
+        self.first_seed.iter().chain(&self.more_seeds)
     }
 
     /// Set every vertex's property to `value` before seeding.
@@ -402,35 +415,35 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
         self
     }
 
-    /// What the builder itself can get wrong: option validity and seed
-    /// ranges. Together with the runner's prologue (`admit`), this runs
-    /// **before** the first mutation so a rejected run leaves a pooled
-    /// state's previous contents intact.
-    fn validate(&self) -> Result<()> {
+    /// The one run body: validate → admit → prepare → run. Whatever can
+    /// reject the run (options, seed ranges, the runner's `admit`) comes
+    /// **before** the first mutation: a rejected run — the outer `Err` —
+    /// leaves a pooled state as it was, and `cached` is asked for the state's
+    /// workspace only after admission. The workspace the run used comes back
+    /// beside the run's own result for the caller to keep.
+    fn run_into(
+        &self,
+        state: &mut VertexState<P::VertexProp>,
+        cached: impl FnOnce(&mut VertexState<P::VertexProp>) -> Option<Box<Workspace<P>>>,
+    ) -> Result<(Result<RunResult>, Box<Workspace<P>>)> {
+        let num_vertices = self.view.num_vertices();
         self.options.validate()?;
-        for (v, _) in &self.seeds {
-            if *v >= self.view.num_vertices() {
-                return Err(GraphMatError::VertexOutOfRange {
-                    vertex: *v,
-                    num_vertices: self.view.num_vertices(),
-                });
-            }
+        if let Some(&(vertex, _)) = self.seeds().find(|(v, _)| *v >= num_vertices) {
+            return Err(GraphMatError::VertexOutOfRange {
+                vertex,
+                num_vertices,
+            });
         }
-        Ok(())
-    }
-
-    /// Apply init, seeds and activation to a state whose length already
-    /// matches the topology and whose seeds [`RunBuilder::validate`] has
-    /// already range-checked. Always clears the active set first so pooled
-    /// states cannot leak stale active bits into the new run.
-    fn prepare(&self, state: &mut VertexState<P::VertexProp>) {
+        let traversal = admit(&self.program, self.view, state, &self.options)?;
+        // Always clear the active set first so pooled states cannot leak
+        // stale active bits into the new run.
         state.clear_active();
         match &self.init {
             InitSpec::None => {}
             InitSpec::All(value) => state.set_all_properties(value.clone()),
             InitSpec::Fn(f) => state.init_properties(f),
         }
-        for (v, value) in &self.seeds {
+        for (v, value) in self.seeds() {
             if let Some(value) = value {
                 state.set_property(*v, value.clone());
             }
@@ -439,6 +452,19 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
         if self.activate_all {
             state.set_all_active();
         }
+        let n = num_vertices as usize;
+        let mut ws = cached(state)
+            .filter(|ws| ws.is_compatible(n))
+            .unwrap_or_else(|| Box::new(Workspace::new(n)));
+        let result = run_admitted(
+            &self.program,
+            &traversal,
+            state,
+            &self.options,
+            &self.session.executor,
+            &mut ws,
+        );
+        Ok((result, ws))
     }
 
     /// Run into a fresh [`VertexState`] and return the final properties.
@@ -453,20 +479,8 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     where
         P::VertexProp: Default,
     {
-        self.validate()?;
-        let n = self.view.num_vertices() as usize;
-        let mut state: VertexState<P::VertexProp> = VertexState::new(n);
-        let traversal = admit(&self.program, self.view, &state, &self.options)?;
-        self.prepare(&mut state);
-        let mut ws = Workspace::<P>::new(n);
-        let result = run_admitted(
-            &self.program,
-            &traversal,
-            &mut state,
-            &self.options,
-            &self.session.executor,
-            &mut ws,
-        )?;
+        let mut state = VertexState::new(self.view.num_vertices() as usize);
+        let result = self.run_into(&mut state, |_| None)?.0?;
         Ok(RunOutcome {
             values: state.into_properties(),
             stats: result.stats,
@@ -494,22 +508,7 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     where
         P: 'static,
     {
-        self.validate()?;
-        let traversal = admit(&self.program, self.view, state, &self.options)?;
-        self.prepare(state);
-        let n = self.view.num_vertices() as usize;
-        let mut ws = state
-            .take_cached_workspace::<Workspace<P>>()
-            .filter(|ws| ws.is_compatible(n))
-            .unwrap_or_else(|| Box::new(Workspace::<P>::new(n)));
-        let result = run_admitted(
-            &self.program,
-            &traversal,
-            state,
-            &self.options,
-            &self.session.executor,
-            &mut ws,
-        );
+        let (result, ws) = self.run_into(state, VertexState::take_cached_workspace)?;
         state.cache_workspace(ws);
         result
     }

@@ -8,19 +8,22 @@
 //! until the queue is exhausted. It is the executor's only dispatch entry;
 //! ranges are split by [`chunks`] / [`phase_chunks`] and handed out as tasks.
 //!
-//! Unlike an OpenMP parallel region — and unlike the first version of this
-//! module, which spawned and joined fresh OS threads on every call — the
-//! [`Executor`] owns a **persistent pool** of parked worker threads:
+//! Unlike the first version of this module, which spawned and joined fresh OS
+//! threads on every call, the [`Executor`] owns a **persistent pool** of
+//! worker threads that — like an OpenMP runtime's — **spin before they
+//! sleep**:
 //!
 //! * the pool is created once (in [`Executor::new`]) and reused by every
-//!   [`Executor::for_each_dynamic`] call, so a superstep costs a condvar wake
-//!   instead of a `thread::spawn` + `join` round trip.
-//!   This matters most exactly where the paper says it does (§5.2.1):
-//!   algorithms like road-network SSSP run thousands of supersteps that each
-//!   do microseconds of work;
-//! * workers park on a condvar between calls and are shut down when the
-//!   executor is dropped;
-//! * the calling thread participates as lane 0, so `Executor::new(n)` still
+//!   [`Executor::for_each_dynamic`] call. After a region a worker polls for
+//!   the next one for a bounded number of `spin_loop` iterations and only
+//!   then parks, so inside a superstep loop a dispatch is one store the
+//!   workers are already watching, not a futex wake. This matters most
+//!   exactly where the paper says it does (§5.2.1): algorithms like
+//!   road-network SSSP run thousands of supersteps that each do microseconds
+//!   of work. One bound after its last region the pool is asleep: an idle
+//!   server burns nothing;
+//! * workers are shut down and joined when the executor is dropped;
+//! * the calling thread participates as a lane, so `Executor::new(n)` still
 //!   means *n* lanes of compute but only `n - 1` OS threads are spawned
 //!   ([`Executor::threads_spawned`] exposes the count for tests);
 //! * [`Executor::sequential`] (and any 1-thread executor) spawns no pool at
@@ -28,16 +31,39 @@
 //!   determinism in tests and so the single-threaded baseline of the
 //!   scalability experiment (Figure 5) pays no threading overhead.
 //!
-//! A dispatch (`broadcast`) hands the workers a lifetime-erased pointer to
-//! the caller's closure; the caller always blocks until every lane has
-//! finished before returning, which is what makes the erasure sound. Panics
-//! in any lane are caught, the remaining lanes drain normally, and the first
-//! payload is re-raised on the caller — the pool itself survives and stays
-//! usable.
+//! # The handshake: join, close, drain
 //!
-//! Calls on one `Executor` are serialized: the pool runs one parallel region
-//! at a time. Do **not** call back into the same executor from inside a task
-//! closure — that would deadlock. Nested parallelism is not something
+//! One word, `state = epoch << 1 | open`, is written only by the **owner** of
+//! the current region (the caller holding the pool's `caller` lock). The
+//! owner stores a lifetime-erased pointer to its closure in the job slot,
+//! publishes `state = s` (open, new epoch), wakes workers only if some are
+//! parked, and runs the closure itself. Every other lane — a pool worker
+//! that saw `s`, or a contending caller (below) — goes through one `join`:
+//! `active += 1`; run the job **only if `state` still equals `s`**;
+//! `active -= 1`. When the owner's own lane is done it **closes** the state
+//! and then **drains**: it waits (spin, then park) for `active == 0`, clears
+//! the slot, and re-raises the first panic any lane caught. A lane that
+//! re-checks `state` after registering in `active` either sees the region
+//! closed and never touches the closure, or is counted and therefore waited
+//! for — so a worker that never showed up (still asleep, or descheduled)
+//! costs the region nothing, and the closure outlives every lane that can
+//! reach it, which is what makes the erasure sound. Panics in any lane are
+//! caught, the remaining lanes drain normally, and the first payload is
+//! re-raised on the owner — the pool itself survives and stays usable.
+//!
+//! Both parks are a `SeqCst` store-then-load pair re-checked under the park
+//! mutex (worker: `sleepers += 1` then read `state`, against the owner's
+//! write `state` then read `sleepers`; owner: `owner_parked = true` then read
+//! `active`, against a lane's `active -= 1` then read `owner_parked`), so one
+//! side always sees the other: no lost wakeup.
+//!
+//! One region owns the pool at a time; **contenders help it**. A caller that
+//! finds the `caller` lock taken (two requests of one server sharing a
+//! `Session`) does not sleep on it: it joins the open region as one more
+//! lane, yields, and retries — the cores work through the regions in order
+//! instead of convoying through futex sleeps. Do **not** call back into the
+//! same executor from inside a task closure — the inner call would wait for a
+//! region that is waiting for it. Nested parallelism is not something
 //! GraphMat's flat partition-parallel loops need.
 //!
 //! [`chunks`] is the shared range-splitting helper; it yields only non-empty
@@ -50,16 +76,15 @@
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
 /// Lock a pool mutex, shrugging off poisoning. Task panics are captured by
-/// `catch_unwind` inside the lanes and re-raised on the caller, so a
-/// poisoned pool mutex only means a lane died between those nets; the
-/// counters it guards are still consistent (every update is a single
-/// assignment) and the dispatch protocol must keep draining or the caller
-/// deadlocks.
+/// `catch_unwind` inside the lanes and re-raised on the owner, so a poisoned
+/// pool mutex only means a lane died between those nets; what the mutexes
+/// guard (a parking spot, the stashed payload) is valid at every step, and
+/// the handshake must keep draining or the owner deadlocks.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
@@ -141,10 +166,21 @@ impl Chunks {
     }
 }
 
-/// Phases with less work than this run as one chunk, inline on the caller:
-/// waking the pool costs more than scanning a short list on one lane —
-/// exactly the "small per-iteration overhead" property the paper credits for
-/// GraphMat's SSSP advantage (§5.2.1).
+/// Phases with less work than this run as one chunk, inline on the caller —
+/// the "small per-iteration overhead" the paper credits for GraphMat's SSSP
+/// advantage (§5.2.1). A dispatch is about 0.6 µs of handshake
+/// (`sparse.executor.dispatch_us`) while the pool's workers are spinning, but
+/// a futex wake — some 40 µs before help arrives — once they have parked,
+/// and a woken worker then spins out its bound on a core of its own. 2048
+/// items at 5–20 ns each is about one such wake, so a phase below it never
+/// wakes anyone. Measured alternative: 512, sized against the spinning
+/// handshake alone, read 64.0 ms against 68.0 on `sssp_road` (10 of 10
+/// alternating pairs) — but then the all-active phases of a 1024-vertex
+/// graph dispatch, a server answering 0.2 ms requests wakes its pool once
+/// per request, and the worker's spin after the request's last region keeps
+/// the second core busy just when the kernel places the reply's wake-ups:
+/// `serve_light` flipped between 4 700 and 6 250 requests/s within one run.
+/// At 2048 that server never dispatches and answers at one rate.
 pub const PARALLEL_PHASE_MIN_WORK: usize = 2048;
 
 /// The chunking of a vertex phase that scans `len` units (bit-vector words)
@@ -230,37 +266,53 @@ impl<'a, T> DisjointSlice<'a, T> {
     }
 }
 
-/// A lifetime-erased pointer to the closure of the parallel region currently
-/// being executed. Only ever dereferenced while the dispatching caller is
-/// blocked in [`Executor::broadcast`], which keeps the borrow alive.
-struct JobSlot(*const (dyn Fn(usize) + Sync));
+/// `spin_loop` iterations a worker polls for the next region before it
+/// parks, and the owner of a region polls for its stragglers before it
+/// parks. It has to outlast the gap between two dispatches of one superstep
+/// loop (tens of µs: an inline phase, the convergence check, the next SEND),
+/// because what is being avoided is the futex wake itself — an IPI and, on a
+/// virtualized host, a VM exit: this handshake with no spin measured the old
+/// condvar's `sssp_road` time (97 ms). Swept on the 2-core host, `sssp_road`
+/// `query_ms`: 2⁶ → 93 ms, 2¹¹ → 67 ms, 2¹⁴ → 66 ms. Counted, not timed, so
+/// the kernel crate stays free of clocks; one bound after its last region a
+/// worker is parked.
+const SPIN_LIMIT: u32 = 1 << 11;
 
-// SAFETY: the pointee is `Sync` (shared invocation is fine) and the pointer
-// only crosses threads under the dispatch protocol described above.
-unsafe impl Send for JobSlot {}
+/// `Shared::state` once the pool is being dropped: workers return.
+const SHUTDOWN: u64 = u64::MAX;
 
-struct Control {
-    /// Bumped once per dispatch; workers run each epoch's job exactly once.
-    epoch: u64,
-    job: Option<JobSlot>,
-    /// Workers that have not yet finished the current epoch's job.
-    remaining: usize,
-    /// First panic payload captured from a worker lane this epoch.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    shutdown: bool,
-}
+/// The closure of a parallel region, as its lanes call it.
+type Job<'a> = &'a (dyn Fn() + Sync);
 
+/// The handshake between the owner of a region, the pool's workers and the
+/// callers that found the pool busy (module docs: join, close, drain).
 struct Shared {
-    control: Mutex<Control>,
-    /// Signalled when a new epoch (or shutdown) is published.
+    /// `epoch << 1 | open`, or [`SHUTDOWN`]. Written only by the thread
+    /// holding `Pool::caller`, and by `Pool::drop`.
+    state: AtomicU64,
+    /// The open region's closure, lifetime-erased: a pointer to the owner's
+    /// own reference to it (on the owner's stack), null between regions.
+    job: AtomicPtr<Job<'static>>,
+    /// Lanes between the `+= 1` and the `-= 1` of [`join`].
+    active: AtomicUsize,
+    /// Workers parked on `work`, or committed to (see [`worker_loop`]).
+    sleepers: AtomicUsize,
+    /// Set while the owner is parked on `done` waiting for `active == 0`.
+    owner_parked: AtomicBool,
+    /// First panic payload caught in a joined lane of the current region.
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    /// Where workers sleep once their spin runs out.
+    park: Mutex<()>,
     work: Condvar,
-    /// Signalled when the last worker finishes an epoch.
+    /// Where the owner sleeps once its spin for stragglers runs out.
+    drain: Mutex<()>,
     done: Condvar,
 }
 
 struct Pool {
     shared: Arc<Shared>,
-    /// Serializes dispatches: one parallel region at a time per executor.
+    /// Held by the owner of the current region. Contenders `try_lock` it and
+    /// help the open region instead of sleeping here.
     caller: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -268,14 +320,15 @@ struct Pool {
 impl Pool {
     fn new(nworkers: usize) -> Self {
         let shared = Arc::new(Shared {
-            control: Mutex::new(Control {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                panic: None,
-                shutdown: false,
-            }),
+            state: AtomicU64::new(0),
+            job: AtomicPtr::new(std::ptr::null_mut()),
+            active: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            owner_parked: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            park: Mutex::new(()),
             work: Condvar::new(),
+            drain: Mutex::new(()),
             done: Condvar::new(),
         });
         let handles = (0..nworkers)
@@ -284,7 +337,7 @@ impl Pool {
                 SPAWN_COUNT.fetch_add(1, Ordering::Relaxed);
                 std::thread::Builder::new()
                     .name(format!("graphmat-worker-{}", i + 1))
-                    .spawn(move || worker_loop(&shared, i + 1))
+                    .spawn(move || worker_loop(&shared))
                     // audit:allow(no-unwrap): pool construction is setup-time;
                     // a machine that cannot spawn a thread has nothing to
                     // degrade to, and the panic carries the OS error.
@@ -301,66 +354,103 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        {
-            let mut c = lock(&self.shared.control);
-            c.shutdown = true;
-            self.shared.work.notify_all();
-        }
+        // `&mut self`: no region is open and none can start, so this is the
+        // only writer. Spinning workers see the store; parked ones are woken.
+        self.shared.state.store(SHUTDOWN, Ordering::SeqCst);
+        wake_workers(&self.shared);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(shared: &Shared, lane: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut c = lock(&shared.control);
-            loop {
-                if c.shutdown {
-                    return;
-                }
-                if c.epoch != seen_epoch {
-                    seen_epoch = c.epoch;
-                    // audit:allow(no-unwrap): dispatch protocol invariant — a
-                    // bumped epoch always publishes a job first; a None here
-                    // is a pool bug and continuing would deadlock the caller.
-                    break c.job.as_ref().expect("job published with epoch").0;
-                }
-                c = wait(&shared.work, c);
-            }
-        };
-        // SAFETY: the dispatching caller blocks until `remaining` reaches
-        // zero, so the closure behind `job` outlives this call.
-        let f = unsafe { &*job };
+/// Wake parked workers after a store to `state` — a no-op (one load) while
+/// they are all still spinning, which is the case inside a superstep loop.
+fn wake_workers(shared: &Shared) {
+    // Pairs with the parking worker's `sleepers += 1` then `state` load:
+    // both sides are store-then-load in `SeqCst`, so either this load sees
+    // the sleeper (and the notify, taken under `park`, cannot fall between
+    // its re-check and its wait) or the sleeper's re-check sees the store.
+    if shared.sleepers.load(Ordering::SeqCst) > 0 {
+        let _parked = lock(&shared.park);
+        shared.work.notify_all();
+    }
+}
+
+/// Run the job of region `s` as one more lane, unless the region has been
+/// closed by the time this lane is registered in `active`. Pool workers and
+/// contending callers both come through here.
+fn join(shared: &Shared, s: u64) {
+    shared.active.fetch_add(1, Ordering::SeqCst);
+    if shared.state.load(Ordering::SeqCst) == s {
+        // SAFETY: `state == s` was read after this lane registered in
+        // `active`. The read synchronizes with the owner's store of `s`,
+        // which follows its store of the slot, so the slot points at region
+        // `s`'s closure, through a reference on the owner's stack; and the
+        // owner's close of `s` comes after that read in the `SeqCst` order,
+        // so its drain sees this lane's registration and does not return —
+        // ending that stack frame and the closure's borrow — until the
+        // `active -= 1` below.
+        let job: Job<'_> = unsafe { *shared.job.load(Ordering::Relaxed) };
         // RECOVERY: the task closure may panic with its output buffers
-        // half-written, but those buffers belong to the dispatching caller,
+        // half-written, but those buffers belong to the region's owner,
         // which sees the re-raised payload and unwinds too — nothing
-        // half-written is ever observed. Catching here keeps the lane (and
-        // the `remaining` handshake the caller is blocked on) alive: the
-        // first payload is stashed, the count still reaches zero, and the
-        // pool stays usable for the next dispatch.
-        let result = catch_unwind(AssertUnwindSafe(|| f(lane)));
-        let mut c = lock(&shared.control);
-        if let Err(payload) = result {
-            if c.panic.is_none() {
-                c.panic = Some(payload);
-            }
+        // half-written is ever observed. Catching here keeps the lane (a
+        // pool worker, or a caller with a region of its own still to run)
+        // alive and the `active` count the owner drains on exact: the first
+        // payload is stashed for the owner, the pool stays usable.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+            lock(&shared.panic).get_or_insert(payload);
         }
-        c.remaining -= 1;
-        if c.remaining == 0 {
-            shared.done.notify_one();
+    }
+    // Pairs with the parking owner's `owner_parked = true` then `active`
+    // load (both `SeqCst` store-then-load): either this lane sees the flag
+    // and notifies under `drain`, or the owner's re-check sees the count.
+    if shared.active.fetch_sub(1, Ordering::SeqCst) == 1
+        && shared.owner_parked.load(Ordering::SeqCst)
+    {
+        let _parked = lock(&shared.drain);
+        shared.done.notify_one();
+    }
+}
+
+fn worker_loop(shared: &Shared) {
+    // The last region this worker joined; epochs only grow, so an open
+    // state different from it is a region not joined yet.
+    let mut joined = 0u64;
+    let mut spins = 0u32;
+    loop {
+        let s = shared.state.load(Ordering::SeqCst);
+        if s == SHUTDOWN {
+            return;
+        }
+        if s & 1 == 1 && s != joined {
+            joined = s;
+            join(shared, s);
+            spins = 0;
+        } else if spins < SPIN_LIMIT {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            let mut parked = lock(&shared.park);
+            shared.sleepers.fetch_add(1, Ordering::SeqCst);
+            // Re-checked after `sleepers += 1`, under the mutex the waker
+            // notifies under (see `wake_workers`).
+            while shared.state.load(Ordering::SeqCst) == s {
+                parked = wait(&shared.work, parked);
+            }
+            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+            spins = 0;
         }
     }
 }
 
 /// A fixed-width parallel executor backed by a persistent worker pool.
 ///
-/// `Executor::new(n)` provides `n` lanes of compute: `n - 1` parked pool
-/// threads plus the calling thread. All scheduling entry points reuse the
-/// same pool; nothing is spawned per call. The pool shuts down when the
-/// executor is dropped.
+/// `Executor::new(n)` provides `n` lanes of compute: `n - 1` pool threads
+/// (spinning between the regions of a loop, parked otherwise) plus the
+/// calling thread. All scheduling entry points reuse the same pool; nothing
+/// is spawned per call. The pool shuts down when the executor is dropped.
 pub struct Executor {
     nthreads: usize,
     pool: Option<Pool>,
@@ -422,10 +512,18 @@ impl Executor {
         self.pool.as_ref().map_or(0, |p| p.handles.len())
     }
 
-    /// Run `f(lane)` once on every lane (workers 1..n plus the caller as
-    /// lane 0) and return once all lanes have finished. Panics from any lane
-    /// are re-raised here after every lane has stopped touching `f`.
-    fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
+    /// How many of the pool's workers are parked right now.
+    #[cfg(test)]
+    fn sleepers(&self) -> usize {
+        self.pool
+            .as_ref()
+            .map_or(0, |p| p.shared.sleepers.load(Ordering::SeqCst))
+    }
+
+    /// Run `job` on this thread and on every lane that joins while it does,
+    /// and return once all of them have left it. Panics from any lane are
+    /// re-raised here after every lane has stopped touching `job`.
+    fn broadcast(&self, job: Job<'_>) {
         let pool = self
             .pool
             .as_ref()
@@ -433,39 +531,70 @@ impl Executor {
             // checks `self.pool.is_none()` and runs inline before reaching
             // the broadcast path.
             .expect("broadcast requires a pooled executor");
-        let _serial = lock(&pool.caller);
-        // SAFETY of the lifetime erasure: this function does not return until
-        // every worker has finished running `job` (remaining == 0), so the
-        // borrow of `f` is live for as long as any worker can observe it.
-        let job = JobSlot(unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
-        });
-        {
-            let mut c = lock(&pool.shared.control);
-            c.epoch += 1;
-            c.job = Some(job);
-            c.remaining = pool.handles.len();
-            pool.shared.work.notify_all();
-        }
-        // RECOVERY: lane 0 runs on the calling thread, and a panic here must
-        // not skip the wait below — returning early while workers still hold
-        // the lifetime-erased `job` pointer would be a use-after-free. The
-        // catch holds the caller in place until `remaining` hits zero and the
-        // job slot is cleared; only then is the payload re-raised.
-        let caller_result = catch_unwind(AssertUnwindSafe(|| f(0)));
-        let worker_panic = {
-            let mut c = lock(&pool.shared.control);
-            while c.remaining > 0 {
-                c = wait(&pool.shared.done, c);
+        let shared = &*pool.shared;
+        // Become the owner — or, while another caller is, be one more lane
+        // of its region (each region once) rather than sleep on the lock.
+        let mut helped = 0u64;
+        let owner = loop {
+            match pool.caller.try_lock() {
+                Ok(guard) => break guard,
+                Err(TryLockError::Poisoned(poisoned)) => break poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => {
+                    let s = shared.state.load(Ordering::SeqCst);
+                    if s & 1 == 1 && s != helped {
+                        helped = s;
+                        join(shared, s);
+                    }
+                    std::thread::yield_now();
+                }
             }
-            c.job = None;
-            c.panic.take()
         };
-        drop(_serial);
-        if let Err(payload) = caller_result {
+        // Only the owner writes `state`, so this read is of its own (or the
+        // previous owner's, ordered by the lock) last store: closed.
+        let open = ((shared.state.load(Ordering::Relaxed) >> 1) + 1) << 1 | 1;
+        // The lifetime erasure, owner's side of the argument at `join`'s
+        // `SAFETY`: every lane that can dereference the slot is counted in
+        // `active` before the close below, and this function does not return
+        // before the drain has read that count as zero — so `job` (this
+        // frame's reference, and the closure it borrows) outlives them all.
+        // A lane that registered is always waited for; one that never showed
+        // up, never.
+        shared.job.store(
+            (&job as *const Job<'_>).cast_mut().cast::<Job<'static>>(),
+            Ordering::Relaxed,
+        );
+        shared.state.store(open, Ordering::SeqCst);
+        wake_workers(shared);
+        // RECOVERY: a panic on the owner's own lane must not skip the close
+        // and drain below — unwinding while other lanes still hold the
+        // lifetime-erased pointer would be a use-after-free. The catch holds
+        // the owner in place until the slot is cleared; only then is the
+        // payload re-raised.
+        let own_result = catch_unwind(AssertUnwindSafe(job));
+        shared.state.store(open & !1, Ordering::SeqCst);
+        let mut spins = 0;
+        while shared.active.load(Ordering::SeqCst) != 0 {
+            if spins < SPIN_LIMIT {
+                spins += 1;
+                std::hint::spin_loop();
+                continue;
+            }
+            let mut parked = lock(&shared.drain);
+            shared.owner_parked.store(true, Ordering::SeqCst);
+            // Re-checked after the flag, under the mutex `join` notifies
+            // under.
+            while shared.active.load(Ordering::SeqCst) != 0 {
+                parked = wait(&shared.done, parked);
+            }
+            shared.owner_parked.store(false, Ordering::SeqCst);
+        }
+        shared.job.store(std::ptr::null_mut(), Ordering::Relaxed);
+        let lane_panic = lock(&shared.panic).take();
+        drop(owner);
+        if let Err(payload) = own_result {
             resume_unwind(payload);
         }
-        if let Some(payload) = worker_panic {
+        if let Some(payload) = lane_panic {
             resume_unwind(payload);
         }
     }
@@ -489,7 +618,7 @@ impl Executor {
             return;
         }
         let next = AtomicUsize::new(0);
-        self.broadcast(&|_lane| loop {
+        self.broadcast(&|| loop {
             let task = next.fetch_add(1, Ordering::Relaxed);
             if task >= ntasks {
                 break;
@@ -637,11 +766,50 @@ mod tests {
         assert_eq!(hits(&ex, 10), vec![1; 10]);
     }
 
+    /// Yield until every worker of `ex` has run out its spin and parked.
+    fn wait_until_parked(ex: &Executor) {
+        while ex.sleepers() != ex.threads_spawned() {
+            std::thread::yield_now();
+        }
+    }
+
+    /// The lost-wakeup case: a dispatch that finds every worker asleep must
+    /// wake them (or finish without them) — and they go back to sleep after.
     #[test]
-    fn drop_shuts_the_pool_down() {
-        let ex = Executor::new(3);
-        ex.for_each_dynamic(4, |_| {});
-        drop(ex); // joins the workers; nothing to assert beyond "no hang"
+    fn a_dispatch_after_the_workers_parked_completes_and_they_park_again() {
+        for lanes in [2, 3, 8] {
+            let ex = Executor::new(lanes);
+            for round in 0..20 {
+                wait_until_parked(&ex);
+                for ntasks in [2, 64] {
+                    assert_eq!(
+                        hits(&ex, ntasks),
+                        vec![1; ntasks],
+                        "{lanes} lanes, round {round}, {ntasks} tasks"
+                    );
+                }
+            }
+            wait_until_parked(&ex);
+            assert_eq!(ex.sleepers(), lanes - 1, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    fn drop_joins_workers_that_are_spinning_parked_or_just_spawned() {
+        for lanes in [2, 3, 8] {
+            for round in 0..20 {
+                let ex = Executor::new(lanes);
+                match round % 3 {
+                    // Dropped within the spin bound of the workers' start...
+                    0 => {}
+                    // ...of their last region...
+                    1 => ex.for_each_dynamic(4, |_| {}),
+                    // ...and after they parked.
+                    _ => wait_until_parked(&ex),
+                }
+                drop(ex); // joins the workers: the assertion is "no hang"
+            }
+        }
     }
 
     #[test]

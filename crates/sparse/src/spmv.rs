@@ -48,7 +48,9 @@
 //! * [`gspmv_csr_pull_into`] — the row-parallel **dense pull** kernel over a
 //!   [`CsrMirror`], used by the direction-optimized engine when the frontier
 //!   is dense (reads the same [`SparseVector`] by index; writes each output
-//!   row exactly once, with no sharded scatter).
+//!   row exactly once, with no sharded scatter). Like the push shell it is
+//!   one inline task when the whole gather is worth less than a wake of the
+//!   pool, one task per partition otherwise.
 
 use crate::dcsc::Dcsc;
 use crate::overlay::{walk_columns_overlay, Overlay};
@@ -288,12 +290,21 @@ fn walk_partition<X, E, Y, V, M>(
     }
 }
 
+/// Stored edges the pull kernel gathers in the time a vertex phase handles
+/// one item: 1.1–1.7 ns per edge (`sparse.pull.dense.ns_per_edge`) against
+/// the 5–20 ns per item that
+/// [`PARALLEL_PHASE_MIN_WORK`](crate::parallel::PARALLEL_PHASE_MIN_WORK) is
+/// sized in. Dividing by it puts a pull under the same threshold as every
+/// other phase: a mirror of fewer than 2048 × 16 = 32 k edges (some 40 µs of
+/// gathering, one wake of a parked pool) is pulled inline on the caller.
+const PULL_EDGES_PER_WORK_ITEM: usize = 16;
+
 /// Row-parallel generalized SpMV over a row-major [`CsrMirror`] — the
 /// **dense pull** backend of the direction-optimized engine.
 ///
 /// Where [`gspmv_into`] *pushes* (walk the non-empty columns present in the
 /// sparse input, scatter into output rows), this kernel *pulls*: each task
-/// owns one partition of destination rows and, for every row `k`, gathers
+/// owns whole partitions of destination rows and, for every row `k`, gathers
 /// the row's source entries, probes the input vector's validity bitmap
 /// per source, multiplies the hits and folds them into a register-resident
 /// accumulator — then writes `y[k]` exactly once. No sharded scatter, no
@@ -338,19 +349,29 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     if x.nnz() == 0 {
         return;
     }
+    // Like the push shell: one inline task below the phase threshold, one
+    // task per partition above it. A pull gathers every stored edge whatever
+    // the frontier holds, so its work is the edge count.
+    let nparts = mirror.n_partitions();
+    let work = mirror.nnz() / PULL_EDGES_PER_WORK_ITEM;
+    let inline = phase_chunks(nparts, work, executor).count() == 1;
+    let tasks = chunks(nparts, if inline { 1 } else { nparts });
     // Partitions own disjoint row ranges and every row is written at most
     // once, so the sharded handle's insert path is all that runs — the
     // atomics it uses are only for validity words straddling a range
     // boundary.
     let shards = y.sharded();
-    executor.for_each_dynamic(mirror.n_partitions(), |p| {
-        let part = mirror.partition(p);
+    executor.for_each_dynamic(tasks.count(), |task| {
+        let (first, end) = tasks.bounds(task);
         let mut newly_set = 0usize;
-        for (k, cols, edges) in part.iter_rows() {
-            if let Some(acc) = pull_row(x, cols, edges, k, multiply, add) {
-                // SAFETY: partitions own disjoint row ranges, so row `k` is
-                // written by this task only.
-                unsafe { shards.merge(k, acc, &mut newly_set, |slot, v| *slot = v) };
+        for p in first..end {
+            for (k, cols, edges) in mirror.partition(p).iter_rows() {
+                if let Some(acc) = pull_row(x, cols, edges, k, multiply, add) {
+                    // SAFETY: partitions own disjoint row ranges and tasks
+                    // own disjoint partitions, so row `k` is written by this
+                    // task only.
+                    unsafe { shards.merge(k, acc, &mut newly_set, |slot, v| *slot = v) };
+                }
             }
         }
         shards.commit(newly_set);
@@ -886,6 +907,31 @@ mod tests {
             saw_empty_partition,
             "the salt must leave some partition empty"
         );
+    }
+
+    /// The matrices above are pulled inline (fewer edges than the phase
+    /// threshold is worth); this one is pulled one task per partition.
+    #[test]
+    fn pull_above_the_edge_threshold_matches_one_lane() {
+        let multiply = |m: &f32, e: &f32, _: Index| m * e;
+        let add = |acc: &mut f32, v: f32| *acc += v;
+        let n = 16001u32;
+        let rng = &mut SplitMix(3);
+        let pd = PartitionedDcsc::from_coo_balanced(&salted_matrix("rmat", n, rng), 16);
+        let mirror = CsrMirror::from_partitioned(&pd);
+        let work = mirror.nnz() / PULL_EDGES_PER_WORK_ITEM;
+        let ex = Executor::new(4);
+        assert!(phase_chunks(16, work, &ex).count() > 1, "{work} work items");
+        for nnz in [1, n as usize / 2, n as usize] {
+            let x = salted_frontier(n, nnz, rng);
+            let mut one_lane: SparseVector<f32> = SparseVector::new(n as usize);
+            let sequential = Executor::sequential();
+            gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &sequential, &mut one_lane);
+            let mut split: SparseVector<f32> = SparseVector::new(n as usize);
+            gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut split);
+            assert_eq!(bits(&split), bits(&one_lane), "nnz(x) {nnz}");
+            assert_eq!(split.nnz(), one_lane.nnz(), "nnz(x) {nnz}");
+        }
     }
 
     #[test]

@@ -36,9 +36,11 @@ fn bfs_from(edges: &EdgeList, root: VertexId) -> AlgorithmOutput<u32> {
 #[test]
 fn spmv_dominates_pagerank_runtime() {
     // §5.4: "most (over 80%) of the time is spent in the Generalized SPMV".
-    // At tiny scales the constant overheads weigh more, so require a majority
-    // rather than the full 80%.
-    let edges = datasets::load(DatasetId::RmatGraph500, DatasetScale::Tiny);
+    // At 2¹⁴ vertices a run is milliseconds of SpMV (a share of ~0.8); at
+    // `Tiny` it is one pool dispatch per superstep, and the "share" measured
+    // how long a wake takes. Other tests run beside this one, so require a
+    // majority rather than the full 80%.
+    let edges = datasets::load(DatasetId::RmatGraph500, DatasetScale::Small);
     let out = pagerank_for(&edges, 10);
     assert!(
         out.stats.spmv_fraction() > 0.5,

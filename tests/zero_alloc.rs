@@ -18,8 +18,9 @@
 
 #![cfg(not(feature = "shard-check"))]
 
+use graphmat_algorithms::bfs::bfs_into;
 use graphmat_algorithms::degree::out_degrees_into;
-use graphmat_algorithms::sssp::{SsspProgram, UNREACHABLE};
+use graphmat_algorithms::sssp::sssp_into;
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
 use graphmat_core::{ActivityPolicy, Backend, RunOptions, Session, SessionOptions, VertexState};
@@ -145,49 +146,52 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         .zip(&expected)
         .all(|(got, want)| *got == *want as u64));
 
-    // ---- Part 1c: sparse frontiers. ----
-    // Road-grid SSSP: after one all-active superstep in which only the
-    // source has a distance to offer, a hundred-odd supersteps of a few
-    // dozen messages each — the push kernel takes its frontier-driven walk
-    // and runs its partitions inline on the caller instead of waking the
-    // pool. (Everyone starts active because a seed list is the run
-    // builder's one heap allocation.)
+    // ---- Part 1c: sparse frontiers, through the single-source drivers. ----
+    // Road-grid SSSP from one seeded source (the builder holds its first seed
+    // inline): a hundred-odd supersteps of a few dozen messages each — the
+    // push kernel takes its frontier-driven walk and runs its partitions
+    // inline on the caller instead of dispatching to the pool.
     let road = grid::generate(&GridConfig::square(48).with_seed(11));
     let road_topo = match session.build_graph(&road).finish() {
         Ok(t) => t,
         Err(e) => panic!("road build: {e}"),
     };
     let mut dist: VertexState<f32> = VertexState::for_topology(&road_topo);
-    let relax = |dist: &mut VertexState<f32>| {
-        session
-            .run(&road_topo, SsspProgram::<f32>::default())
-            .init_with(&|v| if v == 0 { 0.0 } else { UNREACHABLE })
-            .activate_all()
-            .execute_with(dist)
-    };
-    if let Err(e) = relax(&mut dist) {
+    if let Err(e) = sssp_into(&session, &road_topo, 0, None, &mut dist) {
         panic!("warm-up sssp: {e}");
     }
-    let (outcome, stats) = AllocGuard::measure(|| relax(&mut dist));
+    let (outcome, stats) =
+        AllocGuard::measure(|| sssp_into(&session, &road_topo, 0, None, &mut dist));
     match outcome {
         Ok(r) => {
             assert!(r.converged && r.stats.iterations > 48, "{:?}", r.stats);
-            assert_eq!(
-                r.stats.pull_supersteps, 1,
-                "only the all-active start pulls"
-            );
-            let sparse_messages = r.stats.messages_sent - road.num_vertices() as u64;
-            let mean_frontier = sparse_messages / (r.stats.iterations as u64 - 1);
+            assert_eq!(r.stats.pull_supersteps, 0, "a road frontier never pulls");
+            let mean_frontier = r.stats.messages_sent / r.stats.iterations as u64;
             assert!(
                 mean_frontier < 256,
                 "mean frontier {mean_frontier} is not sparse"
             );
         }
-        Err(e) => panic!("measured sssp: {e}"),
+        Err(e) => panic!("measured sssp_into: {e}"),
     }
     assert!(
         !stats.any(),
-        "warmed sparse-frontier supersteps must not touch the heap, got {stats:?}"
+        "a warmed sssp_into must not touch the heap, got {stats:?}"
+    );
+    // BFS over the same grid: hop counts, the weights ignored.
+    let mut hops: VertexState<u32> = VertexState::for_topology(&road_topo);
+    if let Err(e) = bfs_into(&session, &road_topo, 0, None, &mut hops) {
+        panic!("warm-up bfs: {e}");
+    }
+    let (outcome, stats) =
+        AllocGuard::measure(|| bfs_into(&session, &road_topo, 0, None, &mut hops));
+    match outcome {
+        Ok(r) => assert!(r.converged && r.stats.iterations > 48, "{:?}", r.stats),
+        Err(e) => panic!("measured bfs_into: {e}"),
+    }
+    assert!(
+        !stats.any(),
+        "a warmed bfs_into must not touch the heap, got {stats:?}"
     );
 
     // ---- Part 2: steady-state server rounds, in-process. ----

@@ -6,13 +6,16 @@
 //! sparse-push versus dense-pull kernels at different frontier densities
 //! (the direction-optimization tradeoff), plus a push-only density sweep on
 //! a skewed and a banded matrix, where the kernel's frontier-walk /
-//! column-walk crossover shows. These support the §4.5 optimization
-//! discussion rather than a specific figure.
+//! column-walk crossover shows, plus both kernels over pending edits (an
+//! empty overlay, which must cost what the plain kernel costs, and edits on
+//! 3 % of the edges). These support the §4.5 optimization discussion rather
+//! than a specific figure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphmat_bench::ablation::SortedSparseVector;
 use graphmat_io::grid::{self, GridConfig};
 use graphmat_io::rmat::{self, RmatConfig};
+use graphmat_sparse::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into, Overlay, OverlayOp};
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
@@ -144,6 +147,86 @@ fn bench(c: &mut Criterion) {
                 gspmv_csr_pull_into(
                     &mirror,
                     x,
+                    &|m: &f32, e: &f32, _k: Index| m + e,
+                    &|acc: &mut f32, v: f32| *acc = acc.min(v),
+                    &executor,
+                    &mut y,
+                );
+                y.nnz()
+            })
+        });
+    }
+
+    // Every vertex sending, over `base ⊕ overlay`: `pull/dense` against
+    // `overlay_pull/empty` is the pull side of "the overlay branch is free"
+    // (one length compare per partition), and the `3pct` rows are what
+    // merging edits on 3 % of the stored edges costs each kernel.
+    let ranges: Vec<_> = matrix.partitions().iter().map(|p| p.rows).collect();
+    let mut edits: Vec<(Index, Index, OverlayOp<f32>)> = coo
+        .entries()
+        .iter()
+        .step_by(33)
+        .enumerate()
+        .map(|(i, &(r, c, w))| match i % 3 {
+            0 => (r, c, OverlayOp::Delete),
+            1 => (r, c, OverlayOp::Upsert(w + 1.0)),
+            _ => (r, (c + 1) % n as Index, OverlayOp::Upsert(w)),
+        })
+        .collect();
+    edits.sort_unstable_by_key(|&(r, c, _)| (r, c));
+    edits.dedup_by_key(|&mut (r, c, _)| (r, c));
+    let overlays = [
+        (
+            "empty",
+            Overlay::from_entries(n as Index, n as Index, &ranges, vec![]),
+        ),
+        (
+            "3pct",
+            Overlay::from_entries(n as Index, n as Index, &ranges, edits),
+        ),
+    ];
+    let x: SparseVector<f32> = SparseVector::full(n, 1.0);
+    let mut y: SparseVector<f32> = SparseVector::new(n);
+    group.bench_function(BenchmarkId::new("pull", "dense"), |b| {
+        b.iter(|| {
+            gspmv_csr_pull_into(
+                &mirror,
+                &x,
+                &|m: &f32, e: &f32, _k: Index| m + e,
+                &|acc: &mut f32, v: f32| *acc = acc.min(v),
+                &executor,
+                &mut y,
+            );
+            y.nnz()
+        })
+    });
+    for (label, overlay) in &overlays {
+        println!(
+            "overlay {label}: {} pending ops on {} stored edges, {} bytes",
+            overlay.nnz(),
+            matrix.nnz(),
+            overlay.bytes()
+        );
+        group.bench_function(BenchmarkId::new("overlay_pull", label), |b| {
+            b.iter(|| {
+                gspmv_overlay_pull_into(
+                    &mirror,
+                    overlay,
+                    &x,
+                    &|m: &f32, e: &f32, _k: Index| m + e,
+                    &|acc: &mut f32, v: f32| *acc = acc.min(v),
+                    &executor,
+                    &mut y,
+                );
+                y.nnz()
+            })
+        });
+        group.bench_function(BenchmarkId::new("overlay_push", label), |b| {
+            b.iter(|| {
+                gspmv_overlay_into(
+                    &matrix,
+                    overlay,
+                    &x,
                     &|m: &f32, e: &f32, _k: Index| m + e,
                     &|acc: &mut f32, v: f32| *acc = acc.min(v),
                     &executor,

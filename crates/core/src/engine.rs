@@ -27,7 +27,8 @@
 //! arrays of the program's scatter direction. It is the single place that
 //! asks the topology for its in-edge orientation, so the first `In`/`Both`
 //! run is what derives `G` from the stored `Gᵀ`
-//! ([`Topology::in_matrix`](crate::topology::Topology::in_matrix)); `Out`
+//! ([`Topology::in_matrix`](crate::topology::Topology::in_matrix)) — and,
+//! over pending edits, the overlay's in side from its out side; `Out`
 //! runs never do. That resolution is also the run's pre-flight check — a
 //! missing pull mirror is a typed error there, before the first superstep.
 //!
@@ -89,7 +90,10 @@
 //! in ascending source order, so **push, pull and the selector produce
 //! bit-for-bit identical results** — the choice can never change an answer,
 //! only its speed. Each superstep records its [`Backend`] so runs expose
-//! their push/pull trajectory.
+//! their push/pull trajectory. Pending edits change none of this: each leg
+//! hands its overlay to whichever kernel runs, and the rule above reads the
+//! merged degrees and edge count, so a snapshot that is being written takes
+//! the trajectory of its rebuild.
 
 use crate::error::{GraphMatError, Result};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
@@ -97,7 +101,7 @@ use crate::state::VertexState;
 use crate::stats::{Backend, SuperstepStats};
 use crate::topology::Orientation;
 use crate::view::GraphView;
-use graphmat_sparse::overlay::{gspmv_overlay_into, Overlay};
+use graphmat_sparse::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into, Overlay};
 use graphmat_sparse::parallel::Executor;
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
@@ -181,8 +185,8 @@ impl<P: GraphProgram> Workspace<P> {
 }
 
 /// One scatter direction's share of a traversal: the DCSC the push kernel
-/// sweeps, the pending edits aligned to it, and the degree array SEND
-/// charges a message's edges against.
+/// sweeps, the pending edits aligned to it (and to its pull mirror), and the
+/// degree array SEND charges a message's edges against.
 struct Leg<'a, E> {
     matrix: &'a PartitionedDcsc<E>,
     overlay: Option<&'a Overlay<E>>,
@@ -210,6 +214,31 @@ impl<E: Sync> Leg<'_, E> {
             None => gspmv_into(self.matrix, messages, multiply, add, executor, y),
             Some(overlay) => {
                 gspmv_overlay_into(self.matrix, overlay, messages, multiply, add, executor, y)
+            }
+        }
+    }
+
+    /// The pull SpMV over this leg's `mirror`; with edits pending, each
+    /// destination row is merged with the overlay's row-major side — the
+    /// same bits as [`Leg::push`].
+    fn pull<X, Y, M, A>(
+        &self,
+        mirror: &CsrMirror<E>,
+        messages: &SparseVector<X>,
+        multiply: &M,
+        add: &A,
+        executor: &Executor,
+        y: &mut SparseVector<Y>,
+    ) where
+        X: Sync,
+        Y: Clone + Default + Send,
+        M: Fn(&X, &E, Index) -> Y + Sync,
+        A: Fn(&mut Y, Y) + Sync,
+    {
+        match self.overlay {
+            None => gspmv_csr_pull_into(mirror, messages, multiply, add, executor, y),
+            Some(overlay) => {
+                gspmv_overlay_pull_into(mirror, overlay, messages, multiply, add, executor, y)
             }
         }
     }
@@ -241,9 +270,9 @@ pub(crate) struct Traversal<'a, E> {
     view: GraphView<'a, E>,
     first: Leg<'a, E>,
     second: Option<Leg<'a, E>>,
-    /// The legs' pull mirrors. `None` unless every leg has one **and** no
-    /// edits are pending: the mirrors describe the unedited base and are
-    /// only refreshed by compaction.
+    /// The legs' pull mirrors; `None` unless every leg has one. They
+    /// describe the unedited base — pending edits ride along in each leg's
+    /// overlay, on the pull backend as on the push one.
     mirrors: Option<Mirrors<'a, E>>,
     /// The backend every superstep must use; `None` lets
     /// [`choose_backend`] decide per superstep.
@@ -259,23 +288,32 @@ impl<'a, E: Clone> Traversal<'a, E> {
     /// # Errors
     ///
     /// * [`GraphMatError::MissingInMatrix`] if `direction` is `In`/`Both`
-    ///   and the view's overlay was hand-assembled without an in side (the
-    ///   store always compiles both);
-    /// * [`GraphMatError::InvalidParameter`] if `forced` is
-    ///   [`Backend::Pull`] while edits are pending;
-    /// * [`GraphMatError::MissingPullMirror`] if it is on a topology built
-    ///   with `build_pull_mirrors = false`. (The selector pushes instead.)
+    ///   and the view's overlay was hand-assembled without the base's in
+    ///   ranges (the store always passes them);
+    /// * [`GraphMatError::MissingPullMirror`] if `forced` is
+    ///   [`Backend::Pull`] on a topology built with
+    ///   `build_pull_mirrors = false`. (The selector pushes instead.)
     pub(crate) fn resolve(
         view: GraphView<'a, E>,
         direction: EdgeDirection,
         forced: Option<Backend>,
     ) -> Result<Self> {
         let topology = view.topology();
-        let (out_overlay, in_overlay) = (view.out_kernel_overlay(), view.in_kernel_overlay());
+        // Like `G` below, an overlay's in side is derived by the first run
+        // that scatters along in-edges; `Out` runs never ask for it.
+        let in_overlay = if direction == EdgeDirection::Out {
+            None
+        } else {
+            view.in_kernel_overlay()
+        };
         if direction != EdgeDirection::Out && view.has_overlay() && in_overlay.is_none() {
             return Err(GraphMatError::MissingInMatrix);
         }
-        let out = leg(topology.out(), out_overlay, view.out_degrees());
+        let out = leg(
+            topology.out(),
+            view.out_kernel_overlay(),
+            view.out_degrees(),
+        );
         // Lazy: the first call on a topology is what derives its `G`.
         let inward = || leg(topology.inward(), in_overlay, view.in_degrees());
         let ((first, first_mirror), second) = match direction {
@@ -288,19 +326,9 @@ impl<'a, E: Clone> Traversal<'a, E> {
             (Some(first), None) => Some((first, None)),
             (Some(first), Some(Some(second))) => Some((first, Some(second))),
             _ => None,
-        }
-        .filter(|_| !view.has_overlay());
-
-        if forced == Some(Backend::Pull) {
-            if view.has_overlay() {
-                return Err(GraphMatError::InvalidParameter(
-                    "Backend::Pull cannot traverse a snapshot with pending deltas; leave the \
-                     backend unforced (or force Push) until the store compacts",
-                ));
-            }
-            if mirrors.is_none() {
-                return Err(GraphMatError::MissingPullMirror);
-            }
+        };
+        if forced == Some(Backend::Pull) && mirrors.is_none() {
+            return Err(GraphMatError::MissingPullMirror);
         }
         Ok(Traversal {
             view,
@@ -347,10 +375,11 @@ impl<'a, E: Clone> Traversal<'a, E> {
 /// popcounts the active bit vector. It sizes SEND's chunking and is reported
 /// as the superstep's frontier density.
 ///
-/// With a pending overlay the push SpMV runs the merged
-/// [`gspmv_overlay_into`] column walk and SEND accounts the **merged**
-/// degree arrays, so metrics describe the edited graph; the selector then
-/// always pushes (see [`Traversal`]).
+/// With a pending overlay either kernel runs merged with it — the push
+/// SpMV's [`gspmv_overlay_into`] column walk, the pull SpMV's
+/// [`gspmv_overlay_pull_into`] row gather — and SEND accounts the **merged**
+/// degree arrays, so metrics describe the edited graph and the selector
+/// gives it the push/pull trajectory of its rebuild.
 pub(crate) fn superstep<P: GraphProgram>(
     traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
@@ -399,9 +428,15 @@ pub(crate) fn superstep<P: GraphProgram>(
                 leg.push(messages, &multiply, &add, executor, y)
             })
         }
-        Some(mirrors) => first_then_second(mirrors, &add, reduced, scratch, |mirror, y| {
-            gspmv_csr_pull_into(mirror, messages, &multiply, &add, executor, y)
-        }),
+        Some((first, second)) => {
+            let legs = (
+                (&traversal.first, first),
+                traversal.second.as_ref().zip(second),
+            );
+            first_then_second(legs, &add, reduced, scratch, |(leg, mirror), y| {
+                leg.pull(mirror, messages, &multiply, &add, executor, y)
+            })
+        }
     }
     let spmv_time = spmv_start.elapsed();
 

@@ -42,11 +42,11 @@ pub enum GraphMatError {
         topology_vertices: usize,
     },
     /// The program scatters along in-edges over a view whose
-    /// `DeltaOverlay` was hand-assembled without an in side
+    /// `DeltaOverlay` was hand-assembled without the base's in ranges
     /// (`BaseFacts::in_ranges: None`), so the pending edits cannot be merged
     /// into `G`. Nothing built through [`crate::store::GraphStore`] reports
-    /// this: the store compiles both overlay sides, and a topology derives
-    /// `G` itself on the first `In`/`Both` run.
+    /// this: the store always passes them, and the overlay's in side, like
+    /// the topology's `G`, is derived on the first `In`/`Both` run.
     MissingInMatrix,
     /// A run forced the pull backend (`Backend::Pull`) but the topology
     /// was built with `build_pull_mirrors = false`, so there is no row-major

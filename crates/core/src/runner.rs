@@ -34,8 +34,8 @@
 //! the first superstep and before anything is mutated: the state's length,
 //! and — through `Traversal::resolve` — the overlay side and pull mirrors
 //! the program's direction and the options' backend need (the in-edge
-//! matrix itself is never missing: the first run that needs it derives it
-//! there). The supersteps
+//! matrix itself is never missing, nor is a store-built overlay's in side:
+//! the first run that needs either derives it there). The supersteps
 //! then run over the resolved `Traversal` with no further checks.
 //!
 //! # Execution resources
@@ -87,15 +87,14 @@ pub struct RunResult {
 /// * [`GraphMatError::StateLengthMismatch`] if `state` was allocated for a
 ///   different vertex count than the view's topology;
 /// * [`GraphMatError::MissingInMatrix`] if the program scatters along
-///   in-edges (`In`/`Both`) over a hand-assembled overlay that has no in
-///   side;
-/// * [`GraphMatError::InvalidParameter`] if the options force
-///   `Backend::Pull` while edits are pending — the pull mirrors describe the
-///   unedited base (an unforced run pushes instead) — or if `ws` was
-///   allocated for a different vertex count than this run's;
+///   in-edges (`In`/`Both`) over a hand-assembled overlay that cannot
+///   derive an in side;
 /// * [`GraphMatError::MissingPullMirror`] if the options force
 ///   `Backend::Pull` but the topology was built with
-///   `build_pull_mirrors = false` (an unforced run degrades to always-push).
+///   `build_pull_mirrors = false` (an unforced run degrades to always-push;
+///   pending edits are no obstacle to either);
+/// * [`GraphMatError::InvalidParameter`] if `ws` was allocated for a
+///   different vertex count than this run's.
 ///
 /// All of them are reported **before** the first superstep, in that order,
 /// with `state` untouched.

@@ -188,10 +188,8 @@ impl Session {
     /// Start building a run of `program` over `view` — `&Topology`,
     /// `&Arc<Topology>`, or `snapshot.view()` from a
     /// [`crate::store::GraphStore`] snapshot (see [`GraphView`]). The
-    /// builder starts from the session's run defaults. With pending edits
-    /// the run uses the overlay-aware push backend (forcing
-    /// [`Backend::Pull`] is rejected at execute time, see
-    /// [`crate::runner::run_program`]).
+    /// builder starts from the session's run defaults. Pending edits are
+    /// merged in by whichever kernel a superstep runs, push or pull.
     pub fn run<'s, 't, P: GraphProgram>(
         &'s self,
         view: impl Into<GraphView<'t, P::Edge>>,

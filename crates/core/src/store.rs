@@ -27,8 +27,9 @@
 //!
 //! # Compaction
 //!
-//! Pending deltas cost the merged overlay sweep (and disable the pull
-//! backend, see [`crate::view::GraphView`]). When the log exceeds
+//! Pending deltas cost the merged overlay walk, pushed or pulled (see
+//! [`crate::view::GraphView`]), and every `apply` recompiles the whole
+//! pending set. When the log exceeds
 //! [`StoreOptions::compaction_threshold`] effective ops, the store folds
 //! the resolved log into the base edge list, rebuilds a fresh base
 //! [`Topology`] with the original's own

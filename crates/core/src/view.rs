@@ -12,17 +12,21 @@
 //!   steady-state read path after compaction is byte-for-byte the
 //!   pre-streaming code path;
 //! * a view with a pending overlay reports the merged degree arrays and
-//!   edge count, and hands the push SpMV the partition-aligned kernel
-//!   overlays for the program's traversal direction.
+//!   edge count, and hands either SpMV kernel the partition-aligned kernel
+//!   overlay of the program's traversal direction (the in side is derived
+//!   the first time an `In`/`Both` run asks for it).
 //!
-//! Only the **push** backend is overlay-aware: the dense pull mirrors are
-//! rebuilt at compaction, not per batch, so a superstep over a pending
-//! overlay always pushes (the selector picks push; forcing
-//! [`Backend::Pull`](crate::stats::Backend::Pull) is a typed error).
-//! Results stay bit-for-bit
-//! identical to a run over a topology rebuilt from the edited edge list —
-//! the merged column walk of
-//! [`graphmat_sparse::overlay::gspmv_overlay_into`] folds each
+//! **Both** backends are overlay-aware. The dense pull mirrors are rebuilt
+//! at compaction, not per batch, and describe the unedited base; the pull
+//! kernel merges each destination row with the overlay's row-major side as
+//! the push kernel merges each source column with its column-major one. So
+//! the selector sees the merged degrees and edge count and gives an edited
+//! snapshot the push/pull trajectory of its rebuild, and forcing
+//! [`Backend::Pull`](crate::stats::Backend::Pull) over pending edits is as
+//! valid as over a bare topology. Results stay bit-for-bit identical to a run
+//! over a topology rebuilt from the edited edge list —
+//! [`graphmat_sparse::overlay::gspmv_overlay_into`] and
+//! [`graphmat_sparse::overlay::gspmv_overlay_pull_into`] fold each
 //! destination's products in the same ascending-source order a rebuild
 //! would.
 
@@ -128,11 +132,14 @@ impl<'a, E> GraphView<'a, E> {
     pub(crate) fn out_kernel_overlay(&self) -> Option<&'a Overlay<E>> {
         self.overlay.map(|o| o.out())
     }
+}
 
+impl<'a, E: Clone> GraphView<'a, E> {
     /// The kernel overlay aligned to the in matrix (`G`), if edits are
-    /// pending **and** the overlay was compiled with an in side (the store's
-    /// always are; the base's in ranges are fixed at build, whether or not
-    /// `G` itself has been derived yet).
+    /// pending **and** the overlay was compiled with the base's in ranges
+    /// (the store's always are; they are fixed at build, whether or not `G`
+    /// itself has been derived yet). The first call on an overlay is what
+    /// derives its in side, so only `In`/`Both` runs ask.
     pub(crate) fn in_kernel_overlay(&self) -> Option<&'a Overlay<E>> {
         self.overlay.and_then(|o| o.in_overlay())
     }

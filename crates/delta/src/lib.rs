@@ -12,9 +12,9 @@
 //!   published;
 //! * [`overlay::DeltaOverlay`] — the resolved log compiled against a base's
 //!   partitioning into kernel-ready [`graphmat_sparse::overlay::Overlay`]s
-//!   (one per traversal direction) plus merged degree arrays and edge
-//!   counts, so the engine sees `(base ⊕ delta)` without rebuilding the
-//!   matrices.
+//!   (the out-edge one per batch, the in-edge one derived when first
+//!   traversed) plus merged degree arrays and edge counts, so the engine
+//!   sees `(base ⊕ delta)` without rebuilding the matrices.
 //!
 //! The crate deliberately knows nothing about vertex programs, snapshots or
 //! wire formats — `graphmat-core`'s `GraphStore` owns publication and
@@ -32,8 +32,9 @@ pub use log::{apply_resolved_to_edges, DeltaLog};
 pub use overlay::{BaseFacts, DeltaOverlay, PairIndex};
 
 /// The kernel-level edit-set structure, re-exported under the paper-plan
-/// name: a `DeltaMatrix` is a partition-aligned, column-major set of pending
-/// ops that the overlay-aware SpMV sweeps together with the base DCSC.
+/// name: a `DeltaMatrix` is a partition-aligned set of pending ops, indexed
+/// by column and by row, that the overlay-aware SpMV kernels merge with the
+/// base DCSC (push) or its CSR mirror (pull).
 pub type DeltaMatrix<E> = graphmat_sparse::overlay::Overlay<E>;
 
 /// Typed failures of the delta layer.

@@ -8,11 +8,17 @@
 //! inputs — the base's structural facts ([`BaseFacts`]), a sorted index of
 //! the base's `(src, dst)` pairs ([`PairIndex`]), and the latest-wins
 //! resolution of the log — without touching the base matrices.
+//!
+//! Only the out-edge kernel overlay (aligned to `Gᵀ`) is compiled per batch.
+//! The in-edge one is derived on demand, like the base's `G`: the first
+//! `In`/`Both` run over the snapshot transposes the out side's entries into
+//! it, and `Out` programs — every served algorithm — never pay for it.
 
 use crate::batch::UpdateOp;
 use graphmat_sparse::overlay::{Overlay, OverlayOp};
 use graphmat_sparse::partition::RowRange;
 use graphmat_sparse::Index;
+use std::sync::OnceLock;
 
 /// Sorted multiset of a base graph's `(src, dst)` pairs, used to tell
 /// whether a delta op inserts a new edge, reweights existing copies, or
@@ -63,8 +69,9 @@ pub struct BaseFacts<'a> {
     pub out_ranges: &'a [RowRange],
     /// Row ranges of the base's in matrix (`G`: row = source). A topology
     /// fixes them at build whether or not it has derived `G` yet, so the
-    /// store always passes `Some`; `None` compiles an overlay with no in
-    /// side, which `In`/`Both` runs then reject (`MissingInMatrix`).
+    /// store always passes `Some`; `None` compiles an overlay that can never
+    /// derive an in side, which `In`/`Both` runs then reject
+    /// (`MissingInMatrix`).
     pub in_ranges: Option<&'a [RowRange]>,
     /// Base out-degrees, indexed by vertex.
     pub out_degrees: &'a [u32],
@@ -73,15 +80,20 @@ pub struct BaseFacts<'a> {
 }
 
 /// The pending edits of a snapshot, compiled against its base's layout:
-/// kernel overlays per traversal direction plus the merged degree arrays
-/// and edge count of the *edited* graph.
+/// the kernel overlay of the out-edge traversal plus the merged degree
+/// arrays and edge count of the *edited* graph. Like the base topology's
+/// `G`, the in-edge overlay is not compiled until an `In`/`Both` run asks
+/// for it ([`DeltaOverlay::in_overlay`]): every `apply` would otherwise pay
+/// for a side that `Out` programs never read.
 ///
-/// Immutable once built — a snapshot shares it behind an `Arc` exactly like
-/// the base topology.
+/// Immutable once built (but for that one derivation) — a snapshot shares
+/// it behind an `Arc` exactly like the base topology.
 #[derive(Clone, Debug)]
 pub struct DeltaOverlay<E> {
     out: Overlay<E>,
-    in_: Option<Overlay<E>>,
+    /// [`BaseFacts::in_ranges`], kept for the derivation of `in_`.
+    in_ranges: Option<Vec<RowRange>>,
+    in_: OnceLock<Overlay<E>>,
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
     num_edges: usize,
@@ -105,7 +117,6 @@ impl<E: Clone> DeltaOverlay<E> {
         let mut num_edges = facts.num_edges as isize;
 
         let mut out_entries: Vec<(Index, Index, OverlayOp<E>)> = Vec::new();
-        let mut in_entries: Vec<(Index, Index, OverlayOp<E>)> = Vec::new();
         let mut n_ops = 0usize;
         for (s, d, op) in resolved {
             let m = pair_index.count(*s, *d) as isize;
@@ -123,26 +134,28 @@ impl<E: Clone> DeltaOverlay<E> {
             in_degrees[*d as usize] = (in_degrees[*d as usize] as isize + delta) as u32;
             num_edges += delta;
             n_ops += 1;
-            // Out matrix is Gᵀ (row = dst, col = src); in matrix is G.
-            out_entries.push((*d, *s, kernel_op.clone()));
-            if facts.in_ranges.is_some() {
-                in_entries.push((*s, *d, kernel_op));
-            }
+            // Out matrix is Gᵀ (row = dst, col = src).
+            out_entries.push((*d, *s, kernel_op));
         }
 
-        let out = Overlay::from_entries(n, n, facts.out_ranges, out_entries);
-        let in_ = facts
-            .in_ranges
-            .map(|ranges| Overlay::from_entries(n, n, ranges, in_entries));
-
         DeltaOverlay {
-            out,
-            in_,
+            out: Overlay::from_entries(n, n, facts.out_ranges, out_entries),
+            in_ranges: facts.in_ranges.map(<[RowRange]>::to_vec),
+            in_: OnceLock::new(),
             out_degrees,
             in_degrees,
             num_edges: num_edges as usize,
             n_ops,
         }
+    }
+
+    /// The kernel overlay for in-edge traversal (aligned to `G`), if the
+    /// overlay was compiled with [`BaseFacts::in_ranges`]. Derived from the
+    /// out side's own entries — `(row, col, op)` as `(col, row, op)` — the
+    /// first time it is asked for; concurrent first calls share one result.
+    pub fn in_overlay(&self) -> Option<&Overlay<E>> {
+        let ranges = self.in_ranges.as_deref()?;
+        Some(self.in_.get_or_init(|| self.out.transposed(ranges)))
     }
 }
 
@@ -150,12 +163,6 @@ impl<E> DeltaOverlay<E> {
     /// The kernel overlay for out-edge traversal (aligned to `Gᵀ`).
     pub fn out(&self) -> &Overlay<E> {
         &self.out
-    }
-
-    /// The kernel overlay for in-edge traversal (aligned to `G`), if the
-    /// overlay was compiled with [`BaseFacts::in_ranges`].
-    pub fn in_overlay(&self) -> Option<&Overlay<E>> {
-        self.in_.as_ref()
     }
 
     /// Out-degrees of the edited graph, indexed by vertex.
@@ -183,10 +190,11 @@ impl<E> DeltaOverlay<E> {
         self.n_ops == 0
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes; counts the in side once it has
+    /// been derived.
     pub fn bytes(&self) -> usize {
         self.out.bytes()
-            + self.in_.as_ref().map_or(0, |o| o.bytes())
+            + self.in_.get().map_or(0, |o| o.bytes())
             + (self.out_degrees.len() + self.in_degrees.len()) * std::mem::size_of::<u32>()
     }
 }
@@ -261,6 +269,38 @@ mod tests {
         assert_eq!(ov.in_overlay().unwrap().nnz(), 3);
         assert!(!ov.is_empty());
         assert!(ov.bytes() > 0);
+    }
+
+    #[test]
+    fn in_side_is_derived_on_first_use_from_the_out_side() {
+        let idx = PairIndex::from_edges(&base_edges());
+        let out_deg = [2u32, 1, 1, 1, 1];
+        let in_deg = [1u32, 1, 2, 1, 1];
+        let out_ranges = ranges();
+        let in_ranges = vec![RowRange { start: 0, end: 1 }, RowRange { start: 1, end: 5 }];
+        let f = facts(&out_ranges, Some(&in_ranges), &out_deg, &in_deg);
+        let resolved = vec![
+            (0, 1, UpdateOp::Delete),
+            (1, 2, UpdateOp::Insert(9.0)),
+            (2, 0, UpdateOp::Insert(1.0)),
+        ];
+        let ov = DeltaOverlay::build(&f, &idx, &resolved);
+        let out_only = ov.bytes();
+        // What compiling the in side at `build` produced: `G` is row = source.
+        let eager = Overlay::from_entries(
+            5,
+            5,
+            &in_ranges,
+            vec![
+                (0, 1, OverlayOp::Delete),
+                (1, 2, OverlayOp::Upsert(9.0)),
+                (2, 0, OverlayOp::Upsert(1.0)),
+            ],
+        );
+        let derived = ov.in_overlay().unwrap();
+        assert_eq!(*derived, eager);
+        assert_eq!(ov.bytes(), out_only + eager.bytes());
+        assert!(std::ptr::eq(derived, ov.in_overlay().unwrap()));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   multiplication (paper Algorithm 1), plus the row-parallel dense-pull
 //!   kernel.
 //! * [`overlay`] — sorted delta overlays (pending edge edits) and the merged
-//!   `base ⊕ overlay` SpMV used by the streaming-update layer; reduction
-//!   order matches a from-scratch rebuild bit for bit.
+//!   `base ⊕ overlay` SpMV, pushed or pulled, used by the streaming-update
+//!   layer; reduction order matches a from-scratch rebuild bit for bit.
 //!
 //! The crate is deliberately free of graph-level concepts: it only knows about
 //! matrices, vectors and partitions. `graphmat-core` builds the vertex-program

@@ -1,29 +1,38 @@
 //! Delta overlays: a small sorted edit set applied on top of a
-//! [`PartitionedDcsc`] during SpMV, without rebuilding the matrix.
+//! [`PartitionedDcsc`] (or its [`CsrMirror`]) during SpMV, without
+//! rebuilding the matrix.
 //!
 //! A streaming graph accumulates edge insertions, weight updates and
 //! deletions between compactions. Rebuilding the DCSC per batch would cost
 //! O(E log E); instead the pending edits live in an [`Overlay`] — a
-//! column-major, partition-aligned structure holding at most **one**
-//! [`OverlayOp`] per `(row, col)` coordinate — and
-//! [`gspmv_overlay_into`] runs Algorithm 1 over `base ⊕ overlay` with a
-//! merged two-pointer column walk.
+//! partition-aligned structure holding at most **one** [`OverlayOp`] per
+//! `(row, col)` coordinate, indexed from both sides like the base it edits:
 //!
-//! The walk preserves the push kernel's reduction-order contract: products
-//! arrive at each destination row in **ascending source (column) order**,
-//! exactly as they would from a matrix rebuilt from the edited edge list.
-//! Since the generalized add may be a non-associative floating-point sum,
-//! this is what makes overlay results bit-for-bit identical to a
+//! * **column-major**, for [`gspmv_overlay_into`]: Algorithm 1 over
+//!   `base ⊕ overlay` with a merged two-pointer column walk;
+//! * **row-major** (edited rows, and per row the edited columns with the
+//!   index of their op), for [`gspmv_overlay_pull_into`]: the dense pull
+//!   over `mirror ⊕ overlay`, each edited destination row gathered in plain
+//!   segments of the base row between its edited columns.
+//!
+//! Both preserve the kernels' reduction-order contract: products arrive at
+//! each destination row in **ascending source (column) order**, exactly as
+//! they would from a matrix rebuilt from the edited edge list. Since the
+//! generalized add may be a non-associative floating-point sum, this is what
+//! makes overlay results — pushed or pulled — bit-for-bit identical to a
 //! from-scratch rebuild (for bases without duplicate coordinates; an op on
 //! a duplicated coordinate masks *all* stored copies).
 //!
-//! The overlay mirrors the base's row partitioning one-to-one, so both
-//! kernels run through one partition shell and the parallel path reuses the
-//! disjoint-row-range writer of [`crate::spmv::gspmv_into`] unchanged.
+//! The overlay mirrors the base's row partitioning one-to-one, so each
+//! direction has one partition shell (`push_into`, `pull_into` in
+//! [`crate::spmv`]) that takes the overlay as an `Option`, and the parallel
+//! path reuses the disjoint-row-range writer of [`crate::spmv::gspmv_into`]
+//! unchanged.
 
 use crate::parallel::Executor;
 use crate::partition::{PartitionedDcsc, RowRange};
-use crate::spmv::{emit_column, push_into, walk_matrix};
+use crate::pull::CsrMirror;
+use crate::spmv::{emit_column, gather, pull_into, pull_rows, push_into, walk_matrix};
 use crate::spvec::{MessageVector, SparseVector};
 use crate::Index;
 
@@ -36,8 +45,10 @@ pub enum OverlayOp<T> {
     Delete,
 }
 
-/// The edits owned by one row partition, in DCSC-shaped column-major order.
-#[derive(Clone, Debug)]
+/// The edits owned by one row partition, held from both sides: DCSC-shaped
+/// column-major order for the push walk, and a row-major index into the same
+/// ops for the pull walk.
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct OverlayPartition<T> {
     /// Non-empty column ids, ascending.
     cols: Vec<Index>,
@@ -47,6 +58,30 @@ pub(crate) struct OverlayPartition<T> {
     rows: Vec<Index>,
     /// The op at each `(row, col)` coordinate.
     ops: Vec<OverlayOp<T>>,
+    /// Edited row ids, ascending.
+    erows: Vec<Index>,
+    /// `erow_ptr[i]..erow_ptr[i+1]` indexes the entries of `erows[i]`.
+    erow_ptr: Vec<usize>,
+    /// Edited column ids per row, ascending, unique within a row.
+    ecols: Vec<Index>,
+    /// Where in `ops` the op of each `(erow, ecol)` coordinate sits.
+    eops: Vec<usize>,
+}
+
+/// The runs of an ascending key sequence: its distinct keys and where each
+/// one's run starts, closed by the sequence's length — the index pair of a
+/// compressed layout (`cols`/`col_ptr`, `erows`/`erow_ptr`).
+fn runs(keys: impl Iterator<Item = Index>) -> (Vec<Index>, Vec<usize>) {
+    let (mut distinct, mut starts, mut len) = (Vec::new(), Vec::new(), 0usize);
+    for key in keys {
+        if distinct.last() != Some(&key) {
+            distinct.push(key);
+            starts.push(len);
+        }
+        len += 1;
+    }
+    starts.push(len);
+    (distinct, starts)
 }
 
 /// A sorted set of pending edits aligned to a base matrix's row partitions.
@@ -56,7 +91,7 @@ pub(crate) struct OverlayPartition<T> {
 /// duplicates to latest-wins before building. The partition ranges must be
 /// exactly the base matrix's ranges so the two structures can be swept
 /// together partition by partition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Overlay<T> {
     nrows: Index,
     ncols: Index,
@@ -123,25 +158,26 @@ impl<T> Overlay<T> {
                         .all(|w| (w[0].1, w[0].0) != (w[1].1, w[1].0)),
                     "at most one op per (row, col) coordinate"
                 );
-                let mut cols = Vec::new();
-                let mut col_ptr = vec![0usize];
-                let mut rows = Vec::with_capacity(bucket.len());
-                let mut ops = Vec::with_capacity(bucket.len());
-                for (r, c, op) in bucket {
-                    if cols.last() != Some(&c) {
-                        cols.push(c);
-                        col_ptr.push(rows.len());
-                    }
-                    rows.push(r);
-                    ops.push(op);
-                    let last = col_ptr.len() - 1;
-                    col_ptr[last] = rows.len();
-                }
+                let (cols, col_ptr) = runs(bucket.iter().map(|e| e.1));
+                // The row-major side: the same coordinates in (row, col)
+                // order, each pointing at its op in the order above.
+                let mut by_row: Vec<(Index, Index, usize)> = bucket
+                    .iter()
+                    .enumerate()
+                    .map(|(at, e)| (e.0, e.1, at))
+                    .collect();
+                by_row.sort_unstable();
+                let (erows, erow_ptr) = runs(by_row.iter().map(|e| e.0));
+                let (rows, ops) = bucket.into_iter().map(|(r, _, op)| (r, op)).unzip();
                 OverlayPartition {
                     cols,
                     col_ptr,
                     rows,
                     ops,
+                    erows,
+                    erow_ptr,
+                    ecols: by_row.iter().map(|e| e.1).collect(),
+                    eops: by_row.iter().map(|e| e.2).collect(),
                 }
             })
             .collect();
@@ -200,33 +236,54 @@ impl<T> Overlay<T> {
         self.partitions
             .iter()
             .map(|p| {
-                p.cols.len() * std::mem::size_of::<Index>()
-                    + p.col_ptr.len() * std::mem::size_of::<usize>()
-                    + p.rows.len() * std::mem::size_of::<Index>()
+                (p.cols.len() + p.rows.len() + p.erows.len() + p.ecols.len())
+                    * std::mem::size_of::<Index>()
+                    + (p.col_ptr.len() + p.erow_ptr.len() + p.eops.len())
+                        * std::mem::size_of::<usize>()
                     + p.ops.len() * std::mem::size_of::<OverlayOp<T>>()
             })
             .sum::<usize>()
             + self.ranges.len() * std::mem::size_of::<RowRange>()
     }
 
-    /// Assert that this overlay is aligned with `base`: same shape and the
-    /// exact same row partitioning (the soundness condition for the shared
+    /// Assert that this overlay is aligned with a base of `nrows × ncols`
+    /// split into `base_ranges` (a [`PartitionedDcsc`]'s for push, a
+    /// [`CsrMirror`]'s for pull): same shape and the exact same row
+    /// partitioning (the soundness condition for the shared
     /// disjoint-row-range output writer).
-    pub(crate) fn check_aligned<E>(&self, base: &PartitionedDcsc<E>) {
-        assert_eq!(self.nrows, base.nrows(), "overlay/base row count mismatch");
-        assert_eq!(self.ncols, base.ncols(), "overlay/base col count mismatch");
+    pub(crate) fn check_aligned(
+        &self,
+        nrows: Index,
+        ncols: Index,
+        base_ranges: impl ExactSizeIterator<Item = RowRange>,
+    ) {
+        assert_eq!(self.nrows, nrows, "overlay/base row count mismatch");
+        assert_eq!(self.ncols, ncols, "overlay/base col count mismatch");
         assert_eq!(
             self.partitions.len(),
-            base.n_partitions(),
+            base_ranges.len(),
             "overlay/base partition count mismatch"
         );
-        for (range, part) in self.ranges.iter().zip(base.partitions()) {
-            assert_eq!(
-                (range.start, range.end),
-                (part.rows.start, part.rows.end),
-                "overlay/base partition ranges mismatch"
-            );
+        for (range, base_range) in self.ranges.iter().zip(base_ranges) {
+            assert_eq!(*range, base_range, "overlay/base partition ranges mismatch");
         }
+    }
+}
+
+impl<T: Clone> Overlay<T> {
+    /// The same edits seen from the other orientation: every `(row, col, op)`
+    /// as `(col, row, op)`, bucketed by `ranges` (the transposed base's row
+    /// partitioning). How a `Gᵀ`-aligned overlay yields its `G`-aligned twin.
+    pub fn transposed(&self, ranges: &[RowRange]) -> Self {
+        let mut entries = Vec::with_capacity(self.nnz());
+        for p in &self.partitions {
+            for (i, &c) in p.cols.iter().enumerate() {
+                for idx in p.col_ptr[i]..p.col_ptr[i + 1] {
+                    entries.push((c, p.rows[idx], p.ops[idx].clone()));
+                }
+            }
+        }
+        Overlay::from_entries(self.ncols, self.nrows, ranges, entries)
     }
 }
 
@@ -260,6 +317,130 @@ pub fn gspmv_overlay_into<X, E, Y, V, M, A>(
     A: Fn(&mut Y, Y) + Sync,
 {
     push_into(base, Some(overlay), x, multiply, add, executor, y);
+}
+
+/// Generalized SpMV over `base ⊕ overlay`, **pulled**: the overlay-aware
+/// twin of [`crate::spmv::gspmv_csr_pull_into`], over the base's row-major
+/// `mirror` and the overlay's row-major side.
+///
+/// Each destination row folds its products in ascending source order, with
+/// every stored copy of an edited coordinate masked and an upsert multiplied
+/// in its sorted position — bit-for-bit what [`gspmv_overlay_into`] pushes,
+/// and what either kernel produces on a matrix rebuilt from the edited edge
+/// list. Never allocates; a partition without pending edits runs the plain
+/// pull loop after one length comparison.
+///
+/// # Panics
+/// Panics if `overlay` is not aligned with `mirror` (shape and row
+/// partitioning must match exactly) or `x` / `y` has the wrong length.
+pub fn gspmv_overlay_pull_into<X, E, Y, M, A>(
+    mirror: &CsrMirror<E>,
+    overlay: &Overlay<E>,
+    x: &SparseVector<X>,
+    multiply: &M,
+    add: &A,
+    executor: &Executor,
+    y: &mut SparseVector<Y>,
+) where
+    X: Sync,
+    E: Sync,
+    Y: Clone + Default + Send,
+    M: Fn(&X, &E, Index) -> Y + Sync,
+    A: Fn(&mut Y, Y) + Sync,
+{
+    pull_into(mirror, Some(overlay), x, multiply, add, executor, y);
+}
+
+/// A task's merged pull over partitions `parts` (out of line, like the plain
+/// `pull_partitions` it stands beside). In a partition with edits **every**
+/// row of the range is visited (an upsert may land in a row the base leaves
+/// empty), with a cursor over the edited rows — one compare per row; an
+/// unedited row is gathered like any other, an edited one by
+/// [`pull_row_merged`].
+#[inline(never)]
+pub(crate) fn pull_partitions_overlay<X, E, Y, M, A>(
+    mirror: &CsrMirror<E>,
+    overlay: &Overlay<E>,
+    parts: std::ops::Range<usize>,
+    x: &SparseVector<X>,
+    multiply: &M,
+    add: &A,
+    mut sink: impl FnMut(Index, Y),
+) where
+    M: Fn(&X, &E, Index) -> Y,
+    A: Fn(&mut Y, Y),
+{
+    for p in parts {
+        let (base, edits) = (mirror.partition(p), overlay.partition(p));
+        if edits.erows.is_empty() {
+            // No edits pending on this partition: the plain pull loop, over
+            // its non-empty rows only.
+            pull_rows(base, x, multiply, add, &mut sink);
+            continue;
+        }
+        let mut cursor = 0usize;
+        for k in base.rows.start..base.rows.end {
+            let (cols, edges) = base.row(k);
+            let mut acc = None;
+            if edits.erows.get(cursor) == Some(&k) {
+                let row_edits = edits.erow_ptr[cursor]..edits.erow_ptr[cursor + 1];
+                cursor += 1;
+                pull_row_merged(&mut acc, x, cols, edges, edits, row_edits, k, multiply, add);
+            } else {
+                gather(&mut acc, x, cols, edges, k, multiply, add);
+            }
+            if let Some(acc) = acc {
+                sink(k, acc);
+            }
+        }
+    }
+}
+
+/// One edited destination row: the base row is gathered in plain segments up
+/// to each edited column, every stored copy of that column is skipped, and an
+/// upsert is multiplied in its place. A segment's end is searched for, not
+/// compared for per stored edge — hub rows are where the edits land — and
+/// the search gallops from where the gather stands, so its probes stay on
+/// the cache lines the gather is about to stream.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn pull_row_merged<X, E, Y, M, A>(
+    acc: &mut Option<Y>,
+    x: &SparseVector<X>,
+    cols: &[Index],
+    edges: &[E],
+    overlay: &OverlayPartition<E>,
+    edits: std::ops::Range<usize>,
+    k: Index,
+    multiply: &M,
+    add: &A,
+) where
+    M: Fn(&X, &E, Index) -> Y,
+    A: Fn(&mut Y, Y),
+{
+    let mut at = 0usize;
+    for (&j, &op) in overlay.ecols[edits.clone()]
+        .iter()
+        .zip(&overlay.eops[edits])
+    {
+        // Double a bracket from `at` until it holds column `j`, then bisect.
+        let (mut lo, mut hi, mut step) = (at, at, 1usize);
+        while hi < cols.len() && cols[hi] < j {
+            lo = hi + 1;
+            hi += step;
+            step *= 2;
+        }
+        let upto = lo + cols[lo..hi.min(cols.len())].partition_point(|&c| c < j);
+        gather(acc, x, &cols[at..upto], &edges[at..upto], k, multiply, add);
+        at = upto;
+        while cols.get(at) == Some(&j) {
+            at += 1; // mask all stored copies
+        }
+        if let OverlayOp::Upsert(w) = &overlay.ops[op] {
+            gather(acc, x, &[j], std::slice::from_ref(w), k, multiply, add);
+        }
+    }
+    gather(acc, x, &cols[at..], &edges[at..], k, multiply, add);
 }
 
 /// The merged Algorithm-1 column walk: two-pointer sweep over the base
@@ -412,23 +593,24 @@ mod tests {
         x
     }
 
+    /// `base ⊕ ov` pushed — and pulled over the base's mirror, which must
+    /// give the same entries.
     fn run_overlay(
         base: &PartitionedDcsc<f32>,
         ov: &Overlay<f32>,
         x: &SparseVector<f32>,
         threads: usize,
     ) -> Vec<(Index, f32)> {
+        let multiply = |m: &f32, e: &f32, _: Index| m * e;
+        let add = |acc: &mut f32, v: f32| *acc += v;
+        let executor = Executor::new(threads);
         let mut y = SparseVector::new(5);
-        gspmv_overlay_into(
-            base,
-            ov,
-            x,
-            &|m: &f32, e: &f32, _| m * e,
-            &|acc: &mut f32, v| *acc += v,
-            &Executor::new(threads),
-            &mut y,
-        );
-        y.to_entries()
+        gspmv_overlay_into(base, ov, x, &multiply, &add, &executor, &mut y);
+        let pushed = y.to_entries();
+        let mirror = CsrMirror::from_partitioned(base);
+        gspmv_overlay_pull_into(&mirror, ov, x, &multiply, &add, &executor, &mut y);
+        assert_eq!(y.to_entries(), pushed, "pull vs push, {threads} threads");
+        pushed
     }
 
     fn run_plain(
@@ -615,19 +797,38 @@ mod tests {
         let base = build(&figure3_transpose(), &ranges2());
         let other = vec![RowRange { start: 0, end: 2 }, RowRange { start: 2, end: 5 }];
         let ov: Overlay<f32> = Overlay::from_entries(5, 5, &other, vec![]);
-        let mut y = SparseVector::new(5);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            gspmv_overlay_into(
-                &base,
-                &ov,
-                &full_frontier(),
-                &|m: &f32, e: &f32, _| m * e,
-                &|acc: &mut f32, v| *acc += v,
-                &Executor::sequential(),
-                &mut y,
-            )
+        let multiply = |m: &f32, e: &f32, _: Index| m * e;
+        let add = |acc: &mut f32, v: f32| *acc += v;
+        let (x, executor) = (full_frontier(), Executor::sequential());
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let pushed = catch_unwind(AssertUnwindSafe(|| {
+            let y = &mut SparseVector::new(5);
+            gspmv_overlay_into(&base, &ov, &x, &multiply, &add, &executor, y)
         }));
-        assert!(err.is_err());
+        assert!(pushed.is_err());
+        let mirror = CsrMirror::from_partitioned(&base);
+        let pulled = catch_unwind(AssertUnwindSafe(|| {
+            let y = &mut SparseVector::new(5);
+            gspmv_overlay_pull_into(&mirror, &ov, &x, &multiply, &add, &executor, y)
+        }));
+        assert!(pulled.is_err());
+    }
+
+    #[test]
+    fn transposed_overlay_is_the_overlay_of_the_transposed_edits() {
+        let ops = vec![
+            (2, 1, OverlayOp::Delete),
+            (3, 0, OverlayOp::Upsert(9.0f32)),
+            (4, 1, OverlayOp::Upsert(7.0)),
+            (0, 2, OverlayOp::Upsert(1.5)),
+            (0, 4, OverlayOp::Delete),
+        ];
+        let other = vec![RowRange { start: 0, end: 1 }, RowRange { start: 1, end: 5 }];
+        let ov = Overlay::from_entries(5, 5, &ranges2(), ops.clone());
+        let flipped = ops.into_iter().map(|(r, c, op)| (c, r, op)).collect();
+        let transposed = ov.transposed(&other);
+        assert_eq!(transposed, Overlay::from_entries(5, 5, &other, flipped));
+        assert_eq!(transposed.transposed(&ranges2()), ov);
     }
 
     #[test]
@@ -642,7 +843,13 @@ mod tests {
         assert_eq!(ov.n_upserts(), 1);
         assert_eq!(ov.n_partitions(), 2);
         assert!(!ov.is_empty());
-        assert!(ov.bytes() > 0);
+        // Both sides are counted: per op at least its row id and the op
+        // (column-major) and its column id and the op's index (row-major).
+        let empty: Overlay<f32> = Overlay::from_entries(5, 5, &ranges2(), vec![]);
+        let per_op = 2 * std::mem::size_of::<Index>()
+            + std::mem::size_of::<OverlayOp<f32>>()
+            + std::mem::size_of::<usize>();
+        assert!(ov.bytes() - empty.bytes() >= 2 * per_op);
         assert_eq!(ov.nrows(), 5);
         assert_eq!(ov.ncols(), 5);
         assert_eq!(ov.ranges().len(), 2);

@@ -17,6 +17,9 @@
 //! redundant with, the DCSC it shadows, costing roughly the same memory
 //! again ([`CsrMirror::bytes`]). A graph keeps one per orientation it holds,
 //! or none at all (`build_pull_mirrors = false`, every superstep pushes).
+//! A mirror is rebuilt only when its base is (compaction); edits pending in
+//! between are merged into the pull row by row from the overlay's row-major
+//! side ([`crate::overlay::gspmv_overlay_pull_into`]).
 
 use crate::dcsc::Dcsc;
 use crate::partition::{PartitionedDcsc, RowRange};

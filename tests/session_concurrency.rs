@@ -178,38 +178,38 @@ fn concurrent_hand_written_programs_share_a_topology() {
     assert_eq!(expected, concurrent);
 }
 
+/// Counts the messages a vertex receives along both directions: its
+/// in-degree plus its out-degree.
+struct Touches;
+
+impl GraphProgram for Touches {
+    type VertexProp = u64;
+    type Message = u64;
+    type Reduced = u64;
+    type Edge = ();
+    fn direction(&self) -> EdgeDirection {
+        EdgeDirection::Both
+    }
+    fn send_message(&self, _v: VertexId, _count: &u64) -> Option<u64> {
+        Some(1)
+    }
+    fn process_message(&self, m: &u64, _e: &(), _d: &u64) -> u64 {
+        *m
+    }
+    fn reduce(&self, acc: &mut u64, v: u64) {
+        *acc += v;
+    }
+    fn apply(&self, r: &u64, count: &mut u64) {
+        *count = *r;
+    }
+}
+
 /// The in-edge orientation is derived on first use, so the first use can be
 /// a race: eight threads released together on one fresh topology, half
 /// through the `In` driver and half through a `Both` program. Every one of
 /// them must read the same, complete `G`.
 #[test]
 fn first_in_edge_runs_race_to_one_derived_orientation() {
-    /// Counts the messages a vertex receives along both directions: its
-    /// in-degree plus its out-degree.
-    struct Touches;
-
-    impl GraphProgram for Touches {
-        type VertexProp = u64;
-        type Message = u64;
-        type Reduced = u64;
-        type Edge = ();
-        fn direction(&self) -> EdgeDirection {
-            EdgeDirection::Both
-        }
-        fn send_message(&self, _v: VertexId, _count: &u64) -> Option<u64> {
-            Some(1)
-        }
-        fn process_message(&self, m: &u64, _e: &(), _d: &u64) -> u64 {
-            *m
-        }
-        fn reduce(&self, acc: &mut u64, v: u64) {
-            *acc += v;
-        }
-        fn apply(&self, r: &u64, count: &mut u64) {
-            *count = *r;
-        }
-    }
-
     const SEED: u64 = 0xD1CE;
     let edges =
         graphmat::io::rmat::generate(&graphmat::io::rmat::RmatConfig::graph500(9).with_seed(SEED))
@@ -257,4 +257,87 @@ fn first_in_edge_runs_race_to_one_derived_orientation() {
     let now = topo.in_matrix().partitions().as_ptr() as usize;
     assert!(seen.iter().all(|&p| p == now), "seed {SEED:#x}: {seen:?}");
     assert!(topo.matrix_bytes() > out_only_bytes);
+}
+
+/// The same race one level up: a snapshot's pending edits compile their
+/// out side at `apply` and their in side on first use. Eight threads released
+/// together on one edited snapshot, half through the `In` driver and half
+/// through a `Both` program: every answer equals the rebuild's, and all of
+/// them read one in-side overlay.
+#[test]
+fn first_in_edge_runs_over_pending_edits_race_to_one_derived_overlay() {
+    const SEED: u64 = 0xED17;
+    let edges =
+        graphmat::io::rmat::generate(&graphmat::io::rmat::RmatConfig::graph500(9).with_seed(SEED))
+            .topology();
+    // Sequential session, for the spawn-counter reason given above.
+    let session = Session::sequential();
+    let topo = session.build_graph(&edges).partitions(5).finish().unwrap();
+    let manual_store = || {
+        GraphStore::new(
+            Arc::clone(&topo),
+            StoreOptions {
+                compaction_threshold: usize::MAX,
+                background: false,
+                ..StoreOptions::default()
+            },
+        )
+    };
+    let n = edges.num_vertices();
+    let mut batch = DeltaBatch::new(n);
+    for (i, &(src, dst, ())) in edges.edges().iter().step_by(41).enumerate() {
+        match i % 3 {
+            0 => batch.delete(src, dst).unwrap(),
+            1 => batch.insert(dst, src, ()).unwrap(),
+            _ => batch.insert(src, (dst + 7) % n, ()).unwrap(),
+        }
+    }
+    let touches = |graph: GraphView<'_, ()>| {
+        session
+            .run(graph, Touches)
+            .init_all(0)
+            .activate_all()
+            .max_iterations(1)
+            .execute()
+            .unwrap()
+            .values
+    };
+
+    // The reference: the same edits, compacted into a rebuilt base.
+    let compacted = manual_store();
+    compacted.apply(batch.clone()).unwrap();
+    assert!(compacted.compact_now());
+    let rebuilt = compacted.snapshot();
+    assert!(rebuilt.overlay().is_none());
+    let out = out_degrees_on(&session, rebuilt.base()).unwrap().values;
+    let both = touches(rebuilt.base().into());
+
+    let pending = manual_store().apply(batch).unwrap();
+    let overlay = pending.overlay().expect("pending edits");
+    let out_side_bytes = overlay.bytes();
+
+    let start = std::sync::Barrier::new(8);
+    let seen: Vec<usize> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|i| {
+                let (session, pending, start) = (&session, &pending, &start);
+                let (out, both, touches) = (&out, &both, &touches);
+                s.spawn(move || {
+                    start.wait();
+                    if i % 2 == 0 {
+                        let got = out_degrees_on(session, pending.view()).unwrap().values;
+                        assert_eq!(&got, out, "seed {SEED:#x}, thread {i}, In");
+                    } else {
+                        let got = touches(pending.view());
+                        assert_eq!(&got, both, "seed {SEED:#x}, thread {i}, Both");
+                    }
+                    overlay.in_overlay().expect("the store passes in ranges") as *const _ as usize
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let now = overlay.in_overlay().unwrap() as *const _ as usize;
+    assert!(seen.iter().all(|&p| p == now), "seed {SEED:#x}: {seen:?}");
+    assert!(overlay.bytes() > out_side_bytes);
 }

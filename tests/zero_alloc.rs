@@ -20,10 +20,15 @@
 
 use graphmat_algorithms::bfs::bfs_into;
 use graphmat_algorithms::degree::out_degrees_into;
+use graphmat_algorithms::pagerank::{pagerank_into, PageRankConfig};
 use graphmat_algorithms::sssp::sssp_into;
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
-use graphmat_core::{ActivityPolicy, Backend, RunOptions, Session, SessionOptions, VertexState};
+use graphmat_core::{
+    ActivityPolicy, Backend, GraphStore, RunOptions, Session, SessionOptions, StoreOptions,
+    VertexState,
+};
+use graphmat_delta::DeltaBatch;
 use graphmat_io::grid::{self, GridConfig};
 use graphmat_io::rmat::{self, RmatConfig};
 use graphmat_server::protocol::{Algorithm, RunRequest, Status};
@@ -192,6 +197,62 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     assert!(
         !stats.any(),
         "a warmed bfs_into must not touch the heap, got {stats:?}"
+    );
+
+    // ---- Part 1d: pending edits are pulled, from the out side alone. ----
+    // PageRank over base ⊕ overlay: every superstep is all-active, so every
+    // superstep pulls — each edited row merged with the overlay's row-major
+    // side — and an `Out` program never makes the overlay derive its in side.
+    let store = GraphStore::new(
+        topo.clone(),
+        StoreOptions {
+            compaction_threshold: usize::MAX,
+            background: false,
+            ..StoreOptions::default()
+        },
+    );
+    let n = topo.num_vertices();
+    let mut batch = DeltaBatch::new(n);
+    for (i, &(src, dst, _)) in el.edges().iter().step_by(97).enumerate() {
+        let edit = match i % 3 {
+            0 => batch.delete(src, dst),
+            1 => batch.insert(src, dst, 0.5),
+            _ => batch.insert(dst, (src + 1) % n, 2.0),
+        };
+        if let Err(e) = edit {
+            panic!("edit {i}: {e}");
+        }
+    }
+    let pending = match store.apply(batch) {
+        Ok(snapshot) => snapshot,
+        Err(e) => panic!("apply: {e}"),
+    };
+    let Some(overlay) = pending.overlay() else {
+        panic!("the batch left no pending edits");
+    };
+    let out_side_bytes = overlay.bytes();
+    let cfg = PageRankConfig {
+        iterations: 10,
+        ..Default::default()
+    };
+    let mut ranks = VertexState::for_topology(&topo);
+    if let Err(e) = pagerank_into(&session, pending.view(), &cfg, None, &mut ranks) {
+        panic!("warm-up pagerank over edits: {e}");
+    }
+    let (outcome, stats) =
+        AllocGuard::measure(|| pagerank_into(&session, pending.view(), &cfg, None, &mut ranks));
+    match outcome {
+        Ok(r) => assert_eq!((r.stats.iterations, r.stats.pull_supersteps), (10, 10)),
+        Err(e) => panic!("measured pagerank over edits: {e}"),
+    }
+    assert!(
+        !stats.any(),
+        "a warmed pagerank_into over pending edits must not touch the heap, got {stats:?}"
+    );
+    assert_eq!(
+        overlay.bytes(),
+        out_side_bytes,
+        "an Out run compiled the overlay's in side"
     );
 
     // ---- Part 2: steady-state server rounds, in-process. ----

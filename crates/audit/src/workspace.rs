@@ -32,8 +32,8 @@
 //! ```
 //!
 //! The prefix is matched against the `/`-separated path relative to the
-//! workspace root, so `no-println crates/criterion/ -- bench harness owns
-//! stdout` waives that lint for the whole crate. Entries that matched
+//! workspace root, so `no-println crates/perf/ -- report printer owns
+//! stdout` would waive that lint for the whole crate. Entries that matched
 //! nothing are reported as warnings so the allowlist cannot rot.
 
 use crate::lints::{self, Diagnostic, FileClass, LintId};
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn allowlist_parse_and_match() {
         let mut allow = match Allowlist::parse(
-            "# comment\n\nno-println crates/criterion/ -- bench harness owns stdout\n",
+            "# comment\n\nno-println crates/perf/ -- report printer owns stdout\n",
         ) {
             Ok(a) => a,
             Err(e) => panic!("parse failed: {e}"),
@@ -273,14 +273,14 @@ mod tests {
             line: 3,
             message: String::new(),
         };
-        assert!(allow.covers("crates/criterion/src/report.rs", &diag));
+        assert!(allow.covers("crates/perf/src/lib.rs", &diag));
         assert!(!allow.covers("crates/core/src/engine.rs", &diag));
         let other = Diagnostic {
             lint: LintId::NoUnwrap,
             line: 3,
             message: String::new(),
         };
-        assert!(!allow.covers("crates/criterion/src/report.rs", &other));
+        assert!(!allow.covers("crates/perf/src/lib.rs", &other));
     }
 
     #[test]

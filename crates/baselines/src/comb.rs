@@ -26,7 +26,7 @@ use graphmat_sparse::csr::Csr;
 use graphmat_sparse::parallel::Executor;
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::spmv::gspmv;
-use graphmat_sparse::spvec::{MessageVector, SparseVector};
+use graphmat_sparse::spvec::SparseVector;
 use graphmat_sparse::Index;
 use std::time::Instant;
 

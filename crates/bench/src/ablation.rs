@@ -1,89 +1,23 @@
-//! The losing sides of the paper's ablations, reconstructed outside the
+//! The losing side of the paper's `-ipo` ablation, reconstructed outside the
 //! engine.
 //!
-//! The engine has one message vector (bit vector + value array, §4.4.2's
-//! winner) and monomorphises every program's callbacks into the SpMV kernels
-//! (the `-ipo` build of §4.5). To keep Figure 7 reproducible this module
-//! provides what the engine no longer carries:
+//! The engine monomorphises every program's callbacks into the SpMV kernels
+//! (the `-ipo` build of §4.5). To keep Figure 7's naive row reproducible this
+//! module provides what the engine does not carry: [`NoInline`], a
+//! [`GraphProgram`] adapter that keeps `process_message`/`reduce` out of
+//! line — the "before `-ipo`" build — and the PageRank/SSSP runs that row
+//! times through it. It needs no seam in the engine: the adapter is an
+//! ordinary program.
 //!
-//! * [`SortedSparseVector`] — the sorted-tuple sparse vector, a second
-//!   [`MessageVector`] the push kernel accepts. `benches/spmv_kernels.rs`
-//!   times it against the bit-vector representation at the kernel, where
-//!   §4.4.2 locates the effect.
-//! * [`NoInline`] — a [`GraphProgram`] adapter that keeps
-//!   `process_message`/`reduce` out of line, the "before `-ipo`" build, and
-//!   the PageRank/SSSP runs Figure 7's naive row times through it.
+//! Figure 7's "+bitvector" step cannot be rebuilt this way (it needs a
+//! second vector type inside the kernels); its measured cost is recorded in
+//! this crate's README.
 
 use graphmat_algorithms::pagerank::{PageRankConfig, PageRankProgram, PageRankVertex};
 use graphmat_algorithms::sssp::{SsspProgram, UNREACHABLE};
 use graphmat_core::{
     ActivityPolicy, EdgeDirection, GraphProgram, RunOutcome, Session, Topology, VertexId,
 };
-use graphmat_sparse::spvec::MessageVector;
-use graphmat_sparse::{ix, Index};
-
-/// Sorted `(index, value)` tuple sparse vector (the paper's option 1).
-/// Membership tests are `O(log nnz)` binary searches.
-#[derive(Clone, Debug)]
-pub struct SortedSparseVector<T> {
-    len: usize,
-    entries: Vec<(Index, T)>,
-}
-
-impl<T> SortedSparseVector<T> {
-    /// Create an empty vector of logical length `n`.
-    pub fn new(n: usize) -> Self {
-        SortedSparseVector {
-            len: n,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Set index `i` to `value`, keeping entries sorted.
-    pub fn set(&mut self, i: Index, value: T) {
-        debug_assert!(ix(i) < self.len, "index {i} out of range {}", self.len);
-        match self.entries.binary_search_by_key(&i, |e| e.0) {
-            Ok(pos) => self.entries[pos].1 = value,
-            Err(pos) => self.entries.insert(pos, (i, value)),
-        }
-    }
-}
-
-impl<T> MessageVector<T> for SortedSparseVector<T> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    #[inline]
-    fn contains(&self, i: Index) -> bool {
-        self.entries.binary_search_by_key(&i, |e| e.0).is_ok()
-    }
-
-    #[inline]
-    fn get(&self, i: Index) -> Option<&T> {
-        self.entries
-            .binary_search_by_key(&i, |e| e.0)
-            .ok()
-            .map(|pos| &self.entries[pos].1)
-    }
-
-    /// Two binary searches cut the range out of the sorted tuples.
-    #[inline]
-    fn iter_range<'a>(&'a self, lo: Index, hi: Index) -> impl Iterator<Item = (Index, &'a T)>
-    where
-        T: 'a,
-    {
-        let start = self.entries.partition_point(|e| e.0 < lo);
-        let end = self.entries.partition_point(|e| e.0 < hi);
-        self.entries[start..end.max(start)]
-            .iter()
-            .map(|e| (e.0, &e.1))
-    }
-}
 
 /// `P` with its per-edge callbacks kept out of line, so the SpMV inner loop
 /// pays a call per PROCESS_MESSAGE and per REDUCE — what the paper's
@@ -165,63 +99,6 @@ mod tests {
     use graphmat_algorithms::pagerank::pagerank_on;
     use graphmat_algorithms::sssp::sssp_on;
     use graphmat_io::rmat::{self, RmatConfig};
-    use graphmat_sparse::parallel::Executor;
-    use graphmat_sparse::partition::PartitionedDcsc;
-    use graphmat_sparse::spmv::gspmv;
-    use graphmat_sparse::spvec::SparseVector;
-
-    #[test]
-    fn sorted_vector_multiplies_like_the_bit_vector() {
-        let el = rmat::generate(&RmatConfig::graph500(8).with_seed(5));
-        let n = el.num_vertices() as usize;
-        let matrix = PartitionedDcsc::from_coo_balanced(&el.to_transpose_coo(), 4);
-        let mut bitvec: SparseVector<f32> = SparseVector::new(n);
-        let mut sorted: SortedSparseVector<f32> = SortedSparseVector::new(n);
-        // Descending inserts with one overwrite: sortedness is the vector's
-        // job, not the caller's.
-        for v in (0..n as u32).rev().step_by(3).chain([0]) {
-            bitvec.set(v, v as f32);
-            sorted.set(v, v as f32);
-        }
-        assert_eq!(sorted.nnz(), bitvec.nnz());
-        assert_eq!(MessageVector::len(&sorted), n);
-        assert!(sorted.contains(0) && !sorted.contains(n as u32 - 2));
-        let multiply = |m: &f32, e: &f32, _k: Index| m + e;
-        let add = |acc: &mut f32, v: f32| *acc += v;
-        for threads in [1, 3] {
-            let ex = Executor::new(threads);
-            let from_bitvec: SparseVector<f32> = gspmv(&matrix, &bitvec, &multiply, &add, &ex);
-            let from_sorted: SparseVector<f32> = gspmv(&matrix, &sorted, &multiply, &add, &ex);
-            let bits = |y: &SparseVector<f32>| -> Vec<(Index, u32)> {
-                y.iter().map(|(k, v)| (k, v.to_bits())).collect()
-            };
-            assert_eq!(bits(&from_sorted), bits(&from_bitvec));
-        }
-    }
-
-    #[test]
-    fn sorted_vector_ranges_match_the_bit_vector() {
-        let mut bitvec: SparseVector<u32> = SparseVector::new(200);
-        let mut sorted: SortedSparseVector<u32> = SortedSparseVector::new(200);
-        for i in [0u32, 5, 63, 64, 70, 127, 128, 199] {
-            bitvec.set(i, i * 2);
-            sorted.set(i, i * 2);
-        }
-        // `lo == hi`, mid-word `lo` and `hi`, `hi == len`.
-        for (lo, hi) in [
-            (70, 70),
-            (0, 0),
-            (5, 70),
-            (6, 71),
-            (64, 128),
-            (100, 200),
-            (0, 200),
-        ] {
-            let from_sorted: Vec<(Index, &u32)> = sorted.iter_range(lo, hi).collect();
-            let from_bitvec: Vec<(Index, &u32)> = bitvec.iter_range(lo, hi).collect();
-            assert_eq!(from_sorted, from_bitvec, "range {lo}..{hi}");
-        }
-    }
 
     #[test]
     fn no_inline_programs_are_bit_identical_to_the_bare_ones() {

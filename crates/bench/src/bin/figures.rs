@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Flags: `--table1 --fig4a --fig4b --fig4c --fig4d --fig4e --table2 --table3
-//! --fig5 --fig7 --all`, `--scale tiny|small|medium`, `--threads N`,
+//! --fig5 --fig7 --kernels --all`, `--scale tiny|small|medium`, `--threads N`,
 //! `--json PATH` (dump every Figure 4/Table 2 measurement as JSON, with
 //! per-superstep `backend` + `frontier_density` fields so push/pull
 //! direction flips are visible in the perf trajectory).
@@ -131,6 +131,9 @@ fn main() {
     }
     if wants(&opts, "fig7") {
         all_measurements.extend(figure7(&opts));
+    }
+    if wants(&opts, "kernels") {
+        kernels(&opts);
     }
     if let Some(path) = &opts.json_path {
         // Alongside the paper-faithful push measurements, record the
@@ -370,4 +373,21 @@ fn figure7(opts: &Options) -> Vec<harness::Measurement> {
         measurements.extend(steps);
     }
     measurements
+}
+
+fn kernels(opts: &Options) {
+    println!("Kernel rows: generalized SpMV, median of 9 calls after a warm-up\n");
+    let headers = ["kernel", "edges", "ms", "ns/edge"].map(String::from);
+    let rows: Vec<Vec<String>> = harness::kernel_rows(opts.scale, opts.threads)
+        .into_iter()
+        .map(|(label, median, edges)| {
+            vec![
+                label,
+                edges.to_string(),
+                format!("{:.4}", median.as_secs_f64() * 1e3),
+                format!("{:.2}", median.as_secs_f64() * 1e9 / edges.max(1) as f64),
+            ]
+        })
+        .collect();
+    println!("{}", harness::render_table(&headers, &rows));
 }

@@ -15,9 +15,16 @@ use graphmat_io::bipartite::RatingsGraph;
 use graphmat_io::datasets::{self, DatasetId, DatasetScale};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_perf::CostCounters;
-use graphmat_sparse::parallel::available_threads;
+use graphmat_sparse::coo::Coo;
+use graphmat_sparse::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into, Overlay, OverlayOp};
+use graphmat_sparse::parallel::{available_threads, Executor};
+use graphmat_sparse::partition::PartitionedDcsc;
+use graphmat_sparse::pull::CsrMirror;
+use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_into};
+use graphmat_sparse::spvec::SparseVector;
+use graphmat_sparse::Index;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The five algorithms of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -160,17 +167,20 @@ fn paper_faithful() -> (GraphBuildOptions, RunOptions) {
     )
 }
 
-/// A session of `nthreads` lanes (`0` = all available hardware threads)
-/// whose runs start from `run_defaults`.
-fn session(nthreads: usize, run_defaults: RunOptions) -> Session {
-    let threads = if nthreads == 0 {
+/// `nthreads` lanes, `0` meaning all available hardware threads.
+fn lanes(nthreads: usize) -> usize {
+    if nthreads == 0 {
         available_threads()
     } else {
         nthreads
-    };
+    }
+}
+
+/// A session of [`lanes`]`(nthreads)` whose runs start from `run_defaults`.
+fn session(nthreads: usize, run_defaults: RunOptions) -> Session {
     Session::new(
         SessionOptions::default()
-            .with_threads(threads)
+            .with_threads(lanes(nthreads))
             .with_run_defaults(run_defaults),
     )
     .expect("harness run defaults are valid")
@@ -515,9 +525,9 @@ pub type Figure7Config = (&'static str, usize, bool, Option<Backend>, usize, boo
 /// The Figure 7 configurations: the paper's cumulative optimization steps
 /// that live in the engine's configuration space, plus this reproduction's
 /// direction-optimization comparison rows (push-only, pull-only, auto).
-/// The paper's "+bitvector" step is not a row: the engine has no sorted-tuple
-/// message vector to fall back to, so that step is measured at the kernel by
-/// `benches/spmv_kernels.rs` (`sorted_frontier` vs `bitvector_frontier`).
+/// The paper's "+bitvector" step is not a row: neither the engine nor the
+/// kernels have a sorted-tuple message vector to fall back to; what it cost
+/// at the kernel when they last had one is recorded in this crate's README.
 pub fn figure7_configs(nthreads: usize) -> Vec<Figure7Config> {
     const PUSH: Option<Backend> = Some(Backend::Push);
     vec![
@@ -586,6 +596,152 @@ pub fn figure7_ablation(
             Measurement::new(Framework::GraphMat, algorithm, dataset, timing)
         })
         .collect()
+}
+
+/// SSSP's relax-and-min: the `(multiply, add)` pair of the kernel rows.
+fn relax(m: &f32, e: &f32, _k: Index) -> f32 {
+    m + e
+}
+
+fn keep_min(acc: &mut f32, v: f32) {
+    *acc = acc.min(v);
+}
+
+/// A hop count: the program of the `edges/*` rows, which reads no edge value.
+fn hop<E>(m: &f32, _e: &E, _k: Index) -> f32 {
+    m + 1.0
+}
+
+/// Every `stride`-th of `n` vertices sending 1.0.
+fn strided(n: usize, stride: usize) -> SparseVector<f32> {
+    let mut x = SparseVector::new(n);
+    (0..n as Index).step_by(stride).for_each(|v| x.set(v, 1.0));
+    x
+}
+
+/// How many stored entries of `gt` a push from [`strided`] traverses.
+fn traversed<E>(gt: &Coo<E>, stride: usize) -> usize {
+    let entries = gt.entries().iter();
+    entries.filter(|e| e.1 as usize % stride == 0).count()
+}
+
+/// The frontier densities of the `push_density_*` rows, one sender in each.
+const DENSITY_STRIDES: [usize; 5] = [4096, 256, 64, 4, 1];
+
+/// Build the kernel rows' inputs at `scale` and hand each row to `visit` as
+/// `(label, edges one call visits, the output vector, the call)`. Pulls and
+/// the dense overlay rows visit every stored edge; a push visits the stored
+/// entries of the columns its frontier holds.
+fn for_each_kernel(
+    scale: DatasetScale,
+    nthreads: usize,
+    mut visit: impl FnMut(String, usize, &mut SparseVector<f32>, &dyn Fn(&mut SparseVector<f32>)),
+) {
+    let threads = lanes(nthreads);
+    let ex = &Executor::new(threads);
+    let rmat = datasets::load(DatasetId::RmatGraph500, scale);
+    let gt = rmat.to_transpose_coo();
+    let n = rmat.num_vertices() as usize;
+    let matrix = PartitionedDcsc::from_coo_balanced(&gt, threads * 8);
+    let mirror = CsrMirror::from_partitioned(&matrix);
+    let stored = matrix.nnz();
+    let y = &mut SparseVector::new(n);
+
+    // Every vertex sending, over `base ⊕ overlay`: the `empty` rows against
+    // `pull/dense` and `push_density_rmat/1_of_1` are "the overlay branch is
+    // free" (one length compare per partition); the `3pct` rows are what
+    // merging edits on 3 % of the stored edges costs each kernel.
+    let all = SparseVector::full(n, 1.0f32);
+    visit("pull/dense".into(), stored, y, &|y| {
+        gspmv_csr_pull_into(&mirror, &all, &relax, &keep_min, ex, y)
+    });
+    let ranges: Vec<_> = matrix.partitions().iter().map(|p| p.rows).collect();
+    let mut edits: Vec<(Index, Index, OverlayOp<f32>)> = (gt.entries().iter().step_by(33))
+        .enumerate()
+        .map(|(i, &(r, c, w))| match i % 3 {
+            0 => (r, c, OverlayOp::Delete),
+            1 => (r, c, OverlayOp::Upsert(w + 1.0)),
+            _ => (r, (c + 1) % n as Index, OverlayOp::Upsert(w)),
+        })
+        .collect();
+    edits.sort_unstable_by_key(|&(r, c, _)| (r, c));
+    edits.dedup_by_key(|&mut (r, c, _)| (r, c));
+    let overlay = |edits| Overlay::from_entries(n as Index, n as Index, &ranges, edits);
+    let overlays = [("empty", overlay(vec![])), ("3pct", overlay(edits))];
+    for (name, overlay) in &overlays {
+        visit(format!("overlay_pull/{name}"), stored, y, &|y| {
+            gspmv_overlay_pull_into(&mirror, overlay, &all, &relax, &keep_min, ex, y)
+        });
+    }
+    for (name, overlay) in &overlays {
+        visit(format!("overlay_push/{name}"), stored, y, &|y| {
+            gspmv_overlay_into(&matrix, overlay, &all, &relax, &keep_min, ex, y)
+        });
+    }
+
+    // Push across frontier densities, on the skewed RMAT matrix and on the
+    // banded road grid: a partition is walked from the frontier below
+    // `nnz(x) < non-empty columns` and from the columns above it, so time per
+    // call should fall with the frontier instead of flattening at the cost
+    // of a full column walk.
+    let road = datasets::load(DatasetId::UsaRoadLike, scale).to_transpose_coo();
+    let grid = PartitionedDcsc::from_coo_balanced(&road, threads * 8);
+    for (graph, gt, matrix) in [("rmat", &gt, &matrix), ("grid", &road, &grid)] {
+        let n = matrix.ncols() as usize;
+        let y = &mut SparseVector::new(n);
+        for stride in DENSITY_STRIDES {
+            let x = strided(n, stride);
+            let label = format!("push_density_{graph}/1_of_{stride}");
+            visit(label, traversed(gt, stride), y, &|y| {
+                gspmv_into(matrix, &x, &relax, &keep_min, ex, y)
+            });
+        }
+    }
+
+    // Partition-count sweep (load balancing) at a 1-of-2 frontier, then the
+    // generic-edge payoff: one program over the same topology with a value
+    // array (`f32` edges) and without one (`()` edges).
+    let half = strided(n, 2);
+    let edges = traversed(&gt, 2);
+    let coarse = [1, threads].map(|parts| PartitionedDcsc::from_coo_balanced(&gt, parts));
+    for (label, pd) in [("1", &coarse[0]), ("T", &coarse[1]), ("8T", &matrix)] {
+        visit(format!("partitions/{label}"), edges, y, &|y| {
+            gspmv_into(pd, &half, &relax, &keep_min, ex, y)
+        });
+    }
+    let unweighted =
+        PartitionedDcsc::from_coo_balanced(&rmat.topology().to_transpose_coo(), threads * 8);
+    visit("edges/f32".into(), edges, y, &|y| {
+        gspmv_into(&matrix, &half, &hop, &keep_min, ex, y)
+    });
+    visit("edges/unit".into(), edges, y, &|y| {
+        gspmv_into(&unweighted, &half, &hop, &keep_min, ex, y)
+    });
+}
+
+/// The generalized-SpMV kernels timed directly, on the Graph500 RMAT graph
+/// and the road grid of `scale` over `nthreads` lanes (`0` = all available):
+/// `(label, median of 9 calls after a warm-up, edges one call visits)` per
+/// row, in this order — `pull/dense`, `overlay_pull/{empty,3pct}`,
+/// `overlay_push/{empty,3pct}`, `push_density_{rmat,grid}/1_of_{4096,256,64,4,1}`,
+/// `partitions/{1,T,8T}`, `edges/{f32,unit}`. These are the rows the repo
+/// benchmark's probes do not report; like them they are read per edge, and
+/// a kernel change is judged by the benchmark's A/B, not by this table.
+pub fn kernel_rows(scale: DatasetScale, nthreads: usize) -> Vec<(String, Duration, usize)> {
+    let mut rows = Vec::new();
+    for_each_kernel(scale, nthreads, |label, edges, y, call| {
+        call(y);
+        let mut samples = [Duration::ZERO; 9];
+        for sample in &mut samples {
+            let start = Instant::now();
+            call(y);
+            std::hint::black_box(y.nnz());
+            *sample = start.elapsed();
+        }
+        samples.sort_unstable();
+        rows.push((label, samples[4], edges));
+    });
+    rows
 }
 
 /// Figure 5: thread-scaling sweep for one framework/algorithm/dataset.
@@ -813,6 +969,69 @@ mod tests {
         let nat = run_graph_algorithm(Framework::Native, Algorithm::Bfs, "tiny", &edges, 2);
         let json = measurements_to_json(&[nat]);
         assert!(json.contains("\"supersteps\": []"), "{json}");
+    }
+
+    #[test]
+    fn kernel_rows_run_and_agree() {
+        let rows = kernel_rows(DatasetScale::Tiny, 2);
+        let labels: Vec<&str> = rows.iter().map(|row| row.0.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "pull/dense",
+                "overlay_pull/empty",
+                "overlay_pull/3pct",
+                "overlay_push/empty",
+                "overlay_push/3pct",
+                "push_density_rmat/1_of_4096",
+                "push_density_rmat/1_of_256",
+                "push_density_rmat/1_of_64",
+                "push_density_rmat/1_of_4",
+                "push_density_rmat/1_of_1",
+                "push_density_grid/1_of_4096",
+                "push_density_grid/1_of_256",
+                "push_density_grid/1_of_64",
+                "push_density_grid/1_of_4",
+                "push_density_grid/1_of_1",
+                "partitions/1",
+                "partitions/T",
+                "partitions/8T",
+                "edges/f32",
+                "edges/unit",
+            ]
+        );
+        for (label, _, edges) in &rows {
+            assert!(*edges > 0, "{label} visits no edge");
+        }
+
+        let bits = |y: &SparseVector<f32>| -> Vec<(Index, u32)> {
+            y.iter().map(|(k, v)| (k, v.to_bits())).collect()
+        };
+        let mut outputs = std::collections::HashMap::new();
+        for_each_kernel(DatasetScale::Tiny, 2, |label, _, y, call| {
+            call(y);
+            outputs.insert(label, bits(y));
+        });
+        // An empty overlay changes nothing, in either direction.
+        assert_eq!(outputs["overlay_pull/empty"], outputs["pull/dense"]);
+        assert_eq!(
+            outputs["overlay_push/empty"],
+            outputs["push_density_rmat/1_of_1"]
+        );
+        assert_ne!(outputs["overlay_pull/3pct"], outputs["pull/dense"]);
+        assert_eq!(outputs["overlay_push/3pct"], outputs["overlay_pull/3pct"]);
+        assert_eq!(outputs["edges/unit"], outputs["edges/f32"]);
+        // Push ≡ pull at every density, whatever the partitioning.
+        let gt = datasets::load(DatasetId::RmatGraph500, DatasetScale::Tiny).to_transpose_coo();
+        let mirror = CsrMirror::from_partitioned(&PartitionedDcsc::from_coo_balanced(&gt, 3));
+        let n = gt.ncols() as usize;
+        let (ex, mut pulled) = (Executor::new(2), SparseVector::new(n));
+        for stride in DENSITY_STRIDES {
+            let x = strided(n, stride);
+            gspmv_csr_pull_into(&mirror, &x, &relax, &keep_min, &ex, &mut pulled);
+            let pushed = &outputs[&format!("push_density_rmat/1_of_{stride}")];
+            assert_eq!(&bits(&pulled), pushed, "1 of {stride}");
+        }
     }
 
     #[test]

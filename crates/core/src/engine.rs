@@ -516,7 +516,6 @@ mod tests {
     use super::*;
     use crate::topology::{GraphBuildOptions, Topology};
     use graphmat_io::edgelist::EdgeList;
-    use graphmat_sparse::spvec::MessageVector;
 
     /// SSSP as in the paper's Figure 3 / appendix.
     struct Sssp;

@@ -12,9 +12,11 @@
 //! bit-for-bit identical); it exists for the tests that prove exactly that
 //! and for the Figure 7 push-only / pull-only / auto comparison.
 //!
-//! The losing alternatives of the paper's ablations (sorted-tuple message
-//! vectors, §4.4.2; callbacks compiled without `-ipo`, §4.5) are not engine
-//! options: `graphmat-bench` reconstructs them from outside.
+//! The losing alternatives of the paper's ablations are not engine options.
+//! Callbacks compiled without `-ipo` (§4.5) are reconstructed from outside by
+//! `graphmat-bench` — an ordinary program wrapping another. Sorted-tuple
+//! message vectors (§4.4.2) exist nowhere: the kernels take the bit-vector
+//! `SparseVector` by name.
 
 use crate::error::{GraphMatError, Result};
 use crate::stats::Backend;

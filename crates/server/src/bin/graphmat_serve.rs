@@ -11,7 +11,7 @@
 //!                [--timeout-ms N] [--stats-interval-secs N]
 //! ```
 
-use graphmat_core::Session;
+use graphmat_core::{RunOptions, Session, SessionOptions};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_io::rmat::RmatConfig;
 use graphmat_server::{GraphService, Server, ServerConfig};
@@ -143,20 +143,23 @@ fn main() -> ExitCode {
         edges
     };
 
-    let session = if args.session_threads == 0 {
-        Session::with_defaults()
-    } else {
-        Session::with_threads(args.session_threads)
-    };
-    let session = match session {
+    // The serving configuration `tests/zero_alloc.rs` pins: nothing in this
+    // crate reads per-superstep detail, so a request does not grow a list of
+    // it (~630 entries per road SSSP).
+    let mut options = SessionOptions::default().with_run_defaults(RunOptions {
+        record_supersteps: false,
+        ..RunOptions::default()
+    });
+    if args.session_threads != 0 {
+        options = options.with_threads(args.session_threads);
+    }
+    let session = match Session::new(options) {
         Ok(session) => session,
         Err(err) => {
             eprintln!("failed to start session: {err}");
             return ExitCode::FAILURE;
         }
     };
-    // In-edges on, so the in-degree algorithm (and any future pull-heavy
-    // one) works out of the box.
     let topology = match session.build_graph(&edges).finish() {
         Ok(topology) => topology,
         Err(err) => {

@@ -2,12 +2,16 @@
 //!
 //! Opens N connections, each issuing back-to-back requests drawn from a
 //! weighted algorithm mix for a fixed duration, then reports request
-//! counts, QPS and exact latency quantiles as JSON (the `BENCH_serving`
-//! series). Also doubles as the CI smoke test via `--smoke`.
+//! counts, QPS and exact latency quantiles as one JSON object on stdout
+//! and, with `--json PATH`, in a file. No series of these files is kept
+//! (the object's `series` field is a leftover label): serving
+//! performance is judged by the repo benchmark's `serve_*` workloads, and
+//! this report is for localizing a change they flag. Also doubles as the CI
+//! smoke test via `--smoke`.
 //!
 //! With `--mutate-rate` each connection interleaves UPDATE batches of
 //! random edge edits among its queries (mixed read/write serving — the
-//! `BENCH_serving` report then also carries an `updates` tally).
+//! report then also carries an `updates` tally).
 //!
 //! With `--retries` each connection goes through [`ResilientClient`]:
 //! idempotent requests that fail transiently are retried with backoff, and

@@ -33,7 +33,7 @@ use crate::parallel::Executor;
 use crate::partition::{PartitionedDcsc, RowRange};
 use crate::pull::CsrMirror;
 use crate::spmv::{emit_column, gather, pull_into, pull_rows, push_into, walk_matrix};
-use crate::spvec::{MessageVector, SparseVector};
+use crate::spvec::SparseVector;
 use crate::Index;
 
 /// One pending edit at a matrix coordinate.
@@ -300,16 +300,15 @@ impl<T: Clone> Overlay<T> {
 /// # Panics
 /// Panics if `overlay` is not aligned with `base` (shape and row
 /// partitioning must match exactly) or `y` has the wrong length.
-pub fn gspmv_overlay_into<X, E, Y, V, M, A>(
+pub fn gspmv_overlay_into<X, E, Y, M, A>(
     base: &PartitionedDcsc<E>,
     overlay: &Overlay<E>,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     add: &A,
     executor: &Executor,
     y: &mut SparseVector<Y>,
 ) where
-    V: MessageVector<X> + Sync,
     X: Sync,
     E: Sync,
     Y: Clone + Default + Send,
@@ -447,14 +446,13 @@ fn pull_row_merged<X, E, Y, M, A>(
 /// partition's non-empty columns and the overlay's, emitting `(row, product)`
 /// pairs in exactly the order a rebuilt matrix would.
 #[inline(always)]
-pub(crate) fn walk_columns_overlay<X, E, Y, V, M>(
+pub(crate) fn walk_columns_overlay<X, E, Y, M>(
     base: &crate::dcsc::Dcsc<E>,
     overlay: &OverlayPartition<E>,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     mut sink: impl FnMut(Index, Y),
 ) where
-    V: MessageVector<X>,
     M: Fn(&X, &E, Index) -> Y,
 {
     let nb = base.n_nonempty_cols();

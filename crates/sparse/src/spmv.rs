@@ -32,10 +32,12 @@
 //!
 //! # Entry points
 //!
-//! All generic over the multiply/add closures (the multiply also receives
-//! the destination row index `k`, which is how `graphmat-core` gives
-//! `PROCESS_MESSAGE` access to the destination vertex's property —
-//! GraphMat's key frontend extension over CombBLAS, §4.2):
+//! All take the input as `&SparseVector<X>` — the one message vector, by
+//! name, in both directions — and are generic only over the element types
+//! and the multiply/add closures (the multiply also receives the destination
+//! row index `k`, which is how `graphmat-core` gives `PROCESS_MESSAGE`
+//! access to the destination vertex's property — GraphMat's key frontend
+//! extension over CombBLAS, §4.2):
 //!
 //! * [`gspmv_into`] / [`gspmv`] — partition-parallel kernel over a
 //!   [`PartitionedDcsc`], using an [`Executor`] for dynamic scheduling. Each
@@ -60,7 +62,7 @@ use crate::overlay::{pull_partitions_overlay, walk_columns_overlay, Overlay};
 use crate::parallel::{chunks, phase_chunks, Executor};
 use crate::partition::PartitionedDcsc;
 use crate::pull::{CsrMirror, PullPartition};
-use crate::spvec::{MessageVector, SparseVector};
+use crate::spvec::SparseVector;
 use crate::Index;
 
 /// One partition's Algorithm-1 walk, shared by the plain kernel and the
@@ -71,13 +73,12 @@ use crate::Index;
 /// has fewer entries than the partition has non-empty columns, by the
 /// columns otherwise (see the module docs).
 #[inline(always)]
-pub(crate) fn walk_matrix<X, E, Y, V, M>(
+pub(crate) fn walk_matrix<X, E, Y, M>(
     matrix: &Dcsc<E>,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     sink: impl FnMut(Index, Y),
 ) where
-    V: MessageVector<X>,
     M: Fn(&X, &E, Index) -> Y,
 {
     if x.nnz() < matrix.n_nonempty_cols() {
@@ -89,13 +90,12 @@ pub(crate) fn walk_matrix<X, E, Y, V, M>(
 
 /// The column walk: probe `x` for each non-empty column.
 #[inline(always)]
-fn walk_columns<X, E, Y, V, M>(
+fn walk_columns<X, E, Y, M>(
     matrix: &Dcsc<E>,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     mut sink: impl FnMut(Index, Y),
 ) where
-    V: MessageVector<X>,
     M: Fn(&X, &E, Index) -> Y,
 {
     for (j, rows, edges) in matrix.iter_cols() {
@@ -111,13 +111,12 @@ fn walk_columns<X, E, Y, V, M>(
 /// grid); otherwise a forward gallop — double a bracket until it holds the
 /// column, then bisect it — finds it in O(log gap).
 #[inline(always)]
-fn walk_frontier<X, E, Y, V, M>(
+fn walk_frontier<X, E, Y, M>(
     matrix: &Dcsc<E>,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     mut sink: impl FnMut(Index, Y),
 ) where
-    V: MessageVector<X>,
     M: Fn(&X, &E, Index) -> Y,
 {
     let jc = matrix.col_indices();
@@ -155,15 +154,14 @@ fn walk_frontier<X, E, Y, V, M>(
 /// the column's stored entries in ascending row order. Also what the overlay
 /// walk emits for a column no pending edit touches.
 #[inline(always)]
-pub(crate) fn emit_column<X, E, Y, V, M>(
-    x: &V,
+pub(crate) fn emit_column<X, E, Y, M>(
+    x: &SparseVector<X>,
     j: Index,
     rows: &[Index],
     edges: &[E],
     multiply: &M,
     sink: &mut impl FnMut(Index, Y),
 ) where
-    V: MessageVector<X>,
     M: Fn(&X, &E, Index) -> Y,
 {
     if let Some(xj) = x.get(j) {
@@ -191,15 +189,14 @@ pub(crate) fn emit_column<X, E, Y, V, M>(
 /// the paper's `8 × threads` partitioning) and then stitched the partials
 /// sequentially; that cost is gone. Callers running many supersteps should
 /// reuse one `y` across calls (the engine's workspace does exactly that).
-pub fn gspmv_into<X, E, Y, V, M, A>(
+pub fn gspmv_into<X, E, Y, M, A>(
     matrix: &PartitionedDcsc<E>,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     add: &A,
     executor: &Executor,
     y: &mut SparseVector<Y>,
 ) where
-    V: MessageVector<X> + Sync,
     X: Sync,
     E: Sync,
     Y: Clone + Default + Send,
@@ -223,16 +220,15 @@ pub fn gspmv_into<X, E, Y, V, M, A>(
 /// partitioning is already the load-balancing grain, §4.5). Rows belong to
 /// partitions, not to tasks, so the grouping cannot change a result.
 #[inline(always)]
-pub(crate) fn push_into<X, E, Y, V, M, A>(
+pub(crate) fn push_into<X, E, Y, M, A>(
     base: &PartitionedDcsc<E>,
     overlay: Option<&Overlay<E>>,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     add: &A,
     executor: &Executor,
     y: &mut SparseVector<Y>,
 ) where
-    V: MessageVector<X> + Sync,
     X: Sync,
     E: Sync,
     Y: Clone + Default + Send,
@@ -276,15 +272,14 @@ pub(crate) fn push_into<X, E, Y, V, M, A>(
 /// Partition `p`'s walk: the plain one, or the merged `base ⊕ overlay` one
 /// when edits are pending.
 #[inline(always)]
-fn walk_partition<X, E, Y, V, M>(
+fn walk_partition<X, E, Y, M>(
     base: &PartitionedDcsc<E>,
     overlay: Option<&Overlay<E>>,
     p: usize,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     sink: impl FnMut(Index, Y),
 ) where
-    V: MessageVector<X>,
     M: Fn(&X, &E, Index) -> Y,
 {
     let matrix = &base.partition(p).matrix;
@@ -488,15 +483,14 @@ pub(crate) fn gather<X, E, Y, M, A>(
 /// Partition-parallel generalized SpMV returning a freshly allocated output
 /// vector. Convenience wrapper over [`gspmv_into`] — hot loops should call
 /// [`gspmv_into`] with a reused vector instead.
-pub fn gspmv<X, E, Y, V, M, A>(
+pub fn gspmv<X, E, Y, M, A>(
     matrix: &PartitionedDcsc<E>,
-    x: &V,
+    x: &SparseVector<X>,
     multiply: &M,
     add: &A,
     executor: &Executor,
 ) -> SparseVector<Y>
 where
-    V: MessageVector<X> + Sync,
     X: Sync,
     E: Sync,
     Y: Clone + Default + Send,

@@ -17,9 +17,9 @@
 //! A probe is an O(1) bit test plus array read; the scan is word operations
 //! (`trailing_zeros`), not per-bit probes.
 //!
-//! [`MessageVector`] is the minimal read interface the push SpMV needs from
-//! its input vector; `graphmat-bench` implements it for option 1 (sorted
-//! tuples) to measure the §4.4.2 difference at the kernel.
+//! The kernels take it by name — there is no vector trait between them and
+//! it. Option 1 was measured at the push kernel before it was deleted; the
+//! numbers are in `crates/bench/README.md` (Figure 7).
 //!
 //! # Concurrent writers
 //!
@@ -43,27 +43,6 @@ use crate::parallel::{phase_chunks, DisjointSlice, Executor};
 use crate::{ix, Index};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// The read interface the generalized SpMV requires from its input vector.
-pub trait MessageVector<T> {
-    /// Logical length (number of vertices).
-    fn len(&self) -> usize;
-    /// `true` if no entries are set.
-    fn is_empty(&self) -> bool {
-        self.nnz() == 0
-    }
-    /// Number of set entries.
-    fn nnz(&self) -> usize;
-    /// Is index `i` present?
-    fn contains(&self, i: Index) -> bool;
-    /// Borrow the value at `i`, if present.
-    fn get(&self, i: Index) -> Option<&T>;
-    /// The set entries with index in `lo..hi`, ascending — what the push
-    /// kernel's frontier walk drives a partition's column lookups with.
-    fn iter_range<'a>(&'a self, lo: Index, hi: Index) -> impl Iterator<Item = (Index, &'a T)>
-    where
-        T: 'a;
-}
 
 /// Bit-vector backed sparse vector (the paper's option 2).
 ///
@@ -178,8 +157,8 @@ impl<T> SparseVector<T> {
         self.iter().map(|(i, v)| (i, v.clone())).collect()
     }
 
-    /// Logical length (number of vertices); same as
-    /// [`MessageVector::len`], provided inherently for convenience.
+    /// Logical length (number of vertices).
+    #[inline(always)]
     pub fn len(&self) -> usize {
         self.values.len()
     }
@@ -189,10 +168,30 @@ impl<T> SparseVector<T> {
         self.nnz == 0
     }
 
-    /// Number of set entries; same as [`MessageVector::nnz`], provided
-    /// inherently for convenience.
+    /// Number of set entries.
+    #[inline(always)]
     pub fn nnz(&self) -> usize {
         self.nnz
+    }
+
+    /// Borrow the value at `i`, if present: one bit probe plus an array read.
+    #[inline(always)]
+    pub fn get(&self, i: Index) -> Option<&T> {
+        if self.valid.get(ix(i)) {
+            Some(&self.values[ix(i)])
+        } else {
+            None
+        }
+    }
+
+    /// The set entries with index in `lo..hi`, ascending — what the push
+    /// kernel's frontier walk drives a partition's column lookups with. A
+    /// word scan of the validity bits, masked at both ends of the range.
+    #[inline(always)]
+    pub fn iter_range(&self, lo: Index, hi: Index) -> impl Iterator<Item = (Index, &T)> {
+        self.valid
+            .iter_ones_in_range(ix(lo), ix(hi))
+            .map(move |i| (i as Index, &self.values[i]))
     }
 
     /// Create a shared handle through which multiple threads may merge
@@ -392,43 +391,6 @@ impl<T> WordRangeWriter<'_, T> {
     }
 }
 
-impl<T> MessageVector<T> for SparseVector<T> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    #[inline(always)]
-    fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    #[inline(always)]
-    fn contains(&self, i: Index) -> bool {
-        self.valid.get(ix(i))
-    }
-
-    #[inline(always)]
-    fn get(&self, i: Index) -> Option<&T> {
-        if self.valid.get(ix(i)) {
-            Some(&self.values[ix(i)])
-        } else {
-            None
-        }
-    }
-
-    /// A word scan of the validity bits, masked at both ends of the range.
-    #[inline(always)]
-    fn iter_range<'a>(&'a self, lo: Index, hi: Index) -> impl Iterator<Item = (Index, &'a T)>
-    where
-        T: 'a,
-    {
-        self.valid
-            .iter_ones_in_range(ix(lo), ix(hi))
-            .map(move |i| (i as Index, &self.values[i]))
-    }
-}
-
 /// The name the pull kernel's callers knew the message vector by: the same
 /// bit vector + value array, read by index instead of driving iteration.
 /// The alias exists only for the frozen `benchmark/src/adapter.rs`, which
@@ -448,11 +410,11 @@ mod tests {
         v.set(3, 1.5);
         v.set(7, 2.5);
         assert_eq!(v.nnz(), 2);
-        assert!(v.contains(3));
-        assert!(!v.contains(4));
+        assert_eq!(v.get(3), Some(&1.5));
+        assert_eq!(v.get(4), None);
         assert_eq!(v.get(7), Some(&2.5));
         assert_eq!(v.get(0), None);
-        assert_eq!(MessageVector::len(&v), 10);
+        assert_eq!(v.len(), 10);
     }
 
     #[test]

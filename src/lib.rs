@@ -99,8 +99,10 @@
 //! degrees) from a worker pool with a bounded admission queue, per-request
 //! deadlines, pooled per-worker `VertexState`s (steady-state serving
 //! allocates nothing per query) and a `STATS` observability endpoint;
-//! `loadgen` drives it and emits the `BENCH_serving` JSON series. See the
-//! README's *Serving* section.
+//! `loadgen` drives it (closed loop) and, with `--json`, writes its report
+//! of counts, QPS and latency quantiles — a tool for localizing a change the
+//! repo benchmark has flagged, not a recorded series. See the README's
+//! *Serving* section.
 //!
 //! This umbrella crate re-exports the whole workspace so that examples,
 //! integration tests and downstream users can depend on a single crate.

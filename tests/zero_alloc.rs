@@ -73,7 +73,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
             .with_threads(4)
             // Superstep detail is the one per-iteration heap consumer the
             // options expose; the zero-alloc serving configuration turns
-            // it off.
+            // it off — `graphmat-serve` builds its session the same way.
             .with_run_defaults(RunOptions {
                 record_supersteps: false,
                 ..RunOptions::default()

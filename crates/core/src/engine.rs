@@ -849,7 +849,8 @@ mod tests {
         use graphmat_delta::{BaseFacts, DeltaOverlay, PairIndex, UpdateOp};
         let topology = figure3_topology();
         let out_ranges = topology.out_partition_ranges();
-        // Hand-assembled: the store always passes `in_partition_ranges()`.
+        // Hand-assembled: `Topology::compile_overlay` always passes the in
+        // ranges, so only `build` can leave them out.
         let facts = BaseFacts {
             num_vertices: topology.num_vertices(),
             num_edges: topology.num_edges(),

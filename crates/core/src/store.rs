@@ -14,12 +14,16 @@
 //!   lifetime. In-flight queries keep the snapshot they started with —
 //!   nothing a writer does can change, move, or free data a reader is
 //!   traversing.
-//! * [`GraphStore::apply`] admits one [`DeltaBatch`]: it appends to the
-//!   delta log, compiles the latest-wins resolution into a fresh
-//!   [`DeltaOverlay`] against the *unchanged* base, and publishes a new
-//!   snapshot (same base `Arc`, new overlay, version + 1). Queries started
-//!   after the swap see the batch; queries started before do not. Writers
-//!   serialize on an internal mutex; readers never take it.
+//! * [`GraphStore::apply`] admits one [`DeltaBatch`]: it resolves the
+//!   pending set with the batch (latest-wins per pair), compiles that into a
+//!   fresh [`DeltaOverlay`] against the *unchanged* base
+//!   ([`Topology::compile_overlay`]), and publishes a new snapshot (same
+//!   base `Arc`, new overlay, version + 1). Queries started after the swap
+//!   see the batch; queries started before do not. Writers serialize on an
+//!   internal mutex; readers never take it.
+//! * The store holds the graph **once**: the writer keeps only the pending
+//!   set, one op per edited pair, and asks the published [`Topology`] —
+//!   the only copy of the edges — whatever a write needs to know of the base.
 //! * The snapshot **version** counts admitted batches. Compaction changes
 //!   the representation, not the content, so it republishes under the
 //!   *same* version: two snapshots with equal versions answer every query
@@ -30,34 +34,29 @@
 //! Pending deltas cost the merged overlay walk, pushed or pulled (see
 //! [`crate::view::GraphView`]), and every `apply` recompiles the whole
 //! pending set. When the log exceeds
-//! [`StoreOptions::compaction_threshold`] effective ops, the store folds
-//! the resolved log into the base edge list, rebuilds a fresh base
-//! [`Topology`] with the original's own
-//! [`build_options`](Topology::build_options) — `Gᵀ` only: a later
-//! `In`/`Both` run derives `G` from the new base, as it would from any
-//! other — and republishes with an empty overlay. With
-//! [`StoreOptions::background`] set, a dedicated worker thread does this
-//! off the write path — `apply` just signals it; otherwise compaction runs
-//! inline in the triggering `apply`. [`GraphStore::compact_now`] forces one
-//! synchronously from any thread.
+//! [`StoreOptions::compaction_threshold`] effective ops, the store asks the
+//! published base for itself with the pending set folded in
+//! ([`Topology::with_edits`]: a fresh [`Topology`] built with the original's
+//! own build options — `Gᵀ` only: a later `In`/`Both` run derives `G` from
+//! the new base, as it would from any other) and republishes with an empty
+//! overlay. With [`StoreOptions::background`] set, a dedicated worker thread
+//! does this off the write path — `apply` just signals it; otherwise
+//! compaction runs inline in the triggering `apply`.
+//! [`GraphStore::compact_now`] forces one synchronously from any thread.
 //!
-//! The rebuild extracts the base edge list in the deterministic order of
-//! [`Topology::to_edge_list`] and edits it with
-//! [`graphmat_delta::apply_resolved_to_edges`], so repeated compactions of
-//! the same history produce byte-identical topologies — and because the
-//! overlay kernel folds messages per destination in the same
-//! ascending-source order a rebuild would, query results are bit-for-bit
-//! identical before and after a compaction.
+//! Compaction reads the published base, in the deterministic order of
+//! [`Topology::to_edge_list`], so repeated compactions of the same history
+//! produce byte-identical topologies — and because the overlay kernel folds
+//! messages per destination in the same ascending-source order a rebuild
+//! would, query results are bit-for-bit identical before and after a
+//! compaction.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::thread::JoinHandle;
 
-use graphmat_delta::{
-    apply_resolved_to_edges, BaseFacts, DeltaBatch, DeltaLog, DeltaOverlay, PairIndex,
-};
-use graphmat_io::edgelist::EdgeList;
+use graphmat_delta::{DeltaBatch, DeltaLog, DeltaOverlay};
 use graphmat_sparse::Index;
 
 use crate::error::{GraphMatError, Result};
@@ -70,14 +69,14 @@ pub const DEFAULT_COMPACTION_THRESHOLD: usize = 4096;
 
 /// Lock a store mutex, shrugging off poisoning. Safe for every mutex in the
 /// store: the signal holds two independent flags, the worker slot a single
-/// `Option`, and the writer state is only ever mutated at the *commit
+/// `Option`, and the writer's log is only ever mutated at the *commit
 /// point* of `apply`/`compact_locked` — everything fallible (overlay
 /// compilation, topology rebuild) runs first, against immutable reads of
-/// the writer state. A panic mid-`apply` therefore leaves the log exactly
-/// as it was: the failed batch is gone without trace (exactly-once
-/// publication, never torn state), and the next writer proceeds as if the
-/// panicked one had never arrived. The store must keep serving reads and
-/// accepting writes even if one writer thread panicked.
+/// the log and the published base. A panic mid-`apply` therefore leaves the
+/// log exactly as it was: the failed batch is gone without trace
+/// (exactly-once publication, never torn state), and the next writer
+/// proceeds as if the panicked one had never arrived. The store must keep
+/// serving reads and accepting writes even if one writer thread panicked.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
@@ -207,18 +206,6 @@ pub struct StoreStats {
     pub compaction_restarts: u64,
 }
 
-/// Mutable writer-side state, serialized behind one mutex. Readers never
-/// touch this — they only clone the published `Arc`.
-struct WriterState<E> {
-    /// The base's edge list in [`Topology::to_edge_list`] order, materialized
-    /// lazily on the first `apply` and kept in sync across compactions.
-    base_edges: Option<Vec<(Index, Index, E)>>,
-    /// Sorted multiset of the base's `(src, dst)` pairs.
-    pair_index: Option<PairIndex>,
-    /// Batches admitted since the last compaction.
-    log: DeltaLog<E>,
-}
-
 #[derive(Default)]
 struct Signal {
     pending: bool,
@@ -235,7 +222,10 @@ struct Signal {
 /// shuts the worker down and joins it.
 pub struct GraphStore<E> {
     published: RwLock<Arc<GraphSnapshot<E>>>,
-    writer: Mutex<WriterState<E>>,
+    /// The pending set (latest-wins resolution of every batch admitted since
+    /// the last compaction) and the lock writers serialize on. Readers never
+    /// touch it — they only clone the published `Arc`.
+    writer: Mutex<DeltaLog<E>>,
     options: StoreOptions,
     compactions: AtomicU64,
     compaction_failures: AtomicU64,
@@ -285,11 +275,7 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
             };
             GraphStore {
                 published: RwLock::new(snapshot),
-                writer: Mutex::new(WriterState {
-                    base_edges: None,
-                    pair_index: None,
-                    log: DeltaLog::new(),
-                }),
+                writer: Mutex::new(DeltaLog::new()),
                 options,
                 compactions: AtomicU64::new(0),
                 compaction_failures: AtomicU64::new(0),
@@ -319,15 +305,14 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
     /// past [`StoreOptions::overload_watermark`]. A failed `apply` — typed
     /// error or panic — publishes nothing and leaves no trace of the batch
     /// in the log (exactly-once): all fallible work runs before the batch
-    /// is committed, and the commit itself is two infallible pointer
-    /// updates.
+    /// is committed, and the commit itself is two infallible moves.
     pub fn apply(&self, batch: DeltaBatch<E>) -> Result<Arc<GraphSnapshot<E>>> {
         if batch.is_empty() {
             return Err(GraphMatError::InvalidParameter(
                 "update batch contains no operations",
             ));
         }
-        let mut writer = lock(&self.writer);
+        let mut log = lock(&self.writer);
         let current = self.snapshot();
         if batch.num_vertices() != current.base.num_vertices() {
             return Err(GraphMatError::InvalidParameter(
@@ -345,32 +330,16 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
             return Err(GraphMatError::Internal("chaos failpoint store.apply.admit"));
         }
 
-        Self::materialize(&mut writer, &current.base);
-
         // Compile the candidate overlay WITHOUT touching the log: the log
         // stays exactly as it was until the commit point below, so a typed
         // error or a panic anywhere in here aborts the batch cleanly.
-        let resolved = writer.log.resolve_with(&batch);
-        let base = &current.base;
-        let out_ranges = base.out_partition_ranges();
-        let in_ranges = base.in_partition_ranges();
-        let facts = BaseFacts {
-            num_vertices: base.num_vertices(),
-            num_edges: base.num_edges(),
-            out_ranges: &out_ranges,
-            in_ranges: in_ranges.as_deref(),
-            out_degrees: base.out_degrees(),
-            in_degrees: base.in_degrees(),
-        };
-        // audit:allow(no-unwrap): `materialize` two statements up fills both
-        // writer slots.
-        let pair_index = writer.pair_index.as_ref().expect("materialized above");
+        let resolved = log.resolve_with(&batch);
         if graphmat_chaos::fire("store.overlay.build").is_some() {
             return Err(GraphMatError::Internal(
                 "chaos failpoint store.overlay.build",
             ));
         }
-        let overlay = DeltaOverlay::build(&facts, pair_index, &resolved);
+        let overlay = current.base.compile_overlay(&resolved);
         let pending = overlay.len();
 
         let snapshot = Arc::new(GraphSnapshot {
@@ -385,19 +354,21 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
 
         // Commit point. A `panic` action on this failpoint unwinds with the
         // log still untouched — the poisoned-writer regression tests pin
-        // down that nothing of the batch survives.
+        // down that nothing of the batch survives. The log keeps the
+        // resolution, not the raw batch: rewriting a pair never moves the
+        // *effective* count both bounds compare, and must not grow the log.
         let _ = graphmat_chaos::fire("store.apply.publish");
-        writer.log.append(batch);
+        log.replace(resolved);
         self.publish(Arc::clone(&snapshot));
 
         if pending >= self.options.compaction_threshold {
             if self.options.background {
-                drop(writer);
+                drop(log);
                 let (signal, cvar) = &*self.signal;
                 lock(signal).pending = true;
                 cvar.notify_one();
             } else {
-                self.compact_locked(&mut writer);
+                self.compact_locked(&mut log);
             }
         }
         Ok(snapshot)
@@ -406,38 +377,26 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
     /// Synchronously fold the pending delta into a fresh base and republish
     /// with an empty overlay. Returns `true` if anything was compacted.
     pub fn compact_now(&self) -> bool {
-        let mut writer = lock(&self.writer);
-        self.compact_locked(&mut writer)
+        self.compact_locked(&mut lock(&self.writer))
     }
 
-    fn compact_locked(&self, writer: &mut WriterState<E>) -> bool {
-        if writer.log.is_empty() {
+    fn compact_locked(&self, log: &mut DeltaLog<E>) -> bool {
+        let current = self.snapshot();
+        if current.overlay.is_none() {
+            // Nothing is pending, or every pending op deletes a pair the
+            // base does not store: the base already is the edited graph.
+            log.clear();
             return false;
         }
-        let current = self.snapshot();
-        Self::materialize(writer, &current.base);
         let _ = graphmat_chaos::fire("store.compact");
 
-        // Build the compacted base against a *copy* of the writer's edge
-        // list: the expensive, panic-prone work (topology rebuild) runs
-        // before any writer state changes, so a failed compaction leaves
-        // the pending log — and the published overlay snapshot — intact
-        // for a clean retry.
-        let resolved = writer.log.resolve();
-        // audit:allow(no-unwrap): `materialize` two statements up fills both
-        // writer slots.
-        let mut edges = writer.base_edges.clone().expect("materialized above");
-        apply_resolved_to_edges(&mut edges, &resolved);
-        let pair_index = PairIndex::from_edges(&edges);
+        // The expensive, panic-prone work (topology rebuild) changes neither
+        // the published base nor the log it reads, so a failed compaction
+        // leaves both intact for a clean retry.
+        let base = Arc::new(current.base.with_edits(&log.resolve()));
 
-        // The one copy above is lent to the build and taken back afterwards.
-        let el = EdgeList::from_tuples(current.base.num_vertices(), edges);
-        let base = Arc::new(Topology::from_edge_list(&el, current.base.build_options()));
-
-        // Commit point: plain moves and an atomic pointer swap.
-        writer.base_edges = Some(el.into_tuples());
-        writer.pair_index = Some(pair_index);
-        writer.log.clear();
+        // Commit point: an infallible clear and an atomic pointer swap.
+        log.clear();
         // Same version: compaction changes the representation, not the graph.
         self.publish(Arc::new(GraphSnapshot {
             version: current.version,
@@ -446,14 +405,6 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
         }));
         self.compactions.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    fn materialize(writer: &mut WriterState<E>, base: &Topology<E>) {
-        if writer.base_edges.is_none() {
-            let edges: Vec<(Index, Index, E)> = base.to_edge_list().edges().to_vec();
-            writer.pair_index = Some(PairIndex::from_edges(&edges));
-            writer.base_edges = Some(edges);
-        }
     }
 }
 
@@ -599,6 +550,7 @@ mod tests {
     use super::*;
     use crate::topology::GraphBuildOptions;
     use graphmat_delta::UpdateOp;
+    use graphmat_io::edgelist::EdgeList;
     use graphmat_sparse::partition::RowPartitioner;
 
     fn base() -> Arc<Topology<f32>> {
@@ -786,6 +738,49 @@ mod tests {
             assert_eq!(x.1, y.1);
             assert_eq!(x.2.to_bits(), y.2.to_bits());
         }
+    }
+
+    /// Regression: both bounds compare *effective* pending ops, so a client
+    /// rewriting the same pair never reached either — while the log kept
+    /// every raw op, and every later resolve sorted all of them.
+    #[test]
+    fn a_hot_pair_does_not_grow_the_log() {
+        let store = inline_store(usize::MAX);
+        for i in 0..1000 {
+            store
+                .apply(batch(vec![(0, 3, UpdateOp::Insert(i as f32))]))
+                .unwrap();
+        }
+        assert_eq!(lock(&store.writer).len(), 1);
+        let snap = store.snapshot();
+        assert_eq!((snap.version(), snap.delta_len()), (1000, 1));
+        assert!(store.compact_now());
+        let edges = store.snapshot().base().to_edge_list();
+        assert!(edges.edges().contains(&(0, 3, 999.0)));
+    }
+
+    /// Regression: deletes of absent pairs compile to no overlay but stayed
+    /// in the log, so the next compaction rebuilt all of an unchanged base.
+    #[test]
+    fn a_batch_of_noop_deletes_is_not_compacted() {
+        let store = inline_store(usize::MAX);
+        let before = store.snapshot();
+        let after = store.apply(batch(vec![(3, 1, UpdateOp::Delete)])).unwrap();
+        assert_eq!(after.version(), 1);
+        assert!(after.overlay().is_none());
+        assert!(!store.compact_now());
+        let after = store.snapshot();
+        assert!(Arc::ptr_eq(before.base(), after.base()));
+        assert_eq!((after.version(), store.compactions()), (1, 0));
+        // A real edit afterwards applies and compacts as usual.
+        store
+            .apply(batch(vec![(3, 1, UpdateOp::Insert(2.5))]))
+            .unwrap();
+        assert!(store.compact_now());
+        let snap = store.snapshot();
+        assert_eq!((snap.version(), store.compactions()), (2, 1));
+        assert_eq!(snap.base().edge_multiplicity(3, 1), 1);
+        assert_eq!(snap.num_edges(), 7);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use crate::error::{GraphMatError, Result};
 use crate::program::VertexId;
+use graphmat_delta::{apply_resolved_to_edges, BaseFacts, DeltaOverlay, UpdateOp};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::coo::Coo;
 use graphmat_sparse::parallel::available_threads;
@@ -152,7 +153,9 @@ impl<E: Clone> Orientation<E> {
 pub struct Topology<E> {
     nvertices: VertexId,
     nedges: usize,
-    /// The options this topology was built with, partition count resolved.
+    /// The options this topology was built with, the partition count
+    /// resolved to the number that was asked of the partitioner — what
+    /// [`Topology::with_edits`] builds the edited graph with.
     options: GraphBuildOptions,
     /// `Gᵀ`: row = destination, column = source. Used for out-edge scatter.
     out: Orientation<E>,
@@ -211,6 +214,36 @@ impl<E: Clone> Topology<E> {
         el
     }
 
+    /// Compile resolved (latest-wins, pair-sorted) edits against this
+    /// topology: everything [`DeltaOverlay::compile`] asks about the base —
+    /// ranges, degrees, stored copies of an edited pair — is read from `self`.
+    pub fn compile_overlay(
+        &self,
+        resolved: &[(VertexId, VertexId, UpdateOp<E>)],
+    ) -> DeltaOverlay<E> {
+        let out_ranges = self.out_partition_ranges();
+        let facts = BaseFacts {
+            num_vertices: self.nvertices,
+            num_edges: self.nedges,
+            out_ranges: &out_ranges,
+            in_ranges: Some(&self.in_ranges),
+            out_degrees: &self.out_degrees,
+            in_degrees: &self.in_degrees,
+        };
+        DeltaOverlay::compile(&facts, |s, d| self.edge_multiplicity(s, d), resolved)
+    }
+
+    /// This graph with `resolved` edits folded in, built with the options
+    /// this topology was built with — what compaction publishes.
+    /// [`Topology::to_edge_list`]'s order is deterministic, so the same
+    /// history compacts to byte-identical topologies.
+    pub fn with_edits(&self, resolved: &[(VertexId, VertexId, UpdateOp<E>)]) -> Self {
+        let mut edges = self.to_edge_list().into_tuples();
+        apply_resolved_to_edges(&mut edges, resolved);
+        let edited = EdgeList::from_tuples(self.nvertices, edges);
+        Topology::from_edge_list(&edited, self.options)
+    }
+
     /// The in-edge orientation, derived from the stored `Gᵀ` on first use
     /// (concurrent first users block on one derivation) and kept. It is the
     /// matrix a build from the original edge list's adjacency COO would be:
@@ -242,13 +275,6 @@ impl<E: Clone> Topology<E> {
 }
 
 impl<E> Topology<E> {
-    /// The options this topology was built with, the partition count
-    /// resolved to the number that was asked of the partitioner — what a
-    /// rebuild of the same graph (compaction) passes back in.
-    pub fn build_options(&self) -> GraphBuildOptions {
-        self.options
-    }
-
     /// The row ranges of the out matrix's partitions (`Gᵀ`: row =
     /// destination) — what a delta overlay must be bucketed by to align with
     /// the push kernel's partition sweep.
@@ -266,6 +292,18 @@ impl<E> Topology<E> {
     /// derived yet.
     pub fn in_partition_ranges(&self) -> Option<Vec<RowRange>> {
         Some(self.in_ranges.clone())
+    }
+
+    /// How many copies of edge `src → dst` are stored (`0` for an absent
+    /// pair or an out-of-range id): the `Gᵀ` partition whose rows hold
+    /// `dst`, its column `src`, the run of `dst` in that column's rows.
+    pub fn edge_multiplicity(&self, src: VertexId, dst: VertexId) -> usize {
+        let partitions = self.out.matrix.partitions();
+        let p = partitions.partition_point(|p| p.rows.end <= dst);
+        let Some((rows, _)) = partitions.get(p).and_then(|p| p.matrix.col(src)) else {
+            return 0;
+        };
+        rows.partition_point(|&r| r <= dst) - rows.partition_point(|&r| r < dst)
     }
 
     /// Number of vertices.
@@ -594,6 +632,88 @@ mod tests {
         for (name, el) in salted_inputs(SEED) {
             assert_derived_matches_direct(&el, &format!("seed {SEED:#x}, {name}, f32"));
             assert_derived_matches_direct(&el.topology(), &format!("seed {SEED:#x}, {name}, ()"));
+        }
+    }
+
+    /// What the store asks of its base, against the edge list: the stored
+    /// multiplicity of a pair, and an overlay compiled from the topology
+    /// alone against one compiled from a [`PairIndex`] of the same edges.
+    #[test]
+    fn multiplicity_and_overlay_compilation_agree_with_the_edge_list() {
+        use graphmat_delta::PairIndex;
+        use graphmat_io::rng::StdRng;
+        use std::collections::BTreeMap;
+        const SEED: u64 = 0x5EED;
+        let mut rng = StdRng::seed_from_u64(SEED);
+        for (name, mut el) in salted_inputs(SEED) {
+            let n = el.num_vertices();
+            // Parallel edges with distinct values (the salt's weights are a
+            // function of the pair): a second copy of every seventh edge.
+            let copies: Vec<_> = el.edges().iter().step_by(7).copied().collect();
+            for (s, d, w) in copies {
+                el.push(s, d, w + 100.0);
+            }
+            for (partitions, balanced) in
+                [1, 3, 8].into_iter().flat_map(|p| [(p, true), (p, false)])
+            {
+                let label = format!("{name}, {partitions} partitions, balanced {balanced}");
+                let options = GraphBuildOptions::default()
+                    .with_partitions(partitions)
+                    .with_balancing(balanced);
+                let t = Topology::from_edge_list(&el, options);
+                let stored = t.to_edge_list();
+                let mut counts: BTreeMap<(VertexId, VertexId), usize> = BTreeMap::new();
+                for &(s, d, _) in stored.edges() {
+                    *counts.entry((s, d)).or_default() += 1;
+                }
+                assert!(counts.values().any(|&m| m > 1), "{label}: no parallel edge");
+                for (&(s, d), &m) in &counts {
+                    assert_eq!(t.edge_multiplicity(s, d), m, "{label}: ({s}, {d})");
+                }
+                let mut probes = vec![(n - 1, n - 1), (n - 2, n - 2), (0, n - 2), (n, 0), (0, n)];
+                probes.extend((0..200).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))));
+                for (s, d) in probes {
+                    let want = counts.get(&(s, d)).copied().unwrap_or(0);
+                    assert_eq!(t.edge_multiplicity(s, d), want, "{label}: probe ({s}, {d})");
+                }
+
+                // Edits over stored pairs (single and parallel) and absent ones.
+                let mut resolved: BTreeMap<(VertexId, VertexId), UpdateOp<f32>> = BTreeMap::new();
+                let stored_pairs = stored.edges().iter().step_by(5).map(|&(s, d, _)| (s, d));
+                let random_pairs = (0..60).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)));
+                for (i, pair) in stored_pairs.chain(random_pairs).enumerate() {
+                    let op = if i % 3 == 0 {
+                        UpdateOp::Delete
+                    } else {
+                        UpdateOp::Insert(i as f32)
+                    };
+                    resolved.insert(pair, op);
+                }
+                let resolved: Vec<_> = resolved
+                    .into_iter()
+                    .map(|((s, d), op)| (s, d, op))
+                    .collect();
+                let out_ranges = t.out_partition_ranges();
+                let in_ranges = t.in_partition_ranges();
+                let facts = BaseFacts {
+                    num_vertices: n,
+                    num_edges: t.num_edges(),
+                    out_ranges: &out_ranges,
+                    in_ranges: in_ranges.as_deref(),
+                    out_degrees: t.out_degrees(),
+                    in_degrees: t.in_degrees(),
+                };
+                let index = PairIndex::from_edges(stored.edges());
+                let want = DeltaOverlay::build(&facts, &index, &resolved);
+                let got = t.compile_overlay(&resolved);
+                assert_eq!(got.out(), want.out(), "{label}");
+                assert_eq!(got.out_degrees(), want.out_degrees(), "{label}");
+                assert_eq!(got.in_degrees(), want.in_degrees(), "{label}");
+                assert_eq!(got.num_edges(), want.num_edges(), "{label}");
+                assert_eq!(got.len(), want.len(), "{label}");
+                assert!(got.len() < resolved.len(), "{label}: no absent-pair delete");
+                assert_eq!(got.in_overlay(), want.in_overlay(), "{label}");
+            }
         }
     }
 

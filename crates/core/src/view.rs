@@ -149,7 +149,7 @@ impl<'a, E: Clone> GraphView<'a, E> {
 mod tests {
     use super::*;
     use crate::topology::GraphBuildOptions;
-    use graphmat_delta::{BaseFacts, DeltaOverlay, PairIndex, UpdateOp};
+    use graphmat_delta::UpdateOp;
     use graphmat_io::edgelist::EdgeList;
 
     fn topo() -> Topology<f32> {
@@ -166,22 +166,6 @@ mod tests {
             assert!(!v.has_overlay());
             assert!(std::ptr::eq(v.topology(), &*t));
         }
-    }
-
-    fn overlay_for(t: &Topology<f32>, resolved: &[(u32, u32, UpdateOp<f32>)]) -> DeltaOverlay<f32> {
-        let el = t.to_edge_list();
-        let idx = PairIndex::from_edges(el.edges());
-        let out_ranges = t.out_partition_ranges();
-        let in_ranges = t.in_partition_ranges();
-        let facts = BaseFacts {
-            num_vertices: t.num_vertices(),
-            num_edges: t.num_edges(),
-            out_ranges: &out_ranges,
-            in_ranges: in_ranges.as_deref(),
-            out_degrees: t.out_degrees(),
-            in_degrees: t.in_degrees(),
-        };
-        DeltaOverlay::build(&facts, &idx, resolved)
     }
 
     #[test]
@@ -201,7 +185,7 @@ mod tests {
     #[test]
     fn empty_overlay_is_normalized_away() {
         let t = topo();
-        let ov = overlay_for(&t, &[]);
+        let ov = t.compile_overlay(&[]);
         assert!(ov.is_empty());
         let v = GraphView::new(&t, Some(&ov));
         assert!(!v.has_overlay());
@@ -211,10 +195,7 @@ mod tests {
     #[test]
     fn pending_overlay_reports_merged_structure() {
         let t = topo();
-        let ov = overlay_for(
-            &t,
-            &[(0, 1, UpdateOp::Delete), (3, 0, UpdateOp::Insert(5.0))],
-        );
+        let ov = t.compile_overlay(&[(0, 1, UpdateOp::Delete), (3, 0, UpdateOp::Insert(5.0))]);
         let v = GraphView::new(&t, Some(&ov));
         assert!(v.has_overlay());
         assert_eq!(v.num_edges(), 4); // -1 +1

@@ -7,9 +7,9 @@
 //! * [`batch::DeltaBatch`] — one validated batch of edge insertions /
 //!   deletions, the unit a writer submits (and the unit the server's
 //!   `UPDATE` opcode carries over the wire);
-//! * [`log::DeltaLog`] — the append-only sequence of admitted batches,
+//! * [`log::DeltaLog`] — the operations admitted since the last compaction,
 //!   resolved **latest-wins per `(src, dst)` pair** when a snapshot is
-//!   published;
+//!   published (the store keeps that resolution, one op per pair);
 //! * [`overlay::DeltaOverlay`] — the resolved log compiled against a base's
 //!   partitioning into kernel-ready [`graphmat_sparse::overlay::Overlay`]s
 //!   (the out-edge one per batch, the in-edge one derived when first

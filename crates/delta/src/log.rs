@@ -1,33 +1,37 @@
-//! [`DeltaLog`]: the append-only sequence of admitted update batches.
+//! [`DeltaLog`]: the operations admitted since the last compaction.
 
 use crate::batch::{DeltaBatch, UpdateOp};
 use graphmat_sparse::Index;
 
-/// The ordered log of every operation admitted since the last compaction.
+/// The ordered log of the operations admitted since the last compaction.
 ///
 /// Batches append in admission order; [`DeltaLog::resolve`] collapses the
 /// log to its **latest-wins** view — at most one effective op per
 /// `(src, dst)` pair, sorted by pair — which is what overlays are compiled
-/// from and what compaction folds into the base edge list.
+/// from and what compaction folds into the base edge list. A writer that
+/// keeps each resolution in place of the raw ops ([`DeltaLog::replace`])
+/// bounds the log by the pairs edited, not by the ops submitted.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaLog<E> {
     ops: Vec<(Index, Index, UpdateOp<E>)>,
-    batches: usize,
 }
 
 impl<E> DeltaLog<E> {
     /// Create an empty log.
     pub fn new() -> Self {
-        DeltaLog {
-            ops: Vec::new(),
-            batches: 0,
-        }
+        DeltaLog { ops: Vec::new() }
     }
 
     /// Append a validated batch.
     pub fn append(&mut self, batch: DeltaBatch<E>) {
         self.ops.extend(batch.into_ops());
-        self.batches += 1;
+    }
+
+    /// Admit a batch by keeping `resolved` — what [`DeltaLog::resolve_with`]
+    /// returned for it — in place of the ops: resolution is idempotent, so
+    /// every later `resolve` reads as if the batch had been appended.
+    pub fn replace(&mut self, resolved: Vec<(Index, Index, UpdateOp<E>)>) {
+        self.ops = resolved;
     }
 
     /// Total number of logged operations (before latest-wins resolution).
@@ -40,16 +44,10 @@ impl<E> DeltaLog<E> {
         self.ops.is_empty()
     }
 
-    /// Number of batches appended since the last [`DeltaLog::clear`].
-    pub fn n_batches(&self) -> usize {
-        self.batches
-    }
-
     /// Drop every logged operation (compaction has folded them into the
     /// base).
     pub fn clear(&mut self) {
         self.ops.clear();
-        self.batches = 0;
     }
 }
 
@@ -150,10 +148,8 @@ mod tests {
             vec![(1, 2, UpdateOp::Delete), (2, 3, UpdateOp::Insert(2.0))],
         ));
         assert_eq!(log.len(), 3);
-        assert_eq!(log.n_batches(), 2);
         log.clear();
         assert!(log.is_empty());
-        assert_eq!(log.n_batches(), 0);
     }
 
     #[test]
@@ -194,10 +190,14 @@ mod tests {
             ]
         );
         assert_eq!(log.len(), 2);
-        assert_eq!(log.n_batches(), 1);
         // Appending then resolving yields the identical view.
+        let mut replaced = log.clone();
         log.append(pending);
         assert_eq!(log.resolve(), preview);
+        // So does keeping the preview itself, one op per pair.
+        replaced.replace(preview.clone());
+        assert_eq!(replaced.resolve(), preview);
+        assert_eq!((replaced.len(), log.len()), (3, 4));
     }
 
     #[test]

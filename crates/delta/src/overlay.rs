@@ -4,10 +4,11 @@
 //! A published `(base ⊕ delta)` snapshot needs more than the kernel
 //! [`Overlay`]s: the engine also reads per-vertex degrees (PageRank's
 //! rank/degree normalization, the backend selector's edge counts)
-//! and the total edge count. This module computes all of it from three
-//! inputs — the base's structural facts ([`BaseFacts`]), a sorted index of
-//! the base's `(src, dst)` pairs ([`PairIndex`]), and the latest-wins
-//! resolution of the log — without touching the base matrices.
+//! and the total edge count. [`DeltaOverlay::compile`] computes all of it
+//! from three inputs — the base's structural facts ([`BaseFacts`]), a way to
+//! ask the base how many copies of a `(src, dst)` pair it stores, and the
+//! latest-wins resolution of the log — without touching the base matrices
+//! (`graphmat-core`'s `Topology::compile_overlay` supplies the first two).
 //!
 //! Only the out-edge kernel overlay (aligned to `Gᵀ`) is compiled per batch.
 //! The in-edge one is derived on demand, like the base's `G`: the first
@@ -20,10 +21,10 @@ use graphmat_sparse::partition::RowRange;
 use graphmat_sparse::Index;
 use std::sync::OnceLock;
 
-/// Sorted multiset of a base graph's `(src, dst)` pairs, used to tell
-/// whether a delta op inserts a new edge, reweights existing copies, or
-/// deletes `m ≥ 1` stored copies — the difference drives degree and edge
-/// accounting.
+/// Sorted multiset of a base graph's `(src, dst)` pairs. **Benchmark-
+/// frozen**: the store asks the published topology instead
+/// (`Topology::edge_multiplicity`), and this stays, with
+/// [`DeltaOverlay::build`], only because `benchmark/src/adapter.rs` names both.
 #[derive(Clone, Debug, Default)]
 pub struct PairIndex {
     pairs: Vec<(Index, Index)>,
@@ -44,20 +45,10 @@ impl PairIndex {
         let hi = self.pairs.partition_point(|&p| p <= (src, dst));
         hi - lo
     }
-
-    /// Total number of indexed pairs (the base edge count).
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// `true` if the base has no edges.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
 }
 
 /// The structural facts of a base topology that overlay compilation needs —
-/// extracted by the store so this crate stays independent of
+/// extracted by the topology so this crate stays independent of
 /// `graphmat-core`.
 #[derive(Clone, Copy, Debug)]
 pub struct BaseFacts<'a> {
@@ -68,10 +59,10 @@ pub struct BaseFacts<'a> {
     /// Row ranges of the base's out matrix (`Gᵀ`: row = destination).
     pub out_ranges: &'a [RowRange],
     /// Row ranges of the base's in matrix (`G`: row = source). A topology
-    /// fixes them at build whether or not it has derived `G` yet, so the
-    /// store always passes `Some`; `None` compiles an overlay that can never
-    /// derive an in side, which `In`/`Both` runs then reject
-    /// (`MissingInMatrix`).
+    /// fixes them at build whether or not it has derived `G` yet, so
+    /// `Topology::compile_overlay` always passes `Some`; `None` compiles an
+    /// overlay that can never derive an in side, which `In`/`Both` runs then
+    /// reject (`MissingInMatrix`).
     pub in_ranges: Option<&'a [RowRange]>,
     /// Base out-degrees, indexed by vertex.
     pub out_degrees: &'a [u32],
@@ -102,13 +93,16 @@ pub struct DeltaOverlay<E> {
 
 impl<E: Clone> DeltaOverlay<E> {
     /// Compile resolved (latest-wins, pair-sorted) ops against a base.
+    /// `copies(src, dst)` is how many copies of that edge the base stores:
+    /// it tells a new edge from a reweight, and a delete of `m ≥ 1` stored
+    /// copies from one that changes nothing.
     ///
     /// Deletes of pairs absent from the base are dropped (they change
     /// nothing); an op on a pair the base stores `m > 1` times masks all
     /// `m` copies, and the degree/edge accounting reflects that.
-    pub fn build(
+    pub fn compile(
         facts: &BaseFacts<'_>,
-        pair_index: &PairIndex,
+        copies: impl Fn(Index, Index) -> usize,
         resolved: &[(Index, Index, UpdateOp<E>)],
     ) -> Self {
         let n = facts.num_vertices;
@@ -119,7 +113,7 @@ impl<E: Clone> DeltaOverlay<E> {
         let mut out_entries: Vec<(Index, Index, OverlayOp<E>)> = Vec::new();
         let mut n_ops = 0usize;
         for (s, d, op) in resolved {
-            let m = pair_index.count(*s, *d) as isize;
+            let m = copies(*s, *d) as isize;
             let (kernel_op, copies_after) = match op {
                 UpdateOp::Insert(w) => (OverlayOp::Upsert(w.clone()), 1isize),
                 UpdateOp::Delete => {
@@ -147,6 +141,16 @@ impl<E: Clone> DeltaOverlay<E> {
             num_edges: num_edges as usize,
             n_ops,
         }
+    }
+
+    /// [`DeltaOverlay::compile`] with the multiplicities read from a
+    /// [`PairIndex`]. **Benchmark-frozen**, like the index itself.
+    pub fn build(
+        facts: &BaseFacts<'_>,
+        pair_index: &PairIndex,
+        resolved: &[(Index, Index, UpdateOp<E>)],
+    ) -> Self {
+        Self::compile(facts, |s, d| pair_index.count(s, d), resolved)
     }
 
     /// The kernel overlay for in-edge traversal (aligned to `G`), if the
@@ -242,8 +246,6 @@ mod tests {
         assert_eq!(idx.count(0, 1), 2);
         assert_eq!(idx.count(1, 2), 1);
         assert_eq!(idx.count(3, 3), 0);
-        assert_eq!(idx.len(), 7);
-        assert!(!idx.is_empty());
     }
 
     #[test]

@@ -209,13 +209,21 @@ fn streaming_overlay_matches_rebuild_from_final_edge_list() {
     use std::collections::HashMap;
     use std::sync::Arc;
 
-    for case in 0..CASES {
+    // Every case twice: on the default build, and on three even row ranges,
+    // where the store's lookups of a pair's stored copies cross partition
+    // boundaries (`arb_graph` repeats pairs, so bases hold parallel edges).
+    for (case, even_thirds) in (0..CASES).flat_map(|case| [(case, false), (case, true)]) {
         let seed = 10_000 + case;
         let mut rng = StdRng::seed_from_u64(seed);
         let edges = arb_graph(seed, 50, 250);
         let n = edges.num_vertices();
         let session = Session::sequential();
-        let base = session.build_graph(&edges).finish().unwrap();
+        let base = if even_thirds {
+            session.build_graph(&edges).partitions(3).balanced(false)
+        } else {
+            session.build_graph(&edges)
+        };
+        let base = base.finish().unwrap();
         let store = GraphStore::new(
             Arc::clone(&base),
             StoreOptions {

@@ -255,6 +255,39 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         "an Out run compiled the overlay's in side"
     );
 
+    // ---- Part 1e: a write costs what was written, not the graph. ----
+    // The first `apply` on a fresh store compiles one edit against the
+    // published base: two degree arrays and an overlay's partition table.
+    // (A writer-side edge list plus pair index, 20 bytes per edge, used to
+    // be materialized right here.)
+    let big = rmat::generate(&RmatConfig::graph500(12).with_seed(7));
+    let big_topo = match session.build_graph(&big).finish() {
+        Ok(t) => t,
+        Err(e) => panic!("rmat-12 build: {e}"),
+    };
+    let fresh = GraphStore::new(
+        big_topo,
+        StoreOptions {
+            background: false,
+            ..StoreOptions::default()
+        },
+    );
+    let mut one_edit = DeltaBatch::new(big.num_vertices());
+    if let Err(e) = one_edit.insert(1, 2, 0.5) {
+        panic!("edit: {e}");
+    }
+    let (outcome, stats) = AllocGuard::measure(|| fresh.apply(one_edit));
+    match outcome {
+        Ok(snapshot) => assert_eq!(snapshot.delta_len(), 1),
+        Err(e) => panic!("first apply: {e}"),
+    }
+    assert!(
+        stats.bytes < 4 * big.num_edges() as u64,
+        "the first write to a store of {} edges allocated {} bytes",
+        big.num_edges(),
+        stats.bytes
+    );
+
     // ---- Part 2: steady-state server rounds, in-process. ----
     let service = GraphService::new(session, topo);
     let mut states = WorkerStates::for_topology(service.topology());

@@ -66,6 +66,13 @@ impl<E: Clone + Send + Sync> GraphProgram for BfsProgram<E> {
             *dist = *reduced;
         }
     }
+
+    /// A reached vertex is done: the search is level-synchronous from roots
+    /// at distance 0, so every message still to come carries a level above
+    /// any distance already set and `apply` would ignore it.
+    fn receives(&self, dist: &u32) -> bool {
+        *dist == UNREACHED
+    }
 }
 
 /// Run BFS over a pre-built graph through a [`Session`] and return the

@@ -52,6 +52,10 @@ impl<P: GraphProgram> GraphProgram for NoInline<P> {
         self.0.apply(reduced, prop)
     }
 
+    fn receives(&self, prop: &P::VertexProp) -> bool {
+        self.0.receives(prop)
+    }
+
     fn on_superstep_end(&self, iteration: usize, changed: usize) {
         self.0.on_superstep_end(iteration, changed)
     }

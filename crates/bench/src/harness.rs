@@ -20,7 +20,7 @@ use graphmat_sparse::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into, Over
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
-use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_into};
+use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_into, pull_into};
 use graphmat_sparse::spvec::SparseVector;
 use graphmat_sparse::Index;
 use std::sync::Arc;
@@ -625,13 +625,21 @@ fn traversed<E>(gt: &Coo<E>, stride: usize) -> usize {
     entries.filter(|e| e.1 as usize % stride == 0).count()
 }
 
+/// The output mask of `pull/masked_half`: every other row in hashed order.
+/// (Every other row by id would not halve the work: on an RMAT matrix the
+/// even rows hold three quarters of the edges.)
+fn in_half(k: Index) -> bool {
+    k.wrapping_mul(0x9E37_79B1) >> 31 == 0
+}
+
 /// The frontier densities of the `push_density_*` rows, one sender in each.
 const DENSITY_STRIDES: [usize; 5] = [4096, 256, 64, 4, 1];
 
 /// Build the kernel rows' inputs at `scale` and hand each row to `visit` as
 /// `(label, edges one call visits, the output vector, the call)`. Pulls and
-/// the dense overlay rows visit every stored edge; a push visits the stored
-/// entries of the columns its frontier holds.
+/// the dense overlay rows visit every stored edge (the masked pull is read
+/// against the same count); a push visits the stored entries of the columns
+/// its frontier holds.
 fn for_each_kernel(
     scale: DatasetScale,
     nthreads: usize,
@@ -654,6 +662,12 @@ fn for_each_kernel(
     let all = SparseVector::full(n, 1.0f32);
     visit("pull/dense".into(), stored, y, &|y| {
         gspmv_csr_pull_into(&mirror, &all, &relax, &keep_min, ex, y)
+    });
+    // The same pull under an output mask that admits half of the rows, still
+    // read per *stored* edge: at half of `pull/dense` the pass over the rows
+    // turned away is free, and what it reads above half is that pass.
+    visit("pull/masked_half".into(), stored, y, &|y| {
+        pull_into(&mirror, None, &all, &relax, &keep_min, &in_half, ex, y);
     });
     let ranges: Vec<_> = matrix.partitions().iter().map(|p| p.rows).collect();
     let mut edits: Vec<(Index, Index, OverlayOp<f32>)> = (gt.entries().iter().step_by(33))
@@ -722,7 +736,8 @@ fn for_each_kernel(
 /// The generalized-SpMV kernels timed directly, on the Graph500 RMAT graph
 /// and the road grid of `scale` over `nthreads` lanes (`0` = all available):
 /// `(label, median of 9 calls after a warm-up, edges one call visits)` per
-/// row, in this order — `pull/dense`, `overlay_pull/{empty,3pct}`,
+/// row, in this order — `pull/dense`, `pull/masked_half`,
+/// `overlay_pull/{empty,3pct}`,
 /// `overlay_push/{empty,3pct}`, `push_density_{rmat,grid}/1_of_{4096,256,64,4,1}`,
 /// `partitions/{1,T,8T}`, `edges/{f32,unit}`. These are the rows the repo
 /// benchmark's probes do not report; like them they are read per edge, and
@@ -979,6 +994,7 @@ mod tests {
             labels,
             [
                 "pull/dense",
+                "pull/masked_half",
                 "overlay_pull/empty",
                 "overlay_pull/3pct",
                 "overlay_push/empty",
@@ -1012,6 +1028,11 @@ mod tests {
             call(y);
             outputs.insert(label, bits(y));
         });
+        // A masked pull is the plain pull on the rows it admits.
+        let mut admitted = outputs["pull/dense"].clone();
+        admitted.retain(|(k, _)| in_half(*k));
+        assert_eq!(outputs["pull/masked_half"], admitted);
+        assert!(admitted.len() < outputs["pull/dense"].len());
         // An empty overlay changes nothing, in either direction.
         assert_eq!(outputs["overlay_pull/empty"], outputs["pull/dense"]);
         assert_eq!(

@@ -66,7 +66,7 @@
 //! active, wasteful when most are (PageRank every superstep, the middle of
 //! a BFS). This reproduction adds the dense *pull* backend
 //! direction-optimized frameworks (Beamer's bottom-up BFS, GraphBLAST) get
-//! their biggest win from: the row-parallel [`gspmv_csr_pull_into`] kernel
+//! their biggest win from: the row-parallel pull kernel ([`pull_into`])
 //! walks destination rows of the topology's CSR mirror, gathering messages
 //! by index — no scatter, perfect write locality.
 //!
@@ -81,10 +81,16 @@
 //! size the frontier, and a vertex that is active but sends nothing does not
 //! count towards pulling.
 //! The rule is a cost comparison: the pull kernel streams every stored
-//! edge whatever the frontier holds, the push kernel pays (about twice as
-//! much) per edge the messages traverse, so a superstep pulls when the
-//! messages' out-edges exceed half of the stored edges
-//! ([`PUSH_PULL_COST_RATIO`]).
+//! edge of the rows it gathers whatever the frontier holds, the push kernel
+//! pays (about twice as much) per edge the messages traverse, so a superstep
+//! pulls when the messages' out-edges exceed half of the edges a pull would
+//! gather ([`PUSH_PULL_COST_RATIO`]). Which rows a pull gathers is the
+//! program's say ([`GraphProgram::receives`], the output mask: BFS turns
+//! away every reached vertex), so what a pull costs is learned from the run
+//! itself: all stored edges until its first pull, afterwards what its last
+//! pull gathered plus one edge's worth per row passed over
+//! ([`PULL_ROW_COST`]). A program that keeps the default hook gathers — and
+//! is priced at — every stored edge every time.
 //! [`RunOptions::backend`](crate::options::RunOptions::backend) pins the
 //! backend instead. Both kernels reduce each destination's incoming products
 //! in ascending source order, so **push, pull and the selector produce
@@ -101,11 +107,11 @@ use crate::state::VertexState;
 use crate::stats::{Backend, SuperstepStats};
 use crate::topology::Orientation;
 use crate::view::GraphView;
-use graphmat_sparse::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into, Overlay};
+use graphmat_sparse::overlay::{gspmv_overlay_into, Overlay};
 use graphmat_sparse::parallel::Executor;
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
-use graphmat_sparse::spmv::{gspmv_csr_pull_into, gspmv_into};
+use graphmat_sparse::spmv::{gspmv_into, pull_into};
 use graphmat_sparse::spvec::SparseVector;
 use graphmat_sparse::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,22 +130,52 @@ use std::time::Instant;
 /// 2 — which end to end (`bfs_frontier`) beats 3 by 12–17 %.
 pub const PUSH_PULL_COST_RATIO: u64 = 2;
 
-/// The direction rule, as a cost comparison. The pull kernel has no early
-/// exit: it streams every stored edge whatever the frontier holds, so a
-/// pull superstep costs `total_edges × c_pull`; a push superstep costs
+/// What a destination row costs a masked pull that passes over it, in edges
+/// the pull kernel could have gathered instead: the second number of the
+/// direction rule, which only a program with a [`GraphProgram::receives`]
+/// ever meets.
+///
+/// Measured like [`PUSH_PULL_COST_RATIO`], same graph on both sides
+/// (`bfs_frontier`'s: symmetrized RMAT 2¹⁷, 131 072 rows, 3.73 M stored
+/// edges, 2-core host, `spmv::pull_into` timed directly, best of 15): a
+/// pull that admits no row — or the rows a finished search leaves
+/// unreached, 40 950 of them, nearly all empty — takes 0.35–0.46 ms on two
+/// lanes and 0.51–0.66 ms on one, 2.7–5.0 ns per row (a row pointer, the
+/// vertex property and a branch the isolated third of the vertices makes
+/// unpredictable); a pull that admits every row takes 4.6–8.1 and
+/// 8.5–15.7 ms, 1.2–4.2 ns per edge. Row against edge, same lanes, same
+/// minute: 1.2–2.2. Taken as 1, which end to end (`bfs_frontier`) beats 2
+/// by 7–16 % — and loses to 0 by another 14–25 %, because the push side of
+/// the rule is still priced per edge: a push of 2 k–50 k messages through 16
+/// partitions takes 0.9–5 ms where the masked pull takes 0.4–0.5, and this
+/// term hands some of those supersteps back to it. Without it a frontier of
+/// 45–100 messages (pushed in 0.23–0.25 ms) is pulled in 0.41–0.51 ms; the
+/// term is what stops that. The pairs are in CHANGES.md, PR 24.
+pub const PULL_ROW_COST: u64 = 1;
+
+/// The direction rule, as a cost comparison. The pull kernel streams every
+/// stored edge of every row it gathers whatever the frontier holds, so a
+/// pull superstep costs `pull_edges × c_pull`; a push superstep costs
 /// `frontier_edges × c_push`. Pull when that is the cheaper of the two —
-/// `frontier_edges > total_edges / PUSH_PULL_COST_RATIO` (see
+/// `frontier_edges > pull_edges / PUSH_PULL_COST_RATIO` (see
 /// [`PUSH_PULL_COST_RATIO`] = `c_push / c_pull`).
 ///
 /// `frontier_edges` is the out-edge count, in the program's scatter
 /// direction, of the vertices that put a message into this superstep's
-/// vector; `total_edges` is the direction's stored edge count. What earlier
-/// supersteps explored does not enter: it changes neither kernel's cost, so
-/// a program that re-traverses edges (SSSP, delta PageRank) is judged like
-/// one that does not. All-active PageRank (`frontier_edges == total_edges`)
-/// pulls every superstep; a graph without edges pushes.
-pub fn choose_backend(frontier_edges: u64, total_edges: u64) -> Backend {
-    if frontier_edges > total_edges / PUSH_PULL_COST_RATIO {
+/// vector. `pull_edges` is what a pull would cost, in edges: the direction's
+/// stored edge count until the run has pulled once, from then on the count
+/// its last pull reported plus [`PULL_ROW_COST`] per row it has to pass
+/// over, never more than the stored count — rows
+/// [`GraphProgram::receives`] turns away are not gathered, and a vertex
+/// turned away once stays turned away (only `apply` changes a property, and
+/// by the hook's law it does not change this one), so the last count bounds
+/// the next. With the default hook that is the stored total every time:
+/// what earlier supersteps explored does not enter, and a program that
+/// re-traverses edges (SSSP, delta PageRank) is judged like one that does
+/// not. All-active PageRank (`frontier_edges == pull_edges`) pulls every
+/// superstep; a graph without edges pushes.
+pub fn choose_backend(frontier_edges: u64, pull_edges: u64) -> Backend {
+    if frontier_edges > pull_edges / PUSH_PULL_COST_RATIO {
         Backend::Pull
     } else {
         Backend::Push
@@ -185,8 +221,9 @@ impl<P: GraphProgram> Workspace<P> {
 }
 
 /// One scatter direction's share of a traversal: the DCSC the push kernel
-/// sweeps, the pending edits aligned to it (and to its pull mirror), and the
-/// degree array SEND charges a message's edges against.
+/// sweeps, the pending edits aligned to it (and to its pull mirror — the
+/// pull shell takes them as they are, `None` or `Some`), and the degree
+/// array SEND charges a message's edges against.
 struct Leg<'a, E> {
     matrix: &'a PartitionedDcsc<E>,
     overlay: Option<&'a Overlay<E>>,
@@ -214,31 +251,6 @@ impl<E: Sync> Leg<'_, E> {
             None => gspmv_into(self.matrix, messages, multiply, add, executor, y),
             Some(overlay) => {
                 gspmv_overlay_into(self.matrix, overlay, messages, multiply, add, executor, y)
-            }
-        }
-    }
-
-    /// The pull SpMV over this leg's `mirror`; with edits pending, each
-    /// destination row is merged with the overlay's row-major side — the
-    /// same bits as [`Leg::push`].
-    fn pull<X, Y, M, A>(
-        &self,
-        mirror: &CsrMirror<E>,
-        messages: &SparseVector<X>,
-        multiply: &M,
-        add: &A,
-        executor: &Executor,
-        y: &mut SparseVector<Y>,
-    ) where
-        X: Sync,
-        Y: Clone + Default + Send,
-        M: Fn(&X, &E, Index) -> Y + Sync,
-        A: Fn(&mut Y, Y) + Sync,
-    {
-        match self.overlay {
-            None => gspmv_csr_pull_into(mirror, messages, multiply, add, executor, y),
-            Some(overlay) => {
-                gspmv_overlay_pull_into(mirror, overlay, messages, multiply, add, executor, y)
             }
         }
     }
@@ -344,11 +356,28 @@ impl<'a, E: Clone> Traversal<'a, E> {
         self.view
     }
 
-    /// The edges a pull superstep streams — the selector's fixed cost side.
-    /// The view's merged edge count per leg, so pending deltas are counted.
-    fn edge_total(&self) -> u64 {
-        let legs = if self.second.is_some() { 2 } else { 1 };
-        legs * self.view.num_edges() as u64
+    /// The edges a pull superstep streams when it gathers every row — what
+    /// the selector prices a pull at until the run has made one. The view's
+    /// merged edge count per leg, so pending deltas are counted.
+    pub(crate) fn edge_total(&self) -> u64 {
+        self.legs() * self.view.num_edges() as u64
+    }
+
+    fn legs(&self) -> u64 {
+        if self.second.is_some() {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// What the selector prices the next pull at after one that gathered
+    /// `gathered` edges: those, plus the pass over every leg's rows, capped
+    /// at what gathering everything costs (which is what a program whose
+    /// `receives` admits every vertex gathered, and is priced at again).
+    fn pull_price(&self, gathered: u64) -> u64 {
+        let rows = self.legs() * u64::from(self.view.num_vertices());
+        (gathered + PULL_ROW_COST * rows).min(self.edge_total())
     }
 
     /// How many edges a message from `v` will traverse: SEND reads only the
@@ -375,17 +404,24 @@ impl<'a, E: Clone> Traversal<'a, E> {
 /// popcounts the active bit vector. It sizes SEND's chunking and is reported
 /// as the superstep's frontier density.
 ///
+/// `pull_edges` is the other count the runner carries: coming in, the edges
+/// a pull of this superstep is priced at ([`choose_backend`]; the runner
+/// starts a run at `Traversal::edge_total`); going out, the price of the
+/// next one, from what this superstep's pull gathered — a push leaves it as
+/// it was.
+///
 /// With a pending overlay either kernel runs merged with it — the push
-/// SpMV's [`gspmv_overlay_into`] column walk, the pull SpMV's
-/// [`gspmv_overlay_pull_into`] row gather — and SEND accounts the **merged**
-/// degree arrays, so metrics describe the edited graph and the selector
-/// gives it the push/pull trajectory of its rebuild.
+/// SpMV's [`gspmv_overlay_into`] column walk, the pull shell's merged row
+/// gather — and SEND accounts the **merged** degree arrays while the pull
+/// reports **merged** row lengths, so metrics describe the edited graph and
+/// the selector gives it the push/pull trajectory of its rebuild.
 pub(crate) fn superstep<P: GraphProgram>(
     traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
     program: &P,
     executor: &Executor,
     active_count: usize,
+    pull_edges: &mut u64,
     ws: &mut Workspace<P>,
 ) -> SuperstepStats {
     let Workspace {
@@ -408,19 +444,22 @@ pub(crate) fn superstep<P: GraphProgram>(
     let pull_mirrors = traversal.mirrors.filter(|_| {
         let chosen = traversal
             .forced
-            .unwrap_or_else(|| choose_backend(edges_processed, traversal.edge_total()));
+            .unwrap_or_else(|| choose_backend(edges_processed, *pull_edges));
         chosen == Backend::Pull
     });
 
     // --- Generalized SpMV (Algorithm 1): one kernel call per leg, sparse
-    // push over the leg's DCSC or dense pull over its mirror. The program's
-    // callbacks are monomorphised into the kernel (the paper's `-ipo`).
+    // push over the leg's DCSC or dense pull over its mirror — the pull
+    // masked by the program's `receives` (push only touches the frontier's
+    // edges and needs no mask). The program's callbacks are monomorphised
+    // into the kernel (the paper's `-ipo`).
     let spmv_start = Instant::now();
     let props = state.properties();
     let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
         program.process_message(msg, edge, &props[dst as usize])
     };
     let add = |acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value);
+    let admit = |dst: Index| program.receives(&props[dst as usize]);
     match pull_mirrors {
         None => {
             let legs = (&traversal.first, traversal.second.as_ref());
@@ -433,9 +472,14 @@ pub(crate) fn superstep<P: GraphProgram>(
                 (&traversal.first, first),
                 traversal.second.as_ref().zip(second),
             );
+            let mut gathered = 0;
             first_then_second(legs, &add, reduced, scratch, |(leg, mirror), y| {
-                leg.pull(mirror, messages, &multiply, &add, executor, y)
-            })
+                let edits = leg.overlay;
+                gathered += pull_into(
+                    mirror, edits, messages, &multiply, &add, &admit, executor, y,
+                );
+            });
+            *pull_edges = traversal.pull_price(gathered);
         }
     }
     let spmv_time = spmv_start.elapsed();
@@ -496,7 +540,7 @@ fn first_then_second<L, Y, A>(
     add: &A,
     reduced: &mut SparseVector<Y>,
     scratch: &mut Option<SparseVector<Y>>,
-    multiply_leg: impl Fn(L, &mut SparseVector<Y>),
+    mut multiply_leg: impl FnMut(L, &mut SparseVector<Y>),
 ) where
     Y: Clone + Default,
     A: Fn(&mut Y, Y),
@@ -589,7 +633,16 @@ mod tests {
         let traversal = Traversal::resolve(topology.into(), program.direction(), backend)?;
         let mut ws = Workspace::<P>::new(topology.num_vertices() as usize);
         let active = state.active_count();
-        let stats = superstep(&traversal, state, program, executor, active, &mut ws);
+        let mut pull_edges = traversal.edge_total();
+        let stats = superstep(
+            &traversal,
+            state,
+            program,
+            executor,
+            active,
+            &mut pull_edges,
+            &mut ws,
+        );
         Ok((stats, ws))
     }
 
@@ -743,14 +796,18 @@ mod tests {
             let traversal =
                 Traversal::resolve((&topology).into(), EdgeDirection::Out, backend).unwrap();
             let (fresh, fresh_ws) = step(&topology, &state, &Sssp, backend, &executor).unwrap();
+            let mut pull_edges = traversal.edge_total();
             let metrics = superstep(
                 &traversal,
                 &state,
                 &Sssp,
                 &executor,
                 state.active_count(),
+                &mut pull_edges,
                 &mut ws,
             );
+            // Every vertex receives: a pull gathers every stored edge.
+            assert_eq!(pull_edges, traversal.edge_total());
             assert_eq!(metrics.backend, backend.unwrap());
             assert_eq!(metrics.messages_sent, fresh.messages_sent);
             assert_eq!(metrics.edges_processed, fresh.edges_processed);

@@ -86,10 +86,13 @@
 //! active. This reproduction adds the *dense pull* backend (row-parallel
 //! SpMV over a row-major CSR mirror of the partitioned matrix) and picks
 //! push or pull **per superstep** by comparing what each would cost
-//! ([`engine::choose_backend`]): pull streams every stored edge whatever the
-//! frontier holds, push pays about twice as much per edge it actually
-//! traverses ([`engine::PUSH_PULL_COST_RATIO`]), so a superstep pulls when
-//! the frontier's out-edges exceed half of the stored edges. Direction is a
+//! ([`engine::choose_backend`]): pull streams every stored edge of the rows
+//! it gathers whatever the frontier holds, push pays about twice as much per
+//! edge it actually traverses ([`engine::PUSH_PULL_COST_RATIO`]), so a
+//! superstep pulls when the frontier's out-edges exceed half of what a pull
+//! would gather — every stored edge, unless the program's
+//! [`program::GraphProgram::receives`] turns rows away (BFS: every reached
+//! vertex), in which case the run's last pull says how many. Direction is a
 //! decision over one message vector — SEND always fills the same
 //! bit-vector-backed buffer — and both kernels reduce each
 //! destination's messages in ascending source order, so results are

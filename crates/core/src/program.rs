@@ -80,6 +80,25 @@ pub enum EdgeDirection {
 /// Implementations must be `Sync` because the engine calls
 /// `process_message`/`reduce` concurrently from all worker threads.
 ///
+/// # Laws
+///
+/// The engine runs a superstep on whichever SpMV backend is cheaper and
+/// promises the same bits either way. Two laws make that promise keepable;
+/// neither can be checked by the compiler:
+///
+/// * [`reduce`](GraphProgram::reduce) is **commutative and associative** —
+///   a destination's products arrive in ascending source order, but how they
+///   are grouped across partitions is the kernel's business;
+/// * [`receives`](GraphProgram::receives) never turns away a vertex that
+///   would have changed: `!receives(p)` ⇒ `apply(r, p)` leaves `p` unchanged
+///   for every reduced value `r` a run can deliver to that vertex. The pull
+///   kernel skips such a vertex's whole row; the push kernel still delivers
+///   to it, and debug builds assert there that `apply` was indeed a no-op.
+///   BFS is the example: a vertex whose distance is set ignores every later
+///   message, so `BfsProgram` overrides the hook with `*dist == UNREACHED`
+///   and the bottom-up supersteps stop gathering the visited part of the
+///   graph. The default admits every vertex and compiles away.
+///
 /// # Example
 ///
 /// The paper's appendix SSSP program translates almost line-for-line:
@@ -176,6 +195,15 @@ pub trait GraphProgram: Sync {
 
     /// APPLY: consume the reduced value and update the vertex property.
     fn apply(&self, reduced: &Self::Reduced, prop: &mut Self::VertexProp);
+
+    /// The output mask: can a vertex whose property is `prop` still be
+    /// changed by a message? Returning `false` lets a pull superstep skip
+    /// the vertex's row without gathering it — see the trait's laws for
+    /// what the answer promises. Defaults to `true`: every vertex receives.
+    #[inline(always)]
+    fn receives(&self, _prop: &Self::VertexProp) -> bool {
+        true
+    }
 
     /// Hook called at the end of every superstep with the iteration number
     /// and the number of vertices that changed state. Programs that need

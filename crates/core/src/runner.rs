@@ -150,6 +150,9 @@ pub(crate) fn run_admitted<P: GraphProgram>(
     let mut iteration = 0usize;
     // Counted once here; afterwards every APPLY hands the next count over.
     let mut active = state.active_count();
+    // What the selector prices a pull at: every stored edge until the run
+    // has pulled, then what `engine::superstep` makes of its last pull.
+    let mut pull_edges = traversal.edge_total();
 
     loop {
         if let Some(max) = options.max_iterations {
@@ -171,7 +174,15 @@ pub(crate) fn run_admitted<P: GraphProgram>(
             break;
         }
 
-        let mut step = superstep(traversal, state, program, executor, active, ws);
+        let mut step = superstep(
+            traversal,
+            state,
+            program,
+            executor,
+            active,
+            &mut pull_edges,
+            ws,
+        );
         step.iteration = iteration;
         step.vertices_updated = ws.reduced().nnz();
         (step.apply_time, step.vertices_changed) =
@@ -238,6 +249,13 @@ fn apply_phase<P: GraphProgram>(
                 let slot = &mut props[i];
                 let old = slot.clone();
                 program.apply(&values[i], slot);
+                // The law of `GraphProgram::receives`, checked on real
+                // traffic: a push delivers to rows a pull would skip.
+                debug_assert!(
+                    *slot == old || program.receives(&old),
+                    "GraphProgram::receives turned away vertex {} although APPLY changes it",
+                    base + i
+                );
                 changed_bits |= u64::from(*slot != old) << bit;
             }
             *next_word = changed_bits;
@@ -435,6 +453,54 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, GraphMatError::InvalidParameter(_)), "{err}");
+    }
+
+    /// The first superstep pushes (one message), so the neighbours of the
+    /// source are delivered to although `receives` turned them away — a lie:
+    /// APPLY improves their distances.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "GraphProgram::receives turned away vertex 1")]
+    fn a_receives_that_lies_is_caught_where_push_delivers() {
+        struct DeafSssp;
+
+        impl GraphProgram for DeafSssp {
+            type VertexProp = f32;
+            type Message = f32;
+            type Reduced = f32;
+            type Edge = f32;
+
+            fn send_message(&self, v: VertexId, dist: &f32) -> Option<f32> {
+                Sssp.send_message(v, dist)
+            }
+
+            fn process_message(&self, msg: &f32, edge: &f32, dst: &f32) -> f32 {
+                Sssp.process_message(msg, edge, dst)
+            }
+
+            fn reduce(&self, acc: &mut f32, value: f32) {
+                Sssp.reduce(acc, value)
+            }
+
+            fn apply(&self, reduced: &f32, dist: &mut f32) {
+                Sssp.apply(reduced, dist)
+            }
+
+            fn receives(&self, _dist: &f32) -> bool {
+                false
+            }
+        }
+
+        let topology = figure3_topology();
+        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
+        state.set_all_properties(f32::MAX);
+        state.set_property(0, 0.0);
+        state.set_active(0);
+        let mut ws = Workspace::<DeafSssp>::new(state.num_vertices());
+        let (options, executor) = (RunOptions::default(), Executor::sequential());
+        let _ = run_program(
+            &DeafSssp, &topology, &mut state, &options, &executor, &mut ws,
+        );
     }
 
     /// PageRank-style program where every vertex is active every iteration;

@@ -58,11 +58,17 @@ pub struct SuperstepStats {
     pub messages_sent: usize,
     /// Number of edges the frontier scatters along — exactly what the push
     /// SpMV traverses. Deliberately recorded the same way on a **pull**
-    /// superstep (which sweeps every stored edge of the CSR mirror, probing
-    /// more than it combines), so the field stays comparable across
+    /// superstep (which sweeps every stored edge of the rows it gathers,
+    /// probing more than it combines), so the field stays comparable across
     /// backends and `Auto` runs report the same trajectory as forced push.
     pub edges_processed: u64,
-    /// Number of vertices that received at least one message.
+    /// Number of vertices that received at least one message. On a pull
+    /// superstep of a program whose
+    /// [`receives`](crate::program::GraphProgram::receives) turns vertices
+    /// away, only admitted vertices are counted — a push delivers to the
+    /// others too (and APPLY ignores it) — so this total may differ between
+    /// a forced-push and an `Auto` run whose properties and active sets are
+    /// identical.
     pub vertices_updated: usize,
     /// Number of vertices whose property changed in APPLY (active next
     /// superstep).

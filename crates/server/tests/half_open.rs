@@ -56,26 +56,31 @@ fn half_open_peer_is_reclaimed_and_serving_continues() {
     });
     let addr = server.local_addr();
 
-    // The half-open peer: valid frames in, nothing ever read out. A tiny
-    // receive buffer makes the server's send side fill after the first
-    // large reply, so its connection thread blocks in write_frame.
+    // The half-open peer: valid frames in, nothing ever read out. It keeps
+    // the request side full for as long as the server takes them (a fixed
+    // number of frames leaves it to the kernel's auto-tuned loopback buffers
+    // whether their ~64 KiB replies ever back up): every reply the server
+    // cannot write grows its backlog until its connection thread blocks in
+    // write_frame. Non-blocking, so a full pipe hands control back to the
+    // polling loop below; `sent` keeps the framing across partial writes.
     let mut stalled = TcpStream::connect(addr).unwrap();
-    // Shrink our receive window if the OS lets us (best effort — the
-    // 64 KiB replies overflow default loopback buffers regardless).
+    stalled.set_nonblocking(true).unwrap();
     let frame = encoded_run_frame();
-    for _ in 0..64 {
-        if stalled.write_all(&frame).is_err() {
-            // Server already dropped us — that's the mechanism working.
-            break;
+    let mut sent = 0usize;
+    let mut keep_requesting = move |stalled: &mut TcpStream| {
+        // An error other than a full pipe means the server already dropped
+        // us — that's the mechanism working.
+        while let Ok(written) = stalled.write(&frame[sent..]) {
+            sent = (sent + written) % frame.len();
         }
-    }
-    // ... and now stall forever: no reads, connection held open.
+    };
 
     // Meanwhile every other client keeps getting answers the whole time.
     let mut live = Client::connect(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut reclaimed = false;
     while Instant::now() < deadline {
+        keep_requesting(&mut stalled);
         let reply = live
             .run(&RunRequest::new(Algorithm::Bfs).seed(0).timeout_ms(5_000))
             .expect("live client must keep serving alongside the stalled peer");

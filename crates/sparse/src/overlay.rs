@@ -347,7 +347,16 @@ pub fn gspmv_overlay_pull_into<X, E, Y, M, A>(
     M: Fn(&X, &E, Index) -> Y + Sync,
     A: Fn(&mut Y, Y) + Sync,
 {
-    pull_into(mirror, Some(overlay), x, multiply, add, executor, y);
+    pull_into(
+        mirror,
+        Some(overlay),
+        x,
+        multiply,
+        add,
+        &|_| true,
+        executor,
+        y,
+    );
 }
 
 /// A task's merged pull over partitions `parts` (out of line, like the plain
@@ -355,44 +364,60 @@ pub fn gspmv_overlay_pull_into<X, E, Y, M, A>(
 /// row of the range is visited (an upsert may land in a row the base leaves
 /// empty), with a cursor over the edited rows — one compare per row; an
 /// unedited row is gathered like any other, an edited one by
-/// [`pull_row_merged`].
+/// [`pull_row_merged`]. A row `admit` turns away is passed over either way.
+/// Returns the edges gathered: per admitted row the length of the row a
+/// rebuild would store.
 #[inline(never)]
-pub(crate) fn pull_partitions_overlay<X, E, Y, M, A>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pull_partitions_overlay<X, E, Y, M, A, R>(
     mirror: &CsrMirror<E>,
     overlay: &Overlay<E>,
     parts: std::ops::Range<usize>,
     x: &SparseVector<X>,
     multiply: &M,
     add: &A,
+    admit: &R,
     mut sink: impl FnMut(Index, Y),
-) where
+) -> u64
+where
     M: Fn(&X, &E, Index) -> Y,
     A: Fn(&mut Y, Y),
+    R: Fn(Index) -> bool,
 {
+    let mut gathered = 0u64;
     for p in parts {
         let (base, edits) = (mirror.partition(p), overlay.partition(p));
         if edits.erows.is_empty() {
             // No edits pending on this partition: the plain pull loop, over
             // its non-empty rows only.
-            pull_rows(base, x, multiply, add, &mut sink);
+            gathered += pull_rows(base, x, multiply, add, admit, &mut sink);
             continue;
         }
         let mut cursor = 0usize;
         for k in base.rows.start..base.rows.end {
+            let edited = edits.erows.get(cursor) == Some(&k);
+            if !admit(k) {
+                // The cursor moves past an edited row admitted or not.
+                cursor += usize::from(edited);
+                continue;
+            }
             let (cols, edges) = base.row(k);
             let mut acc = None;
-            if edits.erows.get(cursor) == Some(&k) {
+            if edited {
                 let row_edits = edits.erow_ptr[cursor]..edits.erow_ptr[cursor + 1];
                 cursor += 1;
-                pull_row_merged(&mut acc, x, cols, edges, edits, row_edits, k, multiply, add);
+                gathered +=
+                    pull_row_merged(&mut acc, x, cols, edges, edits, row_edits, k, multiply, add);
             } else {
                 gather(&mut acc, x, cols, edges, k, multiply, add);
+                gathered += cols.len() as u64;
             }
             if let Some(acc) = acc {
                 sink(k, acc);
             }
         }
     }
+    gathered
 }
 
 /// One edited destination row: the base row is gathered in plain segments up
@@ -400,7 +425,8 @@ pub(crate) fn pull_partitions_overlay<X, E, Y, M, A>(
 /// upsert is multiplied in its place. A segment's end is searched for, not
 /// compared for per stored edge — hub rows are where the edits land — and
 /// the search gallops from where the gather stands, so its probes stay on
-/// the cache lines the gather is about to stream.
+/// the cache lines the gather is about to stream. Returns the merged row's
+/// length: the base entries no edit masks plus the upserts.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn pull_row_merged<X, E, Y, M, A>(
@@ -413,11 +439,12 @@ fn pull_row_merged<X, E, Y, M, A>(
     k: Index,
     multiply: &M,
     add: &A,
-) where
+) -> u64
+where
     M: Fn(&X, &E, Index) -> Y,
     A: Fn(&mut Y, Y),
 {
-    let mut at = 0usize;
+    let (mut at, mut gathered) = (0usize, 0usize);
     for (&j, &op) in overlay.ecols[edits.clone()]
         .iter()
         .zip(&overlay.eops[edits])
@@ -431,15 +458,18 @@ fn pull_row_merged<X, E, Y, M, A>(
         }
         let upto = lo + cols[lo..hi.min(cols.len())].partition_point(|&c| c < j);
         gather(acc, x, &cols[at..upto], &edges[at..upto], k, multiply, add);
+        gathered += upto - at;
         at = upto;
         while cols.get(at) == Some(&j) {
             at += 1; // mask all stored copies
         }
         if let OverlayOp::Upsert(w) = &overlay.ops[op] {
             gather(acc, x, &[j], std::slice::from_ref(w), k, multiply, add);
+            gathered += 1;
         }
     }
     gather(acc, x, &cols[at..], &edges[at..], k, multiply, add);
+    (gathered + cols.len() - at) as u64
 }
 
 /// The merged Algorithm-1 column walk: two-pointer sweep over the base

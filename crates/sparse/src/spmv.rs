@@ -54,8 +54,13 @@
 //!   one inline task when the whole gather is worth less than a wake of the
 //!   pool, one task per partition otherwise. The overlay-aware
 //!   [`crate::overlay::gspmv_overlay_pull_into`] runs through the same
-//!   shell (`pull_into`): one shell per direction, each taking the pending
+//!   shell ([`pull_into`]): one shell per direction, each taking the pending
 //!   edits as an `Option<&Overlay>`.
+//! * [`pull_into`] — that shell itself, which is what the engine calls: it
+//!   also takes the **output mask** `admit(k)` (a destination row whose
+//!   result the caller would discard is skipped before its columns are
+//!   touched — GraphBLAST's masked SpMV) and returns how many stored edges
+//!   it gathered. The two frozen wrappers above admit every row.
 
 use crate::dcsc::Dcsc;
 use crate::overlay::{pull_partitions_overlay, walk_columns_overlay, Overlay};
@@ -64,6 +69,7 @@ use crate::partition::PartitionedDcsc;
 use crate::pull::{CsrMirror, PullPartition};
 use crate::spvec::SparseVector;
 use crate::Index;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One partition's Algorithm-1 walk, shared by the plain kernel and the
 /// overlay kernel's partitions without pending edits: hand the
@@ -308,10 +314,11 @@ const PULL_EDGES_PER_WORK_ITEM: usize = 16;
 /// per source, multiplies the hits and folds them into a register-resident
 /// accumulator — then writes `y[k]` exactly once. No sharded scatter, no
 /// atomics anywhere on the write path, perfect write locality; the cost is
-/// touching every stored edge of the matrix whatever the frontier holds —
-/// there is no early exit — which is why the engine only selects this kernel
-/// when the frontier's edges are a large enough share of the stored ones
-/// (`graphmat_core::engine::choose_backend`).
+/// touching every stored edge of every gathered row whatever the frontier
+/// holds, which is why the engine only selects this kernel when the
+/// frontier's edges are a large enough share of the edges a pull would
+/// gather (`graphmat_core::engine::choose_backend`). This entry gathers
+/// **every** row; [`pull_into`], the shell under it, takes an output mask.
 ///
 /// Per-destination reduction order is **ascending source id** — the same
 /// order the push kernel produces (both of its walks emit DCSC columns in
@@ -334,29 +341,48 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     M: Fn(&X, &E, Index) -> Y + Sync,
     A: Fn(&mut Y, Y) + Sync,
 {
-    pull_into(mirror, None, x, multiply, add, executor, y);
+    pull_into(mirror, None, x, multiply, add, &|_| true, executor, y);
 }
 
-/// The shell both pull kernels run through, the mirror image of
-/// [`push_into`]: check and clear `y`, then gather every partition's rows —
-/// merged with `overlay`'s pending edits when one rides along — and write
-/// each output row once. Inlined into its two public callers so each keeps
-/// only its own gather.
+/// The shell every pull runs through, the mirror image of `push_into`:
+/// check and clear `y`, then gather the rows of every partition — merged
+/// with `overlay`'s pending edits when one rides along — and write each
+/// output row once. Inlined into its callers so each keeps only its own
+/// gather.
+///
+/// `admit` is the **output mask**: a destination row `k` with `!admit(k)` is
+/// passed over before its columns are touched and is never set in `y`. The
+/// rows that are admitted come out exactly as an unmasked pull computes
+/// them — the mask removes work, it cannot change a bit. With `|_| true`
+/// the test compiles away.
+///
+/// Returns the number of stored edges handed to the gather: the lengths of
+/// the admitted rows — the *merged* length of a row with pending edits, so
+/// an edited matrix reports what its rebuild would. This is what the pull
+/// cost, in the unit `graphmat_core::engine::choose_backend` compares in.
+///
+/// # Panics
+/// Panics if `x` / `y` has the wrong length or `overlay` is not aligned with
+/// `mirror` (shape and row partitioning must match exactly).
 #[inline(always)]
-pub(crate) fn pull_into<X, E, Y, M, A>(
+#[allow(clippy::too_many_arguments)]
+pub fn pull_into<X, E, Y, M, A, R>(
     mirror: &CsrMirror<E>,
     overlay: Option<&Overlay<E>>,
     x: &SparseVector<X>,
     multiply: &M,
     add: &A,
+    admit: &R,
     executor: &Executor,
     y: &mut SparseVector<Y>,
-) where
+) -> u64
+where
     X: Sync,
     E: Sync,
     Y: Clone + Default + Send,
     M: Fn(&X, &E, Index) -> Y + Sync,
     A: Fn(&mut Y, Y) + Sync,
+    R: Fn(Index) -> bool + Sync,
 {
     assert_eq!(
         y.len(),
@@ -374,11 +400,13 @@ pub(crate) fn pull_into<X, E, Y, M, A>(
     }
     y.clear();
     if x.nnz() == 0 {
-        return;
+        return 0;
     }
     // Like the push shell: one inline task below the phase threshold, one
-    // task per partition above it. A pull gathers every stored edge whatever
-    // the frontier holds, so its work is the edge count.
+    // task per partition above it. A pull gathers every stored edge of the
+    // rows it admits whatever the frontier holds, so its work is bounded by
+    // the edge count (how many rows the mask lets through is not known
+    // before the pass).
     let nparts = mirror.n_partitions();
     let work = mirror.nnz() / PULL_EDGES_PER_WORK_ITEM;
     let inline = phase_chunks(nparts, work, executor).count() == 1;
@@ -388,6 +416,7 @@ pub(crate) fn pull_into<X, E, Y, M, A>(
     // atomics it uses are only for validity words straddling a range
     // boundary.
     let shards = y.sharded();
+    let gathered = AtomicU64::new(0);
     executor.for_each_dynamic(tasks.count(), |task| {
         let (first, end) = tasks.bounds(task);
         let mut newly_set = 0usize;
@@ -398,15 +427,18 @@ pub(crate) fn pull_into<X, E, Y, M, A>(
             // task only.
             unsafe { shards.merge(k, acc, &mut newly_set, |slot, v| *slot = v) };
         };
-        match overlay {
-            None => pull_partitions(mirror, first..end, x, multiply, add, write),
+        let edges = match overlay {
+            None => pull_partitions(mirror, first..end, x, multiply, add, admit, write),
             Some(overlay) => {
-                pull_partitions_overlay(mirror, overlay, first..end, x, multiply, add, write)
+                pull_partitions_overlay(mirror, overlay, first..end, x, multiply, add, admit, write)
             }
-        }
+        };
         shards.commit(newly_set);
+        // A statistic: it publishes nothing, the dispatch's join orders it.
+        gathered.fetch_add(edges, Ordering::Relaxed);
     });
     drop(shards);
+    gathered.into_inner()
 }
 
 /// A task's plain pull over partitions `parts`. Both kernels' tasks are one
@@ -415,43 +447,57 @@ pub(crate) fn pull_into<X, E, Y, M, A>(
 /// the closure, beside it, `bfs_frontier` measured 3 % slower; out of line
 /// `pr_dense` measured 13 % faster than with the loop in the closure).
 #[inline(never)]
-fn pull_partitions<X, E, Y, M, A>(
+fn pull_partitions<X, E, Y, M, A, R>(
     mirror: &CsrMirror<E>,
     parts: std::ops::Range<usize>,
     x: &SparseVector<X>,
     multiply: &M,
     add: &A,
+    admit: &R,
     mut sink: impl FnMut(Index, Y),
-) where
+) -> u64
+where
     M: Fn(&X, &E, Index) -> Y,
     A: Fn(&mut Y, Y),
+    R: Fn(Index) -> bool,
 {
+    let mut gathered = 0u64;
     for p in parts {
-        pull_rows(mirror.partition(p), x, multiply, add, &mut sink);
+        gathered += pull_rows(mirror.partition(p), x, multiply, add, admit, &mut sink);
     }
+    gathered
 }
 
-/// One partition's plain pull: gather each non-empty row and hand the rows
-/// that received a product to `sink`. Also what the overlay pull runs on a
-/// partition without pending edits.
+/// One partition's plain pull: gather each admitted non-empty row and hand
+/// the rows that received a product to `sink`; returns the edges gathered.
+/// Also what the overlay pull runs on a partition without pending edits.
 #[inline(always)]
-pub(crate) fn pull_rows<X, E, Y, M, A>(
+pub(crate) fn pull_rows<X, E, Y, M, A, R>(
     rows: &PullPartition<E>,
     x: &SparseVector<X>,
     multiply: &M,
     add: &A,
+    admit: &R,
     mut sink: impl FnMut(Index, Y),
-) where
+) -> u64
+where
     M: Fn(&X, &E, Index) -> Y,
     A: Fn(&mut Y, Y),
+    R: Fn(Index) -> bool,
 {
+    let mut gathered = 0u64;
     for (k, cols, edges) in rows.iter_rows() {
+        if !admit(k) {
+            continue;
+        }
         let mut acc = None;
         gather(&mut acc, x, cols, edges, k, multiply, add);
+        gathered += cols.len() as u64;
         if let Some(acc) = acc {
             sink(k, acc);
         }
     }
+    gathered
 }
 
 /// Gather (a stretch of) one destination row into its accumulator: probe the
@@ -912,6 +958,43 @@ mod tests {
         y.iter().map(|(k, v)| (k, v.to_bits())).collect()
     }
 
+    /// A seeded output mask over `n` rows: two rows in three admitted.
+    fn salted_mask(n: u32, rng: &mut SplitMix) -> Vec<bool> {
+        (0..n).map(|_| rng.below(3) > 0).collect()
+    }
+
+    /// `mirror` pulled under `mask`, checked against `plain` — the bits an
+    /// unmasked pull of the same matrix (or of the one `mirror ⊕ overlay`
+    /// rebuilds to) produced: the admitted rows of `plain` and nothing else,
+    /// and as many edges gathered as the admitted rows of `stored` hold.
+    /// Returns how many rows of `plain` the mask took away.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_masked_pull_is_the_plain_pull_restricted(
+        mirror: &CsrMirror<f32>,
+        overlay: Option<&Overlay<f32>>,
+        stored: &CsrMirror<f32>,
+        x: &SparseVector<f32>,
+        mask: &[bool],
+        plain: &[(Index, u32)],
+        ex: &Executor,
+        case: &str,
+    ) -> usize {
+        let multiply = |m: &f32, e: &f32, _: Index| m * e;
+        let add = |acc: &mut f32, v: f32| *acc += v;
+        let admit = |k: Index| mask[k as usize];
+        let mut y: SparseVector<f32> = SparseVector::new(mask.len());
+        let gathered = pull_into(mirror, overlay, x, &multiply, &add, &admit, ex, &mut y);
+        let admitted: Vec<_> = plain.iter().filter(|(k, _)| admit(*k)).copied().collect();
+        assert_eq!(bits(&y), admitted, "masked pull, {case}");
+        assert_eq!(y.nnz(), admitted.len(), "masked pull nnz, {case}");
+        let rows = stored.partitions().iter().flat_map(|p| p.iter_rows());
+        let lengths = rows
+            .filter(|row| admit(row.0))
+            .map(|row| row.1.len() as u64);
+        assert_eq!(gathered, lengths.sum::<u64>(), "edges gathered, {case}");
+        plain.len() - admitted.len()
+    }
+
     /// One forced walk over every partition, `+`-reduced sequentially.
     fn reduce_with(
         pd: &PartitionedDcsc<f32>,
@@ -963,13 +1046,36 @@ mod tests {
                             reduce_with(&pd, |m, sink| walk_frontier(m, &x, &multiply, sink));
                         assert!(!by_columns.is_empty(), "{case}");
                         assert_eq!(by_frontier, by_columns, "frontier walk, {case}");
+                        let mask = salted_mask(n, rng);
                         for lanes in [1usize, 4] {
                             let ex = Executor::new(lanes);
                             let mut y: SparseVector<f32> = SparseVector::new(n as usize);
                             gspmv_into(&pd, &x, &multiply, &add, &ex, &mut y);
                             assert_eq!(bits(&y), by_columns, "push, {lanes} lanes, {case}");
-                            gspmv_csr_pull_into(&mirror, &x, &multiply, &add, &ex, &mut y);
+                            let all = pull_into(
+                                &mirror,
+                                None,
+                                &x,
+                                &multiply,
+                                &add,
+                                &|_| true,
+                                &ex,
+                                &mut y,
+                            );
                             assert_eq!(bits(&y), by_columns, "pull, {lanes} lanes, {case}");
+                            assert_eq!(all, mirror.nnz() as u64, "every edge gathered, {case}");
+                            let masked_out = assert_masked_pull_is_the_plain_pull_restricted(
+                                &mirror,
+                                None,
+                                &mirror,
+                                &x,
+                                &mask,
+                                &by_columns,
+                                &ex,
+                                &case,
+                            );
+                            // A full frontier reaches every non-empty row.
+                            assert!(nnz < n as usize || masked_out > 0, "the mask bites, {case}");
                         }
                     }
                 }
@@ -1126,7 +1232,9 @@ mod tests {
     }
 
     /// Overlay-pull == overlay-push == plain pull over the rebuilt matrix,
-    /// bits and `nnz`, for frontiers of 1, n/2 and n entries.
+    /// bits and `nnz`, for frontiers of 1, n/2 and n entries — and under a
+    /// seeded output mask, overlay-pull == rebuilt pull == the plain pull's
+    /// admitted rows, gathering the same number of edges.
     fn assert_edited_kernels_agree(
         edited: &Edited,
         executors: &[Executor],
@@ -1146,11 +1254,27 @@ mod tests {
         let rebuilt_mirror = CsrMirror::from_partitioned(rebuilt);
         for nnz in [1, n as usize / 2, n as usize] {
             let x = salted_frontier(n, nnz, rng);
+            let mask = salted_mask(n, rng);
             for ex in executors {
                 let case = format!("{case}, nnz(x) {nnz}, {} lanes", ex.nthreads());
                 let mut want: SparseVector<f32> = SparseVector::new(n as usize);
                 gspmv_csr_pull_into(&rebuilt_mirror, &x, &multiply, &add, ex, &mut want);
                 assert!(want.nnz() > 0, "{case}");
+                // Masked, the overlay kernel and the rebuilt mirror agree on
+                // the rows, their bits and the (merged) edges gathered.
+                for (mirror, edits) in [(&mirror, Some(overlay)), (&rebuilt_mirror, None)] {
+                    let masked_out = assert_masked_pull_is_the_plain_pull_restricted(
+                        mirror,
+                        edits,
+                        &rebuilt_mirror,
+                        &x,
+                        &mask,
+                        &bits(&want),
+                        ex,
+                        &case,
+                    );
+                    assert!(nnz < n as usize || masked_out > 0, "the mask bites, {case}");
+                }
                 let mut y: SparseVector<f32> = SparseVector::new(n as usize);
                 gspmv_overlay_pull_into(&mirror, overlay, &x, &multiply, &add, ex, &mut y);
                 assert_eq!(bits(&y), bits(&want), "overlay pull vs rebuild, {case}");

@@ -68,8 +68,9 @@
 //! either the paper's sparse *push* SpMV (column-wise over the DCSC) or the
 //! dense *pull* SpMV (row-parallel over a CSR mirror) over the same
 //! bit-vector-backed message vector, chosen by comparing the two kernels'
-//! costs — pull, which streams every stored edge, when the frontier's
-//! out-edges exceed half of them.
+//! costs — pull, which streams every stored edge of the rows the program
+//! still `receives` on (every row by default; BFS turns reached vertices
+//! away), when the frontier's out-edges exceed half of what it would gather.
 //! Results are bit-for-bit identical across backends; the per-superstep
 //! choice is recorded in `SuperstepStats::backend`. Pin a backend with
 //! `.backend(Backend::Push | Backend::Pull)` on the run builder, and skip

@@ -183,6 +183,185 @@ fn road_sssp_never_pulls() {
     assert_eq!(bits(&out.values), bits(&reference));
 }
 
+/// What a BFS leaves behind: the distances, and the work totals a snapshot
+/// with pending edits must share with its rebuild.
+#[derive(Debug, PartialEq)]
+struct Search {
+    distances: Vec<u32>,
+    supersteps: usize,
+    pull_supersteps: usize,
+    vertices_updated: u64,
+}
+
+fn search<'a>(session: &Session, view: impl Into<GraphView<'a, ()>>, root: VertexId) -> Search {
+    let view = view.into();
+    let mut state: VertexState<u32> = VertexState::new(view.num_vertices() as usize);
+    let stats = graphmat_algorithms::bfs::bfs_into(session, view, root, None, &mut state)
+        .unwrap()
+        .stats;
+    Search {
+        distances: state.into_properties(),
+        supersteps: stats.iterations,
+        pull_supersteps: stats.pull_supersteps,
+        vertices_updated: stats.vertices_updated,
+    }
+}
+
+/// Where BFS really pulls — a graph with two bottom-up supersteps, the
+/// second priced by what the first gathered — the masked pull changes no
+/// distance: `Auto` ≡ forced push ≡ forced pull ≡ the queue reference, on
+/// every lane and partition count, over a bare topology, over pending edits
+/// and over the topology a compaction rebuilds from them; and the edited
+/// snapshot takes its rebuild's trajectory, pull for pull.
+#[test]
+fn masked_pull_bfs_matches_the_reference_under_every_backend() {
+    let directed = rmat::generate(&RmatConfig::graph500(12).with_seed(21));
+    let edges = directed.symmetrized().topology();
+    let n = edges.num_vertices();
+    let root = 1;
+    let reference = graphmat_algorithms::bfs::bfs_reference(&edges, root, false);
+
+    // Pending edits: every 97th stored edge deleted, as many pairs inserted —
+    // among them a way into vertices the base leaves unreached.
+    let deleted: Vec<(u32, u32)> = (edges.edges().iter().step_by(97))
+        .map(|&(s, d, ())| (s, d))
+        .collect();
+    let unreached = (0..n).filter(|&v| reference[v as usize] == u32::MAX);
+    let inserted: Vec<(u32, u32)> = (unreached.take(deleted.len()))
+        .enumerate()
+        .map(|(i, v)| ((i as u32 * 7919) % n, v))
+        .collect();
+    assert!(inserted.len() > 8, "RMAT leaves isolated vertices");
+    let edited: Vec<(u32, u32)> = (edges.edges().iter().map(|&(s, d, ())| (s, d)))
+        .filter(|pair| !deleted.contains(pair))
+        .chain(inserted.iter().copied())
+        .collect();
+    let edited_reference =
+        graphmat_algorithms::bfs::bfs_reference(&EdgeList::from_pairs(n, edited), root, false);
+    assert_ne!(edited_reference, reference, "the edits move distances");
+
+    for partitions in [1usize, 16] {
+        for lanes in [1usize, 2] {
+            let case = format!("{partitions} partitions, {lanes} lanes");
+            let session = |backend: Option<Backend>| {
+                let run_defaults = RunOptions {
+                    backend,
+                    ..RunOptions::default()
+                };
+                let options = SessionOptions::default()
+                    .with_threads(lanes)
+                    .with_run_defaults(run_defaults);
+                Session::new(options).unwrap()
+            };
+            let sessions = [
+                ("auto", None),
+                ("push", Some(Backend::Push)),
+                ("pull", Some(Backend::Pull)),
+            ]
+            .map(|(name, backend)| (name, session(backend)));
+            let topo = (sessions[0].1.build_graph(&edges))
+                .partitions(partitions)
+                .finish()
+                .unwrap();
+            let store = GraphStore::new(
+                Arc::clone(&topo),
+                StoreOptions {
+                    compaction_threshold: usize::MAX,
+                    background: false,
+                    ..StoreOptions::default()
+                },
+            );
+            let mut batch = DeltaBatch::new(n);
+            for &(s, d) in &deleted {
+                batch.delete(s, d).unwrap();
+            }
+            for &(s, d) in &inserted {
+                batch.insert(s, d, ()).unwrap();
+            }
+            let pending = store.apply(batch).unwrap();
+            assert!(pending.overlay().is_some());
+            let over_edits = sessions
+                .each_ref()
+                .map(|(_, s)| search(s, pending.view(), root));
+            assert!(store.compact_now());
+            let rebuilt = store.snapshot();
+            assert!(rebuilt.overlay().is_none());
+
+            for ((backend, session), over_edits) in sessions.iter().zip(over_edits) {
+                let case = format!("{case}, {backend}");
+                let bare = search(session, &*topo, root);
+                assert_eq!(bare.distances, reference, "{case}");
+                assert_eq!(over_edits.distances, edited_reference, "{case} over edits");
+                let over_rebuild = search(session, rebuilt.base(), root);
+                assert_eq!(over_edits, over_rebuild, "{case}: edits vs their rebuild");
+                for run in [&bare, &over_edits] {
+                    let pulls = run.pull_supersteps;
+                    match *backend {
+                        "auto" => assert!((2..run.supersteps).contains(&pulls), "{case}: {run:?}"),
+                        "push" => assert_eq!(pulls, 0, "{case}"),
+                        _ => assert_eq!(pulls, run.supersteps, "{case}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A program that keeps the default `receives` is priced at every stored
+/// edge on every superstep, pulled before or not: PageRank, SSSP, connected
+/// components and a `Both` traversal take the trajectory
+/// `choose_backend(frontier edges, stored total)` dictates, as they did
+/// before a pull reported what it gathered.
+#[test]
+fn a_default_hook_program_is_priced_at_the_stored_total_every_superstep() {
+    let edges = rmat::generate(&RmatConfig::graph500(10).with_seed(5));
+    let session = Session::with_threads(2).unwrap();
+    let topo = session.build_graph(&edges).finish().unwrap();
+    let symmetric = (session
+        .build_graph(&edges.symmetrized().topology())
+        .finish())
+    .unwrap();
+    let both = session
+        .run(
+            &*topo,
+            DirectedRelax {
+                direction: EdgeDirection::Both,
+            },
+        )
+        .init_all(f32::MAX)
+        .seed_with(0, 0.0)
+        .max_iterations(64)
+        .execute()
+        .unwrap();
+    let stored = topo.num_edges() as u64;
+    for (name, stats, total) in [
+        (
+            "pagerank",
+            pagerank_on(&session, &topo, &PageRankConfig::default())
+                .unwrap()
+                .stats,
+            stored,
+        ),
+        ("sssp", sssp_on(&session, &topo, 0).unwrap().stats, stored),
+        (
+            "components",
+            connected_components_on(&session, &symmetric).unwrap().stats,
+            symmetric.num_edges() as u64,
+        ),
+        ("both legs", both.stats, 2 * stored),
+    ] {
+        assert!(stats.pull_supersteps > 0, "{name} pulls");
+        for s in &stats.supersteps {
+            assert_eq!(
+                s.backend,
+                graphmat::core::choose_backend(s.edges_processed, total),
+                "{name}, superstep {}",
+                s.iteration
+            );
+        }
+    }
+}
+
 /// A 2-lane session whose runs default to the paper's always-push
 /// configuration (`Backend::Push`).
 fn push_session() -> Session {

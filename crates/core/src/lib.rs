@@ -77,7 +77,11 @@
 //! per superstep, pull mirrors built); a [`session::Session`] adds only its pool size.
 //! Which orientations of the graph exist is not an option: a
 //! [`topology::Topology`] stores `Gᵀ` and derives `G` from it when the first
-//! [`program::EdgeDirection::In`]/`Both` program runs.
+//! [`program::EdgeDirection::In`]/`Both` program runs. Neither is how the
+//! push is partitioned: an automatic build pulls through 8 × lanes balanced
+//! partitions and pushes through the same, or — when the matrix stores its
+//! columns in many of them, as RMAT does — through one per lane
+//! ([`topology::PUSH_MERGE_REPLICATION`]).
 //!
 //! # Direction optimization (PR-4)
 //!

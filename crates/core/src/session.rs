@@ -176,7 +176,9 @@ impl Session {
     /// Start building a shared topology from an edge list. When the
     /// partition count is left automatic, it defaults to 8 × **this
     /// session's pool size** (the paper's `nthreads * 8` rule) — not the
-    /// machine's hardware thread count.
+    /// machine's hardware thread count — and a matrix whose columns repeat
+    /// across those partitions is pushed through one partition per lane
+    /// (see [`crate::topology`]).
     pub fn build_graph<'e, E: Clone>(&self, edges: &'e EdgeList<E>) -> GraphBuilder<'e, E> {
         GraphBuilder {
             edges,
@@ -221,8 +223,9 @@ pub struct GraphBuilder<'e, E> {
 }
 
 impl<'e, E: Clone> GraphBuilder<'e, E> {
-    /// Explicitly set the number of matrix partitions (`0` = the default
-    /// 8 × the session's pool size).
+    /// Explicitly set the number of matrix partitions, for push and pull
+    /// alike (`0` = the default: 8 × the session's pool size for the pull,
+    /// the same or one per lane for the push).
     pub fn partitions(mut self, n: usize) -> Self {
         self.options.num_partitions = n;
         self
@@ -267,9 +270,8 @@ impl<'e, E: Clone> GraphBuilder<'e, E> {
         // size (the paper's `nthreads * 8`), not the machine's hardware
         // thread count — a 1-lane session on a 64-thread host must not
         // walk 512 partitions per SpMV.
-        let mut options = self.options;
-        options.num_partitions = options.effective_partitions_for(self.threads);
-        Ok(Arc::new(Topology::from_edge_list(self.edges, options)))
+        let topology = Topology::build(self.edges, self.options, self.threads);
+        Ok(Arc::new(topology))
     }
 }
 
@@ -731,17 +733,70 @@ mod tests {
     fn automatic_partition_count_follows_the_session_pool_size() {
         // The paper's rule is nthreads × 8 where nthreads is what will
         // actually run the SpMV — the session's pool, not the machine.
+        // A path stores each column once, so push and pull share the grain.
         let n = 4096u32;
         let edges = EdgeList::from_pairs(n, (0..n - 1).map(|v| (v, v + 1)));
+        let mirror_partitions =
+            |topo: &Topology<()>| topo.out_pull_mirror().unwrap().n_partitions();
         for threads in [1usize, 2] {
             let session = Session::with_threads(threads).unwrap();
             let topo = session.build_graph(&edges).finish().unwrap();
             assert_eq!(topo.num_partitions(), 8 * threads);
+            assert_eq!(mirror_partitions(&topo), 8 * threads);
         }
-        // An explicit partition count still wins.
+        // An explicit partition count still wins, for both kernels — on a
+        // matrix whose columns repeat, too.
+        let rmat = graphmat_io::rmat::generate(&graphmat_io::rmat::RmatConfig::graph500(10));
         let session = Session::with_threads(2).unwrap();
-        let topo = session.build_graph(&edges).partitions(5).finish().unwrap();
-        assert_eq!(topo.num_partitions(), 5);
+        for edges in [edges, rmat.topology()] {
+            let topo = session.build_graph(&edges).partitions(5).finish().unwrap();
+            assert_eq!(topo.num_partitions(), 5);
+            assert_eq!(mirror_partitions(&topo), 5);
+        }
+    }
+
+    /// An automatic build of a matrix whose columns repeat pushes through one
+    /// partition per lane of *this session*, and compaction republishes that
+    /// layout, whatever the machine's thread count.
+    #[test]
+    fn an_automatic_rmat_layout_follows_the_session_through_compaction() {
+        use crate::store::{GraphStore, StoreOptions};
+        use graphmat_delta::DeltaBatch;
+        use graphmat_sparse::partition::RowPartitioner;
+        let edges = graphmat_io::rmat::generate(&graphmat_io::rmat::RmatConfig::graph500(10));
+        for lanes in [1usize, 3] {
+            let session = Session::with_threads(lanes).unwrap();
+            let topo = session.build_graph(&edges).finish().unwrap();
+            let store = GraphStore::new(
+                Arc::clone(&topo),
+                StoreOptions {
+                    compaction_threshold: usize::MAX,
+                    background: false,
+                    ..StoreOptions::default()
+                },
+            );
+            let mut batch = DeltaBatch::new(edges.num_vertices());
+            batch.insert(0, 1, 2.5).unwrap();
+            batch
+                .delete(edges.edges()[0].0, edges.edges()[0].1)
+                .unwrap();
+            store.apply(batch).unwrap();
+            assert!(store.compact_now());
+            let compacted = store.snapshot();
+            for topo in [&*topo, compacted.base()] {
+                let in_degrees: Vec<usize> =
+                    topo.in_degrees().iter().map(|&d| d as usize).collect();
+                let fine = RowPartitioner::balanced_nnz(&in_degrees, 8 * lanes);
+                let mirror = topo.out_pull_mirror().unwrap();
+                let mirror_ranges: Vec<_> = mirror.partitions().iter().map(|p| p.rows).collect();
+                assert_eq!(mirror_ranges, fine, "{lanes} lanes");
+                assert_eq!(topo.num_partitions(), lanes, "{lanes} lanes");
+                assert_eq!(
+                    topo.out_partition_ranges(),
+                    RowPartitioner::coarsen(&fine, lanes)
+                );
+            }
+        }
     }
 
     #[test]

@@ -37,8 +37,9 @@
 //! [`StoreOptions::compaction_threshold`] effective ops, the store asks the
 //! published base for itself with the pending set folded in
 //! ([`Topology::with_edits`]: a fresh [`Topology`] built with the original's
-//! own build options — `Gᵀ` only: a later `In`/`Both` run derives `G` from
-//! the new base, as it would from any other) and republishes with an empty
+//! own build options and lane count, so partitioned by the same rule — `Gᵀ`
+//! only: a later `In`/`Both` run derives `G` from the new base, as it would
+//! from any other) and republishes with an empty
 //! overlay. With [`StoreOptions::background`] set, a dedicated worker thread
 //! does this off the write path — `apply` just signals it; otherwise
 //! compaction runs inline in the triggering `apply`.

@@ -15,6 +15,7 @@
 //!   (`build_pull_mirrors`, on by default), which the direction-optimized
 //!   engine traverses when a superstep's frontier is dense enough to pull —
 //!   it costs roughly the matrix's memory again ([`Topology::pull_bytes`]);
+//!   its row partitions are the DCSC's or refine them (see below);
 //! * the out-/in-degree arrays.
 //!
 //! The non-transposed `G` — what scattering along in-edges multiplies
@@ -22,8 +23,8 @@
 //! the stored `Gᵀ`** the first time an
 //! [`EdgeDirection::In`](crate::program::EdgeDirection::In) / `Both` program
 //! runs (or [`Topology::in_matrix`] is called), with the same partition
-//! count, balancing and mirror choice, and kept from then on. A graph that
-//! only ever serves `Out` programs never pays for it.
+//! count, balancing, push layout and mirror choice, and kept from then on. A
+//! graph that only ever serves `Out` programs never pays for it.
 //!
 //! That derived orientation is the topology's only interior mutability: one
 //! write-once cell, derived from data already held, so its content does not
@@ -32,10 +33,24 @@
 //! against the same matrices — no cloning, no locks. The mutable per-run
 //! half (vertex properties + active set) is [`crate::state::VertexState`].
 //!
-//! The number of partitions defaults to `8 × available threads`, matching
-//! the `nthreads * 8` choice in the paper's appendix listing, and partitions
-//! are balanced by edge count to keep skewed RMAT/social graphs from
-//! serialising on one heavy partition.
+//! # Partitions: push for the lanes, pull for balance
+//!
+//! An automatic partition count builds `8 × lanes` row ranges, balanced by
+//! edge count (the `nthreads * 8` of the paper's appendix listing), so that
+//! skewed RMAT/social graphs do not serialise on one heavy partition. That
+//! grain balances a kernel that touches every partition's share of a dense
+//! frontier — the pull, since the engine picks a direction per superstep —
+//! and the pull mirror keeps it. The push runs on sparse frontiers, where
+//! every message is looked up in every partition's `jc`: a push of `m`
+//! messages costs about `m ×` the partitions its source's column is stored
+//! in. So the build decides once, from the matrix, how the push is split:
+//! when the fine partitions of `Gᵀ` store an average non-empty column at
+//! least [`PUSH_MERGE_REPLICATION`] times, the push matrix is those
+//! partitions merged into one run of consecutive ones per lane, built from
+//! the same sorted buckets as the mirror ([`RowBuckets::matrix`]); otherwise
+//! it is the fine partitions themselves. `G` follows `Gᵀ`'s decision. An
+//! explicit partition count, or a topology without mirrors (whose push also
+//! serves dense frontiers), keeps one partitioning for both kernels.
 
 use crate::error::{GraphMatError, Result};
 use crate::program::VertexId;
@@ -43,20 +58,39 @@ use graphmat_delta::{apply_resolved_to_edges, BaseFacts, DeltaOverlay, UpdateOp}
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::coo::Coo;
 use graphmat_sparse::parallel::available_threads;
-use graphmat_sparse::partition::{PartitionedDcsc, RowPartitioner, RowRange};
+use graphmat_sparse::partition::{PartitionedDcsc, RowBuckets, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
 use std::sync::OnceLock;
 
-/// Matrix partitions per thread when the partition count is automatic —
+/// Matrix partitions per lane when the partition count is automatic —
 /// the `nthreads * 8` of the paper's appendix listing: enough over-splitting
-/// for dynamic scheduling to even out skewed partitions.
+/// for dynamic scheduling to even out skewed partitions. It is the grain of
+/// the pull mirror always, and of the push matrix unless that is merged to
+/// one partition per lane (see [`PUSH_MERGE_REPLICATION`]).
 pub const PARTITIONS_PER_THREAD: usize = 8;
+
+/// How many times the fine partitions of an automatically partitioned `Gᵀ`
+/// must store an average non-empty column for its push matrix to be merged
+/// to one partition per lane: `Σ_p |jc_p| ≥ 2 × #{v : out_degree(v) > 0}`.
+///
+/// Measured at 16 partitions, seed 1 (stored non-empty columns over
+/// non-empty columns; what merging to 2 partitions saves per column): RMAT
+/// 2¹⁷ 5.83× (4.18 probes), the same symmetrized 6.87× (5.15), RMAT 2¹⁶ /
+/// 2¹⁵ / 2¹⁰ 5.89× / 5.97× / 6.33×, a 400² road grid 1.07× (0.06). On the
+/// banded grid the frontier walk's span bound already makes a push cost
+/// about one probe per message, and the fine grain is what balances its
+/// spatially clustered wavefront: merged to 2 partitions, the repo
+/// benchmark's `sssp_road` read 7 % slower in 7 of 7 pairs on a 2-core host.
+/// So the line sits far from both kinds.
+pub const PUSH_MERGE_REPLICATION: usize = 2;
 
 /// Options controlling topology construction.
 #[derive(Clone, Copy, Debug)]
 pub struct GraphBuildOptions {
-    /// Number of matrix partitions; `0` picks
-    /// [`PARTITIONS_PER_THREAD`]` × threads`.
+    /// Number of matrix partitions, for the push matrix and the pull mirror
+    /// alike; `0` picks [`PARTITIONS_PER_THREAD`]` × lanes` for the mirror
+    /// and, for the push matrix, the same or one per lane (see the
+    /// [module docs](self)).
     pub num_partitions: usize,
     /// Balance partitions by edge count (`true`, the paper's load-balancing
     /// optimization) or split rows evenly (`false`, the naive layout used as
@@ -101,31 +135,25 @@ impl GraphBuildOptions {
         self
     }
 
-    /// Resolve the partition count against an explicit thread count (the
-    /// session passes its pool size here, so a small session on a big
-    /// machine does not build an over-partitioned matrix).
-    pub(crate) fn effective_partitions_for(&self, threads: usize) -> usize {
-        if self.num_partitions == 0 {
-            PARTITIONS_PER_THREAD * threads.max(1)
-        } else {
-            self.num_partitions
-        }
-    }
-
-    /// The row ranges these options split a matrix into, given its per-row
-    /// entry counts (`num_partitions` already resolved).
-    fn row_ranges(&self, row_nnz: &[usize]) -> Vec<RowRange> {
+    /// The fine row ranges these options split a matrix into on `lanes`
+    /// lanes, given its per-row entry counts.
+    fn row_ranges(&self, row_nnz: &[usize], lanes: usize) -> Vec<RowRange> {
+        let nparts = match self.num_partitions {
+            0 => PARTITIONS_PER_THREAD * lanes,
+            n => n,
+        };
         if self.balance_partitions {
-            RowPartitioner::balanced_nnz(row_nnz, self.num_partitions)
+            RowPartitioner::balanced_nnz(row_nnz, nparts)
         } else {
-            RowPartitioner::even_rows(row_nnz.len() as VertexId, self.num_partitions)
+            RowPartitioner::even_rows(row_nnz.len() as VertexId, nparts)
         }
     }
 }
 
 /// One orientation of the adjacency matrix as the engine traverses it: the
 /// partitioned DCSC the push kernel sweeps and, when pull mirrors are
-/// enabled, its row-major mirror for the pull kernel.
+/// enabled, the row-major mirror the pull kernel gathers over — built from
+/// the fine partitions, which are the push matrix's or refine them.
 #[derive(Clone, Debug)]
 pub(crate) struct Orientation<E> {
     pub(crate) matrix: PartitionedDcsc<E>,
@@ -133,10 +161,15 @@ pub(crate) struct Orientation<E> {
 }
 
 impl<E: Clone> Orientation<E> {
-    fn build(coo: &Coo<E>, ranges: &[RowRange], mirror: bool) -> Self {
-        let matrix = PartitionedDcsc::from_coo(coo, ranges);
-        let mirror = mirror.then(|| CsrMirror::from_partitioned(&matrix));
-        Orientation { matrix, mirror }
+    /// The mirror of `buckets`, one partition per bucket, and the push
+    /// matrix: one partition per bucket too, or for `Some(lanes)` runs of
+    /// consecutive buckets merged to one partition per lane.
+    fn build(buckets: &RowBuckets<E>, mirror: bool, push_lanes: Option<usize>) -> Self {
+        let groups = push_lanes.unwrap_or(buckets.ranges().len());
+        Orientation {
+            matrix: buckets.matrix(groups),
+            mirror: mirror.then(|| CsrMirror::from_buckets(buckets)),
+        }
     }
 }
 
@@ -153,43 +186,63 @@ impl<E: Clone> Orientation<E> {
 pub struct Topology<E> {
     nvertices: VertexId,
     nedges: usize,
-    /// The options this topology was built with, the partition count
-    /// resolved to the number that was asked of the partitioner — what
-    /// [`Topology::with_edits`] builds the edited graph with.
+    /// The options this topology was built with, as given (a partition count
+    /// of `0` still means automatic), and the lane count an automatic one
+    /// was resolved against — what [`Topology::with_edits`] builds the
+    /// edited graph with, so a compaction reproduces the layout.
     options: GraphBuildOptions,
+    lanes: usize,
     /// `Gᵀ`: row = destination, column = source. Used for out-edge scatter.
     out: Orientation<E>,
     /// `G`: row = source, column = destination. Used for in-edge scatter;
     /// derived from `out` on first use.
     inward: OnceLock<Orientation<E>>,
-    /// The row ranges `inward` is (or will be) partitioned by.
+    /// The fine row ranges `inward`'s mirror is (or will be) partitioned by.
     in_ranges: Vec<RowRange>,
+    /// `Some(lanes)` when both orientations push through their fine
+    /// partitions merged to one per lane: decided on `Gᵀ` at build.
+    push_lanes: Option<usize>,
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
 }
 
 impl<E: Clone> Topology<E> {
-    /// Build a topology from an edge list. The edge value type of the edge
-    /// list carries over into the DCSC matrices unchanged.
+    /// Build a topology from an edge list, an automatic partition count
+    /// resolved against every available hardware thread. The edge value
+    /// type of the edge list carries over into the DCSC matrices unchanged.
     pub fn from_edge_list(edges: &EdgeList<E>, options: GraphBuildOptions) -> Self {
-        let nparts = options.effective_partitions_for(available_threads());
-        let options = options.with_partitions(nparts.max(1));
+        Topology::build(edges, options, available_threads())
+    }
+
+    /// Build a topology whose automatic partition count is resolved against
+    /// `lanes` (a session passes its pool size, so a small session on a big
+    /// machine does not build an over-partitioned matrix).
+    pub(crate) fn build(edges: &EdgeList<E>, options: GraphBuildOptions, lanes: usize) -> Self {
+        let lanes = lanes.max(1);
         let out_degrees = edges.out_degrees();
         let in_degrees = edges.in_degrees();
         // Rows of Gᵀ are destinations, rows of G are sources.
-        let out = Orientation::build(
+        let gt = RowBuckets::new(
             &edges.to_transpose_coo(),
-            &options.row_ranges(&in_degrees),
-            options.build_pull_mirrors,
+            &options.row_ranges(&in_degrees, lanes),
         );
+        // The one layout decision: do `Gᵀ`'s columns repeat across its fine
+        // partitions (`Σ_p |jc_p|` against its non-empty columns)?
+        let columns = out_degrees.iter().filter(|&&d| d > 0).count();
+        let repeat = gt.stored_columns() >= PUSH_MERGE_REPLICATION * columns;
+        let automatic = options.num_partitions == 0 && options.build_pull_mirrors;
+        let push_lanes = (automatic && repeat).then_some(lanes);
+        let out = Orientation::build(&gt, options.build_pull_mirrors, push_lanes);
         let as_u32 = |degrees: Vec<usize>| degrees.into_iter().map(|d| d as u32).collect();
         Topology {
             nvertices: edges.num_vertices(),
             nedges: edges.num_edges(),
             options,
+            lanes,
             out,
             inward: OnceLock::new(),
-            in_ranges: options.row_ranges(&out_degrees),
+            in_ranges: options.row_ranges(&out_degrees, lanes),
+            push_lanes,
             out_degrees: as_u32(out_degrees),
             in_degrees: as_u32(in_degrees),
         }
@@ -222,11 +275,12 @@ impl<E: Clone> Topology<E> {
         resolved: &[(VertexId, VertexId, UpdateOp<E>)],
     ) -> DeltaOverlay<E> {
         let out_ranges = self.out_partition_ranges();
+        let in_ranges = self.in_partition_ranges();
         let facts = BaseFacts {
             num_vertices: self.nvertices,
             num_edges: self.nedges,
             out_ranges: &out_ranges,
-            in_ranges: Some(&self.in_ranges),
+            in_ranges: in_ranges.as_deref(),
             out_degrees: &self.out_degrees,
             in_degrees: &self.in_degrees,
         };
@@ -234,29 +288,32 @@ impl<E: Clone> Topology<E> {
     }
 
     /// This graph with `resolved` edits folded in, built with the options
-    /// this topology was built with — what compaction publishes.
+    /// and lane count this topology was built with — what compaction
+    /// publishes, partitioned by the same rule.
     /// [`Topology::to_edge_list`]'s order is deterministic, so the same
     /// history compacts to byte-identical topologies.
     pub fn with_edits(&self, resolved: &[(VertexId, VertexId, UpdateOp<E>)]) -> Self {
         let mut edges = self.to_edge_list().into_tuples();
         apply_resolved_to_edges(&mut edges, resolved);
         let edited = EdgeList::from_tuples(self.nvertices, edges);
-        Topology::from_edge_list(&edited, self.options)
+        Topology::build(&edited, self.options, self.lanes)
     }
 
     /// The in-edge orientation, derived from the stored `Gᵀ` on first use
     /// (concurrent first users block on one derivation) and kept. It is the
     /// matrix a build from the original edge list's adjacency COO would be:
-    /// same ranges, same `(row, col, value)` sequence. Only parallel edges of
-    /// one `(src, dst)` pair that carry *different* values may sit in another
-    /// order among themselves — the partition sort is unstable, so that
-    /// order was never a property of the edge list.
+    /// same ranges, same `(row, col, value)` sequence, merged for the push
+    /// when `Gᵀ` was. Only parallel edges of one `(src, dst)` pair that carry
+    /// *different* values may sit in another order among themselves — the
+    /// partition sort is unstable, so that order was never a property of the
+    /// edge list.
     pub(crate) fn inward(&self) -> &Orientation<E> {
         self.inward.get_or_init(|| {
             // `(src, dst, value)` is already `G`'s `(row, col, value)`.
             let (n, edges) = (self.nvertices, self.to_edge_list().into_tuples());
             let adjacency = Coo::from_entries(n, n, edges);
-            Orientation::build(&adjacency, &self.in_ranges, self.options.build_pull_mirrors)
+            let g = RowBuckets::new(&adjacency, &self.in_ranges);
+            Orientation::build(&g, self.options.build_pull_mirrors, self.push_lanes)
         })
     }
 
@@ -277,7 +334,8 @@ impl<E: Clone> Topology<E> {
 impl<E> Topology<E> {
     /// The row ranges of the out matrix's partitions (`Gᵀ`: row =
     /// destination) — what a delta overlay must be bucketed by to align with
-    /// the push kernel's partition sweep.
+    /// the push kernel's partition sweep (the pull mirror's ranges refine
+    /// them).
     pub fn out_partition_ranges(&self) -> Vec<RowRange> {
         self.out
             .matrix
@@ -287,11 +345,14 @@ impl<E> Topology<E> {
             .collect()
     }
 
-    /// The row ranges of the in matrix's partitions (`G`: row = source).
-    /// Fixed at build, so always `Some`, whether or not the matrix has been
-    /// derived yet.
+    /// The row ranges of the in matrix's partitions (`G`: row = source) —
+    /// the push partitions an in-side overlay aligns to. Fixed at build, so
+    /// always `Some`, whether or not the matrix has been derived yet.
     pub fn in_partition_ranges(&self) -> Option<Vec<RowRange>> {
-        Some(self.in_ranges.clone())
+        Some(match self.push_lanes {
+            Some(lanes) => RowPartitioner::coarsen(&self.in_ranges, lanes),
+            None => self.in_ranges.clone(),
+        })
     }
 
     /// How many copies of edge `src → dst` are stored (`0` for an absent
@@ -387,7 +448,10 @@ impl<E> Topology<E> {
         self.options.build_pull_mirrors
     }
 
-    /// Number of matrix partitions.
+    /// Number of push partitions (the out matrix's). The pull mirror's count
+    /// is the same or, where the push matrix was merged to one partition per
+    /// lane, up to [`PARTITIONS_PER_THREAD`] times it (see the
+    /// [module docs](self)).
     pub fn num_partitions(&self) -> usize {
         self.out.matrix.n_partitions()
     }
@@ -537,14 +601,163 @@ mod tests {
                 (3, 0, 5.0),
             ],
         );
-        let t = Topology::from_edge_list(&el, GraphBuildOptions::default().with_partitions(2));
-        let out_mirror = t.out_pull_mirror().unwrap();
-        let in_mirror = t.in_pull_mirror().unwrap();
-        assert_eq!(out_mirror.nnz(), t.out_matrix().nnz());
-        assert_eq!(in_mirror.nnz(), t.in_matrix().nnz());
-        assert_eq!(out_mirror.n_partitions(), t.num_partitions());
-        assert_eq!(t.pull_bytes(), out_mirror.bytes() + in_mirror.bytes());
-        assert!(t.matrix_bytes() > t.pull_bytes());
+        for options in [
+            GraphBuildOptions::default().with_partitions(2),
+            GraphBuildOptions::default(),
+        ] {
+            let t = Topology::build(&el, options, 1);
+            let out_mirror = t.out_pull_mirror().unwrap();
+            let in_mirror = t.in_pull_mirror().unwrap();
+            assert_eq!(out_mirror.nnz(), t.out_matrix().nnz());
+            assert_eq!(in_mirror.nnz(), t.in_matrix().nnz());
+            assert_refines(&t.out_partition_ranges(), &ranges_of(out_mirror));
+            assert_refines(&t.in_partition_ranges().unwrap(), &ranges_of(in_mirror));
+            assert_eq!(t.pull_bytes(), out_mirror.bytes() + in_mirror.bytes());
+            assert!(t.matrix_bytes() > t.pull_bytes());
+        }
+    }
+
+    fn ranges_of<E>(mirror: &CsrMirror<E>) -> Vec<RowRange> {
+        mirror.partitions().iter().map(|p| p.rows).collect()
+    }
+
+    fn push_ranges<E>(matrix: &PartitionedDcsc<E>) -> Vec<RowRange> {
+        matrix.partitions().iter().map(|p| p.rows).collect()
+    }
+
+    /// Every one of `fine` lies inside one of `coarse`: each coarse range is
+    /// a union of consecutive fine ones (both cover the rows contiguously).
+    fn assert_refines(coarse: &[RowRange], fine: &[RowRange]) {
+        for f in fine.iter().filter(|f| !f.is_empty()) {
+            let inside = |c: &&RowRange| c.start <= f.start && f.end <= c.end;
+            assert!(coarse.iter().any(|c| inside(&c)), "{f:?} in {coarse:?}");
+        }
+    }
+
+    /// An automatic build of an RMAT matrix (its columns stored ~6 times
+    /// over 8 × lanes partitions) pushes through one partition per lane,
+    /// each the union of consecutive mirror ranges, while the mirror keeps
+    /// the 8 × lanes balanced ranges; `G` follows `Gᵀ`'s decision.
+    #[test]
+    fn an_rmat_matrix_pushes_through_one_partition_per_lane() {
+        use graphmat_io::rmat::{self, RmatConfig};
+        let el = rmat::generate(&RmatConfig::graph500(10).with_seed(1));
+        let (out_degrees, in_degrees) = (el.out_degrees(), el.in_degrees());
+        for lanes in [1usize, 2, 4] {
+            let t = Topology::build(&el, GraphBuildOptions::default(), lanes);
+            let fine = RowPartitioner::balanced_nnz(&in_degrees, 8 * lanes);
+            assert!(
+                fine.len() > 2 * lanes,
+                "{lanes} lanes: {} ranges",
+                fine.len()
+            );
+            assert_eq!(
+                ranges_of(t.out_pull_mirror().unwrap()),
+                fine,
+                "{lanes} lanes"
+            );
+            assert_eq!(t.num_partitions(), lanes);
+            assert_eq!(
+                t.out_partition_ranges(),
+                RowPartitioner::coarsen(&fine, lanes)
+            );
+            assert_refines(&t.out_partition_ranges(), &fine);
+
+            let in_fine = RowPartitioner::balanced_nnz(&out_degrees, 8 * lanes);
+            let in_push = t.in_partition_ranges().unwrap();
+            assert_eq!(in_push, RowPartitioner::coarsen(&in_fine, lanes));
+            assert_eq!(push_ranges(t.in_matrix()), in_push, "{lanes} lanes");
+            assert_eq!(ranges_of(t.in_pull_mirror().unwrap()), in_fine);
+            assert_refines(&in_push, &in_fine);
+        }
+    }
+
+    /// A banded matrix stores a column in about one partition, so its push
+    /// keeps the fine ranges — `sssp_road`'s topology does not change.
+    #[test]
+    fn a_banded_matrix_pushes_through_its_fine_partitions() {
+        let (_, grid) = salted_inputs(0x5EED).swap_remove(1);
+        for lanes in [1usize, 2, 4] {
+            let t = Topology::build(&grid, GraphBuildOptions::default(), lanes);
+            let fine = ranges_of(t.out_pull_mirror().unwrap());
+            assert_eq!(t.num_partitions(), 8 * lanes, "{lanes} lanes");
+            assert_eq!(t.out_partition_ranges(), fine);
+            let in_fine = ranges_of(t.in_pull_mirror().unwrap());
+            assert_eq!(t.in_partition_ranges().unwrap(), in_fine);
+        }
+    }
+
+    /// Compaction republishes the layout it was built with: the lane count a
+    /// session resolved an automatic count against, not this machine's.
+    #[test]
+    fn edits_rebuild_with_the_same_layout_rule() {
+        use graphmat_io::rmat::{self, RmatConfig};
+        let el = rmat::generate(&RmatConfig::graph500(10).with_seed(1));
+        let resolved = [(0, 1, UpdateOp::Insert(2.5)), (2, 3, UpdateOp::Delete)];
+        for (options, push) in [
+            (GraphBuildOptions::default(), 3),
+            (GraphBuildOptions::default().with_partitions(5), 5),
+        ] {
+            let t = Topology::build(&el, options, 3);
+            for t in [&t, &t.with_edits(&resolved)] {
+                assert_eq!(t.num_partitions(), push);
+                let in_degrees: Vec<usize> = t.in_degrees().iter().map(|&d| d as usize).collect();
+                let fine = ranges_of(t.out_pull_mirror().unwrap());
+                assert_eq!(fine, options.row_ranges(&in_degrees, 3));
+                assert_refines(&t.out_partition_ranges(), &fine);
+            }
+        }
+    }
+
+    /// Merging changes how the push matrix is split, not what it stores:
+    /// the same edge multiset, the same multiplicities, the same mirror.
+    #[test]
+    fn a_merged_push_matrix_stores_what_the_fine_one_stores() {
+        for (name, mut el) in salted_inputs(0x5EED) {
+            let copies: Vec<_> = el.edges().iter().step_by(7).copied().collect();
+            for (s, d, w) in copies {
+                el.push(s, d, w + 100.0);
+            }
+            let merged = Topology::build(&el, GraphBuildOptions::default(), 2);
+            let fine = Topology::build(&el, GraphBuildOptions::default().with_partitions(16), 2);
+            if name == "rmat" {
+                assert_eq!(merged.num_partitions(), 2);
+            }
+            let fine_ranges = ranges_of(fine.out_pull_mirror().unwrap());
+            assert_eq!(fine.out_partition_ranges(), fine_ranges, "{name}");
+            let sorted = |t: &Topology<f32>| {
+                let mut edges: Vec<_> = t
+                    .to_edge_list()
+                    .edges()
+                    .iter()
+                    .map(|&(s, d, w)| (s, d, w.to_bits()))
+                    .collect();
+                edges.sort_unstable();
+                edges
+            };
+            let edges = sorted(&fine);
+            assert_eq!(sorted(&merged), edges, "{name}");
+            // Every stored pair, the pair one column over, and ids past the end.
+            let n = el.num_vertices();
+            let stored = edges.iter().map(|&(s, d, _)| (s, d));
+            let beside = edges.iter().map(|&(s, d, _)| (s, (d + 1) % n));
+            for (s, d) in stored.chain(beside).chain([(n, 0), (0, n)]) {
+                let (got, want) = (merged.edge_multiplicity(s, d), fine.edge_multiplicity(s, d));
+                assert_eq!(got, want, "{name}: ({s}, {d})");
+            }
+            let (m, f) = (
+                merged.out_pull_mirror().unwrap(),
+                fine.out_pull_mirror().unwrap(),
+            );
+            assert_eq!(ranges_of(m), ranges_of(f), "{name}");
+            for (got, want) in m.partitions().iter().zip(f.partitions()) {
+                assert!(got.iter_rows().eq(want.iter_rows()), "{name}: mirror rows");
+            }
+            assert_eq!(merged.pull_bytes(), fine.pull_bytes(), "{name}");
+            if name == "rmat" {
+                assert!(merged.matrix_bytes() < fine.matrix_bytes());
+            }
+        }
     }
 
     /// RMAT and grid inputs salted with what the generators leave out: an
@@ -552,14 +765,16 @@ mod tests {
     /// only reachable through the salt, and self-loops. RMAT keeps parallel
     /// edges; a weight is a function of its `(src, dst)` pair, because the
     /// partition sort is unstable and so leaves the order *among* parallel
-    /// edges of different values to the order its input arrived in.
+    /// edges of different values to the order its input arrived in. The grid
+    /// is large enough for its columns to sit in about one of up to 32
+    /// balanced partitions each, as a road network's do.
     fn salted_inputs(seed: u64) -> Vec<(&'static str, EdgeList<f32>)> {
         use graphmat_io::grid::{self, GridConfig};
         use graphmat_io::rmat::{self, RmatConfig};
         use graphmat_io::rng::StdRng;
         let mut rng = StdRng::seed_from_u64(seed);
         let rmat = rmat::generate(&RmatConfig::graph500(7).with_seed(seed));
-        let grid = grid::generate(&GridConfig::square(9).with_seed(seed));
+        let grid = grid::generate(&GridConfig::square(96).with_seed(seed));
         [("rmat", rmat), ("grid", grid)]
             .into_iter()
             .map(|(name, el)| {
@@ -599,7 +814,7 @@ mod tests {
                 } else {
                     RowPartitioner::even_rows(el.num_vertices(), partitions)
                 };
-                let direct = Orientation::build(&adjacency, &ranges, true);
+                let direct = Orientation::build(&RowBuckets::new(&adjacency, &ranges), true, None);
                 let options = GraphBuildOptions::default()
                     .with_partitions(partitions)
                     .with_balancing(balanced);

@@ -47,35 +47,49 @@ impl<T: Clone> Dcsc<T> {
     }
 
     /// Build from entries already sorted by `(col, row)`.
-    ///
-    /// This is the workhorse used by the partitioner, which buckets a graph's
-    /// edges into row ranges and builds one DCSC per range.
     pub fn from_col_sorted(nrows: Index, ncols: Index, entries: &[(Index, Index, T)]) -> Self {
-        debug_assert!(entries
-            .windows(2)
-            .all(|w| (w[0].1, w[0].0) <= (w[1].1, w[1].0)));
-        let nnz = entries.len();
+        Self::from_col_sorted_runs(nrows, ncols, &[entries])
+    }
+
+    /// Build from runs of entries, each sorted by `(col, row)`, whose rows
+    /// lie in ascending, disjoint ranges in run order — the workhorse of the
+    /// partitioner, which buckets a graph's edges into row ranges and builds
+    /// one DCSC per range or per run of consecutive ranges. A column of the
+    /// result is that column's rows in every run that has it, concatenated in
+    /// run order — ascending, because the ranges are — so this is one k-way
+    /// merge of the runs' columns and one copy of their entries, no sort.
+    pub(crate) fn from_col_sorted_runs(
+        nrows: Index,
+        ncols: Index,
+        runs: &[&[(Index, Index, T)]],
+    ) -> Self {
+        debug_assert!(runs
+            .iter()
+            .all(|run| run.windows(2).all(|w| (w[0].1, w[0].0) <= (w[1].1, w[1].0))));
+        let nnz = runs.iter().map(|run| run.len()).sum();
         let mut jc: Vec<Index> = Vec::new();
         let mut cp: Vec<usize> = Vec::new();
         let mut ir: Vec<Index> = Vec::with_capacity(nnz);
         let mut values: Vec<T> = Vec::with_capacity(nnz);
-
-        let mut current_col: Option<Index> = None;
-        for (r, c, v) in entries {
-            debug_assert!(*r < nrows && *c < ncols);
-            if current_col != Some(*c) {
-                jc.push(*c);
-                cp.push(ir.len());
-                current_col = Some(*c);
+        // What is left of each run; the next column is the least one heading
+        // a run, taken from every run it heads.
+        let mut rest: Vec<&[(Index, Index, T)]> = runs.to_vec();
+        while let Some(col) = rest.iter().filter_map(|run| run.first()).map(|e| e.1).min() {
+            jc.push(col);
+            cp.push(ir.len());
+            for run in &mut rest {
+                let len = run.iter().take_while(|e| e.1 == col).count();
+                for (r, c, v) in &run[..len] {
+                    debug_assert!(*r < nrows && *c < ncols);
+                    debug_assert!(ir.len() == cp[cp.len() - 1] || ir[ir.len() - 1] <= *r);
+                    ir.push(*r);
+                    values.push(v.clone());
+                }
+                *run = &run[len..];
             }
-            ir.push(*r);
-            values.push(v.clone());
         }
+        // `cp.len() == jc.len() + 1`, an empty matrix included.
         cp.push(ir.len());
-        if jc.is_empty() {
-            // keep the invariant cp.len() == jc.len() + 1 even when empty
-            cp = vec![0];
-        }
         Dcsc {
             nrows,
             ncols,

@@ -23,11 +23,13 @@
 //! from-scratch rebuild (for bases without duplicate coordinates; an op on
 //! a duplicated coordinate masks *all* stored copies).
 //!
-//! The overlay mirrors the base's row partitioning one-to-one, so each
-//! direction has one partition shell (`push_into`, `pull_into` in
-//! [`crate::spmv`]) that takes the overlay as an `Option`, and the parallel
-//! path reuses the disjoint-row-range writer of [`crate::spmv::gspmv_into`]
-//! unchanged.
+//! The overlay is bucketed by the push matrix's row partitions, one-to-one;
+//! the pull mirror's partitions may be finer, each inside one overlay
+//! partition, and a pull task starts its edited-row cursor at its own range.
+//! So one overlay serves both kernels, each direction has one partition shell
+//! (`push_into`, `pull_into` in [`crate::spmv`]) that takes it as an
+//! `Option`, and the parallel path reuses the disjoint-row-range writer of
+//! [`crate::spmv::gspmv_into`] unchanged.
 
 use crate::parallel::Executor;
 use crate::partition::{PartitionedDcsc, RowRange};
@@ -90,7 +92,7 @@ fn runs(keys: impl Iterator<Item = Index>) -> (Vec<Index>, Vec<usize>) {
 /// triples — **at most one op per coordinate**; a delta log resolves
 /// duplicates to latest-wins before building. The partition ranges must be
 /// exactly the base matrix's ranges so the two structures can be swept
-/// together partition by partition.
+/// together partition by partition; a pull mirror's ranges may refine them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Overlay<T> {
     nrows: Index,
@@ -246,19 +248,18 @@ impl<T> Overlay<T> {
             + self.ranges.len() * std::mem::size_of::<RowRange>()
     }
 
-    /// Assert that this overlay is aligned with a base of `nrows × ncols`
-    /// split into `base_ranges` (a [`PartitionedDcsc`]'s for push, a
-    /// [`CsrMirror`]'s for pull): same shape and the exact same row
-    /// partitioning (the soundness condition for the shared
-    /// disjoint-row-range output writer).
+    /// Assert that this overlay is aligned with a [`PartitionedDcsc`] of
+    /// `nrows × ncols` split into `base_ranges`: same shape and the exact
+    /// same row partitioning — the push walk sweeps base partition `p` with
+    /// overlay partition `p`, and writes the rows of both (the soundness
+    /// condition for the shared disjoint-row-range output writer).
     pub(crate) fn check_aligned(
         &self,
         nrows: Index,
         ncols: Index,
         base_ranges: impl ExactSizeIterator<Item = RowRange>,
     ) {
-        assert_eq!(self.nrows, nrows, "overlay/base row count mismatch");
-        assert_eq!(self.ncols, ncols, "overlay/base col count mismatch");
+        self.check_shape(nrows, ncols);
         assert_eq!(
             self.partitions.len(),
             base_ranges.len(),
@@ -267,6 +268,39 @@ impl<T> Overlay<T> {
         for (range, base_range) in self.ranges.iter().zip(base_ranges) {
             assert_eq!(*range, base_range, "overlay/base partition ranges mismatch");
         }
+    }
+
+    /// Assert that a [`CsrMirror`] of `nrows × ncols` split into
+    /// `mirror_ranges` refines this overlay: same shape, and every mirror
+    /// range inside one overlay range. A pull task writes only the rows of
+    /// its own mirror partitions and reads the one overlay partition holding
+    /// each, so tasks that share an overlay partition only share reads.
+    pub(crate) fn check_refined_by(
+        &self,
+        nrows: Index,
+        ncols: Index,
+        mirror_ranges: impl Iterator<Item = RowRange>,
+    ) {
+        self.check_shape(nrows, ncols);
+        for fine in mirror_ranges.filter(|r| !r.is_empty()) {
+            let outer = self.ranges[self.partition_of(fine.start)];
+            assert!(
+                fine.end <= outer.end,
+                "mirror range {fine:?} straddles overlay ranges past {outer:?}"
+            );
+        }
+    }
+
+    fn check_shape(&self, nrows: Index, ncols: Index) {
+        assert_eq!(self.nrows, nrows, "overlay/base row count mismatch");
+        assert_eq!(self.ncols, ncols, "overlay/base col count mismatch");
+    }
+
+    /// The partition whose range holds `row` (the last one for `row ≥
+    /// nrows`, which only an empty range starts at).
+    fn partition_of(&self, row: Index) -> usize {
+        let p = self.ranges.partition_point(|r| r.end <= row);
+        p.min(self.ranges.len() - 1)
     }
 }
 
@@ -326,12 +360,12 @@ pub fn gspmv_overlay_into<X, E, Y, M, A>(
 /// every stored copy of an edited coordinate masked and an upsert multiplied
 /// in its sorted position — bit-for-bit what [`gspmv_overlay_into`] pushes,
 /// and what either kernel produces on a matrix rebuilt from the edited edge
-/// list. Never allocates; a partition without pending edits runs the plain
-/// pull loop after one length comparison.
+/// list. Never allocates; a mirror partition without pending edits in its
+/// range runs the plain pull loop after one search of the edited rows.
 ///
 /// # Panics
-/// Panics if `overlay` is not aligned with `mirror` (shape and row
-/// partitioning must match exactly) or `x` / `y` has the wrong length.
+/// Panics if `overlay` is not aligned with `mirror` (same shape, and every
+/// mirror range inside one overlay range) or `x` / `y` has the wrong length.
 pub fn gspmv_overlay_pull_into<X, E, Y, M, A>(
     mirror: &CsrMirror<E>,
     overlay: &Overlay<E>,
@@ -359,11 +393,14 @@ pub fn gspmv_overlay_pull_into<X, E, Y, M, A>(
     );
 }
 
-/// A task's merged pull over partitions `parts` (out of line, like the plain
-/// `pull_partitions` it stands beside). In a partition with edits **every**
-/// row of the range is visited (an upsert may land in a row the base leaves
-/// empty), with a cursor over the edited rows — one compare per row; an
-/// unedited row is gathered like any other, an edited one by
+/// A task's merged pull over mirror partitions `parts` (out of line, like the
+/// plain `pull_partitions` it stands beside). Each mirror partition reads the
+/// overlay partition whose range holds its own — the same partition when the
+/// two share ranges, a coarser one it refines otherwise — from the first
+/// edited row at or past its start. In a partition with edits in its range
+/// **every** row of the range is visited (an upsert may land in a row the
+/// base leaves empty), with a cursor over the edited rows — one compare per
+/// row; an unedited row is gathered like any other, an edited one by
 /// [`pull_row_merged`]. A row `admit` turns away is passed over either way.
 /// Returns the edges gathered: per admitted row the length of the row a
 /// rebuild would store.
@@ -386,14 +423,15 @@ where
 {
     let mut gathered = 0u64;
     for p in parts {
-        let (base, edits) = (mirror.partition(p), overlay.partition(p));
-        if edits.erows.is_empty() {
-            // No edits pending on this partition: the plain pull loop, over
-            // its non-empty rows only.
+        let base = mirror.partition(p);
+        let edits = overlay.partition(overlay.partition_of(base.rows.start));
+        let mut cursor = edits.erows.partition_point(|&r| r < base.rows.start);
+        if !edits.erows.get(cursor).is_some_and(|&r| r < base.rows.end) {
+            // No edits pending in this range: the plain pull loop, over its
+            // non-empty rows only.
             gathered += pull_rows(base, x, multiply, add, admit, &mut sink);
             continue;
         }
-        let mut cursor = 0usize;
         for k in base.rows.start..base.rows.end {
             let edited = edits.erows.get(cursor) == Some(&k);
             if !admit(k) {
@@ -835,11 +873,27 @@ mod tests {
         }));
         assert!(pushed.is_err());
         let mirror = CsrMirror::from_partitioned(&base);
-        let pulled = catch_unwind(AssertUnwindSafe(|| {
-            let y = &mut SparseVector::new(5);
-            gspmv_overlay_pull_into(&mirror, &ov, &x, &multiply, &add, &executor, y)
-        }));
-        assert!(pulled.is_err());
+        let pull = |ov: &Overlay<f32>| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let y = &mut SparseVector::new(5);
+                gspmv_overlay_pull_into(&mirror, ov, &x, &multiply, &add, &executor, y)
+            }))
+        };
+        // The mirror's 0..3 straddles the overlay's 0..2 and 2..5.
+        assert!(pull(&ov).is_err());
+        // A pull accepts an overlay its mirror refines, 0..3 | 3..5 inside
+        // 0..5 — but its 3..5 straddles 0..4 and 4..5. A push takes neither.
+        let coarse = [RowRange { start: 0, end: 5 }];
+        let straddled = [RowRange { start: 0, end: 4 }, RowRange { start: 4, end: 5 }];
+        for (ranges, refined) in [(&coarse[..], true), (&straddled[..], false)] {
+            let ov: Overlay<f32> = Overlay::from_entries(5, 5, ranges, vec![]);
+            assert_eq!(pull(&ov).is_ok(), refined, "{ranges:?}");
+            let pushed = catch_unwind(AssertUnwindSafe(|| {
+                let y = &mut SparseVector::new(5);
+                gspmv_overlay_into(&base, &ov, &x, &multiply, &add, &executor, y)
+            }));
+            assert!(pushed.is_err(), "{ranges:?}");
+        }
     }
 
     #[test]

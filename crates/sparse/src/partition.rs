@@ -7,6 +7,15 @@
 //! independent DCSC structure (paper §4.4.1), which is exactly what
 //! [`PartitionedDcsc`] holds.
 //!
+//! That fine grain balances a kernel that touches every partition's share of
+//! a dense frontier — which, since the engine picks a direction per
+//! superstep, is the **pull** over a [`crate::pull::CsrMirror`]. A sparse
+//! push looks every message up in every partition's `jc`, so on a matrix
+//! whose columns repeat across partitions the fine grain is pure cost there:
+//! [`RowBuckets::matrix`] builds runs of consecutive partitions as one per
+//! lane, and the mirror ([`crate::pull::CsrMirror::from_buckets`]) keeps the
+//! fine ranges, which refine the merged ones.
+//!
 //! Two partitioning policies are provided:
 //!
 //! * [`RowPartitioner::even_rows`] — equal-sized row ranges (what a naive
@@ -17,6 +26,7 @@
 
 use crate::coo::Coo;
 use crate::dcsc::Dcsc;
+use crate::parallel::chunks;
 use crate::{ix, Index};
 
 /// A contiguous range of rows assigned to one partition.
@@ -108,6 +118,24 @@ impl RowPartitioner {
         });
         ranges
     }
+
+    /// Merge contiguous `ranges` into at most `groups` runs of consecutive
+    /// ones, split as [`chunks`]`(ranges.len(), groups)` splits them: every
+    /// run but the last holds `⌈len / groups⌉` ranges. Each input range lies
+    /// inside exactly one output range — the output is coarsened, the input
+    /// refines it.
+    pub fn coarsen(ranges: &[RowRange], groups: usize) -> Vec<RowRange> {
+        let runs = chunks(ranges.len(), groups);
+        (0..runs.count())
+            .map(|run| {
+                let (first, end) = runs.bounds(run);
+                RowRange {
+                    start: ranges[first].start,
+                    end: ranges[end - 1].end,
+                }
+            })
+            .collect()
+    }
 }
 
 /// One row partition of a matrix: a row range plus the DCSC holding exactly
@@ -136,12 +164,28 @@ pub struct PartitionedDcsc<T> {
     partitions: Vec<Partition<T>>,
 }
 
-impl<T: Clone> PartitionedDcsc<T> {
-    /// Partition a COO matrix into the given row ranges.
+/// A matrix's entries bucketed by row range, each bucket sorted by `(col,
+/// row)` — the order a DCSC stores them in, and the order a CSR mirror's rows
+/// take them in. Both layouts of a partitioned matrix are built from it:
+/// [`RowBuckets::matrix`] the DCSC partitions, one per bucket or one per run
+/// of consecutive buckets, and [`crate::pull::CsrMirror::from_buckets`] the
+/// row-major mirror of the buckets.
+#[derive(Clone, Debug)]
+pub struct RowBuckets<T> {
+    nrows: Index,
+    ncols: Index,
+    ranges: Vec<RowRange>,
+    buckets: Vec<Vec<(Index, Index, T)>>,
+    stored_columns: usize,
+}
+
+impl<T: Clone> RowBuckets<T> {
+    /// Bucket a COO matrix's entries by the given row ranges and sort each
+    /// bucket.
     ///
     /// # Panics
     /// Panics if the ranges do not cover `0..nrows` contiguously.
-    pub fn from_coo(coo: &Coo<T>, ranges: &[RowRange]) -> Self {
+    pub fn new(coo: &Coo<T>, ranges: &[RowRange]) -> Self {
         assert!(!ranges.is_empty(), "at least one partition required");
         assert_eq!(ranges[0].start, 0, "partitions must start at row 0");
         assert_eq!(
@@ -165,24 +209,87 @@ impl<T: Clone> PartitionedDcsc<T> {
             };
             buckets[p].push((*r, *c, v.clone()));
         }
+        // Each bucket's distinct columns are counted while it is in cache.
+        let mut stored_columns = 0;
+        for entries in &mut buckets {
+            entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
+            let changes = entries.windows(2).filter(|w| w[0].1 != w[1].1).count();
+            stored_columns += changes + usize::from(!entries.is_empty());
+        }
+        RowBuckets {
+            nrows: coo.nrows(),
+            ncols: coo.ncols(),
+            ranges: ranges.to_vec(),
+            buckets,
+            stored_columns,
+        }
+    }
 
-        let partitions = ranges
-            .iter()
-            .zip(buckets)
-            .map(|(range, mut entries)| {
-                entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
+    /// The DCSC partitions of the buckets, in runs of consecutive ones split
+    /// as [`RowPartitioner::coarsen`]`(ranges, groups)` splits the ranges:
+    /// one partition per bucket for `groups ≥` the bucket count, fewer and
+    /// wider ones below it. A run's DCSC is one k-way merge of its buckets by
+    /// column ([`Dcsc`]'s `from_col_sorted_runs`): a merged column is its
+    /// rows in bucket order, which is ascending — so runs cost no more
+    /// sorting than single buckets do.
+    pub fn matrix(&self, groups: usize) -> PartitionedDcsc<T> {
+        let runs = chunks(self.buckets.len(), groups);
+        let rows = RowPartitioner::coarsen(&self.ranges, groups);
+        let partitions = rows
+            .into_iter()
+            .enumerate()
+            .map(|(run, rows)| {
+                let (first, end) = runs.bounds(run);
+                let buckets: Vec<&[(Index, Index, T)]> =
+                    self.buckets[first..end].iter().map(Vec::as_slice).collect();
                 Partition {
-                    rows: *range,
-                    matrix: Dcsc::from_col_sorted(coo.nrows(), coo.ncols(), &entries),
+                    rows,
+                    matrix: Dcsc::from_col_sorted_runs(self.nrows, self.ncols, &buckets),
                 }
             })
             .collect();
-
         PartitionedDcsc {
-            nrows: coo.nrows(),
-            ncols: coo.ncols(),
+            nrows: self.nrows,
+            ncols: self.ncols,
             partitions,
         }
+    }
+}
+
+impl<T> RowBuckets<T> {
+    pub(crate) fn nrows(&self) -> Index {
+        self.nrows
+    }
+
+    pub(crate) fn ncols(&self) -> Index {
+        self.ncols
+    }
+
+    /// The row ranges the entries were bucketed by.
+    pub fn ranges(&self) -> &[RowRange] {
+        &self.ranges
+    }
+
+    /// The buckets, one per range, each sorted by `(col, row)`.
+    pub(crate) fn buckets(&self) -> &[Vec<(Index, Index, T)>] {
+        &self.buckets
+    }
+
+    /// Σ over buckets of the distinct columns each holds: the non-empty
+    /// columns one DCSC per bucket stores — over the matrix's own non-empty
+    /// columns, how often a column repeats across the buckets.
+    pub fn stored_columns(&self) -> usize {
+        self.stored_columns
+    }
+}
+
+impl<T: Clone> PartitionedDcsc<T> {
+    /// Partition a COO matrix into the given row ranges.
+    ///
+    /// # Panics
+    /// Panics if the ranges do not cover `0..nrows` contiguously.
+    pub fn from_coo(coo: &Coo<T>, ranges: &[RowRange]) -> Self {
+        RowBuckets::new(coo, ranges).matrix(ranges.len())
     }
 
     /// Partition with `nparts` nnz-balanced row ranges.
@@ -344,6 +451,57 @@ mod tests {
         let max_even = even.partitions().iter().map(|p| p.nnz()).max().unwrap();
         let max_bal = balanced.partitions().iter().map(|p| p.nnz()).max().unwrap();
         assert!(max_bal <= max_even);
+    }
+
+    #[test]
+    fn coarsen_merges_runs_of_consecutive_ranges() {
+        let fine = RowPartitioner::even_rows(20, 7);
+        for groups in [1usize, 2, 3, 7, 9] {
+            let coarse = RowPartitioner::coarsen(&fine, groups);
+            assert_eq!(coarse.len(), chunks(7, groups).count(), "{groups} groups");
+            assert_eq!(coarse[0].start, 0);
+            assert_eq!(coarse[coarse.len() - 1].end, 20);
+            for w in coarse.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+            }
+            // Every boundary of the coarse ranges is one of the fine ones.
+            assert!(coarse
+                .iter()
+                .all(|c| fine.iter().any(|f| f.start == c.start)));
+        }
+        assert_eq!(RowPartitioner::coarsen(&fine, 7), fine);
+    }
+
+    /// Runs of 1, 3 and 8 buckets (16 → 16, 6 with a ragged last run of 1,
+    /// and 2 partitions) are what a build over the merged ranges stores; the
+    /// buckets count the columns one partition per bucket stores.
+    #[test]
+    fn merged_runs_of_buckets_are_a_build_over_the_merged_ranges() {
+        let mut coo: Coo<i32> = Coo::new(64, 48);
+        let mut state = 5u64;
+        for _ in 0..600 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let r = ((state >> 33) % 64) as u32;
+            let c = ((state >> 45) % 48) as u32;
+            coo.push(r, c, (state >> 20) as i32 % 1000);
+        }
+        coo.dedup_by(|a, _| *a);
+        let buckets = RowBuckets::new(&coo, &RowPartitioner::even_rows(64, 16));
+        let fine = buckets.matrix(16);
+        let stored = fine.partitions().iter().map(|p| p.matrix.n_nonempty_cols());
+        assert_eq!(buckets.stored_columns(), stored.sum::<usize>());
+        for (run, groups) in [(1usize, 16usize), (3, 6), (8, 2)] {
+            assert_eq!(16usize.div_ceil(groups), run);
+            let merged = buckets.matrix(groups);
+            let ranges = RowPartitioner::coarsen(buckets.ranges(), groups);
+            let rebuilt = PartitionedDcsc::from_coo(&coo, &ranges);
+            assert_eq!(merged.n_partitions(), ranges.len(), "runs of {run}");
+            assert_eq!(merged.nnz(), coo.nnz());
+            for (got, want) in merged.partitions().iter().zip(rebuilt.partitions()) {
+                assert_eq!(got.rows, want.rows, "runs of {run}");
+                assert_eq!(got.matrix, want.matrix, "runs of {run}");
+            }
+        }
     }
 
     #[test]

@@ -9,20 +9,22 @@
 //! from a dense message vector by index, and write each output entry exactly
 //! once.
 //!
-//! [`CsrMirror`] is the structure that traversal runs over: the **same row
-//! partitions** as a [`PartitionedDcsc`] (so the two backends share one load
-//! balance and one disjoint-row-ownership argument), each stored row-major —
-//! a compact CSR whose row pointers cover only the partition's own row range
-//! and whose column ids stay global. It is a *mirror*: built from, and fully
-//! redundant with, the DCSC it shadows, costing roughly the same memory
+//! [`CsrMirror`] is the structure that traversal runs over: row partitions
+//! that are a **refinement of** a [`PartitionedDcsc`]'s (each mirror range
+//! inside one of the matrix's, so the two backends share one
+//! disjoint-row-ownership argument), each stored row-major — a compact CSR
+//! whose row pointers cover only the partition's own row range and whose
+//! column ids stay global. It is built from the fine, load-balancing
+//! partitions (§4.5's 8 × lanes); the push matrix is the same partitions or,
+//! merged, one per lane (both from one [`RowBuckets`]). It is a *mirror*:
+//! fully redundant with the DCSC it shadows, costing roughly the same memory
 //! again ([`CsrMirror::bytes`]). A graph keeps one per orientation it holds,
 //! or none at all (`build_pull_mirrors = false`, every superstep pushes).
 //! A mirror is rebuilt only when its base is (compaction); edits pending in
 //! between are merged into the pull row by row from the overlay's row-major
 //! side ([`crate::overlay::gspmv_overlay_pull_into`]).
 
-use crate::dcsc::Dcsc;
-use crate::partition::{PartitionedDcsc, RowRange};
+use crate::partition::{PartitionedDcsc, RowBuckets, RowRange};
 use crate::{ix, Index};
 
 /// One row partition of a [`CsrMirror`]: the partition's row range plus a
@@ -71,7 +73,8 @@ impl<T> PullPartition<T> {
 }
 
 /// A sparse matrix stored row-major, split into the same 1-D row partitions
-/// as the [`PartitionedDcsc`] it mirrors. This is what the pull kernel
+/// as the [`PartitionedDcsc`] it was built from (which a push matrix built
+/// alongside may merge). This is what the pull kernel
 /// ([`crate::spmv::gspmv_csr_pull_into`]) traverses.
 #[derive(Clone, Debug)]
 pub struct CsrMirror<T> {
@@ -90,7 +93,7 @@ impl<T: Clone> CsrMirror<T> {
         let partitions = matrix
             .partitions()
             .iter()
-            .map(|p| Self::mirror_partition(&p.matrix, p.rows))
+            .map(|p| Self::mirror_partition(|| p.matrix.iter(), p.rows))
             .collect();
         CsrMirror {
             nrows: matrix.nrows(),
@@ -99,23 +102,45 @@ impl<T: Clone> CsrMirror<T> {
         }
     }
 
-    fn mirror_partition(dcsc: &Dcsc<T>, rows: RowRange) -> PullPartition<T> {
+    /// Build the row-major mirror of bucketed entries, one partition per
+    /// bucket: the mirror of [`RowBuckets::matrix`] at one partition per
+    /// bucket, whichever runs the DCSC partitions were merged in.
+    pub fn from_buckets(buckets: &RowBuckets<T>) -> Self {
+        let partitions = (buckets.ranges().iter().zip(buckets.buckets()))
+            .map(|(rows, entries)| {
+                Self::mirror_partition(|| entries.iter().map(|(r, c, v)| (*r, *c, v)), *rows)
+            })
+            .collect();
+        CsrMirror {
+            nrows: buckets.nrows(),
+            ncols: buckets.ncols(),
+            partitions,
+        }
+    }
+
+    /// The mirror partition of `rows` from its entries, which `entries`
+    /// iterates in column-major order (twice: to count, then to place).
+    fn mirror_partition<'a, I>(entries: impl Fn() -> I, rows: RowRange) -> PullPartition<T>
+    where
+        I: Iterator<Item = (Index, Index, &'a T)>,
+        T: 'a,
+    {
         let local_rows = rows.len();
-        let nnz = dcsc.nnz();
         // Counting sort by local row: one pass to count, one to place.
         let mut row_ptr = vec![0usize; local_rows + 1];
-        for (r, _, _) in dcsc.iter() {
+        for (r, _, _) in entries() {
             row_ptr[ix(r - rows.start) + 1] += 1;
         }
         for i in 1..row_ptr.len() {
             row_ptr[i] += row_ptr[i - 1];
         }
+        let nnz = row_ptr[local_rows];
         let mut next = row_ptr.clone();
         let mut col_idx = vec![0 as Index; nnz];
         let mut values: Vec<Option<T>> = vec![None; nnz];
         // Column-major iteration → per-row appends arrive in ascending
         // column order, so rows come out sorted without an extra pass.
-        for (r, c, v) in dcsc.iter() {
+        for (r, c, v) in entries() {
             let slot = next[ix(r - rows.start)];
             col_idx[slot] = c;
             values[slot] = Some(v.clone());
@@ -152,7 +177,7 @@ impl<T> CsrMirror<T> {
         self.partitions.iter().map(|p| p.nnz()).sum()
     }
 
-    /// Number of partitions (same as the mirrored DCSC).
+    /// Number of partitions (those of the DCSC it was built from).
     pub fn n_partitions(&self) -> usize {
         self.partitions.len()
     }
@@ -221,6 +246,27 @@ mod tests {
         // Same ranges as the mirrored DCSC.
         for (mp, dp) in mirror.partitions().iter().zip(pd.partitions()) {
             assert_eq!(mp.rows, dp.rows);
+        }
+    }
+
+    /// A mirror built from the buckets is the mirror of their matrix, however
+    /// the matrix's partitions are merged.
+    #[test]
+    fn the_mirror_of_buckets_is_the_mirror_of_their_matrix() {
+        use crate::partition::RowPartitioner;
+        let coo = sample();
+        let buckets = RowBuckets::new(&coo, &RowPartitioner::even_rows(8, 4));
+        let from_buckets = CsrMirror::from_buckets(&buckets);
+        let from_matrix = CsrMirror::from_partitioned(&buckets.matrix(4));
+        assert_eq!(from_buckets.n_partitions(), 4);
+        assert_eq!(from_buckets.bytes(), from_matrix.bytes());
+        for (got, want) in from_buckets
+            .partitions()
+            .iter()
+            .zip(from_matrix.partitions())
+        {
+            assert_eq!(got.rows, want.rows);
+            assert!(got.iter_rows().eq(want.iter_rows()));
         }
     }
 

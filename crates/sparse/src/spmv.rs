@@ -222,8 +222,11 @@ pub fn gspmv_into<X, E, Y, M, A>(
 /// [`PARALLEL_PHASE_MIN_WORK`](crate::parallel::PARALLEL_PHASE_MIN_WORK)
 /// messages is one task that walks the partitions in order, which the
 /// executor runs inline on the caller — waking the pool costs more than the
-/// walk; a larger one is one dynamically scheduled task per partition (the
-/// partitioning is already the load-balancing grain, §4.5). Rows belong to
+/// walk; a larger one is one dynamically scheduled task per partition. The
+/// partitioning is the grain either way: the paper's 8 × lanes (§4.5), or,
+/// where a topology found its columns repeated across those, one partition
+/// per lane — every message is looked up in every partition's `jc`, so a
+/// sparse push pays for each partition it is split into. Rows belong to
 /// partitions, not to tasks, so the grouping cannot change a result.
 #[inline(always)]
 pub(crate) fn push_into<X, E, Y, M, A>(
@@ -361,9 +364,13 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
 /// an edited matrix reports what its rebuild would. This is what the pull
 /// cost, in the unit `graphmat_core::engine::choose_backend` compares in.
 ///
+/// The overlay is the one the push matrix's partitions bucketed: `mirror`'s
+/// partitions may refine them (each inside one overlay partition), which is
+/// how a topology pulls through many more partitions than it pushes through.
+///
 /// # Panics
 /// Panics if `x` / `y` has the wrong length or `overlay` is not aligned with
-/// `mirror` (shape and row partitioning must match exactly).
+/// `mirror` (same shape, and every mirror range inside one overlay range).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn pull_into<X, E, Y, M, A, R>(
@@ -396,7 +403,7 @@ where
     );
     if let Some(overlay) = overlay {
         let ranges = mirror.partitions().iter().map(|p| p.rows);
-        overlay.check_aligned(mirror.nrows(), mirror.ncols(), ranges);
+        overlay.check_refined_by(mirror.nrows(), mirror.ncols(), ranges);
     }
     y.clear();
     if x.nnz() == 0 {
@@ -421,10 +428,11 @@ where
         let (first, end) = tasks.bounds(task);
         let mut newly_set = 0usize;
         let write = |k, acc| {
-            // SAFETY: partitions own disjoint row ranges — an overlay's
-            // partitioning was checked equal to the mirror's above — and
-            // tasks own disjoint partitions, so row `k` is written by this
-            // task only.
+            // SAFETY: mirror partitions own disjoint row ranges and both
+            // gathers write only rows of the partition they walk — an
+            // overlay partition, checked above to hold each mirror range it
+            // serves whole, is only read — and tasks own disjoint
+            // partitions, so row `k` is written by this task only.
             unsafe { shards.merge(k, acc, &mut newly_set, |slot, v| *slot = v) };
         };
         let edges = match overlay {
@@ -1114,22 +1122,33 @@ mod tests {
 
     /// A base matrix with pending edits against it: seeded ones plus every
     /// corner the merged pull walk has, and the matrix a compaction would
-    /// rebuild from them.
+    /// rebuild from them — the first two also in the push layout of a
+    /// topology whose columns repeat, merged to runs of consecutive
+    /// partitions (the base's own when the runs are of one).
     struct Edited {
         base: PartitionedDcsc<f32>,
         overlay: Overlay<f32>,
+        merged: PartitionedDcsc<f32>,
+        merged_overlay: Overlay<f32>,
         rebuilt: PartitionedDcsc<f32>,
     }
 
-    /// Edit `coo` (salted, `n × n`) under the given partitioning. With five
-    /// or more partitions, one inner partition — `free` — stays without
-    /// edits between edited neighbours. Two coordinates are stored twice in
-    /// the base, and both are edited — so the rebuild, which drops every copy
-    /// of an edited coordinate, holds no duplicates whose order a sort could
-    /// change.
-    fn salted_edits(coo: &Coo<f32>, parts: usize, balanced: bool, rng: &mut SplitMix) -> Edited {
+    /// Edit `coo` (salted, `n × n`) under the given partitioning, merged in
+    /// runs of at most `run` partitions. With five or more partitions, one
+    /// inner partition — `free` — stays without edits between edited
+    /// neighbours; every other one has edits in its first and last row. Two
+    /// coordinates are stored twice in the base, and both are edited — so
+    /// the rebuild, which drops every copy of an edited coordinate, holds no
+    /// duplicates whose order a sort could change.
+    fn salted_edits(
+        coo: &Coo<f32>,
+        parts: usize,
+        balanced: bool,
+        run: usize,
+        rng: &mut SplitMix,
+    ) -> Edited {
         use crate::overlay::OverlayOp::{Delete, Upsert};
-        use crate::partition::RowPartitioner;
+        use crate::partition::{RowBuckets, RowPartitioner};
         let n = coo.nrows();
         let counts = coo.row_counts();
         let ranges = if balanced {
@@ -1161,7 +1180,8 @@ mod tests {
         };
         entries.push((twice_a.0, twice_a.1, rng.value()));
         entries.push((twice_b.0, twice_b.1, rng.value()));
-        let base = PartitionedDcsc::from_coo(&Coo::from_entries(n, n, entries.clone()), &ranges);
+        let buckets = RowBuckets::new(&Coo::from_entries(n, n, entries.clone()), &ranges);
+        let base = buckets.matrix(ranges.len());
 
         let hub_cols = || entries.iter().filter(|e| e.0 == hub).map(|e| e.1);
         let (hub_min, hub_max) = (hub_cols().min().unwrap_or(0), hub_cols().max().unwrap_or(0));
@@ -1223,8 +1243,12 @@ mod tests {
             }))
             .collect();
         let rebuilt = PartitionedDcsc::from_coo(&Coo::from_entries(n, n, rebuilt), &ranges);
-        let ops = ops.into_iter().map(|((r, c), op)| (r, c, op)).collect();
+        let ops: Vec<_> = ops.into_iter().map(|((r, c), op)| (r, c, op)).collect();
+        let groups = ranges.len().div_ceil(run);
+        let coarse = RowPartitioner::coarsen(&ranges, groups);
         Edited {
+            merged: buckets.matrix(groups),
+            merged_overlay: Overlay::from_entries(n, n, &coarse, ops.clone()),
             base,
             overlay: Overlay::from_entries(n, n, &ranges, ops),
             rebuilt,
@@ -1232,9 +1256,12 @@ mod tests {
     }
 
     /// Overlay-pull == overlay-push == plain pull over the rebuilt matrix,
-    /// bits and `nnz`, for frontiers of 1, n/2 and n entries — and under a
-    /// seeded output mask, overlay-pull == rebuilt pull == the plain pull's
-    /// admitted rows, gathering the same number of edges.
+    /// bits and `nnz`, for frontiers of 1, n/2 and n entries — the push over
+    /// the base's partitions and over the merged ones, the pull over the
+    /// base's mirror with the overlay of either; under a seeded output mask,
+    /// overlay-pull == rebuilt pull == the plain pull's admitted rows,
+    /// gathering the same number of edges. Without the edits, the base's
+    /// push, the merged push and the mirror's pull agree too.
     fn assert_edited_kernels_agree(
         edited: &Edited,
         executors: &[Executor],
@@ -1247,11 +1274,14 @@ mod tests {
         let Edited {
             base,
             overlay,
+            merged,
+            merged_overlay,
             rebuilt,
         } = edited;
         let n = base.nrows();
         let mirror = CsrMirror::from_partitioned(base);
         let rebuilt_mirror = CsrMirror::from_partitioned(rebuilt);
+        let layouts = [("fine", base, overlay), ("merged", merged, merged_overlay)];
         for nnz in [1, n as usize / 2, n as usize] {
             let x = salted_frontier(n, nnz, rng);
             let mask = salted_mask(n, rng);
@@ -1262,7 +1292,12 @@ mod tests {
                 assert!(want.nnz() > 0, "{case}");
                 // Masked, the overlay kernel and the rebuilt mirror agree on
                 // the rows, their bits and the (merged) edges gathered.
-                for (mirror, edits) in [(&mirror, Some(overlay)), (&rebuilt_mirror, None)] {
+                let pulls = [
+                    (&mirror, Some(overlay)),
+                    (&mirror, Some(merged_overlay)),
+                    (&rebuilt_mirror, None),
+                ];
+                for (mirror, edits) in pulls {
                     let masked_out = assert_masked_pull_is_the_plain_pull_restricted(
                         mirror,
                         edits,
@@ -1276,42 +1311,71 @@ mod tests {
                     assert!(nnz < n as usize || masked_out > 0, "the mask bites, {case}");
                 }
                 let mut y: SparseVector<f32> = SparseVector::new(n as usize);
-                gspmv_overlay_pull_into(&mirror, overlay, &x, &multiply, &add, ex, &mut y);
-                assert_eq!(bits(&y), bits(&want), "overlay pull vs rebuild, {case}");
-                assert_eq!(y.nnz(), want.nnz(), "overlay pull nnz, {case}");
-                gspmv_overlay_into(base, overlay, &x, &multiply, &add, ex, &mut y);
-                assert_eq!(bits(&y), bits(&want), "overlay push vs rebuild, {case}");
-                assert_eq!(y.nnz(), want.nnz(), "overlay push nnz, {case}");
+                let mut unedited: SparseVector<f32> = SparseVector::new(n as usize);
+                gspmv_csr_pull_into(&mirror, &x, &multiply, &add, ex, &mut unedited);
+                for (layout, matrix, edits) in layouts {
+                    let case = format!("{case}, {layout} push partitions");
+                    gspmv_overlay_pull_into(&mirror, edits, &x, &multiply, &add, ex, &mut y);
+                    assert_eq!(bits(&y), bits(&want), "overlay pull vs rebuild, {case}");
+                    assert_eq!(y.nnz(), want.nnz(), "overlay pull nnz, {case}");
+                    gspmv_overlay_into(matrix, edits, &x, &multiply, &add, ex, &mut y);
+                    assert_eq!(bits(&y), bits(&want), "overlay push vs rebuild, {case}");
+                    assert_eq!(y.nnz(), want.nnz(), "overlay push nnz, {case}");
+                    gspmv_into(matrix, &x, &multiply, &add, ex, &mut y);
+                    assert_eq!(bits(&y), bits(&unedited), "push vs pull, {case}");
+                }
             }
         }
     }
 
-    #[test]
-    fn overlay_pull_overlay_push_and_rebuilt_pull_agree_bit_for_bit() {
+    /// Seeds 1 and 2 over an RMAT and a grid matrix, under every partitioning
+    /// `partitions` lists, merged in runs of at most `run` partitions — then
+    /// an RMAT matrix with enough stored edges that the pull is one task per
+    /// partition.
+    fn assert_edited_kernels_agree_over(partitions: &[(usize, bool)], run: usize) {
         let executors = [Executor::new(1), Executor::new(4)];
         for seed in [1u64, 2] {
             for (shape, n) in [("rmat", 2500u32), ("grid", 2504)] {
                 let rng = &mut SplitMix(seed);
                 let coo = salted_matrix(shape, n, rng);
-                for (parts, balanced) in
-                    [(1, false), (5, false), (5, true), (16, false), (16, true)]
-                {
-                    let edited = salted_edits(&coo, parts, balanced, rng);
-                    let case =
-                        format!("seed {seed}, {shape}, {parts} partitions (balanced: {balanced})");
+                for &(parts, balanced) in partitions {
+                    let edited = salted_edits(&coo, parts, balanced, run, rng);
+                    let case = format!(
+                        "seed {seed}, {shape}, {parts} partitions (balanced: {balanced}), \
+                         runs of {run}"
+                    );
                     assert_edited_kernels_agree(&edited, &executors, rng, &case);
                 }
             }
         }
-        // Enough stored edges that the pull is one task per partition.
         let seed = 3u64;
         let rng = &mut SplitMix(seed);
-        let edited = salted_edits(&salted_matrix("rmat", 16001, rng), 16, true, rng);
+        let edited = salted_edits(&salted_matrix("rmat", 16001, rng), 16, true, run, rng);
         let work = edited.base.nnz() / PULL_EDGES_PER_WORK_ITEM;
         let executors = [Executor::new(4)];
         assert!(phase_chunks(16, work, &executors[0]).count() > 1, "{work}");
-        let case = format!("seed {seed}, rmat 16001, 16 partitions, dispatched");
+        let case = format!("seed {seed}, rmat 16001, 16 partitions, runs of {run}, dispatched");
         assert_edited_kernels_agree(&edited, &executors, rng, &case);
+    }
+
+    #[test]
+    fn overlay_pull_overlay_push_and_rebuilt_pull_agree_bit_for_bit() {
+        let partitions = [(1, false), (5, false), (5, true), (16, false), (16, true)];
+        assert_edited_kernels_agree_over(&partitions, 1);
+    }
+
+    /// The push layout of a topology whose columns repeat: the base and its
+    /// overlay merged in runs of 3 (16 partitions: five runs and a ragged
+    /// one; 5: a run of 3 and one of 2) and of 8, the mirror on the fine
+    /// ranges — so pull tasks share a coarse overlay partition, each reading
+    /// its own rows of it. Starting a task's edited-row cursor at the
+    /// overlay partition's first row instead of its own range's fails this.
+    #[test]
+    fn merged_push_fine_pull_and_rebuild_agree_bit_for_bit() {
+        let partitions = [(5, false), (5, true), (16, false), (16, true)];
+        for run in [3, 8] {
+            assert_edited_kernels_agree_over(&partitions, run);
+        }
     }
 
     #[test]

@@ -240,7 +240,8 @@ fn masked_pull_bfs_matches_the_reference_under_every_backend() {
         graphmat_algorithms::bfs::bfs_reference(&EdgeList::from_pairs(n, edited), root, false);
     assert_ne!(edited_reference, reference, "the edits move distances");
 
-    for partitions in [1usize, 16] {
+    // `0`: automatic — RMAT's push merged to one partition per lane.
+    for partitions in [0usize, 1, 16] {
         for lanes in [1usize, 2] {
             let case = format!("{partitions} partitions, {lanes} lanes");
             let session = |backend: Option<Backend>| {
@@ -263,6 +264,9 @@ fn masked_pull_bfs_matches_the_reference_under_every_backend() {
                 .partitions(partitions)
                 .finish()
                 .unwrap();
+            if partitions == 0 {
+                assert_eq!(topo.num_partitions(), lanes, "{case}");
+            }
             let store = GraphStore::new(
                 Arc::clone(&topo),
                 StoreOptions {
@@ -304,6 +308,62 @@ fn masked_pull_bfs_matches_the_reference_under_every_backend() {
                 }
             }
         }
+    }
+}
+
+/// BFS, SSSP, PageRank and connected components answer like their
+/// `*_reference` on both push layouts of one RMAT graph — merged to one
+/// partition per lane (automatic) and the fine 8 × lanes partitions
+/// (explicit), both with the same fine mirror — at 1 and 2 lanes, and the
+/// two layouts answer bit for bit alike. (PageRank's reference sums in
+/// another order, so it is met to 1e-9; the layouts still agree exactly.)
+#[test]
+fn merged_and_fine_push_layouts_answer_like_the_references() {
+    use graphmat_algorithms::{bfs, connected_components, pagerank, sssp};
+    let edges = rmat::generate(&RmatConfig::graph500(10).with_seed(13));
+    let symmetric = edges.symmetrized();
+    let cfg = PageRankConfig::default();
+    let bfs_want = bfs::bfs_reference(&edges, 1, true);
+    let cc_want = connected_components::connected_components_reference(&symmetric);
+    let sssp_want: Vec<u32> = (sssp::sssp_reference(&edges, 0).iter())
+        .map(|d| d.to_bits())
+        .collect();
+    let pr_want = pagerank::pagerank_reference(&edges, cfg.random_surf, cfg.iterations);
+    for lanes in [1usize, 2] {
+        let session = Session::with_threads(lanes).unwrap();
+        let mut ranks: Vec<Vec<u64>> = Vec::new();
+        for partitions in [0, 8 * lanes] {
+            let case = format!("{lanes} lanes, {partitions} partitions");
+            let build = |el: &EdgeList| {
+                (session.build_graph(el).partitions(partitions))
+                    .finish()
+                    .unwrap()
+            };
+            let (topo, sym_topo) = (build(&edges), build(&symmetric));
+            let mirror = topo.out_pull_mirror().unwrap().n_partitions();
+            let merged = partitions == 0;
+            let push = if merged { lanes } else { mirror };
+            assert_eq!(topo.num_partitions(), push, "{case}");
+            assert_eq!(sym_topo.num_partitions() == lanes, merged, "{case}");
+
+            let bfs_got = bfs_on(&session, &sym_topo, 1).unwrap();
+            assert!(bfs_got.stats.pull_supersteps > 0, "{case}");
+            assert_eq!(bfs_got.values, bfs_want, "bfs, {case}");
+            let cc_got = connected_components_on(&session, &sym_topo).unwrap();
+            assert_eq!(cc_got.values, cc_want, "components, {case}");
+            let sssp_got = sssp_on(&session, &topo, 0).unwrap().values;
+            let sssp_bits: Vec<u32> = sssp_got.iter().map(|d| d.to_bits()).collect();
+            assert_eq!(sssp_bits, sssp_want, "sssp, {case}");
+            let pr_got = pagerank_on(&session, &topo, &cfg).unwrap().values;
+            for (v, (got, want)) in pr_got.iter().zip(&pr_want).enumerate() {
+                assert!((got - want).abs() < 1e-9, "pagerank, {case}, vertex {v}");
+            }
+            ranks.push(pr_got.iter().map(|r| r.to_bits()).collect());
+        }
+        assert_eq!(
+            ranks[0], ranks[1],
+            "pagerank, {lanes} lanes: merged vs fine"
+        );
     }
 }
 

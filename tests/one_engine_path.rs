@@ -168,6 +168,11 @@ fn one_driver_serves_every_way_of_holding_a_graph() {
     let edges = graphmat::io::rmat::generate(&RmatConfig::graph500(8).with_seed(17));
     let session = Session::with_threads(2).unwrap();
     let topology = session.build_graph(&edges).finish().unwrap();
+    // RMAT stores its columns in many of 8 × lanes partitions: the push is
+    // merged to one partition per lane, the pull mirror keeps the fine ones.
+    assert_eq!(topology.num_partitions(), 2);
+    let mirror = topology.out_pull_mirror().unwrap();
+    assert!(mirror.n_partitions() > 8, "{}", mirror.n_partitions());
     let store = manual_store(&topology);
     let n = topology.num_vertices();
 

@@ -288,6 +288,75 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         stats.bytes
     );
 
+    // ---- Part 1f: a push merged to one partition per lane. ----
+    // An automatic build on 2 lanes pushes RMAT through 2 partitions and
+    // pulls it through the 16-partition mirror; with edits pending, one
+    // overlay bucketed by the 2 push partitions is pulled by the 16 mirror
+    // partitions, each from its own rows.
+    let lanes2 = match Session::new(SessionOptions::default().with_threads(2).with_run_defaults(
+        RunOptions {
+            record_supersteps: false,
+            ..RunOptions::default()
+        },
+    )) {
+        Ok(s) => s,
+        Err(e) => panic!("2-lane session: {e}"),
+    };
+    let symmetric = el.symmetrized();
+    let merged = match lanes2.build_graph(&symmetric).finish() {
+        Ok(t) => t,
+        Err(e) => panic!("merged build: {e}"),
+    };
+    assert_eq!(merged.num_partitions(), 2);
+    let mirror_partitions = merged.out_pull_mirror().map(|m| m.n_partitions());
+    assert!(mirror_partitions > Some(8), "{mirror_partitions:?}");
+    let merged_store = GraphStore::new(
+        merged.clone(),
+        StoreOptions {
+            compaction_threshold: usize::MAX,
+            background: false,
+            ..StoreOptions::default()
+        },
+    );
+    let mut batch = DeltaBatch::new(n);
+    for (i, &(src, dst, _)) in symmetric.edges().iter().step_by(89).enumerate() {
+        let edit = match i % 2 {
+            0 => batch.delete(src, dst),
+            _ => batch.insert(dst, (src + 7) % n, 1.5),
+        };
+        if let Err(e) = edit {
+            panic!("edit {i}: {e}");
+        }
+    }
+    let pending = match merged_store.apply(batch) {
+        Ok(snapshot) => snapshot,
+        Err(e) => panic!("apply to the merged store: {e}"),
+    };
+    let mut ranks = VertexState::for_topology(&merged);
+    let mut hops: VertexState<u32> = VertexState::for_topology(&merged);
+    for measured in [false, true] {
+        let (outcome, stats) =
+            AllocGuard::measure(|| pagerank_into(&lanes2, pending.view(), &cfg, None, &mut ranks));
+        match outcome {
+            Ok(r) => assert_eq!(r.stats.pull_supersteps, 10),
+            Err(e) => panic!("pagerank over a merged push: {e}"),
+        }
+        assert!(
+            !measured || !stats.any(),
+            "a warmed pagerank_into over a merged push must not touch the heap, got {stats:?}"
+        );
+        let (outcome, stats) =
+            AllocGuard::measure(|| bfs_into(&lanes2, pending.view(), 1, None, &mut hops));
+        match outcome {
+            Ok(r) => assert!(r.stats.pull_supersteps > 0, "{:?}", r.stats),
+            Err(e) => panic!("bfs over a merged push: {e}"),
+        }
+        assert!(
+            !measured || !stats.any(),
+            "a warmed bfs_into over a merged push must not touch the heap, got {stats:?}"
+        );
+    }
+
     // ---- Part 2: steady-state server rounds, in-process. ----
     let service = GraphService::new(session, topo);
     let mut states = WorkerStates::for_topology(service.topology());

@@ -20,19 +20,20 @@
 //!
 //! `PROCESS_MESSAGE` needs the destination vertex's latent vector to compute
 //! `e_uv`; as with triangle counting, this is the frontend capability that
-//! pure-semiring frameworks lack.
+//! pure-semiring frameworks lack. `K` is a compile-time constant, so a
+//! latent vector, a message and a gradient are all one `[f64; K]` held in
+//! place: nothing is allocated per edge or per superstep.
 
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{ActivityPolicy, EdgeDirection, GraphProgram, GraphView, Session, VertexId};
 use graphmat_io::edgelist::{EdgeList, EdgeWeight};
 
-/// Collaborative filtering parameters.
+/// Collaborative filtering parameters. The number of latent features `K` is
+/// the drivers' const generic (the paper uses a small constant; the figure
+/// harness runs 20).
 #[derive(Clone, Copy, Debug)]
 pub struct CfConfig {
-    /// Number of latent features `K` (the paper uses a small constant; 20 by
-    /// default here).
-    pub latent_dims: usize,
     /// Regularisation weight `λ`.
     pub lambda: f64,
     /// Learning rate `γ`.
@@ -46,7 +47,6 @@ pub struct CfConfig {
 impl Default for CfConfig {
     fn default() -> Self {
         CfConfig {
-            latent_dims: 20,
             lambda: 0.05,
             gamma: 0.002,
             iterations: 10,
@@ -55,102 +55,86 @@ impl Default for CfConfig {
     }
 }
 
-/// Per-vertex CF state: the latent feature vector.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CfVertex {
-    /// Latent features (`K` entries).
-    pub features: Vec<f64>,
+/// `K` latent features: a vertex's state, the message it sends and the
+/// gradient it receives. A newtype because `std` implements `Default` for
+/// arrays only up to 32 elements.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Features<const K: usize>(pub [f64; K]);
+
+impl<const K: usize> Default for Features<K> {
+    fn default() -> Self {
+        Features([0.0; K])
+    }
 }
 
 /// The gradient-descent CF vertex program. Generic over any scalar-readable
 /// rating type (`f32` by default, integer star ratings work too).
-pub struct CfProgram<E = f32> {
+pub struct CfProgram<const K: usize, E = f32> {
     lambda: f64,
     gamma: f64,
     _edge: std::marker::PhantomData<E>,
 }
 
-impl<E: EdgeWeight> GraphProgram for CfProgram<E> {
-    type VertexProp = CfVertex;
-    type Message = Vec<f64>;
-    type Reduced = Vec<f64>;
+impl<const K: usize, E: EdgeWeight> GraphProgram for CfProgram<K, E> {
+    type VertexProp = Features<K>;
+    type Message = Features<K>;
+    type Reduced = Features<K>;
     type Edge = E;
 
     fn direction(&self) -> EdgeDirection {
         EdgeDirection::Both
     }
 
-    fn send_message(&self, _v: VertexId, prop: &CfVertex) -> Option<Vec<f64>> {
-        if prop.features.is_empty() {
-            None
-        } else {
-            Some(prop.features.clone())
-        }
+    fn send_message(&self, _v: VertexId, prop: &Features<K>) -> Option<Features<K>> {
+        Some(*prop)
     }
 
-    fn process_message(&self, msg: &Vec<f64>, rating: &E, dst: &CfVertex) -> Vec<f64> {
+    fn process_message(&self, msg: &Features<K>, rating: &E, dst: &Features<K>) -> Features<K> {
         // e = G_uv − p_other · p_self ; contribution = e * p_other
-        let dot: f64 = msg
-            .iter()
-            .zip(dst.features.iter())
-            .map(|(a, b)| a * b)
-            .sum();
+        let dot: f64 = msg.0.iter().zip(&dst.0).map(|(a, b)| a * b).sum();
         let error = rating.weight() as f64 - dot;
-        msg.iter().map(|x| error * x).collect()
+        Features(msg.0.map(|x| error * x))
     }
 
-    fn reduce(&self, acc: &mut Vec<f64>, value: Vec<f64>) {
-        if acc.is_empty() {
-            *acc = value;
-        } else {
-            for (a, v) in acc.iter_mut().zip(value) {
-                *a += v;
-            }
+    fn reduce(&self, acc: &mut Features<K>, value: Features<K>) {
+        for (a, v) in acc.0.iter_mut().zip(value.0) {
+            *a += v;
         }
     }
 
-    fn apply(&self, reduced: &Vec<f64>, prop: &mut CfVertex) {
-        if reduced.is_empty() {
-            return;
-        }
-        for (p, grad) in prop.features.iter_mut().zip(reduced.iter()) {
+    fn apply(&self, reduced: &Features<K>, prop: &mut Features<K>) {
+        for (p, grad) in prop.0.iter_mut().zip(&reduced.0) {
             *p += self.gamma * (grad - self.lambda * *p);
         }
     }
 }
 
-/// Run collaborative filtering over a pre-built graph through a
-/// [`Session`] and return the per-vertex latent vectors (users first, then
-/// items, in vertex-id order).
+/// Run collaborative filtering with `K` latent features over a pre-built
+/// graph through a [`Session`] and return the per-vertex latent vectors
+/// (users first, then items, in vertex-id order).
 ///
 /// The topology must be built from the bipartite ratings edge list (edges
 /// run from user vertices to item vertices; weights are ratings). The
 /// program scatters in both directions, so its first run on a topology
 /// derives the `G` matrix from the stored `Gᵀ`. A `config.iterations` of
 /// `0` returns the deterministic initial latent vectors without running.
-pub fn collaborative_filtering_on<'a, E: EdgeWeight + 'static>(
+pub fn collaborative_filtering_on<'a, const K: usize, E: EdgeWeight + 'static>(
     session: &Session,
     view: impl Into<GraphView<'a, E>>,
     config: &CfConfig,
-) -> Result<AlgorithmOutput<Vec<f64>>> {
-    if config.latent_dims == 0 {
-        return Err(graphmat_core::GraphMatError::InvalidParameter(
-            "collaborative filtering needs at least one latent dimension",
-        ));
-    }
+) -> Result<AlgorithmOutput<[f64; K]>> {
     let view = view.into();
-    let k = config.latent_dims;
     let seed = config.seed;
     crate::run_fresh(
         view,
         |state| {
-            state.init_properties(|v| CfVertex {
-                features: (0..k).map(|i| init_feature(seed, v, i, k)).collect(),
+            state.init_properties(|v| {
+                Features(std::array::from_fn(|i| init_feature(seed, v, i, K)))
             });
             if config.iterations == 0 {
                 return Ok(crate::zero_superstep_result(view, session));
             }
-            let program = CfProgram::<E> {
+            let program = CfProgram::<K, E> {
                 lambda: config.lambda,
                 gamma: config.gamma,
                 _edge: std::marker::PhantomData,
@@ -163,7 +147,7 @@ pub fn collaborative_filtering_on<'a, E: EdgeWeight + 'static>(
                 .max_iterations(config.iterations)
                 .execute_with(state)
         },
-        |p| p.features,
+        |p| p.0,
     )
 }
 
@@ -180,7 +164,7 @@ fn init_feature(seed: u64, v: VertexId, i: usize, k: usize) -> f64 {
 }
 
 /// Root-mean-square error of the factorization over the given ratings.
-pub fn rmse<E: EdgeWeight>(edges: &EdgeList<E>, features: &[Vec<f64>]) -> f64 {
+pub fn rmse<E: EdgeWeight, const K: usize>(edges: &EdgeList<E>, features: &[[f64; K]]) -> f64 {
     if edges.num_edges() == 0 {
         return 0.0;
     }
@@ -188,7 +172,7 @@ pub fn rmse<E: EdgeWeight>(edges: &EdgeList<E>, features: &[Vec<f64>]) -> f64 {
     for (u, v, rating) in edges.edges() {
         let prediction: f64 = features[*u as usize]
             .iter()
-            .zip(features[*v as usize].iter())
+            .zip(&features[*v as usize])
             .map(|(a, b)| a * b)
             .sum();
         let err = rating.weight() as f64 - prediction;
@@ -211,22 +195,21 @@ mod tests {
         })
     }
 
-    /// CF over a freshly built (in-edges on) topology with `threads` lanes.
-    fn factorize(
+    /// CF over a freshly built topology with `threads` lanes.
+    fn factorize<const K: usize>(
         ratings: &RatingsGraph,
         config: &CfConfig,
         threads: usize,
-    ) -> AlgorithmOutput<Vec<f64>> {
+    ) -> AlgorithmOutput<[f64; K]> {
         let session = Session::with_threads(threads).unwrap();
         let topo = session.build_graph(&ratings.edges).finish().unwrap();
-        collaborative_filtering_on(&session, &topo, config).unwrap()
+        collaborative_filtering_on::<K, _>(&session, &topo, config).unwrap()
     }
 
     #[test]
     fn rmse_decreases_over_iterations() {
         let ratings = small_ratings();
         let base = CfConfig {
-            latent_dims: 8,
             iterations: 0,
             ..Default::default()
         };
@@ -234,8 +217,8 @@ mod tests {
             iterations: 30,
             ..base
         };
-        let initial = factorize(&ratings, &base, 1);
-        let trained = factorize(&ratings, &trained_cfg, 1);
+        let initial = factorize::<8>(&ratings, &base, 1);
+        let trained = factorize::<8>(&ratings, &trained_cfg, 1);
         let rmse_initial = rmse(&ratings.edges, &initial.values);
         let rmse_trained = rmse(&ratings.edges, &trained.values);
         assert!(
@@ -245,61 +228,39 @@ mod tests {
     }
 
     #[test]
-    fn latent_vectors_have_requested_dimension() {
+    fn latent_vectors_cover_every_vertex() {
         let ratings = small_ratings();
         let cfg = CfConfig {
-            latent_dims: 5,
             iterations: 2,
             ..Default::default()
         };
-        let out = factorize(&ratings, &cfg, 1);
+        let out = factorize::<5>(&ratings, &cfg, 1);
         assert_eq!(out.values.len(), ratings.edges.num_vertices() as usize);
-        assert!(out.values.iter().all(|f| f.len() == 5));
     }
 
     #[test]
     fn runs_requested_iterations() {
         let ratings = small_ratings();
         let cfg = CfConfig {
-            latent_dims: 4,
             iterations: 6,
             ..Default::default()
         };
-        assert_eq!(factorize(&ratings, &cfg, 1).stats.iterations, 6);
+        assert_eq!(factorize::<4>(&ratings, &cfg, 1).stats.iterations, 6);
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn parallel_matches_sequential_bit_for_bit() {
         let ratings = small_ratings();
         let cfg = CfConfig {
-            latent_dims: 4,
             iterations: 5,
             ..Default::default()
         };
-        let seq = factorize(&ratings, &cfg, 1);
-        let par = factorize(&ratings, &cfg, 4);
-        for (a, b) in seq.values.iter().zip(par.values.iter()) {
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn needs_a_latent_dimension() {
-        let ratings = small_ratings();
-        let session = Session::sequential();
-        // Invalid config is an error, never a panic.
-        let topo = session.build_graph(&ratings.edges).finish().unwrap();
-        let bad = CfConfig {
-            latent_dims: 0,
-            iterations: 5,
-            ..Default::default()
+        let seq = factorize::<4>(&ratings, &cfg, 1);
+        let par = factorize::<4>(&ratings, &cfg, 4);
+        let bits = |out: &AlgorithmOutput<[f64; 4]>| -> Vec<u64> {
+            out.values.iter().flatten().map(|x| x.to_bits()).collect()
         };
-        assert!(matches!(
-            collaborative_filtering_on(&session, &topo, &bad).unwrap_err(),
-            graphmat_core::GraphMatError::InvalidParameter(_)
-        ));
+        assert_eq!(bits(&seq), bits(&par));
     }
 
     #[test]
@@ -318,7 +279,7 @@ mod tests {
     fn rmse_of_perfect_factorization_is_zero() {
         // rating = 2.0, features chosen so dot product = 2.0 exactly
         let el = EdgeList::from_tuples(2, vec![(0, 1, 2.0)]);
-        let features = vec![vec![1.0, 1.0], vec![1.0, 1.0]];
+        let features = [[1.0, 1.0], [1.0, 1.0]];
         assert!(rmse(&el, &features) < 1e-12);
     }
 }

@@ -68,50 +68,6 @@ pub struct DeltaPrVertex {
     pub degree: u32,
 }
 
-struct DeltaPageRankProgram<E> {
-    random_surf: f64,
-    tolerance: f64,
-    _edge: std::marker::PhantomData<E>,
-}
-
-impl<E: Clone + Send + Sync> GraphProgram for DeltaPageRankProgram<E> {
-    type VertexProp = DeltaPrVertex;
-    type Message = f64;
-    type Reduced = f64;
-    type Edge = E;
-
-    fn direction(&self) -> EdgeDirection {
-        EdgeDirection::Out
-    }
-
-    fn send_message(&self, _v: VertexId, prop: &DeltaPrVertex) -> Option<f64> {
-        if prop.degree == 0 || prop.delta == 0.0 {
-            None
-        } else {
-            Some(prop.delta / prop.degree as f64)
-        }
-    }
-
-    fn process_message(&self, msg: &f64, _edge: &E, _dst: &DeltaPrVertex) -> f64 {
-        *msg
-    }
-
-    fn reduce(&self, acc: &mut f64, value: f64) {
-        *acc += value;
-    }
-
-    fn apply(&self, reduced: &f64, prop: &mut DeltaPrVertex) {
-        let increment = (1.0 - self.random_surf) * reduced;
-        if increment.abs() >= self.tolerance {
-            prop.rank += increment;
-            prop.delta = increment;
-        } else {
-            // below tolerance: absorb nothing and go quiet (the vertex stays
-            // inactive because its property did not change)
-        }
-    }
-}
-
 /// Run PageRank over a pre-built graph through a [`Session`] until every
 /// vertex's rank increment falls below the tolerance:
 /// [`delta_pagerank_into`] on a fresh state.
@@ -167,9 +123,10 @@ pub fn delta_pagerank_into<'a, E: Clone + Send + Sync + 'static>(
         state.init_properties(initial);
         return Ok(crate::zero_superstep_result(view, session));
     }
-    let program = DeltaPageRankProgram::<E> {
+    let program = StreamingRestartProgram::<E> {
         random_surf: config.random_surf,
         tolerance: config.tolerance,
+        restart: AtomicBool::new(false),
         _edge: std::marker::PhantomData,
     };
     session
@@ -196,13 +153,15 @@ fn validate_tolerance(tolerance: f64) -> Result<()> {
     Ok(())
 }
 
-/// The residual-restart program [`StreamingPageRank`] runs after a topology
-/// change. Superstep 0 re-evaluates every vertex's rank under the **new**
+/// The delta-PageRank program. With `restart` cleared every superstep is
+/// the ordinary delta recurrence — what [`delta_pagerank_into`] runs. With
+/// it set — what [`StreamingPageRank`] runs after a topology change —
+/// superstep 0 first re-evaluates every vertex's rank under the **new**
 /// graph (each vertex broadcasts `rank/degree`, APPLY computes
 /// `new = r + (1 − r)·Σ` and records the residual `new − rank` as the
-/// delta); every later superstep is the ordinary delta recurrence. The
-/// phase flip happens at the superstep barrier (`on_superstep_end`), so
-/// SEND and APPLY of one superstep always agree on the phase.
+/// delta). The phase flip happens at the superstep barrier
+/// (`on_superstep_end`), so SEND and APPLY of one superstep always agree on
+/// the phase.
 struct StreamingRestartProgram<E> {
     random_surf: f64,
     tolerance: f64,

@@ -6,9 +6,10 @@
 //!   superstep);
 //! * [`bfs`] — Breadth-First Search (traversal, frontier-driven);
 //! * [`collaborative_filtering`] — matrix factorization by gradient descent
-//!   on a bipartite ratings graph (heavy per-vertex state, both directions);
-//! * [`triangle_count`] — triangle counting (large messages: adjacency
-//!   lists);
+//!   on a bipartite ratings graph (heavy per-vertex state, a `[f64; K]`
+//!   with `K` a const generic, scattered along both directions);
+//! * [`triangle_count`] — triangle counting (large messages: each vertex
+//!   sends its in-neighbour list, a row borrowed from the pull mirror);
 //! * [`sssp`] — single-source shortest paths (Bellman-Ford with an active
 //!   frontier).
 //!
@@ -18,8 +19,9 @@
 //! changes.
 //!
 //! Every algorithm follows the same pattern as the paper's appendix listing:
-//! a `Program` implementing [`graphmat_core::GraphProgram`] (plus a `*Config`
-//! struct where there are parameters to set), and at most **two** drivers,
+//! **one** program implementing [`graphmat_core::GraphProgram`], none of
+//! which allocates per edge or per message (plus a `*Config` struct where
+//! there are parameters to set), and at most **two** drivers,
 //! both taking `&`[`graphmat_core::Session`] and a
 //! [`graphmat_core::GraphView`] — `&Topology`, `&Arc<Topology>` or
 //! `snapshot.view()` of a [`graphmat_core::GraphStore`] snapshot all convert

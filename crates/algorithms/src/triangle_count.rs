@@ -1,128 +1,78 @@
-//! Triangle counting as two GraphMat vertex programs.
+//! Triangle counting as one GraphMat vertex program.
 //!
 //! The paper's formulation (§3-IV, §4.2): the input graph is first made
 //! symmetric and then reduced to its strict upper triangle, giving a DAG in
-//! which each triangle `a < b < c` is counted exactly once. Two vertex
-//! programs then run:
+//! which each triangle `a < b < c` is counted exactly once. Every vertex
+//! sends its in-neighbour list along its out-edges; the receiving vertex
+//! intersects the incoming list with its own. The intersection size is the
+//! number of triangles closed by that edge, counted at the triangle's
+//! largest vertex.
 //!
-//! 1. **Adjacency-list construction** — every vertex sends its id along its
-//!    out-edges; each vertex stores the sorted list of ids it received (its
-//!    in-neighbours in the DAG).
-//! 2. **Counting** — every vertex sends that list along its out-edges; the
-//!    receiving vertex intersects the incoming list with its own list. The
-//!    intersection size is the number of triangles closed by that edge.
+//! The program builds no lists: vertex `k`'s ascending in-neighbours *are*
+//! row `k` of `Gᵀ`'s pull mirror. Each vertex's state borrows its row, each
+//! message is the sender's row, and the count is one superstep that copies
+//! nothing and allocates nothing per edge — in GraphBLAS terms, TC is the
+//! masked product `L·L`, and the mirror row is `L`'s row.
 //!
-//! Step 2 is exactly where GraphMat's ability to read the *destination
-//! vertex's state inside `PROCESS_MESSAGE`* pays off: a pure matrix framework
-//! (CombBLAS) cannot express this and falls back to an SpGEMM whose
-//! intermediate result "overflows memory or comes close to memory limits"
-//! (§5.2.1) — the behaviour the CombBLAS-style baseline reproduces.
+//! Reading the *destination vertex's state inside `PROCESS_MESSAGE`* is what
+//! a pure matrix framework (CombBLAS) cannot express: it falls back to an
+//! SpGEMM whose intermediate result "overflows memory or comes close to
+//! memory limits" (§5.2.1) — the behaviour the CombBLAS-style baseline
+//! reproduces.
 
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
-use graphmat_core::{
-    EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId, VertexState,
-};
+use graphmat_core::{GraphMatError, GraphProgram, GraphView, Session, VertexId};
 use graphmat_io::edgelist::EdgeList;
+use std::marker::PhantomData;
 
 /// Per-vertex triangle-counting state.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TriangleVertex {
-    /// Sorted in-neighbour ids collected in phase 1.
-    pub neighbors: Vec<VertexId>,
-    /// Triangles closed at this vertex, accumulated in phase 2.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TriangleVertex<'a> {
+    /// Triangles closed at this vertex.
     pub triangles: u64,
+    /// The vertex's ascending in-neighbours in the DAG: its row of the pull
+    /// mirror, borrowed.
+    pub in_neighbours: &'a [VertexId],
 }
 
-/// Phase 1: collect in-neighbour lists. Generic over the (ignored) edge
+/// APPLY's change test: the rows never change, so only the count is
+/// compared (never a row, element by element).
+impl PartialEq for TriangleVertex<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.triangles == other.triangles
+    }
+}
+
+/// The counting program: each vertex sends its row, each edge intersects
+/// the sender's row with the receiver's. Generic over the (ignored) edge
 /// type; `E = ()` is the unweighted fast path.
-struct CollectNeighbors<E> {
-    _edge: std::marker::PhantomData<E>,
-}
+struct CountTriangles<'a, E>(PhantomData<(&'a (), E)>);
 
-impl<E> Default for CollectNeighbors<E> {
-    fn default() -> Self {
-        CollectNeighbors {
-            _edge: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<E: Clone + Send + Sync> GraphProgram for CollectNeighbors<E> {
-    type VertexProp = TriangleVertex;
-    type Message = VertexId;
-    type Reduced = Vec<VertexId>;
-    type Edge = E;
-
-    fn direction(&self) -> EdgeDirection {
-        EdgeDirection::Out
-    }
-
-    fn send_message(&self, v: VertexId, _prop: &TriangleVertex) -> Option<VertexId> {
-        Some(v)
-    }
-
-    fn process_message(&self, msg: &VertexId, _edge: &E, _dst: &TriangleVertex) -> Vec<VertexId> {
-        vec![*msg]
-    }
-
-    fn reduce(&self, acc: &mut Vec<VertexId>, mut value: Vec<VertexId>) {
-        acc.append(&mut value);
-    }
-
-    fn apply(&self, reduced: &Vec<VertexId>, prop: &mut TriangleVertex) {
-        let mut list = reduced.clone();
-        list.sort_unstable();
-        list.dedup();
-        prop.neighbors = list;
-    }
-}
-
-/// Phase 2: intersect neighbour lists.
-struct CountTriangles<E> {
-    _edge: std::marker::PhantomData<E>,
-}
-
-impl<E> Default for CountTriangles<E> {
-    fn default() -> Self {
-        CountTriangles {
-            _edge: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<E: Clone + Send + Sync> GraphProgram for CountTriangles<E> {
-    type VertexProp = TriangleVertex;
-    type Message = Vec<VertexId>;
+impl<'a, E: Clone + Send + Sync> GraphProgram for CountTriangles<'a, E> {
+    type VertexProp = TriangleVertex<'a>;
+    type Message = &'a [VertexId];
     type Reduced = u64;
     type Edge = E;
 
-    fn direction(&self) -> EdgeDirection {
-        EdgeDirection::Out
+    fn send_message(&self, _v: VertexId, prop: &TriangleVertex<'a>) -> Option<&'a [VertexId]> {
+        (!prop.in_neighbours.is_empty()).then_some(prop.in_neighbours)
     }
 
-    fn send_message(&self, _v: VertexId, prop: &TriangleVertex) -> Option<Vec<VertexId>> {
-        if prop.neighbors.is_empty() {
-            None
-        } else {
-            Some(prop.neighbors.clone())
-        }
-    }
-
-    fn process_message(&self, msg: &Vec<VertexId>, _edge: &E, dst: &TriangleVertex) -> u64 {
-        sorted_intersection_size(msg, &dst.neighbors)
+    fn process_message(&self, msg: &&'a [VertexId], _edge: &E, dst: &TriangleVertex<'a>) -> u64 {
+        sorted_intersection_size(msg, dst.in_neighbours)
     }
 
     fn reduce(&self, acc: &mut u64, value: u64) {
         *acc += value;
     }
 
-    fn apply(&self, reduced: &u64, prop: &mut TriangleVertex) {
+    fn apply(&self, reduced: &u64, prop: &mut TriangleVertex<'a>) {
         prop.triangles += *reduced;
     }
 }
 
-/// Size of the intersection of two sorted, deduplicated id lists.
+/// Size of the intersection of two ascending, duplicate-free id lists.
 fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
     let mut count = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
@@ -141,65 +91,59 @@ fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
 }
 
 /// Count triangles over a pre-built graph through a [`Session`]; returns the
-/// per-vertex counts ([`total_triangles`] sums them).
+/// per-vertex counts ([`total_triangles`] sums them), each triangle counted
+/// at its largest vertex.
 ///
 /// Accepts any edge value type — triangles depend only on the structure.
 /// The topology must already be the strict upper-triangle DAG the algorithm
-/// expects — build it from `edges.to_dag()`
-/// (`session.build_graph(&edges.to_dag()).finish()?`); no
-/// preprocessing happens here.
+/// expects, built with pull mirrors (the default) — build it from
+/// `edges.to_dag()` (`session.build_graph(&edges.to_dag()).finish()?`); no
+/// preprocessing happens here. Parallel edges are outside the contract:
+/// `to_dag()` removes them, and debug builds assert that every row ascends
+/// strictly.
 ///
-/// Both vertex programs run through one [`VertexState`]: phase 2 intersects
-/// the neighbour lists phase 1 stored in the same state — the two-phase
-/// shape is exactly what per-run state (as opposed to graph-owned state)
-/// makes natural.
+/// # Errors
+///
+/// [`GraphMatError::InvalidParameter`] for a view with pending edits (the
+/// mirror describes the base: compact first), and
+/// [`GraphMatError::MissingPullMirror`] for a topology built with
+/// `pull_enabled(false)`.
 pub fn triangle_count_on<'a, E: Clone + Send + Sync + 'static>(
     session: &Session,
     view: impl Into<GraphView<'a, E>>,
 ) -> Result<AlgorithmOutput<u64>> {
     let view = view.into();
-    crate::run_fresh(
-        view,
-        |state: &mut VertexState<TriangleVertex>| {
-            // Phase 1: one superstep building the in-neighbour lists.
-            let phase1 = session
-                .run(view, CollectNeighbors::<E>::default())
-                .activate_all()
-                .max_iterations(1)
-                .execute_with(state)?;
-            // Phase 2: one superstep intersecting the lists.
-            let phase2 = session
-                .run(view, CountTriangles::<E>::default())
-                .activate_all()
-                .max_iterations(1)
-                .execute_with(state)?;
-            Ok(RunResult {
-                stats: merge_phase_stats(phase1.stats, &phase2.stats),
-                converged: true,
-            })
-        },
-        |p| p.triangles,
-    )
-}
-
-/// Fold phase 2's run statistics into phase 1's. Works from the aggregate
-/// totals, not the per-superstep detail, so nothing is lost when
-/// `record_supersteps` is off (the detail, when present, is appended too).
-fn merge_phase_stats(
-    mut stats: graphmat_core::RunStats,
-    phase2: &graphmat_core::RunStats,
-) -> graphmat_core::RunStats {
-    stats.iterations += phase2.iterations;
-    stats.pull_supersteps += phase2.pull_supersteps;
-    stats.total_time += phase2.total_time;
-    stats.send_time += phase2.send_time;
-    stats.spmv_time += phase2.spmv_time;
-    stats.apply_time += phase2.apply_time;
-    stats.edges_processed += phase2.edges_processed;
-    stats.messages_sent += phase2.messages_sent;
-    stats.vertices_updated += phase2.vertices_updated;
-    stats.supersteps.extend(phase2.supersteps.iter().copied());
-    stats
+    if view.has_overlay() {
+        return Err(GraphMatError::InvalidParameter(
+            "triangle counting reads the base's pull mirror: compact pending edits first",
+        ));
+    }
+    let mirror = view
+        .topology()
+        .out_pull_mirror()
+        .ok_or(GraphMatError::MissingPullMirror)?;
+    let init = |v: VertexId| {
+        let (in_neighbours, _) = mirror.row(v);
+        debug_assert!(
+            in_neighbours.windows(2).all(|w| w[0] < w[1]),
+            "vertex {v}: parallel edges in the DAG"
+        );
+        TriangleVertex {
+            triangles: 0,
+            in_neighbours,
+        }
+    };
+    let outcome = session
+        .run(view, CountTriangles::<E>(PhantomData))
+        .init_with(&init)
+        .activate_all()
+        .max_iterations(1)
+        .execute()?;
+    Ok(AlgorithmOutput {
+        values: outcome.values.iter().map(|p| p.triangles).collect(),
+        stats: outcome.stats,
+        converged: true,
+    })
 }
 
 /// Total number of triangles (sum of the per-vertex counts).
@@ -230,28 +174,23 @@ pub fn triangle_count_reference<E: Clone>(edges: &EdgeList<E>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphmat_core::{RunOptions, SessionOptions};
+    use graphmat_core::store::{GraphStore, StoreOptions};
+    use graphmat_delta::DeltaBatch;
 
-    /// Triangle counts of `el`, DAG-reduced first, through a session with
-    /// the given run defaults.
+    /// Triangle counts of `el`, DAG-reduced first, through a session of
+    /// `threads` lanes.
     fn triangles<E: Clone + Send + Sync + 'static>(
         el: &EdgeList<E>,
         threads: usize,
-        run_defaults: RunOptions,
     ) -> AlgorithmOutput<u64> {
-        let session = Session::new(
-            SessionOptions::default()
-                .with_threads(threads)
-                .with_run_defaults(run_defaults),
-        )
-        .unwrap();
+        let session = Session::with_threads(threads).unwrap();
         let topo = session.build_graph(&el.to_dag()).finish().unwrap();
         triangle_count_on(&session, &topo).unwrap()
     }
 
     fn total(pairs: Vec<(u32, u32)>, n: u32) -> u64 {
         let el = EdgeList::from_pairs(n, pairs);
-        total_triangles(&triangles(&el, 1, RunOptions::default()))
+        total_triangles(&triangles(&el, 1))
     }
 
     #[test]
@@ -297,7 +236,7 @@ mod tests {
         let el = graphmat_io::rmat::generate(
             &graphmat_io::rmat::RmatConfig::triangle_counting(8).with_seed(31),
         );
-        let out = triangles(&el, 4, RunOptions::default());
+        let out = triangles(&el, 4);
         assert_eq!(total_triangles(&out), triangle_count_reference(&el));
         assert!(
             total_triangles(&out) > 0,
@@ -306,29 +245,70 @@ mod tests {
     }
 
     #[test]
-    fn phase_stats_survive_suppressed_superstep_detail() {
-        // With record_supersteps off the per-superstep log is empty; the
-        // merged stats must still account for both phases' totals.
+    fn exactly_one_superstep_of_work() {
         let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0)]);
-        let out = triangles(
-            &el,
-            1,
-            RunOptions {
-                record_supersteps: false,
-                ..RunOptions::default()
-            },
-        );
-        assert_eq!(total_triangles(&out), 1);
-        assert_eq!(out.stats.iterations, 2);
-        assert!(out.stats.edges_processed > 0);
-        assert!(out.stats.supersteps.is_empty());
+        let out = triangles(&el, 1);
+        assert_eq!(out.values, [0, 0, 1, 0]);
+        assert_eq!(out.stats.iterations, 1);
+        assert_eq!(out.stats.supersteps.len(), 1);
     }
 
     #[test]
-    fn exactly_two_supersteps_of_work() {
-        let el = EdgeList::from_pairs(4, vec![(0, 1), (1, 2), (2, 0)]);
-        let out = triangles(&el, 1, RunOptions::default());
-        assert_eq!(out.stats.iterations, 2);
-        assert_eq!(out.stats.supersteps.len(), 2);
+    fn a_topology_without_mirrors_is_a_typed_error() {
+        let session = Session::sequential();
+        let dag = EdgeList::from_pairs(3, vec![(0, 1), (1, 2), (0, 2)]).to_dag();
+        let topo = session
+            .build_graph(&dag)
+            .pull_enabled(false)
+            .finish()
+            .unwrap();
+        assert_eq!(
+            triangle_count_on(&session, &topo).unwrap_err(),
+            GraphMatError::MissingPullMirror
+        );
+    }
+
+    #[test]
+    fn pending_edits_are_refused_until_compacted() {
+        let el = graphmat_io::rmat::generate(
+            &graphmat_io::rmat::RmatConfig::triangle_counting(7).with_seed(5),
+        )
+        .to_dag();
+        let n = el.num_vertices();
+        let session = Session::with_threads(2).unwrap();
+        let topo = session.build_graph(&el).finish().unwrap();
+        let store = GraphStore::new(
+            topo,
+            StoreOptions {
+                compaction_threshold: usize::MAX,
+                background: false,
+                ..StoreOptions::default()
+            },
+        );
+        // A DAG edge (source below destination) the graph lacks.
+        let present: std::collections::HashSet<(u32, u32)> =
+            el.edges().iter().map(|&(s, d, _)| (s, d)).collect();
+        let dst = (1..n).find(|&d| !present.contains(&(0, d))).unwrap();
+        let mut batch = DeltaBatch::new(n);
+        batch.insert(0, dst, 1.0).unwrap();
+        let pending = store.apply(batch).unwrap();
+        assert!(matches!(
+            triangle_count_on(&session, pending.view()).unwrap_err(),
+            GraphMatError::InvalidParameter(_)
+        ));
+
+        assert!(store.compact_now());
+        let mut edited = el.edges().to_vec();
+        edited.push((0, dst, 1.0));
+        let rebuilt = session
+            .build_graph(&EdgeList::from_tuples(n, edited))
+            .finish()
+            .unwrap();
+        assert_eq!(
+            triangle_count_on(&session, store.snapshot().view())
+                .unwrap()
+                .values,
+            triangle_count_on(&session, &rebuilt).unwrap().values
+        );
     }
 }

@@ -10,7 +10,6 @@ use crate::BaselineRun;
 use graphmat_io::bipartite::RatingsGraph;
 use graphmat_io::edgelist::{EdgeList, EdgeWeight};
 use graphmat_perf::CostCounters;
-use graphmat_sparse::coo::Coo;
 use graphmat_sparse::csr::Csr;
 use graphmat_sparse::parallel::{chunks, DisjointSlice, Executor};
 use graphmat_sparse::Index;
@@ -178,65 +177,80 @@ pub fn sssp<E: EdgeWeight>(
     }
 }
 
-/// Native triangle counting: sorted adjacency-list intersection on the DAG.
-/// Edge values are ignored, so any edge type works.
+/// Native triangle counting on the DAG: every vertex intersects its sorted
+/// in-neighbour list (its row of the transposed CSR) with the in-neighbour
+/// list of each of its in-neighbours, so a triangle is counted at its
+/// largest vertex — the lists GraphMat's program intersects, and where it
+/// counts. Each task writes the counts of the vertices it owns; tasks are
+/// small chunks of vertices handed out dynamically, so a hub does not hold
+/// up a lane's static share. Edge values are ignored, so any edge type
+/// works.
 pub fn triangle_count<E: Clone + Send + Sync>(
     edges: &EdgeList<E>,
     nthreads: usize,
 ) -> BaselineRun<u64> {
     let dag = edges.to_dag();
-    let adj = csr_from_edges(&dag);
+    let into = csr_transpose_from_edges(&dag); // row = vertex, cols = in-neighbours
     let n = dag.num_vertices() as usize;
     let executor = Executor::new(nthreads.max(1));
-    let counters_edges = AtomicU64::new(0);
+    let edge_ops = AtomicU64::new(0);
 
     let start = Instant::now();
-    let per_vertex: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let ch = chunks(n, executor.nthreads());
+    let mut values = vec![0u64; n];
+    let out = DisjointSlice::new(&mut values, "native triangle counts");
+    let ch = chunks(n, 64 * executor.nthreads());
     executor.for_each_dynamic(ch.count(), |c| {
         let (lo, hi) = ch.bounds(c);
-        for u in lo..hi {
-            let (nu, _) = adj.row(u as Index);
-            for &v in nu {
-                let (nv, _) = adj.row(v);
-                // sorted intersection
-                let (mut i, mut j) = (0usize, 0usize);
-                let mut local = 0u64;
-                while i < nu.len() && j < nv.len() {
-                    match nu[i].cmp(&nv[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            local += 1;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                counters_edges.fetch_add((nu.len() + nv.len()) as u64, Ordering::Relaxed);
-                per_vertex[v as usize].fetch_add(local, Ordering::Relaxed);
+        // SAFETY: each task carves only its own chunk's vertex range.
+        let counts = unsafe { out.range(lo, hi) };
+        let mut ops = 0u64;
+        for (v, count) in (lo..hi).zip(counts) {
+            let (nv, _) = into.row(v as Index);
+            for &u in nv {
+                let (nu, _) = into.row(u);
+                *count += sorted_intersection_size(nu, nv);
+                ops += (nu.len() + nv.len()) as u64;
             }
         }
+        edge_ops.fetch_add(ops, Ordering::Relaxed);
     });
-    let values: Vec<u64> = per_vertex
-        .iter()
-        .map(|a| a.load(Ordering::Relaxed))
-        .collect();
+    let elapsed = start.elapsed();
+    let edge_ops = edge_ops.into_inner();
     let mut counters = CostCounters::new();
-    counters.add_edge_ops(counters_edges.load(Ordering::Relaxed));
+    counters.add_edge_ops(edge_ops);
     counters.add_vertex_ops(n as u64);
-    counters.add_bytes_read(counters_edges.load(Ordering::Relaxed) * 4);
+    counters.add_bytes_read(edge_ops * 4);
     BaselineRun {
         values,
-        elapsed: start.elapsed(),
+        elapsed,
         counters,
         iterations: 1,
     }
 }
 
+/// Size of the intersection of two sorted, duplicate-free id lists.
+fn sorted_intersection_size(a: &[Index], b: &[Index]) -> u64 {
+    let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                count += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    count
+}
+
 /// Native collaborative filtering: gradient descent directly over CSR in both
 /// directions (this plays the role of the paper's native SGD/GD code; GD is
-/// used so results are comparable with the GraphMat program).
+/// used so results are comparable with the GraphMat program). The features
+/// are one flat `n × latent_dims` array, double-buffered: each iteration
+/// reads the previous one's and writes the next, in parallel over chunks of
+/// vertices with one gradient scratch per task.
 pub fn collaborative_filtering(
     ratings: &RatingsGraph,
     latent_dims: usize,
@@ -248,55 +262,66 @@ pub fn collaborative_filtering(
 ) -> BaselineRun<Vec<f64>> {
     let edges = &ratings.edges;
     let n = edges.num_vertices() as usize;
+    let k = latent_dims;
     let user_to_item = csr_from_edges(edges); // rows = users
     let item_to_user = csr_transpose_from_edges(edges); // rows = items
-    let _ = nthreads;
+    let row = |v: usize| {
+        if (v as u32) < ratings.num_users {
+            user_to_item.row(v as Index)
+        } else {
+            item_to_user.row(v as Index)
+        }
+    };
+    let executor = Executor::new(nthreads.max(1));
     let mut counters = CostCounters::new();
 
     let start = Instant::now();
-    let mut features: Vec<Vec<f64>> = (0..n as u32)
-        .map(|v| {
-            (0..latent_dims)
-                .map(|i| deterministic_init(seed, v, i, latent_dims))
-                .collect()
-        })
+    let mut features: Vec<f64> = (0..n as u32)
+        .flat_map(|v| (0..k).map(move |i| deterministic_init(seed, v, i, k)))
         .collect();
-
+    let mut next = vec![0.0f64; n * k];
+    let updated = (0..n).filter(|&v| !row(v).0.is_empty()).count();
     for _ in 0..iterations {
-        let snapshot = features.clone();
-        counters.add_bytes_read((n * latent_dims * 8) as u64);
-        // update every vertex from the previous iteration's snapshot (GD)
-        for v in 0..n {
-            let (neighbors, ratings_row) = if (v as u32) < ratings.num_users {
-                user_to_item.row(v as Index)
-            } else {
-                item_to_user.row(v as Index)
-            };
-            if neighbors.is_empty() {
-                continue;
-            }
-            let mut gradient = vec![0.0f64; latent_dims];
-            for (&other, &rating) in neighbors.iter().zip(ratings_row) {
-                let dot: f64 = snapshot[v]
-                    .iter()
-                    .zip(snapshot[other as usize].iter())
-                    .map(|(a, b)| a * b)
-                    .sum();
-                let err = rating as f64 - dot;
-                for (g, x) in gradient.iter_mut().zip(snapshot[other as usize].iter()) {
-                    *g += err * x;
+        let current = &features;
+        let next_out = DisjointSlice::new(&mut next, "native cf next features");
+        let ch = chunks(n, 64 * executor.nthreads());
+        executor.for_each_dynamic(ch.count(), |c| {
+            let (lo, hi) = ch.bounds(c);
+            // SAFETY: each task carves only its own chunk's feature rows.
+            let out = unsafe { next_out.range(lo * k, hi * k) };
+            let mut gradient = vec![0.0f64; k];
+            for (v, p_next) in (lo..hi).zip(out.chunks_exact_mut(k.max(1))) {
+                let p = &current[v * k..(v + 1) * k];
+                let (neighbors, ratings_row) = row(v);
+                if neighbors.is_empty() {
+                    p_next.copy_from_slice(p);
+                    continue;
+                }
+                gradient.fill(0.0);
+                for (&other, &rating) in neighbors.iter().zip(ratings_row) {
+                    let q = &current[other as usize * k..(other as usize + 1) * k];
+                    let dot: f64 = p.iter().zip(q).map(|(a, b)| a * b).sum();
+                    let err = rating as f64 - dot;
+                    for (g, x) in gradient.iter_mut().zip(q) {
+                        *g += err * x;
+                    }
+                }
+                for ((next, p), g) in p_next.iter_mut().zip(p).zip(&gradient) {
+                    *next = p + gamma * (g - lambda * p);
                 }
             }
-            counters.add_edge_ops(neighbors.len() as u64);
-            for (p, g) in features[v].iter_mut().zip(gradient.iter()) {
-                *p += gamma * (g - lambda * *p);
-            }
-            counters.add_vertex_ops(1);
-        }
+        });
+        std::mem::swap(&mut features, &mut next);
+        counters.add_bytes_read((n * k * 8) as u64);
+        counters.add_edge_ops(2 * edges.num_edges() as u64);
+        counters.add_vertex_ops(updated as u64);
     }
+    let elapsed = start.elapsed();
     BaselineRun {
-        values: features,
-        elapsed: start.elapsed(),
+        values: (0..n)
+            .map(|v| features[v * k..(v + 1) * k].to_vec())
+            .collect(),
+        elapsed,
         counters,
         iterations,
     }
@@ -334,10 +359,6 @@ pub(crate) fn atomic_min_f32(cell: &AtomicU32, value: f32) -> bool {
         }
     }
 }
-
-// keep Coo import alive for doc examples that build matrices directly
-#[allow(unused_imports)]
-use Coo as _CooAlias;
 
 #[cfg(test)]
 mod tests {

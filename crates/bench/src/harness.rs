@@ -7,6 +7,7 @@ use graphmat_algorithms::pagerank::{pagerank_on, PageRankConfig};
 use graphmat_algorithms::sssp::sssp_on;
 use graphmat_algorithms::triangle_count::triangle_count_on;
 use graphmat_baselines::{comb, native, vertexpull, worklist, Framework};
+use graphmat_core::topology::PARTITIONS_PER_THREAD;
 use graphmat_core::{
     Backend, GraphBuildOptions, RunOptions, RunStats, Session, SessionOptions, SuperstepStats,
     Topology,
@@ -157,12 +158,21 @@ pub type Timing = (f64, CostCounters, Duration, Vec<SuperstepStats>);
 pub type TimedRun<'a> = Box<dyn Fn() -> Timing + 'a>;
 
 /// The paper's engine configuration for the cross-framework figures:
-/// always-push (it had no pull backend), so no pull mirrors to build. The
-/// direction-optimized engine is measured by the Figure 7 rows and by
-/// [`run_graphmat_auto`].
-fn paper_faithful() -> (GraphBuildOptions, RunOptions) {
+/// always-push (it had no pull backend), so no pull mirrors to build —
+/// except for triangle counting, whose program reads its in-neighbour rows
+/// from the mirror. Its push keeps the paper's 8 × lanes partitions, set
+/// explicitly because an automatic count with mirrors may merge the push
+/// to one partition per lane. The direction-optimized engine is measured by
+/// the Figure 7 rows and by [`run_graphmat_auto`].
+fn paper_faithful(algorithm: Algorithm, nthreads: usize) -> (GraphBuildOptions, RunOptions) {
+    let build_options = match algorithm {
+        Algorithm::TriangleCount => {
+            GraphBuildOptions::default().with_partitions(PARTITIONS_PER_THREAD * lanes(nthreads))
+        }
+        _ => GraphBuildOptions::default().with_pull_mirrors(false),
+    };
     (
-        GraphBuildOptions::default().with_pull_mirrors(false),
+        build_options,
         RunOptions::default().with_backend(Backend::Push),
     )
 }
@@ -300,7 +310,7 @@ pub fn graph_run<'a>(
     );
     match framework {
         Framework::GraphMat => {
-            let (build_options, run_defaults) = paper_faithful();
+            let (build_options, run_defaults) = paper_faithful(algorithm, nthreads);
             graphmat_run(algorithm, edges, nthreads, build_options, run_defaults)
         }
         Framework::Native => Box::new(move || baseline_run!(native, algorithm, edges, nthreads)),
@@ -346,18 +356,18 @@ pub fn cf_run<'a>(
     let baseline: CfBaseline = match framework {
         Framework::GraphMat => {
             let cfg = CfConfig {
-                latent_dims: CF_DIMS,
                 iterations: CF_ITERATIONS,
                 ..Default::default()
             };
-            let (build_options, run_defaults) = paper_faithful();
+            let (build_options, run_defaults) =
+                paper_faithful(Algorithm::CollaborativeFiltering, nthreads);
             let session = session(nthreads, run_defaults);
             let topology = build(&session, &ratings.edges, build_options);
             // CF scatters along both directions: derive `G` here, outside
             // the timed closure, as the eager build used to.
             topology.in_matrix();
             return Box::new(move || {
-                let out = collaborative_filtering_on(&session, &topology, &cfg)
+                let out = collaborative_filtering_on::<CF_DIMS, _>(&session, &topology, &cfg)
                     .expect("collaborative filtering");
                 timing(out.stats, CF_DIMS * 8, true)
             });

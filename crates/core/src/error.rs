@@ -48,14 +48,15 @@ pub enum GraphMatError {
     /// this: the store always passes them, and the overlay's in side, like
     /// the topology's `G`, is derived on the first `In`/`Both` run.
     MissingInMatrix,
-    /// A run forced the pull backend (`Backend::Pull`) but the topology
-    /// was built with `build_pull_mirrors = false`, so there is no row-major
-    /// CSR mirror to traverse. (An unforced run never reports this — it
-    /// degrades to push when the mirrors are absent.)
+    /// A run forced the pull backend (`Backend::Pull`), or triangle
+    /// counting (which reads the mirror's rows) ran, but the topology was
+    /// built with `build_pull_mirrors = false`, so there is no row-major CSR
+    /// mirror. (An unforced run never reports this — it degrades to push
+    /// when the mirrors are absent.)
     MissingPullMirror,
-    /// An algorithm configuration value cannot drive a run (e.g. zero
-    /// latent dimensions for collaborative filtering, a non-positive
-    /// delta-PageRank tolerance). The payload names the parameter and the
+    /// An algorithm configuration value cannot drive a run (e.g. a
+    /// non-positive delta-PageRank tolerance, or pending edits under
+    /// triangle counting). The payload names the parameter and the
     /// constraint it violated.
     InvalidParameter(&'static str),
     /// The store's pending-delta high-watermark
@@ -121,9 +122,10 @@ impl std::fmt::Display for GraphMatError {
             ),
             GraphMatError::MissingPullMirror => write!(
                 f,
-                "run forces the pull backend (Backend::Pull) but the topology was \
-                 built with build_pull_mirrors = false (leave the backend unforced to \
-                 fall back to push, or rebuild the topology with pull mirrors)"
+                "run needs the pull mirror (a forced Backend::Pull, or triangle \
+                 counting) but the topology was built with build_pull_mirrors = false \
+                 (leave the backend unforced to fall back to push, or rebuild the \
+                 topology with pull mirrors)"
             ),
             GraphMatError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
             GraphMatError::Overloaded { pending, watermark } => write!(

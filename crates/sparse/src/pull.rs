@@ -192,6 +192,16 @@ impl<T> CsrMirror<T> {
         &self.partitions[i]
     }
 
+    /// The (global) column indices and values of global row `r`, found by a
+    /// binary search over the partition ranges.
+    ///
+    /// # Panics
+    /// Panics if `r` is not a row of the matrix.
+    pub fn row(&self, r: Index) -> (&[Index], &[T]) {
+        let p = self.partitions.partition_point(|p| p.rows.end <= r);
+        self.partitions[p].row(r)
+    }
+
     /// Total in-memory footprint in bytes (row pointers, column ids and
     /// stored values; zero value bytes when `T = ()`). This is the *extra*
     /// memory a pull-enabled topology pays on top of its DCSC matrices.
@@ -277,6 +287,8 @@ mod tests {
         let (cols, vals) = mirror.partition(0).row(0);
         assert_eq!(cols, &[1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(vals, &[1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(mirror.row(5), (&[2, 7][..], &[200, 201][..]));
+        assert_eq!(mirror.row(6), (&[][..], &[][..]));
         for p in mirror.partitions() {
             for (_, cols, _) in p.iter_rows() {
                 assert!(cols.windows(2).all(|w| w[0] < w[1]));

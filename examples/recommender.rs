@@ -33,13 +33,13 @@ fn main() -> Result<(), GraphMatError> {
     let session = Session::with_defaults()?;
     let topo = session.build_graph(&ratings.edges).finish()?;
 
-    // Factorise with gradient descent (the paper's GD formulation, eqs. 4–6).
+    // Factorise with gradient descent (the paper's GD formulation, eqs. 4–6),
+    // 16 latent features per user and item.
     let config = CfConfig {
-        latent_dims: 16,
         iterations: 25,
         ..Default::default()
     };
-    let untrained = collaborative_filtering_on(
+    let untrained = collaborative_filtering_on::<16, _>(
         &session,
         &topo,
         &CfConfig {
@@ -47,7 +47,7 @@ fn main() -> Result<(), GraphMatError> {
             ..config
         },
     )?;
-    let trained = collaborative_filtering_on(&session, &topo, &config)?;
+    let trained = collaborative_filtering_on::<16, _>(&session, &topo, &config)?;
 
     println!(
         "RMSE before training: {:.4}",

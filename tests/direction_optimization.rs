@@ -529,16 +529,15 @@ fn all_algorithms_agree_between_auto_and_forced_push() {
     let ratings =
         graphmat_io::bipartite::generate(&BipartiteConfig::netflix_like(64, 48, 600).with_seed(9));
     let cf_cfg = CfConfig {
-        latent_dims: 8,
         iterations: 3,
         ..Default::default()
     };
     let cf_topo = auto.build_graph(&ratings.edges).finish().unwrap();
     assert_eq!(
-        collaborative_filtering_on(&auto, &cf_topo, &cf_cfg)
+        collaborative_filtering_on::<8, _>(&auto, &cf_topo, &cf_cfg)
             .unwrap()
             .values,
-        collaborative_filtering_on(&push, &cf_topo, &cf_cfg)
+        collaborative_filtering_on::<8, _>(&push, &cf_topo, &cf_cfg)
             .unwrap()
             .values,
         "collaborative filtering"

@@ -122,11 +122,13 @@ fn out_degrees(session: &Session, graph: Graph<'_>) -> Run {
 
 fn collaborative_filtering(session: &Session, graph: Graph<'_>) -> Run {
     let cfg = CfConfig {
-        latent_dims: 4,
         iterations: 3,
         ..Default::default()
     };
-    let out = with_graph!(graph, |g| collaborative_filtering_on(session, g, &cfg)).unwrap();
+    let out = with_graph!(graph, |g| collaborative_filtering_on::<4, _>(
+        session, g, &cfg
+    ))
+    .unwrap();
     let result = RunResult {
         stats: out.stats,
         converged: out.converged,

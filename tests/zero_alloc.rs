@@ -19,9 +19,11 @@
 #![cfg(not(feature = "shard-check"))]
 
 use graphmat_algorithms::bfs::bfs_into;
+use graphmat_algorithms::collaborative_filtering::{collaborative_filtering_on, CfConfig};
 use graphmat_algorithms::degree::out_degrees_into;
 use graphmat_algorithms::pagerank::{pagerank_into, PageRankConfig};
 use graphmat_algorithms::sssp::sssp_into;
+use graphmat_algorithms::triangle_count::{total_triangles, triangle_count_on};
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
 use graphmat_core::{
@@ -29,6 +31,8 @@ use graphmat_core::{
     VertexState,
 };
 use graphmat_delta::DeltaBatch;
+use graphmat_io::bipartite::{self, BipartiteConfig};
+use graphmat_io::edgelist::EdgeList;
 use graphmat_io::grid::{self, GridConfig};
 use graphmat_io::rmat::{self, RmatConfig};
 use graphmat_server::protocol::{Algorithm, RunRequest, Status};
@@ -356,6 +360,64 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
             "a warmed bfs_into over a merged push must not touch the heap, got {stats:?}"
         );
     }
+
+    // ---- Part 1g: triangle counting and CF allocate per run, not per edge. ----
+    // TC's state borrows each vertex's in-neighbour row from the pull mirror
+    // and its messages are those rows; CF's latent vectors, messages and
+    // gradients are `[f64; K]` held in place. Either run allocates its
+    // state, its workspace and its output: the same count on a graph 4× the
+    // size.
+    let tc_allocs = |edges: &EdgeList<f32>| {
+        let dag = match session.build_graph(&edges.to_dag()).finish() {
+            Ok(t) => t,
+            Err(e) => panic!("dag build: {e}"),
+        };
+        let (outcome, stats) = AllocGuard::measure(|| triangle_count_on(&session, &dag));
+        match outcome {
+            Ok(out) => assert!(total_triangles(&out) > 0),
+            Err(e) => panic!("triangle count: {e}"),
+        }
+        (stats, dag.num_edges())
+    };
+    let (small, _) = tc_allocs(&el);
+    let (large, dag_edges) = tc_allocs(&big);
+    assert_eq!(small.allocs, large.allocs, "{small:?} vs {large:?}");
+    assert!(
+        large.allocs < 64,
+        "a TC run over {dag_edges} edges made {} allocations",
+        large.allocs
+    );
+    let cf_allocs = |num_users: u32| {
+        let ratings = bipartite::generate(&BipartiteConfig {
+            num_users,
+            num_items: num_users / 10,
+            num_ratings: 10 * num_users as usize,
+            ..Default::default()
+        });
+        let topo = match session.build_graph(&ratings.edges).finish() {
+            Ok(t) => t,
+            Err(e) => panic!("ratings build: {e}"),
+        };
+        topo.in_matrix(); // CF scatters both ways: derive G outside the window
+        let cfg = CfConfig {
+            iterations: 3,
+            ..Default::default()
+        };
+        let (outcome, stats) =
+            AllocGuard::measure(|| collaborative_filtering_on::<8, _>(&session, &topo, &cfg));
+        match outcome {
+            Ok(out) => assert_eq!(out.stats.iterations, 3),
+            Err(e) => panic!("collaborative filtering: {e}"),
+        }
+        stats
+    };
+    let (small, large) = (cf_allocs(1_000), cf_allocs(4_000));
+    assert_eq!(small.allocs, large.allocs, "{small:?} vs {large:?}");
+    assert!(
+        large.allocs < 64,
+        "a 3-iteration CF run over 40 000 ratings made {} allocations",
+        large.allocs
+    );
 
     // ---- Part 2: steady-state server rounds, in-process. ----
     let service = GraphService::new(session, topo);

@@ -756,7 +756,7 @@ mod tests {
     }
 
     /// An automatic build of a matrix whose columns repeat pushes through one
-    /// partition per lane of *this session*, and compaction republishes that
+    /// partition per lane of *this session*, and compaction keeps that
     /// layout, whatever the machine's thread count.
     #[test]
     fn an_automatic_rmat_layout_follows_the_session_through_compaction() {
@@ -783,10 +783,9 @@ mod tests {
             store.apply(batch).unwrap();
             assert!(store.compact_now());
             let compacted = store.snapshot();
+            let in_degrees: Vec<usize> = topo.in_degrees().iter().map(|&d| d as usize).collect();
+            let fine = RowPartitioner::balanced_nnz(&in_degrees, 8 * lanes);
             for topo in [&*topo, compacted.base()] {
-                let in_degrees: Vec<usize> =
-                    topo.in_degrees().iter().map(|&d| d as usize).collect();
-                let fine = RowPartitioner::balanced_nnz(&in_degrees, 8 * lanes);
                 let mirror = topo.out_pull_mirror().unwrap();
                 let mirror_ranges: Vec<_> = mirror.partitions().iter().map(|p| p.rows).collect();
                 assert_eq!(mirror_ranges, fine, "{lanes} lanes");

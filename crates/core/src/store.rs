@@ -34,23 +34,26 @@
 //! Pending deltas cost the merged overlay walk, pushed or pulled (see
 //! [`crate::view::GraphView`]), and every `apply` recompiles the whole
 //! pending set. When the log exceeds
-//! [`StoreOptions::compaction_threshold`] effective ops, the store asks the
-//! published base for itself with the pending set folded in
-//! ([`Topology::with_edits`]: a fresh [`Topology`] built with the original's
-//! own build options and lane count, so partitioned by the same rule — `Gᵀ`
-//! only: a later `In`/`Both` run derives `G` from the new base, as it would
-//! from any other) and republishes with an empty
-//! overlay. With [`StoreOptions::background`] set, a dedicated worker thread
-//! does this off the write path — `apply` just signals it; otherwise
-//! compaction runs inline in the triggering `apply`.
+//! [`StoreOptions::compaction_threshold`] effective ops, the store folds the
+//! published overlay into the published base ([`Topology::with_overlay`])
+//! and republishes with an empty overlay. The fold is a linear merge per
+//! partition — each push partition of `Gᵀ` with its overlay partition,
+//! column by column, and each mirror partition with the overlay's edited
+//! rows — so nothing is re-sorted and no edge list is materialized. The new
+//! base keeps the old one's build options and row ranges: it is **not**
+//! re-balanced to the edited degrees, which is safe because no answer
+//! depends on the partitioning. Its `G` is derived on the first `In`/`Both`
+//! run, as any base's is. With [`StoreOptions::background`] set, a
+//! dedicated worker thread does this off the write path — `apply` just
+//! signals it; otherwise compaction runs inline in the triggering `apply`.
 //! [`GraphStore::compact_now`] forces one synchronously from any thread.
 //!
-//! Compaction reads the published base, in the deterministic order of
-//! [`Topology::to_edge_list`], so repeated compactions of the same history
-//! produce byte-identical topologies — and because the overlay kernel folds
-//! messages per destination in the same ascending-source order a rebuild
-//! would, query results are bit-for-bit identical before and after a
-//! compaction.
+//! The fold stores what a build of the edited graph over the same ranges
+//! would, in the same order, so the same history compacts to byte-identical
+//! topologies however often it was compacted along the way — and because
+//! the overlay kernels fold messages per destination in the same
+//! ascending-source order, query results are bit-for-bit identical before
+//! and after a compaction.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,7 +75,7 @@ pub const DEFAULT_COMPACTION_THRESHOLD: usize = 4096;
 /// store: the signal holds two independent flags, the worker slot a single
 /// `Option`, and the writer's log is only ever mutated at the *commit
 /// point* of `apply`/`compact_locked` — everything fallible (overlay
-/// compilation, topology rebuild) runs first, against immutable reads of
+/// compilation, the compaction fold) runs first, against immutable reads of
 /// the log and the published base. A panic mid-`apply` therefore leaves the
 /// log exactly as it was: the failed batch is gone without trace
 /// (exactly-once publication, never torn state), and the next writer
@@ -383,18 +386,20 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
 
     fn compact_locked(&self, log: &mut DeltaLog<E>) -> bool {
         let current = self.snapshot();
-        if current.overlay.is_none() {
+        let Some(overlay) = current.overlay.as_deref() else {
             // Nothing is pending, or every pending op deletes a pair the
             // base does not store: the base already is the edited graph.
             log.clear();
             return false;
-        }
+        };
         let _ = graphmat_chaos::fire("store.compact");
 
-        // The expensive, panic-prone work (topology rebuild) changes neither
-        // the published base nor the log it reads, so a failed compaction
-        // leaves both intact for a clean retry.
-        let base = Arc::new(current.base.with_edits(&log.resolve()));
+        // The published overlay is the log compiled against the published
+        // base — both are only written under the lock held here — so it is
+        // what gets folded in. The fold, the panic-prone work, changes
+        // neither the published snapshot nor the log, so a failed
+        // compaction leaves both intact for a clean retry.
+        let base = Arc::new(current.base.with_overlay(overlay));
 
         // Commit point: an infallible clear and an atomic pointer swap.
         log.clear();
@@ -652,7 +657,7 @@ mod tests {
         assert_eq!(snap.version(), 2);
         assert!(snap.overlay().is_none());
         assert_eq!(snap.num_edges(), 8);
-        // The rebuilt base keeps the original build shape.
+        // The compacted base keeps the original build shape.
         assert_eq!(snap.base().num_partitions(), 2);
         assert!(snap.base().has_pull_mirrors());
         assert_eq!(snap.base().out_degrees(), &[2, 2, 2, 1, 1]);

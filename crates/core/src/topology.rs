@@ -54,9 +54,10 @@
 
 use crate::error::{GraphMatError, Result};
 use crate::program::VertexId;
-use graphmat_delta::{apply_resolved_to_edges, BaseFacts, DeltaOverlay, UpdateOp};
+use graphmat_delta::{BaseFacts, DeltaOverlay, UpdateOp};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::coo::Coo;
+use graphmat_sparse::overlay::{fold_into_matrix, fold_into_mirror};
 use graphmat_sparse::parallel::available_threads;
 use graphmat_sparse::partition::{PartitionedDcsc, RowBuckets, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
@@ -187,11 +188,9 @@ pub struct Topology<E> {
     nvertices: VertexId,
     nedges: usize,
     /// The options this topology was built with, as given (a partition count
-    /// of `0` still means automatic), and the lane count an automatic one
-    /// was resolved against — what [`Topology::with_edits`] builds the
-    /// edited graph with, so a compaction reproduces the layout.
+    /// of `0` still means automatic). A compaction
+    /// ([`Topology::with_overlay`]) keeps them with the ranges they made.
     options: GraphBuildOptions,
-    lanes: usize,
     /// `Gᵀ`: row = destination, column = source. Used for out-edge scatter.
     out: Orientation<E>,
     /// `G`: row = source, column = destination. Used for in-edge scatter;
@@ -238,7 +237,6 @@ impl<E: Clone> Topology<E> {
             nvertices: edges.num_vertices(),
             nedges: edges.num_edges(),
             options,
-            lanes,
             out,
             inward: OnceLock::new(),
             in_ranges: options.row_ranges(&out_degrees, lanes),
@@ -251,9 +249,8 @@ impl<E: Clone> Topology<E> {
     /// Reconstruct the edge list the topology stores, in a **deterministic**
     /// order: out-matrix partitions ascending, source (column) ascending
     /// within each partition, destination ascending within each column.
-    /// Equal topologies therefore produce byte-identical lists — the
-    /// property [`crate::store::GraphStore`]'s compaction relies on to make
-    /// repeated rebuilds reproducible.
+    /// Equal topologies therefore produce byte-identical lists — what the
+    /// derivation of `G` reads, so equal topologies derive equal `G`s.
     pub fn to_edge_list(&self) -> EdgeList<E> {
         let mut el = EdgeList::new(self.nvertices);
         // Out matrix is Gᵀ: row = destination, column = source.
@@ -287,16 +284,40 @@ impl<E: Clone> Topology<E> {
         DeltaOverlay::compile(&facts, |s, d| self.edge_multiplicity(s, d), resolved)
     }
 
-    /// This graph with `resolved` edits folded in, built with the options
-    /// and lane count this topology was built with — what compaction
-    /// publishes, partitioned by the same rule.
-    /// [`Topology::to_edge_list`]'s order is deterministic, so the same
-    /// history compacts to byte-identical topologies.
-    pub fn with_edits(&self, resolved: &[(VertexId, VertexId, UpdateOp<E>)]) -> Self {
-        let mut edges = self.to_edge_list().into_tuples();
-        apply_resolved_to_edges(&mut edges, resolved);
-        let edited = EdgeList::from_tuples(self.nvertices, edges);
-        Topology::build(&edited, self.options, self.lanes)
+    /// This graph with `edits` — an overlay [`Topology::compile_overlay`]
+    /// compiled against it — folded in: what compaction publishes. Each push
+    /// partition of `Gᵀ` is merged with its overlay partition column by
+    /// column and each mirror partition row by row
+    /// ([`fold_into_matrix`], [`fold_into_mirror`]); nothing is re-sorted.
+    /// The result keeps this topology's options and every range — push,
+    /// mirror and `G`'s — rather than re-balancing them to the edited
+    /// degrees (answers do not depend on the partitioning), takes its degrees
+    /// and edge count from `edits`, and derives `G` on first use, as any
+    /// topology does. The same history therefore compacts to byte-identical
+    /// topologies, however often it was compacted along the way.
+    ///
+    /// # Panics
+    /// Panics if `edits` was compiled against another layout.
+    pub fn with_overlay(&self, edits: &DeltaOverlay<E>) -> Self {
+        let overlay = edits.out();
+        Topology {
+            nvertices: self.nvertices,
+            nedges: edits.num_edges(),
+            options: self.options,
+            out: Orientation {
+                matrix: fold_into_matrix(&self.out.matrix, overlay),
+                mirror: self
+                    .out
+                    .mirror
+                    .as_ref()
+                    .map(|m| fold_into_mirror(m, overlay)),
+            },
+            inward: OnceLock::new(),
+            in_ranges: self.in_ranges.clone(),
+            push_lanes: self.push_lanes,
+            out_degrees: edits.out_degrees().to_vec(),
+            in_degrees: edits.in_degrees().to_vec(),
+        }
     }
 
     /// The in-edge orientation, derived from the stored `Gᵀ` on first use
@@ -687,25 +708,39 @@ mod tests {
         }
     }
 
-    /// Compaction republishes the layout it was built with: the lane count a
-    /// session resolved an automatic count against, not this machine's.
+    /// Compaction keeps the layout of the base it folds into — push count
+    /// and ranges, mirror ranges, `G`'s ranges — for an automatic build (on
+    /// the lane count its session resolved, not this machine's) and an
+    /// explicit one, although the edits skew the in-degrees enough that a
+    /// build of the edited graph would balance its mirror differently.
     #[test]
-    fn edits_rebuild_with_the_same_layout_rule() {
+    fn compaction_keeps_the_parent_bases_layout() {
         use graphmat_io::rmat::{self, RmatConfig};
         let el = rmat::generate(&RmatConfig::graph500(10).with_seed(1));
-        let resolved = [(0, 1, UpdateOp::Insert(2.5)), (2, 3, UpdateOp::Delete)];
+        let n = el.num_vertices();
+        let (s, d, _) = el.edges()[0];
+        let mut resolved: Vec<_> = (0..n - 1)
+            .map(|v| (v, n - 1, UpdateOp::Insert(2.5)))
+            .chain([(s, d, UpdateOp::Delete)])
+            .collect();
+        resolved.sort_by_key(|&(s, d, _)| (s, d));
         for (options, push) in [
             (GraphBuildOptions::default(), 3),
             (GraphBuildOptions::default().with_partitions(5), 5),
         ] {
             let t = Topology::build(&el, options, 3);
-            for t in [&t, &t.with_edits(&resolved)] {
-                assert_eq!(t.num_partitions(), push);
-                let in_degrees: Vec<usize> = t.in_degrees().iter().map(|&d| d as usize).collect();
-                let fine = ranges_of(t.out_pull_mirror().unwrap());
-                assert_eq!(fine, options.row_ranges(&in_degrees, 3));
-                assert_refines(&t.out_partition_ranges(), &fine);
-            }
+            let fine = ranges_of(t.out_pull_mirror().unwrap());
+            let in_degrees: Vec<usize> = t.in_degrees().iter().map(|&d| d as usize).collect();
+            assert_eq!(fine, options.row_ranges(&in_degrees, 3));
+            let compacted = t.with_overlay(&t.compile_overlay(&resolved));
+            assert_eq!(compacted.num_partitions(), push);
+            assert_eq!(compacted.out_partition_ranges(), t.out_partition_ranges());
+            assert_eq!(ranges_of(compacted.out_pull_mirror().unwrap()), fine);
+            assert_eq!(compacted.in_partition_ranges(), t.in_partition_ranges());
+            let in_push = push_ranges(compacted.in_matrix());
+            assert_eq!(Some(in_push), t.in_partition_ranges());
+            let edited: Vec<usize> = compacted.in_degrees().iter().map(|&d| d as usize).collect();
+            assert_ne!(options.row_ranges(&edited, 3), fine, "the edits must skew");
         }
     }
 

@@ -16,7 +16,7 @@
 //!   overlay of the program's traversal direction (the in side is derived
 //!   the first time an `In`/`Both` run asks for it).
 //!
-//! **Both** backends are overlay-aware. The dense pull mirrors are rebuilt
+//! **Both** backends are overlay-aware. The dense pull mirrors are folded
 //! at compaction, not per batch, and describe the unedited base; the pull
 //! kernel merges each destination row with the overlay's row-major side as
 //! the push kernel merges each source column with its column-major one. So

@@ -28,7 +28,7 @@ pub mod log;
 pub mod overlay;
 
 pub use batch::{DeltaBatch, UpdateOp};
-pub use log::{apply_resolved_to_edges, DeltaLog};
+pub use log::DeltaLog;
 pub use overlay::{BaseFacts, DeltaOverlay, PairIndex};
 
 /// The kernel-level edit-set structure, re-exported under the paper-plan

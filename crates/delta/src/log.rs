@@ -8,7 +8,7 @@ use graphmat_sparse::Index;
 /// Batches append in admission order; [`DeltaLog::resolve`] collapses the
 /// log to its **latest-wins** view — at most one effective op per
 /// `(src, dst)` pair, sorted by pair — which is what overlays are compiled
-/// from and what compaction folds into the base edge list. A writer that
+/// from (and compaction folds the compiled overlay into the base). A writer that
 /// keeps each resolution in place of the raw ops ([`DeltaLog::replace`])
 /// bounds the log by the pairs edited, not by the ops submitted.
 #[derive(Clone, Debug, Default)]
@@ -100,36 +100,6 @@ impl<E: Clone> DeltaLog<E> {
     }
 }
 
-/// Fold resolved ops into an edge list, the way compaction rebuilds the
-/// base: every stored copy of an edited pair is dropped, then the upserts
-/// are appended in `(src, dst)` order. The result is deterministic given
-/// the input order of `edges`, so repeated compactions of the same history
-/// produce byte-identical edge lists.
-pub fn apply_resolved_to_edges<E: Clone>(
-    edges: &mut Vec<(Index, Index, E)>,
-    resolved: &[(Index, Index, UpdateOp<E>)],
-) {
-    if resolved.is_empty() {
-        return;
-    }
-    debug_assert!(
-        resolved
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
-        "resolved ops must be sorted and pair-unique"
-    );
-    edges.retain(|&(s, d, _)| {
-        resolved
-            .binary_search_by(|probe| (probe.0, probe.1).cmp(&(s, d)))
-            .is_err()
-    });
-    for (s, d, op) in resolved {
-        if let UpdateOp::Insert(w) = op {
-            edges.push((*s, *d, w.clone()));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,24 +176,5 @@ mod tests {
         log.append(batch(4, vec![(0, 1, UpdateOp::Insert(1.0))]));
         log.append(batch(4, vec![(0, 1, UpdateOp::Delete)]));
         assert_eq!(log.resolve(), vec![(0, 1, UpdateOp::Delete)]);
-    }
-
-    #[test]
-    fn apply_resolved_edits_the_edge_list() {
-        let mut edges = vec![(0u32, 1u32, 1.0f32), (1, 2, 2.0), (0, 1, 7.0), (2, 3, 3.0)];
-        let resolved = vec![
-            (0, 1, UpdateOp::Insert(9.0)), // replaces both copies
-            (1, 2, UpdateOp::Delete),
-            (3, 0, UpdateOp::Insert(4.0)), // fresh edge
-        ];
-        apply_resolved_to_edges(&mut edges, &resolved);
-        assert_eq!(edges, vec![(2, 3, 3.0), (0, 1, 9.0), (3, 0, 4.0)]);
-    }
-
-    #[test]
-    fn apply_empty_resolution_is_a_noop() {
-        let mut edges = vec![(0u32, 1u32, 1.0f32)];
-        apply_resolved_to_edges(&mut edges, &[]);
-        assert_eq!(edges, vec![(0, 1, 1.0)]);
     }
 }

@@ -102,6 +102,29 @@ impl<T: Clone> Dcsc<T> {
 }
 
 impl<T> Dcsc<T> {
+    /// A DCSC from its four arrays, laid out as the [module docs](self)
+    /// describe — how a fold of pending edits into a partition
+    /// ([`crate::overlay::fold_into_matrix`]) hands over what it merged.
+    pub(crate) fn from_parts(
+        nrows: Index,
+        ncols: Index,
+        jc: Vec<Index>,
+        cp: Vec<usize>,
+        ir: Vec<Index>,
+        values: Vec<T>,
+    ) -> Self {
+        debug_assert!(cp.len() == jc.len() + 1 && cp.last() == Some(&ir.len()));
+        debug_assert!(ir.len() == values.len() && jc.windows(2).all(|w| w[0] < w[1]));
+        Dcsc {
+            nrows,
+            ncols,
+            jc,
+            cp,
+            ir,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> Index {
         self.nrows

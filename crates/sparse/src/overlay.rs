@@ -30,10 +30,17 @@
 //! (`push_into`, `pull_into` in [`crate::spmv`]) that takes it as an
 //! `Option`, and the parallel path reuses the disjoint-row-range writer of
 //! [`crate::spmv::gspmv_into`] unchanged.
+//!
+//! Compaction folds the edits into the base from the same two sides, by the
+//! rule the kernels read them with: [`fold_into_matrix`] merges push
+//! partition `p` with overlay partition `p` column by column, and
+//! [`fold_into_mirror`] each mirror partition with the edited rows of the
+//! overlay partition holding it — one linear merge per partition, no sort.
 
+use crate::dcsc::Dcsc;
 use crate::parallel::Executor;
-use crate::partition::{PartitionedDcsc, RowRange};
-use crate::pull::CsrMirror;
+use crate::partition::{Partition, PartitionedDcsc, RowRange};
+use crate::pull::{CsrMirror, PullPartition};
 use crate::spmv::{emit_column, gather, pull_into, pull_rows, push_into, walk_matrix};
 use crate::spvec::SparseVector;
 use crate::Index;
@@ -321,6 +328,160 @@ impl<T: Clone> Overlay<T> {
     }
 }
 
+/// `base ⊕ overlay` as a matrix: every push partition of `base` merged with
+/// the overlay partition of the same rows, column by column — what a
+/// compaction publishes. The result is partitioned by `base`'s ranges and
+/// stores what a build from the edited entries would, in the same order: a
+/// column's rows ascending, an upsert as the one copy of its coordinate, a
+/// delete as none; the base's own entries in the order they were stored.
+///
+/// # Panics
+/// Panics if `overlay` is not aligned with `base` (shape and row
+/// partitioning must match exactly).
+pub fn fold_into_matrix<T: Clone>(
+    base: &PartitionedDcsc<T>,
+    overlay: &Overlay<T>,
+) -> PartitionedDcsc<T> {
+    let ranges = base.partitions().iter().map(|p| p.rows);
+    overlay.check_aligned(base.nrows(), base.ncols(), ranges);
+    let partitions = base
+        .partitions()
+        .iter()
+        .zip(&overlay.partitions)
+        .map(|(part, edits)| Partition {
+            rows: part.rows,
+            matrix: fold_columns(&part.matrix, edits),
+        })
+        .collect();
+    PartitionedDcsc::from_partitions(base.nrows(), base.ncols(), partitions)
+}
+
+/// `mirror ⊕ overlay` as a mirror: every mirror partition merged, row by
+/// row, with the edited rows of the overlay partition holding its range —
+/// the row-major twin of [`fold_into_matrix`], on `mirror`'s ranges.
+///
+/// # Panics
+/// Panics if `overlay` is not refined by `mirror` (same shape, and every
+/// mirror range inside one overlay range).
+pub fn fold_into_mirror<T: Clone>(mirror: &CsrMirror<T>, overlay: &Overlay<T>) -> CsrMirror<T> {
+    let ranges = mirror.partitions().iter().map(|p| p.rows);
+    overlay.check_refined_by(mirror.nrows(), mirror.ncols(), ranges);
+    let partitions = mirror
+        .partitions()
+        .iter()
+        .map(|part| {
+            fold_rows(
+                part,
+                overlay.partition(overlay.partition_of(part.rows.start)),
+            )
+        })
+        .collect();
+    CsrMirror::from_partitions(mirror.nrows(), mirror.ncols(), partitions)
+}
+
+/// One push partition's DCSC merged with its edits: a two-pointer sweep
+/// over both lists of non-empty columns, each column folded by
+/// [`fold_line`] and dropped if nothing of it is left.
+fn fold_columns<T: Clone>(base: &Dcsc<T>, edits: &OverlayPartition<T>) -> Dcsc<T> {
+    let (nb, no) = (base.n_nonempty_cols(), edits.cols.len());
+    // Upper bounds: an op adds at most one entry.
+    let (mut jc, mut cp) = (Vec::with_capacity(nb + no), Vec::with_capacity(nb + no + 1));
+    let mut ir = Vec::with_capacity(base.nnz() + edits.rows.len());
+    let mut values = Vec::with_capacity(base.nnz() + edits.rows.len());
+    let (mut bi, mut oi) = (0usize, 0usize);
+    loop {
+        let bcol = base.col_indices().get(bi).copied();
+        let ocol = edits.cols.get(oi).copied();
+        let Some(col) = bcol.into_iter().chain(ocol).min() else {
+            break;
+        };
+        let (rows, stored): (&[Index], &[T]) = if bcol == Some(col) {
+            let (_, rows, stored) = base.nonempty_col(bi);
+            bi += 1;
+            (rows, stored)
+        } else {
+            (&[], &[])
+        };
+        let ops = if ocol == Some(col) {
+            oi += 1;
+            edits.col_ptr[oi - 1]..edits.col_ptr[oi]
+        } else {
+            0..0
+        };
+        let line = edits.rows[ops.clone()].iter().copied();
+        let start = ir.len();
+        fold_line(
+            rows,
+            stored,
+            line.zip(&edits.ops[ops]),
+            &mut ir,
+            &mut values,
+        );
+        if ir.len() > start {
+            jc.push(col);
+            cp.push(start);
+        }
+    }
+    cp.push(ir.len());
+    Dcsc::from_parts(base.nrows(), base.ncols(), jc, cp, ir, values)
+}
+
+/// One mirror partition merged with the edits of the overlay partition
+/// holding its range: every row copied, an edited one folded by
+/// [`fold_line`] — the edited-row cursor starting at the partition's own
+/// first row, as the merged pull's does.
+fn fold_rows<T: Clone>(base: &PullPartition<T>, edits: &OverlayPartition<T>) -> PullPartition<T> {
+    let rows = base.rows;
+    let mut cursor = edits.erows.partition_point(|&r| r < rows.start);
+    let end = edits.erows.partition_point(|&r| r < rows.end);
+    let ops = edits.erow_ptr[end] - edits.erow_ptr[cursor];
+    let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+    let mut col_idx = Vec::with_capacity(base.nnz() + ops);
+    let mut values = Vec::with_capacity(base.nnz() + ops);
+    row_ptr.push(0);
+    for k in rows.start..rows.end {
+        let (cols, stored) = base.row(k);
+        let row_edits = if edits.erows.get(cursor) == Some(&k) {
+            cursor += 1;
+            edits.erow_ptr[cursor - 1]..edits.erow_ptr[cursor]
+        } else {
+            0..0
+        };
+        let line = edits.ecols[row_edits.clone()].iter().copied();
+        let line_ops = edits.eops[row_edits].iter().map(|&op| &edits.ops[op]);
+        fold_line(cols, stored, line.zip(line_ops), &mut col_idx, &mut values);
+        row_ptr.push(col_idx.len());
+    }
+    PullPartition::from_parts(rows, row_ptr, col_idx, values)
+}
+
+/// Append one line of `base ⊕ edits` — a column's rows, or a row's columns —
+/// to `keys`/`values`. The base line is ascending with every copy of a key
+/// adjacent; the edits are ascending and unique. The base is copied in runs
+/// up to each edited key, every stored copy of that key is dropped, and an
+/// upsert takes its place.
+fn fold_line<'a, T: Clone + 'a>(
+    base_keys: &[Index],
+    base_values: &[T],
+    edits: impl Iterator<Item = (Index, &'a OverlayOp<T>)>,
+    keys: &mut Vec<Index>,
+    values: &mut Vec<T>,
+) {
+    let mut at = 0usize;
+    for (key, op) in edits {
+        let upto = at + base_keys[at..].partition_point(|&k| k < key);
+        keys.extend_from_slice(&base_keys[at..upto]);
+        values.extend_from_slice(&base_values[at..upto]);
+        at = upto + base_keys[upto..].partition_point(|&k| k == key);
+        if let OverlayOp::Upsert(w) = op {
+            keys.push(key);
+            values.push(w.clone());
+        }
+    }
+    keys.extend_from_slice(&base_keys[at..]);
+    values.extend_from_slice(&base_values[at..]);
+}
+
 /// Generalized SpMV over `base ⊕ overlay`, writing into a caller-provided
 /// output vector — the overlay-aware twin of [`crate::spmv::gspmv_into`].
 ///
@@ -515,7 +676,7 @@ where
 /// pairs in exactly the order a rebuilt matrix would.
 #[inline(always)]
 pub(crate) fn walk_columns_overlay<X, E, Y, M>(
-    base: &crate::dcsc::Dcsc<E>,
+    base: &Dcsc<E>,
     overlay: &OverlayPartition<E>,
     x: &SparseVector<X>,
     multiply: &M,

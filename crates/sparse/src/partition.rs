@@ -141,7 +141,7 @@ impl RowPartitioner {
 /// One row partition of a matrix: a row range plus the DCSC holding exactly
 /// the entries whose row falls in that range. Row indices inside the DCSC are
 /// *global* (not rebased), so SpMV output indices need no translation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Partition<T> {
     /// The rows this partition owns.
     pub rows: RowRange,
@@ -157,7 +157,7 @@ impl<T> Partition<T> {
 }
 
 /// A sparse matrix split into 1-D row partitions, each an independent DCSC.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PartitionedDcsc<T> {
     nrows: Index,
     ncols: Index,
@@ -306,6 +306,20 @@ impl<T: Clone> PartitionedDcsc<T> {
 }
 
 impl<T> PartitionedDcsc<T> {
+    /// A matrix of `nrows × ncols` from its partitions, whose ranges cover
+    /// the rows contiguously.
+    pub(crate) fn from_partitions(
+        nrows: Index,
+        ncols: Index,
+        partitions: Vec<Partition<T>>,
+    ) -> Self {
+        PartitionedDcsc {
+            nrows,
+            ncols,
+            partitions,
+        }
+    }
+
     /// Number of rows of the whole matrix.
     pub fn nrows(&self) -> Index {
         self.nrows

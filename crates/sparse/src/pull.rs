@@ -20,9 +20,10 @@
 //! fully redundant with the DCSC it shadows, costing roughly the same memory
 //! again ([`CsrMirror::bytes`]). A graph keeps one per orientation it holds,
 //! or none at all (`build_pull_mirrors = false`, every superstep pushes).
-//! A mirror is rebuilt only when its base is (compaction); edits pending in
-//! between are merged into the pull row by row from the overlay's row-major
-//! side ([`crate::overlay::gspmv_overlay_pull_into`]).
+//! Pending edits are merged into the pull row by row from the overlay's
+//! row-major side ([`crate::overlay::gspmv_overlay_pull_into`]), and
+//! compaction folds them into a new mirror the same way, partition by
+//! partition ([`crate::overlay::fold_into_mirror`]).
 
 use crate::partition::{PartitionedDcsc, RowBuckets, RowRange};
 use crate::{ix, Index};
@@ -30,7 +31,7 @@ use crate::{ix, Index};
 /// One row partition of a [`CsrMirror`]: the partition's row range plus a
 /// compact CSR over exactly those rows. `row_ptr` is indexed by
 /// `row - rows.start` (local), `col_idx` holds global column ids.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PullPartition<T> {
     /// The rows this partition owns (same range as the mirrored DCSC
     /// partition).
@@ -41,6 +42,24 @@ pub struct PullPartition<T> {
 }
 
 impl<T> PullPartition<T> {
+    /// The partition of `rows` from its CSR arrays (`row_ptr` local, one
+    /// entry per row plus one; column ids global).
+    pub(crate) fn from_parts(
+        rows: RowRange,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<Index>,
+        values: Vec<T>,
+    ) -> Self {
+        debug_assert!(row_ptr.len() == rows.len() + 1 && row_ptr.last() == Some(&col_idx.len()));
+        debug_assert_eq!(col_idx.len(), values.len());
+        PullPartition {
+            rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
     /// Number of stored entries in this partition.
     pub fn nnz(&self) -> usize {
         self.col_idx.len()
@@ -76,7 +95,7 @@ impl<T> PullPartition<T> {
 /// as the [`PartitionedDcsc`] it was built from (which a push matrix built
 /// alongside may merge). This is what the pull kernel
 /// ([`crate::spmv::gspmv_csr_pull_into`]) traverses.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsrMirror<T> {
     nrows: Index,
     ncols: Index,
@@ -162,6 +181,20 @@ impl<T: Clone> CsrMirror<T> {
 }
 
 impl<T> CsrMirror<T> {
+    /// A mirror of `nrows × ncols` from its partitions, whose ranges cover
+    /// the rows contiguously.
+    pub(crate) fn from_partitions(
+        nrows: Index,
+        ncols: Index,
+        partitions: Vec<PullPartition<T>>,
+    ) -> Self {
+        CsrMirror {
+            nrows,
+            ncols,
+            partitions,
+        }
+    }
+
     /// Number of rows of the whole matrix.
     pub fn nrows(&self) -> Index {
         self.nrows

@@ -560,6 +560,7 @@ where
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::partition::RowBuckets;
 
     /// Ordinary `(+, ×)` arithmetic over `f64`.
     fn plus_times(
@@ -1130,6 +1131,10 @@ mod tests {
         overlay: Overlay<f32>,
         merged: PartitionedDcsc<f32>,
         merged_overlay: Overlay<f32>,
+        /// The edited entries bucketed by the base's ranges, and how many
+        /// runs of them the merged layout has.
+        rebuilt_buckets: RowBuckets<f32>,
+        groups: usize,
         rebuilt: PartitionedDcsc<f32>,
     }
 
@@ -1148,7 +1153,7 @@ mod tests {
         rng: &mut SplitMix,
     ) -> Edited {
         use crate::overlay::OverlayOp::{Delete, Upsert};
-        use crate::partition::{RowBuckets, RowPartitioner};
+        use crate::partition::RowPartitioner;
         let n = coo.nrows();
         let counts = coo.row_counts();
         let ranges = if balanced {
@@ -1242,7 +1247,7 @@ mod tests {
                 Delete => None,
             }))
             .collect();
-        let rebuilt = PartitionedDcsc::from_coo(&Coo::from_entries(n, n, rebuilt), &ranges);
+        let rebuilt_buckets = RowBuckets::new(&Coo::from_entries(n, n, rebuilt), &ranges);
         let ops: Vec<_> = ops.into_iter().map(|((r, c), op)| (r, c, op)).collect();
         let groups = ranges.len().div_ceil(run);
         let coarse = RowPartitioner::coarsen(&ranges, groups);
@@ -1251,7 +1256,9 @@ mod tests {
             merged_overlay: Overlay::from_entries(n, n, &coarse, ops.clone()),
             base,
             overlay: Overlay::from_entries(n, n, &ranges, ops),
-            rebuilt,
+            rebuilt: rebuilt_buckets.matrix(ranges.len()),
+            rebuilt_buckets,
+            groups,
         }
     }
 
@@ -1277,6 +1284,7 @@ mod tests {
             merged,
             merged_overlay,
             rebuilt,
+            ..
         } = edited;
         let n = base.nrows();
         let mirror = CsrMirror::from_partitioned(base);
@@ -1375,6 +1383,45 @@ mod tests {
         let partitions = [(5, false), (5, true), (16, false), (16, true)];
         for run in [3, 8] {
             assert_edited_kernels_agree_over(&partitions, run);
+        }
+    }
+
+    /// Compaction's fold: the overlay of [`salted_edits`] folded into its
+    /// base — the fine push partitions, the push merged in runs of 3 and 8,
+    /// and the fine mirror under either overlay — is byte for byte what a
+    /// build of the edited entries over the same ranges stores. (No salted
+    /// value is zero or NaN, so `==` on the values is equality of bits.)
+    /// Keeping one copy of the coordinate stored twice and upserted fails it.
+    #[test]
+    fn a_folded_overlay_is_the_build_of_the_edited_entries() {
+        use crate::overlay::{fold_into_matrix, fold_into_mirror};
+        let partitions = [(1, false), (5, false), (5, true), (16, false), (16, true)];
+        for seed in [1u64, 2] {
+            for (shape, n) in [("rmat", 2500u32), ("grid", 2504)] {
+                let rng = &mut SplitMix(seed);
+                let coo = salted_matrix(shape, n, rng);
+                for (&(parts, balanced), run) in partitions.iter().flat_map(|p| [(p, 3), (p, 8)]) {
+                    let edited = salted_edits(&coo, parts, balanced, run, rng);
+                    let case = format!(
+                        "seed {seed}, {shape}, {parts} partitions (balanced: {balanced}), \
+                         runs of {run}"
+                    );
+                    let want = &edited.rebuilt_buckets;
+                    let fine = fold_into_matrix(&edited.base, &edited.overlay);
+                    assert!(fine == edited.rebuilt, "fine push, {case}");
+                    let merged = fold_into_matrix(&edited.merged, &edited.merged_overlay);
+                    assert!(merged == want.matrix(edited.groups), "merged push, {case}");
+                    let mirror = CsrMirror::from_partitioned(&edited.base);
+                    let want_mirror = CsrMirror::from_buckets(want);
+                    for (layout, overlay) in [
+                        ("fine", &edited.overlay),
+                        ("merged", &edited.merged_overlay),
+                    ] {
+                        let folded = fold_into_mirror(&mirror, overlay);
+                        assert!(folded == want_mirror, "mirror, {layout} overlay, {case}");
+                    }
+                }
+            }
         }
     }
 

@@ -211,7 +211,7 @@ fn search<'a>(session: &Session, view: impl Into<GraphView<'a, ()>>, root: Verte
 /// second priced by what the first gathered — the masked pull changes no
 /// distance: `Auto` ≡ forced push ≡ forced pull ≡ the queue reference, on
 /// every lane and partition count, over a bare topology, over pending edits
-/// and over the topology a compaction rebuilds from them; and the edited
+/// and over the topology a compaction folds them into; and the edited
 /// snapshot takes its rebuild's trajectory, pull for pull.
 #[test]
 fn masked_pull_bfs_matches_the_reference_under_every_backend() {

@@ -211,7 +211,7 @@ fn one_driver_serves_every_way_of_holding_a_graph() {
     assert!(store.compact_now());
     let rebuilt = store.snapshot();
     assert!(rebuilt.overlay().is_none());
-    // Compaction rebuilt Gᵀ alone; the In/Both drivers derive the new G.
+    // Compaction folded into Gᵀ alone; the In/Both drivers derive the new G.
     let out_only = rebuilt.base().matrix_bytes();
     for ((name, run), overlaid) in drivers().zip(overlaid) {
         let rebuilt = run(&session, Graph::Shared(rebuilt.base()));

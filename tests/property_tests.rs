@@ -9,6 +9,7 @@
 
 use graphmat::baselines::native;
 use graphmat::prelude::*;
+use graphmat::sparse::partition::RowRange;
 use graphmat_io::rng::StdRng;
 
 const CASES: u64 = 24;
@@ -319,6 +320,175 @@ fn streaming_overlay_matches_rebuild_from_final_edge_list() {
             connected_components_on(&session, &rebuilt).unwrap().values,
             "case {case} components"
         );
+    }
+}
+
+/// An RMAT-9 or 24² grid graph salted with what the generators leave out:
+/// an isolated vertex, a max-id vertex reachable only through the salt,
+/// self-loops, and a second copy (another weight) of every seventh edge.
+fn salted_graph(shape: &str, seed: u64) -> EdgeList {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let el = match shape {
+        "rmat" => graphmat_io::rmat::generate(&RmatConfig::graph500(9).with_seed(seed)),
+        _ => graphmat_io::grid::generate(&GridConfig::square(24).with_seed(seed)),
+    };
+    let n = el.num_vertices();
+    let max_id = n + 1; // n itself stays isolated
+    let mut tuples = el.into_tuples();
+    let copies: Vec<_> = tuples.iter().step_by(7).copied().collect();
+    tuples.extend(copies.into_iter().map(|(s, d, w)| (s, d, w + 100.0)));
+    tuples.extend([(max_id, max_id, 1.0), (rng.gen_range(0..n), max_id, 2.0)]);
+    tuples.push((max_id, rng.gen_range(0..n), 3.0));
+    for _ in 0..4 {
+        let v = rng.gen_range(0..n);
+        tuples.push((v, v, 4.0));
+    }
+    EdgeList::from_tuples(n + 2, tuples)
+}
+
+/// How a base is built: an automatic count on 2 lanes (RMAT pushes through 2
+/// partitions and pulls through 16), an explicit count, no pull mirror.
+const LAYOUTS: [&str; 3] = ["automatic", "explicit", "mirror-less"];
+
+fn build_with<E: Clone>(
+    session: &Session,
+    edges: &EdgeList<E>,
+    layout: &str,
+) -> std::sync::Arc<Topology<E>> {
+    let builder = session.build_graph(edges);
+    let builder = match layout {
+        "automatic" => builder,
+        "explicit" => builder.partitions(5),
+        _ => builder.pull_enabled(false),
+    };
+    builder.finish().unwrap()
+}
+
+/// A topology's push count and the ranges its kernels run over: push, pull
+/// mirror (none without one) and `G`'s.
+fn layout_of<E>(t: &Topology<E>) -> (usize, [Vec<RowRange>; 3]) {
+    let mirror = t.out_pull_mirror().map_or(Vec::new(), |m| {
+        m.partitions().iter().map(|p| p.rows).collect()
+    });
+    let in_ranges = t.in_partition_ranges().unwrap();
+    (
+        t.num_partitions(),
+        [t.out_partition_ranges(), mirror, in_ranges],
+    )
+}
+
+#[test]
+fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
+    // A seeded schedule of batches and compactions over every layout: after
+    // each compaction the base keeps the layout it started with, its
+    // degrees and edge count are the overlaid view's, and its stored copies
+    // and PageRank / BFS / SSSP answers are a rebuild's from the reference.
+    use std::collections::BTreeMap;
+    let session = Session::with_threads(2).unwrap();
+    let pr_cfg = PageRankConfig {
+        iterations: 6,
+        ..Default::default()
+    };
+    for (seed, shape) in [1u64, 2]
+        .into_iter()
+        .flat_map(|s| [(s, "rmat"), (s, "grid")])
+    {
+        let edges = salted_graph(shape, 12_000 + seed);
+        let n = edges.num_vertices();
+        for layout in LAYOUTS {
+            let ctx = format!("seed {seed}, {shape}, {layout}");
+            let mut rng = StdRng::seed_from_u64(13_000 + seed);
+            let base = build_with(&session, &edges, layout);
+            if (shape, layout) == ("rmat", "automatic") {
+                let mirror = base.out_pull_mirror().map(|m| m.n_partitions());
+                assert!(
+                    base.num_partitions() == 2 && mirror > Some(8),
+                    "{ctx}: {mirror:?}"
+                );
+            }
+            let layout_before = layout_of(&base);
+            let store = GraphStore::new(
+                base,
+                StoreOptions {
+                    compaction_threshold: usize::MAX,
+                    background: false,
+                    ..StoreOptions::default()
+                },
+            );
+            // Latest-wins per pair over every admitted op: `None` deletes.
+            let mut net: BTreeMap<(u32, u32), Option<f32>> = BTreeMap::new();
+            for round in 0..4 {
+                let ctx = format!("{ctx}, compaction {round}");
+                for _ in 0..rng.gen_range(1u32..3) {
+                    let stored = edges.edges();
+                    let mut batch = DeltaBatch::new(n);
+                    for i in 0..rng.gen_range(20u32..60) {
+                        let (s, d, _) = stored[rng.gen_range(0..stored.len())];
+                        // A stored pair (twice as often), a mostly absent
+                        // one, one into the max-id or the isolated vertex.
+                        let (s, d) = match i % 4 {
+                            0 | 1 => (s, d),
+                            2 => (s, rng.gen_range(0..n)),
+                            _ => (rng.gen_range(0..n), n - 1 - rng.gen_range(0u32..2)),
+                        };
+                        if i % 3 == 0 {
+                            batch.delete(s, d).unwrap();
+                            net.insert((s, d), None);
+                        } else {
+                            let w = rng.gen_range(1u32..10) as f32;
+                            batch.insert(s, d, w).unwrap();
+                            net.insert((s, d), Some(w));
+                        }
+                    }
+                    store.apply(batch).unwrap();
+                }
+                let overlaid = store.snapshot();
+                assert!(store.compact_now(), "{ctx}");
+                let snapshot = store.snapshot();
+                let compacted = snapshot.base();
+                assert!(snapshot.overlay().is_none(), "{ctx}");
+                assert_eq!(layout_of(compacted), layout_before, "{ctx}: layout");
+                let view = overlaid.view();
+                assert_eq!(compacted.out_degrees(), view.out_degrees(), "{ctx}");
+                assert_eq!(compacted.in_degrees(), view.in_degrees(), "{ctx}");
+                assert_eq!(compacted.num_edges(), view.num_edges(), "{ctx}");
+
+                let mut tuples: Vec<(u32, u32, f32)> = edges
+                    .edges()
+                    .iter()
+                    .filter(|(s, d, _)| !net.contains_key(&(*s, *d)))
+                    .copied()
+                    .collect();
+                tuples.extend(net.iter().filter_map(|(&(s, d), w)| w.map(|w| (s, d, w))));
+                let rebuilt = build_with(&session, &EdgeList::from_tuples(n, tuples), layout);
+                let probes = edges.edges().iter().map(|&(s, d, _)| (s, d));
+                for (s, d) in probes.chain(net.keys().copied()) {
+                    let (got, want) = (
+                        compacted.edge_multiplicity(s, d),
+                        rebuilt.edge_multiplicity(s, d),
+                    );
+                    assert_eq!(got, want, "{ctx}: copies of ({s}, {d})");
+                }
+
+                let root = rng.gen_range(0..n);
+                let pr = |t| pagerank_on(&session, t, &pr_cfg).unwrap().values;
+                let pr_bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    pr_bits(pr(compacted)),
+                    pr_bits(pr(&rebuilt)),
+                    "{ctx}: pagerank"
+                );
+                let bfs = |t| bfs_on(&session, t, root).unwrap().values;
+                assert_eq!(bfs(compacted), bfs(&rebuilt), "{ctx}: bfs from {root}");
+                let sssp = |t| sssp_on(&session, t, root).unwrap().values;
+                let sssp_bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    sssp_bits(sssp(compacted)),
+                    sssp_bits(sssp(&rebuilt)),
+                    "{ctx}: sssp from {root}"
+                );
+            }
+        }
     }
 }
 

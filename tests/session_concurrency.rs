@@ -303,7 +303,7 @@ fn first_in_edge_runs_over_pending_edits_race_to_one_derived_overlay() {
             .values
     };
 
-    // The reference: the same edits, compacted into a rebuilt base.
+    // The reference: the same edits, compacted into a new base.
     let compacted = manual_store();
     compacted.apply(batch.clone()).unwrap();
     assert!(compacted.compact_now());

@@ -419,6 +419,38 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         large.allocs
     );
 
+    // ---- Part 1h: compaction merges the edits in, it does not rebuild. ----
+    // With ~3 % of the edges edited, folding the overlay into the base
+    // allocates the new base's matrices (at the merge's upper-bound
+    // capacities) and its two degree arrays. A rebuild materialized an edge
+    // list, a transposed COO and sorted buckets besides: ≥ 36 bytes per edge.
+    let nb = big.num_vertices();
+    let mut edits = DeltaBatch::new(nb);
+    for (i, &(src, dst, _)) in big.edges().iter().step_by(33).enumerate() {
+        let edit = match i % 3 {
+            0 => edits.delete(src, dst),
+            1 => edits.insert(src, dst, 0.25),
+            _ => edits.insert(dst, (src + 1) % nb, 4.0),
+        };
+        if let Err(e) = edit {
+            panic!("edit {i}: {e}");
+        }
+    }
+    match fresh.apply(edits) {
+        Ok(snapshot) => assert!(snapshot.delta_len() > big.num_edges() / 40),
+        Err(e) => panic!("apply ~3 % edits: {e}"),
+    }
+    let (compacted, stats) = AllocGuard::measure(|| fresh.compact_now());
+    assert!(compacted, "nothing was compacted");
+    let folded = fresh.snapshot().base().clone();
+    let bound = 1.1 * (folded.matrix_bytes() + folded.pull_bytes()) as f64 + 8.0 * nb as f64;
+    assert!(
+        (stats.bytes as f64) <= bound,
+        "compacting {} edges allocated {} bytes, bound {bound:.0}",
+        folded.num_edges(),
+        stats.bytes
+    );
+
     // ---- Part 2: steady-state server rounds, in-process. ----
     let service = GraphService::new(session, topo);
     let mut states = WorkerStates::for_topology(service.topology());

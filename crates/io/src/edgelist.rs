@@ -177,12 +177,6 @@ impl<E> EdgeList<E> {
         self.edges.retain(|&(s, d, _)| s != d);
     }
 
-    /// Remove duplicate `(src, dst)` pairs, keeping the first weight.
-    pub fn dedup(&mut self) {
-        self.edges.sort_by_key(|&(s, d, _)| (s, d));
-        self.edges.dedup_by_key(|&mut (s, d, _)| (s, d));
-    }
-
     /// Replace every edge value using `f(src, dst, &weight)`.
     pub fn map_weights(&mut self, mut f: impl FnMut(Index, Index, &E) -> E) {
         for (s, d, w) in &mut self.edges {
@@ -239,6 +233,21 @@ impl<E> EdgeList<E> {
 }
 
 impl<E: Clone> EdgeList<E> {
+    /// Remove duplicate `(src, dst)` pairs, keeping the first weight.
+    ///
+    /// The edges come out sorted by `(src, dst)`. Vertex ids are dense, so
+    /// this is a stable counting sort, by `dst` and then by `src`, in
+    /// O(n + m) and without a comparison; because it is stable, the edge
+    /// kept of each run of equal pairs is the first in the original order.
+    pub fn dedup(&mut self) {
+        let n = self.num_vertices as usize;
+        // any initialised buffer of length m: the scatter overwrites it all
+        let mut by_dst = self.edges.clone();
+        counting_sort_into(&self.edges, &mut by_dst, n, |&(_, d, _)| d);
+        counting_sort_into(&by_dst, &mut self.edges, n, |&(s, _, _)| s);
+        self.edges.dedup_by_key(|&mut (s, d, _)| (s, d));
+    }
+
     /// Return a symmetrized copy (both directions of every edge, each keeping
     /// the original edge value), as the paper does for BFS and as the first
     /// step of triangle counting.
@@ -311,6 +320,23 @@ impl EdgeList<()> {
     }
 }
 
+/// Stable counting sort: writes `src` into `dst` (of the same length) in
+/// ascending `key` order, where every key is below `n`.
+fn counting_sort_into<T: Clone>(src: &[T], dst: &mut [T], n: usize, key: impl Fn(&T) -> Index) {
+    let mut next = vec![0usize; n + 1];
+    for e in src {
+        next[key(e) as usize + 1] += 1;
+    }
+    for k in 1..=n {
+        next[k] += next[k - 1];
+    }
+    for e in src {
+        let slot = &mut next[key(e) as usize];
+        dst[*slot] = e.clone();
+        *slot += 1;
+    }
+}
+
 /// Summary statistics of an [`EdgeList`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdgeListStats {
@@ -375,6 +401,81 @@ mod tests {
         // kept the first weight for (0,1)
         assert!(el.edges().contains(&(0, 1, 1.0)));
         assert!(!el.edges().contains(&(0, 1, 4.0)));
+    }
+
+    /// The comparison sort `dedup` used to run, kept as its oracle: a stable
+    /// sort by `(src, dst)`, then the first edge of every run of equal pairs.
+    fn dedup_oracle<E: Clone>(mut edges: Vec<(Index, Index, E)>) -> Vec<(Index, Index, E)> {
+        edges.sort_by_key(|&(s, d, _)| (s, d));
+        edges.dedup_by_key(|&mut (s, d, _)| (s, d));
+        edges
+    }
+
+    fn symmetrized_oracle<E: Clone>(edges: &[(Index, Index, E)]) -> Vec<(Index, Index, E)> {
+        let mut both = Vec::new();
+        for (s, d, w) in edges {
+            both.push((*s, *d, w.clone()));
+            if s != d {
+                both.push((*d, *s, w.clone()));
+            }
+        }
+        dedup_oracle(both)
+    }
+
+    /// `m` seeded edges over `n` vertices, edge `i` carrying `value(i)`:
+    /// a quarter repeat an earlier pair (a parallel edge with a distinct
+    /// value), a quarter are self-loops, a quarter touch vertex 0 or
+    /// `n − 1`, the rest are uniform.
+    fn seeded_edges<E>(
+        n: Index,
+        m: usize,
+        seed: u64,
+        value: impl Fn(usize) -> E,
+    ) -> Vec<(Index, Index, E)> {
+        let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+        let mut edges: Vec<(Index, Index, E)> = Vec::with_capacity(m);
+        for i in 0..m {
+            let v = rng.gen_range(0..n);
+            let (s, d) = match i % 4 {
+                0 if i > 0 => {
+                    let (s, d, _) = edges[rng.gen_range(0..i)];
+                    (s, d)
+                }
+                1 => (v, v),
+                2 if i % 8 == 2 => (0, v),
+                2 => (v, n - 1),
+                _ => (v, rng.gen_range(0..n)),
+            };
+            edges.push((s, d, value(i)));
+        }
+        edges
+    }
+
+    fn agrees_with_the_comparison_sort<E: Clone + PartialEq + std::fmt::Debug>(
+        value: impl Fn(usize) -> E,
+    ) {
+        let cases = [(1, 0), (1, 9), (5, 0), (2, 40), (17, 300), (1000, 5000)];
+        for (seed, (n, m)) in (1..).zip(cases) {
+            let edges = seeded_edges(n, m, seed, &value);
+            let el = EdgeList::from_tuples(n, edges.clone());
+            let mut deduped = el.clone();
+            deduped.dedup();
+            assert_eq!(deduped.edges(), dedup_oracle(edges.clone()), "n {n} m {m}");
+            if m >= 40 {
+                assert!(deduped.num_edges() < m, "no parallel pair in the input");
+            }
+            let sym = symmetrized_oracle(&edges);
+            assert_eq!(el.symmetrized().edges(), sym, "n {n} m {m}");
+            let dag: Vec<_> = sym.into_iter().filter(|&(s, d, _)| d > s).collect();
+            assert_eq!(el.to_dag().edges(), dag, "n {n} m {m}");
+        }
+    }
+
+    #[test]
+    fn dedup_symmetrized_and_dag_agree_with_the_comparison_sort() {
+        agrees_with_the_comparison_sort(|i| i as f32);
+        agrees_with_the_comparison_sort(|_| ());
+        agrees_with_the_comparison_sort(|i| (i % 251) as u8);
     }
 
     #[test]

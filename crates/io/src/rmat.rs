@@ -12,6 +12,23 @@
 //! with probabilities `A`, `B`, `C`, `D = 1 − A − B − C` until a single cell
 //! is reached. Skewed parameters produce the heavy-tailed degree
 //! distributions of social graphs, which is what stresses load balancing.
+//!
+//! # The random stream is a contract
+//!
+//! A dataset is "the graph this seed produces" ([`crate::rng`]), so the order
+//! in which [`generate`] reads its one [`StdRng`] is fixed, and pinned by
+//! `tests/generator_pins.rs`. Edges are drawn one after another; for each:
+//!
+//! * per level, top bit first: with noise, 5 `f64` draws (the quadrant draw
+//!   `r`, then the jitters of `A`, `B`, `C` and `D` in that order); without
+//!   noise, 1 (`r` only);
+//! * then, only if the edge is kept (not a self-loop) and the weight range
+//!   holds more than one value, the weight: a Lemire rejection draw of one or
+//!   more `u64`s.
+//!
+//! Within a level, `r` is compared with `A`, `A + B` and `(A + B) + C` in
+//! exactly these float expressions; every edge therefore depends on the
+//! rounding of each, and a rewrite must keep them.
 
 use crate::edgelist::EdgeList;
 use crate::rng::StdRng;
@@ -126,6 +143,12 @@ pub fn generate(config: &RmatConfig) -> EdgeList {
         "scale out of range"
     );
     assert!(
+        [config.a, config.b, config.c]
+            .iter()
+            .all(|p| p.is_finite() && *p >= 0.0),
+        "quadrant probabilities must be finite and non-negative"
+    );
+    assert!(
         config.a + config.b + config.c <= 1.0 + 1e-9,
         "quadrant probabilities must sum to at most 1"
     );
@@ -156,20 +179,17 @@ fn sample_edge(config: &RmatConfig, rng: &mut StdRng) -> (Index, Index) {
     let mut col = 0u32;
     let (mut a, mut b, mut c) = (config.a, config.b, config.c);
     for level in 0..config.scale {
-        let d = (1.0 - a - b - c).max(0.0);
         let r: f64 = rng.gen();
         let bit = 1u32 << (config.scale - 1 - level);
-        if r < a {
-            // top-left: neither bit set
-        } else if r < a + b {
-            col |= bit;
-        } else if r < a + b + c {
-            row |= bit;
-        } else {
-            let _ = d;
-            row |= bit;
-            col |= bit;
-        }
+        // The quadrant without a branch (one per level would mispredict at
+        // P(A) = 0.57): the thresholds ascend because `a, b, c ≥ 0`, so
+        // `r ≥ a + b` means a bottom quadrant (row bit), and `r` in
+        // `[a, a + b)` or from `a + b + c` on a right one (column bit).
+        let ge_a = r >= a;
+        let ge_ab = r >= a + b;
+        let ge_abc = r >= a + b + c;
+        row |= bit * u32::from(ge_ab);
+        col |= bit * u32::from((ge_a & !ge_ab) | ge_abc);
         if config.noise {
             // Graph500-style noise: jitter each probability by up to ±5% and
             // renormalise, keeping determinism through the shared RNG.
@@ -282,6 +302,19 @@ mod tests {
         let cfg = RmatConfig {
             a: 0.8,
             b: 0.3,
+            c: 0.3,
+            ..Default::default()
+        };
+        let _ = generate(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_probability_panics() {
+        // sums to 0.8, so only the sign check can reject it
+        let cfg = RmatConfig {
+            a: 0.8,
+            b: -0.3,
             c: 0.3,
             ..Default::default()
         };

@@ -14,16 +14,17 @@
 //!   lifetime. In-flight queries keep the snapshot they started with —
 //!   nothing a writer does can change, move, or free data a reader is
 //!   traversing.
-//! * [`GraphStore::apply`] admits one [`DeltaBatch`]: it resolves the
-//!   pending set with the batch (latest-wins per pair), compiles that into a
-//!   fresh [`DeltaOverlay`] against the *unchanged* base
-//!   ([`Topology::compile_overlay`]), and publishes a new snapshot (same
-//!   base `Arc`, new overlay, version + 1). Queries started after the swap
-//!   see the batch; queries started before do not. Writers serialize on an
-//!   internal mutex; readers never take it.
-//! * The store holds the graph **once**: the writer keeps only the pending
-//!   set, one op per edited pair, and asks the published [`Topology`] —
-//!   the only copy of the edges — whatever a write needs to know of the base.
+//! * [`GraphStore::apply`] admits one [`DeltaBatch`]: it resolves the batch
+//!   alone (latest-wins per pair), merges it into the published overlay
+//!   against the *unchanged* base ([`Topology::compile_overlay`]), and
+//!   publishes a new snapshot (same base `Arc`, new overlay, version + 1).
+//!   Queries started after the swap see the batch; queries started before
+//!   do not. Writers serialize on an internal mutex; readers never take it.
+//! * The store holds the graph **once**, and the pending set once: the
+//!   published overlay *is* the pending set, one op per edited pair,
+//!   compiled against the published base. A write asks the published
+//!   [`Topology`] — the only copy of the edges — about the batch's pairs
+//!   only, and costs the batch plus one linear merge of what is pending.
 //! * The snapshot **version** counts admitted batches. Compaction changes
 //!   the representation, not the content, so it republishes under the
 //!   *same* version: two snapshots with equal versions answer every query
@@ -32,14 +33,14 @@
 //! # Compaction
 //!
 //! Pending deltas cost the merged overlay walk, pushed or pulled (see
-//! [`crate::view::GraphView`]), and every `apply` recompiles the whole
-//! pending set. When the log exceeds
+//! [`crate::view::GraphView`]), and every `apply` copies the pending set
+//! once as it merges its batch in. When the published overlay reaches
 //! [`StoreOptions::compaction_threshold`] effective ops, the store folds the
 //! published overlay into the published base ([`Topology::with_overlay`])
 //! and republishes with an empty overlay. The fold is a linear merge per
 //! partition — each push partition of `Gᵀ` with its overlay partition,
 //! column by column, and each mirror partition with the overlay's edited
-//! rows — so nothing is re-sorted and no edge list is materialized. The new
+//! rows — so nothing is re-sorted and no edge list is built. The new
 //! base keeps the old one's build options and row ranges: it is **not**
 //! re-balanced to the edited degrees, which is safe because no answer
 //! depends on the partitioning. Its `G` is derived on the first `In`/`Both`
@@ -60,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::thread::JoinHandle;
 
-use graphmat_delta::{DeltaBatch, DeltaLog, DeltaOverlay};
+use graphmat_delta::{DeltaBatch, DeltaOverlay};
 use graphmat_sparse::Index;
 
 use crate::error::{GraphMatError, Result};
@@ -73,14 +74,15 @@ pub const DEFAULT_COMPACTION_THRESHOLD: usize = 4096;
 
 /// Lock a store mutex, shrugging off poisoning. Safe for every mutex in the
 /// store: the signal holds two independent flags, the worker slot a single
-/// `Option`, and the writer's log is only ever mutated at the *commit
-/// point* of `apply`/`compact_locked` — everything fallible (overlay
+/// `Option`, and the writer mutex guards no data at all — it only
+/// serializes writers, whose one mutation is the publish at the *commit
+/// point* of `apply`/`compact_locked`. Everything fallible (overlay
 /// compilation, the compaction fold) runs first, against immutable reads of
-/// the log and the published base. A panic mid-`apply` therefore leaves the
-/// log exactly as it was: the failed batch is gone without trace
-/// (exactly-once publication, never torn state), and the next writer
-/// proceeds as if the panicked one had never arrived. The store must keep
-/// serving reads and accepting writes even if one writer thread panicked.
+/// the published snapshot. A panic mid-`apply` therefore leaves the store
+/// exactly as it was: the failed batch is gone without trace (exactly-once
+/// publication, never torn state), and the next writer proceeds as if the
+/// panicked one had never arrived. The store must keep serving reads and
+/// accepting writes even if one writer thread panicked.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(guard) => guard,
@@ -120,7 +122,7 @@ pub struct StoreOptions {
     /// overlay holds at least this many effective pending ops. This is the
     /// ingest-storm relief valve: when compaction cannot keep up, writes
     /// degrade (callers see a typed, retryable rejection) instead of the
-    /// overlay — and resolve cost, and memory — growing without bound.
+    /// overlay — and write cost, and memory — growing without bound.
     /// Reads are never affected. `usize::MAX` disables the watermark.
     pub overload_watermark: usize,
 }
@@ -203,7 +205,7 @@ pub struct StoreStats {
     /// Compactions performed since the store was created.
     pub compactions: u64,
     /// Compaction attempts that panicked (each one left the last published
-    /// snapshot serving and the pending log intact).
+    /// snapshot serving and the pending edits intact).
     pub compaction_failures: u64,
     /// Times the background compaction lane restarted after a failure
     /// (capped exponential backoff between restarts).
@@ -226,10 +228,10 @@ struct Signal {
 /// shuts the worker down and joins it.
 pub struct GraphStore<E> {
     published: RwLock<Arc<GraphSnapshot<E>>>,
-    /// The pending set (latest-wins resolution of every batch admitted since
-    /// the last compaction) and the lock writers serialize on. Readers never
-    /// touch it — they only clone the published `Arc`.
-    writer: Mutex<DeltaLog<E>>,
+    /// The lock writers serialize on, so each compiles against the snapshot
+    /// it then replaces. Readers never touch it — they only clone the
+    /// published `Arc`.
+    writer: Mutex<()>,
     options: StoreOptions,
     compactions: AtomicU64,
     compaction_failures: AtomicU64,
@@ -279,7 +281,7 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
             };
             GraphStore {
                 published: RwLock::new(snapshot),
-                writer: Mutex::new(DeltaLog::new()),
+                writer: Mutex::new(()),
                 options,
                 compactions: AtomicU64::new(0),
                 compaction_failures: AtomicU64::new(0),
@@ -308,15 +310,15 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
     /// [`GraphMatError::Overloaded`] when the published overlay sits at or
     /// past [`StoreOptions::overload_watermark`]. A failed `apply` — typed
     /// error or panic — publishes nothing and leaves no trace of the batch
-    /// in the log (exactly-once): all fallible work runs before the batch
-    /// is committed, and the commit itself is two infallible moves.
+    /// (exactly-once): all fallible work runs before the batch is committed,
+    /// and the commit itself is one infallible pointer swap.
     pub fn apply(&self, batch: DeltaBatch<E>) -> Result<Arc<GraphSnapshot<E>>> {
         if batch.is_empty() {
             return Err(GraphMatError::InvalidParameter(
                 "update batch contains no operations",
             ));
         }
-        let mut log = lock(&self.writer);
+        let writer = lock(&self.writer);
         let current = self.snapshot();
         if batch.num_vertices() != current.base.num_vertices() {
             return Err(GraphMatError::InvalidParameter(
@@ -334,16 +336,18 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
             return Err(GraphMatError::Internal("chaos failpoint store.apply.admit"));
         }
 
-        // Compile the candidate overlay WITHOUT touching the log: the log
-        // stays exactly as it was until the commit point below, so a typed
+        // Merge the batch into a candidate overlay, reading the published
+        // one: nothing changes until the commit point below, so a typed
         // error or a panic anywhere in here aborts the batch cleanly.
-        let resolved = log.resolve_with(&batch);
+        let edits = batch.into_resolved();
         if graphmat_chaos::fire("store.overlay.build").is_some() {
             return Err(GraphMatError::Internal(
                 "chaos failpoint store.overlay.build",
             ));
         }
-        let overlay = current.base.compile_overlay(&resolved);
+        let overlay = current
+            .base
+            .compile_overlay(current.overlay.as_deref(), &edits);
         let pending = overlay.len();
 
         let snapshot = Arc::new(GraphSnapshot {
@@ -357,22 +361,19 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
         });
 
         // Commit point. A `panic` action on this failpoint unwinds with the
-        // log still untouched — the poisoned-writer regression tests pin
-        // down that nothing of the batch survives. The log keeps the
-        // resolution, not the raw batch: rewriting a pair never moves the
-        // *effective* count both bounds compare, and must not grow the log.
+        // published snapshot untouched — the poisoned-writer regression
+        // tests pin down that nothing of the batch survives.
         let _ = graphmat_chaos::fire("store.apply.publish");
-        log.replace(resolved);
         self.publish(Arc::clone(&snapshot));
 
         if pending >= self.options.compaction_threshold {
             if self.options.background {
-                drop(log);
+                drop(writer);
                 let (signal, cvar) = &*self.signal;
                 lock(signal).pending = true;
                 cvar.notify_one();
             } else {
-                self.compact_locked(&mut log);
+                self.compact_locked(&writer);
             }
         }
         Ok(snapshot)
@@ -381,28 +382,27 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
     /// Synchronously fold the pending delta into a fresh base and republish
     /// with an empty overlay. Returns `true` if anything was compacted.
     pub fn compact_now(&self) -> bool {
-        self.compact_locked(&mut lock(&self.writer))
+        self.compact_locked(&lock(&self.writer))
     }
 
-    fn compact_locked(&self, log: &mut DeltaLog<E>) -> bool {
+    /// Compaction, under the writer lock `_writer` holds.
+    fn compact_locked(&self, _writer: &MutexGuard<'_, ()>) -> bool {
         let current = self.snapshot();
         let Some(overlay) = current.overlay.as_deref() else {
             // Nothing is pending, or every pending op deletes a pair the
             // base does not store: the base already is the edited graph.
-            log.clear();
             return false;
         };
         let _ = graphmat_chaos::fire("store.compact");
 
-        // The published overlay is the log compiled against the published
-        // base — both are only written under the lock held here — so it is
-        // what gets folded in. The fold, the panic-prone work, changes
-        // neither the published snapshot nor the log, so a failed
-        // compaction leaves both intact for a clean retry.
+        // The published overlay is the pending set compiled against the
+        // published base — both are only written under the lock held here —
+        // so it is what gets folded in. The fold, the panic-prone work,
+        // changes nothing published, so a failed compaction leaves the
+        // pending edits intact for a clean retry.
         let base = Arc::new(current.base.with_overlay(overlay));
 
-        // Commit point: an infallible clear and an atomic pointer swap.
-        log.clear();
+        // Commit point: an atomic pointer swap.
         // Same version: compaction changes the representation, not the graph.
         self.publish(Arc::new(GraphSnapshot {
             version: current.version,
@@ -503,13 +503,12 @@ fn compaction_worker<E: Clone + Send + Sync + 'static>(
                 // RECOVERY: a panicking compaction must not kill the lane.
                 // The last published snapshot keeps serving (compact_locked
                 // only publishes at its commit point, after all panic-prone
-                // work) and the pending log is intact, so the failure is
+                // work) and the pending edits are intact, so the failure is
                 // counted, the lane backs off exponentially (capped), and
                 // the same backlog is retried — a logical lane restart,
                 // surfaced as `compaction_restarts`, with no thread churn.
-                // No state is quarantined: the writer mutex guards data that
-                // is only mutated post-commit, so nothing the panic touched
-                // survives.
+                // No state is quarantined: the writer mutex guards no data,
+                // so nothing the panic touched survives.
                 let outcome = catch_unwind(AssertUnwindSafe(|| strong.compact_now()));
                 if outcome.is_err() {
                     strong.compaction_failures.fetch_add(1, Ordering::Relaxed);
@@ -747,8 +746,9 @@ mod tests {
     }
 
     /// Regression: both bounds compare *effective* pending ops, so a client
-    /// rewriting the same pair never reached either — while the log kept
-    /// every raw op, and every later resolve sorted all of them.
+    /// rewriting the same pair never reached either — while the writer's
+    /// log kept every raw op, and every later resolve sorted all of them.
+    /// The pending set is the published overlay: one op per pair.
     #[test]
     fn a_hot_pair_does_not_grow_the_log() {
         let store = inline_store(usize::MAX);
@@ -757,9 +757,9 @@ mod tests {
                 .apply(batch(vec![(0, 3, UpdateOp::Insert(i as f32))]))
                 .unwrap();
         }
-        assert_eq!(lock(&store.writer).len(), 1);
         let snap = store.snapshot();
         assert_eq!((snap.version(), snap.delta_len()), (1000, 1));
+        assert_eq!(snap.overlay().map(|o| o.out().nnz()), Some(1));
         assert!(store.compact_now());
         let edges = store.snapshot().base().to_edge_list();
         assert!(edges.edges().contains(&(0, 3, 999.0)));
@@ -787,6 +787,29 @@ mod tests {
         assert_eq!((snap.version(), store.compactions()), (2, 1));
         assert_eq!(snap.base().edge_multiplicity(3, 1), 1);
         assert_eq!(snap.num_edges(), 7);
+    }
+
+    /// A batch that undoes every pending op — deletes of the pairs the last
+    /// batch inserted, none of which the base stores — leaves no overlay.
+    #[test]
+    fn a_batch_cancelling_every_pending_op_publishes_no_overlay() {
+        let store = inline_store(usize::MAX);
+        let inserted = store
+            .apply(batch(vec![
+                (0, 3, UpdateOp::Insert(9.0)),
+                (1, 4, UpdateOp::Insert(2.0)),
+            ]))
+            .unwrap();
+        assert_eq!((inserted.delta_len(), inserted.num_edges()), (2, 8));
+        let cancelled = store
+            .apply(batch(vec![
+                (1, 4, UpdateOp::Delete),
+                (0, 3, UpdateOp::Delete),
+            ]))
+            .unwrap();
+        assert_eq!((cancelled.version(), cancelled.num_edges()), (2, 6));
+        assert!(cancelled.overlay().is_none());
+        assert!(!store.compact_now());
     }
 
     #[test]

@@ -265,11 +265,15 @@ impl<E: Clone> Topology<E> {
     }
 
     /// Compile resolved (latest-wins, pair-sorted) edits against this
-    /// topology: everything [`DeltaOverlay::compile`] asks about the base —
-    /// ranges, degrees, stored copies of an edited pair — is read from `self`.
+    /// topology, merged into `prev` — the overlay last compiled against it —
+    /// or, for `None`, on top of the base alone. Everything
+    /// [`DeltaOverlay::compile`] asks about the base — ranges, degrees,
+    /// stored copies of an edited pair ([`Topology::edge_multiplicity`], at
+    /// most once per edit) — is read from `self`.
     pub fn compile_overlay(
         &self,
-        resolved: &[(VertexId, VertexId, UpdateOp<E>)],
+        prev: Option<&DeltaOverlay<E>>,
+        edits: &[(VertexId, VertexId, UpdateOp<E>)],
     ) -> DeltaOverlay<E> {
         let out_ranges = self.out_partition_ranges();
         let in_ranges = self.in_partition_ranges();
@@ -281,7 +285,7 @@ impl<E: Clone> Topology<E> {
             out_degrees: &self.out_degrees,
             in_degrees: &self.in_degrees,
         };
-        DeltaOverlay::compile(&facts, |s, d| self.edge_multiplicity(s, d), resolved)
+        DeltaOverlay::compile(&facts, prev, |s, d| self.edge_multiplicity(s, d), edits)
     }
 
     /// This graph with `edits` — an overlay [`Topology::compile_overlay`]
@@ -732,7 +736,7 @@ mod tests {
             let fine = ranges_of(t.out_pull_mirror().unwrap());
             let in_degrees: Vec<usize> = t.in_degrees().iter().map(|&d| d as usize).collect();
             assert_eq!(fine, options.row_ranges(&in_degrees, 3));
-            let compacted = t.with_overlay(&t.compile_overlay(&resolved));
+            let compacted = t.with_overlay(&t.compile_overlay(None, &resolved));
             assert_eq!(compacted.num_partitions(), push);
             assert_eq!(compacted.out_partition_ranges(), t.out_partition_ranges());
             assert_eq!(ranges_of(compacted.out_pull_mirror().unwrap()), fine);
@@ -955,7 +959,7 @@ mod tests {
                 };
                 let index = PairIndex::from_edges(stored.edges());
                 let want = DeltaOverlay::build(&facts, &index, &resolved);
-                let got = t.compile_overlay(&resolved);
+                let got = t.compile_overlay(None, &resolved);
                 assert_eq!(got.out(), want.out(), "{label}");
                 assert_eq!(got.out_degrees(), want.out_degrees(), "{label}");
                 assert_eq!(got.in_degrees(), want.in_degrees(), "{label}");

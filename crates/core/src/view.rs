@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn empty_overlay_is_normalized_away() {
         let t = topo();
-        let ov = t.compile_overlay(&[]);
+        let ov = t.compile_overlay(None, &[]);
         assert!(ov.is_empty());
         let v = GraphView::new(&t, Some(&ov));
         assert!(!v.has_overlay());
@@ -195,7 +195,8 @@ mod tests {
     #[test]
     fn pending_overlay_reports_merged_structure() {
         let t = topo();
-        let ov = t.compile_overlay(&[(0, 1, UpdateOp::Delete), (3, 0, UpdateOp::Insert(5.0))]);
+        let edits = [(0, 1, UpdateOp::Delete), (3, 0, UpdateOp::Insert(5.0))];
+        let ov = t.compile_overlay(None, &edits);
         let v = GraphView::new(&t, Some(&ov));
         assert!(v.has_overlay());
         assert_eq!(v.num_edges(), 4); // -1 +1

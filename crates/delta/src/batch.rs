@@ -128,6 +128,29 @@ impl<E> DeltaBatch<E> {
     pub fn into_ops(self) -> Vec<(Index, Index, UpdateOp<E>)> {
         self.ops
     }
+
+    /// Consume the batch and return its latest-wins view: one op per
+    /// `(src, dst)` pair — the last one submitted — sorted by pair. What a
+    /// store compiles into its published overlay; O(B log B) in the batch.
+    pub fn into_resolved(self) -> Vec<(Index, Index, UpdateOp<E>)> {
+        latest_wins(self.ops)
+    }
+}
+
+/// One op per `(src, dst)` pair of `ops` — the last one — sorted by pair.
+pub(crate) fn latest_wins<E>(
+    mut ops: Vec<(Index, Index, UpdateOp<E>)>,
+) -> Vec<(Index, Index, UpdateOp<E>)> {
+    // Stable: a pair's ops stay in submission order, so its last is latest.
+    ops.sort_by_key(|&(s, d, _)| (s, d));
+    ops.dedup_by(|later, kept| {
+        let same = (later.0, later.1) == (kept.0, kept.1);
+        if same {
+            std::mem::swap(&mut later.2, &mut kept.2);
+        }
+        same
+    });
+    ops
 }
 
 #[cfg(test)]
@@ -164,6 +187,30 @@ mod tests {
             })
         );
         assert!(b.is_empty(), "rejected ops must not be recorded");
+    }
+
+    #[test]
+    fn a_resolved_batch_keeps_the_last_op_of_each_pair_sorted_by_pair() {
+        let b = DeltaBatch::from_ops(
+            4,
+            vec![
+                (2, 3, UpdateOp::Insert(1.0f32)),
+                (0, 1, UpdateOp::Insert(2.0)),
+                (2, 3, UpdateOp::Delete),
+                (0, 1, UpdateOp::Delete),
+                (2, 3, UpdateOp::Insert(3.0)),
+                (1, 0, UpdateOp::Delete),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            b.into_resolved(),
+            vec![
+                (0, 1, UpdateOp::Delete),
+                (1, 0, UpdateOp::Delete),
+                (2, 3, UpdateOp::Insert(3.0)),
+            ]
+        );
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //!
 //! * [`batch::DeltaBatch`] — one validated batch of edge insertions /
 //!   deletions, the unit a writer submits (and the unit the server's
-//!   `UPDATE` opcode carries over the wire);
-//! * [`log::DeltaLog`] — the operations admitted since the last compaction,
-//!   resolved **latest-wins per `(src, dst)` pair** when a snapshot is
-//!   published (the store keeps that resolution, one op per pair);
-//! * [`overlay::DeltaOverlay`] — the resolved log compiled against a base's
+//!   `UPDATE` opcode carries over the wire), resolved **latest-wins per
+//!   `(src, dst)` pair** on its own ([`batch::DeltaBatch::into_resolved`]);
+//! * [`log::DeltaLog`] — a history of batches, resolved in one piece: what
+//!   the store's batch-by-batch compilation must equal;
+//! * [`overlay::DeltaOverlay`] — resolved edits compiled against a base's
 //!   partitioning into kernel-ready [`graphmat_sparse::overlay::Overlay`]s
-//!   (the out-edge one per batch, the in-edge one derived when first
-//!   traversed) plus merged degree arrays and edge counts, so the engine
-//!   sees `(base ⊕ delta)` without rebuilding the matrices.
+//!   (the out-edge one per batch, merged into the previous one; the in-edge
+//!   one derived when first traversed) plus merged degree arrays and edge
+//!   counts, so the engine sees `(base ⊕ delta)` without rebuilding the
+//!   matrices.
 //!
 //! The crate deliberately knows nothing about vertex programs, snapshots or
 //! wire formats — `graphmat-core`'s `GraphStore` owns publication and

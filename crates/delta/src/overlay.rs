@@ -1,14 +1,18 @@
-//! [`DeltaOverlay`]: the resolved delta log compiled against a base
-//! topology's layout, ready for the overlay-aware SpMV.
+//! [`DeltaOverlay`]: resolved edits compiled against a base topology's
+//! layout, ready for the overlay-aware SpMV.
 //!
 //! A published `(base ⊕ delta)` snapshot needs more than the kernel
 //! [`Overlay`]s: the engine also reads per-vertex degrees (PageRank's
 //! rank/degree normalization, the backend selector's edge counts)
 //! and the total edge count. [`DeltaOverlay::compile`] computes all of it
-//! from three inputs — the base's structural facts ([`BaseFacts`]), a way to
-//! ask the base how many copies of a `(src, dst)` pair it stores, and the
-//! latest-wins resolution of the log — without touching the base matrices
+//! from four inputs — the base's structural facts ([`BaseFacts`]), a way to
+//! ask the base how many copies of a `(src, dst)` pair it stores, the
+//! overlay previously compiled against the same base (if any), and a
+//! latest-wins resolved batch of edits — without touching the base matrices
 //! (`graphmat-core`'s `Topology::compile_overlay` supplies the first two).
+//! The batch is merged into the previous overlay ([`Overlay::merged`]):
+//! degrees, edge count and ops change by the batch's pairs only, so a write
+//! costs what was written plus one linear copy of what is pending.
 //!
 //! Only the out-edge kernel overlay (aligned to `Gᵀ`) is compiled per batch.
 //! The in-edge one is derived on demand, like the base's `G`: the first
@@ -88,69 +92,102 @@ pub struct DeltaOverlay<E> {
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
     num_edges: usize,
-    n_ops: usize,
 }
 
 impl<E: Clone> DeltaOverlay<E> {
-    /// Compile resolved (latest-wins, pair-sorted) ops against a base.
-    /// `copies(src, dst)` is how many copies of that edge the base stores:
-    /// it tells a new edge from a reweight, and a delete of `m ≥ 1` stored
-    /// copies from one that changes nothing.
+    /// Compile resolved edits — latest-wins, one op per pair, sorted by pair
+    /// — against a base, on top of `prev`, the overlay last compiled against
+    /// the same base (`None`: on top of the base alone). The result is what
+    /// compiling the resolution of `prev`'s edits followed by `edits` would
+    /// give, at the cost of the batch plus one linear merge.
     ///
-    /// Deletes of pairs absent from the base are dropped (they change
-    /// nothing); an op on a pair the base stores `m > 1` times masks all
-    /// `m` copies, and the degree/edge accounting reflects that.
+    /// `copies(src, dst)` is how many copies of that edge the base stores. It
+    /// is asked at most once per edit, and never about a pair only `prev`
+    /// edits: a pair's copies before the edit are `prev`'s op there
+    /// (an upsert leaves one, a delete none) if it has one, else the base's.
+    ///
+    /// A delete of a pair the base does not store leaves no op (it changes
+    /// nothing, or undoes a pending insert); an op on a pair the base stores
+    /// `m > 1` times masks all `m` copies, and the degree/edge accounting
+    /// reflects that.
     pub fn compile(
         facts: &BaseFacts<'_>,
+        prev: Option<&DeltaOverlay<E>>,
         copies: impl Fn(Index, Index) -> usize,
-        resolved: &[(Index, Index, UpdateOp<E>)],
+        edits: &[(Index, Index, UpdateOp<E>)],
     ) -> Self {
+        debug_assert!(
+            edits
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "edits must be resolved: one op per pair, sorted by pair"
+        );
         let n = facts.num_vertices;
-        let mut out_degrees: Vec<u32> = facts.out_degrees.to_vec();
-        let mut in_degrees: Vec<u32> = facts.in_degrees.to_vec();
-        let mut num_edges = facts.num_edges as isize;
+        let empty;
+        let (pending, out_degrees, in_degrees, num_edges) = match prev {
+            Some(p) => (&p.out, &p.out_degrees[..], &p.in_degrees[..], p.num_edges),
+            None => {
+                empty = Overlay::empty(n, n, facts.out_ranges);
+                (&empty, facts.out_degrees, facts.in_degrees, facts.num_edges)
+            }
+        };
+        debug_assert_eq!(pending.ranges(), facts.out_ranges, "prev is another base's");
+        let (mut out_degrees, mut in_degrees) = (out_degrees.to_vec(), in_degrees.to_vec());
+        let mut num_edges = num_edges as isize;
 
-        let mut out_entries: Vec<(Index, Index, OverlayOp<E>)> = Vec::new();
-        let mut n_ops = 0usize;
-        for (s, d, op) in resolved {
-            let m = copies(*s, *d) as isize;
-            let (kernel_op, copies_after) = match op {
-                UpdateOp::Insert(w) => (OverlayOp::Upsert(w.clone()), 1isize),
-                UpdateOp::Delete => {
-                    if m == 0 {
-                        continue; // deleting an absent edge changes nothing
-                    }
-                    (OverlayOp::Delete, 0)
-                }
+        // Out matrix is Gᵀ (row = dst, col = src): pair order is its
+        // (col, row) order, the order the merge takes.
+        let entries: Vec<(Index, Index, OverlayOp<E>)> = edits
+            .iter()
+            .map(|(s, d, op)| {
+                let op = match op {
+                    UpdateOp::Insert(w) => OverlayOp::Upsert(w.clone()),
+                    UpdateOp::Delete => OverlayOp::Delete,
+                };
+                (*d, *s, op)
+            })
+            .collect();
+        let out = pending.merged(&entries, |&(d, s, ref op), held| {
+            let before = match held {
+                Some(OverlayOp::Upsert(_)) => 1,
+                Some(OverlayOp::Delete) => 0,
+                None => copies(s, d),
             };
-            let delta = copies_after - m;
-            out_degrees[*s as usize] = (out_degrees[*s as usize] as isize + delta) as u32;
-            in_degrees[*d as usize] = (in_degrees[*d as usize] as isize + delta) as u32;
+            // A delete takes the coordinate iff the base stores the pair: a
+            // held delete says it does, a held upsert is a reweight or an
+            // insert, which only the base tells apart.
+            let (after, take) = match (op, held) {
+                (OverlayOp::Upsert(_), _) => (1, true),
+                (OverlayOp::Delete, Some(OverlayOp::Delete)) => (0, true),
+                (OverlayOp::Delete, Some(OverlayOp::Upsert(_))) => (0, copies(s, d) > 0),
+                (OverlayOp::Delete, None) => (0, before > 0),
+            };
+            let delta = after as isize - before as isize;
+            out_degrees[s as usize] = (out_degrees[s as usize] as isize + delta) as u32;
+            in_degrees[d as usize] = (in_degrees[d as usize] as isize + delta) as u32;
             num_edges += delta;
-            n_ops += 1;
-            // Out matrix is Gᵀ (row = dst, col = src).
-            out_entries.push((*d, *s, kernel_op));
-        }
+            take
+        });
 
         DeltaOverlay {
-            out: Overlay::from_entries(n, n, facts.out_ranges, out_entries),
+            out,
             in_ranges: facts.in_ranges.map(<[RowRange]>::to_vec),
             in_: OnceLock::new(),
             out_degrees,
             in_degrees,
             num_edges: num_edges as usize,
-            n_ops,
         }
     }
 
-    /// [`DeltaOverlay::compile`] with the multiplicities read from a
-    /// [`PairIndex`]. **Benchmark-frozen**, like the index itself.
+    /// [`DeltaOverlay::compile`] on top of the base alone, with the
+    /// multiplicities read from a [`PairIndex`]. **Benchmark-frozen**, like
+    /// the index itself.
     pub fn build(
         facts: &BaseFacts<'_>,
         pair_index: &PairIndex,
         resolved: &[(Index, Index, UpdateOp<E>)],
     ) -> Self {
-        Self::compile(facts, |s, d| pair_index.count(s, d), resolved)
+        Self::compile(facts, None, |s, d| pair_index.count(s, d), resolved)
     }
 
     /// The kernel overlay for in-edge traversal (aligned to `G`), if the
@@ -186,12 +223,12 @@ impl<E> DeltaOverlay<E> {
 
     /// Number of effective pending ops (after dropping absent-pair deletes).
     pub fn len(&self) -> usize {
-        self.n_ops
+        self.out.nnz()
     }
 
     /// `true` if the overlay changes nothing.
     pub fn is_empty(&self) -> bool {
-        self.n_ops == 0
+        self.out.is_empty()
     }
 
     /// Approximate heap footprint in bytes; counts the in side once it has
@@ -327,6 +364,64 @@ mod tests {
         assert_eq!(ov.out_degrees()[0], 1);
         assert_eq!(ov.in_degrees()[1], 0);
         assert!(ov.in_overlay().is_none());
+    }
+
+    /// Each batch compiled on top of the last overlay equals the whole
+    /// history compiled on top of the base, and asks the base about its own
+    /// pairs only, each once.
+    #[test]
+    fn a_batch_on_top_of_prev_compiles_like_the_whole_history() {
+        use std::cell::RefCell;
+        let mut edges = base_edges();
+        edges.push((0, 1, 9.0)); // (0,1) stored twice
+        let idx = PairIndex::from_edges(&edges);
+        let out_deg = [3u32, 1, 1, 1, 1];
+        let in_deg = [1u32, 2, 2, 1, 1];
+        let r = ranges();
+        let f = BaseFacts {
+            num_edges: 7,
+            ..facts(&r, Some(&r), &out_deg, &in_deg)
+        };
+        let history: [Vec<(Index, Index, UpdateOp<f32>)>; 4] = [
+            vec![(0, 1, UpdateOp::Insert(5.0)), (3, 3, UpdateOp::Insert(1.0))],
+            vec![(0, 1, UpdateOp::Delete), (1, 2, UpdateOp::Insert(4.0))],
+            // Deletes of an absent pair the last batch inserted, and of one
+            // nothing ever touched: neither leaves an op.
+            vec![(3, 3, UpdateOp::Delete), (4, 4, UpdateOp::Delete)],
+            vec![(0, 1, UpdateOp::Insert(6.0)), (1, 2, UpdateOp::Delete)],
+        ];
+        let mut log = crate::DeltaLog::new();
+        let mut prev: Option<DeltaOverlay<f32>> = None;
+        for (i, batch) in history.iter().enumerate() {
+            log.append(crate::DeltaBatch::from_ops(5, batch.clone()).unwrap());
+            let asked = RefCell::new(Vec::new());
+            let copies = |s, d| {
+                asked.borrow_mut().push((s, d));
+                idx.count(s, d)
+            };
+            let chained = DeltaOverlay::compile(&f, prev.as_ref(), copies, batch);
+            let whole = DeltaOverlay::build(&f, &idx, &log.resolve());
+            assert_eq!(chained.out(), whole.out(), "batch {i}");
+            assert_eq!(chained.out_degrees(), whole.out_degrees(), "batch {i}");
+            assert_eq!(chained.in_degrees(), whole.in_degrees(), "batch {i}");
+            assert_eq!(chained.num_edges(), whole.num_edges(), "batch {i}");
+            assert_eq!(chained.len(), whole.len(), "batch {i}");
+            let mut asked = asked.into_inner();
+            asked.sort_unstable();
+            let times = asked.len();
+            asked.dedup();
+            assert_eq!(asked.len(), times, "batch {i}: a pair asked twice");
+            let pairs = batch.iter().map(|&(s, d, _)| (s, d));
+            assert!(
+                asked.iter().all(|p| pairs.clone().any(|q| q == *p)),
+                "batch {i}"
+            );
+            prev = Some(chained);
+        }
+        // (0,1) is one upsert; (1,2) a delete; (3,3) and (4,4) are gone.
+        let last = prev.unwrap();
+        assert_eq!((last.len(), last.out().n_upserts()), (2, 1));
+        assert_eq!(last.num_edges(), 5); // 7 − 2 + 1 − 1
     }
 
     #[test]

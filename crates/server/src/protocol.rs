@@ -455,7 +455,8 @@ impl Request {
                     )));
                 }
                 let mut edits = Vec::with_capacity(count);
-                for record in body[UPDATE_PREFIX_LEN..].chunks_exact(EDIT_RECORD_LEN) {
+                let records = body[UPDATE_PREFIX_LEN..].chunks_exact(EDIT_RECORD_LEN);
+                for (index, record) in records.enumerate() {
                     let insert = match record[0] {
                         0 => true,
                         1 => false,
@@ -470,11 +471,22 @@ impl Request {
                         arr.copy_from_slice(bytes);
                         u32::from_le_bytes(arr)
                     };
+                    let weight =
+                        f32::from_le_bytes([record[9], record[10], record[11], record[12]]);
+                    // A NaN weight would reach every kernel that folds it:
+                    // SSSP's `reduce` keeps a NaN it folded first against
+                    // every shorter path (no `<` is true against NaN). A
+                    // delete carries no weight, so its bytes are not checked.
+                    if insert && !weight.is_finite() {
+                        return Err(DecodeError::bad(format!(
+                            "UPDATE edit {index}: insert weight {weight} is not finite"
+                        )));
+                    }
                     edits.push(EdgeEdit {
                         insert,
                         src: le_u32(&record[1..5]),
                         dst: le_u32(&record[5..9]),
-                        weight: f32::from_le_bytes([record[9], record[10], record[11], record[12]]),
+                        weight,
                     });
                 }
                 Ok(Request::Update(UpdateRequest { edits }))

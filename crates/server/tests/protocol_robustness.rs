@@ -227,6 +227,47 @@ fn malformed_update_bodies_are_typed_errors_and_do_not_corrupt_the_snapshot() {
     server.shutdown();
 }
 
+/// A NaN or infinite insert weight is a typed error naming the record, and
+/// the batch carrying it publishes nothing; a delete's weight bytes are not
+/// read, so a NaN there is accepted.
+#[test]
+fn non_finite_insert_weights_are_rejected_by_record() {
+    let server = start_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for weight in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let edits = [EdgeEdit::insert(0, 1, 1.0), EdgeEdit::insert(1, 2, weight)];
+        let reply = client.update(&edits).unwrap();
+        assert_eq!(
+            reply.status,
+            Status::BadRequest,
+            "{weight}: {}",
+            reply.message
+        );
+        assert!(
+            reply.message.contains("edit 1"),
+            "{weight}: the message must name the record, got {:?}",
+            reply.message
+        );
+    }
+    let after = client
+        .run(&RunRequest::new(Algorithm::ConnectedComponents))
+        .unwrap();
+    assert_eq!(
+        after.snapshot_version, 0,
+        "a rejected batch moved the version"
+    );
+
+    let nan_delete = EdgeEdit {
+        weight: f32::NAN,
+        ..EdgeEdit::delete(0, 1)
+    };
+    let reply = client.update(&[nan_delete]).unwrap();
+    assert_eq!(reply.status, Status::Ok, "{}", reply.message);
+    assert_eq!(reply.snapshot_version, 1);
+    assert_connection_alive(&mut client);
+    server.shutdown();
+}
+
 #[test]
 fn oversized_update_frame_gets_error_then_disconnect() {
     let server = start_server();

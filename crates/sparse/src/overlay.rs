@@ -23,6 +23,14 @@
 //! from-scratch rebuild (for bases without duplicate coordinates; an op on
 //! a duplicated coordinate masks *all* stored copies).
 //!
+//! Every overlay comes out of one linear builder, [`Overlay::merged`]: a
+//! sorted batch of edits merged into an existing overlay, partition by
+//! partition — the column-major side by a two-pointer sweep, the row-major
+//! side rebuilt from it by a stable counting sort over the partition's rows.
+//! A write therefore costs the pending set once, linearly, and never a sort
+//! of it; [`Overlay::from_entries`] is one sort of its entries and then the
+//! same builder, over an empty overlay.
+//!
 //! The overlay is bucketed by the push matrix's row partitions, one-to-one;
 //! the pull mirror's partitions may be finer, each inside one overlay
 //! partition, and a pull task starts its edited-row cursor at its own range.
@@ -77,29 +85,172 @@ pub(crate) struct OverlayPartition<T> {
     eops: Vec<usize>,
 }
 
-/// The runs of an ascending key sequence: its distinct keys and where each
-/// one's run starts, closed by the sequence's length — the index pair of a
-/// compressed layout (`cols`/`col_ptr`, `erows`/`erow_ptr`).
-fn runs(keys: impl Iterator<Item = Index>) -> (Vec<Index>, Vec<usize>) {
-    let (mut distinct, mut starts, mut len) = (Vec::new(), Vec::new(), 0usize);
-    for key in keys {
-        if distinct.last() != Some(&key) {
-            distinct.push(key);
-            starts.push(len);
+impl<T: Clone> OverlayPartition<T> {
+    fn empty() -> Self {
+        OverlayPartition {
+            cols: Vec::new(),
+            col_ptr: vec![0],
+            rows: Vec::new(),
+            ops: Vec::new(),
+            erows: Vec::new(),
+            erow_ptr: vec![0],
+            ecols: Vec::new(),
+            eops: Vec::new(),
         }
-        len += 1;
     }
-    starts.push(len);
-    (distinct, starts)
+
+    /// This partition, over rows `range`, with the edits `bucket` indexes
+    /// merged in — ascending by `(col, row)`, as the column-major side is.
+    /// One two-pointer sweep over the columns: the held columns between two
+    /// edited ones are copied whole, an edited column is merged line by line
+    /// ([`OverlayPartition::merge_column`]), and the row-major side is rebuilt
+    /// from the result ([`OverlayPartition::index_rows`]).
+    fn merged<F>(
+        &self,
+        range: RowRange,
+        edits: &[(Index, Index, OverlayOp<T>)],
+        bucket: &[usize],
+        take: &mut F,
+    ) -> Self
+    where
+        F: FnMut(&(Index, Index, OverlayOp<T>), Option<&OverlayOp<T>>) -> bool,
+    {
+        // Upper bounds: an edit adds at most one entry and one column.
+        let (nc, ne) = (
+            self.cols.len() + bucket.len(),
+            self.rows.len() + bucket.len(),
+        );
+        let mut merged = OverlayPartition {
+            cols: Vec::with_capacity(nc),
+            col_ptr: Vec::with_capacity(nc + 1),
+            rows: Vec::with_capacity(ne),
+            ops: Vec::with_capacity(ne),
+            erows: Vec::new(),
+            erow_ptr: Vec::new(),
+            ecols: Vec::new(),
+            eops: Vec::new(),
+        };
+        let (mut held, mut at) = (0usize, 0usize);
+        while let Some(&first) = bucket.get(at) {
+            let c = edits[first].1;
+            let run = at..at + bucket[at..].partition_point(|&e| edits[e].1 == c);
+            let upto = held + self.cols[held..].partition_point(|&h| h < c);
+            merged.copy_columns(self, held..upto);
+            held = upto;
+            let line = if self.cols.get(held) == Some(&c) {
+                held += 1;
+                self.col_ptr[held - 1]..self.col_ptr[held]
+            } else {
+                0..0
+            };
+            let column = bucket[run.clone()].iter().map(|&e| &edits[e]);
+            merged.merge_column(c, &self.rows[line.clone()], &self.ops[line], column, take);
+            at = run.end;
+        }
+        merged.copy_columns(self, held..self.cols.len());
+        merged.col_ptr.push(merged.rows.len());
+        merged.index_rows(range);
+        merged
+    }
+
+    /// Append `held`'s columns `cols`, whole (`col_ptr` still open at its end).
+    fn copy_columns(&mut self, held: &Self, cols: std::ops::Range<usize>) {
+        let (from, to) = (held.col_ptr[cols.start], held.col_ptr[cols.end]);
+        let shift = self.rows.len().wrapping_sub(from);
+        self.cols.extend_from_slice(&held.cols[cols.clone()]);
+        self.col_ptr
+            .extend(held.col_ptr[cols].iter().map(|&p| p.wrapping_add(shift)));
+        self.rows.extend_from_slice(&held.rows[from..to]);
+        self.ops.extend_from_slice(&held.ops[from..to]);
+    }
+
+    /// Append column `c`: its held `rows`/`ops` merged with its `edits`, both
+    /// ascending by row. The held entries are copied in runs up to each
+    /// edited row, and `take` decides whether the edit's op takes that row.
+    /// A column left empty is not appended.
+    fn merge_column<'a, F>(
+        &mut self,
+        c: Index,
+        rows: &[Index],
+        ops: &[OverlayOp<T>],
+        edits: impl Iterator<Item = &'a (Index, Index, OverlayOp<T>)>,
+        take: &mut F,
+    ) where
+        T: 'a,
+        F: FnMut(&(Index, Index, OverlayOp<T>), Option<&OverlayOp<T>>) -> bool,
+    {
+        let (start, mut k) = (self.rows.len(), 0usize);
+        for edit in edits {
+            let upto = k + rows[k..].partition_point(|&h| h < edit.0);
+            self.rows.extend_from_slice(&rows[k..upto]);
+            self.ops.extend_from_slice(&ops[k..upto]);
+            k = upto;
+            let held = if rows.get(k) == Some(&edit.0) {
+                k += 1;
+                Some(&ops[k - 1])
+            } else {
+                None
+            };
+            if take(edit, held) {
+                self.rows.push(edit.0);
+                self.ops.push(edit.2.clone());
+            }
+        }
+        self.rows.extend_from_slice(&rows[k..]);
+        self.ops.extend_from_slice(&ops[k..]);
+        if self.rows.len() > start {
+            self.cols.push(c);
+            self.col_ptr.push(start);
+        }
+    }
+}
+
+impl<T> OverlayPartition<T> {
+    /// Build the row-major side from the column-major one by a stable
+    /// counting sort over the partition's rows `range`: the entries are
+    /// scattered in column order, so each row lists its columns ascending.
+    fn index_rows(&mut self, range: RowRange) {
+        let mut next = vec![0usize; range.len()];
+        let mut distinct = 0usize;
+        for &r in &self.rows {
+            let count = &mut next[(r - range.start) as usize];
+            distinct += usize::from(*count == 0);
+            *count += 1;
+        }
+        self.erows = Vec::with_capacity(distinct);
+        self.erow_ptr = Vec::with_capacity(distinct + 1);
+        let mut end = 0usize;
+        for (i, slot) in next.iter_mut().enumerate() {
+            if *slot > 0 {
+                self.erows.push(range.start + i as Index);
+                self.erow_ptr.push(end);
+                end += *slot;
+                *slot = end - *slot; // where the row's first entry goes
+            }
+        }
+        self.erow_ptr.push(end);
+        self.ecols = vec![0; self.rows.len()];
+        self.eops = vec![0; self.rows.len()];
+        for (i, &c) in self.cols.iter().enumerate() {
+            for k in self.col_ptr[i]..self.col_ptr[i + 1] {
+                let slot = &mut next[(self.rows[k] - range.start) as usize];
+                self.ecols[*slot] = c;
+                self.eops[*slot] = k;
+                *slot += 1;
+            }
+        }
+    }
 }
 
 /// A sorted set of pending edits aligned to a base matrix's row partitions.
 ///
 /// Build one with [`Overlay::from_entries`] from resolved `(row, col, op)`
 /// triples — **at most one op per coordinate**; a delta log resolves
-/// duplicates to latest-wins before building. The partition ranges must be
-/// exactly the base matrix's ranges so the two structures can be swept
-/// together partition by partition; a pull mirror's ranges may refine them.
+/// duplicates to latest-wins before building — or merge a batch into an
+/// existing one with [`Overlay::merged`], the builder both go through. The
+/// partition ranges must be exactly the base matrix's ranges so the two
+/// structures can be swept together partition by partition; a pull mirror's
+/// ranges may refine them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Overlay<T> {
     nrows: Index,
@@ -109,20 +260,12 @@ pub struct Overlay<T> {
     n_upserts: usize,
 }
 
-impl<T> Overlay<T> {
-    /// Build an overlay from resolved edit triples, bucketed and sorted to
-    /// align with the base matrix's row partitioning.
+impl<T: Clone> Overlay<T> {
+    /// An overlay holding no edits, bucketed by `ranges`.
     ///
     /// # Panics
-    /// Panics if `ranges` is empty or not contiguous over `0..nrows`, if a
-    /// coordinate is out of range, or (in debug builds) if two entries share
-    /// a coordinate.
-    pub fn from_entries(
-        nrows: Index,
-        ncols: Index,
-        ranges: &[RowRange],
-        entries: Vec<(Index, Index, OverlayOp<T>)>,
-    ) -> Self {
+    /// Panics if `ranges` is empty or not contiguous over `0..nrows`.
+    pub fn empty(nrows: Index, ncols: Index, ranges: &[RowRange]) -> Self {
         assert!(!ranges.is_empty(), "at least one partition range required");
         assert_eq!(ranges[0].start, 0, "ranges must start at row 0");
         assert_eq!(
@@ -133,73 +276,101 @@ impl<T> Overlay<T> {
         for w in ranges.windows(2) {
             assert_eq!(w[0].end, w[1].start, "ranges must be contiguous");
         }
-        for &(r, c, _) in &entries {
+        Overlay {
+            nrows,
+            ncols,
+            ranges: ranges.to_vec(),
+            partitions: ranges.iter().map(|_| OverlayPartition::empty()).collect(),
+            n_upserts: 0,
+        }
+    }
+
+    /// Build an overlay from resolved edit triples, in any order: one sort by
+    /// `(col, row)`, then [`Overlay::merged`] into an empty overlay.
+    ///
+    /// # Panics
+    /// Panics if `ranges` is empty or not contiguous over `0..nrows`, if a
+    /// coordinate is out of range, or (in debug builds) if two entries share
+    /// a coordinate.
+    pub fn from_entries(
+        nrows: Index,
+        ncols: Index,
+        ranges: &[RowRange],
+        mut entries: Vec<(Index, Index, OverlayOp<T>)>,
+    ) -> Self {
+        entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
+        Overlay::empty(nrows, ncols, ranges).merged(&entries, |_, _| true)
+    }
+
+    /// This overlay with `edits` merged in — the one builder every overlay
+    /// comes out of. `edits` are `(row, col, op)` triples ascending by
+    /// `(col, row)`, at most one per coordinate. `take(edit, held)` is asked
+    /// once per edit, with the op this overlay holds at the edit's coordinate
+    /// if any: `true` puts the edit's op there, `false` leaves the coordinate
+    /// empty. Every other op is kept as it is.
+    ///
+    /// Linear in the ops held plus the edits, and in the partitions' rows
+    /// (the counting sort of the row-major side); nothing is sorted.
+    ///
+    /// # Panics
+    /// Panics if a coordinate is out of range, or (in debug builds) if the
+    /// edits are not strictly ascending by `(col, row)`.
+    pub fn merged<F>(&self, edits: &[(Index, Index, OverlayOp<T>)], mut take: F) -> Self
+    where
+        F: FnMut(&(Index, Index, OverlayOp<T>), Option<&OverlayOp<T>>) -> bool,
+    {
+        let (nrows, ncols) = (self.nrows, self.ncols);
+        for &(r, c, _) in edits {
             assert!(
                 r < nrows && c < ncols,
                 "overlay entry ({r},{c}) out of bounds for {nrows}x{ncols} matrix"
             );
         }
-
-        // Bucket rows into partitions by binary search over range starts,
-        // the same scheme PartitionedDcsc::from_coo uses.
-        let starts: Vec<Index> = ranges.iter().map(|r| r.start).collect();
-        let mut buckets: Vec<Vec<(Index, Index, OverlayOp<T>)>> =
-            (0..ranges.len()).map(|_| Vec::new()).collect();
-        let mut n_upserts = 0usize;
-        for (r, c, op) in entries {
-            if matches!(op, OverlayOp::Upsert(_)) {
-                n_upserts += 1;
-            }
-            let p = match starts.binary_search(&r) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
-            buckets[p].push((r, c, op));
+        debug_assert!(
+            edits
+                .windows(2)
+                .all(|w| (w[0].1, w[0].0) < (w[1].1, w[1].0)),
+            "edits ascend by (col, row), at most one op per coordinate"
+        );
+        // Bucket the edits by partition, each bucket in the edits' order: a
+        // counting sort of their indices.
+        let np = self.partitions.len();
+        let mut start = vec![0usize; np + 1];
+        for &(r, _, _) in edits {
+            start[self.partition_of(r) + 1] += 1;
         }
-
-        let partitions = buckets
-            .into_iter()
-            .map(|mut bucket| {
-                bucket.sort_unstable_by_key(|&(r, c, _)| (c, r));
-                debug_assert!(
-                    bucket
-                        .windows(2)
-                        .all(|w| (w[0].1, w[0].0) != (w[1].1, w[1].0)),
-                    "at most one op per (row, col) coordinate"
-                );
-                let (cols, col_ptr) = runs(bucket.iter().map(|e| e.1));
-                // The row-major side: the same coordinates in (row, col)
-                // order, each pointing at its op in the order above.
-                let mut by_row: Vec<(Index, Index, usize)> = bucket
-                    .iter()
-                    .enumerate()
-                    .map(|(at, e)| (e.0, e.1, at))
-                    .collect();
-                by_row.sort_unstable();
-                let (erows, erow_ptr) = runs(by_row.iter().map(|e| e.0));
-                let (rows, ops) = bucket.into_iter().map(|(r, _, op)| (r, op)).unzip();
-                OverlayPartition {
-                    cols,
-                    col_ptr,
-                    rows,
-                    ops,
-                    erows,
-                    erow_ptr,
-                    ecols: by_row.iter().map(|e| e.1).collect(),
-                    eops: by_row.iter().map(|e| e.2).collect(),
-                }
+        for p in 0..np {
+            start[p + 1] += start[p];
+        }
+        let mut next = start[..np].to_vec();
+        let mut order = vec![0usize; edits.len()];
+        for (i, &(r, _, _)) in edits.iter().enumerate() {
+            let slot = &mut next[self.partition_of(r)];
+            order[*slot] = i;
+            *slot += 1;
+        }
+        let partitions: Vec<OverlayPartition<T>> = (0..np)
+            .map(|p| {
+                let bucket = &order[start[p]..start[p + 1]];
+                self.partitions[p].merged(self.ranges[p], edits, bucket, &mut take)
             })
             .collect();
-
+        let n_upserts = partitions
+            .iter()
+            .flat_map(|p| &p.ops)
+            .filter(|op| matches!(op, OverlayOp::Upsert(_)))
+            .count();
         Overlay {
             nrows,
             ncols,
-            ranges: ranges.to_vec(),
+            ranges: self.ranges.clone(),
             partitions,
             n_upserts,
         }
     }
+}
 
+impl<T> Overlay<T> {
     /// Number of rows of the (virtual) edited matrix.
     pub fn nrows(&self) -> Index {
         self.nrows
@@ -1072,6 +1243,81 @@ mod tests {
         let transposed = ov.transposed(&other);
         assert_eq!(transposed, Overlay::from_entries(5, 5, &other, flipped));
         assert_eq!(transposed.transposed(&ranges2()), ov);
+    }
+
+    /// Merging batch after batch into an overlay builds what one build of
+    /// the final coordinates builds, both sides of it: a held op the batch
+    /// hits is replaced or removed as `take` says, every other one is kept.
+    #[test]
+    fn merged_batches_build_what_one_build_of_the_result_builds() {
+        let n: Index = 61;
+        let ranges = RowPartitioner::even_rows(n, 4);
+        let mut state = 7u64;
+        let mut rand = move |below: u32| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as u32 % below
+        };
+        let mut want: std::collections::BTreeMap<(Index, Index), OverlayOp<f32>> =
+            Default::default();
+        let mut ov: Overlay<f32> = Overlay::empty(n, n, &ranges);
+        for round in 0..12 {
+            let mut batch: std::collections::BTreeMap<(Index, Index), OverlayOp<f32>> =
+                Default::default();
+            for _ in 0..rand(40) {
+                // Few columns, so batches share columns with what is held.
+                let (r, c) = (rand(n), rand(9) * 7);
+                let op = match rand(3) {
+                    0 => OverlayOp::Delete,
+                    _ => OverlayOp::Upsert(rand(100) as f32),
+                };
+                batch.insert((c, r), op);
+            }
+            // The rule under test: a delete of a held upsert empties the
+            // coordinate; anything else takes it.
+            let removes = |op: &OverlayOp<f32>, held: Option<&OverlayOp<f32>>| {
+                matches!(op, OverlayOp::Delete) && matches!(held, Some(OverlayOp::Upsert(_)))
+            };
+            let edits: Vec<_> = batch.into_iter().map(|((c, r), op)| (r, c, op)).collect();
+            let mut asked = 0usize;
+            ov = ov.merged(&edits, |&(r, c, ref op), held| {
+                asked += 1;
+                assert_eq!(
+                    held,
+                    want.get(&(r, c)),
+                    "round {round}: held op at ({r}, {c})"
+                );
+                !removes(op, held)
+            });
+            assert_eq!(asked, edits.len(), "round {round}: take once per edit");
+            for (r, c, op) in edits {
+                if removes(&op, want.get(&(r, c))) {
+                    want.remove(&(r, c));
+                } else {
+                    want.insert((r, c), op);
+                }
+            }
+            let entries = want
+                .iter()
+                .map(|(&(r, c), op)| (r, c, op.clone()))
+                .collect();
+            assert_eq!(
+                ov,
+                Overlay::from_entries(n, n, &ranges, entries),
+                "round {round}"
+            );
+        }
+        // The rows of the last one, read from its row-major side, list their
+        // columns ascending and point at the ops the column-major side holds.
+        let mut by_row: Vec<(Index, Index, OverlayOp<f32>)> = Vec::new();
+        for p in &ov.partitions {
+            for (i, &r) in p.erows.iter().enumerate() {
+                for at in p.erow_ptr[i]..p.erow_ptr[i + 1] {
+                    by_row.push((r, p.ecols[at], p.ops[p.eops[at]].clone()));
+                }
+            }
+        }
+        let want: Vec<_> = want.into_iter().map(|((r, c), op)| (r, c, op)).collect();
+        assert_eq!(by_row, want);
     }
 
     #[test]

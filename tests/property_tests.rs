@@ -492,6 +492,175 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
     }
 }
 
+/// A kernel's output as `(row, value bits)`.
+type Bits = Vec<(u32, u64)>;
+
+/// `base ⊕ overlay · x`, pushed over the overlay's column-major side and
+/// pulled over its row-major one (with the base's mirror).
+fn push_and_pull(
+    base: &Topology<f32>,
+    overlay: &graphmat::sparse::overlay::Overlay<f32>,
+    executor: &graphmat::sparse::parallel::Executor,
+) -> (Bits, Bits) {
+    use graphmat::sparse::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into};
+    let n = base.num_vertices();
+    let mut x: SparseVector<f64> = SparseVector::new(n as usize);
+    for v in 0..n {
+        x.set(v, 1.0 + f64::from(v).sqrt());
+    }
+    let multiply = |m: &f64, w: &f32, _| m * f64::from(*w);
+    let add = |acc: &mut f64, v: f64| *acc += v;
+    let bits = |y: SparseVector<f64>| {
+        let entries = y.to_entries().into_iter();
+        entries.map(|(k, v)| (k, v.to_bits())).collect()
+    };
+    let mut pushed = SparseVector::new(n as usize);
+    gspmv_overlay_into(
+        base.out_matrix(),
+        overlay,
+        &x,
+        &multiply,
+        &add,
+        executor,
+        &mut pushed,
+    );
+    let mut pulled = SparseVector::new(n as usize);
+    let mirror = base.out_pull_mirror().unwrap();
+    gspmv_overlay_pull_into(mirror, overlay, &x, &multiply, &add, executor, &mut pulled);
+    (bits(pushed), bits(pulled))
+}
+
+#[test]
+fn every_write_compiles_like_the_whole_history_from_scratch() {
+    // A store merges each batch into the overlay it last published. After
+    // every batch of a seeded history, that chained overlay must be the one
+    // compiled from scratch — on top of the base alone — out of the whole
+    // history since the last compaction: the same kernel overlay, degrees,
+    // edge count and op counts. Both come out of one builder, so its
+    // row-major side is checked apart: a pull over it must answer what a
+    // push over the column-major side answers, bit for bit.
+    use graphmat::delta::DeltaLog;
+    let session = Session::with_threads(2).unwrap();
+    let executor = graphmat::sparse::parallel::Executor::sequential();
+    for (seed, shape) in [1u64, 2]
+        .into_iter()
+        .flat_map(|s| [(s, "rmat"), (s, "grid")])
+    {
+        eprintln!("history: seed {seed}, {shape}");
+        let edges = salted_graph(shape, 14_000 + seed);
+        let n = edges.num_vertices();
+        let base = build_with(&session, &edges, "automatic");
+        let stored: Vec<(u32, u32)> = edges.edges().iter().map(|&(s, d, _)| (s, d)).collect();
+        let twice: Vec<(u32, u32)> = stored
+            .iter()
+            .copied()
+            .filter(|&(s, d)| base.edge_multiplicity(s, d) == 2)
+            .collect();
+        assert!(
+            twice.len() > 4,
+            "seed {seed}, {shape}: too few parallel edges"
+        );
+        let mut rng = StdRng::seed_from_u64(15_000 + seed);
+        let mut absent = || loop {
+            let (s, d) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if base.edge_multiplicity(s, d) == 0 {
+                break (s, d);
+            }
+        };
+        let absent_pairs: Vec<(u32, u32)> = (0..400).map(|_| absent()).collect();
+        let store = GraphStore::new(
+            base,
+            StoreOptions {
+                compaction_threshold: usize::MAX,
+                background: false,
+                ..StoreOptions::default()
+            },
+        );
+        let mut rng = StdRng::seed_from_u64(16_000 + seed);
+        let mut log = DeltaLog::new();
+        let mut inserted: Vec<(u32, u32)> = Vec::new();
+        for step in 0..12 {
+            let ctx = format!("seed {seed}, {shape}, batch {step}");
+            let mut batch = DeltaBatch::new(n);
+            let pick =
+                |rng: &mut StdRng, pairs: &[(u32, u32)]| pairs[rng.gen_range(0..pairs.len())];
+            match step % 6 {
+                // Inserts of pairs the base does not store, then their
+                // deletes: the store has nothing left to publish.
+                0 => {
+                    let base = store.snapshot().base().clone();
+                    let still_absent = absent_pairs
+                        .iter()
+                        .filter(|&&(s, d)| base.edge_multiplicity(s, d) == 0);
+                    inserted = still_absent.step_by(7).take(8).copied().collect();
+                    for &(s, d) in &inserted {
+                        batch.insert(s, d, rng.gen_range(1u32..10) as f32).unwrap();
+                    }
+                }
+                1 => {
+                    for &(s, d) in &inserted {
+                        batch.delete(s, d).unwrap();
+                    }
+                }
+                _ => {
+                    if step % 6 == 2 {
+                        // A delete of a pair nothing touched, an upsert and a
+                        // delete of pairs stored twice, a pair written three
+                        // times in one batch (the last write wins).
+                        let (s, d) = pick(&mut rng, &absent_pairs);
+                        batch.delete(s, d).unwrap();
+                        let (s, d) = pick(&mut rng, &twice);
+                        batch.insert(s, d, 7.5).unwrap();
+                        let (s, d) = pick(&mut rng, &twice);
+                        batch.delete(s, d).unwrap();
+                        let (s, d) = pick(&mut rng, &stored);
+                        batch.insert(s, d, 1.5).unwrap();
+                        batch.delete(s, d).unwrap();
+                        batch.insert(s, d, 2.5).unwrap();
+                    }
+                    for i in 0..rng.gen_range(20u32..80) {
+                        let (s, d) = match i % 4 {
+                            0 | 1 => pick(&mut rng, &stored),
+                            2 => pick(&mut rng, &absent_pairs),
+                            _ => pick(&mut rng, &twice),
+                        };
+                        if rng.gen_range(0u32..3) == 0 {
+                            batch.delete(s, d).unwrap();
+                        } else {
+                            batch.insert(s, d, rng.gen_range(1u32..10) as f32).unwrap();
+                        }
+                    }
+                }
+            }
+            log.append(batch.clone());
+            let snap = store.apply(batch).unwrap();
+            let whole = snap.base().compile_overlay(None, &log.resolve());
+            let view = snap.view();
+            assert_eq!(view.out_degrees(), whole.out_degrees(), "{ctx}");
+            assert_eq!(view.in_degrees(), whole.in_degrees(), "{ctx}");
+            assert_eq!(snap.num_edges(), whole.num_edges(), "{ctx}");
+            assert_eq!(snap.delta_len(), whole.len(), "{ctx}");
+            match snap.overlay() {
+                None => assert!(whole.is_empty(), "{ctx}"),
+                Some(chained) => {
+                    assert!(
+                        step % 6 != 1,
+                        "{ctx}: a cancelled pending set was published"
+                    );
+                    assert_eq!(chained.out(), whole.out(), "{ctx}");
+                    assert_eq!(chained.out().n_upserts(), whole.out().n_upserts(), "{ctx}");
+                    let (pushed, pulled) = push_and_pull(snap.base(), chained.out(), &executor);
+                    assert_eq!(pulled, pushed, "{ctx}: pull vs push");
+                }
+            }
+            if step % 6 == 5 {
+                assert!(store.compact_now(), "{ctx}");
+                log = DeltaLog::new();
+            }
+        }
+    }
+}
+
 #[test]
 fn unweighted_runs_agree_with_weighted_topology() {
     // The generic-edge invariant: structure-only algorithms produce identical

@@ -9,7 +9,11 @@
 //! the process during the measured window fails the test.
 //!
 //! The counters are process-global, so this binary contains exactly one
-//! `#[test]` (see the module docs of `alloc_track`).
+//! `#[test]` (see the module docs of `alloc_track`). For the same reason a
+//! window measured right after threads were spawned (a session's pool, a
+//! store's compactor) waits first until they have started: a thread
+//! allocates a copy of its name when it starts, whenever the host gets to
+//! scheduling it ([`settle`]).
 //!
 //! Skipped under `--features shard-check`: the race detector deliberately
 //! allocates shadow claim maps inside the instrumented regions, which is
@@ -35,6 +39,7 @@ use graphmat_io::bipartite::{self, BipartiteConfig};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_io::grid::{self, GridConfig};
 use graphmat_io::rmat::{self, RmatConfig};
+use graphmat_io::rng::StdRng;
 use graphmat_server::protocol::{Algorithm, RunRequest, Status};
 use graphmat_server::service::{self, GraphService, WorkerStates};
 
@@ -66,6 +71,18 @@ impl GraphProgram for Rank {
 
     fn apply(&self, reduced: &f64, rank: &mut f64) {
         *rank = 0.15 + 0.85 * *reduced;
+    }
+}
+
+/// Wait until nothing in the process has allocated for 20 ms (at most ~2 s):
+/// threads spawned before a measured window have made their start-up
+/// allocations by then.
+fn settle() {
+    for _ in 0..100 {
+        let pause = || std::thread::sleep(std::time::Duration::from_millis(20));
+        if !AllocGuard::measure(pause).1.any() {
+            return;
+        }
     }
 }
 
@@ -112,6 +129,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     // The one cached workspace serves every backend: switching between
     // forced push, forced pull and the per-superstep selector reallocates
     // nothing.
+    settle();
     const PUSH: Option<Backend> = Some(Backend::Push);
     for backend in [None, PUSH, Some(Backend::Pull), None, PUSH] {
         let (outcome, stats) = AllocGuard::measure(|| run(&mut state, backend));
@@ -338,6 +356,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     };
     let mut ranks = VertexState::for_topology(&merged);
     let mut hops: VertexState<u32> = VertexState::for_topology(&merged);
+    settle();
     for measured in [false, true] {
         let (outcome, stats) =
             AllocGuard::measure(|| pagerank_into(&lanes2, pending.view(), &cfg, None, &mut ranks));
@@ -379,6 +398,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         }
         (stats, dag.num_edges())
     };
+    settle();
     let (small, _) = tc_allocs(&el);
     let (large, dag_edges) = tc_allocs(&big);
     assert_eq!(small.allocs, large.allocs, "{small:?} vs {large:?}");
@@ -451,6 +471,63 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         stats.bytes
     );
 
+    // ---- Part 1i: a write allocates independently of what is pending. ----
+    // A batch is resolved alone and merged into the published overlay: the
+    // allocations are the batch's, the new overlay's arrays (at the merge's
+    // upper-bound capacities) and its two degree arrays — as many at ~16 k
+    // pending edits as at ~512, and bounded in bytes by what they build.
+    // (Recompiling the whole pending set grew its buffers by `push`.)
+    let writes = GraphStore::new(
+        folded.clone(),
+        StoreOptions {
+            compaction_threshold: usize::MAX,
+            background: false,
+            ..StoreOptions::default()
+        },
+    );
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut next_batch = || {
+        let mut batch = DeltaBatch::new(nb);
+        for i in 0..512 {
+            let edit = if i % 2 == 0 {
+                let (s, d, _) = big.edges()[rng.gen_range(0..big.edges().len())];
+                batch.delete(s, d)
+            } else {
+                batch.insert(rng.gen_range(0..nb), rng.gen_range(0..nb), 0.5)
+            };
+            if let Err(e) = edit {
+                panic!("edit {i}: {e}");
+            }
+        }
+        batch
+    };
+    let mut measured = Vec::new();
+    for pending in [512, 16_384] {
+        while writes.snapshot().delta_len() < pending - 256 {
+            if let Err(e) = writes.apply(next_batch()) {
+                panic!("apply up to {pending} pending: {e}");
+            }
+        }
+        let batch = next_batch();
+        let (outcome, stats) = AllocGuard::measure(|| writes.apply(batch));
+        let overlay_bytes = match outcome {
+            Ok(snapshot) => snapshot.overlay().map_or(0, |o| o.bytes()),
+            Err(e) => panic!("measured apply at ~{pending} pending: {e}"),
+        };
+        let bound = 2 * overlay_bytes as u64 + 8 * u64::from(nb);
+        assert!(
+            stats.bytes <= bound,
+            "a 512-edit write at ~{pending} pending allocated {} bytes, bound {bound}",
+            stats.bytes
+        );
+        measured.push(stats);
+    }
+    assert_eq!(
+        (measured[0].allocs, measured[0].reallocs),
+        (measured[1].allocs, measured[1].reallocs),
+        "a write allocated more often over ~16 k pending edits than over ~512: {measured:?}"
+    );
+
     // ---- Part 2: steady-state server rounds, in-process. ----
     let service = GraphService::new(session, topo);
     let mut states = WorkerStates::for_topology(service.topology());
@@ -466,6 +543,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         assert_eq!(status, Status::Ok, "warm-up round {round}");
     }
     let created_after_warmup = states.created();
+    settle();
     let (_, stats) = AllocGuard::measure(|| {
         for _ in 0..10 {
             buf.clear();

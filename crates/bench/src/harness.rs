@@ -702,6 +702,16 @@ fn for_each_kernel(
             gspmv_overlay_into(&matrix, overlay, &all, &relax, &keep_min, ex, y)
         });
     }
+    // The 3 % overlay pushed from a sparse frontier, at the density of a
+    // BFS/SSSP superstep over pending edits: every edited column is swept,
+    // present in the frontier or not.
+    let sparse = strided(n, 64);
+    visit(
+        "overlay_push/3pct_1_of_64".into(),
+        traversed(&gt, 64),
+        y,
+        &|y| gspmv_overlay_into(&matrix, &overlays[1].1, &sparse, &relax, &keep_min, ex, y),
+    );
 
     // Push across frontier densities, on the skewed RMAT matrix and on the
     // banded road grid: a partition is walked from the frontier below
@@ -747,8 +757,8 @@ fn for_each_kernel(
 /// and the road grid of `scale` over `nthreads` lanes (`0` = all available):
 /// `(label, median of 9 calls after a warm-up, edges one call visits)` per
 /// row, in this order — `pull/dense`, `pull/masked_half`,
-/// `overlay_pull/{empty,3pct}`,
-/// `overlay_push/{empty,3pct}`, `push_density_{rmat,grid}/1_of_{4096,256,64,4,1}`,
+/// `overlay_pull/{empty,3pct}`, `overlay_push/{empty,3pct,3pct_1_of_64}`,
+/// `push_density_{rmat,grid}/1_of_{4096,256,64,4,1}`,
 /// `partitions/{1,T,8T}`, `edges/{f32,unit}`. These are the rows the repo
 /// benchmark's probes do not report; like them they are read per edge, and
 /// a kernel change is judged by the benchmark's A/B, not by this table.
@@ -1009,6 +1019,7 @@ mod tests {
                 "overlay_pull/3pct",
                 "overlay_push/empty",
                 "overlay_push/3pct",
+                "overlay_push/3pct_1_of_64",
                 "push_density_rmat/1_of_4096",
                 "push_density_rmat/1_of_256",
                 "push_density_rmat/1_of_64",

@@ -125,6 +125,12 @@ impl<T> Dcsc<T> {
         }
     }
 
+    /// The four arrays, as [`Dcsc::from_parts`] takes them — what a sweep of
+    /// pending edits over the partition reads its column runs from.
+    pub(crate) fn parts(&self) -> (&[Index], &[usize], &[Index], &[T]) {
+        (&self.jc, &self.cp, &self.ir, &self.values)
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> Index {
         self.nrows

@@ -1142,9 +1142,10 @@ mod tests {
     /// runs of at most `run` partitions. With five or more partitions, one
     /// inner partition — `free` — stays without edits between edited
     /// neighbours; every other one has edits in its first and last row. Two
-    /// coordinates are stored twice in the base, and both are edited — so
-    /// the rebuild, which drops every copy of an edited coordinate, holds no
-    /// duplicates whose order a sort could change.
+    /// coordinates are stored twice in the base and one in the middle of the
+    /// hub row three times, and all are edited — so the rebuild, which drops
+    /// every copy of an edited coordinate, holds no duplicates whose order a
+    /// sort could change.
     fn salted_edits(
         coo: &Coo<f32>,
         parts: usize,
@@ -1185,11 +1186,15 @@ mod tests {
         };
         entries.push((twice_a.0, twice_a.1, rng.value()));
         entries.push((twice_b.0, twice_b.1, rng.value()));
+        // The middle coordinate of the hub row, stored three times: on a long
+        // row its copies sit past the first brackets of a gallop.
+        let mut hub_cols: Vec<Index> = entries.iter().filter(|e| e.0 == hub).map(|e| e.1).collect();
+        hub_cols.sort_unstable();
+        let (hub_min, hub_max) = (hub_cols[0], hub_cols[hub_cols.len() - 1]);
+        let thrice = (hub, hub_cols[hub_cols.len() / 2]);
+        entries.extend([(thrice.0, thrice.1, 0.375), (thrice.0, thrice.1, 1536.0)]);
         let buckets = RowBuckets::new(&Coo::from_entries(n, n, entries.clone()), &ranges);
         let base = buckets.matrix(ranges.len());
-
-        let hub_cols = || entries.iter().filter(|e| e.0 == hub).map(|e| e.1);
-        let (hub_min, hub_max) = (hub_cols().min().unwrap_or(0), hub_cols().max().unwrap_or(0));
 
         // One op per coordinate: later inserts replace earlier ones.
         let mut ops = std::collections::BTreeMap::new();
@@ -1229,9 +1234,11 @@ mod tests {
             ops.insert((range.start, 63), Upsert(rng.value()));
             ops.insert((range.end - 1, 64), Upsert(rng.value()));
         }
-        // The coordinates stored twice: one replaced, one deleted.
+        // The coordinates stored twice: one replaced, one deleted; the one
+        // stored three times replaced.
         ops.insert((twice_a.0, twice_a.1), Upsert(rng.value()));
         ops.insert((twice_b.0, twice_b.1), Delete);
+        ops.insert(thrice, Upsert(0.0625));
         if let Some(free) = free {
             ops.retain(|&(r, _), _| editable(r));
             assert!(ops.keys().any(|&(r, _)| r < free.start));
@@ -1392,9 +1399,12 @@ mod tests {
     /// build of the edited entries over the same ranges stores. (No salted
     /// value is zero or NaN, so `==` on the values is equality of bits.)
     /// Keeping one copy of the coordinate stored twice and upserted fails it.
+    /// And the merged push over each partition emits the very sequence a
+    /// walk of its fold emits, not only the same sums.
     #[test]
     fn a_folded_overlay_is_the_build_of_the_edited_entries() {
         use crate::overlay::{fold_into_matrix, fold_into_mirror};
+        let multiply = |m: &f32, e: &f32, _: Index| m * e;
         let partitions = [(1, false), (5, false), (5, true), (16, false), (16, true)];
         for seed in [1u64, 2] {
             for (shape, n) in [("rmat", 2500u32), ("grid", 2504)] {
@@ -1419,6 +1429,35 @@ mod tests {
                     ] {
                         let folded = fold_into_mirror(&mirror, overlay);
                         assert!(folded == want_mirror, "mirror, {layout} overlay, {case}");
+                    }
+                    // Partition by partition, the push over `base ⊕ overlay`
+                    // emits the `(row, product)` sequence a walk of the
+                    // folded partition emits: at a full frontier, and at a
+                    // 1-in-64 one that the folded walk takes frontier-driven.
+                    for (layout, matrix, overlay, folded) in [
+                        ("fine", &edited.base, &edited.overlay, &fine),
+                        ("merged", &edited.merged, &edited.merged_overlay, &merged),
+                    ] {
+                        for stride in [1, 64] {
+                            let mut x: SparseVector<f32> = SparseVector::new(n as usize);
+                            for v in (0..n).step_by(stride) {
+                                x.set(v, 1.0 + (v % 13) as f32 / 8.0);
+                            }
+                            for p in 0..matrix.n_partitions() {
+                                let (mut pushed, mut walked) = (Vec::new(), Vec::new());
+                                walk_partition(matrix, Some(overlay), p, &x, &multiply, |k, y| {
+                                    pushed.push((k, f32::to_bits(y)))
+                                });
+                                let part = &folded.partition(p).matrix;
+                                walk_matrix(part, &x, &multiply, |k, y| {
+                                    walked.push((k, f32::to_bits(y)))
+                                });
+                                assert_eq!(
+                                    pushed, walked,
+                                    "push order, partition {p}, 1 in {stride}, {layout}, {case}"
+                                );
+                            }
+                        }
                     }
                 }
             }

@@ -17,7 +17,9 @@ use graphmat_io::datasets::{self, DatasetId, DatasetScale};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_perf::CostCounters;
 use graphmat_sparse::coo::Coo;
-use graphmat_sparse::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into, Overlay, OverlayOp};
+use graphmat_sparse::overlay::{
+    fold_into_mirror, gspmv_overlay_into, gspmv_overlay_pull_into, Overlay, OverlayOp,
+};
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
@@ -697,6 +699,14 @@ fn for_each_kernel(
             gspmv_overlay_pull_into(&mirror, overlay, &all, &relax, &keep_min, ex, y)
         });
     }
+    // What a snapshot's pulls buy once their merge tax reaches its price:
+    // the 3 % overlay folded into the mirror, read per mirror edge. Beside
+    // `overlay_pull/3pct` − `pull/dense` (the tax) it is what the engine's
+    // `FoldTerms` constants are taken from. The row writes no output.
+    visit("fold_mirror/3pct".into(), stored, y, &|y| {
+        y.clear();
+        std::hint::black_box(fold_into_mirror(&mirror, &overlays[1].1));
+    });
     for (name, overlay) in &overlays {
         visit(format!("overlay_push/{name}"), stored, y, &|y| {
             gspmv_overlay_into(&matrix, overlay, &all, &relax, &keep_min, ex, y)
@@ -757,7 +767,8 @@ fn for_each_kernel(
 /// and the road grid of `scale` over `nthreads` lanes (`0` = all available):
 /// `(label, median of 9 calls after a warm-up, edges one call visits)` per
 /// row, in this order — `pull/dense`, `pull/masked_half`,
-/// `overlay_pull/{empty,3pct}`, `overlay_push/{empty,3pct,3pct_1_of_64}`,
+/// `overlay_pull/{empty,3pct}`, `fold_mirror/3pct`,
+/// `overlay_push/{empty,3pct,3pct_1_of_64}`,
 /// `push_density_{rmat,grid}/1_of_{4096,256,64,4,1}`,
 /// `partitions/{1,T,8T}`, `edges/{f32,unit}`. These are the rows the repo
 /// benchmark's probes do not report; like them they are read per edge, and
@@ -1017,6 +1028,7 @@ mod tests {
                 "pull/masked_half",
                 "overlay_pull/empty",
                 "overlay_pull/3pct",
+                "fold_mirror/3pct",
                 "overlay_push/empty",
                 "overlay_push/3pct",
                 "overlay_push/3pct_1_of_64",

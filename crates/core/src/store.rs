@@ -34,13 +34,23 @@
 //!
 //! Pending deltas cost the merged overlay walk, pushed or pulled (see
 //! [`crate::view::GraphView`]), and every `apply` copies the pending set
-//! once as it merges its batch in. When the published overlay reaches
+//! once as it merges its batch in. A snapshot that keeps being pulled stops
+//! paying the merged pull: once its pulls have been charged as much merge
+//! tax as a fold costs, one of them folds the overlay into a copy of the
+//! base's out mirror and every later pull reads that
+//! ([`crate::engine::FoldTerms`]; [`GraphSnapshot::pull_fold`] says where a
+//! snapshot stands). That read-side fold is the snapshot's, not the
+//! store's: it costs a mirror's bytes for as long as the snapshot lives, and
+//! the next write publishes a new snapshot that starts merging again. When
+//! the published overlay reaches
 //! [`StoreOptions::compaction_threshold`] effective ops, the store folds the
 //! published overlay into the published base ([`Topology::with_overlay`])
 //! and republishes with an empty overlay. The fold is a linear merge per
 //! partition — each push partition of `Gᵀ` with its overlay partition,
 //! column by column, and each mirror partition with the overlay's edited
-//! rows — so nothing is re-sorted and no edge list is built. The new
+//! rows — so nothing is re-sorted and no edge list is built. If the
+//! snapshot's pulls already folded the mirror, the compaction publishes that
+//! one (shared, not copied) and folds only the push matrix. The new
 //! base keeps the old one's build options and row ranges: it is **not**
 //! re-balanced to the edited degrees, which is safe because no answer
 //! depends on the partitioning. Its `G` is derived on the first `In`/`Both`
@@ -64,6 +74,7 @@ use std::thread::JoinHandle;
 use graphmat_delta::{DeltaBatch, DeltaOverlay};
 use graphmat_sparse::Index;
 
+use crate::engine::FoldTerms;
 use crate::error::{GraphMatError, Result};
 use crate::topology::Topology;
 use crate::view::GraphView;
@@ -191,6 +202,34 @@ impl<E> GraphSnapshot<E> {
     pub fn delta_len(&self) -> usize {
         self.overlay.as_ref().map_or(0, |o| o.len())
     }
+
+    /// How this snapshot's out-side pulls read its pending edits: merged
+    /// with the base mirror, or from the mirror they folded, and where the
+    /// rent stands. `None` if nothing is pending or the base has no pull
+    /// mirror.
+    pub fn pull_fold(&self) -> Option<PullFold> {
+        let overlay = self.overlay.as_deref()?;
+        let mirror = self.base.out_pull_mirror()?;
+        Some(PullFold {
+            folded_bytes: overlay.folded_out_mirror().map(|m| m.bytes()),
+            tax_paid: overlay.merge_tax_paid(),
+            terms: FoldTerms::of(mirror, overlay.out()),
+        })
+    }
+}
+
+/// Where a snapshot's out-side pulls stand on the fold rule
+/// ([`GraphSnapshot::pull_fold`]; the rule is [`FoldTerms`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PullFold {
+    /// The bytes of the folded out-side pull mirror the snapshot's pulls
+    /// read (a copy of the base's with the edits folded in, counted apart
+    /// from [`DeltaOverlay::bytes`]); `None` while they merge.
+    pub folded_bytes: Option<usize>,
+    /// The merge tax charged to the snapshot so far.
+    pub tax_paid: u64,
+    /// The snapshot's rent and price.
+    pub terms: FoldTerms,
 }
 
 /// Counters describing a store's current published state.

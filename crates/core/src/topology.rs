@@ -61,7 +61,7 @@ use graphmat_sparse::overlay::{fold_into_matrix, fold_into_mirror};
 use graphmat_sparse::parallel::available_threads;
 use graphmat_sparse::partition::{PartitionedDcsc, RowBuckets, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Matrix partitions per lane when the partition count is automatic —
 /// the `nthreads * 8` of the paper's appendix listing: enough over-splitting
@@ -86,7 +86,7 @@ pub const PARTITIONS_PER_THREAD: usize = 8;
 pub const PUSH_MERGE_REPLICATION: usize = 2;
 
 /// Options controlling topology construction.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GraphBuildOptions {
     /// Number of matrix partitions, for the push matrix and the pull mirror
     /// alike; `0` picks [`PARTITIONS_PER_THREAD`]` × lanes` for the mirror
@@ -154,11 +154,13 @@ impl GraphBuildOptions {
 /// One orientation of the adjacency matrix as the engine traverses it: the
 /// partitioned DCSC the push kernel sweeps and, when pull mirrors are
 /// enabled, the row-major mirror the pull kernel gathers over — built from
-/// the fine partitions, which are the push matrix's or refine them.
-#[derive(Clone, Debug)]
+/// the fine partitions, which are the push matrix's or refine them. The
+/// mirror sits behind an `Arc` so a compaction can publish the one a
+/// snapshot's pulls already folded ([`Topology::with_overlay`]).
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Orientation<E> {
     pub(crate) matrix: PartitionedDcsc<E>,
-    pub(crate) mirror: Option<CsrMirror<E>>,
+    pub(crate) mirror: Option<Arc<CsrMirror<E>>>,
 }
 
 impl<E: Clone> Orientation<E> {
@@ -169,7 +171,7 @@ impl<E: Clone> Orientation<E> {
         let groups = push_lanes.unwrap_or(buckets.ranges().len());
         Orientation {
             matrix: buckets.matrix(groups),
-            mirror: mirror.then(|| CsrMirror::from_buckets(buckets)),
+            mirror: mirror.then(|| Arc::new(CsrMirror::from_buckets(buckets))),
         }
     }
 }
@@ -183,7 +185,11 @@ impl<E: Clone> Orientation<E> {
 /// it between any number of concurrent runs — every method takes `&self`,
 /// and the only thing ever written after construction is the derived
 /// in-edge orientation, once (see the [module docs](self)).
-#[derive(Clone, Debug)]
+///
+/// `==` compares what is resident: two topologies that store the same
+/// matrices, mirrors, ranges and degrees are equal once both have derived
+/// `G` or neither has.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Topology<E> {
     nvertices: VertexId,
     nedges: usize,
@@ -293,6 +299,9 @@ impl<E: Clone> Topology<E> {
     /// partition of `Gᵀ` is merged with its overlay partition column by
     /// column and each mirror partition row by row
     /// ([`fold_into_matrix`], [`fold_into_mirror`]); nothing is re-sorted.
+    /// If the snapshot's pulls already folded the mirror
+    /// ([`DeltaOverlay::fold_out_mirror`]), that mirror is published as it
+    /// is — shared, not copied, and not folded a second time.
     /// The result keeps this topology's options and every range — push,
     /// mirror and `G`'s — rather than re-balancing them to the edited
     /// degrees (answers do not depend on the partitioning), takes its degrees
@@ -314,7 +323,10 @@ impl<E: Clone> Topology<E> {
                     .out
                     .mirror
                     .as_ref()
-                    .map(|m| fold_into_mirror(m, overlay)),
+                    .map(|m| match edits.folded_out_mirror() {
+                        Some(folded) => Arc::clone(folded),
+                        None => Arc::new(fold_into_mirror(m, overlay)),
+                    }),
             },
             inward: OnceLock::new(),
             in_ranges: self.in_ranges.clone(),
@@ -352,7 +364,7 @@ impl<E: Clone> Topology<E> {
     /// The row-major pull mirror of `G` (in-edge traversal), if pull mirrors
     /// are enabled. Derives `G` like [`Topology::in_matrix`].
     pub fn in_pull_mirror(&self) -> Option<&CsrMirror<E>> {
-        self.inward().mirror.as_ref()
+        self.inward().mirror.as_deref()
     }
 }
 
@@ -463,7 +475,7 @@ impl<E> Topology<E> {
     /// The row-major pull mirror of `Gᵀ` (out-edge traversal), if it was
     /// built.
     pub fn out_pull_mirror(&self) -> Option<&CsrMirror<E>> {
-        self.out.mirror.as_ref()
+        self.out.mirror.as_deref()
     }
 
     /// Whether this topology builds pull mirrors — one flag for every
@@ -503,7 +515,7 @@ impl<E> Topology<E> {
     /// pointers + column ids + edge values; zero value bytes for `E = ()`).
     pub fn pull_bytes(&self) -> usize {
         self.resident()
-            .filter_map(|o| o.mirror.as_ref())
+            .filter_map(|o| o.mirror.as_deref())
             .map(|m| m.bytes())
             .sum()
     }

@@ -16,8 +16,8 @@
 //!   overlay of the program's traversal direction (the in side is derived
 //!   the first time an `In`/`Both` run asks for it).
 //!
-//! **Both** backends are overlay-aware. The dense pull mirrors are folded
-//! at compaction, not per batch, and describe the unedited base; the pull
+//! **Both** backends are overlay-aware. A topology's dense pull mirrors
+//! describe the unedited base and are never written per batch; the pull
 //! kernel merges each destination row with the overlay's row-major side as
 //! the push kernel merges each source column with its column-major one. So
 //! the selector sees the merged degrees and edge count and gives an edited
@@ -29,6 +29,17 @@
 //! [`graphmat_sparse::overlay::gspmv_overlay_pull_into`] fold each
 //! destination's products in the same ascending-source order a rebuild
 //! would.
+//!
+//! A snapshot that keeps being pulled stops merging: each merged `Out` pull
+//! charges the overlay a merge tax, and the pull at which the tax reaches
+//! the price of a fold folds the overlay into a copy of the base's out
+//! mirror, once, kept in the overlay
+//! ([`DeltaOverlay::fold_out_mirror`]; the rule is
+//! [`crate::engine::FoldTerms`]). Every later `Out` pull of that snapshot
+//! reads the fold through the plain kernel, and a compaction of it publishes
+//! that mirror instead of folding it again. The folded rows hold exactly
+//! what the merged gather walks, in the same order, so this changes no
+//! answer and no push/pull choice. Pushes and `In`/`Both` legs always merge.
 
 use crate::program::VertexId;
 use crate::topology::Topology;

@@ -15,15 +15,25 @@
 //! costs what was written plus one linear copy of what is pending.
 //!
 //! Only the out-edge kernel overlay (aligned to `Gᵀ`) is compiled per batch.
-//! The in-edge one is derived on demand, like the base's `G`: the first
-//! `In`/`Both` run over the snapshot transposes the out side's entries into
-//! it, and `Out` programs — every served algorithm — never pay for it.
+//! Two things are derived from it on demand, each written once and shared
+//! by every reader of the snapshot:
+//!
+//! * the in-edge overlay, like the base's `G`: the first `In`/`Both` run
+//!   over the snapshot transposes the out side's entries into it, and `Out`
+//!   programs — every served algorithm — never pay for it;
+//! * the base's out-side pull mirror with the out side folded in
+//!   ([`DeltaOverlay::fold_out_mirror`]) — what a compaction would publish —
+//!   once the snapshot's merged pulls have been charged as much merge tax
+//!   ([`DeltaOverlay::charge_merge_tax`]) as the fold costs. When to fold is
+//!   the engine's rule; this type only keeps the count and the result.
 
 use crate::batch::UpdateOp;
-use graphmat_sparse::overlay::{Overlay, OverlayOp};
+use graphmat_sparse::overlay::{fold_into_mirror, Overlay, OverlayOp};
 use graphmat_sparse::partition::RowRange;
+use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::Index;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Sorted multiset of a base graph's `(src, dst)` pairs. **Benchmark-
 /// frozen**: the store asks the published topology instead
@@ -79,19 +89,42 @@ pub struct BaseFacts<'a> {
 /// arrays and edge count of the *edited* graph. Like the base topology's
 /// `G`, the in-edge overlay is not compiled until an `In`/`Both` run asks
 /// for it ([`DeltaOverlay::in_overlay`]): every `apply` would otherwise pay
-/// for a side that `Out` programs never read.
+/// for a side that `Out` programs never read. The same goes for the base's
+/// out mirror with these edits folded in ([`DeltaOverlay::fold_out_mirror`]),
+/// which the engine buys once the snapshot's merged pulls have cost as much
+/// ([`DeltaOverlay::charge_merge_tax`]).
 ///
-/// Immutable once built (but for that one derivation) — a snapshot shares
-/// it behind an `Arc` exactly like the base topology.
-#[derive(Clone, Debug)]
+/// Immutable once built (but for those derivations and the tax count) — a
+/// snapshot shares it behind an `Arc` exactly like the base topology.
+#[derive(Debug)]
 pub struct DeltaOverlay<E> {
     out: Overlay<E>,
     /// [`BaseFacts::in_ranges`], kept for the derivation of `in_`.
     in_ranges: Option<Vec<RowRange>>,
     in_: OnceLock<Overlay<E>>,
+    /// The base's out-side pull mirror with `out` folded in, once a pull
+    /// has bought it; an `Arc` so a compaction can publish it as it is.
+    folded: OnceLock<Arc<CsrMirror<E>>>,
+    /// Merge tax charged so far by the merged out-side pulls.
+    merge_tax: AtomicU64,
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
     num_edges: usize,
+}
+
+impl<E: Clone> Clone for DeltaOverlay<E> {
+    fn clone(&self) -> Self {
+        DeltaOverlay {
+            out: self.out.clone(),
+            in_ranges: self.in_ranges.clone(),
+            in_: self.in_.clone(),
+            folded: self.folded.clone(),
+            merge_tax: AtomicU64::new(self.merge_tax_paid()),
+            out_degrees: self.out_degrees.clone(),
+            in_degrees: self.in_degrees.clone(),
+            num_edges: self.num_edges,
+        }
+    }
 }
 
 impl<E: Clone> DeltaOverlay<E> {
@@ -173,6 +206,8 @@ impl<E: Clone> DeltaOverlay<E> {
             out,
             in_ranges: facts.in_ranges.map(<[RowRange]>::to_vec),
             in_: OnceLock::new(),
+            folded: OnceLock::new(),
+            merge_tax: AtomicU64::new(0),
             out_degrees,
             in_degrees,
             num_edges: num_edges as usize,
@@ -197,6 +232,19 @@ impl<E: Clone> DeltaOverlay<E> {
     pub fn in_overlay(&self) -> Option<&Overlay<E>> {
         let ranges = self.in_ranges.as_deref()?;
         Some(self.in_.get_or_init(|| self.out.transposed(ranges)))
+    }
+
+    /// `base` — the out-side pull mirror of the topology this overlay was
+    /// compiled against — with the out side folded in
+    /// ([`graphmat_sparse::overlay::fold_into_mirror`]): byte for byte the
+    /// mirror a compaction of this snapshot publishes. Folded the first time
+    /// it is asked for and kept; concurrent first calls share one fold.
+    ///
+    /// # Panics
+    /// Panics if `base` does not refine the out side's ranges.
+    pub fn fold_out_mirror(&self, base: &CsrMirror<E>) -> &Arc<CsrMirror<E>> {
+        self.folded
+            .get_or_init(|| Arc::new(fold_into_mirror(base, &self.out)))
     }
 }
 
@@ -231,8 +279,26 @@ impl<E> DeltaOverlay<E> {
         self.out.is_empty()
     }
 
+    /// The folded out-side pull mirror, if a pull has folded it
+    /// ([`DeltaOverlay::fold_out_mirror`]).
+    pub fn folded_out_mirror(&self) -> Option<&Arc<CsrMirror<E>>> {
+        self.folded.get()
+    }
+
+    /// Add `tax` to the merge tax this overlay's merged out-side pulls have
+    /// been charged, and return the new total.
+    pub fn charge_merge_tax(&self, tax: u64) -> u64 {
+        self.merge_tax.fetch_add(tax, Ordering::Relaxed) + tax
+    }
+
+    /// The merge tax charged so far ([`DeltaOverlay::charge_merge_tax`]).
+    pub fn merge_tax_paid(&self) -> u64 {
+        self.merge_tax.load(Ordering::Relaxed)
+    }
+
     /// Approximate heap footprint in bytes; counts the in side once it has
-    /// been derived.
+    /// been derived, and never the folded mirror, which is a copy of the
+    /// base's ([`DeltaOverlay::folded_out_mirror`] reports it apart).
     pub fn bytes(&self) -> usize {
         self.out.bytes()
             + self.in_.get().map_or(0, |o| o.bytes())

@@ -211,6 +211,17 @@ impl<T> OverlayPartition<T> {
         self.rows[line.clone()].iter().copied().zip(&self.ops[line])
     }
 
+    /// Where the edited rows inside `rows` start in `erows`, if there are
+    /// any: what decides whether the merged pull walks `rows` one by one.
+    #[inline(always)]
+    fn first_edited_row(&self, rows: RowRange) -> Option<usize> {
+        let first = self.erows.partition_point(|&r| r < rows.start);
+        self.erows
+            .get(first)
+            .is_some_and(|&r| r < rows.end)
+            .then_some(first)
+    }
+
     /// The `(col, op)` pairs of the `i`-th edited row, columns ascending.
     #[inline(always)]
     fn row(&self, i: usize) -> impl Iterator<Item = (Index, &OverlayOp<T>)> {
@@ -526,6 +537,22 @@ impl<T> Overlay<T> {
         &self.partitions[p]
     }
 
+    /// The rows a merged pull over `mirror` walks one by one: every row of
+    /// each mirror partition with an edited row in its range. (A partition
+    /// without one runs the plain loop, as `mirror` alone would.) One search
+    /// of the edited rows per mirror partition.
+    pub fn merged_rows(&self, mirror: &CsrMirror<T>) -> usize {
+        mirror
+            .partitions()
+            .iter()
+            .filter(|part| {
+                let edits = self.partition(self.partition_of(part.rows.start));
+                edits.first_edited_row(part.rows).is_some()
+            })
+            .map(|part| part.rows.len())
+            .sum()
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn bytes(&self) -> usize {
         self.partitions
@@ -822,13 +849,12 @@ where
     for p in parts {
         let base = mirror.partition(p);
         let edits = overlay.partition(overlay.partition_of(base.rows.start));
-        let mut cursor = edits.erows.partition_point(|&r| r < base.rows.start);
-        if !edits.erows.get(cursor).is_some_and(|&r| r < base.rows.end) {
+        let Some(mut cursor) = edits.first_edited_row(base.rows) else {
             // No edits pending in this range: the plain pull loop, over its
             // non-empty rows only.
             gathered += pull_rows(base, x, multiply, add, admit, &mut sink);
             continue;
-        }
+        };
         for k in base.rows.start..base.rows.end {
             let edited = edits.erows.get(cursor) == Some(&k);
             if !admit(k) {

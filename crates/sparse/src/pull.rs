@@ -23,7 +23,8 @@
 //! Pending edits are merged into the pull row by row from the overlay's
 //! row-major side ([`crate::overlay::gspmv_overlay_pull_into`]), and
 //! compaction folds them into a new mirror the same way, partition by
-//! partition ([`crate::overlay::fold_into_mirror`]).
+//! partition ([`crate::overlay::fold_into_mirror`]) — as does a snapshot
+//! whose merged pulls have cost as much as that fold.
 
 use crate::partition::{PartitionedDcsc, RowBuckets, RowRange};
 use crate::{ix, Index};

@@ -223,56 +223,120 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
 
     // ---- Part 1d: pending edits are pulled, from the out side alone. ----
     // PageRank over base ⊕ overlay: every superstep is all-active, so every
-    // superstep pulls — each edited row merged with the overlay's row-major
-    // side — and an `Out` program never makes the overlay derive its in side.
-    let store = GraphStore::new(
-        topo.clone(),
-        StoreOptions {
-            compaction_threshold: usize::MAX,
-            background: false,
-            ..StoreOptions::default()
-        },
-    );
+    // superstep pulls, and an `Out` program never makes the overlay derive
+    // its in side. A snapshot's pulls merge each edited row with the
+    // overlay's row-major side until the merge tax they were charged
+    // reaches the price of folding the mirror (`FoldTerms`); the pull that
+    // gets there folds it, once, and every later pull reads the fold. So a
+    // snapshot below its price allocates nothing, and one past it allocates
+    // the fold and then nothing.
+    let store = || {
+        GraphStore::new(
+            topo.clone(),
+            StoreOptions {
+                compaction_threshold: usize::MAX,
+                background: false,
+                ..StoreOptions::default()
+            },
+        )
+    };
     let n = topo.num_vertices();
-    let mut batch = DeltaBatch::new(n);
-    for (i, &(src, dst, _)) in el.edges().iter().step_by(97).enumerate() {
-        let edit = match i % 3 {
-            0 => batch.delete(src, dst),
-            1 => batch.insert(src, dst, 0.5),
-            _ => batch.insert(dst, (src + 1) % n, 2.0),
-        };
-        if let Err(e) = edit {
-            panic!("edit {i}: {e}");
+    let edited = |stride: usize| {
+        let mut batch = DeltaBatch::new(n);
+        for (i, &(src, dst, _)) in el.edges().iter().step_by(stride).enumerate() {
+            let edit = match i % 3 {
+                0 => batch.delete(src, dst),
+                1 => batch.insert(src, dst, 0.5),
+                _ => batch.insert(dst, (src + 1) % n, 2.0),
+            };
+            if let Err(e) = edit {
+                panic!("edit {i}: {e}");
+            }
         }
-    }
-    let pending = match store.apply(batch) {
-        Ok(snapshot) => snapshot,
-        Err(e) => panic!("apply: {e}"),
-    };
-    let Some(overlay) = pending.overlay() else {
-        panic!("the batch left no pending edits");
-    };
-    let out_side_bytes = overlay.bytes();
-    let cfg = PageRankConfig {
-        iterations: 10,
-        ..Default::default()
+        match store().apply(batch) {
+            Ok(snapshot) if snapshot.overlay().is_some() => snapshot,
+            Ok(_) => panic!("the batch left no pending edits"),
+            Err(e) => panic!("apply: {e}"),
+        }
     };
     let mut ranks = VertexState::for_topology(&topo);
-    if let Err(e) = pagerank_into(&session, pending.view(), &cfg, None, &mut ranks) {
-        panic!("warm-up pagerank over edits: {e}");
+    let pagerank = |snapshot: &graphmat_core::GraphSnapshot<f32>, ranks: &mut _, iterations| {
+        let cfg = PageRankConfig {
+            iterations,
+            ..Default::default()
+        };
+        match pagerank_into(&session, snapshot.view(), &cfg, None, ranks) {
+            Ok(r) => assert_eq!(
+                (r.stats.iterations, r.stats.pull_supersteps),
+                (iterations, iterations)
+            ),
+            Err(e) => panic!("pagerank over edits: {e}"),
+        }
+    };
+    let fold_of = |snapshot: &graphmat_core::GraphSnapshot<f32>| match snapshot.pull_fold() {
+        Some(fold) => fold,
+        None => panic!("no pull mirror or no pending edits"),
+    };
+
+    // Below the price: a few edits, a warm-up and four measured runs of two
+    // pulls each, all of them merged.
+    let below = edited(1999);
+    let terms = fold_of(&below).terms;
+    assert!(10 * terms.tax < terms.price, "{terms:?}");
+    let out_side_bytes = below.overlay().map_or(0, |o| o.bytes());
+    pagerank(&below, &mut ranks, 2);
+    for _ in 0..4 {
+        let ((), stats) = AllocGuard::measure(|| pagerank(&below, &mut ranks, 2));
+        assert!(
+            !stats.any(),
+            "a warmed pagerank_into over pending edits below their price must not touch the heap, got {stats:?}"
+        );
     }
-    let (outcome, stats) =
-        AllocGuard::measure(|| pagerank_into(&session, pending.view(), &cfg, None, &mut ranks));
-    match outcome {
-        Ok(r) => assert_eq!((r.stats.iterations, r.stats.pull_supersteps), (10, 10)),
-        Err(e) => panic!("measured pagerank over edits: {e}"),
-    }
+    let fold = fold_of(&below);
+    assert_eq!((fold.folded_bytes, fold.tax_paid), (None, 10 * terms.tax));
+    assert_eq!(
+        below.overlay().map_or(0, |o| o.bytes()),
+        out_side_bytes,
+        "an Out run compiled the overlay's in side"
+    );
+
+    // Past the price: the first run's pulls cross it and fold the mirror —
+    // the one allocation, about the base mirror's size — and the next run
+    // reads the fold without touching the heap.
+    let past = edited(97);
+    let terms = fold_of(&past).terms;
+    assert!(10 * terms.tax >= terms.price, "{terms:?}");
+    let out_side_bytes = past.overlay().map_or(0, |o| o.bytes());
+    let ((), stats) = AllocGuard::measure(|| pagerank(&past, &mut ranks, 10));
+    let fold = fold_of(&past);
+    let Some(folded_bytes) = fold.folded_bytes else {
+        panic!("ten pulls past the price did not fold: {fold:?}");
+    };
+    let mirror = match topo.out_pull_mirror() {
+        Some(m) => m,
+        None => panic!("the base has no pull mirror"),
+    };
+    assert!(
+        stats.deallocs == 0
+            && stats.reallocs == 0
+            && stats.allocs <= 3 * mirror.n_partitions() as u64 + 2
+            && (folded_bytes as u64) <= stats.bytes
+            && stats.bytes * 10 <= mirror.bytes() as u64 * 11,
+        "the fold of a {}-byte mirror into {folded_bytes} bytes: {stats:?}",
+        mirror.bytes()
+    );
+    let ((), stats) = AllocGuard::measure(|| pagerank(&past, &mut ranks, 10));
     assert!(
         !stats.any(),
-        "a warmed pagerank_into over pending edits must not touch the heap, got {stats:?}"
+        "a pagerank_into over a folded snapshot must not touch the heap, got {stats:?}"
     );
     assert_eq!(
-        overlay.bytes(),
+        fold_of(&past),
+        fold,
+        "a folded snapshot's pulls are not charged"
+    );
+    assert_eq!(
+        past.overlay().map_or(0, |o| o.bytes()),
         out_side_bytes,
         "an Out run compiled the overlay's in side"
     );
@@ -353,6 +417,10 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     let pending = match merged_store.apply(batch) {
         Ok(snapshot) => snapshot,
         Err(e) => panic!("apply to the merged store: {e}"),
+    };
+    let cfg = PageRankConfig {
+        iterations: 10,
+        ..Default::default()
     };
     let mut ranks = VertexState::for_topology(&merged);
     let mut hops: VertexState<u32> = VertexState::for_topology(&merged);

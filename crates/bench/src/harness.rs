@@ -699,13 +699,14 @@ fn for_each_kernel(
             gspmv_overlay_pull_into(&mirror, overlay, &all, &relax, &keep_min, ex, y)
         });
     }
-    // What a snapshot's pulls buy once their merge tax reaches its price:
+    // What a snapshot's first pull pays instead of merging on every pull:
     // the 3 % overlay folded into the mirror, read per mirror edge. Beside
-    // `overlay_pull/3pct` − `pull/dense` (the tax) it is what the engine's
-    // `FoldTerms` constants are taken from. The row writes no output.
+    // `overlay_pull/3pct` − `pull/dense` (what each merged pull would pay
+    // over a pull of the fold) it says how many pulls one fold is worth.
+    // The row writes no output.
     visit("fold_mirror/3pct".into(), stored, y, &|y| {
         y.clear();
-        std::hint::black_box(fold_into_mirror(&mirror, &overlays[1].1));
+        std::hint::black_box(fold_into_mirror(&mirror, &overlays[1].1, ex));
     });
     for (name, overlay) in &overlays {
         visit(format!("overlay_push/{name}"), stored, y, &|y| {

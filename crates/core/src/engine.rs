@@ -104,12 +104,11 @@
 //! What pending edits do change is the price of a pull. The merged pull
 //! walks every row of an edited mirror partition and merges each edited row
 //! with its ops; a mirror with the edits folded in is pulled by the plain
-//! kernel at base speed. So an `Out` leg over pending edits rents the merge
-//! until it has paid the fold's price, then buys the fold ([`FoldTerms`]):
-//! each merged pull superstep charges its tax to the snapshot's overlay, the
-//! superstep whose charge reaches the price folds the mirror, once
-//! ([`DeltaOverlay::fold_out_mirror`]), and it and every later pull of the
-//! snapshot — in any run, on any thread — read the fold through
+//! kernel at base speed, and folding it costs no more than a few merged
+//! pulls. So the first `Out` pull over a snapshot's pending edits folds them
+//! into a copy of the base's out mirror, once, on the run's lanes
+//! ([`DeltaOverlay::fold_out_mirror`]), and every pull of the snapshot — in
+//! any run, on any thread — reads the fold through
 //! `pull_into(folded, None, ..)`. A folded row holds exactly what the merged
 //! gather walks, in the same ascending-source order, and reports the same
 //! gathered count, so neither the answer nor the trajectory moves. Pushes,
@@ -167,91 +166,6 @@ pub const PUSH_PULL_COST_RATIO: u64 = 2;
 /// 45–100 messages (pushed in 0.23–0.25 ms) is pulled in 0.41–0.51 ms; the
 /// term is what stops that. The pairs are in CHANGES.md, PR 24.
 pub const PULL_ROW_COST: u64 = 1;
-
-/// What a merged pull superstep costs over a plain pull of the same rows,
-/// per pending op — the first term of a snapshot's merge tax
-/// ([`FoldTerms`]). Every cost constant of the fold rule is in nanoseconds of
-/// the host it was measured on; only their ratios matter.
-///
-/// Measured with `spmv::pull_into` against `overlay::gspmv_overlay_pull_into`
-/// and `overlay::fold_into_mirror` timed directly on one graph, median of 15
-/// calls (the `figures --kernels` rows `pull/dense`, `overlay_pull/3pct` and
-/// `fold_mirror/3pct`, plus a sweep of the overlay's size and spread), 2-core
-/// host, two lanes: on RMAT 2¹⁶ (1.05 M stored edges, 16 mirror
-/// partitions) the merged pull pays 15–31 ns per op at 3 % and 10 % edits,
-/// and a 512² road grid 31–68; the repo benchmark's `pr_overlay` (random
-/// edits over RMAT 2¹⁶, 32.6 k ops) pays ~43 ns. The tax is wall time of a
-/// pull on two lanes; the fold's costs below are one thread's, the one that
-/// folds.
-pub const MERGE_OP_TAX: u64 = 30;
-
-/// What a merged pull superstep costs over a plain one per row it walks one
-/// by one (every row of a mirror partition with an edit in its range): the
-/// second term of the merge tax. Same pairs as [`MERGE_OP_TAX`], edits thin
-/// enough (0.03 %, a few hundred ops) that the walk is all they cost:
-/// 1.6–4.3 ns per row walked, RMAT 2¹⁴ / 2¹⁶ and the grid.
-pub const MERGE_ROW_TAX: u64 = 2;
-
-/// What the fold costs per stored edge of the mirror it copies: the first
-/// term of its price. Measured with [`MERGE_OP_TAX`]'s pairs, on one thread
-/// (the fold is not parallel). Where the fold writes matters more than what
-/// it merges: into memory the allocator recycles, RMAT 2¹⁶ with a few
-/// hundred ops folds in 1.6–1.8 ms and the grid, which stores about as many
-/// edges in four times the rows, in 3.1–3.3 ms (1.15 ns per edge and 7.5 per
-/// row); into fresh pages the same folds take 6.9–7.3 and 12 ms, and the
-/// `fold_mirror/3pct` row, which allocates per call, reads 7.0 and 8.5 ns per
-/// mirror edge at RMAT 2¹⁴ and 2¹⁷. The fold of `pr_overlay`'s own overlay,
-/// timed in place, takes 3.7–6.3 ms (4.3–4.45 in a quieter minute): 1.2–3.7
-/// ns per edge beyond its row and op terms. Taken as 2, the middle of that,
-/// which puts the fold in the fifth pull of that workload's first query.
-pub const FOLD_EDGE_COST: u64 = 2;
-
-/// What the fold costs per mirror row (a row pointer, and the check for
-/// edits): the second term of its price (see [`FOLD_EDGE_COST`]).
-pub const FOLD_ROW_COST: u64 = 7;
-
-/// What the fold costs per pending op, on top of the copy: the merge of the
-/// edited rows. Same pairs: RMAT 2¹⁶ with 3 % and 10 % edits folds 55–70 ns
-/// per op slower than with a few hundred, into recycled and fresh memory
-/// alike.
-pub const FOLD_OP_COST: u64 = 60;
-
-/// The rent and the purchase price of a snapshot's pending out-side edits on
-/// the pull backend: what one merged pull superstep pays over a pull of the
-/// folded mirror, and what folding the mirror costs
-/// ([`DeltaOverlay::fold_out_mirror`]) — in the nanoseconds of
-/// [`MERGE_OP_TAX`].
-///
-/// The engine rents until the rent charged to the snapshot reaches the price,
-/// then buys: a merged out-side pull charges `tax` to the snapshot's overlay
-/// ([`DeltaOverlay::charge_merge_tax`]) and folds the mirror in place at the
-/// superstep where the total reaches `price`; every later pull of the
-/// snapshot — in this run or any other — reads the folded mirror through the
-/// plain kernel. That is ski rental: never more than twice what the better of
-/// "always merge" and "fold at once" would have paid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FoldTerms {
-    /// Charged per merged pull superstep.
-    pub tax: u64,
-    /// What the fold costs: the tax total at which a pull folds.
-    pub price: u64,
-}
-
-impl FoldTerms {
-    /// The terms of pulling `mirror ⊕ overlay`, from what both already count:
-    /// the pending ops, the rows the merged pull walks one by one
-    /// ([`Overlay::merged_rows`]), and the mirror's rows and stored edges.
-    pub fn of<E>(mirror: &CsrMirror<E>, overlay: &Overlay<E>) -> Self {
-        let ops = overlay.nnz() as u64;
-        let rows = overlay.merged_rows(mirror) as u64;
-        FoldTerms {
-            tax: MERGE_OP_TAX * ops + MERGE_ROW_TAX * rows,
-            price: FOLD_EDGE_COST * mirror.nnz() as u64
-                + FOLD_ROW_COST * u64::from(mirror.nrows())
-                + FOLD_OP_COST * ops,
-        }
-    }
-}
 
 /// The direction rule, as a cost comparison. The pull kernel streams every
 /// stored edge of every row it gathers whatever the frontier holds, so a
@@ -373,37 +287,6 @@ fn leg<'a, E>(
 /// The pull mirrors of a traversal's legs, first then (for `Both`) second.
 type Mirrors<'a, E> = (&'a CsrMirror<E>, Option<&'a CsrMirror<E>>);
 
-/// An `Out` traversal's pending edits on the pull backend: the snapshot's
-/// overlay, which keeps the rent paid and the fold, and the terms it rents
-/// on ([`FoldTerms`]).
-struct Fold<'a, E> {
-    pending: &'a DeltaOverlay<E>,
-    terms: FoldTerms,
-}
-
-impl<'a, E: Clone> Fold<'a, E> {
-    /// What this superstep pulls: the folded mirror if the snapshot has one;
-    /// else `base ⊕ edits`, after charging this pull's tax — or, if that
-    /// brings the rent to the price, the mirror folded right now.
-    fn pull_source(&self, base: &'a CsrMirror<E>) -> (&'a CsrMirror<E>, Option<&'a Overlay<E>>) {
-        let pending = self.pending;
-        if let Some(folded) = pending.folded_out_mirror() {
-            return (folded, None);
-        }
-        if pending.charge_merge_tax(self.terms.tax) >= self.terms.price {
-            return (fold(pending, base), None);
-        }
-        (base, Some(pending.out()))
-    }
-}
-
-/// The fold, once per snapshot: kept out of the superstep's code.
-#[cold]
-#[inline(never)]
-fn fold<'a, E: Clone>(pending: &'a DeltaOverlay<E>, base: &CsrMirror<E>) -> &'a CsrMirror<E> {
-    pending.fold_out_mirror(base)
-}
-
 /// Everything one run reads from its [`GraphView`], resolved for the
 /// program's scatter direction. `Out` and `In` traverse one leg; `Both`
 /// traverses the out leg, then the in leg, and merges the second's output
@@ -418,8 +301,8 @@ pub(crate) struct Traversal<'a, E> {
     /// overlay, on the pull backend as on the push one.
     mirrors: Option<Mirrors<'a, E>>,
     /// For an `Out` leg over pending edits with a mirror: the snapshot's
-    /// rent-or-fold state, which may swap the first mirror for its fold.
-    fold: Option<Fold<'a, E>>,
+    /// overlay, whose folded mirror the pulls read instead of the first.
+    fold: Option<&'a DeltaOverlay<E>>,
     /// The backend every superstep must use; `None` lets
     /// [`choose_backend`] decide per superstep.
     forced: Option<Backend>,
@@ -476,11 +359,8 @@ impl<'a, E: Clone> Traversal<'a, E> {
         if forced == Some(Backend::Pull) && mirrors.is_none() {
             return Err(GraphMatError::MissingPullMirror);
         }
-        let fold = match (direction, view.overlay(), mirrors) {
-            (EdgeDirection::Out, Some(pending), Some((mirror, _))) => Some(Fold {
-                pending,
-                terms: FoldTerms::of(mirror, pending.out()),
-            }),
+        let fold = match (direction, mirrors) {
+            (EdgeDirection::Out, Some(_)) => view.overlay(),
             _ => None,
         };
         Ok(Traversal {
@@ -557,8 +437,9 @@ impl<'a, E: Clone> Traversal<'a, E> {
 /// gather — and SEND accounts the **merged** degree arrays while the pull
 /// reports **merged** row lengths, so metrics describe the edited graph and
 /// the selector gives it the push/pull trajectory of its rebuild. An `Out`
-/// pull reads the snapshot's folded mirror instead once it exists, and may
-/// fold it itself ([`FoldTerms`]) — the one allocation a superstep can make.
+/// pull reads the snapshot's folded mirror instead, and the snapshot's first
+/// one folds it ([`DeltaOverlay::fold_out_mirror`]) — the one allocation a
+/// superstep can make.
 pub(crate) fn superstep<P: GraphProgram>(
     traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
@@ -612,8 +493,8 @@ pub(crate) fn superstep<P: GraphProgram>(
             })
         }
         Some((first, second)) => {
-            let first = match &traversal.fold {
-                Some(fold) => fold.pull_source(first),
+            let first = match traversal.fold {
+                Some(pending) => (&**pending.fold_out_mirror(first, executor), None),
                 None => (first, traversal.first.overlay),
             };
             let second = (traversal.second.as_ref().zip(second)).map(|(leg, m)| (m, leg.overlay));

@@ -155,7 +155,7 @@ pub mod store;
 pub mod topology;
 pub mod view;
 
-pub use engine::{choose_backend, FoldTerms};
+pub use engine::choose_backend;
 pub use error::GraphMatError;
 pub use options::{ActivityPolicy, RunOptions};
 pub use pool::StatePool;
@@ -164,6 +164,6 @@ pub use runner::{run_program, RunResult};
 pub use session::{GraphBuilder, RunBuilder, RunOutcome, Session, SessionOptions};
 pub use state::VertexState;
 pub use stats::{Backend, RunStats, SuperstepStats};
-pub use store::{GraphSnapshot, GraphStore, PullFold, StoreOptions, StoreStats};
+pub use store::{GraphSnapshot, GraphStore, StoreOptions, StoreStats};
 pub use topology::{GraphBuildOptions, Topology};
 pub use view::GraphView;

@@ -34,29 +34,28 @@
 //!
 //! Pending deltas cost the merged overlay walk, pushed or pulled (see
 //! [`crate::view::GraphView`]), and every `apply` copies the pending set
-//! once as it merges its batch in. A snapshot that keeps being pulled stops
-//! paying the merged pull: once its pulls have been charged as much merge
-//! tax as a fold costs, one of them folds the overlay into a copy of the
-//! base's out mirror and every later pull reads that
-//! ([`crate::engine::FoldTerms`]; [`GraphSnapshot::pull_fold`] says where a
-//! snapshot stands). That read-side fold is the snapshot's, not the
-//! store's: it costs a mirror's bytes for as long as the snapshot lives, and
-//! the next write publishes a new snapshot that starts merging again. When
-//! the published overlay reaches
-//! [`StoreOptions::compaction_threshold`] effective ops, the store folds the
-//! published overlay into the published base ([`Topology::with_overlay`])
-//! and republishes with an empty overlay. The fold is a linear merge per
-//! partition — each push partition of `Gᵀ` with its overlay partition,
-//! column by column, and each mirror partition with the overlay's edited
-//! rows — so nothing is re-sorted and no edge list is built. If the
-//! snapshot's pulls already folded the mirror, the compaction publishes that
-//! one (shared, not copied) and folds only the push matrix. The new
-//! base keeps the old one's build options and row ranges: it is **not**
-//! re-balanced to the edited degrees, which is safe because no answer
-//! depends on the partitioning. Its `G` is derived on the first `In`/`Both`
-//! run, as any base's is. With [`StoreOptions::background`] set, a
-//! dedicated worker thread does this off the write path — `apply` just
-//! signals it; otherwise compaction runs inline in the triggering `apply`.
+//! once as it merges its batch in. An `Out` pull does not pay the merged
+//! walk: the first one over a snapshot folds its overlay into a copy of the
+//! base's out mirror, and every pull of the snapshot reads that
+//! ([`GraphSnapshot::folded_pull_bytes`] says whether it has). That
+//! read-side fold is the snapshot's, not the store's: it costs a mirror's
+//! bytes for as long as the snapshot lives, and the next write publishes a
+//! new snapshot that folds again when it is first pulled. When the
+//! published overlay reaches [`StoreOptions::compaction_threshold`]
+//! effective ops, the store folds the published overlay into the published
+//! base ([`Topology::with_overlay`]) and republishes with an empty overlay.
+//! The fold is a linear merge per partition — each push partition of `Gᵀ`
+//! with its overlay partition, column by column, and each mirror partition
+//! with the overlay's edited rows — so nothing is re-sorted and no edge
+//! list is built. If the snapshot's pulls already folded the mirror, the
+//! compaction publishes that one (shared, not copied) and folds only the
+//! push matrix. The new base keeps the old one's build options and row
+//! ranges: it is **not** re-balanced to the edited degrees, which is safe
+//! because no answer depends on the partitioning. Its `G` is derived on the
+//! first `In`/`Both` run, as any base's is. With
+//! [`StoreOptions::background`] set, a dedicated worker thread does this off
+//! the write path — `apply` just signals it; otherwise compaction runs
+//! inline in the triggering `apply`.
 //! [`GraphStore::compact_now`] forces one synchronously from any thread.
 //!
 //! The fold stores what a build of the edited graph over the same ranges
@@ -74,7 +73,6 @@ use std::thread::JoinHandle;
 use graphmat_delta::{DeltaBatch, DeltaOverlay};
 use graphmat_sparse::Index;
 
-use crate::engine::FoldTerms;
 use crate::error::{GraphMatError, Result};
 use crate::topology::Topology;
 use crate::view::GraphView;
@@ -203,33 +201,15 @@ impl<E> GraphSnapshot<E> {
         self.overlay.as_ref().map_or(0, |o| o.len())
     }
 
-    /// How this snapshot's out-side pulls read its pending edits: merged
-    /// with the base mirror, or from the mirror they folded, and where the
-    /// rent stands. `None` if nothing is pending or the base has no pull
-    /// mirror.
-    pub fn pull_fold(&self) -> Option<PullFold> {
+    /// The bytes of the out-side pull mirror this snapshot's pulls read
+    /// instead of merging its pending edits: a copy of the base's with the
+    /// edits folded in, made by the first `Out` pull and counted apart from
+    /// [`DeltaOverlay::bytes`]. `None` until a pull has folded it, and
+    /// always if nothing is pending.
+    pub fn folded_pull_bytes(&self) -> Option<usize> {
         let overlay = self.overlay.as_deref()?;
-        let mirror = self.base.out_pull_mirror()?;
-        Some(PullFold {
-            folded_bytes: overlay.folded_out_mirror().map(|m| m.bytes()),
-            tax_paid: overlay.merge_tax_paid(),
-            terms: FoldTerms::of(mirror, overlay.out()),
-        })
+        overlay.folded_out_mirror().map(|m| m.bytes())
     }
-}
-
-/// Where a snapshot's out-side pulls stand on the fold rule
-/// ([`GraphSnapshot::pull_fold`]; the rule is [`FoldTerms`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PullFold {
-    /// The bytes of the folded out-side pull mirror the snapshot's pulls
-    /// read (a copy of the base's with the edits folded in, counted apart
-    /// from [`DeltaOverlay::bytes`]); `None` while they merge.
-    pub folded_bytes: Option<usize>,
-    /// The merge tax charged to the snapshot so far.
-    pub tax_paid: u64,
-    /// The snapshot's rent and price.
-    pub terms: FoldTerms,
 }
 
 /// Counters describing a store's current published state.

@@ -58,7 +58,7 @@ use graphmat_delta::{BaseFacts, DeltaOverlay, UpdateOp};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::coo::Coo;
 use graphmat_sparse::overlay::{fold_into_matrix, fold_into_mirror};
-use graphmat_sparse::parallel::available_threads;
+use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::{PartitionedDcsc, RowBuckets, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
 use std::sync::{Arc, OnceLock};
@@ -86,7 +86,7 @@ pub const PARTITIONS_PER_THREAD: usize = 8;
 pub const PUSH_MERGE_REPLICATION: usize = 2;
 
 /// Options controlling topology construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct GraphBuildOptions {
     /// Number of matrix partitions, for the push matrix and the pull mirror
     /// alike; `0` picks [`PARTITIONS_PER_THREAD`]` × lanes` for the mirror
@@ -157,7 +157,7 @@ impl GraphBuildOptions {
 /// the fine partitions, which are the push matrix's or refine them. The
 /// mirror sits behind an `Arc` so a compaction can publish the one a
 /// snapshot's pulls already folded ([`Topology::with_overlay`]).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub(crate) struct Orientation<E> {
     pub(crate) matrix: PartitionedDcsc<E>,
     pub(crate) mirror: Option<Arc<CsrMirror<E>>>,
@@ -185,11 +185,7 @@ impl<E: Clone> Orientation<E> {
 /// it between any number of concurrent runs — every method takes `&self`,
 /// and the only thing ever written after construction is the derived
 /// in-edge orientation, once (see the [module docs](self)).
-///
-/// `==` compares what is resident: two topologies that store the same
-/// matrices, mirrors, ranges and degrees are equal once both have derived
-/// `G` or neither has.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Topology<E> {
     nvertices: VertexId,
     nedges: usize,
@@ -311,7 +307,10 @@ impl<E: Clone> Topology<E> {
     ///
     /// # Panics
     /// Panics if `edits` was compiled against another layout.
-    pub fn with_overlay(&self, edits: &DeltaOverlay<E>) -> Self {
+    pub fn with_overlay(&self, edits: &DeltaOverlay<E>) -> Self
+    where
+        E: Send + Sync,
+    {
         let overlay = edits.out();
         Topology {
             nvertices: self.nvertices,
@@ -325,7 +324,7 @@ impl<E: Clone> Topology<E> {
                     .as_ref()
                     .map(|m| match edits.folded_out_mirror() {
                         Some(folded) => Arc::clone(folded),
-                        None => Arc::new(fold_into_mirror(m, overlay)),
+                        None => Arc::new(fold_into_mirror(m, overlay, &Executor::sequential())),
                     }),
             },
             inward: OnceLock::new(),

@@ -30,16 +30,14 @@
 //! destination's products in the same ascending-source order a rebuild
 //! would.
 //!
-//! A snapshot that keeps being pulled stops merging: each merged `Out` pull
-//! charges the overlay a merge tax, and the pull at which the tax reaches
-//! the price of a fold folds the overlay into a copy of the base's out
-//! mirror, once, kept in the overlay
-//! ([`DeltaOverlay::fold_out_mirror`]; the rule is
-//! [`crate::engine::FoldTerms`]). Every later `Out` pull of that snapshot
-//! reads the fold through the plain kernel, and a compaction of it publishes
-//! that mirror instead of folding it again. The folded rows hold exactly
-//! what the merged gather walks, in the same order, so this changes no
-//! answer and no push/pull choice. Pushes and `In`/`Both` legs always merge.
+//! An `Out` pull does not merge, though: the first one over a snapshot's
+//! pending edits folds the overlay into a copy of the base's out mirror,
+//! kept in the overlay ([`DeltaOverlay::fold_out_mirror`]), and every `Out`
+//! pull of that snapshot reads the fold through the plain kernel — a
+//! compaction of it publishes that mirror instead of folding it again. The
+//! folded rows hold exactly what the merged gather walks, in the same order,
+//! so this changes no answer and no push/pull choice. Pushes and `In`/`Both`
+//! legs always merge.
 
 use crate::program::VertexId;
 use crate::topology::Topology;

@@ -23,16 +23,15 @@
 //!   programs — every served algorithm — never pay for it;
 //! * the base's out-side pull mirror with the out side folded in
 //!   ([`DeltaOverlay::fold_out_mirror`]) — what a compaction would publish —
-//!   once the snapshot's merged pulls have been charged as much merge tax
-//!   ([`DeltaOverlay::charge_merge_tax`]) as the fold costs. When to fold is
-//!   the engine's rule; this type only keeps the count and the result.
+//!   by the snapshot's first `Out` pull, which every later pull reads
+//!   instead of merging the edits again.
 
 use crate::batch::UpdateOp;
 use graphmat_sparse::overlay::{fold_into_mirror, Overlay, OverlayOp};
+use graphmat_sparse::parallel::Executor;
 use graphmat_sparse::partition::RowRange;
 use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::Index;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Sorted multiset of a base graph's `(src, dst)` pairs. **Benchmark-
@@ -91,40 +90,22 @@ pub struct BaseFacts<'a> {
 /// for it ([`DeltaOverlay::in_overlay`]): every `apply` would otherwise pay
 /// for a side that `Out` programs never read. The same goes for the base's
 /// out mirror with these edits folded in ([`DeltaOverlay::fold_out_mirror`]),
-/// which the engine buys once the snapshot's merged pulls have cost as much
-/// ([`DeltaOverlay::charge_merge_tax`]).
+/// which the snapshot's first `Out` pull folds.
 ///
-/// Immutable once built (but for those derivations and the tax count) — a
-/// snapshot shares it behind an `Arc` exactly like the base topology.
-#[derive(Debug)]
+/// Immutable once built (but for those derivations) — a snapshot shares it
+/// behind an `Arc` exactly like the base topology.
+#[derive(Clone, Debug)]
 pub struct DeltaOverlay<E> {
     out: Overlay<E>,
     /// [`BaseFacts::in_ranges`], kept for the derivation of `in_`.
     in_ranges: Option<Vec<RowRange>>,
     in_: OnceLock<Overlay<E>>,
     /// The base's out-side pull mirror with `out` folded in, once a pull
-    /// has bought it; an `Arc` so a compaction can publish it as it is.
+    /// has folded it; an `Arc` so a compaction can publish it as it is.
     folded: OnceLock<Arc<CsrMirror<E>>>,
-    /// Merge tax charged so far by the merged out-side pulls.
-    merge_tax: AtomicU64,
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
     num_edges: usize,
-}
-
-impl<E: Clone> Clone for DeltaOverlay<E> {
-    fn clone(&self) -> Self {
-        DeltaOverlay {
-            out: self.out.clone(),
-            in_ranges: self.in_ranges.clone(),
-            in_: self.in_.clone(),
-            folded: self.folded.clone(),
-            merge_tax: AtomicU64::new(self.merge_tax_paid()),
-            out_degrees: self.out_degrees.clone(),
-            in_degrees: self.in_degrees.clone(),
-            num_edges: self.num_edges,
-        }
-    }
 }
 
 impl<E: Clone> DeltaOverlay<E> {
@@ -207,7 +188,6 @@ impl<E: Clone> DeltaOverlay<E> {
             in_ranges: facts.in_ranges.map(<[RowRange]>::to_vec),
             in_: OnceLock::new(),
             folded: OnceLock::new(),
-            merge_tax: AtomicU64::new(0),
             out_degrees,
             in_degrees,
             num_edges: num_edges as usize,
@@ -235,16 +215,19 @@ impl<E: Clone> DeltaOverlay<E> {
     }
 
     /// `base` — the out-side pull mirror of the topology this overlay was
-    /// compiled against — with the out side folded in
+    /// compiled against — with the out side folded in on `executor`'s lanes
     /// ([`graphmat_sparse::overlay::fold_into_mirror`]): byte for byte the
     /// mirror a compaction of this snapshot publishes. Folded the first time
     /// it is asked for and kept; concurrent first calls share one fold.
     ///
     /// # Panics
     /// Panics if `base` does not refine the out side's ranges.
-    pub fn fold_out_mirror(&self, base: &CsrMirror<E>) -> &Arc<CsrMirror<E>> {
+    pub fn fold_out_mirror(&self, base: &CsrMirror<E>, executor: &Executor) -> &Arc<CsrMirror<E>>
+    where
+        E: Send + Sync,
+    {
         self.folded
-            .get_or_init(|| Arc::new(fold_into_mirror(base, &self.out)))
+            .get_or_init(|| Arc::new(fold_into_mirror(base, &self.out, executor)))
     }
 }
 
@@ -283,17 +266,6 @@ impl<E> DeltaOverlay<E> {
     /// ([`DeltaOverlay::fold_out_mirror`]).
     pub fn folded_out_mirror(&self) -> Option<&Arc<CsrMirror<E>>> {
         self.folded.get()
-    }
-
-    /// Add `tax` to the merge tax this overlay's merged out-side pulls have
-    /// been charged, and return the new total.
-    pub fn charge_merge_tax(&self, tax: u64) -> u64 {
-        self.merge_tax.fetch_add(tax, Ordering::Relaxed) + tax
-    }
-
-    /// The merge tax charged so far ([`DeltaOverlay::charge_merge_tax`]).
-    pub fn merge_tax_paid(&self) -> u64 {
-        self.merge_tax.load(Ordering::Relaxed)
     }
 
     /// Approximate heap footprint in bytes; counts the in side once it has

@@ -67,7 +67,7 @@
 //! partition holding it — one linear merge per partition, no sort.
 
 use crate::dcsc::Dcsc;
-use crate::parallel::Executor;
+use crate::parallel::{DisjointSlice, Executor};
 use crate::partition::{Partition, PartitionedDcsc, RowRange};
 use crate::pull::{CsrMirror, PullPartition};
 use crate::spmv::{emit_column, gather, pull_into, pull_rows, push_into, walk_matrix};
@@ -209,17 +209,6 @@ impl<T> OverlayPartition<T> {
     fn column(&self, i: usize) -> impl Iterator<Item = (Index, &OverlayOp<T>)> {
         let line = self.col_ptr[i]..self.col_ptr[i + 1];
         self.rows[line.clone()].iter().copied().zip(&self.ops[line])
-    }
-
-    /// Where the edited rows inside `rows` start in `erows`, if there are
-    /// any: what decides whether the merged pull walks `rows` one by one.
-    #[inline(always)]
-    fn first_edited_row(&self, rows: RowRange) -> Option<usize> {
-        let first = self.erows.partition_point(|&r| r < rows.start);
-        self.erows
-            .get(first)
-            .is_some_and(|&r| r < rows.end)
-            .then_some(first)
     }
 
     /// The `(col, op)` pairs of the `i`-th edited row, columns ascending.
@@ -537,22 +526,6 @@ impl<T> Overlay<T> {
         &self.partitions[p]
     }
 
-    /// The rows a merged pull over `mirror` walks one by one: every row of
-    /// each mirror partition with an edited row in its range. (A partition
-    /// without one runs the plain loop, as `mirror` alone would.) One search
-    /// of the edited rows per mirror partition.
-    pub fn merged_rows(&self, mirror: &CsrMirror<T>) -> usize {
-        mirror
-            .partitions()
-            .iter()
-            .filter(|part| {
-                let edits = self.partition(self.partition_of(part.rows.start));
-                edits.first_edited_row(part.rows).is_some()
-            })
-            .map(|part| part.rows.len())
-            .sum()
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn bytes(&self) -> usize {
         self.partitions
@@ -688,24 +661,33 @@ pub fn fold_into_matrix<T: Clone>(
 /// `mirror ⊕ overlay` as a mirror: every mirror partition merged, row by
 /// row, with the edited rows of the overlay partition holding its range by
 /// the same copier — the row-major twin of [`fold_into_matrix`], on
-/// `mirror`'s ranges.
+/// `mirror`'s ranges. Each partition is folded on its own, so the partitions
+/// are handed out across `executor`'s lanes; the result does not depend on
+/// the lane count.
 ///
 /// # Panics
 /// Panics if `overlay` is not refined by `mirror` (same shape, and every
 /// mirror range inside one overlay range).
-pub fn fold_into_mirror<T: Clone>(mirror: &CsrMirror<T>, overlay: &Overlay<T>) -> CsrMirror<T> {
+pub fn fold_into_mirror<T: Clone + Send + Sync>(
+    mirror: &CsrMirror<T>,
+    overlay: &Overlay<T>,
+    executor: &Executor,
+) -> CsrMirror<T> {
     let ranges = mirror.partitions().iter().map(|p| p.rows);
     overlay.check_refined_by(mirror.nrows(), mirror.ncols(), ranges);
-    let partitions = mirror
-        .partitions()
+    let parts = mirror.partitions();
+    let mut partitions: Vec<_> = parts
         .iter()
-        .map(|part| {
-            fold_rows(
-                part,
-                overlay.partition(overlay.partition_of(part.rows.start)),
-            )
-        })
+        .map(|p| PullPartition::unfilled(p.rows))
         .collect();
+    let slots = DisjointSlice::new(&mut partitions, "folded mirror partition");
+    executor.for_each_dynamic(parts.len(), |p| {
+        let part = &parts[p];
+        let edits = overlay.partition(overlay.partition_of(part.rows.start));
+        // SAFETY: task `p` is the only one to carve slot `p`.
+        let slot = unsafe { slots.range(p, p + 1) };
+        slot[0] = fold_rows(part, edits);
+    });
     CsrMirror::from_partitions(mirror.nrows(), mirror.ncols(), partitions)
 }
 
@@ -849,12 +831,13 @@ where
     for p in parts {
         let base = mirror.partition(p);
         let edits = overlay.partition(overlay.partition_of(base.rows.start));
-        let Some(mut cursor) = edits.first_edited_row(base.rows) else {
+        let mut cursor = edits.erows.partition_point(|&r| r < base.rows.start);
+        if !edits.erows.get(cursor).is_some_and(|&r| r < base.rows.end) {
             // No edits pending in this range: the plain pull loop, over its
             // non-empty rows only.
             gathered += pull_rows(base, x, multiply, add, admit, &mut sink);
             continue;
-        };
+        }
         for k in base.rows.start..base.rows.end {
             let edited = edits.erows.get(cursor) == Some(&k);
             if !admit(k) {

@@ -23,8 +23,8 @@
 //! Pending edits are merged into the pull row by row from the overlay's
 //! row-major side ([`crate::overlay::gspmv_overlay_pull_into`]), and
 //! compaction folds them into a new mirror the same way, partition by
-//! partition ([`crate::overlay::fold_into_mirror`]) — as does a snapshot
-//! whose merged pulls have cost as much as that fold.
+//! partition ([`crate::overlay::fold_into_mirror`]) — as does the first
+//! pull of a snapshot with edits pending.
 
 use crate::partition::{PartitionedDcsc, RowBuckets, RowRange};
 use crate::{ix, Index};
@@ -43,6 +43,18 @@ pub struct PullPartition<T> {
 }
 
 impl<T> PullPartition<T> {
+    /// A slot for the partition of `rows`, its arrays not filled in yet:
+    /// what a parallel fold overwrites. Allocates nothing, and is not a
+    /// partition of `rows` until it is overwritten.
+    pub(crate) fn unfilled(rows: RowRange) -> Self {
+        PullPartition {
+            rows,
+            row_ptr: Vec::new(),
+            col_idx: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
     /// The partition of `rows` from its CSR arrays (`row_ptr` local, one
     /// entry per row plus one; column ids global).
     pub(crate) fn from_parts(

@@ -1399,13 +1399,14 @@ mod tests {
     /// build of the edited entries over the same ranges stores. (No salted
     /// value is zero or NaN, so `==` on the values is equality of bits.)
     /// Keeping one copy of the coordinate stored twice and upserted fails it.
-    /// And the merged push over each partition emits the very sequence a
+    /// The mirror folds alike on one lane and across three. And the merged push over each partition emits the very sequence a
     /// walk of its fold emits, not only the same sums.
     #[test]
     fn a_folded_overlay_is_the_build_of_the_edited_entries() {
         use crate::overlay::{fold_into_matrix, fold_into_mirror};
         let multiply = |m: &f32, e: &f32, _: Index| m * e;
         let partitions = [(1, false), (5, false), (5, true), (16, false), (16, true)];
+        let lanes = [Executor::sequential(), Executor::new(3)];
         for seed in [1u64, 2] {
             for (shape, n) in [("rmat", 2500u32), ("grid", 2504)] {
                 let rng = &mut SplitMix(seed);
@@ -1427,8 +1428,11 @@ mod tests {
                         ("fine", &edited.overlay),
                         ("merged", &edited.merged_overlay),
                     ] {
-                        let folded = fold_into_mirror(&mirror, overlay);
-                        assert!(folded == want_mirror, "mirror, {layout} overlay, {case}");
+                        for ex in &lanes {
+                            let folded = fold_into_mirror(&mirror, overlay, ex);
+                            let case = format!("{layout} overlay, {} lanes, {case}", ex.nthreads());
+                            assert!(folded == want_mirror, "mirror, {case}");
+                        }
                     }
                     // Partition by partition, the push over `base ⊕ overlay`
                     // emits the `(row, product)` sequence a walk of the

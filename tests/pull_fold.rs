@@ -1,16 +1,16 @@
-//! Pending edits on the pull backend: a snapshot's merged out-side pulls
-//! rent until the merge tax they were charged reaches the fold's price, then
-//! fold the mirror once and pull it through the plain kernel
-//! (`graphmat_core::FoldTerms`). None of that may change an answer.
+//! Pending edits on the pull backend: the first `Out` pull over a
+//! snapshot's pending edits folds them into a copy of the base's out mirror,
+//! once, and every pull of the snapshot reads that fold through the plain
+//! kernel. None of that may change an answer.
 //!
-//! Every case runs over one store's base and one pending overlay, in a fold
-//! state set up on a clone of that overlay — below the price, crossing it
-//! mid-run, already folded — and asserts from the charged tax which state it
-//! actually exercised.
+//! Every case runs over one store's base and one pending overlay, on a clone
+//! of that overlay either fresh or folded before the run, and asserts from
+//! the run's trajectory which fold state it actually exercised: never
+//! pulled, folded at the first superstep, folded mid-run, or folded before.
 
-use graphmat::core::{FoldTerms, PullFold};
 use graphmat::delta::DeltaOverlay;
 use graphmat::prelude::*;
+use graphmat::sparse::parallel::Executor;
 use graphmat_io::rng::StdRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -78,10 +78,13 @@ enum Algo {
 
 const ALGOS: [Algo; 4] = [Algo::PageRank, Algo::Bfs, Algo::Sssp, Algo::Components];
 
-/// The answer's bits and the run's pull count.
-fn run(session: &Session, view: GraphView<'_, f32>, algo: Algo) -> (Vec<u64>, usize) {
-    fn out<T>(o: AlgorithmOutput<T>, bits: impl Fn(&T) -> u64) -> (Vec<u64>, usize) {
-        (o.values.iter().map(bits).collect(), o.stats.pull_supersteps)
+/// The answer's bits and the superstep the run first pulled at, if any.
+fn run(session: &Session, view: GraphView<'_, f32>, algo: Algo) -> (Vec<u64>, Option<usize>) {
+    fn out<T>(o: AlgorithmOutput<T>, bits: impl Fn(&T) -> u64) -> (Vec<u64>, Option<usize>) {
+        let steps = &o.stats.supersteps;
+        assert_eq!(steps.len(), o.stats.iterations, "supersteps recorded");
+        let first_pull = steps.iter().position(|s| s.backend == Backend::Pull);
+        (o.values.iter().map(bits).collect(), first_pull)
     }
     let cfg = PageRankConfig {
         iterations: 6,
@@ -144,116 +147,106 @@ impl Fixture {
     fn overlay(&self) -> &DeltaOverlay<f32> {
         self.pending.overlay().expect("the edits are pending")
     }
-
-    fn terms(&self) -> FoldTerms {
-        self.pending
-            .pull_fold()
-            .expect("a mirror and pending edits")
-            .terms
-    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum State {
-    /// Every pull of the run merges, and the run leaves the snapshot
-    /// below its price.
-    Below,
-    /// The run's first pull merges, its second folds, the rest read the
-    /// fold.
-    Crossing,
-    /// Folded before the run: no pull merges, none is charged.
-    Folded,
+    /// Fresh, and the run never pulled: nothing folded.
+    Unpulled,
+    /// Fresh, and the run's first superstep pulled: it folded, and every
+    /// pull read the fold.
+    FoldedAtStart,
+    /// Fresh, and the run pushed before it first pulled: that pull folded,
+    /// mid-run.
+    FoldedMidRun,
+    /// Folded before the run: every pull read the fold.
+    FoldedBefore,
 }
+
+/// The selector, forced pulls, forced pushes.
+const BACKENDS: [Option<Backend>; 3] = [None, Some(Backend::Pull), Some(Backend::Push)];
+
+const STATES: [State; 4] = [
+    State::Unpulled,
+    State::FoldedAtStart,
+    State::FoldedMidRun,
+    State::FoldedBefore,
+];
 
 #[test]
 fn every_fold_state_answers_like_the_compacted_base_and_a_rebuild() {
     let f = fixture();
-    let FoldTerms { tax, price } = f.terms();
-    assert!(tax > 0 && price > 2 * tax, "tax {tax}, price {price}");
     let mirror = f.base.out_pull_mirror().unwrap();
     let mut exercised = Vec::new();
     for lanes in [1, 2] {
-        for backend in [None, Some(Backend::Pull)] {
+        for backend in BACKENDS {
             let session = session(lanes, backend);
             for algo in ALGOS {
                 let ctx = format!("{algo:?}, {backend:?}, {lanes} lanes");
                 let (want, _) = run(&session, (&f.compacted).into(), algo);
                 assert_eq!(run(&session, (&f.rebuilt).into(), algo).0, want, "{ctx}");
-                for state in [State::Below, State::Crossing, State::Folded] {
-                    let ctx = format!("{ctx}, {state:?}");
-                    // A clone of the store's overlay, unfolded and uncharged.
+                for folded_before in [false, true] {
+                    let ctx = format!("{ctx}, folded before: {folded_before}");
+                    // A clone of the store's overlay, unfolded.
                     let pending = f.overlay().clone();
-                    assert!(pending.folded_out_mirror().is_none() && pending.merge_tax_paid() == 0);
-                    let charged = match state {
-                        State::Below => 0,
-                        State::Crossing => pending.charge_merge_tax(price - tax - 1),
-                        State::Folded => {
-                            pending.fold_out_mirror(mirror);
-                            0
-                        }
-                    };
-                    let view = GraphView::new(&f.base, Some(&pending));
-                    let (got, pulls) = run(&session, view, algo);
-                    assert_eq!(got, want, "{ctx}");
-                    let paid = pending.merge_tax_paid();
-                    let folded = pending.folded_out_mirror().is_some();
-                    // Which state the run was in, from what it was charged.
-                    let seen = if folded && paid == 0 {
-                        State::Folded
-                    } else if folded {
-                        assert_eq!(
-                            paid,
-                            charged + 2 * tax,
-                            "{ctx}: one merged pull, then the fold"
-                        );
-                        State::Crossing
-                    } else {
-                        assert_eq!(
-                            paid,
-                            charged + pulls as u64 * tax,
-                            "{ctx}: every pull merged"
-                        );
-                        assert!(paid < price, "{ctx}");
-                        State::Below
-                    };
-                    // A run that pulls too seldom cannot show its state.
-                    let needs = if state == State::Crossing { 2 } else { 1 };
-                    if pulls >= needs {
-                        assert_eq!(seen, state, "{ctx}: {pulls} pulls");
-                        exercised.push((lanes, backend, state));
+                    assert!(pending.folded_out_mirror().is_none(), "{ctx}");
+                    if folded_before {
+                        pending.fold_out_mirror(mirror, &Executor::sequential());
                     }
+                    let view = GraphView::new(&f.base, Some(&pending));
+                    let (got, first_pull) = run(&session, view, algo);
+                    assert_eq!(got, want, "{ctx}");
+                    // Which state the run was in: a fresh snapshot is folded
+                    // after the run exactly if the run pulled.
+                    let folded = pending.folded_out_mirror().is_some();
+                    let seen = match (folded_before, first_pull) {
+                        (true, _) => State::FoldedBefore,
+                        (false, None) => State::Unpulled,
+                        (false, Some(0)) => State::FoldedAtStart,
+                        (false, Some(_)) => State::FoldedMidRun,
+                    };
+                    assert_eq!(folded, seen != State::Unpulled, "{ctx}: {seen:?}");
+                    exercised.push((lanes, backend, algo, seen));
                 }
             }
         }
     }
-    // Forced pulls show every state for every algorithm, and the selector
-    // pulls often enough to show each of them too.
+    // Forced pulls fold at the first superstep of every algorithm, forced
+    // pushes never fold, and the selector pushes first and folds mid-run at
+    // least once.
     for lanes in [1, 2] {
-        for backend in [None, Some(Backend::Pull)] {
-            for state in [State::Below, State::Crossing, State::Folded] {
-                let count = exercised
+        for backend in BACKENDS {
+            let count = |state| {
+                exercised
                     .iter()
-                    .filter(|&&c| c == (lanes, backend, state))
-                    .count();
-                let least = if backend.is_some() { ALGOS.len() } else { 1 };
-                assert!(
-                    count >= least,
-                    "{state:?}, {backend:?}, {lanes} lanes: {count}"
-                );
+                    .filter(|&&(l, b, _, s)| (l, b, s) == (lanes, backend, state))
+                    .count()
+            };
+            let ctx = format!("{backend:?}, {lanes} lanes");
+            assert_eq!(count(State::FoldedBefore), ALGOS.len(), "{ctx}");
+            match backend {
+                Some(Backend::Pull) => {
+                    assert_eq!(count(State::FoldedAtStart), ALGOS.len(), "{ctx}")
+                }
+                Some(Backend::Push) => assert_eq!(count(State::Unpulled), ALGOS.len(), "{ctx}"),
+                None => assert!(count(State::FoldedMidRun) >= 1, "{ctx}"),
             }
         }
+    }
+    for state in STATES {
+        assert!(
+            exercised.iter().any(|c| c.3 == state),
+            "{state:?} never seen"
+        );
     }
 }
 
 #[test]
-fn concurrent_pulls_past_the_price_fold_once() {
+fn concurrent_first_pulls_fold_once() {
     let f = fixture();
-    let FoldTerms { tax, price } = f.terms();
     let session = session(2, None);
     let (want, _) = run(&session, (&f.compacted).into(), Algo::PageRank);
-    // One charge short of the price: both runs' first pulls cross it.
-    f.overlay().charge_merge_tax(price - 1);
-    assert_eq!(f.pending.pull_fold().unwrap().folded_bytes, None);
+    assert_eq!(f.pending.folded_pull_bytes(), None);
     let start = std::sync::Barrier::new(2);
     let folds: Vec<usize> = std::thread::scope(|s| {
         let runs: Vec<_> = (0..2)
@@ -261,9 +254,9 @@ fn concurrent_pulls_past_the_price_fold_once() {
                 let (f, session, start, want) = (&f, &session, &start, &want);
                 s.spawn(move || {
                     start.wait();
-                    let (got, pulls) = run(session, f.pending.view(), Algo::PageRank);
+                    let (got, first_pull) = run(session, f.pending.view(), Algo::PageRank);
                     assert_eq!(&got, want);
-                    assert!(pulls > 0);
+                    assert_eq!(first_pull, Some(0));
                     Arc::as_ptr(f.overlay().folded_out_mirror().unwrap()) as usize
                 })
             })
@@ -271,12 +264,8 @@ fn concurrent_pulls_past_the_price_fold_once() {
         runs.into_iter().map(|r| r.join().unwrap()).collect()
     });
     assert_eq!(folds[0], folds[1], "two folds");
-    // Each run charged its first pull, at most: the rest read the fold.
-    let paid = f.overlay().merge_tax_paid();
-    assert!(paid > price - 1 && paid <= price - 1 + 2 * tax, "{paid}");
-    let PullFold { folded_bytes, .. } = f.pending.pull_fold().unwrap();
     let mirror = f.overlay().folded_out_mirror().unwrap();
-    assert_eq!(folded_bytes, Some(mirror.bytes()));
+    assert_eq!(f.pending.folded_pull_bytes(), Some(mirror.bytes()));
     assert_eq!(**mirror, *f.compacted.out_pull_mirror().unwrap());
 }
 
@@ -285,11 +274,17 @@ fn compaction_publishes_the_fold_a_snapshot_already_made() {
     let f = fixture();
     let unfolded = f.overlay().clone();
     let folded = f.overlay().clone();
-    let mirror = folded.fold_out_mirror(f.base.out_pull_mirror().unwrap());
+    let mirror = folded.fold_out_mirror(f.base.out_pull_mirror().unwrap(), &Executor::new(2));
     let from_scratch = f.base.with_overlay(&unfolded);
     let reused = f.base.with_overlay(&folded);
-    assert_eq!(from_scratch, reused);
-    assert_eq!(reused, *f.compacted);
+    // What the fold writes: the out side's matrix, mirror and degrees.
+    for topology in [&reused, &*f.compacted] {
+        assert_eq!(topology.out_matrix(), from_scratch.out_matrix());
+        assert_eq!(topology.out_pull_mirror(), from_scratch.out_pull_mirror());
+        assert_eq!(topology.out_degrees(), from_scratch.out_degrees());
+        assert_eq!(topology.in_degrees(), from_scratch.in_degrees());
+        assert_eq!(topology.num_edges(), from_scratch.num_edges());
+    }
     // Shared, not copied.
     let published = reused.out_pull_mirror().unwrap();
     assert!(std::ptr::eq(published, &**mirror));

@@ -224,93 +224,85 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     // ---- Part 1d: pending edits are pulled, from the out side alone. ----
     // PageRank over base ⊕ overlay: every superstep is all-active, so every
     // superstep pulls, and an `Out` program never makes the overlay derive
-    // its in side. A snapshot's pulls merge each edited row with the
-    // overlay's row-major side until the merge tax they were charged
-    // reaches the price of folding the mirror (`FoldTerms`); the pull that
-    // gets there folds it, once, and every later pull reads the fold. So a
-    // snapshot below its price allocates nothing, and one past it allocates
-    // the fold and then nothing.
-    let store = || {
-        GraphStore::new(
-            topo.clone(),
-            StoreOptions {
-                compaction_threshold: usize::MAX,
-                background: false,
-                ..StoreOptions::default()
-            },
-        )
-    };
+    // its in side. A snapshot's first `Out` pull folds its pending edits
+    // into a copy of the base's out mirror, once, and every pull reads that
+    // fold. So a snapshot that is only pushed allocates nothing and never
+    // folds; its first pull allocates the fold, and nothing after it does.
+    let store = GraphStore::new(
+        topo.clone(),
+        StoreOptions {
+            compaction_threshold: usize::MAX,
+            background: false,
+            ..StoreOptions::default()
+        },
+    );
     let n = topo.num_vertices();
-    let edited = |stride: usize| {
-        let mut batch = DeltaBatch::new(n);
-        for (i, &(src, dst, _)) in el.edges().iter().step_by(stride).enumerate() {
-            let edit = match i % 3 {
-                0 => batch.delete(src, dst),
-                1 => batch.insert(src, dst, 0.5),
-                _ => batch.insert(dst, (src + 1) % n, 2.0),
-            };
-            if let Err(e) = edit {
-                panic!("edit {i}: {e}");
-            }
-        }
-        match store().apply(batch) {
-            Ok(snapshot) if snapshot.overlay().is_some() => snapshot,
-            Ok(_) => panic!("the batch left no pending edits"),
-            Err(e) => panic!("apply: {e}"),
-        }
-    };
-    let mut ranks = VertexState::for_topology(&topo);
-    let pagerank = |snapshot: &graphmat_core::GraphSnapshot<f32>, ranks: &mut _, iterations| {
-        let cfg = PageRankConfig {
-            iterations,
-            ..Default::default()
+    let mut batch = DeltaBatch::new(n);
+    for (i, &(src, dst, _)) in el.edges().iter().step_by(97).enumerate() {
+        let edit = match i % 3 {
+            0 => batch.delete(src, dst),
+            1 => batch.insert(src, dst, 0.5),
+            _ => batch.insert(dst, (src + 1) % n, 2.0),
         };
-        match pagerank_into(&session, snapshot.view(), &cfg, None, ranks) {
-            Ok(r) => assert_eq!(
-                (r.stats.iterations, r.stats.pull_supersteps),
-                (iterations, iterations)
-            ),
-            Err(e) => panic!("pagerank over edits: {e}"),
+        if let Err(e) = edit {
+            panic!("edit {i}: {e}");
         }
-    };
-    let fold_of = |snapshot: &graphmat_core::GraphSnapshot<f32>| match snapshot.pull_fold() {
-        Some(fold) => fold,
-        None => panic!("no pull mirror or no pending edits"),
-    };
-
-    // Below the price: a few edits, a warm-up and four measured runs of two
-    // pulls each, all of them merged.
-    let below = edited(1999);
-    let terms = fold_of(&below).terms;
-    assert!(10 * terms.tax < terms.price, "{terms:?}");
-    let out_side_bytes = below.overlay().map_or(0, |o| o.bytes());
-    pagerank(&below, &mut ranks, 2);
-    for _ in 0..4 {
-        let ((), stats) = AllocGuard::measure(|| pagerank(&below, &mut ranks, 2));
-        assert!(
-            !stats.any(),
-            "a warmed pagerank_into over pending edits below their price must not touch the heap, got {stats:?}"
-        );
     }
-    let fold = fold_of(&below);
-    assert_eq!((fold.folded_bytes, fold.tax_paid), (None, 10 * terms.tax));
+    let pending = match store.apply(batch) {
+        Ok(snapshot) => snapshot,
+        Err(e) => panic!("apply: {e}"),
+    };
+    let Some(overlay) = pending.overlay() else {
+        panic!("the batch left no pending edits");
+    };
+    let out_side_bytes = overlay.bytes();
+
+    // Pushed only: the merged push, warmed, and no fold.
+    let mut pushed: VertexState<f64> = VertexState::for_topology(&topo);
+    let push = |state: &mut VertexState<f64>| match session
+        .run(pending.view(), Rank)
+        .init_all(1.0)
+        .activate_all()
+        .activity(ActivityPolicy::AlwaysAll)
+        .backend(Some(Backend::Push))
+        .max_iterations(10)
+        .execute_with(state)
+    {
+        Ok(r) => assert_eq!((r.stats.iterations, r.stats.pull_supersteps), (10, 0)),
+        Err(e) => panic!("push over edits: {e}"),
+    };
+    push(&mut pushed);
+    let ((), stats) = AllocGuard::measure(|| push(&mut pushed));
+    assert!(
+        !stats.any(),
+        "a warmed push over pending edits must not touch the heap, got {stats:?}"
+    );
     assert_eq!(
-        below.overlay().map_or(0, |o| o.bytes()),
-        out_side_bytes,
-        "an Out run compiled the overlay's in side"
+        pending.folded_pull_bytes(),
+        None,
+        "a push folded the mirror"
     );
 
-    // Past the price: the first run's pulls cross it and fold the mirror —
-    // the one allocation, about the base mirror's size — and the next run
-    // reads the fold without touching the heap.
-    let past = edited(97);
-    let terms = fold_of(&past).terms;
-    assert!(10 * terms.tax >= terms.price, "{terms:?}");
-    let out_side_bytes = past.overlay().map_or(0, |o| o.bytes());
-    let ((), stats) = AllocGuard::measure(|| pagerank(&past, &mut ranks, 10));
-    let fold = fold_of(&past);
-    let Some(folded_bytes) = fold.folded_bytes else {
-        panic!("ten pulls past the price did not fold: {fold:?}");
+    // Pulled: the first run folds the mirror — the one allocation, about
+    // the base mirror's size — and the next run reads the fold without
+    // touching the heap.
+    let cfg = PageRankConfig {
+        iterations: 10,
+        ..Default::default()
+    };
+    let mut ranks = VertexState::for_topology(&topo);
+    let pagerank = |ranks: &mut _| match pagerank_into(&session, pending.view(), &cfg, None, ranks)
+    {
+        Ok(r) => assert_eq!((r.stats.iterations, r.stats.pull_supersteps), (10, 10)),
+        Err(e) => panic!("pagerank over edits: {e}"),
+    };
+    // The state's workspace is warmed over the base, which has no fold.
+    if let Err(e) = pagerank_into(&session, &topo, &cfg, None, &mut ranks) {
+        panic!("warm-up pagerank: {e}");
+    }
+    let ((), stats) = AllocGuard::measure(|| pagerank(&mut ranks));
+    let Some(folded_bytes) = pending.folded_pull_bytes() else {
+        panic!("ten pulls did not fold");
     };
     let mirror = match topo.out_pull_mirror() {
         Some(m) => m,
@@ -325,18 +317,13 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         "the fold of a {}-byte mirror into {folded_bytes} bytes: {stats:?}",
         mirror.bytes()
     );
-    let ((), stats) = AllocGuard::measure(|| pagerank(&past, &mut ranks, 10));
+    let ((), stats) = AllocGuard::measure(|| pagerank(&mut ranks));
     assert!(
         !stats.any(),
         "a pagerank_into over a folded snapshot must not touch the heap, got {stats:?}"
     );
     assert_eq!(
-        fold_of(&past),
-        fold,
-        "a folded snapshot's pulls are not charged"
-    );
-    assert_eq!(
-        past.overlay().map_or(0, |o| o.bytes()),
+        overlay.bytes(),
         out_side_bytes,
         "an Out run compiled the overlay's in side"
     );

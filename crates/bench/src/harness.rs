@@ -17,9 +17,7 @@ use graphmat_io::datasets::{self, DatasetId, DatasetScale};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_perf::CostCounters;
 use graphmat_sparse::coo::Coo;
-use graphmat_sparse::overlay::{
-    fold_into_mirror, gspmv_overlay_into, gspmv_overlay_pull_into, Overlay, OverlayOp,
-};
+use graphmat_sparse::overlay::{fold_into_mirror, gspmv_overlay_into, Overlay, OverlayOp};
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
@@ -644,6 +642,32 @@ fn in_half(k: Index) -> bool {
     k.wrapping_mul(0x9E37_79B1) >> 31 == 0
 }
 
+/// `edits` as an overlay bucketed by `matrix`'s row partitions.
+fn overlay_of(
+    matrix: &PartitionedDcsc<f32>,
+    edits: Vec<(Index, Index, OverlayOp<f32>)>,
+) -> Overlay<f32> {
+    let ranges: Vec<_> = matrix.partitions().iter().map(|p| p.rows).collect();
+    Overlay::from_entries(matrix.nrows(), matrix.ncols(), &ranges, edits)
+}
+
+/// The `3pct` rows' overlay of `gt` (held as `matrix`): one in 33 stored
+/// entries edited — deleted, reweighted, or moved one column on.
+fn three_pct(gt: &Coo<f32>, matrix: &PartitionedDcsc<f32>) -> Overlay<f32> {
+    let n = gt.ncols();
+    let mut edits: Vec<(Index, Index, OverlayOp<f32>)> = (gt.entries().iter().step_by(33))
+        .enumerate()
+        .map(|(i, &(r, c, w))| match i % 3 {
+            0 => (r, c, OverlayOp::Delete),
+            1 => (r, c, OverlayOp::Upsert(w + 1.0)),
+            _ => (r, (c + 1) % n, OverlayOp::Upsert(w)),
+        })
+        .collect();
+    edits.sort_unstable_by_key(|&(r, c, _)| (r, c));
+    edits.dedup_by_key(|&mut (r, c, _)| (r, c));
+    overlay_of(matrix, edits)
+}
+
 /// The frontier densities of the `push_density_*` rows, one sender in each.
 const DENSITY_STRIDES: [usize; 5] = [4096, 256, 64, 4, 1];
 
@@ -667,10 +691,10 @@ fn for_each_kernel(
     let stored = matrix.nnz();
     let y = &mut SparseVector::new(n);
 
-    // Every vertex sending, over `base ⊕ overlay`: the `empty` rows against
-    // `pull/dense` and `push_density_rmat/1_of_1` are "the overlay branch is
-    // free" (one length compare per partition); the `3pct` rows are what
-    // merging edits on 3 % of the stored edges costs each kernel.
+    // Every vertex sending: the `overlay_push/empty` row against
+    // `push_density_rmat/1_of_1` is "the overlay branch is free" (one length
+    // compare per partition); the `3pct` rows are what edits on 3 % of the
+    // stored edges cost: the push merges them, a pull reads their fold.
     let all = SparseVector::full(n, 1.0f32);
     visit("pull/dense".into(), stored, y, &|y| {
         gspmv_csr_pull_into(&mirror, &all, &relax, &keep_min, ex, y)
@@ -679,31 +703,16 @@ fn for_each_kernel(
     // read per *stored* edge: at half of `pull/dense` the pass over the rows
     // turned away is free, and what it reads above half is that pass.
     visit("pull/masked_half".into(), stored, y, &|y| {
-        pull_into(&mirror, None, &all, &relax, &keep_min, &in_half, ex, y);
+        pull_into(&mirror, &all, &relax, &keep_min, &in_half, ex, y);
     });
-    let ranges: Vec<_> = matrix.partitions().iter().map(|p| p.rows).collect();
-    let mut edits: Vec<(Index, Index, OverlayOp<f32>)> = (gt.entries().iter().step_by(33))
-        .enumerate()
-        .map(|(i, &(r, c, w))| match i % 3 {
-            0 => (r, c, OverlayOp::Delete),
-            1 => (r, c, OverlayOp::Upsert(w + 1.0)),
-            _ => (r, (c + 1) % n as Index, OverlayOp::Upsert(w)),
-        })
-        .collect();
-    edits.sort_unstable_by_key(|&(r, c, _)| (r, c));
-    edits.dedup_by_key(|&mut (r, c, _)| (r, c));
-    let overlay = |edits| Overlay::from_entries(n as Index, n as Index, &ranges, edits);
-    let overlays = [("empty", overlay(vec![])), ("3pct", overlay(edits))];
-    for (name, overlay) in &overlays {
-        visit(format!("overlay_pull/{name}"), stored, y, &|y| {
-            gspmv_overlay_pull_into(&mirror, overlay, &all, &relax, &keep_min, ex, y)
-        });
-    }
-    // What a snapshot's first pull pays instead of merging on every pull:
-    // the 3 % overlay folded into the mirror, read per mirror edge. Beside
-    // `overlay_pull/3pct` − `pull/dense` (what each merged pull would pay
-    // over a pull of the fold) it says how many pulls one fold is worth.
-    // The row writes no output.
+    let overlays = [
+        ("empty", overlay_of(&matrix, vec![])),
+        ("3pct", three_pct(&gt, &matrix)),
+    ];
+    // What a snapshot's first pull over pending edits pays so that every
+    // pull of it runs the plain kernel: the 3 % overlay folded into the
+    // mirror, read per mirror edge. Beside `pull/dense` it says how many
+    // pulls one fold costs. The row writes no output.
     visit("fold_mirror/3pct".into(), stored, y, &|y| {
         y.clear();
         std::hint::black_box(fold_into_mirror(&mirror, &overlays[1].1, ex));
@@ -767,8 +776,7 @@ fn for_each_kernel(
 /// The generalized-SpMV kernels timed directly, on the Graph500 RMAT graph
 /// and the road grid of `scale` over `nthreads` lanes (`0` = all available):
 /// `(label, median of 9 calls after a warm-up, edges one call visits)` per
-/// row, in this order — `pull/dense`, `pull/masked_half`,
-/// `overlay_pull/{empty,3pct}`, `fold_mirror/3pct`,
+/// row, in this order — `pull/dense`, `pull/masked_half`, `fold_mirror/3pct`,
 /// `overlay_push/{empty,3pct,3pct_1_of_64}`,
 /// `push_density_{rmat,grid}/1_of_{4096,256,64,4,1}`,
 /// `partitions/{1,T,8T}`, `edges/{f32,unit}`. These are the rows the repo
@@ -1027,8 +1035,6 @@ mod tests {
             [
                 "pull/dense",
                 "pull/masked_half",
-                "overlay_pull/empty",
-                "overlay_pull/3pct",
                 "fold_mirror/3pct",
                 "overlay_push/empty",
                 "overlay_push/3pct",
@@ -1067,20 +1073,26 @@ mod tests {
         admitted.retain(|(k, _)| in_half(*k));
         assert_eq!(outputs["pull/masked_half"], admitted);
         assert!(admitted.len() < outputs["pull/dense"].len());
-        // An empty overlay changes nothing, in either direction.
-        assert_eq!(outputs["overlay_pull/empty"], outputs["pull/dense"]);
+        // An empty overlay changes nothing.
         assert_eq!(
             outputs["overlay_push/empty"],
             outputs["push_density_rmat/1_of_1"]
         );
-        assert_ne!(outputs["overlay_pull/3pct"], outputs["pull/dense"]);
-        assert_eq!(outputs["overlay_push/3pct"], outputs["overlay_pull/3pct"]);
+        // A pull of the 3 % overlay's fold answers like its merged push.
+        let gt = datasets::load(DatasetId::RmatGraph500, DatasetScale::Tiny).to_transpose_coo();
+        let ex = Executor::new(2);
+        let matrix = PartitionedDcsc::from_coo_balanced(&gt, lanes(2) * 8);
+        let mirror = CsrMirror::from_partitioned(&matrix);
+        let folded = fold_into_mirror(&mirror, &three_pct(&gt, &matrix), &ex);
+        let mut pulled = SparseVector::new(gt.ncols() as usize);
+        let all = SparseVector::full(gt.ncols() as usize, 1.0f32);
+        gspmv_csr_pull_into(&folded, &all, &relax, &keep_min, &ex, &mut pulled);
+        assert_eq!(bits(&pulled), outputs["overlay_push/3pct"]);
+        assert_ne!(bits(&pulled), outputs["pull/dense"]);
         assert_eq!(outputs["edges/unit"], outputs["edges/f32"]);
         // Push ≡ pull at every density, whatever the partitioning.
-        let gt = datasets::load(DatasetId::RmatGraph500, DatasetScale::Tiny).to_transpose_coo();
         let mirror = CsrMirror::from_partitioned(&PartitionedDcsc::from_coo_balanced(&gt, 3));
         let n = gt.ncols() as usize;
-        let (ex, mut pulled) = (Executor::new(2), SparseVector::new(n));
         for stride in DENSITY_STRIDES {
             let x = strided(n, stride);
             gspmv_csr_pull_into(&mirror, &x, &relax, &keep_min, &ex, &mut pulled);

@@ -96,23 +96,21 @@
 //! in ascending source order, so **push, pull and the selector produce
 //! bit-for-bit identical results** — the choice can never change an answer,
 //! only its speed. Each superstep records its [`Backend`] so runs expose
-//! their push/pull trajectory. Pending edits change none of this: each leg
-//! hands its overlay to whichever kernel runs, and the rule above reads the
-//! merged degrees and edge count, so a snapshot that is being written takes
-//! the trajectory of its rebuild.
+//! their push/pull trajectory. Pending edits change none of this, and the
+//! rule above reads the merged degrees and edge count, so a snapshot that is
+//! being written takes the trajectory of its rebuild.
 //!
-//! What pending edits do change is the price of a pull. The merged pull
-//! walks every row of an edited mirror partition and merges each edited row
-//! with its ops; a mirror with the edits folded in is pulled by the plain
-//! kernel at base speed, and folding it costs no more than a few merged
-//! pulls. So the first `Out` pull over a snapshot's pending edits folds them
-//! into a copy of the base's out mirror, once, on the run's lanes
-//! ([`DeltaOverlay::fold_out_mirror`]), and every pull of the snapshot — in
-//! any run, on any thread — reads the fold through
-//! `pull_into(folded, None, ..)`. A folded row holds exactly what the merged
-//! gather walks, in the same ascending-source order, and reports the same
-//! gathered count, so neither the answer nor the trajectory moves. Pushes,
-//! `In`/`Both` legs and views without an overlay never fold.
+//! How pending edits reach each kernel: a push sweeps the leg's DCSC merged
+//! with the edits of its side ([`gspmv_overlay_into`]). A pull has one
+//! kernel ([`pull_into`]) and never merges: each leg pulls the base's
+//! mirror, or with edits pending its side's fold of them — a copy of the
+//! base's mirror with the edits folded in, made once by the snapshot's first
+//! pull along that side, on the run's lanes
+//! ([`PendingSide::fold_mirror`]), and read by every later pull, in any run,
+//! on any thread. A folded row is the row a rebuild stores, in the same
+//! ascending-source order, so neither the answer nor the gathered count —
+//! nor therefore the trajectory — moves. Pushes and views without an
+//! overlay never fold.
 
 use crate::error::{GraphMatError, Result};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
@@ -120,8 +118,8 @@ use crate::state::VertexState;
 use crate::stats::{Backend, SuperstepStats};
 use crate::topology::Orientation;
 use crate::view::GraphView;
-use graphmat_delta::DeltaOverlay;
-use graphmat_sparse::overlay::{gspmv_overlay_into, Overlay};
+use graphmat_delta::PendingSide;
+use graphmat_sparse::overlay::gspmv_overlay_into;
 use graphmat_sparse::parallel::Executor;
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
@@ -235,16 +233,15 @@ impl<P: GraphProgram> Workspace<P> {
 }
 
 /// One scatter direction's share of a traversal: the DCSC the push kernel
-/// sweeps, the pending edits aligned to it (and to its pull mirror — the
-/// pull shell takes them as they are, `None` or `Some`), and the degree
-/// array SEND charges a message's edges against.
+/// sweeps, the pending edits of this side (if any), and the degree array
+/// SEND charges a message's edges against.
 struct Leg<'a, E> {
     matrix: &'a PartitionedDcsc<E>,
-    overlay: Option<&'a Overlay<E>>,
+    pending: Option<&'a PendingSide<E>>,
     degrees: &'a [u32],
 }
 
-impl<E: Sync> Leg<'_, E> {
+impl<E: Clone + Send + Sync> Leg<'_, E> {
     /// The push SpMV over this leg; with edits pending, the merged
     /// `base ⊕ overlay` kernel — same multiply/add closures, same
     /// per-destination reduction order.
@@ -261,30 +258,62 @@ impl<E: Sync> Leg<'_, E> {
         M: Fn(&X, &E, Index) -> Y + Sync,
         A: Fn(&mut Y, Y) + Sync,
     {
-        match self.overlay {
+        match self.pending {
             None => gspmv_into(self.matrix, messages, multiply, add, executor, y),
-            Some(overlay) => {
+            Some(side) => {
+                let overlay = side.overlay();
                 gspmv_overlay_into(self.matrix, overlay, messages, multiply, add, executor, y)
             }
         }
     }
+
+    /// The masked pull over `base`, this leg's mirror — or with edits
+    /// pending over this side's fold of them, which the snapshot's first
+    /// pull along this side makes ([`PendingSide::fold_mirror`]) — returning
+    /// the edges gathered.
+    #[allow(clippy::too_many_arguments)]
+    fn pull<X, Y, M, A, R>(
+        &self,
+        base: &CsrMirror<E>,
+        messages: &SparseVector<X>,
+        multiply: &M,
+        add: &A,
+        admit: &R,
+        executor: &Executor,
+        y: &mut SparseVector<Y>,
+    ) -> u64
+    where
+        X: Sync,
+        Y: Clone + Default + Send,
+        M: Fn(&X, &E, Index) -> Y + Sync,
+        A: Fn(&mut Y, Y) + Sync,
+        R: Fn(Index) -> bool + Sync,
+    {
+        let mirror = match self.pending {
+            Some(side) => side.fold_mirror(base, executor),
+            None => base,
+        };
+        pull_into(mirror, messages, multiply, add, admit, executor, y)
+    }
 }
 
-/// One leg over `orientation`, paired with the orientation's pull mirror.
+/// One leg over `orientation` with the pending edits of its side, paired
+/// with the orientation's pull mirror.
 fn leg<'a, E>(
     orientation: &'a Orientation<E>,
-    overlay: Option<&'a Overlay<E>>,
+    pending: Option<&'a PendingSide<E>>,
     degrees: &'a [u32],
 ) -> (Leg<'a, E>, Option<&'a CsrMirror<E>>) {
     let leg = Leg {
         matrix: &orientation.matrix,
-        overlay,
+        pending,
         degrees,
     };
     (leg, orientation.mirror.as_deref())
 }
 
-/// The pull mirrors of a traversal's legs, first then (for `Both`) second.
+/// The base pull mirrors of a traversal's legs, first then (for `Both`)
+/// second.
 type Mirrors<'a, E> = (&'a CsrMirror<E>, Option<&'a CsrMirror<E>>);
 
 /// Everything one run reads from its [`GraphView`], resolved for the
@@ -296,13 +325,8 @@ pub(crate) struct Traversal<'a, E> {
     view: GraphView<'a, E>,
     first: Leg<'a, E>,
     second: Option<Leg<'a, E>>,
-    /// The legs' pull mirrors; `None` unless every leg has one. They
-    /// describe the unedited base — pending edits ride along in each leg's
-    /// overlay, on the pull backend as on the push one.
+    /// The legs' base pull mirrors; `None` unless every leg has one.
     mirrors: Option<Mirrors<'a, E>>,
-    /// For an `Out` leg over pending edits with a mirror: the snapshot's
-    /// overlay, whose folded mirror the pulls read instead of the first.
-    fold: Option<&'a DeltaOverlay<E>>,
     /// The backend every superstep must use; `None` lets
     /// [`choose_backend`] decide per superstep.
     forced: Option<Backend>,
@@ -330,21 +354,17 @@ impl<'a, E: Clone> Traversal<'a, E> {
         let topology = view.topology();
         // Like `G` below, an overlay's in side is derived by the first run
         // that scatters along in-edges; `Out` runs never ask for it.
-        let in_overlay = if direction == EdgeDirection::Out {
+        let in_side = if direction == EdgeDirection::Out {
             None
         } else {
-            view.in_kernel_overlay()
+            view.in_side()
         };
-        if direction != EdgeDirection::Out && view.has_overlay() && in_overlay.is_none() {
+        if direction != EdgeDirection::Out && view.has_overlay() && in_side.is_none() {
             return Err(GraphMatError::MissingInMatrix);
         }
-        let out = leg(
-            topology.out(),
-            view.out_kernel_overlay(),
-            view.out_degrees(),
-        );
+        let out = leg(topology.out(), view.out_side(), view.out_degrees());
         // Lazy: the first call on a topology is what derives its `G`.
-        let inward = || leg(topology.inward(), in_overlay, view.in_degrees());
+        let inward = || leg(topology.inward(), in_side, view.in_degrees());
         let ((first, first_mirror), second) = match direction {
             EdgeDirection::Out => (out, None),
             EdgeDirection::In => (inward(), None),
@@ -359,16 +379,11 @@ impl<'a, E: Clone> Traversal<'a, E> {
         if forced == Some(Backend::Pull) && mirrors.is_none() {
             return Err(GraphMatError::MissingPullMirror);
         }
-        let fold = match (direction, mirrors) {
-            (EdgeDirection::Out, Some(_)) => view.overlay(),
-            _ => None,
-        };
         Ok(Traversal {
             view,
             first,
             second,
             mirrors,
-            fold,
             forced,
         })
     }
@@ -432,14 +447,12 @@ impl<'a, E: Clone> Traversal<'a, E> {
 /// next one, from what this superstep's pull gathered — a push leaves it as
 /// it was.
 ///
-/// With a pending overlay either kernel runs merged with it — the push
-/// SpMV's [`gspmv_overlay_into`] column walk, the pull shell's merged row
-/// gather — and SEND accounts the **merged** degree arrays while the pull
-/// reports **merged** row lengths, so metrics describe the edited graph and
-/// the selector gives it the push/pull trajectory of its rebuild. An `Out`
-/// pull reads the snapshot's folded mirror instead, and the snapshot's first
-/// one folds it ([`DeltaOverlay::fold_out_mirror`]) — the one allocation a
-/// superstep can make.
+/// With a pending overlay the push runs merged with it and the pull reads
+/// the leg's folded mirror — the snapshot's first pull along a side folds it
+/// ([`PendingSide::fold_mirror`]), the one allocation a superstep can make.
+/// SEND accounts the **merged** degree arrays and the pull reports the
+/// folded rows' lengths, so metrics describe the edited graph and the
+/// selector gives it the push/pull trajectory of its rebuild.
 pub(crate) fn superstep<P: GraphProgram>(
     traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
@@ -493,21 +506,15 @@ pub(crate) fn superstep<P: GraphProgram>(
             })
         }
         Some((first, second)) => {
-            let first = match traversal.fold {
-                Some(pending) => (&**pending.fold_out_mirror(first, executor), None),
-                None => (first, traversal.first.overlay),
-            };
-            let second = (traversal.second.as_ref().zip(second)).map(|(leg, m)| (m, leg.overlay));
+            let second = traversal.second.as_ref().zip(second);
             let mut gathered = 0;
             first_then_second(
-                (first, second),
+                ((&traversal.first, first), second),
                 &add,
                 reduced,
                 scratch,
-                |(mirror, edits), y| {
-                    gathered += pull_into(
-                        mirror, edits, messages, &multiply, &add, &admit, executor, y,
-                    );
+                |(leg, mirror), y| {
+                    gathered += leg.pull(mirror, messages, &multiply, &add, &admit, executor, y);
                 },
             );
             *pull_edges = traversal.pull_price(gathered);

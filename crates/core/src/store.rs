@@ -32,27 +32,30 @@
 //!
 //! # Compaction
 //!
-//! Pending deltas cost the merged overlay walk, pushed or pulled (see
+//! Pending deltas cost the merged overlay walk on every push (see
 //! [`crate::view::GraphView`]), and every `apply` copies the pending set
-//! once as it merges its batch in. An `Out` pull does not pay the merged
-//! walk: the first one over a snapshot folds its overlay into a copy of the
-//! base's out mirror, and every pull of the snapshot reads that
-//! ([`GraphSnapshot::folded_pull_bytes`] says whether it has). That
-//! read-side fold is the snapshot's, not the store's: it costs a mirror's
-//! bytes for as long as the snapshot lives, and the next write publishes a
-//! new snapshot that folds again when it is first pulled. When the
-//! published overlay reaches [`StoreOptions::compaction_threshold`]
-//! effective ops, the store folds the published overlay into the published
-//! base ([`Topology::with_overlay`]) and republishes with an empty overlay.
-//! The fold is a linear merge per partition — each push partition of `Gᵀ`
-//! with its overlay partition, column by column, and each mirror partition
-//! with the overlay's edited rows — so nothing is re-sorted and no edge
-//! list is built. If the snapshot's pulls already folded the mirror, the
+//! once as it merges its batch in. A pull does not merge: the first one
+//! along a side of a snapshot folds that side's edits into a copy of the
+//! base's mirror of that side, and every pull along it reads the copy
+//! ([`GraphSnapshot::folded_pull_bytes`] says how many bytes the snapshot's
+//! folds hold). Those read-side folds are the snapshot's, not the store's:
+//! they cost a mirror's bytes each for as long as the snapshot lives, and
+//! the next write publishes a new snapshot that folds again when it is first
+//! pulled. When the published overlay reaches
+//! [`StoreOptions::compaction_threshold`] effective ops, the store folds the
+//! published overlay into the published base ([`Topology::with_overlay`])
+//! and republishes with an empty overlay. The fold is a linear merge per
+//! partition — each push partition of `Gᵀ` with its overlay partition,
+//! column by column, and each mirror partition with the overlay's edited
+//! rows — so nothing is re-sorted and no edge list is built. The mirror is
+//! the snapshot's own out-side fold: if its pulls already made it, the
 //! compaction publishes that one (shared, not copied) and folds only the
-//! push matrix. The new base keeps the old one's build options and row
+//! push matrix; otherwise it makes it, and the snapshot keeps it for its
+//! pulls. The new base keeps the old one's build options and row
 //! ranges: it is **not** re-balanced to the edited degrees, which is safe
 //! because no answer depends on the partitioning. Its `G` is derived on the
-//! first `In`/`Both` run, as any base's is. With
+//! first `In`/`Both` run, as any base's is; a snapshot's in-side fold is
+//! not published. With
 //! [`StoreOptions::background`] set, a dedicated worker thread does this off
 //! the write path — `apply` just signals it; otherwise compaction runs
 //! inline in the triggering `apply`.
@@ -201,14 +204,15 @@ impl<E> GraphSnapshot<E> {
         self.overlay.as_ref().map_or(0, |o| o.len())
     }
 
-    /// The bytes of the out-side pull mirror this snapshot's pulls read
-    /// instead of merging its pending edits: a copy of the base's with the
-    /// edits folded in, made by the first `Out` pull and counted apart from
-    /// [`DeltaOverlay::bytes`]. `None` until a pull has folded it, and
-    /// always if nothing is pending.
+    /// The bytes of the pull mirrors this snapshot's pulls read instead of
+    /// its base's: per side, a copy of the base's mirror with the pending
+    /// edits folded in, made by the first pull along that side (or by a
+    /// compaction of the snapshot, for the out side) and counted apart from
+    /// [`DeltaOverlay::bytes`]. The sum over the out fold and, once an
+    /// `In`/`Both` run has pulled, the in fold. `None` until a fold has been
+    /// made, and always if nothing is pending.
     pub fn folded_pull_bytes(&self) -> Option<usize> {
-        let overlay = self.overlay.as_deref()?;
-        overlay.folded_out_mirror().map(|m| m.bytes())
+        self.overlay.as_deref()?.folded_bytes()
     }
 }
 

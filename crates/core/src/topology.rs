@@ -57,7 +57,7 @@ use crate::program::VertexId;
 use graphmat_delta::{BaseFacts, DeltaOverlay, UpdateOp};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::coo::Coo;
-use graphmat_sparse::overlay::{fold_into_matrix, fold_into_mirror};
+use graphmat_sparse::overlay::fold_into_matrix;
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::{PartitionedDcsc, RowBuckets, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
@@ -294,10 +294,12 @@ impl<E: Clone> Topology<E> {
     /// compiled against it — folded in: what compaction publishes. Each push
     /// partition of `Gᵀ` is merged with its overlay partition column by
     /// column and each mirror partition row by row
-    /// ([`fold_into_matrix`], [`fold_into_mirror`]); nothing is re-sorted.
-    /// If the snapshot's pulls already folded the mirror
-    /// ([`DeltaOverlay::fold_out_mirror`]), that mirror is published as it
-    /// is — shared, not copied, and not folded a second time.
+    /// ([`fold_into_matrix`], `fold_into_mirror`); nothing is re-sorted.
+    /// The mirror is the snapshot's own out-side fold
+    /// ([`graphmat_delta::PendingSide::fold_mirror`]): the one its pulls
+    /// already made, published as it is — shared, not copied, and not folded
+    /// a second time — or made now and kept with the snapshot. The in side's
+    /// fold is not published: `G` is derived again on first use.
     /// The result keeps this topology's options and every range — push,
     /// mirror and `G`'s — rather than re-balancing them to the edited
     /// degrees (answers do not depend on the partitioning), takes its degrees
@@ -318,14 +320,8 @@ impl<E: Clone> Topology<E> {
             options: self.options,
             out: Orientation {
                 matrix: fold_into_matrix(&self.out.matrix, overlay),
-                mirror: self
-                    .out
-                    .mirror
-                    .as_ref()
-                    .map(|m| match edits.folded_out_mirror() {
-                        Some(folded) => Arc::clone(folded),
-                        None => Arc::new(fold_into_mirror(m, overlay, &Executor::sequential())),
-                    }),
+                mirror: (self.out.mirror.as_ref())
+                    .map(|m| Arc::clone(edits.out_side().fold_mirror(m, &Executor::sequential()))),
             },
             inward: OnceLock::new(),
             in_ranges: self.in_ranges.clone(),

@@ -16,33 +16,27 @@
 //!   overlay of the program's traversal direction (the in side is derived
 //!   the first time an `In`/`Both` run asks for it).
 //!
-//! **Both** backends are overlay-aware. A topology's dense pull mirrors
-//! describe the unedited base and are never written per batch; the pull
-//! kernel merges each destination row with the overlay's row-major side as
-//! the push kernel merges each source column with its column-major one. So
-//! the selector sees the merged degrees and edge count and gives an edited
-//! snapshot the push/pull trajectory of its rebuild, and forcing
-//! [`Backend::Pull`](crate::stats::Backend::Pull) over pending edits is as
-//! valid as over a bare topology. Results stay bit-for-bit identical to a run
-//! over a topology rebuilt from the edited edge list —
-//! [`graphmat_sparse::overlay::gspmv_overlay_into`] and
-//! [`graphmat_sparse::overlay::gspmv_overlay_pull_into`] fold each
+//! **Both** backends are overlay-aware, and a topology's dense pull mirrors
+//! describe the unedited base: they are never written per batch. The push
+//! kernel merges each source column with the overlay's column-major side.
+//! A pull does not merge: the first pull along a side over a snapshot's
+//! pending edits folds them into a copy of the base's mirror of that side,
+//! kept with the snapshot's overlay
+//! ([`graphmat_delta::PendingSide::fold_mirror`]), and every pull along that
+//! side of the snapshot reads the fold through the one pull kernel. A
+//! compaction of the snapshot publishes its out-side fold instead of folding
+//! the mirror again. So the selector sees the merged degrees and edge count
+//! and gives an edited snapshot the push/pull trajectory of its rebuild, and
+//! forcing [`Backend::Pull`](crate::stats::Backend::Pull) over pending edits
+//! is as valid as over a bare topology. Results stay bit-for-bit identical
+//! to a run over a topology rebuilt from the edited edge list: the merged
+//! push ([`graphmat_sparse::overlay::gspmv_overlay_into`]) folds each
 //! destination's products in the same ascending-source order a rebuild
-//! would.
-//!
-//! An `Out` pull does not merge, though: the first one over a snapshot's
-//! pending edits folds the overlay into a copy of the base's out mirror,
-//! kept in the overlay ([`DeltaOverlay::fold_out_mirror`]), and every `Out`
-//! pull of that snapshot reads the fold through the plain kernel — a
-//! compaction of it publishes that mirror instead of folding it again. The
-//! folded rows hold exactly what the merged gather walks, in the same order,
-//! so this changes no answer and no push/pull choice. Pushes and `In`/`Both`
-//! legs always merge.
+//! would, and a folded row is the row a rebuild stores, in the same order.
 
 use crate::program::VertexId;
 use crate::topology::Topology;
-use graphmat_delta::DeltaOverlay;
-use graphmat_sparse::overlay::Overlay;
+use graphmat_delta::{DeltaOverlay, PendingSide};
 use std::sync::Arc;
 
 /// A borrowed view of a graph as the engine traverses it: an immutable base
@@ -136,21 +130,20 @@ impl<'a, E> GraphView<'a, E> {
             .map_or(self.topology.in_degrees(), |o| o.in_degrees())
     }
 
-    /// The kernel overlay aligned to the out matrix (`Gᵀ`), if edits are
-    /// pending.
-    pub(crate) fn out_kernel_overlay(&self) -> Option<&'a Overlay<E>> {
-        self.overlay.map(|o| o.out())
+    /// The pending edits aligned to the out matrix (`Gᵀ`), if any.
+    pub(crate) fn out_side(&self) -> Option<&'a PendingSide<E>> {
+        self.overlay.map(|o| o.out_side())
     }
 }
 
 impl<'a, E: Clone> GraphView<'a, E> {
-    /// The kernel overlay aligned to the in matrix (`G`), if edits are
+    /// The pending edits aligned to the in matrix (`G`), if edits are
     /// pending **and** the overlay was compiled with the base's in ranges
     /// (the store's always are; they are fixed at build, whether or not `G`
     /// itself has been derived yet). The first call on an overlay is what
     /// derives its in side, so only `In`/`Both` runs ask.
-    pub(crate) fn in_kernel_overlay(&self) -> Option<&'a Overlay<E>> {
-        self.overlay.and_then(|o| o.in_overlay())
+    pub(crate) fn in_side(&self) -> Option<&'a PendingSide<E>> {
+        self.overlay.and_then(|o| o.in_side())
     }
 }
 
@@ -186,7 +179,7 @@ mod tests {
         assert_eq!(v.num_edges(), 4);
         assert_eq!(v.out_degrees(), t.out_degrees());
         assert_eq!(v.in_degrees(), t.in_degrees());
-        assert!(v.out_kernel_overlay().is_none());
+        assert!(v.out_side().is_none());
         let copy = v; // Copy without E: Clone
         assert_eq!(copy.num_edges(), v.num_edges());
     }
@@ -198,7 +191,7 @@ mod tests {
         assert!(ov.is_empty());
         let v = GraphView::new(&t, Some(&ov));
         assert!(!v.has_overlay());
-        assert!(v.out_kernel_overlay().is_none());
+        assert!(v.out_side().is_none());
     }
 
     #[test]
@@ -211,7 +204,7 @@ mod tests {
         assert_eq!(v.num_edges(), 4); // -1 +1
         assert_eq!(v.out_degrees(), &[1, 1, 1, 1]);
         assert_eq!(v.in_degrees(), &[1, 0, 2, 1]);
-        assert!(v.out_kernel_overlay().is_some());
-        assert!(v.in_kernel_overlay().is_some());
+        assert!(v.out_side().is_some());
+        assert!(v.in_side().is_some());
     }
 }

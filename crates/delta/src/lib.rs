@@ -15,7 +15,8 @@
 //!   (the out-edge one per batch, merged into the previous one; the in-edge
 //!   one derived when first traversed) plus merged degree arrays and edge
 //!   counts, so the engine sees `(base ⊕ delta)` without rebuilding the
-//!   matrices.
+//!   matrices; each side ([`overlay::PendingSide`]) also folds its edits
+//!   into a copy of the base's pull mirror when it is first pulled.
 //!
 //! The crate deliberately knows nothing about vertex programs, snapshots or
 //! wire formats — `graphmat-core`'s `GraphStore` owns publication and
@@ -30,7 +31,7 @@ pub mod overlay;
 
 pub use batch::{DeltaBatch, UpdateOp};
 pub use log::DeltaLog;
-pub use overlay::{BaseFacts, DeltaOverlay, PairIndex};
+pub use overlay::{BaseFacts, DeltaOverlay, PairIndex, PendingSide};
 
 /// The kernel-level edit-set structure, re-exported under the paper-plan
 /// name: a `DeltaMatrix` is a partition-aligned set of pending ops, indexed

@@ -15,16 +15,16 @@
 //! costs what was written plus one linear copy of what is pending.
 //!
 //! Only the out-edge kernel overlay (aligned to `Gᵀ`) is compiled per batch.
-//! Two things are derived from it on demand, each written once and shared
-//! by every reader of the snapshot:
+//! Everything else is derived from it on demand, written once and shared by
+//! every reader of the snapshot:
 //!
 //! * the in-edge overlay, like the base's `G`: the first `In`/`Both` run
 //!   over the snapshot transposes the out side's entries into it, and `Out`
 //!   programs — every served algorithm — never pay for it;
-//! * the base's out-side pull mirror with the out side folded in
-//!   ([`DeltaOverlay::fold_out_mirror`]) — what a compaction would publish —
-//!   by the snapshot's first `Out` pull, which every later pull reads
-//!   instead of merging the edits again.
+//! * per side, the base's pull mirror of that side with its edits folded in
+//!   ([`PendingSide::fold_mirror`]) — the mirror a rebuild stores — by the
+//!   snapshot's first pull along that side, which every later pull reads.
+//!   This is how pending edits are pulled: there is no merged pull kernel.
 
 use crate::batch::UpdateOp;
 use graphmat_sparse::overlay::{fold_into_mirror, Overlay, OverlayOp};
@@ -86,26 +86,70 @@ pub struct BaseFacts<'a> {
 /// The pending edits of a snapshot, compiled against its base's layout:
 /// the kernel overlay of the out-edge traversal plus the merged degree
 /// arrays and edge count of the *edited* graph. Like the base topology's
-/// `G`, the in-edge overlay is not compiled until an `In`/`Both` run asks
-/// for it ([`DeltaOverlay::in_overlay`]): every `apply` would otherwise pay
-/// for a side that `Out` programs never read. The same goes for the base's
-/// out mirror with these edits folded in ([`DeltaOverlay::fold_out_mirror`]),
-/// which the snapshot's first `Out` pull folds.
+/// `G`, the in-edge side is not compiled until an `In`/`Both` run asks for
+/// it ([`DeltaOverlay::in_side`]): every `apply` would otherwise pay for a
+/// side that `Out` programs never read. The same goes for each side's folded
+/// pull mirror ([`PendingSide::fold_mirror`]), which the snapshot's first
+/// pull along that side folds.
 ///
 /// Immutable once built (but for those derivations) — a snapshot shares it
 /// behind an `Arc` exactly like the base topology.
 #[derive(Clone, Debug)]
 pub struct DeltaOverlay<E> {
-    out: Overlay<E>,
+    out: PendingSide<E>,
     /// [`BaseFacts::in_ranges`], kept for the derivation of `in_`.
     in_ranges: Option<Vec<RowRange>>,
-    in_: OnceLock<Overlay<E>>,
-    /// The base's out-side pull mirror with `out` folded in, once a pull
-    /// has folded it; an `Arc` so a compaction can publish it as it is.
-    folded: OnceLock<Arc<CsrMirror<E>>>,
+    in_: OnceLock<PendingSide<E>>,
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
     num_edges: usize,
+}
+
+/// One side of a [`DeltaOverlay`]: the kernel overlay aligned to one of the
+/// base's matrices, which the merged push sweeps, and — once a pull along
+/// this side has asked for it — the base's pull mirror of that side with the
+/// overlay folded in, which every pull reads.
+#[derive(Clone, Debug)]
+pub struct PendingSide<E> {
+    overlay: Overlay<E>,
+    /// An `Arc` so a compaction can publish the out side's as it is.
+    folded: OnceLock<Arc<CsrMirror<E>>>,
+}
+
+impl<E> PendingSide<E> {
+    fn new(overlay: Overlay<E>) -> Self {
+        PendingSide {
+            overlay,
+            folded: OnceLock::new(),
+        }
+    }
+
+    /// The kernel overlay of this side.
+    pub fn overlay(&self) -> &Overlay<E> {
+        &self.overlay
+    }
+
+    /// `base` — this side's pull mirror of the topology the overlay was
+    /// compiled against — with the overlay folded in on `executor`'s lanes
+    /// ([`graphmat_sparse::overlay::fold_into_mirror`]): byte for byte the
+    /// mirror a rebuild of the edited graph stores over `base`'s ranges.
+    /// Folded the first time it is asked for and kept; concurrent first
+    /// calls share one fold.
+    ///
+    /// # Panics
+    /// Panics if `base` does not refine the overlay's ranges.
+    pub fn fold_mirror(&self, base: &CsrMirror<E>, executor: &Executor) -> &Arc<CsrMirror<E>>
+    where
+        E: Clone + Send + Sync,
+    {
+        self.folded
+            .get_or_init(|| Arc::new(fold_into_mirror(base, &self.overlay, executor)))
+    }
+
+    /// The folded pull mirror, if a pull has folded it.
+    pub fn folded_mirror(&self) -> Option<&Arc<CsrMirror<E>>> {
+        self.folded.get()
+    }
 }
 
 impl<E: Clone> DeltaOverlay<E> {
@@ -139,7 +183,7 @@ impl<E: Clone> DeltaOverlay<E> {
         let n = facts.num_vertices;
         let empty;
         let (pending, out_degrees, in_degrees, num_edges) = match prev {
-            Some(p) => (&p.out, &p.out_degrees[..], &p.in_degrees[..], p.num_edges),
+            Some(p) => (p.out(), &p.out_degrees[..], &p.in_degrees[..], p.num_edges),
             None => {
                 empty = Overlay::empty(n, n, facts.out_ranges);
                 (&empty, facts.out_degrees, facts.in_degrees, facts.num_edges)
@@ -184,10 +228,9 @@ impl<E: Clone> DeltaOverlay<E> {
         });
 
         DeltaOverlay {
-            out,
+            out: PendingSide::new(out),
             in_ranges: facts.in_ranges.map(<[RowRange]>::to_vec),
             in_: OnceLock::new(),
-            folded: OnceLock::new(),
             out_degrees,
             in_degrees,
             num_edges: num_edges as usize,
@@ -205,36 +248,33 @@ impl<E: Clone> DeltaOverlay<E> {
         Self::compile(facts, None, |s, d| pair_index.count(s, d), resolved)
     }
 
-    /// The kernel overlay for in-edge traversal (aligned to `G`), if the
-    /// overlay was compiled with [`BaseFacts::in_ranges`]. Derived from the
-    /// out side's own entries — `(row, col, op)` as `(col, row, op)` — the
-    /// first time it is asked for; concurrent first calls share one result.
-    pub fn in_overlay(&self) -> Option<&Overlay<E>> {
+    /// The in-edge side (aligned to `G`), if the overlay was compiled with
+    /// [`BaseFacts::in_ranges`]. Derived from the out side's own entries —
+    /// `(row, col, op)` as `(col, row, op)` — the first time it is asked
+    /// for; concurrent first calls share one result.
+    pub fn in_side(&self) -> Option<&PendingSide<E>> {
         let ranges = self.in_ranges.as_deref()?;
-        Some(self.in_.get_or_init(|| self.out.transposed(ranges)))
+        Some(
+            self.in_
+                .get_or_init(|| PendingSide::new(self.out().transposed(ranges))),
+        )
     }
 
-    /// `base` — the out-side pull mirror of the topology this overlay was
-    /// compiled against — with the out side folded in on `executor`'s lanes
-    /// ([`graphmat_sparse::overlay::fold_into_mirror`]): byte for byte the
-    /// mirror a compaction of this snapshot publishes. Folded the first time
-    /// it is asked for and kept; concurrent first calls share one fold.
-    ///
-    /// # Panics
-    /// Panics if `base` does not refine the out side's ranges.
-    pub fn fold_out_mirror(&self, base: &CsrMirror<E>, executor: &Executor) -> &Arc<CsrMirror<E>>
-    where
-        E: Send + Sync,
-    {
-        self.folded
-            .get_or_init(|| Arc::new(fold_into_mirror(base, &self.out, executor)))
+    /// The kernel overlay for in-edge traversal: [`DeltaOverlay::in_side`]'s.
+    pub fn in_overlay(&self) -> Option<&Overlay<E>> {
+        self.in_side().map(PendingSide::overlay)
     }
 }
 
 impl<E> DeltaOverlay<E> {
-    /// The kernel overlay for out-edge traversal (aligned to `Gᵀ`).
-    pub fn out(&self) -> &Overlay<E> {
+    /// The out-edge side (aligned to `Gᵀ`).
+    pub fn out_side(&self) -> &PendingSide<E> {
         &self.out
+    }
+
+    /// The kernel overlay for out-edge traversal: [`DeltaOverlay::out_side`]'s.
+    pub fn out(&self) -> &Overlay<E> {
+        &self.out.overlay
     }
 
     /// Out-degrees of the edited graph, indexed by vertex.
@@ -254,26 +294,29 @@ impl<E> DeltaOverlay<E> {
 
     /// Number of effective pending ops (after dropping absent-pair deletes).
     pub fn len(&self) -> usize {
-        self.out.nnz()
+        self.out().nnz()
     }
 
     /// `true` if the overlay changes nothing.
     pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
+        self.out().is_empty()
     }
 
-    /// The folded out-side pull mirror, if a pull has folded it
-    /// ([`DeltaOverlay::fold_out_mirror`]).
-    pub fn folded_out_mirror(&self) -> Option<&Arc<CsrMirror<E>>> {
-        self.folded.get()
+    /// The bytes of every folded pull mirror this overlay holds: the out
+    /// side's, plus the in side's once a pull has folded it. `None` until a
+    /// pull has folded one.
+    pub fn folded_bytes(&self) -> Option<usize> {
+        let sides = std::iter::once(&self.out).chain(self.in_.get());
+        let folds = sides.filter_map(PendingSide::folded_mirror);
+        folds.map(|m| m.bytes()).reduce(|a, b| a + b)
     }
 
-    /// Approximate heap footprint in bytes; counts the in side once it has
-    /// been derived, and never the folded mirror, which is a copy of the
-    /// base's ([`DeltaOverlay::folded_out_mirror`] reports it apart).
+    /// Approximate heap footprint in bytes; counts the in side's overlay once
+    /// it has been derived, and never a folded mirror, which is a copy of the
+    /// base's ([`DeltaOverlay::folded_bytes`] reports them apart).
     pub fn bytes(&self) -> usize {
-        self.out.bytes()
-            + self.in_.get().map_or(0, |o| o.bytes())
+        self.out().bytes()
+            + self.in_.get().map_or(0, |side| side.overlay.bytes())
             + (self.out_degrees.len() + self.in_degrees.len()) * std::mem::size_of::<u32>()
     }
 }

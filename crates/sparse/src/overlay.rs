@@ -1,6 +1,6 @@
 //! Delta overlays: a small sorted edit set applied on top of a
-//! [`PartitionedDcsc`] (or its [`CsrMirror`]) during SpMV, without
-//! rebuilding the matrix.
+//! [`PartitionedDcsc`] during SpMV, or folded into it (and into its
+//! [`CsrMirror`]), without rebuilding the matrix.
 //!
 //! A streaming graph accumulates edge insertions, weight updates and
 //! deletions between compactions. Rebuilding the DCSC per batch would cost
@@ -11,17 +11,20 @@
 //! * **column-major**, for [`gspmv_overlay_into`]: Algorithm 1 over
 //!   `base ⊕ overlay`, one merged sweep over each partition's columns;
 //! * **row-major** (edited rows, and per row the edited columns with the
-//!   index of their op), for [`gspmv_overlay_pull_into`]: the dense pull
-//!   over `mirror ⊕ overlay`, each edited destination row gathered in plain
-//!   runs of the base row between its edited columns.
+//!   index of their op), for [`fold_into_mirror`]: `mirror ⊕ overlay`
+//!   written out as a mirror, each edited row copied in plain runs of the
+//!   base row between its edited columns. That is how edits are pulled:
+//!   there is no merged pull kernel, a pull over pending edits reads a
+//!   mirror they were folded into, through the one pull kernel
+//!   ([`crate::spmv::pull_into`]).
 //!
 //! Both preserve the kernels' reduction-order contract: products arrive at
 //! each destination row in **ascending source (column) order**, exactly as
 //! they would from a matrix rebuilt from the edited edge list. Since the
 //! generalized add may be a non-associative floating-point sum, this is what
-//! makes overlay results — pushed or pulled — bit-for-bit identical to a
-//! from-scratch rebuild (for bases without duplicate coordinates; an op on
-//! a duplicated coordinate masks *all* stored copies).
+//! makes overlay results — pushed, or pulled from a fold — bit-for-bit
+//! identical to a from-scratch rebuild (for bases without duplicate
+//! coordinates; an op on a duplicated coordinate masks *all* stored copies).
 //!
 //! # One merge rule
 //!
@@ -37,12 +40,11 @@
 //!
 //! * **one copier** (`Lines`), which writes the merge out: a write merging a
 //!   batch into the pending set ([`Overlay::merged`], where `take` decides
-//!   each edit) and a compaction folding the pending set into the base
+//!   each edit) and a fold of the pending set into the base
 //!   ([`fold_into_matrix`], [`fold_into_mirror`], where an upsert is kept and
 //!   a delete dropped). Runs of unedited columns are copied in bulk;
-//! * **the gatherers**, which multiply a run and then the upsert in its
-//!   place: the merged pull per edited row, the merged push per edited
-//!   column.
+//! * **the merged push**, which multiplies a run and then the upsert in its
+//!   place, per edited column.
 //!
 //! Every overlay comes out of one linear builder, [`Overlay::merged`]: a
 //! sorted batch of edits merged into an existing overlay, partition by
@@ -52,25 +54,25 @@
 //! it; [`Overlay::from_entries`] is one sort of its entries and then the
 //! same builder, over an empty overlay.
 //!
-//! The overlay is bucketed by the push matrix's row partitions, one-to-one;
-//! the pull mirror's partitions may be finer, each inside one overlay
-//! partition, and a pull task starts its edited-row cursor at its own range.
-//! So one overlay serves both kernels, each direction has one partition shell
-//! (`push_into`, `pull_into` in [`crate::spmv`]) that takes it as an
-//! `Option`, and the parallel path reuses the disjoint-row-range writer of
-//! [`crate::spmv::gspmv_into`] unchanged.
+//! The overlay is bucketed by the push matrix's row partitions, one-to-one,
+//! and the push shell (`push_into` in [`crate::spmv`]) takes it as an
+//! `Option`, reusing the disjoint-row-range writer of
+//! [`crate::spmv::gspmv_into`] unchanged. The pull mirror's partitions may
+//! be finer, each inside one overlay partition, and the mirror fold starts
+//! each partition's edited-row cursor at its own range.
 //!
-//! Compaction folds the edits into the base from the same two sides, by the
-//! rule the kernels read them with: [`fold_into_matrix`] sweeps push
-//! partition `p` with overlay partition `p`, and [`fold_into_mirror`] merges
-//! each mirror partition, row by row, with the edited rows of the overlay
-//! partition holding it — one linear merge per partition, no sort.
+//! The folds read the edits from the same two sides, by the rule the push
+//! reads them with: [`fold_into_matrix`] sweeps push partition `p` with
+//! overlay partition `p`, and [`fold_into_mirror`] merges each mirror
+//! partition, row by row, with the edited rows of the overlay partition
+//! holding it — one linear merge per partition, no sort. A compaction runs
+//! both; a snapshot's first pull over pending edits runs the second.
 
 use crate::dcsc::Dcsc;
 use crate::parallel::{DisjointSlice, Executor};
 use crate::partition::{Partition, PartitionedDcsc, RowRange};
 use crate::pull::{CsrMirror, PullPartition};
-use crate::spmv::{emit_column, gather, pull_into, pull_rows, push_into, walk_matrix};
+use crate::spmv::{emit_column, push_into, walk_matrix};
 use crate::spvec::SparseVector;
 use crate::Index;
 use std::ops::Range;
@@ -86,7 +88,7 @@ pub enum OverlayOp<T> {
 
 /// The edits owned by one row partition, held from both sides: DCSC-shaped
 /// column-major order for the push walk, and a row-major index into the same
-/// ops for the pull walk.
+/// ops for the mirror fold.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct OverlayPartition<T> {
     /// Non-empty column ids, ascending.
@@ -231,9 +233,9 @@ impl<T> OverlayPartition<T> {
 /// bracket until it holds the key, then bisect it — so an edit in a short
 /// gap costs a probe or two, and the probes stay on the cache lines the
 /// consumer is about to stream. This is the one search of a base line in the
-/// module. In the merged pull a plain two-pointer read 25.0 ms against
-/// 22.2, and a bisection of the whole remaining line, or the row's gather
-/// kept out of line, 2 % slower.
+/// module. Measured in the merged pull kernel (since replaced by the mirror
+/// fold): a plain two-pointer read 25.0 ms against 22.2, and a bisection of
+/// the whole remaining line 2 % slower.
 #[inline(always)]
 fn merge_line<K>(
     base: &[Index],
@@ -565,9 +567,9 @@ impl<T> Overlay<T> {
 
     /// Assert that a [`CsrMirror`] of `nrows × ncols` split into
     /// `mirror_ranges` refines this overlay: same shape, and every mirror
-    /// range inside one overlay range. A pull task writes only the rows of
-    /// its own mirror partitions and reads the one overlay partition holding
-    /// each, so tasks that share an overlay partition only share reads.
+    /// range inside one overlay range. A fold task writes only its own
+    /// mirror partition and reads the one overlay partition holding it, so
+    /// tasks that share an overlay partition only share reads.
     pub(crate) fn check_refined_by(
         &self,
         nrows: Index,
@@ -694,7 +696,7 @@ pub fn fold_into_mirror<T: Clone + Send + Sync>(
 /// One mirror partition merged with the edits of the overlay partition
 /// holding its range: every row copied, an edited one merged with its ops
 /// by the copier — the edited-row cursor starting at the partition's own
-/// first row, as the merged pull's does.
+/// first row.
 fn fold_rows<T: Clone>(base: &PullPartition<T>, edits: &OverlayPartition<T>) -> PullPartition<T> {
     let rows = base.rows;
     let mut cursor = edits.erows.partition_point(|&r| r < rows.start);
@@ -754,131 +756,6 @@ pub fn gspmv_overlay_into<X, E, Y, M, A>(
     push_into(base, Some(overlay), x, multiply, add, executor, y);
 }
 
-/// Generalized SpMV over `base ⊕ overlay`, **pulled**: the overlay-aware
-/// twin of [`crate::spmv::gspmv_csr_pull_into`], over the base's row-major
-/// `mirror` and the overlay's row-major side.
-///
-/// Each destination row folds its products in ascending source order, with
-/// every stored copy of an edited coordinate masked and an upsert multiplied
-/// in its sorted position — bit-for-bit what [`gspmv_overlay_into`] pushes,
-/// and what either kernel produces on a matrix rebuilt from the edited edge
-/// list. An edited row is gathered along the module's line merge: each run
-/// of the base row between edited columns, then the upsert in its place.
-/// Never allocates; a mirror partition without pending edits in its range
-/// runs the plain pull loop after one search of the edited rows.
-///
-/// # Panics
-/// Panics if `overlay` is not aligned with `mirror` (same shape, and every
-/// mirror range inside one overlay range) or `x` / `y` has the wrong length.
-pub fn gspmv_overlay_pull_into<X, E, Y, M, A>(
-    mirror: &CsrMirror<E>,
-    overlay: &Overlay<E>,
-    x: &SparseVector<X>,
-    multiply: &M,
-    add: &A,
-    executor: &Executor,
-    y: &mut SparseVector<Y>,
-) where
-    X: Sync,
-    E: Sync,
-    Y: Clone + Default + Send,
-    M: Fn(&X, &E, Index) -> Y + Sync,
-    A: Fn(&mut Y, Y) + Sync,
-{
-    pull_into(
-        mirror,
-        Some(overlay),
-        x,
-        multiply,
-        add,
-        &|_| true,
-        executor,
-        y,
-    );
-}
-
-/// A task's merged pull over mirror partitions `parts` (out of line, like the
-/// plain `pull_partitions` it stands beside). Each mirror partition reads the
-/// overlay partition whose range holds its own — the same partition when the
-/// two share ranges, a coarser one it refines otherwise — from the first
-/// edited row at or past its start. In a partition with edits in its range
-/// **every** row of the range is visited (an upsert may land in a row the
-/// base leaves empty), with a cursor over the edited rows — one compare per
-/// row; an unedited row is gathered like any other, an edited one along the
-/// line merge — each run of the base row, then the upsert in place of the
-/// copies it masks. The runs' ends are searched for, not compared for per
-/// stored edge: hub rows are where the edits land. A row `admit` turns away
-/// is passed over either way. Returns the edges gathered: per admitted row
-/// the length of the row a rebuild would store.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pull_partitions_overlay<X, E, Y, M, A, R>(
-    mirror: &CsrMirror<E>,
-    overlay: &Overlay<E>,
-    parts: std::ops::Range<usize>,
-    x: &SparseVector<X>,
-    multiply: &M,
-    add: &A,
-    admit: &R,
-    mut sink: impl FnMut(Index, Y),
-) -> u64
-where
-    M: Fn(&X, &E, Index) -> Y,
-    A: Fn(&mut Y, Y),
-    R: Fn(Index) -> bool,
-{
-    let mut gathered = 0u64;
-    for p in parts {
-        let base = mirror.partition(p);
-        let edits = overlay.partition(overlay.partition_of(base.rows.start));
-        let mut cursor = edits.erows.partition_point(|&r| r < base.rows.start);
-        if !edits.erows.get(cursor).is_some_and(|&r| r < base.rows.end) {
-            // No edits pending in this range: the plain pull loop, over its
-            // non-empty rows only.
-            gathered += pull_rows(base, x, multiply, add, admit, &mut sink);
-            continue;
-        }
-        for k in base.rows.start..base.rows.end {
-            let edited = edits.erows.get(cursor) == Some(&k);
-            if !admit(k) {
-                // The cursor moves past an edited row admitted or not.
-                cursor += usize::from(edited);
-                continue;
-            }
-            let (cols, edges) = base.row(k);
-            let mut acc = None;
-            if edited {
-                let mut merged = 0usize;
-                merge_line(cols, edits.row(cursor), |run, edit| {
-                    gather(
-                        &mut acc,
-                        x,
-                        &cols[run.clone()],
-                        &edges[run.clone()],
-                        k,
-                        multiply,
-                        add,
-                    );
-                    merged += run.len();
-                    if let Some((j, OverlayOp::Upsert(w), _)) = edit {
-                        gather(&mut acc, x, &[j], std::slice::from_ref(w), k, multiply, add);
-                        merged += 1;
-                    }
-                });
-                gathered += merged as u64;
-                cursor += 1;
-            } else {
-                gather(&mut acc, x, cols, edges, k, multiply, add);
-                gathered += cols.len() as u64;
-            }
-            if let Some(acc) = acc {
-                sink(k, acc);
-            }
-        }
-    }
-    gathered
-}
-
 /// The merged Algorithm-1 column walk: one sweep of the line merge over the
 /// base partition's non-empty columns with the edited ones as its edits. A
 /// run of unedited columns is emitted like the plain column walk's; an
@@ -928,6 +805,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::partition::RowPartitioner;
+    use crate::spmv::gspmv_csr_pull_into;
 
     /// The Figure 3 graph of the paper, as `Gᵀ` (row = dst, col = src).
     fn figure3_transpose() -> Vec<(Index, Index, f32)> {
@@ -978,8 +856,8 @@ mod tests {
         x
     }
 
-    /// `base ⊕ ov` pushed — and pulled over the base's mirror, which must
-    /// give the same entries.
+    /// `base ⊕ ov` pushed — and pulled over the base's mirror with `ov`
+    /// folded in, which must give the same entries.
     fn run_overlay(
         base: &PartitionedDcsc<f32>,
         ov: &Overlay<f32>,
@@ -993,7 +871,8 @@ mod tests {
         gspmv_overlay_into(base, ov, x, &multiply, &add, &executor, &mut y);
         let pushed = y.to_entries();
         let mirror = CsrMirror::from_partitioned(base);
-        gspmv_overlay_pull_into(&mirror, ov, x, &multiply, &add, &executor, &mut y);
+        let folded = fold_into_mirror(&mirror, ov, &executor);
+        gspmv_csr_pull_into(&folded, x, &multiply, &add, &executor, &mut y);
         assert_eq!(y.to_entries(), pushed, "pull vs push, {threads} threads");
         pushed
     }
@@ -1195,7 +1074,8 @@ mod tests {
         let pull = |ov: &Overlay<f32>| {
             catch_unwind(AssertUnwindSafe(|| {
                 let y = &mut SparseVector::new(5);
-                gspmv_overlay_pull_into(&mirror, ov, &x, &multiply, &add, &executor, y)
+                let folded = fold_into_mirror(&mirror, ov, &executor);
+                gspmv_csr_pull_into(&folded, &x, &multiply, &add, &executor, y)
             }))
         };
         // The mirror's 0..3 straddles the overlay's 0..2 and 2..5.

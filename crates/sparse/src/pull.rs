@@ -20,11 +20,11 @@
 //! fully redundant with the DCSC it shadows, costing roughly the same memory
 //! again ([`CsrMirror::bytes`]). A graph keeps one per orientation it holds,
 //! or none at all (`build_pull_mirrors = false`, every superstep pushes).
-//! Pending edits are merged into the pull row by row from the overlay's
-//! row-major side ([`crate::overlay::gspmv_overlay_pull_into`]), and
-//! compaction folds them into a new mirror the same way, partition by
-//! partition ([`crate::overlay::fold_into_mirror`]) — as does the first
-//! pull of a snapshot with edits pending.
+//! Pending edits are never merged into a pull: they are folded into a new
+//! mirror, row by row from the overlay's row-major side, partition by
+//! partition ([`crate::overlay::fold_into_mirror`]) — by the first pull of
+//! a snapshot with edits pending, and by a compaction — and the fold is
+//! pulled by the same kernel as any mirror.
 
 use crate::partition::{PartitionedDcsc, RowBuckets, RowRange};
 use crate::{ix, Index};

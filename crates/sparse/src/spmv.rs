@@ -52,21 +52,21 @@
 //!   is dense (reads the same [`SparseVector`] by index; writes each output
 //!   row exactly once, with no sharded scatter). Like the push shell it is
 //!   one inline task when the whole gather is worth less than a wake of the
-//!   pool, one task per partition otherwise. The overlay-aware
-//!   [`crate::overlay::gspmv_overlay_pull_into`] runs through the same
-//!   shell ([`pull_into`]): one shell per direction, each taking the pending
-//!   edits as an `Option<&Overlay>`.
-//! * [`pull_into`] — that shell itself, which is what the engine calls: it
+//!   pool, one task per partition otherwise. There is one pull kernel:
+//!   pending edits are folded into a copy of the mirror
+//!   ([`crate::overlay::fold_into_mirror`]) and that copy is pulled, where
+//!   the push walks them merged.
+//! * [`pull_into`] — the shell under it, which is what the engine calls: it
 //!   also takes the **output mask** `admit(k)` (a destination row whose
 //!   result the caller would discard is skipped before its columns are
 //!   touched — GraphBLAST's masked SpMV) and returns how many stored edges
-//!   it gathered. The two frozen wrappers above admit every row.
+//!   it gathered. The frozen wrapper above admits every row.
 
 use crate::dcsc::Dcsc;
-use crate::overlay::{pull_partitions_overlay, walk_columns_overlay, Overlay};
+use crate::overlay::{walk_columns_overlay, Overlay};
 use crate::parallel::{chunks, phase_chunks, Executor};
 use crate::partition::PartitionedDcsc;
-use crate::pull::{CsrMirror, PullPartition};
+use crate::pull::CsrMirror;
 use crate::spvec::SparseVector;
 use crate::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -344,14 +344,15 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     M: Fn(&X, &E, Index) -> Y + Sync,
     A: Fn(&mut Y, Y) + Sync,
 {
-    pull_into(mirror, None, x, multiply, add, &|_| true, executor, y);
+    pull_into(mirror, x, multiply, add, &|_| true, executor, y);
 }
 
 /// The shell every pull runs through, the mirror image of `push_into`:
-/// check and clear `y`, then gather the rows of every partition — merged
-/// with `overlay`'s pending edits when one rides along — and write each
-/// output row once. Inlined into its callers so each keeps only its own
-/// gather.
+/// check and clear `y`, then gather the rows of every partition and write
+/// each output row once. Inlined into its callers. Pending edits never reach
+/// it: a pull over them reads a mirror they were folded into
+/// ([`crate::overlay::fold_into_mirror`]), which holds the rows a rebuild
+/// would, so this is the one pull kernel.
 ///
 /// `admit` is the **output mask**: a destination row `k` with `!admit(k)` is
 /// passed over before its columns are touched and is never set in `y`. The
@@ -360,22 +361,14 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
 /// the test compiles away.
 ///
 /// Returns the number of stored edges handed to the gather: the lengths of
-/// the admitted rows — the *merged* length of a row with pending edits, so
-/// an edited matrix reports what its rebuild would. This is what the pull
-/// cost, in the unit `graphmat_core::engine::choose_backend` compares in.
-///
-/// The overlay is the one the push matrix's partitions bucketed: `mirror`'s
-/// partitions may refine them (each inside one overlay partition), which is
-/// how a topology pulls through many more partitions than it pushes through.
+/// the admitted rows. This is what the pull cost, in the unit
+/// `graphmat_core::engine::choose_backend` compares in.
 ///
 /// # Panics
-/// Panics if `x` / `y` has the wrong length or `overlay` is not aligned with
-/// `mirror` (same shape, and every mirror range inside one overlay range).
+/// Panics if `x` / `y` has the wrong length.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub fn pull_into<X, E, Y, M, A, R>(
     mirror: &CsrMirror<E>,
-    overlay: Option<&Overlay<E>>,
     x: &SparseVector<X>,
     multiply: &M,
     add: &A,
@@ -401,10 +394,6 @@ where
         mirror.ncols() as usize,
         "input vector length must match the matrix column count"
     );
-    if let Some(overlay) = overlay {
-        let ranges = mirror.partitions().iter().map(|p| p.rows);
-        overlay.check_refined_by(mirror.nrows(), mirror.ncols(), ranges);
-    }
     y.clear();
     if x.nnz() == 0 {
         return 0;
@@ -427,20 +416,12 @@ where
     executor.for_each_dynamic(tasks.count(), |task| {
         let (first, end) = tasks.bounds(task);
         let mut newly_set = 0usize;
-        let write = |k, acc| {
-            // SAFETY: mirror partitions own disjoint row ranges and both
-            // gathers write only rows of the partition they walk — an
-            // overlay partition, checked above to hold each mirror range it
-            // serves whole, is only read — and tasks own disjoint
-            // partitions, so row `k` is written by this task only.
+        let edges = pull_partitions(mirror, first..end, x, multiply, add, admit, |k, acc| {
+            // SAFETY: mirror partitions own disjoint row ranges, the gather
+            // writes only rows of the partition it walks, and tasks own
+            // disjoint partitions, so row `k` is written by this task only.
             unsafe { shards.merge(k, acc, &mut newly_set, |slot, v| *slot = v) };
-        };
-        let edges = match overlay {
-            None => pull_partitions(mirror, first..end, x, multiply, add, admit, write),
-            Some(overlay) => {
-                pull_partitions_overlay(mirror, overlay, first..end, x, multiply, add, admit, write)
-            }
-        };
+        });
         shards.commit(newly_set);
         // A statistic: it publishes nothing, the dispatch's join orders it.
         gathered.fetch_add(edges, Ordering::Relaxed);
@@ -449,11 +430,12 @@ where
     gathered.into_inner()
 }
 
-/// A task's plain pull over partitions `parts`. Both kernels' tasks are one
-/// closure of the shell, so each gather is a function of its own: the loop
-/// below compiles the same with or without the merged one beside it (inside
-/// the closure, beside it, `bfs_frontier` measured 3 % slower; out of line
-/// `pr_dense` measured 13 % faster than with the loop in the closure).
+/// A task's pull over partitions `parts`: gather each admitted non-empty
+/// row — probe the input per source, ascending, multiply the hits and fold
+/// them into a register-resident accumulator — and hand the rows that
+/// received a product to `sink`; returns the edges gathered. Out of line:
+/// `pr_dense` measured 13 % faster than with the loop inside the shell's
+/// task closure.
 #[inline(never)]
 fn pull_partitions<X, E, Y, M, A, R>(
     mirror: &CsrMirror<E>,
@@ -471,67 +453,27 @@ where
 {
     let mut gathered = 0u64;
     for p in parts {
-        gathered += pull_rows(mirror.partition(p), x, multiply, add, admit, &mut sink);
-    }
-    gathered
-}
-
-/// One partition's plain pull: gather each admitted non-empty row and hand
-/// the rows that received a product to `sink`; returns the edges gathered.
-/// Also what the overlay pull runs on a partition without pending edits.
-#[inline(always)]
-pub(crate) fn pull_rows<X, E, Y, M, A, R>(
-    rows: &PullPartition<E>,
-    x: &SparseVector<X>,
-    multiply: &M,
-    add: &A,
-    admit: &R,
-    mut sink: impl FnMut(Index, Y),
-) -> u64
-where
-    M: Fn(&X, &E, Index) -> Y,
-    A: Fn(&mut Y, Y),
-    R: Fn(Index) -> bool,
-{
-    let mut gathered = 0u64;
-    for (k, cols, edges) in rows.iter_rows() {
-        if !admit(k) {
-            continue;
-        }
-        let mut acc = None;
-        gather(&mut acc, x, cols, edges, k, multiply, add);
-        gathered += cols.len() as u64;
-        if let Some(acc) = acc {
-            sink(k, acc);
-        }
-    }
-    gathered
-}
-
-/// Gather (a stretch of) one destination row into its accumulator: probe the
-/// input per source (ascending), multiply the hits and fold them in.
-#[inline(always)]
-pub(crate) fn gather<X, E, Y, M, A>(
-    acc: &mut Option<Y>,
-    x: &SparseVector<X>,
-    cols: &[Index],
-    edges: &[E],
-    k: Index,
-    multiply: &M,
-    add: &A,
-) where
-    M: Fn(&X, &E, Index) -> Y,
-    A: Fn(&mut Y, Y),
-{
-    for (j, e) in cols.iter().zip(edges) {
-        if let Some(xj) = x.get(*j) {
-            let product = multiply(xj, e, k);
-            match acc {
-                Some(a) => add(a, product),
-                None => *acc = Some(product),
+        for (k, cols, edges) in mirror.partition(p).iter_rows() {
+            if !admit(k) {
+                continue;
+            }
+            let mut acc = None;
+            for (j, e) in cols.iter().zip(edges) {
+                if let Some(xj) = x.get(*j) {
+                    let product = multiply(xj, e, k);
+                    match &mut acc {
+                        Some(a) => add(a, product),
+                        None => acc = Some(product),
+                    }
+                }
+            }
+            gathered += cols.len() as u64;
+            if let Some(acc) = acc {
+                sink(k, acc);
             }
         }
     }
+    gathered
 }
 
 /// Partition-parallel generalized SpMV returning a freshly allocated output
@@ -973,14 +915,13 @@ mod tests {
     }
 
     /// `mirror` pulled under `mask`, checked against `plain` — the bits an
-    /// unmasked pull of the same matrix (or of the one `mirror ⊕ overlay`
-    /// rebuilds to) produced: the admitted rows of `plain` and nothing else,
-    /// and as many edges gathered as the admitted rows of `stored` hold.
-    /// Returns how many rows of `plain` the mask took away.
+    /// unmasked pull of the same matrix (or of the one a fold of edits into
+    /// `mirror` rebuilds) produced: the admitted rows of `plain` and nothing
+    /// else, and as many edges gathered as the admitted rows of `stored`
+    /// hold. Returns how many rows of `plain` the mask took away.
     #[allow(clippy::too_many_arguments)]
     fn assert_masked_pull_is_the_plain_pull_restricted(
         mirror: &CsrMirror<f32>,
-        overlay: Option<&Overlay<f32>>,
         stored: &CsrMirror<f32>,
         x: &SparseVector<f32>,
         mask: &[bool],
@@ -992,7 +933,7 @@ mod tests {
         let add = |acc: &mut f32, v: f32| *acc += v;
         let admit = |k: Index| mask[k as usize];
         let mut y: SparseVector<f32> = SparseVector::new(mask.len());
-        let gathered = pull_into(mirror, overlay, x, &multiply, &add, &admit, ex, &mut y);
+        let gathered = pull_into(mirror, x, &multiply, &add, &admit, ex, &mut y);
         let admitted: Vec<_> = plain.iter().filter(|(k, _)| admit(*k)).copied().collect();
         assert_eq!(bits(&y), admitted, "masked pull, {case}");
         assert_eq!(y.nnz(), admitted.len(), "masked pull nnz, {case}");
@@ -1061,21 +1002,12 @@ mod tests {
                             let mut y: SparseVector<f32> = SparseVector::new(n as usize);
                             gspmv_into(&pd, &x, &multiply, &add, &ex, &mut y);
                             assert_eq!(bits(&y), by_columns, "push, {lanes} lanes, {case}");
-                            let all = pull_into(
-                                &mirror,
-                                None,
-                                &x,
-                                &multiply,
-                                &add,
-                                &|_| true,
-                                &ex,
-                                &mut y,
-                            );
+                            let all =
+                                pull_into(&mirror, &x, &multiply, &add, &|_| true, &ex, &mut y);
                             assert_eq!(bits(&y), by_columns, "pull, {lanes} lanes, {case}");
                             assert_eq!(all, mirror.nnz() as u64, "every edge gathered, {case}");
                             let masked_out = assert_masked_pull_is_the_plain_pull_restricted(
                                 &mirror,
-                                None,
                                 &mirror,
                                 &x,
                                 &mask,
@@ -1122,7 +1054,7 @@ mod tests {
     }
 
     /// A base matrix with pending edits against it: seeded ones plus every
-    /// corner the merged pull walk has, and the matrix a compaction would
+    /// corner the line merge has, and the matrix a compaction would
     /// rebuild from them — the first two also in the push layout of a
     /// topology whose columns repeat, merged to runs of consecutive
     /// partitions (the base's own when the runs are of one).
@@ -1269,20 +1201,20 @@ mod tests {
         }
     }
 
-    /// Overlay-pull == overlay-push == plain pull over the rebuilt matrix,
+    /// Folded pull == overlay-push == plain pull over the rebuilt matrix,
     /// bits and `nnz`, for frontiers of 1, n/2 and n entries — the push over
     /// the base's partitions and over the merged ones, the pull over the
-    /// base's mirror with the overlay of either; under a seeded output mask,
-    /// overlay-pull == rebuilt pull == the plain pull's admitted rows,
-    /// gathering the same number of edges. Without the edits, the base's
-    /// push, the merged push and the mirror's pull agree too.
+    /// base's mirror with the overlay of either folded in; under a seeded
+    /// output mask, folded pull == rebuilt pull == the plain pull's admitted
+    /// rows, gathering the same number of edges. Without the edits, the
+    /// base's push, the merged push and the mirror's pull agree too.
     fn assert_edited_kernels_agree(
         edited: &Edited,
         executors: &[Executor],
         rng: &mut SplitMix,
         case: &str,
     ) {
-        use crate::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into};
+        use crate::overlay::{fold_into_mirror, gspmv_overlay_into};
         let multiply = |m: &f32, e: &f32, _: Index| m * e;
         let add = |acc: &mut f32, v: f32| *acc += v;
         let Edited {
@@ -1305,17 +1237,16 @@ mod tests {
                 let mut want: SparseVector<f32> = SparseVector::new(n as usize);
                 gspmv_csr_pull_into(&rebuilt_mirror, &x, &multiply, &add, ex, &mut want);
                 assert!(want.nnz() > 0, "{case}");
-                // Masked, the overlay kernel and the rebuilt mirror agree on
-                // the rows, their bits and the (merged) edges gathered.
+                // Masked, the folds and the rebuilt mirror agree on the rows,
+                // their bits and the (edited) edges gathered.
                 let pulls = [
-                    (&mirror, Some(overlay)),
-                    (&mirror, Some(merged_overlay)),
-                    (&rebuilt_mirror, None),
+                    &fold_into_mirror(&mirror, overlay, ex),
+                    &fold_into_mirror(&mirror, merged_overlay, ex),
+                    &rebuilt_mirror,
                 ];
-                for (mirror, edits) in pulls {
+                for mirror in pulls {
                     let masked_out = assert_masked_pull_is_the_plain_pull_restricted(
                         mirror,
-                        edits,
                         &rebuilt_mirror,
                         &x,
                         &mask,
@@ -1330,7 +1261,8 @@ mod tests {
                 gspmv_csr_pull_into(&mirror, &x, &multiply, &add, ex, &mut unedited);
                 for (layout, matrix, edits) in layouts {
                     let case = format!("{case}, {layout} push partitions");
-                    gspmv_overlay_pull_into(&mirror, edits, &x, &multiply, &add, ex, &mut y);
+                    let folded = fold_into_mirror(&mirror, edits, ex);
+                    gspmv_csr_pull_into(&folded, &x, &multiply, &add, ex, &mut y);
                     assert_eq!(bits(&y), bits(&want), "overlay pull vs rebuild, {case}");
                     assert_eq!(y.nnz(), want.nnz(), "overlay pull nnz, {case}");
                     gspmv_overlay_into(matrix, edits, &x, &multiply, &add, ex, &mut y);
@@ -1374,7 +1306,7 @@ mod tests {
     }
 
     #[test]
-    fn overlay_pull_overlay_push_and_rebuilt_pull_agree_bit_for_bit() {
+    fn folded_pull_overlay_push_and_rebuilt_pull_agree_bit_for_bit() {
         let partitions = [(1, false), (5, false), (5, true), (16, false), (16, true)];
         assert_edited_kernels_agree_over(&partitions, 1);
     }
@@ -1382,7 +1314,7 @@ mod tests {
     /// The push layout of a topology whose columns repeat: the base and its
     /// overlay merged in runs of 3 (16 partitions: five runs and a ragged
     /// one; 5: a run of 3 and one of 2) and of 8, the mirror on the fine
-    /// ranges — so pull tasks share a coarse overlay partition, each reading
+    /// ranges — so fold tasks share a coarse overlay partition, each reading
     /// its own rows of it. Starting a task's edited-row cursor at the
     /// overlay partition's first row instead of its own range's fails this.
     #[test]

@@ -496,13 +496,14 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
 type Bits = Vec<(u32, u64)>;
 
 /// `base ⊕ overlay · x`, pushed over the overlay's column-major side and
-/// pulled over its row-major one (with the base's mirror).
+/// pulled over the base's mirror with its row-major side folded in.
 fn push_and_pull(
     base: &Topology<f32>,
     overlay: &graphmat::sparse::overlay::Overlay<f32>,
     executor: &graphmat::sparse::parallel::Executor,
 ) -> (Bits, Bits) {
-    use graphmat::sparse::overlay::{gspmv_overlay_into, gspmv_overlay_pull_into};
+    use graphmat::sparse::overlay::{fold_into_mirror, gspmv_overlay_into};
+    use graphmat::sparse::spmv::gspmv_csr_pull_into;
     let n = base.num_vertices();
     let mut x: SparseVector<f64> = SparseVector::new(n as usize);
     for v in 0..n {
@@ -526,7 +527,8 @@ fn push_and_pull(
     );
     let mut pulled = SparseVector::new(n as usize);
     let mirror = base.out_pull_mirror().unwrap();
-    gspmv_overlay_pull_into(mirror, overlay, &x, &multiply, &add, executor, &mut pulled);
+    let folded = fold_into_mirror(mirror, overlay, executor);
+    gspmv_csr_pull_into(&folded, &x, &multiply, &add, executor, &mut pulled);
     (bits(pushed), bits(pulled))
 }
 

@@ -1,12 +1,13 @@
-//! Pending edits on the pull backend: the first `Out` pull over a
-//! snapshot's pending edits folds them into a copy of the base's out mirror,
-//! once, and every pull of the snapshot reads that fold through the plain
-//! kernel. None of that may change an answer.
+//! Pending edits on the pull backend: the first pull along a side of a
+//! snapshot's pending edits folds them into a copy of the base's mirror of
+//! that side, once, and every pull along it reads that fold through the one
+//! pull kernel. None of that may change an answer.
 //!
-//! Every case runs over one store's base and one pending overlay, on a clone
-//! of that overlay either fresh or folded before the run, and asserts from
-//! the run's trajectory which fold state it actually exercised: never
+//! Every `Out` case runs over one store's base and one pending overlay, on a
+//! clone of that overlay either fresh or folded before the run, and asserts
+//! from the run's trajectory which fold state it actually exercised: never
 //! pulled, folded at the first superstep, folded mid-run, or folded before.
+//! The `In` and `Both` cases fold the in side the same way.
 
 use graphmat::delta::DeltaOverlay;
 use graphmat::prelude::*;
@@ -123,17 +124,21 @@ fn fixture() -> Fixture {
     let (batch, net) = edits(&el);
     let builder = session(2, None);
     let base = builder.build_graph(&el).finish().unwrap();
-    let store = GraphStore::new(
-        Arc::clone(&base),
-        StoreOptions {
+    let store = || {
+        let options = StoreOptions {
             compaction_threshold: usize::MAX,
             background: false,
             ..StoreOptions::default()
-        },
-    );
-    let pending = store.apply(batch).unwrap();
-    assert!(store.compact_now());
-    let compacted = Arc::clone(store.snapshot().base());
+        };
+        GraphStore::new(Arc::clone(&base), options)
+    };
+    // Two stores take the same batch: one keeps it pending, the other
+    // compacts it — which folds that store's snapshot's out side.
+    let pending = store().apply(batch).unwrap();
+    let compacting = store();
+    compacting.apply(edits(&el).0).unwrap();
+    assert!(compacting.compact_now());
+    let compacted = Arc::clone(compacting.snapshot().base());
     let rebuilt = builder.build_graph(&edited(&el, &net)).finish().unwrap();
     Fixture {
         base,
@@ -189,16 +194,18 @@ fn every_fold_state_answers_like_the_compacted_base_and_a_rebuild() {
                     let ctx = format!("{ctx}, folded before: {folded_before}");
                     // A clone of the store's overlay, unfolded.
                     let pending = f.overlay().clone();
-                    assert!(pending.folded_out_mirror().is_none(), "{ctx}");
+                    assert!(pending.out_side().folded_mirror().is_none(), "{ctx}");
                     if folded_before {
-                        pending.fold_out_mirror(mirror, &Executor::sequential());
+                        pending
+                            .out_side()
+                            .fold_mirror(mirror, &Executor::sequential());
                     }
                     let view = GraphView::new(&f.base, Some(&pending));
                     let (got, first_pull) = run(&session, view, algo);
                     assert_eq!(got, want, "{ctx}");
                     // Which state the run was in: a fresh snapshot is folded
                     // after the run exactly if the run pulled.
-                    let folded = pending.folded_out_mirror().is_some();
+                    let folded = pending.out_side().folded_mirror().is_some();
                     let seen = match (folded_before, first_pull) {
                         (true, _) => State::FoldedBefore,
                         (false, None) => State::Unpulled,
@@ -257,14 +264,14 @@ fn concurrent_first_pulls_fold_once() {
                     let (got, first_pull) = run(session, f.pending.view(), Algo::PageRank);
                     assert_eq!(&got, want);
                     assert_eq!(first_pull, Some(0));
-                    Arc::as_ptr(f.overlay().folded_out_mirror().unwrap()) as usize
+                    Arc::as_ptr(f.overlay().out_side().folded_mirror().unwrap()) as usize
                 })
             })
             .collect();
         runs.into_iter().map(|r| r.join().unwrap()).collect()
     });
     assert_eq!(folds[0], folds[1], "two folds");
-    let mirror = f.overlay().folded_out_mirror().unwrap();
+    let mirror = f.overlay().out_side().folded_mirror().unwrap();
     assert_eq!(f.pending.folded_pull_bytes(), Some(mirror.bytes()));
     assert_eq!(**mirror, *f.compacted.out_pull_mirror().unwrap());
 }
@@ -274,7 +281,9 @@ fn compaction_publishes_the_fold_a_snapshot_already_made() {
     let f = fixture();
     let unfolded = f.overlay().clone();
     let folded = f.overlay().clone();
-    let mirror = folded.fold_out_mirror(f.base.out_pull_mirror().unwrap(), &Executor::new(2));
+    let mirror = folded
+        .out_side()
+        .fold_mirror(f.base.out_pull_mirror().unwrap(), &Executor::new(2));
     let from_scratch = f.base.with_overlay(&unfolded);
     let reused = f.base.with_overlay(&folded);
     // What the fold writes: the out side's matrix, mirror and degrees.
@@ -292,4 +301,153 @@ fn compaction_publishes_the_fold_a_snapshot_already_made() {
         from_scratch.out_pull_mirror().unwrap(),
         published
     ));
+    // A compaction of an unfolded snapshot makes its fold and leaves it with
+    // the snapshot, for the snapshot's own pulls.
+    let kept = unfolded.out_side().folded_mirror().unwrap();
+    assert!(std::ptr::eq(
+        from_scratch.out_pull_mirror().unwrap(),
+        &**kept
+    ));
+}
+
+/// A `Both` program over weighted edges: every vertex sums what its in- and
+/// out-neighbours send, times the edge weight, in floating point — so an
+/// edit missed on either side, or a product summed out of order, shows in
+/// the bits.
+struct Spread;
+
+impl GraphProgram for Spread {
+    type VertexProp = f64;
+    type Message = f64;
+    type Reduced = f64;
+    type Edge = f32;
+
+    fn direction(&self) -> EdgeDirection {
+        EdgeDirection::Both
+    }
+
+    fn send_message(&self, _v: VertexId, x: &f64) -> Option<f64> {
+        Some(*x)
+    }
+
+    fn process_message(&self, msg: &f64, w: &f32, _dst: &f64) -> f64 {
+        msg * f64::from(*w)
+    }
+
+    fn reduce(&self, acc: &mut f64, value: f64) {
+        *acc += value;
+    }
+
+    fn apply(&self, reduced: &f64, x: &mut f64) {
+        *x = 0.5 + reduced / 64.0;
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum InAlgo {
+    /// `out_degrees_on`: one `In` leg.
+    OutDegrees,
+    /// [`Spread`]: the out leg, then the in leg.
+    Spread,
+}
+
+/// The answer's bits and whether the run pulled.
+fn run_in(session: &Session, view: GraphView<'_, f32>, algo: InAlgo) -> (Vec<u64>, bool) {
+    let (values, stats) = match algo {
+        InAlgo::OutDegrees => {
+            let o = out_degrees_on(session, view).unwrap();
+            (o.values, o.stats)
+        }
+        InAlgo::Spread => {
+            let init = |v: VertexId| 1.0 + f64::from(v).sqrt();
+            let o = session
+                .run(view, Spread)
+                .init_with(&init)
+                .activate_all()
+                .activity(ActivityPolicy::AlwaysAll)
+                .max_iterations(3)
+                .execute()
+                .unwrap();
+            (o.values.iter().map(|x| x.to_bits()).collect(), o.stats)
+        }
+    };
+    (values, stats.pull_supersteps > 0)
+}
+
+#[test]
+fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_rebuild() {
+    let f = fixture();
+    for lanes in [1, 2] {
+        for backend in BACKENDS {
+            let session = session(lanes, backend);
+            for algo in [InAlgo::OutDegrees, InAlgo::Spread] {
+                let ctx = format!("{algo:?}, {backend:?}, {lanes} lanes");
+                let (want, _) = run_in(&session, (&f.compacted).into(), algo);
+                assert_eq!(run_in(&session, (&f.rebuilt).into(), algo).0, want, "{ctx}");
+                // A clone of the store's overlay, unfolded on either side.
+                let pending = f.overlay().clone();
+                let view = GraphView::new(&f.base, Some(&pending));
+                let (got, pulled) = run_in(&session, view, algo);
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(pulled, backend != Some(Backend::Push), "{ctx}");
+                let in_fold = pending.in_side().unwrap().folded_mirror();
+                let out_fold = pending.out_side().folded_mirror();
+                // A pull folds the in side; only a `Both` pull the out side
+                // too. A push folds neither.
+                assert_eq!(in_fold.is_some(), pulled, "{ctx}");
+                let both = matches!(algo, InAlgo::Spread);
+                assert_eq!(out_fold.is_some(), pulled && both, "{ctx}");
+                if let Some(in_fold) = in_fold {
+                    // What a compaction's `G` stores (`assert!`: the
+                    // mirrors are too large to print).
+                    let base = f.base.in_pull_mirror().unwrap();
+                    assert!(**in_fold != *base, "{ctx}: the edits change G");
+                    let derived = f.compacted.in_pull_mirror().unwrap();
+                    assert!(**in_fold == *derived, "{ctx}: the compacted base's G");
+                    // The second run reads the same fold.
+                    let first = Arc::as_ptr(in_fold);
+                    assert_eq!(run_in(&session, view, algo).0, want, "{ctx}");
+                    let again = pending.in_side().unwrap().folded_mirror().unwrap();
+                    assert_eq!(Arc::as_ptr(again), first, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn concurrent_first_in_pulls_fold_once_and_the_snapshot_counts_both_folds() {
+    let f = fixture();
+    let session = session(2, Some(Backend::Pull));
+    let (want, _) = run_in(&session, (&f.compacted).into(), InAlgo::OutDegrees);
+    // An `Out` pull first: the snapshot holds the out fold alone.
+    run(&session, f.pending.view(), Algo::PageRank);
+    let out_only = f.pending.folded_pull_bytes().unwrap();
+    let out_fold = f.overlay().out_side().folded_mirror().unwrap();
+    assert_eq!(out_only, out_fold.bytes());
+    let start = std::sync::Barrier::new(2);
+    let folds: Vec<usize> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let (f, session, start, want) = (&f, &session, &start, &want);
+                s.spawn(move || {
+                    start.wait();
+                    let (got, pulled) = run_in(session, f.pending.view(), InAlgo::OutDegrees);
+                    assert_eq!(&got, want);
+                    assert!(pulled);
+                    let side = f.overlay().in_side().unwrap();
+                    Arc::as_ptr(side.folded_mirror().unwrap()) as usize
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(folds[0], folds[1], "two in folds");
+    let in_fold = f.overlay().in_side().unwrap().folded_mirror().unwrap();
+    let both = f.pending.folded_pull_bytes().unwrap();
+    assert!(
+        both > out_only,
+        "{both} bytes after the in fold, {out_only} before"
+    );
+    assert_eq!(both, out_only + in_fold.bytes());
 }

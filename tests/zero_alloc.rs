@@ -221,7 +221,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         "a warmed bfs_into must not touch the heap, got {stats:?}"
     );
 
-    // ---- Part 1d: pending edits are pulled, from the out side alone. ----
+    // ---- Part 1d: pending edits are pulled, from a fold of each side. ----
     // PageRank over base ⊕ overlay: every superstep is all-active, so every
     // superstep pulls, and an `Out` program never makes the overlay derive
     // its in side. A snapshot's first `Out` pull folds its pending edits
@@ -326,6 +326,44 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         overlay.bytes(),
         out_side_bytes,
         "an Out run compiled the overlay's in side"
+    );
+
+    // The `In` leg over the same snapshot: a warmed out-degree run (`G` and
+    // the state's workspace were made in Part 1b) derives the overlay's in
+    // side and folds it into a copy of `G`'s mirror — its only allocations:
+    // the fold within 1.1 × that mirror's bytes, the in side within a
+    // write's bound (Part 1i: 2 × the overlay's bytes + 8 B/vertex, for the
+    // builder's row counts and bucket order) — and the next run reads the
+    // fold without touching the heap.
+    let out_degrees =
+        |degrees: &mut _| match out_degrees_into(&session, pending.view(), None, degrees) {
+            Ok(r) => assert_eq!(r.stats.pull_supersteps, 1),
+            Err(e) => panic!("out_degrees_into over edits: {e}"),
+        };
+    let ((), stats) = AllocGuard::measure(|| out_degrees(&mut degrees));
+    let in_mirror = match topo.in_pull_mirror() {
+        Some(m) => m,
+        None => panic!("the base has no in-side pull mirror"),
+    };
+    let in_side_bytes = (overlay.bytes() - out_side_bytes) as u64;
+    let in_fold_bytes = match pending.folded_pull_bytes() {
+        Some(both) => (both - folded_bytes) as u64,
+        None => panic!("the out fold is gone"),
+    };
+    assert!(
+        in_side_bytes > 0
+            && in_fold_bytes > 0
+            && in_side_bytes + in_fold_bytes <= stats.bytes
+            && stats.bytes * 10
+                <= in_mirror.bytes() as u64 * 11 + (2 * in_side_bytes + 8 * u64::from(n)) * 10,
+        "the in side ({in_side_bytes} bytes) and its fold of a {}-byte mirror \
+         ({in_fold_bytes} bytes): {stats:?}",
+        in_mirror.bytes()
+    );
+    let ((), stats) = AllocGuard::measure(|| out_degrees(&mut degrees));
+    assert!(
+        !stats.any(),
+        "an out_degrees_into over a folded in side must not touch the heap, got {stats:?}"
     );
 
     // ---- Part 1e: a write costs what was written, not the graph. ----

@@ -46,10 +46,10 @@
 //! published overlay into the published base ([`Topology::with_overlay`])
 //! and republishes with an empty overlay. The fold is a linear merge per
 //! partition — each push partition of `Gᵀ` with its overlay partition,
-//! column by column, and each mirror partition with the overlay's edited
-//! rows — so nothing is re-sorted and no edge list is built. The mirror is
-//! the snapshot's own out-side fold: if its pulls already made it, the
-//! compaction publishes that one (shared, not copied) and folds only the
+//! column by column, and each mirror partition with the overlay's edits
+//! bucketed by row — so nothing is re-sorted and no edge list is built. The
+//! mirror is the snapshot's own out-side fold: if its pulls already made it,
+//! the compaction publishes that one (shared, not copied) and folds only the
 //! push matrix; otherwise it makes it, and the snapshot keeps it for its
 //! pulls. The new base keeps the old one's build options and row
 //! ranges: it is **not** re-balanced to the edited degrees, which is safe

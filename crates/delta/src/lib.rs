@@ -34,9 +34,9 @@ pub use log::DeltaLog;
 pub use overlay::{BaseFacts, DeltaOverlay, PairIndex, PendingSide};
 
 /// The kernel-level edit-set structure, re-exported under the paper-plan
-/// name: a `DeltaMatrix` is a partition-aligned set of pending ops, indexed
-/// by column and by row, that the overlay-aware SpMV kernels merge with the
-/// base DCSC (push) or its CSR mirror (pull).
+/// name: a `DeltaMatrix` is a partition-aligned set of pending ops, held by
+/// column, that the overlay-aware push merges with the base DCSC and a fold
+/// merges, bucketed by row, into a copy of its CSR mirror (pull).
 pub type DeltaMatrix<E> = graphmat_sparse::overlay::Overlay<E>;
 
 /// Typed failures of the delta layer.

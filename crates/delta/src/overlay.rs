@@ -12,18 +12,21 @@
 //! (`graphmat-core`'s `Topology::compile_overlay` supplies the first two).
 //! The batch is merged into the previous overlay ([`Overlay::merged`]):
 //! degrees, edge count and ops change by the batch's pairs only, so a write
-//! costs what was written plus one linear copy of what is pending.
+//! costs what was written plus one linear copy of what is pending — its ops,
+//! held column-major only, never an index of the graph's rows.
 //!
 //! Only the out-edge kernel overlay (aligned to `Gᵀ`) is compiled per batch.
 //! Everything else is derived from it on demand, written once and shared by
 //! every reader of the snapshot:
 //!
 //! * the in-edge overlay, like the base's `G`: the first `In`/`Both` run
-//!   over the snapshot transposes the out side's entries into it, and `Out`
-//!   programs — every served algorithm — never pay for it;
+//!   over the snapshot transposes the out side into it (its entries
+//!   bucketed by row, no sort), and `Out` programs — every served algorithm
+//!   — never pay for it;
 //! * per side, the base's pull mirror of that side with its edits folded in
 //!   ([`PendingSide::fold_mirror`]) — the mirror a rebuild stores — by the
 //!   snapshot's first pull along that side, which every later pull reads.
+//!   The fold buckets the side's edits by row itself, and frees them.
 //!   This is how pending edits are pulled: there is no merged pull kernel.
 
 use crate::batch::UpdateOp;

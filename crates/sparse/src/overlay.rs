@@ -6,14 +6,15 @@
 //! deletions between compactions. Rebuilding the DCSC per batch would cost
 //! O(E log E); instead the pending edits live in an [`Overlay`] — a
 //! partition-aligned structure holding at most **one** [`OverlayOp`] per
-//! `(row, col)` coordinate, indexed from both sides like the base it edits:
+//! `(row, col)` coordinate, held one way: column-major, DCSC-shaped, like
+//! the push matrix it edits. It has two readers:
 //!
-//! * **column-major**, for [`gspmv_overlay_into`]: Algorithm 1 over
-//!   `base ⊕ overlay`, one merged sweep over each partition's columns;
-//! * **row-major** (edited rows, and per row the edited columns with the
-//!   index of their op), for [`fold_into_mirror`]: `mirror ⊕ overlay`
-//!   written out as a mirror, each edited row copied in plain runs of the
-//!   base row between its edited columns. That is how edits are pulled:
+//! * [`gspmv_overlay_into`]: Algorithm 1 over `base ⊕ overlay`, one merged
+//!   sweep over each partition's columns;
+//! * [`fold_into_mirror`]: `mirror ⊕ overlay` written out as a mirror, each
+//!   edited row copied in plain runs of the base row between its edited
+//!   columns. The fold buckets the edits by row itself, once per overlay
+//!   partition (`OverlayPartition::by_row`). That is how edits are pulled:
 //!   there is no merged pull kernel, a pull over pending edits reads a
 //!   mirror they were folded into, through the one pull kernel
 //!   ([`crate::spmv::pull_into`]).
@@ -48,25 +49,27 @@
 //!
 //! Every overlay comes out of one linear builder, [`Overlay::merged`]: a
 //! sorted batch of edits merged into an existing overlay, partition by
-//! partition — the column-major side by the copier, the row-major side
-//! rebuilt from it by a stable counting sort over the partition's rows. A
-//! write therefore costs the pending set once, linearly, and never a sort of
-//! it; [`Overlay::from_entries`] is one sort of its entries and then the
-//! same builder, over an empty overlay.
+//! partition, by the copier. A write therefore costs the ops held plus its
+//! batch, linearly — never a sort of the pending set, nor a pass over the
+//! partitions' rows; [`Overlay::from_entries`] is one sort of its entries
+//! and then the same builder, over an empty overlay. A row view is built by
+//! the reader that needs it, when it reads, as GraphBLAS assembles pending
+//! tuples: the mirror fold and [`Overlay::transposed`] bucket each overlay
+//! partition by row, one stable counting sort of its entries.
 //!
 //! The overlay is bucketed by the push matrix's row partitions, one-to-one,
 //! and the push shell (`push_into` in [`crate::spmv`]) takes it as an
 //! `Option`, reusing the disjoint-row-range writer of
 //! [`crate::spmv::gspmv_into`] unchanged. The pull mirror's partitions may
-//! be finer, each inside one overlay partition, and the mirror fold starts
-//! each partition's edited-row cursor at its own range.
+//! be finer, each inside one overlay partition, and each reads the rows of
+//! its own range out of that partition's row buckets.
 //!
-//! The folds read the edits from the same two sides, by the rule the push
-//! reads them with: [`fold_into_matrix`] sweeps push partition `p` with
-//! overlay partition `p`, and [`fold_into_mirror`] merges each mirror
-//! partition, row by row, with the edited rows of the overlay partition
-//! holding it — one linear merge per partition, no sort. A compaction runs
-//! both; a snapshot's first pull over pending edits runs the second.
+//! The folds read the edits by the rule the push reads them with:
+//! [`fold_into_matrix`] sweeps push partition `p` with overlay partition
+//! `p`, and [`fold_into_mirror`] merges each mirror partition, row by row,
+//! with the bucketed rows of the overlay partition holding it — one linear
+//! merge per partition, no comparison sort. A compaction runs both; a
+//! snapshot's first pull over pending edits runs the second.
 
 use crate::dcsc::Dcsc;
 use crate::parallel::{DisjointSlice, Executor};
@@ -86,9 +89,9 @@ pub enum OverlayOp<T> {
     Delete,
 }
 
-/// The edits owned by one row partition, held from both sides: DCSC-shaped
-/// column-major order for the push walk, and a row-major index into the same
-/// ops for the mirror fold.
+/// The edits owned by one row partition, DCSC-shaped: column-major, the
+/// order the push walks them in. A reader that wants them by row buckets
+/// them ([`OverlayPartition::by_row`]).
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct OverlayPartition<T> {
     /// Non-empty column ids, ascending.
@@ -99,31 +102,21 @@ pub(crate) struct OverlayPartition<T> {
     rows: Vec<Index>,
     /// The op at each `(row, col)` coordinate.
     ops: Vec<OverlayOp<T>>,
-    /// Edited row ids, ascending.
-    erows: Vec<Index>,
-    /// `erow_ptr[i]..erow_ptr[i+1]` indexes the entries of `erows[i]`.
-    erow_ptr: Vec<usize>,
-    /// Edited column ids per row, ascending, unique within a row.
-    ecols: Vec<Index>,
-    /// Where in `ops` the op of each `(erow, ecol)` coordinate sits.
-    eops: Vec<usize>,
 }
 
 impl<T: Clone> OverlayPartition<T> {
     fn empty() -> Self {
         let mut lines = Lines::with_capacity(0, 0);
         lines.starts.push(0);
-        OverlayPartition::indexed(lines, RowRange { start: 0, end: 0 })
+        OverlayPartition::from_lines(lines)
     }
 
-    /// This partition, over rows `range`, with the edits `bucket` indexes
-    /// merged in — ascending by `(col, row)`, as the column-major side is.
-    /// The copier sweeps the held columns with the edited ones, each edited
-    /// column's held ops merged with its edits as `take` decides, and the
-    /// row-major side is rebuilt from the result.
+    /// This partition with the edits `bucket` indexes merged in — ascending
+    /// by `(col, row)`, as the partition is. The copier sweeps the held
+    /// columns with the edited ones, each edited column's held ops merged
+    /// with its edits as `take` decides.
     fn merged<F>(
         &self,
-        range: RowRange,
         edits: &[(Index, Index, OverlayOp<T>)],
         bucket: &[usize],
         take: &mut F,
@@ -154,56 +147,19 @@ impl<T: Clone> OverlayPartition<T> {
                 |edit, held| take(edit, held.first()).then(|| edit.2.clone()),
             );
         });
-        OverlayPartition::indexed(lines, range)
+        OverlayPartition::from_lines(lines)
     }
 }
 
 impl<T> OverlayPartition<T> {
-    /// A partition from its column-major side, the row-major side built from
-    /// it by a stable counting sort over the partition's rows `range`: the
-    /// entries are scattered in column order, so each row lists its columns
-    /// ascending.
-    fn indexed(lines: Lines<OverlayOp<T>>, range: RowRange) -> Self {
-        let mut p = OverlayPartition {
+    /// The partition the copier wrote: its lines are the edited columns.
+    fn from_lines(lines: Lines<OverlayOp<T>>) -> Self {
+        OverlayPartition {
             cols: lines.ids,
             col_ptr: lines.starts,
             rows: lines.keys,
             ops: lines.values,
-            erows: Vec::new(),
-            erow_ptr: Vec::new(),
-            ecols: Vec::new(),
-            eops: Vec::new(),
-        };
-        let mut next = vec![0usize; range.len()];
-        let mut distinct = 0usize;
-        for &r in &p.rows {
-            let count = &mut next[(r - range.start) as usize];
-            distinct += usize::from(*count == 0);
-            *count += 1;
         }
-        p.erows = Vec::with_capacity(distinct);
-        p.erow_ptr = Vec::with_capacity(distinct + 1);
-        let mut end = 0usize;
-        for (i, slot) in next.iter_mut().enumerate() {
-            if *slot > 0 {
-                p.erows.push(range.start + i as Index);
-                p.erow_ptr.push(end);
-                end += *slot;
-                *slot = end - *slot; // where the row's first entry goes
-            }
-        }
-        p.erow_ptr.push(end);
-        p.ecols = vec![0; p.rows.len()];
-        p.eops = vec![0; p.rows.len()];
-        for (i, &c) in p.cols.iter().enumerate() {
-            for k in p.col_ptr[i]..p.col_ptr[i + 1] {
-                let slot = &mut next[(p.rows[k] - range.start) as usize];
-                p.ecols[*slot] = c;
-                p.eops[*slot] = k;
-                *slot += 1;
-            }
-        }
-        p
     }
 
     /// The `(row, op)` pairs of the `i`-th edited column, rows ascending.
@@ -213,12 +169,40 @@ impl<T> OverlayPartition<T> {
         self.rows[line.clone()].iter().copied().zip(&self.ops[line])
     }
 
-    /// The `(col, op)` pairs of the `i`-th edited row, columns ascending.
-    #[inline(always)]
-    fn row(&self, i: usize) -> impl Iterator<Item = (Index, &OverlayOp<T>)> {
-        let line = self.erow_ptr[i]..self.erow_ptr[i + 1];
-        let ops = self.eops[line.clone()].iter().map(|&op| &self.ops[op]);
-        self.ecols[line].iter().copied().zip(ops)
+    /// The entries in rows `range`, bucketed by row: line `i` is row
+    /// `range.start + i`, its keys the row's columns, ascending, and its
+    /// values where in `ops` each one's op sits (no `ids`: every row has a
+    /// line). A stable counting sort of the entries read in column order.
+    fn by_row(&self, range: RowRange) -> Lines<usize> {
+        let mut starts = vec![0usize; range.len() + 1];
+        for &r in self.rows.iter().filter(|&&r| range.contains(r)) {
+            starts[(r - range.start) as usize + 1] += 1;
+        }
+        for i in 0..range.len() {
+            starts[i + 1] += starts[i];
+        }
+        // The scatter moves each row's start to its end, which is where the
+        // next row starts: shifted up by one row after it.
+        let total = starts[range.len()];
+        let (mut keys, mut values) = (vec![0; total], vec![0; total]);
+        for (i, &c) in self.cols.iter().enumerate() {
+            for k in self.col_ptr[i]..self.col_ptr[i + 1] {
+                if range.contains(self.rows[k]) {
+                    let slot = &mut starts[(self.rows[k] - range.start) as usize];
+                    keys[*slot] = c;
+                    values[*slot] = k;
+                    *slot += 1;
+                }
+            }
+        }
+        starts.copy_within(..range.len(), 1);
+        starts[0] = 0;
+        Lines {
+            ids: Vec::new(),
+            starts,
+            keys,
+            values,
+        }
     }
 }
 
@@ -272,8 +256,9 @@ fn merge_line<K>(
 
 /// The one copier of `base ⊕ edits`: lines written out DCSC-shaped — the ids
 /// of the non-empty lines, where each starts, and their keys and values. A
-/// write builds an overlay partition's column-major side with it, and a
-/// compaction a folded push partition or, line by line, a mirror partition.
+/// write builds an overlay partition with it, and a fold a push partition
+/// or, line by line, a mirror partition. An overlay partition's row buckets
+/// (`OverlayPartition::by_row`) are held in one too.
 struct Lines<V> {
     ids: Vec<Index>,
     starts: Vec<usize>,
@@ -289,6 +274,16 @@ impl<V: Clone> Lines<V> {
             keys: Vec::with_capacity(entries),
             values: Vec::with_capacity(entries),
         }
+    }
+
+    /// The `(key, value)` pairs of the `i`-th line.
+    #[inline(always)]
+    fn line_at(&self, i: usize) -> impl Iterator<Item = (Index, &V)> {
+        let line = self.starts[i]..self.starts[i + 1];
+        self.keys[line.clone()]
+            .iter()
+            .copied()
+            .zip(&self.values[line])
     }
 
     /// Append the lines of a DCSC-shaped `base` — `(ids, starts, keys,
@@ -426,8 +421,8 @@ impl<T: Clone> Overlay<T> {
     /// Each partition is one sweep of the module's line merge over its held
     /// columns and, within an edited column, over its held rows; held
     /// columns no edit touches are copied in bulk. Linear in the ops held
-    /// plus the edits, and in the partitions' rows (the counting sort of the
-    /// row-major side); nothing is sorted.
+    /// plus the edits; nothing is sorted, and no partition's rows are
+    /// visited.
     ///
     /// # Panics
     /// Panics if a coordinate is out of range, or (in debug builds) if the
@@ -469,7 +464,7 @@ impl<T: Clone> Overlay<T> {
         let partitions: Vec<OverlayPartition<T>> = (0..np)
             .map(|p| {
                 let bucket = &order[start[p]..start[p + 1]];
-                self.partitions[p].merged(self.ranges[p], edits, bucket, &mut take)
+                self.partitions[p].merged(edits, bucket, &mut take)
             })
             .collect();
         let n_upserts = partitions
@@ -484,6 +479,23 @@ impl<T: Clone> Overlay<T> {
             partitions,
             n_upserts,
         }
+    }
+
+    /// The same edits seen from the other orientation: every `(row, col, op)`
+    /// as `(col, row, op)`, bucketed by `ranges` (the transposed base's row
+    /// partitioning). How a `Gᵀ`-aligned overlay yields its `G`-aligned twin.
+    /// This overlay's row-major order is the `(col, row)` order of the
+    /// transposed one, so its partitions bucketed by row feed the builder
+    /// as they are.
+    pub fn transposed(&self, ranges: &[RowRange]) -> Self {
+        let mut entries = Vec::with_capacity(self.nnz());
+        for (p, &range) in self.partitions.iter().zip(&self.ranges) {
+            let by_row = p.by_row(range);
+            for (i, r) in (range.start..range.end).enumerate() {
+                entries.extend(by_row.line_at(i).map(|(c, &op)| (c, r, p.ops[op].clone())));
+            }
+        }
+        Overlay::empty(self.ncols, self.nrows, ranges).merged(&entries, |_, _| true)
     }
 }
 
@@ -533,10 +545,8 @@ impl<T> Overlay<T> {
         self.partitions
             .iter()
             .map(|p| {
-                (p.cols.len() + p.rows.len() + p.erows.len() + p.ecols.len())
-                    * std::mem::size_of::<Index>()
-                    + (p.col_ptr.len() + p.erow_ptr.len() + p.eops.len())
-                        * std::mem::size_of::<usize>()
+                (p.cols.len() + p.rows.len()) * std::mem::size_of::<Index>()
+                    + p.col_ptr.len() * std::mem::size_of::<usize>()
                     + p.ops.len() * std::mem::size_of::<OverlayOp<T>>()
             })
             .sum::<usize>()
@@ -599,21 +609,6 @@ impl<T> Overlay<T> {
     }
 }
 
-impl<T: Clone> Overlay<T> {
-    /// The same edits seen from the other orientation: every `(row, col, op)`
-    /// as `(col, row, op)`, bucketed by `ranges` (the transposed base's row
-    /// partitioning). How a `Gᵀ`-aligned overlay yields its `G`-aligned twin.
-    pub fn transposed(&self, ranges: &[RowRange]) -> Self {
-        let mut entries = Vec::with_capacity(self.nnz());
-        for p in &self.partitions {
-            for (i, &c) in p.cols.iter().enumerate() {
-                entries.extend(p.column(i).map(|(r, op)| (c, r, op.clone())));
-            }
-        }
-        Overlay::from_entries(self.ncols, self.nrows, ranges, entries)
-    }
-}
-
 /// `base ⊕ overlay` as a matrix: every push partition of `base` swept with
 /// the overlay partition of the same rows by the copier of the module's line
 /// merge — unedited columns copied in bulk, each edited one merged with its
@@ -663,9 +658,10 @@ pub fn fold_into_matrix<T: Clone>(
 /// `mirror ⊕ overlay` as a mirror: every mirror partition merged, row by
 /// row, with the edited rows of the overlay partition holding its range by
 /// the same copier — the row-major twin of [`fold_into_matrix`], on
-/// `mirror`'s ranges. Each partition is folded on its own, so the partitions
-/// are handed out across `executor`'s lanes; the result does not depend on
-/// the lane count.
+/// `mirror`'s ranges. The overlay partitions are bucketed by row first, one
+/// counting sort each; then each mirror partition is folded on its own, so
+/// the partitions are handed out across `executor`'s lanes. The result does
+/// not depend on the lane count.
 ///
 /// # Panics
 /// Panics if `overlay` is not refined by `mirror` (same shape, and every
@@ -678,6 +674,10 @@ pub fn fold_into_mirror<T: Clone + Send + Sync>(
     let ranges = mirror.partitions().iter().map(|p| p.rows);
     overlay.check_refined_by(mirror.nrows(), mirror.ncols(), ranges);
     let parts = mirror.partitions();
+    // Each overlay partition bucketed by row once, before the region; a
+    // task reads the rows of its own range out of its overlay partition's.
+    let buckets = overlay.partitions.iter().zip(&overlay.ranges);
+    let buckets: Vec<_> = buckets.map(|(p, &range)| p.by_row(range)).collect();
     let mut partitions: Vec<_> = parts
         .iter()
         .map(|p| PullPartition::unfilled(p.rows))
@@ -685,38 +685,42 @@ pub fn fold_into_mirror<T: Clone + Send + Sync>(
     let slots = DisjointSlice::new(&mut partitions, "folded mirror partition");
     executor.for_each_dynamic(parts.len(), |p| {
         let part = &parts[p];
-        let edits = overlay.partition(overlay.partition_of(part.rows.start));
+        let q = overlay.partition_of(part.rows.start);
+        let at = (part.rows.start - overlay.ranges[q].start) as usize;
         // SAFETY: task `p` is the only one to carve slot `p`.
         let slot = unsafe { slots.range(p, p + 1) };
-        slot[0] = fold_rows(part, edits);
+        slot[0] = fold_rows(part, &overlay.partitions[q].ops, &buckets[q], at);
     });
     CsrMirror::from_partitions(mirror.nrows(), mirror.ncols(), partitions)
 }
 
-/// One mirror partition merged with the edits of the overlay partition
-/// holding its range: every row copied, an edited one merged with its ops
-/// by the copier — the edited-row cursor starting at the partition's own
-/// first row.
-fn fold_rows<T: Clone>(base: &PullPartition<T>, edits: &OverlayPartition<T>) -> PullPartition<T> {
+/// One mirror partition merged with its rows' edits: every row copied, an
+/// edited one merged with its ops by the copier. `by_row` is the overlay
+/// partition holding the range bucketed by row, the partition's first row
+/// its line `at`, and its values index `ops`.
+fn fold_rows<T: Clone>(
+    base: &PullPartition<T>,
+    ops: &[OverlayOp<T>],
+    by_row: &Lines<usize>,
+    at: usize,
+) -> PullPartition<T> {
     let rows = base.rows;
-    let mut cursor = edits.erows.partition_point(|&r| r < rows.start);
-    let end = edits.erows.partition_point(|&r| r < rows.end);
-    let ops = edits.erow_ptr[end] - edits.erow_ptr[cursor];
+    let edited = by_row.starts[at + rows.len()] - by_row.starts[at];
     let mut lines = Lines {
         ids: Vec::new(), // every row has its start: no ids
         starts: Vec::with_capacity(rows.len() + 1),
-        keys: Vec::with_capacity(base.nnz() + ops),
-        values: Vec::with_capacity(base.nnz() + ops),
+        keys: Vec::with_capacity(base.nnz() + edited),
+        values: Vec::with_capacity(base.nnz() + edited),
     };
     lines.starts.push(0);
-    for k in rows.start..rows.end {
+    for (k, i) in (rows.start..rows.end).zip(at..) {
         let (cols, stored) = base.row(k);
-        if edits.erows.get(cursor) == Some(&k) {
-            lines.line(cols, stored, edits.row(cursor), upserted);
-            cursor += 1;
-        } else {
+        if by_row.starts[i] == by_row.starts[i + 1] {
             lines.keys.extend_from_slice(cols);
             lines.values.extend_from_slice(stored);
+        } else {
+            let edits = by_row.line_at(i).map(|(c, &op)| (c, &ops[op]));
+            lines.line(cols, stored, edits, upserted);
         }
         lines.starts.push(lines.keys.len());
     }
@@ -1095,26 +1099,109 @@ mod tests {
         }
     }
 
+    /// Row buckets and the transposition against naive orders, on the
+    /// hand-picked edits of the Figure 3 graph and on seeded overlays of
+    /// 1×1 up to 64×64, their ranges cut with empty partitions and some
+    /// partitions left without edits, some with edits on rows 0 and n − 1.
+    /// `by_row` over each overlay range, and over sub-ranges of it (empty,
+    /// one row, ending or starting mid-partition), lists the range's entries
+    /// in `(row, col)` order; `transposed` is `from_entries` of the flipped
+    /// entries, and transposing back gives the overlay again.
     #[test]
-    fn transposed_overlay_is_the_overlay_of_the_transposed_edits() {
-        let ops = vec![
+    fn row_buckets_and_the_transposition_are_the_naive_orders() {
+        type Entry = (Index, Index, OverlayOp<f32>);
+        // `nrows`, `ncols`, the overlay's ranges, the transposed one's, entries.
+        type Case = (Index, Index, Vec<RowRange>, Vec<RowRange>, Vec<Entry>);
+        let mut state = 13u64;
+        let mut rand = move |below: u32| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as u32 % below.max(1)
+        };
+        fn ranges_over(n: Index, rand: &mut impl FnMut(u32) -> u32) -> Vec<RowRange> {
+            let mut bounds: Vec<Index> = (0..rand(5)).map(|_| rand(n + 1)).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let ranges = bounds.windows(2);
+            ranges
+                .map(|w| RowRange {
+                    start: w[0],
+                    end: w[1],
+                })
+                .collect()
+        }
+        let figure3 = vec![
             (2, 1, OverlayOp::Delete),
-            (3, 0, OverlayOp::Upsert(9.0f32)),
+            (3, 0, OverlayOp::Upsert(9.0)),
             (4, 1, OverlayOp::Upsert(7.0)),
             (0, 2, OverlayOp::Upsert(1.5)),
             (0, 4, OverlayOp::Delete),
         ];
         let other = vec![RowRange { start: 0, end: 1 }, RowRange { start: 1, end: 5 }];
-        let ov = Overlay::from_entries(5, 5, &ranges2(), ops.clone());
-        let flipped = ops.into_iter().map(|(r, c, op)| (c, r, op)).collect();
-        let transposed = ov.transposed(&other);
-        assert_eq!(transposed, Overlay::from_entries(5, 5, &other, flipped));
-        assert_eq!(transposed.transposed(&ranges2()), ov);
+        let mut cases: Vec<Case> = vec![(5, 5, ranges2(), other, figure3)];
+        for _ in 0..300 {
+            let (nrows, ncols) = (1 + rand(64), 1 + rand(64));
+            let (ranges, other) = (ranges_over(nrows, &mut rand), ranges_over(ncols, &mut rand));
+            // Rows from `top` up are never edited.
+            let top = if rand(2) == 0 { nrows } else { 1 + rand(nrows) };
+            let mut coords = std::collections::BTreeSet::new();
+            for _ in 0..rand(3 * nrows) {
+                coords.insert((rand(top), rand(ncols)));
+            }
+            if rand(2) == 0 {
+                coords.extend([(0, rand(ncols)), (nrows - 1, rand(ncols))]);
+            }
+            let entries = coords.into_iter().map(|(r, c)| match rand(3) {
+                0 => (r, c, OverlayOp::Delete),
+                _ => (r, c, OverlayOp::Upsert(rand(100) as f32)),
+            });
+            cases.push((nrows, ncols, ranges, other, entries.collect()));
+        }
+        let mut seen = [0usize; 3]; // empty ranges, ranges without edits, rows 0 and n − 1
+        for (nrows, ncols, ranges, other, mut entries) in cases {
+            let ov = Overlay::from_entries(nrows, ncols, &ranges, entries.clone());
+            entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
+            for (p, &range) in ov.partitions.iter().zip(&ranges) {
+                let a = range.start + rand(range.len() as u32);
+                let b = a + rand(range.end - a + 1);
+                let (rows, one) = (|start, end| RowRange { start, end }, (a + 1).min(range.end));
+                let subs = [
+                    rows(a, a),
+                    rows(a, one),
+                    rows(range.start, a),
+                    rows(a, range.end),
+                ];
+                for sub in [range, rows(a, b)].into_iter().chain(subs) {
+                    let lines = p.by_row(sub);
+                    assert_eq!((lines.ids.len(), lines.starts.len()), (0, sub.len() + 1));
+                    let mut got: Vec<Entry> = Vec::new();
+                    for (i, r) in (sub.start..sub.end).enumerate() {
+                        got.extend(lines.line_at(i).map(|(c, &op)| (r, c, p.ops[op].clone())));
+                    }
+                    let want = entries.iter().filter(|e| sub.contains(e.0)).cloned();
+                    assert_eq!(
+                        got,
+                        want.collect::<Vec<_>>(),
+                        "{nrows}x{ncols}, rows {sub:?}"
+                    );
+                }
+                seen[0] += usize::from(range.is_empty());
+                seen[1] += usize::from(!range.is_empty() && p.rows.is_empty());
+            }
+            let ends = [0, nrows - 1].map(|r| entries.iter().any(|e| e.0 == r));
+            seen[2] += usize::from(nrows > 1 && ends == [true, true]);
+            let flipped = entries.into_iter().map(|(r, c, op)| (c, r, op)).collect();
+            let transposed = ov.transposed(&other);
+            assert_eq!(
+                transposed,
+                Overlay::from_entries(ncols, nrows, &other, flipped)
+            );
+            assert_eq!(transposed.transposed(&ranges), ov, "{nrows}x{ncols}");
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every kind of input: {seen:?}");
     }
 
     /// Merging batch after batch into an overlay builds what one build of
-    /// the final coordinates builds, both sides of it: a held op the batch
-    /// hits is replaced or removed as `take` says, every other one is kept.
+    /// the final coordinates builds: a held op the batch hits is replaced or removed as `take` says, every other one is kept.
     #[test]
     fn merged_batches_build_what_one_build_of_the_result_builds() {
         let n: Index = 61;
@@ -1173,18 +1260,6 @@ mod tests {
                 "round {round}"
             );
         }
-        // The rows of the last one, read from its row-major side, list their
-        // columns ascending and point at the ops the column-major side holds.
-        let mut by_row: Vec<(Index, Index, OverlayOp<f32>)> = Vec::new();
-        for p in &ov.partitions {
-            for (i, &r) in p.erows.iter().enumerate() {
-                for at in p.erow_ptr[i]..p.erow_ptr[i + 1] {
-                    by_row.push((r, p.ecols[at], p.ops[p.eops[at]].clone()));
-                }
-            }
-        }
-        let want: Vec<_> = want.into_iter().map(|((r, c), op)| (r, c, op)).collect();
-        assert_eq!(by_row, want);
     }
 
     #[test]
@@ -1199,13 +1274,13 @@ mod tests {
         assert_eq!(ov.n_upserts(), 1);
         assert_eq!(ov.n_partitions(), 2);
         assert!(!ov.is_empty());
-        // Both sides are counted: per op at least its row id and the op
-        // (column-major) and its column id and the op's index (row-major).
+        // Only the column-major side is held: per op its row id and the op,
+        // and here each op opens a column, its id and its start.
         let empty: Overlay<f32> = Overlay::from_entries(5, 5, &ranges2(), vec![]);
         let per_op = 2 * std::mem::size_of::<Index>()
             + std::mem::size_of::<OverlayOp<f32>>()
             + std::mem::size_of::<usize>();
-        assert!(ov.bytes() - empty.bytes() >= 2 * per_op);
+        assert_eq!(ov.bytes() - empty.bytes(), 2 * per_op);
         assert_eq!(ov.nrows(), 5);
         assert_eq!(ov.ncols(), 5);
         assert_eq!(ov.ranges().len(), 2);

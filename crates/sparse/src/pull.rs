@@ -21,7 +21,7 @@
 //! again ([`CsrMirror::bytes`]). A graph keeps one per orientation it holds,
 //! or none at all (`build_pull_mirrors = false`, every superstep pushes).
 //! Pending edits are never merged into a pull: they are folded into a new
-//! mirror, row by row from the overlay's row-major side, partition by
+//! mirror, row by row from the overlay's edits bucketed by row, partition by
 //! partition ([`crate::overlay::fold_into_mirror`]) — by the first pull of
 //! a snapshot with edits pending, and by a compaction — and the fold is
 //! pulled by the same kernel as any mirror.

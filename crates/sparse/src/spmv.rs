@@ -1315,8 +1315,8 @@ mod tests {
     /// overlay merged in runs of 3 (16 partitions: five runs and a ragged
     /// one; 5: a run of 3 and one of 2) and of 8, the mirror on the fine
     /// ranges — so fold tasks share a coarse overlay partition, each reading
-    /// its own rows of it. Starting a task's edited-row cursor at the
-    /// overlay partition's first row instead of its own range's fails this.
+    /// its own rows of it. Reading a task's rows from the first line of the
+    /// overlay partition's row buckets instead of its own range's fails this.
     #[test]
     fn merged_push_fine_pull_and_rebuild_agree_bit_for_bit() {
         let partitions = [(5, false), (5, true), (16, false), (16, true)];

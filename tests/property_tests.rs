@@ -495,8 +495,8 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
 /// A kernel's output as `(row, value bits)`.
 type Bits = Vec<(u32, u64)>;
 
-/// `base ⊕ overlay · x`, pushed over the overlay's column-major side and
-/// pulled over the base's mirror with its row-major side folded in.
+/// `base ⊕ overlay · x`, pushed over the overlay and pulled over the base's
+/// mirror with the overlay folded in (its edits bucketed by row).
 fn push_and_pull(
     base: &Topology<f32>,
     overlay: &graphmat::sparse::overlay::Overlay<f32>,
@@ -538,9 +538,9 @@ fn every_write_compiles_like_the_whole_history_from_scratch() {
     // every batch of a seeded history, that chained overlay must be the one
     // compiled from scratch — on top of the base alone — out of the whole
     // history since the last compaction: the same kernel overlay, degrees,
-    // edge count and op counts. Both come out of one builder, so its
-    // row-major side is checked apart: a pull over it must answer what a
-    // push over the column-major side answers, bit for bit.
+    // edge count and op counts. Both come out of one builder, so the row
+    // view a fold buckets out of it is checked apart: a pull over the fold
+    // must answer what a push over the overlay answers, bit for bit.
     use graphmat::delta::DeltaLog;
     let session = Session::with_threads(2).unwrap();
     let executor = graphmat::sparse::parallel::Executor::sequential();

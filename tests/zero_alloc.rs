@@ -284,8 +284,10 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     );
 
     // Pulled: the first run folds the mirror — the one allocation, about
-    // the base mirror's size — and the next run reads the fold without
-    // touching the heap.
+    // the base mirror's size, beside the fold's row buckets (per overlay
+    // partition: 8 B per row, and 12 B per pending op — a column id and an
+    // op's index — made and freed by the fold) — and the next run reads the
+    // fold without touching the heap.
     let cfg = PageRankConfig {
         iterations: 10,
         ..Default::default()
@@ -308,13 +310,17 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Some(m) => m,
         None => panic!("the base has no pull mirror"),
     };
+    let buckets = 8 * u64::from(n) + 12 * overlay.out().nnz() as u64;
+    // Three arrays per overlay partition, and the list of them.
+    let bucket_allocs = 3 * overlay.out().n_partitions() as u64 + 1;
     assert!(
-        stats.deallocs == 0
+        stats.deallocs <= bucket_allocs
             && stats.reallocs == 0
-            && stats.allocs <= 3 * mirror.n_partitions() as u64 + 2
+            && stats.allocs <= 3 * mirror.n_partitions() as u64 + 2 + bucket_allocs
             && (folded_bytes as u64) <= stats.bytes
-            && stats.bytes * 10 <= mirror.bytes() as u64 * 11,
-        "the fold of a {}-byte mirror into {folded_bytes} bytes: {stats:?}",
+            && stats.bytes * 10 <= mirror.bytes() as u64 * 11 + buckets * 10,
+        "the fold of a {}-byte mirror into {folded_bytes} bytes, {buckets} bytes of \
+         row buckets: {stats:?}",
         mirror.bytes()
     );
     let ((), stats) = AllocGuard::measure(|| pagerank(&mut ranks));
@@ -331,10 +337,11 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     // The `In` leg over the same snapshot: a warmed out-degree run (`G` and
     // the state's workspace were made in Part 1b) derives the overlay's in
     // side and folds it into a copy of `G`'s mirror — its only allocations:
-    // the fold within 1.1 × that mirror's bytes, the in side within a
-    // write's bound (Part 1i: 2 × the overlay's bytes + 8 B/vertex, for the
-    // builder's row counts and bucket order) — and the next run reads the
-    // fold without touching the heap.
+    // the fold within 1.1 × that mirror's bytes, the in side within 2 × its
+    // bytes (the builder's entries and bucket order), and row buckets twice
+    // (the out side's, which the transposition reads, and the in side's,
+    // which the fold reads) — and the next run reads the fold without
+    // touching the heap.
     let out_degrees =
         |degrees: &mut _| match out_degrees_into(&session, pending.view(), None, degrees) {
             Ok(r) => assert_eq!(r.stats.pull_supersteps, 1),
@@ -355,7 +362,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
             && in_fold_bytes > 0
             && in_side_bytes + in_fold_bytes <= stats.bytes
             && stats.bytes * 10
-                <= in_mirror.bytes() as u64 * 11 + (2 * in_side_bytes + 8 * u64::from(n)) * 10,
+                <= in_mirror.bytes() as u64 * 11 + (2 * in_side_bytes + 2 * buckets) * 10,
         "the in side ({in_side_bytes} bytes) and its fold of a {}-byte mirror \
          ({in_fold_bytes} bytes): {stats:?}",
         in_mirror.bytes()
@@ -368,9 +375,10 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
 
     // ---- Part 1e: a write costs what was written, not the graph. ----
     // The first `apply` on a fresh store compiles one edit against the
-    // published base: two degree arrays and an overlay's partition table.
-    // (A writer-side edge list plus pair index, 20 bytes per edge, used to
-    // be materialized right here.)
+    // published base: two degree arrays (8 B/vertex) and an overlay's
+    // partition table, nothing else per vertex. Measured on RMAT-12 (4 096
+    // vertices): 32 768 + 1 416 B. (A writer-side edge list plus pair index,
+    // 20 bytes per edge, used to be materialized right here.)
     let big = rmat::generate(&RmatConfig::graph500(12).with_seed(7));
     let big_topo = match session.build_graph(&big).finish() {
         Ok(t) => t,
@@ -392,10 +400,11 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Ok(snapshot) => assert_eq!(snapshot.delta_len(), 1),
         Err(e) => panic!("first apply: {e}"),
     }
+    let bound = 8 * u64::from(big.num_vertices()) + 4096;
     assert!(
-        stats.bytes < 4 * big.num_edges() as u64,
-        "the first write to a store of {} edges allocated {} bytes",
-        big.num_edges(),
+        stats.bytes <= bound,
+        "the first write to a store of {} vertices allocated {} bytes, bound {bound}",
+        big.num_vertices(),
         stats.bytes
     );
 
@@ -569,6 +578,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     // allocations are the batch's, the new overlay's arrays (at the merge's
     // upper-bound capacities) and its two degree arrays — as many at ~16 k
     // pending edits as at ~512, and bounded in bytes by what they build.
+    // Measured: 30 allocations, 78 KB at ~512 pending and 360 KB at ~16 k.
     // (Recompiling the whole pending set grew its buffers by `push`.)
     let writes = GraphStore::new(
         folded.clone(),

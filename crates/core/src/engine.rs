@@ -100,17 +100,17 @@
 //! rule above reads the merged degrees and edge count, so a snapshot that is
 //! being written takes the trajectory of its rebuild.
 //!
-//! How pending edits reach each kernel: a push sweeps the leg's DCSC merged
-//! with the edits of its side ([`gspmv_overlay_into`]). A pull has one
-//! kernel ([`pull_into`]) and never merges: each leg pulls the base's
-//! mirror, or with edits pending its side's fold of them — a copy of the
-//! base's mirror with the edits folded in, made once by the snapshot's first
-//! pull along that side, on the run's lanes
-//! ([`PendingSide::fold_mirror`]), and read by every later pull, in any run,
-//! on any thread. A folded row is the row a rebuild stores, in the same
-//! ascending-source order, so neither the answer nor the gathered count —
-//! nor therefore the trajectory — moves. Pushes and views without an
-//! overlay never fold.
+//! How pending edits reach each kernel: they do not. There is one push
+//! kernel ([`gspmv_into`]) and one pull kernel ([`pull_into`]), and neither
+//! merges: each leg pushes the base's DCSC and pulls the base's mirror, or
+//! with edits pending its side's folds of them — copies of the base's DCSC
+//! and mirror with the edits folded in, each made once, on the run's lanes,
+//! by the snapshot's first push ([`PendingSide::fold_matrix`]) or first pull
+//! ([`PendingSide::fold_mirror`]) along that side, and read by every later
+//! one, in any run, on any thread. A folded column or row is the one a
+//! rebuild stores, in the same ascending order, so neither the answer nor
+//! the gathered count — nor therefore the trajectory — moves. Views without
+//! an overlay never fold.
 
 use crate::error::{GraphMatError, Result};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
@@ -119,7 +119,6 @@ use crate::stats::{Backend, SuperstepStats};
 use crate::topology::Orientation;
 use crate::view::GraphView;
 use graphmat_delta::PendingSide;
-use graphmat_sparse::overlay::gspmv_overlay_into;
 use graphmat_sparse::parallel::Executor;
 use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
@@ -242,9 +241,9 @@ struct Leg<'a, E> {
 }
 
 impl<E: Clone + Send + Sync> Leg<'_, E> {
-    /// The push SpMV over this leg; with edits pending, the merged
-    /// `base ⊕ overlay` kernel — same multiply/add closures, same
-    /// per-destination reduction order.
+    /// The push over this leg's DCSC — or with edits pending over this
+    /// side's fold of them, which the snapshot's first push along this side
+    /// makes ([`PendingSide::fold_matrix`]).
     fn push<X, Y, M, A>(
         &self,
         messages: &SparseVector<X>,
@@ -258,13 +257,11 @@ impl<E: Clone + Send + Sync> Leg<'_, E> {
         M: Fn(&X, &E, Index) -> Y + Sync,
         A: Fn(&mut Y, Y) + Sync,
     {
-        match self.pending {
-            None => gspmv_into(self.matrix, messages, multiply, add, executor, y),
-            Some(side) => {
-                let overlay = side.overlay();
-                gspmv_overlay_into(self.matrix, overlay, messages, multiply, add, executor, y)
-            }
-        }
+        let matrix = match self.pending {
+            Some(side) => side.fold_matrix(self.matrix, executor),
+            None => self.matrix,
+        };
+        gspmv_into(matrix, messages, multiply, add, executor, y)
     }
 
     /// The masked pull over `base`, this leg's mirror — or with edits
@@ -447,9 +444,10 @@ impl<'a, E: Clone> Traversal<'a, E> {
 /// next one, from what this superstep's pull gathered — a push leaves it as
 /// it was.
 ///
-/// With a pending overlay the push runs merged with it and the pull reads
-/// the leg's folded mirror — the snapshot's first pull along a side folds it
-/// ([`PendingSide::fold_mirror`]), the one allocation a superstep can make.
+/// With a pending overlay the push reads the leg's folded DCSC and the pull
+/// its folded mirror — the snapshot's first push or pull along a side folds
+/// it ([`PendingSide::fold_matrix`], [`PendingSide::fold_mirror`]), the one
+/// allocation a superstep can make.
 /// SEND accounts the **merged** degree arrays and the pull reports the
 /// folded rows' lengths, so metrics describe the edited graph and the
 /// selector gives it the push/pull trajectory of its rebuild.

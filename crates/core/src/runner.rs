@@ -77,8 +77,7 @@ pub struct RunResult {
 /// driver reduce to. `view` is anything that converts into a [`GraphView`]:
 /// `&Topology`, `&Arc<Topology>`, or `snapshot.view()` from a
 /// [`crate::store::GraphStore`] snapshot. A view with pending edits runs
-/// every superstep through the overlay-aware push SpMV, with results
-/// bit-for-bit identical to a run over a topology rebuilt from the edited
+/// every superstep over folds of them, with results bit-for-bit identical to a run over a topology rebuilt from the edited
 /// edge list. The state's current vertex properties and active set are the
 /// program's initial state; on return the state holds the final properties.
 ///

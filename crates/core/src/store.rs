@@ -32,30 +32,30 @@
 //!
 //! # Compaction
 //!
-//! Pending deltas cost the merged overlay walk on every push (see
-//! [`crate::view::GraphView`]), and every `apply` copies the pending set
-//! once as it merges its batch in. A pull does not merge: the first one
-//! along a side of a snapshot folds that side's edits into a copy of the
-//! base's mirror of that side, and every pull along it reads the copy
-//! ([`GraphSnapshot::folded_pull_bytes`] says how many bytes the snapshot's
-//! folds hold). Those read-side folds are the snapshot's, not the store's:
-//! they cost a mirror's bytes each for as long as the snapshot lives, and
-//! the next write publishes a new snapshot that folds again when it is first
-//! pulled. When the published overlay reaches
+//! Every `apply` copies the pending set once as it merges its batch in, and
+//! no kernel reads pending deltas: the first push along a side of a snapshot
+//! folds that side's edits into a copy of the base's DCSC of that side, the
+//! first pull into a copy of its mirror, and every push or pull along it
+//! reads the copy (see [`crate::view::GraphView`];
+//! [`GraphSnapshot::folded_bytes`] says how many bytes the snapshot's folds
+//! hold). Those read-side folds are the snapshot's, not the store's: they
+//! cost a matrix's or a mirror's bytes each for as long as the snapshot
+//! lives, and the next write publishes a new snapshot that folds again when
+//! it is first read. When the published overlay reaches
 //! [`StoreOptions::compaction_threshold`] effective ops, the store folds the
 //! published overlay into the published base ([`Topology::with_overlay`])
 //! and republishes with an empty overlay. The fold is a linear merge per
 //! partition — each push partition of `Gᵀ` with its overlay partition,
 //! column by column, and each mirror partition with the overlay's edits
 //! bucketed by row — so nothing is re-sorted and no edge list is built. The
-//! mirror is the snapshot's own out-side fold: if its pulls already made it,
-//! the compaction publishes that one (shared, not copied) and folds only the
-//! push matrix; otherwise it makes it, and the snapshot keeps it for its
-//! pulls. The new base keeps the old one's build options and row
-//! ranges: it is **not** re-balanced to the edited degrees, which is safe
-//! because no answer depends on the partitioning. Its `G` is derived on the
-//! first `In`/`Both` run, as any base's is; a snapshot's in-side fold is
-//! not published. With
+//! matrix and the mirror are the snapshot's own out-side folds: the ones its
+//! pushes and pulls already made are published as they are (shared, not
+//! copied), and a fold no read has made yet is made now and kept with the
+//! snapshot for its reads. The new base keeps the old one's build options
+//! and row ranges: it is **not** re-balanced to the edited degrees, which is
+//! safe because no answer depends on the partitioning. Its `G` is derived on
+//! the first `In`/`Both` run, as any base's is; a snapshot's in-side folds
+//! are not published. With
 //! [`StoreOptions::background`] set, a dedicated worker thread does this off
 //! the write path — `apply` just signals it; otherwise compaction runs
 //! inline in the triggering `apply`.
@@ -64,9 +64,8 @@
 //! The fold stores what a build of the edited graph over the same ranges
 //! would, in the same order, so the same history compacts to byte-identical
 //! topologies however often it was compacted along the way — and because
-//! the overlay kernels fold messages per destination in the same
-//! ascending-source order, query results are bit-for-bit identical before
-//! and after a compaction.
+//! a run over the snapshot reads those very folds, query results are
+//! bit-for-bit identical before and after a compaction.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,14 +203,14 @@ impl<E> GraphSnapshot<E> {
         self.overlay.as_ref().map_or(0, |o| o.len())
     }
 
-    /// The bytes of the pull mirrors this snapshot's pulls read instead of
-    /// its base's: per side, a copy of the base's mirror with the pending
-    /// edits folded in, made by the first pull along that side (or by a
-    /// compaction of the snapshot, for the out side) and counted apart from
-    /// [`DeltaOverlay::bytes`]. The sum over the out fold and, once an
-    /// `In`/`Both` run has pulled, the in fold. `None` until a fold has been
-    /// made, and always if nothing is pending.
-    pub fn folded_pull_bytes(&self) -> Option<usize> {
+    /// The bytes of the matrices and mirrors this snapshot's pushes and
+    /// pulls read instead of its base's: per side, a copy of the base's DCSC
+    /// and of its mirror with the pending edits folded in, each made by the
+    /// first push or pull along that side (or by a compaction of the
+    /// snapshot, for the out side) and counted apart from
+    /// [`DeltaOverlay::bytes`]. The sum over the folds made so far; `None`
+    /// until one has been, and always if nothing is pending.
+    pub fn folded_bytes(&self) -> Option<usize> {
         self.overlay.as_deref()?.folded_bytes()
     }
 }

@@ -57,7 +57,6 @@ use crate::program::VertexId;
 use graphmat_delta::{BaseFacts, DeltaOverlay, UpdateOp};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::coo::Coo;
-use graphmat_sparse::overlay::fold_into_matrix;
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::{PartitionedDcsc, RowBuckets, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
@@ -154,12 +153,12 @@ impl GraphBuildOptions {
 /// One orientation of the adjacency matrix as the engine traverses it: the
 /// partitioned DCSC the push kernel sweeps and, when pull mirrors are
 /// enabled, the row-major mirror the pull kernel gathers over — built from
-/// the fine partitions, which are the push matrix's or refine them. The
-/// mirror sits behind an `Arc` so a compaction can publish the one a
-/// snapshot's pulls already folded ([`Topology::with_overlay`]).
+/// the fine partitions, which are the push matrix's or refine them. Both sit
+/// behind an `Arc` so a compaction can publish the ones a snapshot's pushes
+/// and pulls already folded ([`Topology::with_overlay`]).
 #[derive(Clone, Debug)]
 pub(crate) struct Orientation<E> {
-    pub(crate) matrix: PartitionedDcsc<E>,
+    pub(crate) matrix: Arc<PartitionedDcsc<E>>,
     pub(crate) mirror: Option<Arc<CsrMirror<E>>>,
 }
 
@@ -170,7 +169,7 @@ impl<E: Clone> Orientation<E> {
     fn build(buckets: &RowBuckets<E>, mirror: bool, push_lanes: Option<usize>) -> Self {
         let groups = push_lanes.unwrap_or(buckets.ranges().len());
         Orientation {
-            matrix: buckets.matrix(groups),
+            matrix: Arc::new(buckets.matrix(groups)),
             mirror: mirror.then(|| Arc::new(CsrMirror::from_buckets(buckets))),
         }
     }
@@ -293,13 +292,13 @@ impl<E: Clone> Topology<E> {
     /// This graph with `edits` — an overlay [`Topology::compile_overlay`]
     /// compiled against it — folded in: what compaction publishes. Each push
     /// partition of `Gᵀ` is merged with its overlay partition column by
-    /// column and each mirror partition row by row
-    /// ([`fold_into_matrix`], `fold_into_mirror`); nothing is re-sorted.
-    /// The mirror is the snapshot's own out-side fold
-    /// ([`graphmat_delta::PendingSide::fold_mirror`]): the one its pulls
-    /// already made, published as it is — shared, not copied, and not folded
-    /// a second time — or made now and kept with the snapshot. The in side's
-    /// fold is not published: `G` is derived again on first use.
+    /// column and each mirror partition row by row; nothing is re-sorted.
+    /// Both are the snapshot's own out-side folds
+    /// ([`graphmat_delta::PendingSide::fold_matrix`], `fold_mirror`): the
+    /// ones its pushes and pulls already made, published as they are —
+    /// shared, not copied, and not folded a second time — or made now and
+    /// kept with the snapshot. The in side's folds are not published: `G` is
+    /// derived again on first use.
     /// The result keeps this topology's options and every range — push,
     /// mirror and `G`'s — rather than re-balancing them to the edited
     /// degrees (answers do not depend on the partitioning), takes its degrees
@@ -313,15 +312,15 @@ impl<E: Clone> Topology<E> {
     where
         E: Send + Sync,
     {
-        let overlay = edits.out();
+        let (side, executor) = (edits.out_side(), &Executor::sequential());
         Topology {
             nvertices: self.nvertices,
             nedges: edits.num_edges(),
             options: self.options,
             out: Orientation {
-                matrix: fold_into_matrix(&self.out.matrix, overlay),
+                matrix: Arc::clone(side.fold_matrix(&self.out.matrix, executor)),
                 mirror: (self.out.mirror.as_ref())
-                    .map(|m| Arc::clone(edits.out_side().fold_mirror(m, &Executor::sequential()))),
+                    .map(|m| Arc::clone(side.fold_mirror(m, executor))),
             },
             inward: OnceLock::new(),
             in_ranges: self.in_ranges.clone(),

@@ -4,35 +4,33 @@
 //! [`Topology`] plus an optional [`DeltaOverlay`] of pending edits (see
 //! [`crate::store::GraphStore`]). The engine never sees the snapshot type —
 //! it takes a `GraphView`, a `Copy` pair of references resolving every
-//! structural question a superstep asks (degrees, edge counts, which kernel
-//! overlay to sweep) against the *edited* graph:
+//! structural question a superstep asks (degrees, edge counts, which
+//! pending edits to fold) against the *edited* graph:
 //!
 //! * a view with no overlay behaves exactly like the bare topology — the
 //!   construction normalizes an **empty** overlay to `None`, so the
 //!   steady-state read path after compaction is byte-for-byte the
 //!   pre-streaming code path;
 //! * a view with a pending overlay reports the merged degree arrays and
-//!   edge count, and hands either SpMV kernel the partition-aligned kernel
-//!   overlay of the program's traversal direction (the in side is derived
-//!   the first time an `In`/`Both` run asks for it).
+//!   edge count, and hands the engine the pending side of the program's
+//!   traversal direction (the in side is derived the first time an
+//!   `In`/`Both` run asks for it).
 //!
-//! **Both** backends are overlay-aware, and a topology's dense pull mirrors
-//! describe the unedited base: they are never written per batch. The push
-//! kernel merges each source column with the overlay's column-major side.
-//! A pull does not merge: the first pull along a side over a snapshot's
-//! pending edits folds them into a copy of the base's mirror of that side,
+//! Neither kernel reads an overlay, and a topology's matrices describe the
+//! unedited base: they are never written per batch. The first push along a
+//! side over a snapshot's pending edits folds them into a copy of the base's
+//! DCSC of that side, and the first pull into a copy of its mirror, both
 //! kept with the snapshot's overlay
-//! ([`graphmat_delta::PendingSide::fold_mirror`]), and every pull along that
-//! side of the snapshot reads the fold through the one pull kernel. A
-//! compaction of the snapshot publishes its out-side fold instead of folding
-//! the mirror again. So the selector sees the merged degrees and edge count
-//! and gives an edited snapshot the push/pull trajectory of its rebuild, and
-//! forcing [`Backend::Pull`](crate::stats::Backend::Pull) over pending edits
-//! is as valid as over a bare topology. Results stay bit-for-bit identical
-//! to a run over a topology rebuilt from the edited edge list: the merged
-//! push ([`graphmat_sparse::overlay::gspmv_overlay_into`]) folds each
-//! destination's products in the same ascending-source order a rebuild
-//! would, and a folded row is the row a rebuild stores, in the same order.
+//! ([`graphmat_delta::PendingSide::fold_matrix`], `fold_mirror`); every push
+//! and pull along that side of the snapshot reads its fold through the one
+//! push and the one pull kernel. A compaction of the snapshot publishes its
+//! out-side folds instead of folding again. So the selector sees the merged
+//! degrees and edge count and gives an edited snapshot the push/pull
+//! trajectory of its rebuild, and forcing
+//! [`Backend::Pull`](crate::stats::Backend::Pull) over pending edits is as
+//! valid as over a bare topology. Results stay bit-for-bit identical to a
+//! run over a topology rebuilt from the edited edge list: a folded column or
+//! row is the one a rebuild stores, in the same order.
 
 use crate::program::VertexId;
 use crate::topology::Topology;
@@ -84,7 +82,7 @@ impl<'a, E> GraphView<'a, E> {
 
     /// A view of `topology` with `overlay`'s pending edits applied. An
     /// empty overlay is normalized to `None` so the read path cannot pay
-    /// the merged walk for a no-op.
+    /// a fold for a no-op.
     pub fn new(topology: &'a Topology<E>, overlay: Option<&'a DeltaOverlay<E>>) -> Self {
         GraphView {
             topology,

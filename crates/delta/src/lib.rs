@@ -16,7 +16,8 @@
 //!   one derived when first traversed) plus merged degree arrays and edge
 //!   counts, so the engine sees `(base ⊕ delta)` without rebuilding the
 //!   matrices; each side ([`overlay::PendingSide`]) also folds its edits
-//!   into a copy of the base's pull mirror when it is first pulled.
+//!   into a copy of the base's push matrix when it is first pushed, and
+//!   into a copy of its pull mirror when it is first pulled.
 //!
 //! The crate deliberately knows nothing about vertex programs, snapshots or
 //! wire formats — `graphmat-core`'s `GraphStore` owns publication and
@@ -35,8 +36,8 @@ pub use overlay::{BaseFacts, DeltaOverlay, PairIndex, PendingSide};
 
 /// The kernel-level edit-set structure, re-exported under the paper-plan
 /// name: a `DeltaMatrix` is a partition-aligned set of pending ops, held by
-/// column, that the overlay-aware push merges with the base DCSC and a fold
-/// merges, bucketed by row, into a copy of its CSR mirror (pull).
+/// column, that one fold merges into a copy of the base DCSC (push) and
+/// another, bucketed by row, into a copy of its CSR mirror (pull).
 pub type DeltaMatrix<E> = graphmat_sparse::overlay::Overlay<E>;
 
 /// Typed failures of the delta layer.

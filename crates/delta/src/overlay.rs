@@ -1,5 +1,5 @@
 //! [`DeltaOverlay`]: resolved edits compiled against a base topology's
-//! layout, ready for the overlay-aware SpMV.
+//! layout, ready to be folded into it.
 //!
 //! A published `(base ⊕ delta)` snapshot needs more than the kernel
 //! [`Overlay`]s: the engine also reads per-vertex degrees (PageRank's
@@ -23,16 +23,21 @@
 //!   over the snapshot transposes the out side into it (its entries
 //!   bucketed by row, no sort), and `Out` programs — every served algorithm
 //!   — never pay for it;
+//! * per side, the base's push matrix of that side with its edits folded in
+//!   ([`PendingSide::fold_matrix`]) — the matrix a rebuild stores — by the
+//!   snapshot's first push along that side, which every later push reads;
 //! * per side, the base's pull mirror of that side with its edits folded in
 //!   ([`PendingSide::fold_mirror`]) — the mirror a rebuild stores — by the
 //!   snapshot's first pull along that side, which every later pull reads.
 //!   The fold buckets the side's edits by row itself, and frees them.
-//!   This is how pending edits are pulled: there is no merged pull kernel.
+//!
+//! This is how pending edits are pushed and pulled: there is no merged
+//! kernel.
 
 use crate::batch::UpdateOp;
-use graphmat_sparse::overlay::{fold_into_mirror, Overlay, OverlayOp};
+use graphmat_sparse::overlay::{fold_into_matrix, fold_into_mirror, Overlay, OverlayOp};
 use graphmat_sparse::parallel::Executor;
-use graphmat_sparse::partition::RowRange;
+use graphmat_sparse::partition::{PartitionedDcsc, RowRange};
 use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::Index;
 use std::sync::{Arc, OnceLock};
@@ -91,9 +96,10 @@ pub struct BaseFacts<'a> {
 /// arrays and edge count of the *edited* graph. Like the base topology's
 /// `G`, the in-edge side is not compiled until an `In`/`Both` run asks for
 /// it ([`DeltaOverlay::in_side`]): every `apply` would otherwise pay for a
-/// side that `Out` programs never read. The same goes for each side's folded
-/// pull mirror ([`PendingSide::fold_mirror`]), which the snapshot's first
-/// pull along that side folds.
+/// side that `Out` programs never read. The same goes for each side's folds:
+/// its push matrix ([`PendingSide::fold_matrix`]) and its pull mirror
+/// ([`PendingSide::fold_mirror`]), which the snapshot's first push and first
+/// pull along that side fold.
 ///
 /// Immutable once built (but for those derivations) — a snapshot shares it
 /// behind an `Arc` exactly like the base topology.
@@ -109,27 +115,55 @@ pub struct DeltaOverlay<E> {
 }
 
 /// One side of a [`DeltaOverlay`]: the kernel overlay aligned to one of the
-/// base's matrices, which the merged push sweeps, and — once a pull along
-/// this side has asked for it — the base's pull mirror of that side with the
-/// overlay folded in, which every pull reads.
+/// base's matrices and, once a push or a pull along this side has asked for
+/// it, the base's push matrix or pull mirror of that side with the overlay
+/// folded in, which every push or pull along it reads.
 #[derive(Clone, Debug)]
 pub struct PendingSide<E> {
     overlay: Overlay<E>,
-    /// An `Arc` so a compaction can publish the out side's as it is.
-    folded: OnceLock<Arc<CsrMirror<E>>>,
+    /// `Arc`s so a compaction can publish the out side's folds as they are.
+    matrix: OnceLock<Arc<PartitionedDcsc<E>>>,
+    mirror: OnceLock<Arc<CsrMirror<E>>>,
 }
 
 impl<E> PendingSide<E> {
     fn new(overlay: Overlay<E>) -> Self {
         PendingSide {
             overlay,
-            folded: OnceLock::new(),
+            matrix: OnceLock::new(),
+            mirror: OnceLock::new(),
         }
     }
 
     /// The kernel overlay of this side.
     pub fn overlay(&self) -> &Overlay<E> {
         &self.overlay
+    }
+
+    /// `base` — this side's push matrix of the topology the overlay was
+    /// compiled against — with the overlay folded in on `executor`'s lanes
+    /// ([`graphmat_sparse::overlay::fold_into_matrix`]): byte for byte the
+    /// matrix a rebuild of the edited graph stores over `base`'s ranges.
+    /// Folded the first time it is asked for and kept; concurrent first
+    /// calls share one fold.
+    ///
+    /// # Panics
+    /// Panics if the overlay is not aligned with `base`.
+    pub fn fold_matrix(
+        &self,
+        base: &PartitionedDcsc<E>,
+        executor: &Executor,
+    ) -> &Arc<PartitionedDcsc<E>>
+    where
+        E: Clone + Send + Sync,
+    {
+        self.matrix
+            .get_or_init(|| Arc::new(fold_into_matrix(base, &self.overlay, executor)))
+    }
+
+    /// The folded push matrix, if a push has folded it.
+    pub fn folded_matrix(&self) -> Option<&Arc<PartitionedDcsc<E>>> {
+        self.matrix.get()
     }
 
     /// `base` — this side's pull mirror of the topology the overlay was
@@ -145,13 +179,13 @@ impl<E> PendingSide<E> {
     where
         E: Clone + Send + Sync,
     {
-        self.folded
+        self.mirror
             .get_or_init(|| Arc::new(fold_into_mirror(base, &self.overlay, executor)))
     }
 
     /// The folded pull mirror, if a pull has folded it.
     pub fn folded_mirror(&self) -> Option<&Arc<CsrMirror<E>>> {
-        self.folded.get()
+        self.mirror.get()
     }
 }
 
@@ -305,18 +339,22 @@ impl<E> DeltaOverlay<E> {
         self.out().is_empty()
     }
 
-    /// The bytes of every folded pull mirror this overlay holds: the out
-    /// side's, plus the in side's once a pull has folded it. `None` until a
-    /// pull has folded one.
+    /// The bytes of every fold this overlay holds: per side, the push matrix
+    /// once a push along it has folded it and the pull mirror once a pull
+    /// has. `None` until something has folded one.
     pub fn folded_bytes(&self) -> Option<usize> {
         let sides = std::iter::once(&self.out).chain(self.in_.get());
-        let folds = sides.filter_map(PendingSide::folded_mirror);
-        folds.map(|m| m.bytes()).reduce(|a, b| a + b)
+        let matrices = sides.clone().filter_map(PendingSide::folded_matrix);
+        let mirrors = sides.filter_map(PendingSide::folded_mirror);
+        let bytes = matrices
+            .map(|m| m.bytes())
+            .chain(mirrors.map(|m| m.bytes()));
+        bytes.reduce(|a, b| a + b)
     }
 
     /// Approximate heap footprint in bytes; counts the in side's overlay once
-    /// it has been derived, and never a folded mirror, which is a copy of the
-    /// base's ([`DeltaOverlay::folded_bytes`] reports them apart).
+    /// it has been derived, and never a fold, which is a copy of the base's
+    /// ([`DeltaOverlay::folded_bytes`] reports them apart).
     pub fn bytes(&self) -> usize {
         self.out().bytes()
             + self.in_.get().map_or(0, |side| side.overlay.bytes())

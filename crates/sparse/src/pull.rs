@@ -43,18 +43,6 @@ pub struct PullPartition<T> {
 }
 
 impl<T> PullPartition<T> {
-    /// A slot for the partition of `rows`, its arrays not filled in yet:
-    /// what a parallel fold overwrites. Allocates nothing, and is not a
-    /// partition of `rows` until it is overwritten.
-    pub(crate) fn unfilled(rows: RowRange) -> Self {
-        PullPartition {
-            rows,
-            row_ptr: Vec::new(),
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// The partition of `rows` from its CSR arrays (`row_ptr` local, one
     /// entry per row plus one; column ids global).
     pub(crate) fn from_parts(

@@ -44,18 +44,17 @@
 //!   partition owns a disjoint row range, so all partitions write directly
 //!   into **one** shared output vector through a disjoint-row-range writer —
 //!   no per-partition partial vectors, no stitch pass, zero allocation in
-//!   `gspmv_into` (see its "Allocation contract" section). The
-//!   overlay-aware [`crate::overlay::gspmv_overlay_into`] runs through the
-//!   same partition shell (`push_into`).
+//!   `gspmv_into` (see its "Allocation contract" section). There is one
+//!   push kernel: pending edits are folded into a copy of the matrix
+//!   ([`crate::overlay::fold_into_matrix`]) and that copy is pushed.
 //! * [`gspmv_csr_pull_into`] — the row-parallel **dense pull** kernel over a
 //!   [`CsrMirror`], used by the direction-optimized engine when the frontier
 //!   is dense (reads the same [`SparseVector`] by index; writes each output
 //!   row exactly once, with no sharded scatter). Like the push shell it is
 //!   one inline task when the whole gather is worth less than a wake of the
-//!   pool, one task per partition otherwise. There is one pull kernel:
+//!   pool, one task per partition otherwise. There is one pull kernel too:
 //!   pending edits are folded into a copy of the mirror
-//!   ([`crate::overlay::fold_into_mirror`]) and that copy is pulled, where
-//!   the push walks them merged.
+//!   ([`crate::overlay::fold_into_mirror`]) and that copy is pulled.
 //! * [`pull_into`] — the shell under it, which is what the engine calls: it
 //!   also takes the **output mask** `admit(k)` (a destination row whose
 //!   result the caller would discard is skipped before its columns are
@@ -63,7 +62,6 @@
 //!   it gathered. The frozen wrapper above admits every row.
 
 use crate::dcsc::Dcsc;
-use crate::overlay::{walk_columns_overlay, Overlay};
 use crate::parallel::{chunks, phase_chunks, Executor};
 use crate::partition::PartitionedDcsc;
 use crate::pull::CsrMirror;
@@ -71,15 +69,13 @@ use crate::spvec::SparseVector;
 use crate::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One partition's Algorithm-1 walk, shared by the plain kernel and the
-/// overlay kernel's partitions without pending edits: hand the
-/// `(row, product)` pair of every stored entry whose column is present in
-/// `x` to `sink` — which reduces into either a plain [`SparseVector`] or a
-/// shard of one — in ascending column order. Driven by the frontier when it
-/// has fewer entries than the partition has non-empty columns, by the
-/// columns otherwise (see the module docs).
+/// One partition's Algorithm-1 walk: hand the `(row, product)` pair of
+/// every stored entry whose column is present in `x` to `sink` — a shard of
+/// the output vector — in ascending column order. Driven by the frontier
+/// when it has fewer entries than the partition has non-empty columns, by
+/// the columns otherwise (see the module docs).
 #[inline(always)]
-pub(crate) fn walk_matrix<X, E, Y, M>(
+fn walk_matrix<X, E, Y, M>(
     matrix: &Dcsc<E>,
     x: &SparseVector<X>,
     multiply: &M,
@@ -105,7 +101,11 @@ fn walk_columns<X, E, Y, M>(
     M: Fn(&X, &E, Index) -> Y,
 {
     for (j, rows, edges) in matrix.iter_cols() {
-        emit_column(x, j, rows, edges, multiply, &mut sink);
+        if let Some(xj) = x.get(j) {
+            for (k, e) in rows.iter().zip(edges) {
+                sink(*k, multiply(xj, e, *k));
+            }
+        }
     }
 }
 
@@ -156,27 +156,6 @@ fn walk_frontier<X, E, Y, M>(
     }
 }
 
-/// One column of the column walk: if `x[j]` is present, multiply it against
-/// the column's stored entries in ascending row order. Also what the overlay
-/// walk emits for a column no pending edit touches.
-#[inline(always)]
-pub(crate) fn emit_column<X, E, Y, M>(
-    x: &SparseVector<X>,
-    j: Index,
-    rows: &[Index],
-    edges: &[E],
-    multiply: &M,
-    sink: &mut impl FnMut(Index, Y),
-) where
-    M: Fn(&X, &E, Index) -> Y,
-{
-    if let Some(xj) = x.get(j) {
-        for (k, e) in rows.iter().zip(edges) {
-            sink(*k, multiply(xj, e, *k));
-        }
-    }
-}
-
 /// Partition-parallel generalized SpMV (Algorithm 1 + optimizations 3 and 4
 /// of §4.5), writing into a caller-provided output vector.
 ///
@@ -209,13 +188,14 @@ pub fn gspmv_into<X, E, Y, M, A>(
     M: Fn(&X, &E, Index) -> Y + Sync,
     A: Fn(&mut Y, Y) + Sync,
 {
-    push_into(matrix, None, x, multiply, add, executor, y);
+    push_into(matrix, x, multiply, add, executor, y);
 }
 
-/// The shell both push kernels run through: check and clear `y`, then walk
-/// every partition — merged with `overlay`'s pending edits when one rides
-/// along — sharded over the executor's lanes. Inlined into its two public
-/// callers so each keeps only its own walk.
+/// The shell every push runs through, the mirror image of [`pull_into`]:
+/// check and clear `y`, then walk every partition, sharded over the
+/// executor's lanes. Pending edits never reach it: a push over them reads a
+/// matrix they were folded into ([`crate::overlay::fold_into_matrix`]),
+/// which stores the columns a rebuild would, so this is the one push kernel.
 ///
 /// How the partitions become tasks follows the work, like SEND and APPLY
 /// ([`phase_chunks`]): a frontier of fewer than
@@ -229,9 +209,8 @@ pub fn gspmv_into<X, E, Y, M, A>(
 /// sparse push pays for each partition it is split into. Rows belong to
 /// partitions, not to tasks, so the grouping cannot change a result.
 #[inline(always)]
-pub(crate) fn push_into<X, E, Y, M, A>(
-    base: &PartitionedDcsc<E>,
-    overlay: Option<&Overlay<E>>,
+fn push_into<X, E, Y, M, A>(
+    matrix: &PartitionedDcsc<E>,
     x: &SparseVector<X>,
     multiply: &M,
     add: &A,
@@ -246,18 +225,14 @@ pub(crate) fn push_into<X, E, Y, M, A>(
 {
     assert_eq!(
         y.len(),
-        base.nrows() as usize,
+        matrix.nrows() as usize,
         "output vector length must match the matrix row count"
     );
-    if let Some(overlay) = overlay {
-        let ranges = base.partitions().iter().map(|p| p.rows);
-        overlay.check_aligned(base.nrows(), base.ncols(), ranges);
-    }
     y.clear();
     if x.nnz() == 0 {
         return;
     }
-    let nparts = base.n_partitions();
+    let nparts = matrix.n_partitions();
     let inline = phase_chunks(nparts, x.nnz(), executor).count() == 1;
     let tasks = chunks(nparts, if inline { 1 } else { nparts });
     let shards = y.sharded();
@@ -265,37 +240,16 @@ pub(crate) fn push_into<X, E, Y, M, A>(
         let (first, end) = tasks.bounds(task);
         let mut newly_set = 0usize;
         for p in first..end {
-            walk_partition(base, overlay, p, x, multiply, |k, product| {
-                // SAFETY: partitions own disjoint row ranges — an overlay's
-                // partitioning was checked equal to the base's above — and
-                // tasks own disjoint partitions, so row `k` is merged by
-                // this task only.
+            walk_matrix(&matrix.partition(p).matrix, x, multiply, |k, product| {
+                // SAFETY: partitions own disjoint row ranges and tasks own
+                // disjoint partitions, so row `k` is merged by this task
+                // only.
                 unsafe { shards.merge(k, product, &mut newly_set, |acc, v| add(acc, v)) };
             });
         }
         shards.commit(newly_set);
     });
     drop(shards); // folds the per-task counts into y's nnz
-}
-
-/// Partition `p`'s walk: the plain one, or the merged `base ⊕ overlay` one
-/// when edits are pending.
-#[inline(always)]
-fn walk_partition<X, E, Y, M>(
-    base: &PartitionedDcsc<E>,
-    overlay: Option<&Overlay<E>>,
-    p: usize,
-    x: &SparseVector<X>,
-    multiply: &M,
-    sink: impl FnMut(Index, Y),
-) where
-    M: Fn(&X, &E, Index) -> Y,
-{
-    let matrix = &base.partition(p).matrix;
-    match overlay {
-        None => walk_matrix(matrix, x, multiply, sink),
-        Some(overlay) => walk_columns_overlay(matrix, overlay.partition(p), x, multiply, sink),
-    }
 }
 
 /// Stored edges the pull kernel gathers in the time a vertex phase handles
@@ -502,6 +456,7 @@ where
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::overlay::Overlay;
     use crate::partition::RowBuckets;
 
     /// Ordinary `(+, ×)` arithmetic over `f64`.
@@ -1331,14 +1286,13 @@ mod tests {
     /// build of the edited entries over the same ranges stores. (No salted
     /// value is zero or NaN, so `==` on the values is equality of bits.)
     /// Keeping one copy of the coordinate stored twice and upserted fails it.
-    /// The mirror folds alike on one lane and across three. And the merged push over each partition emits the very sequence a
-    /// walk of its fold emits, not only the same sums.
+    /// The matrix and the mirror fold alike on one lane and across two and
+    /// three.
     #[test]
     fn a_folded_overlay_is_the_build_of_the_edited_entries() {
         use crate::overlay::{fold_into_matrix, fold_into_mirror};
-        let multiply = |m: &f32, e: &f32, _: Index| m * e;
         let partitions = [(1, false), (5, false), (5, true), (16, false), (16, true)];
-        let lanes = [Executor::sequential(), Executor::new(3)];
+        let lanes = [Executor::sequential(), Executor::new(2), Executor::new(3)];
         for seed in [1u64, 2] {
             for (shape, n) in [("rmat", 2500u32), ("grid", 2504)] {
                 let rng = &mut SplitMix(seed);
@@ -1350,10 +1304,13 @@ mod tests {
                          runs of {run}"
                     );
                     let want = &edited.rebuilt_buckets;
-                    let fine = fold_into_matrix(&edited.base, &edited.overlay);
-                    assert!(fine == edited.rebuilt, "fine push, {case}");
-                    let merged = fold_into_matrix(&edited.merged, &edited.merged_overlay);
-                    assert!(merged == want.matrix(edited.groups), "merged push, {case}");
+                    for ex in &lanes {
+                        let case = format!("{} lanes, {case}", ex.nthreads());
+                        let fine = fold_into_matrix(&edited.base, &edited.overlay, ex);
+                        assert!(fine == edited.rebuilt, "fine push, {case}");
+                        let merged = fold_into_matrix(&edited.merged, &edited.merged_overlay, ex);
+                        assert!(merged == want.matrix(edited.groups), "merged push, {case}");
+                    }
                     let mirror = CsrMirror::from_partitioned(&edited.base);
                     let want_mirror = CsrMirror::from_buckets(want);
                     for (layout, overlay) in [
@@ -1364,35 +1321,6 @@ mod tests {
                             let folded = fold_into_mirror(&mirror, overlay, ex);
                             let case = format!("{layout} overlay, {} lanes, {case}", ex.nthreads());
                             assert!(folded == want_mirror, "mirror, {case}");
-                        }
-                    }
-                    // Partition by partition, the push over `base ⊕ overlay`
-                    // emits the `(row, product)` sequence a walk of the
-                    // folded partition emits: at a full frontier, and at a
-                    // 1-in-64 one that the folded walk takes frontier-driven.
-                    for (layout, matrix, overlay, folded) in [
-                        ("fine", &edited.base, &edited.overlay, &fine),
-                        ("merged", &edited.merged, &edited.merged_overlay, &merged),
-                    ] {
-                        for stride in [1, 64] {
-                            let mut x: SparseVector<f32> = SparseVector::new(n as usize);
-                            for v in (0..n).step_by(stride) {
-                                x.set(v, 1.0 + (v % 13) as f32 / 8.0);
-                            }
-                            for p in 0..matrix.n_partitions() {
-                                let (mut pushed, mut walked) = (Vec::new(), Vec::new());
-                                walk_partition(matrix, Some(overlay), p, &x, &multiply, |k, y| {
-                                    pushed.push((k, f32::to_bits(y)))
-                                });
-                                let part = &folded.partition(p).matrix;
-                                walk_matrix(part, &x, &multiply, |k, y| {
-                                    walked.push((k, f32::to_bits(y)))
-                                });
-                                assert_eq!(
-                                    pushed, walked,
-                                    "push order, partition {p}, 1 in {stride}, {layout}, {case}"
-                                );
-                            }
                         }
                     }
                 }

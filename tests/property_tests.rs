@@ -495,8 +495,9 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
 /// A kernel's output as `(row, value bits)`.
 type Bits = Vec<(u32, u64)>;
 
-/// `base ⊕ overlay · x`, pushed over the overlay and pulled over the base's
-/// mirror with the overlay folded in (its edits bucketed by row).
+/// `base ⊕ overlay · x`, pushed over the base's matrix and pulled over its
+/// mirror, each with the overlay folded in (for the mirror, its edits
+/// bucketed by row).
 fn push_and_pull(
     base: &Topology<f32>,
     overlay: &graphmat::sparse::overlay::Overlay<f32>,

@@ -1,13 +1,15 @@
-//! Pending edits on the pull backend: the first pull along a side of a
+//! Pending edits are read from folds: the first pull along a side of a
 //! snapshot's pending edits folds them into a copy of the base's mirror of
-//! that side, once, and every pull along it reads that fold through the one
-//! pull kernel. None of that may change an answer.
+//! that side, the first push into a copy of its push matrix, once each, and
+//! every pull or push along it reads that fold through the one pull or push
+//! kernel. None of that may change an answer.
 //!
 //! Every `Out` case runs over one store's base and one pending overlay, on a
 //! clone of that overlay either fresh or folded before the run, and asserts
 //! from the run's trajectory which fold state it actually exercised: never
-//! pulled, folded at the first superstep, folded mid-run, or folded before.
-//! The `In` and `Both` cases fold the in side the same way.
+//! pulled, folded at the first superstep, folded mid-run, or folded before —
+//! and that the push fold exists after the run exactly if it pushed. The
+//! `In` and `Both` cases fold the in side the same way.
 
 use graphmat::delta::DeltaOverlay;
 use graphmat::prelude::*;
@@ -79,13 +81,17 @@ enum Algo {
 
 const ALGOS: [Algo; 4] = [Algo::PageRank, Algo::Bfs, Algo::Sssp, Algo::Components];
 
-/// The answer's bits and the superstep the run first pulled at, if any.
-fn run(session: &Session, view: GraphView<'_, f32>, algo: Algo) -> (Vec<u64>, Option<usize>) {
-    fn out<T>(o: AlgorithmOutput<T>, bits: impl Fn(&T) -> u64) -> (Vec<u64>, Option<usize>) {
+/// The answer's bits, the superstep the run first pulled at, if any, and
+/// whether it pushed.
+type Run = (Vec<u64>, Option<usize>, bool);
+
+fn run(session: &Session, view: GraphView<'_, f32>, algo: Algo) -> Run {
+    fn out<T>(o: AlgorithmOutput<T>, bits: impl Fn(&T) -> u64) -> Run {
         let steps = &o.stats.supersteps;
         assert_eq!(steps.len(), o.stats.iterations, "supersteps recorded");
         let first_pull = steps.iter().position(|s| s.backend == Backend::Pull);
-        (o.values.iter().map(bits).collect(), first_pull)
+        let pushed = steps.iter().any(|s| s.backend == Backend::Push);
+        (o.values.iter().map(bits).collect(), first_pull, pushed)
     }
     let cfg = PageRankConfig {
         iterations: 6,
@@ -188,7 +194,7 @@ fn every_fold_state_answers_like_the_compacted_base_and_a_rebuild() {
             let session = session(lanes, backend);
             for algo in ALGOS {
                 let ctx = format!("{algo:?}, {backend:?}, {lanes} lanes");
-                let (want, _) = run(&session, (&f.compacted).into(), algo);
+                let (want, ..) = run(&session, (&f.compacted).into(), algo);
                 assert_eq!(run(&session, (&f.rebuilt).into(), algo).0, want, "{ctx}");
                 for folded_before in [false, true] {
                     let ctx = format!("{ctx}, folded before: {folded_before}");
@@ -201,8 +207,11 @@ fn every_fold_state_answers_like_the_compacted_base_and_a_rebuild() {
                             .fold_mirror(mirror, &Executor::sequential());
                     }
                     let view = GraphView::new(&f.base, Some(&pending));
-                    let (got, first_pull) = run(&session, view, algo);
+                    let (got, first_pull, pushed) = run(&session, view, algo);
                     assert_eq!(got, want, "{ctx}");
+                    // The push fold exists after the run exactly if it pushed.
+                    let push_fold = pending.out_side().folded_matrix().is_some();
+                    assert_eq!(push_fold, pushed, "{ctx}");
                     // Which state the run was in: a fresh snapshot is folded
                     // after the run exactly if the run pulled.
                     let folded = pending.out_side().folded_mirror().is_some();
@@ -213,23 +222,33 @@ fn every_fold_state_answers_like_the_compacted_base_and_a_rebuild() {
                         (false, Some(_)) => State::FoldedMidRun,
                     };
                     assert_eq!(folded, seen != State::Unpulled, "{ctx}: {seen:?}");
-                    exercised.push((lanes, backend, algo, seen));
+                    exercised.push((lanes, backend, algo, seen, pushed));
                 }
             }
         }
     }
-    // Forced pulls fold at the first superstep of every algorithm, forced
-    // pushes never fold, and the selector pushes first and folds mid-run at
-    // least once.
+    // Forced pulls fold the mirror at the first superstep of every algorithm
+    // and never push, forced pushes never fold it and always push, and the
+    // selector pushes first and folds the mirror mid-run at least once.
     for lanes in [1, 2] {
         for backend in BACKENDS {
             let count = |state| {
                 exercised
                     .iter()
-                    .filter(|&&(l, b, _, s)| (l, b, s) == (lanes, backend, state))
+                    .filter(|&&(l, b, _, s, _)| (l, b, s) == (lanes, backend, state))
                     .count()
             };
+            let pushes = exercised
+                .iter()
+                .filter(|&&(l, b, _, _, pushed)| (l, b) == (lanes, backend) && pushed)
+                .count();
             let ctx = format!("{backend:?}, {lanes} lanes");
+            // Runs that pushed, out of two per algorithm (fresh, folded).
+            match backend {
+                Some(Backend::Pull) => assert_eq!(pushes, 0, "{ctx}"),
+                Some(Backend::Push) => assert_eq!(pushes, 2 * ALGOS.len(), "{ctx}"),
+                None => assert!(pushes >= 1, "{ctx}"),
+            }
             assert_eq!(count(State::FoldedBefore), ALGOS.len(), "{ctx}");
             match backend {
                 Some(Backend::Pull) => {
@@ -252,8 +271,8 @@ fn every_fold_state_answers_like_the_compacted_base_and_a_rebuild() {
 fn concurrent_first_pulls_fold_once() {
     let f = fixture();
     let session = session(2, None);
-    let (want, _) = run(&session, (&f.compacted).into(), Algo::PageRank);
-    assert_eq!(f.pending.folded_pull_bytes(), None);
+    let (want, ..) = run(&session, (&f.compacted).into(), Algo::PageRank);
+    assert_eq!(f.pending.folded_bytes(), None);
     let start = std::sync::Barrier::new(2);
     let folds: Vec<usize> = std::thread::scope(|s| {
         let runs: Vec<_> = (0..2)
@@ -261,7 +280,7 @@ fn concurrent_first_pulls_fold_once() {
                 let (f, session, start, want) = (&f, &session, &start, &want);
                 s.spawn(move || {
                     start.wait();
-                    let (got, first_pull) = run(session, f.pending.view(), Algo::PageRank);
+                    let (got, first_pull, _) = run(session, f.pending.view(), Algo::PageRank);
                     assert_eq!(&got, want);
                     assert_eq!(first_pull, Some(0));
                     Arc::as_ptr(f.overlay().out_side().folded_mirror().unwrap()) as usize
@@ -272,8 +291,38 @@ fn concurrent_first_pulls_fold_once() {
     });
     assert_eq!(folds[0], folds[1], "two folds");
     let mirror = f.overlay().out_side().folded_mirror().unwrap();
-    assert_eq!(f.pending.folded_pull_bytes(), Some(mirror.bytes()));
+    assert_eq!(f.pending.folded_bytes(), Some(mirror.bytes()));
     assert_eq!(**mirror, *f.compacted.out_pull_mirror().unwrap());
+}
+
+#[test]
+fn concurrent_first_pushes_fold_once() {
+    let f = fixture();
+    let session = session(2, Some(Backend::Push));
+    let (want, ..) = run(&session, (&f.compacted).into(), Algo::Bfs);
+    assert_eq!(f.pending.folded_bytes(), None);
+    let start = std::sync::Barrier::new(2);
+    let folds: Vec<usize> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let (f, session, start, want) = (&f, &session, &start, &want);
+                s.spawn(move || {
+                    start.wait();
+                    let (got, first_pull, pushed) = run(session, f.pending.view(), Algo::Bfs);
+                    assert_eq!(&got, want);
+                    assert_eq!((first_pull, pushed), (None, true));
+                    Arc::as_ptr(f.overlay().out_side().folded_matrix().unwrap()) as usize
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(folds[0], folds[1], "two folds");
+    let side = f.overlay().out_side();
+    let matrix = side.folded_matrix().unwrap();
+    assert!(side.folded_mirror().is_none(), "a push folded the mirror");
+    assert_eq!(f.pending.folded_bytes(), Some(matrix.bytes()));
+    assert!(**matrix == *f.compacted.out_matrix());
 }
 
 #[test]
@@ -284,6 +333,9 @@ fn compaction_publishes_the_fold_a_snapshot_already_made() {
     let mirror = folded
         .out_side()
         .fold_mirror(f.base.out_pull_mirror().unwrap(), &Executor::new(2));
+    let matrix = folded
+        .out_side()
+        .fold_matrix(f.base.out_matrix(), &Executor::new(2));
     let from_scratch = f.base.with_overlay(&unfolded);
     let reused = f.base.with_overlay(&folded);
     // What the fold writes: the out side's matrix, mirror and degrees.
@@ -301,13 +353,17 @@ fn compaction_publishes_the_fold_a_snapshot_already_made() {
         from_scratch.out_pull_mirror().unwrap(),
         published
     ));
-    // A compaction of an unfolded snapshot makes its fold and leaves it with
-    // the snapshot, for the snapshot's own pulls.
+    assert!(std::ptr::eq(reused.out_matrix(), &**matrix));
+    assert!(!std::ptr::eq(from_scratch.out_matrix(), &**matrix));
+    // A compaction of an unfolded snapshot makes its folds and leaves them
+    // with the snapshot, for the snapshot's own pulls and pushes.
     let kept = unfolded.out_side().folded_mirror().unwrap();
     assert!(std::ptr::eq(
         from_scratch.out_pull_mirror().unwrap(),
         &**kept
     ));
+    let kept = unfolded.out_side().folded_matrix().unwrap();
+    assert!(std::ptr::eq(from_scratch.out_matrix(), &**kept));
 }
 
 /// A `Both` program over weighted edges: every vertex sums what its in- and
@@ -351,8 +407,8 @@ enum InAlgo {
     Spread,
 }
 
-/// The answer's bits and whether the run pulled.
-fn run_in(session: &Session, view: GraphView<'_, f32>, algo: InAlgo) -> (Vec<u64>, bool) {
+/// The answer's bits, whether the run pulled and whether it pushed.
+fn run_in(session: &Session, view: GraphView<'_, f32>, algo: InAlgo) -> (Vec<u64>, bool, bool) {
     let (values, stats) = match algo {
         InAlgo::OutDegrees => {
             let o = out_degrees_on(session, view).unwrap();
@@ -371,7 +427,8 @@ fn run_in(session: &Session, view: GraphView<'_, f32>, algo: InAlgo) -> (Vec<u64
             (o.values.iter().map(|x| x.to_bits()).collect(), o.stats)
         }
     };
-    (values, stats.pull_supersteps > 0)
+    let pushed = stats.pull_supersteps < stats.iterations;
+    (values, stats.pull_supersteps > 0, pushed)
 }
 
 #[test]
@@ -382,12 +439,12 @@ fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_r
             let session = session(lanes, backend);
             for algo in [InAlgo::OutDegrees, InAlgo::Spread] {
                 let ctx = format!("{algo:?}, {backend:?}, {lanes} lanes");
-                let (want, _) = run_in(&session, (&f.compacted).into(), algo);
+                let (want, ..) = run_in(&session, (&f.compacted).into(), algo);
                 assert_eq!(run_in(&session, (&f.rebuilt).into(), algo).0, want, "{ctx}");
                 // A clone of the store's overlay, unfolded on either side.
                 let pending = f.overlay().clone();
                 let view = GraphView::new(&f.base, Some(&pending));
-                let (got, pulled) = run_in(&session, view, algo);
+                let (got, pulled, pushed) = run_in(&session, view, algo);
                 assert_eq!(got, want, "{ctx}");
                 assert_eq!(pulled, backend != Some(Backend::Push), "{ctx}");
                 let in_fold = pending.in_side().unwrap().folded_mirror();
@@ -397,6 +454,16 @@ fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_r
                 assert_eq!(in_fold.is_some(), pulled, "{ctx}");
                 let both = matches!(algo, InAlgo::Spread);
                 assert_eq!(out_fold.is_some(), pulled && both, "{ctx}");
+                // And pushes fold the push matrices alike: the in side's is
+                // what the compacted base's `G` stores.
+                let in_push = pending.in_side().unwrap().folded_matrix();
+                let out_push = pending.out_side().folded_matrix();
+                assert_eq!(in_push.is_some(), pushed, "{ctx}");
+                assert_eq!(out_push.is_some(), pushed && both, "{ctx}");
+                if let Some(in_push) = in_push {
+                    let derived = f.compacted.in_matrix();
+                    assert!(**in_push == *derived, "{ctx}: the compacted base's G");
+                }
                 if let Some(in_fold) = in_fold {
                     // What a compaction's `G` stores (`assert!`: the
                     // mirrors are too large to print).
@@ -419,10 +486,10 @@ fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_r
 fn concurrent_first_in_pulls_fold_once_and_the_snapshot_counts_both_folds() {
     let f = fixture();
     let session = session(2, Some(Backend::Pull));
-    let (want, _) = run_in(&session, (&f.compacted).into(), InAlgo::OutDegrees);
+    let (want, ..) = run_in(&session, (&f.compacted).into(), InAlgo::OutDegrees);
     // An `Out` pull first: the snapshot holds the out fold alone.
     run(&session, f.pending.view(), Algo::PageRank);
-    let out_only = f.pending.folded_pull_bytes().unwrap();
+    let out_only = f.pending.folded_bytes().unwrap();
     let out_fold = f.overlay().out_side().folded_mirror().unwrap();
     assert_eq!(out_only, out_fold.bytes());
     let start = std::sync::Barrier::new(2);
@@ -432,7 +499,7 @@ fn concurrent_first_in_pulls_fold_once_and_the_snapshot_counts_both_folds() {
                 let (f, session, start, want) = (&f, &session, &start, &want);
                 s.spawn(move || {
                     start.wait();
-                    let (got, pulled) = run_in(session, f.pending.view(), InAlgo::OutDegrees);
+                    let (got, pulled, _) = run_in(session, f.pending.view(), InAlgo::OutDegrees);
                     assert_eq!(&got, want);
                     assert!(pulled);
                     let side = f.overlay().in_side().unwrap();
@@ -444,7 +511,7 @@ fn concurrent_first_in_pulls_fold_once_and_the_snapshot_counts_both_folds() {
     });
     assert_eq!(folds[0], folds[1], "two in folds");
     let in_fold = f.overlay().in_side().unwrap().folded_mirror().unwrap();
-    let both = f.pending.folded_pull_bytes().unwrap();
+    let both = f.pending.folded_bytes().unwrap();
     assert!(
         both > out_only,
         "{both} bytes after the in fold, {out_only} before"

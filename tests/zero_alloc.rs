@@ -30,6 +30,7 @@ use graphmat_algorithms::sssp::sssp_into;
 use graphmat_algorithms::triangle_count::{total_triangles, triangle_count_on};
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
+use graphmat_core::view::GraphView;
 use graphmat_core::{
     ActivityPolicy, Backend, GraphStore, RunOptions, Session, SessionOptions, StoreOptions,
     VertexState,
@@ -221,13 +222,13 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         "a warmed bfs_into must not touch the heap, got {stats:?}"
     );
 
-    // ---- Part 1d: pending edits are pulled, from a fold of each side. ----
-    // PageRank over base ⊕ overlay: every superstep is all-active, so every
-    // superstep pulls, and an `Out` program never makes the overlay derive
-    // its in side. A snapshot's first `Out` pull folds its pending edits
-    // into a copy of the base's out mirror, once, and every pull reads that
-    // fold. So a snapshot that is only pushed allocates nothing and never
-    // folds; its first pull allocates the fold, and nothing after it does.
+    // ---- Part 1d: pending edits are read from a fold of each side. ----
+    // A snapshot's first `Out` push folds its pending edits into a copy of
+    // the base's push matrix, its first `Out` pull into a copy of the base's
+    // out mirror, once each, and every push or pull reads its fold. So each
+    // first read allocates its fold, and nothing after it does. PageRank
+    // over base ⊕ overlay: every superstep is all-active, so every superstep
+    // pulls, and an `Out` program never makes the overlay derive its in side.
     let store = GraphStore::new(
         topo.clone(),
         StoreOptions {
@@ -257,10 +258,13 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     };
     let out_side_bytes = overlay.bytes();
 
-    // Pushed only: the merged push, warmed, and no fold.
+    // Pushed only: with the state's workspace warmed over the base, the first
+    // push folds the matrix — the one allocation, about the base matrix's
+    // size — and leaves the mirror unfolded; a warmed push then reads the
+    // fold without touching the heap.
     let mut pushed: VertexState<f64> = VertexState::for_topology(&topo);
-    let push = |state: &mut VertexState<f64>| match session
-        .run(pending.view(), Rank)
+    let push = |state: &mut VertexState<f64>, view: GraphView<'_, f32>| match session
+        .run(view, Rank)
         .init_all(1.0)
         .activate_all()
         .activity(ActivityPolicy::AlwaysAll)
@@ -271,15 +275,29 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Ok(r) => assert_eq!((r.stats.iterations, r.stats.pull_supersteps), (10, 0)),
         Err(e) => panic!("push over edits: {e}"),
     };
-    push(&mut pushed);
-    let ((), stats) = AllocGuard::measure(|| push(&mut pushed));
+    push(&mut pushed, GraphView::from(&topo));
+    let ((), stats) = AllocGuard::measure(|| push(&mut pushed, pending.view()));
+    let Some(push_fold_bytes) = pending.folded_bytes() else {
+        panic!("ten pushes did not fold");
+    };
+    let matrix = topo.out_matrix();
+    // Four arrays per push partition, the list of them and the `Arc`.
+    assert!(
+        stats.deallocs == 0
+            && stats.reallocs == 0
+            && stats.allocs <= 4 * matrix.n_partitions() as u64 + 2
+            && (push_fold_bytes as u64) <= stats.bytes
+            && stats.bytes * 10 <= matrix.bytes() as u64 * 11,
+        "the fold of a {}-byte matrix into {push_fold_bytes} bytes: {stats:?}",
+        matrix.bytes()
+    );
+    let ((), stats) = AllocGuard::measure(|| push(&mut pushed, pending.view()));
     assert!(
         !stats.any(),
         "a warmed push over pending edits must not touch the heap, got {stats:?}"
     );
-    assert_eq!(
-        pending.folded_pull_bytes(),
-        None,
+    assert!(
+        overlay.out_side().folded_mirror().is_none(),
         "a push folded the mirror"
     );
 
@@ -303,7 +321,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         panic!("warm-up pagerank: {e}");
     }
     let ((), stats) = AllocGuard::measure(|| pagerank(&mut ranks));
-    let Some(folded_bytes) = pending.folded_pull_bytes() else {
+    let Some(folded_bytes) = pending.folded_bytes().map(|b| b - push_fold_bytes) else {
         panic!("ten pulls did not fold");
     };
     let mirror = match topo.out_pull_mirror() {
@@ -353,8 +371,8 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         None => panic!("the base has no in-side pull mirror"),
     };
     let in_side_bytes = (overlay.bytes() - out_side_bytes) as u64;
-    let in_fold_bytes = match pending.folded_pull_bytes() {
-        Some(both) => (both - folded_bytes) as u64,
+    let in_fold_bytes = match pending.folded_bytes() {
+        Some(all) => (all - push_fold_bytes - folded_bytes) as u64,
         None => panic!("the out fold is gone"),
     };
     assert!(

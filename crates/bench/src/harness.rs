@@ -688,11 +688,16 @@ fn for_each_kernel(
     visit("pull/dense".into(), stored, y, &|y| {
         gspmv_csr_pull_into(&mirror, &all, &relax, &keep_min, ex, y)
     });
+    // The same pull with the validity bit of every source probed, as a pull
+    // not known to be covered runs: beside `pull/dense` it prices the probe.
+    visit("pull/dense_probed".into(), stored, y, &|y| {
+        pull_into(&mirror, &all, false, &relax, &keep_min, &|_| true, ex, y);
+    });
     // The same pull under an output mask that admits half of the rows, still
     // read per *stored* edge: at half of `pull/dense` the pass over the rows
     // turned away is free, and what it reads above half is that pass.
     visit("pull/masked_half".into(), stored, y, &|y| {
-        pull_into(&mirror, &all, &relax, &keep_min, &in_half, ex, y);
+        pull_into(&mirror, &all, true, &relax, &keep_min, &in_half, ex, y);
     });
     // What a snapshot's first push and first pull over pending edits pay so
     // that every push and pull of it runs the plain kernel: edits on 3 % of
@@ -752,7 +757,7 @@ fn for_each_kernel(
 /// The generalized-SpMV kernels timed directly, on the Graph500 RMAT graph
 /// and the road grid of `scale` over `nthreads` lanes (`0` = all available):
 /// `(label, median of 9 calls after a warm-up, edges one call visits)` per
-/// row, in this order — `pull/dense`, `pull/masked_half`,
+/// row, in this order — `pull/dense`, `pull/dense_probed`, `pull/masked_half`,
 /// `fold_{matrix,mirror}/3pct`, `push_density_{rmat,grid}/1_of_{4096,256,64,4,1}`,
 /// `partitions/{1,T,8T}`, `edges/{f32,unit}`. These are the rows the repo
 /// benchmark's probes do not report; like them they are read per edge, and
@@ -1009,6 +1014,7 @@ mod tests {
             labels,
             [
                 "pull/dense",
+                "pull/dense_probed",
                 "pull/masked_half",
                 "fold_matrix/3pct",
                 "fold_mirror/3pct",
@@ -1041,6 +1047,8 @@ mod tests {
             call(y);
             outputs.insert(label, bits(y));
         });
+        // Reading the values of a covered input is what probing them reads.
+        assert_eq!(outputs["pull/dense_probed"], outputs["pull/dense"]);
         // A masked pull is the plain pull on the rows it admits.
         let mut admitted = outputs["pull/dense"].clone();
         admitted.retain(|(k, _)| in_half(*k));

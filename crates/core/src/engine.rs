@@ -100,6 +100,16 @@
 //! rule above reads the merged degrees and edge count, so a snapshot that is
 //! being written takes the trajectory of its rebuild.
 //!
+//! A pull whose messages traversed every stored edge — SEND's count equals
+//! the traversal's edge total, which holds exactly when every vertex that
+//! stores an edge on every leg sent — is **covered**: every source the
+//! mirror stores is set in the message vector, so the pull reads the
+//! message values by index and skips the validity-bit probe per gathered
+//! edge ([`pull_into`]'s `covered`). All-active PageRank is covered on
+//! every superstep; a BFS frontier, which holds only the vertices reached
+//! last, almost never is. It is not a knob: the condition is counted, not
+//! tuned, and it cannot change a bit, only the pull's time.
+//!
 //! How pending edits reach each kernel: they do not. There is one push
 //! kernel ([`gspmv_into`]) and one pull kernel ([`pull_into`]), and neither
 //! merges: each leg pushes the base's DCSC and pulls the base's mirror, or
@@ -267,12 +277,14 @@ impl<E: Clone + Send + Sync> Leg<'_, E> {
     /// The masked pull over `base`, this leg's mirror — or with edits
     /// pending over this side's fold of them, which the snapshot's first
     /// pull along this side makes ([`PendingSide::fold_mirror`]) — returning
-    /// the edges gathered.
+    /// the edges gathered. `covered` is [`pull_into`]'s precondition: every
+    /// source stored in the pulled mirror sent a message.
     #[allow(clippy::too_many_arguments)]
     fn pull<X, Y, M, A, R>(
         &self,
         base: &CsrMirror<E>,
         messages: &SparseVector<X>,
+        covered: bool,
         multiply: &M,
         add: &A,
         admit: &R,
@@ -290,7 +302,7 @@ impl<E: Clone + Send + Sync> Leg<'_, E> {
             Some(side) => side.fold_mirror(base, executor),
             None => base,
         };
-        pull_into(mirror, messages, multiply, add, admit, executor, y)
+        pull_into(mirror, messages, covered, multiply, add, admit, executor, y)
     }
 }
 
@@ -451,6 +463,15 @@ impl<'a, E: Clone> Traversal<'a, E> {
 /// SEND accounts the **merged** degree arrays and the pull reports the
 /// folded rows' lengths, so metrics describe the edited graph and the
 /// selector gives it the push/pull trajectory of its rebuild.
+///
+/// A pull superstep is **covered** when `edges_processed ==
+/// Traversal::edge_total`: its kernel then reads the messages without
+/// probing them (see the module docs). That rests on one invariant of every
+/// view, base or snapshot: on each leg, a vertex's degree is the number of
+/// entries its column of the pulled mirror (or fold) stores, and the degrees
+/// sum to the view's edge count. Then SEND's count reaches the total iff no
+/// vertex with a stored column stayed silent. (`tests/property_tests.rs`
+/// checks it after every write of a seeded store history.)
 pub(crate) fn superstep<P: GraphProgram>(
     traversal: &Traversal<'_, P::Edge>,
     state: &VertexState<P::VertexProp>,
@@ -505,6 +526,9 @@ pub(crate) fn superstep<P: GraphProgram>(
         }
         Some((first, second)) => {
             let second = traversal.second.as_ref().zip(second);
+            // Every stored source sent (see "covered" above): read the
+            // messages without probing them.
+            let covered = edges_processed == traversal.edge_total();
             let mut gathered = 0;
             first_then_second(
                 ((&traversal.first, first), second),
@@ -512,7 +536,9 @@ pub(crate) fn superstep<P: GraphProgram>(
                 reduced,
                 scratch,
                 |(leg, mirror), y| {
-                    gathered += leg.pull(mirror, messages, &multiply, &add, &admit, executor, y);
+                    gathered += leg.pull(
+                        mirror, messages, covered, &multiply, &add, &admit, executor, y,
+                    );
                 },
             );
             *pull_edges = traversal.pull_price(gathered);

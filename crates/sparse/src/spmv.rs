@@ -60,6 +60,15 @@
 //!   result the caller would discard is skipped before its columns are
 //!   touched — GraphBLAST's masked SpMV) and returns how many stored edges
 //!   it gathered. The frozen wrapper above admits every row.
+//!
+//!   It also takes `covered`, the caller's word that every column stored in
+//!   the mirror is set in `x` — the engine knows it from SEND's own count
+//!   (every stored source sent: all-active PageRank, every superstep). A
+//!   covered pull reads `x`'s values by index instead of testing a validity
+//!   bit per gathered edge; the gather loop is the same one, handed a
+//!   different probe, so the products and their order — and therefore the
+//!   bits — are the probed pull's. The frozen wrapper passes
+//!   `x.nnz() == x.len()`.
 
 use crate::dcsc::Dcsc;
 use crate::parallel::{chunks, phase_chunks, Executor};
@@ -253,12 +262,14 @@ fn push_into<X, E, Y, M, A>(
 }
 
 /// Stored edges the pull kernel gathers in the time a vertex phase handles
-/// one item: 1.1–1.7 ns per edge (`sparse.pull.dense.ns_per_edge`) against
-/// the 5–20 ns per item that
+/// one item: 1.25–1.35 ns per edge covered and 1.7–2.2 probed
+/// (`sparse.pull.dense.ns_per_edge` of a traced `pr_dense` run, scale-17
+/// RMAT, 2-core host; a 1-in-64 frontier reads 2.2–2.7 per stored edge)
+/// against the 5–20 ns per item that
 /// [`PARALLEL_PHASE_MIN_WORK`](crate::parallel::PARALLEL_PHASE_MIN_WORK) is
 /// sized in. Dividing by it puts a pull under the same threshold as every
-/// other phase: a mirror of fewer than 2048 × 16 = 32 k edges (some 40 µs of
-/// gathering, one wake of a parked pool) is pulled inline on the caller.
+/// other phase: a mirror of fewer than 2048 × 16 = 32 k edges (some 40–70 µs
+/// of gathering, one wake of a parked pool) is pulled inline on the caller.
 const PULL_EDGES_PER_WORK_ITEM: usize = 16;
 
 /// Row-parallel generalized SpMV over a row-major [`CsrMirror`] — the
@@ -276,6 +287,8 @@ const PULL_EDGES_PER_WORK_ITEM: usize = 16;
 /// frontier's edges are a large enough share of the edges a pull would
 /// gather (`graphmat_core::engine::choose_backend`). This entry gathers
 /// **every** row; [`pull_into`], the shell under it, takes an output mask.
+/// An input with every index set is a covered pull: its values are read
+/// without the bitmap probe.
 ///
 /// Per-destination reduction order is **ascending source id** — the same
 /// order the push kernel produces (both of its walks emit DCSC columns in
@@ -298,7 +311,8 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
     M: Fn(&X, &E, Index) -> Y + Sync,
     A: Fn(&mut Y, Y) + Sync,
 {
-    pull_into(mirror, x, multiply, add, &|_| true, executor, y);
+    let covered = x.nnz() == x.len();
+    pull_into(mirror, x, covered, multiply, add, &|_| true, executor, y);
 }
 
 /// The shell every pull runs through, the mirror image of `push_into`:
@@ -307,6 +321,15 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
 /// it: a pull over them reads a mirror they were folded into
 /// ([`crate::overlay::fold_into_mirror`]), which holds the rows a rebuild
 /// would, so this is the one pull kernel.
+///
+/// `covered` is a **precondition the caller vouches for**: every column
+/// stored in `mirror` is set in `x` (every source that holds an edge sent a
+/// message — all-active PageRank on every superstep). The gather then reads
+/// `x`'s values by index instead of probing its validity bits per edge; the
+/// products, and the order they are folded in, are the ones the probed
+/// gather computes, so the flag can change a pull's time, never a bit of its
+/// result. Debug builds assert the bit of every value read that way. Pass
+/// `false` when unsure: that is always correct.
 ///
 /// `admit` is the **output mask**: a destination row `k` with `!admit(k)` is
 /// passed over before its columns are touched and is never set in `y`. The
@@ -319,11 +342,14 @@ pub fn gspmv_csr_pull_into<X, E, Y, M, A>(
 /// `graphmat_core::engine::choose_backend` compares in.
 ///
 /// # Panics
-/// Panics if `x` / `y` has the wrong length.
+/// Panics if `x` / `y` has the wrong length; in debug builds also if
+/// `covered` is claimed and a value is read at an index `x` does not set.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub fn pull_into<X, E, Y, M, A, R>(
     mirror: &CsrMirror<E>,
     x: &SparseVector<X>,
+    covered: bool,
     multiply: &M,
     add: &A,
     admit: &R,
@@ -367,15 +393,27 @@ where
     // boundary.
     let shards = y.sharded();
     let gathered = AtomicU64::new(0);
+    let values = x.raw_values();
     executor.for_each_dynamic(tasks.count(), |task| {
         let (first, end) = tasks.bounds(task);
         let mut newly_set = 0usize;
-        let edges = pull_partitions(mirror, first..end, x, multiply, add, admit, |k, acc| {
+        let sink = |k, acc| {
             // SAFETY: mirror partitions own disjoint row ranges, the gather
             // writes only rows of the partition it walks, and tasks own
             // disjoint partitions, so row `k` is written by this task only.
             unsafe { shards.merge(k, acc, &mut newly_set, |slot, v| *slot = v) };
-        });
+        };
+        let parts = first..end;
+        let edges = if covered {
+            let read = |j: Index| {
+                debug_assert!(x.get(j).is_some(), "covered pull: column {j} not set");
+                Some(&values[j as usize])
+            };
+            pull_partitions(mirror, parts, read, multiply, add, admit, sink)
+        } else {
+            let probe = |j: Index| x.get(j);
+            pull_partitions(mirror, parts, probe, multiply, add, admit, sink)
+        };
         shards.commit(newly_set);
         // A statistic: it publishes nothing, the dispatch's join orders it.
         gathered.fetch_add(edges, Ordering::Relaxed);
@@ -385,16 +423,20 @@ where
 }
 
 /// A task's pull over partitions `parts`: gather each admitted non-empty
-/// row — probe the input per source, ascending, multiply the hits and fold
-/// them into a register-resident accumulator — and hand the rows that
-/// received a product to `sink`; returns the edges gathered. Out of line:
-/// `pr_dense` measured 13 % faster than with the loop inside the shell's
-/// task closure.
+/// row — look each source up in the input through `x`, ascending, multiply
+/// the hits and fold them into a register-resident accumulator — and hand
+/// the rows that received a product to `sink`; returns the edges gathered.
+/// `x` is the probe the shell picked: the validity-bit test, or for a
+/// covered pull a plain read of the value, which always hits. The `Option`
+/// accumulator stays for both: under a covered input a row's first source
+/// sent too, so starting from its product would save nothing (a peeled
+/// covered loop was measured no faster). Out of line: `pr_dense` measured
+/// 13 % faster than with the loop inside the shell's task closure.
 #[inline(never)]
-fn pull_partitions<X, E, Y, M, A, R>(
+fn pull_partitions<'x, X: 'x, E, Y, M, A, R>(
     mirror: &CsrMirror<E>,
     parts: std::ops::Range<usize>,
-    x: &SparseVector<X>,
+    x: impl Fn(Index) -> Option<&'x X>,
     multiply: &M,
     add: &A,
     admit: &R,
@@ -413,7 +455,7 @@ where
             }
             let mut acc = None;
             for (j, e) in cols.iter().zip(edges) {
-                if let Some(xj) = x.get(*j) {
+                if let Some(xj) = x(*j) {
                     let product = multiply(xj, e, k);
                     match &mut acc {
                         Some(a) => add(a, product),
@@ -888,7 +930,7 @@ mod tests {
         let add = |acc: &mut f32, v: f32| *acc += v;
         let admit = |k: Index| mask[k as usize];
         let mut y: SparseVector<f32> = SparseVector::new(mask.len());
-        let gathered = pull_into(mirror, x, &multiply, &add, &admit, ex, &mut y);
+        let gathered = pull_into(mirror, x, false, &multiply, &add, &admit, ex, &mut y);
         let admitted: Vec<_> = plain.iter().filter(|(k, _)| admit(*k)).copied().collect();
         assert_eq!(bits(&y), admitted, "masked pull, {case}");
         assert_eq!(y.nnz(), admitted.len(), "masked pull nnz, {case}");
@@ -957,8 +999,10 @@ mod tests {
                             let mut y: SparseVector<f32> = SparseVector::new(n as usize);
                             gspmv_into(&pd, &x, &multiply, &add, &ex, &mut y);
                             assert_eq!(bits(&y), by_columns, "push, {lanes} lanes, {case}");
-                            let all =
-                                pull_into(&mirror, &x, &multiply, &add, &|_| true, &ex, &mut y);
+                            let admit_all = &|_| true;
+                            let all = pull_into(
+                                &mirror, &x, false, &multiply, &add, admit_all, &ex, &mut y,
+                            );
                             assert_eq!(bits(&y), by_columns, "pull, {lanes} lanes, {case}");
                             assert_eq!(all, mirror.nnz() as u64, "every edge gathered, {case}");
                             let masked_out = assert_masked_pull_is_the_plain_pull_restricted(
@@ -1006,6 +1050,113 @@ mod tests {
             assert_eq!(bits(&split), bits(&one_lane), "nnz(x) {nnz}");
             assert_eq!(split.nnz(), one_lane.nnz(), "nnz(x) {nnz}");
         }
+    }
+
+    /// `coo` with duplicate coordinates (every 11th entry stored again, its
+    /// value drawn anew) and self-loops (every 5th vertex whose row and
+    /// column both hold entries already, so the salted empty rows and
+    /// columns stay empty).
+    fn with_duplicates_and_loops(coo: Coo<f32>, rng: &mut SplitMix) -> Coo<f32> {
+        let n = coo.nrows();
+        let (mut rows, mut cols) = (vec![false; n as usize], vec![false; n as usize]);
+        for &(r, c, _) in coo.entries() {
+            (rows[r as usize], cols[c as usize]) = (true, true);
+        }
+        let mut entries = coo.into_entries();
+        let twice: Vec<_> = entries.iter().step_by(11).map(|e| (e.0, e.1)).collect();
+        entries.extend(twice.into_iter().map(|(r, c)| (r, c, rng.value())));
+        let loops = (0..n)
+            .step_by(5)
+            .filter(|&v| rows[v as usize] && cols[v as usize]);
+        entries.extend(loops.map(|v| (v, v, rng.value())));
+        Coo::from_entries(n, n, entries)
+    }
+
+    /// An input that sets exactly the columns `coo` stores — what a covered
+    /// pull may assume — with a NaN planted at every other slot, so a value
+    /// read where the validity bit is clear shows in the output's bits.
+    fn covering(coo: &Coo<f32>, rng: &mut SplitMix) -> SparseVector<f32> {
+        let n = coo.ncols();
+        let mut x: SparseVector<f32> = SparseVector::new(n as usize);
+        (0..n).for_each(|j| x.set(j, f32::NAN));
+        x.clear();
+        for &(_, c, _) in coo.entries() {
+            x.set(c, rng.value());
+        }
+        x
+    }
+
+    /// The covered pull against the probed one: same bits, same edges
+    /// gathered, with and without an output mask, inline and one task per
+    /// partition, on 1, 2 and 3 lanes — over duplicate coordinates,
+    /// self-loops, empty rows and empty columns, whose unset slots of `x`
+    /// hold NaN.
+    #[test]
+    fn covered_pull_and_probed_pull_agree_bit_for_bit() {
+        let multiply = |m: &f32, e: &f32, _: Index| m * e;
+        let add = |acc: &mut f32, v: f32| *acc += v;
+        for seed in [1u64, 2] {
+            for (shape, n) in [("rmat", 2500u32), ("grid", 2504), ("rmat", 16001)] {
+                let rng = &mut SplitMix(seed);
+                let coo = with_duplicates_and_loops(salted_matrix(shape, n, rng), rng);
+                let x = covering(&coo, rng);
+                assert!(x.nnz() < n as usize, "some vertex holds no column");
+                let mask = salted_mask(n, rng);
+                for (parts, balanced) in [(1, false), (5, false), (16, true)] {
+                    let pd = if balanced {
+                        PartitionedDcsc::from_coo_balanced(&coo, parts)
+                    } else {
+                        PartitionedDcsc::from_coo_even(&coo, parts)
+                    };
+                    let mirror = CsrMirror::from_partitioned(&pd);
+                    let rows = mirror.partitions().iter().flat_map(|p| p.iter_rows());
+                    assert!(rows.count() < n as usize, "some row is empty");
+                    for lanes in [1usize, 2, 3] {
+                        let ex = Executor::new(lanes);
+                        let admit_all = &|_: Index| true;
+                        let admit_some = &|k: Index| mask[k as usize];
+                        let masks: [(&(dyn Fn(Index) -> bool + Sync), &str); 2] =
+                            [(admit_all, "unmasked"), (admit_some, "masked")];
+                        for (admit, masked) in masks {
+                            let case = format!(
+                                "seed {seed}, {shape} {n}, {parts} partitions \
+                                 (balanced: {balanced}), {lanes} lanes, {masked}"
+                            );
+                            let pull = |covered| {
+                                let mut y: SparseVector<f32> = SparseVector::new(n as usize);
+                                let gathered = pull_into(
+                                    &mirror, &x, covered, &multiply, &add, &admit, &ex, &mut y,
+                                );
+                                (bits(&y), y.nnz(), gathered)
+                            };
+                            let probed = pull(false);
+                            assert!(!probed.0.is_empty(), "{case}");
+                            assert_eq!(pull(true), probed, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A covered pull whose input leaves a stored column unset breaks the
+    /// precondition; debug builds catch it at the read.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "covered pull")]
+    fn a_covered_pull_with_a_stored_column_unset_panics_in_debug_builds() {
+        let rng = &mut SplitMix(1);
+        let coo = salted_matrix("grid", 2504, rng);
+        let mut x = covering(&coo, rng);
+        let mut unset = x.to_entries();
+        unset.remove(unset.len() / 2);
+        x.clear();
+        unset.into_iter().for_each(|(j, v)| x.set(j, v));
+        let mirror = CsrMirror::from_partitioned(&PartitionedDcsc::from_coo_balanced(&coo, 4));
+        let mut y: SparseVector<f32> = SparseVector::new(2504);
+        let (multiply, add) = (|m: &f32, e: &f32, _: Index| m * e, |a: &mut f32, v| *a += v);
+        let ex = Executor::sequential();
+        pull_into(&mirror, &x, true, &multiply, &add, &|_| true, &ex, &mut y);
     }
 
     /// A base matrix with pending edits against it: seeded ones plus every

@@ -492,6 +492,51 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
     }
 }
 
+/// The invariant a covered pull leans on — `edges_processed == edge_total`
+/// holds iff every vertex holding a stored edge sent: on each side, every
+/// vertex's merged degree is the number of entries its column of the side's
+/// pull mirror stores (the fold of the pending edits, or the base's mirror
+/// when none are pending), and the degrees sum to the edge count. The folds
+/// are made on a clone of the snapshot's overlay, so the store's own
+/// snapshot stays unfolded.
+fn assert_degrees_count_the_folds(
+    snap: &GraphSnapshot<f32>,
+    executor: &graphmat::sparse::parallel::Executor,
+    ctx: &str,
+) {
+    use graphmat::sparse::pull::CsrMirror;
+    let column_counts = |mirror: &CsrMirror<f32>| {
+        let mut counts = vec![0u32; mirror.ncols() as usize];
+        for (_, cols, _) in mirror.partitions().iter().flat_map(|p| p.iter_rows()) {
+            cols.iter().for_each(|&j| counts[j as usize] += 1);
+        }
+        counts
+    };
+    let base = snap.base();
+    let pending = snap.overlay().cloned();
+    let (out_base, in_base) = (
+        base.out_pull_mirror().unwrap(),
+        base.in_pull_mirror().unwrap(),
+    );
+    let (out_fold, in_fold) = match &pending {
+        Some(o) => (
+            &**o.out_side().fold_mirror(out_base, executor),
+            &**o.in_side().unwrap().fold_mirror(in_base, executor),
+        ),
+        None => (out_base, in_base),
+    };
+    let view = snap.view();
+    let edges = snap.num_edges() as u64;
+    for (side, degrees, fold) in [
+        ("out", view.out_degrees(), out_fold),
+        ("in", view.in_degrees(), in_fold),
+    ] {
+        assert_eq!(degrees, column_counts(fold), "{ctx}: {side}-degrees");
+        let total: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
+        assert_eq!(total, edges, "{ctx}: {side}-degrees sum to the edge count");
+    }
+}
+
 /// A kernel's output as `(row, value bits)`.
 type Bits = Vec<(u32, u64)>;
 
@@ -656,6 +701,7 @@ fn every_write_compiles_like_the_whole_history_from_scratch() {
                     assert_eq!(pulled, pushed, "{ctx}: pull vs push");
                 }
             }
+            assert_degrees_count_the_folds(&snap, &executor, &ctx);
             if step % 6 == 5 {
                 assert!(store.compact_now(), "{ctx}");
                 log = DeltaLog::new();

@@ -518,3 +518,125 @@ fn concurrent_first_in_pulls_fold_once_and_the_snapshot_counts_both_folds() {
     );
     assert_eq!(both, out_only + in_fold.bytes());
 }
+
+/// A run's answer bits and, per superstep, its backend and the edges its
+/// messages traverse.
+type Traced = (Vec<u64>, Vec<(Backend, u64)>);
+
+fn traced<T>(o: AlgorithmOutput<T>, bits: impl Fn(&T) -> u64) -> Traced {
+    let steps = o.stats.supersteps.iter();
+    let steps = steps.map(|s| (s.backend, s.edges_processed)).collect();
+    (o.values.iter().map(bits).collect(), steps)
+}
+
+/// PageRank, in-degrees (`Out`), out-degrees (`In`) and BFS.
+fn covered_runs(session: &Session, view: GraphView<'_, f32>) -> [Traced; 4] {
+    let cfg = PageRankConfig {
+        iterations: 6,
+        ..Default::default()
+    };
+    [
+        traced(pagerank_on(session, view, &cfg).unwrap(), |r| r.to_bits()),
+        traced(in_degrees_on(session, view).unwrap(), |&d| d),
+        traced(out_degrees_on(session, view).unwrap(), |&d| d),
+        traced(bfs_on(session, view, 0).unwrap(), |&d| u64::from(d)),
+    ]
+}
+
+/// A pull whose every stored source sent reads the message values without
+/// probing them (`edges_processed == edge_total`). That rule leans on the
+/// merged degrees and edge count describing the fold being pulled, so it is
+/// run over snapshots whose senders change: a vertex whose last out-edge is
+/// deleted stops sending, a vertex that was isolated starts, and an upsert
+/// replaces a parallel pair. Every answer must be the forced push's and the
+/// rebuild's, bit for bit; PageRank and the degree counts must pull every
+/// superstep with every stored edge traversed (the covered path ran), and
+/// BFS must pull some supersteps that are not covered.
+#[test]
+fn covered_pulls_over_snapshots_answer_like_forced_push_and_a_rebuild() {
+    let el = graph();
+    let n = el.num_vertices();
+    let (mut out, mut inward) = (vec![0u32; n as usize], vec![0u32; n as usize]);
+    for &(s, d, _) in el.edges() {
+        out[s as usize] += 1;
+        inward[d as usize] += 1;
+    }
+    let lone = (0..n)
+        .find(|&v| out[v as usize] == 1)
+        .expect("a vertex of out-degree 1");
+    let &(_, lone_dst, _) = el.edges().iter().find(|e| e.0 == lone).unwrap();
+    let isolated = (0..n)
+        .find(|&v| out[v as usize] == 0 && inward[v as usize] == 0)
+        .expect("an isolated vertex");
+    // A parallel pair: one stored edge stored twice.
+    let &(ps, pd, pw) = el
+        .edges()
+        .iter()
+        .find(|e| e.0 != lone && e.1 != lone)
+        .unwrap();
+    let mut tuples = el.edges().to_vec();
+    tuples.push((ps, pd, pw + 1.0));
+    let el = EdgeList::from_tuples(n, tuples);
+
+    let builder = session(2, None);
+    let base = builder.build_graph(&el).finish().unwrap();
+    assert_eq!(base.edge_multiplicity(ps, pd), 2);
+    let options = StoreOptions {
+        compaction_threshold: usize::MAX,
+        background: false,
+        ..StoreOptions::default()
+    };
+    let store = GraphStore::new(Arc::clone(&base), options);
+    let mut net = Net::new();
+    let mut views = vec![("base", Arc::clone(&base), None)];
+    for (label, (s, d, w)) in [
+        ("stops sending", (lone, lone_dst, None)),
+        ("starts sending", (isolated, 0, Some(2.0))),
+        ("upsert on a parallel pair", (ps, pd, Some(7.0))),
+    ] {
+        let mut batch = DeltaBatch::new(n);
+        match w {
+            Some(w) => batch.insert(s, d, w).unwrap(),
+            None => batch.delete(s, d).unwrap(),
+        }
+        net.insert((s, d), w);
+        let snapshot = store.apply(batch).unwrap();
+        let rebuilt = builder.build_graph(&edited(&el, &net)).finish().unwrap();
+        views.push((label, rebuilt, Some(snapshot)));
+    }
+    let snapshot = views[1].2.as_ref().unwrap();
+    assert_eq!(snapshot.view().out_degrees()[lone as usize], 0);
+    let snapshot = views[2].2.as_ref().unwrap();
+    assert_eq!(snapshot.view().out_degrees()[isolated as usize], 1);
+
+    for lanes in [1, 2] {
+        let (auto, push) = (session(lanes, None), session(lanes, Some(Backend::Push)));
+        for (label, rebuilt, snapshot) in &views {
+            let view = snapshot.as_ref().map_or((&base).into(), |s| s.view());
+            let edges = view.num_edges() as u64;
+            let ctx = format!("{label}, {lanes} lanes");
+            let got = covered_runs(&auto, view);
+            let pushed = covered_runs(&push, view);
+            let want = covered_runs(&auto, rebuilt.into());
+            for (algo, ((got, pushed), want)) in got.iter().zip(&pushed).zip(&want).enumerate() {
+                assert_eq!(got.0, pushed.0, "{ctx}, run {algo} against forced push");
+                assert_eq!(got.0, want.0, "{ctx}, run {algo} against the rebuild");
+                assert_eq!(got.1, want.1, "{ctx}, run {algo}: the rebuild's trajectory");
+            }
+            let [pagerank, in_degrees, out_degrees, bfs] = got;
+            for (name, run) in [
+                ("PageRank", pagerank),
+                ("in-degrees", in_degrees),
+                ("out-degrees", out_degrees),
+            ] {
+                assert!(!run.1.is_empty(), "{ctx}, {name}");
+                for step in run.1 {
+                    assert_eq!(step, (Backend::Pull, edges), "{ctx}, {name}: covered");
+                }
+            }
+            let pulls: Vec<_> = bfs.1.iter().filter(|s| s.0 == Backend::Pull).collect();
+            assert!(!pulls.is_empty(), "{ctx}: BFS pulls");
+            assert!(pulls.iter().all(|s| s.1 < edges), "{ctx}: BFS {pulls:?}");
+        }
+    }
+}

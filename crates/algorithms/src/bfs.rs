@@ -14,7 +14,7 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, RunResult, Session, Topology, VertexId,
     VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
@@ -91,12 +91,11 @@ impl<E: Clone + Send + Sync> GraphProgram for BfsProgram<E> {
 ///
 /// [`graphmat_core::GraphMatError::VertexOutOfRange`] if `root` is not a
 /// vertex of the graph.
-pub fn bfs_on<'a, E: Clone + Send + Sync + 'static>(
+pub fn bfs_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     root: VertexId,
 ) -> Result<AlgorithmOutput<u32>> {
-    let view = view.into();
     crate::run_fresh(
         view,
         |state| bfs_into(session, view, root, None, state),
@@ -111,9 +110,9 @@ pub fn bfs_on<'a, E: Clone + Send + Sync + 'static>(
 /// inside the state is recycled. Use one [`graphmat_core::StatePool`] per
 /// program type (see its docs); pass a `deadline` to bound wall-clock time
 /// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
-pub fn bfs_into<'a, E: Clone + Send + Sync + 'static>(
+pub fn bfs_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     root: VertexId,
     deadline: Option<std::time::Instant>,
     state: &mut VertexState<u32>,

@@ -26,7 +26,7 @@
 
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
-use graphmat_core::{ActivityPolicy, EdgeDirection, GraphProgram, GraphView, Session, VertexId};
+use graphmat_core::{ActivityPolicy, EdgeDirection, GraphProgram, Session, Topology, VertexId};
 use graphmat_io::edgelist::{EdgeList, EdgeWeight};
 
 /// Collaborative filtering parameters. The number of latent features `K` is
@@ -118,12 +118,11 @@ impl<const K: usize, E: EdgeWeight> GraphProgram for CfProgram<K, E> {
 /// program scatters in both directions, so its first run on a topology
 /// derives the `G` matrix from the stored `Gᵀ`. A `config.iterations` of
 /// `0` returns the deterministic initial latent vectors without running.
-pub fn collaborative_filtering_on<'a, const K: usize, E: EdgeWeight + 'static>(
+pub fn collaborative_filtering_on<const K: usize, E: EdgeWeight + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     config: &CfConfig,
 ) -> Result<AlgorithmOutput<[f64; K]>> {
-    let view = view.into();
     let seed = config.seed;
     crate::run_fresh(
         view,

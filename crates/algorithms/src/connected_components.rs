@@ -11,7 +11,7 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, RunResult, Session, Topology, VertexId,
     VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
@@ -71,11 +71,10 @@ impl<E: Clone + Send + Sync> GraphProgram for CcProgram<E> {
 /// no preprocessing happens here. Over a view with pending edits labels
 /// propagate over the **edited** graph, bit-for-bit identical to a run
 /// against a rebuilt topology.
-pub fn connected_components_on<'a, E: Clone + Send + Sync + 'static>(
+pub fn connected_components_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
 ) -> Result<AlgorithmOutput<u32>> {
-    let view = view.into();
     crate::run_fresh(
         view,
         |state| connected_components_into(session, view, None, state),
@@ -91,9 +90,9 @@ pub fn connected_components_on<'a, E: Clone + Send + Sync + 'static>(
 /// the state is recycled. Use one [`graphmat_core::StatePool`] per program
 /// type (see its docs); pass a `deadline` to bound wall-clock time
 /// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
-pub fn connected_components_into<'a, E: Clone + Send + Sync + 'static>(
+pub fn connected_components_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     deadline: Option<std::time::Instant>,
     state: &mut VertexState<u32>,
 ) -> Result<RunResult> {

@@ -11,7 +11,7 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId, VertexState,
+    EdgeDirection, GraphProgram, RunResult, Session, Topology, VertexId, VertexState,
 };
 
 /// Degree-counting vertex program; the direction field selects which matrix
@@ -51,7 +51,7 @@ impl<E: Clone + Send + Sync> GraphProgram for DegreeProgram<E> {
 /// The degree SpMV along `direction` into a caller-owned state.
 fn degrees_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: GraphView<'_, E>,
+    view: &Topology<E>,
     direction: EdgeDirection,
     deadline: Option<std::time::Instant>,
     state: &mut VertexState<u64>,
@@ -76,7 +76,7 @@ fn degrees_into<E: Clone + Send + Sync + 'static>(
 /// computation, so the run counts as converged.
 fn degrees_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: GraphView<'_, E>,
+    view: &Topology<E>,
     direction: EdgeDirection,
 ) -> Result<AlgorithmOutput<u64>> {
     crate::run_fresh(
@@ -94,46 +94,46 @@ fn degrees_on<E: Clone + Send + Sync + 'static>(
 
 /// In-degree of every vertex, computed as `Gᵀ · 1` (Figure 1 of the paper),
 /// over a pre-built graph through a [`Session`].
-pub fn in_degrees_on<'a, E: Clone + Send + Sync + 'static>(
+pub fn in_degrees_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
 ) -> Result<AlgorithmOutput<u64>> {
-    degrees_on(session, view.into(), EdgeDirection::Out)
+    degrees_on(session, view, EdgeDirection::Out)
 }
 
 /// Out-degree of every vertex, computed as `G · 1`, over a pre-built graph
 /// through a [`Session`]. The out-degree SpMV traverses `G`, which the
 /// topology derives from its stored `Gᵀ` the first time it is asked for.
-pub fn out_degrees_on<'a, E: Clone + Send + Sync + 'static>(
+pub fn out_degrees_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
 ) -> Result<AlgorithmOutput<u64>> {
-    degrees_on(session, view.into(), EdgeDirection::In)
+    degrees_on(session, view, EdgeDirection::In)
 }
 
 /// In-degrees into a caller-owned (pooled) state — the serving hot path
 /// (zero per-query allocation in the steady state; see
 /// [`graphmat_core::StatePool`]).
-pub fn in_degrees_into<'a, E: Clone + Send + Sync + 'static>(
+pub fn in_degrees_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     deadline: Option<std::time::Instant>,
     state: &mut VertexState<u64>,
 ) -> Result<RunResult> {
-    degrees_into(session, view.into(), EdgeDirection::Out, deadline, state)
+    degrees_into(session, view, EdgeDirection::Out, deadline, state)
 }
 
 /// Out-degrees into a caller-owned (pooled) state — the serving hot path
 /// (zero per-query allocation in the steady state; see
 /// [`graphmat_core::StatePool`]; the first call on a topology is the one
 /// that derives `G`, like [`out_degrees_on`]).
-pub fn out_degrees_into<'a, E: Clone + Send + Sync + 'static>(
+pub fn out_degrees_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     deadline: Option<std::time::Instant>,
     state: &mut VertexState<u64>,
 ) -> Result<RunResult> {
-    degrees_into(session, view.into(), EdgeDirection::In, deadline, state)
+    degrees_into(session, view, EdgeDirection::In, deadline, state)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::store::{GraphSnapshot, GraphStore};
 use graphmat_core::{
-    EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId, VertexState,
+    EdgeDirection, GraphProgram, RunResult, Session, Topology, VertexId, VertexState,
 };
 use graphmat_delta::DeltaBatch;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,12 +80,11 @@ pub struct DeltaPrVertex {
 /// results are bit-for-bit identical to a run against a topology rebuilt
 /// from the edited edge list. A `config.max_iterations` of `0` returns the
 /// initial ranks without running.
-pub fn delta_pagerank_on<'a, E: Clone + Send + Sync + 'static>(
+pub fn delta_pagerank_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     config: &DeltaPageRankConfig,
 ) -> Result<AlgorithmOutput<f64>> {
-    let view = view.into();
     crate::run_fresh(
         view,
         |state| delta_pagerank_into(session, view, config, None, state),
@@ -102,15 +101,14 @@ pub fn delta_pagerank_on<'a, E: Clone + Send + Sync + 'static>(
 /// state is recycled. All parameter validation is typed — a bad tolerance is
 /// [`graphmat_core::GraphMatError::InvalidParameter`], never a panic.
 /// `deadline`, when given, bounds wall-clock time.
-pub fn delta_pagerank_into<'a, E: Clone + Send + Sync + 'static>(
+pub fn delta_pagerank_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     config: &DeltaPageRankConfig,
     deadline: Option<std::time::Instant>,
     state: &mut VertexState<DeltaPrVertex>,
 ) -> Result<RunResult> {
     validate_tolerance(config.tolerance)?;
-    let view = view.into();
     let degrees = view.out_degrees();
     let r = config.random_surf;
     let initial = |v: VertexId| DeltaPrVertex {
@@ -119,7 +117,7 @@ pub fn delta_pagerank_into<'a, E: Clone + Send + Sync + 'static>(
         degree: degrees[v as usize],
     };
     if config.max_iterations == 0 {
-        state.check_matches(view.topology())?;
+        state.check_matches(view)?;
         state.init_properties(initial);
         return Ok(crate::zero_superstep_result(view, session));
     }

@@ -23,10 +23,10 @@
 //! which allocates per edge or per message (plus a `*Config` struct where
 //! there are parameters to set), and at most **two** drivers,
 //! both taking `&`[`graphmat_core::Session`] and a
-//! [`graphmat_core::GraphView`] — `&Topology`, `&Arc<Topology>` or
-//! `snapshot.view()` of a [`graphmat_core::GraphStore`] snapshot all convert
-//! into one, so the same function serves a resident topology and a
-//! streaming snapshot with pending edits:
+//! `&`[`graphmat_core::Topology`] — a `&Arc<Topology>` coerces to one, and
+//! `snapshot.view()` of a [`graphmat_core::GraphStore`] snapshot is one, so
+//! the same function serves a resident topology and a streaming snapshot
+//! with pending edits:
 //!
 //! * the **pooled** driver `x_into(session, view, …, deadline, &mut state)`
 //!   (`pagerank_into`, `bfs_into`, `sssp_into`, `connected_components_into`,
@@ -85,11 +85,11 @@ pub struct AlgorithmOutput<T> {
 /// What every allocating `x_on` driver is: a fresh state for the view, the
 /// pooled run into it, and the per-vertex values projected out.
 pub(crate) fn run_fresh<E, V: Clone + Default, T>(
-    view: graphmat_core::GraphView<'_, E>,
+    view: &graphmat_core::Topology<E>,
     run_into: impl FnOnce(&mut graphmat_core::VertexState<V>) -> Result<graphmat_core::RunResult>,
     project: impl FnMut(V) -> T,
 ) -> Result<AlgorithmOutput<T>> {
-    let mut state = graphmat_core::VertexState::for_topology(view.topology());
+    let mut state = graphmat_core::VertexState::for_topology(view);
     let result = run_into(&mut state)?;
     Ok(AlgorithmOutput {
         values: state.into_properties().into_iter().map(project).collect(),
@@ -102,12 +102,12 @@ pub(crate) fn run_fresh<E, V: Clone + Default, T>(
 /// supersteps ran, but the environment facts (matrix footprint, lane count)
 /// are still reported.
 pub(crate) fn zero_superstep_result<E>(
-    view: graphmat_core::GraphView<'_, E>,
+    view: &graphmat_core::Topology<E>,
     session: &graphmat_core::Session,
 ) -> graphmat_core::RunResult {
     graphmat_core::RunResult {
         stats: graphmat_core::RunStats {
-            matrix_bytes: view.topology().matrix_bytes(),
+            matrix_bytes: view.matrix_bytes(),
             nthreads: session.nthreads(),
             ..Default::default()
         },

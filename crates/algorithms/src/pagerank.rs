@@ -15,7 +15,7 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, RunResult, Session, Topology, VertexId,
     VertexState,
 };
 use graphmat_io::edgelist::EdgeList;
@@ -111,12 +111,11 @@ impl<E: Clone + Send + Sync> GraphProgram for PageRankProgram<E> {
 /// run against a topology rebuilt from the edited edge list. A
 /// `config.iterations` of `0` returns the initial ranks (1.0 everywhere)
 /// without running.
-pub fn pagerank_on<'a, E: Clone + Send + Sync + 'static>(
+pub fn pagerank_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     config: &PageRankConfig,
 ) -> Result<AlgorithmOutput<f64>> {
-    let view = view.into();
     crate::run_fresh(
         view,
         |state| pagerank_into(session, view, config, None, state),
@@ -138,16 +137,15 @@ pub fn pagerank_on<'a, E: Clone + Send + Sync + 'static>(
 /// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it; the state
 /// keeps the completed supersteps' partial ranks and stays safely
 /// reusable). A `config.iterations` of `0` just writes the initial ranks.
-pub fn pagerank_into<'a, E: Clone + Send + Sync + 'static>(
+pub fn pagerank_into<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     config: &PageRankConfig,
     deadline: Option<std::time::Instant>,
     state: &mut VertexState<PageRankVertex>,
 ) -> Result<RunResult> {
     /// Every vertex starts at rank 1.0 (the paper's initialisation).
     const INITIAL_RANK: f64 = 1.0;
-    let view = view.into();
     // Borrowed, not cloned: the view's degree array is read in place.
     let degrees = view.out_degrees();
     let initial = |v: VertexId| PageRankVertex {
@@ -155,7 +153,7 @@ pub fn pagerank_into<'a, E: Clone + Send + Sync + 'static>(
         degree: degrees[v as usize],
     };
     if config.iterations == 0 {
-        state.check_matches(view.topology())?;
+        state.check_matches(view)?;
         state.init_properties(initial);
         return Ok(crate::zero_superstep_result(view, session));
     }

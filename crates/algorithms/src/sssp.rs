@@ -10,7 +10,7 @@
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
 use graphmat_core::{
-    ActivityPolicy, EdgeDirection, GraphProgram, GraphView, RunResult, Session, VertexId,
+    ActivityPolicy, EdgeDirection, GraphProgram, RunResult, Session, Topology, VertexId,
     VertexState,
 };
 use graphmat_io::edgelist::{EdgeList, EdgeWeight};
@@ -76,12 +76,11 @@ impl<E: EdgeWeight> GraphProgram for SsspProgram<E> {
 ///
 /// [`graphmat_core::GraphMatError::VertexOutOfRange`] if `source` is not a
 /// vertex of the graph.
-pub fn sssp_on<'a, E: EdgeWeight + 'static>(
+pub fn sssp_on<E: EdgeWeight + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     source: VertexId,
 ) -> Result<AlgorithmOutput<f32>> {
-    let view = view.into();
     crate::run_fresh(
         view,
         |state| sssp_into(session, view, source, None, state),
@@ -96,9 +95,9 @@ pub fn sssp_on<'a, E: EdgeWeight + 'static>(
 /// the state is recycled. Use one [`graphmat_core::StatePool`] per program
 /// type (see its docs); pass a `deadline` to bound wall-clock time
 /// ([`graphmat_core::GraphMatError::DeadlineExceeded`] past it).
-pub fn sssp_into<'a, E: EdgeWeight + 'static>(
+pub fn sssp_into<E: EdgeWeight + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
     source: VertexId,
     deadline: Option<std::time::Instant>,
     state: &mut VertexState<f32>,

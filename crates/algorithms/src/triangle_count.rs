@@ -22,7 +22,7 @@
 
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
-use graphmat_core::{GraphMatError, GraphProgram, GraphView, Session, VertexId};
+use graphmat_core::{GraphMatError, GraphProgram, Session, Topology, VertexId};
 use graphmat_io::edgelist::EdgeList;
 use std::marker::PhantomData;
 
@@ -104,22 +104,14 @@ fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
 ///
 /// # Errors
 ///
-/// [`GraphMatError::InvalidParameter`] for a view with pending edits (the
-/// mirror describes the base: compact first), and
 /// [`GraphMatError::MissingPullMirror`] for a topology built with
-/// `pull_enabled(false)`.
-pub fn triangle_count_on<'a, E: Clone + Send + Sync + 'static>(
+/// `pull_enabled(false)`. A snapshot's topology with pending edits counts
+/// over its fold of the mirror, which this call makes if no pull has.
+pub fn triangle_count_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
-    view: impl Into<GraphView<'a, E>>,
+    view: &Topology<E>,
 ) -> Result<AlgorithmOutput<u64>> {
-    let view = view.into();
-    if view.has_overlay() {
-        return Err(GraphMatError::InvalidParameter(
-            "triangle counting reads the base's pull mirror: compact pending edits first",
-        ));
-    }
     let mirror = view
-        .topology()
         .out_pull_mirror()
         .ok_or(GraphMatError::MissingPullMirror)?;
     let init = |v: VertexId| {
@@ -269,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_edits_are_refused_until_compacted() {
+    fn pending_edits_count_like_the_rebuild() {
         let el = graphmat_io::rmat::generate(
             &graphmat_io::rmat::RmatConfig::triangle_counting(7).with_seed(5),
         )
@@ -292,18 +284,18 @@ mod tests {
         let mut batch = DeltaBatch::new(n);
         batch.insert(0, dst, 1.0).unwrap();
         let pending = store.apply(batch).unwrap();
-        assert!(matches!(
-            triangle_count_on(&session, pending.view()).unwrap_err(),
-            GraphMatError::InvalidParameter(_)
-        ));
 
-        assert!(store.compact_now());
         let mut edited = el.edges().to_vec();
         edited.push((0, dst, 1.0));
         let rebuilt = session
             .build_graph(&EdgeList::from_tuples(n, edited))
             .finish()
             .unwrap();
+        assert_eq!(
+            triangle_count_on(&session, pending.view()).unwrap().values,
+            triangle_count_on(&session, &rebuilt).unwrap().values
+        );
+        assert!(store.compact_now());
         assert_eq!(
             triangle_count_on(&session, store.snapshot().view())
                 .unwrap()

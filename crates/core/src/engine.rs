@@ -15,22 +15,22 @@
 //!
 //! # Topology / state split
 //!
-//! A superstep **reads** the immutable topology behind its [`GraphView`]
-//! (matrices + degrees, plus any pending overlay) and the current
-//! [`VertexState`] (properties + active set), and **writes** only into the
-//! [`Workspace`]. Nothing here mutates the topology, which is what makes one
+//! A superstep **reads** the immutable [`Topology`] (its layouts and
+//! degrees) and the current [`VertexState`] (properties + active set), and
+//! **writes** only into the [`Workspace`]. Nothing here mutates the
+//! topology but its write-once layout slots, which is what makes one
 //! `Arc<Topology>` safe to share between concurrent runs — each run brings
 //! its own state and workspace.
 //!
-//! What a run reads from its view is resolved once, by `Traversal::resolve`
-//! in the runner's prologue: the matrices, overlays, pull mirrors and degree
-//! arrays of the program's scatter direction. It is the single place that
-//! asks the topology for its in-edge orientation, so the first `In`/`Both`
-//! run is what derives `G` from the stored `Gᵀ`
-//! ([`Topology::in_matrix`](crate::topology::Topology::in_matrix)) — and,
-//! over pending edits, the overlay's in side from its out side; `Out`
-//! runs never do. That resolution is also the run's pre-flight check — a
-//! missing pull mirror is a typed error there, before the first superstep.
+//! What a run reads from its topology is resolved once, by
+//! `Traversal::resolve` in the runner's prologue: the orientations and
+//! degree arrays of the program's scatter direction. It is the single place
+//! that asks the topology for its in-edge orientation, so the first
+//! `In`/`Both` run is what makes `G` — derived from the stored `Gᵀ`
+//! ([`Topology::in_matrix`]), or on a snapshot's topology the in side of its
+//! pending edits; `Out` runs never do. That resolution is also the run's
+//! pre-flight check — a forced pull without mirrors is a typed error there,
+//! before the first superstep.
 //!
 //! # The workspace: zero allocation per superstep
 //!
@@ -111,26 +111,21 @@
 //! tuned, and it cannot change a bit, only the pull's time.
 //!
 //! How pending edits reach each kernel: they do not. There is one push
-//! kernel ([`gspmv_into`]) and one pull kernel ([`pull_into`]), and neither
-//! merges: each leg pushes the base's DCSC and pulls the base's mirror, or
-//! with edits pending its side's folds of them — copies of the base's DCSC
-//! and mirror with the edits folded in, each made once, on the run's lanes,
-//! by the snapshot's first push ([`PendingSide::fold_matrix`]) or first pull
-//! ([`PendingSide::fold_mirror`]) along that side, and read by every later
-//! one, in any run, on any thread. A folded column or row is the one a
-//! rebuild stores, in the same ascending order, so neither the answer nor
-//! the gathered count — nor therefore the trajectory — moves. Views without
-//! an overlay never fold.
+//! kernel ([`gspmv_into`]) and one pull kernel ([`pull_into`]), and each leg
+//! hands them its orientation's push matrix or pull mirror. On a snapshot's
+//! topology those are folds of its base's with the pending edits, each made
+//! once, on the run's lanes, by the first push or pull along that side, and
+//! read by every later one, in any run, on any thread (see
+//! [`crate::topology`]). A folded column or row is the one a rebuild
+//! stores, in the same ascending order, so neither the answer nor the
+//! gathered count — nor therefore the trajectory — moves.
 
 use crate::error::{GraphMatError, Result};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::state::VertexState;
 use crate::stats::{Backend, SuperstepStats};
-use crate::topology::Orientation;
-use crate::view::GraphView;
-use graphmat_delta::PendingSide;
+use crate::topology::{Orientation, Topology};
 use graphmat_sparse::parallel::Executor;
-use graphmat_sparse::partition::PartitionedDcsc;
 use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::spmv::{gspmv_into, pull_into};
 use graphmat_sparse::spvec::SparseVector;
@@ -241,19 +236,17 @@ impl<P: GraphProgram> Workspace<P> {
     }
 }
 
-/// One scatter direction's share of a traversal: the DCSC the push kernel
-/// sweeps, the pending edits of this side (if any), and the degree array
-/// SEND charges a message's edges against.
+/// One scatter direction's share of a traversal: the orientation whose
+/// push matrix and pull mirror the kernels read, and the degree array SEND
+/// charges a message's edges against.
 struct Leg<'a, E> {
-    matrix: &'a PartitionedDcsc<E>,
-    pending: Option<&'a PendingSide<E>>,
+    orientation: &'a Orientation<E>,
     degrees: &'a [u32],
 }
 
-impl<E: Clone + Send + Sync> Leg<'_, E> {
-    /// The push over this leg's DCSC — or with edits pending over this
-    /// side's fold of them, which the snapshot's first push along this side
-    /// makes ([`PendingSide::fold_matrix`]).
+impl<'a, E: Clone + Send + Sync> Leg<'a, E> {
+    /// The push over this leg's push matrix — on a snapshot's topology a
+    /// fold, which the first push along this side makes.
     fn push<X, Y, M, A>(
         &self,
         messages: &SparseVector<X>,
@@ -267,146 +260,94 @@ impl<E: Clone + Send + Sync> Leg<'_, E> {
         M: Fn(&X, &E, Index) -> Y + Sync,
         A: Fn(&mut Y, Y) + Sync,
     {
-        let matrix = match self.pending {
-            Some(side) => side.fold_matrix(self.matrix, executor),
-            None => self.matrix,
-        };
+        let matrix = self.orientation.push(executor);
         gspmv_into(matrix, messages, multiply, add, executor, y)
     }
 
-    /// The masked pull over `base`, this leg's mirror — or with edits
-    /// pending over this side's fold of them, which the snapshot's first
-    /// pull along this side makes ([`PendingSide::fold_mirror`]) — returning
-    /// the edges gathered. `covered` is [`pull_into`]'s precondition: every
-    /// source stored in the pulled mirror sent a message.
-    #[allow(clippy::too_many_arguments)]
-    fn pull<X, Y, M, A, R>(
-        &self,
-        base: &CsrMirror<E>,
-        messages: &SparseVector<X>,
-        covered: bool,
-        multiply: &M,
-        add: &A,
-        admit: &R,
-        executor: &Executor,
-        y: &mut SparseVector<Y>,
-    ) -> u64
-    where
-        X: Sync,
-        Y: Clone + Default + Send,
-        M: Fn(&X, &E, Index) -> Y + Sync,
-        A: Fn(&mut Y, Y) + Sync,
-        R: Fn(Index) -> bool + Sync,
-    {
-        let mirror = match self.pending {
-            Some(side) => side.fold_mirror(base, executor),
-            None => base,
-        };
-        pull_into(mirror, messages, covered, multiply, add, admit, executor, y)
+    /// This leg's pull mirror, if the topology has mirrors — on a snapshot's
+    /// topology a fold, which the first pull along this side makes.
+    fn pull(&self, executor: &Executor) -> Option<&'a CsrMirror<E>> {
+        self.orientation.pull(executor).map(|mirror| &**mirror)
     }
 }
 
-/// One leg over `orientation` with the pending edits of its side, paired
-/// with the orientation's pull mirror.
-fn leg<'a, E>(
-    orientation: &'a Orientation<E>,
-    pending: Option<&'a PendingSide<E>>,
-    degrees: &'a [u32],
-) -> (Leg<'a, E>, Option<&'a CsrMirror<E>>) {
-    let leg = Leg {
-        matrix: &orientation.matrix,
-        pending,
-        degrees,
-    };
-    (leg, orientation.mirror.as_deref())
-}
-
-/// The base pull mirrors of a traversal's legs, first then (for `Both`)
-/// second.
+/// The pull mirrors of a traversal's legs, first then (for `Both`) second.
 type Mirrors<'a, E> = (&'a CsrMirror<E>, Option<&'a CsrMirror<E>>);
 
-/// Everything one run reads from its [`GraphView`], resolved for the
+/// Everything one run reads from its [`Topology`], resolved for the
 /// program's scatter direction. `Out` and `In` traverse one leg; `Both`
 /// traverses the out leg, then the in leg, and merges the second's output
 /// into the first's — on the push and the pull backend alike, so reduction
 /// order (and therefore bits) never depends on the backend.
 pub(crate) struct Traversal<'a, E> {
-    view: GraphView<'a, E>,
+    topology: &'a Topology<E>,
     first: Leg<'a, E>,
     second: Option<Leg<'a, E>>,
-    /// The legs' base pull mirrors; `None` unless every leg has one.
-    mirrors: Option<Mirrors<'a, E>>,
     /// The backend every superstep must use; `None` lets
     /// [`choose_backend`] decide per superstep.
     forced: Option<Backend>,
 }
 
-impl<'a, E: Clone> Traversal<'a, E> {
-    /// Resolve `view` for a program scattering along `direction` with the
-    /// backend override `forced` — the pre-flight check of a run. An
-    /// `In`/`Both` direction derives the topology's in-edge orientation here
+impl<'a, E: Clone + Send + Sync> Traversal<'a, E> {
+    /// Resolve `topology` for a program scattering along `direction` with
+    /// the backend override `forced` — the pre-flight check of a run. An
+    /// `In`/`Both` direction makes the topology's in-edge orientation here
     /// if no earlier run has.
     ///
     /// # Errors
     ///
-    /// * [`GraphMatError::MissingInMatrix`] if `direction` is `In`/`Both`
-    ///   and the view's overlay was hand-assembled without the base's in
-    ///   ranges (the store always passes them);
-    /// * [`GraphMatError::MissingPullMirror`] if `forced` is
-    ///   [`Backend::Pull`] on a topology built with
-    ///   `build_pull_mirrors = false`. (The selector pushes instead.)
+    /// [`GraphMatError::MissingPullMirror`] if `forced` is
+    /// [`Backend::Pull`] on a topology built with
+    /// `build_pull_mirrors = false`. (The selector pushes instead.)
     pub(crate) fn resolve(
-        view: GraphView<'a, E>,
+        topology: &'a Topology<E>,
         direction: EdgeDirection,
         forced: Option<Backend>,
     ) -> Result<Self> {
-        let topology = view.topology();
-        // Like `G` below, an overlay's in side is derived by the first run
-        // that scatters along in-edges; `Out` runs never ask for it.
-        let in_side = if direction == EdgeDirection::Out {
-            None
-        } else {
-            view.in_side()
-        };
-        if direction != EdgeDirection::Out && view.has_overlay() && in_side.is_none() {
-            return Err(GraphMatError::MissingInMatrix);
+        if forced == Some(Backend::Pull) && !topology.has_pull_mirrors() {
+            return Err(GraphMatError::MissingPullMirror);
         }
-        let out = leg(topology.out(), view.out_side(), view.out_degrees());
-        // Lazy: the first call on a topology is what derives its `G`.
-        let inward = || leg(topology.inward(), in_side, view.in_degrees());
-        let ((first, first_mirror), second) = match direction {
+        let out = Leg {
+            orientation: topology.out_side(),
+            degrees: topology.out_degrees(),
+        };
+        // Lazy: the first call on a topology is what makes its `G`.
+        let inward = || Leg {
+            orientation: topology.inward(),
+            degrees: topology.in_degrees(),
+        };
+        let (first, second) = match direction {
             EdgeDirection::Out => (out, None),
             EdgeDirection::In => (inward(), None),
             EdgeDirection::Both => (out, Some(inward())),
         };
-        let (second, second_mirror) = second.unzip();
-        let mirrors = match (first_mirror, second_mirror) {
-            (Some(first), None) => Some((first, None)),
-            (Some(first), Some(Some(second))) => Some((first, Some(second))),
-            _ => None,
-        };
-        if forced == Some(Backend::Pull) && mirrors.is_none() {
-            return Err(GraphMatError::MissingPullMirror);
-        }
         Ok(Traversal {
-            view,
+            topology,
             first,
             second,
-            mirrors,
             forced,
         })
     }
 
-    /// The view this traversal was resolved from.
-    pub(crate) fn view(&self) -> GraphView<'a, E> {
-        self.view
+    /// The topology this traversal was resolved from.
+    pub(crate) fn topology(&self) -> &'a Topology<E> {
+        self.topology
+    }
+
+    /// The legs' pull mirrors, or `None` on a topology without them.
+    fn mirrors(&self, executor: &Executor) -> Option<Mirrors<'a, E>> {
+        let first = self.first.pull(executor)?;
+        match &self.second {
+            None => Some((first, None)),
+            Some(leg) => Some((first, Some(leg.pull(executor)?))),
+        }
     }
 
     /// The edges a pull superstep streams when it gathers every row — what
-    /// the selector prices a pull at until the run has made one. The view's
-    /// merged edge count per leg, so pending deltas are counted.
+    /// the selector prices a pull at until the run has made one. The
+    /// topology's edge count per leg, pending edits counted.
     pub(crate) fn edge_total(&self) -> u64 {
-        self.legs() * self.view.num_edges() as u64
+        self.legs() * self.topology.num_edges() as u64
     }
 
     fn legs(&self) -> u64 {
@@ -422,14 +363,14 @@ impl<'a, E: Clone> Traversal<'a, E> {
     /// at what gathering everything costs (which is what a program whose
     /// `receives` admits every vertex gathered, and is priced at again).
     fn pull_price(&self, gathered: u64) -> u64 {
-        let rows = self.legs() * u64::from(self.view.num_vertices());
+        let rows = self.legs() * u64::from(self.topology.num_vertices());
         (gathered + PULL_ROW_COST * rows).min(self.edge_total())
     }
 
     /// How many edges a message from `v` will traverse: SEND reads only the
-    /// degree array(s) of the legs the program scatters along. The view
-    /// resolves to the merged degrees when deltas are pending, so
-    /// `edges_processed` metrics always describe the edited graph.
+    /// degree array(s) of the legs the program scatters along. A snapshot's
+    /// topology holds the merged degrees, so `edges_processed` metrics
+    /// always describe the edited graph.
     #[inline(always)]
     fn edges_for(&self, v: VertexId) -> u64 {
         let second = self
@@ -456,20 +397,19 @@ impl<'a, E: Clone> Traversal<'a, E> {
 /// next one, from what this superstep's pull gathered — a push leaves it as
 /// it was.
 ///
-/// With a pending overlay the push reads the leg's folded DCSC and the pull
-/// its folded mirror — the snapshot's first push or pull along a side folds
-/// it ([`PendingSide::fold_matrix`], [`PendingSide::fold_mirror`]), the one
-/// allocation a superstep can make.
-/// SEND accounts the **merged** degree arrays and the pull reports the
-/// folded rows' lengths, so metrics describe the edited graph and the
-/// selector gives it the push/pull trajectory of its rebuild.
+/// On a snapshot's topology the push reads the leg's folded DCSC and the
+/// pull its folded mirror — the first push or pull along a side folds it,
+/// the one allocation a superstep can make. SEND accounts the **merged**
+/// degree arrays and the pull reports the folded rows' lengths, so metrics
+/// describe the edited graph and the selector gives it the push/pull
+/// trajectory of its rebuild.
 ///
 /// A pull superstep is **covered** when `edges_processed ==
 /// Traversal::edge_total`: its kernel then reads the messages without
 /// probing them (see the module docs). That rests on one invariant of every
-/// view, base or snapshot: on each leg, a vertex's degree is the number of
+/// topology, base or snapshot: on each leg, a vertex's degree is the number of
 /// entries its column of the pulled mirror (or fold) stores, and the degrees
-/// sum to the view's edge count. Then SEND's count reaches the total iff no
+/// sum to the topology's edge count. Then SEND's count reaches the total iff no
 /// vertex with a stored column stayed silent. (`tests/property_tests.rs`
 /// checks it after every write of a seeded store history.)
 pub(crate) fn superstep<P: GraphProgram>(
@@ -486,7 +426,7 @@ pub(crate) fn superstep<P: GraphProgram>(
         reduced,
         scratch,
     } = ws;
-    let n = traversal.view.num_vertices() as usize;
+    let n = traversal.topology.num_vertices() as usize;
 
     // --- SEND_MESSAGE: build the message vector from active vertices.
     let send_start = Instant::now();
@@ -495,15 +435,11 @@ pub(crate) fn superstep<P: GraphProgram>(
     let messages_sent = messages.nnz();
     let send_time = send_start.elapsed();
 
-    // --- Backend selection, from what SEND just counted: pull needs mirrors
-    // (which `resolve` guarantees for a forced pull) and either the override
-    // or the selector's say-so.
-    let pull_mirrors = traversal.mirrors.filter(|_| {
-        let chosen = traversal
-            .forced
-            .unwrap_or_else(|| choose_backend(edges_processed, *pull_edges));
-        chosen == Backend::Pull
-    });
+    // --- Backend selection, from what SEND just counted: the override or
+    // the selector's say-so.
+    let chosen = traversal
+        .forced
+        .unwrap_or_else(|| choose_backend(edges_processed, *pull_edges));
 
     // --- Generalized SpMV (Algorithm 1): one kernel call per leg, sparse
     // push over the leg's DCSC or dense pull over its mirror — the pull
@@ -511,6 +447,12 @@ pub(crate) fn superstep<P: GraphProgram>(
     // edges and needs no mask). The program's callbacks are monomorphised
     // into the kernel (the paper's `-ipo`).
     let spmv_start = Instant::now();
+    // A pull needs mirrors, which `resolve` guarantees for a forced pull;
+    // a snapshot's first pull along a side folds them here.
+    let pull_mirrors = match chosen {
+        Backend::Pull => traversal.mirrors(executor),
+        Backend::Push => None,
+    };
     let props = state.properties();
     let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
         program.process_message(msg, edge, &props[dst as usize])
@@ -535,8 +477,8 @@ pub(crate) fn superstep<P: GraphProgram>(
                 &add,
                 reduced,
                 scratch,
-                |(leg, mirror), y| {
-                    gathered += leg.pull(
+                |(_, mirror), y| {
+                    gathered += pull_into(
                         mirror, messages, covered, &multiply, &add, &admit, executor, y,
                     );
                 },
@@ -692,7 +634,7 @@ mod tests {
         backend: Option<Backend>,
         executor: &Executor,
     ) -> Result<(SuperstepStats, Workspace<P>)> {
-        let traversal = Traversal::resolve(topology.into(), program.direction(), backend)?;
+        let traversal = Traversal::resolve(topology, program.direction(), backend)?;
         let mut ws = Workspace::<P>::new(topology.num_vertices() as usize);
         let active = state.active_count();
         let mut pull_edges = traversal.edge_total();
@@ -757,7 +699,7 @@ mod tests {
     #[test]
     fn forced_pull_without_mirrors_is_an_error() {
         let topology = mirrorless_chain();
-        let err = Traversal::resolve((&topology).into(), EdgeDirection::Out, Some(Backend::Pull))
+        let err = Traversal::resolve(&topology, EdgeDirection::Out, Some(Backend::Pull))
             .err()
             .unwrap();
         assert_eq!(err, GraphMatError::MissingPullMirror);
@@ -855,8 +797,7 @@ mod tests {
         let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize);
         // One workspace serves push, pull and push again.
         for backend in [PUSH, Some(Backend::Pull), PUSH] {
-            let traversal =
-                Traversal::resolve((&topology).into(), EdgeDirection::Out, backend).unwrap();
+            let traversal = Traversal::resolve(&topology, EdgeDirection::Out, backend).unwrap();
             let (fresh, fresh_ws) = step(&topology, &state, &Sssp, backend, &executor).unwrap();
             let mut pull_edges = traversal.edge_total();
             let metrics = superstep(
@@ -961,34 +902,6 @@ mod tests {
         .unwrap();
         // in-degrees: v0=0, v1=1, v2=2 → total 3 edges for an In program
         assert_eq!(out.edges_processed, 3);
-    }
-
-    #[test]
-    fn in_direction_over_an_overlay_without_an_in_side_is_an_error_not_a_panic() {
-        use graphmat_delta::{BaseFacts, DeltaOverlay, PairIndex, UpdateOp};
-        let topology = figure3_topology();
-        let out_ranges = topology.out_partition_ranges();
-        // Hand-assembled: `Topology::compile_overlay` always passes the in
-        // ranges, so only `build` can leave them out.
-        let facts = BaseFacts {
-            num_vertices: topology.num_vertices(),
-            num_edges: topology.num_edges(),
-            out_ranges: &out_ranges,
-            in_ranges: None,
-            out_degrees: topology.out_degrees(),
-            in_degrees: topology.in_degrees(),
-        };
-        let index = PairIndex::from_edges(topology.to_edge_list().edges());
-        let overlay = DeltaOverlay::build(&facts, &index, &[(4, 1, UpdateOp::Insert(1.0))]);
-        let view = GraphView::new(&topology, Some(&overlay));
-        let bytes = topology.matrix_bytes();
-        for direction in [EdgeDirection::In, EdgeDirection::Both] {
-            let err = Traversal::resolve(view, direction, None).err().unwrap();
-            assert_eq!(err, GraphMatError::MissingInMatrix);
-        }
-        assert!(Traversal::resolve(view, EdgeDirection::Out, None).is_ok());
-        // Rejected before anything was derived for the run.
-        assert_eq!(topology.matrix_bytes(), bytes);
     }
 
     #[test]

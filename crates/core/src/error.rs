@@ -41,13 +41,6 @@ pub enum GraphMatError {
         /// Vertices in the topology it was paired with.
         topology_vertices: usize,
     },
-    /// The program scatters along in-edges over a view whose
-    /// `DeltaOverlay` was hand-assembled without the base's in ranges
-    /// (`BaseFacts::in_ranges: None`), so the pending edits cannot be merged
-    /// into `G`. Nothing built through [`crate::store::GraphStore`] reports
-    /// this: the store always passes them, and the overlay's in side, like
-    /// the topology's `G`, is derived on the first `In`/`Both` run.
-    MissingInMatrix,
     /// A run forced the pull backend (`Backend::Pull`), or triangle
     /// counting (which reads the mirror's rows) ran, but the topology was
     /// built with `build_pull_mirrors = false`, so there is no row-major CSR
@@ -114,11 +107,6 @@ impl std::fmt::Display for GraphMatError {
                 f,
                 "vertex state sized for {state_vertices} vertices used with a topology \
                  of {topology_vertices} vertices"
-            ),
-            GraphMatError::MissingInMatrix => write!(
-                f,
-                "program scatters along in-edges but the view's overlay was compiled \
-                 without an in side (BaseFacts::in_ranges was None)"
             ),
             GraphMatError::MissingPullMirror => write!(
                 f,

@@ -69,10 +69,11 @@
 //! | [`session::Session::run`]`(view, program)` → [`session::RunBuilder`] | any [`program::GraphProgram`] | `.init_all` / `.seed_with` / `.activate_all`, per-run option overrides, then `.execute()` (fresh state) or `.execute_with(&mut state)` (pooled) |
 //! | [`runner::run_program`]`(program, view, state, options, executor, ws)` | explicit state + executor + workspace | embedding the superstep loop without a session |
 //!
-//! `view` is always a [`view::GraphView`]: `&Topology`, `&Arc<Topology>` and
-//! `snapshot.view()` (a [`store::GraphStore`] snapshot, possibly with pending
-//! edits) all convert into it, so a resident topology and a streaming
-//! snapshot go through the same functions. [`options::RunOptions`] and
+//! `view` is always a `&`[`topology::Topology`]: a `&Arc<Topology>` coerces
+//! to it, and `snapshot.view()` of a [`store::GraphStore`] snapshot is one —
+//! a topology whose pending edits are folded into its layouts on first use —
+//! so a resident topology and a streaming snapshot go through the same
+//! functions. [`options::RunOptions`] and
 //! [`topology::GraphBuildOptions`] have one set of defaults (backend chosen
 //! per superstep, pull mirrors built); a [`session::Session`] adds only its pool size.
 //! Which orientations of the graph exist is not an option: a
@@ -131,7 +132,6 @@
 //!   growth counters, the allocation-free steady state for serving layers.
 //! * [`session`] — the session frontend: executor pool + builders.
 //! * [`error`] — [`error::GraphMatError`].
-//! * [`view`] — [`view::GraphView`], the one graph argument the engine takes.
 //! * [`store`] — [`store::GraphStore`]: streaming updates as published
 //!   snapshots over an immutable base.
 //! * [`engine`] — one superstep: SEND + generalized SpMV into a reusable
@@ -153,7 +153,6 @@ pub mod state;
 pub mod stats;
 pub mod store;
 pub mod topology;
-pub mod view;
 
 pub use engine::choose_backend;
 pub use error::GraphMatError;
@@ -166,4 +165,3 @@ pub use state::VertexState;
 pub use stats::{Backend, RunStats, SuperstepStats};
 pub use store::{GraphSnapshot, GraphStore, StoreOptions, StoreStats};
 pub use topology::{GraphBuildOptions, Topology};
-pub use view::GraphView;

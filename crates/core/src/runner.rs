@@ -22,9 +22,8 @@
 //!
 //! # Topology / state split
 //!
-//! The loop reads an immutable [`GraphView`] — a base
-//! [`Topology`](crate::topology::Topology) plus any pending overlay — and
-//! mutates a caller-owned [`VertexState`]. Nothing about the matrices
+//! The loop reads an immutable [`Topology`] — a base, or a snapshot's
+//! with pending edits — and mutates a caller-owned [`VertexState`]. Nothing about the matrices
 //! changes during a run, so one `Arc<Topology>` can serve any number of
 //! concurrent [`run_program`] calls, each with its own state.
 //!
@@ -32,10 +31,9 @@
 //!
 //! Everything that can reject a run is checked once, by `admit`, before
 //! the first superstep and before anything is mutated: the state's length,
-//! and — through `Traversal::resolve` — the overlay side and pull mirrors
-//! the program's direction and the options' backend need (the in-edge
-//! matrix itself is never missing, nor is a store-built overlay's in side:
-//! the first run that needs either derives it there). The supersteps
+//! and — through `Traversal::resolve` — the pull mirrors the options'
+//! backend needs (the in-edge orientation is never missing: the first run
+//! that needs it makes it there). The supersteps
 //! then run over the resolved `Traversal` with no further checks.
 //!
 //! # Execution resources
@@ -53,7 +51,7 @@ use crate::options::{ActivityPolicy, RunOptions};
 use crate::program::GraphProgram;
 use crate::state::VertexState;
 use crate::stats::RunStats;
-use crate::view::GraphView;
+use crate::topology::Topology;
 use graphmat_sparse::bitvec::WORD_BITS;
 use graphmat_sparse::parallel::{phase_chunks, DisjointSlice, Executor};
 use graphmat_sparse::spvec::SparseVector;
@@ -70,24 +68,21 @@ pub struct RunResult {
     pub converged: bool,
 }
 
-/// Run a vertex program over a graph view and a caller-owned mutable state,
+/// Run a vertex program over a topology and a caller-owned mutable state,
 /// reusing a caller-owned workspace.
 ///
 /// This is the one entry point the `Session` frontend and every algorithm
-/// driver reduce to. `view` is anything that converts into a [`GraphView`]:
-/// `&Topology`, `&Arc<Topology>`, or `snapshot.view()` from a
-/// [`crate::store::GraphStore`] snapshot. A view with pending edits runs
-/// every superstep over folds of them, with results bit-for-bit identical to a run over a topology rebuilt from the edited
-/// edge list. The state's current vertex properties and active set are the
+/// driver reduce to. `view` is a `&Topology` (a `&Arc<Topology>` coerces
+/// to it), or `snapshot.view()` from a [`crate::store::GraphStore`]
+/// snapshot: a topology with pending edits runs every superstep over folds
+/// of them, with results bit-for-bit identical to a run over a topology
+/// rebuilt from the edited edge list. The state's current vertex properties and active set are the
 /// program's initial state; on return the state holds the final properties.
 ///
 /// # Errors
 ///
 /// * [`GraphMatError::StateLengthMismatch`] if `state` was allocated for a
-///   different vertex count than the view's topology;
-/// * [`GraphMatError::MissingInMatrix`] if the program scatters along
-///   in-edges (`In`/`Both`) over a hand-assembled overlay that cannot
-///   derive an in side;
+///   different vertex count than the topology;
 /// * [`GraphMatError::MissingPullMirror`] if the options force
 ///   `Backend::Pull` but the topology was built with
 ///   `build_pull_mirrors = false` (an unforced run degrades to always-push;
@@ -97,18 +92,15 @@ pub struct RunResult {
 ///
 /// All of them are reported **before** the first superstep, in that order,
 /// with `state` untouched.
-pub fn run_program<'a, P: GraphProgram>(
+pub fn run_program<P: GraphProgram>(
     program: &P,
-    view: impl Into<GraphView<'a, P::Edge>>,
+    view: &Topology<P::Edge>,
     state: &mut VertexState<P::VertexProp>,
     options: &RunOptions,
     executor: &Executor,
     ws: &mut Workspace<P>,
-) -> Result<RunResult>
-where
-    P::Edge: 'a,
-{
-    let traversal = admit(program, view.into(), state, options)?;
+) -> Result<RunResult> {
+    let traversal = admit(program, view, state, options)?;
     if !ws.is_compatible(state.num_vertices()) {
         return Err(GraphMatError::InvalidParameter(
             "workspace was allocated for a different vertex count",
@@ -122,11 +114,11 @@ where
 /// first, so a rejected run leaves a pooled state's contents intact.
 pub(crate) fn admit<'a, P: GraphProgram>(
     program: &P,
-    view: GraphView<'a, P::Edge>,
+    view: &'a Topology<P::Edge>,
     state: &VertexState<P::VertexProp>,
     options: &RunOptions,
 ) -> Result<Traversal<'a, P::Edge>> {
-    state.check_matches(view.topology())?;
+    state.check_matches(view)?;
     Traversal::resolve(view, program.direction(), options.backend)
 }
 
@@ -141,7 +133,7 @@ pub(crate) fn run_admitted<P: GraphProgram>(
     ws: &mut Workspace<P>,
 ) -> Result<RunResult> {
     let mut stats = RunStats {
-        matrix_bytes: traversal.view().topology().matrix_bytes(),
+        matrix_bytes: traversal.topology().matrix_bytes(),
         nthreads: executor.nthreads(),
         ..RunStats::default()
     };

@@ -70,7 +70,6 @@ use crate::runner::{admit, run_admitted, RunResult};
 use crate::state::VertexState;
 use crate::stats::{Backend, RunStats};
 use crate::topology::{GraphBuildOptions, Topology};
-use crate::view::GraphView;
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::parallel::{available_threads, Executor};
 use std::sync::Arc;
@@ -187,22 +186,19 @@ impl Session {
         }
     }
 
-    /// Start building a run of `program` over `view` — `&Topology`,
-    /// `&Arc<Topology>`, or `snapshot.view()` from a
-    /// [`crate::store::GraphStore`] snapshot (see [`GraphView`]). The
-    /// builder starts from the session's run defaults. Pending edits are
-    /// merged in by whichever kernel a superstep runs, push or pull.
+    /// Start building a run of `program` over `view` — a `&Topology` (a
+    /// `&Arc<Topology>` coerces to it), or `snapshot.view()` from a
+    /// [`crate::store::GraphStore`] snapshot, whose pending edits are
+    /// folded into the layouts it reads. The builder starts from the
+    /// session's run defaults.
     pub fn run<'s, 't, P: GraphProgram>(
         &'s self,
-        view: impl Into<GraphView<'t, P::Edge>>,
+        view: &'t Topology<P::Edge>,
         program: P,
-    ) -> RunBuilder<'s, 't, P>
-    where
-        P::Edge: 't,
-    {
+    ) -> RunBuilder<'s, 't, P> {
         RunBuilder {
             session: self,
-            view: view.into(),
+            view,
             program,
             options: self.defaults,
             init: InitSpec::None,
@@ -306,7 +302,7 @@ pub struct RunOutcome<V> {
 /// Fluent builder for one vertex-program run (from [`Session::run`]).
 pub struct RunBuilder<'s, 't, P: GraphProgram> {
     session: &'s Session,
-    view: GraphView<'t, P::Edge>,
+    view: &'t Topology<P::Edge>,
     program: P,
     options: RunOptions,
     init: InitSpec<'t, P::VertexProp>,

@@ -4,8 +4,9 @@
 //! The serving layer needs a graph that **mutates without ever blocking a
 //! reader**. The store gets there by never mutating anything a reader can
 //! see: the graph lives as a published [`GraphSnapshot`] — an immutable
-//! `(base ⊕ delta)` pair behind an `Arc` — and every write produces a *new*
-//! snapshot and atomically swaps the published pointer.
+//! topology behind an `Arc`, a base or a base with pending edits — and every
+//! write produces a *new* snapshot and atomically swaps the published
+//! pointer.
 //!
 //! # Snapshot isolation semantics
 //!
@@ -17,7 +18,10 @@
 //! * [`GraphStore::apply`] admits one [`DeltaBatch`]: it resolves the batch
 //!   alone (latest-wins per pair), merges it into the published overlay
 //!   against the *unchanged* base ([`Topology::compile_overlay`]), and
-//!   publishes a new snapshot (same base `Arc`, new overlay, version + 1).
+//!   publishes a new snapshot (version + 1) whose topology is the published
+//!   base with the new overlay pending. That topology's parent is always the
+//!   published base, never the previous snapshot, so snapshots do not chain:
+//!   a snapshot nobody holds is freed with its folds.
 //!   Queries started after the swap see the batch; queries started before
 //!   do not. Writers serialize on an internal mutex; readers never take it.
 //! * The store holds the graph **once**, and the pending set once: the
@@ -33,29 +37,28 @@
 //! # Compaction
 //!
 //! Every `apply` copies the pending set once as it merges its batch in, and
-//! no kernel reads pending deltas: the first push along a side of a snapshot
-//! folds that side's edits into a copy of the base's DCSC of that side, the
-//! first pull into a copy of its mirror, and every push or pull along it
-//! reads the copy (see [`crate::view::GraphView`];
+//! no kernel reads pending deltas: a snapshot's topology folds them into a
+//! copy of its base's DCSC of a side at the first push along that side, and
+//! into a copy of its mirror at the first pull (see [`crate::topology`];
 //! [`GraphSnapshot::folded_bytes`] says how many bytes the snapshot's folds
 //! hold). Those read-side folds are the snapshot's, not the store's: they
 //! cost a matrix's or a mirror's bytes each for as long as the snapshot
 //! lives, and the next write publishes a new snapshot that folds again when
 //! it is first read. When the published overlay reaches
-//! [`StoreOptions::compaction_threshold`] effective ops, the store folds the
-//! published overlay into the published base ([`Topology::with_overlay`])
-//! and republishes with an empty overlay. The fold is a linear merge per
-//! partition — each push partition of `Gᵀ` with its overlay partition,
-//! column by column, and each mirror partition with the overlay's edits
-//! bucketed by row — so nothing is re-sorted and no edge list is built. The
-//! matrix and the mirror are the snapshot's own out-side folds: the ones its
-//! pushes and pulls already made are published as they are (shared, not
-//! copied), and a fold no read has made yet is made now and kept with the
-//! snapshot for its reads. The new base keeps the old one's build options
-//! and row ranges: it is **not** re-balanced to the edited degrees, which is
-//! safe because no answer depends on the partitioning. Its `G` is derived on
-//! the first `In`/`Both` run, as any base's is; a snapshot's in-side folds
-//! are not published. With
+//! [`StoreOptions::compaction_threshold`] effective ops, the store publishes
+//! the published snapshot's topology detached from its base
+//! ([`Topology::detached`]), with an empty overlay. Its `Gᵀ` is the
+//! snapshot's out-side folds: the ones its pushes and pulls already made are
+//! published as they are (shared, not copied), and a fold no read has made
+//! yet is made now — a linear merge per partition, each push partition of
+//! `Gᵀ` with its overlay partition column by column and each mirror
+//! partition with the overlay's edits bucketed by row, so nothing is
+//! re-sorted and no edge list is built — and kept with the snapshot for its
+//! reads. The new base keeps the old one's build options and row ranges: it
+//! is **not** re-balanced to the edited degrees, which is safe because no
+//! answer depends on the partitioning. Its `G` is derived on the first
+//! `In`/`Both` run, as any base's is; a snapshot's in-side folds are not
+//! published. With
 //! [`StoreOptions::background`] set, a dedicated worker thread does this off
 //! the write path — `apply` just signals it; otherwise compaction runs
 //! inline in the triggering `apply`.
@@ -77,7 +80,6 @@ use graphmat_sparse::Index;
 
 use crate::error::{GraphMatError, Result};
 use crate::topology::Topology;
-use crate::view::GraphView;
 
 /// Default pending-op count above which the store compacts the delta into a
 /// fresh base.
@@ -148,18 +150,17 @@ impl Default for StoreOptions {
     }
 }
 
-/// One immutable published state of a [`GraphStore`]: a base [`Topology`]
-/// plus an optional [`DeltaOverlay`] of pending edits.
+/// One immutable published state of a [`GraphStore`]: a [`Topology`] — the
+/// published base, or a topology with the base's pending edits.
 ///
-/// Cheap to clone (two `Arc`s); queries hold one for their whole run.
+/// Cheap to clone (one `Arc`); queries hold one for their whole run.
 /// `version` counts admitted batches — compaction republishes the same
 /// version with `overlay == None`, and both representations answer every
 /// query bit-for-bit identically.
 #[derive(Clone, Debug)]
 pub struct GraphSnapshot<E> {
     version: u64,
-    base: Arc<Topology<E>>,
-    overlay: Option<Arc<DeltaOverlay<E>>>,
+    topology: Arc<Topology<E>>,
 }
 
 impl<E> GraphSnapshot<E> {
@@ -169,38 +170,37 @@ impl<E> GraphSnapshot<E> {
         self.version
     }
 
-    /// The immutable base topology.
+    /// The immutable base topology: the published base the pending edits
+    /// were compiled against, or the snapshot's topology if none are.
     pub fn base(&self) -> &Arc<Topology<E>> {
-        &self.base
+        self.topology.base().unwrap_or(&self.topology)
     }
 
     /// The pending overlay, if this snapshot carries uncompacted edits.
     pub fn overlay(&self) -> Option<&Arc<DeltaOverlay<E>>> {
-        self.overlay.as_ref()
+        self.topology.overlay()
     }
 
-    /// The `(base ⊕ delta)` view the engine traverses; pass it to
-    /// [`crate::session::Session::run`], [`crate::runner::run_program`] or
-    /// any algorithm driver.
-    pub fn view(&self) -> GraphView<'_, E> {
-        GraphView::new(&self.base, self.overlay.as_deref())
+    /// The topology the engine traverses — the base with the pending edits,
+    /// if any; pass it to [`crate::session::Session::run`],
+    /// [`crate::runner::run_program`] or any algorithm driver.
+    pub fn view(&self) -> &Topology<E> {
+        &self.topology
     }
 
     /// Vertex count (updates never change it).
     pub fn num_vertices(&self) -> Index {
-        self.base.num_vertices()
+        self.topology.num_vertices()
     }
 
     /// Directed edge count of the edited graph.
     pub fn num_edges(&self) -> usize {
-        self.overlay
-            .as_ref()
-            .map_or(self.base.num_edges(), |o| o.num_edges())
+        self.topology.num_edges()
     }
 
     /// Number of effective pending ops (0 right after a compaction).
     pub fn delta_len(&self) -> usize {
-        self.overlay.as_ref().map_or(0, |o| o.len())
+        self.overlay().map_or(0, |o| o.len())
     }
 
     /// The bytes of the matrices and mirrors this snapshot's pushes and
@@ -211,7 +211,7 @@ impl<E> GraphSnapshot<E> {
     /// [`DeltaOverlay::bytes`]. The sum over the folds made so far; `None`
     /// until one has been, and always if nothing is pending.
     pub fn folded_bytes(&self) -> Option<usize> {
-        self.overlay.as_deref()?.folded_bytes()
+        self.topology.folded_bytes()
     }
 }
 
@@ -281,8 +281,7 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
     pub fn new(base: Arc<Topology<E>>, options: StoreOptions) -> Arc<Self> {
         let snapshot = Arc::new(GraphSnapshot {
             version: 0,
-            base,
-            overlay: None,
+            topology: base,
         });
         let signal: Arc<(Mutex<Signal>, Condvar)> = Arc::default();
         Arc::new_cyclic(|weak: &Weak<GraphStore<E>>| {
@@ -342,7 +341,7 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
         }
         let writer = lock(&self.writer);
         let current = self.snapshot();
-        if batch.num_vertices() != current.base.num_vertices() {
+        if batch.num_vertices() != current.num_vertices() {
             return Err(GraphMatError::InvalidParameter(
                 "update batch vertex count does not match the stored graph",
             ));
@@ -367,18 +366,16 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
                 "chaos failpoint store.overlay.build",
             ));
         }
-        let overlay = current
-            .base
-            .compile_overlay(current.overlay.as_deref(), &edits);
+        let base = current.base();
+        let overlay = base.compile_overlay(current.overlay().map(|o| &**o), &edits);
         let pending = overlay.len();
 
         let snapshot = Arc::new(GraphSnapshot {
             version: current.version + 1,
-            base: Arc::clone(&current.base),
-            overlay: if overlay.is_empty() {
-                None
+            topology: if overlay.is_empty() {
+                Arc::clone(base)
             } else {
-                Some(Arc::new(overlay))
+                Arc::new(Topology::edited(Arc::clone(base), overlay))
             },
         });
 
@@ -410,26 +407,25 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
     /// Compaction, under the writer lock `_writer` holds.
     fn compact_locked(&self, _writer: &MutexGuard<'_, ()>) -> bool {
         let current = self.snapshot();
-        let Some(overlay) = current.overlay.as_deref() else {
+        if current.overlay().is_none() {
             // Nothing is pending, or every pending op deletes a pair the
             // base does not store: the base already is the edited graph.
             return false;
-        };
+        }
         let _ = graphmat_chaos::fire("store.compact");
 
-        // The published overlay is the pending set compiled against the
+        // The published topology is the pending set compiled against the
         // published base — both are only written under the lock held here —
-        // so it is what gets folded in. The fold, the panic-prone work,
-        // changes nothing published, so a failed compaction leaves the
+        // so it is what gets detached. The folds, the panic-prone work,
+        // change nothing published, so a failed compaction leaves the
         // pending edits intact for a clean retry.
-        let base = Arc::new(current.base.with_overlay(overlay));
+        let base = Arc::new(current.view().detached());
 
         // Commit point: an atomic pointer swap.
         // Same version: compaction changes the representation, not the graph.
         self.publish(Arc::new(GraphSnapshot {
             version: current.version,
-            base,
-            overlay: None,
+            topology: base,
         }));
         self.compactions.fetch_add(1, Ordering::Relaxed);
         true

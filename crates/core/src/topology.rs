@@ -26,12 +26,29 @@
 //! count, balancing, push layout and mirror choice, and kept from then on. A
 //! graph that only ever serves `Out` programs never pays for it.
 //!
-//! That derived orientation is the topology's only interior mutability: one
-//! write-once cell, derived from data already held, so its content does not
-//! depend on which run got there first. The type stays `Sync`: wrap it in an
-//! [`std::sync::Arc`] and run any number of concurrent vertex programs
-//! against the same matrices — no cloning, no locks. The mutable per-run
-//! half (vertex properties + active set) is [`crate::state::VertexState`].
+//! # Layouts are write-once slots, and pending edits are folded into them
+//!
+//! Each orientation holds its push matrix and its pull mirror as write-once
+//! slots. A base fills them where it is made: `Gᵀ`'s at build, `G`'s when it
+//! derives `G`. A topology may instead carry **pending edits** — the `Arc`
+//! of the base they were compiled against and their [`DeltaOverlay`] — as a
+//! [`crate::store::GraphStore`] snapshot's does. Such an *edited* topology
+//! reads its degrees and edge count from the overlay, and fills each slot on
+//! first use, on the caller's executor, by folding the base's matching slot
+//! with the edits ([`fold_into_matrix`], [`fold_into_mirror`]); its in
+//! side's edits are the out side's, transposed against the base's own `G`
+//! ranges by the first `In`/`Both` run. A folded column or row is the one a
+//! rebuild of the edited graph stores, in the same order, so a run over an
+//! edited topology answers like a run over that rebuild, bit for bit, and no
+//! kernel ever reads an overlay. Concurrent first users of a slot share one
+//! fold, and a fold that panics leaves its slot empty for the next user.
+//!
+//! The slots are the topology's only interior mutability, and what fills
+//! one does not depend on which run got there first. The type stays `Sync`:
+//! wrap it in an [`std::sync::Arc`] and run any number of concurrent vertex
+//! programs against the same matrices — no cloning, no locks. The mutable
+//! per-run half (vertex properties + active set) is
+//! [`crate::state::VertexState`].
 //!
 //! # Partitions: push for the lanes, pull for balance
 //!
@@ -57,6 +74,7 @@ use crate::program::VertexId;
 use graphmat_delta::{BaseFacts, DeltaOverlay, UpdateOp};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::coo::Coo;
+use graphmat_sparse::overlay::{fold_into_matrix, fold_into_mirror, Overlay};
 use graphmat_sparse::parallel::{available_threads, Executor};
 use graphmat_sparse::partition::{PartitionedDcsc, RowBuckets, RowPartitioner, RowRange};
 use graphmat_sparse::pull::CsrMirror;
@@ -153,13 +171,48 @@ impl GraphBuildOptions {
 /// One orientation of the adjacency matrix as the engine traverses it: the
 /// partitioned DCSC the push kernel sweeps and, when pull mirrors are
 /// enabled, the row-major mirror the pull kernel gathers over — built from
-/// the fine partitions, which are the push matrix's or refine them. Both sit
-/// behind an `Arc` so a compaction can publish the ones a snapshot's pushes
-/// and pulls already folded ([`Topology::with_overlay`]).
+/// the fine partitions, which are the push matrix's or refine them. Each is
+/// a write-once slot (see the [module docs](self)): a base's are filled
+/// where the base is made, an edited topology's by their first use. The
+/// slots hold `Arc`s so a compaction can publish the folds a snapshot
+/// already made ([`Topology::detached`]).
 #[derive(Clone, Debug)]
-pub(crate) struct Orientation<E> {
-    pub(crate) matrix: Arc<PartitionedDcsc<E>>,
-    pub(crate) mirror: Option<Arc<CsrMirror<E>>>,
+pub struct Orientation<E> {
+    matrix: OnceLock<Arc<PartitionedDcsc<E>>>,
+    mirror: OnceLock<Arc<CsrMirror<E>>>,
+    /// How an edited topology fills both slots; `None` on a base.
+    fold: Option<Fold<E>>,
+}
+
+/// An edited topology's recipe for one orientation: the base's orientation
+/// of the same side with the pending edits of that side folded in.
+#[derive(Clone, Debug)]
+struct Fold<E> {
+    /// The base the edits were compiled against: a store's published base,
+    /// never another edited topology.
+    base: Arc<Topology<E>>,
+    /// The pending edits, compiled against `base`.
+    overlay: Arc<DeltaOverlay<E>>,
+    /// The in side's edits — `overlay`'s out side transposed against
+    /// `base`'s push ranges of `G` — or `None` on the out side.
+    transposed: Option<Overlay<E>>,
+}
+
+impl<E: Clone + Send + Sync> Fold<E> {
+    /// The base's orientation of this side.
+    fn side(&self) -> &Orientation<E> {
+        match self.transposed {
+            None => &self.base.out,
+            Some(_) => self.base.inward(),
+        }
+    }
+}
+
+impl<E> Fold<E> {
+    /// The edits aligned to [`Fold::side`].
+    fn edits(&self) -> &Overlay<E> {
+        self.transposed.as_ref().unwrap_or(self.overlay.out())
+    }
 }
 
 impl<E: Clone> Orientation<E> {
@@ -168,31 +221,114 @@ impl<E: Clone> Orientation<E> {
     /// consecutive buckets merged to one partition per lane.
     fn build(buckets: &RowBuckets<E>, mirror: bool, push_lanes: Option<usize>) -> Self {
         let groups = push_lanes.unwrap_or(buckets.ranges().len());
+        let mirror = mirror.then(|| Arc::new(CsrMirror::from_buckets(buckets)));
+        Orientation::made(Arc::new(buckets.matrix(groups)), mirror)
+    }
+
+    /// A base's two slots, filled.
+    fn made(matrix: Arc<PartitionedDcsc<E>>, mirror: Option<Arc<CsrMirror<E>>>) -> Self {
         Orientation {
-            matrix: Arc::new(buckets.matrix(groups)),
-            mirror: mirror.then(|| Arc::new(CsrMirror::from_buckets(buckets))),
+            matrix: OnceLock::from(matrix),
+            mirror: mirror.map_or_else(OnceLock::new, OnceLock::from),
+            fold: None,
+        }
+    }
+
+    /// Two empty slots that `fold` fills.
+    fn folding(fold: Fold<E>) -> Self {
+        Orientation {
+            matrix: OnceLock::new(),
+            mirror: OnceLock::new(),
+            fold: Some(fold),
         }
     }
 }
 
+impl<E: Clone + Send + Sync> Orientation<E> {
+    /// The push matrix: a base's own, or an edited topology's fold of its
+    /// base's, made by the first call on `executor`'s lanes.
+    pub(crate) fn push(&self, executor: &Executor) -> &Arc<PartitionedDcsc<E>> {
+        match &self.fold {
+            Some(fold) => fold_once(&self.matrix, || {
+                fold_into_matrix(fold.side().push(executor), fold.edits(), executor)
+            }),
+            None => self.built(),
+        }
+    }
+
+    /// The pull mirror, if the topology has mirrors: a base's own, or an
+    /// edited topology's fold of its base's, made by the first call on
+    /// `executor`'s lanes.
+    pub(crate) fn pull(&self, executor: &Executor) -> Option<&Arc<CsrMirror<E>>> {
+        if let Some(mirror) = self.mirror.get() {
+            return Some(mirror);
+        }
+        let fold = self.fold.as_ref()?;
+        let base = fold.side().pull(executor)?;
+        Some(fold_once(&self.mirror, || {
+            fold_into_mirror(base, fold.edits(), executor)
+        }))
+    }
+}
+
+impl<E> Orientation<E> {
+    /// A base's push matrix.
+    fn built(&self) -> &Arc<PartitionedDcsc<E>> {
+        // audit:allow(no-unwrap): a base fills its push matrix where it is
+        // made, and only an edited orientation has a recipe to call this
+        // without.
+        self.matrix.get().expect("a base's push matrix is built")
+    }
+
+    /// The push matrix, if it has been made: always on a base, once pushed
+    /// (or asked for) on an edited topology.
+    pub fn made_matrix(&self) -> Option<&Arc<PartitionedDcsc<E>>> {
+        self.matrix.get()
+    }
+
+    /// The pull mirror, if it has been made: on a base with mirrors always,
+    /// once pulled (or asked for) on an edited topology.
+    pub fn made_mirror(&self) -> Option<&Arc<CsrMirror<E>>> {
+        self.mirror.get()
+    }
+
+    /// The pending edits this orientation's slots fold, aligned to its
+    /// base's orientation of the same side; `None` on a base.
+    pub fn edits(&self) -> Option<&Overlay<E>> {
+        self.fold.as_ref().map(Fold::edits)
+    }
+}
+
+/// `slot`, filled by `fold` if it is empty. Concurrent first callers share
+/// one fold; a fold that panics leaves the slot empty for the next caller.
+fn fold_once<T>(slot: &OnceLock<Arc<T>>, fold: impl FnOnce() -> T) -> &Arc<T> {
+    slot.get_or_init(|| {
+        let _ = graphmat_chaos::fire("topology.fold");
+        Arc::new(fold())
+    })
+}
+
 /// The immutable structural half of a graph: the partitioned DCSC adjacency
 /// matrix plus degree arrays, generic over the edge value type `E` (`()`
-/// matrices store no edge value bytes at all).
+/// matrices store no edge value bytes at all) — or a base with pending
+/// edits, whose layouts are folded on first use (see the
+/// [module docs](self)).
 ///
 /// Build one with [`Topology::from_edge_list`] or through
 /// [`crate::session::Session::build_graph`], wrap it in an `Arc`, and share
 /// it between any number of concurrent runs — every method takes `&self`,
-/// and the only thing ever written after construction is the derived
-/// in-edge orientation, once (see the [module docs](self)).
+/// and the only things ever written after construction are the layouts'
+/// write-once slots.
 #[derive(Clone, Debug)]
 pub struct Topology<E> {
     nvertices: VertexId,
     nedges: usize,
     /// The options this topology was built with, as given (a partition count
     /// of `0` still means automatic). A compaction
-    /// ([`Topology::with_overlay`]) keeps them with the ranges they made.
+    /// ([`Topology::detached`]) keeps them with the ranges they made.
     options: GraphBuildOptions,
     /// `Gᵀ`: row = destination, column = source. Used for out-edge scatter.
+    /// An edited topology's recipe holds its base and its pending edits.
     out: Orientation<E>,
     /// `G`: row = source, column = destination. Used for in-edge scatter;
     /// derived from `out` on first use.
@@ -202,6 +338,8 @@ pub struct Topology<E> {
     /// `Some(lanes)` when both orientations push through their fine
     /// partitions merged to one per lane: decided on `Gᵀ` at build.
     push_lanes: Option<usize>,
+    /// A base's degrees; empty on an edited topology, which reads its
+    /// overlay's.
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
 }
@@ -247,6 +385,58 @@ impl<E: Clone> Topology<E> {
         }
     }
 
+    /// `base` with `overlay` — edits [`Topology::compile_overlay`] compiled
+    /// against it — pending: the topology a store publishes for a write.
+    /// It copies nothing of the graph; its layouts are folded from `base`'s
+    /// on first use.
+    pub(crate) fn edited(base: Arc<Topology<E>>, overlay: DeltaOverlay<E>) -> Self {
+        Topology {
+            nvertices: base.nvertices,
+            nedges: overlay.num_edges(),
+            options: base.options,
+            inward: OnceLock::new(),
+            in_ranges: base.in_ranges.clone(),
+            push_lanes: base.push_lanes,
+            out_degrees: Vec::new(),
+            in_degrees: Vec::new(),
+            out: Orientation::folding(Fold {
+                base,
+                overlay: Arc::new(overlay),
+                transposed: None,
+            }),
+        }
+    }
+}
+
+impl<E: Clone + Send + Sync> Topology<E> {
+    /// The in-edge orientation, made on first use (concurrent first users
+    /// block on one) and kept. A base derives it from the stored `Gᵀ`: the
+    /// matrix a build from the original edge list's adjacency COO would be —
+    /// same ranges, same `(row, col, value)` sequence, merged for the push
+    /// when `Gᵀ` was. Only parallel edges of one `(src, dst)` pair that carry
+    /// *different* values may sit in another order among themselves — the
+    /// partition sort is unstable, so that order was never a property of the
+    /// edge list. An edited topology transposes its out side's edits against
+    /// its base's `G` ranges, to fold into the base's `G` on first use.
+    pub(crate) fn inward(&self) -> &Orientation<E> {
+        self.inward.get_or_init(|| match self.fold() {
+            Some(fold) => {
+                let ranges = self.in_push_ranges();
+                Orientation::folding(Fold {
+                    transposed: Some(fold.overlay.out().transposed(&ranges)),
+                    ..fold.clone()
+                })
+            }
+            None => {
+                // `(src, dst, value)` is already `G`'s `(row, col, value)`.
+                let (n, edges) = (self.nvertices, self.to_edge_list().into_tuples());
+                let adjacency = Coo::from_entries(n, n, edges);
+                let g = RowBuckets::new(&adjacency, &self.in_ranges);
+                Orientation::build(&g, self.options.build_pull_mirrors, self.push_lanes)
+            }
+        })
+    }
+
     /// Reconstruct the edge list the topology stores, in a **deterministic**
     /// order: out-matrix partitions ascending, source (column) ascending
     /// within each partition, destination ascending within each column.
@@ -255,7 +445,7 @@ impl<E: Clone> Topology<E> {
     pub fn to_edge_list(&self) -> EdgeList<E> {
         let mut el = EdgeList::new(self.nvertices);
         // Out matrix is Gᵀ: row = destination, column = source.
-        for part in self.out.matrix.partitions() {
+        for part in self.out_matrix().partitions() {
             for (src, dsts, weights) in part.matrix.iter_cols() {
                 for (dst, w) in dsts.iter().zip(weights) {
                     el.push(src, *dst, w.clone());
@@ -280,122 +470,138 @@ impl<E: Clone> Topology<E> {
         let in_ranges = self.in_partition_ranges();
         let facts = BaseFacts {
             num_vertices: self.nvertices,
-            num_edges: self.nedges,
+            num_edges: self.num_edges(),
             out_ranges: &out_ranges,
             in_ranges: in_ranges.as_deref(),
-            out_degrees: &self.out_degrees,
-            in_degrees: &self.in_degrees,
+            out_degrees: self.out_degrees(),
+            in_degrees: self.in_degrees(),
         };
         DeltaOverlay::compile(&facts, prev, |s, d| self.edge_multiplicity(s, d), edits)
     }
 
-    /// This graph with `edits` — an overlay [`Topology::compile_overlay`]
-    /// compiled against it — folded in: what compaction publishes. Each push
-    /// partition of `Gᵀ` is merged with its overlay partition column by
-    /// column and each mirror partition row by row; nothing is re-sorted.
-    /// Both are the snapshot's own out-side folds
-    /// ([`graphmat_delta::PendingSide::fold_matrix`], `fold_mirror`): the
-    /// ones its pushes and pulls already made, published as they are —
-    /// shared, not copied, and not folded a second time — or made now and
-    /// kept with the snapshot. The in side's folds are not published: `G` is
-    /// derived again on first use.
-    /// The result keeps this topology's options and every range — push,
-    /// mirror and `G`'s — rather than re-balancing them to the edited
-    /// degrees (answers do not depend on the partitioning), takes its degrees
-    /// and edge count from `edits`, and derives `G` on first use, as any
-    /// topology does. The same history therefore compacts to byte-identical
-    /// topologies, however often it was compacted along the way.
-    ///
-    /// # Panics
-    /// Panics if `edits` was compiled against another layout.
-    pub fn with_overlay(&self, edits: &DeltaOverlay<E>) -> Self
-    where
-        E: Send + Sync,
-    {
-        let (side, executor) = (edits.out_side(), &Executor::sequential());
+    /// This topology as a base of its own: what compaction publishes. An
+    /// edited topology's out-side folds — the ones its pushes and pulls
+    /// already made, shared, not copied, or made now on one lane and kept
+    /// with this topology for its own reads — become the new base's `Gᵀ`,
+    /// and its degrees are copied out of the overlay. Each fold keeps every
+    /// range of the base it was folded from, so the result keeps that
+    /// base's options and layout — push, mirror and `G`'s ranges — rather
+    /// than re-balancing them to the edited degrees (answers do not depend
+    /// on the partitioning), and derives `G` on first use, as any base does.
+    /// The same history therefore compacts to byte-identical topologies,
+    /// however often it was compacted along the way. On a base, a copy that
+    /// shares its `Gᵀ`.
+    pub fn detached(&self) -> Self {
+        let executor = &Executor::sequential();
+        let matrix = Arc::clone(self.out.push(executor));
         Topology {
             nvertices: self.nvertices,
-            nedges: edits.num_edges(),
+            nedges: self.nedges,
             options: self.options,
-            out: Orientation {
-                matrix: Arc::clone(side.fold_matrix(&self.out.matrix, executor)),
-                mirror: (self.out.mirror.as_ref())
-                    .map(|m| Arc::clone(side.fold_mirror(m, executor))),
-            },
+            out: Orientation::made(matrix, self.out.pull(executor).cloned()),
             inward: OnceLock::new(),
             in_ranges: self.in_ranges.clone(),
             push_lanes: self.push_lanes,
-            out_degrees: edits.out_degrees().to_vec(),
-            in_degrees: edits.in_degrees().to_vec(),
+            out_degrees: self.out_degrees().to_vec(),
+            in_degrees: self.in_degrees().to_vec(),
         }
-    }
-
-    /// The in-edge orientation, derived from the stored `Gᵀ` on first use
-    /// (concurrent first users block on one derivation) and kept. It is the
-    /// matrix a build from the original edge list's adjacency COO would be:
-    /// same ranges, same `(row, col, value)` sequence, merged for the push
-    /// when `Gᵀ` was. Only parallel edges of one `(src, dst)` pair that carry
-    /// *different* values may sit in another order among themselves — the
-    /// partition sort is unstable, so that order was never a property of the
-    /// edge list.
-    pub(crate) fn inward(&self) -> &Orientation<E> {
-        self.inward.get_or_init(|| {
-            // `(src, dst, value)` is already `G`'s `(row, col, value)`.
-            let (n, edges) = (self.nvertices, self.to_edge_list().into_tuples());
-            let adjacency = Coo::from_entries(n, n, edges);
-            let g = RowBuckets::new(&adjacency, &self.in_ranges);
-            Orientation::build(&g, self.options.build_pull_mirrors, self.push_lanes)
-        })
     }
 
     /// The partitioned `G` used for in-edge traversal. The first call — from
     /// here or from the first `In`/`Both` run — derives it from the stored
-    /// `Gᵀ`; call it ahead of time to keep that cost out of a timed region.
+    /// `Gᵀ` (on an edited topology, folds it); call it ahead of time to keep
+    /// that cost out of a timed region.
     pub fn in_matrix(&self) -> &PartitionedDcsc<E> {
-        &self.inward().matrix
+        self.inward().push(&Executor::sequential())
     }
 
     /// The row-major pull mirror of `G` (in-edge traversal), if pull mirrors
     /// are enabled. Derives `G` like [`Topology::in_matrix`].
     pub fn in_pull_mirror(&self) -> Option<&CsrMirror<E>> {
-        self.inward().mirror.as_deref()
-    }
-}
-
-impl<E> Topology<E> {
-    /// The row ranges of the out matrix's partitions (`Gᵀ`: row =
-    /// destination) — what a delta overlay must be bucketed by to align with
-    /// the push kernel's partition sweep (the pull mirror's ranges refine
-    /// them).
-    pub fn out_partition_ranges(&self) -> Vec<RowRange> {
-        self.out
-            .matrix
-            .partitions()
-            .iter()
-            .map(|p| p.rows)
-            .collect()
+        let mirror = self.inward().pull(&Executor::sequential());
+        mirror.map(|m| &**m)
     }
 
-    /// The row ranges of the in matrix's partitions (`G`: row = source) —
-    /// the push partitions an in-side overlay aligns to. Fixed at build, so
-    /// always `Some`, whether or not the matrix has been derived yet.
-    pub fn in_partition_ranges(&self) -> Option<Vec<RowRange>> {
-        Some(match self.push_lanes {
-            Some(lanes) => RowPartitioner::coarsen(&self.in_ranges, lanes),
-            None => self.in_ranges.clone(),
-        })
+    /// The partitioned `Gᵀ` used for out-edge traversal; an edited
+    /// topology's is folded on the first call.
+    pub fn out_matrix(&self) -> &PartitionedDcsc<E> {
+        self.out.push(&Executor::sequential())
+    }
+
+    /// The row-major pull mirror of `Gᵀ` (out-edge traversal), if it was
+    /// built; an edited topology's is folded on the first call.
+    pub fn out_pull_mirror(&self) -> Option<&CsrMirror<E>> {
+        self.out.pull(&Executor::sequential()).map(|m| &**m)
     }
 
     /// How many copies of edge `src → dst` are stored (`0` for an absent
     /// pair or an out-of-range id): the `Gᵀ` partition whose rows hold
     /// `dst`, its column `src`, the run of `dst` in that column's rows.
     pub fn edge_multiplicity(&self, src: VertexId, dst: VertexId) -> usize {
-        let partitions = self.out.matrix.partitions();
+        let partitions = self.out_matrix().partitions();
         let p = partitions.partition_point(|p| p.rows.end <= dst);
         let Some((rows, _)) = partitions.get(p).and_then(|p| p.matrix.col(src)) else {
             return 0;
         };
         rows.partition_point(|&r| r <= dst) - rows.partition_point(|&r| r < dst)
+    }
+}
+
+impl<E> Topology<E> {
+    /// The row ranges of the in matrix's push partitions (`G`: row =
+    /// source), fixed at build.
+    fn in_push_ranges(&self) -> Vec<RowRange> {
+        match self.push_lanes {
+            Some(lanes) => RowPartitioner::coarsen(&self.in_ranges, lanes),
+            None => self.in_ranges.clone(),
+        }
+    }
+
+    /// The row ranges of the in matrix's partitions (`G`: row = source) —
+    /// the push partitions an in-side overlay aligns to. Fixed at build, so
+    /// always `Some`, whether or not the matrix has been derived yet.
+    pub fn in_partition_ranges(&self) -> Option<Vec<RowRange>> {
+        Some(self.in_push_ranges())
+    }
+
+    /// The row ranges of the out matrix's partitions (`Gᵀ`: row =
+    /// destination) — what a delta overlay must be bucketed by to align with
+    /// the push kernel's partition sweep (the pull mirror's ranges refine
+    /// them).
+    pub fn out_partition_ranges(&self) -> Vec<RowRange> {
+        let matrix = self.layout().out.built();
+        matrix.partitions().iter().map(|p| p.rows).collect()
+    }
+
+    /// Number of push partitions (the out matrix's). The pull mirror's count
+    /// is the same or, where the push matrix was merged to one partition per
+    /// lane, up to [`PARTITIONS_PER_THREAD`] times it (see the
+    /// [module docs](self)).
+    pub fn num_partitions(&self) -> usize {
+        self.layout().out.built().n_partitions()
+    }
+
+    /// The recipe of an edited topology's out side, which holds its base and
+    /// its pending edits; `None` on a base.
+    fn fold(&self) -> Option<&Fold<E>> {
+        self.out.fold.as_ref()
+    }
+
+    /// The base whose layout this topology's is: itself, or an edited
+    /// topology's base (a fold keeps every range of what it folds).
+    fn layout(&self) -> &Topology<E> {
+        self.fold().map_or(self, |fold| &fold.base)
+    }
+
+    /// The base this topology's pending edits were compiled against; `None`
+    /// on a base.
+    pub(crate) fn base(&self) -> Option<&Arc<Topology<E>>> {
+        self.fold().map(|fold| &fold.base)
+    }
+
+    /// This topology's pending edits; `None` on a base.
+    pub(crate) fn overlay(&self) -> Option<&Arc<DeltaOverlay<E>>> {
+        self.fold().map(|fold| &fold.overlay)
     }
 
     /// Number of vertices.
@@ -410,7 +616,7 @@ impl<E> Topology<E> {
 
     /// Out-degree of vertex `v`, or an error for an out-of-range id.
     pub fn try_out_degree(&self, v: VertexId) -> Result<u32> {
-        self.out_degrees
+        self.out_degrees()
             .get(v as usize)
             .copied()
             .ok_or(self.out_of_range(v))
@@ -418,7 +624,7 @@ impl<E> Topology<E> {
 
     /// In-degree of vertex `v`, or an error for an out-of-range id.
     pub fn try_in_degree(&self, v: VertexId) -> Result<u32> {
-        self.in_degrees
+        self.in_degrees()
             .get(v as usize)
             .copied()
             .ok_or(self.out_of_range(v))
@@ -427,7 +633,7 @@ impl<E> Topology<E> {
     /// Out-degree of vertex `v`. Panics with the vertex id and vertex count
     /// if `v` is out of range.
     pub fn out_degree(&self, v: VertexId) -> u32 {
-        match self.out_degrees.get(v as usize) {
+        match self.out_degrees().get(v as usize) {
             Some(&d) => d,
             // audit:allow(no-unwrap): documented panicking variant;
             // `try_out_degree` is the fallible twin.
@@ -438,7 +644,7 @@ impl<E> Topology<E> {
     /// In-degree of vertex `v`. Panics with the vertex id and vertex count
     /// if `v` is out of range.
     pub fn in_degree(&self, v: VertexId) -> u32 {
-        match self.in_degrees.get(v as usize) {
+        match self.in_degrees().get(v as usize) {
             Some(&d) => d,
             // audit:allow(no-unwrap): documented panicking variant;
             // `try_in_degree` is the fallible twin.
@@ -448,28 +654,26 @@ impl<E> Topology<E> {
 
     /// All out-degrees (indexed by vertex id).
     pub fn out_degrees(&self) -> &[u32] {
-        &self.out_degrees
+        self.fold()
+            .map_or(&self.out_degrees, |fold| fold.overlay.out_degrees())
     }
 
     /// All in-degrees (indexed by vertex id).
     pub fn in_degrees(&self) -> &[u32] {
-        &self.in_degrees
+        self.fold()
+            .map_or(&self.in_degrees, |fold| fold.overlay.in_degrees())
     }
 
-    /// The out-edge orientation (`Gᵀ` and its mirror).
-    pub(crate) fn out(&self) -> &Orientation<E> {
+    /// The out-edge orientation (`Gᵀ` and its mirror), its slots as made so
+    /// far.
+    pub fn out_side(&self) -> &Orientation<E> {
         &self.out
     }
 
-    /// The partitioned `Gᵀ` used for out-edge traversal.
-    pub fn out_matrix(&self) -> &PartitionedDcsc<E> {
-        &self.out.matrix
-    }
-
-    /// The row-major pull mirror of `Gᵀ` (out-edge traversal), if it was
-    /// built.
-    pub fn out_pull_mirror(&self) -> Option<&CsrMirror<E>> {
-        self.out.mirror.as_deref()
+    /// The in-edge orientation (`G` and its mirror), once the first
+    /// `In`/`Both` run (or [`Topology::in_matrix`]) has made it.
+    pub fn in_side(&self) -> Option<&Orientation<E>> {
+        self.inward.get()
     }
 
     /// Whether this topology builds pull mirrors — one flag for every
@@ -479,27 +683,33 @@ impl<E> Topology<E> {
         self.options.build_pull_mirrors
     }
 
-    /// Number of push partitions (the out matrix's). The pull mirror's count
-    /// is the same or, where the push matrix was merged to one partition per
-    /// lane, up to [`PARTITIONS_PER_THREAD`] times it (see the
-    /// [module docs](self)).
-    pub fn num_partitions(&self) -> usize {
-        self.out.matrix.n_partitions()
+    /// This topology's own orientations: `Gᵀ` always, `G` once made.
+    fn orientations(&self) -> impl Iterator<Item = &Orientation<E>> {
+        std::iter::once(&self.out).chain(self.inward.get())
     }
 
-    /// The orientations resident right now: `Gᵀ` always, `G` once derived.
+    /// The orientations whose layouts are resident right now: this
+    /// topology's and, on an edited topology, its base's, which it keeps
+    /// alive.
     fn resident(&self) -> impl Iterator<Item = &Orientation<E>> {
-        std::iter::once(&self.out).chain(self.inward.get())
+        let base = self.fold().into_iter();
+        self.orientations()
+            .chain(base.flat_map(|fold| fold.base.orientations()))
     }
 
     /// Total in-memory footprint of the adjacency matrices **resident right
     /// now**, in bytes, including stored edge values and the pull mirrors
     /// (see [`Topology::pull_bytes`] for the mirrors' share alone): `Gᵀ` and
     /// its mirror, plus `G` and its mirror once an `In`/`Both` program has
-    /// derived them. For `E = ()` this is pure index cost — the visible
-    /// payoff of the unweighted fast path.
+    /// derived them — on an edited topology, its base's and the folds it has
+    /// made. For `E = ()` this is pure index cost — the visible payoff of
+    /// the unweighted fast path.
     pub fn matrix_bytes(&self) -> usize {
-        let dcsc: usize = self.resident().map(|o| o.matrix.bytes()).sum();
+        let dcsc: usize = self
+            .resident()
+            .filter_map(|o| o.matrix.get())
+            .map(|m| m.bytes())
+            .sum();
         dcsc + self.pull_bytes()
     }
 
@@ -509,9 +719,22 @@ impl<E> Topology<E> {
     /// pointers + column ids + edge values; zero value bytes for `E = ()`).
     pub fn pull_bytes(&self) -> usize {
         self.resident()
-            .filter_map(|o| o.mirror.as_deref())
+            .filter_map(|o| o.mirror.get())
             .map(|m| m.bytes())
             .sum()
+    }
+
+    /// The bytes of the folds an edited topology has made so far — per side,
+    /// a copy of its base's DCSC and mirror with the pending edits folded in
+    /// — or `None` until one has been, and always on a base.
+    pub(crate) fn folded_bytes(&self) -> Option<usize> {
+        self.fold()?;
+        let matrices = self.orientations().filter_map(|o| o.matrix.get());
+        let mirrors = self.orientations().filter_map(|o| o.mirror.get());
+        let bytes = matrices
+            .map(|m| m.bytes())
+            .chain(mirrors.map(|m| m.bytes()));
+        bytes.reduce(|a, b| a + b)
     }
 
     /// The error for using vertex id `v` against this topology.
@@ -742,13 +965,15 @@ mod tests {
             let fine = ranges_of(t.out_pull_mirror().unwrap());
             let in_degrees: Vec<usize> = t.in_degrees().iter().map(|&d| d as usize).collect();
             assert_eq!(fine, options.row_ranges(&in_degrees, 3));
-            let compacted = t.with_overlay(&t.compile_overlay(None, &resolved));
+            let (out_ranges, in_ranges) = (t.out_partition_ranges(), t.in_partition_ranges());
+            let overlay = t.compile_overlay(None, &resolved);
+            let compacted = Topology::edited(Arc::new(t), overlay).detached();
             assert_eq!(compacted.num_partitions(), push);
-            assert_eq!(compacted.out_partition_ranges(), t.out_partition_ranges());
+            assert_eq!(compacted.out_partition_ranges(), out_ranges);
             assert_eq!(ranges_of(compacted.out_pull_mirror().unwrap()), fine);
-            assert_eq!(compacted.in_partition_ranges(), t.in_partition_ranges());
+            assert_eq!(compacted.in_partition_ranges(), in_ranges);
             let in_push = push_ranges(compacted.in_matrix());
-            assert_eq!(Some(in_push), t.in_partition_ranges());
+            assert_eq!(Some(in_push), in_ranges);
             let edited: Vec<usize> = compacted.in_degrees().iter().map(|&d| d as usize).collect();
             assert_ne!(options.row_ranges(&edited, 3), fine, "the edits must skew");
         }
@@ -848,7 +1073,7 @@ mod tests {
     /// the adjacency COO, with ranges from that COO's own row counts.
     fn assert_derived_matches_direct<E>(el: &EdgeList<E>, label: &str)
     where
-        E: Clone + PartialEq + std::fmt::Debug,
+        E: Clone + Send + Sync + PartialEq + std::fmt::Debug,
     {
         let adjacency = el.to_adjacency_coo();
         for partitions in [1, 5, 16] {
@@ -869,10 +1094,10 @@ mod tests {
                 let derived = topology.in_matrix();
                 let rows: Vec<RowRange> = derived.partitions().iter().map(|p| p.rows).collect();
                 assert_eq!(rows, ranges, "{label}");
-                assert!(derived.iter().eq(direct.matrix.iter()), "{label}: DCSC");
+                assert!(derived.iter().eq(direct.built().iter()), "{label}: DCSC");
 
                 let mirror = topology.in_pull_mirror().unwrap();
-                let direct_mirror = direct.mirror.as_ref().unwrap();
+                let direct_mirror = direct.made_mirror().unwrap();
                 assert_eq!(
                     mirror.n_partitions(),
                     direct_mirror.n_partitions(),
@@ -972,9 +1197,55 @@ mod tests {
                 assert_eq!(got.num_edges(), want.num_edges(), "{label}");
                 assert_eq!(got.len(), want.len(), "{label}");
                 assert!(got.len() < resolved.len(), "{label}: no absent-pair delete");
-                assert_eq!(got.in_overlay(), want.in_overlay(), "{label}");
             }
         }
+    }
+
+    /// An edited topology transposes its out side's edits against its base's
+    /// `G` ranges once, on first use, and folds them into the base's `G`:
+    /// the `G` a build of the edited edge list derives.
+    #[test]
+    fn an_edited_topology_derives_its_in_side_once_from_its_out_side() {
+        use graphmat_delta::UpdateOp::{Delete, Insert};
+        use graphmat_sparse::overlay::{Overlay, OverlayOp};
+        let options = GraphBuildOptions::default()
+            .with_partitions(2)
+            .with_balancing(false);
+        let t = small_topology();
+        let base = Arc::new(Topology::from_edge_list(&t.to_edge_list(), options));
+        let edits = [(0, 1, Delete), (1, 2, Insert(9.0)), (3, 2, Insert(1.0))];
+        let edited = Topology::edited(Arc::clone(&base), base.compile_overlay(None, &edits));
+        assert!(edited.in_side().is_none());
+        // `G` is row = source.
+        let ops = vec![
+            (0, 1, OverlayOp::Delete),
+            (1, 2, OverlayOp::Upsert(9.0)),
+            (3, 2, OverlayOp::Upsert(1.0)),
+        ];
+        let want = Overlay::from_entries(4, 4, &base.in_partition_ranges().unwrap(), ops);
+        let folded = edited.in_matrix();
+        let side = edited.in_side().unwrap();
+        assert_eq!(side.edits(), Some(&want));
+        assert!(
+            side.made_mirror().is_none(),
+            "a push read folded the mirror"
+        );
+        let again = edited.in_side().unwrap().edits().unwrap();
+        assert!(std::ptr::eq(side.edits().unwrap(), again));
+        let el = EdgeList::from_tuples(
+            4,
+            vec![
+                (0, 2, 2.0),
+                (1, 2, 9.0),
+                (2, 3, 4.0),
+                (3, 0, 5.0),
+                (3, 2, 1.0),
+            ],
+        );
+        let rebuilt = Topology::from_edge_list(&el, options);
+        assert!(folded.iter().eq(rebuilt.in_matrix().iter()));
+        assert_eq!(edited.in_degrees(), rebuilt.in_degrees());
+        assert_eq!(edited.num_edges(), rebuilt.num_edges());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Chaos tests for the [`GraphStore`] write path: injected faults at every
 //! store failpoint must leave the published snapshot serving, the pending
-//! log consistent (exactly-once admission), and the compaction lane alive.
+//! log consistent (exactly-once admission), and the compaction lane alive —
+//! and a fault inside a snapshot's fold must leave the fold for the next
+//! reader to make.
 //!
 //! Lives in its own integration-test binary because armed failpoints are
 //! process-global: the lib test binary must never run with failpoints armed
@@ -12,7 +14,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use graphmat_core::topology::GraphBuildOptions;
-use graphmat_core::{GraphMatError, GraphStore, StoreOptions, Topology};
+use graphmat_core::{
+    ActivityPolicy, GraphMatError, GraphProgram, GraphStore, Session, StoreOptions, Topology,
+    VertexId,
+};
 use graphmat_delta::{DeltaBatch, UpdateOp};
 use graphmat_io::edgelist::EdgeList;
 use graphmat_sparse::Index;
@@ -178,5 +183,114 @@ fn inline_compaction_panic_leaves_store_usable() {
     assert_eq!(snap.version(), 1);
     assert!(snap.overlay().is_none());
     assert_eq!(snap.num_edges(), 7);
+    graphmat_chaos::reset();
+}
+
+/// PageRank over `f32` edges: a vertex sends its rank over its out-degree,
+/// and its new rank is `0.15 + 0.85 ×` what it received.
+struct PageRank<'a> {
+    out_degrees: &'a [u32],
+}
+
+impl GraphProgram for PageRank<'_> {
+    type VertexProp = f64;
+    type Message = f64;
+    type Reduced = f64;
+    type Edge = f32;
+
+    fn send_message(&self, v: VertexId, rank: &f64) -> Option<f64> {
+        let degree = self.out_degrees[v as usize];
+        (degree > 0).then(|| rank / f64::from(degree))
+    }
+
+    fn process_message(&self, msg: &f64, _edge: &f32, _dst: &f64) -> f64 {
+        *msg
+    }
+
+    fn reduce(&self, acc: &mut f64, value: f64) {
+        *acc += value;
+    }
+
+    fn apply(&self, sum: &f64, rank: &mut f64) {
+        *rank = 0.15 + 0.85 * sum;
+    }
+}
+
+/// All-active PageRank over `topology`, at most ten supersteps and every one
+/// a pull, as the bits of the ranks.
+fn pagerank(session: &Session, topology: &Topology<f32>) -> Vec<u64> {
+    let program = PageRank {
+        out_degrees: topology.out_degrees(),
+    };
+    let outcome = session
+        .run(topology, program)
+        .init_all(1.0)
+        .activate_all()
+        .activity(ActivityPolicy::AlwaysAll)
+        .max_iterations(10)
+        .execute()
+        .unwrap();
+    assert!(outcome.stats.iterations > 0);
+    assert_eq!(outcome.stats.pull_supersteps, outcome.stats.iterations);
+    outcome.values.iter().map(|r| r.to_bits()).collect()
+}
+
+/// A fault inside a fold: a panic as a fresh snapshot's first pull starts
+/// to fold its mirror unwinds out of that run and leaves the snapshot
+/// holding no fold. The next run folds, once, and ranks like a rebuild of
+/// the edited graph, bit for bit.
+#[test]
+fn a_panic_inside_a_fold_leaves_it_to_the_next_reader() {
+    let _g = registry_guard();
+    graphmat_chaos::reset();
+    graphmat_chaos::configure("topology.fold", "panic@n1").unwrap();
+
+    let store = store(usize::MAX, false);
+    let ops = vec![
+        (0u32, 3u32, UpdateOp::Insert(9.0)),
+        (4, 0, UpdateOp::Delete),
+    ];
+    let snapshot = store.apply(batch(ops)).unwrap();
+    let session = Session::with_threads(2).unwrap();
+
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pagerank(&session, snapshot.view())
+    }));
+    assert!(
+        panicked.is_err(),
+        "the injected panic must unwind out of the run"
+    );
+    assert_eq!(snapshot.folded_bytes(), None);
+
+    let ranks = pagerank(&session, snapshot.view());
+    assert_eq!(
+        graphmat_chaos::hits("topology.fold"),
+        2,
+        "one fold after the failed one"
+    );
+    let folded = snapshot.view().out_side();
+    assert!(
+        folded.made_matrix().is_none(),
+        "a pull folded the push matrix"
+    );
+    let mirror = folded
+        .made_mirror()
+        .expect("the second run folded the mirror");
+    assert_eq!(snapshot.folded_bytes(), Some(mirror.bytes()));
+
+    let edited = EdgeList::from_tuples(
+        5,
+        vec![
+            (0, 1, 1.0),
+            (0, 2, 3.0),
+            (0, 3, 9.0),
+            (1, 2, 1.0),
+            (2, 3, 2.0),
+            (3, 4, 2.0),
+        ],
+    );
+    let rebuilt =
+        Topology::from_edge_list(&edited, GraphBuildOptions::default().with_partitions(2));
+    assert_eq!(ranks, pagerank(&session, &rebuilt));
     graphmat_chaos::reset();
 }

@@ -11,13 +11,12 @@
 //! * [`log::DeltaLog`] — a history of batches, resolved in one piece: what
 //!   the store's batch-by-batch compilation must equal;
 //! * [`overlay::DeltaOverlay`] — resolved edits compiled against a base's
-//!   partitioning into kernel-ready [`graphmat_sparse::overlay::Overlay`]s
-//!   (the out-edge one per batch, merged into the previous one; the in-edge
-//!   one derived when first traversed) plus merged degree arrays and edge
-//!   counts, so the engine sees `(base ⊕ delta)` without rebuilding the
-//!   matrices; each side ([`overlay::PendingSide`]) also folds its edits
-//!   into a copy of the base's push matrix when it is first pushed, and
-//!   into a copy of its pull mirror when it is first pulled.
+//!   partitioning into a kernel-ready [`graphmat_sparse::overlay::Overlay`]
+//!   (the out-edge one, each batch merged into the previous one) plus
+//!   merged degree arrays and edge counts, so a snapshot sees `(base ⊕ delta)` without rebuilding the
+//!   matrices. The snapshot is a `Topology` of its own, which folds the
+//!   edits into copies of its base's layouts when it first reads each one;
+//!   this crate holds the edits only, never a fold.
 //!
 //! The crate deliberately knows nothing about vertex programs, snapshots or
 //! wire formats — `graphmat-core`'s `GraphStore` owns publication and
@@ -32,7 +31,7 @@ pub mod overlay;
 
 pub use batch::{DeltaBatch, UpdateOp};
 pub use log::DeltaLog;
-pub use overlay::{BaseFacts, DeltaOverlay, PairIndex, PendingSide};
+pub use overlay::{BaseFacts, DeltaOverlay, PairIndex};
 
 /// The kernel-level edit-set structure, re-exported under the paper-plan
 /// name: a `DeltaMatrix` is a partition-aligned set of pending ops, held by

@@ -15,32 +15,16 @@
 //! costs what was written plus one linear copy of what is pending — its ops,
 //! held column-major only, never an index of the graph's rows.
 //!
-//! Only the out-edge kernel overlay (aligned to `Gᵀ`) is compiled per batch.
-//! Everything else is derived from it on demand, written once and shared by
-//! every reader of the snapshot:
-//!
-//! * the in-edge overlay, like the base's `G`: the first `In`/`Both` run
-//!   over the snapshot transposes the out side into it (its entries
-//!   bucketed by row, no sort), and `Out` programs — every served algorithm
-//!   — never pay for it;
-//! * per side, the base's push matrix of that side with its edits folded in
-//!   ([`PendingSide::fold_matrix`]) — the matrix a rebuild stores — by the
-//!   snapshot's first push along that side, which every later push reads;
-//! * per side, the base's pull mirror of that side with its edits folded in
-//!   ([`PendingSide::fold_mirror`]) — the mirror a rebuild stores — by the
-//!   snapshot's first pull along that side, which every later pull reads.
-//!   The fold buckets the side's edits by row itself, and frees them.
-//!
-//! This is how pending edits are pushed and pulled: there is no merged
-//! kernel.
+//! Only the out-edge kernel overlay (aligned to `Gᵀ`) is compiled, once
+//! per batch. Nothing here reads it: the snapshot that publishes the overlay
+//! is a topology of its own (`graphmat-core`'s `Topology`), whose layouts
+//! fold it into its base's on first use — the in side transposed from it
+//! first — so the compiled edits are never merged by a kernel.
 
 use crate::batch::UpdateOp;
-use graphmat_sparse::overlay::{fold_into_matrix, fold_into_mirror, Overlay, OverlayOp};
-use graphmat_sparse::parallel::Executor;
-use graphmat_sparse::partition::{PartitionedDcsc, RowRange};
-use graphmat_sparse::pull::CsrMirror;
+use graphmat_sparse::overlay::{Overlay, OverlayOp};
+use graphmat_sparse::partition::RowRange;
 use graphmat_sparse::Index;
-use std::sync::{Arc, OnceLock};
 
 /// Sorted multiset of a base graph's `(src, dst)` pairs. **Benchmark-
 /// frozen**: the store asks the published topology instead
@@ -79,11 +63,9 @@ pub struct BaseFacts<'a> {
     pub num_edges: usize,
     /// Row ranges of the base's out matrix (`Gᵀ`: row = destination).
     pub out_ranges: &'a [RowRange],
-    /// Row ranges of the base's in matrix (`G`: row = source). A topology
-    /// fixes them at build whether or not it has derived `G` yet, so
-    /// `Topology::compile_overlay` always passes `Some`; `None` compiles an
-    /// overlay that can never derive an in side, which `In`/`Both` runs then
-    /// reject (`MissingInMatrix`).
+    /// Row ranges of the base's in matrix (`G`: row = source). Unread: an
+    /// edited topology transposes its in side against its base's own
+    /// ranges. It stays because `benchmark/src/adapter.rs` names it.
     pub in_ranges: Option<&'a [RowRange]>,
     /// Base out-degrees, indexed by vertex.
     pub out_degrees: &'a [u32],
@@ -93,100 +75,15 @@ pub struct BaseFacts<'a> {
 
 /// The pending edits of a snapshot, compiled against its base's layout:
 /// the kernel overlay of the out-edge traversal plus the merged degree
-/// arrays and edge count of the *edited* graph. Like the base topology's
-/// `G`, the in-edge side is not compiled until an `In`/`Both` run asks for
-/// it ([`DeltaOverlay::in_side`]): every `apply` would otherwise pay for a
-/// side that `Out` programs never read. The same goes for each side's folds:
-/// its push matrix ([`PendingSide::fold_matrix`]) and its pull mirror
-/// ([`PendingSide::fold_mirror`]), which the snapshot's first push and first
-/// pull along that side fold.
-///
-/// Immutable once built (but for those derivations) — a snapshot shares it
-/// behind an `Arc` exactly like the base topology.
+/// arrays and edge count of the *edited* graph. Immutable once built — the
+/// snapshot's topology shares it behind an `Arc`, and the next write merges
+/// its batch into a copy.
 #[derive(Clone, Debug)]
 pub struct DeltaOverlay<E> {
-    out: PendingSide<E>,
-    /// [`BaseFacts::in_ranges`], kept for the derivation of `in_`.
-    in_ranges: Option<Vec<RowRange>>,
-    in_: OnceLock<PendingSide<E>>,
+    out: Overlay<E>,
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
     num_edges: usize,
-}
-
-/// One side of a [`DeltaOverlay`]: the kernel overlay aligned to one of the
-/// base's matrices and, once a push or a pull along this side has asked for
-/// it, the base's push matrix or pull mirror of that side with the overlay
-/// folded in, which every push or pull along it reads.
-#[derive(Clone, Debug)]
-pub struct PendingSide<E> {
-    overlay: Overlay<E>,
-    /// `Arc`s so a compaction can publish the out side's folds as they are.
-    matrix: OnceLock<Arc<PartitionedDcsc<E>>>,
-    mirror: OnceLock<Arc<CsrMirror<E>>>,
-}
-
-impl<E> PendingSide<E> {
-    fn new(overlay: Overlay<E>) -> Self {
-        PendingSide {
-            overlay,
-            matrix: OnceLock::new(),
-            mirror: OnceLock::new(),
-        }
-    }
-
-    /// The kernel overlay of this side.
-    pub fn overlay(&self) -> &Overlay<E> {
-        &self.overlay
-    }
-
-    /// `base` — this side's push matrix of the topology the overlay was
-    /// compiled against — with the overlay folded in on `executor`'s lanes
-    /// ([`graphmat_sparse::overlay::fold_into_matrix`]): byte for byte the
-    /// matrix a rebuild of the edited graph stores over `base`'s ranges.
-    /// Folded the first time it is asked for and kept; concurrent first
-    /// calls share one fold.
-    ///
-    /// # Panics
-    /// Panics if the overlay is not aligned with `base`.
-    pub fn fold_matrix(
-        &self,
-        base: &PartitionedDcsc<E>,
-        executor: &Executor,
-    ) -> &Arc<PartitionedDcsc<E>>
-    where
-        E: Clone + Send + Sync,
-    {
-        self.matrix
-            .get_or_init(|| Arc::new(fold_into_matrix(base, &self.overlay, executor)))
-    }
-
-    /// The folded push matrix, if a push has folded it.
-    pub fn folded_matrix(&self) -> Option<&Arc<PartitionedDcsc<E>>> {
-        self.matrix.get()
-    }
-
-    /// `base` — this side's pull mirror of the topology the overlay was
-    /// compiled against — with the overlay folded in on `executor`'s lanes
-    /// ([`graphmat_sparse::overlay::fold_into_mirror`]): byte for byte the
-    /// mirror a rebuild of the edited graph stores over `base`'s ranges.
-    /// Folded the first time it is asked for and kept; concurrent first
-    /// calls share one fold.
-    ///
-    /// # Panics
-    /// Panics if `base` does not refine the overlay's ranges.
-    pub fn fold_mirror(&self, base: &CsrMirror<E>, executor: &Executor) -> &Arc<CsrMirror<E>>
-    where
-        E: Clone + Send + Sync,
-    {
-        self.mirror
-            .get_or_init(|| Arc::new(fold_into_mirror(base, &self.overlay, executor)))
-    }
-
-    /// The folded pull mirror, if a pull has folded it.
-    pub fn folded_mirror(&self) -> Option<&Arc<CsrMirror<E>>> {
-        self.mirror.get()
-    }
 }
 
 impl<E: Clone> DeltaOverlay<E> {
@@ -265,9 +162,7 @@ impl<E: Clone> DeltaOverlay<E> {
         });
 
         DeltaOverlay {
-            out: PendingSide::new(out),
-            in_ranges: facts.in_ranges.map(<[RowRange]>::to_vec),
-            in_: OnceLock::new(),
+            out,
             out_degrees,
             in_degrees,
             num_edges: num_edges as usize,
@@ -284,34 +179,12 @@ impl<E: Clone> DeltaOverlay<E> {
     ) -> Self {
         Self::compile(facts, None, |s, d| pair_index.count(s, d), resolved)
     }
-
-    /// The in-edge side (aligned to `G`), if the overlay was compiled with
-    /// [`BaseFacts::in_ranges`]. Derived from the out side's own entries —
-    /// `(row, col, op)` as `(col, row, op)` — the first time it is asked
-    /// for; concurrent first calls share one result.
-    pub fn in_side(&self) -> Option<&PendingSide<E>> {
-        let ranges = self.in_ranges.as_deref()?;
-        Some(
-            self.in_
-                .get_or_init(|| PendingSide::new(self.out().transposed(ranges))),
-        )
-    }
-
-    /// The kernel overlay for in-edge traversal: [`DeltaOverlay::in_side`]'s.
-    pub fn in_overlay(&self) -> Option<&Overlay<E>> {
-        self.in_side().map(PendingSide::overlay)
-    }
 }
 
 impl<E> DeltaOverlay<E> {
-    /// The out-edge side (aligned to `Gᵀ`).
-    pub fn out_side(&self) -> &PendingSide<E> {
-        &self.out
-    }
-
-    /// The kernel overlay for out-edge traversal: [`DeltaOverlay::out_side`]'s.
+    /// The kernel overlay for out-edge traversal (aligned to `Gᵀ`).
     pub fn out(&self) -> &Overlay<E> {
-        &self.out.overlay
+        &self.out
     }
 
     /// Out-degrees of the edited graph, indexed by vertex.
@@ -339,25 +212,10 @@ impl<E> DeltaOverlay<E> {
         self.out().is_empty()
     }
 
-    /// The bytes of every fold this overlay holds: per side, the push matrix
-    /// once a push along it has folded it and the pull mirror once a pull
-    /// has. `None` until something has folded one.
-    pub fn folded_bytes(&self) -> Option<usize> {
-        let sides = std::iter::once(&self.out).chain(self.in_.get());
-        let matrices = sides.clone().filter_map(PendingSide::folded_matrix);
-        let mirrors = sides.filter_map(PendingSide::folded_mirror);
-        let bytes = matrices
-            .map(|m| m.bytes())
-            .chain(mirrors.map(|m| m.bytes()));
-        bytes.reduce(|a, b| a + b)
-    }
-
-    /// Approximate heap footprint in bytes; counts the in side's overlay once
-    /// it has been derived, and never a fold, which is a copy of the base's
-    /// ([`DeltaOverlay::folded_bytes`] reports them apart).
+    /// Approximate heap footprint in bytes: the out side's overlay and the
+    /// two degree arrays.
     pub fn bytes(&self) -> usize {
         self.out().bytes()
-            + self.in_.get().map_or(0, |side| side.overlay.bytes())
             + (self.out_degrees.len() + self.in_degrees.len()) * std::mem::size_of::<u32>()
     }
 }
@@ -427,41 +285,9 @@ mod tests {
         assert_eq!(ov.out_degrees(), &[1, 1, 2, 1, 1]);
         assert_eq!(ov.in_degrees(), &[2, 0, 2, 1, 1]);
         assert_eq!(ov.out().nnz(), 3);
-        assert_eq!(ov.in_overlay().unwrap().nnz(), 3);
+        assert_eq!(ov.out().transposed(&r).nnz(), 3);
         assert!(!ov.is_empty());
         assert!(ov.bytes() > 0);
-    }
-
-    #[test]
-    fn in_side_is_derived_on_first_use_from_the_out_side() {
-        let idx = PairIndex::from_edges(&base_edges());
-        let out_deg = [2u32, 1, 1, 1, 1];
-        let in_deg = [1u32, 1, 2, 1, 1];
-        let out_ranges = ranges();
-        let in_ranges = vec![RowRange { start: 0, end: 1 }, RowRange { start: 1, end: 5 }];
-        let f = facts(&out_ranges, Some(&in_ranges), &out_deg, &in_deg);
-        let resolved = vec![
-            (0, 1, UpdateOp::Delete),
-            (1, 2, UpdateOp::Insert(9.0)),
-            (2, 0, UpdateOp::Insert(1.0)),
-        ];
-        let ov = DeltaOverlay::build(&f, &idx, &resolved);
-        let out_only = ov.bytes();
-        // What compiling the in side at `build` produced: `G` is row = source.
-        let eager = Overlay::from_entries(
-            5,
-            5,
-            &in_ranges,
-            vec![
-                (0, 1, OverlayOp::Delete),
-                (1, 2, OverlayOp::Upsert(9.0)),
-                (2, 0, OverlayOp::Upsert(1.0)),
-            ],
-        );
-        let derived = ov.in_overlay().unwrap();
-        assert_eq!(*derived, eager);
-        assert_eq!(ov.bytes(), out_only + eager.bytes());
-        assert!(std::ptr::eq(derived, ov.in_overlay().unwrap()));
     }
 
     #[test]
@@ -485,7 +311,6 @@ mod tests {
         assert_eq!(ov.num_edges(), 5);
         assert_eq!(ov.out_degrees()[0], 1);
         assert_eq!(ov.in_degrees()[1], 0);
-        assert!(ov.in_overlay().is_none());
     }
 
     /// Each batch compiled on top of the last overlay equals the whole

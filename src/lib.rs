@@ -58,9 +58,10 @@
 //! serving hot path) in [`algorithms`]; the run builder
 //! [`core::session::Session::run`] for any vertex program; and
 //! [`core::runner::run_program`] underneath both. Every one of them takes a
-//! [`core::view::GraphView`], which `&Topology`, `&Arc<Topology>` and a
-//! [`core::store::GraphStore`] snapshot's `view()` all convert into. See
-//! [`core`] for the table.
+//! `&Topology`: a `&Arc<Topology>` coerces to it, and a
+//! [`core::store::GraphStore`] snapshot's `view()` is one, whose pending
+//! edits are folded into its layouts on first use. See [`core`] for the
+//! table.
 //!
 //! ## Direction optimization (PR-4)
 //!
@@ -134,9 +135,9 @@ pub mod prelude {
     pub use graphmat_algorithms::AlgorithmOutput;
     pub use graphmat_core::{
         run_program, ActivityPolicy, Backend, EdgeDirection, GraphBuildOptions, GraphMatError,
-        GraphProgram, GraphSnapshot, GraphStore, GraphView, RunOptions, RunOutcome, RunResult,
-        RunStats, Session, SessionOptions, StoreOptions, StoreStats, SuperstepStats, Topology,
-        VertexId, VertexState,
+        GraphProgram, GraphSnapshot, GraphStore, RunOptions, RunOutcome, RunResult, RunStats,
+        Session, SessionOptions, StoreOptions, StoreStats, SuperstepStats, Topology, VertexId,
+        VertexState,
     };
     pub use graphmat_delta::{DeltaBatch, DeltaError, UpdateOp};
     pub use graphmat_io::bipartite::BipartiteConfig;

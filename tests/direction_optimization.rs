@@ -193,8 +193,7 @@ struct Search {
     vertices_updated: u64,
 }
 
-fn search<'a>(session: &Session, view: impl Into<GraphView<'a, ()>>, root: VertexId) -> Search {
-    let view = view.into();
+fn search(session: &Session, view: &Topology<()>, root: VertexId) -> Search {
     let mut state: VertexState<u32> = VertexState::new(view.num_vertices() as usize);
     let stats = graphmat_algorithms::bfs::bfs_into(session, view, root, None, &mut state)
         .unwrap()
@@ -293,7 +292,7 @@ fn masked_pull_bfs_matches_the_reference_under_every_backend() {
 
             for ((backend, session), over_edits) in sessions.iter().zip(over_edits) {
                 let case = format!("{case}, {backend}");
-                let bare = search(session, &*topo, root);
+                let bare = search(session, &topo, root);
                 assert_eq!(bare.distances, reference, "{case}");
                 assert_eq!(over_edits.distances, edited_reference, "{case} over edits");
                 let over_rebuild = search(session, rebuilt.base(), root);

@@ -1,8 +1,7 @@
-//! One engine path: every driver takes a `GraphView`, and `&Topology`,
-//! `&Arc<Topology>`, `GraphView::base(..)` and a `GraphStore` snapshot's
-//! view all convert into it — so one `x_into` function serves what five
-//! used to, and the run prologue's checks fire once, in one order, wherever
-//! the run enters.
+//! One engine path: every driver takes a `&Topology` — a `&Arc<Topology>`
+//! coerces to it, and a `GraphStore` snapshot's view is one, pending edits
+//! and all — so one `x_into` function serves what five used to, and the run
+//! prologue's checks fire once, in one order, wherever the run enters.
 
 use graphmat::algorithms::bfs::bfs_into;
 use graphmat::algorithms::connected_components::connected_components_into;
@@ -18,18 +17,16 @@ use std::sync::Arc;
 enum Graph<'a> {
     Topology(&'a Topology<f32>),
     Shared(&'a Arc<Topology<f32>>),
-    View(GraphView<'a, f32>),
 }
 
 /// Evaluate `$call` with `$g` bound to the graph in the form it is held in:
-/// the drivers are generic over `impl Into<GraphView>`, so each arm
-/// instantiates them with a different argument type.
+/// each arm hands the drivers a different argument type, which coerces to
+/// `&Topology`.
 macro_rules! with_graph {
     ($graph:expr, |$g:ident| $call:expr) => {
         match $graph {
             Graph::Topology($g) => $call,
             Graph::Shared($g) => $call,
-            Graph::View($g) => $call,
         }
     };
 }
@@ -61,7 +58,6 @@ fn fresh<V: Clone + Default>(graph: Graph<'_>) -> VertexState<V> {
     let n = match graph {
         Graph::Topology(t) => t.num_vertices(),
         Graph::Shared(t) => t.num_vertices(),
-        Graph::View(v) => v.num_vertices(),
     };
     VertexState::new(n as usize)
 }
@@ -193,8 +189,7 @@ fn one_driver_serves_every_way_of_holding_a_graph() {
         let reference = run(&session, Graph::Topology(&topology));
         for (form, graph) in [
             ("&Arc<Topology>", Graph::Shared(&topology)),
-            ("GraphView::base", Graph::View(GraphView::base(&topology))),
-            ("snapshot.view()", Graph::View(unedited.view())),
+            ("snapshot.view()", Graph::Topology(unedited.view())),
         ] {
             assert_eq!(run(&session, graph), reference, "{name} via {form}");
         }
@@ -206,7 +201,7 @@ fn one_driver_serves_every_way_of_holding_a_graph() {
     let pending = store.apply(batch).unwrap();
     assert!(pending.overlay().is_some());
     let overlaid: Vec<Run> = drivers()
-        .map(|(_, run)| run(&session, Graph::View(pending.view())))
+        .map(|(_, run)| run(&session, Graph::Topology(pending.view())))
         .collect();
     assert!(store.compact_now());
     let rebuilt = store.snapshot();
@@ -308,7 +303,7 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
     // reports pins the order the prologue checks in. Pending edits are no
     // fault: a forced pull over them fails only for want of a mirror.
     type Expect<'a> = &'a dyn Fn(&GraphMatError) -> bool;
-    let cases: [(&str, GraphView<'_, f32>, usize, EdgeDirection, Expect<'_>); 3] = [
+    let cases: [(&str, &Topology<f32>, usize, EdgeDirection, Expect<'_>); 3] = [
         (
             "state length, then overlay, mirrors",
             pending.view(),
@@ -328,13 +323,9 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
             EdgeDirection::Out,
             &|e| *e == GraphMatError::MissingPullMirror,
         ),
-        (
-            "mirrors",
-            GraphView::base(&bare),
-            4,
-            EdgeDirection::Out,
-            &|e| *e == GraphMatError::MissingPullMirror,
-        ),
+        ("mirrors", &*bare, 4, EdgeDirection::Out, &|e| {
+            *e == GraphMatError::MissingPullMirror
+        }),
     ];
 
     for (name, view, state_len, direction, expected) in cases {

@@ -366,7 +366,7 @@ fn build_with<E: Clone>(
 
 /// A topology's push count and the ranges its kernels run over: push, pull
 /// mirror (none without one) and `G`'s.
-fn layout_of<E>(t: &Topology<E>) -> (usize, [Vec<RowRange>; 3]) {
+fn layout_of<E: Clone + Send + Sync>(t: &Topology<E>) -> (usize, [Vec<RowRange>; 3]) {
     let mirror = t.out_pull_mirror().map_or(Vec::new(), |m| {
         m.partitions().iter().map(|p| p.rows).collect()
     });
@@ -497,13 +497,9 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
 /// vertex's merged degree is the number of entries its column of the side's
 /// pull mirror stores (the fold of the pending edits, or the base's mirror
 /// when none are pending), and the degrees sum to the edge count. The folds
-/// are made on a clone of the snapshot's overlay, so the store's own
+/// are made on a clone of the snapshot's topology, so the store's own
 /// snapshot stays unfolded.
-fn assert_degrees_count_the_folds(
-    snap: &GraphSnapshot<f32>,
-    executor: &graphmat::sparse::parallel::Executor,
-    ctx: &str,
-) {
+fn assert_degrees_count_the_folds(snap: &GraphSnapshot<f32>, ctx: &str) {
     use graphmat::sparse::pull::CsrMirror;
     let column_counts = |mirror: &CsrMirror<f32>| {
         let mut counts = vec![0u32; mirror.ncols() as usize];
@@ -512,24 +508,15 @@ fn assert_degrees_count_the_folds(
         }
         counts
     };
-    let base = snap.base();
-    let pending = snap.overlay().cloned();
-    let (out_base, in_base) = (
-        base.out_pull_mirror().unwrap(),
-        base.in_pull_mirror().unwrap(),
+    let topology = snap.view().clone();
+    let (out_fold, in_fold) = (
+        topology.out_pull_mirror().unwrap(),
+        topology.in_pull_mirror().unwrap(),
     );
-    let (out_fold, in_fold) = match &pending {
-        Some(o) => (
-            &**o.out_side().fold_mirror(out_base, executor),
-            &**o.in_side().unwrap().fold_mirror(in_base, executor),
-        ),
-        None => (out_base, in_base),
-    };
-    let view = snap.view();
     let edges = snap.num_edges() as u64;
     for (side, degrees, fold) in [
-        ("out", view.out_degrees(), out_fold),
-        ("in", view.in_degrees(), in_fold),
+        ("out", topology.out_degrees(), out_fold),
+        ("in", topology.in_degrees(), in_fold),
     ] {
         assert_eq!(degrees, column_counts(fold), "{ctx}: {side}-degrees");
         let total: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
@@ -701,7 +688,7 @@ fn every_write_compiles_like_the_whole_history_from_scratch() {
                     assert_eq!(pulled, pushed, "{ctx}: pull vs push");
                 }
             }
-            assert_degrees_count_the_folds(&snap, &executor, &ctx);
+            assert_degrees_count_the_folds(&snap, &ctx);
             if step % 6 == 5 {
                 assert!(store.compact_now(), "{ctx}");
                 log = DeltaLog::new();

@@ -4,16 +4,15 @@
 //! every pull or push along it reads that fold through the one pull or push
 //! kernel. None of that may change an answer.
 //!
-//! Every `Out` case runs over one store's base and one pending overlay, on a
-//! clone of that overlay either fresh or folded before the run, and asserts
+//! Every `Out` case runs over one store's base and one pending snapshot, on a
+//! clone of that snapshot's topology either fresh or folded before the run,
+//! and asserts
 //! from the run's trajectory which fold state it actually exercised: never
 //! pulled, folded at the first superstep, folded mid-run, or folded before —
 //! and that the push fold exists after the run exactly if it pushed. The
 //! `In` and `Both` cases fold the in side the same way.
 
-use graphmat::delta::DeltaOverlay;
 use graphmat::prelude::*;
-use graphmat::sparse::parallel::Executor;
 use graphmat_io::rng::StdRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -85,7 +84,7 @@ const ALGOS: [Algo; 4] = [Algo::PageRank, Algo::Bfs, Algo::Sssp, Algo::Component
 /// whether it pushed.
 type Run = (Vec<u64>, Option<usize>, bool);
 
-fn run(session: &Session, view: GraphView<'_, f32>, algo: Algo) -> Run {
+fn run(session: &Session, view: &Topology<f32>, algo: Algo) -> Run {
     fn out<T>(o: AlgorithmOutput<T>, bits: impl Fn(&T) -> u64) -> Run {
         let steps = &o.stats.supersteps;
         assert_eq!(steps.len(), o.stats.iterations, "supersteps recorded");
@@ -116,8 +115,8 @@ fn session(lanes: usize, backend: Option<Backend>) -> Session {
     Session::new(options).unwrap()
 }
 
-/// A base, one store's pending overlay over it, the store's compaction of
-/// it, and the edited graph rebuilt from scratch.
+/// A base, one store's snapshot with pending edits over it, the store's
+/// compaction of it, and the edited graph rebuilt from scratch.
 struct Fixture {
     base: Arc<Topology<f32>>,
     pending: Arc<GraphSnapshot<f32>>,
@@ -155,8 +154,10 @@ fn fixture() -> Fixture {
 }
 
 impl Fixture {
-    fn overlay(&self) -> &DeltaOverlay<f32> {
-        self.pending.overlay().expect("the edits are pending")
+    /// The pending snapshot's topology: the base with the edits pending.
+    fn edited(&self) -> &Topology<f32> {
+        assert!(self.pending.overlay().is_some(), "the edits are pending");
+        self.pending.view()
     }
 }
 
@@ -187,34 +188,30 @@ const STATES: [State; 4] = [
 #[test]
 fn every_fold_state_answers_like_the_compacted_base_and_a_rebuild() {
     let f = fixture();
-    let mirror = f.base.out_pull_mirror().unwrap();
     let mut exercised = Vec::new();
     for lanes in [1, 2] {
         for backend in BACKENDS {
             let session = session(lanes, backend);
             for algo in ALGOS {
                 let ctx = format!("{algo:?}, {backend:?}, {lanes} lanes");
-                let (want, ..) = run(&session, (&f.compacted).into(), algo);
-                assert_eq!(run(&session, (&f.rebuilt).into(), algo).0, want, "{ctx}");
+                let (want, ..) = run(&session, &f.compacted, algo);
+                assert_eq!(run(&session, &f.rebuilt, algo).0, want, "{ctx}");
                 for folded_before in [false, true] {
                     let ctx = format!("{ctx}, folded before: {folded_before}");
-                    // A clone of the store's overlay, unfolded.
-                    let pending = f.overlay().clone();
-                    assert!(pending.out_side().folded_mirror().is_none(), "{ctx}");
+                    // A clone of the store's snapshot topology, unfolded.
+                    let pending = f.edited().clone();
+                    assert!(pending.out_side().made_mirror().is_none(), "{ctx}");
                     if folded_before {
-                        pending
-                            .out_side()
-                            .fold_mirror(mirror, &Executor::sequential());
+                        pending.out_pull_mirror();
                     }
-                    let view = GraphView::new(&f.base, Some(&pending));
-                    let (got, first_pull, pushed) = run(&session, view, algo);
+                    let (got, first_pull, pushed) = run(&session, &pending, algo);
                     assert_eq!(got, want, "{ctx}");
                     // The push fold exists after the run exactly if it pushed.
-                    let push_fold = pending.out_side().folded_matrix().is_some();
+                    let push_fold = pending.out_side().made_matrix().is_some();
                     assert_eq!(push_fold, pushed, "{ctx}");
                     // Which state the run was in: a fresh snapshot is folded
                     // after the run exactly if the run pulled.
-                    let folded = pending.out_side().folded_mirror().is_some();
+                    let folded = pending.out_side().made_mirror().is_some();
                     let seen = match (folded_before, first_pull) {
                         (true, _) => State::FoldedBefore,
                         (false, None) => State::Unpulled,
@@ -271,7 +268,7 @@ fn every_fold_state_answers_like_the_compacted_base_and_a_rebuild() {
 fn concurrent_first_pulls_fold_once() {
     let f = fixture();
     let session = session(2, None);
-    let (want, ..) = run(&session, (&f.compacted).into(), Algo::PageRank);
+    let (want, ..) = run(&session, &f.compacted, Algo::PageRank);
     assert_eq!(f.pending.folded_bytes(), None);
     let start = std::sync::Barrier::new(2);
     let folds: Vec<usize> = std::thread::scope(|s| {
@@ -283,14 +280,14 @@ fn concurrent_first_pulls_fold_once() {
                     let (got, first_pull, _) = run(session, f.pending.view(), Algo::PageRank);
                     assert_eq!(&got, want);
                     assert_eq!(first_pull, Some(0));
-                    Arc::as_ptr(f.overlay().out_side().folded_mirror().unwrap()) as usize
+                    Arc::as_ptr(f.edited().out_side().made_mirror().unwrap()) as usize
                 })
             })
             .collect();
         runs.into_iter().map(|r| r.join().unwrap()).collect()
     });
     assert_eq!(folds[0], folds[1], "two folds");
-    let mirror = f.overlay().out_side().folded_mirror().unwrap();
+    let mirror = f.edited().out_side().made_mirror().unwrap();
     assert_eq!(f.pending.folded_bytes(), Some(mirror.bytes()));
     assert_eq!(**mirror, *f.compacted.out_pull_mirror().unwrap());
 }
@@ -299,7 +296,7 @@ fn concurrent_first_pulls_fold_once() {
 fn concurrent_first_pushes_fold_once() {
     let f = fixture();
     let session = session(2, Some(Backend::Push));
-    let (want, ..) = run(&session, (&f.compacted).into(), Algo::Bfs);
+    let (want, ..) = run(&session, &f.compacted, Algo::Bfs);
     assert_eq!(f.pending.folded_bytes(), None);
     let start = std::sync::Barrier::new(2);
     let folds: Vec<usize> = std::thread::scope(|s| {
@@ -311,16 +308,16 @@ fn concurrent_first_pushes_fold_once() {
                     let (got, first_pull, pushed) = run(session, f.pending.view(), Algo::Bfs);
                     assert_eq!(&got, want);
                     assert_eq!((first_pull, pushed), (None, true));
-                    Arc::as_ptr(f.overlay().out_side().folded_matrix().unwrap()) as usize
+                    Arc::as_ptr(f.edited().out_side().made_matrix().unwrap()) as usize
                 })
             })
             .collect();
         runs.into_iter().map(|r| r.join().unwrap()).collect()
     });
     assert_eq!(folds[0], folds[1], "two folds");
-    let side = f.overlay().out_side();
-    let matrix = side.folded_matrix().unwrap();
-    assert!(side.folded_mirror().is_none(), "a push folded the mirror");
+    let side = f.edited().out_side();
+    let matrix = side.made_matrix().unwrap();
+    assert!(side.made_mirror().is_none(), "a push folded the mirror");
     assert_eq!(f.pending.folded_bytes(), Some(matrix.bytes()));
     assert!(**matrix == *f.compacted.out_matrix());
 }
@@ -328,16 +325,12 @@ fn concurrent_first_pushes_fold_once() {
 #[test]
 fn compaction_publishes_the_fold_a_snapshot_already_made() {
     let f = fixture();
-    let unfolded = f.overlay().clone();
-    let folded = f.overlay().clone();
-    let mirror = folded
-        .out_side()
-        .fold_mirror(f.base.out_pull_mirror().unwrap(), &Executor::new(2));
-    let matrix = folded
-        .out_side()
-        .fold_matrix(f.base.out_matrix(), &Executor::new(2));
-    let from_scratch = f.base.with_overlay(&unfolded);
-    let reused = f.base.with_overlay(&folded);
+    let unfolded = f.edited().clone();
+    let folded = f.edited().clone();
+    let mirror = folded.out_pull_mirror().unwrap();
+    let matrix = folded.out_matrix();
+    let from_scratch = unfolded.detached();
+    let reused = folded.detached();
     // What the fold writes: the out side's matrix, mirror and degrees.
     for topology in [&reused, &*f.compacted] {
         assert_eq!(topology.out_matrix(), from_scratch.out_matrix());
@@ -348,21 +341,21 @@ fn compaction_publishes_the_fold_a_snapshot_already_made() {
     }
     // Shared, not copied.
     let published = reused.out_pull_mirror().unwrap();
-    assert!(std::ptr::eq(published, &**mirror));
+    assert!(std::ptr::eq(published, mirror));
     assert!(!std::ptr::eq(
         from_scratch.out_pull_mirror().unwrap(),
         published
     ));
-    assert!(std::ptr::eq(reused.out_matrix(), &**matrix));
-    assert!(!std::ptr::eq(from_scratch.out_matrix(), &**matrix));
+    assert!(std::ptr::eq(reused.out_matrix(), matrix));
+    assert!(!std::ptr::eq(from_scratch.out_matrix(), matrix));
     // A compaction of an unfolded snapshot makes its folds and leaves them
     // with the snapshot, for the snapshot's own pulls and pushes.
-    let kept = unfolded.out_side().folded_mirror().unwrap();
+    let kept = unfolded.out_side().made_mirror().unwrap();
     assert!(std::ptr::eq(
         from_scratch.out_pull_mirror().unwrap(),
         &**kept
     ));
-    let kept = unfolded.out_side().folded_matrix().unwrap();
+    let kept = unfolded.out_side().made_matrix().unwrap();
     assert!(std::ptr::eq(from_scratch.out_matrix(), &**kept));
 }
 
@@ -408,7 +401,7 @@ enum InAlgo {
 }
 
 /// The answer's bits, whether the run pulled and whether it pushed.
-fn run_in(session: &Session, view: GraphView<'_, f32>, algo: InAlgo) -> (Vec<u64>, bool, bool) {
+fn run_in(session: &Session, view: &Topology<f32>, algo: InAlgo) -> (Vec<u64>, bool, bool) {
     let (values, stats) = match algo {
         InAlgo::OutDegrees => {
             let o = out_degrees_on(session, view).unwrap();
@@ -439,16 +432,16 @@ fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_r
             let session = session(lanes, backend);
             for algo in [InAlgo::OutDegrees, InAlgo::Spread] {
                 let ctx = format!("{algo:?}, {backend:?}, {lanes} lanes");
-                let (want, ..) = run_in(&session, (&f.compacted).into(), algo);
-                assert_eq!(run_in(&session, (&f.rebuilt).into(), algo).0, want, "{ctx}");
-                // A clone of the store's overlay, unfolded on either side.
-                let pending = f.overlay().clone();
-                let view = GraphView::new(&f.base, Some(&pending));
-                let (got, pulled, pushed) = run_in(&session, view, algo);
+                let (want, ..) = run_in(&session, &f.compacted, algo);
+                assert_eq!(run_in(&session, &f.rebuilt, algo).0, want, "{ctx}");
+                // A clone of the store's snapshot topology, unfolded on either
+                // side.
+                let pending = f.edited().clone();
+                let (got, pulled, pushed) = run_in(&session, &pending, algo);
                 assert_eq!(got, want, "{ctx}");
                 assert_eq!(pulled, backend != Some(Backend::Push), "{ctx}");
-                let in_fold = pending.in_side().unwrap().folded_mirror();
-                let out_fold = pending.out_side().folded_mirror();
+                let in_fold = pending.in_side().unwrap().made_mirror();
+                let out_fold = pending.out_side().made_mirror();
                 // A pull folds the in side; only a `Both` pull the out side
                 // too. A push folds neither.
                 assert_eq!(in_fold.is_some(), pulled, "{ctx}");
@@ -456,8 +449,8 @@ fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_r
                 assert_eq!(out_fold.is_some(), pulled && both, "{ctx}");
                 // And pushes fold the push matrices alike: the in side's is
                 // what the compacted base's `G` stores.
-                let in_push = pending.in_side().unwrap().folded_matrix();
-                let out_push = pending.out_side().folded_matrix();
+                let in_push = pending.in_side().unwrap().made_matrix();
+                let out_push = pending.out_side().made_matrix();
                 assert_eq!(in_push.is_some(), pushed, "{ctx}");
                 assert_eq!(out_push.is_some(), pushed && both, "{ctx}");
                 if let Some(in_push) = in_push {
@@ -473,8 +466,8 @@ fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_r
                     assert!(**in_fold == *derived, "{ctx}: the compacted base's G");
                     // The second run reads the same fold.
                     let first = Arc::as_ptr(in_fold);
-                    assert_eq!(run_in(&session, view, algo).0, want, "{ctx}");
-                    let again = pending.in_side().unwrap().folded_mirror().unwrap();
+                    assert_eq!(run_in(&session, &pending, algo).0, want, "{ctx}");
+                    let again = pending.in_side().unwrap().made_mirror().unwrap();
                     assert_eq!(Arc::as_ptr(again), first, "{ctx}");
                 }
             }
@@ -486,11 +479,11 @@ fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_r
 fn concurrent_first_in_pulls_fold_once_and_the_snapshot_counts_both_folds() {
     let f = fixture();
     let session = session(2, Some(Backend::Pull));
-    let (want, ..) = run_in(&session, (&f.compacted).into(), InAlgo::OutDegrees);
+    let (want, ..) = run_in(&session, &f.compacted, InAlgo::OutDegrees);
     // An `Out` pull first: the snapshot holds the out fold alone.
     run(&session, f.pending.view(), Algo::PageRank);
     let out_only = f.pending.folded_bytes().unwrap();
-    let out_fold = f.overlay().out_side().folded_mirror().unwrap();
+    let out_fold = f.edited().out_side().made_mirror().unwrap();
     assert_eq!(out_only, out_fold.bytes());
     let start = std::sync::Barrier::new(2);
     let folds: Vec<usize> = std::thread::scope(|s| {
@@ -502,15 +495,15 @@ fn concurrent_first_in_pulls_fold_once_and_the_snapshot_counts_both_folds() {
                     let (got, pulled, _) = run_in(session, f.pending.view(), InAlgo::OutDegrees);
                     assert_eq!(&got, want);
                     assert!(pulled);
-                    let side = f.overlay().in_side().unwrap();
-                    Arc::as_ptr(side.folded_mirror().unwrap()) as usize
+                    let side = f.edited().in_side().unwrap();
+                    Arc::as_ptr(side.made_mirror().unwrap()) as usize
                 })
             })
             .collect();
         runs.into_iter().map(|r| r.join().unwrap()).collect()
     });
     assert_eq!(folds[0], folds[1], "two in folds");
-    let in_fold = f.overlay().in_side().unwrap().folded_mirror().unwrap();
+    let in_fold = f.edited().in_side().unwrap().made_mirror().unwrap();
     let both = f.pending.folded_bytes().unwrap();
     assert!(
         both > out_only,
@@ -530,7 +523,7 @@ fn traced<T>(o: AlgorithmOutput<T>, bits: impl Fn(&T) -> u64) -> Traced {
 }
 
 /// PageRank, in-degrees (`Out`), out-degrees (`In`) and BFS.
-fn covered_runs(session: &Session, view: GraphView<'_, f32>) -> [Traced; 4] {
+fn covered_runs(session: &Session, view: &Topology<f32>) -> [Traced; 4] {
     let cfg = PageRankConfig {
         iterations: 6,
         ..Default::default()
@@ -612,12 +605,12 @@ fn covered_pulls_over_snapshots_answer_like_forced_push_and_a_rebuild() {
     for lanes in [1, 2] {
         let (auto, push) = (session(lanes, None), session(lanes, Some(Backend::Push)));
         for (label, rebuilt, snapshot) in &views {
-            let view = snapshot.as_ref().map_or((&base).into(), |s| s.view());
+            let view = snapshot.as_ref().map_or(&*base, |s| s.view());
             let edges = view.num_edges() as u64;
             let ctx = format!("{label}, {lanes} lanes");
             let got = covered_runs(&auto, view);
             let pushed = covered_runs(&push, view);
-            let want = covered_runs(&auto, rebuilt.into());
+            let want = covered_runs(&auto, rebuilt);
             for (algo, ((got, pushed), want)) in got.iter().zip(&pushed).zip(&want).enumerate() {
                 assert_eq!(got.0, pushed.0, "{ctx}, run {algo} against forced push");
                 assert_eq!(got.0, want.0, "{ctx}, run {algo} against the rebuild");
@@ -639,4 +632,44 @@ fn covered_pulls_over_snapshots_answer_like_forced_push_and_a_rebuild() {
             assert!(pulls.iter().all(|s| s.1 < edges), "{ctx}: BFS {pulls:?}");
         }
     }
+}
+
+/// Snapshots do not chain: every write publishes the published base with
+/// the whole pending set, never the previous snapshot with one more batch.
+/// So every snapshot's base is the version-0 base, and a snapshot nobody
+/// holds any more is freed with the folds its reads made.
+#[test]
+fn snapshots_do_not_chain_and_a_dropped_snapshot_frees_its_folds() {
+    let el = graph();
+    let n = el.num_vertices();
+    let session = session(2, None);
+    let base = session.build_graph(&el).finish().unwrap();
+    let options = StoreOptions {
+        compaction_threshold: usize::MAX,
+        background: false,
+        ..StoreOptions::default()
+    };
+    let store = GraphStore::new(Arc::clone(&base), options);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut fold = None;
+    for write in 0..64 {
+        let mut batch = DeltaBatch::new(n);
+        let (s, d) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        batch.insert(s, d, 1.0 + write as f32).unwrap();
+        let snapshot = store.apply(batch).unwrap();
+        assert!(snapshot.overlay().is_some(), "write {write}");
+        assert!(Arc::ptr_eq(snapshot.base(), &base), "write {write}");
+        if write == 8 {
+            let (_, first_pull, _) = run(&session, snapshot.view(), Algo::PageRank);
+            assert_eq!(first_pull, Some(0));
+            let mirror = snapshot.view().out_side().made_mirror().unwrap();
+            fold = Some(Arc::downgrade(mirror));
+        }
+    }
+    assert!(Arc::ptr_eq(store.snapshot().base(), &base));
+    let fold = fold.unwrap();
+    assert!(
+        fold.upgrade().is_none(),
+        "a dropped snapshot's fold is alive"
+    );
 }

@@ -260,10 +260,10 @@ fn first_in_edge_runs_race_to_one_derived_orientation() {
 }
 
 /// The same race one level up: a snapshot's pending edits compile their
-/// out side at `apply` and their in side on first use. Eight threads released
-/// together on one edited snapshot, half through the `In` driver and half
-/// through a `Both` program: every answer equals the rebuild's, and all of
-/// them read one in-side overlay.
+/// out side at `apply`, and its topology transposes them into its in side on
+/// first use. Eight threads released together on one edited snapshot, half
+/// through the `In` driver and half through a `Both` program: every answer
+/// equals the rebuild's, and all of them read one in-side overlay.
 #[test]
 fn first_in_edge_runs_over_pending_edits_race_to_one_derived_overlay() {
     const SEED: u64 = 0xED17;
@@ -292,7 +292,7 @@ fn first_in_edge_runs_over_pending_edits_race_to_one_derived_overlay() {
             _ => batch.insert(src, (dst + 7) % n, ()).unwrap(),
         }
     }
-    let touches = |graph: GraphView<'_, ()>| {
+    let touches = |graph: &Topology<()>| {
         session
             .run(graph, Touches)
             .init_all(0)
@@ -310,11 +310,12 @@ fn first_in_edge_runs_over_pending_edits_race_to_one_derived_overlay() {
     let rebuilt = compacted.snapshot();
     assert!(rebuilt.overlay().is_none());
     let out = out_degrees_on(&session, rebuilt.base()).unwrap().values;
-    let both = touches(rebuilt.base().into());
+    let both = touches(rebuilt.base());
 
     let pending = manual_store().apply(batch).unwrap();
-    let overlay = pending.overlay().expect("pending edits");
-    let out_side_bytes = overlay.bytes();
+    assert!(pending.overlay().is_some(), "pending edits");
+    let edited = pending.view();
+    assert!(edited.in_side().is_none(), "an in side before any In run");
 
     let start = std::sync::Barrier::new(8);
     let seen: Vec<usize> = std::thread::scope(|s| {
@@ -331,13 +332,15 @@ fn first_in_edge_runs_over_pending_edits_race_to_one_derived_overlay() {
                         let got = touches(pending.view());
                         assert_eq!(&got, both, "seed {SEED:#x}, thread {i}, Both");
                     }
-                    overlay.in_overlay().expect("the store passes in ranges") as *const _ as usize
+                    let side = edited.in_side().expect("an In run made the in side");
+                    side.edits().expect("an edited in side") as *const _ as usize
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let now = overlay.in_overlay().unwrap() as *const _ as usize;
+    let in_edits = edited.in_side().unwrap().edits().unwrap();
+    let now = in_edits as *const _ as usize;
     assert!(seen.iter().all(|&p| p == now), "seed {SEED:#x}: {seen:?}");
-    assert!(overlay.bytes() > out_side_bytes);
+    assert!(in_edits.bytes() > 0);
 }

@@ -30,7 +30,7 @@ use graphmat_algorithms::sssp::sssp_into;
 use graphmat_algorithms::triangle_count::{total_triangles, triangle_count_on};
 use graphmat_audit::alloc_track::{AllocGuard, CountingAllocator};
 use graphmat_core::program::{GraphProgram, VertexId};
-use graphmat_core::view::GraphView;
+use graphmat_core::Topology;
 use graphmat_core::{
     ActivityPolicy, Backend, GraphStore, RunOptions, Session, SessionOptions, StoreOptions,
     VertexState,
@@ -228,7 +228,8 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     // out mirror, once each, and every push or pull reads its fold. So each
     // first read allocates its fold, and nothing after it does. PageRank
     // over base ⊕ overlay: every superstep is all-active, so every superstep
-    // pulls, and an `Out` program never makes the overlay derive its in side.
+    // pulls, and an `Out` program never makes the snapshot's topology derive
+    // its in side.
     let store = GraphStore::new(
         topo.clone(),
         StoreOptions {
@@ -256,14 +257,14 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     let Some(overlay) = pending.overlay() else {
         panic!("the batch left no pending edits");
     };
-    let out_side_bytes = overlay.bytes();
+    let edited = pending.view();
 
     // Pushed only: with the state's workspace warmed over the base, the first
     // push folds the matrix — the one allocation, about the base matrix's
     // size — and leaves the mirror unfolded; a warmed push then reads the
     // fold without touching the heap.
     let mut pushed: VertexState<f64> = VertexState::for_topology(&topo);
-    let push = |state: &mut VertexState<f64>, view: GraphView<'_, f32>| match session
+    let push = |state: &mut VertexState<f64>, view: &Topology<f32>| match session
         .run(view, Rank)
         .init_all(1.0)
         .activate_all()
@@ -275,7 +276,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Ok(r) => assert_eq!((r.stats.iterations, r.stats.pull_supersteps), (10, 0)),
         Err(e) => panic!("push over edits: {e}"),
     };
-    push(&mut pushed, GraphView::from(&topo));
+    push(&mut pushed, &topo);
     let ((), stats) = AllocGuard::measure(|| push(&mut pushed, pending.view()));
     let Some(push_fold_bytes) = pending.folded_bytes() else {
         panic!("ten pushes did not fold");
@@ -297,7 +298,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         "a warmed push over pending edits must not touch the heap, got {stats:?}"
     );
     assert!(
-        overlay.out_side().folded_mirror().is_none(),
+        edited.out_side().made_mirror().is_none(),
         "a push folded the mirror"
     );
 
@@ -346,10 +347,9 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         !stats.any(),
         "a pagerank_into over a folded snapshot must not touch the heap, got {stats:?}"
     );
-    assert_eq!(
-        overlay.bytes(),
-        out_side_bytes,
-        "an Out run compiled the overlay's in side"
+    assert!(
+        edited.in_side().is_none(),
+        "an Out run derived the snapshot's in side"
     );
 
     // The `In` leg over the same snapshot: a warmed out-degree run (`G` and
@@ -370,7 +370,10 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Some(m) => m,
         None => panic!("the base has no in-side pull mirror"),
     };
-    let in_side_bytes = (overlay.bytes() - out_side_bytes) as u64;
+    let in_side_bytes = match edited.in_side().and_then(|side| side.edits()) {
+        Some(in_edits) => in_edits.bytes() as u64,
+        None => panic!("an In run derived no in side"),
+    };
     let in_fold_bytes = match pending.folded_bytes() {
         Some(all) => (all - push_fold_bytes - folded_bytes) as u64,
         None => panic!("the out fold is gone"),

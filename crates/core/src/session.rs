@@ -9,7 +9,8 @@
 //!   [`Session::new`] and reused by every run (spinning between the
 //!   supersteps of a run, parked when idle); concurrent runs share the pool
 //!   safely (one parallel region owns it at a time and a run that finds it
-//!   busy helps that region; small phases run inline on the calling thread);
+//!   busy runs its own region inline; small phases run inline on the
+//!   calling thread);
 //! * [`Session::build_graph`] is a fluent builder producing an
 //!   `Arc<Topology<E>>` — the immutable, `Sync` half that any number of
 //!   runs can share without cloning;

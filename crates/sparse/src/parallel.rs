@@ -37,34 +37,33 @@
 //! the current region (the caller holding the pool's `caller` lock). The
 //! owner stores a lifetime-erased pointer to its closure in the job slot,
 //! publishes `state = s` (open, new epoch), wakes workers only if some are
-//! parked, and runs the closure itself. Every other lane — a pool worker
-//! that saw `s`, or a contending caller (below) — goes through one `join`:
-//! `active += 1`; run the job **only if `state` still equals `s`**;
-//! `active -= 1`. When the owner's own lane is done it **closes** the state
-//! and then **drains**: it waits (spin, then park) for `active == 0`, clears
-//! the slot, and re-raises the first panic any lane caught. A lane that
-//! re-checks `state` after registering in `active` either sees the region
-//! closed and never touches the closure, or is counted and therefore waited
-//! for — so a worker that never showed up (still asleep, or descheduled)
-//! costs the region nothing, and the closure outlives every lane that can
-//! reach it, which is what makes the erasure sound. Panics in any lane are
-//! caught, the remaining lanes drain normally, and the first payload is
-//! re-raised on the owner — the pool itself survives and stays usable.
+//! parked, and runs the closure itself. Every pool worker that saw `s` goes
+//! through one `join`: `active += 1`; run the job **only if `state` still
+//! equals `s`**; `active -= 1`. When the owner's own lane is done it
+//! **closes** the state and then **drains**: it waits (spin, then park) for
+//! `active == 0`, clears the slot, and re-raises the first panic any lane
+//! caught. A worker that re-checks `state` after registering in `active`
+//! either sees the region closed and never touches the closure, or is
+//! counted and therefore waited for — so a worker that never showed up
+//! (still asleep, or descheduled) costs the region nothing, and the closure
+//! outlives every worker that can reach it, which is what makes the erasure
+//! sound. Panics in any lane are caught, the remaining lanes drain normally,
+//! and the first payload is re-raised on the owner — the pool itself
+//! survives and stays usable.
 //!
 //! Both parks are a `SeqCst` store-then-load pair re-checked under the park
 //! mutex (worker: `sleepers += 1` then read `state`, against the owner's
 //! write `state` then read `sleepers`; owner: `owner_parked = true` then read
-//! `active`, against a lane's `active -= 1` then read `owner_parked`), so one
-//! side always sees the other: no lost wakeup.
+//! `active`, against a worker's `active -= 1` then read `owner_parked`), so
+//! one side always sees the other: no lost wakeup.
 //!
-//! One region owns the pool at a time; **contenders help it**. A caller that
-//! finds the `caller` lock taken (two requests of one server sharing a
-//! `Session`) does not sleep on it: it joins the open region as one more
-//! lane, yields, and retries — the cores work through the regions in order
-//! instead of convoying through futex sleeps. Do **not** call back into the
-//! same executor from inside a task closure — the inner call would wait for a
-//! region that is waiting for it. Nested parallelism is not something
-//! GraphMat's flat partition-parallel loops need.
+//! One region owns the pool at a time; **a contender runs its region
+//! inline**. A caller that finds the `caller` lock taken (two requests of one
+//! server sharing a `Session`) neither sleeps on it nor joins the open
+//! region: it runs its own region on its own thread, as a 1-lane executor
+//! would. A lone caller is never contended and keeps every lane. A task that
+//! calls back into its own executor is a contender too: its inner region
+//! runs inline on that task's lane.
 //!
 //! [`chunks`] is the shared range-splitting helper; it yields only non-empty
 //! ranges. [`phase_chunks`] sits on top of it for the vertex phases of
@@ -284,8 +283,8 @@ const SHUTDOWN: u64 = u64::MAX;
 /// The closure of a parallel region, as its lanes call it.
 type Job<'a> = &'a (dyn Fn() + Sync);
 
-/// The handshake between the owner of a region, the pool's workers and the
-/// callers that found the pool busy (module docs: join, close, drain).
+/// The handshake between the owner of a region and the pool's workers
+/// (module docs: join, close, drain).
 struct Shared {
     /// `epoch << 1 | open`, or [`SHUTDOWN`]. Written only by the thread
     /// holding `Pool::caller`, and by `Pool::drop`.
@@ -293,13 +292,13 @@ struct Shared {
     /// The open region's closure, lifetime-erased: a pointer to the owner's
     /// own reference to it (on the owner's stack), null between regions.
     job: AtomicPtr<Job<'static>>,
-    /// Lanes between the `+= 1` and the `-= 1` of [`join`].
+    /// Workers between the `+= 1` and the `-= 1` of [`join`].
     active: AtomicUsize,
     /// Workers parked on `work`, or committed to (see [`worker_loop`]).
     sleepers: AtomicUsize,
     /// Set while the owner is parked on `done` waiting for `active == 0`.
     owner_parked: AtomicBool,
-    /// First panic payload caught in a joined lane of the current region.
+    /// First panic payload caught by a worker in the current region.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Where workers sleep once their spin runs out.
     park: Mutex<()>,
@@ -312,7 +311,7 @@ struct Shared {
 struct Pool {
     shared: Arc<Shared>,
     /// Held by the owner of the current region. Contenders `try_lock` it and
-    /// help the open region instead of sleeping here.
+    /// run their region inline instead of sleeping here.
     caller: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -378,27 +377,26 @@ fn wake_workers(shared: &Shared) {
 }
 
 /// Run the job of region `s` as one more lane, unless the region has been
-/// closed by the time this lane is registered in `active`. Pool workers and
-/// contending callers both come through here.
+/// closed by the time this lane is registered in `active`. Only pool workers
+/// come through here.
 fn join(shared: &Shared, s: u64) {
     shared.active.fetch_add(1, Ordering::SeqCst);
     if shared.state.load(Ordering::SeqCst) == s {
-        // SAFETY: `state == s` was read after this lane registered in
+        // SAFETY: `state == s` was read after this worker registered in
         // `active`. The read synchronizes with the owner's store of `s`,
         // which follows its store of the slot, so the slot points at region
         // `s`'s closure, through a reference on the owner's stack; and the
         // owner's close of `s` comes after that read in the `SeqCst` order,
-        // so its drain sees this lane's registration and does not return —
+        // so its drain sees this worker's registration and does not return —
         // ending that stack frame and the closure's borrow — until the
         // `active -= 1` below.
         let job: Job<'_> = unsafe { *shared.job.load(Ordering::Relaxed) };
         // RECOVERY: the task closure may panic with its output buffers
         // half-written, but those buffers belong to the region's owner,
         // which sees the re-raised payload and unwinds too — nothing
-        // half-written is ever observed. Catching here keeps the lane (a
-        // pool worker, or a caller with a region of its own still to run)
-        // alive and the `active` count the owner drains on exact: the first
-        // payload is stashed for the owner, the pool stays usable.
+        // half-written is ever observed. Catching here keeps the pool
+        // worker alive and the `active` count the owner drains on exact:
+        // the first payload is stashed for the owner, the pool stays usable.
         if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
             lock(&shared.panic).get_or_insert(payload);
         }
@@ -520,9 +518,10 @@ impl Executor {
             .map_or(0, |p| p.shared.sleepers.load(Ordering::SeqCst))
     }
 
-    /// Run `job` on this thread and on every lane that joins while it does,
-    /// and return once all of them have left it. Panics from any lane are
-    /// re-raised here after every lane has stopped touching `job`.
+    /// Run `job` on this thread and on every pool worker that joins while it
+    /// does, and return once all of them have left it. Panics from any lane
+    /// are re-raised here after every lane has stopped touching `job`. While
+    /// another caller owns the pool, `job` runs inline on this thread alone.
     fn broadcast(&self, job: Job<'_>) {
         let pool = self
             .pool
@@ -532,33 +531,23 @@ impl Executor {
             // the broadcast path.
             .expect("broadcast requires a pooled executor");
         let shared = &*pool.shared;
-        // Become the owner — or, while another caller is, be one more lane
-        // of its region (each region once) rather than sleep on the lock.
-        let mut helped = 0u64;
-        let owner = loop {
-            match pool.caller.try_lock() {
-                Ok(guard) => break guard,
-                Err(TryLockError::Poisoned(poisoned)) => break poisoned.into_inner(),
-                Err(TryLockError::WouldBlock) => {
-                    let s = shared.state.load(Ordering::SeqCst);
-                    if s & 1 == 1 && s != helped {
-                        helped = s;
-                        join(shared, s);
-                    }
-                    std::thread::yield_now();
-                }
-            }
+        let owner = match pool.caller.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            // The pool is busy: run as a 1-lane executor would. The job's
+            // shared task counter hands every task to this thread.
+            Err(TryLockError::WouldBlock) => return job(),
         };
         // Only the owner writes `state`, so this read is of its own (or the
         // previous owner's, ordered by the lock) last store: closed.
         let open = ((shared.state.load(Ordering::Relaxed) >> 1) + 1) << 1 | 1;
         // The lifetime erasure, owner's side of the argument at `join`'s
-        // `SAFETY`: every lane that can dereference the slot is counted in
+        // `SAFETY`: every worker that can dereference the slot is counted in
         // `active` before the close below, and this function does not return
         // before the drain has read that count as zero — so `job` (this
         // frame's reference, and the closure it borrows) outlives them all.
-        // A lane that registered is always waited for; one that never showed
-        // up, never.
+        // A worker that registered is always waited for; one that never
+        // showed up, never.
         shared.job.store(
             (&job as *const Job<'_>).cast_mut().cast::<Job<'static>>(),
             Ordering::Relaxed,
@@ -601,8 +590,9 @@ impl Executor {
 
     /// Run `f(task)` for every task index in `0..ntasks`, dynamically
     /// scheduled across the executor's lanes: a shared counter hands out
-    /// indices until the queue is exhausted. With one lane (or one task)
-    /// everything runs inline on the caller's thread. Allocates nothing — it
+    /// indices until the queue is exhausted. With one lane, one task, or
+    /// while another caller owns the pool, everything runs inline on the
+    /// caller's thread. Allocates nothing — it
     /// is the scheduling primitive of the allocation-free superstep hot path.
     pub fn for_each_dynamic<F>(&self, ntasks: usize, f: F)
     where
@@ -764,6 +754,28 @@ mod tests {
         assert!(caught.is_err());
         // The pool is still alive and schedules correctly afterwards.
         assert_eq!(hits(&ex, 10), vec![1; 10]);
+    }
+
+    /// A task that dispatches on its own executor finds the pool owned (by
+    /// its own region's owner) and runs the inner region inline on its lane.
+    #[test]
+    fn a_task_that_dispatches_on_its_own_executor_runs_the_inner_region_inline() {
+        for lanes in [2, 3, 8] {
+            let ex = Executor::new(lanes);
+            let outer = 4 * lanes;
+            let inner: Vec<AtomicU64> = (0..outer * 5).map(|_| AtomicU64::new(0)).collect();
+            ex.for_each_dynamic(outer, |o| {
+                let lane = std::thread::current().id();
+                ex.for_each_dynamic(5, |i| {
+                    assert_eq!(std::thread::current().id(), lane, "{lanes} lanes");
+                    inner[o * 5 + i].fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            let inner: Vec<u64> = inner.into_iter().map(AtomicU64::into_inner).collect();
+            assert_eq!(inner, vec![1; outer * 5], "{lanes} lanes");
+            // The pool is untouched by the nesting.
+            assert_eq!(hits(&ex, 64), vec![1; 64], "{lanes} lanes");
+        }
     }
 
     /// Yield until every worker of `ex` has run out its spin and parked.

@@ -2,19 +2,21 @@
 //! the thread count — and to another caller sharing the pool — for every
 //! scatter direction and SpMV backend, on a skewed RMAT graph large enough to
 //! trigger the parallel SEND and APPLY paths (well past
-//! `PARALLEL_PHASE_MIN_WORK` active vertices). Below
-//! that, the executor's handshake itself: callers contending for one pool
-//! each get every task of every region run exactly once, and a panic in a
-//! task that a *helping* caller ran belongs to the region's owner.
+//! `PARALLEL_PHASE_MIN_WORK` active vertices); a run whose every region finds
+//! the pool busy runs inline and answers like a 1-lane session. Below that,
+//! the executor's handshake itself: callers contending for one pool each get
+//! every task of every region run exactly once, and a caller that finds the
+//! pool busy runs its region on its own thread and keeps its own panic.
 
+use graphmat_algorithms::pagerank::{pagerank_on, PageRankConfig, PageRankProgram, PageRankVertex};
 use graphmat_core::program::{EdgeDirection, GraphProgram, VertexId};
 use graphmat_core::{ActivityPolicy, Backend, Session, Topology};
 use graphmat_io::rmat::{self, RmatConfig};
 use graphmat_io::rng::StdRng;
 use graphmat_sparse::parallel::{DisjointSlice, Executor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::thread::ThreadId;
 
 /// A direction-configurable program over integer state. `reduce` is
 /// commutative and associative in `u64` (wrapping add), so any schedule must
@@ -55,14 +57,12 @@ impl GraphProgram for Mixer {
     }
 }
 
-fn run(
-    session: &Session,
-    topo: &Arc<Topology<f32>>,
-    direction: EdgeDirection,
-    backend: Option<Backend>,
-) -> Vec<u64> {
+fn run<P>(session: &Session, topo: &Topology<f32>, program: P, backend: Option<Backend>) -> Vec<u64>
+where
+    P: GraphProgram<VertexProp = u64, Edge = f32>,
+{
     let outcome = session
-        .run(topo, Mixer { direction })
+        .run(topo, program)
         .init_with(&|v| v as u64 + 1)
         .activate_all()
         .backend(backend)
@@ -90,24 +90,30 @@ fn thread_count_invariance_across_directions_and_backends() {
     let pools: Vec<_> = [1, 2, 4, 7].into_iter().map(built).collect();
     let (one_lane, one_lane_topo) = &pools[0];
     for direction in [EdgeDirection::Out, EdgeDirection::In, EdgeDirection::Both] {
-        let sequential = run(one_lane, one_lane_topo, direction, Some(Backend::Push));
+        let sequential = run(
+            one_lane,
+            one_lane_topo,
+            Mixer { direction },
+            Some(Backend::Push),
+        );
         for backend in [Some(Backend::Push), Some(Backend::Pull), None] {
             for (session, topo) in &pools {
                 let threads = session.nthreads();
                 assert_eq!(
                     sequential,
-                    run(session, topo, direction, backend),
+                    run(session, topo, Mixer { direction }, backend),
                     "results diverged for {direction:?}/{backend:?} at {threads} threads"
                 );
-                // The same run from two callers sharing the session: each
-                // finds the pool busy with the other's regions and helps.
+                // The same run from two callers sharing the session: a
+                // region that finds the pool busy with the other caller's
+                // runs inline on its own caller.
                 std::thread::scope(|scope| {
                     for caller in 0..2 {
                         let sequential = &sequential;
                         scope.spawn(move || {
                             assert_eq!(
                                 *sequential,
-                                run(session, topo, direction, backend),
+                                run(session, topo, Mixer { direction }, backend),
                                 "results diverged for {direction:?}/{backend:?} at \
                                  {threads} threads, caller {caller} of 2 sharing the session"
                             );
@@ -181,66 +187,99 @@ fn contending_callers_each_get_every_task_of_every_region_exactly_once() {
     }
 }
 
+/// Sets its flag when dropped, so a thread that fails an assertion still
+/// releases the region the other thread is holding open for it.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 #[test]
-fn a_panic_in_a_task_a_helper_ran_is_raised_on_the_owner_of_the_region() {
+fn a_contending_caller_runs_its_region_inline_and_keeps_its_own_panic() {
     for lanes in [2, 3, 8] {
         let ex = Executor::new(lanes);
-        let (region_open, helper_hit) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (region_open, contender_done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let owner_tasks = 4 * lanes;
+        let mut owner_slots = vec![0u32; owner_tasks];
         std::thread::scope(|scope| {
-            let (ex, region_open, helper_hit) = (&ex, &region_open, &helper_hit);
-            let helper = scope.spawn(move || {
-                // Arrive while the owner's region is open and cannot finish:
-                // the pool is busy, so this call first helps that region.
+            let (ex, region_open, contender_done) = (&ex, &region_open, &contender_done);
+            let contender = scope.spawn(move || {
+                let _done = SetOnDrop(contender_done);
+                // Arrive while the owner's region is open and cannot finish.
                 while !region_open.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
+                let me = std::thread::current().id();
+                // 1 per task run on this thread, 100 per task run elsewhere.
                 let mut slots = [0u32; 8];
                 let own = {
-                    let out = DisjointSlice::new(&mut slots, "helper slots");
+                    let out = DisjointSlice::new(&mut slots, "contender slots");
                     catch_unwind(AssertUnwindSafe(|| {
                         ex.for_each_dynamic(8, |task| {
                             // SAFETY: each task carves only its own slot.
                             let slot = unsafe { out.range(task, task + 1) };
-                            slot[0] += 1;
+                            slot[0] += if std::thread::current().id() == me {
+                                1
+                            } else {
+                                100
+                            };
+                            // One lane takes the tasks in order, so the
+                            // panic comes after every task has run.
+                            if task == 7 {
+                                panic!("boom on the contender's lane");
+                            }
                         });
                     }))
                 };
-                (own.is_ok(), slots)
+                (own, slots)
             });
-            let helper_id = helper.thread().id();
-            // More tasks than lanes: whoever joins finds one to take.
-            let owned = catch_unwind(AssertUnwindSafe(|| {
-                ex.for_each_dynamic(4 * lanes, |_| {
-                    if std::thread::current().id() == helper_id {
-                        helper_hit.store(true, Ordering::SeqCst);
-                        panic!("boom on the helper's lane");
-                    }
-                    // Every pool lane holds its task (and the region open)
-                    // until the helper has taken one.
-                    region_open.store(true, Ordering::SeqCst);
-                    while !helper_hit.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                });
-            }));
-            let payload = owned.expect_err(&format!(
-                "{lanes} lanes: the helper's panic must be re-raised on the owner"
+            let contender_id = contender.thread().id();
+            let owned = {
+                let out = DisjointSlice::new(&mut owner_slots, "owner slots");
+                catch_unwind(AssertUnwindSafe(|| {
+                    // More tasks than lanes: every lane holds one, and the
+                    // region open, until the contender's region is over.
+                    ex.for_each_dynamic(owner_tasks, |task| {
+                        // SAFETY: each task carves only its own slot.
+                        let slot = unsafe { out.range(task, task + 1) };
+                        slot[0] += if std::thread::current().id() == contender_id {
+                            100
+                        } else {
+                            1
+                        };
+                        region_open.store(true, Ordering::SeqCst);
+                        while !contender_done.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    });
+                }))
+            };
+            let (own, contender_slots) = contender.join().unwrap();
+            let payload = own.expect_err(&format!(
+                "{lanes} lanes: the contender's panic must reach the contender"
             ));
             assert_eq!(
                 payload.downcast_ref::<&str>().copied(),
-                Some("boom on the helper's lane"),
+                Some("boom on the contender's lane"),
                 "{lanes} lanes"
             );
-            let (helper_ok, helper_slots) = helper.join().unwrap();
-            assert!(
-                helper_ok,
-                "{lanes} lanes: the payload must not surface on the helper"
-            );
             assert_eq!(
-                helper_slots, [1; 8],
-                "{lanes} lanes: the helper's own region"
+                contender_slots, [1; 8],
+                "{lanes} lanes: every task of the contender's region, once, on its own thread"
+            );
+            assert!(
+                owned.is_ok(),
+                "{lanes} lanes: the contender's panic must not surface on the owner"
             );
         });
+        assert_eq!(
+            owner_slots,
+            vec![1; owner_tasks],
+            "{lanes} lanes: every task of the owner's region, once, off the contender's thread"
+        );
         // The pool survives.
         assert_eq!(
             seeded_regions(&ex, 9, 50, "after the panic"),
@@ -248,4 +287,161 @@ fn a_panic_in_a_task_a_helper_ran_is_raised_on_the_owner_of_the_region() {
             "{lanes} lanes"
         );
     }
+}
+
+/// `P`, counting each SEND, PROCESS, REDUCE and APPLY callback that runs off
+/// `thread`: a run whose every region found the pool busy runs all of them
+/// on its own thread.
+struct OnThread<'a, P> {
+    inner: P,
+    thread: ThreadId,
+    strays: &'a AtomicUsize,
+}
+
+impl<P> OnThread<'_, P> {
+    fn check(&self) {
+        if std::thread::current().id() != self.thread {
+            self.strays.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<P: GraphProgram> GraphProgram for OnThread<'_, P> {
+    type VertexProp = P::VertexProp;
+    type Message = P::Message;
+    type Reduced = P::Reduced;
+    type Edge = P::Edge;
+
+    fn direction(&self) -> EdgeDirection {
+        self.inner.direction()
+    }
+
+    fn send_message(&self, v: VertexId, prop: &P::VertexProp) -> Option<P::Message> {
+        self.check();
+        self.inner.send_message(v, prop)
+    }
+
+    fn process_message(
+        &self,
+        msg: &P::Message,
+        edge: &P::Edge,
+        dst_prop: &P::VertexProp,
+    ) -> P::Reduced {
+        self.check();
+        self.inner.process_message(msg, edge, dst_prop)
+    }
+
+    fn reduce(&self, acc: &mut P::Reduced, value: P::Reduced) {
+        self.check();
+        self.inner.reduce(acc, value);
+    }
+
+    fn apply(&self, reduced: &P::Reduced, prop: &mut P::VertexProp) {
+        self.check();
+        self.inner.apply(reduced, prop);
+    }
+}
+
+/// The deterministic form of the two-callers loop above: one caller holds a
+/// region open on a 2-lane session for as long as the other runs, so every
+/// region of the other's runs finds the pool busy. Those runs must run
+/// inline and answer like a 1-lane session, bit for bit.
+#[test]
+fn runs_that_find_the_pool_busy_run_inline_and_answer_like_one_lane() {
+    let el = rmat::generate(&RmatConfig::graph500(12).with_seed(42));
+    let built = |threads: usize| {
+        let session = Session::with_threads(threads).unwrap();
+        let topo = session.build_graph(&el).partitions(16).finish().unwrap();
+        (session, topo)
+    };
+    let ((one_lane, one_lane_topo), (session, topo)) = (built(1), built(2));
+    let cases: Vec<(EdgeDirection, Option<Backend>)> =
+        [EdgeDirection::Out, EdgeDirection::In, EdgeDirection::Both]
+            .into_iter()
+            .flat_map(|d| [Some(Backend::Push), Some(Backend::Pull), None].map(|b| (d, b)))
+            .collect();
+    let expected: Vec<Vec<u64>> = cases
+        .iter()
+        .map(|&(direction, backend)| run(&one_lane, &one_lane_topo, Mixer { direction }, backend))
+        .collect();
+    let pr = PageRankConfig {
+        iterations: 10,
+        ..Default::default()
+    };
+    let expected_ranks: Vec<u64> = pagerank_on(&one_lane, &one_lane_topo, &pr)
+        .unwrap()
+        .values
+        .iter()
+        .map(|rank| rank.to_bits())
+        .collect();
+
+    let (region_open, runs_done) = (AtomicBool::new(false), AtomicBool::new(false));
+    let strays = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let runner = scope.spawn(|| {
+            let _done = SetOnDrop(&runs_done);
+            while !region_open.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let thread = std::thread::current().id();
+            let on_thread = |inner| OnThread {
+                inner,
+                thread,
+                strays: &strays,
+            };
+            let mixed: Vec<Vec<u64>> = cases
+                .iter()
+                .map(|&(direction, backend)| {
+                    run(&session, &topo, on_thread(Mixer { direction }), backend)
+                })
+                .collect();
+            let degrees = topo.out_degrees();
+            let ranks: Vec<u64> = session
+                .run(
+                    &topo,
+                    OnThread {
+                        inner: PageRankProgram::<f32>::new(pr.random_surf),
+                        thread,
+                        strays: &strays,
+                    },
+                )
+                .init_with(&|v| PageRankVertex {
+                    rank: 1.0,
+                    degree: degrees[v as usize],
+                })
+                .activate_all()
+                .activity(ActivityPolicy::AlwaysAll)
+                .max_iterations(pr.iterations)
+                .execute()
+                .unwrap()
+                .values
+                .iter()
+                .map(|p| p.rank.to_bits())
+                .collect();
+            (mixed, ranks)
+        });
+        // Every lane holds one task, and the region open, until the runs
+        // are over.
+        session
+            .executor()
+            .for_each_dynamic(2 * session.nthreads(), |_| {
+                region_open.store(true, Ordering::SeqCst);
+                while !runs_done.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            });
+        let (mixed, ranks) = runner.join().unwrap();
+        for ((direction, backend), (got, want)) in cases.iter().zip(mixed.iter().zip(&expected)) {
+            assert_eq!(
+                got, want,
+                "{direction:?}/{backend:?}: a run inline beside a busy pool diverged from 1 lane"
+            );
+        }
+        assert_eq!(ranks, expected_ranks, "PageRank beside a busy pool");
+    });
+    assert_eq!(
+        strays.into_inner(),
+        0,
+        "callbacks of a run that found the pool busy ran off its thread"
+    );
 }

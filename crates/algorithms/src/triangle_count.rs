@@ -22,7 +22,7 @@
 
 use crate::AlgorithmOutput;
 use graphmat_core::error::Result;
-use graphmat_core::{GraphMatError, GraphProgram, Session, Topology, VertexId};
+use graphmat_core::{GraphProgram, Session, Topology, VertexId};
 use graphmat_io::edgelist::EdgeList;
 use std::marker::PhantomData;
 
@@ -96,24 +96,21 @@ fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> u64 {
 ///
 /// Accepts any edge value type — triangles depend only on the structure.
 /// The topology must already be the strict upper-triangle DAG the algorithm
-/// expects, built with pull mirrors (the default) — build it from
-/// `edges.to_dag()` (`session.build_graph(&edges.to_dag()).finish()?`); no
-/// preprocessing happens here. Parallel edges are outside the contract:
+/// expects — build it from `edges.to_dag()`
+/// (`session.build_graph(&edges.to_dag()).finish()?`); no preprocessing
+/// happens here. Parallel edges are outside the contract:
 /// `to_dag()` removes them, and debug builds assert that every row ascends
 /// strictly.
 ///
-/// # Errors
-///
-/// [`GraphMatError::MissingPullMirror`] for a topology built with
-/// `pull_enabled(false)`. A snapshot's topology with pending edits counts
-/// over its fold of the mirror, which this call makes if no pull has.
+/// The rows are read from `Gᵀ`'s pull mirror, which this call derives on the
+/// session's lanes if no pull has (call [`Topology::out_pull_mirror`] ahead
+/// of time to keep that out of a timed region). A snapshot's topology with
+/// pending edits counts over its fold of the mirror, made the same way.
 pub fn triangle_count_on<E: Clone + Send + Sync + 'static>(
     session: &Session,
     view: &Topology<E>,
 ) -> Result<AlgorithmOutput<u64>> {
-    let mirror = view
-        .out_pull_mirror()
-        .ok_or(GraphMatError::MissingPullMirror)?;
+    let mirror = view.out_side().pull(session.executor());
     let init = |v: VertexId| {
         let (in_neighbours, _) = mirror.row(v);
         debug_assert!(
@@ -245,19 +242,24 @@ mod tests {
         assert_eq!(out.stats.supersteps.len(), 1);
     }
 
+    /// A fresh topology has no mirror: the count derives it, on the
+    /// session's lanes, and keeps it for the next count.
     #[test]
-    fn a_topology_without_mirrors_is_a_typed_error() {
-        let session = Session::sequential();
+    fn a_count_derives_the_mirror_it_reads() {
+        let session = Session::with_threads(2).unwrap();
         let dag = EdgeList::from_pairs(3, vec![(0, 1), (1, 2), (0, 2)]).to_dag();
-        let topo = session
-            .build_graph(&dag)
-            .pull_enabled(false)
-            .finish()
-            .unwrap();
-        assert_eq!(
-            triangle_count_on(&session, &topo).unwrap_err(),
-            GraphMatError::MissingPullMirror
-        );
+        let topo = session.build_graph(&dag).finish().unwrap();
+        assert!(topo.out_side().made_mirror().is_none());
+        let first = triangle_count_on(&session, &topo).unwrap();
+        assert_eq!(first.values, [0, 0, 1]);
+        let mirror = topo.out_side().made_mirror().unwrap().clone();
+        assert_eq!(topo.pull_bytes(), mirror.bytes());
+        let again = triangle_count_on(&session, &topo).unwrap();
+        assert_eq!(again.values, first.values);
+        assert!(std::sync::Arc::ptr_eq(
+            topo.out_side().made_mirror().unwrap(),
+            &mirror
+        ));
     }
 
     #[test]

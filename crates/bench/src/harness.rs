@@ -158,21 +158,13 @@ pub type Timing = (f64, CostCounters, Duration, Vec<SuperstepStats>);
 pub type TimedRun<'a> = Box<dyn Fn() -> Timing + 'a>;
 
 /// The paper's engine configuration for the cross-framework figures:
-/// always-push (it had no pull backend), so no pull mirrors to build —
-/// except for triangle counting, whose program reads its in-neighbour rows
-/// from the mirror. Its push keeps the paper's 8 × lanes partitions, set
-/// explicitly because an automatic count with mirrors may merge the push
+/// always-push (it had no pull backend), through the paper's 8 × lanes
+/// partitions, set explicitly because an automatic count may merge the push
 /// to one partition per lane. The direction-optimized engine is measured by
 /// the Figure 7 rows and by [`run_graphmat_auto`].
-fn paper_faithful(algorithm: Algorithm, nthreads: usize) -> (GraphBuildOptions, RunOptions) {
-    let build_options = match algorithm {
-        Algorithm::TriangleCount => {
-            GraphBuildOptions::default().with_partitions(PARTITIONS_PER_THREAD * lanes(nthreads))
-        }
-        _ => GraphBuildOptions::default().with_pull_mirrors(false),
-    };
+fn paper_faithful(nthreads: usize) -> (GraphBuildOptions, RunOptions) {
     (
-        build_options,
+        GraphBuildOptions::default().with_partitions(PARTITIONS_PER_THREAD * lanes(nthreads)),
         RunOptions::default().with_backend(Backend::Push),
     )
 }
@@ -197,17 +189,20 @@ fn session(nthreads: usize, run_defaults: RunOptions) -> Session {
 }
 
 /// Build `edges` once for `session`, with an automatic partition count
-/// resolved against the session's pool size.
-fn build<E: Clone>(
+/// resolved against the session's pool size. Unless the session's runs are
+/// forced to push, `Gᵀ`'s pull mirror is derived here too, so that no timed
+/// closure pays for the first pull's derivation.
+fn build<E: Clone + Send + Sync>(
     session: &Session,
     edges: &EdgeList<E>,
     options: GraphBuildOptions,
 ) -> Arc<Topology<E>> {
-    session
-        .build_graph(edges)
-        .build_options(options)
-        .finish()
-        .expect("harness datasets have edges")
+    let topology = session.build_graph(edges).build_options(options).finish();
+    let topology = topology.expect("harness datasets have edges");
+    if session.run_defaults().backend != Some(Backend::Push) {
+        topology.out_pull_mirror();
+    }
+    topology
 }
 
 fn timing(stats: RunStats, vertex_prop_bytes: usize, per_iteration: bool) -> Timing {
@@ -281,6 +276,7 @@ fn graphmat_run<'a>(
         }
         Algorithm::TriangleCount => {
             let topology = build(&session, &edges.to_dag(), build_options);
+            topology.out_pull_mirror(); // TC reads its rows from the mirror
             Box::new(move || {
                 let out = triangle_count_on(&session, &topology).expect("triangle count");
                 timing(out.stats, 24, per_iteration)
@@ -310,7 +306,7 @@ pub fn graph_run<'a>(
     );
     match framework {
         Framework::GraphMat => {
-            let (build_options, run_defaults) = paper_faithful(algorithm, nthreads);
+            let (build_options, run_defaults) = paper_faithful(nthreads);
             graphmat_run(algorithm, edges, nthreads, build_options, run_defaults)
         }
         Framework::Native => Box::new(move || baseline_run!(native, algorithm, edges, nthreads)),
@@ -359,8 +355,7 @@ pub fn cf_run<'a>(
                 iterations: CF_ITERATIONS,
                 ..Default::default()
             };
-            let (build_options, run_defaults) =
-                paper_faithful(Algorithm::CollaborativeFiltering, nthreads);
+            let (build_options, run_defaults) = paper_faithful(nthreads);
             let session = session(nthreads, run_defaults);
             let topology = build(&session, &ratings.edges, build_options);
             // CF scatters along both directions: derive `G` here, outside
@@ -400,8 +395,8 @@ pub fn run_cf(
 }
 
 /// Run the direction-optimized engine configuration — backend chosen per
-/// superstep over a pull-enabled topology, the defaults — and label the dataset
-/// `"<name>+auto"` so JSON consumers can tell it apart from the
+/// superstep over a default build, its mirror derived at set-up — and label
+/// the dataset `"<name>+auto"` so JSON consumers can tell it apart from the
 /// paper-faithful push run of [`run_graph_algorithm`]. Its superstep
 /// trajectory is where push→pull direction flips show up.
 pub fn run_graphmat_auto(
@@ -554,10 +549,10 @@ pub fn figure7_configs(nthreads: usize) -> Vec<Figure7Config> {
     ]
 }
 
-/// Set up one Figure 7 row. Pull mirrors are built exactly for the
-/// configurations that can pull, so the paper-faithful push rows carry no
-/// extra build cost or memory. The not-inlined row runs the same programs
-/// through [`crate::ablation::NoInline`].
+/// Set up one Figure 7 row. Pull mirrors are derived at set-up exactly for
+/// the configurations that can pull, so the paper-faithful push rows carry
+/// no extra build cost or memory. The not-inlined row runs the same
+/// programs through [`crate::ablation::NoInline`].
 pub fn figure7_run<'a>(
     algorithm: Algorithm,
     edges: &EdgeList,
@@ -566,8 +561,7 @@ pub fn figure7_run<'a>(
     assert!(matches!(algorithm, Algorithm::PageRank | Algorithm::Sssp));
     let build_options = GraphBuildOptions::default()
         .with_partitions(partitions_per_thread * threads)
-        .with_balancing(balanced)
-        .with_pull_mirrors(backend != Some(Backend::Push));
+        .with_balancing(balanced);
     let options = RunOptions::default().with_backend(backend);
     if inlined {
         return graphmat_run(algorithm, edges, threads, build_options, options);

@@ -28,9 +28,8 @@
 //! that asks the topology for its in-edge orientation, so the first
 //! `In`/`Both` run is what makes `G` — derived from the stored `Gᵀ`
 //! ([`Topology::in_matrix`]), or on a snapshot's topology the in side of its
-//! pending edits; `Out` runs never do. That resolution is also the run's
-//! pre-flight check — a forced pull without mirrors is a typed error there,
-//! before the first superstep.
+//! pending edits; `Out` runs never do. It rejects nothing: every topology
+//! can be pushed and pulled, since a leg's first pull derives its mirror.
 //!
 //! # The workspace: zero allocation per superstep
 //!
@@ -68,7 +67,9 @@
 //! direction-optimized frameworks (Beamer's bottom-up BFS, GraphBLAST) get
 //! their biggest win from: the row-parallel pull kernel ([`pull_into`])
 //! walks destination rows of the topology's CSR mirror, gathering messages
-//! by index — no scatter, perfect write locality.
+//! by index — no scatter, perfect write locality. The mirror is derived from
+//! the push matrix by the first pull along a side, so a run that never pulls
+//! never pays for one.
 //!
 //! Direction is a per-superstep decision over **one** message vector, not a
 //! second vector type: SEND always fills the workspace's bit-vector-backed
@@ -113,20 +114,19 @@
 //! How pending edits reach each kernel: they do not. There is one push
 //! kernel ([`gspmv_into`]) and one pull kernel ([`pull_into`]), and each leg
 //! hands them its orientation's push matrix or pull mirror. On a snapshot's
-//! topology those are folds of its base's with the pending edits, each made
+//! topology those are folds of its base's with the pending edits (on a base,
+//! the mirror is derived), each made
 //! once, on the run's lanes, by the first push or pull along that side, and
 //! read by every later one, in any run, on any thread (see
 //! [`crate::topology`]). A folded column or row is the one a rebuild
 //! stores, in the same ascending order, so neither the answer nor the
 //! gathered count — nor therefore the trajectory — moves.
 
-use crate::error::{GraphMatError, Result};
 use crate::program::{EdgeDirection, GraphProgram, VertexId};
 use crate::state::VertexState;
 use crate::stats::{Backend, SuperstepStats};
 use crate::topology::{Orientation, Topology};
 use graphmat_sparse::parallel::Executor;
-use graphmat_sparse::pull::CsrMirror;
 use graphmat_sparse::spmv::{gspmv_into, pull_into};
 use graphmat_sparse::spvec::SparseVector;
 use graphmat_sparse::Index;
@@ -263,16 +263,7 @@ impl<'a, E: Clone + Send + Sync> Leg<'a, E> {
         let matrix = self.orientation.push(executor);
         gspmv_into(matrix, messages, multiply, add, executor, y)
     }
-
-    /// This leg's pull mirror, if the topology has mirrors — on a snapshot's
-    /// topology a fold, which the first pull along this side makes.
-    fn pull(&self, executor: &Executor) -> Option<&'a CsrMirror<E>> {
-        self.orientation.pull(executor).map(|mirror| &**mirror)
-    }
 }
-
-/// The pull mirrors of a traversal's legs, first then (for `Both`) second.
-type Mirrors<'a, E> = (&'a CsrMirror<E>, Option<&'a CsrMirror<E>>);
 
 /// Everything one run reads from its [`Topology`], resolved for the
 /// program's scatter direction. `Out` and `In` traverse one leg; `Both`
@@ -290,23 +281,13 @@ pub(crate) struct Traversal<'a, E> {
 
 impl<'a, E: Clone + Send + Sync> Traversal<'a, E> {
     /// Resolve `topology` for a program scattering along `direction` with
-    /// the backend override `forced` — the pre-flight check of a run. An
-    /// `In`/`Both` direction makes the topology's in-edge orientation here
-    /// if no earlier run has.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphMatError::MissingPullMirror`] if `forced` is
-    /// [`Backend::Pull`] on a topology built with
-    /// `build_pull_mirrors = false`. (The selector pushes instead.)
+    /// the backend override `forced`. An `In`/`Both` direction makes the
+    /// topology's in-edge orientation here if no earlier run has.
     pub(crate) fn resolve(
         topology: &'a Topology<E>,
         direction: EdgeDirection,
         forced: Option<Backend>,
-    ) -> Result<Self> {
-        if forced == Some(Backend::Pull) && !topology.has_pull_mirrors() {
-            return Err(GraphMatError::MissingPullMirror);
-        }
+    ) -> Self {
         let out = Leg {
             orientation: topology.out_side(),
             degrees: topology.out_degrees(),
@@ -321,26 +302,17 @@ impl<'a, E: Clone + Send + Sync> Traversal<'a, E> {
             EdgeDirection::In => (inward(), None),
             EdgeDirection::Both => (out, Some(inward())),
         };
-        Ok(Traversal {
+        Traversal {
             topology,
             first,
             second,
             forced,
-        })
+        }
     }
 
     /// The topology this traversal was resolved from.
     pub(crate) fn topology(&self) -> &'a Topology<E> {
         self.topology
-    }
-
-    /// The legs' pull mirrors, or `None` on a topology without them.
-    fn mirrors(&self, executor: &Executor) -> Option<Mirrors<'a, E>> {
-        let first = self.first.pull(executor)?;
-        match &self.second {
-            None => Some((first, None)),
-            Some(leg) => Some((first, Some(leg.pull(executor)?))),
-        }
     }
 
     /// The edges a pull superstep streams when it gathers every row — what
@@ -397,12 +369,13 @@ impl<'a, E: Clone + Send + Sync> Traversal<'a, E> {
 /// next one, from what this superstep's pull gathered — a push leaves it as
 /// it was.
 ///
-/// On a snapshot's topology the push reads the leg's folded DCSC and the
-/// pull its folded mirror — the first push or pull along a side folds it,
-/// the one allocation a superstep can make. SEND accounts the **merged**
-/// degree arrays and the pull reports the folded rows' lengths, so metrics
-/// describe the edited graph and the selector gives it the push/pull
-/// trajectory of its rebuild.
+/// The first pull along a side makes its mirror — derived from a base's
+/// push matrix, folded on a snapshot's topology — and on a snapshot's
+/// topology the first push folds the leg's DCSC: the only allocations a
+/// superstep can make. SEND accounts a snapshot's **merged** degree arrays
+/// and the pull reports the folded rows' lengths, so metrics describe the
+/// edited graph and the selector gives it the push/pull trajectory of its
+/// rebuild.
 ///
 /// A pull superstep is **covered** when `edges_processed ==
 /// Traversal::edge_total`: its kernel then reads the messages without
@@ -447,53 +420,37 @@ pub(crate) fn superstep<P: GraphProgram>(
     // edges and needs no mask). The program's callbacks are monomorphised
     // into the kernel (the paper's `-ipo`).
     let spmv_start = Instant::now();
-    // A pull needs mirrors, which `resolve` guarantees for a forced pull;
-    // a snapshot's first pull along a side folds them here.
-    let pull_mirrors = match chosen {
-        Backend::Pull => traversal.mirrors(executor),
-        Backend::Push => None,
-    };
     let props = state.properties();
     let multiply = |msg: &P::Message, edge: &P::Edge, dst: Index| {
         program.process_message(msg, edge, &props[dst as usize])
     };
     let add = |acc: &mut P::Reduced, value: P::Reduced| program.reduce(acc, value);
     let admit = |dst: Index| program.receives(&props[dst as usize]);
-    match pull_mirrors {
-        None => {
-            let legs = (&traversal.first, traversal.second.as_ref());
-            first_then_second(legs, &add, reduced, scratch, |leg, y| {
-                leg.push(messages, &multiply, &add, executor, y)
-            })
-        }
-        Some((first, second)) => {
-            let second = traversal.second.as_ref().zip(second);
+    let legs = (&traversal.first, traversal.second.as_ref());
+    match chosen {
+        Backend::Push => first_then_second(legs, &add, reduced, scratch, |leg, y| {
+            leg.push(messages, &multiply, &add, executor, y)
+        }),
+        Backend::Pull => {
             // Every stored source sent (see "covered" above): read the
             // messages without probing them.
             let covered = edges_processed == traversal.edge_total();
             let mut gathered = 0;
-            first_then_second(
-                ((&traversal.first, first), second),
-                &add,
-                reduced,
-                scratch,
-                |(_, mirror), y| {
-                    gathered += pull_into(
-                        mirror, messages, covered, &multiply, &add, &admit, executor, y,
-                    );
-                },
-            );
+            first_then_second(legs, &add, reduced, scratch, |leg, y| {
+                // The first pull along a side makes its mirror here: derived
+                // from a base's push matrix, folded on a snapshot's topology.
+                let mirror = leg.orientation.pull(executor);
+                gathered += pull_into(
+                    mirror, messages, covered, &multiply, &add, &admit, executor, y,
+                );
+            });
             *pull_edges = traversal.pull_price(gathered);
         }
     }
     let spmv_time = spmv_start.elapsed();
 
     SuperstepStats {
-        backend: if pull_mirrors.is_some() {
-            Backend::Pull
-        } else {
-            Backend::Push
-        },
+        backend: chosen,
         frontier_density: active_count as f64 / (n as f64).max(1.0),
         active_vertices: active_count,
         messages_sent,
@@ -633,8 +590,8 @@ mod tests {
         program: &P,
         backend: Option<Backend>,
         executor: &Executor,
-    ) -> Result<(SuperstepStats, Workspace<P>)> {
-        let traversal = Traversal::resolve(topology, program.direction(), backend)?;
+    ) -> (SuperstepStats, Workspace<P>) {
+        let traversal = Traversal::resolve(topology, program.direction(), backend);
         let mut ws = Workspace::<P>::new(topology.num_vertices() as usize);
         let active = state.active_count();
         let mut pull_edges = traversal.edge_total();
@@ -647,7 +604,7 @@ mod tests {
             &mut pull_edges,
             &mut ws,
         );
-        Ok((stats, ws))
+        (stats, ws)
     }
 
     const PUSH: Option<Backend> = Some(Backend::Push);
@@ -656,7 +613,7 @@ mod tests {
     fn figure3_first_superstep() {
         let topology = figure3_topology();
         let state = sssp_state(&topology, false);
-        let (out, ws) = step(&topology, &state, &Sssp, PUSH, &Executor::sequential()).unwrap();
+        let (out, ws) = step(&topology, &state, &Sssp, PUSH, &Executor::sequential());
         assert_eq!(out.messages_sent, 1);
         assert_eq!(out.edges_processed, 3);
         assert_eq!(out.backend, Backend::Push);
@@ -672,7 +629,7 @@ mod tests {
         let state = sssp_state(&topology, true);
         let run = |backend: Option<Backend>, threads: usize| {
             let executor = Executor::new(threads);
-            let (out, ws) = step(&topology, &state, &Sssp, backend, &executor).unwrap();
+            let (out, ws) = step(&topology, &state, &Sssp, backend, &executor);
             (out.backend, ws.reduced().to_entries())
         };
         let (_, push) = run(PUSH, 1);
@@ -684,37 +641,6 @@ mod tests {
             );
             assert_eq!(run(None, threads).1, push);
         }
-    }
-
-    fn mirrorless_chain() -> Topology<f32> {
-        let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        Topology::from_edge_list(
-            &el,
-            GraphBuildOptions::default()
-                .with_pull_mirrors(false)
-                .with_partitions(1),
-        )
-    }
-
-    #[test]
-    fn forced_pull_without_mirrors_is_an_error() {
-        let topology = mirrorless_chain();
-        let err = Traversal::resolve(&topology, EdgeDirection::Out, Some(Backend::Pull))
-            .err()
-            .unwrap();
-        assert_eq!(err, GraphMatError::MissingPullMirror);
-    }
-
-    #[test]
-    fn auto_without_mirrors_degrades_to_push() {
-        let topology = mirrorless_chain();
-        let mut state: VertexState<f32> = VertexState::for_topology(&topology);
-        state.set_all_active();
-        let (out, ws) = step(&topology, &state, &Sssp, None, &Executor::sequential()).unwrap();
-        // A fully-dense frontier would normally pull; without mirrors the
-        // selector must settle for push and still produce the right answer.
-        assert_eq!(out.backend, Backend::Push);
-        assert_eq!(ws.reduced().to_entries(), vec![(1, 1.0), (2, 1.0)]);
     }
 
     #[test]
@@ -778,11 +704,11 @@ mod tests {
         state.set_all_active();
         let executor = Executor::sequential();
 
-        let (everyone, _) = step(&topology, &state, &Sssp, None, &executor).unwrap();
+        let (everyone, _) = step(&topology, &state, &Sssp, None, &executor);
         assert_eq!((everyone.active_vertices, everyone.messages_sent), (64, 64));
         assert_eq!(everyone.backend, Backend::Pull);
 
-        let (one, ws) = step(&topology, &state, &OnlyZeroSends, None, &executor).unwrap();
+        let (one, ws) = step(&topology, &state, &OnlyZeroSends, None, &executor);
         assert_eq!((one.active_vertices, one.messages_sent), (64, 1));
         assert_eq!(one.edges_processed, 1);
         assert_eq!(one.backend, Backend::Push);
@@ -797,8 +723,8 @@ mod tests {
         let mut ws = Workspace::<Sssp>::new(topology.num_vertices() as usize);
         // One workspace serves push, pull and push again.
         for backend in [PUSH, Some(Backend::Pull), PUSH] {
-            let traversal = Traversal::resolve(&topology, EdgeDirection::Out, backend).unwrap();
-            let (fresh, fresh_ws) = step(&topology, &state, &Sssp, backend, &executor).unwrap();
+            let traversal = Traversal::resolve(&topology, EdgeDirection::Out, backend);
+            let (fresh, fresh_ws) = step(&topology, &state, &Sssp, backend, &executor);
             let mut pull_edges = traversal.edge_total();
             let metrics = superstep(
                 &traversal,
@@ -860,7 +786,7 @@ mod tests {
         tuples: Vec<(u32, u32, f32)>,
         n: u32,
         options: GraphBuildOptions,
-    ) -> Result<(SuperstepStats, Workspace<InDegreeLike>)> {
+    ) -> (SuperstepStats, Workspace<InDegreeLike>) {
         let topology = Topology::from_edge_list(&EdgeList::from_tuples(n, tuples), options);
         let mut state: VertexState<u32> = VertexState::for_topology(&topology);
         state.set_all_active();
@@ -881,8 +807,7 @@ mod tests {
             vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
             4,
             GraphBuildOptions::default().with_partitions(2),
-        )
-        .unwrap();
+        );
         assert_eq!(ws.reduced().get(0), Some(&2)); // vertex 0 has 2 out-edges
         assert_eq!(ws.reduced().get(1), Some(&1));
         assert_eq!(ws.reduced().get(2), Some(&1));
@@ -898,8 +823,7 @@ mod tests {
             vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)],
             3,
             GraphBuildOptions::default().with_partitions(1),
-        )
-        .unwrap();
+        );
         // in-degrees: v0=0, v1=1, v2=2 → total 3 edges for an In program
         assert_eq!(out.edges_processed, 3);
     }
@@ -908,7 +832,7 @@ mod tests {
     fn inactive_graph_produces_no_work() {
         let topology = figure3_topology();
         let state: VertexState<f32> = VertexState::for_topology(&topology);
-        let (out, ws) = step(&topology, &state, &Sssp, PUSH, &Executor::sequential()).unwrap();
+        let (out, ws) = step(&topology, &state, &Sssp, PUSH, &Executor::sequential());
         assert_eq!(out.messages_sent, 0);
         assert_eq!(out.edges_processed, 0);
         assert_eq!(ws.reduced().nnz(), 0);

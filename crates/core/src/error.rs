@@ -41,12 +41,6 @@ pub enum GraphMatError {
         /// Vertices in the topology it was paired with.
         topology_vertices: usize,
     },
-    /// A run forced the pull backend (`Backend::Pull`), or triangle
-    /// counting (which reads the mirror's rows) ran, but the topology was
-    /// built with `build_pull_mirrors = false`, so there is no row-major CSR
-    /// mirror. (An unforced run never reports this — it degrades to push
-    /// when the mirrors are absent.)
-    MissingPullMirror,
     /// An algorithm configuration value cannot drive a run (e.g. a
     /// non-positive delta-PageRank tolerance, or pending edits under
     /// triangle counting). The payload names the parameter and the
@@ -107,13 +101,6 @@ impl std::fmt::Display for GraphMatError {
                 f,
                 "vertex state sized for {state_vertices} vertices used with a topology \
                  of {topology_vertices} vertices"
-            ),
-            GraphMatError::MissingPullMirror => write!(
-                f,
-                "run needs the pull mirror (a forced Backend::Pull, or triangle \
-                 counting) but the topology was built with build_pull_mirrors = false \
-                 (leave the backend unforced to fall back to push, or rebuild the \
-                 topology with pull mirrors)"
             ),
             GraphMatError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
             GraphMatError::Overloaded { pending, watermark } => write!(

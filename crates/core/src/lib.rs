@@ -104,8 +104,8 @@
 //! **bit-for-bit identical** — only speed changes. Costs and the one knob:
 //!
 //! * the CSR mirrors roughly double adjacency-matrix memory
-//!   ([`topology::Topology::pull_bytes`]; skip them with
-//!   `.pull_enabled(false)` on the graph builder);
+//!   ([`topology::Topology::pull_bytes`]); a build makes none, and the
+//!   first pull along a side derives its mirror from the push matrix;
 //! * `.backend(…)` on the run builder pins every superstep to
 //!   [`stats::Backend::Push`] or [`stats::Backend::Pull`] (tests and the
 //!   Figure 7 comparison rows; nothing else needs it);

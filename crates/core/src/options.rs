@@ -47,13 +47,12 @@ pub struct RunOptions {
     pub max_iterations: Option<usize>,
     /// SpMV backend override. `None` (the default) is direction-optimized:
     /// each superstep picks sparse push or dense pull with the cost rule of
-    /// [`crate::engine::choose_backend`], and always pushes on a
-    /// topology without pull mirrors. Pending edits change nothing here:
-    /// both kernels merge them in.
-    /// `Some(Backend::Push)` is the paper's original always-push engine.
-    /// `Some(Backend::Pull)` always pulls through the row-major CSR mirrors;
-    /// it is rejected with [`GraphMatError::MissingPullMirror`] on a
-    /// mirror-less topology.
+    /// [`crate::engine::choose_backend`]. Pending edits change nothing
+    /// here: both kernels read folds of them.
+    /// `Some(Backend::Push)` is the paper's original always-push engine,
+    /// and never makes a pull mirror.
+    /// `Some(Backend::Pull)` always pulls through the row-major CSR mirrors,
+    /// which the first pull derives.
     pub backend: Option<Backend>,
     /// How the next superstep's active set is derived.
     pub activity: ActivityPolicy,

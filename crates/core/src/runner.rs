@@ -83,15 +83,11 @@ pub struct RunResult {
 ///
 /// * [`GraphMatError::StateLengthMismatch`] if `state` was allocated for a
 ///   different vertex count than the topology;
-/// * [`GraphMatError::MissingPullMirror`] if the options force
-///   `Backend::Pull` but the topology was built with
-///   `build_pull_mirrors = false` (an unforced run degrades to always-push;
-///   pending edits are no obstacle to either);
 /// * [`GraphMatError::InvalidParameter`] if `ws` was allocated for a
 ///   different vertex count than this run's.
 ///
-/// All of them are reported **before** the first superstep, in that order,
-/// with `state` untouched.
+/// Both are reported **before** the first superstep, in that order, with
+/// `state` untouched.
 pub fn run_program<P: GraphProgram>(
     program: &P,
     view: &Topology<P::Edge>,
@@ -119,7 +115,8 @@ pub(crate) fn admit<'a, P: GraphProgram>(
     options: &RunOptions,
 ) -> Result<Traversal<'a, P::Edge>> {
     state.check_matches(view)?;
-    Traversal::resolve(view, program.direction(), options.backend)
+    let direction = program.direction();
+    Ok(Traversal::resolve(view, direction, options.backend))
 }
 
 /// The superstep loop over an admitted traversal. `ws` must be compatible

@@ -24,9 +24,9 @@
 //! sparse push or dense pull SpMV backend by the share of the graph's edges
 //! its frontier will traverse (bit-for-bit identical results either way; see
 //! [`crate::engine::choose_backend`]).
-//! Force one with [`RunBuilder::backend`], or skip building the pull mirrors
-//! entirely with [`GraphBuilder::pull_enabled`]`(false)` (the mirrors cost
-//! roughly the adjacency matrices' memory again).
+//! Force one with [`RunBuilder::backend`]. The pull mirrors, which cost
+//! roughly the adjacency matrices' memory again, are not built: the first
+//! pull along a side derives its mirror from the push matrix.
 //!
 //! Every fallible step returns a [`GraphMatError`] instead of panicking:
 //! out-of-range seed vertices, zero threads, empty edge lists, mismatched
@@ -234,18 +234,6 @@ impl<'e, E: Clone> GraphBuilder<'e, E> {
         self
     }
 
-    /// Also build the row-major CSR pull mirrors the direction-optimized
-    /// backend traverses (default `true`). The mirrors cost roughly the
-    /// DCSC matrices' memory again — [`Topology::pull_bytes`] reports the
-    /// exact figure, and [`Topology::matrix_bytes`] includes it. With
-    /// `pull_enabled(false)` an unforced run always pushes and a forced
-    /// [`Backend::Pull`] run is rejected with
-    /// [`GraphMatError::MissingPullMirror`].
-    pub fn pull_enabled(mut self, build: bool) -> Self {
-        self.options.build_pull_mirrors = build;
-        self
-    }
-
     /// Override every construction option at once.
     pub fn build_options(mut self, options: GraphBuildOptions) -> Self {
         self.options = options;
@@ -377,11 +365,8 @@ impl<'s, 't, P: GraphProgram> RunBuilder<'s, 't, P> {
     }
 
     /// Force every superstep onto one SpMV backend, or (`None`, the
-    /// default) let the engine pick push or pull per superstep.
-    /// [`Backend::Pull`] is rejected at execute time with
-    /// [`GraphMatError::MissingPullMirror`] if the topology was built with
-    /// `pull_enabled(false)`. All three produce bit-for-bit identical
-    /// results.
+    /// default) let the engine pick push or pull per superstep. All three
+    /// produce bit-for-bit identical results.
     pub fn backend(mut self, backend: impl Into<Option<Backend>>) -> Self {
         self.options.backend = backend.into();
         self
@@ -579,37 +564,46 @@ mod tests {
         assert_eq!(RunOptions::default().backend, None);
         let edges = figure3_edges();
         let built = Session::sequential().build_graph(&edges).finish().unwrap();
-        assert!(GraphBuildOptions::default().build_pull_mirrors);
-        assert!(built.has_pull_mirrors());
+        let plain = Topology::from_edge_list(&edges, GraphBuildOptions::default());
+        assert_eq!(built.out_partition_ranges(), plain.out_partition_ranges());
+        // A build makes no pull mirror: the first pull derives it.
+        assert!(built.out_side().made_mirror().is_none());
+        assert_eq!(built.pull_bytes(), 0);
     }
 
+    /// A forced pull on a topology no run has pulled derives its mirror and
+    /// answers bit for bit like a forced push and the selector.
     #[test]
-    fn forced_pull_on_a_pull_disabled_topology_is_an_error() {
+    fn forced_pull_on_a_fresh_topology_answers_like_push_and_auto() {
         let session = Session::sequential();
         let edges = figure3_edges();
-        let topo = session
-            .build_graph(&edges)
-            .pull_enabled(false)
-            .finish()
-            .unwrap();
-        assert!(!topo.has_pull_mirrors());
-        let err = session
-            .run(&topo, Sssp)
-            .init_all(f32::MAX)
-            .seed_with(0, 0.0)
-            .backend(Backend::Pull)
-            .execute()
-            .unwrap_err();
-        assert_eq!(err, GraphMatError::MissingPullMirror);
-        // The selector degrades gracefully on the same topology.
-        let outcome = session
-            .run(&topo, Sssp)
-            .init_all(f32::MAX)
-            .seed_with(0, 0.0)
-            .execute()
-            .unwrap();
-        assert_eq!(outcome.values, vec![0.0, 1.0, 2.0, 2.0, 4.0]);
-        assert_eq!(outcome.stats.pull_supersteps, 0);
+        let sssp = |topo: &Topology<f32>, backend: Option<Backend>| {
+            let outcome = session
+                .run(topo, Sssp)
+                .init_all(f32::MAX)
+                .seed_with(0, 0.0)
+                .backend(backend)
+                .execute()
+                .unwrap();
+            let bits: Vec<u32> = outcome.values.iter().map(|d| d.to_bits()).collect();
+            (
+                bits,
+                outcome.stats.pull_supersteps,
+                outcome.stats.iterations,
+            )
+        };
+        let fresh = || session.build_graph(&edges).finish().unwrap();
+        let topo = fresh();
+        assert!(topo.out_side().made_mirror().is_none());
+        let (pulled, pulls, iterations) = sssp(&topo, Some(Backend::Pull));
+        assert_eq!(pulls, iterations);
+        let mirror = topo.out_side().made_mirror().expect("the pull derived it");
+        assert_eq!(topo.pull_bytes(), mirror.bytes());
+        let want: Vec<u32> = [0.0f32, 1.0, 2.0, 2.0, 4.0].map(f32::to_bits).to_vec();
+        assert_eq!(pulled, want);
+        for backend in [Some(Backend::Push), None] {
+            assert_eq!(sssp(&fresh(), backend).0, want, "{backend:?}");
+        }
     }
 
     #[test]

@@ -590,9 +590,7 @@ mod tests {
         );
         Arc::new(Topology::from_edge_list(
             &el,
-            GraphBuildOptions::default()
-                .with_partitions(2)
-                .with_pull_mirrors(true),
+            GraphBuildOptions::default().with_partitions(2),
         ))
     }
 
@@ -676,7 +674,7 @@ mod tests {
         assert_eq!(snap.num_edges(), 8);
         // The compacted base keeps the original build shape.
         assert_eq!(snap.base().num_partitions(), 2);
-        assert!(snap.base().has_pull_mirrors());
+        assert!(snap.base().out_side().made_mirror().is_some());
         assert_eq!(snap.base().out_degrees(), &[2, 2, 2, 1, 1]);
     }
 
@@ -689,8 +687,7 @@ mod tests {
         assert_ne!(even, RowPartitioner::balanced_nnz(&el.in_degrees(), 4));
         let options = GraphBuildOptions::default()
             .with_partitions(4)
-            .with_balancing(false)
-            .with_pull_mirrors(false);
+            .with_balancing(false);
         let store = GraphStore::new(
             Arc::new(Topology::from_edge_list(&el, options)),
             StoreOptions {
@@ -706,7 +703,9 @@ mod tests {
         assert!(snap.overlay().is_none());
         assert_eq!(snap.base().out_partition_ranges(), even);
         assert_eq!(snap.base().in_partition_ranges().unwrap(), even);
-        assert!(!snap.base().has_pull_mirrors());
+        let mirror = snap.base().out_side().made_mirror().unwrap();
+        let mirror_ranges: Vec<_> = mirror.partitions().iter().map(|p| p.rows).collect();
+        assert_eq!(mirror_ranges, even);
     }
 
     #[test]

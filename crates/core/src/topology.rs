@@ -11,11 +11,11 @@
 //!   out-edge message scattering multiplies against, because `y = Gᵀ·x`
 //!   delivers each source's message to the rows (destinations) of its
 //!   out-edges;
-//! * optionally a row-major CSR **pull mirror** of it
-//!   (`build_pull_mirrors`, on by default), which the direction-optimized
+//! * a row-major CSR **pull mirror** of it, which the direction-optimized
 //!   engine traverses when a superstep's frontier is dense enough to pull —
-//!   it costs roughly the matrix's memory again ([`Topology::pull_bytes`]);
-//!   its row partitions are the DCSC's or refine them (see below);
+//!   it costs roughly the matrix's memory again ([`Topology::pull_bytes`]),
+//!   so it is not built: the first pull derives it from the DCSC (see
+//!   below); its row partitions are the DCSC's or refine them;
 //! * the out-/in-degree arrays.
 //!
 //! The non-transposed `G` — what scattering along in-edges multiplies
@@ -23,14 +23,19 @@
 //! the stored `Gᵀ`** the first time an
 //! [`EdgeDirection::In`](crate::program::EdgeDirection::In) / `Both` program
 //! runs (or [`Topology::in_matrix`] is called), with the same partition
-//! count, balancing, push layout and mirror choice, and kept from then on. A
-//! graph that only ever serves `Out` programs never pays for it.
+//! count, balancing and push layout, and kept from then on. A graph that
+//! only ever serves `Out` programs never pays for it.
 //!
 //! # Layouts are write-once slots, and pending edits are folded into them
 //!
 //! Each orientation holds its push matrix and its pull mirror as write-once
-//! slots. A base fills them where it is made: `Gᵀ`'s at build, `G`'s when it
-//! derives `G`. A topology may instead carry **pending edits** — the `Arc`
+//! slots. A base fills its push matrix where it is made — `Gᵀ`'s at build,
+//! `G`'s when it derives `G` — and its mirror by its first pull: a counting
+//! transpose of the push matrix on the fine ranges ([`CsrMirror::derive`]),
+//! on the caller's executor. A graph that is only ever pushed (a road
+//! network's SSSP) never holds a mirror. Concurrent first pullers share one
+//! derivation, and one that panics leaves the slot empty. A topology may
+//! instead carry **pending edits** — the `Arc`
 //! of the base they were compiled against and their [`DeltaOverlay`] — as a
 //! [`crate::store::GraphStore`] snapshot's does. Such an *edited* topology
 //! reads its degrees and edge count from the overlay, and fills each slot on
@@ -63,11 +68,11 @@
 //! in. So the build decides once, from the matrix, how the push is split:
 //! when the fine partitions of `Gᵀ` store an average non-empty column at
 //! least [`PUSH_MERGE_REPLICATION`] times, the push matrix is those
-//! partitions merged into one run of consecutive ones per lane, built from
-//! the same sorted buckets as the mirror ([`RowBuckets::matrix`]); otherwise
-//! it is the fine partitions themselves. `G` follows `Gᵀ`'s decision. An
-//! explicit partition count, or a topology without mirrors (whose push also
-//! serves dense frontiers), keeps one partitioning for both kernels.
+//! partitions merged into one run of consecutive ones per lane
+//! ([`RowBuckets::matrix`]), which the mirror's fine ranges refine;
+//! otherwise it is the fine partitions themselves. `G` follows `Gᵀ`'s
+//! decision. An explicit partition count keeps one partitioning for both
+//! kernels.
 
 use crate::error::{GraphMatError, Result};
 use crate::program::VertexId;
@@ -114,13 +119,6 @@ pub struct GraphBuildOptions {
     /// optimization) or split rows evenly (`false`, the naive layout used as
     /// the Figure 7 baseline).
     pub balance_partitions: bool,
-    /// Also materialize a row-major CSR mirror of each DCSC matrix so the
-    /// engine can run the **dense pull** backend (direction optimization).
-    /// Costs roughly the same memory again per mirrored matrix
-    /// ([`Topology::pull_bytes`] reports exactly how much). **On** by
-    /// default, to match the direction-optimized run default; without
-    /// mirrors, the selector degrades gracefully to always-push.
-    pub build_pull_mirrors: bool,
 }
 
 impl Default for GraphBuildOptions {
@@ -128,7 +126,6 @@ impl Default for GraphBuildOptions {
         GraphBuildOptions {
             num_partitions: 0,
             balance_partitions: true,
-            build_pull_mirrors: true,
         }
     }
 }
@@ -143,13 +140,6 @@ impl GraphBuildOptions {
     /// Enable or disable nnz-balanced partitioning.
     pub fn with_balancing(mut self, balance: bool) -> Self {
         self.balance_partitions = balance;
-        self
-    }
-
-    /// Enable or disable construction of the row-major CSR mirrors the pull
-    /// backend traverses (see [`GraphBuildOptions::build_pull_mirrors`]).
-    pub fn with_pull_mirrors(mut self, build: bool) -> Self {
-        self.build_pull_mirrors = build;
         self
     }
 
@@ -169,19 +159,28 @@ impl GraphBuildOptions {
 }
 
 /// One orientation of the adjacency matrix as the engine traverses it: the
-/// partitioned DCSC the push kernel sweeps and, when pull mirrors are
-/// enabled, the row-major mirror the pull kernel gathers over — built from
-/// the fine partitions, which are the push matrix's or refine them. Each is
-/// a write-once slot (see the [module docs](self)): a base's are filled
-/// where the base is made, an edited topology's by their first use. The
-/// slots hold `Arc`s so a compaction can publish the folds a snapshot
-/// already made ([`Topology::detached`]).
+/// partitioned DCSC the push kernel sweeps and the row-major mirror the pull
+/// kernel gathers over, on the fine partitions, which are the push matrix's
+/// or refine them. Each is a write-once slot (see the [module docs](self)):
+/// a base's push matrix is filled where the base is made and its mirror by
+/// its first pull, an edited topology's both by their first use. The slots
+/// hold `Arc`s so a compaction can publish the folds a snapshot already made
+/// ([`Topology::detached`]).
 #[derive(Clone, Debug)]
 pub struct Orientation<E> {
     matrix: OnceLock<Arc<PartitionedDcsc<E>>>,
     mirror: OnceLock<Arc<CsrMirror<E>>>,
-    /// How an edited topology fills both slots; `None` on a base.
-    fold: Option<Fold<E>>,
+    recipe: Recipe<E>,
+}
+
+/// How an orientation fills the slots it was not made with.
+#[derive(Clone, Debug)]
+enum Recipe<E> {
+    /// A base derives its mirror from its push matrix on these fine row
+    /// ranges.
+    Derive(Vec<RowRange>),
+    /// An edited topology folds both slots from its base's.
+    Fold(Fold<E>),
 }
 
 /// An edited topology's recipe for one orientation: the base's orientation
@@ -216,21 +215,26 @@ impl<E> Fold<E> {
 }
 
 impl<E: Clone> Orientation<E> {
-    /// The mirror of `buckets`, one partition per bucket, and the push
-    /// matrix: one partition per bucket too, or for `Some(lanes)` runs of
-    /// consecutive buckets merged to one partition per lane.
-    fn build(buckets: &RowBuckets<E>, mirror: bool, push_lanes: Option<usize>) -> Self {
+    /// A base's orientation of `buckets`: the push matrix, one partition per
+    /// bucket or for `Some(lanes)` runs of consecutive buckets merged to one
+    /// per lane; the mirror, on the buckets' ranges, left to the first pull.
+    fn build(buckets: &RowBuckets<E>, push_lanes: Option<usize>) -> Self {
         let groups = push_lanes.unwrap_or(buckets.ranges().len());
-        let mirror = mirror.then(|| Arc::new(CsrMirror::from_buckets(buckets)));
-        Orientation::made(Arc::new(buckets.matrix(groups)), mirror)
+        let matrix = Arc::new(buckets.matrix(groups));
+        Orientation::made(matrix, OnceLock::new(), buckets.ranges().to_vec())
     }
 
-    /// A base's two slots, filled.
-    fn made(matrix: Arc<PartitionedDcsc<E>>, mirror: Option<Arc<CsrMirror<E>>>) -> Self {
+    /// A base's orientation: its push matrix, its mirror slot and the fine
+    /// ranges the mirror is (or was) derived on.
+    fn made(
+        matrix: Arc<PartitionedDcsc<E>>,
+        mirror: OnceLock<Arc<CsrMirror<E>>>,
+        fine: Vec<RowRange>,
+    ) -> Self {
         Orientation {
             matrix: OnceLock::from(matrix),
-            mirror: mirror.map_or_else(OnceLock::new, OnceLock::from),
-            fold: None,
+            mirror,
+            recipe: Recipe::Derive(fine),
         }
     }
 
@@ -239,7 +243,7 @@ impl<E: Clone> Orientation<E> {
         Orientation {
             matrix: OnceLock::new(),
             mirror: OnceLock::new(),
-            fold: Some(fold),
+            recipe: Recipe::Fold(fold),
         }
     }
 }
@@ -248,26 +252,27 @@ impl<E: Clone + Send + Sync> Orientation<E> {
     /// The push matrix: a base's own, or an edited topology's fold of its
     /// base's, made by the first call on `executor`'s lanes.
     pub(crate) fn push(&self, executor: &Executor) -> &Arc<PartitionedDcsc<E>> {
-        match &self.fold {
-            Some(fold) => fold_once(&self.matrix, || {
+        match &self.recipe {
+            Recipe::Fold(fold) => fold_once(&self.matrix, || {
                 fold_into_matrix(fold.side().push(executor), fold.edits(), executor)
             }),
-            None => self.built(),
+            Recipe::Derive(_) => self.built(),
         }
     }
 
-    /// The pull mirror, if the topology has mirrors: a base's own, or an
-    /// edited topology's fold of its base's, made by the first call on
-    /// `executor`'s lanes.
-    pub(crate) fn pull(&self, executor: &Executor) -> Option<&Arc<CsrMirror<E>>> {
-        if let Some(mirror) = self.mirror.get() {
-            return Some(mirror);
+    /// The pull mirror, made by the first call on `executor`'s lanes: a
+    /// base derives it from its push matrix, an edited topology folds its
+    /// base's. Concurrent first callers share one, and a call that panics
+    /// leaves the slot empty for the next.
+    pub fn pull(&self, executor: &Executor) -> &Arc<CsrMirror<E>> {
+        match &self.recipe {
+            Recipe::Derive(fine) => self
+                .mirror
+                .get_or_init(|| Arc::new(CsrMirror::derive(self.built(), fine, executor))),
+            Recipe::Fold(fold) => fold_once(&self.mirror, || {
+                fold_into_mirror(fold.side().pull(executor), fold.edits(), executor)
+            }),
         }
-        let fold = self.fold.as_ref()?;
-        let base = fold.side().pull(executor)?;
-        Some(fold_once(&self.mirror, || {
-            fold_into_mirror(base, fold.edits(), executor)
-        }))
     }
 }
 
@@ -286,8 +291,8 @@ impl<E> Orientation<E> {
         self.matrix.get()
     }
 
-    /// The pull mirror, if it has been made: on a base with mirrors always,
-    /// once pulled (or asked for) on an edited topology.
+    /// The pull mirror, if it has been made: once pulled (or asked for), or
+    /// on a base a compaction published with it.
     pub fn made_mirror(&self) -> Option<&Arc<CsrMirror<E>>> {
         self.mirror.get()
     }
@@ -295,7 +300,15 @@ impl<E> Orientation<E> {
     /// The pending edits this orientation's slots fold, aligned to its
     /// base's orientation of the same side; `None` on a base.
     pub fn edits(&self) -> Option<&Overlay<E>> {
-        self.fold.as_ref().map(Fold::edits)
+        self.fold().map(Fold::edits)
+    }
+
+    /// The recipe of an edited orientation; `None` on a base.
+    fn fold(&self) -> Option<&Fold<E>> {
+        match &self.recipe {
+            Recipe::Fold(fold) => Some(fold),
+            Recipe::Derive(_) => None,
+        }
     }
 }
 
@@ -368,9 +381,9 @@ impl<E: Clone> Topology<E> {
         // partitions (`Σ_p |jc_p|` against its non-empty columns)?
         let columns = out_degrees.iter().filter(|&&d| d > 0).count();
         let repeat = gt.stored_columns() >= PUSH_MERGE_REPLICATION * columns;
-        let automatic = options.num_partitions == 0 && options.build_pull_mirrors;
+        let automatic = options.num_partitions == 0;
         let push_lanes = (automatic && repeat).then_some(lanes);
-        let out = Orientation::build(&gt, options.build_pull_mirrors, push_lanes);
+        let out = Orientation::build(&gt, push_lanes);
         let as_u32 = |degrees: Vec<usize>| degrees.into_iter().map(|d| d as u32).collect();
         Topology {
             nvertices: edges.num_vertices(),
@@ -432,7 +445,7 @@ impl<E: Clone + Send + Sync> Topology<E> {
                 let (n, edges) = (self.nvertices, self.to_edge_list().into_tuples());
                 let adjacency = Coo::from_entries(n, n, edges);
                 let g = RowBuckets::new(&adjacency, &self.in_ranges);
-                Orientation::build(&g, self.options.build_pull_mirrors, self.push_lanes)
+                Orientation::build(&g, self.push_lanes)
             }
         })
     }
@@ -482,23 +495,26 @@ impl<E: Clone + Send + Sync> Topology<E> {
     /// This topology as a base of its own: what compaction publishes. An
     /// edited topology's out-side folds — the ones its pushes and pulls
     /// already made, shared, not copied, or made now on one lane and kept
-    /// with this topology for its own reads — become the new base's `Gᵀ`,
-    /// and its degrees are copied out of the overlay. Each fold keeps every
-    /// range of the base it was folded from, so the result keeps that
-    /// base's options and layout — push, mirror and `G`'s ranges — rather
-    /// than re-balancing them to the edited degrees (answers do not depend
-    /// on the partitioning), and derives `G` on first use, as any base does.
+    /// with this topology for its own reads — become the new base's `Gᵀ`
+    /// and its mirror, and its degrees are copied out of the overlay. Each
+    /// fold keeps every range of the base it was folded from, so the result
+    /// keeps that base's options and layout — push, mirror and `G`'s ranges
+    /// — rather than re-balancing them to the edited degrees (answers do not
+    /// depend on the partitioning), and derives `G` on first use, as any
+    /// base does.
     /// The same history therefore compacts to byte-identical topologies,
     /// however often it was compacted along the way. On a base, a copy that
-    /// shares its `Gᵀ`.
+    /// shares its `Gᵀ` and its mirror (derived now if no pull has).
     pub fn detached(&self) -> Self {
         let executor = &Executor::sequential();
         let matrix = Arc::clone(self.out.push(executor));
+        let mirror = Arc::clone(self.out.pull(executor));
+        let fine = mirror.partitions().iter().map(|p| p.rows).collect();
         Topology {
             nvertices: self.nvertices,
             nedges: self.nedges,
             options: self.options,
-            out: Orientation::made(matrix, self.out.pull(executor).cloned()),
+            out: Orientation::made(matrix, OnceLock::from(mirror), fine),
             inward: OnceLock::new(),
             in_ranges: self.in_ranges.clone(),
             push_lanes: self.push_lanes,
@@ -515,11 +531,11 @@ impl<E: Clone + Send + Sync> Topology<E> {
         self.inward().push(&Executor::sequential())
     }
 
-    /// The row-major pull mirror of `G` (in-edge traversal), if pull mirrors
-    /// are enabled. Derives `G` like [`Topology::in_matrix`].
-    pub fn in_pull_mirror(&self) -> Option<&CsrMirror<E>> {
-        let mirror = self.inward().pull(&Executor::sequential());
-        mirror.map(|m| &**m)
+    /// The row-major pull mirror of `G` (in-edge traversal). Derives `G`
+    /// like [`Topology::in_matrix`], and the mirror the same way: the first
+    /// call — from here or from the first `In`/`Both` pull — makes it.
+    pub fn in_pull_mirror(&self) -> &CsrMirror<E> {
+        self.inward().pull(&Executor::sequential())
     }
 
     /// The partitioned `Gᵀ` used for out-edge traversal; an edited
@@ -528,10 +544,13 @@ impl<E: Clone + Send + Sync> Topology<E> {
         self.out.push(&Executor::sequential())
     }
 
-    /// The row-major pull mirror of `Gᵀ` (out-edge traversal), if it was
-    /// built; an edited topology's is folded on the first call.
+    /// The row-major pull mirror of `Gᵀ` (out-edge traversal). Always
+    /// `Some`: the first call — from here or from the first `Out`/`Both`
+    /// pull — derives it from the push matrix (an edited topology folds it);
+    /// call it ahead of time to keep that cost out of a timed region. The
+    /// `Option` stays for callers that read it with `?`.
     pub fn out_pull_mirror(&self) -> Option<&CsrMirror<E>> {
-        self.out.pull(&Executor::sequential()).map(|m| &**m)
+        Some(self.out.pull(&Executor::sequential()))
     }
 
     /// How many copies of edge `src → dst` are stored (`0` for an absent
@@ -584,7 +603,7 @@ impl<E> Topology<E> {
     /// The recipe of an edited topology's out side, which holds its base and
     /// its pending edits; `None` on a base.
     fn fold(&self) -> Option<&Fold<E>> {
-        self.out.fold.as_ref()
+        self.out.fold()
     }
 
     /// The base whose layout this topology's is: itself, or an edited
@@ -676,13 +695,6 @@ impl<E> Topology<E> {
         self.inward.get()
     }
 
-    /// Whether this topology builds pull mirrors — one flag for every
-    /// orientation, so a `Backend::Pull`-forced or selector-chosen pull can
-    /// run iff this is `true`.
-    pub fn has_pull_mirrors(&self) -> bool {
-        self.options.build_pull_mirrors
-    }
-
     /// This topology's own orientations: `Gᵀ` always, `G` once made.
     fn orientations(&self) -> impl Iterator<Item = &Orientation<E>> {
         std::iter::once(&self.out).chain(self.inward.get())
@@ -699,10 +711,10 @@ impl<E> Topology<E> {
 
     /// Total in-memory footprint of the adjacency matrices **resident right
     /// now**, in bytes, including stored edge values and the pull mirrors
-    /// (see [`Topology::pull_bytes`] for the mirrors' share alone): `Gᵀ` and
-    /// its mirror, plus `G` and its mirror once an `In`/`Both` program has
-    /// derived them — on an edited topology, its base's and the folds it has
-    /// made. For `E = ()` this is pure index cost — the visible payoff of
+    /// (see [`Topology::pull_bytes`] for the mirrors' share alone): `Gᵀ`,
+    /// its mirror once pulled, plus `G` and its mirror once an `In`/`Both`
+    /// program has derived them — on an edited topology, its base's and the
+    /// folds it has made. For `E = ()` this is pure index cost — the visible payoff of
     /// the unweighted fast path.
     pub fn matrix_bytes(&self) -> usize {
         let dcsc: usize = self
@@ -714,9 +726,9 @@ impl<E> Topology<E> {
     }
 
     /// The memory the resident row-major pull mirrors cost, in bytes — zero
-    /// when the topology was built with `build_pull_mirrors = false`,
-    /// otherwise roughly one more copy of each resident DCSC matrix (row
-    /// pointers + column ids + edge values; zero value bytes for `E = ()`).
+    /// until the first pull, then roughly one more copy of each pulled DCSC
+    /// matrix (row pointers + column ids + edge values; zero value bytes for
+    /// `E = ()`).
     pub fn pull_bytes(&self) -> usize {
         self.resident()
             .filter_map(|o| o.mirror.get())
@@ -861,7 +873,7 @@ mod tests {
         ] {
             let t = Topology::build(&el, options, 1);
             let out_mirror = t.out_pull_mirror().unwrap();
-            let in_mirror = t.in_pull_mirror().unwrap();
+            let in_mirror = t.in_pull_mirror();
             assert_eq!(out_mirror.nnz(), t.out_matrix().nnz());
             assert_eq!(in_mirror.nnz(), t.in_matrix().nnz());
             assert_refines(&t.out_partition_ranges(), &ranges_of(out_mirror));
@@ -921,7 +933,7 @@ mod tests {
             let in_push = t.in_partition_ranges().unwrap();
             assert_eq!(in_push, RowPartitioner::coarsen(&in_fine, lanes));
             assert_eq!(push_ranges(t.in_matrix()), in_push, "{lanes} lanes");
-            assert_eq!(ranges_of(t.in_pull_mirror().unwrap()), in_fine);
+            assert_eq!(ranges_of(t.in_pull_mirror()), in_fine);
             assert_refines(&in_push, &in_fine);
         }
     }
@@ -936,7 +948,7 @@ mod tests {
             let fine = ranges_of(t.out_pull_mirror().unwrap());
             assert_eq!(t.num_partitions(), 8 * lanes, "{lanes} lanes");
             assert_eq!(t.out_partition_ranges(), fine);
-            let in_fine = ranges_of(t.in_pull_mirror().unwrap());
+            let in_fine = ranges_of(t.in_pull_mirror());
             assert_eq!(t.in_partition_ranges().unwrap(), in_fine);
         }
     }
@@ -1084,7 +1096,7 @@ mod tests {
                 } else {
                     RowPartitioner::even_rows(el.num_vertices(), partitions)
                 };
-                let direct = Orientation::build(&RowBuckets::new(&adjacency, &ranges), true, None);
+                let direct = Orientation::build(&RowBuckets::new(&adjacency, &ranges), None);
                 let options = GraphBuildOptions::default()
                     .with_partitions(partitions)
                     .with_balancing(balanced);
@@ -1096,8 +1108,8 @@ mod tests {
                 assert_eq!(rows, ranges, "{label}");
                 assert!(derived.iter().eq(direct.built().iter()), "{label}: DCSC");
 
-                let mirror = topology.in_pull_mirror().unwrap();
-                let direct_mirror = direct.made_mirror().unwrap();
+                let mirror = topology.in_pull_mirror();
+                let direct_mirror = CsrMirror::from_partitioned(direct.built());
                 assert_eq!(
                     mirror.n_partitions(),
                     direct_mirror.n_partitions(),
@@ -1275,22 +1287,92 @@ mod tests {
         assert_eq!(t.in_partition_ranges().unwrap().len(), 2);
     }
 
+    /// A build makes no mirror: `matrix_bytes` is the DCSC alone until the
+    /// first pull of a side derives that side's mirror, and deriving `G`
+    /// does not derive `G`'s.
     #[test]
-    fn pull_mirrors_can_be_skipped() {
+    fn a_base_derives_each_mirror_on_its_first_pull() {
         let el = EdgeList::from_tuples(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        assert!(Topology::from_edge_list(&el, GraphBuildOptions::default()).has_pull_mirrors());
-        let t =
-            Topology::from_edge_list(&el, GraphBuildOptions::default().with_pull_mirrors(false));
-        assert!(!t.has_pull_mirrors());
-        assert!(t.out_pull_mirror().is_none());
-        // Without mirrors, matrix_bytes is the pure DCSC footprint of what
-        // is resident: Gᵀ alone until something asks for G.
-        assert_eq!(t.matrix_bytes(), t.out_matrix().bytes());
-        assert!(t.in_pull_mirror().is_none());
+        let t = Topology::from_edge_list(&el, GraphBuildOptions::default());
+        assert!(t.out_side().made_mirror().is_none());
         assert_eq!(t.pull_bytes(), 0);
-        assert_eq!(
-            t.matrix_bytes(),
-            t.out_matrix().bytes() + t.in_matrix().bytes()
-        );
+        assert_eq!(t.matrix_bytes(), t.out_matrix().bytes());
+        let dcsc = t.out_matrix().bytes() + t.in_matrix().bytes();
+        assert_eq!(t.matrix_bytes(), dcsc);
+        assert!(t.in_side().unwrap().made_mirror().is_none());
+        let out_mirror = t.out_pull_mirror().unwrap();
+        assert!(std::ptr::eq(
+            out_mirror,
+            &**t.out_side().made_mirror().unwrap()
+        ));
+        assert_eq!(t.pull_bytes(), out_mirror.bytes());
+        assert!(t.in_side().unwrap().made_mirror().is_none());
+        let in_mirror = t.in_pull_mirror();
+        assert_eq!(t.pull_bytes(), out_mirror.bytes() + in_mirror.bytes());
+        assert_eq!(t.matrix_bytes(), dcsc + t.pull_bytes());
+    }
+
+    /// The mirror a base's first pull derives from its push matrix, on each
+    /// side, against the mirror of the fine partitions built from the
+    /// buckets that push matrix was built from: partition by partition, on
+    /// 1, 2 and 3 lanes, for an automatic layout (RMAT merges its push, the
+    /// grid does not), an explicit and an unbalanced count, weighted and
+    /// `E = ()`. The salted inputs carry isolated vertices and self-loops,
+    /// and parallel edges of different values, whose stored order the
+    /// derivation must keep.
+    #[test]
+    fn a_derived_mirror_is_the_mirror_of_the_fine_partitions() {
+        fn check<E>(el: &EdgeList<E>, label: &str)
+        where
+            E: Clone + Send + Sync + PartialEq + std::fmt::Debug,
+        {
+            let layouts = [
+                GraphBuildOptions::default(),
+                GraphBuildOptions::default().with_partitions(5),
+                GraphBuildOptions::default()
+                    .with_partitions(7)
+                    .with_balancing(false),
+                GraphBuildOptions::default().with_balancing(false),
+            ];
+            for (options, lanes) in layouts.into_iter().flat_map(|o| [(o, 1), (o, 2), (o, 3)]) {
+                let t = Topology::build(el, options, lanes);
+                let label = format!("{label}, {options:?}, {lanes} lanes");
+                if options.num_partitions == 0 && label.starts_with("rmat") {
+                    assert_eq!(t.num_partitions(), lanes, "{label}: a merged push");
+                }
+                // `G` is derived from the stored edge list, as `inward` does.
+                let (n, stored) = (el.num_vertices(), t.to_edge_list().into_tuples());
+                let sides = [
+                    (t.out_side(), el.to_transpose_coo(), el.in_degrees()),
+                    (
+                        t.inward(),
+                        Coo::from_entries(n, n, stored),
+                        el.out_degrees(),
+                    ),
+                ];
+                for (side, coo, row_nnz) in sides {
+                    let fine = options.row_ranges(&row_nnz, lanes);
+                    let buckets = RowBuckets::new(&coo, &fine);
+                    let want = CsrMirror::from_partitioned(&buckets.matrix(fine.len()));
+                    let got = side.pull(&Executor::new(lanes));
+                    assert_eq!(got.n_partitions(), want.n_partitions(), "{label}");
+                    for (got, want) in got.partitions().iter().zip(want.partitions()) {
+                        assert_eq!(got.rows, want.rows, "{label}");
+                        assert!(got.iter_rows().eq(want.iter_rows()), "{label}: rows");
+                    }
+                    assert!(**got == want, "{label}");
+                }
+            }
+        }
+        const SEED: u64 = 0x5EED;
+        for (name, mut el) in salted_inputs(SEED) {
+            // A second copy of every seventh edge: parallel pairs.
+            let copies: Vec<_> = el.edges().iter().step_by(7).copied().collect();
+            for (s, d, w) in copies {
+                el.push(s, d, w + 100.0);
+            }
+            check(&el, &format!("{name}, seed {SEED:#x}, f32"));
+            check(&el.topology(), &format!("{name}, seed {SEED:#x}, ()"));
+        }
     }
 }

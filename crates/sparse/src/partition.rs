@@ -13,8 +13,8 @@
 //! push looks every message up in every partition's `jc`, so on a matrix
 //! whose columns repeat across partitions the fine grain is pure cost there:
 //! [`RowBuckets::matrix`] builds runs of consecutive partitions as one per
-//! lane, and the mirror ([`crate::pull::CsrMirror::from_buckets`]) keeps the
-//! fine ranges, which refine the merged ones.
+//! lane, and the mirror ([`crate::pull::CsrMirror::derive`]) keeps the fine
+//! ranges, which refine the merged ones.
 //!
 //! Two partitioning policies are provided:
 //!
@@ -166,10 +166,10 @@ pub struct PartitionedDcsc<T> {
 
 /// A matrix's entries bucketed by row range, each bucket sorted by `(col,
 /// row)` — the order a DCSC stores them in, and the order a CSR mirror's rows
-/// take them in. Both layouts of a partitioned matrix are built from it:
-/// [`RowBuckets::matrix`] the DCSC partitions, one per bucket or one per run
-/// of consecutive buckets, and [`crate::pull::CsrMirror::from_buckets`] the
-/// row-major mirror of the buckets.
+/// take them in. [`RowBuckets::matrix`] builds the DCSC partitions from it,
+/// one per bucket or one per run of consecutive buckets; the row-major
+/// mirror on the buckets' ranges is derived from those
+/// ([`crate::pull::CsrMirror::derive`]).
 #[derive(Clone, Debug)]
 pub struct RowBuckets<T> {
     nrows: Index,
@@ -257,22 +257,9 @@ impl<T: Clone> RowBuckets<T> {
 }
 
 impl<T> RowBuckets<T> {
-    pub(crate) fn nrows(&self) -> Index {
-        self.nrows
-    }
-
-    pub(crate) fn ncols(&self) -> Index {
-        self.ncols
-    }
-
     /// The row ranges the entries were bucketed by.
     pub fn ranges(&self) -> &[RowRange] {
         &self.ranges
-    }
-
-    /// The buckets, one per range, each sorted by `(col, row)`.
-    pub(crate) fn buckets(&self) -> &[Vec<(Index, Index, T)>] {
-        &self.buckets
     }
 
     /// Σ over buckets of the distinct columns each holds: the non-empty

@@ -14,19 +14,23 @@
 //! inside one of the matrix's, so the two backends share one
 //! disjoint-row-ownership argument), each stored row-major — a compact CSR
 //! whose row pointers cover only the partition's own row range and whose
-//! column ids stay global. It is built from the fine, load-balancing
-//! partitions (§4.5's 8 × lanes); the push matrix is the same partitions or,
-//! merged, one per lane (both from one [`RowBuckets`]). It is a *mirror*:
-//! fully redundant with the DCSC it shadows, costing roughly the same memory
-//! again ([`CsrMirror::bytes`]). A graph keeps one per orientation it holds,
-//! or none at all (`build_pull_mirrors = false`, every superstep pushes).
+//! column ids stay global. It is partitioned by the fine, load-balancing
+//! ranges (§4.5's 8 × lanes); the push matrix is the same partitions or,
+//! merged, one per lane. It is a *mirror*: fully redundant with the DCSC it
+//! shadows, costing roughly the same memory again ([`CsrMirror::bytes`]). So
+//! a graph does not build one: its first pull derives it from the push
+//! matrix ([`CsrMirror::derive`], one counting transpose per fine
+//! partition), as GraphBLAS converts a matrix's format when it is next read,
+//! and a graph that is only ever pushed never holds one.
 //! Pending edits are never merged into a pull: they are folded into a new
 //! mirror, row by row from the overlay's edits bucketed by row, partition by
 //! partition ([`crate::overlay::fold_into_mirror`]) — by the first pull of
 //! a snapshot with edits pending, and by a compaction — and the fold is
 //! pulled by the same kernel as any mirror.
 
-use crate::partition::{PartitionedDcsc, RowBuckets, RowRange};
+use crate::overlay::fold_partitions;
+use crate::parallel::Executor;
+use crate::partition::{PartitionedDcsc, RowRange};
 use crate::{ix, Index};
 
 /// One row partition of a [`CsrMirror`]: the partition's row range plus a
@@ -122,22 +126,6 @@ impl<T: Clone> CsrMirror<T> {
         }
     }
 
-    /// Build the row-major mirror of bucketed entries, one partition per
-    /// bucket: the mirror of [`RowBuckets::matrix`] at one partition per
-    /// bucket, whichever runs the DCSC partitions were merged in.
-    pub fn from_buckets(buckets: &RowBuckets<T>) -> Self {
-        let partitions = (buckets.ranges().iter().zip(buckets.buckets()))
-            .map(|(rows, entries)| {
-                Self::mirror_partition(|| entries.iter().map(|(r, c, v)| (*r, *c, v)), *rows)
-            })
-            .collect();
-        CsrMirror {
-            nrows: buckets.nrows(),
-            ncols: buckets.ncols(),
-            partitions,
-        }
-    }
-
     /// The mirror partition of `rows` from its entries, which `entries`
     /// iterates in column-major order (twice: to count, then to place).
     fn mirror_partition<'a, I>(entries: impl Fn() -> I, rows: RowRange) -> PullPartition<T>
@@ -177,6 +165,57 @@ impl<T: Clone> CsrMirror<T> {
                 // loop above.
                 .map(|v| v.expect("slot filled"))
                 .collect(),
+        }
+    }
+}
+
+impl<T: Clone + Send + Sync> CsrMirror<T> {
+    /// The mirror of `matrix` on `ranges`, which cover its rows contiguously,
+    /// each inside one of its partitions: what a base's first pull derives
+    /// from its push matrix. Each push partition's entries are bucketed by
+    /// the ranges inside it and each bucket transposed by the counting sort
+    /// [`CsrMirror::from_partitioned`] runs; the push partitions are handed
+    /// out across `executor`'s lanes. The result is
+    /// [`CsrMirror::from_partitioned`] of the same entries partitioned by
+    /// `ranges`, whatever the lane count: each row's columns ascending,
+    /// parallel entries in the order the matrix stores them.
+    ///
+    /// # Panics
+    /// Panics if a range does not lie inside one of `matrix`'s partitions.
+    pub fn derive(matrix: &PartitionedDcsc<T>, ranges: &[RowRange], executor: &Executor) -> Self {
+        let parts = matrix.partitions();
+        // The ranges inside each push partition: a run of consecutive ones.
+        let (mut runs, mut first) = (Vec::with_capacity(parts.len()), 0);
+        for part in parts {
+            let inside = |r: &&RowRange| part.rows.start <= r.start && r.end <= part.rows.end;
+            let end = first + ranges[first..].iter().take_while(inside).count();
+            runs.push(first..end);
+            first = end;
+        }
+        assert!(
+            first == ranges.len(),
+            "every mirror range lies inside one push partition"
+        );
+        let cut = fold_partitions(parts.len(), executor, |q| {
+            let (part, run) = (&parts[q], &ranges[runs[q].clone()]);
+            if run == [part.rows] {
+                return vec![Self::mirror_partition(|| part.matrix.iter(), part.rows)];
+            }
+            // Bucketed by range first (column-major order kept), so that each
+            // range's counting sort scatters into arrays of its own size.
+            let mut buckets: Vec<Vec<_>> = run.iter().map(|_| Vec::new()).collect();
+            for (r, c, v) in part.matrix.iter() {
+                buckets[run.partition_point(|rows| rows.end <= r)].push((r, c, v));
+            }
+            let sort = |(rows, bucket): (&RowRange, &Vec<_>)| {
+                Self::mirror_partition(|| bucket.iter().copied(), *rows)
+            };
+            run.iter().zip(&buckets).map(sort).collect()
+        });
+        CsrMirror {
+            nrows: matrix.nrows(),
+            ncols: matrix.ncols(),
+            partitions: cut.into_iter().flatten().collect(),
         }
     }
 }
@@ -238,7 +277,7 @@ impl<T> CsrMirror<T> {
 
     /// Total in-memory footprint in bytes (row pointers, column ids and
     /// stored values; zero value bytes when `T = ()`). This is the *extra*
-    /// memory a pull-enabled topology pays on top of its DCSC matrices.
+    /// memory a topology pays on top of its DCSC matrices once it has pulled.
     pub fn bytes(&self) -> usize {
         self.partitions
             .iter()
@@ -293,24 +332,35 @@ mod tests {
         }
     }
 
-    /// A mirror built from the buckets is the mirror of their matrix, however
-    /// the matrix's partitions are merged.
+    /// The mirror derived from a push matrix — merged in runs of the fine
+    /// ranges, or on the fine ranges themselves — is the mirror of the fine
+    /// matrix, on one lane and across two and three, empty ranges included.
     #[test]
-    fn the_mirror_of_buckets_is_the_mirror_of_their_matrix() {
-        use crate::partition::RowPartitioner;
-        let coo = sample();
-        let buckets = RowBuckets::new(&coo, &RowPartitioner::even_rows(8, 4));
-        let from_buckets = CsrMirror::from_buckets(&buckets);
-        let from_matrix = CsrMirror::from_partitioned(&buckets.matrix(4));
-        assert_eq!(from_buckets.n_partitions(), 4);
-        assert_eq!(from_buckets.bytes(), from_matrix.bytes());
-        for (got, want) in from_buckets
-            .partitions()
-            .iter()
-            .zip(from_matrix.partitions())
-        {
-            assert_eq!(got.rows, want.rows);
-            assert!(got.iter_rows().eq(want.iter_rows()));
+    fn a_derived_mirror_is_the_mirror_of_the_fine_matrix() {
+        use crate::partition::{RowBuckets, RowPartitioner};
+        // A parallel pair and a self-loop beside the sample's entries.
+        let mut coo = sample();
+        coo.push(5, 2, 202);
+        coo.push(4, 4, 400);
+        for fine in [
+            RowPartitioner::even_rows(8, 4),
+            RowPartitioner::even_rows(8, 11),
+            RowPartitioner::balanced_nnz(&coo.row_counts(), 3),
+        ] {
+            let buckets = RowBuckets::new(&coo, &fine);
+            let want = CsrMirror::from_partitioned(&buckets.matrix(fine.len()));
+            for groups in [1, 2, fine.len()] {
+                for ex in [Executor::sequential(), Executor::new(2), Executor::new(3)] {
+                    let case = format!("{fine:?} in {groups} groups, {} lanes", ex.nthreads());
+                    let got = CsrMirror::derive(&buckets.matrix(groups), &fine, &ex);
+                    assert_eq!(got.n_partitions(), fine.len(), "{case}");
+                    for (got, want) in got.partitions().iter().zip(want.partitions()) {
+                        assert_eq!(got.rows, want.rows, "{case}");
+                        assert!(got.iter_rows().eq(want.iter_rows()), "{case}");
+                    }
+                    assert!(got == want, "{case}");
+                }
+            }
         }
     }
 

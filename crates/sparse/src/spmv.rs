@@ -1463,7 +1463,8 @@ mod tests {
                         assert!(merged == want.matrix(edited.groups), "merged push, {case}");
                     }
                     let mirror = CsrMirror::from_partitioned(&edited.base);
-                    let want_mirror = CsrMirror::from_buckets(want);
+                    let want_mirror =
+                        CsrMirror::from_partitioned(&want.matrix(want.ranges().len()));
                     for (layout, overlay) in [
                         ("fine", &edited.overlay),
                         ("merged", &edited.merged_overlay),

@@ -89,6 +89,10 @@ fn main() -> Result<(), GraphMatError> {
     let weighted_topo = session
         .build_graph(&edges.with_weights(|_, _| 1.0f32))
         .finish()?;
+    // Compare like with like: a pull derives a side's mirror on first use,
+    // so give both topologies theirs.
+    topo.out_pull_mirror();
+    weighted_topo.out_pull_mirror();
     let unweighted_bytes = topo.matrix_bytes();
     let weighted_bytes = weighted_topo.matrix_bytes();
     println!(

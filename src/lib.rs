@@ -74,9 +74,10 @@
 //! away), when the frontier's out-edges exceed half of what it would gather.
 //! Results are bit-for-bit identical across backends; the per-superstep
 //! choice is recorded in `SuperstepStats::backend`. Pin a backend with
-//! `.backend(Backend::Push | Backend::Pull)` on the run builder, and skip
-//! the mirrors' ~2× matrix memory with `.pull_enabled(false)` on the graph
-//! builder.
+//! `.backend(Backend::Push | Backend::Pull)` on the run builder. The
+//! mirrors' ~2× matrix memory is paid by the first pull along a side, which
+//! derives its mirror from the push matrix: a graph that is only pushed
+//! never holds one.
 //!
 //! ## Edge-type genericity (PR-1)
 //!

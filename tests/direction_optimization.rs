@@ -183,6 +183,41 @@ fn road_sssp_never_pulls() {
     assert_eq!(bits(&out.values), bits(&reference));
 }
 
+/// A run that never pulls derives no mirror: a forced-push PageRank, and an
+/// automatic SSSP on a road grid, which pushes every superstep.
+#[test]
+fn a_run_that_never_pulls_derives_no_mirror() {
+    let session = Session::with_threads(2).unwrap();
+    let rmat = rmat::generate(&RmatConfig::graph500(9).with_seed(5));
+    let topo = session.build_graph(&rmat).finish().unwrap();
+    let cfg = PageRankConfig::default();
+    let push = Session::new(
+        SessionOptions::default()
+            .with_threads(2)
+            .with_run_defaults(RunOptions::default().with_backend(Backend::Push)),
+    )
+    .unwrap();
+    let pushed = pagerank_on(&push, &topo, &cfg).unwrap();
+    assert!(pushed.stats.iterations > 1);
+    assert_eq!(pushed.stats.pull_supersteps, 0);
+    let grid = grid::generate(&GridConfig::square(64).with_seed(3));
+    let road = session.build_graph(&grid).finish().unwrap();
+    let out = sssp_on(&session, &road, 0).unwrap();
+    assert!(out.stats.iterations > 64);
+    assert_eq!(out.stats.pull_supersteps, 0);
+    for (name, topology) in [("pagerank", &*topo), ("road sssp", &*road)] {
+        assert!(topology.out_side().made_mirror().is_none(), "{name}");
+        assert!(topology.in_side().is_none(), "{name}");
+        assert_eq!(topology.pull_bytes(), 0, "{name}");
+    }
+    // The selector's first pull is what derives it.
+    let auto = pagerank_on(&session, &topo, &cfg).unwrap();
+    assert!(auto.stats.pull_supersteps > 0);
+    assert!(topo.pull_bytes() > 0);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&auto.values), bits(&pushed.values));
+}
+
 /// What a BFS leaves behind: the distances, and the work totals a snapshot
 /// with pending edits must share with its rebuild.
 #[derive(Debug, PartialEq)]

@@ -116,16 +116,9 @@ fn unweighted_matrices_store_no_value_bytes() {
     let weighted = weighted_graph();
     let unweighted = weighted.topology();
     let session = Session::sequential();
-    let gw = session
-        .build_graph(&weighted)
-        .pull_enabled(false)
-        .finish()
-        .unwrap();
-    let gu = session
-        .build_graph(&unweighted)
-        .pull_enabled(false)
-        .finish()
-        .unwrap();
+    // Fresh builds: no run has pulled, so neither holds a mirror.
+    let gw = session.build_graph(&weighted).finish().unwrap();
+    let gu = session.build_graph(&unweighted).finish().unwrap();
     assert_eq!(gw.num_edges(), gu.num_edges());
     assert_eq!(
         gw.matrix_bytes() - gu.matrix_bytes(),

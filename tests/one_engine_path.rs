@@ -275,58 +275,75 @@ fn assert_rejected_untouched<V: Clone + PartialEq + Default + Send + Sync + 'sta
     assert!(!state.has_cached_workspace(), "{label}");
 }
 
+/// A session of one lane whose runs all use `backend`.
+fn forced(backend: Backend) -> Session {
+    Session::new(
+        SessionOptions::default()
+            .with_threads(1)
+            .with_run_defaults(RunOptions::default().with_backend(backend)),
+    )
+    .unwrap()
+}
+
+/// A run entered by some route, through the session it is handed.
+type ThroughSession<'a, V> =
+    &'a dyn Fn(&Session, &mut VertexState<V>) -> Result<RunResult, GraphMatError>;
+
+/// `run` through a session forcing pulls and one forcing pushes, each into a
+/// fresh state of 4 vertices: both succeed, the first pulls on every
+/// superstep and the second on none, and their properties agree bit for bit.
+fn assert_pulls_like_pushes<V: Clone + Default>(
+    label: &str,
+    run: ThroughSession<'_, V>,
+    bits: fn(&V) -> u64,
+) {
+    let [pulled, pushed] = [Backend::Pull, Backend::Push].map(|backend| {
+        let mut state: VertexState<V> = VertexState::new(4);
+        let result = run(&forced(backend), &mut state);
+        let stats = result
+            .unwrap_or_else(|e| panic!("{label}, {backend:?}: {e}"))
+            .stats;
+        let pulls = if backend == Backend::Pull {
+            stats.iterations
+        } else {
+            0
+        };
+        assert!(stats.iterations > 0, "{label}, {backend:?}");
+        assert_eq!(stats.pull_supersteps, pulls, "{label}, {backend:?}");
+        state.properties().iter().map(bits).collect::<Vec<_>>()
+    });
+    assert_eq!(pulled, pushed, "{label}");
+}
+
 #[test]
 fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
     const SENTINEL: u64 = 7;
     let edges = EdgeList::from_tuples(4, vec![(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-    // Every run below forces the pull backend.
-    let session = Session::new(
-        SessionOptions::default()
-            .with_threads(1)
-            .with_run_defaults(RunOptions::default().with_backend(Backend::Pull)),
-    )
-    .unwrap();
-    // A topology without mirrors, so that every fault below can be present
-    // at once.
-    let bare = session
-        .build_graph(&edges)
-        .pull_enabled(false)
-        .finish()
-        .unwrap();
-    let store = manual_store(&bare);
+    // Every run below forces the pull backend: on a fresh topology, which no
+    // run has pulled, and on a snapshot of it with edits pending.
+    let session = forced(Backend::Pull);
+    let fresh = session.build_graph(&edges).finish().unwrap();
+    let store = manual_store(&fresh);
     let mut batch = DeltaBatch::new(4);
     batch.insert(3, 0, 1.0).unwrap();
     let pending = store.apply(batch).unwrap();
     assert!(pending.overlay().is_some());
+    assert!(fresh.out_side().made_mirror().is_none());
 
-    // Each case carries its own fault plus every later one, so the error it
-    // reports pins the order the prologue checks in. Pending edits are no
-    // fault: a forced pull over them fails only for want of a mirror.
+    // The fault a run over either can carry: a state of the wrong length,
+    // which the prologue reports before anything is touched — an `In` run
+    // before it derives the in side of the edits. Neither a missing mirror
+    // nor pending edits is a fault: a forced pull derives or folds them.
     type Expect<'a> = &'a dyn Fn(&GraphMatError) -> bool;
-    let cases: [(&str, &Topology<f32>, usize, EdgeDirection, Expect<'_>); 3] = [
-        (
-            "state length, then overlay, mirrors",
-            pending.view(),
-            3,
-            EdgeDirection::In,
-            &|e| {
+    let cases: [(&str, &Topology<f32>, usize, EdgeDirection, Expect<'_>); 1] =
+        [
+            ("state length", pending.view(), 3, EdgeDirection::In, &|e| {
                 *e == GraphMatError::StateLengthMismatch {
                     state_vertices: 3,
                     topology_vertices: 4,
                 }
-            },
-        ),
-        (
-            "pull over overlay, then mirrors",
-            pending.view(),
-            4,
-            EdgeDirection::Out,
-            &|e| *e == GraphMatError::MissingPullMirror,
-        ),
-        ("mirrors", &*bare, 4, EdgeDirection::Out, &|e| {
-            *e == GraphMatError::MissingPullMirror
-        }),
-    ];
+            }),
+        ];
 
     for (name, view, state_len, direction, expected) in cases {
         let through_the_builder = |state: &mut VertexState<u64>| {
@@ -350,47 +367,57 @@ fn the_prologue_rejects_in_one_order_before_anything_is_touched() {
             let label = format!("{name} via {route}");
             assert_rejected_untouched(&label, state_len, SENTINEL, run, expected);
         }
-        // The two drivers whose init closure captures the view's degrees
-        // initialise through the builder too, after the prologue. Both
-        // scatter along out-edges, so the `In` case is not theirs.
-        if direction != EdgeDirection::In {
-            assert_rejected_untouched(
-                &format!("{name} via pagerank_into"),
-                state_len,
-                PageRankVertex {
-                    rank: 7.0,
-                    degree: 7,
-                },
-                &|state| pagerank_into(&session, view, &PageRankConfig::default(), None, state),
-                expected,
-            );
-            assert_rejected_untouched(
-                &format!("{name} via delta_pagerank_into"),
-                state_len,
-                DeltaPrVertex {
-                    rank: 7.0,
-                    delta: 7.0,
-                    degree: 7,
-                },
-                &|state| {
-                    delta_pagerank_into(
-                        &session,
-                        view,
-                        &DeltaPageRankConfig::default(),
-                        None,
-                        state,
-                    )
-                },
-                expected,
-            );
-        }
     }
+    assert!(pending.view().in_side().is_none(), "a rejected run derived");
+
+    // Forced pulls over the fresh topology and over its pending edits run —
+    // the first derives the base's mirror, the second folds it — through
+    // every route, and answer like forced pushes.
+    for (name, view) in [("fresh", &*fresh), ("pending", pending.view())] {
+        for direction in [EdgeDirection::Out, EdgeDirection::In] {
+            let label = format!("{name}, {direction:?}");
+            let through_the_builder = |session: &Session, state: &mut VertexState<u64>| {
+                session
+                    .run(view, Count { direction })
+                    .init_all(0)
+                    .activate_all()
+                    .max_iterations(1)
+                    .execute_with(state)
+            };
+            let through_a_driver = |session: &Session, state: &mut VertexState<u64>| match direction
+            {
+                EdgeDirection::In => out_degrees_into(session, view, None, state),
+                _ => in_degrees_into(session, view, None, state),
+            };
+            let count = |c: &u64| *c;
+            assert_pulls_like_pushes(
+                &format!("{label} via Session::run"),
+                &through_the_builder,
+                count,
+            );
+            assert_pulls_like_pushes(&format!("{label} via x_into"), &through_a_driver, count);
+        }
+        assert_pulls_like_pushes(
+            &format!("{name} via pagerank_into"),
+            &|session, state| pagerank_into(session, view, &PageRankConfig::default(), None, state),
+            |v: &PageRankVertex| v.rank.to_bits(),
+        );
+        assert_pulls_like_pushes(
+            &format!("{name} via delta_pagerank_into"),
+            &|session, state| {
+                delta_pagerank_into(session, view, &DeltaPageRankConfig::default(), None, state)
+            },
+            |v: &DeltaPrVertex| v.rank.to_bits(),
+        );
+    }
+    assert!(fresh.out_side().made_mirror().is_some());
 
     // The rejected runs left nothing behind: a state they bounced off serves
     // the next valid query.
     let mut state: VertexState<u64> = VertexState::new(4);
     state.set_all_properties(SENTINEL);
-    assert!(in_degrees_into(&session, &bare, None, &mut state).is_err());
+    in_degrees_into(&session, &fresh, None, &mut state).unwrap();
+    assert_eq!(state.properties(), &[0, 1, 2, 1]);
     let push = Session::sequential();
     in_degrees_into(&push, pending.view(), None, &mut state).unwrap();
     assert_eq!(state.properties(), &[1, 1, 2, 1]);

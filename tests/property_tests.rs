@@ -346,9 +346,10 @@ fn salted_graph(shape: &str, seed: u64) -> EdgeList {
     EdgeList::from_tuples(n + 2, tuples)
 }
 
-/// How a base is built: an automatic count on 2 lanes (RMAT pushes through 2
-/// partitions and pulls through 16), an explicit count, no pull mirror.
-const LAYOUTS: [&str; 3] = ["automatic", "explicit", "mirror-less"];
+/// How a base is built and run: an automatic count on 2 lanes (RMAT pushes
+/// through 2 partitions and pulls through 16), an explicit count, and the
+/// automatic count under runs forced to push, which never derive a mirror.
+const LAYOUTS: [&str; 3] = ["automatic", "explicit", "push-only"];
 
 fn build_with<E: Clone>(
     session: &Session,
@@ -357,19 +358,17 @@ fn build_with<E: Clone>(
 ) -> std::sync::Arc<Topology<E>> {
     let builder = session.build_graph(edges);
     let builder = match layout {
-        "automatic" => builder,
         "explicit" => builder.partitions(5),
-        _ => builder.pull_enabled(false),
+        _ => builder,
     };
     builder.finish().unwrap()
 }
 
 /// A topology's push count and the ranges its kernels run over: push, pull
-/// mirror (none without one) and `G`'s.
+/// mirror (derived here if no pull has) and `G`'s.
 fn layout_of<E: Clone + Send + Sync>(t: &Topology<E>) -> (usize, [Vec<RowRange>; 3]) {
-    let mirror = t.out_pull_mirror().map_or(Vec::new(), |m| {
-        m.partitions().iter().map(|p| p.rows).collect()
-    });
+    let mirror = t.out_pull_mirror().expect("a mirror is derived on call");
+    let mirror = mirror.partitions().iter().map(|p| p.rows).collect();
     let in_ranges = t.in_partition_ranges().unwrap();
     (
         t.num_partitions(),
@@ -385,6 +384,12 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
     // and PageRank / BFS / SSSP answers are a rebuild's from the reference.
     use std::collections::BTreeMap;
     let session = Session::with_threads(2).unwrap();
+    let push_only = Session::new(
+        SessionOptions::default()
+            .with_threads(2)
+            .with_run_defaults(RunOptions::default().with_backend(Backend::Push)),
+    )
+    .unwrap();
     let pr_cfg = PageRankConfig {
         iterations: 6,
         ..Default::default()
@@ -471,22 +476,31 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
                 }
 
                 let root = rng.gen_range(0..n);
-                let pr = |t| pagerank_on(&session, t, &pr_cfg).unwrap().values;
+                let session = if layout == "push-only" {
+                    &push_only
+                } else {
+                    &session
+                };
+                let pr = |t| pagerank_on(session, t, &pr_cfg).unwrap().values;
                 let pr_bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     pr_bits(pr(compacted)),
                     pr_bits(pr(&rebuilt)),
                     "{ctx}: pagerank"
                 );
-                let bfs = |t| bfs_on(&session, t, root).unwrap().values;
+                let bfs = |t| bfs_on(session, t, root).unwrap().values;
                 assert_eq!(bfs(compacted), bfs(&rebuilt), "{ctx}: bfs from {root}");
-                let sssp = |t| sssp_on(&session, t, root).unwrap().values;
+                let sssp = |t| sssp_on(session, t, root).unwrap().values;
                 let sssp_bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     sssp_bits(sssp(compacted)),
                     sssp_bits(sssp(&rebuilt)),
                     "{ctx}: sssp from {root}"
                 );
+                if layout == "push-only" {
+                    let made = rebuilt.out_side().made_mirror();
+                    assert!(made.is_none(), "{ctx}: a forced push derived a mirror");
+                }
             }
         }
     }
@@ -511,7 +525,7 @@ fn assert_degrees_count_the_folds(snap: &GraphSnapshot<f32>, ctx: &str) {
     let topology = snap.view().clone();
     let (out_fold, in_fold) = (
         topology.out_pull_mirror().unwrap(),
-        topology.in_pull_mirror().unwrap(),
+        topology.in_pull_mirror(),
     );
     let edges = snap.num_edges() as u64;
     for (side, degrees, fold) in [

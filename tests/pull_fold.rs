@@ -292,6 +292,39 @@ fn concurrent_first_pulls_fold_once() {
     assert_eq!(**mirror, *f.compacted.out_pull_mirror().unwrap());
 }
 
+/// Two runs pulling a fresh base at once derive one mirror: the first
+/// pull's derivation, which the other waits for and reads.
+#[test]
+fn concurrent_first_pulls_of_a_fresh_base_derive_once() {
+    let el = graph();
+    let session = session(2, None);
+    let base = session.build_graph(&el).finish().unwrap();
+    let reference = session.build_graph(&el).finish().unwrap();
+    let (want, ..) = run(&session, &reference, Algo::PageRank);
+    assert!(base.out_side().made_mirror().is_none());
+    assert_eq!(base.pull_bytes(), 0);
+    let start = std::sync::Barrier::new(2);
+    let derived: Vec<usize> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let (base, session, start, want) = (&base, &session, &start, &want);
+                s.spawn(move || {
+                    start.wait();
+                    let (got, first_pull, _) = run(session, base, Algo::PageRank);
+                    assert_eq!(&got, want);
+                    assert_eq!(first_pull, Some(0));
+                    Arc::as_ptr(base.out_side().made_mirror().unwrap()) as usize
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(derived[0], derived[1], "two derivations");
+    let mirror = base.out_side().made_mirror().unwrap();
+    assert_eq!(base.pull_bytes(), mirror.bytes());
+    assert_eq!(**mirror, *reference.out_pull_mirror().unwrap());
+}
+
 #[test]
 fn concurrent_first_pushes_fold_once() {
     let f = fixture();
@@ -460,9 +493,9 @@ fn in_and_both_pulls_read_the_in_fold_and_answer_like_the_compacted_base_and_a_r
                 if let Some(in_fold) = in_fold {
                     // What a compaction's `G` stores (`assert!`: the
                     // mirrors are too large to print).
-                    let base = f.base.in_pull_mirror().unwrap();
+                    let base = f.base.in_pull_mirror();
                     assert!(**in_fold != *base, "{ctx}: the edits change G");
-                    let derived = f.compacted.in_pull_mirror().unwrap();
+                    let derived = f.compacted.in_pull_mirror();
                     assert!(**in_fold == *derived, "{ctx}: the compacted base's G");
                     // The second run reads the same fold.
                     let first = Arc::as_ptr(in_fold);

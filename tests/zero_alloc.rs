@@ -108,8 +108,6 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Ok(t) => t,
         Err(e) => panic!("build: {e}"),
     };
-    let out_only_bytes = topo.matrix_bytes();
-
     // ---- Part 1: 100 pooled supersteps through the engine front-end. ----
     let mut state: VertexState<f64> = VertexState::for_topology(&topo);
     let run = |state: &mut VertexState<f64>, backend: Option<Backend>| {
@@ -123,10 +121,12 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
             .execute_with(state)
     };
     // Warm-up run allocates the cached workspace inside the state.
+    // Its first pull derives `Gᵀ`'s mirror, which the count below includes.
     match run(&mut state, None) {
         Ok(r) => assert_eq!(r.stats.iterations, 100),
         Err(e) => panic!("warm-up run: {e}"),
     }
+    let out_only_bytes = topo.matrix_bytes();
     // The one cached workspace serves every backend: switching between
     // forced push, forced pull and the per-superstep selector reallocates
     // nothing.
@@ -325,9 +325,8 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     let Some(folded_bytes) = pending.folded_bytes().map(|b| b - push_fold_bytes) else {
         panic!("ten pulls did not fold");
     };
-    let mirror = match topo.out_pull_mirror() {
-        Some(m) => m,
-        None => panic!("the base has no pull mirror"),
+    let Some(mirror) = topo.out_side().made_mirror() else {
+        panic!("the warm-up pulls derived no mirror");
     };
     let buckets = 8 * u64::from(n) + 12 * overlay.out().nnz() as u64;
     // Three arrays per overlay partition, and the list of them.
@@ -366,10 +365,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
             Err(e) => panic!("out_degrees_into over edits: {e}"),
         };
     let ((), stats) = AllocGuard::measure(|| out_degrees(&mut degrees));
-    let in_mirror = match topo.in_pull_mirror() {
-        Some(m) => m,
-        None => panic!("the base has no in-side pull mirror"),
-    };
+    let in_mirror = topo.in_pull_mirror();
     let in_side_bytes = match edited.in_side().and_then(|side| side.edits()) {
         Some(in_edits) => in_edits.bytes() as u64,
         None => panic!("an In run derived no in side"),
@@ -514,6 +510,7 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
             Ok(t) => t,
             Err(e) => panic!("dag build: {e}"),
         };
+        dag.out_pull_mirror(); // derive the mirror TC reads outside the window
         let (outcome, stats) = AllocGuard::measure(|| triangle_count_on(&session, &dag));
         match outcome {
             Ok(out) => assert!(total_triangles(&out) > 0),
@@ -541,7 +538,9 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
             Ok(t) => t,
             Err(e) => panic!("ratings build: {e}"),
         };
-        topo.in_matrix(); // CF scatters both ways: derive G outside the window
+        // CF pulls along both ways: derive G and both mirrors outside the window.
+        topo.out_pull_mirror();
+        topo.in_pull_mirror();
         let cfg = CfConfig {
             iterations: 3,
             ..Default::default()
@@ -583,6 +582,9 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Ok(snapshot) => assert!(snapshot.delta_len() > big.num_edges() / 40),
         Err(e) => panic!("apply ~3 % edits: {e}"),
     }
+    // The compaction folds the base's mirror, which no run has pulled yet:
+    // derive it first, so that the window holds the fold alone.
+    fresh.snapshot().base().out_pull_mirror();
     let (compacted, stats) = AllocGuard::measure(|| fresh.compact_now());
     assert!(compacted, "nothing was compacted");
     let folded = fresh.snapshot().base().clone();

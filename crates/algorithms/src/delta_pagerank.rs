@@ -517,8 +517,8 @@ mod tests {
             std::sync::Arc::clone(&topo),
             StoreOptions {
                 compaction_threshold: usize::MAX,
-                background: false,
                 overload_watermark: usize::MAX,
+                ..StoreOptions::default()
             },
         );
         let n = el.num_vertices();
@@ -555,8 +555,8 @@ mod tests {
                 // Force a compaction mid-stream so the maintainer crosses a
                 // base rebuild too.
                 compaction_threshold: 4,
-                background: false,
                 overload_watermark: usize::MAX,
+                ..StoreOptions::default()
             },
         );
         let cfg = DeltaPageRankConfig {

@@ -275,7 +275,6 @@ mod tests {
             topo,
             StoreOptions {
                 compaction_threshold: usize::MAX,
-                background: false,
                 ..StoreOptions::default()
             },
         );

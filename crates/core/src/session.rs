@@ -762,7 +762,6 @@ mod tests {
                 Arc::clone(&topo),
                 StoreOptions {
                     compaction_threshold: usize::MAX,
-                    background: false,
                     ..StoreOptions::default()
                 },
             );
@@ -943,8 +942,8 @@ mod tests {
             Arc::clone(&topo),
             StoreOptions {
                 compaction_threshold: usize::MAX,
-                background: false,
                 overload_watermark: usize::MAX,
+                ..StoreOptions::default()
             },
         );
         let batch = DeltaBatch::from_ops(

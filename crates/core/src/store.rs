@@ -1,5 +1,5 @@
 //! [`GraphStore`]: streaming updates over an immutable base — snapshot
-//! publication, delta accumulation, background compaction.
+//! publication, delta accumulation, compaction inside the write.
 //!
 //! The serving layer needs a graph that **mutates without ever blocking a
 //! reader**. The store gets there by never mutating anything a reader can
@@ -44,36 +44,39 @@
 //! hold). Those read-side folds are the snapshot's, not the store's: they
 //! cost a matrix's or a mirror's bytes each for as long as the snapshot
 //! lives, and the next write publishes a new snapshot that folds again when
-//! it is first read. When the published overlay reaches
-//! [`StoreOptions::compaction_threshold`] effective ops, the store publishes
-//! the published snapshot's topology detached from its base
-//! ([`Topology::detached`]), with an empty overlay. Its `Gᵀ` is the
-//! snapshot's out-side folds: the ones its pushes and pulls already made are
-//! published as they are (shared, not copied), and a fold no read has made
-//! yet is made now — a linear merge per partition, each push partition of
-//! `Gᵀ` with its overlay partition column by column and each mirror
-//! partition with the overlay's edits bucketed by row, so nothing is
-//! re-sorted and no edge list is built — and kept with the snapshot for its
-//! reads. The new base keeps the old one's build options and row ranges: it
-//! is **not** re-balanced to the edited degrees, which is safe because no
-//! answer depends on the partitioning. Its `G` is derived on the first
-//! `In`/`Both` run, as any base's is; a snapshot's in-side folds are not
-//! published. With
-//! [`StoreOptions::background`] set, a dedicated worker thread does this off
-//! the write path — `apply` just signals it; otherwise compaction runs
-//! inline in the triggering `apply`.
-//! [`GraphStore::compact_now`] forces one synchronously from any thread.
+//! it is first read. Compaction turns those folds into the store's: the
+//! store publishes the published snapshot's topology detached from its base
+//! ([`Topology::detached`]), with an empty overlay. Its `Gᵀ` layouts are
+//! the out-side folds the snapshot's reads made, shared, not copied; only a
+//! snapshot that no read has folded has one layout folded then, from the
+//! one its base holds — a linear merge per partition, so nothing is
+//! re-sorted and no edge list is built. The new base derives the layout it
+//! lacks on first use, as any base does, and keeps the old one's build
+//! options and row ranges: it is **not** re-balanced to the edited degrees,
+//! which is safe because no answer depends on the partitioning. Its `G` is
+//! derived on the first `In`/`Both` run; a snapshot's in-side folds are not
+//! published.
 //!
-//! The fold stores what a build of the edited graph over the same ranges
-//! would, in the same order, so the same history compacts to byte-identical
-//! topologies however often it was compacted along the way — and because
-//! a run over the snapshot reads those very folds, query results are
-//! bit-for-bit identical before and after a compaction.
+//! Compaction runs inside a write, under the writer lock: an `apply` that
+//! finds the published overlay at [`StoreOptions::compaction_threshold`]
+//! effective ops or more compacts the published snapshot — which has had
+//! its reads, so its folds exist — before it merges its own batch into the
+//! new, empty overlay. So the pending edits never exceed the threshold plus
+//! one batch, and no thread runs beside the writers. A compaction that
+//! panics publishes nothing: it is counted
+//! ([`StoreStats::compaction_failures`]), the write goes ahead against the
+//! uncompacted snapshot, and the next write tries again.
+//! [`GraphStore::compact_now`] compacts synchronously from any thread.
+//!
+//! Every layout, once made, stores what a build of the edited graph over the
+//! same ranges would, in the same order, however often the history was
+//! compacted along the way — and because a run over the snapshot reads
+//! those very folds, query results are bit-for-bit identical before and
+//! after a compaction.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use graphmat_delta::{DeltaBatch, DeltaOverlay};
 use graphmat_sparse::Index;
@@ -85,13 +88,11 @@ use crate::topology::Topology;
 /// fresh base.
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 4096;
 
-/// Lock a store mutex, shrugging off poisoning. Safe for every mutex in the
-/// store: the signal holds two independent flags, the worker slot a single
-/// `Option`, and the writer mutex guards no data at all — it only
-/// serializes writers, whose one mutation is the publish at the *commit
-/// point* of `apply`/`compact_locked`. Everything fallible (overlay
-/// compilation, the compaction fold) runs first, against immutable reads of
-/// the published snapshot. A panic mid-`apply` therefore leaves the store
+/// Lock the writer mutex, shrugging off poisoning. It guards no data at
+/// all — it only serializes writers, whose one mutation is the publish at
+/// the *commit point* of `apply`/`compact_locked`. Everything fallible
+/// (overlay compilation, a compaction's fold) runs first, against immutable
+/// reads of the published snapshot. A panic mid-`apply` therefore leaves the store
 /// exactly as it was: the failed batch is gone without trace (exactly-once
 /// publication, never torn state), and the next writer proceeds as if the
 /// panicked one had never arrived. The store must keep serving reads and
@@ -124,12 +125,13 @@ fn write_published<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// Tuning knobs for a [`GraphStore`].
 #[derive(Clone, Copy, Debug)]
 pub struct StoreOptions {
-    /// Compact once the resolved delta reaches this many effective ops
-    /// (`usize::MAX` disables automatic compaction; [`GraphStore::compact_now`]
-    /// still works).
+    /// The next write compacts once the published overlay holds this many
+    /// effective ops (`usize::MAX` disables automatic compaction;
+    /// [`GraphStore::compact_now`] still works).
     pub compaction_threshold: usize,
-    /// Run compaction on a dedicated background thread instead of inline in
-    /// the `apply` call that crosses the threshold.
+    /// Has no effect: compaction runs inside the write that finds the
+    /// threshold reached (see the [module docs](self)). Kept so that
+    /// callers that set it keep compiling.
     pub background: bool,
     /// Reject writes with [`GraphMatError::Overloaded`] while the published
     /// overlay holds at least this many effective pending ops. This is the
@@ -144,7 +146,7 @@ impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
-            background: true,
+            background: false,
             overload_watermark: usize::MAX,
         }
     }
@@ -206,8 +208,9 @@ impl<E> GraphSnapshot<E> {
     /// The bytes of the matrices and mirrors this snapshot's pushes and
     /// pulls read instead of its base's: per side, a copy of the base's DCSC
     /// and of its mirror with the pending edits folded in, each made by the
-    /// first push or pull along that side (or by a compaction of the
-    /// snapshot, for the out side) and counted apart from
+    /// first push or pull along that side (or, for the out side's push
+    /// matrix or mirror, by a compaction of a snapshot no read had folded)
+    /// and counted apart from
     /// [`DeltaOverlay::bytes`]. The sum over the folds made so far; `None`
     /// until one has been, and always if nothing is pending.
     pub fn folded_bytes(&self) -> Option<usize> {
@@ -229,25 +232,15 @@ pub struct StoreStats {
     /// Compaction attempts that panicked (each one left the last published
     /// snapshot serving and the pending edits intact).
     pub compaction_failures: u64,
-    /// Times the background compaction lane restarted after a failure
-    /// (capped exponential backoff between restarts).
+    /// Always 0: no compaction lane runs beside the writers to restart. Kept
+    /// so that readers of the field keep compiling.
     pub compaction_restarts: u64,
-}
-
-#[derive(Default)]
-struct Signal {
-    pending: bool,
-    shutdown: bool,
 }
 
 /// The streaming-update store: an immutable published [`GraphSnapshot`]
 /// plus a serialized writer that admits [`DeltaBatch`]es and compacts them
 /// into fresh bases. See the [module docs](self) for the isolation and
 /// compaction semantics.
-///
-/// Constructed behind an `Arc` ([`GraphStore::new`]) so the background
-/// compaction worker can hold a `Weak` reference; dropping the last `Arc`
-/// shuts the worker down and joins it.
 pub struct GraphStore<E> {
     published: RwLock<Arc<GraphSnapshot<E>>>,
     /// The lock writers serialize on, so each compiles against the snapshot
@@ -257,9 +250,6 @@ pub struct GraphStore<E> {
     options: StoreOptions,
     compactions: AtomicU64,
     compaction_failures: AtomicU64,
-    compaction_restarts: AtomicU64,
-    signal: Arc<(Mutex<Signal>, Condvar)>,
-    worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl<E> std::fmt::Debug for GraphStore<E> {
@@ -274,55 +264,36 @@ impl<E> std::fmt::Debug for GraphStore<E> {
     }
 }
 
-impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
+impl<E: Clone + Send + Sync> GraphStore<E> {
     /// Wrap a base topology as version-0 of a mutable store. The topology is
     /// served exactly as provided — no dedup, no rebuild — so queries against
     /// the store's first snapshot match direct runs on `base` bit-for-bit.
+    /// The store starts no thread: writes compact (see the
+    /// [module docs](self)).
     pub fn new(base: Arc<Topology<E>>, options: StoreOptions) -> Arc<Self> {
-        let snapshot = Arc::new(GraphSnapshot {
-            version: 0,
-            topology: base,
-        });
-        let signal: Arc<(Mutex<Signal>, Condvar)> = Arc::default();
-        Arc::new_cyclic(|weak: &Weak<GraphStore<E>>| {
-            let worker = if options.background {
-                let weak = weak.clone();
-                let signal = Arc::clone(&signal);
-                Some(
-                    std::thread::Builder::new()
-                        .name("graphmat-compactor".into())
-                        .spawn(move || compaction_worker(weak, signal))
-                        // audit:allow(no-unwrap): store construction is
-                        // setup-time; a host that cannot spawn one thread
-                        // cannot run the store at all.
-                        .expect("failed to spawn compaction worker"),
-                )
-            } else {
-                None
-            };
-            GraphStore {
-                published: RwLock::new(snapshot),
-                writer: Mutex::new(()),
-                options,
-                compactions: AtomicU64::new(0),
-                compaction_failures: AtomicU64::new(0),
-                compaction_restarts: AtomicU64::new(0),
-                signal,
-                worker: Mutex::new(worker),
-            }
+        Arc::new(GraphStore {
+            published: RwLock::new(Arc::new(GraphSnapshot {
+                version: 0,
+                topology: base,
+            })),
+            writer: Mutex::new(()),
+            options,
+            compactions: AtomicU64::new(0),
+            compaction_failures: AtomicU64::new(0),
         })
     }
 
-    /// Wrap a base with the default options (background compaction at
-    /// [`DEFAULT_COMPACTION_THRESHOLD`] pending ops).
+    /// Wrap a base with the default options (compaction by the write that
+    /// finds [`DEFAULT_COMPACTION_THRESHOLD`] ops pending).
     pub fn with_defaults(base: Arc<Topology<E>>) -> Arc<Self> {
         Self::new(base, StoreOptions::default())
     }
 
     /// Admit one update batch: publish a new snapshot whose overlay reflects
-    /// every batch admitted so far, and return it. Triggers compaction
-    /// (inline or signalled to the background worker) once the pending ops
-    /// cross the threshold.
+    /// every batch admitted so far, and return it. If the published overlay
+    /// has reached the compaction threshold, it is compacted first, and the
+    /// batch is merged into the new base's empty overlay; a compaction that
+    /// panics is counted and the batch merged into the uncompacted one.
     ///
     /// # Errors
     ///
@@ -332,7 +303,8 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
     /// past [`StoreOptions::overload_watermark`]. A failed `apply` — typed
     /// error or panic — publishes nothing and leaves no trace of the batch
     /// (exactly-once): all fallible work runs before the batch is committed,
-    /// and the commit itself is one infallible pointer swap.
+    /// and the commit itself is one infallible pointer swap. A compaction
+    /// it ran first stays published: it changes no answer.
     pub fn apply(&self, batch: DeltaBatch<E>) -> Result<Arc<GraphSnapshot<E>>> {
         if batch.is_empty() {
             return Err(GraphMatError::InvalidParameter(
@@ -340,11 +312,23 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
             ));
         }
         let writer = lock(&self.writer);
-        let current = self.snapshot();
+        let mut current = self.snapshot();
         if batch.num_vertices() != current.num_vertices() {
             return Err(GraphMatError::InvalidParameter(
                 "update batch vertex count does not match the stored graph",
             ));
+        }
+        if current.delta_len() >= self.options.compaction_threshold {
+            // RECOVERY: a compaction that panics has published nothing — it
+            // commits by one pointer swap after its folds — and left the
+            // pending edits intact, so it is counted and this write goes
+            // ahead against them; the next write tries again. No state is
+            // quarantined: the writer mutex guards no data, and the guard is
+            // held out here, so the panic does not poison it.
+            if catch_unwind(AssertUnwindSafe(|| self.compact_locked(&writer))).is_err() {
+                self.compaction_failures.fetch_add(1, Ordering::Relaxed);
+            }
+            current = self.snapshot();
         }
         let pending_now = current.delta_len();
         if pending_now >= self.options.overload_watermark {
@@ -368,7 +352,6 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
         }
         let base = current.base();
         let overlay = base.compile_overlay(current.overlay().map(|o| &**o), &edits);
-        let pending = overlay.len();
 
         let snapshot = Arc::new(GraphSnapshot {
             version: current.version + 1,
@@ -384,17 +367,6 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
         // tests pin down that nothing of the batch survives.
         let _ = graphmat_chaos::fire("store.apply.publish");
         self.publish(Arc::clone(&snapshot));
-
-        if pending >= self.options.compaction_threshold {
-            if self.options.background {
-                drop(writer);
-                let (signal, cvar) = &*self.signal;
-                lock(signal).pending = true;
-                cvar.notify_one();
-            } else {
-                self.compact_locked(&writer);
-            }
-        }
         Ok(snapshot)
     }
 
@@ -416,9 +388,9 @@ impl<E: Clone + Send + Sync + 'static> GraphStore<E> {
 
         // The published topology is the pending set compiled against the
         // published base — both are only written under the lock held here —
-        // so it is what gets detached. The folds, the panic-prone work,
-        // change nothing published, so a failed compaction leaves the
-        // pending edits intact for a clean retry.
+        // so it is what gets detached. A fold no read has made, the
+        // panic-prone work, changes nothing published, so a failed
+        // compaction leaves the pending edits intact for a clean retry.
         let base = Arc::new(current.view().detached());
 
         // Commit point: an atomic pointer swap.
@@ -449,7 +421,7 @@ impl<E> GraphStore<E> {
             delta_edges: snap.delta_len(),
             compactions: self.compactions.load(Ordering::Relaxed),
             compaction_failures: self.compaction_failures.load(Ordering::Relaxed),
-            compaction_restarts: self.compaction_restarts.load(Ordering::Relaxed),
+            compaction_restarts: 0,
         }
     }
 
@@ -464,107 +436,8 @@ impl<E> GraphStore<E> {
         self.compaction_failures.load(Ordering::Relaxed)
     }
 
-    /// Times the background compaction lane restarted after a failure.
-    pub fn compaction_restarts(&self) -> u64 {
-        self.compaction_restarts.load(Ordering::Relaxed)
-    }
-
     fn publish(&self, snapshot: Arc<GraphSnapshot<E>>) {
         *write_published(&self.published) = snapshot;
-    }
-}
-
-impl<E> Drop for GraphStore<E> {
-    fn drop(&mut self) {
-        if let Some(handle) = lock(&self.worker).take() {
-            {
-                let (signal, cvar) = &*self.signal;
-                lock(signal).shutdown = true;
-                cvar.notify_one();
-            }
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Base delay after the first failed compaction attempt; doubles per
-/// consecutive failure up to [`COMPACTION_BACKOFF_CAP_MS`].
-const COMPACTION_BACKOFF_BASE_MS: u64 = 50;
-/// Ceiling on the restart backoff, so a persistently failing compactor
-/// retries every few seconds instead of never.
-const COMPACTION_BACKOFF_CAP_MS: u64 = 5_000;
-
-fn compaction_worker<E: Clone + Send + Sync + 'static>(
-    store: Weak<GraphStore<E>>,
-    signal: Arc<(Mutex<Signal>, Condvar)>,
-) {
-    let (signal, cvar) = &*signal;
-    let mut consecutive_failures: u32 = 0;
-    loop {
-        {
-            let mut guard = lock(signal);
-            while !guard.pending && !guard.shutdown {
-                guard = match cvar.wait(guard) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-            if guard.shutdown {
-                return;
-            }
-            guard.pending = false;
-        }
-        // Upgrade only for the duration of one compaction; if the store is
-        // gone the worker exits (Drop also signals shutdown, belt and braces).
-        let outcome = match store.upgrade() {
-            Some(strong) => {
-                // RECOVERY: a panicking compaction must not kill the lane.
-                // The last published snapshot keeps serving (compact_locked
-                // only publishes at its commit point, after all panic-prone
-                // work) and the pending edits are intact, so the failure is
-                // counted, the lane backs off exponentially (capped), and
-                // the same backlog is retried — a logical lane restart,
-                // surfaced as `compaction_restarts`, with no thread churn.
-                // No state is quarantined: the writer mutex guards no data,
-                // so nothing the panic touched survives.
-                let outcome = catch_unwind(AssertUnwindSafe(|| strong.compact_now()));
-                if outcome.is_err() {
-                    strong.compaction_failures.fetch_add(1, Ordering::Relaxed);
-                    strong.compaction_restarts.fetch_add(1, Ordering::Relaxed);
-                }
-                outcome
-                // `strong` drops here, before any backoff sleep: holding it
-                // across the sleep could make this thread the one that runs
-                // `GraphStore::drop` — which joins this thread.
-            }
-            None => return,
-        };
-        if outcome.is_ok() {
-            consecutive_failures = 0;
-            continue;
-        }
-        let backoff_ms = COMPACTION_BACKOFF_BASE_MS
-            .saturating_mul(1u64 << consecutive_failures.min(10))
-            .min(COMPACTION_BACKOFF_CAP_MS);
-        consecutive_failures = consecutive_failures.saturating_add(1);
-        // Back off under the signal condvar so shutdown cuts the sleep
-        // short, then re-mark the backlog pending to retry it.
-        let mut guard = lock(signal);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(backoff_ms);
-        loop {
-            if guard.shutdown {
-                return;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break;
-            }
-            guard = match cvar.wait_timeout(guard, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-        guard.pending = true;
     }
 }
 
@@ -574,6 +447,7 @@ mod tests {
     use crate::topology::GraphBuildOptions;
     use graphmat_delta::UpdateOp;
     use graphmat_io::edgelist::EdgeList;
+    use graphmat_sparse::parallel::Executor;
     use graphmat_sparse::partition::RowPartitioner;
 
     fn base() -> Arc<Topology<f32>> {
@@ -599,8 +473,8 @@ mod tests {
             base(),
             StoreOptions {
                 compaction_threshold: threshold,
-                background: false,
                 overload_watermark: usize::MAX,
+                ..StoreOptions::default()
             },
         )
     }
@@ -656,6 +530,9 @@ mod tests {
         assert_eq!(store.snapshot().version(), 0);
     }
 
+    /// The write that reaches the threshold only publishes; the next write
+    /// finds it reached, compacts, and merges its own batch into the new
+    /// base's empty overlay.
     #[test]
     fn threshold_triggers_inline_compaction() {
         let store = inline_store(2);
@@ -663,19 +540,28 @@ mod tests {
             .apply(batch(vec![(1, 3, UpdateOp::Insert(7.0))]))
             .unwrap();
         assert_eq!(s1.delta_len(), 1);
-        assert_eq!(store.compactions(), 0);
-        store
+        let s2 = store
             .apply(batch(vec![(2, 0, UpdateOp::Insert(8.0))]))
             .unwrap();
+        assert_eq!((s2.delta_len(), store.compactions()), (2, 0));
+        // Read as a query would: the compaction publishes this fold.
+        let fold = Arc::clone(s2.view().out_side().pull(&Executor::sequential()));
+        let s3 = store
+            .apply(batch(vec![(3, 0, UpdateOp::Insert(9.0))]))
+            .unwrap();
         assert_eq!(store.compactions(), 1);
-        let snap = store.snapshot();
-        assert_eq!(snap.version(), 2);
-        assert!(snap.overlay().is_none());
-        assert_eq!(snap.num_edges(), 8);
-        // The compacted base keeps the original build shape.
-        assert_eq!(snap.base().num_partitions(), 2);
-        assert!(snap.base().out_side().made_mirror().is_some());
-        assert_eq!(snap.base().out_degrees(), &[2, 2, 2, 1, 1]);
+        assert_eq!((s3.version(), s3.delta_len(), s3.num_edges()), (3, 1, 9));
+        let compacted = s3.base();
+        assert!(!Arc::ptr_eq(compacted, s2.base()));
+        assert_eq!(compacted.num_edges(), 8);
+        // The compacted base keeps the original build shape and holds the
+        // fold the read made, and no other layout.
+        assert_eq!(compacted.num_partitions(), 2);
+        let side = compacted.out_side();
+        assert!(Arc::ptr_eq(side.made_mirror().unwrap(), &fold));
+        assert!(side.made_matrix().is_none());
+        assert_eq!(compacted.out_degrees(), &[2, 2, 2, 1, 1]);
+        assert_eq!(s3.view().out_degrees(), &[2, 2, 2, 2, 1]);
     }
 
     #[test]
@@ -691,7 +577,6 @@ mod tests {
         let store = GraphStore::new(
             Arc::new(Topology::from_edge_list(&el, options)),
             StoreOptions {
-                background: false,
                 ..StoreOptions::default()
             },
         );
@@ -703,7 +588,7 @@ mod tests {
         assert!(snap.overlay().is_none());
         assert_eq!(snap.base().out_partition_ranges(), even);
         assert_eq!(snap.base().in_partition_ranges().unwrap(), even);
-        let mirror = snap.base().out_side().made_mirror().unwrap();
+        let mirror = snap.base().out_pull_mirror().unwrap();
         let mirror_ranges: Vec<_> = mirror.partitions().iter().map(|p| p.rows).collect();
         assert_eq!(mirror_ranges, even);
     }
@@ -745,13 +630,15 @@ mod tests {
             vec![(0, 3, UpdateOp::Insert(2.0)), (2, 2, UpdateOp::Insert(1.0))],
             vec![(4, 0, UpdateOp::Delete), (1, 2, UpdateOp::Insert(6.0))],
         ];
-        let every_batch = inline_store(1); // compacts after every apply
+        let every_batch = inline_store(1); // the next apply compacts each
         let only_at_end = inline_store(usize::MAX);
         for ops in &edits {
             every_batch.apply(batch(ops.clone())).unwrap();
             only_at_end.apply(batch(ops.clone())).unwrap();
         }
+        every_batch.compact_now();
         only_at_end.compact_now();
+        assert_eq!(every_batch.compactions(), edits.len() as u64);
         let a = every_batch.snapshot().base().to_edge_list();
         let b = only_at_end.snapshot().base().to_edge_list();
         assert_eq!(a.edges().len(), b.edges().len());
@@ -835,8 +722,8 @@ mod tests {
             base(),
             StoreOptions {
                 compaction_threshold: usize::MAX,
-                background: false,
                 overload_watermark: 2,
+                ..StoreOptions::default()
             },
         );
         store
@@ -892,31 +779,5 @@ mod tests {
         assert_eq!(snap.delta_len(), 1);
         // And reads never noticed.
         assert_eq!(store.snapshot().view().out_degrees(), &[3, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn background_worker_compacts_and_store_drops_cleanly() {
-        let store = GraphStore::new(
-            base(),
-            StoreOptions {
-                compaction_threshold: 1,
-                background: true,
-                overload_watermark: usize::MAX,
-            },
-        );
-        store
-            .apply(batch(vec![(1, 4, UpdateOp::Insert(3.0))]))
-            .unwrap();
-        // The worker compacts asynchronously; wait (bounded) for it.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while store.compactions() == 0 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(store.compactions(), 1);
-        let snap = store.snapshot();
-        assert_eq!(snap.version(), 1);
-        assert!(snap.overlay().is_none());
-        assert_eq!(snap.num_edges(), 7);
-        drop(store); // must join the worker without hanging
     }
 }

@@ -29,11 +29,15 @@
 //! # Layouts are write-once slots, and pending edits are folded into them
 //!
 //! Each orientation holds its push matrix and its pull mirror as write-once
-//! slots. A base fills its push matrix where it is made — `Gᵀ`'s at build,
-//! `G`'s when it derives `G` — and its mirror by its first pull: a counting
-//! transpose of the push matrix on the fine ranges ([`CsrMirror::derive`]),
-//! on the caller's executor. A graph that is only ever pushed (a road
-//! network's SSSP) never holds a mirror. Concurrent first pullers share one
+//! slots, and a base holds at least one of them. A build fills the push
+//! matrix — `Gᵀ`'s at build, `G`'s when it derives `G` — and the first pull
+//! derives the mirror from it: a counting transpose of the push matrix on
+//! the fine ranges ([`CsrMirror::derive`]), on the caller's executor. A
+//! graph that is only ever pushed (a road network's SSSP) never holds a
+//! mirror. A compacted base holds whichever `Gᵀ` layouts the compacted
+//! snapshot's reads made, and a base that holds only a mirror derives its
+//! push matrix on its first push the same way round
+//! ([`PartitionedDcsc::derive`]). Concurrent first users share one
 //! derivation, and one that panics leaves the slot empty. A topology may
 //! instead carry **pending edits** — the `Arc`
 //! of the base they were compiled against and their [`DeltaOverlay`] — as a
@@ -162,9 +166,9 @@ impl GraphBuildOptions {
 /// partitioned DCSC the push kernel sweeps and the row-major mirror the pull
 /// kernel gathers over, on the fine partitions, which are the push matrix's
 /// or refine them. Each is a write-once slot (see the [module docs](self)):
-/// a base's push matrix is filled where the base is made and its mirror by
-/// its first pull, an edited topology's both by their first use. The slots
-/// hold `Arc`s so a compaction can publish the folds a snapshot already made
+/// a base holds at least one and derives the other from it on first use, an
+/// edited topology folds each from its base's on first use. The slots hold
+/// `Arc`s so a compaction can publish the folds a snapshot already made
 /// ([`Topology::detached`]).
 #[derive(Clone, Debug)]
 pub struct Orientation<E> {
@@ -176,9 +180,12 @@ pub struct Orientation<E> {
 /// How an orientation fills the slots it was not made with.
 #[derive(Clone, Debug)]
 enum Recipe<E> {
-    /// A base derives its mirror from its push matrix on these fine row
-    /// ranges.
-    Derive(Vec<RowRange>),
+    /// A base derives the layout it lacks from the one it holds: the mirror
+    /// on the fine row ranges, the push matrix on the push ranges.
+    Derive {
+        fine: Vec<RowRange>,
+        push: Vec<RowRange>,
+    },
     /// An edited topology folds both slots from its base's.
     Fold(Fold<E>),
 }
@@ -214,6 +221,16 @@ impl<E> Fold<E> {
     }
 }
 
+/// The push partitions' row ranges of an orientation whose fine ranges are
+/// `fine`: those ranges, or for `Some(lanes)` runs of them merged to one per
+/// lane.
+fn push_ranges(fine: &[RowRange], push_lanes: Option<usize>) -> Vec<RowRange> {
+    match push_lanes {
+        Some(lanes) => RowPartitioner::coarsen(fine, lanes),
+        None => fine.to_vec(),
+    }
+}
+
 impl<E: Clone> Orientation<E> {
     /// A base's orientation of `buckets`: the push matrix, one partition per
     /// bucket or for `Some(lanes)` runs of consecutive buckets merged to one
@@ -221,20 +238,25 @@ impl<E: Clone> Orientation<E> {
     fn build(buckets: &RowBuckets<E>, push_lanes: Option<usize>) -> Self {
         let groups = push_lanes.unwrap_or(buckets.ranges().len());
         let matrix = Arc::new(buckets.matrix(groups));
-        Orientation::made(matrix, OnceLock::new(), buckets.ranges().to_vec())
+        Orientation::base(Some(matrix), None, buckets.ranges(), push_lanes)
     }
 
-    /// A base's orientation: its push matrix, its mirror slot and the fine
-    /// ranges the mirror is (or was) derived on.
-    fn made(
-        matrix: Arc<PartitionedDcsc<E>>,
-        mirror: OnceLock<Arc<CsrMirror<E>>>,
-        fine: Vec<RowRange>,
+    /// A base's orientation holding the layouts given — at least one — on
+    /// the fine ranges `fine`, its push merged as `push_lanes` says.
+    fn base(
+        matrix: Option<Arc<PartitionedDcsc<E>>>,
+        mirror: Option<Arc<CsrMirror<E>>>,
+        fine: &[RowRange],
+        push_lanes: Option<usize>,
     ) -> Self {
+        debug_assert!(matrix.is_some() || mirror.is_some());
         Orientation {
-            matrix: OnceLock::from(matrix),
-            mirror,
-            recipe: Recipe::Derive(fine),
+            matrix: matrix.map_or_else(OnceLock::new, OnceLock::from),
+            mirror: mirror.map_or_else(OnceLock::new, OnceLock::from),
+            recipe: Recipe::Derive {
+                fine: fine.to_vec(),
+                push: push_ranges(fine, push_lanes),
+            },
         }
     }
 
@@ -249,26 +271,32 @@ impl<E: Clone> Orientation<E> {
 }
 
 impl<E: Clone + Send + Sync> Orientation<E> {
-    /// The push matrix: a base's own, or an edited topology's fold of its
-    /// base's, made by the first call on `executor`'s lanes.
+    /// The push matrix, made by the first call on `executor`'s lanes if the
+    /// orientation was not made with it: a base derives it from its mirror,
+    /// an edited topology folds its base's. Concurrent first callers share
+    /// one, and a call that panics leaves the slot empty for the next.
     pub(crate) fn push(&self, executor: &Executor) -> &Arc<PartitionedDcsc<E>> {
         match &self.recipe {
+            // A base holds at least one layout, so this reads a made mirror.
+            Recipe::Derive { push, .. } => self.matrix.get_or_init(|| {
+                Arc::new(PartitionedDcsc::derive(self.pull(executor), push, executor))
+            }),
             Recipe::Fold(fold) => fold_once(&self.matrix, || {
                 fold_into_matrix(fold.side().push(executor), fold.edits(), executor)
             }),
-            Recipe::Derive(_) => self.built(),
         }
     }
 
-    /// The pull mirror, made by the first call on `executor`'s lanes: a
-    /// base derives it from its push matrix, an edited topology folds its
-    /// base's. Concurrent first callers share one, and a call that panics
-    /// leaves the slot empty for the next.
+    /// The pull mirror, made by the first call on `executor`'s lanes if the
+    /// orientation was not made with it: a base derives it from its push
+    /// matrix, an edited topology folds its base's. Concurrent first callers
+    /// share one, and a call that panics leaves the slot empty for the next.
     pub fn pull(&self, executor: &Executor) -> &Arc<CsrMirror<E>> {
         match &self.recipe {
-            Recipe::Derive(fine) => self
+            // A base holds at least one layout, so this reads a made matrix.
+            Recipe::Derive { fine, .. } => self
                 .mirror
-                .get_or_init(|| Arc::new(CsrMirror::derive(self.built(), fine, executor))),
+                .get_or_init(|| Arc::new(CsrMirror::derive(self.push(executor), fine, executor))),
             Recipe::Fold(fold) => fold_once(&self.mirror, || {
                 fold_into_mirror(fold.side().pull(executor), fold.edits(), executor)
             }),
@@ -277,16 +305,8 @@ impl<E: Clone + Send + Sync> Orientation<E> {
 }
 
 impl<E> Orientation<E> {
-    /// A base's push matrix.
-    fn built(&self) -> &Arc<PartitionedDcsc<E>> {
-        // audit:allow(no-unwrap): a base fills its push matrix where it is
-        // made, and only an edited orientation has a recipe to call this
-        // without.
-        self.matrix.get().expect("a base's push matrix is built")
-    }
-
-    /// The push matrix, if it has been made: always on a base, once pushed
-    /// (or asked for) on an edited topology.
+    /// The push matrix, if it has been made: on a base at build or by its
+    /// first push, on an edited topology once pushed (or asked for).
     pub fn made_matrix(&self) -> Option<&Arc<PartitionedDcsc<E>>> {
         self.matrix.get()
     }
@@ -307,7 +327,7 @@ impl<E> Orientation<E> {
     fn fold(&self) -> Option<&Fold<E>> {
         match &self.recipe {
             Recipe::Fold(fold) => Some(fold),
-            Recipe::Derive(_) => None,
+            Recipe::Derive { .. } => None,
         }
     }
 }
@@ -346,7 +366,10 @@ pub struct Topology<E> {
     /// `G`: row = source, column = destination. Used for in-edge scatter;
     /// derived from `out` on first use.
     inward: OnceLock<Orientation<E>>,
-    /// The fine row ranges `inward`'s mirror is (or will be) partitioned by.
+    /// The fine row ranges of `out` and of `inward`: what each mirror is (or
+    /// will be) partitioned by, and, merged as `push_lanes` says, each push
+    /// matrix. Fixed at build, whichever layouts are made.
+    out_ranges: Vec<RowRange>,
     in_ranges: Vec<RowRange>,
     /// `Some(lanes)` when both orientations push through their fine
     /// partitions merged to one per lane: decided on `Gᵀ` at build.
@@ -373,10 +396,8 @@ impl<E: Clone> Topology<E> {
         let out_degrees = edges.out_degrees();
         let in_degrees = edges.in_degrees();
         // Rows of Gᵀ are destinations, rows of G are sources.
-        let gt = RowBuckets::new(
-            &edges.to_transpose_coo(),
-            &options.row_ranges(&in_degrees, lanes),
-        );
+        let out_ranges = options.row_ranges(&in_degrees, lanes);
+        let gt = RowBuckets::new(&edges.to_transpose_coo(), &out_ranges);
         // The one layout decision: do `Gᵀ`'s columns repeat across its fine
         // partitions (`Σ_p |jc_p|` against its non-empty columns)?
         let columns = out_degrees.iter().filter(|&&d| d > 0).count();
@@ -391,6 +412,7 @@ impl<E: Clone> Topology<E> {
             options,
             out,
             inward: OnceLock::new(),
+            out_ranges,
             in_ranges: options.row_ranges(&out_degrees, lanes),
             push_lanes,
             out_degrees: as_u32(out_degrees),
@@ -408,6 +430,7 @@ impl<E: Clone> Topology<E> {
             nedges: overlay.num_edges(),
             options: base.options,
             inward: OnceLock::new(),
+            out_ranges: base.out_ranges.clone(),
             in_ranges: base.in_ranges.clone(),
             push_lanes: base.push_lanes,
             out_degrees: Vec::new(),
@@ -434,7 +457,7 @@ impl<E: Clone + Send + Sync> Topology<E> {
     pub(crate) fn inward(&self) -> &Orientation<E> {
         self.inward.get_or_init(|| match self.fold() {
             Some(fold) => {
-                let ranges = self.in_push_ranges();
+                let ranges = push_ranges(&self.in_ranges, self.push_lanes);
                 Orientation::folding(Fold {
                     transposed: Some(fold.overlay.out().transposed(&ranges)),
                     ..fold.clone()
@@ -493,29 +516,43 @@ impl<E: Clone + Send + Sync> Topology<E> {
     }
 
     /// This topology as a base of its own: what compaction publishes. An
-    /// edited topology's out-side folds — the ones its pushes and pulls
-    /// already made, shared, not copied, or made now on one lane and kept
-    /// with this topology for its own reads — become the new base's `Gᵀ`
-    /// and its mirror, and its degrees are copied out of the overlay. Each
-    /// fold keeps every range of the base it was folded from, so the result
-    /// keeps that base's options and layout — push, mirror and `G`'s ranges
-    /// — rather than re-balancing them to the edited degrees (answers do not
-    /// depend on the partitioning), and derives `G` on first use, as any
-    /// base does.
-    /// The same history therefore compacts to byte-identical topologies,
-    /// however often it was compacted along the way. On a base, a copy that
-    /// shares its `Gᵀ` and its mirror (derived now if no pull has).
+    /// edited topology's out-side folds that its pushes and pulls already
+    /// made become the new base's `Gᵀ` layouts, shared, not copied; only if
+    /// no read has made one is one layout folded now, on one lane, from the
+    /// one the base holds (the push matrix, if it holds both) and kept with
+    /// this topology for its own reads. Nothing is derived, and the new base
+    /// derives the layout it lacks on first use. Its degrees are copied out
+    /// of the overlay. A fold keeps every range of the base it was folded
+    /// from, so the result keeps that base's options and layout — push,
+    /// mirror and `G`'s ranges — rather than re-balancing them to the edited
+    /// degrees (answers do not depend on the partitioning), and derives `G`
+    /// on first use, as any base does. Every layout, once made, is
+    /// byte-identical to the one a build of the edited graph over the same
+    /// ranges makes, whichever way it was made and however often the history
+    /// was compacted along the way. On a base, a copy that shares the
+    /// layouts it holds.
     pub fn detached(&self) -> Self {
         let executor = &Executor::sequential();
-        let matrix = Arc::clone(self.out.push(executor));
-        let mirror = Arc::clone(self.out.pull(executor));
-        let fine = mirror.partitions().iter().map(|p| p.rows).collect();
+        let (matrix, mirror) = match (self.out.made_matrix(), self.out.made_mirror()) {
+            (None, None) if self.layout().out.made_matrix().is_some() => {
+                (Some(self.out.push(executor)), None)
+            }
+            (None, None) => (None, Some(self.out.pull(executor))),
+            made => made,
+        };
+        let out = Orientation::base(
+            matrix.cloned(),
+            mirror.cloned(),
+            &self.out_ranges,
+            self.push_lanes,
+        );
         Topology {
             nvertices: self.nvertices,
             nedges: self.nedges,
             options: self.options,
-            out: Orientation::made(matrix, OnceLock::from(mirror), fine),
+            out,
             inward: OnceLock::new(),
+            out_ranges: self.out_ranges.clone(),
             in_ranges: self.in_ranges.clone(),
             push_lanes: self.push_lanes,
             out_degrees: self.out_degrees().to_vec(),
@@ -554,42 +591,41 @@ impl<E: Clone + Send + Sync> Topology<E> {
     }
 
     /// How many copies of edge `src → dst` are stored (`0` for an absent
-    /// pair or an out-of-range id): the `Gᵀ` partition whose rows hold
-    /// `dst`, its column `src`, the run of `dst` in that column's rows.
+    /// pair or an out-of-range id), read from whichever `Gᵀ` layout a base
+    /// holds, so a write derives none: the run of `dst` in column `src` of
+    /// the push partition whose rows hold `dst`, or of `src` in the mirror's
+    /// row `dst`.
     pub fn edge_multiplicity(&self, src: VertexId, dst: VertexId) -> usize {
+        let copies = |line: &[VertexId], key| {
+            line.partition_point(|&k| k <= key) - line.partition_point(|&k| k < key)
+        };
+        if let (None, Some(mirror)) = (self.out.made_matrix(), self.out.made_mirror()) {
+            let row = (dst < self.nvertices).then(|| mirror.row(dst).0);
+            return row.map_or(0, |sources| copies(sources, src));
+        }
         let partitions = self.out_matrix().partitions();
         let p = partitions.partition_point(|p| p.rows.end <= dst);
-        let Some((rows, _)) = partitions.get(p).and_then(|p| p.matrix.col(src)) else {
-            return 0;
-        };
-        rows.partition_point(|&r| r <= dst) - rows.partition_point(|&r| r < dst)
+        match partitions.get(p).and_then(|p| p.matrix.col(src)) {
+            Some((rows, _)) => copies(rows, dst),
+            None => 0,
+        }
     }
 }
 
 impl<E> Topology<E> {
-    /// The row ranges of the in matrix's push partitions (`G`: row =
-    /// source), fixed at build.
-    fn in_push_ranges(&self) -> Vec<RowRange> {
-        match self.push_lanes {
-            Some(lanes) => RowPartitioner::coarsen(&self.in_ranges, lanes),
-            None => self.in_ranges.clone(),
-        }
-    }
-
     /// The row ranges of the in matrix's partitions (`G`: row = source) —
     /// the push partitions an in-side overlay aligns to. Fixed at build, so
     /// always `Some`, whether or not the matrix has been derived yet.
     pub fn in_partition_ranges(&self) -> Option<Vec<RowRange>> {
-        Some(self.in_push_ranges())
+        Some(push_ranges(&self.in_ranges, self.push_lanes))
     }
 
     /// The row ranges of the out matrix's partitions (`Gᵀ`: row =
     /// destination) — what a delta overlay must be bucketed by to align with
     /// the push kernel's partition sweep (the pull mirror's ranges refine
-    /// them).
+    /// them). Fixed at build, whether or not the matrix is made.
     pub fn out_partition_ranges(&self) -> Vec<RowRange> {
-        let matrix = self.layout().out.built();
-        matrix.partitions().iter().map(|p| p.rows).collect()
+        push_ranges(&self.out_ranges, self.push_lanes)
     }
 
     /// Number of push partitions (the out matrix's). The pull mirror's count
@@ -597,7 +633,7 @@ impl<E> Topology<E> {
     /// lane, up to [`PARTITIONS_PER_THREAD`] times it (see the
     /// [module docs](self)).
     pub fn num_partitions(&self) -> usize {
-        self.layout().out.built().n_partitions()
+        self.out_partition_ranges().len()
     }
 
     /// The recipe of an edited topology's out side, which holds its base and
@@ -1106,10 +1142,11 @@ mod tests {
                 let derived = topology.in_matrix();
                 let rows: Vec<RowRange> = derived.partitions().iter().map(|p| p.rows).collect();
                 assert_eq!(rows, ranges, "{label}");
-                assert!(derived.iter().eq(direct.built().iter()), "{label}: DCSC");
+                let direct = direct.made_matrix().unwrap();
+                assert!(derived.iter().eq(direct.iter()), "{label}: DCSC");
 
                 let mirror = topology.in_pull_mirror();
-                let direct_mirror = CsrMirror::from_partitioned(direct.built());
+                let direct_mirror = CsrMirror::from_partitioned(direct);
                 assert_eq!(
                     mirror.n_partitions(),
                     direct_mirror.n_partitions(),
@@ -1362,6 +1399,75 @@ mod tests {
                     }
                     assert!(**got == want, "{label}");
                 }
+            }
+        }
+        const SEED: u64 = 0x5EED;
+        for (name, mut el) in salted_inputs(SEED) {
+            // A second copy of every seventh edge: parallel pairs.
+            let copies: Vec<_> = el.edges().iter().step_by(7).copied().collect();
+            for (s, d, w) in copies {
+                el.push(s, d, w + 100.0);
+            }
+            check(&el, &format!("{name}, seed {SEED:#x}, f32"));
+            check(&el.topology(), &format!("{name}, seed {SEED:#x}, ()"));
+        }
+    }
+
+    /// The push matrix a base that holds only a mirror derives on its first
+    /// push, on each side, against the one a build makes from the buckets of
+    /// the fine partitions: for the layouts above, on 1, 2 and 3 lanes,
+    /// weighted and `E = ()`, with parallel pairs of different values. Over
+    /// pending edits, the push matrix derived from the mirror fold is the
+    /// push fold — what a compaction of a snapshot that was only pulled
+    /// leaves its base to derive.
+    #[test]
+    fn a_derived_push_matrix_is_the_push_matrix_of_the_fine_partitions() {
+        fn check<E>(el: &EdgeList<E>, label: &str)
+        where
+            E: Clone + Send + Sync + PartialEq + std::fmt::Debug,
+        {
+            let layouts = [
+                GraphBuildOptions::default(),
+                GraphBuildOptions::default().with_partitions(5),
+                GraphBuildOptions::default()
+                    .with_partitions(7)
+                    .with_balancing(false),
+                GraphBuildOptions::default().with_balancing(false),
+            ];
+            // Deletes of every fifth stored pair, a reversed copy of every
+            // seventh: pair-sorted, one op per pair.
+            let mut ops = std::collections::BTreeMap::new();
+            for (i, (s, d, w)) in el.edges().iter().enumerate() {
+                if i % 7 == 0 {
+                    ops.insert((*d, *s), UpdateOp::Insert(w.clone()));
+                }
+                if i % 5 == 0 {
+                    ops.insert((*s, *d), UpdateOp::Delete);
+                }
+            }
+            let resolved: Vec<_> = ops.into_iter().map(|((s, d), op)| (s, d, op)).collect();
+            for (options, lanes) in layouts.into_iter().flat_map(|o| [(o, 1), (o, 2), (o, 3)]) {
+                let t = Topology::build(el, options, lanes);
+                let label = format!("{label}, {options:?}, {lanes} lanes");
+                let ex = Executor::new(lanes);
+                for (side, fine) in [(&t.out, &t.out_ranges), (t.inward(), &t.in_ranges)] {
+                    let mirror = Arc::clone(side.pull(&ex));
+                    let twin = Orientation::base(None, Some(mirror), fine, t.push_lanes);
+                    assert!(twin.made_matrix().is_none(), "{label}");
+                    assert!(**twin.push(&ex) == **side.push(&ex), "{label}");
+                }
+
+                let overlay = t.compile_overlay(None, &resolved);
+                let edited = Topology::edited(Arc::new(t), overlay);
+                let pulled = edited.clone();
+                let fold = Arc::clone(pulled.out.pull(&ex));
+                let ranges = edited.out_partition_ranges();
+                let derived = PartitionedDcsc::derive(&fold, &ranges, &ex);
+                assert!(derived == **edited.out.push(&ex), "{label}: a fold");
+                let compacted = pulled.detached();
+                assert!(compacted.out.made_matrix().is_none(), "{label}");
+                assert!(Arc::ptr_eq(compacted.out.made_mirror().unwrap(), &fold));
+                assert!(*compacted.out_matrix() == derived, "{label}: compacted");
             }
         }
         const SEED: u64 = 0x5EED;

@@ -1,8 +1,8 @@
 //! Chaos tests for the [`GraphStore`] write path: injected faults at every
 //! store failpoint must leave the published snapshot serving, the pending
-//! log consistent (exactly-once admission), and the compaction lane alive —
-//! and a fault inside a snapshot's fold must leave the fold for the next
-//! reader to make.
+//! log consistent (exactly-once admission), and a failed compaction for the
+//! next write to retry — and a fault inside a snapshot's fold must leave the
+//! fold for the next reader to make.
 //!
 //! Lives in its own integration-test binary because armed failpoints are
 //! process-global: the lib test binary must never run with failpoints armed
@@ -11,7 +11,6 @@
 #![cfg(feature = "chaos")]
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
 
 use graphmat_core::topology::GraphBuildOptions;
 use graphmat_core::{
@@ -48,13 +47,13 @@ fn base() -> Arc<Topology<f32>> {
     ))
 }
 
-fn store(threshold: usize, background: bool) -> Arc<GraphStore<f32>> {
+fn store(threshold: usize) -> Arc<GraphStore<f32>> {
     GraphStore::new(
         base(),
         StoreOptions {
             compaction_threshold: threshold,
-            background,
             overload_watermark: usize::MAX,
+            ..StoreOptions::default()
         },
     )
 }
@@ -72,7 +71,7 @@ fn publish_panic_aborts_the_batch_exactly_once() {
     graphmat_chaos::reset();
     graphmat_chaos::configure("store.apply.publish", "panic@n1").unwrap();
 
-    let store = store(usize::MAX, false);
+    let store = store(usize::MAX);
     let ops = vec![
         (0u32, 3u32, UpdateOp::Insert(9.0)),
         (4, 0, UpdateOp::Delete),
@@ -102,7 +101,7 @@ fn publish_panic_aborts_the_batch_exactly_once() {
 fn injected_apply_errors_reject_cleanly() {
     let _g = registry_guard();
     graphmat_chaos::reset();
-    let store = store(usize::MAX, false);
+    let store = store(usize::MAX);
 
     for point in ["store.apply.admit", "store.overlay.build"] {
         graphmat_chaos::configure(point, "error").unwrap();
@@ -125,64 +124,48 @@ fn injected_apply_errors_reject_cleanly() {
     graphmat_chaos::reset();
 }
 
-/// A panicking background compaction leaves the overlaid snapshot serving
-/// and the lane restarts (with backoff) to finish the job.
+/// A compaction that panics inside the write that triggers it fails no
+/// write: the write is admitted against the uncompacted snapshot, the
+/// failure is counted, the pending edits are intact, and the next write
+/// compacts.
 #[test]
-fn background_compaction_panic_self_heals() {
+fn a_compaction_panic_inside_a_write_fails_no_write() {
     let _g = registry_guard();
     graphmat_chaos::reset();
     graphmat_chaos::configure("store.compact", "panic@n1").unwrap();
 
-    let store = store(1, true);
-    let snap = store
+    let store = store(1);
+    let first = store
         .apply(batch(vec![(1, 4, UpdateOp::Insert(3.0))]))
         .unwrap();
-    assert_eq!(snap.delta_len(), 1);
+    assert_eq!((first.version(), first.delta_len()), (1, 1));
 
-    // First compaction attempt panics; the lane must back off and retry.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while store.compactions() == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-        // Reads keep serving the whole time.
-        assert_eq!(store.snapshot().version(), 1);
-    }
-    assert_eq!(store.compactions(), 1, "retry must eventually compact");
+    // This write finds the threshold reached; its compaction panics.
+    let second = store
+        .apply(batch(vec![(2, 0, UpdateOp::Insert(5.0))]))
+        .expect("a failed compaction must not fail the write");
+    assert_eq!(second.version(), 2);
     assert_eq!(store.compaction_failures(), 1);
-    assert_eq!(store.compaction_restarts(), 1);
+    assert_eq!(store.compactions(), 0);
+    assert!(Arc::ptr_eq(second.base(), first.base()));
+    assert_eq!((second.delta_len(), second.num_edges()), (2, 8));
+    assert_eq!(second.view().out_degrees(), &[2, 2, 2, 1, 1]);
 
-    let snap = store.snapshot();
-    assert_eq!(snap.version(), 1);
-    assert!(snap.overlay().is_none(), "backlog must be drained");
-    assert_eq!(snap.num_edges(), 7);
-    graphmat_chaos::reset();
-    drop(store); // lane must join cleanly after having panicked once
-}
-
-/// Inline compaction panic unwinds to the caller, but the batch it rode on
-/// is already committed and the store remains fully usable.
-#[test]
-fn inline_compaction_panic_leaves_store_usable() {
-    let _g = registry_guard();
-    graphmat_chaos::reset();
-    graphmat_chaos::configure("store.compact", "panic@n1").unwrap();
-
-    let store = store(1, false);
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        store.apply(batch(vec![(1, 4, UpdateOp::Insert(3.0))]))
-    }));
-    assert!(panicked.is_err(), "inline compaction panic must propagate");
-
-    // The apply itself committed before compaction ran.
-    let snap = store.snapshot();
-    assert_eq!(snap.version(), 1);
-    assert_eq!(snap.delta_len(), 1);
-
-    // Failpoint consumed: a manual retry compacts the surviving backlog.
-    assert!(store.compact_now());
-    let snap = store.snapshot();
-    assert_eq!(snap.version(), 1);
-    assert!(snap.overlay().is_none());
-    assert_eq!(snap.num_edges(), 7);
+    // Failpoint consumed: the next write compacts what is pending first.
+    let third = store
+        .apply(batch(vec![(3, 1, UpdateOp::Insert(1.0))]))
+        .unwrap();
+    assert_eq!(store.compactions(), 1);
+    assert_eq!((third.version(), third.delta_len()), (3, 1));
+    assert!(!Arc::ptr_eq(third.base(), first.base()));
+    assert_eq!(third.base().num_edges(), 8);
+    assert_eq!(third.base().out_degrees(), &[2, 2, 2, 1, 1]);
+    assert_eq!(third.num_edges(), 9);
+    let stats = store.stats();
+    assert_eq!(
+        (stats.compaction_failures, stats.compaction_restarts),
+        (1, 0)
+    );
     graphmat_chaos::reset();
 }
 
@@ -245,7 +228,7 @@ fn a_panic_inside_a_fold_leaves_it_to_the_next_reader() {
     graphmat_chaos::reset();
     graphmat_chaos::configure("topology.fold", "panic@n1").unwrap();
 
-    let store = store(usize::MAX, false);
+    let store = store(usize::MAX);
     let ops = vec![
         (0u32, 3u32, UpdateOp::Insert(9.0)),
         (4, 0, UpdateOp::Delete),

@@ -195,8 +195,8 @@ impl Metrics {
     /// The STATS endpoint snapshot. `num_vertices` and the `store` counters
     /// describe the currently published graph snapshot so clients can size
     /// seeds without a side channel; the store block also exposes the
-    /// streaming/self-healing state (`delta_edges`, `compactions`,
-    /// `compaction_failures`, `compaction_restarts`).
+    /// streaming state (`delta_edges`, `compactions`,
+    /// `compaction_failures`, and `compaction_restarts`, which reads 0).
     pub fn to_json(&self, num_vertices: u64, store: &StoreStats) -> String {
         use std::fmt::Write;
         let uptime = self.uptime_secs();

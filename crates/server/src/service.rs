@@ -30,10 +30,10 @@ use crate::protocol::Algorithm;
 ///
 /// The graph lives in a [`GraphStore`]: queries are admitted against the
 /// currently published immutable snapshot (base topology ⊕ delta overlay),
-/// UPDATE batches publish new snapshots without blocking readers, and a
-/// background worker compacts the overlay into a fresh base topology when it
-/// grows past the store threshold. Version 0 serves the topology passed to
-/// [`GraphService::new`] verbatim.
+/// UPDATE batches publish new snapshots without blocking readers, and the
+/// UPDATE that finds the overlay grown to the store threshold first compacts
+/// it into a fresh base topology, from the folds the queries already made.
+/// Version 0 serves the topology passed to [`GraphService::new`] verbatim.
 pub struct GraphService {
     session: Session,
     topology: Arc<Topology<f32>>,
@@ -42,13 +42,14 @@ pub struct GraphService {
 
 impl GraphService {
     /// Wrap a session and a pre-built topology (default store options:
-    /// background compaction).
+    /// compaction at [`graphmat_core::store::DEFAULT_COMPACTION_THRESHOLD`]
+    /// pending edits).
     pub fn new(session: Session, topology: Arc<Topology<f32>>) -> GraphService {
         GraphService::with_store_options(session, topology, StoreOptions::default())
     }
 
     /// Wrap a session and a pre-built topology with explicit store tuning
-    /// (compaction threshold, background vs inline compaction).
+    /// (compaction threshold, overload watermark).
     pub fn with_store_options(
         session: Session,
         topology: Arc<Topology<f32>>,
@@ -109,9 +110,7 @@ impl GraphService {
                 version: snapshot.version(),
                 num_edges: snapshot.num_edges(),
                 delta_edges: snapshot.delta_len(),
-                compactions: self.store.compactions(),
-                compaction_failures: self.store.compaction_failures(),
-                compaction_restarts: self.store.compaction_restarts(),
+                ..self.store.stats()
             }),
             // Overload is graceful degradation, not a server fault: the
             // client gets a typed, retry-after-compaction status while

@@ -50,8 +50,8 @@ fn start_server() -> (Server, Arc<Topology<f32>>) {
         Arc::clone(&topology),
         StoreOptions {
             compaction_threshold: 64,
-            background: true,
             overload_watermark: usize::MAX,
+            ..StoreOptions::default()
         },
     );
     let server = Server::bind(
@@ -349,8 +349,8 @@ fn store_overload_rejects_writes_while_reads_keep_serving() {
         Arc::clone(&topology),
         StoreOptions {
             compaction_threshold: usize::MAX,
-            background: false,
             overload_watermark: 2,
+            ..StoreOptions::default()
         },
     );
     let server = Server::bind("127.0.0.1:0", service, ServerConfig::default()).unwrap();

@@ -55,8 +55,8 @@ fn rebuild_at_version(
         Arc::clone(base),
         StoreOptions {
             compaction_threshold: usize::MAX,
-            background: false,
             overload_watermark: usize::MAX,
+            ..StoreOptions::default()
         },
     );
     for v in 1..=version {
@@ -150,8 +150,8 @@ fn stats_exposes_store_state_after_updates() {
     let (server, _topology) = start_server(
         StoreOptions {
             compaction_threshold: usize::MAX, // keep the delta visible
-            background: false,
             overload_watermark: usize::MAX,
+            ..StoreOptions::default()
         },
         ServerConfig::default(),
     );
@@ -173,8 +173,8 @@ fn stats_exposes_store_state_after_updates() {
 }
 
 /// The acceptance-criterion test: client threads running mixed algorithms
-/// concurrently with writer threads pushing real edge batches while the
-/// background worker compacts. Every reply names the snapshot version it was
+/// concurrently with writer threads pushing real edge batches, which compact
+/// as the threshold is reached. Every reply names the snapshot version it was
 /// admitted against, and its checksum must be bit-identical to a direct run
 /// against a topology rebuilt from exactly that version's edits — in-flight
 /// queries are never contaminated by later writes or by compaction.
@@ -188,11 +188,10 @@ fn ingest_while_serving_queries_match_their_admitted_snapshot() {
 
     let (server, topology) = start_server(
         StoreOptions {
-            // Low threshold so background compaction genuinely runs
-            // mid-test.
+            // Low threshold so writes genuinely compact mid-test.
             compaction_threshold: 32,
-            background: true,
             overload_watermark: usize::MAX,
+            ..StoreOptions::default()
         },
         ServerConfig {
             workers: 2,

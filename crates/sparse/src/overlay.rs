@@ -677,8 +677,9 @@ pub fn fold_into_mirror<T: Clone + Send + Sync>(
 }
 
 /// `fold(p)` for every partition `p < n`, handed out across `executor`'s
-/// lanes: the one parallel region of both folds and of a mirror's derivation
-/// ([`CsrMirror::derive`]), each task writing only its own partition's slot.
+/// lanes: the one parallel region of both folds and of both derivations
+/// ([`CsrMirror::derive`], [`PartitionedDcsc::derive`]), each task writing
+/// only its own partition's slot.
 pub(crate) fn fold_partitions<P: Send>(
     n: usize,
     executor: &Executor,

@@ -21,16 +21,20 @@
 //! a graph does not build one: its first pull derives it from the push
 //! matrix ([`CsrMirror::derive`], one counting transpose per fine
 //! partition), as GraphBLAS converts a matrix's format when it is next read,
-//! and a graph that is only ever pushed never holds one.
+//! and a graph that is only ever pushed never holds one. The conversion runs
+//! the other way too: a graph that holds only a mirror derives its push
+//! matrix on its first push ([`PartitionedDcsc::derive`], one counting
+//! transpose per push partition).
 //! Pending edits are never merged into a pull: they are folded into a new
 //! mirror, row by row from the overlay's edits bucketed by row, partition by
 //! partition ([`crate::overlay::fold_into_mirror`]) — by the first pull of
 //! a snapshot with edits pending, and by a compaction — and the fold is
 //! pulled by the same kernel as any mirror.
 
+use crate::dcsc::Dcsc;
 use crate::overlay::fold_partitions;
 use crate::parallel::Executor;
-use crate::partition::{PartitionedDcsc, RowRange};
+use crate::partition::{Partition, PartitionedDcsc, RowRange};
 use crate::{ix, Index};
 
 /// One row partition of a [`CsrMirror`]: the partition's row range plus a
@@ -220,6 +224,80 @@ impl<T: Clone + Send + Sync> CsrMirror<T> {
     }
 }
 
+impl<T: Clone + Send + Sync> PartitionedDcsc<T> {
+    /// The push matrix of `mirror` on `ranges`, which cover its rows
+    /// contiguously, each the union of a run of consecutive mirror
+    /// partitions: what a base that holds only a mirror derives on its first
+    /// push — the sibling of [`CsrMirror::derive`]. Each range's run is
+    /// transposed column-wise by one counting sort, and the ranges are
+    /// handed out across `executor`'s lanes. The result is
+    /// [`crate::partition::RowBuckets::matrix`] of the same entries on
+    /// `ranges`, whatever the lane count: each column's rows ascending,
+    /// parallel entries in the order the mirror stores them.
+    ///
+    /// # Panics
+    /// Panics if a mirror partition does not lie inside one of `ranges`.
+    pub fn derive(mirror: &CsrMirror<T>, ranges: &[RowRange], executor: &Executor) -> Self {
+        let parts = mirror.partitions();
+        // The mirror partitions inside each range: a run of consecutive ones.
+        let (mut runs, mut first) = (Vec::with_capacity(ranges.len()), 0);
+        for range in ranges {
+            let inside =
+                |p: &&PullPartition<T>| range.start <= p.rows.start && p.rows.end <= range.end;
+            let end = first + parts[first..].iter().take_while(inside).count();
+            runs.push(first..end);
+            first = end;
+        }
+        assert!(
+            first == parts.len(),
+            "every mirror partition lies inside one push range"
+        );
+        let (nrows, ncols) = (mirror.nrows(), mirror.ncols());
+        let partitions = fold_partitions(ranges.len(), executor, |q| Partition {
+            rows: ranges[q],
+            matrix: transposed(&parts[runs[q].clone()], nrows, ncols),
+        });
+        PartitionedDcsc::from_partitions(nrows, ncols, partitions)
+    }
+}
+
+/// The DCSC of a run of mirror partitions over consecutive rows: one pass
+/// counts each column's entries, one places them in row-major order — so a
+/// column's rows come out ascending and parallel entries in the order the
+/// run stores them.
+fn transposed<T: Clone>(run: &[PullPartition<T>], nrows: Index, ncols: Index) -> Dcsc<T> {
+    let entries = || {
+        let rows = run.iter().flat_map(|p| p.iter_rows());
+        rows.flat_map(|(r, cols, vals)| cols.iter().zip(vals).map(move |(&c, v)| (r, c, v)))
+    };
+    // A column's count, then the next slot of its entries.
+    let mut next = vec![0usize; ix(ncols)];
+    for (_, c, _) in entries() {
+        next[ix(c)] += 1;
+    }
+    let (mut jc, mut cp, mut nnz) = (Vec::new(), Vec::new(), 0);
+    for (c, slot) in next.iter_mut().enumerate().filter(|(_, count)| **count > 0) {
+        jc.push(c as Index);
+        cp.push(nnz);
+        nnz += std::mem::replace(slot, nnz);
+    }
+    cp.push(nnz);
+    let mut ir = vec![0 as Index; nnz];
+    // Every slot is overwritten below; a stored value is what fills them
+    // first, so no slot is ever read unset.
+    let mut values = match entries().next() {
+        Some((_, _, v)) => vec![v.clone(); nnz],
+        None => Vec::new(),
+    };
+    for (r, c, v) in entries() {
+        let slot = &mut next[ix(c)];
+        ir[*slot] = r;
+        values[*slot] = v.clone();
+        *slot += 1;
+    }
+    Dcsc::from_parts(nrows, ncols, jc, cp, ir, values)
+}
+
 impl<T> CsrMirror<T> {
     /// A mirror of `nrows × ncols` from its partitions, whose ranges cover
     /// the rows contiguously.
@@ -362,6 +440,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The push matrix derived from a mirror — on the fine ranges or on runs
+    /// of them merged — is the matrix built from the same buckets, and the
+    /// mirror's derivation from that matrix derives it back: on one lane and
+    /// across two and three, empty ranges included, weighted and `()`. The
+    /// input has isolated vertices, a self-loop and a parallel pair of
+    /// different values, whose stored order the derivation keeps.
+    #[test]
+    fn a_derived_push_matrix_is_the_matrix_of_the_buckets() {
+        use crate::partition::{RowBuckets, RowPartitioner};
+        fn check<T>(coo: &Coo<T>)
+        where
+            T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
+        {
+            for fine in [
+                RowPartitioner::even_rows(coo.nrows(), 4),
+                RowPartitioner::even_rows(coo.nrows(), 13),
+                RowPartitioner::balanced_nnz(&coo.row_counts(), 3),
+            ] {
+                let buckets = RowBuckets::new(coo, &fine);
+                let sequential = Executor::sequential();
+                let mirror = CsrMirror::derive(&buckets.matrix(fine.len()), &fine, &sequential);
+                for groups in [1, 2, fine.len()] {
+                    let want = buckets.matrix(groups);
+                    let ranges = RowPartitioner::coarsen(&fine, groups);
+                    for ex in [Executor::sequential(), Executor::new(2), Executor::new(3)] {
+                        let case = format!("{fine:?} in {groups} groups, {} lanes", ex.nthreads());
+                        let got = PartitionedDcsc::derive(&mirror, &ranges, &ex);
+                        assert!(got == want, "{case}");
+                        let back = CsrMirror::derive(&got, &fine, &ex);
+                        assert!(
+                            PartitionedDcsc::derive(&back, &ranges, &ex) == got,
+                            "{case}"
+                        );
+                        assert!(back == mirror, "{case}");
+                    }
+                }
+            }
+        }
+        // Rows and columns 8 and 9 are empty.
+        let mut coo = Coo::new(10, 10);
+        for (r, c, v) in sample().entries() {
+            coo.push(*r, *c, *v);
+        }
+        coo.push(5, 2, 202);
+        coo.push(4, 4, 400);
+        check(&coo);
+        check(&coo.map(|_| ()));
     }
 
     #[test]

@@ -305,7 +305,6 @@ fn masked_pull_bfs_matches_the_reference_under_every_backend() {
                 Arc::clone(&topo),
                 StoreOptions {
                     compaction_threshold: usize::MAX,
-                    background: false,
                     ..StoreOptions::default()
                 },
             );

@@ -155,7 +155,6 @@ fn manual_store(base: &Arc<Topology<f32>>) -> Arc<GraphStore<f32>> {
         Arc::clone(base),
         StoreOptions {
             compaction_threshold: usize::MAX,
-            background: false,
             ..StoreOptions::default()
         },
     )

@@ -229,7 +229,6 @@ fn streaming_overlay_matches_rebuild_from_final_edge_list() {
             Arc::clone(&base),
             StoreOptions {
                 compaction_threshold: usize::MAX,
-                background: false,
                 ..StoreOptions::default()
             },
         );
@@ -416,7 +415,6 @@ fn every_compaction_keeps_the_layout_and_answers_like_a_rebuild() {
                 base,
                 StoreOptions {
                     compaction_threshold: usize::MAX,
-                    background: false,
                     ..StoreOptions::default()
                 },
             );
@@ -621,7 +619,6 @@ fn every_write_compiles_like_the_whole_history_from_scratch() {
             base,
             StoreOptions {
                 compaction_threshold: usize::MAX,
-                background: false,
                 ..StoreOptions::default()
             },
         );

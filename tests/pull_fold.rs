@@ -132,7 +132,6 @@ fn fixture() -> Fixture {
     let store = || {
         let options = StoreOptions {
             compaction_threshold: usize::MAX,
-            background: false,
             ..StoreOptions::default()
         };
         GraphStore::new(Arc::clone(&base), options)
@@ -364,7 +363,17 @@ fn compaction_publishes_the_fold_a_snapshot_already_made() {
     let matrix = folded.out_matrix();
     let from_scratch = unfolded.detached();
     let reused = folded.detached();
-    // What the fold writes: the out side's matrix, mirror and degrees.
+    // A compaction of an unfolded snapshot makes one fold — of the push
+    // matrix, the layout its base holds — and leaves it with the snapshot
+    // for its own pushes; it folds no mirror and derives none.
+    let kept = unfolded.out_side().made_matrix().unwrap();
+    let published = from_scratch.out_side().made_matrix().unwrap();
+    assert!(Arc::ptr_eq(published, kept));
+    assert!(unfolded.out_side().made_mirror().is_none());
+    assert!(from_scratch.out_side().made_mirror().is_none());
+    // What the fold writes: the out side's matrix, mirror and degrees —
+    // every layout, once made (a mirror derived from a fold included),
+    // byte-identical.
     for topology in [&reused, &*f.compacted] {
         assert_eq!(topology.out_matrix(), from_scratch.out_matrix());
         assert_eq!(topology.out_pull_mirror(), from_scratch.out_pull_mirror());
@@ -381,15 +390,132 @@ fn compaction_publishes_the_fold_a_snapshot_already_made() {
     ));
     assert!(std::ptr::eq(reused.out_matrix(), matrix));
     assert!(!std::ptr::eq(from_scratch.out_matrix(), matrix));
-    // A compaction of an unfolded snapshot makes its folds and leaves them
-    // with the snapshot, for the snapshot's own pulls and pushes.
-    let kept = unfolded.out_side().made_mirror().unwrap();
-    assert!(std::ptr::eq(
-        from_scratch.out_pull_mirror().unwrap(),
-        &**kept
-    ));
-    let kept = unfolded.out_side().made_matrix().unwrap();
-    assert!(std::ptr::eq(from_scratch.out_matrix(), &**kept));
+}
+
+/// A store over `base` that compacts only when asked.
+fn manual_store(base: &Arc<Topology<f32>>) -> Arc<GraphStore<f32>> {
+    let options = StoreOptions {
+        compaction_threshold: usize::MAX,
+        ..StoreOptions::default()
+    };
+    GraphStore::new(Arc::clone(base), options)
+}
+
+/// A store over `base` whose pending edits — the seeded batch — were read
+/// by one PageRank on `backend` (or not at all), then compacted; and the
+/// snapshot that held them.
+fn compacted_after(
+    base: &Arc<Topology<f32>>,
+    backend: Option<Backend>,
+) -> (Arc<GraphStore<f32>>, Arc<GraphSnapshot<f32>>) {
+    let store = manual_store(base);
+    let snapshot = store.apply(edits(&graph()).0).unwrap();
+    if backend.is_some() {
+        run(&session(2, backend), snapshot.view(), Algo::PageRank);
+    }
+    assert!(store.compact_now());
+    (store, snapshot)
+}
+
+/// Compaction publishes the out-side folds the snapshot's reads made and no
+/// others: a snapshot only pulled compacts to a base holding only its
+/// mirror fold, one only pushed to a base holding only its push fold, and
+/// an unread one over a never-pulled base makes one fold — of the push
+/// matrix its base holds — and no mirror on either base.
+#[test]
+fn compaction_publishes_only_the_folds_reads_made() {
+    let base = session(2, None).build_graph(&graph()).finish().unwrap();
+    // Unread first, before anything has pulled the base.
+    for backend in [None, Some(Backend::Pull), Some(Backend::Push)] {
+        let (store, snapshot) = compacted_after(&base, backend);
+        let compacted = store.snapshot();
+        let sides = [snapshot.view().out_side(), compacted.base().out_side()];
+        let matrices = sides.map(|s| s.made_matrix().map(|m| Arc::as_ptr(m) as usize));
+        let mirrors = sides.map(|s| s.made_mirror().map(|m| Arc::as_ptr(m) as usize));
+        let (folded, absent) = match backend {
+            Some(Backend::Pull) => (mirrors, matrices),
+            _ => (matrices, mirrors),
+        };
+        assert!(folded[0].is_some(), "{backend:?}: no fold");
+        assert_eq!(
+            folded[0], folded[1],
+            "{backend:?}: the fold was not published"
+        );
+        assert_eq!(absent, [None, None], "{backend:?}: a second layout");
+        if backend.is_none() {
+            assert!(
+                base.out_side().made_mirror().is_none(),
+                "a mirror was derived"
+            );
+        }
+    }
+}
+
+/// Writes over a base that holds only a mirror compile the overlay that
+/// writes over a twin holding only a push matrix compile, and make neither
+/// base's missing layout; runs over both snapshots — which derive it — and
+/// over both bases answer like rebuilds, bit for bit.
+#[test]
+fn writes_over_either_layout_compile_alike_and_answer_like_a_rebuild() {
+    let el = graph();
+    let n = el.num_vertices();
+    let builder = session(2, None);
+    let base = builder.build_graph(&el).finish().unwrap();
+    let (mirror_only, _) = compacted_after(&base, Some(Backend::Pull));
+    let (matrix_only, _) = compacted_after(&base, Some(Backend::Push));
+    let (_, first) = edits(&el);
+    // The reverse of every edited pair, and deletes of every 41st edge.
+    let (mut batch, mut net) = (DeltaBatch::new(n), first.clone());
+    for &(s, d) in first.keys() {
+        batch.insert(d, s, 7.5).unwrap();
+        net.insert((d, s), Some(7.5));
+    }
+    for &(s, d, _) in el.edges().iter().step_by(41) {
+        batch.delete(s, d).unwrap();
+        net.insert((s, d), None);
+    }
+    let m = mirror_only.apply(batch.clone()).unwrap();
+    let p = matrix_only.apply(batch).unwrap();
+    let (mo, po) = (m.overlay().unwrap(), p.overlay().unwrap());
+    assert_eq!(mo.out(), po.out());
+    assert_eq!(mo.out_degrees(), po.out_degrees());
+    assert_eq!(mo.in_degrees(), po.in_degrees());
+    assert_eq!(m.num_edges(), p.num_edges());
+    assert!(
+        m.base().out_side().made_matrix().is_none(),
+        "a write derived"
+    );
+    assert!(
+        p.base().out_side().made_mirror().is_none(),
+        "a write derived"
+    );
+
+    let rebuilt_first = builder.build_graph(&edited(&el, &first)).finish().unwrap();
+    let rebuilt = builder.build_graph(&edited(&el, &net)).finish().unwrap();
+    for backend in BACKENDS {
+        let session = session(2, backend);
+        for algo in ALGOS {
+            let ctx = format!("{algo:?}, {backend:?}");
+            let want = run(&session, &rebuilt, algo).0;
+            assert_eq!(run(&session, m.view(), algo).0, want, "{ctx}: mirror-only");
+            assert_eq!(run(&session, p.view(), algo).0, want, "{ctx}: matrix-only");
+            let want = run(&session, &rebuilt_first, algo).0;
+            assert_eq!(
+                run(&session, m.base(), algo).0,
+                want,
+                "{ctx}: mirror-only base"
+            );
+            assert_eq!(
+                run(&session, p.base(), algo).0,
+                want,
+                "{ctx}: matrix-only base"
+            );
+        }
+    }
+    // What the runs derived is what a build over the same ranges stores.
+    let (m, p) = (m.base(), p.base());
+    assert!(**m.out_side().made_matrix().unwrap() == *p.out_matrix());
+    assert!(**p.out_side().made_mirror().unwrap() == *m.out_pull_mirror().unwrap());
 }
 
 /// A `Both` program over weighted edges: every vertex sums what its in- and
@@ -609,7 +735,6 @@ fn covered_pulls_over_snapshots_answer_like_forced_push_and_a_rebuild() {
     assert_eq!(base.edge_multiplicity(ps, pd), 2);
     let options = StoreOptions {
         compaction_threshold: usize::MAX,
-        background: false,
         ..StoreOptions::default()
     };
     let store = GraphStore::new(Arc::clone(&base), options);
@@ -679,7 +804,6 @@ fn snapshots_do_not_chain_and_a_dropped_snapshot_frees_its_folds() {
     let base = session.build_graph(&el).finish().unwrap();
     let options = StoreOptions {
         compaction_threshold: usize::MAX,
-        background: false,
         ..StoreOptions::default()
     };
     let store = GraphStore::new(Arc::clone(&base), options);

@@ -278,7 +278,6 @@ fn first_in_edge_runs_over_pending_edits_race_to_one_derived_overlay() {
             Arc::clone(&topo),
             StoreOptions {
                 compaction_threshold: usize::MAX,
-                background: false,
                 ..StoreOptions::default()
             },
         )

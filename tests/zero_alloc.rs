@@ -10,10 +10,10 @@
 //!
 //! The counters are process-global, so this binary contains exactly one
 //! `#[test]` (see the module docs of `alloc_track`). For the same reason a
-//! window measured right after threads were spawned (a session's pool, a
-//! store's compactor) waits first until they have started: a thread
-//! allocates a copy of its name when it starts, whenever the host gets to
-//! scheduling it ([`settle`]).
+//! window measured right after threads were spawned (a session's pool)
+//! waits first until they have started: a thread allocates a copy of its
+//! name when it starts, whenever the host gets to scheduling it
+//! ([`settle`]). A store spawns none: its writes compact.
 //!
 //! Skipped under `--features shard-check`: the race detector deliberately
 //! allocates shadow claim maps inside the instrumented regions, which is
@@ -43,6 +43,7 @@ use graphmat_io::rmat::{self, RmatConfig};
 use graphmat_io::rng::StdRng;
 use graphmat_server::protocol::{Algorithm, RunRequest, Status};
 use graphmat_server::service::{self, GraphService, WorkerStates};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -234,7 +235,6 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         topo.clone(),
         StoreOptions {
             compaction_threshold: usize::MAX,
-            background: false,
             ..StoreOptions::default()
         },
     );
@@ -404,7 +404,6 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     let fresh = GraphStore::new(
         big_topo,
         StoreOptions {
-            background: false,
             ..StoreOptions::default()
         },
     );
@@ -451,7 +450,6 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         merged.clone(),
         StoreOptions {
             compaction_threshold: usize::MAX,
-            background: false,
             ..StoreOptions::default()
         },
     );
@@ -562,10 +560,13 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
     );
 
     // ---- Part 1h: compaction merges the edits in, it does not rebuild. ----
-    // With ~3 % of the edges edited, folding the overlay into the base
-    // allocates the new base's matrices (at the merge's upper-bound
-    // capacities) and its two degree arrays. A rebuild materialized an edge
-    // list, a transposed COO and sorted buckets besides: ≥ 36 bytes per edge.
+    // With ~3 % of the edges edited and no read of the snapshot, compaction
+    // folds the overlay into the one layout the base holds — its push
+    // matrix; no run has pulled it, and nothing derives its mirror — and
+    // allocates that fold (at the merge's upper-bound capacities) and the
+    // new base's two degree arrays: 26 allocations, 685 952 B against a bound
+    // of 702 932 B on RMAT-12. A rebuild materialized an edge list, a
+    // transposed COO and sorted buckets besides: ≥ 36 bytes per edge.
     let nb = big.num_vertices();
     let mut edits = DeltaBatch::new(nb);
     for (i, &(src, dst, _)) in big.edges().iter().step_by(33).enumerate() {
@@ -582,18 +583,61 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         Ok(snapshot) => assert!(snapshot.delta_len() > big.num_edges() / 40),
         Err(e) => panic!("apply ~3 % edits: {e}"),
     }
-    // The compaction folds the base's mirror, which no run has pulled yet:
-    // derive it first, so that the window holds the fold alone.
-    fresh.snapshot().base().out_pull_mirror();
     let (compacted, stats) = AllocGuard::measure(|| fresh.compact_now());
     assert!(compacted, "nothing was compacted");
     let folded = fresh.snapshot().base().clone();
-    let bound = 1.1 * (folded.matrix_bytes() + folded.pull_bytes()) as f64 + 8.0 * nb as f64;
+    assert!(
+        folded.out_side().made_mirror().is_none(),
+        "a mirror was made"
+    );
+    // `matrix_bytes` counts every resident layout, mirrors included.
+    let bound = 1.1 * folded.matrix_bytes() as f64 + 8.0 * nb as f64;
     assert!(
         (stats.bytes as f64) <= bound,
         "compacting {} edges allocated {} bytes, bound {bound:.0}",
         folded.num_edges(),
         stats.bytes
+    );
+    // A snapshot that one push and one pull have already folded compacts to
+    // those folds, shared: the new base's two degree arrays (8 B/vertex)
+    // and its ranges and handles, nothing per edge. Measured on RMAT-12
+    // (4 096 vertices): 8 allocations, 32 768 + 1 184 B. (The fixed part is
+    // bounded at 4 096 B.)
+    let mut edits = DeltaBatch::new(nb);
+    for (i, &(src, dst, _)) in big.edges().iter().step_by(29).enumerate() {
+        let edit = match i % 2 {
+            0 => edits.delete(src, dst),
+            _ => edits.insert(dst, (src + 3) % nb, 1.5),
+        };
+        if let Err(e) = edit {
+            panic!("edit {i}: {e}");
+        }
+    }
+    let read = match fresh.apply(edits) {
+        Ok(snapshot) => snapshot,
+        Err(e) => panic!("apply edits to the compacted base: {e}"),
+    };
+    read.view().out_matrix();
+    read.view().out_pull_mirror();
+    let (compacted, stats) = AllocGuard::measure(|| fresh.compact_now());
+    assert!(compacted, "nothing was compacted");
+    let bound = 8 * u64::from(nb) + 4096;
+    assert!(
+        stats.bytes <= bound,
+        "compacting a pushed and pulled snapshot allocated {} bytes, bound {bound}",
+        stats.bytes
+    );
+    let published = fresh.snapshot();
+    let (published, made) = (published.base().out_side(), read.view().out_side());
+    let matrices = (published.made_matrix(), made.made_matrix());
+    let mirrors = (published.made_mirror(), made.made_mirror());
+    assert!(
+        matches!(matrices, (Some(a), Some(b)) if Arc::ptr_eq(a, b)),
+        "push fold"
+    );
+    assert!(
+        matches!(mirrors, (Some(a), Some(b)) if Arc::ptr_eq(a, b)),
+        "pull fold"
     );
 
     // ---- Part 1i: a write allocates independently of what is pending. ----
@@ -607,7 +651,6 @@ fn warmed_supersteps_and_server_rounds_allocate_nothing() {
         folded.clone(),
         StoreOptions {
             compaction_threshold: usize::MAX,
-            background: false,
             ..StoreOptions::default()
         },
     );
